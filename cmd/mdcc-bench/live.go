@@ -10,12 +10,11 @@ package main
 // to issuing, so server stalls surface as tail latency instead of
 // silently thinning the offered load.
 //
-// Each rate runs once per codec (hand-rolled binary vs legacy gob),
-// which yields the headline table BENCH_live.json commits: p50/p99/p999
-// vs offered load per codec, achieved tx/s, and the wire bytes/message
-// scraped from the servers' /metrics deltas. A static per-message-type
-// gob-vs-binary size table rides along (same encoders the transports
-// use).
+// One deployment serves the whole rate sweep, which yields the headline
+// table BENCH_live.json commits: p50/p99/p999 vs offered load, achieved
+// tx/s, and the wire bytes/message scraped from the servers' /metrics
+// deltas. A static per-message-type wire-size table rides along (same
+// encoders the transports use).
 
 import (
 	"encoding/json"
@@ -49,14 +48,12 @@ var (
 	liveInflight = flag.Int("live.inflight", 512, "max concurrently outstanding transactions (arrivals past this queue, CO-safely)")
 	liveConns    = flag.Int("live.conns", 4, "client connections per data center")
 	liveKeys     = flag.Int("live.keys", 64, "hot keys the workload decrements")
-	liveCodecs   = flag.String("live.codecs", "binary,gob", "codecs to compare")
 	liveServer   = flag.String("live.server-bin", "", "prebuilt mdcc-server binary (default: go build it)")
 	liveOut      = flag.String("live.out", "BENCH_live.json", "JSON output path")
 )
 
-// liveRun is one (codec, offered rate) cell of the sweep.
+// liveRun is one offered-rate cell of the sweep.
 type liveRun struct {
-	Codec       string  `json:"codec"`
 	OfferedTPS  float64 `json:"offeredTPS"`
 	AchievedTPS float64 `json:"achievedTPS"` // committed tx/s in the measured window
 	Commits     int64   `json:"commits"`
@@ -78,12 +75,10 @@ type liveRun struct {
 	QueueMaxWait float64 `json:"queueMaxWaitMs"` // largest schedule lag observed at issue time
 }
 
-// liveTypeSize is one row of the static per-type codec comparison.
+// liveTypeSize is one row of the static per-type wire-size table.
 type liveTypeSize struct {
-	Type     string  `json:"type"`
-	GobBytes int     `json:"gobBytes"`
-	BinBytes int     `json:"binBytes"`
-	Ratio    float64 `json:"ratio"`
+	Type     string `json:"type"`
+	BinBytes int    `json:"binBytes"`
 }
 
 type liveReport struct {
@@ -103,7 +98,7 @@ type liveReport struct {
 // liveBench orchestrates the whole sweep.
 func liveBench() {
 	header("Live bench — real-clock open-loop latency over the 5-process TCP deployment",
-		"first hardware measurement: p50/p99/p999 vs offered load, binary vs gob wire codec")
+		"first hardware measurement: p50/p99/p999 vs offered load")
 
 	bin := *liveServer
 	if bin == "" {
@@ -114,7 +109,6 @@ func liveBench() {
 		}
 	}
 	rates := parseRates(*liveRates)
-	codecs := strings.Split(*liveCodecs, ",")
 
 	report := liveReport{
 		GeneratedBy: "mdcc-bench live",
@@ -130,32 +124,29 @@ func liveBench() {
 	}
 
 	fmt.Printf("\nper-type wire bytes (envelope incl. framing):\n")
-	fmt.Printf("%-22s %10s %10s %8s\n", "message", "gob B", "binary B", "ratio")
+	fmt.Printf("%-22s %10s\n", "message", "bytes")
 	for _, ts := range report.TypeSizes {
-		fmt.Printf("%-22s %10d %10d %7.2fx\n", ts.Type, ts.GobBytes, ts.BinBytes, ts.Ratio)
+		fmt.Printf("%-22s %10d\n", ts.Type, ts.BinBytes)
 	}
 
-	fmt.Printf("\n%-8s %9s %10s %8s %8s %8s %8s %12s %10s\n",
-		"codec", "offered", "achieved", "p50ms", "p99ms", "p999ms", "aborts", "bytes/msg", "msgs/tx")
-	for _, codec := range codecs {
-		codec = strings.TrimSpace(codec)
-		dep, err := startDeployment(bin, codec)
-		if err != nil {
-			fatalf("start %s deployment: %v", codec, err)
-		}
-		for _, rate := range rates {
-			run, err := dep.drive(codec, rate)
-			if err != nil {
-				dep.stop()
-				fatalf("drive %s @ %d tx/s: %v", codec, rate, err)
-			}
-			report.Runs = append(report.Runs, run)
-			fmt.Printf("%-8s %9.0f %10.1f %8.1f %8.1f %8.1f %8d %12.1f %10.1f\n",
-				run.Codec, run.OfferedTPS, run.AchievedTPS, run.P50Ms, run.P99Ms, run.P999Ms,
-				run.Aborts, run.BytesPerMsg, run.MsgsPerTx)
-		}
-		dep.stop()
+	fmt.Printf("\n%9s %10s %8s %8s %8s %8s %12s %10s\n",
+		"offered", "achieved", "p50ms", "p99ms", "p999ms", "aborts", "bytes/msg", "msgs/tx")
+	dep, err := startDeployment(bin)
+	if err != nil {
+		fatalf("start deployment: %v", err)
 	}
+	for _, rate := range rates {
+		run, err := dep.drive(rate)
+		if err != nil {
+			dep.stop()
+			fatalf("drive @ %d tx/s: %v", rate, err)
+		}
+		report.Runs = append(report.Runs, run)
+		fmt.Printf("%9.0f %10.1f %8.1f %8.1f %8.1f %8d %12.1f %10.1f\n",
+			run.OfferedTPS, run.AchievedTPS, run.P50Ms, run.P99Ms, run.P999Ms,
+			run.Aborts, run.BytesPerMsg, run.MsgsPerTx)
+	}
+	dep.stop()
 
 	blob, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -230,9 +221,9 @@ func freePorts(n int) ([]int, error) {
 	return ports, nil
 }
 
-// startDeployment boots the five mdcc-server -gateway processes with
-// the given send-side codec and waits until every listener accepts.
-func startDeployment(bin, codec string) (*deployment, error) {
+// startDeployment boots the five mdcc-server -gateway processes and
+// waits until every listener accepts.
+func startDeployment(bin string) (*deployment, error) {
 	dcs := topology.AllDCs()
 	ports, err := freePorts(2 * len(dcs))
 	if err != nil {
@@ -252,7 +243,6 @@ func startDeployment(bin, codec string) (*deployment, error) {
 	topo := &mdcc.RemoteTopology{
 		NodesPerDC: 1,
 		Mode:       "mdcc",
-		Codec:      codec,
 		Addrs:      addrs,
 		Constraints: []struct {
 			Attr string `json:"attr"`
@@ -409,7 +399,7 @@ func (d *deployment) scrape() (wireTotals, error) {
 
 // drive runs one open-loop window at the offered rate and returns the
 // measured cell.
-func (d *deployment) drive(codec string, rate int) (liveRun, error) {
+func (d *deployment) drive(rate int) (liveRun, error) {
 	interval := time.Second / time.Duration(rate)
 	warmN := int(liveWarm.Seconds() * float64(rate))
 	measureN := int(liveMeasure.Seconds() * float64(rate))
@@ -481,7 +471,6 @@ func (d *deployment) drive(codec string, rate int) (liveRun, error) {
 
 	wall := liveMeasure.Seconds()
 	run := liveRun{
-		Codec:        codec,
 		OfferedTPS:   float64(rate),
 		AchievedTPS:  float64(commits) / wall,
 		Commits:      commits,
@@ -507,8 +496,8 @@ func (d *deployment) drive(codec string, rate int) (liveRun, error) {
 	return run, nil
 }
 
-// typeSizeTable sizes representative hot messages under both codecs
-// with the same encoders the transports use. The samples mirror the
+// typeSizeTable sizes representative hot messages with the same
+// encoders the transports use. The samples mirror the
 // live workload: commutative single-attribute options with escrow
 // piggybacks.
 func typeSizeTable() []liveTypeSize {
@@ -572,18 +561,11 @@ func typeSizeTable() []liveTypeSize {
 	}
 	out := make([]liveTypeSize, 0, len(rows))
 	for _, r := range rows {
-		gobN, err := transport.GobEncodedSize(r.msg)
-		if err != nil {
-			fatalf("gob size %s: %v", r.name, err)
-		}
 		binN, err := transport.EncodedSize(r.msg)
 		if err != nil {
-			fatalf("binary size %s: %v", r.name, err)
+			fatalf("wire size %s: %v", r.name, err)
 		}
-		out = append(out, liveTypeSize{
-			Type: r.name, GobBytes: gobN, BinBytes: binN,
-			Ratio: float64(gobN) / float64(binN),
-		})
+		out = append(out, liveTypeSize{Type: r.name, BinBytes: binN})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Type < out[j].Type })
 	return out

@@ -134,18 +134,6 @@ func gatewayBench() {
 		}
 		fmt.Printf("read speedup: %.2fx reads/s over per-RPC reads\n", rm.SpeedupRead)
 	}
-	if l := cmp.Lineage; l != nil {
-		fmt.Printf("\nhot-record lineage bytes (%d sessions, %s, one hot key; anti-entropy + classic-phase messages):\n",
-			l.Sessions, l.Measure)
-		lrow := func(r bench.LineageBytesRun) {
-			fmt.Printf("%-26s %9d commits  sync %6d msgs @ %10.0f B/msg   phase %6d msgs @ %10.0f B/msg\n",
-				r.Mode, r.Commits, r.SyncMsgs, r.SyncBPM, r.PhaseMsgs, r.PhaseBPM)
-		}
-		lrow(l.Baseline)
-		lrow(l.Summary)
-		fmt.Printf("lineage bytes/msg reduction: %.1fx anti-entropy, %.1fx classic-phase\n",
-			l.SyncReduction, l.PhaseReduction)
-	}
 	if mg := cmp.MultiGroup; mg != nil {
 		fmt.Printf("\nmulti-group capacity (%d sessions and %d hot keys per group, %s measure):\n",
 			mg.SessionsPerGroup, mg.HotKeysPerGroup, sc.MultiMeasure)

@@ -63,7 +63,7 @@
 //	    "batchesReceived": 0,
 //	    "batchedSent": 0,                 // messages carried inside them
 //	    "batchedReceived": 0,
-//	    "bytesSent": 0,                   // wire bytes (gob-encoded)
+//	    "bytesSent": 0,                   // wire bytes (binary frames)
 //	    "bytesReceived": 0
 //	  },
 //	  "gateway": {                        // present only with -gateway:

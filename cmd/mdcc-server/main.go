@@ -53,8 +53,6 @@ var (
 	gwReadTier = flag.Bool("gateway-read-tier", true, "serve gateway reads from the DC-local learned replica (visibility-feed materialized memory); false = one RPC per read")
 	gwFeedTTL  = flag.Duration("gateway-feed-ttl", 0, "read tier: max visibility-feed silence before memory reads fall back to RPC (0 = default 2s)")
 
-	codecName = flag.String("codec", "", "send-side wire codec: binary or gob (default: topology's codec, else binary; receive always auto-detects)")
-
 	profile      = flag.Bool("profile", false, "serve Go pprof endpoints under /debug/pprof/ on -http and enable block/mutex profiling")
 	traceOn      = flag.Bool("trace", false, "run the transaction flight recorder; retained timelines serve on /trace")
 	traceSlow    = flag.Duration("trace-slow", 0, "flight recorder: retain transactions slower than this (0 = default 1s)")
@@ -112,15 +110,6 @@ func main() {
 	}
 	net := transport.NewTCP(routes)
 	net.Logf = log.Printf
-	codecStr := *codecName
-	if codecStr == "" {
-		codecStr = topo.Codec
-	}
-	codec, err := transport.ParseCodec(codecStr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	net.SetCodec(codec)
 	bound, err := net.Listen(addr)
 	if err != nil {
 		log.Fatal(err)

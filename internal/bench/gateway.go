@@ -58,16 +58,6 @@ type GatewayScale struct {
 	ReadWarmup  time.Duration
 	ReadMeasure time.Duration
 
-	// LineageSessions/LineageMeasure/LineageStock size the hot-record
-	// lineage-bytes arm (see lineage.go): full-window decided lists
-	// vs exact summaries on one hot commutative record's
-	// anti-entropy and classic-phase messages. 0 sessions skips it;
-	// the stock is set to exhaust mid-run so demarcation rejects
-	// force classic base-rewrite rounds into the measurement.
-	LineageSessions int
-	LineageMeasure  time.Duration
-	LineageStock    int64
-
 	// MultiGroups/MultiSessions/MultiHotKeys/MultiWarmup/MultiMeasure
 	// size the capacity-scaling arm (see multiGroupCapacity): the same
 	// per-group offered load (MultiSessions closed-loop sessions on
@@ -102,45 +92,34 @@ func GatewayPaperScale() GatewayScale {
 		ReadFrac:      0.9,
 		ReadWarmup:    5 * time.Second,
 		ReadMeasure:   30 * time.Second,
-		// Modest sizing on purpose: the metric is bytes per message
-		// (independent of throughput), and the baseline arm's legacy
-		// lists grow to ~1MB/message — gob-metering them at stampede
-		// scale would dominate the bench's wall time without adding
-		// information.
-		LineageSessions: 100,
-		LineageMeasure:  20 * time.Second,
-		LineageStock:    5_000,
-		MultiGroups:     4,
-		MultiSessions:   250,
-		MultiHotKeys:    4,
-		MultiWarmup:     5 * time.Second,
-		MultiMeasure:    30 * time.Second,
+		MultiGroups:   4,
+		MultiSessions: 250,
+		MultiHotKeys:  4,
+		MultiWarmup:   5 * time.Second,
+		MultiMeasure:  30 * time.Second,
 	}
 }
 
 // GatewayQuickScale shrinks the run for CI smoke (~1/5 scale).
 func GatewayQuickScale() GatewayScale {
 	return GatewayScale{
-		Sessions:        200,
-		HotKeys:         4,
-		InitialStock:    10_000_000,
-		NodesPerDC:      2,
-		ServiceTime:     time.Millisecond,
-		Warmup:          5 * time.Second,
-		Measure:         20 * time.Second,
-		ScarceStock:     1_200,
-		ScarceMeasure:   10 * time.Second,
-		ReadFrac:        0.9,
-		ReadWarmup:      2 * time.Second,
-		ReadMeasure:     10 * time.Second,
-		LineageSessions: 60,
-		LineageMeasure:  15 * time.Second,
-		LineageStock:    3_000,
-		MultiGroups:     4,
-		MultiSessions:   60,
-		MultiHotKeys:    4,
-		MultiWarmup:     2 * time.Second,
-		MultiMeasure:    10 * time.Second,
+		Sessions:      200,
+		HotKeys:       4,
+		InitialStock:  10_000_000,
+		NodesPerDC:    2,
+		ServiceTime:   time.Millisecond,
+		Warmup:        5 * time.Second,
+		Measure:       20 * time.Second,
+		ScarceStock:   1_200,
+		ScarceMeasure: 10 * time.Second,
+		ReadFrac:      0.9,
+		ReadWarmup:    2 * time.Second,
+		ReadMeasure:   10 * time.Second,
+		MultiGroups:   4,
+		MultiSessions: 60,
+		MultiHotKeys:  4,
+		MultiWarmup:   2 * time.Second,
+		MultiMeasure:  10 * time.Second,
 	}
 }
 
@@ -191,10 +170,6 @@ type GatewayComparison struct {
 	// ReadMostly compares the 90/10 read mix with per-RPC reads vs
 	// the learned-replica read tier (see readtier.go).
 	ReadMostly *ReadComparison `json:"readMostly,omitempty"`
-	// Lineage compares lineage-bearing message bytes on a hot
-	// commutative record: the pre-summary full-window decided lists
-	// vs exact lineage summaries (see lineage.go).
-	Lineage *LineageBytesComparison `json:"lineage,omitempty"`
 	// MultiGroup shows committed capacity scaling with shard-ring
 	// group count at fixed per-group offered load (the one-replica-
 	// group capacity ceiling, broken).
@@ -294,12 +269,6 @@ func GatewaySaturation(seed int64, sc GatewayScale) *GatewayComparison {
 	}
 	if sc.ReadFrac > 0 && sc.ReadMeasure > 0 {
 		cmp.ReadMostly = ReadMostly(seed, sc)
-	}
-	if sc.LineageSessions > 0 && sc.LineageMeasure > 0 {
-		cmp.Lineage = LineageHotRecord(seed, LineageScale{
-			Sessions: sc.LineageSessions, Measure: sc.LineageMeasure,
-			Stock: sc.LineageStock,
-		})
 	}
 	if sc.MultiGroups > 1 {
 		cmp.MultiGroup = multiGroupCapacity(seed, sc)

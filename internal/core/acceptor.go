@@ -1038,23 +1038,6 @@ func (n *StorageNode) adoptBase(key record.Key, base record.Value, baseVer recor
 	return true
 }
 
-// decidedList snapshots a record's decided log in the pre-summary
-// wire format (contents for commutative accepts). Kept solely as the
-// Config.ShipFullLineage ablation payload, so the lineage-bytes
-// benchmark can price the old format against summaries.
-func decidedList(l *decidedLog) []DecidedOption {
-	out := make([]DecidedOption, 0, len(l.order))
-	for _, id := range l.order {
-		e := l.byID[id]
-		d := DecidedOption{ID: id, Decision: e.Decision}
-		if e.HasOpt && e.Decision == DecAccept && e.Opt.Update.Kind == record.KindCommutative {
-			d.Opt, d.HasOpt = e.Opt, true
-		}
-		out = append(out, d)
-	}
-	return out
-}
-
 // applyUpdate makes a committed update visible in the store.
 func (n *StorageNode) applyUpdate(up record.Update) {
 	if up.Kind == record.KindReadCheck {
@@ -1104,9 +1087,6 @@ func (n *StorageNode) onPhase1a(from transport.NodeID, m MsgPhase1a) {
 		Value:   val,
 		Exists:  ok && !val.Tombstone,
 		Lineage: r.summary.Clone(),
-	}
-	if n.cfg.ShipFullLineage {
-		reply.LegacyDecided = decidedList(r.decided)
 	}
 	n.net.Send(n.id, from, reply)
 }

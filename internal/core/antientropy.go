@@ -39,10 +39,6 @@ type SyncEntry struct {
 	Value   record.Value
 	Version record.Version
 	Lineage LineageSummary
-	// LegacyDecided: the pre-summary payload, attached only under
-	// Config.ShipFullLineage for the lineage-bytes benchmark; ignored
-	// on receipt.
-	LegacyDecided []DecidedOption `json:",omitempty"`
 }
 
 // MsgSyncReply answers MsgSyncReq. Next is the cursor for the
@@ -51,11 +47,6 @@ type MsgSyncReply struct {
 	ReqID   uint64
 	Entries []SyncEntry
 	Next    record.Key
-}
-
-func init() {
-	transport.RegisterMessage(MsgSyncReq{})
-	transport.RegisterMessage(MsgSyncReply{})
 }
 
 // syncChunkSize bounds one anti-entropy exchange.
@@ -112,9 +103,6 @@ func (n *StorageNode) onSyncReq(from transport.NodeID, m MsgSyncReq) {
 		entry := SyncEntry{Key: e.Key, Value: e.Value, Version: e.Version}
 		if r, ok := n.recs[e.Key]; ok {
 			entry.Lineage = r.summary.Clone()
-			if n.cfg.ShipFullLineage {
-				entry.LegacyDecided = decidedList(r.decided)
-			}
 		}
 		reply.Entries = append(reply.Entries, entry)
 		return true

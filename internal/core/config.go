@@ -113,13 +113,6 @@ type Config struct {
 	// keys) instead of O(keys ever written). Zero means 4096.
 	KeySeqWords int
 
-	// ShipFullLineage additionally attaches the pre-summary decided
-	// lists (with option contents) to anti-entropy and classic-phase
-	// messages. The protocol ignores them on receipt; the flag exists
-	// so the lineage-bytes benchmark can measure the old wire format
-	// against the summary one on identical runs.
-	ShipFullLineage bool
-
 	// Tracer, when non-nil, is the transaction flight recorder every
 	// coordinator and storage node appends span events to (see
 	// internal/trace). Nil disables recording at the cost of one nil

@@ -1,0 +1,119 @@
+package core
+
+import (
+	"fmt"
+
+	"mdcc/internal/kv"
+	"mdcc/internal/record"
+	"mdcc/internal/transport"
+	"mdcc/internal/wal"
+)
+
+// Disk records: the decision oplog's entries and the checkpoint
+// snapshot payload, written with the wire's primitives and the very
+// sub-encoders the messages use (record.AppendUpdate, appendLineage,
+// kv.AppendEntry). Each opens with a format byte (see wal.ErrFormat):
+//
+//	oplog entry: 0xD2 | string Key | bool snapshot |
+//	               snapshot:  LineageSummary
+//	               decision:  string Tx | u8 Decision | uvarint KeySeq |
+//	                          bool HasUp | [Update]
+//	snapshot:    0xD3 | uvarint StoreCut | uvarint OplogCut |
+//	             uvarint n | n × kv entry | uvarint m | m × oplog entry body
+//
+// A change to either layout takes a new format byte, so an older
+// directory is refused (wal.ErrFormat), never mis-read.
+const (
+	oplogFormat    = 0xD2
+	snapshotFormat = 0xD3
+)
+
+func appendOplogEntry(b []byte, e *oplogEntry) []byte {
+	b = transport.AppendString(b, string(e.Key))
+	b = transport.AppendBool(b, e.Snapshot != nil)
+	if e.Snapshot != nil {
+		return appendLineage(b, *e.Snapshot)
+	}
+	b = transport.AppendString(b, string(e.Tx))
+	b = append(b, uint8(e.Decision))
+	b = transport.AppendUvarint(b, e.KeySeq)
+	b = transport.AppendBool(b, e.HasUp)
+	if e.HasUp {
+		b = record.AppendUpdate(b, e.Up)
+	}
+	return b
+}
+
+func readOplogEntry(r *transport.WireReader) oplogEntry {
+	e := oplogEntry{Key: record.Key(r.InternString())}
+	if r.Bool() {
+		s := readLineage(r)
+		e.Snapshot = &s
+		return e
+	}
+	e.Tx = TxID(r.String())
+	e.Decision = Decision(r.Byte())
+	e.KeySeq = r.Uvarint()
+	if e.HasUp = r.Bool(); e.HasUp {
+		e.Up = record.ReadUpdate(r)
+	}
+	return e
+}
+
+// decodeOplogRecord parses one oplog WAL payload; anything but a
+// well-formed entry in the current format is a wal.ErrFormat.
+func decodeOplogRecord(payload []byte) (oplogEntry, error) {
+	body, err := wal.Body(payload, oplogFormat, "oplog entry")
+	if err != nil {
+		return oplogEntry{}, err
+	}
+	r := transport.NewWireReader(body)
+	e := readOplogEntry(r)
+	if err := r.Err(); err != nil {
+		return oplogEntry{}, fmt.Errorf("%w: oplog entry: %v", wal.ErrFormat, err)
+	}
+	return e, nil
+}
+
+func appendSnapshot(b []byte, st *snapshotState) []byte {
+	b = append(b, snapshotFormat)
+	b = transport.AppendUvarint(b, uint64(st.StoreCut))
+	b = transport.AppendUvarint(b, uint64(st.OplogCut))
+	b = transport.AppendUvarint(b, uint64(len(st.KV)))
+	for _, e := range st.KV {
+		b = kv.AppendEntry(b, e)
+	}
+	b = transport.AppendUvarint(b, uint64(len(st.Oplog)))
+	for i := range st.Oplog {
+		b = appendOplogEntry(b, &st.Oplog[i])
+	}
+	return b
+}
+
+// decodeSnapshot parses a checkpoint payload (already CRC-checked by
+// wal.ReadSnapshot); anything but a well-formed snapshot in the
+// current format is a wal.ErrFormat.
+func decodeSnapshot(payload []byte) (*snapshotState, error) {
+	body, err := wal.Body(payload, snapshotFormat, "checkpoint snapshot")
+	if err != nil {
+		return nil, err
+	}
+	r := transport.NewWireReader(body)
+	st := &snapshotState{StoreCut: int(r.Uvarint()), OplogCut: int(r.Uvarint())}
+	if n := r.Count("kv entry"); n > 0 {
+		st.KV = make([]kv.Entry, 0, n)
+		for i := 0; i < n; i++ {
+			st.KV = append(st.KV, kv.ReadEntry(r))
+		}
+	}
+	if n := r.Count("oplog entry"); n > 0 {
+		st.Oplog = make([]oplogEntry, 0, n)
+		for i := 0; i < n; i++ {
+			st.Oplog = append(st.Oplog, readOplogEntry(r))
+		}
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("%w: checkpoint snapshot: %v", wal.ErrFormat, err)
+	}
+	return st, nil
+}

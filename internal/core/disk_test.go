@@ -1,0 +1,198 @@
+package core
+
+import (
+	"bytes"
+	"encoding/gob"
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"mdcc/internal/kv"
+	"mdcc/internal/record"
+	"mdcc/internal/wal"
+)
+
+func sampleDecisionEntry() oplogEntry {
+	o := sampleOption()
+	return oplogEntry{Key: o.Update.Key, Tx: o.Tx, Decision: DecAccept, Up: o.Update, HasUp: true, KeySeq: o.KeySeq}
+}
+
+func sampleSummaryEntry() oplogEntry {
+	s := sampleLineage()
+	return oplogEntry{Key: "item#9", Snapshot: &s}
+}
+
+func sampleSnapshotState() *snapshotState {
+	return &snapshotState{
+		KV: []kv.Entry{
+			{Key: "cust#2", Value: sampleValue(), Version: 11},
+			{Key: "gone#1", Value: record.Value{Tombstone: true}, Version: 5},
+		},
+		Oplog:    []oplogEntry{sampleSummaryEntry(), sampleDecisionEntry(), {Key: "item#9", Tx: "tx-6", Decision: DecReject}},
+		StoreCut: 3,
+		OplogCut: 2,
+	}
+}
+
+// diskSamples lists the disk records core writes, as the exact bytes
+// that reach the WAL or the snapshot file.
+func diskSamples() map[string][]byte {
+	d, s := sampleDecisionEntry(), sampleSummaryEntry()
+	return map[string][]byte{
+		"oplog_decision": appendOplogEntry([]byte{oplogFormat}, &d),
+		"oplog_summary":  appendOplogEntry([]byte{oplogFormat}, &s),
+		"snapshot":       appendSnapshot(nil, sampleSnapshotState()),
+	}
+}
+
+// TestDiskGolden pins the on-disk layouts next to the wire vectors: a
+// change must take a new format byte (so existing directories are
+// refused, not mis-read) and a deliberate -update. The kv WAL record's
+// vector lives with its encoder, in internal/kv.
+func TestDiskGolden(t *testing.T) {
+	for name, raw := range diskSamples() {
+		checkGolden(t, "disk_golden", name, raw)
+	}
+}
+
+func TestDiskRoundTrip(t *testing.T) {
+	for _, want := range []oplogEntry{sampleDecisionEntry(), sampleSummaryEntry(), {Key: "k", Tx: "t", Decision: DecReject}} {
+		got, err := decodeOplogRecord(appendOplogEntry([]byte{oplogFormat}, &want))
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("oplog entry round trip: got %+v, %v; want %+v", got, err, want)
+		}
+	}
+	want := sampleSnapshotState()
+	got, err := decodeSnapshot(appendSnapshot(nil, want))
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("snapshot round trip: got %+v, %v; want %+v", got, err, want)
+	}
+	// Every strict prefix of a record is refused, typed.
+	for name, raw := range diskSamples() {
+		for n := 0; n < len(raw); n++ {
+			var err error
+			if name == "snapshot" {
+				_, err = decodeSnapshot(raw[:n])
+			} else {
+				_, err = decodeOplogRecord(raw[:n])
+			}
+			if !errors.Is(err, wal.ErrFormat) {
+				t.Fatalf("%s truncated to %d of %d bytes: err = %v, want wal.ErrFormat", name, n, len(raw), err)
+			}
+		}
+	}
+}
+
+// gobBytes is how the parent commit serialized its disk records.
+func gobBytes(t *testing.T, v interface{}) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestGobDataDirRefused builds data directories the way the parent
+// commit wrote them — gob in the store WAL, the oplog, or the
+// checkpoint snapshot — and requires each to be refused with the typed
+// wal.ErrFormat (not wal.ErrCorrupt: the bytes are what their writer
+// meant, and the harness's wipe-on-corruption must not fire by itself)
+// with no DurableState handed back, so none of it is ever applied.
+func TestGobDataDirRefused(t *testing.T) {
+	appendTo := func(t *testing.T, dir string, records ...[]byte) {
+		t.Helper()
+		log, err := wal.Open(dir, wal.Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range records {
+			if err := log.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	goodStore := kv.AppendEntry([]byte{0xD1}, kv.Entry{Key: "k", Version: 1})
+	decision := sampleDecisionEntry()
+	cases := map[string]func(t *testing.T, dir string){
+		"store": func(t *testing.T, dir string) {
+			appendTo(t, filepath.Join(dir, "store"), goodStore, gobBytes(t, &kv.Entry{Key: "cust#2", Value: sampleValue(), Version: 11}))
+		},
+		"oplog": func(t *testing.T, dir string) {
+			appendTo(t, filepath.Join(dir, "store"), goodStore)
+			appendTo(t, filepath.Join(dir, "oplog"), appendOplogEntry([]byte{oplogFormat}, &decision), gobBytes(t, &decision))
+		},
+		"snapshot": func(t *testing.T, dir string) {
+			appendTo(t, filepath.Join(dir, "store"), goodStore)
+			if err := wal.WriteSnapshot(filepath.Join(dir, "snap"), 1, gobBytes(t, sampleSnapshotState()), true); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"snapshot behind a newer corrupt one": func(t *testing.T, dir string) {
+			snapDir := filepath.Join(dir, "snap")
+			if err := wal.WriteSnapshot(snapDir, 1, gobBytes(t, sampleSnapshotState()), true); err != nil {
+				t.Fatal(err)
+			}
+			if err := wal.WriteSnapshot(snapDir, 2, appendSnapshot(nil, sampleSnapshotState()), true); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(snapDir, "snap-00000002.snap")
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)/2] ^= 0x40
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for name, build := range cases {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			build(t, dir)
+			ds, err := OpenDurable(dir, true)
+			if !errors.Is(err, wal.ErrFormat) {
+				t.Errorf("OpenDurable error = %v, want wal.ErrFormat", err)
+			}
+			if errors.Is(err, wal.ErrCorrupt) {
+				t.Errorf("format refusal %v also reads as wal.ErrCorrupt", err)
+			}
+			if ds != nil {
+				t.Error("OpenDurable returned state alongside the error")
+				ds.Close()
+			}
+		})
+	}
+}
+
+// FuzzDiskDecode throws raw bytes at the oplog-entry and snapshot
+// decoders under the same contract as FuzzWireDecode: an error or a
+// value, never a panic or an allocation sized by a corrupt count. What
+// decodes must re-encode to something that decodes to the same value.
+func FuzzDiskDecode(f *testing.F) {
+	for _, raw := range diskSamples() {
+		f.Add(raw)
+	}
+	f.Add([]byte{snapshotFormat, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add([]byte{oplogFormat, 1, 'k', 1, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if e, err := decodeOplogRecord(b); err == nil {
+			again, err := decodeOplogRecord(appendOplogEntry([]byte{oplogFormat}, &e))
+			if err != nil || !reflect.DeepEqual(again, e) {
+				t.Fatalf("oplog entry does not survive re-encoding: %+v -> %+v, %v", e, again, err)
+			}
+		}
+		if st, err := decodeSnapshot(b); err == nil {
+			again, err := decodeSnapshot(appendSnapshot(nil, st))
+			if err != nil || !reflect.DeepEqual(again, st) {
+				t.Fatalf("snapshot does not survive re-encoding: %+v -> %+v, %v", st, again, err)
+			}
+		}
+	})
+}

@@ -68,11 +68,6 @@ type MsgVisibilityFeed struct {
 	Items []FeedItem
 }
 
-func init() {
-	transport.RegisterMessage(MsgVisibilitySub{})
-	transport.RegisterMessage(MsgVisibilityFeed{})
-}
-
 // FeedCatchUpMax caps the catch-up items answered in one hello so a
 // pathological subscriber cannot request an unbounded snapshot.
 // Exported because subscribers size their catch-up lists to it — a

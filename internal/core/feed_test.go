@@ -255,7 +255,7 @@ func TestFeedInterestCapRejectsWithoutEcho(t *testing.T) {
 }
 
 // TestFeedMessagesSurviveTransports ships a feed message (and a
-// floored gateway read request) through gob the way TCP deployments
+// floored gateway read request) over the wire the way TCP deployments
 // do, asserting every field survives.
 func TestFeedMessagesSurviveTransports(t *testing.T) {
 	payload := func() transport.Message {

@@ -589,9 +589,6 @@ func (n *StorageNode) sendPhase2a(key record.Key, l *leaderRec) {
 		HasBase: true, BaseVersion: ver, BaseValue: val, BaseExists: ok && !val.Tombstone,
 		BaseLineage: r.summary.Clone(),
 	}
-	if n.cfg.ShipFullLineage {
-		msg.LegacyDecided = decidedList(r.decided)
-	}
 	if n.tr != nil {
 		// One event per option in the broadcast cstruct, so each
 		// transaction's timeline shows its classic-ordering hop.

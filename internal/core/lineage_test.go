@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -87,9 +85,9 @@ func TestLaneOf(t *testing.T) {
 	}
 }
 
-// Lineage summaries survive the gob wire format exactly (TCP ships
+// Lineage summaries survive the wire format exactly (TCP ships
 // Phase1b/Phase2a/SyncReply messages carrying them).
-func TestLineageSummaryGobRoundTrip(t *testing.T) {
+func TestLineageSummaryWireRoundTrip(t *testing.T) {
 	var s LineageSummary
 	s.Add("gw/us-west/c0", 1, false, true)
 	s.Add("gw/us-west/c0", 2, true, false)
@@ -98,16 +96,9 @@ func TestLineageSummaryGobRoundTrip(t *testing.T) {
 	msg := MsgSyncReply{Entries: []SyncEntry{{
 		Key: "k", Version: 3, Lineage: s.Clone(),
 	}}}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&msg); err != nil {
-		t.Fatal(err)
-	}
-	var got MsgSyncReply
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
+	got := binaryRoundTrip(t, msg).(MsgSyncReply)
 	if !got.Entries[0].Lineage.Equal(s) || got.Entries[0].Lineage.String() != s.String() {
-		t.Fatalf("gob mangled summary: %s -> %s", s, got.Entries[0].Lineage)
+		t.Fatalf("wire mangled summary: %s -> %s", s, got.Entries[0].Lineage)
 	}
 }
 

@@ -175,24 +175,6 @@ type MsgPhase1b struct {
 	Value   record.Value
 	Exists  bool
 	Lineage LineageSummary
-	// LegacyDecided is populated only under Config.ShipFullLineage —
-	// the pre-summary wire format, kept as a measurable ablation
-	// baseline for the lineage-bytes benchmark. Consumers ignore it.
-	LegacyDecided []DecidedOption `json:",omitempty"`
-}
-
-// DecidedOption is the pre-summary wire form of one known final
-// decision (contents attached for commutative accepts so the old
-// merge path could graft them). It survives only as the
-// ShipFullLineage ablation payload; the protocol itself now ships
-// LineageSummaries and never needs contents to cross replicas (each
-// replica grafts only its own retained applies — see
-// StorageNode.adoptBase and decidedLog).
-type DecidedOption struct {
-	ID       OptionID
-	Decision Decision
-	Opt      Option
-	HasOpt   bool
 }
 
 // MsgPhase2a proposes the leader's cstruct (votes with decisions) in
@@ -214,8 +196,6 @@ type MsgPhase2a struct {
 	BaseValue   record.Value
 	BaseExists  bool
 	BaseLineage LineageSummary
-	// LegacyDecided: see MsgPhase1b.LegacyDecided.
-	LegacyDecided []DecidedOption `json:",omitempty"`
 }
 
 // MsgPhase2b acknowledges a Phase2a proposal (or reports a higher
@@ -263,25 +243,4 @@ type MsgOptDecided struct {
 	Decision Decision
 	Opt      Option
 	HasOpt   bool
-}
-
-func init() {
-	transport.RegisterMessage(MsgRead{})
-	transport.RegisterMessage(MsgReadReply{})
-	transport.RegisterMessage(MsgProposeFast{})
-	transport.RegisterMessage(MsgProposeBatch{})
-	transport.RegisterMessage(MsgVote{})
-	transport.RegisterMessage(MsgVoteBatch{})
-	transport.RegisterMessage(MsgVisibilityBatch{})
-	transport.RegisterMessage(MsgLearned{})
-	transport.RegisterMessage(MsgVisibility{})
-	transport.RegisterMessage(MsgProposeLeader{})
-	transport.RegisterMessage(MsgStartRecovery{})
-	transport.RegisterMessage(MsgPhase1a{})
-	transport.RegisterMessage(MsgPhase1b{})
-	transport.RegisterMessage(MsgPhase2a{})
-	transport.RegisterMessage(MsgPhase2b{})
-	transport.RegisterMessage(MsgEnableFast{})
-	transport.RegisterMessage(MsgRecoverOpt{})
-	transport.RegisterMessage(MsgOptDecided{})
 }

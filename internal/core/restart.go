@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -162,7 +160,12 @@ func OpenDurable(dir string, noSync bool) (*DurableState, error) {
 // with no snapshot it replays the whole log (first boot, or
 // checkpointing disabled). If snapshots exist but none is usable the
 // node's state is gone — the error wraps wal.ErrCorrupt so the
-// operator (or harness) can rebuild the replica from its quorum.
+// operator (or harness) can rebuild the replica from its quorum. A
+// snapshot or log record that is intact but not in this build's disk
+// format (a directory written with gob by an older build) refuses the
+// open with wal.ErrFormat before anything is applied; there is no
+// fallback past it, because an older snapshot would be older state in
+// the same unreadable format.
 func OpenDurableOpts(dir string, o DurableOptions) (*DurableState, error) {
 	start := time.Now()
 	snapDir := filepath.Join(dir, "snap")
@@ -183,12 +186,11 @@ func OpenDurableOpts(dir string, o DurableOptions) (*DurableState, error) {
 			ds.replay.FellBack = true
 			continue
 		}
-		var cand snapshotState
-		if derr := gob.NewDecoder(bytes.NewReader(payload)).Decode(&cand); derr != nil {
-			ds.replay.FellBack = true
-			continue
+		cand, derr := decodeSnapshot(payload)
+		if derr != nil {
+			return nil, fmt.Errorf("core: snapshot %d in %s: %w", seqs[i], snapDir, derr)
 		}
-		st = &cand
+		st = cand
 		ds.snapSeq = seqs[i]
 		// Snapshots newer than the one that validated are proven
 		// corrupt: remove them so pruning can never prefer them over
@@ -232,8 +234,8 @@ func OpenDurableOpts(dir string, o DurableOptions) (*DurableState, error) {
 	}
 	ds.oplog = oplog
 	err = oplog.ReplayFrom(oplogFrom, func(payload []byte) error {
-		var e oplogEntry
-		if derr := gob.NewDecoder(bytes.NewReader(payload)).Decode(&e); derr != nil {
+		e, derr := decodeOplogRecord(payload)
+		if derr != nil {
 			return fmt.Errorf("core: oplog replay: %w", derr)
 		}
 		ds.decided = append(ds.decided, e)
@@ -273,19 +275,15 @@ func (ds *DurableState) Checkpoint(oplogState []oplogEntry) error {
 	if err != nil {
 		return err
 	}
-	st := snapshotState{
+	payload := appendSnapshot(nil, &snapshotState{
 		KV:       ds.Store.Entries(),
 		Oplog:    oplogState,
 		StoreCut: storeCut,
 		OplogCut: oplogCut,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
-		return fmt.Errorf("core: checkpoint encode: %w", err)
-	}
+	})
 	snapDir := filepath.Join(ds.dir, "snap")
 	seq := ds.snapSeq + 1
-	if err := wal.WriteSnapshot(snapDir, seq, buf.Bytes(), ds.opts.NoSync); err != nil {
+	if err := wal.WriteSnapshot(snapDir, seq, payload, ds.opts.NoSync); err != nil {
 		return err
 	}
 	// Truncate below the *previous* snapshot's cuts, never this one's:
@@ -430,12 +428,7 @@ func (n *StorageNode) logLineage(key record.Key, s LineageSummary) {
 }
 
 func (n *StorageNode) appendOplog(e *oplogEntry) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
-		n.degrade(err)
-		return
-	}
-	if err := n.oplog.Append(buf.Bytes()); err != nil {
+	if err := n.oplog.Append(appendOplogEntry([]byte{oplogFormat}, e)); err != nil {
 		n.degrade(err)
 	}
 }

@@ -50,7 +50,7 @@ func checkVote(t *testing.T, got MsgVote, seq int) {
 // TestEscrowPiggybackSurvivesTransports ships a vote batch inside a
 // transport.Batch envelope — the exact shape the acceptor's vote
 // batching produces — through all three transports and asserts every
-// piggyback field survives, including TCP's gob round-trip.
+// piggyback field survives, including TCP's wire round-trip.
 func TestEscrowPiggybackSurvivesTransports(t *testing.T) {
 	payload := func() transport.Message {
 		return transport.Batch{Items: []transport.Envelope{

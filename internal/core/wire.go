@@ -1,21 +1,17 @@
 package core
 
 import (
-	"fmt"
-	"slices"
-
 	"mdcc/internal/paxos"
 	"mdcc/internal/record"
 	"mdcc/internal/transport"
 )
 
-// Hand-rolled binary wire codecs for the hot protocol messages (see
+// Hand-rolled binary wire codecs for every core protocol message (see
 // internal/transport/codec.go for the framing and the versioning
-// rule). The traffic that dominates the wire — fast-path proposals
-// and votes, classic Phase2a/2b, visibility, and the gateway read
-// tier's feed — encodes by hand; cold messages (Phase1a/1b, recovery,
-// anti-entropy) stay on the gob fallback, which also keeps
-// RegisterMessage the only obligation for new message types.
+// rule). The sub-encoders here (option, lineage summary, ballot,
+// escrow) and internal/record's value/update encoders are shared with
+// the disk records in disk.go: one append and one read function per
+// type, whoever the consumer.
 //
 // Decode-side allocation discipline: every bounded-cardinality string
 // on the wire — record keys, node ids, ballot leaders, attribute and
@@ -45,126 +41,49 @@ const (
 	tagMsgPhase2b
 	tagMsgVisibilitySub
 	tagMsgVisibilityFeed
+	tagMsgProposeLeader
+	tagMsgStartRecovery
+	tagMsgPhase1a
+	tagMsgPhase1b
+	tagMsgEnableFast
+	tagMsgRecoverOpt
+	tagMsgOptDecided
+	tagMsgSyncReq
+	tagMsgSyncReply
+)
+
+// Every message this package sends must be able to cross TCP.
+var (
+	_ transport.WireMessage = MsgRead{}
+	_ transport.WireMessage = MsgReadReply{}
+	_ transport.WireMessage = MsgProposeFast{}
+	_ transport.WireMessage = MsgProposeBatch{}
+	_ transport.WireMessage = MsgVote{}
+	_ transport.WireMessage = MsgVoteBatch{}
+	_ transport.WireMessage = MsgLearned{}
+	_ transport.WireMessage = MsgVisibility{}
+	_ transport.WireMessage = MsgVisibilityBatch{}
+	_ transport.WireMessage = MsgPhase2a{}
+	_ transport.WireMessage = MsgPhase2b{}
+	_ transport.WireMessage = MsgVisibilitySub{}
+	_ transport.WireMessage = MsgVisibilityFeed{}
+	_ transport.WireMessage = MsgProposeLeader{}
+	_ transport.WireMessage = MsgStartRecovery{}
+	_ transport.WireMessage = MsgPhase1a{}
+	_ transport.WireMessage = MsgPhase1b{}
+	_ transport.WireMessage = MsgEnableFast{}
+	_ transport.WireMessage = MsgRecoverOpt{}
+	_ transport.WireMessage = MsgOptDecided{}
+	_ transport.WireMessage = MsgSyncReq{}
+	_ transport.WireMessage = MsgSyncReply{}
 )
 
 // ---- shared sub-encoders ----
 
-// appendSortedInt64Map encodes a string→int64 map sorted by key so
-// equal maps produce identical bytes (golden vectors and
-// cross-replica frame diffing depend on it). The name scratch stays
-// on the stack for the typical handful of attributes, keeping the
-// encode path allocation-free.
-func appendSortedInt64Map(b []byte, m map[string]int64) []byte {
-	b = transport.AppendUvarint(b, uint64(len(m)))
-	if len(m) == 0 {
-		return b
-	}
-	var arr [16]string
-	names := arr[:0]
-	if len(m) > len(arr) {
-		names = make([]string, 0, len(m))
-	}
-	for k := range m {
-		names = append(names, k)
-	}
-	slices.Sort(names)
-	for _, k := range names {
-		b = transport.AppendString(b, k)
-		b = transport.AppendVarint(b, m[k])
-	}
-	return b
-}
-
-// appendValue encodes a record.Value.
-func appendValue(b []byte, v record.Value) []byte {
-	b = appendSortedInt64Map(b, v.Attrs)
-	b = transport.AppendBytes(b, v.Blob)
-	return transport.AppendBool(b, v.Tombstone)
-}
-
-func readValue(r *transport.WireReader) record.Value {
-	var v record.Value
-	n := r.Uvarint()
-	if n > uint64(r.Len()) {
-		return v // reader is latched as corrupt by the next read
-	}
-	if n > 0 {
-		v.Attrs = make(map[string]int64, n)
-		for i := uint64(0); i < n; i++ {
-			k := r.InternString()
-			v.Attrs[k] = r.Varint()
-		}
-	}
-	v.Blob = r.Bytes()
-	v.Tombstone = r.Bool()
-	return v
-}
-
-// appendDeltas encodes a commutative update's delta map, sorted.
-func appendDeltas(b []byte, deltas map[string]int64) []byte {
-	return appendSortedInt64Map(b, deltas)
-}
-
-func readDeltas(r *transport.WireReader) map[string]int64 {
-	n := r.Uvarint()
-	if n == 0 || n > uint64(r.Len()) {
-		return nil
-	}
-	m := make(map[string]int64, n)
-	for i := uint64(0); i < n; i++ {
-		k := r.InternString()
-		m[k] = r.Varint()
-	}
-	return m
-}
-
-// AppendValueWire encodes one record.Value (exported for the gateway
-// RPC codec, which ships read replies).
-func AppendValueWire(b []byte, v record.Value) []byte { return appendValue(b, v) }
-
-// ReadValueWire decodes one record.Value.
-func ReadValueWire(r *transport.WireReader) record.Value { return readValue(r) }
-
-// AppendUpdateWire encodes one record.Update (exported for the
-// gateway RPC codec, which ships client write-sets).
-func AppendUpdateWire(b []byte, u record.Update) []byte {
-	b = append(b, uint8(u.Kind))
-	b = transport.AppendString(b, string(u.Key))
-	switch u.Kind {
-	case record.KindPhysical:
-		b = transport.AppendUvarint(b, uint64(u.ReadVersion))
-		b = appendValue(b, u.NewValue)
-	case record.KindCommutative:
-		b = appendDeltas(b, u.Deltas)
-		b = transport.AppendUvarint(b, uint64(u.Merged))
-	case record.KindReadCheck:
-		b = transport.AppendUvarint(b, uint64(u.ReadVersion))
-	}
-	return b
-}
-
-// ReadUpdateWire decodes one record.Update.
-func ReadUpdateWire(r *transport.WireReader) record.Update {
-	var u record.Update
-	u.Kind = record.UpdateKind(r.Byte())
-	u.Key = record.Key(r.InternString())
-	switch u.Kind {
-	case record.KindPhysical:
-		u.ReadVersion = record.Version(r.Uvarint())
-		u.NewValue = readValue(r)
-	case record.KindCommutative:
-		u.Deltas = readDeltas(r)
-		u.Merged = int(r.Uvarint())
-	case record.KindReadCheck:
-		u.ReadVersion = record.Version(r.Uvarint())
-	}
-	return u
-}
-
 func appendOption(b []byte, o Option) []byte {
 	b = transport.AppendString(b, string(o.Tx))
 	b = transport.AppendString(b, string(o.Coord))
-	b = AppendUpdateWire(b, o.Update)
+	b = record.AppendUpdate(b, o.Update)
 	b = transport.AppendUvarint(b, uint64(len(o.WriteSet)))
 	for _, k := range o.WriteSet {
 		b = transport.AppendString(b, string(k))
@@ -181,17 +100,17 @@ func readOption(r *transport.WireReader) Option {
 	var o Option
 	o.Tx = TxID(r.String())
 	o.Coord = transport.NodeID(r.InternString())
-	o.Update = ReadUpdateWire(r)
-	if n := r.Uvarint(); n > 0 && n <= uint64(r.Len()) {
+	o.Update = record.ReadUpdate(r)
+	if n := r.Count("write-set"); n > 0 {
 		o.WriteSet = make([]record.Key, 0, n)
-		for i := uint64(0); i < n; i++ {
+		for i := 0; i < n; i++ {
 			o.WriteSet = append(o.WriteSet, record.Key(r.InternString()))
 		}
 	}
 	o.KeySeq = r.Uvarint()
-	if n := r.Uvarint(); n > 0 && n <= uint64(r.Len()) {
+	if n := r.Count("write-seq"); n > 0 {
 		o.WriteSeqs = make([]uint64, 0, n)
-		for i := uint64(0); i < n; i++ {
+		for i := 0; i < n; i++ {
 			o.WriteSeqs = append(o.WriteSeqs, r.Uvarint())
 		}
 	}
@@ -237,9 +156,9 @@ func readEscrow(r *transport.WireReader) EscrowSnap {
 	}
 	e.Version = record.Version(r.Uvarint())
 	e.Contenders = int(r.Uvarint())
-	if n := r.Uvarint(); n > 0 && n <= uint64(r.Len()) {
+	if n := r.Count("escrow attribute"); n > 0 {
 		e.Attrs = make([]AttrEscrow, 0, n)
-		for i := uint64(0); i < n; i++ {
+		for i := 0; i < n; i++ {
 			e.Attrs = append(e.Attrs, AttrEscrow{
 				Attr: r.InternString(), Base: r.Varint(),
 				PendDown: r.Varint(), PendUp: r.Varint(),
@@ -259,12 +178,12 @@ func appendRanges(b []byte, rs []SeqRange) []byte {
 }
 
 func readRanges(r *transport.WireReader) []SeqRange {
-	n := r.Uvarint()
-	if n == 0 || n > uint64(r.Len()) {
+	n := r.Count("range")
+	if n == 0 {
 		return nil
 	}
 	rs := make([]SeqRange, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		rs = append(rs, SeqRange{Lo: r.Uvarint(), Hi: r.Uvarint()})
 	}
 	return rs
@@ -283,9 +202,9 @@ func appendLineage(b []byte, s LineageSummary) []byte {
 
 func readLineage(r *transport.WireReader) LineageSummary {
 	var s LineageSummary
-	if n := r.Uvarint(); n > 0 && n <= uint64(r.Len()) {
+	if n := r.Count("lane"); n > 0 {
 		s.Lanes = make([]LaneLineage, 0, n)
-		for i := uint64(0); i < n; i++ {
+		for i := 0; i < n; i++ {
 			s.Lanes = append(s.Lanes, LaneLineage{
 				Lane: r.InternString(), Done: readRanges(r), Rejected: readRanges(r),
 			})
@@ -347,32 +266,26 @@ func readVoted(r *transport.WireReader) VotedOption {
 	return v
 }
 
-func appendDecided(b []byte, d DecidedOption) []byte {
-	b = transport.AppendString(b, string(d.ID.Tx))
-	b = transport.AppendString(b, string(d.ID.Key))
-	b = append(b, uint8(d.Decision))
-	b = transport.AppendBool(b, d.HasOpt)
-	if d.HasOpt {
-		b = appendOption(b, d.Opt)
+// appendGuardedOption encodes an (Opt, HasOpt) pair: the option's
+// bytes follow only when the guard is set.
+func appendGuardedOption(b []byte, o Option, has bool) []byte {
+	b = transport.AppendBool(b, has)
+	if has {
+		b = appendOption(b, o)
 	}
 	return b
 }
 
-func readDecided(r *transport.WireReader) DecidedOption {
-	var d DecidedOption
-	d.ID.Tx = TxID(r.String())
-	d.ID.Key = record.Key(r.InternString())
-	d.Decision = Decision(r.Byte())
-	d.HasOpt = r.Bool()
-	if d.HasOpt {
-		d.Opt = readOption(r)
+func readGuardedOption(r *transport.WireReader) (o Option, has bool) {
+	if has = r.Bool(); has {
+		o = readOption(r)
 	}
-	return d
+	return o, has
 }
 
 func appendFeedItem(b []byte, it FeedItem) []byte {
 	b = transport.AppendString(b, string(it.Key))
-	b = appendValue(b, it.Value)
+	b = record.AppendValue(b, it.Value)
 	b = transport.AppendUvarint(b, uint64(it.Version))
 	b = transport.AppendBool(b, it.Exists)
 	return appendEscrow(b, it.Escrow)
@@ -381,7 +294,7 @@ func appendFeedItem(b []byte, it FeedItem) []byte {
 func readFeedItem(r *transport.WireReader) FeedItem {
 	var it FeedItem
 	it.Key = record.Key(r.InternString())
-	it.Value = readValue(r)
+	it.Value = record.ReadValue(r)
 	it.Version = record.Version(r.Uvarint())
 	it.Exists = r.Bool()
 	it.Escrow = readEscrow(r)
@@ -406,7 +319,7 @@ func (m MsgReadReply) WireTag() uint8 { return tagMsgReadReply }
 func (m MsgReadReply) AppendWire(b []byte) []byte {
 	b = transport.AppendUvarint(b, m.ReqID)
 	b = transport.AppendString(b, string(m.Key))
-	b = appendValue(b, m.Value)
+	b = record.AppendValue(b, m.Value)
 	b = transport.AppendUvarint(b, uint64(m.Version))
 	b = transport.AppendBool(b, m.Exists)
 	return appendEscrow(b, m.Escrow)
@@ -496,13 +409,9 @@ func (m MsgPhase2a) AppendWire(b []byte) []byte {
 	b = transport.AppendBool(b, m.HasBase)
 	if m.HasBase {
 		b = transport.AppendUvarint(b, uint64(m.BaseVersion))
-		b = appendValue(b, m.BaseValue)
+		b = record.AppendValue(b, m.BaseValue)
 		b = transport.AppendBool(b, m.BaseExists)
 		b = appendLineage(b, m.BaseLineage)
-	}
-	b = transport.AppendUvarint(b, uint64(len(m.LegacyDecided)))
-	for _, d := range m.LegacyDecided {
-		b = appendDecided(b, d)
 	}
 	return b
 }
@@ -550,14 +459,105 @@ func (m MsgVisibilityFeed) AppendWire(b []byte) []byte {
 	return b
 }
 
-// countGuard rejects a wire count that cannot fit in the remaining
-// frame (each element costs at least one byte), so a corrupt length
-// cannot drive a huge allocation before the decode fails.
-func countGuard(r *transport.WireReader, n uint64, what string) error {
-	if n > uint64(r.Len()) {
-		return fmt.Errorf("core: wire %s count %d exceeds frame", what, n)
+// WireTag implements transport.WireMessage.
+func (m MsgProposeLeader) WireTag() uint8 { return tagMsgProposeLeader }
+
+// AppendWire implements transport.WireMessage.
+func (m MsgProposeLeader) AppendWire(b []byte) []byte { return appendOption(b, m.Opt) }
+
+// WireTag implements transport.WireMessage.
+func (m MsgStartRecovery) WireTag() uint8 { return tagMsgStartRecovery }
+
+// AppendWire implements transport.WireMessage.
+func (m MsgStartRecovery) AppendWire(b []byte) []byte {
+	b = transport.AppendString(b, string(m.Key))
+	return appendGuardedOption(b, m.Opt, m.HasOpt)
+}
+
+// WireTag implements transport.WireMessage.
+func (m MsgPhase1a) WireTag() uint8 { return tagMsgPhase1a }
+
+// AppendWire implements transport.WireMessage.
+func (m MsgPhase1a) AppendWire(b []byte) []byte {
+	b = transport.AppendString(b, string(m.Key))
+	return appendBallot(b, m.Ballot)
+}
+
+// WireTag implements transport.WireMessage.
+func (m MsgPhase1b) WireTag() uint8 { return tagMsgPhase1b }
+
+// AppendWire implements transport.WireMessage.
+func (m MsgPhase1b) AppendWire(b []byte) []byte {
+	b = transport.AppendString(b, string(m.Key))
+	b = appendBallot(b, m.Ballot)
+	b = appendBallot(b, m.Bal)
+	b = transport.AppendUvarint(b, uint64(len(m.Votes)))
+	for _, v := range m.Votes {
+		b = appendVoted(b, v)
 	}
-	return nil
+	b = transport.AppendUvarint(b, uint64(m.Version))
+	b = record.AppendValue(b, m.Value)
+	b = transport.AppendBool(b, m.Exists)
+	return appendLineage(b, m.Lineage)
+}
+
+// WireTag implements transport.WireMessage.
+func (m MsgEnableFast) WireTag() uint8 { return tagMsgEnableFast }
+
+// AppendWire implements transport.WireMessage.
+func (m MsgEnableFast) AppendWire(b []byte) []byte {
+	b = transport.AppendString(b, string(m.Key))
+	return appendBallot(b, m.Ballot)
+}
+
+// WireTag implements transport.WireMessage.
+func (m MsgRecoverOpt) WireTag() uint8 { return tagMsgRecoverOpt }
+
+// AppendWire implements transport.WireMessage.
+func (m MsgRecoverOpt) AppendWire(b []byte) []byte {
+	b = transport.AppendUvarint(b, m.ReqID)
+	b = transport.AppendString(b, string(m.Tx))
+	b = transport.AppendString(b, string(m.Key))
+	b = transport.AppendUvarint(b, m.KeySeq)
+	return appendGuardedOption(b, m.Opt, m.HasOpt)
+}
+
+// WireTag implements transport.WireMessage.
+func (m MsgOptDecided) WireTag() uint8 { return tagMsgOptDecided }
+
+// AppendWire implements transport.WireMessage.
+func (m MsgOptDecided) AppendWire(b []byte) []byte {
+	b = transport.AppendUvarint(b, m.ReqID)
+	b = transport.AppendString(b, string(m.Tx))
+	b = transport.AppendString(b, string(m.Key))
+	b = append(b, uint8(m.Decision))
+	return appendGuardedOption(b, m.Opt, m.HasOpt)
+}
+
+// WireTag implements transport.WireMessage.
+func (m MsgSyncReq) WireTag() uint8 { return tagMsgSyncReq }
+
+// AppendWire implements transport.WireMessage.
+func (m MsgSyncReq) AppendWire(b []byte) []byte {
+	b = transport.AppendUvarint(b, m.ReqID)
+	b = transport.AppendString(b, string(m.From))
+	return transport.AppendVarint(b, int64(m.Limit))
+}
+
+// WireTag implements transport.WireMessage.
+func (m MsgSyncReply) WireTag() uint8 { return tagMsgSyncReply }
+
+// AppendWire implements transport.WireMessage.
+func (m MsgSyncReply) AppendWire(b []byte) []byte {
+	b = transport.AppendUvarint(b, m.ReqID)
+	b = transport.AppendUvarint(b, uint64(len(m.Entries)))
+	for _, e := range m.Entries {
+		b = transport.AppendString(b, string(e.Key))
+		b = record.AppendValue(b, e.Value)
+		b = transport.AppendUvarint(b, uint64(e.Version))
+		b = appendLineage(b, e.Lineage)
+	}
+	return transport.AppendString(b, string(m.Next))
 }
 
 func init() {
@@ -571,7 +571,7 @@ func init() {
 		var m MsgReadReply
 		m.ReqID = r.Uvarint()
 		m.Key = record.Key(r.InternString())
-		m.Value = readValue(r)
+		m.Value = record.ReadValue(r)
 		m.Version = record.Version(r.Uvarint())
 		m.Exists = r.Bool()
 		m.Escrow = readEscrow(r)
@@ -582,13 +582,9 @@ func init() {
 	})
 	transport.RegisterWire(tagMsgProposeBatch, func(r *transport.WireReader) (transport.Message, error) {
 		var m MsgProposeBatch
-		n := r.Uvarint()
-		if err := countGuard(r, n, "propose"); err != nil {
-			return nil, err
-		}
-		if n > 0 {
+		if n := r.Count("propose"); n > 0 {
 			m.Opts = make([]Option, 0, n)
-			for i := uint64(0); i < n; i++ {
+			for i := 0; i < n; i++ {
 				m.Opts = append(m.Opts, readOption(r))
 			}
 		}
@@ -599,13 +595,9 @@ func init() {
 	})
 	transport.RegisterWire(tagMsgVoteBatch, func(r *transport.WireReader) (transport.Message, error) {
 		var m MsgVoteBatch
-		n := r.Uvarint()
-		if err := countGuard(r, n, "vote"); err != nil {
-			return nil, err
-		}
-		if n > 0 {
+		if n := r.Count("vote"); n > 0 {
 			m.Votes = make([]MsgVote, 0, n)
-			for i := uint64(0); i < n; i++ {
+			for i := 0; i < n; i++ {
 				m.Votes = append(m.Votes, readVote(r))
 			}
 		}
@@ -628,13 +620,9 @@ func init() {
 	})
 	transport.RegisterWire(tagMsgVisibilityBatch, func(r *transport.WireReader) (transport.Message, error) {
 		var m MsgVisibilityBatch
-		n := r.Uvarint()
-		if err := countGuard(r, n, "visibility"); err != nil {
-			return nil, err
-		}
-		if n > 0 {
+		if n := r.Count("visibility"); n > 0 {
 			m.Items = make([]MsgVisibility, 0, n)
-			for i := uint64(0); i < n; i++ {
+			for i := 0; i < n; i++ {
 				var it MsgVisibility
 				it.Opt = readOption(r)
 				it.Commit = r.Bool()
@@ -648,32 +636,18 @@ func init() {
 		m.Key = record.Key(r.InternString())
 		m.Ballot = readBallot(r)
 		m.Seq = r.Uvarint()
-		n := r.Uvarint()
-		if err := countGuard(r, n, "cstruct"); err != nil {
-			return nil, err
-		}
-		if n > 0 {
+		if n := r.Count("cstruct"); n > 0 {
 			m.CStruct = make([]VotedOption, 0, n)
-			for i := uint64(0); i < n; i++ {
+			for i := 0; i < n; i++ {
 				m.CStruct = append(m.CStruct, readVoted(r))
 			}
 		}
 		m.HasBase = r.Bool()
 		if m.HasBase {
 			m.BaseVersion = record.Version(r.Uvarint())
-			m.BaseValue = readValue(r)
+			m.BaseValue = record.ReadValue(r)
 			m.BaseExists = r.Bool()
 			m.BaseLineage = readLineage(r)
-		}
-		n = r.Uvarint()
-		if err := countGuard(r, n, "decided"); err != nil {
-			return nil, err
-		}
-		if n > 0 {
-			m.LegacyDecided = make([]DecidedOption, 0, n)
-			for i := uint64(0); i < n; i++ {
-				m.LegacyDecided = append(m.LegacyDecided, readDecided(r))
-			}
 		}
 		return m, r.Err()
 	})
@@ -691,13 +665,9 @@ func init() {
 	transport.RegisterWire(tagMsgVisibilitySub, func(r *transport.WireReader) (transport.Message, error) {
 		var m MsgVisibilitySub
 		m.Epoch = r.Uvarint()
-		n := r.Uvarint()
-		if err := countGuard(r, n, "catchup"); err != nil {
-			return nil, err
-		}
-		if n > 0 {
+		if n := r.Count("catchup"); n > 0 {
 			m.CatchUp = make([]record.Key, 0, n)
-			for i := uint64(0); i < n; i++ {
+			for i := 0; i < n; i++ {
 				m.CatchUp = append(m.CatchUp, record.Key(r.InternString()))
 			}
 		}
@@ -708,16 +678,90 @@ func init() {
 		m.Epoch = r.Uvarint()
 		m.Seq = r.Uvarint()
 		m.Boot = r.Uvarint()
-		n := r.Uvarint()
-		if err := countGuard(r, n, "feed"); err != nil {
-			return nil, err
-		}
-		if n > 0 {
+		if n := r.Count("feed"); n > 0 {
 			m.Items = make([]FeedItem, 0, n)
-			for i := uint64(0); i < n; i++ {
+			for i := 0; i < n; i++ {
 				m.Items = append(m.Items, readFeedItem(r))
 			}
 		}
+		return m, r.Err()
+	})
+	transport.RegisterWire(tagMsgProposeLeader, func(r *transport.WireReader) (transport.Message, error) {
+		return MsgProposeLeader{Opt: readOption(r)}, r.Err()
+	})
+	transport.RegisterWire(tagMsgStartRecovery, func(r *transport.WireReader) (transport.Message, error) {
+		var m MsgStartRecovery
+		m.Key = record.Key(r.InternString())
+		m.Opt, m.HasOpt = readGuardedOption(r)
+		return m, r.Err()
+	})
+	transport.RegisterWire(tagMsgPhase1a, func(r *transport.WireReader) (transport.Message, error) {
+		var m MsgPhase1a
+		m.Key = record.Key(r.InternString())
+		m.Ballot = readBallot(r)
+		return m, r.Err()
+	})
+	transport.RegisterWire(tagMsgPhase1b, func(r *transport.WireReader) (transport.Message, error) {
+		var m MsgPhase1b
+		m.Key = record.Key(r.InternString())
+		m.Ballot = readBallot(r)
+		m.Bal = readBallot(r)
+		if n := r.Count("vote"); n > 0 {
+			m.Votes = make([]VotedOption, 0, n)
+			for i := 0; i < n; i++ {
+				m.Votes = append(m.Votes, readVoted(r))
+			}
+		}
+		m.Version = record.Version(r.Uvarint())
+		m.Value = record.ReadValue(r)
+		m.Exists = r.Bool()
+		m.Lineage = readLineage(r)
+		return m, r.Err()
+	})
+	transport.RegisterWire(tagMsgEnableFast, func(r *transport.WireReader) (transport.Message, error) {
+		var m MsgEnableFast
+		m.Key = record.Key(r.InternString())
+		m.Ballot = readBallot(r)
+		return m, r.Err()
+	})
+	transport.RegisterWire(tagMsgRecoverOpt, func(r *transport.WireReader) (transport.Message, error) {
+		var m MsgRecoverOpt
+		m.ReqID = r.Uvarint()
+		m.Tx = TxID(r.String())
+		m.Key = record.Key(r.InternString())
+		m.KeySeq = r.Uvarint()
+		m.Opt, m.HasOpt = readGuardedOption(r)
+		return m, r.Err()
+	})
+	transport.RegisterWire(tagMsgOptDecided, func(r *transport.WireReader) (transport.Message, error) {
+		var m MsgOptDecided
+		m.ReqID = r.Uvarint()
+		m.Tx = TxID(r.String())
+		m.Key = record.Key(r.InternString())
+		m.Decision = Decision(r.Byte())
+		m.Opt, m.HasOpt = readGuardedOption(r)
+		return m, r.Err()
+	})
+	transport.RegisterWire(tagMsgSyncReq, func(r *transport.WireReader) (transport.Message, error) {
+		var m MsgSyncReq
+		m.ReqID = r.Uvarint()
+		m.From = record.Key(r.InternString())
+		m.Limit = int(r.Varint())
+		return m, r.Err()
+	})
+	transport.RegisterWire(tagMsgSyncReply, func(r *transport.WireReader) (transport.Message, error) {
+		var m MsgSyncReply
+		m.ReqID = r.Uvarint()
+		if n := r.Count("sync entry"); n > 0 {
+			m.Entries = make([]SyncEntry, 0, n)
+			for i := 0; i < n; i++ {
+				m.Entries = append(m.Entries, SyncEntry{
+					Key: record.Key(r.InternString()), Value: record.ReadValue(r),
+					Version: record.Version(r.Uvarint()), Lineage: readLineage(r),
+				})
+			}
+		}
+		m.Next = record.Key(r.InternString())
 		return m, r.Err()
 	})
 }

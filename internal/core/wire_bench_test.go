@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"mdcc/internal/transport"
@@ -12,8 +10,7 @@ import (
 //
 //	go test ./internal/core/ -bench 'Wire' -benchmem
 //
-// CI gates the alloc columns via TestWireEncodeAllocFree below; the
-// benchmarks are the before/after evidence for the codec swap.
+// CI gates the alloc columns via TestWireEncodeAllocFree below.
 
 func benchEncodeBinary(b *testing.B, msg transport.Message) {
 	b.Helper()
@@ -28,25 +25,6 @@ func benchEncodeBinary(b *testing.B, msg transport.Message) {
 	for i := 0; i < b.N; i++ {
 		buf, err = transport.AppendEnvelope(buf[:0], e)
 		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchEncodeGob(b *testing.B, msg transport.Message) {
-	b.Helper()
-	e := transport.Envelope{From: "dc1/store0", To: "dc2/app0", Msg: msg}
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf) // persistent stream, as tcp.go uses
-	if err := enc.Encode(&e); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(buf.Len()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := enc.Encode(&e); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -71,7 +49,6 @@ func benchDecodeBinary(b *testing.B, msg transport.Message) {
 func BenchmarkWireEncodePhase2aBinary(b *testing.B) {
 	benchEncodeBinary(b, wireSamples()["MsgPhase2a"])
 }
-func BenchmarkWireEncodePhase2aGob(b *testing.B) { benchEncodeGob(b, wireSamples()["MsgPhase2a"]) }
 func BenchmarkWireDecodePhase2aBinary(b *testing.B) {
 	benchDecodeBinary(b, wireSamples()["MsgPhase2a"])
 }
@@ -79,7 +56,6 @@ func BenchmarkWireDecodePhase2aBinary(b *testing.B) {
 func BenchmarkWireEncodeVoteBatchBinary(b *testing.B) {
 	benchEncodeBinary(b, wireSamples()["MsgVoteBatch"])
 }
-func BenchmarkWireEncodeVoteBatchGob(b *testing.B) { benchEncodeGob(b, wireSamples()["MsgVoteBatch"]) }
 func BenchmarkWireDecodeVoteBatchBinary(b *testing.B) {
 	benchDecodeBinary(b, wireSamples()["MsgVoteBatch"])
 }
@@ -87,7 +63,6 @@ func BenchmarkWireDecodeVoteBatchBinary(b *testing.B) {
 func BenchmarkWireEncodeFeedBinary(b *testing.B) {
 	benchEncodeBinary(b, wireSamples()["MsgVisibilityFeed"])
 }
-func BenchmarkWireEncodeFeedGob(b *testing.B) { benchEncodeGob(b, wireSamples()["MsgVisibilityFeed"]) }
 
 // TestWireEncodeAllocFree is the allocation gate: encoding a hot
 // message into a reused frame buffer must not allocate. This is what

@@ -54,13 +54,6 @@ type MsgReadReply struct {
 	Exists  bool
 }
 
-func init() {
-	transport.RegisterMessage(MsgTx{})
-	transport.RegisterMessage(MsgTxReply{})
-	transport.RegisterMessage(MsgRead{})
-	transport.RegisterMessage(MsgReadReply{})
-}
-
 // handle serves the RPC surface on the gateway's node.
 func (g *Gateway) handle(env transport.Envelope) {
 	switch m := env.Msg.(type) {

@@ -1,9 +1,6 @@
 package gateway
 
 import (
-	"fmt"
-
-	"mdcc/internal/core"
 	"mdcc/internal/record"
 	"mdcc/internal/transport"
 )
@@ -11,14 +8,22 @@ import (
 // Binary wire codecs for the client ⇄ gateway RPC surface (tag block
 // 48..63; see internal/transport/codec.go). Same rules as
 // internal/core's: field order frozen per transport.WireVersion,
-// sorted-map and nil-for-empty conventions shared via core's exported
-// Value/Update helpers.
+// sorted-map and nil-for-empty conventions shared via internal/record's
+// Value/Update encoders.
 
 const (
 	tagMsgTx uint8 = 48 + iota
 	tagMsgTxReply
 	tagMsgRead
 	tagMsgReadReply
+)
+
+// Every RPC message must be able to cross TCP.
+var (
+	_ transport.WireMessage = MsgTx{}
+	_ transport.WireMessage = MsgTxReply{}
+	_ transport.WireMessage = MsgRead{}
+	_ transport.WireMessage = MsgReadReply{}
 )
 
 // MsgTxReply flags byte.
@@ -36,7 +41,7 @@ func (m MsgTx) AppendWire(b []byte) []byte {
 	b = transport.AppendUvarint(b, m.ReqID)
 	b = transport.AppendUvarint(b, uint64(len(m.Updates)))
 	for _, u := range m.Updates {
-		b = core.AppendUpdateWire(b, u)
+		b = record.AppendUpdate(b, u)
 	}
 	return b
 }
@@ -78,7 +83,7 @@ func (m MsgReadReply) WireTag() uint8 { return tagMsgReadReply }
 func (m MsgReadReply) AppendWire(b []byte) []byte {
 	b = transport.AppendUvarint(b, m.ReqID)
 	b = transport.AppendString(b, string(m.Key))
-	b = core.AppendValueWire(b, m.Value)
+	b = record.AppendValue(b, m.Value)
 	b = transport.AppendUvarint(b, uint64(m.Version))
 	return transport.AppendBool(b, m.Exists)
 }
@@ -87,14 +92,10 @@ func init() {
 	transport.RegisterWire(tagMsgTx, func(r *transport.WireReader) (transport.Message, error) {
 		var m MsgTx
 		m.ReqID = r.Uvarint()
-		n := r.Uvarint()
-		if n > uint64(r.Len()) {
-			return nil, fmt.Errorf("gateway: wire update count %d exceeds frame", n)
-		}
-		if n > 0 {
+		if n := r.Count("update"); n > 0 {
 			m.Updates = make([]record.Update, 0, n)
-			for i := uint64(0); i < n; i++ {
-				m.Updates = append(m.Updates, core.ReadUpdateWire(r))
+			for i := 0; i < n; i++ {
+				m.Updates = append(m.Updates, record.ReadUpdate(r))
 			}
 		}
 		return m, r.Err()
@@ -120,7 +121,7 @@ func init() {
 		var m MsgReadReply
 		m.ReqID = r.Uvarint()
 		m.Key = record.Key(r.String())
-		m.Value = core.ReadValueWire(r)
+		m.Value = record.ReadValue(r)
 		m.Version = record.Version(r.Uvarint())
 		m.Exists = r.Bool()
 		return m, r.Err()

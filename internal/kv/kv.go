@@ -7,13 +7,12 @@
 package kv
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sync"
 
 	"mdcc/internal/btree"
 	"mdcc/internal/record"
+	"mdcc/internal/transport"
 	"mdcc/internal/wal"
 )
 
@@ -22,6 +21,45 @@ type Entry struct {
 	Key     record.Key
 	Value   record.Value
 	Version record.Version
+}
+
+// entryFormat leads every WAL record this package writes (see
+// wal.ErrFormat for why the value is one no gob stream starts with):
+//
+//	0xD1 | string Key | Value (record.AppendValue) | uvarint Version
+const entryFormat = 0xD1
+
+// AppendEntry encodes e with the wire primitives — the body of a WAL
+// record here and of each kv row in internal/core's checkpoint
+// snapshots.
+func AppendEntry(b []byte, e Entry) []byte {
+	b = transport.AppendString(b, string(e.Key))
+	b = record.AppendValue(b, e.Value)
+	return transport.AppendUvarint(b, uint64(e.Version))
+}
+
+// ReadEntry decodes one AppendEntry body.
+func ReadEntry(r *transport.WireReader) Entry {
+	return Entry{
+		Key:     record.Key(r.String()),
+		Value:   record.ReadValue(r),
+		Version: record.Version(r.Uvarint()),
+	}
+}
+
+// decodeRecord parses one WAL record payload. Anything but a
+// well-formed entry in the current format is a wal.ErrFormat.
+func decodeRecord(payload []byte) (Entry, error) {
+	body, err := wal.Body(payload, entryFormat, "kv entry")
+	if err != nil {
+		return Entry{}, err
+	}
+	r := transport.NewWireReader(body)
+	e := ReadEntry(r)
+	if err := r.Err(); err != nil {
+		return Entry{}, fmt.Errorf("%w: kv entry: %v", wal.ErrFormat, err)
+	}
+	return e, nil
 }
 
 // Store is a versioned key/value store. Safe for concurrent use.
@@ -62,8 +100,8 @@ func OpenWith(dir string, opts wal.Options, seed []Entry, fromSeg int) (*Store, 
 		s.tree.Put(string(e.Key), Entry{Key: e.Key, Value: e.Value.Clone(), Version: e.Version})
 	}
 	err = log.ReplayFrom(fromSeg, func(payload []byte) error {
-		var e Entry
-		if derr := gob.NewDecoder(bytes.NewReader(payload)).Decode(&e); derr != nil {
+		e, derr := decodeRecord(payload)
+		if derr != nil {
 			return fmt.Errorf("kv: replay: %w", derr)
 		}
 		s.tree.Put(string(e.Key), e)
@@ -109,11 +147,7 @@ func (s *Store) Put(key record.Key, value record.Value, version record.Version) 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.log != nil {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&e); err != nil {
-			return fmt.Errorf("kv: encode: %w", err)
-		}
-		if err := s.log.Append(buf.Bytes()); err != nil {
+		if err := s.log.Append(AppendEntry([]byte{entryFormat}, e)); err != nil {
 			return err
 		}
 	}

@@ -68,16 +68,6 @@ type MsgReadReply struct {
 	Exists  bool
 }
 
-func init() {
-	transport.RegisterMessage(MsgTxReq{})
-	transport.RegisterMessage(MsgTxResp{})
-	transport.RegisterMessage(MsgAccept{})
-	transport.RegisterMessage(MsgAccepted{})
-	transport.RegisterMessage(MsgApply{})
-	transport.RegisterMessage(MsgRead{})
-	transport.RegisterMessage(MsgReadReply{})
-}
-
 // logEntry is one replicated position.
 type logEntry struct {
 	tx      TxID

@@ -57,13 +57,6 @@ type MsgReadReply struct {
 	Exists  bool
 }
 
-func init() {
-	transport.RegisterMessage(MsgWrite{})
-	transport.RegisterMessage(MsgWriteAck{})
-	transport.RegisterMessage(MsgRead{})
-	transport.RegisterMessage(MsgReadReply{})
-}
-
 // tsEntry remembers the last-writer-wins timestamp per key.
 type tsEntry struct{ ts Timestamp }
 

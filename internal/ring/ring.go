@@ -9,9 +9,9 @@
 // whose nearest point changed, never reshuffling the rest (the
 // consistent-hashing property that makes live rebalancing affordable).
 //
-// Maps are plain gob-encodable data with a monotone Epoch, so a ring
-// change is published by value: stage the next map, drain and
-// bootstrap the moving shards (see Mover), then install it. Stale
+// Maps are plain data (exported fields, no pointers) with a monotone
+// Epoch, so a ring change is published by value: stage the next map,
+// drain and bootstrap the moving shards (see Mover), then install it. Stale
 // participants are fenced by epoch — a request routed under an old
 // epoch is refused with ErrWrongShard carrying the current one.
 package ring
@@ -34,7 +34,7 @@ const DefaultVPoints = 64
 
 // Map is a versioned shard map: the active replica groups and the
 // virtual-point density they project onto the hash circle. It is pure
-// data — gob-stable, comparable by Epoch — and placement is fully
+// data — copyable by value, comparable by Epoch — and placement is fully
 // determined by its contents (see Compile).
 type Map struct {
 	Epoch   Epoch

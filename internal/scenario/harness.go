@@ -174,6 +174,7 @@ func build(s *Scenario, o Options) (*Run, error) {
 		ServiceTime: 250 * time.Microsecond,
 		DropProb:    o.DropProb,
 		Seed:        o.Seed,
+		OnDeliver:   o.onDeliver,
 	})
 	cons := []record.Constraint{
 		record.MinBound("bal", 0),

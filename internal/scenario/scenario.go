@@ -30,6 +30,7 @@ import (
 	"mdcc/internal/stats"
 	"mdcc/internal/topology"
 	"mdcc/internal/trace"
+	"mdcc/internal/transport"
 )
 
 // Options sizes one scenario run. The zero value is filled with the
@@ -74,6 +75,11 @@ type Options struct {
 	// TraceSlow overrides the slow-transaction retention threshold
 	// (0 means the recorder default, 1s of virtual time).
 	TraceSlow time.Duration
+
+	// onDeliver observes every envelope the simulated network delivers
+	// (simnet.Options.OnDeliver); in-package tests use it to check
+	// protocol traffic against the wire codec.
+	onDeliver func(transport.Envelope)
 }
 
 // Workload shapes the client traffic of a scenario. Key spaces are

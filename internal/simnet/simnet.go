@@ -59,9 +59,9 @@ type Options struct {
 	Start time.Time
 	// OnDeliver, when set, observes every delivered envelope (after
 	// drop/partition filtering, before the handler runs). Pure
-	// observation for benchmarks that meter wire costs (e.g. gob
-	// sizes per message type); it must not mutate the envelope or
-	// touch the simulator.
+	// observation for tests and benchmarks that inspect traffic (e.g.
+	// that every delivered message survives the wire codec); it must
+	// not mutate the envelope or touch the simulator.
 	OnDeliver func(e transport.Envelope)
 	// Engine selects the event-queue implementation: "sharded" (the
 	// default — per-node queues under a small top-level heap) or

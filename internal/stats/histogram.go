@@ -16,8 +16,8 @@ import (
 // mergeable by plain count addition (associative and commutative — the
 // property phase latencies need to aggregate across nodes and DCs).
 //
-// All fields are exported so the zero-config gob codec round-trips it
-// (scenario reports and /metrics snapshots ship histograms whole).
+// All fields are exported so reflection-based encoders carry it whole
+// (/metrics snapshots marshal histograms as JSON).
 // Not safe for concurrent use; wrap with a lock where writers race.
 type Histogram struct {
 	SubBits uint

@@ -1,13 +1,8 @@
-// Hand-rolled binary wire codec for the TCP transport.
-//
-// The hot protocol messages (Phase2a/2b, vote batches, gateway batch
-// envelopes, the visibility feed, the client RPC surface) dominate
-// wire traffic, and gob's per-message overhead — field names on the
-// first transmission, type ids and field numbers on every one —
-// dominated their encoded size. Those messages now hand-serialize
-// into a length-prefixed frame; everything else (cold message types
-// registered with RegisterMessage) still rides gob, nested inside the
-// same framing, so third-party message types keep working unchanged.
+// Hand-rolled binary codec: the one serialization format of the
+// product. Every message that crosses TCP hand-serializes into a
+// length-prefixed frame, and the disk records (internal/kv's WAL
+// entries, internal/core's oplog entries and checkpoint snapshots)
+// are built from the same primitives and sub-encoders.
 //
 // Frame layout (after the one-time connection preamble, see tcp.go):
 //
@@ -17,11 +12,10 @@
 //
 //	string From | string To | uvarint TraceClk | u8 tag | body
 //
-// tag 0 is the gob fallback: body is a uvarint-length-prefixed gob
-// stream of the message (self-contained — every fallback frame
-// carries its own type descriptors). Any other tag names a message
-// type registered with RegisterWire; body is that type's AppendWire
-// output, decoded by its registered decoder.
+// The tag names a message type registered with RegisterWire; body is
+// that type's AppendWire output, decoded by its registered decoder.
+// Tag 0 is never assigned, and a message type without a wire codec
+// cannot be sent (ErrNoWireCodec).
 //
 // Primitive encodings: uvarint/varint are encoding/binary's; bools
 // are one byte (0/1); strings and byte slices are uvarint length +
@@ -37,34 +31,37 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"sync"
 )
 
 // WireVersion is the binary framing version byte in the connection
 // preamble. Bump on any incompatible change to tags or encodings.
-const WireVersion = 1
+// Version 2 dropped the tag-0 fallback and MsgPhase2a's trailing
+// decided-list count.
+const WireVersion = 2
 
-// wireMagic announces binary framing at connection open. The first
-// byte is deliberately outside the range a gob stream can start with
-// (gob opens with a small uvarint message length), so a receiver can
-// tell the codecs apart from the first byte.
+// wireMagic opens every connection; a peer that starts with anything
+// else is not speaking this protocol and is dropped.
 var wireMagic = [4]byte{0xD7, 'M', 'D', 'C'}
 
 // maxFrame bounds a single wire frame; larger frames indicate a
 // corrupt or hostile stream and drop the connection.
 const maxFrame = 1 << 26 // 64 MiB
 
-// Wire tag space. Tag 0 is reserved for the gob fallback; transport
-// owns 1..15, internal/core 16..47, internal/gateway 48..63.
+// Wire tag space. Tag 0 is unassigned; transport owns 1..15,
+// internal/core 16..47, internal/gateway 48..63.
 const (
-	tagGob   = 0
 	TagHello = 1
 	TagBatch = 2
 )
+
+// ErrNoWireCodec is the one encode error: the message's Go type (named
+// in the wrapping error) has no registered wire codec, so no frame can
+// carry it.
+var ErrNoWireCodec = errors.New("transport: no wire codec")
 
 // WireMessage is a message type that hand-serializes onto the binary
 // wire. AppendWire appends the message body (no tag, no length) to b
@@ -87,10 +84,9 @@ var (
 )
 
 // RegisterWire installs the decoder for a wire tag. Protocol packages
-// call it from init alongside RegisterMessage (the gob registration
-// stays: it serves mixed-codec peers and the fallback path).
+// call it from init, once per message type.
 func RegisterWire(tag uint8, dec WireDecoder) {
-	if tag == tagGob || int(tag) >= len(wireDecoders) {
+	if tag == 0 || int(tag) >= len(wireDecoders) {
 		panic(fmt.Sprintf("transport: wire tag %d out of range", tag))
 	}
 	wireMu.Lock()
@@ -169,6 +165,19 @@ func (r *WireReader) Err() error { return r.err }
 
 // Len returns the number of unconsumed bytes.
 func (r *WireReader) Len() int { return len(r.b) - r.off }
+
+// Count reads an element count, latching corruption if it cannot fit
+// in the remaining input (every element costs at least one byte) — so
+// a corrupt length never drives a huge allocation, and the loop over
+// the returned count simply does not run.
+func (r *WireReader) Count(what string) int {
+	n := r.Uvarint()
+	if n > uint64(r.Len()) {
+		r.fail(what + " count")
+		return 0
+	}
+	return int(n)
+}
 
 // Uvarint reads an unsigned varint.
 func (r *WireReader) Uvarint() uint64 {
@@ -290,30 +299,41 @@ func (r *WireReader) take(what string) []byte {
 
 // ---- envelope encode/decode ----
 
-// gobPayload wraps the fallback message so gob serializes the
-// interface (the concrete type travels by its RegisterMessage name).
-type gobPayload struct{ M Message }
+// wireEncoder returns msg's wire encoder, or ErrNoWireCodec if the type
+// (or, for a Batch, the type of any item) has none: a frame is either
+// wholly encodable or not sent.
+func wireEncoder(msg Message) (WireMessage, error) {
+	wm, ok := msg.(WireMessage)
+	if !ok || wireDecoder(wm.WireTag()) == nil {
+		return nil, fmt.Errorf("%w for %T", ErrNoWireCodec, msg)
+	}
+	if bt, ok := msg.(Batch); ok {
+		for _, item := range bt.Items {
+			if _, err := wireEncoder(item.Msg); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return wm, nil
+}
 
-// AppendEnvelope appends e in binary wire form: header, tag, body.
-// Messages that implement WireMessage with a registered decoder use
-// their hand-rolled body; everything else gets a self-contained gob
-// stream under tag 0.
+// AppendEnvelope appends e in binary wire form: header, tag, body. On
+// error (ErrNoWireCodec) b is returned unextended.
 func AppendEnvelope(b []byte, e Envelope) ([]byte, error) {
+	wm, err := wireEncoder(e.Msg)
+	if err != nil {
+		return b, err
+	}
+	return appendEnvelope(b, e, wm), nil
+}
+
+// appendEnvelope encodes an envelope whose message wireEncoder vetted.
+func appendEnvelope(b []byte, e Envelope, wm WireMessage) []byte {
 	b = AppendString(b, string(e.From))
 	b = AppendString(b, string(e.To))
 	b = AppendUvarint(b, e.TraceClk)
-	if wm, ok := e.Msg.(WireMessage); ok {
-		if tag := wm.WireTag(); wireDecoder(tag) != nil {
-			b = append(b, tag)
-			return wm.AppendWire(b), nil
-		}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(gobPayload{M: e.Msg}); err != nil {
-		return b, fmt.Errorf("transport: gob fallback encode %T: %w", e.Msg, err)
-	}
-	b = append(b, tagGob)
-	return AppendBytes(b, buf.Bytes()), nil
+	b = append(b, wm.WireTag())
+	return wm.AppendWire(b)
 }
 
 // DecodeEnvelope parses one envelope from r.
@@ -325,18 +345,6 @@ func DecodeEnvelope(r *WireReader) (Envelope, error) {
 	tag := r.Byte()
 	if err := r.Err(); err != nil {
 		return e, err
-	}
-	if tag == tagGob {
-		raw := r.take("gob payload")
-		if err := r.Err(); err != nil {
-			return e, err
-		}
-		var p gobPayload
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&p); err != nil {
-			return e, fmt.Errorf("transport: gob fallback decode: %w", err)
-		}
-		e.Msg = p.M
-		return e, nil
 	}
 	dec := wireDecoder(tag)
 	if dec == nil {
@@ -373,26 +381,15 @@ func DecodeFrame(payload []byte) (Envelope, error) {
 	return e, err
 }
 
-// EncodedSize returns the binary wire size of one envelope carrying
-// msg (frame length prefix included) — the per-type bytes/msg the
-// live benchmark reports for the gob-vs-binary comparison.
+// EncodedSize returns the wire size of one envelope carrying msg
+// (frame length prefix included) — the per-type bytes/msg the live
+// benchmark reports.
 func EncodedSize(msg Message) (int, error) {
 	b, err := AppendEnvelope(nil, Envelope{From: "a", To: "b", Msg: msg})
 	if err != nil {
 		return 0, err
 	}
 	return 4 + len(b), nil
-}
-
-// GobEncodedSize returns the size of the same envelope on a fresh gob
-// stream (descriptors included, as a reconnecting gob peer pays them).
-func GobEncodedSize(msg Message) (int, error) {
-	var buf bytes.Buffer
-	e := Envelope{From: "a", To: "b", Msg: msg}
-	if err := gob.NewEncoder(&buf).Encode(&e); err != nil {
-		return 0, err
-	}
-	return buf.Len(), nil
 }
 
 // ---- transport's own wire messages ----
@@ -410,13 +407,13 @@ func (h helloMsg) AppendWire(b []byte) []byte {
 func (bt Batch) WireTag() uint8 { return TagBatch }
 
 // AppendWire implements WireMessage. Inner envelopes reuse the
-// envelope encoding recursively; an item whose encode fails (a gob
-// fallback of an unregistered type — a programming error surfaced
-// loudly elsewhere) is skipped rather than corrupting the frame.
+// envelope encoding. AppendEnvelope vets every item before any byte
+// is written (wireEncoder), so the count is always the number of items
+// that follow; an item that slipped past it is a caller bug.
 func (bt Batch) AppendWire(b []byte) []byte {
 	b = AppendUvarint(b, uint64(len(bt.Items)))
 	for _, item := range bt.Items {
-		b, _ = AppendEnvelope(b, item)
+		b = appendEnvelope(b, item, item.Msg.(WireMessage))
 	}
 	return b
 }
@@ -429,15 +426,12 @@ func init() {
 		return h, r.Err()
 	})
 	RegisterWire(TagBatch, func(r *WireReader) (Message, error) {
-		n := r.Uvarint()
+		n := r.Count("batch item")
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
-		if n > uint64(r.Len()) { // each item costs >= 1 byte
-			return nil, fmt.Errorf("transport: batch count %d exceeds frame", n)
-		}
 		items := make([]Envelope, 0, n)
-		for i := uint64(0); i < n; i++ {
+		for i := 0; i < n; i++ {
 			item, err := DecodeEnvelope(r)
 			if err != nil {
 				return nil, err

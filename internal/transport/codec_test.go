@@ -1,8 +1,13 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/hex"
-	"reflect"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"strings"
 	"testing"
 	"time"
 )
@@ -24,24 +29,133 @@ func TestWireGoldenTransport(t *testing.T) {
 	}
 }
 
-// TestEnvelopeGobFallback round-trips a message type that has no
-// registered wire codec: it must ride tag 0 as a self-contained gob
-// payload inside the binary framing.
-func TestEnvelopeGobFallback(t *testing.T) {
-	in := Envelope{From: "a", To: "b", TraceClk: 9, Msg: ping{Seq: 3}}
-	buf, err := AppendEnvelope(nil, in)
+// unwired is a message type the wire cannot carry.
+type unwired struct{ X int }
+
+// TestEnvelopeUnencodable: a message without a wire codec — alone or
+// anywhere inside a batch — fails the whole envelope with a typed
+// error naming the Go type, and leaves the buffer unextended. At the
+// parent commit Batch.AppendWire wrote the item count, kept the
+// header bytes of the item that failed and returned no error, so the
+// receiver saw an undecodable frame and dropped the connection.
+func TestEnvelopeUnencodable(t *testing.T) {
+	prefix := []byte{0xaa, 0xbb}
+	for name, msg := range map[string]Message{
+		"bare": unwired{X: 1},
+		"batched": Batch{Items: []Envelope{
+			{From: "n1", To: "srv", Msg: ping{Seq: 1}},
+			{From: "n2", To: "srv", Msg: unwired{X: 2}},
+			{From: "n3", To: "srv", Msg: ping{Seq: 3}},
+		}},
+	} {
+		buf, err := AppendEnvelope(prefix, Envelope{From: "a", To: "b", Msg: msg})
+		if !errors.Is(err, ErrNoWireCodec) {
+			t.Fatalf("%s: err = %v, want ErrNoWireCodec", name, err)
+		}
+		if !strings.Contains(err.Error(), "transport.unwired") {
+			t.Errorf("%s: error %q does not name the Go type", name, err)
+		}
+		if !bytes.Equal(buf, prefix) {
+			t.Errorf("%s: failed encode left bytes behind: %x", name, buf)
+		}
+	}
+}
+
+// TestTCPUnencodableDropsOnlyThatMessage: an unencodable batch is
+// dropped whole and counted; the connection and every later message on
+// it survive.
+func TestTCPUnencodableDropsOnlyThatMessage(t *testing.T) {
+	srv := NewTCP(nil)
+	defer srv.Close()
+	srvAddr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if buf[len("\x01a\x01b\x09")] != tagGob {
-		t.Fatalf("expected gob fallback tag, frame %x", buf)
+	got := make(chan Envelope, 4)
+	srv.Register("srv", func(e Envelope) { got <- e })
+
+	cli := NewTCP(map[NodeID]string{"srv": srvAddr})
+	defer cli.Close()
+	cli.Send("cli", "srv", Batch{Items: []Envelope{
+		{From: "n1", To: "srv", Msg: ping{Seq: 1}},
+		{From: "n2", To: "srv", Msg: unwired{X: 2}},
+	}})
+	cli.Send("cli", "srv", ping{Seq: 7})
+	select {
+	case e := <-got:
+		if p, ok := e.Msg.(ping); !ok || p.Seq != 7 {
+			t.Fatalf("got %#v, want the ping sent after the bad batch", e.Msg)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("message after the unencodable batch never arrived: connection lost")
 	}
-	out, err := DecodeEnvelope(NewWireReader(buf))
+	if n := cli.Stats().DroppedNoRoute; n != 1 {
+		t.Errorf("DroppedNoRoute = %d, want 1 (the unencodable batch)", n)
+	}
+}
+
+// TestTCPBadPreambleDropsOnlyThatConn: a connection that does not open
+// with the wire magic and version is logged and closed; a well-formed
+// peer on the same listener is undisturbed.
+func TestTCPBadPreambleDropsOnlyThatConn(t *testing.T) {
+	srv := NewTCP(nil)
+	defer srv.Close()
+	logged := make(chan string, 8)
+	srv.Logf = func(format string, args ...interface{}) { logged <- fmt.Sprintf(format, args...) }
+	srvAddr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out, in) {
-		t.Fatalf("fallback round trip: got %+v, want %+v", out, in)
+	got := make(chan int, 4)
+	srv.Register("srv", func(e Envelope) { got <- e.Msg.(ping).Seq })
+
+	cli := NewTCP(map[NodeID]string{"srv": srvAddr})
+	defer cli.Close()
+	cli.Send("cli", "srv", ping{Seq: 1})
+	if seq := recvSeq(t, got); seq != 1 {
+		t.Fatalf("seq = %d, want 1", seq)
+	}
+
+	for name, preamble := range map[string][]byte{
+		"not the magic": []byte("\x1f\xff\x81\x03\x01"), // how a gob stream opens
+		"old version":   append(wireMagic[:], WireVersion-1),
+	} {
+		raw, err := net.Dial("tcp", srvAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := raw.Write(preamble); err != nil {
+			t.Fatal(err)
+		}
+		raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := raw.Read(make([]byte, 1)); err != io.EOF {
+			t.Errorf("%s: read = %v, want EOF (listener must close the connection)", name, err)
+		}
+		raw.Close()
+		select {
+		case line := <-logged:
+			if !strings.Contains(line, "dropping connection") {
+				t.Errorf("%s: logged %q, want a dropping-connection diagnostic", name, line)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s: nothing logged", name)
+		}
+	}
+
+	cli.Send("cli", "srv", ping{Seq: 2})
+	if seq := recvSeq(t, got); seq != 2 {
+		t.Fatalf("seq = %d, want 2: good connection disturbed", seq)
+	}
+}
+
+func recvSeq(t *testing.T, ch <-chan int) int {
+	t.Helper()
+	select {
+	case seq := <-ch:
+		return seq
+	case <-time.After(5 * time.Second):
+		t.Fatal("timed out waiting for delivery")
+		return 0
 	}
 }
 
@@ -63,43 +177,6 @@ func TestDecodeEnvelopeCorrupt(t *testing.T) {
 		// Trailing garbage after a complete message is legal at this
 		// layer (framing bounds the payload), so only assert no panic.
 		_ = err
-	}
-}
-
-// TestTCPMixedCodec proves a binary-configured sender and a
-// gob-configured sender interoperate: the read side auto-detects each
-// connection's codec from its preamble.
-func TestTCPMixedCodec(t *testing.T) {
-	srv := NewTCP(nil)
-	defer srv.Close()
-	srv.SetCodec(CodecGob) // replies travel as legacy gob streams
-	srvAddr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Register("srv", func(e Envelope) {
-		srv.Send("srv", e.From, pong{Seq: e.Msg.(ping).Seq + 1})
-	})
-
-	cli := NewTCP(map[NodeID]string{"srv": srvAddr})
-	defer cli.Close()
-	cli.SetCodec(CodecBinary)
-	cliAddr, err := cli.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.AddRoute("cli", cliAddr)
-	done := make(chan int, 1)
-	cli.Register("cli", func(e Envelope) { done <- e.Msg.(pong).Seq })
-
-	cli.Send("cli", "srv", ping{Seq: 41})
-	select {
-	case seq := <-done:
-		if seq != 42 {
-			t.Fatalf("mixed-codec round trip = %d, want 42", seq)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("mixed-codec round trip timed out")
 	}
 }
 
@@ -214,22 +291,21 @@ func TestTCPSendDropCounters(t *testing.T) {
 	}
 }
 
-// TestEncodedSizeSmaller sanity-checks the size comparison helpers on
-// transport's own messages.
-func TestEncodedSizeSmaller(t *testing.T) {
+// TestEncodedSize pins the size helper to the frame it measures.
+func TestEncodedSize(t *testing.T) {
 	b := Batch{Items: []Envelope{
 		{From: "a", To: "b", Msg: helloMsg{ID: "n1", Addr: "127.0.0.1:7000"}},
 		{From: "c", To: "d", Msg: helloMsg{ID: "n2", Addr: "127.0.0.1:7001"}},
 	}}
-	binN, err := EncodedSize(b)
+	n, err := EncodedSize(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gobN, err := GobEncodedSize(b)
+	frame, err := AppendEnvelope(nil, Envelope{From: "a", To: "b", Msg: b})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if binN >= gobN {
-		t.Errorf("batch: binary %dB not smaller than gob %dB", binN, gobN)
+	if n != 4+len(frame) {
+		t.Errorf("EncodedSize = %d, want length prefix + %d-byte frame", n, len(frame))
 	}
 }

@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -14,48 +13,6 @@ import (
 	"mdcc/internal/clock"
 )
 
-// Codec selects the TCP transport's send-side wire encoding. The read
-// side always auto-detects from the connection preamble, so peers
-// configured differently still interoperate (the binary preamble
-// cannot be mistaken for a gob stream; see codec.go).
-type Codec uint8
-
-// Codecs.
-const (
-	// CodecBinary frames envelopes with the hand-rolled binary codec;
-	// message types without a registered wire codec ride gob inside
-	// the binary framing. The default.
-	CodecBinary Codec = iota
-	// CodecGob streams whole envelopes over one persistent gob
-	// encoder per connection (the pre-binary wire format).
-	CodecGob
-)
-
-// ParseCodec maps a flag/topology string to a Codec.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "", "binary":
-		return CodecBinary, nil
-	case "gob":
-		return CodecGob, nil
-	default:
-		return CodecBinary, fmt.Errorf("transport: unknown codec %q (want binary or gob)", s)
-	}
-}
-
-// String renders the codec name.
-func (c Codec) String() string {
-	if c == CodecGob {
-		return "gob"
-	}
-	return "binary"
-}
-
-// RegisterMessage registers a concrete message type for the gob wire
-// codec. Every protocol package registers its message types in init so
-// they can cross TCP transports.
-func RegisterMessage(m Message) { gob.Register(m) }
-
 // helloMsg announces a dialing peer's node and reachable address so
 // the receiver can route replies back (clients are not in the static
 // routing table servers start with).
@@ -64,15 +21,10 @@ type helloMsg struct {
 	Addr string
 }
 
-func init() {
-	gob.Register(helloMsg{})
-	gob.Register(Batch{})
-}
-
 // TCP is a Network whose nodes may live in different processes.
 // Locally registered nodes receive messages directly; remote nodes
-// are reached via persistent gob-encoded TCP connections using a
-// static NodeID→address routing table.
+// are reached via persistent TCP connections carrying binary frames
+// (codec.go) using a static NodeID→address routing table.
 //
 // Delivery is best-effort: connection failures and full outbound
 // queues drop messages, exactly as the protocol layers expect from a
@@ -91,7 +43,6 @@ type TCP struct {
 	clk      clock.Clock
 	closed   bool
 	tracer   WireTracer
-	codec    Codec
 	stats    statCounters
 
 	// hellos remembers each peer's announcements (self node → reply
@@ -103,21 +54,6 @@ type TCP struct {
 
 	// Logf, if set, receives connection diagnostics.
 	Logf func(format string, args ...interface{})
-}
-
-// SetCodec selects the send-side wire encoding. Call before traffic
-// starts; established connections keep the codec they opened with.
-func (t *TCP) SetCodec(c Codec) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.codec = c
-}
-
-// sendCodec reads the configured codec.
-func (t *TCP) sendCodec() Codec {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.codec
 }
 
 // SetTracer installs the flight-recorder wire hook: outgoing envelopes
@@ -236,11 +172,12 @@ func (t *TCP) acceptLoop(ln net.Listener) {
 	}
 }
 
-// readLoop auto-detects the peer's codec from the connection
-// preamble: binary connections open with wireMagic + a version byte
-// (which no gob stream can start with), everything else is a legacy
-// persistent gob stream. Auto-detection is what keeps mixed-codec
-// deployments (a gob-configured sender, a binary receiver) working.
+// readLoop checks the connection preamble — wireMagic plus the
+// version byte; a peer that opens with anything else is logged and
+// dropped, leaving every other connection untouched — then drains
+// length-prefixed frames. The payload buffer is reused across frames
+// (decoders copy what they keep), so a steady-state connection reads
+// without per-frame allocation beyond the decoded messages themselves.
 func (t *TCP) readLoop(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -249,37 +186,16 @@ func (t *TCP) readLoop(conn net.Conn) {
 		t.mu.Unlock()
 	}()
 	br := bufio.NewReaderSize(countingReader{r: conn, n: &t.stats}, 32<<10)
-	head, err := br.Peek(len(wireMagic))
-	if err != nil {
+	var pre [5]byte // magic + version
+	if _, err := io.ReadFull(br, pre[:]); err != nil {
 		if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 			t.logf("transport: read preamble from %s: %v", conn.RemoteAddr(), err)
 		}
 		return
 	}
-	if [4]byte(head) == wireMagic {
-		t.readBinary(br, conn)
-		return
-	}
-	dec := gob.NewDecoder(br)
-	for {
-		var e Envelope
-		if err := dec.Decode(&e); err != nil {
-			if !errors.Is(err, net.ErrClosed) && err != io.EOF {
-				t.logf("transport: read from %s: %v", conn.RemoteAddr(), err)
-			}
-			return
-		}
-		t.deliverLocal(e)
-	}
-}
-
-// readBinary drains length-prefixed binary frames. The payload buffer
-// is reused across frames (decoders copy what they keep), so a
-// steady-state connection reads without per-frame allocation beyond
-// the decoded messages themselves.
-func (t *TCP) readBinary(br *bufio.Reader, conn net.Conn) {
-	var pre [5]byte // magic + version
-	if _, err := io.ReadFull(br, pre[:]); err != nil {
+	if [4]byte(pre[:4]) != wireMagic {
+		t.logf("transport: peer %s opened with % x, not the wire magic; dropping connection",
+			conn.RemoteAddr(), pre[:4])
 		return
 	}
 	if pre[4] != WireVersion {
@@ -439,8 +355,8 @@ func (t *TCP) connTo(addr string) *tcpConn {
 //
 // Writes are buffered: each envelope lands in a bufio.Writer, flushed
 // only when the outbound queue has drained empty — so a burst pays one
-// write(2) instead of one (or with gob, several) per message, while an
-// idle queue still gets every message onto the wire immediately.
+// write(2) instead of one per message, while an idle queue still gets
+// every message onto the wire immediately.
 func (t *TCP) writeLoop(c *tcpConn) {
 	conn, err := net.DialTimeout("tcp", c.addr, 5*time.Second)
 	if err != nil {
@@ -470,33 +386,29 @@ func (t *TCP) writeLoop(c *tcpConn) {
 		}
 	}()
 	bw := bufio.NewWriterSize(countingWriter{w: conn, n: &t.stats}, 64<<10)
-	var write func(e Envelope) error
-	if t.sendCodec() == CodecGob {
-		enc := gob.NewEncoder(bw)
-		write = func(e Envelope) error { return enc.Encode(&e) }
-	} else {
-		if _, err := bw.Write(append(wireMagic[:], WireVersion)); err != nil {
-			t.dropConn(c.addr, c)
-			return
+	if _, err := bw.Write(append(wireMagic[:], WireVersion)); err != nil {
+		t.dropConn(c.addr, c)
+		return
+	}
+	// The frame buffer is reused across messages: encode after the
+	// 4-byte length slot, then back-fill the length. A message the wire
+	// cannot carry is dropped whole (and counted), never half-written.
+	buf := make([]byte, 4, 4096)
+	write := func(e Envelope) error {
+		var err error
+		buf, err = AppendEnvelope(buf[:4], e)
+		if err != nil {
+			t.stats.droppedNoRoute.Add(1)
+			t.logf("transport: encode for %s: %v (message dropped)", c.addr, err)
+			return nil
 		}
-		// The frame buffer is reused across messages: encode after the
-		// 4-byte length slot, then back-fill the length.
-		buf := make([]byte, 4, 4096)
-		write = func(e Envelope) error {
-			var err error
-			buf, err = AppendEnvelope(buf[:4], e)
-			if err != nil {
-				t.logf("transport: encode %T for %s: %v (message dropped)", e.Msg, c.addr, err)
-				return nil
-			}
-			if len(buf)-4 > maxFrame {
-				t.logf("transport: %T for %s exceeds max frame (%d bytes), dropped", e.Msg, c.addr, len(buf)-4)
-				return nil
-			}
-			binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
-			_, err = bw.Write(buf)
-			return err
+		if len(buf)-4 > maxFrame {
+			t.logf("transport: %T for %s exceeds max frame (%d bytes), dropped", e.Msg, c.addr, len(buf)-4)
+			return nil
 		}
+		binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
+		_, err = bw.Write(buf)
+		return err
 	}
 	// A fresh connection's head re-announces every hello registered for
 	// this peer: a restarted peer lost its learned routes, and replies

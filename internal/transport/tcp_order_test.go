@@ -15,7 +15,18 @@ type orderMsg struct {
 	Pad []byte
 }
 
-func init() { RegisterMessage(orderMsg{}) }
+func (m orderMsg) WireTag() uint8 { return 15 }
+func (m orderMsg) AppendWire(b []byte) []byte {
+	b = AppendString(b, m.Src)
+	b = AppendVarint(b, int64(m.Seq))
+	return AppendBytes(b, m.Pad)
+}
+
+func init() {
+	RegisterWire(15, func(r *WireReader) (Message, error) {
+		return orderMsg{Src: r.String(), Seq: int(r.Varint()), Pad: r.Bytes()}, r.Err()
+	})
+}
 
 // TestTCPConcurrentOrdering hammers one TCP peer from many goroutines
 // with interleaved large and small messages — including batch

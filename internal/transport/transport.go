@@ -22,7 +22,7 @@ import (
 type NodeID string
 
 // Message is a protocol payload. Concrete message types used over TCP
-// must be registered with RegisterMessage.
+// must implement WireMessage and register a decoder with RegisterWire.
 type Message interface{}
 
 // Envelope is a routed message.
@@ -33,8 +33,7 @@ type Envelope struct {
 	// TraceClk is the sender's flight-recorder Lamport stamp, taken at
 	// Send (or, for Batch items, when the item was buffered). Zero when
 	// tracing is off. Receivers merge it into their own recorder's
-	// clock so cross-process timelines stay causally ordered; gob
-	// ships it like any other field.
+	// clock so cross-process timelines stay causally ordered.
 	TraceClk uint64
 }
 
@@ -105,7 +104,9 @@ type Stats struct {
 	// (TCP only): no routing-table entry, the peer's outbound queue
 	// full, or its connection torn down. Dropped messages are NOT
 	// counted in MsgsSent — only what actually reached a queue or a
-	// local mailbox is.
+	// local mailbox is. DroppedNoRoute also counts messages no frame
+	// can carry (ErrNoWireCodec, found when the writer encodes them):
+	// like a missing route, nothing the transport retries delivers them.
 	DroppedNoRoute   int64 `json:"droppedNoRoute"`
 	DroppedQueueFull int64 `json:"droppedQueueFull"`
 	DroppedConnDown  int64 `json:"droppedConnDown"`

@@ -11,9 +11,15 @@ import (
 type ping struct{ Seq int }
 type pong struct{ Seq int }
 
+// Test-local wire codecs at the top of transport's tag block.
+func (p ping) WireTag() uint8             { return 13 }
+func (p ping) AppendWire(b []byte) []byte { return AppendVarint(b, int64(p.Seq)) }
+func (p pong) WireTag() uint8             { return 14 }
+func (p pong) AppendWire(b []byte) []byte { return AppendVarint(b, int64(p.Seq)) }
+
 func init() {
-	RegisterMessage(ping{})
-	RegisterMessage(pong{})
+	RegisterWire(13, func(r *WireReader) (Message, error) { return ping{Seq: int(r.Varint())}, r.Err() })
+	RegisterWire(14, func(r *WireReader) (Message, error) { return pong{Seq: int(r.Varint())}, r.Err() })
 }
 
 func TestLocalRoundTrip(t *testing.T) {

@@ -65,15 +65,6 @@ type MsgReadReply struct {
 	Exists  bool
 }
 
-func init() {
-	transport.RegisterMessage(MsgPrepare{})
-	transport.RegisterMessage(MsgVote{})
-	transport.RegisterMessage(MsgDecision{})
-	transport.RegisterMessage(MsgDecisionAck{})
-	transport.RegisterMessage(MsgRead{})
-	transport.RegisterMessage(MsgReadReply{})
-}
-
 // lockState is a participant's prepared transaction on one record.
 type lockState struct {
 	tx     TxID

@@ -61,6 +61,28 @@ var ErrClosed = errors.New("wal: log closed")
 // a segment (a torn tail is silently truncated instead).
 var ErrCorrupt = errors.New("wal: corrupt record")
 
+// ErrFormat marks a record that is intact (its CRC holds) but whose
+// payload is not in the format this build reads — above all a data
+// directory written by a build that serialized with encoding/gob.
+// Unlike ErrCorrupt the bytes are what their writer meant, so there is
+// no migration reader and nothing to repair: run the build that wrote
+// the directory, or wipe it and let the replica rebuild from its
+// quorum. Every payload this repository logs opens with a format byte
+// in 0x80..0xF7, which no gob stream can start with (gob opens with a
+// message length: one byte below 0x80, or a byte-count marker of 0xF8
+// and up), so such a directory is refused on its first record, before
+// anything is applied.
+var ErrFormat = errors.New("wal: record not in this build's format")
+
+// Body checks a record payload's leading format byte and returns the
+// bytes after it, or an ErrFormat naming what was being read.
+func Body(payload []byte, format byte, what string) ([]byte, error) {
+	if len(payload) == 0 || payload[0] != format {
+		return nil, fmt.Errorf("%w: %s does not open with format byte %#x", ErrFormat, what, format)
+	}
+	return payload[1:], nil
+}
+
 // ErrDiskFault marks an injected disk failure (see Faults). Callers
 // must treat it exactly like a real I/O error: the append was not made
 // durable and must not be acknowledged.

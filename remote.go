@@ -1,6 +1,7 @@
 package mdcc
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -31,8 +32,7 @@ import (
 //	}
 type RemoteTopology struct {
 	NodesPerDC  int               `json:"nodesPerDC"`
-	Mode        string            `json:"mode"`            // "mdcc" | "fast" | "multi"
-	Codec       string            `json:"codec,omitempty"` // send-side wire codec: "binary" (default) | "gob"
+	Mode        string            `json:"mode"` // "mdcc" | "fast" | "multi"
 	Addrs       map[string]string `json:"addrs"`
 	Constraints []struct {
 		Attr string `json:"attr"`
@@ -41,15 +41,19 @@ type RemoteTopology struct {
 	} `json:"constraints"`
 }
 
-// LoadRemoteTopology reads a topology JSON file.
+// LoadRemoteTopology reads a topology JSON file. A key the schema does
+// not have (a typo, or a setting a newer build removed) is an error
+// naming the key, never silently ignored.
 func LoadRemoteTopology(path string) (*RemoteTopology, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("mdcc: topology: %w", err)
 	}
 	var t RemoteTopology
-	if err := json.Unmarshal(data, &t); err != nil {
-		return nil, fmt.Errorf("mdcc: topology: %w", err)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&t); err != nil {
+		return nil, fmt.Errorf("mdcc: topology %s: %w", path, err)
 	}
 	if t.NodesPerDC < 1 {
 		t.NodesPerDC = 1
@@ -136,11 +140,6 @@ func Dial(topo *RemoteTopology, dc DC, clientID, listen string) (*RemoteSession,
 		return nil, err
 	}
 	net := transport.NewTCP(routes)
-	codec, err := transport.ParseCodec(topo.Codec)
-	if err != nil {
-		return nil, err
-	}
-	net.SetCodec(codec)
 	addr, err := net.Listen(listen)
 	if err != nil {
 		return nil, err
@@ -171,11 +170,6 @@ func DialGateway(topo *RemoteTopology, dc DC, clientID, listen string) (*RemoteS
 		return nil, fmt.Errorf("mdcc: no server address for %s in topology", dc)
 	}
 	net := transport.NewTCP(map[transport.NodeID]string{gateway.GatewayID(dc): addr})
-	codec, err := transport.ParseCodec(topo.Codec)
-	if err != nil {
-		return nil, err
-	}
-	net.SetCodec(codec)
 	selfAddr, err := net.Listen(listen)
 	if err != nil {
 		return nil, err

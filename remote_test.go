@@ -3,6 +3,7 @@ package mdcc
 import (
 	"errors"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -231,6 +232,29 @@ func TestRemoteTopologyParsing(t *testing.T) {
 	}
 	if _, err := ParseMode("nonsense"); err == nil {
 		t.Fatal("ParseMode accepted nonsense")
+	}
+}
+
+// TestRemoteTopologyRejectsUnknownKeys: a topology file carrying a key
+// the schema does not have — the removed "codec" setting, or a typo —
+// is refused with an error naming the key, instead of booting a
+// deployment that quietly ignores it.
+func TestRemoteTopologyRejectsUnknownKeys(t *testing.T) {
+	for key, blob := range map[string]string{
+		"codec": `{"nodesPerDC": 1, "mode": "mdcc", "codec": "gob", "addrs": {"us-west": "a:1"}}`,
+		"adrs":  `{"nodesPerDC": 1, "mode": "mdcc", "adrs": {"us-west": "a:1"}}`,
+	} {
+		path := t.TempDir() + "/topo.json"
+		if err := writeFile(path, blob); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadRemoteTopology(path)
+		if err == nil {
+			t.Fatalf("topology with unknown key %q loaded", key)
+		}
+		if !strings.Contains(err.Error(), `"`+key+`"`) {
+			t.Errorf("error %q does not name the key %q", err, key)
+		}
 	}
 }
 
