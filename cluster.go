@@ -14,6 +14,7 @@ import (
 	"mdcc/internal/kv"
 	"mdcc/internal/topology"
 	"mdcc/internal/transport"
+	"mdcc/internal/wal"
 )
 
 // ClusterConfig shapes an in-process cluster.
@@ -29,30 +30,31 @@ type ClusterConfig struct {
 	// (hundreds of ms). 1.0 feels like the real WAN; 0.02 makes
 	// examples snappy while preserving relative geometry. Default 0.05.
 	LatencyScale float64
-	// DataDir, when set, gives every storage node a WAL-backed
-	// durable store under DataDir/<node>; empty means in-memory.
+	// DataDir, when set, gives every storage node the durable engine
+	// mdcc-server -data runs (group-commit WALs for the committed store
+	// and the decision oplog, periodic checkpoints) under
+	// DataDir/<node>; empty means in-memory.
 	DataDir string
-	// Gamma overrides the fast-policy window (default 100).
-	Gamma int
 	// SyncInterval enables background anti-entropy between replicas
 	// (catch-up after outages); zero disables.
 	SyncInterval time.Duration
 	// Seed randomizes latency jitter.
 	Seed int64
-	// Gateway tunes the per-DC gateway tier created by
-	// Cluster.Gateway (zero value = defaults).
-	Gateway GatewayTuning
 }
+
+// checkpointEvery is how often a DataDir cluster's nodes snapshot
+// their state and truncate their WALs (mdcc-server's
+// -checkpoint-interval default).
+const checkpointEvery = 30 * time.Second
 
 // Cluster is an in-process five-data-center MDCC deployment running
 // on the real-time transport.
 type Cluster struct {
-	cfg     ClusterConfig
 	coreCfg core.Config
 	net     *transport.Local
 	cl      *topology.Cluster
 	nodes   []*core.StorageNode
-	stores  []*kv.Store
+	durable []*core.DurableState // DataDir clusters only
 	mu      sync.Mutex
 	gws     map[DC]*Gateway
 	nextCli atomic.Int64
@@ -74,7 +76,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	// is ever created.
 	extra := make(map[transport.NodeID]topology.DC)
 	for _, dc := range topology.AllDCs() {
-		for _, id := range gateway.NodeIDs(dc, cfg.Gateway) {
+		for _, id := range gateway.NodeIDs(dc, gateway.Tuning{}) {
 			extra[id] = dc
 		}
 	}
@@ -90,28 +92,39 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	// shared by storage nodes, sessions and gateways.
 	coreCfg := clusterCoreConfig(cfg)
 
-	c := &Cluster{cfg: cfg, coreCfg: coreCfg, net: net, cl: cl, gws: make(map[DC]*Gateway)}
+	c := &Cluster{coreCfg: coreCfg, net: net, cl: cl, gws: make(map[DC]*Gateway)}
 	for _, n := range cl.Storage {
-		var store *kv.Store
-		if cfg.DataDir != "" {
-			dir := filepath.Join(cfg.DataDir, string(n.ID))
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				net.Close()
-				return nil, fmt.Errorf("mdcc: %w", err)
-			}
-			s, err := kv.Open(dir, false)
-			if err != nil {
-				net.Close()
-				return nil, err
-			}
-			store = s
-		} else {
-			store = kv.NewMemory()
+		if cfg.DataDir == "" {
+			c.nodes = append(c.nodes, core.NewStorageNode(n.ID, n.DC, net, cl, coreCfg, kv.NewMemory()))
+			continue
 		}
-		c.stores = append(c.stores, store)
-		c.nodes = append(c.nodes, core.NewStorageNode(n.ID, n.DC, net, cl, coreCfg, store))
+		ds, err := openNodeDir(filepath.Join(cfg.DataDir, string(n.ID)))
+		if err != nil {
+			c.Close()
+			return nil, err
+		}
+		c.durable = append(c.durable, ds)
+		c.nodes = append(c.nodes, core.NewDurableStorageNode(n.ID, n.DC, net, cl, coreCfg, ds))
 	}
 	return c, nil
+}
+
+// openNodeDir opens one node's durable state. A directory written by
+// the earlier kv-only layout (WAL segments directly in the node
+// directory, no decision oplog) is refused: opening it would start the
+// node empty beside data it silently ignores.
+func openNodeDir(dir string) (*core.DurableState, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("mdcc: %w", err)
+	}
+	segs, err := wal.Segments(dir)
+	if err != nil {
+		return nil, fmt.Errorf("mdcc: %w", err)
+	}
+	if len(segs) > 0 {
+		return nil, fmt.Errorf("mdcc: %s holds WAL segments of the old kv-only DataDir layout; this build keeps node state under store/, oplog/ and snap/ and cannot read it", dir)
+	}
+	return core.OpenDurableOpts(dir, core.DurableOptions{GroupCommit: true})
 }
 
 // clusterCoreConfig derives the protocol configuration, scaling the
@@ -120,8 +133,8 @@ func clusterCoreConfig(cfg ClusterConfig) core.Config {
 	coreCfg := core.Defaults(cfg.Mode)
 	coreCfg.Constraints = cfg.Constraints
 	coreCfg.SyncInterval = cfg.SyncInterval
-	if cfg.Gamma > 0 {
-		coreCfg.Gamma = cfg.Gamma
+	if cfg.DataDir != "" {
+		coreCfg.CheckpointInterval = checkpointEvery
 	}
 	s := cfg.LatencyScale
 	if s < 1 {
@@ -159,7 +172,7 @@ func (c *Cluster) Gateway(dc DC) *Gateway {
 	if g, ok := c.gws[dc]; ok {
 		return g
 	}
-	gw := gateway.New(dc, c.net, c.cl, c.coreCfg, c.cfg.Gateway)
+	gw := gateway.New(dc, c.net, c.cl, c.coreCfg, gateway.Tuning{})
 	g := &Gateway{dc: dc, gw: gw, cfg: c.coreCfg}
 	c.gws[dc] = g
 	return g
@@ -200,7 +213,7 @@ func (c *Cluster) Close() {
 		g.gw.Close()
 	}
 	c.net.Close()
-	for _, s := range c.stores {
-		_ = s.Close()
+	for _, ds := range c.durable {
+		_ = ds.Close() // flushes and releases both WALs; nothing to report to
 	}
 }

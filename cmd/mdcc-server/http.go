@@ -101,7 +101,7 @@
 //	    "feedGaps": 0,                    // sequence holes detected (each
 //	                                      // triggers a catch-up resync)
 //	    "feedDrops": 0,                   // feeds marked dead after
-//	                                      // FeedTTL of silence
+//	                                      // 2s of feed silence
 //	    "feedResubs": 0,                  // subscriptions sent (initial
 //	                                      // + resyncs)
 //	    "feedStaleMsgs": 0,               // duplicate / dead-epoch feed

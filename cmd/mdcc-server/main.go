@@ -41,22 +41,17 @@ var (
 	dataDir  = flag.String("data", "", "durable store directory (empty = in-memory)")
 	httpAddr = flag.String("http", "", "optional HTTP endpoint serving /metrics and /healthz")
 
-	walGroup  = flag.Bool("wal-group-commit", true, "coalesce concurrent WAL appends under one fsync (with -data)")
-	walStall  = flag.Duration("wal-max-stall", 0, "optional wait that grows group-commit batches (0 = sync immediately; with -data)")
 	ckptEvery = flag.Duration("checkpoint-interval", 30*time.Second, "how often durable nodes snapshot full state and truncate the WAL; 0 disables and recovery replays the whole log (with -data)")
 
 	gwMode     = flag.Bool("gateway", false, "host this DC's transaction gateway tier (mdcc.DialGateway clients)")
 	gwPool     = flag.Int("gateway-pool", 0, "pooled coordinators in the gateway (0 = default)")
-	gwBatch    = flag.Duration("gateway-batch-window", 0, "outbound cross-transaction batching window (0 = default)")
-	gwCoalesce = flag.Duration("gateway-coalesce-window", 0, "hot-key delta coalescing window (0 = default)")
+	gwBatch    = flag.Duration("gateway-batch-window", 0, "outbound cross-transaction batching window (0 = default 2ms, negative = off)")
+	gwCoalesce = flag.Duration("gateway-coalesce-window", 0, "hot-key delta coalescing window (0 = default 5ms, negative = off)")
 	gwInflight = flag.Int("gateway-max-inflight", 0, "admission: max in-flight transactions (0 = default)")
-	gwReadTier = flag.Bool("gateway-read-tier", true, "serve gateway reads from the DC-local learned replica (visibility-feed materialized memory); false = one RPC per read")
-	gwFeedTTL  = flag.Duration("gateway-feed-ttl", 0, "read tier: max visibility-feed silence before memory reads fall back to RPC (0 = default 2s)")
 
-	profile      = flag.Bool("profile", false, "serve Go pprof endpoints under /debug/pprof/ on -http and enable block/mutex profiling")
-	traceOn      = flag.Bool("trace", false, "run the transaction flight recorder; retained timelines serve on /trace")
-	traceSlow    = flag.Duration("trace-slow", 0, "flight recorder: retain transactions slower than this (0 = default 1s)")
-	traceSlowest = flag.Int("trace-slowest", 0, "flight recorder: always keep the N slowest transactions (0 = default 5)")
+	profile   = flag.Bool("profile", false, "serve Go pprof endpoints under /debug/pprof/ on -http and enable block/mutex profiling")
+	traceOn   = flag.Bool("trace", false, "run the transaction flight recorder; retained timelines serve on /trace")
+	traceSlow = flag.Duration("trace-slow", 0, "flight recorder: retain transactions slower than this (0 = default 1s)")
 )
 
 func main() {
@@ -127,7 +122,7 @@ func main() {
 	cfg.Constraints = topo.ConstraintList()
 	var rec *trace.Recorder
 	if *traceOn {
-		rec = trace.New(trace.Config{SlowThreshold: *traceSlow, SlowestN: *traceSlowest})
+		rec = trace.New(trace.Config{SlowThreshold: *traceSlow})
 		cfg.Tracer = rec
 		// Stamp outbound envelopes and merge inbound stamps so the
 		// Lamport order spans servers, not just this process.
@@ -153,10 +148,7 @@ func main() {
 			if err := os.MkdirAll(dir, 0o755); err != nil {
 				log.Fatal(err)
 			}
-			ds, err := core.OpenDurableOpts(dir, core.DurableOptions{
-				GroupCommit: *walGroup,
-				MaxStall:    *walStall,
-			})
+			ds, err := core.OpenDurableOpts(dir, core.DurableOptions{GroupCommit: true})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -184,34 +176,23 @@ func main() {
 		}
 	}
 	if *dataDir != "" {
-		gc := "group-commit"
-		if !*walGroup {
-			gc = "fsync-per-append"
-		}
 		ckpt := "off (full-log recovery)"
 		if *ckptEvery > 0 {
 			ckpt = ckptEvery.String()
 		}
-		log.Printf("durable engine: %s, checkpoints every %s", gc, ckpt)
+		log.Printf("durable engine: group-commit, checkpoints every %s", ckpt)
 	}
 	var gw *gateway.Gateway
 	if *gwMode {
-		tun := mdcc.GatewayTuning{
-			Pool:            *gwPool,
-			BatchWindow:     *gwBatch,
-			CoalesceWindow:  *gwCoalesce,
-			MaxInflight:     *gwInflight,
-			DisableReadTier: !*gwReadTier,
-			FeedTTL:         *gwFeedTTL,
-		}
-		gw = gateway.New(dc, net, cl, cfg, tun)
+		gw = gateway.New(dc, net, cl, cfg, mdcc.GatewayTuning{
+			Pool:           *gwPool,
+			BatchWindow:    *gwBatch,
+			CoalesceWindow: *gwCoalesce,
+			MaxInflight:    *gwInflight,
+		})
 		resolved := gw.Tuning()
-		readTier := "off (per-RPC reads)"
-		if !resolved.DisableReadTier {
-			readTier = fmt.Sprintf("on (feed ttl %s)", resolved.FeedTTL)
-		}
-		log.Printf("gateway tier up as %s (pool %d, batch %s, coalesce %s, headroom share 1/%d, read tier %s)",
-			gw.ID(), resolved.Pool, resolved.BatchWindow, resolved.CoalesceWindow, resolved.HeadroomShare, readTier)
+		log.Printf("gateway tier up as %s (pool %d, batch %s, coalesce %s, headroom share 1/%d, read tier on)",
+			gw.ID(), resolved.Pool, resolved.BatchWindow, resolved.CoalesceWindow, resolved.HeadroomShare)
 	}
 	log.Printf("%s serving on %s (shard ring epoch %d, %d active groups)",
 		dc, bound, cl.Ring().Epoch(), len(cl.Ring().Current().Groups()))

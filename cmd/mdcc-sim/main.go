@@ -12,7 +12,7 @@
 //	mdcc-sim -list
 //
 // -scenario.trace additionally runs the transaction flight recorder
-// and prints assembled cross-node timelines for the N slowest
+// and prints assembled cross-node timelines for the five slowest
 // transactions, every retained abort/outcome-unknown, and — on a
 // failed run — the transactions touching each violated invariant's
 // keys.
@@ -26,8 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"mdcc/internal/scenario"
@@ -38,21 +36,14 @@ var (
 	seed     = flag.Int64("seed", 1, "simulation seed (reproducible)")
 	clients  = flag.Int("clients", 0, "simulated clients (0 = scenario default)")
 	nodes    = flag.Int("nodes-per-dc", 0, "storage nodes per data center (0 = scenario default)")
-	scnNodes = flag.Int("scenario.nodes", 0, "alias for -nodes-per-dc (takes precedence when set)")
 	scnDrop  = flag.Float64("scenario.drop", 0, "ambient uniform message-drop probability for the whole traffic window")
 	duration = flag.Duration("duration", 0, "virtual traffic window (0 = scenario default)")
 	noFaults = flag.Bool("no-faults", false, "skip the nemesis schedule (happy-path run)")
 	list     = flag.Bool("list", false, "list scenarios and exit")
 	verbose  = flag.Bool("v", false, "log nemesis events as they fire")
 
-	traceOn      = flag.Bool("scenario.trace", false, "run the transaction flight recorder and print assembled cross-node timelines (slowest-N, every retained abort/unknown, and the transactions behind each invariant violation)")
-	traceSlowest = flag.Int("scenario.trace-slowest", 0, "flight recorder: always keep the N slowest transactions (0 = default 5)")
-	traceSlow    = flag.Duration("scenario.trace-slow", 0, "flight recorder: retain transactions slower than this (0 = default 1s)")
-
-	sweepOn    = flag.Bool("scenario.sweep", false, "run the scaling-curve sweep (node count x drop%) instead of single scenario runs; -scenario picks the swept scenario (\"all\" means the sweep default)")
-	sweepNodes = flag.String("sweep.nodes", "", "comma-separated nodes-per-DC axis for -scenario.sweep (default 1,40,188 = 65/260/1000 processes at 60 clients)")
-	sweepDrop  = flag.String("sweep.drop", "", "comma-separated ambient drop%% axis for -scenario.sweep (default 0,2)")
-	sweepFault = flag.Bool("sweep.faults", false, "also run the scenario's nemesis schedule at every sweep point (default: drop%% is the only fault, isolating scale)")
+	traceOn   = flag.Bool("scenario.trace", false, "run the transaction flight recorder and print assembled cross-node timelines (the 5 slowest, every retained abort/unknown, and the transactions behind each invariant violation)")
+	traceSlow = flag.Duration("scenario.trace-slow", 0, "flight recorder: retain transactions slower than this (0 = default 1s)")
 )
 
 func main() {
@@ -69,11 +60,6 @@ func main() {
 		return
 	}
 
-	if *sweepOn {
-		runSweep()
-		return
-	}
-
 	var torun []*scenario.Scenario
 	if *name == "all" {
 		torun = scenario.All()
@@ -87,18 +73,14 @@ func main() {
 	}
 
 	opts := scenario.Options{
-		Seed:         *seed,
-		Clients:      *clients,
-		NodesPerDC:   *nodes,
-		Duration:     *duration,
-		Faults:       !*noFaults,
-		DropProb:     *scnDrop,
-		Trace:        *traceOn,
-		TraceSlowest: *traceSlowest,
-		TraceSlow:    *traceSlow,
-	}
-	if *scnNodes > 0 {
-		opts.NodesPerDC = *scnNodes
+		Seed:       *seed,
+		Clients:    *clients,
+		NodesPerDC: *nodes,
+		Duration:   *duration,
+		Faults:     !*noFaults,
+		DropProb:   *scnDrop,
+		Trace:      *traceOn,
+		TraceSlow:  *traceSlow,
 	}
 	if *verbose {
 		opts.Logf = func(format string, args ...interface{}) {
@@ -136,82 +118,4 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("all %d scenarios passed\n", len(torun))
-}
-
-// runSweep is the -scenario.sweep mode: the scaling curve (cluster
-// size x ambient drop%) printed as one table row per grid point.
-func runSweep() {
-	cfg := scenario.SweepConfig{
-		Seed:     *seed,
-		Clients:  *clients,
-		Duration: *duration,
-		Faults:   *sweepFault,
-	}
-	if *name != "all" {
-		cfg.Scenario = *name
-	}
-	var err error
-	if cfg.NodesPerDC, err = parseInts(*sweepNodes); err != nil {
-		fmt.Fprintf(os.Stderr, "mdcc-sim: -sweep.nodes: %v\n", err)
-		os.Exit(2)
-	}
-	if cfg.DropPcts, err = parseFloats(*sweepDrop); err != nil {
-		fmt.Fprintf(os.Stderr, "mdcc-sim: -sweep.drop: %v\n", err)
-		os.Exit(2)
-	}
-	if *verbose {
-		cfg.Logf = func(format string, args ...interface{}) { fmt.Printf(format+"\n", args...) }
-	}
-	pts, err := scenario.Sweep(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mdcc-sim: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("%7s %8s %6s %9s %9s %12s %11s %10s %9s  %s\n",
-		"nodes", "nodes/DC", "drop%", "commits", "tx/s", "converge-ms", "wall-ms", "sim/wall", "events/s", "verdict")
-	failed := 0
-	for _, p := range pts {
-		verdict := "PASS"
-		if !p.Passed {
-			verdict = "FAIL"
-			failed++
-		}
-		fmt.Printf("%7d %8d %6.1f %9d %9.1f %12.0f %11.0f %9.0fx %9.0f  %s\n",
-			p.ClusterNodes, p.NodesPerDC, p.DropPct, p.Commits, p.TPS,
-			p.ConvergeMS, p.WallMS, p.SimWallRatio, p.EventsPerSec, verdict)
-	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "mdcc-sim: %d of %d sweep points FAILED\n", failed, len(pts))
-		os.Exit(1)
-	}
-}
-
-func parseInts(csv string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(csv, ",") {
-		if f = strings.TrimSpace(f); f == "" {
-			continue
-		}
-		v, err := strconv.Atoi(f)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseFloats(csv string) ([]float64, error) {
-	var out []float64
-	for _, f := range strings.Split(csv, ",") {
-		if f = strings.TrimSpace(f); f == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

@@ -31,7 +31,7 @@ func newCheckpointWorld(t *testing.T, seed int64, interval time.Duration) *durab
 	cfg.CheckpointInterval = interval
 	w := &durableWorld{t: t, net: net, cl: cl, cfg: cfg, dir: t.TempDir()}
 	for _, n := range cl.Storage {
-		ds, err := OpenDurable(filepath.Join(w.dir, string(n.ID)), true)
+		ds, err := OpenDurableOpts(filepath.Join(w.dir, string(n.ID)), DurableOptions{NoSync: true})
 		if err != nil {
 			t.Fatalf("open durable: %v", err)
 		}
@@ -124,7 +124,7 @@ func TestCheckpointBoundsRecovery(t *testing.T) {
 // it. Corrupting both snapshots must surface typed ErrCorrupt.
 func TestCheckpointFallbackToPreviousSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	ds, err := OpenDurable(dir, true)
+	ds, err := OpenDurableOpts(dir, DurableOptions{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestCheckpointFallbackToPreviousSnapshot(t *testing.T) {
 	}
 	corrupt(2)
 
-	ds, err = OpenDurable(dir, true)
+	ds, err = OpenDurableOpts(dir, DurableOptions{NoSync: true})
 	if err != nil {
 		t.Fatalf("reopen with corrupt newest snapshot: %v", err)
 	}
@@ -203,7 +203,7 @@ func TestCheckpointFallbackToPreviousSnapshot(t *testing.T) {
 	// locally and the error must say so, typed.
 	corrupt(1)
 	corrupt(2)
-	if _, err := OpenDurable(dir, true); !errors.Is(err, wal.ErrCorrupt) {
+	if _, err := OpenDurableOpts(dir, DurableOptions{NoSync: true}); !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("both snapshots corrupt: got %v, want wal.ErrCorrupt", err)
 	}
 }

@@ -83,20 +83,6 @@ type Config struct {
 	// bulk-copy). Zero disables.
 	SyncInterval time.Duration
 
-	// FeedKeepAlive is how often a storage node proves its
-	// committed-visibility feed alive to quiet subscribers (see
-	// feed.go); it is the node-side half of the gateway read tier's
-	// staleness bound. Zero means the 500ms default.
-	FeedKeepAlive time.Duration
-
-	// FeedFlushInterval rate-limits visibility-feed flushes: at most
-	// one feed message per subscriber per interval under sustained
-	// write load (the first flush after quiet goes immediately), so
-	// the feed cannot tax a saturated write path. It is the feed's
-	// steady-state staleness bound under load. Zero means the 10ms
-	// default.
-	FeedFlushInterval time.Duration
-
 	// DecidedRetention is how long a settled option's contents stay
 	// cached in the per-record decided log before becoming eligible
 	// for release (zero = 2 min). Since the lineage-summary refactor
@@ -126,14 +112,6 @@ type Config struct {
 	// checkpoint (see checkpoint.go / DESIGN.md §12). Zero disables:
 	// recovery then replays the whole log. Memory-only nodes ignore it.
 	CheckpointInterval time.Duration
-}
-
-// feedKeepAlive resolves the keepalive interval.
-func (c Config) feedKeepAlive() time.Duration {
-	if c.FeedKeepAlive > 0 {
-		return c.FeedKeepAlive
-	}
-	return 500 * time.Millisecond
 }
 
 // Defaults returns a Config tuned for the simulated 5-DC WAN: option

@@ -156,15 +156,15 @@ func TestGobDataDirRefused(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			build(t, dir)
-			ds, err := OpenDurable(dir, true)
+			ds, err := OpenDurableOpts(dir, DurableOptions{NoSync: true})
 			if !errors.Is(err, wal.ErrFormat) {
-				t.Errorf("OpenDurable error = %v, want wal.ErrFormat", err)
+				t.Errorf("OpenDurableOpts error = %v, want wal.ErrFormat", err)
 			}
 			if errors.Is(err, wal.ErrCorrupt) {
 				t.Errorf("format refusal %v also reads as wal.ErrCorrupt", err)
 			}
 			if ds != nil {
-				t.Error("OpenDurable returned state alongside the error")
+				t.Error("OpenDurableOpts returned state alongside the error")
 				ds.Close()
 			}
 		})

@@ -105,13 +105,17 @@ type feedSub struct {
 // without expiry the node would keepalive a dead address forever.
 const feedSubTTL = 2 * time.Minute
 
-// feedFlushInterval resolves the flush rate limit.
-func (c Config) feedFlushInterval() time.Duration {
-	if c.FeedFlushInterval > 0 {
-		return c.FeedFlushInterval
-	}
-	return 10 * time.Millisecond
-}
+// feedKeepAlive is how often a storage node proves its feed alive to
+// quiet subscribers: the node-side half of the gateway read tier's
+// staleness bound.
+const feedKeepAlive = 500 * time.Millisecond
+
+// feedFlushEvery rate-limits feed flushes: at most one feed message
+// per subscriber per interval under sustained write load (the first
+// flush after quiet goes immediately), so the feed cannot tax a
+// saturated write path. It is the feed's steady-state staleness bound
+// under load.
+const feedFlushEvery = 10 * time.Millisecond
 
 // onVisibilitySub (re)registers a subscriber and answers with the
 // hello: Seq 1 of the new epoch, carrying the requested catch-up
@@ -204,7 +208,7 @@ func (n *StorageNode) markFeedDirty(key record.Key) {
 }
 
 // flushFeeds ships the dirtied keys, rate-limited to one feed message
-// per subscriber per FeedFlushInterval: the first flush after a quiet
+// per subscriber per feedFlushEvery: the first flush after a quiet
 // period goes out immediately (steady-state staleness of one
 // dispatch), but under write saturation — when every dispatch
 // executes visibilities — consecutive flushes coalesce into one
@@ -219,11 +223,10 @@ func (n *StorageNode) flushFeeds() {
 		return
 	}
 	now := n.net.Now()
-	interval := n.cfg.feedFlushInterval()
-	if since := now.Sub(n.feedLastFlush); since < interval {
+	if since := now.Sub(n.feedLastFlush); since < feedFlushEvery {
 		if !n.feedFlushArmed {
 			n.feedFlushArmed = true
-			n.net.After(n.id, interval-since, func() {
+			n.net.After(n.id, feedFlushEvery-since, func() {
 				n.feedFlushArmed = false
 				if n.halted {
 					return
@@ -292,9 +295,9 @@ func (n *StorageNode) sendFeed(to transport.NodeID, sub *feedSub, items []FeedIt
 // that heard nothing for a full interval gets an empty feed message,
 // proving the stream alive through quiet periods. The interval is the
 // node-side half of the read tier's staleness bound (the gateway
-// declares a feed dead after Tuning.FeedTTL of silence).
+// declares a feed dead after its feed TTL of silence).
 func (n *StorageNode) scheduleFeedKeepAlive() {
-	n.net.After(n.id, n.cfg.feedKeepAlive(), func() {
+	n.net.After(n.id, feedKeepAlive, func() {
 		if n.halted {
 			return
 		}
@@ -319,7 +322,7 @@ func (n *StorageNode) scheduleFeedKeepAlive() {
 		n.feedSubOrder = live
 		for _, to := range n.feedSubOrder {
 			sub := n.feedSubs[to]
-			if now.Sub(sub.lastSent) >= n.cfg.feedKeepAlive() {
+			if now.Sub(sub.lastSent) >= feedKeepAlive {
 				n.sendFeed(to, sub, nil)
 			}
 		}

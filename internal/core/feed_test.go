@@ -110,7 +110,7 @@ func TestFeedHelloAndVisibilityStream(t *testing.T) {
 
 // TestFeedKeepAliveBoundsSilence: with no traffic at all, the
 // publisher still proves the stream alive at the keepalive cadence —
-// the property the gateway's staleness bound (FeedTTL) rests on.
+// the property the gateway's staleness bound (its feed TTL) rests on.
 func TestFeedKeepAliveBoundsSilence(t *testing.T) {
 	w := newFeedWorld(t)
 	w.subscribe(1)

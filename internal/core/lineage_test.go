@@ -256,7 +256,7 @@ type fuzzReplica struct {
 }
 
 func newFuzzWorldNode(t *testing.T, net *simnet.Net, cl *topology.Cluster, cfg Config, dc topology.DC, dir string) *fuzzReplica {
-	ds, err := OpenDurable(dir, true)
+	ds, err := OpenDurableOpts(dir, DurableOptions{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func newFuzzWorldNode(t *testing.T, net *simnet.Net, cl *topology.Cluster, cfg C
 func (fr *fuzzReplica) crashRestart(t *testing.T, net *simnet.Net, cl *topology.Cluster, cfg Config, dc topology.DC) {
 	fr.node.Halt()
 	_ = fr.ds.Close()
-	ds, err := OpenDurable(fr.dir, true)
+	ds, err := OpenDurableOpts(fr.dir, DurableOptions{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}

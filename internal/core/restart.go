@@ -61,11 +61,9 @@ type DurableOptions struct {
 	// NoSync skips fsync (harnesses that model durability). Injected
 	// faults still apply — see wal.Options.NoSync.
 	NoSync bool
-	// GroupCommit coalesces concurrent appends into one fsync;
-	// MaxStall optionally bounds a wait that grows the batches. See
+	// GroupCommit coalesces concurrent appends into one fsync. See
 	// wal.Options.
 	GroupCommit bool
-	MaxStall    time.Duration
 	// SegmentSize overrides the WAL segment threshold (0 = default);
 	// scenarios shrink it to exercise many-segment recovery.
 	SegmentSize int64
@@ -79,7 +77,6 @@ func (o DurableOptions) walOptions() wal.Options {
 		SegmentSize: o.SegmentSize,
 		NoSync:      o.NoSync,
 		GroupCommit: o.GroupCommit,
-		MaxStall:    o.MaxStall,
 		Faults:      o.Faults,
 	}
 }
@@ -103,7 +100,7 @@ type ReplayStats struct {
 	SeededDecisions int
 	TailStore       int64
 	TailOplog       int64
-	// Duration is the wall-clock time OpenDurable spent.
+	// Duration is the wall-clock time OpenDurableOpts spent.
 	Duration time.Duration
 }
 
@@ -146,15 +143,8 @@ type DurableState struct {
 	checkpoints       int64
 }
 
-// OpenDurable opens (creating on first boot, replaying after a crash)
-// the durable state rooted at dir. noSync skips fsync (simulation
-// harnesses model durability; they do not need it to be real).
-func OpenDurable(dir string, noSync bool) (*DurableState, error) {
-	return OpenDurableOpts(dir, DurableOptions{NoSync: noSync})
-}
-
-// OpenDurableOpts opens the durable state rooted at dir with full
-// control of the WAL layer. Recovery seeds from the newest valid
+// OpenDurableOpts opens (creating on first boot, replaying after a
+// crash) the durable state rooted at dir. Recovery seeds from the newest valid
 // checkpoint snapshot and replays only the log tail past its cut,
 // falling back to the previous snapshot if the newest is corrupt;
 // with no snapshot it replays the whole log (first boot, or
@@ -303,7 +293,7 @@ func (ds *DurableState) Checkpoint(oplogState []oplogEntry) error {
 	return wal.PruneSnapshots(snapDir, 2)
 }
 
-// RecoveryStats reports how the last OpenDurable recovered.
+// RecoveryStats reports how the last OpenDurableOpts recovered.
 func (ds *DurableState) RecoveryStats() ReplayStats { return ds.replay }
 
 // SnapshotSeq is the newest on-disk checkpoint's sequence (0 = none).

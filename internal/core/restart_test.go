@@ -40,7 +40,7 @@ func newDurableWorld(t *testing.T, seed int64) *durableWorld {
 	cfg.SyncInterval = 500 * time.Millisecond
 	w := &durableWorld{t: t, net: net, cl: cl, cfg: cfg, dir: t.TempDir()}
 	for _, n := range cl.Storage {
-		ds, err := OpenDurable(filepath.Join(w.dir, string(n.ID)), true)
+		ds, err := OpenDurableOpts(filepath.Join(w.dir, string(n.ID)), DurableOptions{NoSync: true})
 		if err != nil {
 			t.Fatalf("open durable: %v", err)
 		}
@@ -63,7 +63,7 @@ func (w *durableWorld) crash(i int) {
 
 func (w *durableWorld) restart(i int) {
 	n := w.cl.Storage[i]
-	ds, err := OpenDurable(filepath.Join(w.dir, string(n.ID)), true)
+	ds, err := OpenDurableOpts(filepath.Join(w.dir, string(n.ID)), DurableOptions{NoSync: true})
 	if err != nil {
 		w.t.Fatalf("reopen durable: %v", err)
 	}

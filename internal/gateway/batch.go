@@ -24,7 +24,7 @@ type batcher struct {
 	inner  transport.Network
 	on     transport.NodeID // timer anchor (the gateway's node)
 	window time.Duration
-	max    int
+	max    int // messages per envelope: batchMax (tests shrink it)
 	// tracer, when set, stamps each buffered item's Lamport clock at
 	// buffering time: a Batch envelope's outer stamp is applied at
 	// flush, which would otherwise order all inner items after sends
@@ -40,15 +40,12 @@ type batcher struct {
 	singles   atomic.Int64 // messages that found no window partner
 }
 
-func newBatcher(inner transport.Network, on transport.NodeID, window time.Duration, max int) *batcher {
-	if max < 2 {
-		max = 2
-	}
+func newBatcher(inner transport.Network, on transport.NodeID, window time.Duration) *batcher {
 	return &batcher{
 		inner:  inner,
 		on:     on,
 		window: window,
-		max:    max,
+		max:    batchMax,
 		buf:    make(map[transport.NodeID][]transport.Envelope),
 	}
 }

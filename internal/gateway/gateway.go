@@ -83,17 +83,13 @@ type Tuning struct {
 	// Pool is the number of pooled coordinators (default 4).
 	Pool int
 	// BatchWindow is how long an outbound message may wait for
-	// same-destination company; 0 disables cross-transaction batching.
-	// Default 2ms.
+	// same-destination company. 0 means the 2ms default; a negative
+	// window disables cross-transaction batching.
 	BatchWindow time.Duration
-	// BatchMax caps messages per batch envelope (default 64).
-	BatchMax int
 	// CoalesceWindow is how long a hot-key commutative update may wait
-	// to be merged with others; 0 disables coalescing. Default 5ms.
+	// to be merged with others. 0 means the 5ms default; a negative
+	// window disables coalescing.
 	CoalesceWindow time.Duration
-	// CoalesceMax caps client updates merged into one option
-	// (default 64).
-	CoalesceMax int
 	// MaxInflight bounds concurrently executing transactions
 	// (default 4096).
 	MaxInflight int
@@ -111,13 +107,14 @@ type Tuning struct {
 	// go through a pooled coordinator as one RPC each (the pre-tier
 	// behavior; also the read benchmark's baseline arm).
 	DisableReadTier bool
-	// FeedTTL is how long a shard's visibility feed may go silent
-	// before its materialized state stops being served and the
-	// subscription is renewed — the tier's worst-case staleness bound
-	// across failures (default 2s; steady-state staleness is one
-	// dispatch flush, see internal/core/feed.go).
-	FeedTTL time.Duration
 }
+
+// batchMax caps messages per batch envelope; coalesceMax caps client
+// updates merged into one option.
+const (
+	batchMax    = 64
+	coalesceMax = 64
+)
 
 func (t Tuning) withDefaults() Tuning {
 	if t.Pool <= 0 {
@@ -126,14 +123,8 @@ func (t Tuning) withDefaults() Tuning {
 	if t.BatchWindow == 0 {
 		t.BatchWindow = 2 * time.Millisecond
 	}
-	if t.BatchMax <= 0 {
-		t.BatchMax = 64
-	}
 	if t.CoalesceWindow == 0 {
 		t.CoalesceWindow = 5 * time.Millisecond
-	}
-	if t.CoalesceMax <= 0 {
-		t.CoalesceMax = 64
 	}
 	if t.MaxInflight <= 0 {
 		t.MaxInflight = 4096
@@ -143,9 +134,6 @@ func (t Tuning) withDefaults() Tuning {
 	}
 	if t.HeadroomShare <= 0 {
 		t.HeadroomShare = topology.NumDCs
-	}
-	if t.FeedTTL <= 0 {
-		t.FeedTTL = feedTTLDefault
 	}
 	return t
 }
@@ -246,7 +234,7 @@ type Metrics struct {
 	// Feed stream health. FeedMsgs/FeedItems count consumed in-order
 	// feed messages and the key states inside them; FeedGaps sequence
 	// holes detected (each triggers a resync); FeedDrops feeds marked
-	// dead after FeedTTL of silence; FeedResubs subscriptions sent
+	// dead after feedTTL of silence; FeedResubs subscriptions sent
 	// (initial + resyncs); FeedStaleMsgs duplicates and dead-epoch
 	// messages discarded. MaterializedKeys (gauge) is how many keys
 	// hold a served value; FeedsLive (gauge) how many local shard
@@ -507,7 +495,7 @@ func NewGen(dc topology.DC, net transport.Network, cl *topology.Cluster, coreCfg
 		keys:    make(map[record.Key]*keyState),
 		pending: make(map[uint64]pendingTx),
 	}
-	g.bnet = newBatcher(net, g.id, tun.BatchWindow, tun.BatchMax)
+	g.bnet = newBatcher(net, g.id, tun.BatchWindow)
 	if coreCfg.Tracer != nil {
 		g.tr = coreCfg.Tracer.Ring(string(g.id), int(dc))
 		// The gateway sees the whole admit→ack life of a transaction
@@ -935,7 +923,7 @@ func (g *Gateway) foldEscrowLocked(ks *keyState, snap core.EscrowSnap, now time.
 func (g *Gateway) coalesceLocked(up record.Update, done func(bool, error), span *gwSpan) {
 	key := up.Key
 	ks := g.ks(key)
-	if ks.win != nil && (len(ks.win.waiters) >= g.tun.CoalesceMax || !g.fitsLocked(ks, up)) {
+	if ks.win != nil && (len(ks.win.waiters) >= coalesceMax || !g.fitsLocked(ks, up)) {
 		g.flushLocked(key, ks)
 	}
 	if ks.win == nil {

@@ -386,7 +386,8 @@ func TestBatcherPreservesOrder(t *testing.T) {
 		}
 	})
 	net.Register("anchor", func(transport.Envelope) {})
-	b := newBatcher(net, "anchor", 2*time.Millisecond, 8)
+	b := newBatcher(net, "anchor", 2*time.Millisecond)
+	b.max = 8 // size-triggered flushes interleave with timer flushes
 	const senders, per = 3, 20
 	net.At(0, func() {
 		for s := 0; s < per; s++ {

@@ -25,7 +25,7 @@ import (
 //     some storage replica held — read committed by construction.
 //   - Staleness is bounded by feed liveness: each shard's stream
 //     carries contiguous sequence numbers per subscription epoch and
-//     keepalives through quiet periods; a gap or FeedTTL of silence
+//     keepalives through quiet periods; a gap or feedTTL of silence
 //     marks the feed dead and reads fall back to RPC until a
 //     resubscription (with snapshot catch-up for the materialized
 //     keys) restores the stream.
@@ -43,13 +43,14 @@ import (
 // installed for the next reader. The idle sweep retires keys that
 // stop being read.
 
-// feedTTLDefault is how long a feed may go silent before the gateway
-// stops serving reads from its shard's materialized state. Paired
-// with the storage-side keepalive (core.Config.FeedKeepAlive, default
-// 500ms), it is the read tier's staleness bound: a served value lags
-// its local replica by at most the flush latency of one dispatch at
-// steady state, and by at most FeedTTL across failures.
-const feedTTLDefault = 2 * time.Second
+// feedTTL is how long a feed may go silent before the gateway stops
+// serving reads from its shard's materialized state and renews the
+// subscription. Paired with the storage-side keepalive (500ms, see
+// internal/core/feed.go), it is the read tier's staleness bound: a
+// served value lags its local replica by at most the flush latency of
+// one dispatch at steady state, and by at most feedTTL across
+// failures.
+const feedTTL = 2 * time.Second
 
 // feedState tracks one local shard's visibility stream.
 type feedState struct {
@@ -147,7 +148,7 @@ func (g *Gateway) askInterestLocked(key record.Key, ks *keyState) {
 		return
 	}
 	now := g.net.Now()
-	backoff := g.tun.FeedTTL / 4 << min(ks.askTries, 6)
+	backoff := feedTTL / 4 << min(ks.askTries, 6)
 	if !ks.askedAt.IsZero() && now.Sub(ks.askedAt) < backoff {
 		return
 	}
@@ -163,12 +164,12 @@ func (g *Gateway) askInterestLocked(key record.Key, ks *keyState) {
 }
 
 // scheduleFeedCheck arms the periodic liveness probe: feeds silent
-// past FeedTTL are marked dead (reads fall back to RPC) and
+// past feedTTL are marked dead (reads fall back to RPC) and
 // resubscribed — this is also how the tier recovers from storage-node
 // crashes and healed partitions, whose fresh incarnations hold no
 // subscriber state.
 func (g *Gateway) scheduleFeedCheck() {
-	g.net.After(g.id, g.tun.FeedTTL/2, func() {
+	g.net.After(g.id, feedTTL/2, func() {
 		g.mu.Lock()
 		if g.closed {
 			g.mu.Unlock()
@@ -177,12 +178,12 @@ func (g *Gateway) scheduleFeedCheck() {
 		now := g.net.Now()
 		for _, shard := range g.shards {
 			fs := g.feeds[shard]
-			if now.Sub(fs.lastMsg) > g.tun.FeedTTL {
+			if now.Sub(fs.lastMsg) > feedTTL {
 				if fs.live {
 					fs.live = false
 					g.m.FeedDrops++
 				}
-				if now.Sub(fs.lastSub) >= g.tun.FeedTTL/2 {
+				if now.Sub(fs.lastSub) >= feedTTL/2 {
 					g.resubscribeLocked(shard, fs)
 				}
 				continue
@@ -294,10 +295,10 @@ func (g *Gateway) installLocked(ks *keyState, val record.Value, ver record.Versi
 }
 
 // feedLiveLocked reports whether the feed covering key currently
-// bounds staleness (subscribed, gapless, heard from within FeedTTL).
+// bounds staleness (subscribed, gapless, heard from within feedTTL).
 func (g *Gateway) feedLiveLocked(key record.Key) bool {
 	fs, ok := g.feeds[g.cl.ReplicaIn(key, g.dc)]
-	return ok && fs.live && g.net.Now().Sub(fs.lastMsg) <= g.tun.FeedTTL
+	return ok && fs.live && g.net.Now().Sub(fs.lastMsg) <= feedTTL
 }
 
 // ReadFloor serves a read that must not observe a version below
@@ -410,7 +411,7 @@ func (g *Gateway) readTierGaugesLocked() (materialized, feedsLive int64) {
 	}
 	now := g.net.Now()
 	for _, shard := range g.shards {
-		if fs := g.feeds[shard]; fs != nil && fs.live && now.Sub(fs.lastMsg) <= g.tun.FeedTTL {
+		if fs := g.feeds[shard]; fs != nil && fs.live && now.Sub(fs.lastMsg) <= feedTTL {
 			feedsLive++
 		}
 	}

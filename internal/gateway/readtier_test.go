@@ -143,7 +143,7 @@ func TestReadTierFloorEscalation(t *testing.T) {
 }
 
 // TestReadTierFeedGapResync forces a sequence hole — the gateway node
-// is partitioned from its local shard for less than FeedTTL while
+// is partitioned from its local shard for less than feedTTL while
 // commits keep dirtying the key, so messages are lost but no
 // resubscription happens in between — and requires the gap to be
 // detected on the first post-heal message and resynced with catch-up,
@@ -176,7 +176,7 @@ func TestReadTierFeedGapResync(t *testing.T) {
 	w.net.At(0, cut)
 	commit(-1)
 	commit(-1)
-	// 1s < FeedTTL (2s): keepalives and the two feed updates are
+	// 1s < feedTTL (2s): keepalives and the two feed updates are
 	// lost, but the liveness probe does not resubscribe yet — the hole
 	// must be found by sequence numbers, not by the silence timer.
 	w.net.RunFor(1000 * time.Millisecond)
@@ -361,7 +361,7 @@ func TestReadTierPublisherChurnedOut(t *testing.T) {
 	cfg.SyncInterval = 750 * time.Millisecond
 	w.net.Recover(shard)
 	w.nodes[idx] = core.NewStorageNode(shard, topology.USWest, w.net, w.cl, cfg, w.stores[idx])
-	// The silence passes FeedTTL, the gateway resubscribes to the
+	// The silence passes feedTTL, the gateway resubscribes to the
 	// fresh incarnation, and anti-entropy pulls the key back.
 	w.net.RunFor(8 * time.Second)
 

@@ -163,7 +163,7 @@ func build(s *Scenario, o Options) (*Run, error) {
 	extra := map[transport.NodeID]topology.DC{}
 	if s.Gateway {
 		for _, dc := range topology.AllDCs() {
-			for _, id := range gateway.NodeIDs(dc, s.GatewayTuning) {
+			for _, id := range gateway.NodeIDs(dc, gateway.Tuning{}) {
 				extra[id] = dc
 			}
 		}
@@ -193,10 +193,7 @@ func build(s *Scenario, o Options) (*Run, error) {
 
 	var rec *trace.Recorder
 	if o.Trace {
-		rec = trace.New(trace.Config{
-			SlowestN:      o.TraceSlowest,
-			SlowThreshold: o.TraceSlow,
-		})
+		rec = trace.New(trace.Config{SlowThreshold: o.TraceSlow})
 		cfg.Tracer = rec
 	}
 
@@ -245,7 +242,7 @@ func build(s *Scenario, o Options) (*Run, error) {
 		// never a wrongly recorded abort.
 		r.gws = make(map[topology.DC]*gateway.Gateway)
 		for _, dc := range topology.AllDCs() {
-			r.gws[dc] = gateway.New(dc, net, cl, cfg, s.GatewayTuning)
+			r.gws[dc] = gateway.New(dc, net, cl, cfg, gateway.Tuning{})
 		}
 		for _, c := range cl.Clients {
 			r.clients = append(r.clients, gwClient{r: r, dc: c.DC, id: c.Index})
@@ -1184,7 +1181,7 @@ func (r *Run) GatewayIDs(dc topology.DC) []transport.NodeID {
 	if r.gws == nil {
 		return nil
 	}
-	return gateway.NodeIDs(dc, r.scn.GatewayTuning)
+	return gateway.NodeIDs(dc, gateway.Tuning{})
 }
 
 // CrashGateway kills a data center's gateway process: the gateway and
@@ -1246,7 +1243,7 @@ func (r *Run) RestartGateway(dc topology.DC) {
 		r.Net.Recover(id)
 	}
 	r.gwGen[dc]++
-	r.gws[dc] = gateway.NewGen(dc, r.Net, r.Cluster, r.Cfg, r.scn.GatewayTuning, r.gwGen[dc])
+	r.gws[dc] = gateway.NewGen(dc, r.Net, r.Cluster, r.Cfg, gateway.Tuning{}, r.gwGen[dc])
 	delete(r.gwDown, dc)
 	if r.rebFrozen {
 		// A gateway restarted mid-move must not admit transactions onto

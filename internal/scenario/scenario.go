@@ -69,9 +69,6 @@ type Options struct {
 	// slow) transaction, and the transactions touching each invariant
 	// violation's keys.
 	Trace bool
-	// TraceSlowest is how many slowest-transaction timelines to keep
-	// (0 means 5).
-	TraceSlowest int
 	// TraceSlow overrides the slow-transaction retention threshold
 	// (0 means the recorder default, 1s of virtual time).
 	TraceSlow time.Duration
@@ -142,8 +139,6 @@ type Scenario struct {
 	// batching, hot-key delta coalescing) instead of a private
 	// coordinator, validating the gateway tier under faults.
 	Gateway bool
-	// GatewayTuning overrides the gateway defaults when Gateway is set.
-	GatewayTuning gateway.Tuning
 	// Groups is the number of replica groups active in the boot-time
 	// shard ring (0 = all NodesPerDC). A scenario that provisions more
 	// storage nodes than active groups can grow live via Rebalance.
@@ -231,8 +226,8 @@ type Result struct {
 	DiskFaults    int
 	WipedRebuilds int
 
-	// Scaling-curve instrumentation (the mdcc-bench scale arm and
-	// -scenario.sweep plot these against cluster size). ClusterNodes is
+	// Scaling-curve instrumentation (the mdcc-bench scale arm plots
+	// these against cluster size). ClusterNodes is
 	// the number of simulated processes (storage + gateway tiers +
 	// clients); TPS is committed transactions per virtual second of the
 	// traffic window; Converge is the virtual time the epilogue needed

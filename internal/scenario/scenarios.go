@@ -241,20 +241,10 @@ var registry = []*Scenario{
 		Duration: time.Minute,
 		Nemesis: func(r *Run) {
 			r.At(frac(r, 0.10), "crash one us-west storage node (feed publisher dies)", func() {
-				for i, n := range r.Cluster.Storage {
-					if n.DC == topology.USWest {
-						r.CrashStorage(i)
-						break
-					}
-				}
+				r.CrashStorage(r.StorageIdx(topology.USWest, 0))
 			})
 			r.At(frac(r, 0.25), "restart the us-west storage node", func() {
-				for i, n := range r.Cluster.Storage {
-					if n.DC == topology.USWest {
-						r.RestartStorage(i)
-						break
-					}
-				}
+				r.RestartStorage(r.StorageIdx(topology.USWest, 0))
 			})
 			r.At(frac(r, 0.30), "partition us-east (gateway included) from the rest", func() {
 				r.Net.Partition(r.SideIDs(topology.USEast), r.OtherSideIDs(topology.USEast))
@@ -302,20 +292,12 @@ var registry = []*Scenario{
 		Nemesis: func(r *Run) {
 			crash := func(dc topology.DC, group int) func() {
 				return func() {
-					for i, n := range r.Cluster.Storage {
-						if n.DC == dc && n.Index == group {
-							r.CrashStorage(i)
-						}
-					}
+					r.CrashStorage(r.StorageIdx(dc, group))
 				}
 			}
 			restart := func(dc topology.DC, group int) func() {
 				return func() {
-					for i, n := range r.Cluster.Storage {
-						if n.DC == dc && n.Index == group {
-							r.RestartStorage(i)
-						}
-					}
+					r.RestartStorage(r.StorageIdx(dc, group))
 				}
 			}
 			r.At(frac(r, 0.32), "4% packet loss into the move window", func() { r.Net.SetDropProb(0.04) })
@@ -418,14 +400,7 @@ var registry = []*Scenario{
 		Duration:    90 * time.Second,
 		Checkpoint:  3 * time.Second,
 		Nemesis: func(r *Run) {
-			byDC := func(dc topology.DC) int {
-				for i, n := range r.Cluster.Storage {
-					if n.DC == dc {
-						return i
-					}
-				}
-				return -1
-			}
+			byDC := func(dc topology.DC) int { return r.StorageIdx(dc, 0) }
 			r.At(frac(r, 0.15), "arm bit rot on us-west (next WAL append silently corrupted)", func() {
 				// This early rot usually lands in a segment a later
 				// checkpoint truncates away — which must stay harmless.
@@ -498,20 +473,10 @@ var registry = []*Scenario{
 			})
 			r.At(frac(r, 0.25), "packet loss off", func() { r.Net.SetDropProb(0) })
 			r.At(frac(r, 0.40), "crash one ap-tk replica (WAL summaries)", func() {
-				for i, n := range r.Cluster.Storage {
-					if n.DC == topology.APTokyo {
-						r.CrashStorage(i)
-						break
-					}
-				}
+				r.CrashStorage(r.StorageIdx(topology.APTokyo, 0))
 			})
 			r.At(frac(r, 0.60), "restart the ap-tk replica from WAL", func() {
-				for i, n := range r.Cluster.Storage {
-					if n.DC == topology.APTokyo {
-						r.RestartStorage(i)
-						break
-					}
-				}
+				r.RestartStorage(r.StorageIdx(topology.APTokyo, 0))
 			})
 			r.At(frac(r, 0.70), "heal the partition", func() { r.Net.HealAll() })
 		},
@@ -545,20 +510,10 @@ var registry = []*Scenario{
 				r.Net.ScaleLatency(1)
 			})
 			r.At(frac(r, 0.55), "crash one ap-tk replica", func() {
-				for i, n := range r.Cluster.Storage {
-					if n.DC == topology.APTokyo {
-						r.CrashStorage(i)
-						break
-					}
-				}
+				r.CrashStorage(r.StorageIdx(topology.APTokyo, 0))
 			})
 			r.At(frac(r, 0.75), "restart ap-tk replica, chaos off", func() {
-				for i, n := range r.Cluster.Storage {
-					if n.DC == topology.APTokyo {
-						r.RestartStorage(i)
-						break
-					}
-				}
+				r.RestartStorage(r.StorageIdx(topology.APTokyo, 0))
 				r.Net.SetDropProb(0)
 				r.Net.SetDupProb(0)
 				r.Net.SetReorder(0, 0)

@@ -44,13 +44,14 @@ type SweepPoint struct {
 	Violations   []string `json:",omitempty"`
 }
 
+// sweepScenario is the swept workload: chaos-mix with its nemesis off
+// is a plain mixed workload, so the drop axis — applied ambiently for
+// the whole window — is the only fault and the curve isolates scale.
+const sweepScenario = "chaos-mix"
+
 // SweepConfig shapes a scaling sweep.
 type SweepConfig struct {
-	// Scenario names the scenario to sweep (default "chaos-mix" — with
-	// Faults off it is a plain mixed workload; the drop axis is the
-	// fault model, applied ambiently for the whole window).
-	Scenario string
-	Seed     int64
+	Seed int64
 	// Clients/Duration override the scenario defaults when > 0.
 	Clients  int
 	Duration time.Duration
@@ -60,22 +61,15 @@ type SweepConfig struct {
 	// DropPcts are the ambient drop-probability axis values in percent
 	// (default 0 and 2).
 	DropPcts []float64
-	// Faults additionally runs the scenario's own nemesis schedule at
-	// every point (default off: the drop axis is the only fault, so
-	// the curve isolates scale).
-	Faults bool
-	Logf   func(format string, args ...interface{})
+	Logf     func(format string, args ...interface{})
 }
 
 // Sweep runs the grid and returns one point per (nodes × drop) pair,
 // nodes-major. An error from any run aborts the sweep.
 func Sweep(cfg SweepConfig) ([]SweepPoint, error) {
-	if cfg.Scenario == "" {
-		cfg.Scenario = "chaos-mix"
-	}
-	s, ok := Find(cfg.Scenario)
+	s, ok := Find(sweepScenario)
 	if !ok {
-		return nil, fmt.Errorf("sweep: unknown scenario %q", cfg.Scenario)
+		return nil, fmt.Errorf("sweep: scenario %q is not registered", sweepScenario)
 	}
 	if len(cfg.NodesPerDC) == 0 {
 		cfg.NodesPerDC = []int{1, 40, 188}
@@ -94,11 +88,10 @@ func Sweep(cfg SweepConfig) ([]SweepPoint, error) {
 				Clients:    cfg.Clients,
 				NodesPerDC: npd,
 				Duration:   cfg.Duration,
-				Faults:     cfg.Faults,
 				DropProb:   drop / 100,
 			})
 			if err != nil {
-				return nil, fmt.Errorf("sweep: %s at %d nodes/DC: %w", cfg.Scenario, npd, err)
+				return nil, fmt.Errorf("sweep: %s at %d nodes/DC: %w", sweepScenario, npd, err)
 			}
 			pt := SweepPoint{
 				NodesPerDC:   npd,
@@ -117,7 +110,7 @@ func Sweep(cfg SweepConfig) ([]SweepPoint, error) {
 				pt.EventsPerSec = float64(res.Net.Delivered+res.Net.Timers) / res.Wall.Seconds()
 			}
 			cfg.Logf("sweep %s: %4d nodes (%d/DC) drop %.0f%%: %6.1f tx/s, converge %6.0fms, wall %7.0fms, %5.0fx real time, pass=%v",
-				cfg.Scenario, pt.ClusterNodes, npd, drop, pt.TPS, pt.ConvergeMS, pt.WallMS, pt.SimWallRatio, pt.Passed)
+				sweepScenario, pt.ClusterNodes, npd, drop, pt.TPS, pt.ConvergeMS, pt.WallMS, pt.SimWallRatio, pt.Passed)
 			out = append(out, pt)
 		}
 	}

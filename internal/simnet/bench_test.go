@@ -14,12 +14,11 @@ import (
 // keeps a periodic timer armed — the simulator's real workload shape
 // (storage mesh + gateway hot spots + protocol timers).
 func benchNet(engine string, nodes, inflight int) *Net {
-	n := New(Options{
+	n := newEngineNet(engine, Options{
 		Latency:     func(from, to transport.NodeID) time.Duration { return time.Millisecond },
 		JitterFrac:  0.1,
 		ServiceTime: 100 * time.Microsecond,
 		Seed:        7,
-		Engine:      engine,
 	})
 	ids := make([]transport.NodeID, nodes)
 	for i := range ids {

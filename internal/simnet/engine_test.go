@@ -8,6 +8,17 @@ import (
 	"mdcc/internal/transport"
 )
 
+// newEngineNet builds a network on the named engine: "sharded" is what
+// New builds, "heap" swaps in the legacy global-heap oracle before any
+// event is queued.
+func newEngineNet(eng string, opts Options) *Net {
+	n := New(opts)
+	if eng == "heap" {
+		n.eng = newHeapEngine()
+	}
+	return n
+}
+
 // chaosTrace drives every fault primitive at once — jitter, drops,
 // dups, reorders, partitions, crash/restart churn, drift, service-time
 // queueing, timer cancellation, and RunFor/RunUntil slicing (whose
@@ -15,7 +26,7 @@ import (
 // event's run time) — and records the exact delivery/timer schedule.
 func chaosTrace(t *testing.T, eng string) ([]string, Stats) {
 	t.Helper()
-	n := New(Options{
+	n := newEngineNet(eng, Options{
 		Latency:       fixedLatency(5 * time.Millisecond),
 		JitterFrac:    0.2,
 		ServiceTime:   2 * time.Millisecond, // deep queues: exercises the busy-node clamp path
@@ -24,7 +35,6 @@ func chaosTrace(t *testing.T, eng string) ([]string, Stats) {
 		ReorderProb:   0.2,
 		ReorderWindow: 20 * time.Millisecond,
 		Seed:          99,
-		Engine:        eng,
 	})
 	var trace []string
 	ids := make([]transport.NodeID, 8)

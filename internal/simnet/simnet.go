@@ -17,9 +17,9 @@
 // thousand-node cluster pays O(log N_nodes) per push/pop instead of
 // O(log E_total) on one global heap, and per-node state (service
 // slot, drift, incarnation epoch) lives on a node struct instead of
-// global maps. Both engines replay the exact same event order for a
-// seed — Options.Engine selects the legacy global heap for
-// differential tests and benchmarks.
+// global maps. The legacy global heap survives only as the in-package
+// oracle the differential tests and benchmarks compare against: both
+// engines replay the exact same event order for a seed.
 package simnet
 
 import (
@@ -63,12 +63,6 @@ type Options struct {
 	// that every delivered message survives the wire codec); it must
 	// not mutate the envelope or touch the simulator.
 	OnDeliver func(e transport.Envelope)
-	// Engine selects the event-queue implementation: "sharded" (the
-	// default — per-node queues under a small top-level heap) or
-	// "heap" (the legacy single global heap). Both produce bit-exact
-	// identical schedules for a seed; "heap" exists as the
-	// differential-testing oracle and the benchmark baseline.
-	Engine string
 }
 
 // Stats counts network-level events.
@@ -229,14 +223,7 @@ func New(opts Options) *Net {
 		latScale:      1,
 		rng:           rand.New(rand.NewSource(opts.Seed)),
 	}
-	switch opts.Engine {
-	case "", "sharded":
-		n.eng = newShardedEngine(n.serviceN)
-	case "heap":
-		n.eng = newHeapEngine()
-	default:
-		panic("simnet: unknown engine " + opts.Engine)
-	}
+	n.eng = newShardedEngine(n.serviceN)
 	return n
 }
 

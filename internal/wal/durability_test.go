@@ -62,9 +62,11 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 }
 
 func TestGroupCommitBatches(t *testing.T) {
-	// With a stall armed, concurrent appends must coalesce: strictly
-	// fewer syncs than appends.
-	l, err := Open(t.TempDir(), Options{GroupCommit: true, MaxStall: 2 * time.Millisecond})
+	// With every sync slowed (a slow disk), appends that arrive while
+	// one is in flight must coalesce: strictly fewer syncs than appends.
+	f := NewFaults()
+	f.SyncDelay(2 * time.Millisecond)
+	l, err := Open(t.TempDir(), Options{GroupCommit: true, Faults: f})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,12 +108,6 @@ type Options struct {
 	// one. Each Append still returns only after a sync covering its
 	// record. No effect under NoSync.
 	GroupCommit bool
-	// MaxStall is an optional bounded wait the group-commit leader adds
-	// before syncing, trading that much commit latency for larger
-	// batches under light concurrency. Zero means sync immediately
-	// (batches then form only from appends that arrive while a sync is
-	// already in flight, which is the right default under load).
-	MaxStall time.Duration
 	// Faults, when non-nil, injects disk faults under this log (shared
 	// between several logs to model one failing disk). See Faults.
 	Faults *Faults
@@ -314,9 +308,6 @@ func (l *Log) syncLocked() error {
 // queued so far, fsyncs once for all of them, and hands the baton to a
 // new leader if more appends arrived while its fsync was in flight.
 func (l *Log) syncLeader() {
-	if l.opts.MaxStall > 0 {
-		time.Sleep(l.opts.MaxStall)
-	}
 	l.mu.Lock()
 	waiters := l.pending
 	l.pending = nil

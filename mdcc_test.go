@@ -2,9 +2,14 @@ package mdcc
 
 import (
 	"fmt"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"mdcc/internal/kv"
+	"mdcc/internal/topology"
 )
 
 func startTestCluster(t *testing.T, cfg ClusterConfig) *Cluster {
@@ -372,11 +377,14 @@ func TestDurableCluster(t *testing.T) {
 	if ok, _ := s.Commit(Insert("dur/1", Value{Attrs: map[string]int64{"x": 7}})); !ok {
 		t.Fatal("insert failed")
 	}
-	// Give visibility a moment, then restart the whole cluster from disk.
-	for i := 0; i < 50; i++ {
-		if v, _, ok, _ := s.Read("dur/1"); ok && v.Attr("x") == 7 {
-			break
-		}
+	// Wait until every replica executed the write (each data center
+	// reads its own), then restart the whole cluster from disk.
+	for _, dc := range AllDCs() {
+		local := c.Session(dc)
+		waitFor(t, "visibility in "+dc.String(), func() bool {
+			v, _, ok, _ := local.Read("dur/1")
+			return ok && v.Attr("x") == 7
+		})
 	}
 	c.Close()
 
@@ -388,6 +396,40 @@ func TestDurableCluster(t *testing.T) {
 	v, _, exists, err := c2.Session(USWest).Read("dur/1")
 	if err != nil || !exists || v.Attr("x") != 7 {
 		t.Fatalf("after restart: %v %v %v", v, exists, err)
+	}
+	// The embedded cluster runs the same durable engine as
+	// mdcc-server -data: the decision oplog comes back too, not only
+	// the committed store.
+	for i, n := range c2.nodes {
+		if rs := n.Durability().Replay; rs.TailOplog == 0 && !rs.UsedSnapshot {
+			t.Errorf("node %d recovered no decision log: %+v", i, rs)
+		}
+	}
+}
+
+// TestDurableClusterRefusesOldLayout: a DataDir whose node directories
+// hold WAL segments at top level was written by the kv-only layout;
+// it is refused by name, never opened empty beside the old data.
+func TestDurableClusterRefusesOldLayout(t *testing.T) {
+	dir := t.TempDir()
+	nodeDir := filepath.Join(dir, string(topology.StorageID(USWest, 0)))
+	st, err := kv.Open(nodeDir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put("old/1", Value{Attrs: map[string]int64{"x": 1}}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := StartCluster(ClusterConfig{DataDir: dir})
+	if err == nil {
+		c.Close()
+		t.Fatal("old-layout DataDir opened")
+	}
+	if !strings.Contains(err.Error(), nodeDir) {
+		t.Fatalf("error does not name the directory: %v", err)
 	}
 }
 
