@@ -1,0 +1,40 @@
+package main
+
+import (
+	"flag"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// TestFlagSurface pins mdcc-client's flag set. A flag is an option every
+// test, scenario and benchmark configuration is multiplied by: adding
+// one means editing this list and saying which two callers need
+// different values (deployment settings — addresses, paths, node
+// counts, drop %, seeds — aside).
+func TestFlagSurface(t *testing.T) {
+	want := []string{
+		"dc",
+		"id",
+		"listen",
+		"n",
+		"retries",
+		"timing",
+		"topology",
+	}
+	var got []string
+	flag.CommandLine.VisitAll(func(f *flag.Flag) {
+		if strings.HasPrefix(f.Name, "test.") {
+			return
+		}
+		got = append(got, f.Name)
+		if f.Usage == "" {
+			t.Errorf("-%s has no usage string", f.Name)
+		}
+	})
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("flag surface changed:\n got %q\nwant %q", got, want)
+	}
+}

@@ -1,0 +1,44 @@
+package main
+
+import (
+	"flag"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// TestFlagSurface pins mdcc-sim's flag set. A flag is an option every
+// test, scenario and benchmark configuration is multiplied by: adding
+// one means editing this list and saying which two callers need
+// different values (deployment settings — addresses, paths, node
+// counts, drop %, seeds — aside).
+func TestFlagSurface(t *testing.T) {
+	want := []string{
+		"clients",
+		"duration",
+		"list",
+		"no-faults",
+		"nodes-per-dc",
+		"scenario",
+		"scenario.drop",
+		"scenario.trace",
+		"scenario.trace-slow",
+		"seed",
+		"v",
+	}
+	var got []string
+	flag.CommandLine.VisitAll(func(f *flag.Flag) {
+		if strings.HasPrefix(f.Name, "test.") {
+			return
+		}
+		got = append(got, f.Name)
+		if f.Usage == "" {
+			t.Errorf("-%s has no usage string", f.Name)
+		}
+	})
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("flag surface changed:\n got %q\nwant %q", got, want)
+	}
+}

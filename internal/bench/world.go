@@ -272,17 +272,7 @@ func (w *World) RecoverDC(dc topology.DC) {
 func (w *World) CoreMetrics() core.Metrics {
 	var total core.Metrics
 	for _, n := range w.coreNodes {
-		m := n.Metrics()
-		total.VotesAccept += m.VotesAccept
-		total.VotesReject += m.VotesReject
-		total.Forwarded += m.Forwarded
-		total.Executed += m.Executed
-		total.Discarded += m.Discarded
-		total.Phase1 += m.Phase1
-		total.Phase2 += m.Phase2
-		total.EnableFast += m.EnableFast
-		total.DemarcationRejects += m.DemarcationRejects
-		total.Sweeps += m.Sweeps
+		total.Add(n.Metrics())
 	}
 	return total
 }
@@ -291,15 +281,7 @@ func (w *World) CoreMetrics() core.Metrics {
 func (w *World) CoordMetrics() core.CoordMetrics {
 	var total core.CoordMetrics
 	for _, c := range w.coreCoords {
-		m := c.Metrics()
-		total.Commits += m.Commits
-		total.Aborts += m.Aborts
-		total.FastLearns += m.FastLearns
-		total.LeaderLearns += m.LeaderLearns
-		total.Recoveries += m.Recoveries
-		total.Collisions += m.Collisions
-		total.ReadRetries += m.ReadRetries
-		total.ReadFails += m.ReadFails
+		total.Add(c.Metrics())
 	}
 	return total
 }

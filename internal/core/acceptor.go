@@ -33,7 +33,6 @@ type StorageNode struct {
 	reqSeq     uint64
 	recoveries map[uint64]*txRecovery
 	syncCursor record.Key
-	nSynced    int64
 	oplog      *wal.Log // non-nil for durable nodes (see restart.go)
 	halted     bool
 
@@ -41,10 +40,8 @@ type StorageNode struct {
 	// durable is non-nil for nodes built via NewDurableStorageNode;
 	// degraded latches the first durability failure (the node halts and
 	// never acks unsynced writes — see degrade).
-	durable             *DurableState
-	degraded            error
-	nDurabilityFailures int64
-	nCheckpoints        int64
+	durable  *DurableState
+	degraded error
 
 	// Shard-move bootstrap (see AdoptShard): the in-flight directed
 	// pull, and the request ids it has issued so a late or duplicated
@@ -74,27 +71,9 @@ type StorageNode struct {
 	feedLastFlush      time.Time
 	feedBoot           uint64 // publisher incarnation id (see MsgVisibilityFeed.Boot)
 
-	// Counters (read via Metrics).
-	nVotesAccept, nVotesReject int64
-	nForwarded                 int64
-	nExecuted, nDiscarded      int64
-	nPhase1, nPhase2           int64
-	nEnableFast                int64
-	nDemarcationRejects        int64
-	nSweeps                    int64
-	nBatchEnvelopes            int64
-	nBatchItems                int64
-	nVoteBatchEnvelopes        int64
-	nVoteBatchItems            int64
-	nFeedMsgs                  int64
-	nFeedItems                 int64
-	nGrafted                   int64
-	nAdoptRefused              int64
-	nDecidedReleased           int64
-	nMixedKindRejects          int64
-	nShardMoves                int64
-	nMovedKeys                 int64
-	nWrongGroupRefusals        int64
+	// m holds the counters Metrics snapshots (its RingEpoch gauge is
+	// filled in there).
+	m Metrics
 
 	// group is this node's replica-group index (its per-DC storage
 	// index), -1 when the node is not in the cluster catalogue. The
@@ -222,8 +201,8 @@ func (n *StorageNode) dispatch(env transport.Envelope) {
 		// A gateway-coalesced envelope: unpack and dispatch each item
 		// with its original sender (cross-transaction batching; the
 		// items preserve send order).
-		n.nBatchEnvelopes++
-		n.nBatchItems += int64(len(m.Items))
+		n.m.BatchEnvelopes++
+		n.m.BatchItems += int64(len(m.Items))
 		for _, item := range m.Items {
 			n.cfg.Tracer.ObserveRecv(item.TraceClk)
 			n.handle(item)
@@ -323,7 +302,7 @@ func (n *StorageNode) compactDecided(key record.Key, r *recState, force bool) {
 		return
 	}
 	peers := n.cl.Replicas(key)
-	n.nDecidedReleased += int64(r.decided.compact(n.net.Now(), func(e decidedEntry) bool {
+	n.m.DecidedReleased += int64(r.decided.compact(n.net.Now(), func(e decidedEntry) bool {
 		for _, p := range peers {
 			if p == n.id {
 				continue
@@ -544,8 +523,8 @@ func (n *StorageNode) flushVotes() {
 		// The slice escapes into an asynchronously serialized Batch, so
 		// it cannot be reused; the next vote for this peer reallocates.
 		n.voteBuf[to] = nil
-		n.nVoteBatchEnvelopes++
-		n.nVoteBatchItems += int64(len(items))
+		n.m.VoteBatchEnvelopes++
+		n.m.VoteBatchItems += int64(len(items))
 		n.net.Send(n.id, to, transport.Batch{Items: items})
 	}
 	n.voteOrder = n.voteOrder[:0]
@@ -612,7 +591,7 @@ func (n *StorageNode) voteFor(opt Option) MsgVote {
 	// group must not vote on (or forward) anything new for a key it no
 	// longer owns.
 	if !n.owns(key) {
-		n.nWrongGroupRefusals++
+		n.m.WrongGroupRefusals++
 		if n.tr != nil {
 			n.tr.Add(trace.Event{At: n.net.Now().UnixNano(), Tx: string(opt.Tx),
 				Key: string(key), Stage: trace.StageWrongShard})
@@ -629,7 +608,7 @@ func (n *StorageNode) voteFor(opt Option) MsgVote {
 		if leader == "" {
 			leader = n.leaderFor(key)
 		}
-		n.nForwarded++
+		n.m.Forwarded++
 		if n.tr != nil {
 			n.tr.Add(trace.Event{At: n.net.Now().UnixNano(), Tx: string(opt.Tx),
 				Key: string(key), Stage: trace.StageForward})
@@ -638,7 +617,7 @@ func (n *StorageNode) voteFor(opt Option) MsgVote {
 		return MsgVote{OptID: id, Ballot: r.promised, Forwarded: true, Leader: leader}
 	}
 
-	demBefore := n.nDemarcationRejects
+	demBefore := n.m.DemarcationRejects
 	dec, reason := n.evalOption(r.votes, opt, true)
 	n.castVote(r, opt, dec, reason)
 	if n.tr != nil {
@@ -648,7 +627,7 @@ func (n *StorageNode) voteFor(opt Option) MsgVote {
 		} else {
 			fl |= trace.FlagReject
 		}
-		if n.nDemarcationRejects > demBefore {
+		if n.m.DemarcationRejects > demBefore {
 			fl |= trace.FlagDemarcation
 		}
 		if n.dispatchDepth > 0 && !n.cfg.DisableBatching {
@@ -668,10 +647,10 @@ func (n *StorageNode) castVote(r *recState, opt Option, dec Decision, reason Rej
 	r.votes = append(r.votes, VotedOption{Opt: opt, Decision: dec, Reason: reason})
 	r.votedAt[opt.ID()] = n.net.Now()
 	if dec == DecAccept {
-		n.nVotesAccept++
+		n.m.VotesAccept++
 		r.noteKind(opt.Update)
 	} else {
-		n.nVotesReject++
+		n.m.VotesReject++
 	}
 }
 
@@ -723,7 +702,7 @@ func (n *StorageNode) evalPhysical(pending []VotedOption, opt Option) (Decision,
 	// exactly what makes mixed-kind forks unmergeable. Inserts
 	// (ReadVersion 0) create the record and are class-neutral.
 	if opt.Update.ReadVersion > 0 && n.rs(key).kind == record.KindCommutative {
-		n.nMixedKindRejects++
+		n.m.MixedKindRejects++
 		return DecReject, ReasonMixedKinds
 	}
 	_, ver, _ := n.store.Get(key)
@@ -765,7 +744,7 @@ func (n *StorageNode) evalCommutative(pending []VotedOption, opt Option, fast bo
 	// Kind-disjoint rule, other direction: deltas on a physically
 	// rewritten key would fork unmergeably against the next rewrite.
 	if n.rs(opt.Update.Key).kind == record.KindPhysical {
-		n.nMixedKindRejects++
+		n.m.MixedKindRejects++
 		return DecReject, ReasonMixedKinds
 	}
 	// Commutative options do not commute with an outstanding
@@ -785,7 +764,7 @@ func (n *StorageNode) evalCommutative(pending []VotedOption, opt Option, fast bo
 		}
 		if !n.deltaSafe(pending, val, attr, delta, con, fast) {
 			if fast {
-				n.nDemarcationRejects++
+				n.m.DemarcationRejects++
 			}
 			return DecReject, ReasonNone
 		}
@@ -915,10 +894,10 @@ func (n *StorageNode) onVisibility(m MsgVisibility) {
 	if m.Commit {
 		n.settleOption(key, r, id, DecAccept, m.Opt, true)
 		n.applyUpdate(m.Opt.Update)
-		n.nExecuted++
+		n.m.Executed++
 	} else {
 		n.settleOption(key, r, id, DecReject, m.Opt, true)
-		n.nDiscarded++
+		n.m.Discarded++
 	}
 	// Both outcomes feed the visibility stream: a commit changed the
 	// committed value, and even an abort freed pending escrow (the
@@ -980,7 +959,7 @@ func (n *StorageNode) adoptBase(key record.Key, base record.Value, baseVer recor
 				continue
 			}
 			if !lineage.Contains(e.lane, e.keySeq) {
-				n.nAdoptRefused++
+				n.m.AdoptRefused++
 				if traceOn(key) {
 					tracef("%v %s adopt-%s refused: local physical %s not in incoming lineage",
 						n.net.Now().Unix(), n.id, via, id)
@@ -1016,7 +995,7 @@ func (n *StorageNode) adoptBase(key record.Key, base record.Value, baseVer recor
 		ver += e.Opt.Update.Span()
 		merged++
 	}
-	n.nGrafted += int64(merged)
+	n.m.Grafted += int64(merged)
 	if traceOn(key) {
 		tracef("%v %s adopt-%s ver=%d->%d merged=%d val=%s incoming=%s",
 			n.net.Now().Unix(), n.id, via, localVer, ver, merged, val, lineage)
@@ -1077,7 +1056,7 @@ func (n *StorageNode) onPhase1a(from transport.NodeID, m MsgPhase1a) {
 		r.promised = m.Ballot
 	}
 	val, ver, ok := n.store.Get(m.Key)
-	n.nPhase1++
+	n.m.Phase1++
 	reply := MsgPhase1b{
 		Key:     m.Key,
 		Ballot:  r.promised, // echoes m.Ballot, or a higher promise (nack)
@@ -1149,7 +1128,7 @@ func (n *StorageNode) onPhase2a(from transport.NodeID, m MsgPhase2a) {
 			r.votedAt[v.Opt.ID()] = now
 		}
 	}
-	n.nPhase2++
+	n.m.Phase2++
 	n.net.Send(n.id, from, MsgPhase2b{Key: m.Key, Ballot: m.Ballot, Seq: m.Seq, OK: true})
 }
 
@@ -1159,7 +1138,7 @@ func (n *StorageNode) onEnableFast(m MsgEnableFast) {
 	if r.promised.Less(m.Ballot) {
 		r.promised = m.Ballot
 		r.accepted = m.Ballot
-		n.nEnableFast++
+		n.m.EnableFast++
 	}
 }
 

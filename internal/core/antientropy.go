@@ -133,7 +133,7 @@ func (n *StorageNode) onSyncReply(from transport.NodeID, m MsgSyncReply) {
 			continue
 		}
 		if n.adoptBase(e.Key, e.Value, e.Version, e.Lineage, "sync") {
-			n.nSynced++
+			n.m.Synced++
 		}
 	}
 	n.syncCursor = m.Next
@@ -215,15 +215,15 @@ func (n *StorageNode) onPullReply(from transport.NodeID, m MsgSyncReply) {
 		_, ver, _ := n.store.Get(e.Key)
 		n.notePeerLineage(n.rs(e.Key), from, e.Lineage)
 		if e.Version >= ver && n.adoptBase(e.Key, e.Value, e.Version, e.Lineage, "move") {
-			n.nSynced++
+			n.m.Synced++
 		}
 		p.adopted++
 	}
 	if m.Next == "" {
 		n.pull = nil
 		n.pullReqs = nil
-		n.nShardMoves++
-		n.nMovedKeys += int64(p.adopted)
+		n.m.ShardMoves++
+		n.m.MovedKeys += int64(p.adopted)
 		if p.done != nil {
 			p.done(p.adopted)
 		}

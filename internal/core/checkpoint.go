@@ -43,7 +43,7 @@ func (n *StorageNode) Checkpoint() {
 		n.degrade(err)
 		return
 	}
-	n.nCheckpoints++
+	n.m.Checkpoints++
 }
 
 // snapshotOplog serializes every record's lineage summary and decided
@@ -112,7 +112,7 @@ func (n *StorageNode) Durability() DurabilityInfo {
 		Oplog:                  n.durable.oplog.Stats(),
 		SnapshotSeq:            n.durable.snapSeq,
 		AppendsSinceCheckpoint: n.durable.AppendsSinceCheckpoint(),
-		Checkpoints:            n.nCheckpoints,
+		Checkpoints:            n.m.Checkpoints,
 		Replay:                 n.durable.replay,
 		Degraded:               n.degraded != nil,
 	}

@@ -75,14 +75,7 @@ type Coordinator struct {
 	// on votes and read replies (the gateway tier's freshness channel).
 	escrowObs func(from transport.NodeID, key record.Key, snap EscrowSnap)
 
-	// Counters (see CoordMetrics).
-	nCommits, nAborts       int64
-	nFastLearns             int64
-	nLeaderLearns           int64
-	nRecoveries             int64
-	nCollisions             int64
-	nReadRetries, nReadFail int64
-	nWrongGroupReroutes     int64
+	m CoordMetrics // counters, snapshotted by Metrics
 }
 
 type leaderHint struct {
@@ -260,11 +253,11 @@ func (c *Coordinator) sendRead(req uint64, rc *readCtx) {
 		rc.attempt++
 		if rc.attempt >= topology.NumDCs {
 			delete(c.reads, req)
-			c.nReadFail++
+			c.m.ReadFails++
 			rc.cb(record.Value{}, 0, false)
 			return
 		}
-		c.nReadRetries++
+		c.m.ReadRetries++
 		c.sendRead(req, rc)
 	})
 }
@@ -326,7 +319,7 @@ func (c *Coordinator) ReadQuorum(key record.Key, cb func(val record.Value, ver r
 			return
 		}
 		delete(c.reads, req)
-		c.nReadFail++
+		c.m.ReadFails++
 		if rc.best != nil {
 			rc.cb(rc.best.Value, rc.best.Version, rc.best.Exists)
 			return
@@ -344,7 +337,7 @@ func (c *Coordinator) Commit(updates []record.Update, done func(CommitResult)) {
 	c.rotateLane()
 	tx := c.txID()
 	if len(updates) == 0 {
-		c.nCommits++
+		c.m.Commits++
 		done(CommitResult{Tx: tx, Committed: true})
 		return
 	}
@@ -453,7 +446,7 @@ func (c *Coordinator) startRecovery(t *txCtx, oc *optCtx) {
 	masterDC := c.cfg.masterDC(key)
 	dc := topology.DC((int(masterDC) + oc.attempts) % topology.NumDCs)
 	oc.attempts++
-	c.nRecoveries++
+	c.m.Recoveries++
 	if c.tr != nil {
 		c.tr.Add(trace.Event{At: c.net.Now().UnixNano(), Tx: string(t.id), Key: string(key),
 			Stage: trace.StageRecovery, Arg: int64(oc.attempts)})
@@ -491,7 +484,7 @@ func (c *Coordinator) onVote(from transport.NodeID, m MsgVote) {
 		delete(c.hints, key)
 		if !oc.rerouted {
 			oc.rerouted = true
-			c.nWrongGroupReroutes++
+			c.m.WrongGroupReroutes++
 			if dest, viaLeader := c.route(key); viaLeader {
 				c.net.Send(c.id, dest, MsgProposeLeader{Opt: oc.opt})
 			} else {
@@ -529,11 +522,11 @@ func (c *Coordinator) onVote(from transport.NodeID, m MsgVote) {
 	}
 	switch {
 	case c.q.FastLearned(oc.accepts):
-		c.nFastLearns++
+		c.m.FastLearns++
 		c.learnEvent(t, oc, DecAccept, true)
 		c.learn(t, oc, DecAccept)
 	case c.q.FastLearned(oc.rejects):
-		c.nFastLearns++
+		c.m.FastLearns++
 		// Algorithm 1 lines 24-26: a commutative option rejected in a
 		// fast ballot signals the quorum demarcation limit was hit, so
 		// the master must run a classic round to write a fresh base
@@ -547,7 +540,7 @@ func (c *Coordinator) onVote(from transport.NodeID, m MsgVote) {
 		c.learn(t, oc, DecReject)
 	case len(oc.votes) == c.q.N:
 		// Collision: no fast quorum is possible in this ballot.
-		c.nCollisions++
+		c.m.Collisions++
 		c.startRecovery(t, oc)
 	}
 }
@@ -568,7 +561,7 @@ func (c *Coordinator) onLearned(m MsgLearned) {
 	if m.Decision == DecReject && oc.reason == ReasonNone {
 		oc.reason = m.Reason
 	}
-	c.nLeaderLearns++
+	c.m.LeaderLearns++
 	c.learnEvent(t, oc, m.Decision, false)
 	c.learn(t, oc, m.Decision)
 }
@@ -662,9 +655,9 @@ func (c *Coordinator) finish(t *txCtx, commit bool) {
 		c.net.Send(c.id, rep, MsgVisibilityBatch{Items: items})
 	}
 	if commit {
-		c.nCommits++
+		c.m.Commits++
 	} else {
-		c.nAborts++
+		c.m.Aborts++
 	}
 	res := CommitResult{Tx: t.id, Committed: commit}
 	if !commit {
@@ -724,17 +717,4 @@ func (m *CoordMetrics) Add(o CoordMetrics) {
 }
 
 // Metrics returns a snapshot of this coordinator's counters.
-func (c *Coordinator) Metrics() CoordMetrics {
-	return CoordMetrics{
-		Commits:      c.nCommits,
-		Aborts:       c.nAborts,
-		FastLearns:   c.nFastLearns,
-		LeaderLearns: c.nLeaderLearns,
-		Recoveries:   c.nRecoveries,
-		Collisions:   c.nCollisions,
-		ReadRetries:  c.nReadRetries,
-		ReadFails:    c.nReadFail,
-
-		WrongGroupReroutes: c.nWrongGroupReroutes,
-	}
-}
+func (c *Coordinator) Metrics() CoordMetrics { return c.m }

@@ -278,8 +278,8 @@ func (n *StorageNode) flushFeedsNow() {
 func (n *StorageNode) sendFeed(to transport.NodeID, sub *feedSub, items []FeedItem) {
 	sub.seq++
 	sub.lastSent = n.net.Now()
-	n.nFeedMsgs++
-	n.nFeedItems += int64(len(items))
+	n.m.FeedMsgs++
+	n.m.FeedItems += int64(len(items))
 	if n.tr != nil && len(items) > 0 {
 		// Tx-less: feed items carry keys, not transactions; timelines
 		// adopt them through their key sets.

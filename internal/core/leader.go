@@ -140,7 +140,7 @@ func (n *StorageNode) leaderPropose(opt Option, recovery bool) {
 	// base while the key's new replica group decides independently.
 	// Tell the coordinator to re-route under the current ring.
 	if !n.owns(key) {
-		n.nWrongGroupRefusals++
+		n.m.WrongGroupRefusals++
 		n.net.Send(n.id, opt.Coord, MsgVote{OptID: id, WrongGroup: true})
 		return
 	}
@@ -702,7 +702,7 @@ func (n *StorageNode) maybeEnableFast(key record.Key, l *leaderRec) {
 	l.owned = false
 	l.ballot = fast
 	l.classicLeft = n.cfg.Gamma // next collision re-enters classic with a full window
-	n.nEnableFast++
+	n.m.EnableFast++
 }
 
 // dropFromCStruct removes a settled option from the leader mirror.

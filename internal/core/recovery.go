@@ -49,7 +49,7 @@ func (n *StorageNode) scheduleSweep() {
 // been outstanding longer than PendingTimeout.
 func (n *StorageNode) sweepPending() {
 	now := n.net.Now()
-	n.nSweeps++
+	n.m.Sweeps++
 	// Deterministic scan order (map iteration would reorder recovery
 	// sends between same-seed runs).
 	keys := make([]record.Key, 0, len(n.recs))
@@ -328,35 +328,41 @@ type Metrics struct {
 	Checkpoints        int64
 }
 
+// Add accumulates another node's snapshot into m: counters sum, the
+// RingEpoch gauge takes the max.
+func (m *Metrics) Add(o Metrics) {
+	m.VotesAccept += o.VotesAccept
+	m.VotesReject += o.VotesReject
+	m.Forwarded += o.Forwarded
+	m.Executed += o.Executed
+	m.Discarded += o.Discarded
+	m.Phase1 += o.Phase1
+	m.Phase2 += o.Phase2
+	m.EnableFast += o.EnableFast
+	m.DemarcationRejects += o.DemarcationRejects
+	m.Sweeps += o.Sweeps
+	m.Synced += o.Synced
+	m.BatchEnvelopes += o.BatchEnvelopes
+	m.BatchItems += o.BatchItems
+	m.VoteBatchEnvelopes += o.VoteBatchEnvelopes
+	m.VoteBatchItems += o.VoteBatchItems
+	m.FeedMsgs += o.FeedMsgs
+	m.FeedItems += o.FeedItems
+	m.Grafted += o.Grafted
+	m.AdoptRefused += o.AdoptRefused
+	m.DecidedReleased += o.DecidedReleased
+	m.MixedKindRejects += o.MixedKindRejects
+	m.ShardMoves += o.ShardMoves
+	m.MovedKeys += o.MovedKeys
+	m.WrongGroupRefusals += o.WrongGroupRefusals
+	m.DurabilityFailures += o.DurabilityFailures
+	m.Checkpoints += o.Checkpoints
+	m.RingEpoch = max(m.RingEpoch, o.RingEpoch)
+}
+
 // Metrics returns a snapshot of this node's counters.
 func (n *StorageNode) Metrics() Metrics {
-	return Metrics{
-		VotesAccept:        n.nVotesAccept,
-		VotesReject:        n.nVotesReject,
-		Forwarded:          n.nForwarded,
-		Executed:           n.nExecuted,
-		Discarded:          n.nDiscarded,
-		Phase1:             n.nPhase1,
-		Phase2:             n.nPhase2,
-		EnableFast:         n.nEnableFast,
-		DemarcationRejects: n.nDemarcationRejects,
-		Sweeps:             n.nSweeps,
-		Synced:             n.nSynced,
-		BatchEnvelopes:     n.nBatchEnvelopes,
-		BatchItems:         n.nBatchItems,
-		VoteBatchEnvelopes: n.nVoteBatchEnvelopes,
-		VoteBatchItems:     n.nVoteBatchItems,
-		FeedMsgs:           n.nFeedMsgs,
-		FeedItems:          n.nFeedItems,
-		Grafted:            n.nGrafted,
-		AdoptRefused:       n.nAdoptRefused,
-		DecidedReleased:    n.nDecidedReleased,
-		MixedKindRejects:   n.nMixedKindRejects,
-		ShardMoves:         n.nShardMoves,
-		MovedKeys:          n.nMovedKeys,
-		RingEpoch:          int64(n.cl.Ring().Epoch()),
-		WrongGroupRefusals: n.nWrongGroupRefusals,
-		DurabilityFailures: n.nDurabilityFailures,
-		Checkpoints:        n.nCheckpoints,
-	}
+	m := n.m
+	m.RingEpoch = int64(n.cl.Ring().Epoch())
+	return m
 }

@@ -370,7 +370,7 @@ func (n *StorageNode) degrade(err error) {
 		return
 	}
 	n.degraded = fmt.Errorf("%w: %v", ErrDurability, err)
-	n.nDurabilityFailures++
+	n.m.DurabilityFailures++
 	n.halted = true
 	for to := range n.voteBuf {
 		delete(n.voteBuf, to)

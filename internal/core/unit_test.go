@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -385,5 +386,40 @@ func TestModeString(t *testing.T) {
 	}
 	if DecAccept.String() != "accept" || DecReject.String() != "reject" || DecUnknown.String() != "unknown" {
 		t.Fatal("decision names wrong")
+	}
+}
+
+// TestMetricsAddCoversEveryField guards the hand-listed Add methods:
+// a counter added to Metrics or CoordMetrics but not to its Add would
+// silently vanish from every aggregated report.
+func TestMetricsAddCoversEveryField(t *testing.T) {
+	fill := func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			v.Field(i).SetInt(int64(i + 1))
+		}
+	}
+	var m, sum Metrics
+	fill(reflect.ValueOf(&m).Elem())
+	sum.Add(m)
+	sum.Add(m)
+	got := reflect.ValueOf(sum)
+	for i := 0; i < got.NumField(); i++ {
+		want := int64(2 * (i + 1))
+		if got.Type().Field(i).Name == "RingEpoch" {
+			want = int64(i + 1) // gauge: max, not sum
+		}
+		if got.Field(i).Int() != want {
+			t.Errorf("Metrics.Add: %s = %d, want %d", got.Type().Field(i).Name, got.Field(i).Int(), want)
+		}
+	}
+	var c, csum CoordMetrics
+	fill(reflect.ValueOf(&c).Elem())
+	csum.Add(c)
+	csum.Add(c)
+	cgot := reflect.ValueOf(csum)
+	for i := 0; i < cgot.NumField(); i++ {
+		if cgot.Field(i).Int() != int64(2*(i+1)) {
+			t.Errorf("CoordMetrics.Add: %s = %d, want %d", cgot.Type().Field(i).Name, cgot.Field(i).Int(), 2*(i+1))
+		}
 	}
 }

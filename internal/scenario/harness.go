@@ -539,29 +539,7 @@ func (r *Run) run() (*Result, error) {
 		res.Gateway = &agg
 	}
 	for _, n := range r.nodes {
-		m := n.Metrics()
-		res.Nodes.VotesAccept += m.VotesAccept
-		res.Nodes.VotesReject += m.VotesReject
-		res.Nodes.Forwarded += m.Forwarded
-		res.Nodes.Executed += m.Executed
-		res.Nodes.Discarded += m.Discarded
-		res.Nodes.Phase1 += m.Phase1
-		res.Nodes.Phase2 += m.Phase2
-		res.Nodes.EnableFast += m.EnableFast
-		res.Nodes.DemarcationRejects += m.DemarcationRejects
-		res.Nodes.Sweeps += m.Sweeps
-		res.Nodes.Synced += m.Synced
-		res.Nodes.Grafted += m.Grafted
-		res.Nodes.AdoptRefused += m.AdoptRefused
-		res.Nodes.DecidedReleased += m.DecidedReleased
-		res.Nodes.MixedKindRejects += m.MixedKindRejects
-		res.Nodes.ShardMoves += m.ShardMoves
-		res.Nodes.MovedKeys += m.MovedKeys
-		res.Nodes.DurabilityFailures += m.DurabilityFailures
-		res.Nodes.Checkpoints += m.Checkpoints
-		if m.RingEpoch > res.Nodes.RingEpoch { // gauge: aggregate with max
-			res.Nodes.RingEpoch = m.RingEpoch
-		}
+		res.Nodes.Add(n.Metrics())
 	}
 	res.Nodes.Checkpoints += r.deadCheckpoints
 	res.Nodes.DurabilityFailures += r.deadDegrades

@@ -55,8 +55,6 @@ type Options struct {
 	ReorderWindow time.Duration
 	// Seed makes runs reproducible.
 	Seed int64
-	// Start is the virtual epoch; zero means Unix epoch.
-	Start time.Time
 	// OnDeliver, when set, observes every delivered envelope (after
 	// drop/partition filtering, before the handler runs). Pure
 	// observation for tests and benchmarks that inspect traffic (e.g.
@@ -126,7 +124,7 @@ type simNode struct {
 // Net is the simulated network.
 type Net struct {
 	opts Options
-	// Virtual time is kept as nanoseconds since opts.Start (nowN);
+	// Virtual time is kept as nanoseconds since epoch (nowN);
 	// now caches the equivalent time.Time for Now() callers.
 	nowN     int64
 	now      time.Time
@@ -172,7 +170,7 @@ func (n *Net) recycle(e *event) {
 // run/timerF/env is meaningful, keyed off msg and timerF.
 type event struct {
 	// atN is the scheduled virtual time in nanoseconds since
-	// opts.Start. For a ready event on a busy node atN is normalized
+	// epoch. For a ready event on a busy node atN is normalized
 	// to the node's free instant — by the legacy engine's physical
 	// clamp when the event pops early, by the sharded engine at peek —
 	// so by the time the step loop sees a peeked head, atN is always
@@ -200,20 +198,20 @@ type event struct {
 	msg bool
 }
 
+// epoch is where every run's virtual clock starts.
+var epoch = time.Unix(0, 0)
+
 // New builds a simulated network.
 func New(opts Options) *Net {
 	if opts.Latency == nil {
 		opts.Latency = func(from, to transport.NodeID) time.Duration { return time.Millisecond }
-	}
-	if opts.Start.IsZero() {
-		opts.Start = time.Unix(0, 0)
 	}
 	if opts.ReorderWindow <= 0 {
 		opts.ReorderWindow = 50 * time.Millisecond
 	}
 	n := &Net{
 		opts:          opts,
-		now:           opts.Start,
+		now:           epoch,
 		serviceN:      int64(opts.ServiceTime),
 		nodes:         make(map[transport.NodeID]*simNode),
 		deadFailed:    make(map[transport.NodeID]bool),
@@ -285,7 +283,7 @@ func (n *Net) Now() time.Time { return n.now }
 
 func (n *Net) setNow(atN int64) {
 	n.nowN = atN
-	n.now = n.opts.Start.Add(time.Duration(atN))
+	n.now = epoch.Add(time.Duration(atN))
 }
 
 // Stats returns delivery counters.
