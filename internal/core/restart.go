@@ -144,8 +144,9 @@ type DurableState struct {
 }
 
 // OpenDurableOpts opens (creating on first boot, replaying after a
-// crash) the durable state rooted at dir. Recovery seeds from the newest valid
-// checkpoint snapshot and replays only the log tail past its cut,
+// crash) the durable state rooted at dir. Recovery seeds from the
+// newest valid checkpoint snapshot and replays only the log tail past
+// its cut,
 // falling back to the previous snapshot if the newest is corrupt;
 // with no snapshot it replays the whole log (first boot, or
 // checkpointing disabled). If snapshots exist but none is usable the

@@ -24,7 +24,6 @@ type batcher struct {
 	inner  transport.Network
 	on     transport.NodeID // timer anchor (the gateway's node)
 	window time.Duration
-	max    int // messages per envelope: batchMax (tests shrink it)
 	// tracer, when set, stamps each buffered item's Lamport clock at
 	// buffering time: a Batch envelope's outer stamp is applied at
 	// flush, which would otherwise order all inner items after sends
@@ -45,7 +44,6 @@ func newBatcher(inner transport.Network, on transport.NodeID, window time.Durati
 		inner:  inner,
 		on:     on,
 		window: window,
-		max:    batchMax,
 		buf:    make(map[transport.NodeID][]transport.Envelope),
 	}
 }
@@ -71,7 +69,7 @@ func (b *batcher) Send(from, to transport.NodeID, msg transport.Message) {
 	b.mu.Lock()
 	q := append(b.buf[to], e)
 	b.buf[to] = q
-	if len(q) >= b.max {
+	if len(q) >= batchMax {
 		b.flushLocked(to)
 		b.mu.Unlock()
 		return

@@ -387,8 +387,9 @@ func TestBatcherPreservesOrder(t *testing.T) {
 	})
 	net.Register("anchor", func(transport.Envelope) {})
 	b := newBatcher(net, "anchor", 2*time.Millisecond)
-	b.max = 8 // size-triggered flushes interleave with timer flushes
-	const senders, per = 3, 20
+	// More than two envelopes' worth in one instant: size-triggered
+	// flushes interleave with the timer flush of the remainder.
+	const senders, per = 3, 50
 	net.At(0, func() {
 		for s := 0; s < per; s++ {
 			for f := 0; f < senders; f++ {

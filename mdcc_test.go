@@ -40,6 +40,22 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// waitEverywhere blocks until every data center's replica of key
+// executed the write seen recognizes. A commit is learned by a fast
+// quorum and made visible asynchronously, so right after it a straggler
+// replica still answers with (and votes from) the old state — in
+// contract, but a race for tests about something else.
+func waitEverywhere(t *testing.T, c *Cluster, key Key, seen func(Value, Version, bool) bool) {
+	t.Helper()
+	for _, dc := range AllDCs() {
+		local := c.Session(dc)
+		waitFor(t, string(key)+" visible in "+dc.String(), func() bool {
+			v, ver, ok, _ := local.Read(key)
+			return seen(v, ver, ok)
+		})
+	}
+}
+
 func TestSessionInsertReadUpdate(t *testing.T) {
 	c := startTestCluster(t, ClusterConfig{})
 	s := c.Session(USWest)
@@ -55,6 +71,9 @@ func TestSessionInsertReadUpdate(t *testing.T) {
 	if err != nil || !exists || ver != 1 || val.Attr("stock") != 10 {
 		t.Fatalf("read: %v v%d %v %v", val, ver, exists, err)
 	}
+	// A replica that has not executed the insert yet rejects an update
+	// reading version 1, and two such stragglers abort it.
+	waitEverywhere(t, c, "item/1", func(_ Value, v Version, ok bool) bool { return ok && v == 1 })
 	ok, err = s.Commit(Physical("item/1", ver, val.WithAttr("stock", 9)))
 	if err != nil || !ok {
 		t.Fatalf("update: ok=%v err=%v", ok, err)
@@ -377,15 +396,9 @@ func TestDurableCluster(t *testing.T) {
 	if ok, _ := s.Commit(Insert("dur/1", Value{Attrs: map[string]int64{"x": 7}})); !ok {
 		t.Fatal("insert failed")
 	}
-	// Wait until every replica executed the write (each data center
-	// reads its own), then restart the whole cluster from disk.
-	for _, dc := range AllDCs() {
-		local := c.Session(dc)
-		waitFor(t, "visibility in "+dc.String(), func() bool {
-			v, _, ok, _ := local.Read("dur/1")
-			return ok && v.Attr("x") == 7
-		})
-	}
+	// Every replica executes (and logs) the write, then the whole
+	// cluster restarts from disk.
+	waitEverywhere(t, c, "dur/1", func(v Value, _ Version, ok bool) bool { return ok && v.Attr("x") == 7 })
 	c.Close()
 
 	c2, err := StartCluster(ClusterConfig{DataDir: dir, LatencyScale: 0.002})
@@ -490,11 +503,9 @@ func TestReadLatestSurvivesLocalDCFailure(t *testing.T) {
 	if ok, _ := s.Commit(Insert("rl/2", Value{Attrs: map[string]int64{"x": 7}})); !ok {
 		t.Fatal("insert failed")
 	}
-	for i := 0; i < 100; i++ {
-		if _, _, ok, _ := s.Read("rl/2"); ok {
-			break
-		}
-	}
+	// The quorum read below takes the first majority of answers, and a
+	// straggler's "not found" is a legitimate one.
+	waitEverywhere(t, c, "rl/2", func(_ Value, _ Version, ok bool) bool { return ok })
 	// Kill the local DC: plain Read falls back to other DCs after a
 	// timeout; ReadLatest keeps working because it only needs any
 	// majority.
