@@ -1,13 +1,14 @@
 package mdcc
 
-// One testing.B benchmark per figure of the paper's evaluation, plus
-// the ablation benches DESIGN.md calls out. Each iteration runs a
-// compressed experiment on the discrete-event simulator and reports
-// *virtual-time* protocol metrics (p50_ms, vtps) alongside Go's
-// wall-clock numbers: the virtual metrics are the reproduction
-// results, the wall numbers just measure the simulator.
+// The ablation benches DESIGN.md §14 names as what varies Gamma,
+// DisableBatching and the protocol modes, plus the public API's commit
+// path. Each ablation iteration runs a compressed experiment on the
+// discrete-event simulator and reports *virtual-time* protocol metrics
+// (p50_ms, vtps) alongside Go's wall-clock numbers: the virtual
+// metrics are the result, the wall numbers just measure the simulator.
 //
-// Full-scale runs (paper parameters) live in cmd/mdcc-bench.
+// The paper's figures are `mdcc-bench fig3..fig8` (shape-tested in
+// internal/bench); real-clock measurement is benchmark/.
 
 import (
 	"testing"
@@ -16,8 +17,6 @@ import (
 	"mdcc/internal/bench"
 	"mdcc/internal/microbench"
 	"mdcc/internal/record"
-	"mdcc/internal/topology"
-	"mdcc/internal/tpcw"
 )
 
 // benchScale is small enough for tight bench loops.
@@ -35,52 +34,6 @@ func reportRun(b *testing.B, res *bench.Result) {
 		b.ReportMetric(float64(res.Aborts)/float64(res.Commits+res.Aborts), "abort_frac")
 	}
 }
-
-func tpcwRun(b *testing.B, proto bench.Protocol) {
-	sc := benchScale()
-	var last *bench.Result
-	for i := 0; i < b.N; i++ {
-		clientDC := -1
-		if proto == bench.ProtoMegastore {
-			clientDC = int(topology.USWest)
-		}
-		w := bench.NewWorld(bench.Options{
-			Protocol:    proto,
-			NodesPerDC:  sc.NodesPerDC,
-			Clients:     sc.Clients,
-			ClientDC:    clientDC,
-			Seed:        int64(i + 1),
-			Constraints: []record.Constraint{tpcw.Constraint()},
-		})
-		last = bench.Run(w, tpcw.New(tpcw.Options{Items: sc.Items}),
-			bench.RunConfig{Warmup: sc.Warmup, Measure: sc.Measure})
-	}
-	reportRun(b, last)
-}
-
-// ---- Figure 3: TPC-W response-time CDF, one bench per protocol ----
-
-func BenchmarkFig3TPCW_QW3(b *testing.B)       { tpcwRun(b, bench.ProtoQW3) }
-func BenchmarkFig3TPCW_QW4(b *testing.B)       { tpcwRun(b, bench.ProtoQW4) }
-func BenchmarkFig3TPCW_MDCC(b *testing.B)      { tpcwRun(b, bench.ProtoMDCC) }
-func BenchmarkFig3TPCW_2PC(b *testing.B)       { tpcwRun(b, bench.Proto2PC) }
-func BenchmarkFig3TPCW_Megastore(b *testing.B) { tpcwRun(b, bench.ProtoMegastore) }
-
-// ---- Figure 4: TPC-W scale-out ----
-
-func BenchmarkFig4Scaling(b *testing.B) {
-	var lastHigh *bench.Result
-	for i := 0; i < b.N; i++ {
-		pts := bench.Figure4(int64(i+1), []int{10, 20}, 2*time.Second, 10*time.Second)
-		low := pts[0].Results[bench.ProtoMDCC]
-		high := pts[1].Results[bench.ProtoMDCC]
-		b.ReportMetric(high.WriteTPS/low.WriteTPS, "scaleup_2x")
-		lastHigh = high
-	}
-	reportRun(b, lastHigh)
-}
-
-// ---- Figure 5: micro-benchmark CDF, one bench per configuration ----
 
 func microRunB(b *testing.B, proto bench.Protocol, mut func(*microbench.Options)) {
 	sc := benchScale()
@@ -103,48 +56,6 @@ func microRunB(b *testing.B, proto bench.Protocol, mut func(*microbench.Options)
 			bench.RunConfig{Warmup: sc.Warmup, Measure: sc.Measure})
 	}
 	reportRun(b, last)
-}
-
-func BenchmarkFig5Micro_MDCC(b *testing.B)  { microRunB(b, bench.ProtoMDCC, nil) }
-func BenchmarkFig5Micro_Fast(b *testing.B)  { microRunB(b, bench.ProtoFast, nil) }
-func BenchmarkFig5Micro_Multi(b *testing.B) { microRunB(b, bench.ProtoMulti, nil) }
-func BenchmarkFig5Micro_2PC(b *testing.B)   { microRunB(b, bench.Proto2PC, nil) }
-
-// ---- Figure 6: conflict-rate sweep (one hot and one cold point) ----
-
-func BenchmarkFig6Conflict(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		pts := bench.Figure6(int64(i+1), sc, []int{2, 90})
-		hot := pts[0].Results[bench.ProtoMDCC]
-		cold := pts[1].Results[bench.ProtoMDCC]
-		b.ReportMetric(float64(hot.Commits), "hot_commits")
-		b.ReportMetric(float64(hot.Aborts), "hot_aborts")
-		b.ReportMetric(float64(cold.Commits), "cold_commits")
-	}
-}
-
-// ---- Figure 7: master locality ----
-
-func BenchmarkFig7Locality(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		pts := bench.Figure7(int64(i+1), sc, []int{100, 20})
-		b.ReportMetric(pts[0].Results[bench.ProtoMulti].WriteLat.Median(), "multi_local_p50")
-		b.ReportMetric(pts[1].Results[bench.ProtoMulti].WriteLat.Median(), "multi_remote_p50")
-		b.ReportMetric(pts[1].Results[bench.ProtoMDCC].WriteLat.Median(), "mdcc_remote_p50")
-	}
-}
-
-// ---- Figure 8: data-center failure ----
-
-func BenchmarkFig8Failover(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fr := bench.Figure8(int64(i+1), 10, 15*time.Second, 35*time.Second)
-		b.ReportMetric(fr.PreMean, "pre_ms")
-		b.ReportMetric(fr.PostMean, "post_ms")
-		b.ReportMetric(float64(fr.PostCount), "post_commits")
-	}
 }
 
 // ---- Ablations (design choices from DESIGN.md) ----

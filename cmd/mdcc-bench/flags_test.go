@@ -16,18 +16,8 @@ import (
 func TestFlagSurface(t *testing.T) {
 	want := []string{
 		"csv",
-		"live.conns",
-		"live.inflight",
-		"live.keys",
-		"live.measure",
-		"live.out",
-		"live.rates",
-		"live.server-bin",
-		"live.warmup",
 		"out",
 		"quick",
-		"recorder-gate",
-		"recovery-gate",
 		"scale.drop",
 		"scale.nodes",
 		"seed",
@@ -46,5 +36,16 @@ func TestFlagSurface(t *testing.T) {
 	sort.Strings(got)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flag surface changed:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestArmsListed pins the subcommand set: the usage line and the
+// dispatch both read the arms table, so an arm is in both or neither.
+// The real-clock arms (live, durability) are gone: that measurement
+// lives in benchmark/.
+func TestArmsListed(t *testing.T) {
+	want := "usage: mdcc-bench [flags] fig3|fig4|fig5|fig6|fig7|fig8|gateway|scale|all"
+	if got := usageLine(); got != want {
+		t.Errorf("usage line:\n got %q\nwant %q", got, want)
 	}
 }

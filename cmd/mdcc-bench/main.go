@@ -1,27 +1,31 @@
-// mdcc-bench regenerates every figure of the MDCC paper's evaluation
-// (§5) on the simulated five-data-center WAN, printing the same rows
-// and series the paper plots, plus the repo's own perf-trajectory
-// benchmarks (the gateway saturation comparison).
+// mdcc-bench reproduces the MDCC paper's evaluation (§5) on the
+// simulated five-data-center WAN: every arm runs in virtual time from
+// a seed and prints the rows and series the paper plots. Real-clock
+// measurement is not here — it lives in benchmark/ (BENCHMARK.json).
 //
 // Usage:
 //
-//	mdcc-bench [flags] fig3|fig4|fig5|fig6|fig7|fig8|gateway|durability|live|scale|all
+//	mdcc-bench [flags] fig3|fig4|fig5|fig6|fig7|fig8|gateway|scale|all
+//
+// fig3–fig8 are the paper's figures; gateway compares the paper's
+// one-coordinator-per-session deployment with the gateway tier
+// (DESIGN.md §7, §8); scale sweeps cluster size against message drop
+// (DESIGN.md §13).
 //
 // Flags:
 //
 //	-quick     run at ~1/10 scale (fast; shapes approximate)
 //	-seed N    simulation seed (default 1)
-//	-out F     JSON output path for the gateway benchmark
-//	           (default BENCH_gateway.json)
-//	-recorder-gate P
-//	           fail if the flight-recorder ablation's committed-tx/s
-//	           delta exceeds P percent in magnitude (CI overhead gate;
-//	           0 disables)
+//	-csv DIR   also write the raw figure series as CSV files
+//	-out F     write the gateway or scale arm's result as JSON to F
+//	           (default: print only)
+//
+// and the scale arm's -scale.nodes, -scale.drop and -sim-gate.
 //
 // Absolute numbers depend on the latency matrix and service-time
 // model (DESIGN.md §6); the claims to check are the *shapes*: who
 // wins, by what factor, where the crossovers fall. EXPERIMENTS.md
-// records paper-vs-measured values.
+// records paper-vs-measured values from one full-scale `all` run.
 package main
 
 import (
@@ -29,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"mdcc/internal/bench"
@@ -36,17 +41,39 @@ import (
 )
 
 var (
-	quick    = flag.Bool("quick", false, "run at reduced scale")
-	seed     = flag.Int64("seed", 1, "simulation seed")
-	csvDir   = flag.String("csv", "", "also write raw series as CSV files into this directory")
-	jsonOut  = flag.String("out", "BENCH_gateway.json", "JSON output path for the gateway benchmark")
-	recGate  = flag.Float64("recorder-gate", 0, "fail (exit 1) if the flight-recorder ablation's |tx/s delta| exceeds this percentage (0 = no gate)")
-	recvGate = flag.Float64("recovery-gate", 0, "fail (exit 1) if the checkpointed recovery arm's replay takes more than this many milliseconds (0 = no gate)")
+	quick   = flag.Bool("quick", false, "run at reduced scale")
+	seed    = flag.Int64("seed", 1, "simulation seed")
+	csvDir  = flag.String("csv", "", "also write raw series as CSV files into this directory")
+	jsonOut = flag.String("out", "", "write the gateway or scale arm's result as JSON to this file (default: print only)")
 )
+
+// arms is every subcommand, in the order `all` runs them; the usage
+// line and the dispatch both come from it.
+var arms = []struct {
+	name string
+	run  func()
+}{
+	{"fig3", fig3},
+	{"fig4", fig4},
+	{"fig5", fig5},
+	{"fig6", fig6},
+	{"fig7", fig7},
+	{"fig8", fig8},
+	{"gateway", gatewayBench},
+	{"scale", scaleBench},
+}
+
+func usageLine() string {
+	names := make([]string, 0, len(arms)+1)
+	for _, a := range arms {
+		names = append(names, a.name)
+	}
+	return "usage: mdcc-bench [flags] " + strings.Join(append(names, "all"), "|")
+}
 
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: mdcc-bench [-quick] [-seed N] fig3|fig4|fig5|fig6|fig7|fig8|gateway|durability|live|scale|all\n")
+		fmt.Fprintln(os.Stderr, usageLine())
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -54,56 +81,63 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	switch flag.Arg(0) {
-	case "fig3":
-		fig3()
-	case "fig4":
-		fig4()
-	case "fig5":
-		fig5()
-	case "fig6":
-		fig6()
-	case "fig7":
-		fig7()
-	case "fig8":
-		fig8()
-	case "gateway":
-		gatewayBench()
-	case "durability":
-		durabilityBench()
-	case "live":
-		liveBench()
-	case "scale":
-		scaleBench()
-	case "all":
-		fig3()
-		fig4()
-		fig5()
-		fig6()
-		fig7()
-		fig8()
-		gatewayBench()
-		durabilityBench()
-		scaleBench()
-	default:
+	arg := flag.Arg(0)
+	if arg == "all" && *jsonOut != "" {
+		fmt.Fprintln(os.Stderr, "mdcc-bench: -out names one arm's file; run gateway or scale on its own")
+		os.Exit(2)
+	}
+	ran := false
+	for _, a := range arms {
+		if arg == "all" || arg == a.name {
+			a.run()
+			ran = true
+		}
+	}
+	if !ran {
 		flag.Usage()
 		os.Exit(2)
 	}
 }
 
-// gatewayBench runs the gateway saturation comparison — per-session
-// coordinators vs the DC-local gateway tier on a hot-key commutative
-// stampede — and writes BENCH_gateway.json (the start of the repo's
-// perf trajectory).
+// writeJSON writes an arm's result to the -out file, if one was named.
+func writeJSON(v interface{}) {
+	if *jsonOut == "" {
+		return
+	}
+	blob, err := json.MarshalIndent(v, "", "  ")
+	if err == nil {
+		err = os.WriteFile(*jsonOut, append(blob, '\n'), 0o644)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mdcc-bench: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Printf("wrote %s\n", *jsonOut)
+}
+
+// gatewayBench runs the gateway comparison — per-session coordinators
+// (the paper's deployment) vs the DC-local gateway tier on a hot-key
+// commutative stampede, plus the read-mostly, multi-group, scarce-stock
+// and flight-recorder arms. TestGatewayArmShapes asserts its claims at
+// quick scale.
 func gatewayBench() {
 	sc := bench.GatewayPaperScale()
 	if *quick {
 		sc = bench.GatewayQuickScale()
 	}
+	// The tx/s claim needs the acceptors saturated, which only the
+	// full-scale session count does; the message reduction holds at
+	// any scale.
+	claim := "gateway tier cuts acceptor msgs/commit >= 2.5x"
+	if *quick {
+		claim += fmt.Sprintf(" (no tx/s claim: %d sessions do not saturate the acceptors)", sc.Sessions)
+	} else {
+		claim += " and, with the acceptors saturated, commits >= 2x tx/s"
+	}
 	header(
 		fmt.Sprintf("Gateway saturation — %d closed-loop sessions on %d hot keys (%s measure)",
 			sc.Sessions, sc.HotKeys, sc.Measure),
-		"gateway tier >= 2x committed tx/s with a counter-verified acceptor-message reduction")
+		"repo benchmark (no paper figure): "+claim)
 	cmp := bench.GatewaySaturation(*seed, sc)
 	cmp.Quick = *quick
 	row := func(r bench.GatewayRun) {
@@ -141,25 +175,12 @@ func gatewayBench() {
 		row(mg.Multi)
 		fmt.Printf("capacity scaling: %.2fx committed tx/s at %dx replica groups\n", mg.ScalingTPS, mg.Groups)
 	}
-	gateFailed := false
 	if a := cmp.Recorder; a != nil {
 		fmt.Printf("\nflight-recorder ablation (headline gateway arm, recorder off vs on):\n")
 		row(a.Off)
 		row(a.On)
 		fmt.Printf("recorder overhead: %+.3f%% committed tx/s (virtual), wall %s -> %s (%+.1f%%), %d events recorded\n",
 			a.TPSDeltaPct, a.WallOff, a.WallOn, a.WallOverheadPct, a.RecorderEvents)
-		if *recGate > 0 {
-			delta := a.TPSDeltaPct
-			if delta < 0 {
-				delta = -delta
-			}
-			if delta > *recGate {
-				fmt.Fprintf(os.Stderr, "mdcc-bench: recorder overhead gate FAILED: |%.3f%%| > %.3f%%\n", a.TPSDeltaPct, *recGate)
-				gateFailed = true
-			} else {
-				fmt.Printf("recorder overhead gate passed: |%.3f%%| <= %.3f%%\n", a.TPSDeltaPct, *recGate)
-			}
-		}
 	}
 	if s := cmp.Scarce; s != nil {
 		fmt.Printf("scarce stock arm: %d commits %d aborts, %d demarcation rejects at acceptors", s.Commits, s.Aborts, s.DemarcationRejects)
@@ -169,71 +190,7 @@ func gatewayBench() {
 		}
 		fmt.Println()
 	}
-	blob, err := json.MarshalIndent(cmp, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mdcc-bench: %v\n", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(*jsonOut, append(blob, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "mdcc-bench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s\n", *jsonOut)
-	if gateFailed {
-		os.Exit(1)
-	}
-}
-
-// durabilityBench measures what acknowledged durability costs (an
-// fsync per append vs group commit vs NoSync, concurrent committers
-// on real disk) and what checkpoints buy at recovery (full-log replay
-// vs snapshot + bounded tail on the same durable state). Writes
-// BENCH_durability.json; -recovery-gate bounds the checkpointed
-// reopen for CI.
-func durabilityBench() {
-	sc := bench.DurabilityPaperScale()
-	if *quick {
-		sc = bench.DurabilityQuickScale()
-	}
-	header(
-		fmt.Sprintf("Durability — %d committers x %d appends; recovery of %d ops (checkpoint every %d)",
-			sc.Workers, sc.AppendsPer, sc.RecoveryOps, sc.Checkpoint),
-		"group commit recovers most of the NoSync throughput; checkpointed recovery replays a bounded tail")
-	res, err := bench.DurabilityBench(sc)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mdcc-bench: %v\n", err)
-		os.Exit(1)
-	}
-	res.Quick = *quick
-	for _, a := range res.Arms {
-		fmt.Printf("%-18s %10.0f appends/s  (%d appends, %d workers, %.1fms)  %6d fsyncs covering %d appends, mean batch %.1f, max %d\n",
-			a.Mode, a.AppendsPerSec, a.Appends, a.Workers, a.WallMs, a.Syncs, a.SyncedAppends, a.BatchMean, a.MaxBatch)
-	}
-	gateFailed := false
-	for _, rcv := range res.Recovery {
-		fmt.Printf("%-18s reopen %8.1fms  tail %7d records  (%d ops, %d checkpoints, snapshot=%v)\n",
-			rcv.Mode, rcv.ReplayMs, rcv.TailRecords, rcv.Ops, rcv.Checkpoints, rcv.UsedSnapshot)
-		if *recvGate > 0 && rcv.UsedSnapshot && rcv.ReplayMs > *recvGate {
-			fmt.Fprintf(os.Stderr, "mdcc-bench: recovery gate FAILED: %s replay %.1fms > %.1fms\n", rcv.Mode, rcv.ReplayMs, *recvGate)
-			gateFailed = true
-		}
-	}
-	if *recvGate > 0 && !gateFailed {
-		fmt.Printf("recovery gate passed: checkpointed reopen within %.0fms\n", *recvGate)
-	}
-	blob, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mdcc-bench: %v\n", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile("BENCH_durability.json", append(blob, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "mdcc-bench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("wrote BENCH_durability.json")
-	if gateFailed {
-		os.Exit(1)
-	}
+	writeJSON(cmp)
 }
 
 func scale() bench.Scale {
@@ -286,7 +243,7 @@ func fig4() {
 	}
 	header(
 		fmt.Sprintf("Figure 4 — TPC-W throughput scale-out (clients %v)", clients),
-		"QW near-linear; MDCC within ~10%% of QW-4 at 200 clients; 2PC lower; Megastore* flat & tiny")
+		"QW near-linear; MDCC within ~10% of QW-4 at 200 clients; 2PC lower; Megastore* flat & tiny")
 	pts := bench.Figure4(*seed, clients, sc.Warmup, sc.Measure)
 	order := []bench.Protocol{bench.ProtoQW3, bench.ProtoQW4, bench.ProtoMDCC, bench.Proto2PC, bench.ProtoMegastore}
 	fmt.Printf("%-11s", "protocol")

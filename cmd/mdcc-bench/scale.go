@@ -8,7 +8,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -25,8 +24,8 @@ var (
 	scDrop  = flag.String("scale.drop", "", "scale arm: comma-separated ambient drop percentages (default 0,2)")
 )
 
-// scaleResult is the committed BENCH_scale.json shape: the sweep grid
-// plus enough header to re-run it.
+// scaleResult is the -out JSON shape: the sweep grid plus enough
+// header to re-run it.
 type scaleResult struct {
 	Scenario   string
 	Seed       int64
@@ -99,16 +98,7 @@ func scaleBench() {
 		Quick:      *quick,
 		Points:     pts,
 	}
-	blob, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mdcc-bench: %v\n", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile("BENCH_scale.json", append(blob, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "mdcc-bench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("wrote BENCH_scale.json")
+	writeJSON(out)
 	if failed {
 		os.Exit(1)
 	}

@@ -26,7 +26,14 @@ func Example() {
 	fmt.Println("insert committed:", ok)
 
 	// Commutative decrement: single round trip, constraint-checked.
-	ok, _ = sess.Commit(mdcc.Commutative("item/1", map[string]int64{"stock": -1}))
+	// Replicas vote on it against the state they have executed, and the
+	// insert becomes visible at each one asynchronously, so an abort
+	// right after it is retried like any optimistic transaction.
+	for attempt := 0; attempt < 100; attempt++ {
+		if ok, _ = sess.Commit(mdcc.Commutative("item/1", map[string]int64{"stock": -1})); ok {
+			break
+		}
+	}
 	fmt.Println("decrement committed:", ok)
 
 	// Output:

@@ -1,9 +1,9 @@
 package mdcc
 
 import (
+	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestGatewaySessionsCoalesceHotKey attaches many sessions to one
@@ -42,13 +42,9 @@ func TestGatewaySessionsCoalesceHotKey(t *testing.T) {
 			t.Fatalf("warm read %s: %v", k, err)
 		}
 	}
-	warmDeadline := time.Now().Add(5 * time.Second)
-	for gw.Metrics().TrackedKeys < int64(len(keys)) {
-		if time.Now().After(warmDeadline) {
-			t.Fatalf("escrow snapshots never arrived: %+v", gw.Metrics())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitFor(t, "escrow snapshots for every hot key", func() bool {
+		return gw.Metrics().TrackedKeys >= int64(len(keys))
+	})
 	const burst = 128
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -80,21 +76,13 @@ func TestGatewaySessionsCoalesceHotKey(t *testing.T) {
 	// fresh (visibility is asynchronous).
 	perKey := int64(burst / len(keys))
 	for _, k := range keys {
-		deadline := time.Now().Add(5 * time.Second)
-		for {
+		waitFor(t, fmt.Sprintf("%s at units=%d ver=%d", k, initial-perKey, 1+perKey), func() bool {
 			val, ver, ok, err := admin.ReadLatest(k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ok && val.Attr("units") == initial-perKey && ver == Version(1+perKey) {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: units=%d ver=%d, want units=%d ver=%d",
-					k, val.Attr("units"), ver, initial-perKey, 1+perKey)
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
+			return ok && val.Attr("units") == initial-perKey && ver == Version(1+perKey)
+		})
 	}
 
 	m := gw.Metrics()
@@ -183,24 +171,31 @@ func TestGatewaySessionGuaranteesThroughReadTier(t *testing.T) {
 		t.Fatalf("insert: ok=%v err=%v", ok, err)
 	}
 	// Ten RMW rounds: each read must see the previous write (RYW),
-	// version strictly monotone.
+	// version strictly monotone. The write itself may abort — two
+	// replicas still applying the previous round reject it, as for any
+	// optimistic writer — and is then retried from a fresh read.
 	var last Version
 	for i := int64(1); i <= 10; i++ {
-		val, ver, exists, err := s.Read("rt/1")
-		if err != nil || !exists {
-			t.Fatalf("round %d read: exists=%v err=%v", i, exists, err)
-		}
-		if ver < last {
-			t.Fatalf("round %d: version went backwards %d -> %d", i, last, ver)
-		}
-		if val.Attr("x") != i-1 {
-			t.Fatalf("round %d: read stale x=%d (ver %d), want %d", i, val.Attr("x"), ver, i-1)
-		}
-		ok, err := s.Commit(Physical("rt/1", ver, val.WithAttr("x", i)))
-		if err != nil || !ok {
-			t.Fatalf("round %d write: ok=%v err=%v", i, ok, err)
-		}
-		last = ver + 1
+		waitFor(t, fmt.Sprintf("round %d write", i), func() bool {
+			val, ver, exists, err := s.Read("rt/1")
+			if err != nil || !exists {
+				t.Fatalf("round %d read: exists=%v err=%v", i, exists, err)
+			}
+			if ver < last {
+				t.Fatalf("round %d: version went backwards %d -> %d", i, last, ver)
+			}
+			if val.Attr("x") != i-1 {
+				t.Fatalf("round %d: read stale x=%d (ver %d), want %d", i, val.Attr("x"), ver, i-1)
+			}
+			ok, err := s.Commit(Physical("rt/1", ver, val.WithAttr("x", i)))
+			if err != nil {
+				t.Fatalf("round %d write: %v", i, err)
+			}
+			if ok {
+				last = ver + 1
+			}
+			return ok
+		})
 	}
 	// The tier must actually be in the path (not silently disabled).
 	m := gw.Metrics()
@@ -223,20 +218,13 @@ func TestDialGatewayRoundTrip(t *testing.T) {
 	if ok, err := sess.Commit(Insert("k/1", Value{Attrs: map[string]int64{"v": 7}})); err != nil || !ok {
 		t.Fatalf("commit via gateway RPC: ok=%v err=%v", ok, err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	waitFor(t, "k/1 readable through the gateway", func() bool {
 		val, _, ok, err := sess.Read("k/1")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok && val.Attr("v") == 7 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("read after commit: ok=%v val=%v", ok, val)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+		return ok && val.Attr("v") == 7
+	})
 	// A second client shares the same gateway tier.
 	sess2, err := DialGateway(topo, USEast, "gwcli2", "127.0.0.1:0")
 	if err != nil {

@@ -151,8 +151,8 @@ type GatewayRun struct {
 	Gateway *gateway.Metrics `json:"gateway,omitempty"`
 }
 
-// GatewayComparison is the saturation benchmark result
-// (BENCH_gateway.json).
+// GatewayComparison is the saturation benchmark result (the JSON
+// `mdcc-bench -out F gateway` writes).
 type GatewayComparison struct {
 	Seed     int64      `json:"seed"`
 	Sessions int        `json:"sessions"`
@@ -197,7 +197,7 @@ type MultiGroupResult struct {
 // headline gateway arm: the identical seed and sizing run with the
 // recorder off and on. The recorder performs no virtual-time
 // operations and never touches the RNG stream, so virtual committed
-// tx/s must match exactly — TPSDeltaPct is the deterministic CI gate.
+// tx/s must match exactly — TestGatewayArmShapes asserts it.
 // The recorder's real cost is host CPU, reported as the wall-clock
 // delta (noisy on shared runners; informational).
 type RecorderAblation struct {

@@ -61,8 +61,8 @@ type ReadRun struct {
 	Gateway *gateway.Metrics `json:"gateway,omitempty"`
 }
 
-// ReadComparison is the read-mostly benchmark result, embedded in
-// BENCH_gateway.json.
+// ReadComparison is the read-mostly benchmark result
+// (GatewayComparison.ReadMostly).
 type ReadComparison struct {
 	Sessions    int     `json:"sessions"`
 	ReadFrac    float64 `json:"readFrac"`

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -114,6 +115,60 @@ func TestCheckpointBoundsRecovery(t *testing.T) {
 	w.net.RunFor(5 * time.Second)
 	if got := w.nodes[victim].Durability(); got.Checkpoints == 0 {
 		t.Errorf("restarted incarnation never checkpointed: %+v", got)
+	}
+}
+
+// TestCheckpointedReopenBounded is the recovery-time gate: a store that
+// took 20k puts (and 1234 more after its last checkpoint) with a
+// checkpoint every 5k reopens from the newest snapshot plus a tail
+// shorter than one checkpoint interval, inside two seconds. The reopen
+// takes milliseconds; full-log replay is the path allowed to grow with
+// history, and two seconds trips only on falling back to it.
+func TestCheckpointedReopenBounded(t *testing.T) {
+	const ops, every, after, keys = 20_000, 5_000, 1_234, 128
+	dir := t.TempDir()
+	opts := DurableOptions{NoSync: true, SegmentSize: 1 << 20}
+	ds, err := OpenDurableOpts(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(i int) record.Key { return record.Key(fmt.Sprintf("acct/%05d", i%keys)) }
+	for i := 0; i < ops+after; i++ {
+		val := record.Value{Attrs: map[string]int64{"bal": int64(i)}}
+		if err := ds.Store.Put(key(i), val, record.Version(i/keys+1)); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+		if i < ops && (i+1)%every == 0 {
+			if err := ds.Checkpoint(nil); err != nil {
+				t.Fatalf("checkpoint at %d: %v", i+1, err)
+			}
+		}
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ds, err = OpenDurableOpts(dir, opts)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer ds.Close()
+	rs := ds.RecoveryStats()
+	if !rs.UsedSnapshot || rs.FellBack || rs.FullReplay {
+		t.Errorf("reopen did not seed from the newest snapshot: %+v", rs)
+	}
+	if tail := rs.TailStore + rs.TailOplog; tail != after {
+		t.Errorf("replayed a tail of %d records, want the %d written since the last checkpoint", tail, after)
+	}
+	if rs.Duration >= 2*time.Second {
+		t.Errorf("checkpointed reopen took %s, want < 2s", rs.Duration)
+	}
+	for i := ops + after - keys; i < ops+after; i++ {
+		v, ver, ok := ds.Store.Get(key(i))
+		if !ok || v.Attr("bal") != int64(i) || ver != record.Version(i/keys+1) {
+			t.Fatalf("%s after reopen: bal=%d ver=%d ok=%v, want bal=%d ver=%d",
+				key(i), v.Attr("bal"), ver, ok, i, i/keys+1)
+		}
 	}
 }
 

@@ -56,6 +56,11 @@ func waitEverywhere(t *testing.T, c *Cluster, key Key, seen func(Value, Version,
 	}
 }
 
+// atVersion is the waitEverywhere predicate "exists at exactly want".
+func atVersion(want Version) func(Value, Version, bool) bool {
+	return func(_ Value, v Version, ok bool) bool { return ok && v == want }
+}
+
 func TestSessionInsertReadUpdate(t *testing.T) {
 	c := startTestCluster(t, ClusterConfig{})
 	s := c.Session(USWest)
@@ -73,7 +78,7 @@ func TestSessionInsertReadUpdate(t *testing.T) {
 	}
 	// A replica that has not executed the insert yet rejects an update
 	// reading version 1, and two such stragglers abort it.
-	waitEverywhere(t, c, "item/1", func(_ Value, v Version, ok bool) bool { return ok && v == 1 })
+	waitEverywhere(t, c, "item/1", atVersion(1))
 	ok, err = s.Commit(Physical("item/1", ver, val.WithAttr("stock", 9)))
 	if err != nil || !ok {
 		t.Fatalf("update: ok=%v err=%v", ok, err)
@@ -93,21 +98,13 @@ func TestSessionsFromDifferentDCs(t *testing.T) {
 		t.Fatalf("west insert: %v %v", ok, err)
 	}
 	// Tokyo's local replica converges once visibility lands.
-	var val Value
-	var exists bool
-	for i := 0; i < 50; i++ {
-		var err error
-		val, _, exists, err = tokyo.Read("geo/1")
+	waitFor(t, "geo/1 at x=1 in tokyo", func() bool {
+		val, _, exists, err := tokyo.Read("geo/1")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if exists {
-			break
-		}
-	}
-	if !exists || val.Attr("x") != 1 {
-		t.Fatalf("tokyo read: %v %v", val, exists)
-	}
+		return exists && val.Attr("x") == 1
+	})
 }
 
 func TestConflictDetectedAcrossSessions(t *testing.T) {
@@ -117,28 +114,12 @@ func TestConflictDetectedAcrossSessions(t *testing.T) {
 	if ok, _ := a.Commit(Insert("c/1", Value{Attrs: map[string]int64{"x": 0}})); !ok {
 		t.Fatal("insert failed")
 	}
-	// Event-driven wait: a read racing the insert's asynchronous
-	// visibility returns version 0, which would turn every retry below
-	// into an insert-semantics proposal that can never succeed.
-	var verA Version
-	waitFor(t, "insert visibility", func() bool {
-		var exists bool
-		_, verA, exists, _ = a.Read("c/1")
-		return exists && verA >= 1
-	})
-	// Visibility of a's insert is asynchronous; under load a replica
-	// quorum can still be at version 0 for a moment. Retry until the
-	// write lands (each attempt is a fresh option, so a rejected try
-	// leaves no state behind).
-	okB := false
-	for attempt := 0; attempt < 20 && !okB; attempt++ {
-		okB, _ = b.Commit(Physical("c/1", verA, Value{Attrs: map[string]int64{"x": 5}}))
-		if !okB {
-			time.Sleep(50 * time.Millisecond)
-		}
-	}
-	if !okB {
-		t.Fatal("b's update failed")
+	// b's update carries the version a read; a replica that has not
+	// executed the insert yet would reject it, so wait for every one.
+	waitEverywhere(t, c, "c/1", atVersion(1))
+	const verA = Version(1)
+	if ok, err := b.Commit(Physical("c/1", verA, Value{Attrs: map[string]int64{"x": 5}})); err != nil || !ok {
+		t.Fatalf("b's update failed: ok=%v err=%v", ok, err)
 	}
 	// a's stale write must abort.
 	if ok, _ := a.Commit(Physical("c/1", verA, Value{Attrs: map[string]int64{"x": 9}})); ok {
@@ -241,20 +222,13 @@ func TestConcurrentSessions(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	var final int64
-	for i := 0; i < 100; i++ {
+	waitFor(t, fmt.Sprintf("cc/1 to reach %d (a lower final count is a lost update)", commits), func() bool {
 		v, _, _, err := s.Read("cc/1")
 		if err != nil {
 			t.Fatal(err)
 		}
-		final = v.Attr("n")
-		if final == int64(commits) {
-			break
-		}
-	}
-	if final != int64(commits) {
-		t.Fatalf("counter %d != %d commits (lost update)", final, commits)
-	}
+		return v.Attr("n") == int64(commits)
+	})
 }
 
 func TestReadMany(t *testing.T) {
@@ -273,22 +247,19 @@ func TestReadMany(t *testing.T) {
 	// read-your-writes). Retry until it converges.
 	var vals []Value
 	var exist []bool
-	var err error
-	for attempt := 0; attempt < 100; attempt++ {
+	waitFor(t, "bulk insert visibility", func() bool {
+		var err error
 		vals, _, exist, err = s.ReadMany(keys)
 		if err != nil {
 			t.Fatal(err)
 		}
-		all := true
 		for i := 0; i < 5; i++ {
 			if !exist[i] {
-				all = false
+				return false
 			}
 		}
-		if all {
-			break
-		}
-	}
+		return true
+	})
 	for i := 0; i < 5; i++ {
 		if !exist[i] || vals[i].Attr("i") != int64(i) {
 			t.Fatalf("m/%d = %v %v", i, vals[i], exist[i])
@@ -307,11 +278,10 @@ func TestDeleteAndReinsert(t *testing.T) {
 	}
 	// Wait for the insert's asynchronous visibility to reach the
 	// local replica (read committed, not read-your-writes).
-	for i := 0; i < 100; i++ {
-		if _, _, exists, _ := s.Read("d/1"); exists {
-			break
-		}
-	}
+	waitFor(t, "d/1 insert visibility", func() bool {
+		_, _, exists, _ := s.Read("d/1")
+		return exists
+	})
 	// A write racing the previous commit's visibility can
 	// legitimately abort; the standard OCC retry loop absorbs it.
 	ok, err := s.Transact(20, func(tx *TxView) error {
@@ -325,17 +295,10 @@ func TestDeleteAndReinsert(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("delete: %v %v", ok, err)
 	}
-	var ver2 Version
-	for i := 0; i < 100; i++ {
-		var exists bool
-		_, ver2, exists, _ = s.Read("d/1")
-		if !exists && ver2 >= 2 {
-			break
-		}
-	}
-	if _, _, exists, _ := s.Read("d/1"); exists {
-		t.Fatal("deleted record still exists")
-	}
+	waitFor(t, "d/1 tombstone visibility", func() bool {
+		_, ver, exists, _ := s.Read("d/1")
+		return !exists && ver >= 2
+	})
 	// Re-insert on top of the tombstone version.
 	ok, err = s.Transact(20, func(tx *TxView) error {
 		_, ver, _ := tx.Read("d/1")
@@ -345,17 +308,10 @@ func TestDeleteAndReinsert(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("re-insert: %v %v", ok, err)
 	}
-	var v Value
-	var exists bool
-	for i := 0; i < 100; i++ {
-		v, _, exists, _ = s.Read("d/1")
-		if exists {
-			break
-		}
-	}
-	if !exists || v.Attr("x") != 2 {
-		t.Fatalf("after re-insert: %v %v", v, exists)
-	}
+	waitFor(t, "re-inserted d/1 at x=2", func() bool {
+		v, _, exists, _ := s.Read("d/1")
+		return exists && v.Attr("x") == 2
+	})
 }
 
 func TestFailDCContinues(t *testing.T) {
@@ -453,19 +409,7 @@ func TestModeVariants(t *testing.T) {
 		if ok, err := s.Commit(Insert("mv/1", Value{Attrs: map[string]int64{"x": 1}})); err != nil || !ok {
 			t.Fatalf("mode %v: insert ok=%v err=%v", mode, ok, err)
 		}
-		// Visibility is asynchronous: a nearest-replica read can race
-		// the execute message, so poll briefly.
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			v, _, exists, _ := s.Read("mv/1")
-			if exists && v.Attr("x") == 1 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("mode %v: read %v %v", mode, v, exists)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
+		waitEverywhere(t, c, "mv/1", func(v Value, _ Version, ok bool) bool { return ok && v.Attr("x") == 1 })
 		c.Close()
 	}
 }
@@ -482,19 +426,13 @@ func TestReadLatestSeesFresh(t *testing.T) {
 	// which has applied visibility once it lands. Retry briefly for
 	// the visibility race, but require far fewer retries than the
 	// local-replica path might need after a failure.
-	var ver Version
-	var exists bool
-	for i := 0; i < 100; i++ {
-		var err error
-		_, ver, exists, err = s.ReadLatest("rl/1")
+	waitFor(t, "a quorum read to observe the commit", func() bool {
+		_, ver, exists, err := s.ReadLatest("rl/1")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if exists && ver == 1 {
-			return
-		}
-	}
-	t.Fatalf("quorum read never observed the commit: v%d exists=%v", ver, exists)
+		return exists && ver == 1
+	})
 }
 
 func TestReadLatestSurvivesLocalDCFailure(t *testing.T) {
@@ -523,11 +461,7 @@ func TestClusterAntiEntropyCatchUp(t *testing.T) {
 	if ok, _ := s.Commit(Insert("sync/1", Value{Attrs: map[string]int64{"x": 1}})); !ok {
 		t.Fatal("insert failed")
 	}
-	for i := 0; i < 100; i++ {
-		if _, _, ok, _ := s.Read("sync/1"); ok {
-			break
-		}
-	}
+	waitEverywhere(t, c, "sync/1", func(_ Value, _ Version, ok bool) bool { return ok })
 	// Partition Tokyo, update, recover, and read from Tokyo: the
 	// anti-entropy background sync must deliver the new value without
 	// further writes.
@@ -538,18 +472,13 @@ func TestClusterAntiEntropyCatchUp(t *testing.T) {
 	}
 	c.RecoverDC(APTokyo)
 	tokyo := c.Session(APTokyo)
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
+	waitFor(t, "tokyo to catch up via anti-entropy", func() bool {
 		v, _, ok, err := tokyo.Read("sync/1")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok && v.Attr("x") == 2 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatal("tokyo replica never caught up via anti-entropy")
+		return ok && v.Attr("x") == 2
+	})
 }
 
 func TestSessionGuaranteesReadYourWrites(t *testing.T) {

@@ -73,20 +73,13 @@ func TestTCPDeploymentEndToEnd(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("insert over TCP: ok=%v err=%v", ok, err)
 	}
-	var val Value
-	var exists bool
-	for i := 0; i < 100 && !exists; i++ {
-		val, _, exists, err = sess.Read("tcp/1")
+	waitFor(t, "tcp/1 readable at stock=5", func() bool {
+		val, _, exists, err := sess.Read("tcp/1")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !exists {
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	if !exists || val.Attr("stock") != 5 {
-		t.Fatalf("read over TCP: %v %v", val, exists)
-	}
+		return exists && val.Attr("stock") == 5
+	})
 
 	// Commutative decrement from a second client in another DC.
 	sess2, err := Dial(topo, APTokyo, "t2", "127.0.0.1:0")
@@ -98,17 +91,13 @@ func TestTCPDeploymentEndToEnd(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("decrement over TCP: ok=%v err=%v", ok, err)
 	}
-	for i := 0; i < 100; i++ {
-		val, _, _, err = sess.Read("tcp/1")
+	waitFor(t, "stock to converge to 3", func() bool {
+		val, _, _, err := sess.Read("tcp/1")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if val.Attr("stock") == 3 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("stock never converged to 3: %v", val)
+		return val.Attr("stock") == 3
+	})
 }
 
 func TestTCPConflictDetection(t *testing.T) {
@@ -128,14 +117,11 @@ func TestTCPConflictDetection(t *testing.T) {
 		t.Fatalf("insert: %v %v", ok, err)
 	}
 	var ver Version
-	for i := 0; i < 100; i++ {
+	waitFor(t, "tcp/c insert visibility", func() bool {
 		var exists bool
 		_, ver, exists, _ = a.Read("tcp/c")
-		if exists {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		return exists
+	})
 	okA, _ := a.Commit(Physical("tcp/c", ver, Value{Attrs: map[string]int64{"x": 1}}))
 	okB, _ := b.Commit(Physical("tcp/c", ver, Value{Attrs: map[string]int64{"x": 2}}))
 	if okA && okB {

@@ -21,13 +21,9 @@ func TestWriteSkewPreventedBySerializable(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("setup: %v %v", ok, err)
 		}
-		// Event-driven setup wait (a fixed spin count flakes under -race
-		// load when asynchronous visibility takes longer than the spins).
-		waitFor(t, "on-call setup visibility", func() bool {
-			a, _, okA, _ := s.Read("oncall/alice")
-			b, _, okB, _ := s.Read("oncall/bob")
-			return okA && okB && a.Attr("oncall") == 1 && b.Attr("oncall") == 1
-		})
+		// Both racers must start from the setup, whichever DC they read in.
+		waitEverywhere(t, c, "oncall/alice", atVersion(1))
+		waitEverywhere(t, c, "oncall/bob", atVersion(1))
 
 		// goOffCall reports whether the doctor actually went off call:
 		// the transaction committed AND contained the self-write. A
@@ -118,14 +114,10 @@ func TestReadCheckSemantics(t *testing.T) {
 	if ok, _ := s.Commit(Insert("rc/1", Value{Attrs: map[string]int64{"x": 1}})); !ok {
 		t.Fatal("insert failed")
 	}
-	var ver Version
-	for i := 0; i < 200; i++ {
-		var exists bool
-		_, ver, exists, _ = s.Read("rc/1")
-		if exists {
-			break
-		}
-	}
+	// Every replica must hold the version a check names before it votes
+	// on the check, or a straggler's rejection races the test.
+	const ver = Version(1)
+	waitEverywhere(t, c, "rc/1", atVersion(ver))
 	// Valid read check commits (and does not bump the version).
 	if ok, err := s.Commit(ReadCheck("rc/1", ver)); err != nil || !ok {
 		t.Fatalf("valid read check: %v %v", ok, err)
@@ -134,16 +126,15 @@ func TestReadCheckSemantics(t *testing.T) {
 	if ver2 != ver {
 		t.Fatalf("read check bumped version %d -> %d", ver, ver2)
 	}
-	// Invalidate and recheck.
+	// Invalidate and recheck. The committed check stays a pending
+	// option at each replica until its visibility message lands, and a
+	// write that outruns it there is rejected (in contract): retry.
 	v, _, _, _ := s.Read("rc/1")
-	if ok, _ := s.Commit(Physical("rc/1", ver, v.WithAttr("x", 2))); !ok {
-		t.Fatal("update failed")
-	}
-	for i := 0; i < 200; i++ {
-		if _, nv, _, _ := s.Read("rc/1"); nv > ver {
-			break
-		}
-	}
+	waitFor(t, "update once the read check settled", func() bool {
+		ok, _ := s.Commit(Physical("rc/1", ver, v.WithAttr("x", 2)))
+		return ok
+	})
+	waitEverywhere(t, c, "rc/1", atVersion(ver+1))
 	if ok, _ := s.Commit(ReadCheck("rc/1", ver)); ok {
 		t.Fatal("stale read check committed")
 	}
@@ -160,25 +151,15 @@ func TestReadCheckGuardsWrites(t *testing.T) {
 	); !ok {
 		t.Fatal("setup failed")
 	}
-	var dataVer, outVer Version
-	for i := 0; i < 200; i++ {
-		var ok1, ok2 bool
-		_, dataVer, ok1, _ = s.Read("g/data")
-		_, outVer, ok2, _ = s.Read("g/out")
-		if ok1 && ok2 {
-			break
-		}
-	}
+	const dataVer, outVer = Version(1), Version(1)
+	waitEverywhere(t, c, "g/data", atVersion(dataVer))
+	waitEverywhere(t, c, "g/out", atVersion(outVer))
 	// Invalidate g/data.
 	v, _, _, _ := s.Read("g/data")
 	if ok, _ := s.Commit(Physical("g/data", dataVer, v.WithAttr("x", 2))); !ok {
 		t.Fatal("invalidation failed")
 	}
-	for i := 0; i < 200; i++ {
-		if _, nv, _, _ := s.Read("g/data"); nv > dataVer {
-			break
-		}
-	}
+	waitEverywhere(t, c, "g/data", atVersion(dataVer+1))
 	// Now try to write g/out guarded by the stale read of g/data.
 	out, _, _, _ := s.Read("g/out")
 	ok, _ := s.Commit(
