@@ -90,7 +90,10 @@ type recState struct {
 	promised paxos.Ballot
 	accepted paxos.Ballot
 	votes    []VotedOption
-	decided  *decidedLog
+	// votedAt is parallel to votes: when each unresolved vote was cast
+	// (UnixNano), for the dangling-transaction sweep.
+	votedAt []int64
+	decided decidedLog
 	// summary is the record's exact applied-option summary: the
 	// settled set whose effects the committed value contains (or, for
 	// physical options, contains-or-supersedes). It is what makes
@@ -107,9 +110,6 @@ type recState struct {
 	// rule, DESIGN.md §5): locked by the first non-creating update;
 	// record-creating inserts are class-neutral. 0 = not yet locked.
 	kind record.UpdateKind
-	// votedAt remembers when each unresolved vote was cast, for the
-	// dangling-transaction sweep.
-	votedAt map[OptionID]time.Time
 	// p2aSeq is the highest proposal sequence adopted in the accepted
 	// ballot, so duplicated or reordered Phase2a messages cannot
 	// regress the cstruct to an older snapshot.
@@ -136,6 +136,9 @@ func NewStorageNode(id transport.NodeID, dc topology.DC, net transport.Network,
 		feedSubs:     make(map[transport.NodeID]*feedSub),
 		feedDirtySet: make(map[record.Key]bool),
 		group:        -1,
+	}
+	if n.cfg.DecidedRetention <= 0 {
+		n.cfg.DecidedRetention = defaultDecidedRetention
 	}
 	for _, sn := range cl.Storage {
 		if sn.ID == id {
@@ -257,11 +260,7 @@ func (n *StorageNode) dispatch(env transport.Envelope) {
 func (n *StorageNode) rs(key record.Key) *recState {
 	r, ok := n.recs[key]
 	if !ok {
-		r = &recState{
-			promised: n.initialBallot(key),
-			decided:  newDecidedLog(0, n.cfg.DecidedRetention),
-			votedAt:  make(map[OptionID]time.Time),
-		}
+		r = &recState{promised: n.initialBallot(key)}
 		r.accepted = r.promised
 		n.recs[key] = r
 	}
@@ -295,20 +294,26 @@ func (n *StorageNode) notePeerLineage(r *recState, from transport.NodeID, s Line
 // since the last settle still shrink the log).
 func (n *StorageNode) compactDecided(key record.Key, r *recState, force bool) {
 	if force {
-		if len(r.decided.order) <= r.decided.limit {
+		if len(r.decided.entries) <= decidedLimit {
 			return
 		}
 	} else if !r.decided.wantsCompact() {
 		return
 	}
+	n.releaseDecided(key, r)
+}
+
+// releaseDecided runs one compaction pass over the record's decided
+// log with the all-peer-ack predicate.
+func (n *StorageNode) releaseDecided(key record.Key, r *recState) {
 	peers := n.cl.Replicas(key)
-	n.m.DecidedReleased += int64(r.decided.compact(n.net.Now(), func(e decidedEntry) bool {
+	n.m.DecidedReleased += int64(r.decided.compact(n.net.Now(), n.cfg.DecidedRetention, func(e *decidedEntry) bool {
 		for _, p := range peers {
 			if p == n.id {
 				continue
 			}
 			pl, ok := r.peerLineage[p]
-			if !ok || !pl.Contains(e.lane, e.keySeq) {
+			if !ok || !pl.Contains(e.lane(), e.KeySeq) {
 				return false
 			}
 		}
@@ -316,30 +321,32 @@ func (n *StorageNode) compactDecided(key record.Key, r *recState, force bool) {
 	}))
 }
 
-// settleOption records one final decision: decided-log entry, lineage
-// summary, durable decision log, and the record's kind class. Returns
-// whether the decision was new.
-func (n *StorageNode) settleOption(key record.Key, r *recState, id OptionID, d Decision, opt Option, hasOpt bool) bool {
-	if !r.decided.record(id, d, opt, hasOpt, n.net.Now()) {
-		return false
+// settleOption records one final decision the caller found to be new:
+// decided-log entry, lineage summary, durable decision log, and the
+// record's kind class. The update is encoded once; the entry and the
+// oplog record share the bytes.
+func (n *StorageNode) settleOption(key record.Key, r *recState, d Decision, opt Option) {
+	e := settledEntry(d, opt, true, n.net.Now())
+	if !r.decided.record(e) {
+		return
 	}
-	r.noteSettled(id, d, opt, hasOpt)
-	n.logDecision(id, d, opt, hasOpt)
+	r.noteSettled(d, opt)
+	n.logDecision(key, &e)
 	n.compactDecided(key, r, false)
-	return true
 }
 
-// noteSettled folds one settled decision into the record's summary
-// and class lock (shared by live settles and WAL replay).
-func (r *recState) noteSettled(id OptionID, d Decision, opt Option, hasOpt bool) {
-	if hasOpt && opt.KeySeq > 0 {
+// noteSettled folds one settled option (with contents) into the
+// record's summary and class lock (shared by live settles and WAL
+// replay).
+func (r *recState) noteSettled(d Decision, opt Option) {
+	if opt.KeySeq > 0 {
 		applied := d == DecAccept && opt.Update.Kind == record.KindCommutative
-		r.summary.Add(laneOf(id.Tx), opt.KeySeq, d != DecAccept, applied)
+		r.summary.Add(laneOf(opt.Tx), opt.KeySeq, d != DecAccept, applied)
 		if d == DecAccept && opt.Update.Kind == record.KindPhysical && opt.Update.ReadVersion > 0 {
 			r.summary.Physical = true
 		}
 	}
-	if hasOpt && d == DecAccept {
+	if d == DecAccept {
 		r.noteKind(opt.Update)
 	}
 }
@@ -573,7 +580,7 @@ func (n *StorageNode) voteFor(opt Option) MsgVote {
 	// Idempotence: final decisions and existing votes are resent. The
 	// lineage summary answers for settled options whose decided-log
 	// entry was released — exact, forever.
-	if d, ok := r.decided.get(id); ok {
+	if d, ok := r.decided.get(opt.Tx); ok {
 		return MsgVote{OptID: id, Ballot: r.promised, Decision: d}
 	}
 	if opt.KeySeq > 0 {
@@ -581,10 +588,9 @@ func (n *StorageNode) voteFor(opt Option) MsgVote {
 			return MsgVote{OptID: id, Ballot: r.promised, Decision: d}
 		}
 	}
-	for _, v := range r.votes {
-		if v.Opt.ID() == id {
-			return MsgVote{OptID: id, Ballot: r.accepted, Decision: v.Decision, Reason: v.Reason}
-		}
+	if i := r.voteIndex(id); i >= 0 {
+		v := &r.votes[i]
+		return MsgVote{OptID: id, Ballot: r.accepted, Decision: v.Decision, Reason: v.Reason}
 	}
 
 	// Ring fence: settled options are answered exactly above, but this
@@ -645,7 +651,7 @@ func (n *StorageNode) castVote(r *recState, opt Option, dec Decision, reason Rej
 		tracef("%v %s vote tx=%s dec=%v", n.net.Now().Unix(), n.id, opt.Tx, dec)
 	}
 	r.votes = append(r.votes, VotedOption{Opt: opt, Decision: dec, Reason: reason})
-	r.votedAt[opt.ID()] = n.net.Now()
+	r.votedAt = append(r.votedAt, n.net.Now().UnixNano())
 	if dec == DecAccept {
 		n.m.VotesAccept++
 		r.noteKind(opt.Update)
@@ -678,7 +684,7 @@ func (n *StorageNode) evalOption(pending []VotedOption, opt Option, fast bool) (
 		// what makes the validation conflict-serializable rather than
 		// merely version-checked). Read checks commute with each
 		// other.
-		_, ver, _ := n.store.Get(opt.Update.Key)
+		ver, _ := n.store.Version(opt.Update.Key)
 		if opt.Update.ReadVersion != ver {
 			return DecReject, ReasonNone
 		}
@@ -705,7 +711,7 @@ func (n *StorageNode) evalPhysical(pending []VotedOption, opt Option) (Decision,
 		n.m.MixedKindRejects++
 		return DecReject, ReasonMixedKinds
 	}
-	_, ver, _ := n.store.Get(key)
+	ver, _ := n.store.Version(key)
 	// validRead: vread must match the current version; an insert
 	// (ReadVersion 0) requires the record to be new (§3.2.1).
 	if opt.Update.ReadVersion != ver {
@@ -862,7 +868,7 @@ func (n *StorageNode) onVisibility(m MsgVisibility) {
 	key := m.Opt.Update.Key
 	r := n.rs(key)
 	id := m.Opt.ID()
-	if _, ok := r.decided.get(id); ok {
+	if _, ok := r.decided.get(id.Tx); ok {
 		// Already executed or discarded; still release any lingering
 		// vote (the settle may have arrived via a base adoption that
 		// never saw the vote).
@@ -874,7 +880,7 @@ func (n *StorageNode) onVisibility(m MsgVisibility) {
 		return // settled knowledge outlived the decided-log cache
 	}
 	if traceOn(key) {
-		_, ver, _ := n.store.Get(key)
+		ver, _ := n.store.Version(key)
 		tracef("%v %s visibility tx=%s commit=%v ver=%d up=%s", n.net.Now().Unix(), n.id, m.Opt.Tx, m.Commit, ver, m.Opt.Update)
 	}
 	if n.tr != nil {
@@ -887,16 +893,17 @@ func (n *StorageNode) onVisibility(m MsgVisibility) {
 			Key: string(key), Stage: trace.StageVisibility, Flags: fl})
 		// Vote → execution lag: how long the learned option waited
 		// before its side effects became readable here.
-		if at, ok := r.votedAt[id]; ok {
-			n.cfg.Tracer.ObservePhase(trace.PhaseVisibility, int(n.dc), now.Sub(at))
+		if i := r.voteIndex(id); i >= 0 {
+			n.cfg.Tracer.ObservePhase(trace.PhaseVisibility, int(n.dc),
+				time.Duration(now.UnixNano()-r.votedAt[i]))
 		}
 	}
 	if m.Commit {
-		n.settleOption(key, r, id, DecAccept, m.Opt, true)
+		n.settleOption(key, r, DecAccept, m.Opt)
 		n.applyUpdate(m.Opt.Update)
 		n.m.Executed++
 	} else {
-		n.settleOption(key, r, id, DecReject, m.Opt, true)
+		n.settleOption(key, r, DecReject, m.Opt)
 		n.m.Discarded++
 	}
 	// Both outcomes feed the visibility stream: a commit changed the
@@ -939,7 +946,7 @@ func (n *StorageNode) onVisibility(m MsgVisibility) {
 // construction. Returns whether local state changed.
 func (n *StorageNode) adoptBase(key record.Key, base record.Value, baseVer record.Version,
 	lineage LineageSummary, via string) bool {
-	cur, localVer, ok := n.store.Get(key)
+	localVer, _ := n.store.Version(key)
 	if baseVer < localVer {
 		return false
 	}
@@ -953,16 +960,16 @@ func (n *StorageNode) adoptBase(key record.Key, base record.Value, baseVer recor
 		return false
 	}
 	if lineage.Deltas {
-		for _, id := range r.decided.order {
-			e, _ := r.decided.entry(id)
-			if e.Decision != DecAccept || e.kind != record.KindPhysical || e.keySeq == 0 {
+		for i := range r.decided.entries {
+			e := &r.decided.entries[i]
+			if e.Decision != DecAccept || e.kind != record.KindPhysical || e.KeySeq == 0 {
 				continue
 			}
-			if !lineage.Contains(e.lane, e.keySeq) {
+			if !lineage.Contains(e.lane(), e.KeySeq) {
 				n.m.AdoptRefused++
 				if traceOn(key) {
 					tracef("%v %s adopt-%s refused: local physical %s not in incoming lineage",
-						n.net.Now().Unix(), n.id, via, id)
+						n.net.Now().Unix(), n.id, via, OptionID{Tx: e.Tx, Key: key})
 				}
 				return false
 			}
@@ -970,29 +977,29 @@ func (n *StorageNode) adoptBase(key record.Key, base record.Value, baseVer recor
 	}
 	val, ver := base, baseVer
 	merged := 0
-	for _, id := range r.decided.order {
-		e, _ := r.decided.entry(id)
-		if !e.HasOpt || e.Decision != DecAccept {
-			continue
-		}
-		if e.Opt.Update.Kind != record.KindCommutative {
+	for i := range r.decided.entries {
+		e := &r.decided.entries[i]
+		if e.Decision != DecAccept || e.kind != record.KindCommutative {
 			// Physical applies are never grafted: either the incoming
 			// summary contains them, or (pure-physical branch) the
 			// higher base version proves supersession, or the refusal
 			// above already bailed.
 			continue
 		}
-		if e.keySeq == 0 {
+		if e.KeySeq == 0 {
 			// No lineage identity (hand-built option): containment is
 			// unprovable, so treat as contained rather than risk a
 			// double apply. Coordinators always mint identities.
 			continue
 		}
-		if lineage.Contains(e.lane, e.keySeq) {
+		if lineage.Contains(e.lane(), e.KeySeq) {
 			continue
 		}
-		val = e.Opt.Update.Apply(val)
-		ver += e.Opt.Update.Span()
+		// The graft: the one place a settled entry's contents are
+		// decoded on the merge path.
+		up := e.update()
+		val = up.Apply(val)
+		ver += up.Span()
 		merged++
 	}
 	n.m.Grafted += int64(merged)
@@ -1000,14 +1007,16 @@ func (n *StorageNode) adoptBase(key record.Key, base record.Value, baseVer recor
 		tracef("%v %s adopt-%s ver=%d->%d merged=%d val=%s incoming=%s",
 			n.net.Now().Unix(), n.id, via, localVer, ver, merged, val, lineage)
 	}
-	if ver == localVer && merged == 0 && ok && cur.Equal(val) {
-		// Same value and version, but the incoming summary knows
-		// settles we don't (e.g. rejects, which bump no version):
-		// absorb the knowledge without rewriting the store.
-		r.summary.Union(lineage)
-		r.noteKindFromSummary()
-		n.logLineage(key, r.summary)
-		return true
+	if ver == localVer && merged == 0 {
+		if cur, _, ok := n.store.Get(key); ok && cur.Equal(val) {
+			// Same value and version, but the incoming summary knows
+			// settles we don't (e.g. rejects, which bump no version):
+			// absorb the knowledge without rewriting the store.
+			r.summary.Union(lineage)
+			r.noteKindFromSummary()
+			n.logLineage(key, r.summary)
+			return true
+		}
 	}
 	n.storePut(key, val, ver)
 	r.summary.Union(lineage)
@@ -1022,11 +1031,10 @@ func (n *StorageNode) applyUpdate(up record.Update) {
 	if up.Kind == record.KindReadCheck {
 		return // validation only
 	}
-	cur, ver, _ := n.store.Get(up.Key)
 	switch up.Kind {
 	case record.KindPhysical:
 		newVer := up.ReadVersion + 1
-		if newVer <= ver {
+		if ver, _ := n.store.Version(up.Key); newVer <= ver {
 			return // already superseded by a later committed write
 		}
 		n.storePut(up.Key, up.NewValue, newVer)
@@ -1034,19 +1042,41 @@ func (n *StorageNode) applyUpdate(up record.Update) {
 		// Merged (gateway-coalesced) updates advance the version by the
 		// number of client updates they carry, keeping per-client-update
 		// version accounting exact.
+		cur, ver, _ := n.store.Get(up.Key)
 		n.storePut(up.Key, up.Apply(cur), ver+up.Span())
 	}
 }
 
-// pruneVote drops an unresolved vote once its option is settled.
-func (n *StorageNode) pruneVote(r *recState, id OptionID) {
-	delete(r.votedAt, id)
-	for i, v := range r.votes {
-		if v.Opt.ID() == id {
-			r.votes = append(r.votes[:i], r.votes[i+1:]...)
-			return
+// voteIndex returns the position of id's unresolved vote, -1 if none.
+func (r *recState) voteIndex(id OptionID) int {
+	for i := range r.votes {
+		if r.votes[i].Opt.ID() == id {
+			return i
 		}
 	}
+	return -1
+}
+
+// truncateVotes cuts votes and votedAt to their first n elements,
+// zeroing the vacated slots: the backing arrays outlive the cut, and a
+// stale VotedOption there would pin its option's attribute map and
+// write-set for as long as the record lives.
+func (r *recState) truncateVotes(n int) {
+	clear(r.votes[n:])
+	r.votes = r.votes[:n]
+	r.votedAt = r.votedAt[:n]
+}
+
+// pruneVote drops an unresolved vote once its option is settled.
+func (n *StorageNode) pruneVote(r *recState, id OptionID) {
+	i := r.voteIndex(id)
+	if i < 0 {
+		return
+	}
+	last := len(r.votes) - 1
+	copy(r.votes[i:], r.votes[i+1:])
+	copy(r.votedAt[i:], r.votedAt[i+1:])
+	r.truncateVotes(last)
 }
 
 // onPhase1a promises a classic ballot and reports state (§3.1.1).
@@ -1103,30 +1133,41 @@ func (n *StorageNode) onPhase2a(from transport.NodeID, m MsgPhase2a) {
 		n.notePeerLineage(r, from, m.BaseLineage)
 		n.adoptBase(m.Key, m.BaseValue, m.BaseVersion, m.BaseLineage, "phase2a")
 	}
-	now := n.net.Now()
-	r.votes = r.votes[:0]
-	prevVotedAt := r.votedAt
-	r.votedAt = make(map[OptionID]time.Time, len(m.CStruct))
+	now := n.net.Now().UnixNano()
+	// The adopted cstruct replaces the votes wholesale, in fresh arrays:
+	// the previous ones are read below and then become garbage, so no
+	// dropped vote stays reachable.
+	prev, prevAt := r.votes, r.votedAt
+	r.votes = make([]VotedOption, 0, len(m.CStruct))
+	r.votedAt = make([]int64, 0, len(m.CStruct))
+	next := 0 // cursor into prev: successive cstructs keep their order
 	for _, v := range m.CStruct {
-		if _, ok := r.decided.get(v.Opt.ID()); ok {
+		if _, ok := r.decided.get(v.Opt.Tx); ok {
 			continue // already settled locally (e.g. visibility raced ahead)
 		}
 		if v.Opt.KeySeq > 0 && r.summary.Contains(laneOf(v.Opt.Tx), v.Opt.KeySeq) {
 			continue // settled knowledge outlived the decided-log cache
 		}
-		r.votes = append(r.votes, v)
 		// votedAt measures how long the option has been unresolved, so
 		// a re-adopted vote keeps its original timestamp. Resetting it
 		// here would let a hot record's steady classic traffic refresh
 		// the clock faster than PendingTimeout elapses, permanently
 		// disarming the dangling-option sweep for an option whose
 		// coordinator has already moved on — its visibility would
-		// never be recovered.
-		if at, ok := prevVotedAt[v.Opt.ID()]; ok {
-			r.votedAt[v.Opt.ID()] = at
-		} else {
-			r.votedAt[v.Opt.ID()] = now
+		// never be recovered. The search starts at the cursor, so a
+		// cstruct that extends the previous one costs one comparison
+		// per carried vote.
+		at := now
+		id := v.Opt.ID()
+		for k := range prev {
+			p := (next + k) % len(prev)
+			if prev[p].Opt.ID() == id {
+				at, next = prevAt[p], p+1
+				break
+			}
 		}
+		r.votes = append(r.votes, v)
+		r.votedAt = append(r.votedAt, at)
 	}
 	n.m.Phase2++
 	n.net.Send(n.id, from, MsgPhase2b{Key: m.Key, Ballot: m.Ballot, Seq: m.Seq, OK: true})

@@ -127,7 +127,7 @@ func (n *StorageNode) onSyncReply(from transport.NodeID, m MsgSyncReply) {
 		return
 	}
 	for _, e := range m.Entries {
-		_, ver, _ := n.store.Get(e.Key)
+		ver, _ := n.store.Version(e.Key)
 		n.notePeerLineage(n.rs(e.Key), from, e.Lineage)
 		if e.Version < ver {
 			continue
@@ -212,7 +212,7 @@ func (n *StorageNode) onPullReply(from transport.NodeID, m MsgSyncReply) {
 		if !p.accept(e.Key) {
 			continue
 		}
-		_, ver, _ := n.store.Get(e.Key)
+		ver, _ := n.store.Version(e.Key)
 		n.notePeerLineage(n.rs(e.Key), from, e.Lineage)
 		if e.Version >= ver && n.adoptBase(e.Key, e.Value, e.Version, e.Lineage, "move") {
 			n.m.Synced++

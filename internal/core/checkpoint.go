@@ -65,17 +65,8 @@ func (n *StorageNode) snapshotOplog() []oplogEntry {
 			snap := r.summary.Clone()
 			out = append(out, oplogEntry{Key: k, Snapshot: &snap})
 		}
-		for _, id := range r.decided.order {
-			e, ok := r.decided.entry(id)
-			if !ok {
-				continue
-			}
-			oe := oplogEntry{Key: k, Tx: id.Tx, Decision: e.Decision}
-			if e.HasOpt {
-				oe.Up, oe.HasUp = e.Opt.Update, true
-				oe.KeySeq = e.Opt.KeySeq
-			}
-			out = append(out, oe)
+		for _, e := range r.decided.entries {
+			out = append(out, oplogEntry{Key: k, decidedEntry: e})
 		}
 	}
 	return out

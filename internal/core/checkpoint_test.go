@@ -313,7 +313,7 @@ func TestDegradeOnDurabilityFailure(t *testing.T) {
 	sn2 := cl2.Storage[1]
 	n2 := NewDurableStorageNode(sn2.ID, sn2.DC, net, cl2, Defaults(ModeMDCC), ds2)
 	faults2.FailSync(true)
-	n2.logDecision(OptionID{Tx: TxID("tx1"), Key: "k"}, DecAccept, Option{}, false)
+	n2.logDecision("k", &decidedEntry{Tx: "tx1", Decision: DecAccept})
 	if n2.DurabilityError() == nil {
 		t.Fatal("oplog append failure did not degrade node")
 	}

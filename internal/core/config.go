@@ -83,13 +83,15 @@ type Config struct {
 	// bulk-copy). Zero disables.
 	SyncInterval time.Duration
 
-	// DecidedRetention is how long a settled option's contents stay
-	// cached in the per-record decided log before becoming eligible
-	// for release (zero = 2 min). Since the lineage-summary refactor
-	// this is a pure cache knob: entries with a lineage identity are
-	// additionally held until every peer replica's summary is known to
-	// contain them, so shrinking it can cost a recovery round trip but
-	// can never lose a forked apply (the seed design's §5 limitation).
+	// DecidedRetention is how long a settled option's entry stays in
+	// the per-record decided log before becoming eligible for release
+	// (zero = 2 min). It is a lower bound, not a lifetime: an entry
+	// with a lineage identity is additionally held until every peer
+	// replica's summary is known to contain it, so shrinking this can
+	// cost a recovery round trip but can never lose a forked apply —
+	// and since peer summaries arrive only with anti-entropy replies
+	// and classic rounds, with SyncInterval 0 such entries are in
+	// practice never released, whatever this says (see decidedLog).
 	DecidedRetention time.Duration
 
 	// KeySeqWords bounds the coordinator's per-(lane, key) sequence

@@ -634,7 +634,7 @@ func (c *Coordinator) finish(t *txCtx, commit bool) {
 		if oc.timer != nil {
 			oc.timer.Stop()
 		}
-		vis := MsgVisibility{Opt: oc.opt, Commit: commit}
+		vis := visibilityFor(oc.opt, commit)
 		for _, rep := range c.cl.Replicas(oc.opt.Update.Key) {
 			if c.cfg.DisableBatching {
 				c.net.Send(c.id, rep, vis)

@@ -37,11 +37,8 @@ func appendOplogEntry(b []byte, e *oplogEntry) []byte {
 	b = transport.AppendString(b, string(e.Tx))
 	b = append(b, uint8(e.Decision))
 	b = transport.AppendUvarint(b, e.KeySeq)
-	b = transport.AppendBool(b, e.HasUp)
-	if e.HasUp {
-		b = record.AppendUpdate(b, e.Up)
-	}
-	return b
+	b = transport.AppendBool(b, e.up != nil)
+	return append(b, e.up...) // already in record.AppendUpdate's encoding
 }
 
 func readOplogEntry(r *transport.WireReader) oplogEntry {
@@ -54,8 +51,11 @@ func readOplogEntry(r *transport.WireReader) oplogEntry {
 	e.Tx = TxID(r.String())
 	e.Decision = Decision(r.Byte())
 	e.KeySeq = r.Uvarint()
-	if e.HasUp = r.Bool(); e.HasUp {
-		e.Up = record.ReadUpdate(r)
+	if r.Bool() {
+		// Decoding validates the update; re-encoding gives the entry its
+		// own copy of the bytes, in canonical form.
+		up := record.ReadUpdate(r)
+		e.up, e.kind = encodeUpdate(up), up.Kind
 	}
 	return e
 }

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"mdcc/internal/kv"
 	"mdcc/internal/record"
@@ -16,7 +17,7 @@ import (
 
 func sampleDecisionEntry() oplogEntry {
 	o := sampleOption()
-	return oplogEntry{Key: o.Update.Key, Tx: o.Tx, Decision: DecAccept, Up: o.Update, HasUp: true, KeySeq: o.KeySeq}
+	return oplogEntry{Key: o.Update.Key, decidedEntry: settledEntry(DecAccept, o, true, time.Unix(0, 0))}
 }
 
 func sampleSummaryEntry() oplogEntry {
@@ -30,7 +31,7 @@ func sampleSnapshotState() *snapshotState {
 			{Key: "cust#2", Value: sampleValue(), Version: 11},
 			{Key: "gone#1", Value: record.Value{Tombstone: true}, Version: 5},
 		},
-		Oplog:    []oplogEntry{sampleSummaryEntry(), sampleDecisionEntry(), {Key: "item#9", Tx: "tx-6", Decision: DecReject}},
+		Oplog:    []oplogEntry{sampleSummaryEntry(), sampleDecisionEntry(), {Key: "item#9", decidedEntry: decidedEntry{Tx: "tx-6", Decision: DecReject}}},
 		StoreCut: 3,
 		OplogCut: 2,
 	}
@@ -58,7 +59,7 @@ func TestDiskGolden(t *testing.T) {
 }
 
 func TestDiskRoundTrip(t *testing.T) {
-	for _, want := range []oplogEntry{sampleDecisionEntry(), sampleSummaryEntry(), {Key: "k", Tx: "t", Decision: DecReject}} {
+	for _, want := range []oplogEntry{sampleDecisionEntry(), sampleSummaryEntry(), {Key: "k", decidedEntry: decidedEntry{Tx: "t", Decision: DecReject}}} {
 		got, err := decodeOplogRecord(appendOplogEntry([]byte{oplogFormat}, &want))
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Errorf("oplog entry round trip: got %+v, %v; want %+v", got, err, want)

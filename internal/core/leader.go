@@ -30,7 +30,7 @@ type leaderRec struct {
 
 	// learned records Paxos decisions this leader made (distinct from
 	// the acceptor's decided log, which records execution outcomes).
-	learned *decidedLog
+	learned decidedLog
 
 	// classicLeft counts learned instances until fast ballots are
 	// re-enabled (the γ fast-policy, §3.3.2). -1 means "classic
@@ -69,7 +69,6 @@ func (n *StorageNode) lr(key record.Key) *leaderRec {
 	if !ok {
 		l = &leaderRec{
 			props:       make(map[uint64]*proposalCtx),
-			learned:     newDecidedLog(0, n.cfg.DecidedRetention),
 			waiters:     make(map[OptionID][]optWaiter),
 			classicLeft: n.cfg.Gamma,
 		}
@@ -117,12 +116,12 @@ func (n *StorageNode) leaderPropose(opt Option, recovery bool) {
 	comm := opt.Update.Kind == record.KindCommutative
 	// Already settled? Answer immediately. The summary answers for
 	// options whose decided-log entry was released.
-	if d, ok := r.decided.get(id); ok {
+	if d, ok := r.decided.get(id.Tx); ok {
 		n.notifyLearned(opt.Coord, id, d, ReasonNone, comm)
 		n.resolveWaiters(l, id, d)
 		return
 	}
-	if d, ok := l.learned.get(id); ok {
+	if d, ok := l.learned.get(id.Tx); ok {
 		n.notifyLearned(opt.Coord, id, d, ReasonNone, comm)
 		n.resolveWaiters(l, id, d)
 		return
@@ -266,7 +265,7 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 	// summary diff, grafting this replica's own applies the incoming
 	// base is missing. Every reply also feeds the peer-ack ledger.
 	r := n.rs(key)
-	_, localVer, _ := n.store.Get(key)
+	localVer, _ := n.store.Version(key)
 	// Deterministic reply order (ties on Version must not depend on
 	// map iteration).
 	froms := make([]transport.NodeID, 0, len(p1.replies))
@@ -359,7 +358,7 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 	// — including for options settled long before any retention
 	// window, which the old decided-list exchange could not see.
 	for id, t := range tallies {
-		if d, ok := r.decided.get(id); ok {
+		if d, ok := r.decided.get(id.Tx); ok {
 			t.decided, t.decision = true, d
 			continue
 		}
@@ -405,7 +404,7 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 			// Settled (executed/discarded) at some replica: nothing to
 			// carry; make sure recovery requesters hear the outcome.
 			n.resolveWaiters(l, id, t.decision)
-			l.learned.record(id, t.decision, t.opt, t.opt.Update.Kind != 0, n.net.Now())
+			l.learned.record(settledEntry(t.decision, t.opt, t.opt.Update.Kind != 0, n.net.Now()))
 			if t.opt.Update.Kind != 0 {
 				// Some replica still holds an unresolved vote for this
 				// settled option — its visibility was lost (e.g. dropped
@@ -416,7 +415,7 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 				// recovered the update, and an acknowledged commit whose
 				// effect lives only on soon-to-be-overwritten stale
 				// replicas is lost for good.
-				vis := MsgVisibility{Opt: t.opt, Commit: t.decision == DecAccept}
+				vis := visibilityFor(t.opt, t.decision == DecAccept)
 				for _, rep := range n.cl.Replicas(key) {
 					n.net.Send(n.id, rep, vis)
 				}
@@ -437,10 +436,10 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 	// Queued proposals that surfaced nowhere else are free options.
 	for _, q := range l.queue {
 		if _, ok := tallies[q.ID()]; !ok {
-			if _, done := r.decided.get(q.ID()); done {
+			if _, done := r.decided.get(q.Tx); done {
 				continue
 			}
-			if _, done := l.learned.get(q.ID()); done {
+			if _, done := l.learned.get(q.Tx); done {
 				continue
 			}
 			free = append(free, q)
@@ -502,7 +501,7 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 		// left anywhere (settled and fully pruned). Answering from it
 		// is exact; the fiat-reject below is only for options that
 		// provably never settled up to this ballot.
-		if d, ok := r.decided.get(id); ok {
+		if d, ok := r.decided.get(id.Tx); ok {
 			n.resolveWaiters(l, id, d)
 			continue
 		}
@@ -628,15 +627,15 @@ func (n *StorageNode) onPhase2b(from transport.NodeID, m MsgPhase2b) {
 	delete(l.props, m.Seq)
 	for _, v := range prop.snapshot {
 		id := v.Opt.ID()
-		if _, done := l.learned.get(id); done {
+		if _, done := l.learned.get(id.Tx); done {
 			continue
 		}
 		r := n.rs(m.Key)
-		if _, done := r.decided.get(id); done {
+		if _, done := r.decided.get(id.Tx); done {
 			continue
 		}
-		l.learned.record(id, v.Decision, v.Opt, true, n.net.Now())
-		l.learned.compactLegacy(n.net.Now())
+		l.learned.record(settledEntry(v.Decision, v.Opt, true, n.net.Now()))
+		l.learned.compactLegacy(n.net.Now(), n.cfg.DecidedRetention)
 		n.notifyLearned(v.Opt.Coord, id, v.Decision, v.Reason,
 			v.Opt.Update.Kind == record.KindCommutative)
 		n.resolveWaiters(l, id, v.Decision)
@@ -688,7 +687,7 @@ func (n *StorageNode) maybeEnableFast(key record.Key, l *leaderRec) {
 		return
 	}
 	for _, v := range l.cstruct {
-		if _, done := l.learned.get(v.Opt.ID()); !done {
+		if _, done := l.learned.get(v.Opt.Tx); !done {
 			return // proposals still in flight
 		}
 	}
@@ -723,7 +722,7 @@ func (n *StorageNode) leaderObserveVisibility(key record.Key, id OptionID) {
 		return
 	}
 	n.dropFromCStruct(l, id)
-	if d, known := n.rs(key).decided.get(id); known {
+	if d, known := n.rs(key).decided.get(id.Tx); known {
 		n.resolveWaiters(l, id, d)
 	}
 	n.maybeEnableFast(key, l)
@@ -754,8 +753,8 @@ func (n *StorageNode) resolveWaiters(l *leaderRec, id OptionID, d Decision) {
 	}
 	delete(l.waiters, id)
 	opt, hasOpt := Option{}, false
-	if e, found := l.learned.entry(id); found && e.HasOpt {
-		opt, hasOpt = e.Opt, true
+	if e, found := l.learned.entry(id.Tx); found {
+		opt, hasOpt = e.option()
 	}
 	for _, w := range ws {
 		n.net.Send(n.id, w.from, MsgOptDecided{

@@ -108,11 +108,24 @@ type MsgLearned struct {
 
 // MsgVisibility is the coordinator's (or recovery node's) "Learned/
 // execute the option" notification (§3.2.1): commit makes the update
-// visible, abort discards the option. Opt carries the full option so
-// replicas that never saw the proposal can still apply it.
+// visible, abort discards the option. Opt carries the update, so
+// replicas that never saw the proposal can still apply it, and the
+// option's identity (Tx, KeySeq) — everything an acceptor reads or
+// its decided log keeps. Coordinator, write-set and sibling sequences
+// stay behind (see visibilityFor): they matter to an unresolved vote,
+// and a visibility message resolves it.
 type MsgVisibility struct {
 	Opt    Option
 	Commit bool
+}
+
+// visibilityFor builds opt's visibility message, carrying Tx, Update
+// and KeySeq only.
+func visibilityFor(opt Option, commit bool) MsgVisibility {
+	return MsgVisibility{
+		Opt:    Option{Tx: opt.Tx, Update: opt.Update, KeySeq: opt.KeySeq},
+		Commit: commit,
+	}
 }
 
 // ---- Batched variants (the paper's §7 batching optimization) ----
@@ -235,7 +248,9 @@ type MsgRecoverOpt struct {
 }
 
 // MsgOptDecided answers MsgRecoverOpt with the final decision and,
-// when accepted, the option contents needed to apply visibility.
+// when the leader's settled entry has them, the option contents
+// needed to apply visibility (Tx, Update and KeySeq; see
+// decidedEntry).
 type MsgOptDecided struct {
 	ReqID    uint64
 	Tx       TxID

@@ -48,7 +48,7 @@ func (n *StorageNode) scheduleSweep() {
 // sweepPending starts recovery for every accepted option that has
 // been outstanding longer than PendingTimeout.
 func (n *StorageNode) sweepPending() {
-	now := n.net.Now()
+	now := n.net.Now().UnixNano()
 	n.m.Sweeps++
 	// Deterministic scan order (map iteration would reorder recovery
 	// sends between same-seed runs).
@@ -65,23 +65,19 @@ func (n *StorageNode) sweepPending() {
 		// settled (the settle arrived via a base adoption, so no
 		// visibility message ever pruned them): recovering those would
 		// re-force a decision that is already final.
-		live := r.votes[:0]
-		for _, v := range r.votes {
+		live := 0
+		for i, v := range r.votes {
 			if v.Opt.KeySeq > 0 {
 				if _, ok := r.summary.Decision(laneOf(v.Opt.Tx), v.Opt.KeySeq); ok {
-					delete(r.votedAt, v.Opt.ID())
 					continue
 				}
 			}
-			live = append(live, v)
+			r.votes[live], r.votedAt[live] = v, r.votedAt[i]
+			live++
 		}
-		r.votes = live
-		for _, v := range r.votes {
-			if v.Decision != DecAccept {
-				continue
-			}
-			at, ok := r.votedAt[v.Opt.ID()]
-			if !ok || now.Sub(at) < n.cfg.PendingTimeout {
+		r.truncateVotes(live)
+		for i, v := range r.votes {
+			if v.Decision != DecAccept || now-r.votedAt[i] < int64(n.cfg.PendingTimeout) {
 				continue
 			}
 			stale = append(stale, v.Opt)
@@ -157,17 +153,17 @@ func (n *StorageNode) onRecoverOpt(from transport.NodeID, m MsgRecoverOpt) {
 	id := OptionID{Tx: m.Tx, Key: m.Key}
 	r := n.rs(m.Key)
 	l := n.lr(m.Key)
-	if e, ok := r.decided.entry(id); ok {
-		n.net.Send(n.id, from, MsgOptDecided{
-			ReqID: m.ReqID, Tx: m.Tx, Key: m.Key,
-			Decision: e.Decision, Opt: e.Opt, HasOpt: e.HasOpt,
-		})
-		return
+	e, ok := r.decided.entry(m.Tx)
+	if !ok {
+		e, ok = l.learned.entry(m.Tx)
 	}
-	if e, ok := l.learned.entry(id); ok {
+	if ok {
+		// The reply carries what the entry retains of the option (Tx,
+		// Update, KeySeq) — all the recoverer's visibility needs.
+		opt, hasOpt := e.option()
 		n.net.Send(n.id, from, MsgOptDecided{
 			ReqID: m.ReqID, Tx: m.Tx, Key: m.Key,
-			Decision: e.Decision, Opt: e.Opt, HasOpt: e.HasOpt,
+			Decision: e.Decision, Opt: opt, HasOpt: hasOpt,
 		})
 		return
 	}
@@ -267,7 +263,7 @@ func (n *StorageNode) onOptDecided(m MsgOptDecided) {
 			// summaries and is remembered forever.
 			opt = Option{Tx: rec.tx, Update: record.Update{Key: k}, KeySeq: rec.seqs[k]}
 		}
-		vis := MsgVisibility{Opt: opt, Commit: commit}
+		vis := visibilityFor(opt, commit)
 		for _, rep := range n.cl.Replicas(k) {
 			n.net.Send(n.id, rep, vis)
 		}

@@ -34,23 +34,20 @@ import (
 // meanwhile.
 var ErrDurability = errors.New("mdcc/core: durability failure, node degraded")
 
-// oplogEntry is one persisted oplog record: either one decision
-// (Up/HasUp carry the executed update's contents when known, so a
+// oplogEntry is one persisted oplog record: either one decision — the
+// record's key plus the settled entry exactly as the in-memory decided
+// log holds it (the executed update's contents when known, so a
 // restarted node can still graft its own applies onto diverged peers'
-// bases — see adoptBase) or a lineage-summary snapshot (written on
-// every base adoption, whose wholesale summary union has no
-// per-decision records to replay). KeySeq preserves the option's
-// lineage identity so replay rebuilds the record's summary exactly.
-// Checkpoint snapshots serialize each record's decided cache in this
-// same shape, so restoring a snapshot reuses the replay machinery
-// unchanged.
+// bases — see adoptBase; KeySeq, so replay rebuilds the record's
+// summary exactly) — or a lineage-summary snapshot (written on every
+// base adoption, whose wholesale summary union has no per-decision
+// records to replay). Checkpoint snapshots serialize each record's
+// decided log in this same shape, so restoring a snapshot reuses the
+// replay machinery unchanged. settledAt is not persisted: a replayed
+// entry's retention clock restarts with the node.
 type oplogEntry struct {
-	Key      record.Key
-	Tx       TxID
-	Decision Decision
-	Up       record.Update
-	HasUp    bool
-	KeySeq   uint64
+	Key record.Key
+	decidedEntry
 	// Snapshot, when non-nil, makes this a summary-snapshot record;
 	// the decision fields are unused then.
 	Snapshot *LineageSummary
@@ -129,7 +126,7 @@ type DurableState struct {
 	Store *kv.Store
 
 	oplog   *wal.Log
-	decided []oplogEntry
+	decided []oplogEntry // what recovery replayed; NewDurableStorageNode consumes it
 	dir     string
 	opts    DurableOptions
 
@@ -338,17 +335,17 @@ func NewDurableStorageNode(id transport.NodeID, dc topology.DC, net transport.Ne
 			r.noteKindFromSummary()
 			continue
 		}
-		opt, hasOpt := Option{}, false
-		if e.HasUp {
-			opt = Option{Tx: e.Tx, Update: e.Up}
-			opt.KeySeq = e.KeySeq
-			hasOpt = true
-		}
-		id := OptionID{Tx: e.Tx, Key: e.Key}
-		if r.decided.record(id, e.Decision, opt, hasOpt, net.Now()) {
-			r.noteSettled(id, e.Decision, opt, hasOpt)
+		settled := e.decidedEntry
+		settled.settledAt = net.Now().UnixNano()
+		if r.decided.record(settled) {
+			if opt, ok := settled.option(); ok {
+				r.noteSettled(settled.Decision, opt)
+			}
 		}
 	}
+	// Seeded: the replay list would otherwise stay resident, a second
+	// copy of every decided log, for as long as the state is open.
+	ds.decided = nil
 	n.scheduleCheckpoint()
 	return n
 }
@@ -388,20 +385,16 @@ func (n *StorageNode) degrade(err error) {
 // needs its durable state reopened.
 func (n *StorageNode) DurabilityError() error { return n.degraded }
 
-// logDecision persists a settled option's outcome (with contents when
-// known), if this node is durable. A refused append degrades the node
-// (see degrade) — the historical behavior of swallowing the error
-// silently lost durability while continuing to acknowledge writes.
-func (n *StorageNode) logDecision(id OptionID, d Decision, opt Option, hasOpt bool) {
+// logDecision persists a settled entry (its encoded update is written
+// as is, not encoded again), if this node is durable. A refused append
+// degrades the node (see degrade) — the historical behavior of
+// swallowing the error silently lost durability while continuing to
+// acknowledge writes.
+func (n *StorageNode) logDecision(key record.Key, e *decidedEntry) {
 	if n.oplog == nil {
 		return
 	}
-	e := oplogEntry{Key: id.Key, Tx: id.Tx, Decision: d}
-	if hasOpt {
-		e.Up, e.HasUp = opt.Update, true
-		e.KeySeq = opt.KeySeq
-	}
-	n.appendOplog(&e)
+	n.appendOplog(&oplogEntry{Key: key, decidedEntry: *e})
 }
 
 // logLineage persists a record's lineage summary snapshot. Written on

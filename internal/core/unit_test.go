@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -15,42 +16,51 @@ import (
 	"mdcc/internal/transport"
 )
 
+// bare builds a contents-free settled entry (what the leader's learned
+// log records for an option it only knows by id).
+func bare(tx TxID, d Decision, at time.Time) decidedEntry {
+	return settledEntry(d, Option{Tx: tx}, false, at)
+}
+
 func TestDecidedLogFirstWriteWins(t *testing.T) {
-	l := newDecidedLog(4, 0)
+	var l decidedLog
 	now := time.Unix(0, 0)
-	id := OptionID{Tx: "t1", Key: "k"}
-	l.record(id, DecAccept, Option{}, false, now)
-	l.record(id, DecReject, Option{}, false, now) // ignored
-	if d, ok := l.get(id); !ok || d != DecAccept {
+	l.record(bare("t1", DecAccept, now))
+	if l.record(bare("t1", DecReject, now)) { // ignored
+		t.Fatal("second record of one transaction reported as new")
+	}
+	if d, ok := l.get("t1"); !ok || d != DecAccept {
 		t.Fatalf("decision overwritten: %v %v", d, ok)
 	}
 }
 
 func TestDecidedLogLegacyEviction(t *testing.T) {
-	l := newDecidedLog(3, 0)
+	var l decidedLog
+	const retention = defaultDecidedRetention
 	start := time.Unix(0, 0)
+	tx := func(i int) TxID { return TxID(fmt.Sprintf("t%d", i)) }
 	// Over the count limit but inside the retention horizon: nothing
 	// may be forgotten (late visibility could still be re-delivered).
-	for i := 0; i < 5; i++ {
-		l.record(OptionID{Tx: TxID(fmt.Sprintf("t%d", i)), Key: "k"}, DecAccept, Option{}, false,
-			start.Add(time.Duration(i)*time.Second))
+	n := decidedLimit + 2
+	for i := 0; i < n; i++ {
+		l.record(bare(tx(i), DecAccept, start.Add(time.Duration(i)*time.Millisecond)))
 	}
-	l.compactLegacy(start.Add(5 * time.Second))
-	if len(l.byID) != 5 || len(l.order) != 5 {
-		t.Fatalf("entries inside the retention horizon evicted: %d/%d", len(l.byID), len(l.order))
+	l.compactLegacy(start.Add(5*time.Second), retention)
+	if len(l.entries) != n || len(l.index) != n {
+		t.Fatalf("entries inside the retention horizon evicted: %d/%d", len(l.entries), len(l.index))
 	}
 	// Once the oldest entries age past retention, the count limit
 	// evicts them.
-	late := start.Add(l.retention + 10*time.Second)
-	l.record(OptionID{Tx: "t5", Key: "k"}, DecAccept, Option{}, false, late)
-	l.compactLegacy(late)
-	if len(l.order) != 3 {
-		t.Fatalf("aged-out entries not evicted down to limit: %d", len(l.order))
+	late := start.Add(retention + 10*time.Second)
+	l.record(bare(tx(n), DecAccept, late))
+	l.compactLegacy(late, retention)
+	if len(l.entries) != decidedLimit || len(l.index) != decidedLimit {
+		t.Fatalf("aged-out entries not evicted down to limit: %d/%d", len(l.entries), len(l.index))
 	}
-	if _, ok := l.get(OptionID{Tx: "t0", Key: "k"}); ok {
+	if _, ok := l.get(tx(0)); ok {
 		t.Fatal("oldest aged-out entry not evicted")
 	}
-	if _, ok := l.get(OptionID{Tx: "t5", Key: "k"}); !ok {
+	if _, ok := l.get(tx(n)); !ok {
 		t.Fatal("newest entry missing")
 	}
 }
@@ -59,7 +69,8 @@ func TestDecidedLogLegacyEviction(t *testing.T) {
 // acked by every peer summary; unacked entries survive any age (the
 // retention-is-a-cache-knob contract).
 func TestDecidedLogAckGatedCompaction(t *testing.T) {
-	l := newDecidedLog(2, 0)
+	var l decidedLog
+	const retention = defaultDecidedRetention
 	start := time.Unix(0, 0)
 	for i := 0; i < 6; i++ {
 		opt := Option{
@@ -67,37 +78,167 @@ func TestDecidedLogAckGatedCompaction(t *testing.T) {
 			KeySeq: 1,
 			Update: record.Commutative("k", map[string]int64{"x": -1}),
 		}
-		l.record(opt.ID(), DecAccept, opt, true, start)
+		l.record(settledEntry(DecAccept, opt, true, start))
 	}
-	late := start.Add(l.retention + time.Minute)
+	late := start.Add(retention + time.Minute)
 	// Nothing acked: nothing released, regardless of age or count.
-	if got := l.compact(late, func(decidedEntry) bool { return false }); got != 0 {
+	if got := l.compact(late, retention, func(*decidedEntry) bool { return false }); got != 0 {
 		t.Fatalf("released %d unacked entries", got)
 	}
-	if len(l.order) != 6 {
-		t.Fatalf("unacked entries evicted: %d left", len(l.order))
+	if len(l.entries) != 6 {
+		t.Fatalf("unacked entries evicted: %d left", len(l.entries))
 	}
 	// Ack lanes c0..c3: exactly those become releasable.
-	acked := func(e decidedEntry) bool { return e.lane < "c4" }
-	if got := l.compact(late, acked); got != 4 {
+	acked := func(e *decidedEntry) bool { return e.lane() < "c4" }
+	if got := l.compact(late, retention, acked); got != 4 {
 		t.Fatalf("released %d, want 4", got)
 	}
-	if _, ok := l.get(OptionID{Tx: "c4#1", Key: "k"}); !ok {
+	if _, ok := l.get("c4#1"); !ok {
 		t.Fatal("unacked entry lost")
 	}
 	// Aged but acked inside retention: still held (cache courtesy).
-	if got := l.compact(start, func(decidedEntry) bool { return true }); got != 0 {
+	if got := l.compact(start, retention, func(*decidedEntry) bool { return true }); got != 0 {
 		t.Fatalf("released %d entries inside retention", got)
 	}
 }
 
+// A settled entry keeps what the oplog persists: the option decodes
+// back to Tx, Update and KeySeq; coordinator and write-set are gone.
 func TestDecidedLogEntryKeepsOption(t *testing.T) {
-	l := newDecidedLog(4, 0)
-	opt := Option{Tx: "t", Update: record.Commutative("k", map[string]int64{"x": -1})}
-	l.record(opt.ID(), DecAccept, opt, true, time.Unix(0, 0))
-	e, ok := l.entry(opt.ID())
-	if !ok || !e.HasOpt || e.Opt.Update.Deltas["x"] != -1 {
-		t.Fatalf("entry = %+v %v", e, ok)
+	var l decidedLog
+	opt := Option{
+		Tx: "t", Coord: "c0", KeySeq: 3, WriteSet: []record.Key{"k", "j"}, WriteSeqs: []uint64{3, 1},
+		Update: record.MergedCommutative("k", map[string]int64{"x": -1}, 4),
+	}
+	l.record(settledEntry(DecAccept, opt, true, time.Unix(0, 0)))
+	e, ok := l.entry("t")
+	got, has := e.option()
+	want := Option{Tx: "t", KeySeq: 3, Update: opt.Update}
+	if !ok || !has || e.kind != record.KindCommutative || !reflect.DeepEqual(got, want) {
+		t.Fatalf("entry = %+v %v, option = %+v %v, want %+v", e, ok, got, has, want)
+	}
+	l.record(bare("u", DecReject, time.Unix(0, 0)))
+	e, _ = l.entry("u")
+	if _, has := e.option(); has || e.kind != 0 {
+		t.Fatalf("contents-free entry = %+v", e)
+	}
+}
+
+// TestDecidedLogMatchesMapOracle drives random record / get / entry /
+// compact / compactLegacy sequences, long enough to cross the index
+// threshold in both directions and the count limit, against a plain
+// map plus order slice — the structure the log replaced.
+func TestDecidedLogMatchesMapOracle(t *testing.T) {
+	const retention = time.Minute
+	rng := rand.New(rand.NewSource(17))
+	for round := 0; round < 20; round++ {
+		var l decidedLog
+		ref := map[TxID]decidedEntry{}
+		var order []TxID
+		now := time.Unix(0, 0)
+		evict := func(keep func(decidedEntry) bool) {
+			kept := order[:0]
+			for _, tx := range order {
+				if keep(ref[tx]) {
+					kept = append(kept, tx)
+				} else {
+					delete(ref, tx)
+				}
+			}
+			order = kept
+		}
+		steps := 200 + rng.Intn(3*decidedLimit)
+		for step := 0; step < steps; step++ {
+			now = now.Add(time.Duration(rng.Intn(2000)) * time.Millisecond)
+			tx := TxID(fmt.Sprintf("c%d#%d", rng.Intn(4), rng.Intn(steps)))
+			switch op := rng.Intn(100); {
+			case op < 70:
+				opt := Option{Tx: tx, KeySeq: uint64(rng.Intn(3)), // 0 = legacy
+					Update: record.Commutative("k", map[string]int64{"x": int64(step)})}
+				e := settledEntry(Decision(1+rng.Intn(2)), opt, rng.Intn(4) > 0, now)
+				_, known := ref[tx]
+				if l.record(e) == known {
+					t.Fatalf("round %d step %d: record(%s) new=%v, oracle known=%v", round, step, tx, !known, known)
+				}
+				if !known {
+					ref[tx] = e
+					order = append(order, tx)
+				}
+			case op < 90:
+				d, ok := l.get(tx)
+				e, eok := l.entry(tx)
+				want, wok := ref[tx]
+				if ok != wok || eok != wok || d != want.Decision || !reflect.DeepEqual(e, want) {
+					t.Fatalf("round %d step %d: get(%s) = %v %v, entry = %+v %v; oracle %+v %v",
+						round, step, tx, d, ok, e, eok, want, wok)
+				}
+			case op < 95:
+				horizon := now.Add(-retention).UnixNano()
+				acked := func(e *decidedEntry) bool { return e.lane() < "c2" }
+				before := len(order)
+				evict(func(e decidedEntry) bool {
+					return !(e.settledAt <= horizon && (e.KeySeq == 0 || acked(&e)))
+				})
+				if got := l.compact(now, retention, acked); got != before-len(order) {
+					t.Fatalf("round %d step %d: compact released %d, oracle %d", round, step, got, before-len(order))
+				}
+			default:
+				horizon := now.Add(-retention).UnixNano()
+				for len(order) > decidedLimit && ref[order[0]].settledAt <= horizon {
+					delete(ref, order[0])
+					order = order[1:]
+				}
+				l.compactLegacy(now, retention)
+			}
+			indexed := len(order)
+			if indexed < decidedIndexMin {
+				indexed = 0 // short logs are scanned, and carry no map
+			}
+			if len(l.entries) != len(order) || len(l.index) != indexed || (l.index != nil) != (indexed > 0) {
+				t.Fatalf("round %d step %d: %d entries, %d indexed (nil %v), oracle %d",
+					round, step, len(l.entries), len(l.index), l.index == nil, len(order))
+			}
+		}
+		for i, tx := range order {
+			if l.entries[i].Tx != tx {
+				t.Fatalf("round %d: settle order diverged at %d: %s vs oracle %s", round, i, l.entries[i].Tx, tx)
+			}
+		}
+	}
+}
+
+// A long log answers get from its index: a miss on 10 000 entries must
+// cost what it costs on 100, not a hundred times that.
+func TestDecidedLogGetDoesNotScan(t *testing.T) {
+	fill := func(n int) *decidedLog {
+		l := new(decidedLog)
+		for i := 0; i < n; i++ {
+			l.record(bare(TxID(fmt.Sprintf("gw/us-west/c0#%d", i)), DecAccept, time.Unix(0, 0)))
+		}
+		return l
+	}
+	small, large := fill(100), fill(10000)
+	if small.index == nil || len(large.index) != 10000 {
+		t.Fatalf("index sizes %d, %d", len(small.index), len(large.index))
+	}
+	probe := func(l *decidedLog) time.Duration {
+		best := time.Duration(1 << 62)
+		for run := 0; run < 5; run++ {
+			t0 := time.Now()
+			for i := 0; i < 2000; i++ {
+				if _, ok := l.get("gw/us-west/c0#absent"); ok {
+					t.Fatal("absent transaction found")
+				}
+				if _, ok := l.get("gw/us-west/c0#99"); !ok {
+					t.Fatal("present transaction missed")
+				}
+			}
+			best = min(best, time.Since(t0))
+		}
+		return best
+	}
+	if s, g := probe(small), probe(large); g > 20*s {
+		t.Fatalf("4000 gets: %v on 10000 entries vs %v on 100 — get scans", g, s)
 	}
 }
 
@@ -310,6 +451,63 @@ func TestAcceptorPhase2aRespectsPromise(t *testing.T) {
 	if p2.Promised.Cmp(high) != 0 {
 		t.Fatalf("refusal should report the promised ballot, got %v", p2.Promised)
 	}
+}
+
+// The cast times stay parallel to the votes through every way a vote
+// leaves or re-enters the cstruct, a re-adopted vote keeps its first
+// cast time whatever order the leader ships it in, and a dropped vote
+// is zeroed out of the backing arrays — left in their tails it would
+// pin its option's attribute map and write-set while the record lives.
+func TestVoteBookkeepingStaysParallel(t *testing.T) {
+	n, net := unitNode(t, ModeMDCC, nil)
+	r := n.rs("k")
+	opt := func(seq uint64) Option {
+		return Option{
+			Tx: TxID(fmt.Sprintf("c0#%d", seq)), Coord: "c0", KeySeq: seq,
+			WriteSet: []record.Key{"k"}, WriteSeqs: []uint64{seq},
+			Update: record.Commutative("k", map[string]int64{"x": int64(seq)}),
+		}
+	}
+	castAt := make(map[uint64]int64)
+	for seq := uint64(1); seq <= 3; seq++ {
+		net.RunFor(time.Second)
+		castAt[seq] = net.Now().UnixNano()
+		n.castVote(r, opt(seq), DecAccept, ReasonNone)
+	}
+	check := func(when string, seqs ...uint64) {
+		t.Helper()
+		if len(r.votes) != len(seqs) || len(r.votedAt) != len(seqs) {
+			t.Fatalf("%s: %d votes, %d cast times, want %d", when, len(r.votes), len(r.votedAt), len(seqs))
+		}
+		for i, seq := range seqs {
+			if r.votes[i].Opt.KeySeq != seq || r.votedAt[i] != castAt[seq] {
+				t.Fatalf("%s: slot %d holds seq %d cast at %d, want seq %d cast at %d",
+					when, i, r.votes[i].Opt.KeySeq, r.votedAt[i], seq, castAt[seq])
+			}
+		}
+		for i, v := range r.votes[len(r.votes):cap(r.votes)] {
+			if !reflect.DeepEqual(v, VotedOption{}) {
+				t.Fatalf("%s: dropped vote %s still reachable %d past the end", when, v.Opt.Tx, i)
+			}
+		}
+	}
+
+	n.pruneVote(r, opt(2).ID())
+	check("after pruneVote", 1, 3)
+
+	// The leader re-ships the cstruct reordered and extended: carried
+	// votes keep their clocks, the new one starts now.
+	net.RunFor(time.Second)
+	castAt[4] = net.Now().UnixNano()
+	cstruct := []VotedOption{{Opt: opt(3), Decision: DecAccept}, {Opt: opt(4), Decision: DecAccept}, {Opt: opt(1), Decision: DecAccept}}
+	n.onPhase2a("ldr", MsgPhase2a{Key: "k", Ballot: paxos.Classic(1, "ldr"), Seq: 1, CStruct: cstruct})
+	check("after onPhase2a", 3, 4, 1)
+
+	// The sweep releases votes the summary knows settled.
+	r.summary.Add("c0", 3, false, true)
+	r.summary.Add("c0", 1, true, false)
+	n.sweepPending()
+	check("after sweepPending", 4)
 }
 
 func TestVisibilityIdempotent(t *testing.T) {

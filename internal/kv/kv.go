@@ -118,7 +118,10 @@ func OpenWith(dir string, opts wal.Options, seed []Entry, fromSeg int) (*Store, 
 // Get returns the committed value and version for key. ok is false if
 // the key has never been written. Tombstoned records are returned
 // with ok=true (callers decide how to treat deletes); Exists reports
-// presence net of tombstones.
+// presence net of tombstones. The value is a deep copy the caller may
+// keep or mutate — an attribute map and a blob allocated per call,
+// which is why a Get costs several times an in-memory Put; callers
+// that need only the version use Version.
 func (s *Store) Get(key record.Key) (record.Value, record.Version, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -128,6 +131,19 @@ func (s *Store) Get(key record.Key) (record.Value, record.Version, bool) {
 	}
 	e := v.(Entry)
 	return e.Value.Clone(), e.Version, true
+}
+
+// Version returns key's committed version without copying its value
+// (0, false if the key has never been written; tombstones count as
+// written, as in Get).
+func (s *Store) Version(key record.Key) (record.Version, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	v, ok := s.tree.Get(string(key))
+	if !ok {
+		return 0, false
+	}
+	return v.(Entry).Version, true
 }
 
 // Exists reports whether key holds a live (non-tombstoned) record.

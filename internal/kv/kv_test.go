@@ -48,6 +48,27 @@ func TestGetReturnsCopy(t *testing.T) {
 	}
 }
 
+// Version answers what Get answers about the version — tombstones
+// count as written — without copying the value.
+func TestVersionMatchesGetWithoutCopy(t *testing.T) {
+	s := NewMemory()
+	defer s.Close()
+	if ver, ok := s.Version("k"); ok || ver != 0 {
+		t.Fatalf("Version on empty store = v%d %v", ver, ok)
+	}
+	s.Put("k", record.Value{Attrs: map[string]int64{"x": 1}, Blob: []byte("row")}, 7)
+	s.Put("gone", record.Value{Tombstone: true}, 3)
+	for _, k := range []record.Key{"k", "gone", "absent"} {
+		_, want, wantOK := s.Get(k)
+		if ver, ok := s.Version(k); ver != want || ok != wantOK {
+			t.Fatalf("Version(%s) = v%d %v, Get says v%d %v", k, ver, ok, want, wantOK)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Version("k") }); n != 0 {
+		t.Fatalf("Version allocates %v objects", n)
+	}
+}
+
 func TestTombstone(t *testing.T) {
 	s := NewMemory()
 	defer s.Close()

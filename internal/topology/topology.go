@@ -122,6 +122,10 @@ type Cluster struct {
 	// (0..NodesPerDC-1) is a candidate; the ring's active set says who
 	// owns keys right now, and live moves republish it (see ring.Mover).
 	shardRing *ring.Table
+	// replicaIDs[group] lists the group's storage node ids in
+	// StorageDCs order, formatted once here so routing a key (several
+	// times per transaction) never formats a node id.
+	replicaIDs [][]transport.NodeID
 }
 
 // Layout describes how to build a Cluster.
@@ -155,14 +159,17 @@ func NewCluster(l Layout) *Cluster {
 		groups[i] = i
 	}
 	c.shardRing = ring.NewTable(ring.New(groups, ring.DefaultVPoints))
+	c.replicaIDs = make([][]transport.NodeID, l.NodesPerDC)
 	for _, dc := range c.StorageDCs {
 		for i := 0; i < l.NodesPerDC; i++ {
+			id := StorageID(dc, i)
 			c.Storage = append(c.Storage, Node{
-				ID:    StorageID(dc, i),
+				ID:    id,
 				DC:    dc,
 				Kind:  KindStorage,
 				Index: i,
 			})
+			c.replicaIDs[i] = append(c.replicaIDs[i], id)
 		}
 	}
 	for i := 0; i < l.Clients; i++ {
@@ -213,21 +220,24 @@ func (c *Cluster) Shard(key record.Key) int {
 // for routing and fencing, Install for publication by a mover.
 func (c *Cluster) Ring() *ring.Table { return c.shardRing }
 
-// Replicas returns the storage node IDs (one per DC) responsible for
-// a key — the Paxos acceptors for that record.
+// Replicas returns the storage node IDs (one per DC, in StorageDCs
+// order) responsible for a key — the Paxos acceptors for that record.
+// The slice is the cluster's own table, shared by every caller: read
+// it, do not modify it.
 func (c *Cluster) Replicas(key record.Key) []transport.NodeID {
-	shard := c.Shard(key)
-	out := make([]transport.NodeID, 0, len(c.StorageDCs))
-	for _, dc := range c.StorageDCs {
-		out = append(out, StorageID(dc, shard))
-	}
-	return out
+	return c.replicaIDs[c.Shard(key)]
 }
 
 // ReplicaIn returns the key's storage node in one specific DC (the
 // "local replica" for reads).
 func (c *Cluster) ReplicaIn(key record.Key, dc DC) transport.NodeID {
-	return StorageID(dc, c.Shard(key))
+	ids := c.replicaIDs[c.Shard(key)]
+	for i, d := range c.StorageDCs {
+		if d == dc {
+			return ids[i]
+		}
+	}
+	return StorageID(dc, c.Shard(key)) // a DC that stores nothing: the name it would have
 }
 
 // NodeDC looks up the DC a node belongs to; ok is false for unknown

@@ -127,10 +127,20 @@ func TestReplicasOnePerDC(t *testing.T) {
 		}
 		dcs[dc] = true
 	}
-	// Same shard in every DC.
+	// Same shard in every DC, named as StorageID names it.
 	shard := c.Shard("item/00042")
-	if c.ReplicaIn("item/00042", USEast) != StorageID(USEast, shard) {
-		t.Fatal("ReplicaIn disagrees with Shard")
+	for i, dc := range c.StorageDCs {
+		if want := StorageID(dc, shard); reps[i] != want || c.ReplicaIn("item/00042", dc) != want {
+			t.Fatalf("%v: Replicas %s, ReplicaIn %s, want %s", dc, reps[i], c.ReplicaIn("item/00042", dc), want)
+		}
+	}
+	// Both answer from the table compiled with the cluster: routing a
+	// key formats no node id.
+	if n := testing.AllocsPerRun(100, func() {
+		_ = c.Replicas("item/00042")
+		_ = c.ReplicaIn("item/00042", APTokyo)
+	}); n != 0 {
+		t.Fatalf("routing one key allocates %v objects", n)
 	}
 }
 
