@@ -64,7 +64,11 @@
 //	    "batchedSent": 0,                 // messages carried inside them
 //	    "batchedReceived": 0,
 //	    "bytesSent": 0,                   // wire bytes (binary frames)
-//	    "bytesReceived": 0
+//	    "bytesReceived": 0,
+//	    "droppedNoRoute": 0,              // sends discarded, never in
+//	    "droppedQueueFull": 0,            // msgsSent: no route or wire
+//	    "droppedConnDown": 0              // codec; peer queue or local
+//	                                      // mailbox full; connection down
 //	  },
 //	  "gateway": {                        // present only with -gateway:
 //	    "commits": 0, "aborts": 0,        // settled client transactions
@@ -117,8 +121,8 @@
 //	    "batchedMsgs": 0, "batchSingles": 0,
 //	    "batchFanIn": 0.0,                // batchedMsgs / batchEnvelopes
 //	    "wrongShardRetries": 0,           // commits refused with
-//	                                      // ErrWrongShard (stale ring
-//	                                      // epoch or frozen moving shard)
+//	                                      // ErrWrongShard (frozen moving
+//	                                      // shard)
 //	    "ringEpoch": 0                    // gauge: ring epoch the gateway
 //	                                      // last observed
 //	  },

@@ -127,11 +127,7 @@ func main() {
 		// Stamp outbound envelopes and merge inbound stamps so the
 		// Lamport order spans servers, not just this process.
 		net.SetTracer(rec)
-		if !trace.Built {
-			log.Printf("flight recorder requested but compiled out (notrace build tag); /trace will be empty")
-		} else {
-			log.Printf("flight recorder on (slow threshold %s)", rec.SlowThreshold())
-		}
+		log.Printf("flight recorder on (slow threshold %s)", rec.SlowThreshold())
 	}
 	cl := topology.NewCluster(topology.Layout{NodesPerDC: topo.NodesPerDC, Clients: 0, ClientDC: -1})
 

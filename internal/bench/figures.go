@@ -242,11 +242,6 @@ func Figure8(seed int64, clients int, failAt, total time.Duration) Fig8Result {
 	}
 }
 
-// SummarizeCDF prints one protocol row of a CDF figure.
-func SummarizeCDF(res *Result) string {
-	return res.WriteLat.Summary()
-}
-
 // CDFSeries converts results to the plotting form used by
 // stats.ASCIICDF.
 func CDFSeries(results map[Protocol]*Result) map[string]*stats.Sample {

@@ -6,12 +6,9 @@ import (
 
 	"mdcc/internal/core"
 	"mdcc/internal/gateway"
-	"mdcc/internal/kv"
 	"mdcc/internal/record"
-	"mdcc/internal/simnet"
 	"mdcc/internal/topology"
 	"mdcc/internal/trace"
-	"mdcc/internal/transport"
 )
 
 // Gateway saturation benchmark: the same hot-key commutative workload
@@ -340,71 +337,16 @@ func balancedHotKeys(cl *topology.Cluster, perGroup int) []record.Key {
 // the flight recorder through the whole stack (the recorder-overhead
 // ablation); all production arms pass nil.
 func runGatewayArm(seed int64, sc GatewayScale, useGateway bool, rec *trace.Recorder) GatewayRun {
-	cl := topology.NewCluster(topology.Layout{
-		NodesPerDC: sc.NodesPerDC,
-		Clients:    sc.Sessions,
-		ClientDC:   -1,
-	})
-	tun := gateway.Tuning{MaxInflight: 1 << 16, MaxQueue: 1 << 16}
-	extra := map[transport.NodeID]topology.DC{}
-	if useGateway {
-		for _, dc := range topology.AllDCs() {
-			for _, id := range gateway.NodeIDs(dc, tun) {
-				extra[id] = dc
-			}
-		}
-	}
-	net := simnet.New(simnet.Options{
-		Latency:     cl.LatencyWith(extra),
-		JitterFrac:  0.10,
-		ServiceTime: sc.ServiceTime,
-		Seed:        seed,
-	})
-	cfg := core.Defaults(core.ModeMDCC)
-	cfg.Tracer = rec
-	cfg.Constraints = []record.Constraint{record.MinBound("units", 0)}
-	// Saturation pushes commit latency past the WAN-tuned defaults;
-	// widen the recovery timeouts (identically for both arms) so the
-	// comparison measures queueing, not recovery-storm amplification.
-	cfg.OptionTimeout = 10 * time.Second
-	cfg.RecoveryRetry = 5 * time.Second
-	cfg.PendingTimeout = 30 * time.Second
-
-	stores := make([]*kv.Store, 0, len(cl.Storage))
-	nodes := make([]*core.StorageNode, 0, len(cl.Storage))
-	for _, n := range cl.Storage {
-		store := kv.NewMemory()
-		stores = append(stores, store)
-		nodes = append(nodes, core.NewStorageNode(n.ID, n.DC, net, cl, cfg, store))
-	}
-	// Preload the hot keys on their replicas.
-	hot := make([]record.Key, sc.HotKeys)
-	for i := range hot {
-		hot[i] = hotKey(i)
-	}
-	if sc.balancePerGroup > 0 {
-		hot = balancedHotKeys(cl, sc.balancePerGroup)
-	}
-	for _, key := range hot {
-		shard := cl.Shard(key)
-		for j, n := range cl.Storage {
-			if n.Index == shard {
-				_ = stores[j].Put(key, record.Value{Attrs: map[string]int64{"units": sc.InitialStock}}, 1)
-			}
-		}
-	}
+	d, cfg, hot := newHotKeyDeployment(seed, sc, useGateway,
+		gateway.Tuning{MaxInflight: 1 << 16, MaxQueue: 1 << 16}, rec)
+	cl, net := d.cl, d.net
 
 	// Commit entry point per client: a private coordinator (baseline)
 	// or the client DC's shared gateway.
 	commit := make([]func([]record.Update, func(bool)), sc.Sessions)
-	var gws map[topology.DC]*gateway.Gateway
 	if useGateway {
-		gws = make(map[topology.DC]*gateway.Gateway)
-		for _, dc := range topology.AllDCs() {
-			gws[dc] = gateway.New(dc, net, cl, cfg, tun)
-		}
 		for i, c := range cl.Clients {
-			g := gws[c.DC]
+			g := d.gws[c.DC]
 			commit[i] = func(ups []record.Update, done func(bool)) {
 				g.Commit(ups, func(ok bool, err error) { done(ok && err == nil) })
 			}
@@ -464,7 +406,7 @@ func runGatewayArm(seed int64, sc GatewayScale, useGateway bool, rec *trace.Reco
 	if res.Commits > 0 {
 		res.AcceptorMsgsPerCommit = float64(res.AcceptorMsgs) / float64(res.Commits)
 	}
-	for _, n := range nodes {
+	for _, n := range d.nodes {
 		m := n.Metrics()
 		res.AcceptorBatchEnvelopes += m.BatchEnvelopes
 		res.AcceptorBatchItems += m.BatchItems
@@ -473,10 +415,7 @@ func runGatewayArm(seed int64, sc GatewayScale, useGateway bool, rec *trace.Reco
 		res.DemarcationRejects += m.DemarcationRejects
 	}
 	if useGateway {
-		var agg gateway.Metrics
-		for _, dc := range topology.AllDCs() {
-			agg.Add(gws[dc].Metrics())
-		}
+		agg := d.gatewayMetrics()
 		agg.Finalize()
 		res.Gateway = &agg
 	}

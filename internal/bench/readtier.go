@@ -5,12 +5,9 @@ import (
 
 	"mdcc/internal/core"
 	"mdcc/internal/gateway"
-	"mdcc/internal/kv"
 	"mdcc/internal/record"
-	"mdcc/internal/simnet"
 	"mdcc/internal/stats"
 	"mdcc/internal/topology"
-	"mdcc/internal/transport"
 )
 
 // Read-mostly benchmark: the dominant access pattern of real
@@ -90,49 +87,9 @@ func ReadMostly(seed int64, sc GatewayScale) *ReadComparison {
 }
 
 func runReadArm(seed int64, sc GatewayScale, tier bool) ReadRun {
-	cl := topology.NewCluster(topology.Layout{
-		NodesPerDC: sc.NodesPerDC,
-		Clients:    sc.Sessions,
-		ClientDC:   -1,
-	})
-	tun := gateway.Tuning{MaxInflight: 1 << 16, MaxQueue: 1 << 16, DisableReadTier: !tier}
-	extra := map[transport.NodeID]topology.DC{}
-	for _, dc := range topology.AllDCs() {
-		for _, id := range gateway.NodeIDs(dc, tun) {
-			extra[id] = dc
-		}
-	}
-	net := simnet.New(simnet.Options{
-		Latency:     cl.LatencyWith(extra),
-		JitterFrac:  0.10,
-		ServiceTime: sc.ServiceTime,
-		Seed:        seed,
-	})
-	cfg := core.Defaults(core.ModeMDCC)
-	cfg.Constraints = []record.Constraint{record.MinBound("units", 0)}
-	cfg.OptionTimeout = 10 * time.Second
-	cfg.RecoveryRetry = 5 * time.Second
-	cfg.PendingTimeout = 30 * time.Second
-
-	stores := make([]*kv.Store, 0, len(cl.Storage))
-	for _, n := range cl.Storage {
-		store := kv.NewMemory()
-		stores = append(stores, store)
-		core.NewStorageNode(n.ID, n.DC, net, cl, cfg, store)
-	}
-	for i := 0; i < sc.HotKeys; i++ {
-		key := hotKey(i)
-		shard := cl.Shard(key)
-		for j, n := range cl.Storage {
-			if n.Index == shard {
-				_ = stores[j].Put(key, record.Value{Attrs: map[string]int64{"units": sc.InitialStock}}, 1)
-			}
-		}
-	}
-	gws := make(map[topology.DC]*gateway.Gateway)
-	for _, dc := range topology.AllDCs() {
-		gws[dc] = gateway.New(dc, net, cl, cfg, tun)
-	}
+	d, _, _ := newHotKeyDeployment(seed, sc, true,
+		gateway.Tuning{MaxInflight: 1 << 16, MaxQueue: 1 << 16, DisableReadTier: !tier}, nil)
+	cl, net, gws := d.cl, d.net, d.gws
 
 	res := ReadRun{Mode: "rpc-reads", Sessions: sc.Sessions}
 	if tier {
@@ -151,13 +108,6 @@ func runReadArm(seed int64, sc GatewayScale, tier bool) ReadRun {
 	// warmup's cold-miss fills don't count against the steady state.
 	var gwAtWarm gateway.Metrics
 	var coordAtWarm core.CoordMetrics
-	sumGw := func() gateway.Metrics {
-		var m gateway.Metrics
-		for _, dc := range topology.AllDCs() {
-			m.Add(gws[dc].Metrics())
-		}
-		return m
-	}
 	sumCoord := func() core.CoordMetrics {
 		var m core.CoordMetrics
 		for _, dc := range topology.AllDCs() {
@@ -166,7 +116,7 @@ func runReadArm(seed int64, sc GatewayScale, tier bool) ReadRun {
 		return m
 	}
 	net.At(sc.ReadWarmup, func() {
-		gwAtWarm = sumGw()
+		gwAtWarm = d.gatewayMetrics()
 		coordAtWarm = sumCoord()
 	})
 
@@ -236,7 +186,7 @@ func runReadArm(seed int64, sc GatewayScale, tier bool) ReadRun {
 	for _, n := range cl.Storage {
 		res.AcceptorMsgs += net.DeliveredTo(n.ID)
 	}
-	gwEnd := sumGw()
+	gwEnd := d.gatewayMetrics()
 	coordEnd := sumCoord()
 	if tier {
 		res.SteadyReadRPCs = (gwEnd.ReadRPCs - gwAtWarm.ReadRPCs) + (gwEnd.ReadQuorums - gwAtWarm.ReadQuorums)

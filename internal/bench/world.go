@@ -69,14 +69,13 @@ type World struct {
 	Cluster *topology.Cluster
 	Clients []mtx.Client
 
-	coreNodes  []*core.StorageNode
-	coreCoords []*core.Coordinator
-	qwNodes    []*qw.StorageNode
-	twopcParts []*twopc.Participant
-	twopcCos   []*twopc.Coordinator
-	msReplicas []*megastore.Replica
-	msMaster   *megastore.Master
-	stores     []*kv.Store // all storage-node stores, for preloading
+	*deployment // Net and Cluster are its net and cl
+	coreCoords  []*core.Coordinator
+	qwNodes     []*qw.StorageNode
+	twopcParts  []*twopc.Participant
+	twopcCos    []*twopc.Coordinator
+	msReplicas  []*megastore.Replica
+	msMaster    *megastore.Master
 }
 
 // coreClient adapts core.Coordinator to mtx.Client.
@@ -106,25 +105,24 @@ func NewWorld(opts Options) *World {
 	if opts.JitterFrac == 0 {
 		opts.JitterFrac = 0.10
 	}
-	cl := topology.NewCluster(topology.Layout{
-		NodesPerDC: opts.NodesPerDC,
-		Clients:    opts.Clients,
-		ClientDC:   opts.ClientDC,
-	})
 	extra := map[transport.NodeID]topology.DC{}
 	if opts.Protocol == ProtoMegastore {
 		for _, dc := range topology.AllDCs() {
 			extra[megastore.ReplicaIDFor(dc)] = dc
 		}
 	}
-	net := simnet.New(simnet.Options{
-		Latency:     cl.LatencyWith(extra),
+	d := newDeployment(topology.Layout{
+		NodesPerDC: opts.NodesPerDC,
+		Clients:    opts.Clients,
+		ClientDC:   opts.ClientDC,
+	}, extra, simnet.Options{
 		JitterFrac:  opts.JitterFrac,
 		ServiceTime: opts.ServiceTime,
 		DropProb:    opts.DropProb,
 		Seed:        opts.Seed,
 	})
-	w := &World{Opts: opts, Net: net, Cluster: cl}
+	cl, net := d.cl, d.net
+	w := &World{Opts: opts, Net: net, Cluster: cl, deployment: d}
 
 	switch opts.Protocol {
 	case ProtoMDCC, ProtoFast, ProtoMulti:
@@ -161,11 +159,7 @@ func (w *World) buildCore(opts Options, cl *topology.Cluster, net *simnet.Net) {
 	if opts.Gamma > 0 {
 		cfg.Gamma = opts.Gamma
 	}
-	for _, n := range cl.Storage {
-		store := kv.NewMemory()
-		w.stores = append(w.stores, store)
-		w.coreNodes = append(w.coreNodes, core.NewStorageNode(n.ID, n.DC, net, cl, cfg, store))
-	}
+	w.startCore(cfg)
 	for _, c := range cl.Clients {
 		co := core.NewCoordinator(c.ID, c.DC, net, cl, cfg)
 		w.coreCoords = append(w.coreCoords, co)
@@ -234,12 +228,7 @@ func (w *World) Preload(entries []kv.Entry) {
 	}
 	// Range-partitioned: each storage node holds its shard.
 	for _, e := range entries {
-		shard := w.Cluster.Shard(e.Key)
-		for i, n := range w.Cluster.Storage {
-			if n.Index == shard {
-				_ = w.stores[i].Put(e.Key, e.Value, e.Version)
-			}
-		}
+		w.preload(e.Key, e.Value, e.Version)
 	}
 }
 
@@ -271,7 +260,7 @@ func (w *World) RecoverDC(dc topology.DC) {
 // CoreMetrics sums storage-node metrics (zero for non-core protocols).
 func (w *World) CoreMetrics() core.Metrics {
 	var total core.Metrics
-	for _, n := range w.coreNodes {
+	for _, n := range w.nodes {
 		total.Add(n.Metrics())
 	}
 	return total

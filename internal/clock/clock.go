@@ -1,145 +1,15 @@
-// Package clock abstracts time so protocol code runs unchanged on the
-// real clock (examples, TCP servers) and on the discrete-event virtual
-// clock in internal/simnet (benchmarks, deterministic tests).
+// Package clock is what is left of the time abstraction: the handle
+// transport.Network.After returns. Scheduling belongs to the network
+// (internal/simnet runs callbacks on its virtual event loop, the
+// real-time transports on time.AfterFunc), so there is no Clock to
+// implement. Timer keeps its own package because every Network
+// implementation names it in After's signature — simnet, the gateway's
+// batcher and benchmark/'s traced wrapper among them.
 package clock
 
-import (
-	"sync"
-	"time"
-)
-
-// Timer is a cancellable pending callback.
+// Timer is a cancellable pending callback. *time.Timer satisfies it.
 type Timer interface {
 	// Stop cancels the timer. It reports whether the callback was
 	// prevented from running (false if it already ran or was stopped).
 	Stop() bool
-}
-
-// Clock provides current time and deferred execution.
-//
-// After schedules f to run once d has elapsed. Callbacks scheduled on a
-// virtual clock run on the simulator loop; callbacks on the real clock
-// run on their own goroutine, exactly like time.AfterFunc.
-type Clock interface {
-	Now() time.Time
-	After(d time.Duration, f func()) Timer
-}
-
-// Real is a Clock backed by the wall clock.
-type Real struct{}
-
-// NewReal returns the wall-clock Clock.
-func NewReal() Real { return Real{} }
-
-// Now returns the current wall-clock time.
-func (Real) Now() time.Time { return time.Now() }
-
-// After schedules f on the wall clock via time.AfterFunc.
-func (Real) After(d time.Duration, f func()) Timer {
-	return realTimer{time.AfterFunc(d, f)}
-}
-
-type realTimer struct{ t *time.Timer }
-
-func (rt realTimer) Stop() bool { return rt.t.Stop() }
-
-// Manual is a hand-advanced clock for unit tests that do not need the
-// full simulator: Advance runs due callbacks synchronously.
-type Manual struct {
-	mu      sync.Mutex
-	now     time.Time
-	pending []*manualTimer
-	seq     int
-}
-
-// NewManual returns a Manual clock starting at start.
-func NewManual(start time.Time) *Manual {
-	return &Manual{now: start}
-}
-
-// Now returns the current manual time.
-func (m *Manual) Now() time.Time {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.now
-}
-
-// After registers f to run when the clock is advanced past d from now.
-func (m *Manual) After(d time.Duration, f func()) Timer {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if d < 0 {
-		d = 0
-	}
-	t := &manualTimer{clk: m, at: m.now.Add(d), f: f, seq: m.seq}
-	m.seq++
-	m.pending = append(m.pending, t)
-	return t
-}
-
-// Advance moves the clock forward by d, firing due callbacks in
-// timestamp order. Callbacks run synchronously on the caller's
-// goroutine, and may themselves schedule further timers.
-func (m *Manual) Advance(d time.Duration) {
-	m.mu.Lock()
-	target := m.now.Add(d)
-	for {
-		t := m.popDueLocked(target)
-		if t == nil {
-			break
-		}
-		m.now = t.at
-		m.mu.Unlock()
-		t.f()
-		m.mu.Lock()
-	}
-	m.now = target
-	m.mu.Unlock()
-}
-
-// popDueLocked removes and returns the earliest pending timer at or
-// before target, or nil.
-func (m *Manual) popDueLocked(target time.Time) *manualTimer {
-	best := -1
-	for i, t := range m.pending {
-		if t.stopped || t.at.After(target) {
-			continue
-		}
-		if best == -1 || t.at.Before(m.pending[best].at) ||
-			(t.at.Equal(m.pending[best].at) && t.seq < m.pending[best].seq) {
-			best = i
-		}
-	}
-	if best == -1 {
-		// Garbage-collect stopped timers opportunistically.
-		live := m.pending[:0]
-		for _, t := range m.pending {
-			if !t.stopped && t.at.After(target) {
-				live = append(live, t)
-			}
-		}
-		m.pending = live
-		return nil
-	}
-	t := m.pending[best]
-	m.pending = append(m.pending[:best], m.pending[best+1:]...)
-	return t
-}
-
-type manualTimer struct {
-	clk     *Manual
-	at      time.Time
-	f       func()
-	seq     int
-	stopped bool
-}
-
-func (t *manualTimer) Stop() bool {
-	t.clk.mu.Lock()
-	defer t.clk.mu.Unlock()
-	if t.stopped {
-		return false
-	}
-	t.stopped = true
-	return true
 }

@@ -647,9 +647,6 @@ func (n *StorageNode) voteFor(opt Option) MsgVote {
 
 // castVote appends a vote to the record's cstruct.
 func (n *StorageNode) castVote(r *recState, opt Option, dec Decision, reason RejectReason) {
-	if traceOn(opt.Update.Key) {
-		tracef("%v %s vote tx=%s dec=%v", n.net.Now().Unix(), n.id, opt.Tx, dec)
-	}
 	r.votes = append(r.votes, VotedOption{Opt: opt, Decision: dec, Reason: reason})
 	r.votedAt = append(r.votedAt, n.net.Now().UnixNano())
 	if dec == DecAccept {
@@ -879,10 +876,6 @@ func (n *StorageNode) onVisibility(m MsgVisibility) {
 		n.pruneVote(r, id)
 		return // settled knowledge outlived the decided-log cache
 	}
-	if traceOn(key) {
-		ver, _ := n.store.Version(key)
-		tracef("%v %s visibility tx=%s commit=%v ver=%d up=%s", n.net.Now().Unix(), n.id, m.Opt.Tx, m.Commit, ver, m.Opt.Update)
-	}
 	if n.tr != nil {
 		now := n.net.Now()
 		fl := uint8(trace.FlagCommit)
@@ -945,7 +938,7 @@ func (n *StorageNode) onVisibility(m MsgVisibility) {
 // every lower version, so a higher pure-physical base supersedes by
 // construction. Returns whether local state changed.
 func (n *StorageNode) adoptBase(key record.Key, base record.Value, baseVer record.Version,
-	lineage LineageSummary, via string) bool {
+	lineage LineageSummary) bool {
 	localVer, _ := n.store.Version(key)
 	if baseVer < localVer {
 		return false
@@ -967,10 +960,6 @@ func (n *StorageNode) adoptBase(key record.Key, base record.Value, baseVer recor
 			}
 			if !lineage.Contains(e.lane(), e.KeySeq) {
 				n.m.AdoptRefused++
-				if traceOn(key) {
-					tracef("%v %s adopt-%s refused: local physical %s not in incoming lineage",
-						n.net.Now().Unix(), n.id, via, OptionID{Tx: e.Tx, Key: key})
-				}
 				return false
 			}
 		}
@@ -1003,10 +992,6 @@ func (n *StorageNode) adoptBase(key record.Key, base record.Value, baseVer recor
 		merged++
 	}
 	n.m.Grafted += int64(merged)
-	if traceOn(key) {
-		tracef("%v %s adopt-%s ver=%d->%d merged=%d val=%s incoming=%s",
-			n.net.Now().Unix(), n.id, via, localVer, ver, merged, val, lineage)
-	}
 	if ver == localVer && merged == 0 {
 		if cur, _, ok := n.store.Get(key); ok && cur.Equal(val) {
 			// Same value and version, but the incoming summary knows
@@ -1131,7 +1116,7 @@ func (n *StorageNode) onPhase2a(from transport.NodeID, m MsgPhase2a) {
 		// (and merges with) lagging replicas. The leader's summary also
 		// feeds the peer-ack ledger gating content release.
 		n.notePeerLineage(r, from, m.BaseLineage)
-		n.adoptBase(m.Key, m.BaseValue, m.BaseVersion, m.BaseLineage, "phase2a")
+		n.adoptBase(m.Key, m.BaseValue, m.BaseVersion, m.BaseLineage)
 	}
 	now := n.net.Now().UnixNano()
 	// The adopted cstruct replaces the votes wholesale, in fresh arrays:

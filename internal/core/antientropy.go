@@ -132,7 +132,7 @@ func (n *StorageNode) onSyncReply(from transport.NodeID, m MsgSyncReply) {
 		if e.Version < ver {
 			continue
 		}
-		if n.adoptBase(e.Key, e.Value, e.Version, e.Lineage, "sync") {
+		if n.adoptBase(e.Key, e.Value, e.Version, e.Lineage) {
 			n.m.Synced++
 		}
 	}
@@ -214,7 +214,7 @@ func (n *StorageNode) onPullReply(from transport.NodeID, m MsgSyncReply) {
 		}
 		ver, _ := n.store.Version(e.Key)
 		n.notePeerLineage(n.rs(e.Key), from, e.Lineage)
-		if e.Version >= ver && n.adoptBase(e.Key, e.Value, e.Version, e.Lineage, "move") {
+		if e.Version >= ver && n.adoptBase(e.Key, e.Value, e.Version, e.Lineage) {
 			n.m.Synced++
 		}
 		p.adopted++

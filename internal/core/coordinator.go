@@ -622,11 +622,6 @@ func (c *Coordinator) finish(t *txCtx, commit bool) {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i].Key < ids[j].Key })
-	for _, id := range ids {
-		if traceOn(id.Key) {
-			tracef("%v %s coord-finish tx=%s commit=%v", c.net.Now().Unix(), c.id, id.Tx, commit)
-		}
-	}
 	byNode := make(map[transport.NodeID][]MsgVisibility)
 	var order []transport.NodeID
 	for _, id := range ids {

@@ -282,7 +282,7 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 		}
 	}
 	if freshest != nil {
-		n.adoptBase(key, freshest.Value, freshest.Version, freshest.Lineage, "phase1")
+		n.adoptBase(key, freshest.Value, freshest.Version, freshest.Lineage)
 	}
 
 	// Gather votes and known decisions.
@@ -396,10 +396,6 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 	var free []Option
 	for _, id := range ids {
 		t := tallies[id]
-		if traceOn(id.Key) {
-			tracef("%v %s phase1-tally tx=%s acc=%d rej=%d carried=%v/%v stale=%v responded=%d decided=%v/%v",
-				n.net.Now().Unix(), n.id, id.Tx, t.accepts, t.rejects, t.carried, t.carriedDec, t.stale, responded, t.decided, t.decision)
-		}
 		if t.decided {
 			// Settled (executed/discarded) at some replica: nothing to
 			// carry; make sure recovery requesters hear the outcome.
@@ -459,9 +455,6 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 	})
 	for _, opt := range free {
 		dec, reason := n.evalOption(newCStruct, opt, false)
-		if traceOn(opt.Update.Key) {
-			tracef("%v %s phase1-free tx=%s dec=%v", n.net.Now().Unix(), n.id, opt.Tx, dec)
-		}
 		newCStruct = append(newCStruct, VotedOption{Opt: opt, Decision: dec, Reason: reason})
 	}
 

@@ -340,7 +340,7 @@ func TestRestartRebuildsLineageExactly(t *testing.T) {
 		s := fr.node.Lineage("rs/1")
 		s.Union(peer)
 		return s
-	}(), "test")
+	}())
 
 	want := fr.node.LineageFingerprint("rs/1")
 	wantVal, wantVer, _ := fr.node.Store().Get("rs/1")
@@ -494,7 +494,7 @@ func FuzzLineageMergeExact(f *testing.F) {
 
 		merge := func(dst, src *fuzzReplica) {
 			val, ver, _ := src.node.Store().Get("k")
-			dst.node.adoptBase("k", val, ver, src.node.Lineage("k"), "fuzz")
+			dst.node.adoptBase("k", val, ver, src.node.Lineage("k"))
 		}
 		converge := func(a, b *fuzzReplica) {
 			for i := 0; i < 3; i++ {

@@ -262,9 +262,8 @@ type Metrics struct {
 	BatchFanIn     float64 `json:"batchFanIn"`
 
 	// Shard ring. WrongShardRetries counts commits refused with
-	// ring.ErrWrongShard (admission frozen for a live move, or a stale
-	// caller epoch) — each refusal is a client retry, never a
-	// duplicated transaction. RingEpoch (gauge) is the ring epoch this
+	// ring.ErrWrongShard (admission frozen for a live move) — each
+	// refusal is a client retry, never a duplicated transaction. RingEpoch (gauge) is the ring epoch this
 	// gateway routes under; Add keeps the max.
 	WrongShardRetries int64 `json:"wrongShardRetries"`
 	RingEpoch         int64 `json:"ringEpoch"`
@@ -1335,22 +1334,6 @@ func (g *Gateway) touchesFrozenLocked(updates []record.Update) bool {
 		}
 	}
 	return false
-}
-
-// CommitAt is Commit with an epoch fence: a caller that routed its
-// write-set under ring epoch at is refused with ring.ErrWrongShard
-// carrying the current epoch when its view is stale — before the
-// transaction enters the protocol, so the retry under the fresh epoch
-// can never duplicate work.
-func (g *Gateway) CommitAt(at ring.Epoch, updates []record.Update, done func(committed bool, err error)) {
-	if cur := g.cl.Ring().Epoch(); at != cur {
-		g.mu.Lock()
-		g.m.WrongShardRetries++
-		g.mu.Unlock()
-		done(false, ring.ErrWrongShard{Epoch: cur})
-		return
-	}
-	g.Commit(updates, done)
 }
 
 // FreezeShards fences admission for a pending shard move: while

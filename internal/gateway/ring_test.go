@@ -9,61 +9,6 @@ import (
 	"mdcc/internal/ring"
 )
 
-// TestStaleEpochRefusedWithWrongShard pins the epoch fence: a commit
-// routed under a stale ring epoch is refused with a typed
-// ring.ErrWrongShard carrying the current epoch, before the
-// transaction enters the protocol; the same commit under the fresh
-// epoch proceeds normally.
-func TestStaleEpochRefusedWithWrongShard(t *testing.T) {
-	w := newTestWorld(t, Tuning{}, nil)
-	key := record.Key("item/fence")
-	w.preload(key, record.Value{Attrs: map[string]int64{"v": 1}})
-	cur := w.cl.Ring().Epoch()
-
-	var fenceErr error
-	var settled bool
-	w.net.At(0, func() {
-		w.gw.CommitAt(cur+1, []record.Update{record.Physical(key, 1, record.Value{Attrs: map[string]int64{"v": 2}})},
-			func(ok bool, err error) {
-				settled = true
-				if ok {
-					t.Error("stale-epoch commit reported committed")
-				}
-				fenceErr = err
-			})
-	})
-	w.net.RunFor(time.Second)
-	if !settled {
-		t.Fatal("stale-epoch commit never settled")
-	}
-	var ws ring.ErrWrongShard
-	if !errors.As(fenceErr, &ws) {
-		t.Fatalf("stale-epoch refusal error = %v, want ring.ErrWrongShard", fenceErr)
-	}
-	if ws.Epoch != cur {
-		t.Fatalf("ErrWrongShard carries epoch %d, want current %d", ws.Epoch, cur)
-	}
-	if m := w.gw.Metrics(); m.WrongShardRetries < 1 {
-		t.Fatalf("WrongShardRetries = %d, want >= 1", m.WrongShardRetries)
-	}
-
-	// The same write under the current epoch commits.
-	var ok2 bool
-	w.net.At(0, func() {
-		w.gw.CommitAt(cur, []record.Update{record.Physical(key, 1, record.Value{Attrs: map[string]int64{"v": 2}})},
-			func(ok bool, err error) {
-				if err != nil {
-					t.Errorf("fresh-epoch commit error: %v", err)
-				}
-				ok2 = ok
-			})
-	})
-	w.net.RunFor(10 * time.Second)
-	if !ok2 {
-		t.Fatal("fresh-epoch commit did not commit")
-	}
-}
-
 // TestFreezeShardsFencesAdmission pins the move-time freeze: while a
 // shard slice is frozen, commits touching it are refused with
 // ErrWrongShard naming the next epoch, commits elsewhere proceed, and

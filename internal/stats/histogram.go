@@ -1,20 +1,15 @@
 package stats
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
-// Histogram is a mergeable HDR-style log-bucketed histogram of
+// Histogram is an HDR-style log-bucketed histogram of
 // non-negative int64 values. Values below 2^SubBits land in exact unit
 // buckets; above that, each power-of-two major bucket is split into
 // 2^SubBits sub-buckets, so the recorded value is always within a
 // relative error of 1/2^SubBits of the true one (quantiles quote the
 // bucket's upper edge, so they never under-report). Unlike Sample it
 // never saturates or subsamples: every Add lands in a fixed bucket
-// array, which is what makes two histograms of the same geometry
-// mergeable by plain count addition (associative and commutative — the
-// property phase latencies need to aggregate across nodes and DCs).
+// array, so two histograms of the same geometry sum bucket by bucket.
 //
 // All fields are exported so reflection-based encoders carry it whole
 // (/metrics snapshots marshal histograms as JSON).
@@ -89,29 +84,6 @@ func (h *Histogram) Add(v int64) {
 	}
 	h.N++
 	h.Sum += v
-}
-
-// Merge adds o's population into h. Both histograms must share the
-// same geometry (SubBits); merging is associative and commutative.
-func (h *Histogram) Merge(o *Histogram) error {
-	if o == nil || o.N == 0 {
-		return nil
-	}
-	if o.SubBits != h.SubBits || len(o.Counts) != len(h.Counts) {
-		return fmt.Errorf("stats: merging histograms of different geometry (subBits %d/%d)", h.SubBits, o.SubBits)
-	}
-	for i, c := range o.Counts {
-		h.Counts[i] += c
-	}
-	if h.N == 0 || o.Min < h.Min {
-		h.Min = o.Min
-	}
-	if o.Max > h.Max {
-		h.Max = o.Max
-	}
-	h.N += o.N
-	h.Sum += o.Sum
-	return nil
 }
 
 // Quantile returns the value at quantile q in [0, 1] (upper bucket

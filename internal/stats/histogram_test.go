@@ -76,60 +76,6 @@ func TestHistogramQuantileErrorBound(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeAssociative verifies (a+b)+c == a+(b+c) == the
-// histogram of the concatenated populations.
-func TestHistogramMergeAssociative(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	pop := func(n int) (*Histogram, []int64) {
-		h := NewHistogram(5)
-		var vs []int64
-		for i := 0; i < n; i++ {
-			v := rng.Int63n(1 << 24)
-			vs = append(vs, v)
-			h.Add(v)
-		}
-		return h, vs
-	}
-	a, va := pop(1000)
-	b, vb := pop(500)
-	c, vc := pop(1500)
-
-	left := a.Clone()
-	if err := left.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := left.Merge(c); err != nil {
-		t.Fatal(err)
-	}
-	bc := b.Clone()
-	if err := bc.Merge(c); err != nil {
-		t.Fatal(err)
-	}
-	right := a.Clone()
-	if err := right.Merge(bc); err != nil {
-		t.Fatal(err)
-	}
-	all := NewHistogram(5)
-	for _, v := range append(append(append([]int64(nil), va...), vb...), vc...) {
-		all.Add(v)
-	}
-	for name, h := range map[string]*Histogram{"left": left, "right": right} {
-		if h.N != all.N || h.Sum != all.Sum || h.Min != all.Min || h.Max != all.Max {
-			t.Fatalf("%s summary diverges: %+v vs %+v", name, h, all)
-		}
-		for i := range h.Counts {
-			if h.Counts[i] != all.Counts[i] {
-				t.Fatalf("%s bucket %d: %d != %d", name, i, h.Counts[i], all.Counts[i])
-			}
-		}
-	}
-	bad := NewHistogram(6)
-	bad.Add(1)
-	if err := a.Merge(bad); err == nil {
-		t.Fatalf("merging different geometries must error")
-	}
-}
-
 // TestHistogramGobRoundTrip ships a histogram through gob and checks
 // it answers identically.
 func TestHistogramGobRoundTrip(t *testing.T) {
@@ -153,11 +99,5 @@ func TestHistogramGobRoundTrip(t *testing.T) {
 		if back.Quantile(q) != h.Quantile(q) {
 			t.Fatalf("quantile %v diverges after round trip", q)
 		}
-	}
-	if err := back.Merge(h); err != nil {
-		t.Fatalf("round-tripped histogram must stay mergeable: %v", err)
-	}
-	if back.N != 2*h.N {
-		t.Fatalf("merge after round trip: N=%d want %d", back.N, 2*h.N)
 	}
 }

@@ -1,6 +1,6 @@
 // Package stats provides the small statistics toolkit used by the
 // benchmark harness: latency samples, percentiles, CDFs, boxplot
-// summaries, time-series bucketing and counters. Everything is plain
+// summaries and time-series bucketing. Everything is plain
 // in-memory computation; nothing here is concurrency-safe unless
 // stated otherwise.
 package stats
@@ -31,11 +31,6 @@ func (s *Sample) Add(x float64) {
 	s.sorted = false
 }
 
-// AddDuration records a duration in milliseconds.
-func (s *Sample) AddDuration(d time.Duration) {
-	s.Add(float64(d) / float64(time.Millisecond))
-}
-
 // N returns the number of observations.
 func (s *Sample) N() int { return len(s.xs) }
 
@@ -49,21 +44,6 @@ func (s *Sample) Mean() float64 {
 		sum += x
 	}
 	return sum / float64(len(s.xs))
-}
-
-// Stddev returns the population standard deviation.
-func (s *Sample) Stddev() float64 {
-	n := len(s.xs)
-	if n == 0 {
-		return 0
-	}
-	m := s.Mean()
-	var ss float64
-	for _, x := range s.xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
 }
 
 // Min returns the smallest observation, or 0 for an empty sample.
@@ -146,20 +126,6 @@ func (s *Sample) CDF(points int) []CDFPoint {
 	return out
 }
 
-// FracBelow returns the fraction of observations <= x.
-func (s *Sample) FracBelow(x float64) float64 {
-	s.ensureSorted()
-	if len(s.xs) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(s.xs, x)
-	// Include equal values.
-	for i < len(s.xs) && s.xs[i] <= x {
-		i++
-	}
-	return float64(i) / float64(len(s.xs))
-}
-
 // Boxplot is the five-number summary plus mean, as plotted in Figure 7.
 type Boxplot struct {
 	Min, Q1, Median, Q3, Max, Mean float64
@@ -183,12 +149,6 @@ func (s *Sample) Box() Boxplot {
 func (b Boxplot) String() string {
 	return fmt.Sprintf("n=%d min=%.1f q1=%.1f med=%.1f q3=%.1f max=%.1f mean=%.1f",
 		b.N, b.Min, b.Q1, b.Median, b.Q3, b.Max, b.Mean)
-}
-
-// Summary formats the common latency digest used in harness output.
-func (s *Sample) Summary() string {
-	return fmt.Sprintf("n=%d p50=%.1f p90=%.1f p99=%.1f mean=%.1f max=%.1f",
-		s.N(), s.Percentile(50), s.Percentile(90), s.Percentile(99), s.Mean(), s.Max())
 }
 
 // TimeSeries buckets observations by time offset, producing the
@@ -261,44 +221,6 @@ func (ts *TimeSeries) MeanBetween(from, to time.Duration) (float64, int) {
 		return 0, 0
 	}
 	return sum / float64(n), n
-}
-
-// Counter is a named monotonically increasing tally.
-type Counter struct {
-	counts map[string]int64
-}
-
-// NewCounter returns an empty counter set.
-func NewCounter() *Counter {
-	return &Counter{counts: make(map[string]int64)}
-}
-
-// Inc adds delta to the named counter.
-func (c *Counter) Inc(name string, delta int64) { c.counts[name] += delta }
-
-// Get returns the named counter value.
-func (c *Counter) Get(name string) int64 { return c.counts[name] }
-
-// Names returns all counter names in sorted order.
-func (c *Counter) Names() []string {
-	names := make([]string, 0, len(c.counts))
-	for n := range c.counts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// String renders all counters as "name=value" pairs.
-func (c *Counter) String() string {
-	var b strings.Builder
-	for i, n := range c.Names() {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s=%d", n, c.counts[n])
-	}
-	return b.String()
 }
 
 // ASCIICDF renders a crude terminal CDF plot (log-x optional) used by

@@ -49,14 +49,6 @@ func TestSampleAddAfterSortedQuery(t *testing.T) {
 	}
 }
 
-func TestAddDuration(t *testing.T) {
-	s := NewSample(0)
-	s.AddDuration(250 * time.Millisecond)
-	if !almostEqual(s.Max(), 250, 1e-9) {
-		t.Fatalf("AddDuration stored %v, want 250", s.Max())
-	}
-}
-
 func TestPercentileInterpolation(t *testing.T) {
 	s := NewSample(0)
 	for i := 1; i <= 5; i++ {
@@ -104,16 +96,6 @@ func TestPercentileMonotone(t *testing.T) {
 	}
 }
 
-func TestStddev(t *testing.T) {
-	s := NewSample(0)
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(x)
-	}
-	if !almostEqual(s.Stddev(), 2, 1e-9) {
-		t.Fatalf("Stddev = %v, want 2", s.Stddev())
-	}
-}
-
 func TestCDFShape(t *testing.T) {
 	s := NewSample(0)
 	for i := 1; i <= 100; i++ {
@@ -141,22 +123,6 @@ func TestCDFMorePointsThanSamples(t *testing.T) {
 	pts := s.CDF(100)
 	if len(pts) != 2 {
 		t.Fatalf("CDF clipped to %d points, want 2", len(pts))
-	}
-}
-
-func TestFracBelow(t *testing.T) {
-	s := NewSample(0)
-	for i := 1; i <= 10; i++ {
-		s.Add(float64(i))
-	}
-	if got := s.FracBelow(5); !almostEqual(got, 0.5, 1e-9) {
-		t.Fatalf("FracBelow(5) = %v, want 0.5", got)
-	}
-	if got := s.FracBelow(0); got != 0 {
-		t.Fatalf("FracBelow(0) = %v, want 0", got)
-	}
-	if got := s.FracBelow(99); got != 1 {
-		t.Fatalf("FracBelow(99) = %v, want 1", got)
 	}
 }
 
@@ -222,22 +188,6 @@ func TestTimeSeriesZeroBucketPanics(t *testing.T) {
 	NewTimeSeries(0)
 }
 
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Inc("commit", 3)
-	c.Inc("abort", 1)
-	c.Inc("commit", 2)
-	if c.Get("commit") != 5 || c.Get("abort") != 1 {
-		t.Fatalf("counter values wrong: %s", c)
-	}
-	if got := c.Names(); len(got) != 2 || got[0] != "abort" || got[1] != "commit" {
-		t.Fatalf("Names = %v", got)
-	}
-	if c.String() != "abort=1 commit=5" {
-		t.Fatalf("String = %q", c.String())
-	}
-}
-
 func TestASCIICDF(t *testing.T) {
 	a := NewSample(0)
 	b := NewSample(0)
@@ -252,13 +202,5 @@ func TestASCIICDF(t *testing.T) {
 	}
 	if ASCIICDF(map[string]*Sample{}, 60, false) != "(no data)\n" {
 		t.Fatal("empty series should render (no data)")
-	}
-}
-
-func TestSummaryNonEmpty(t *testing.T) {
-	s := NewSample(0)
-	s.Add(1)
-	if s.Summary() == "" {
-		t.Fatal("Summary empty")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"time"
 
+	"mdcc/internal/paxos"
 	"mdcc/internal/record"
 	"mdcc/internal/ring"
 	"mdcc/internal/transport"
@@ -80,14 +81,10 @@ func RTT(a, b DC) time.Duration { return OneWay(a, b) + OneWay(b, a) }
 // Quorums returns the classic and fast quorum sizes for n replicas
 // per the Fast Paxos requirements used in the paper (§3.3.1): classic
 // = majority, fast = ceil(3n/4) — for n=5 that is 3 and 4, the
-// "typical setting" the paper uses.
+// "typical setting" the paper uses. The arithmetic is paxos.NewQuorum's.
 func Quorums(n int) (classic, fast int) {
-	classic = n/2 + 1
-	fast = (3*n + 3) / 4 // ceil(3n/4)
-	if fast > n {
-		fast = n
-	}
-	return classic, fast
+	q := paxos.NewQuorum(n)
+	return q.Classic, q.Fast
 }
 
 // NodeKind distinguishes the roles a simulated host can play.
@@ -111,13 +108,11 @@ type Node struct {
 
 // Cluster is a full deployment: per-DC storage nodes plus clients.
 type Cluster struct {
-	StorageDCs    []DC // usually all 5
-	NodesPerDC    int  // storage nodes (replica groups) per DC
-	Storage       []Node
-	Clients       []Node
-	Constraints   []record.Constraint
-	classicQuorum int
-	fastQuorum    int
+	StorageDCs  []DC // usually all 5
+	NodesPerDC  int  // storage nodes (replica groups) per DC
+	Storage     []Node
+	Clients     []Node
+	Constraints []record.Constraint
 	// shardRing maps keys to replica groups. Every provisioned group
 	// (0..NodesPerDC-1) is a candidate; the ring's active set says who
 	// owns keys right now, and live moves republish it (see ring.Mover).
@@ -184,7 +179,6 @@ func NewCluster(l Layout) *Cluster {
 			Index: i,
 		})
 	}
-	c.classicQuorum, c.fastQuorum = Quorums(NumDCs)
 	return c
 }
 
@@ -197,12 +191,6 @@ func StorageID(dc DC, index int) transport.NodeID {
 func ClientID(i int) transport.NodeID {
 	return transport.NodeID(fmt.Sprintf("client%d", i))
 }
-
-// ClassicQuorum returns the majority quorum size (3 of 5).
-func (c *Cluster) ClassicQuorum() int { return c.classicQuorum }
-
-// FastQuorum returns the fast quorum size (4 of 5).
-func (c *Cluster) FastQuorum() int { return c.fastQuorum }
 
 // ReplicationFactor returns N (one replica per DC).
 func (c *Cluster) ReplicationFactor() int { return len(c.StorageDCs) }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"mdcc/internal/paxos"
 	"mdcc/internal/record"
 )
 
@@ -48,17 +49,26 @@ func TestLatencyMatrixSymmetricPositive(t *testing.T) {
 	}
 }
 
+// TestQuorums pins ⌊n/2⌋+1 and ⌈3n/4⌉ for both entry points to the
+// one formula (paxos.NewQuorum, which Quorums returns).
 func TestQuorums(t *testing.T) {
 	cases := []struct{ n, classic, fast int }{
+		{1, 1, 1},
+		{2, 2, 2},
 		{3, 2, 3},
+		{4, 3, 3},
 		{5, 3, 4},
+		{6, 4, 5},
 		{7, 4, 6},
+		{8, 5, 6},
 		{9, 5, 7},
 	}
 	for _, c := range cases {
-		cl, fa := Quorums(c.n)
-		if cl != c.classic || fa != c.fast {
+		if cl, fa := Quorums(c.n); cl != c.classic || fa != c.fast {
 			t.Errorf("Quorums(%d) = %d,%d want %d,%d", c.n, cl, fa, c.classic, c.fast)
+		}
+		if q := paxos.NewQuorum(c.n); q.N != c.n || q.Classic != c.classic || q.Fast != c.fast {
+			t.Errorf("paxos.NewQuorum(%d) = %+v want classic %d fast %d", c.n, q, c.classic, c.fast)
 		}
 	}
 }
@@ -84,9 +94,6 @@ func TestClusterLayout(t *testing.T) {
 	}
 	if len(c.Clients) != 10 {
 		t.Fatalf("clients = %d, want 10", len(c.Clients))
-	}
-	if c.ClassicQuorum() != 3 || c.FastQuorum() != 4 {
-		t.Fatalf("quorums = %d,%d want 3,4", c.ClassicQuorum(), c.FastQuorum())
 	}
 	if c.ReplicationFactor() != 5 {
 		t.Fatalf("replication = %d, want 5", c.ReplicationFactor())

@@ -69,7 +69,7 @@ type phaseSet struct {
 // ObservePhase records one latency sample (in nanoseconds, as a
 // Duration) for a phase; dc < 0 for phases not split by DC.
 func (rec *Recorder) ObservePhase(p Phase, dc int, d time.Duration) {
-	if !Built || rec == nil {
+	if rec == nil {
 		return
 	}
 	if dc > 127 {
@@ -88,36 +88,6 @@ func (rec *Recorder) ObservePhase(p Phase, dc int, d time.Duration) {
 	}
 	h.Add(int64(d))
 	ps.mu.Unlock()
-}
-
-// PhaseHistogram returns a copy of one phase's histogram, merged
-// across DCs when dc < 0 and the phase is DC-split. Returns nil when
-// nothing was recorded.
-func (rec *Recorder) PhaseHistogram(p Phase, dc int) *stats.Histogram {
-	if rec == nil {
-		return nil
-	}
-	ps := &rec.phases
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if dc >= 0 {
-		if h := ps.m[PhaseKey{Phase: p, DC: int8(dc)}]; h != nil {
-			return h.Clone()
-		}
-		return nil
-	}
-	var out *stats.Histogram
-	for k, h := range ps.m {
-		if k.Phase != p {
-			continue
-		}
-		if out == nil {
-			out = h.Clone()
-		} else {
-			_ = out.Merge(h) // same geometry by construction
-		}
-	}
-	return out
 }
 
 // Phases snapshots every histogram, keyed and sorted stably

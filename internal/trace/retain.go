@@ -75,7 +75,7 @@ func (rec *Recorder) CompleteFrom(tx string, keys []string, loSeq uint64, start,
 }
 
 func (rec *Recorder) completeAt(tx string, keys []string, loSeq uint64, start, end int64, outcome uint8, recovered, rerouted bool, top bool) {
-	if !Built || rec == nil {
+	if rec == nil {
 		return
 	}
 	if rec.gwTop.Load() && !top {

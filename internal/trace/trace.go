@@ -7,9 +7,8 @@
 // reserve their slot with one atomic fetch-add and serialize only on a
 // striped per-slot lock whose uncontended cost is a single CAS, and
 // every entry point is a no-op on a nil receiver — a run without a
-// Recorder pays one nil check per site. Building with `-tags notrace`
-// turns the package constant Built off and the compiler deletes the
-// recording bodies outright.
+// Recorder pays one nil check per site, and that nil Recorder is the
+// off switch.
 //
 // Retention is tail-based: most transactions complete fast and their
 // events simply age out of the rings. Transactions that are slow
@@ -136,7 +135,7 @@ type Ring struct {
 // The gateway pins its admit event's sequence as the assembly lower
 // bound for tx-less events. Safe on a nil ring (disabled recording).
 func (r *Ring) Add(ev Event) uint64 {
-	if !Built || r == nil {
+	if r == nil {
 		return 0
 	}
 	ev.Seq = r.rec.clk.Add(1)

@@ -381,17 +381,6 @@ func DecodeFrame(payload []byte) (Envelope, error) {
 	return e, err
 }
 
-// EncodedSize returns the wire size of one envelope carrying msg
-// (frame length prefix included) — the per-type bytes/msg the live
-// benchmark reports.
-func EncodedSize(msg Message) (int, error) {
-	b, err := AppendEnvelope(nil, Envelope{From: "a", To: "b", Msg: msg})
-	if err != nil {
-		return 0, err
-	}
-	return 4 + len(b), nil
-}
-
 // ---- transport's own wire messages ----
 
 // WireTag implements WireMessage.

@@ -290,22 +290,3 @@ func TestTCPSendDropCounters(t *testing.T) {
 		t.Errorf("MsgsSent = %d, want 0: drops must not count as sends", s.MsgsSent)
 	}
 }
-
-// TestEncodedSize pins the size helper to the frame it measures.
-func TestEncodedSize(t *testing.T) {
-	b := Batch{Items: []Envelope{
-		{From: "a", To: "b", Msg: helloMsg{ID: "n1", Addr: "127.0.0.1:7000"}},
-		{From: "c", To: "d", Msg: helloMsg{ID: "n2", Addr: "127.0.0.1:7001"}},
-	}}
-	n, err := EncodedSize(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame, err := AppendEnvelope(nil, Envelope{From: "a", To: "b", Msg: b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 4+len(frame) {
-		t.Errorf("EncodedSize = %d, want length prefix + %d-byte frame", n, len(frame))
-	}
-}

@@ -4,53 +4,29 @@ import (
 	"math/rand"
 	"sync"
 	"time"
-
-	"mdcc/internal/clock"
 )
 
 // LatencyFunc returns the one-way delay for a message between two
 // nodes. It may consult a topology matrix and add jitter.
 type LatencyFunc func(from, to NodeID) time.Duration
 
-// Local is a real-time in-process Network: every node gets a mailbox
-// goroutine that executes its handler and timer callbacks serially.
-// An optional LatencyFunc injects wide-area delays (used by examples
-// to demo geo-behaviour at compressed time scales).
+// Local is a real-time in-process Network: the shared node runtime
+// (runtime.go) plus an optional LatencyFunc that injects wide-area
+// delays (used by examples to demo geo-behaviour at compressed time
+// scales) and Fail/Recover.
 type Local struct {
-	mu      sync.RWMutex
-	nodes   map[NodeID]*mailbox
+	nodeRuntime
 	failed  map[NodeID]bool
 	latency LatencyFunc
-	clk     clock.Clock
-	closed  bool
-	tracer  WireTracer
-	stats   statCounters
-}
-
-// SetTracer installs the flight-recorder wire hook. Call before
-// traffic starts; a nil tracer (the default) costs one nil check per
-// message.
-func (l *Local) SetTracer(tr WireTracer) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.tracer = tr
-}
-
-// mailbox serializes all work (message handling and timer callbacks)
-// for one node on a single goroutine.
-type mailbox struct {
-	ch   chan func(Handler)
-	done chan struct{}
 }
 
 // NewLocal returns a Local network. latency may be nil for immediate
 // delivery.
 func NewLocal(latency LatencyFunc) *Local {
 	return &Local{
-		nodes:   make(map[NodeID]*mailbox),
-		failed:  make(map[NodeID]bool),
-		latency: latency,
-		clk:     clock.NewReal(),
+		nodeRuntime: newNodeRuntime(),
+		failed:      make(map[NodeID]bool),
+		latency:     latency,
 	}
 }
 
@@ -70,42 +46,9 @@ func (l *Local) Recover(id NodeID) {
 	delete(l.failed, id)
 }
 
-// Register installs the node's handler and starts its mailbox loop.
-func (l *Local) Register(id NodeID, h Handler) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if mb, ok := l.nodes[id]; ok {
-		close(mb.done)
-	}
-	mb := &mailbox{ch: make(chan func(Handler), 4096), done: make(chan struct{})}
-	l.nodes[id] = mb
-	go func() {
-		for {
-			select {
-			case f := <-mb.ch:
-				f(h)
-			case <-mb.done:
-				return
-			}
-		}
-	}()
-}
-
-func (l *Local) enqueue(to NodeID, f func(Handler)) {
-	l.mu.RLock()
-	mb, ok := l.nodes[to]
-	closed := l.closed
-	l.mu.RUnlock()
-	if !ok || closed {
-		return // unroutable: drop, like a dead host
-	}
-	select {
-	case mb.ch <- f:
-	case <-mb.done:
-	}
-}
-
-// Send routes the message after the configured latency.
+// Send routes the message after the configured latency. Delivery runs
+// on a timer (or, with no latency, its own goroutine), never on the
+// sender's, so it waits for room in a full mailbox.
 func (l *Local) Send(from, to NodeID, msg Message) {
 	l.mu.RLock()
 	fromFailed := l.failed[from]
@@ -115,10 +58,7 @@ func (l *Local) Send(from, to NodeID, msg Message) {
 		return
 	}
 	l.stats.countSend(msg)
-	e := Envelope{From: from, To: to, Msg: msg}
-	if tracer != nil {
-		e.TraceClk = tracer.StampSend()
-	}
+	e := stamped(tracer, from, to, msg)
 	deliver := func() {
 		l.mu.RLock()
 		toFailed := l.failed[to]
@@ -126,11 +66,7 @@ func (l *Local) Send(from, to NodeID, msg Message) {
 		if toFailed {
 			return
 		}
-		if tracer != nil {
-			tracer.ObserveRecv(e.TraceClk)
-		}
-		l.stats.countReceive(e.Msg)
-		l.enqueue(to, func(h Handler) { h(e) })
+		l.deliver(e, true) // an unregistered destination drops, like a dead host
 	}
 	var d time.Duration
 	if l.latency != nil {
@@ -140,34 +76,7 @@ func (l *Local) Send(from, to NodeID, msg Message) {
 		go deliver()
 		return
 	}
-	l.clk.After(d, deliver)
-}
-
-// After schedules f serialized with node on's handler.
-func (l *Local) After(on NodeID, d time.Duration, f func()) clock.Timer {
-	return l.clk.After(d, func() {
-		l.enqueue(on, func(Handler) { f() })
-	})
-}
-
-// Now returns wall-clock time.
-func (l *Local) Now() time.Time { return l.clk.Now() }
-
-// Stats snapshots the transport counters.
-func (l *Local) Stats() Stats { return l.stats.snapshot() }
-
-// Close stops all mailbox loops; subsequent sends are dropped.
-func (l *Local) Close() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return
-	}
-	l.closed = true
-	for _, mb := range l.nodes {
-		close(mb.done)
-	}
-	l.nodes = make(map[NodeID]*mailbox)
+	time.AfterFunc(d, deliver)
 }
 
 // UniformJitter wraps a base latency function with ±frac multiplicative

@@ -1,0 +1,200 @@
+package transport
+
+import (
+	"errors"
+	"sync"
+	"time"
+
+	"mdcc/internal/clock"
+)
+
+// mailboxDepth is how much undelivered work (messages and due timer
+// callbacks) one node's mailbox holds before posting to it blocks or
+// drops: room for a burst from every peer, not for a node that has
+// stopped draining.
+const mailboxDepth = 4096
+
+// Why deliver did not queue a message.
+var (
+	errNoNode      = errors.New("no such local node")
+	errMailboxFull = errors.New("mailbox full")
+)
+
+// mailbox serializes all work (message handling and timer callbacks)
+// for one node on a single goroutine.
+type mailbox struct {
+	ch   chan func(Handler)
+	done chan struct{} // closed when the node is re-registered or the runtime closes
+}
+
+// put queues f and reports whether it did. With wait a full mailbox
+// blocks the caller until there is room (f is lost only if the mailbox
+// is retired meanwhile); without, a full mailbox loses f at once.
+func (mb *mailbox) put(f func(Handler), wait bool) bool {
+	if !wait {
+		select {
+		case mb.ch <- f:
+			return true
+		default:
+			return false
+		}
+	}
+	select {
+	case mb.ch <- f:
+		return true
+	case <-mb.done:
+		return false
+	}
+}
+
+// nodeRuntime is the real-time node runtime Local and TCP both embed:
+// one mailbox goroutine per registered node, which is what makes a
+// node's handler and its After callbacks run serially; the
+// flight-recorder wire hook; and the transport counters.
+//
+// What a full mailbox does to whoever posts to it is decided here, once
+// (DESIGN §11 "Delivery"). Work posted by a goroutine that is not a
+// mailbox loop — a timer, a socket reader — waits for room; for a
+// reader that wait is the TCP backpressure. A Send from one hosted node
+// to another may be running on a mailbox loop, so it never waits (two
+// nodes blocked on each other's full mailboxes would stop for good):
+// its message is dropped and counted in Stats.DroppedQueueFull, the
+// best-effort rule a full peer queue already follows.
+//
+// mu also guards the embedding transport's own tables, so a Send reads
+// everything it routes by under one read lock.
+type nodeRuntime struct {
+	mu     sync.RWMutex
+	nodes  map[NodeID]*mailbox
+	closed bool
+	tracer WireTracer
+	stats  statCounters
+}
+
+func newNodeRuntime() nodeRuntime {
+	return nodeRuntime{nodes: make(map[NodeID]*mailbox)}
+}
+
+// SetTracer installs the flight-recorder wire hook: outgoing envelopes
+// are stamped with the local Lamport clock and incoming stamps are
+// folded back in, so timelines assembled across nodes stay causally
+// ordered. Call before traffic starts; a nil tracer (the default)
+// costs one nil check per message.
+func (r *nodeRuntime) SetTracer(tr WireTracer) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.tracer = tr
+}
+
+// Register installs the handler for a node hosted here and starts its
+// mailbox loop. Re-registering retires the old mailbox with whatever
+// it still holds: once Register returns, the replaced handler is never
+// started again.
+func (r *nodeRuntime) Register(id NodeID, h Handler) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return
+	}
+	if old, ok := r.nodes[id]; ok {
+		close(old.done)
+	}
+	mb := &mailbox{ch: make(chan func(Handler), mailboxDepth), done: make(chan struct{})}
+	r.nodes[id] = mb
+	go func() {
+		for {
+			select {
+			case f := <-mb.ch:
+				// select picks at random when both are ready; a retired
+				// mailbox must not run its handler again.
+				select {
+				case <-mb.done:
+					return
+				default:
+				}
+				f(h)
+			case <-mb.done:
+				return
+			}
+		}
+	}()
+}
+
+// stamped builds the envelope of an outgoing message, carrying the
+// tracer's send stamp when one is installed.
+func stamped(tr WireTracer, from, to NodeID, msg Message) Envelope {
+	e := Envelope{From: from, To: to, Msg: msg}
+	if tr != nil {
+		e.TraceClk = tr.StampSend()
+	}
+	return e
+}
+
+func (r *nodeRuntime) lookup(id NodeID) (*mailbox, WireTracer) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.nodes[id], r.tracer
+}
+
+// deliver is the receiving half of a message: it folds the sender's
+// stamp into the tracer, posts the envelope to its destination's
+// mailbox and counts it received. wait is the caller's answer to a
+// full mailbox (see nodeRuntime). The error is errNoNode (nothing
+// registered under e.To, or the runtime closed) or errMailboxFull.
+func (r *nodeRuntime) deliver(e Envelope, wait bool) error {
+	mb, tracer := r.lookup(e.To)
+	if tracer != nil {
+		tracer.ObserveRecv(e.TraceClk)
+	}
+	if mb == nil {
+		return errNoNode
+	}
+	if !mb.put(func(h Handler) { h(e) }, wait) {
+		if wait {
+			return errNoNode
+		}
+		r.stats.droppedQueueFull.Add(1)
+		return errMailboxFull
+	}
+	r.stats.countReceive(e.Msg)
+	return nil
+}
+
+// After schedules f to run on node on's mailbox loop once d has
+// elapsed. A callback due after the node is gone is dropped.
+func (r *nodeRuntime) After(on NodeID, d time.Duration, f func()) clock.Timer {
+	return time.AfterFunc(d, func() {
+		if mb, _ := r.lookup(on); mb != nil {
+			mb.put(func(Handler) { f() }, true)
+		}
+	})
+}
+
+// Now returns wall-clock time.
+func (r *nodeRuntime) Now() time.Time { return time.Now() }
+
+// Stats snapshots the transport counters (messages, batch envelopes,
+// wire bytes, drops) — served by cmd/mdcc-server /metrics.
+func (r *nodeRuntime) Stats() Stats { return r.stats.snapshot() }
+
+// Close stops every mailbox loop; later sends and timer callbacks are
+// dropped.
+func (r *nodeRuntime) Close() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.closeLocked()
+}
+
+// closeLocked retires every mailbox; the caller holds mu. It reports
+// false if the runtime was closed already.
+func (r *nodeRuntime) closeLocked() bool {
+	if r.closed {
+		return false
+	}
+	r.closed = true
+	for _, mb := range r.nodes {
+		close(mb.done)
+	}
+	r.nodes = nil
+	return true
+}

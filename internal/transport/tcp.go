@@ -9,8 +9,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"mdcc/internal/clock"
 )
 
 // helloMsg announces a dialing peer's node and reachable address so
@@ -21,29 +19,25 @@ type helloMsg struct {
 	Addr string
 }
 
-// TCP is a Network whose nodes may live in different processes.
-// Locally registered nodes receive messages directly; remote nodes
-// are reached via persistent TCP connections carrying binary frames
-// (codec.go) using a static NodeID→address routing table.
+// TCP is a Network whose nodes may live in different processes: the
+// shared node runtime (runtime.go) hosts the locally registered nodes,
+// which receive messages directly; remote nodes are reached via
+// persistent TCP connections carrying binary frames (codec.go) using a
+// static NodeID→address routing table.
 //
-// Delivery is best-effort: connection failures and full outbound
-// queues drop messages, exactly as the protocol layers expect from a
-// WAN. What IS guaranteed is per-pair ordering: messages between one
-// (from, to) pair that are delivered arrive in send order — all
-// traffic to one peer address flows through a single FIFO queue and
-// one writer goroutine (batch envelopes additionally preserve the
-// order of their items).
+// Delivery is best-effort: connection failures, full outbound queues
+// and full local mailboxes drop messages, exactly as the protocol
+// layers expect from a WAN. What IS guaranteed is per-pair ordering:
+// messages between one (from, to) pair that are delivered arrive in
+// send order — all traffic to one peer address flows through a single
+// FIFO queue and one writer goroutine (batch envelopes additionally
+// preserve the order of their items).
 type TCP struct {
-	mu       sync.RWMutex
-	local    map[NodeID]*mailbox
-	routes   map[NodeID]string // node → "host:port"
-	conns    map[string]*tcpConn
-	accepted map[net.Conn]struct{} // inbound conns, closed with the transport
-	ln       net.Listener
-	clk      clock.Clock
-	closed   bool
-	tracer   WireTracer
-	stats    statCounters
+	nodeRuntime                   // its mu guards the tables below too
+	routes      map[NodeID]string // node → "host:port"
+	conns       map[string]*tcpConn
+	accepted    map[net.Conn]struct{} // inbound conns, closed with the transport
+	ln          net.Listener
 
 	// hellos remembers each peer's announcements (self node → reply
 	// address) so every FRESH dial re-announces them at the head of the
@@ -54,16 +48,6 @@ type TCP struct {
 
 	// Logf, if set, receives connection diagnostics.
 	Logf func(format string, args ...interface{})
-}
-
-// SetTracer installs the flight-recorder wire hook: outgoing envelopes
-// are stamped with the local Lamport clock and incoming stamps are
-// folded back in, so timelines assembled across processes stay
-// causally ordered. Call before traffic starts.
-func (t *TCP) SetTracer(tr WireTracer) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.tracer = tr
 }
 
 // outboundDepth bounds each peer's send queue; overflow drops (WAN
@@ -120,12 +104,11 @@ func (c countingReader) Read(p []byte) (int, error) {
 // extended later with AddRoute).
 func NewTCP(routes map[NodeID]string) *TCP {
 	t := &TCP{
-		local:    make(map[NodeID]*mailbox),
-		routes:   make(map[NodeID]string),
-		conns:    make(map[string]*tcpConn),
-		accepted: make(map[net.Conn]struct{}),
-		hellos:   make(map[string][]helloMsg),
-		clk:      clock.NewReal(),
+		nodeRuntime: newNodeRuntime(),
+		routes:      make(map[NodeID]string),
+		conns:       make(map[string]*tcpConn),
+		accepted:    make(map[net.Conn]struct{}),
+		hellos:      make(map[string][]helloMsg),
 	}
 	for id, addr := range routes {
 		t.routes[id] = addr
@@ -231,61 +214,34 @@ func (t *TCP) readLoop(conn net.Conn) {
 			t.logf("transport: decode frame from %s: %v; dropping connection", conn.RemoteAddr(), err)
 			return
 		}
-		t.deliverLocal(e)
-	}
-}
-
-func (t *TCP) deliverLocal(e Envelope) {
-	if h, ok := e.Msg.(helloMsg); ok {
-		t.AddRoute(h.ID, h.Addr)
-		return
-	}
-	t.mu.RLock()
-	mb, ok := t.local[e.To]
-	tracer := t.tracer
-	t.mu.RUnlock()
-	if tracer != nil {
-		tracer.ObserveRecv(e.TraceClk)
-	}
-	if !ok {
-		t.logf("transport: no local node %s, dropping %T", e.To, e.Msg)
-		return
-	}
-	t.stats.countReceive(e.Msg)
-	select {
-	case mb.ch <- func(h Handler) { h(e) }:
-	case <-mb.done:
-	}
-}
-
-// Register installs a handler for a node hosted in this process.
-func (t *TCP) Register(id NodeID, h Handler) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if mb, ok := t.local[id]; ok {
-		close(mb.done)
-	}
-	mb := &mailbox{ch: make(chan func(Handler), 4096), done: make(chan struct{})}
-	t.local[id] = mb
-	go func() {
-		for {
-			select {
-			case f := <-mb.ch:
-				f(h)
-			case <-mb.done:
-				return
-			}
+		if h, ok := e.Msg.(helloMsg); ok {
+			t.AddRoute(h.ID, h.Addr)
+			continue
 		}
-	}()
+		// Waiting for room in a full mailbox stops this connection's
+		// reads, which is the backpressure its sender sees.
+		t.deliverLocal(e, true)
+	}
 }
 
-// Send routes msg to a local mailbox or over TCP. Remote sends to the
-// same destination are FIFO through one per-peer queue, so messages
-// of a (from, to) pair never reorder (they may still drop).
+// deliverLocal hands e to the node it names in this process, logs the
+// reason if it could not, and reports whether it did.
+func (t *TCP) deliverLocal(e Envelope, wait bool) bool {
+	err := t.deliver(e, wait)
+	if err != nil {
+		t.logf("transport: %s: %v, dropping %T", e.To, err, e.Msg)
+	}
+	return err == nil
+}
+
+// Send routes msg to a local mailbox or over TCP, and never blocks:
+// what a full mailbox or peer queue cannot take is dropped and
+// counted. Remote sends to the same destination are FIFO through one
+// per-peer queue, so messages of a (from, to) pair never reorder (they
+// may still drop).
 func (t *TCP) Send(from, to NodeID, msg Message) {
-	e := Envelope{From: from, To: to, Msg: msg}
 	t.mu.RLock()
-	_, isLocal := t.local[to]
+	_, isLocal := t.nodes[to]
 	addr, hasRoute := t.routes[to]
 	closed := t.closed
 	tracer := t.tracer
@@ -293,12 +249,11 @@ func (t *TCP) Send(from, to NodeID, msg Message) {
 	if closed {
 		return
 	}
-	if tracer != nil {
-		e.TraceClk = tracer.StampSend()
-	}
+	e := stamped(tracer, from, to, msg)
 	if isLocal {
-		t.stats.countSend(msg)
-		t.deliverLocal(e)
+		if t.deliverLocal(e, false) {
+			t.stats.countSend(msg)
+		}
 		return
 	}
 	if !hasRoute {
@@ -507,47 +462,21 @@ func (t *TCP) Hello(peerAddr string, self NodeID, selfAddr string) {
 	}
 }
 
-// After schedules f serialized with node on's mailbox.
-func (t *TCP) After(on NodeID, d time.Duration, f func()) clock.Timer {
-	return t.clk.After(d, func() {
-		t.mu.RLock()
-		mb, ok := t.local[on]
-		t.mu.RUnlock()
-		if !ok {
-			return
-		}
-		select {
-		case mb.ch <- func(Handler) { f() }:
-		case <-mb.done:
-		}
-	})
-}
-
-// Now returns wall-clock time.
-func (t *TCP) Now() time.Time { return t.clk.Now() }
-
-// Stats snapshots the transport counters (messages, batch envelopes,
-// wire bytes) — served by cmd/mdcc-server /metrics.
-func (t *TCP) Stats() Stats { return t.stats.snapshot() }
-
-// Close shuts the listener, connections and mailboxes.
+// Close shuts the mailboxes, listener and connections.
 func (t *TCP) Close() {
 	t.mu.Lock()
-	if t.closed {
+	if !t.closeLocked() {
 		t.mu.Unlock()
 		return
 	}
-	t.closed = true
 	if t.ln != nil {
 		t.ln.Close()
 	}
 	conns := t.conns
-	local := t.local
 	accepted := make([]net.Conn, 0, len(t.accepted))
 	for c := range t.accepted {
 		accepted = append(accepted, c)
 	}
-	t.local = make(map[NodeID]*mailbox)
 	t.conns = make(map[string]*tcpConn)
 	t.accepted = make(map[net.Conn]struct{})
 	t.mu.Unlock()
@@ -559,9 +488,6 @@ func (t *TCP) Close() {
 	// and replay their hellos — against the new instance.
 	for _, c := range accepted {
 		c.Close()
-	}
-	for _, mb := range local {
-		close(mb.done)
 	}
 }
 

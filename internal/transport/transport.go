@@ -7,8 +7,8 @@
 // Concurrency contract: each node's handler and its After callbacks
 // are invoked serially, so node state needs no internal locking as
 // long as it is only touched from handlers/timers. This matches the
-// single-threaded simulator and is enforced with per-node run loops
-// in the real-time transports.
+// single-threaded simulator and is enforced by the one per-node
+// mailbox loop (runtime.go) both real-time transports are built on.
 package transport
 
 import (
@@ -101,12 +101,13 @@ type Stats struct {
 	BytesSent     int64 `json:"bytesSent"`
 	BytesReceived int64 `json:"bytesReceived"`
 	// Dropped* count messages Send discarded instead of enqueueing
-	// (TCP only): no routing-table entry, the peer's outbound queue
-	// full, or its connection torn down. Dropped messages are NOT
-	// counted in MsgsSent — only what actually reached a queue or a
-	// local mailbox is. DroppedNoRoute also counts messages no frame
-	// can carry (ErrNoWireCodec, found when the writer encodes them):
-	// like a missing route, nothing the transport retries delivers them.
+	// (TCP only): no routing-table entry, the peer's outbound queue or
+	// a local node's mailbox full, or the peer's connection torn down.
+	// Dropped messages are NOT counted in MsgsSent — only what actually
+	// reached a queue or a local mailbox is. DroppedNoRoute also counts
+	// messages no frame can carry (ErrNoWireCodec, found when the writer
+	// encodes them): like a missing route, nothing the transport retries
+	// delivers them.
 	DroppedNoRoute   int64 `json:"droppedNoRoute"`
 	DroppedQueueFull int64 `json:"droppedQueueFull"`
 	DroppedConnDown  int64 `json:"droppedConnDown"`

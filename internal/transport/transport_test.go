@@ -2,7 +2,6 @@ package transport
 
 import (
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -44,36 +43,6 @@ func TestLocalRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLocalSerializesPerNode(t *testing.T) {
-	n := NewLocal(nil)
-	defer n.Close()
-	var inHandler atomic.Int32
-	var overlapped atomic.Bool
-	var count atomic.Int32
-	done := make(chan struct{})
-	n.Register("sink", func(e Envelope) {
-		if inHandler.Add(1) > 1 {
-			overlapped.Store(true)
-		}
-		time.Sleep(time.Microsecond)
-		inHandler.Add(-1)
-		if count.Add(1) == 100 {
-			close(done)
-		}
-	})
-	for i := 0; i < 100; i++ {
-		n.Send("src", "sink", ping{Seq: i})
-	}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("messages not delivered")
-	}
-	if overlapped.Load() {
-		t.Fatal("handler invocations overlapped for one node")
-	}
-}
-
 func TestLocalLatency(t *testing.T) {
 	n := NewLocal(func(from, to NodeID) time.Duration { return 30 * time.Millisecond })
 	defer n.Close()
@@ -88,56 +57,6 @@ func TestLocalLatency(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("no delivery")
-	}
-}
-
-func TestLocalSendToUnknownDropped(t *testing.T) {
-	n := NewLocal(nil)
-	defer n.Close()
-	n.Send("a", "ghost", ping{}) // must not panic or block
-	time.Sleep(10 * time.Millisecond)
-}
-
-func TestLocalAfterSerialized(t *testing.T) {
-	n := NewLocal(nil)
-	defer n.Close()
-	var mu sync.Mutex
-	var order []string
-	done := make(chan struct{})
-	n.Register("a", func(e Envelope) {
-		mu.Lock()
-		order = append(order, "msg")
-		mu.Unlock()
-	})
-	n.After("a", 20*time.Millisecond, func() {
-		mu.Lock()
-		order = append(order, "timer")
-		mu.Unlock()
-		close(done)
-	})
-	n.Send("x", "a", ping{})
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("timer never fired")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != 2 || order[0] != "msg" || order[1] != "timer" {
-		t.Fatalf("order = %v, want [msg timer]", order)
-	}
-}
-
-func TestLocalAfterStop(t *testing.T) {
-	n := NewLocal(nil)
-	defer n.Close()
-	n.Register("a", func(Envelope) {})
-	var fired atomic.Bool
-	tm := n.After("a", 30*time.Millisecond, func() { fired.Store(true) })
-	tm.Stop()
-	time.Sleep(60 * time.Millisecond)
-	if fired.Load() {
-		t.Fatal("stopped timer fired")
 	}
 }
 

@@ -1,9 +1,6 @@
 package wal
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // Faults is a nemesis-drivable fault plan for the file layer under one
 // or more Logs (share one Faults between a node's store and oplog to
@@ -22,14 +19,11 @@ import (
 //   - BitFlip: one-shot — the next append's payload is silently
 //     corrupted on its way to the file. The append succeeds; replay
 //     must surface ErrCorrupt, never the flipped bytes.
-//   - SyncDelay: every sync (or NoSync append) stalls this long —
-//     a stuck disk, for latency experiments on the real-clock paths.
 type Faults struct {
-	mu        sync.Mutex
-	failSync  bool
-	torn      int // -1 unarmed; else one-shot byte budget for the next frame
-	bitFlip   bool
-	syncDelay time.Duration
+	mu       sync.Mutex
+	failSync bool
+	torn     int // -1 unarmed; else one-shot byte budget for the next frame
+	bitFlip  bool
 
 	nSyncFails int64
 	nTorn      int64
@@ -58,13 +52,6 @@ func (f *Faults) TornWrite(n int) {
 func (f *Faults) BitFlip() {
 	f.mu.Lock()
 	f.bitFlip = true
-	f.mu.Unlock()
-}
-
-// SyncDelay sets a per-sync stall (0 disarms).
-func (f *Faults) SyncDelay(d time.Duration) {
-	f.mu.Lock()
-	f.syncDelay = d
 	f.mu.Unlock()
 }
 
@@ -121,14 +108,4 @@ func (f *Faults) takeFlip() bool {
 	f.bitFlip = false
 	f.nFlips++
 	return true
-}
-
-// delay returns the armed stuck-disk stall.
-func (f *Faults) delay() time.Duration {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.syncDelay
 }

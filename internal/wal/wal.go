@@ -29,7 +29,7 @@
 // name "everything below segment N", TruncateBefore(n) deletes sealed
 // segments once a snapshot covers them, and ReplayFrom(n) replays only
 // the tail a snapshot does not cover. Options.Faults injects disk
-// faults (sync failure, torn write, bit flip, stuck-disk latency)
+// faults (sync failure, torn write, bit flip)
 // under all of it for crash-recovery testing.
 package wal
 
@@ -45,7 +45,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 const (
@@ -257,11 +256,7 @@ func (l *Log) Append(payload []byte) error {
 			l.mu.Unlock()
 			return err
 		}
-		d := f.delay()
 		l.mu.Unlock()
-		if d > 0 {
-			time.Sleep(d)
-		}
 		return nil
 	case l.opts.GroupCommit:
 		ch := make(chan error, 1)
@@ -279,14 +274,9 @@ func (l *Log) Append(payload []byte) error {
 	}
 }
 
-// syncLocked runs the unbatched fsync path (mu held). The fault
-// delay sleeps with mu held — exactly what a stuck disk does to a
-// log whose committers all funnel through one fsync.
+// syncLocked runs the unbatched fsync path (mu held).
 func (l *Log) syncLocked() error {
 	f := l.opts.Faults
-	if d := f.delay(); d > 0 {
-		time.Sleep(d)
-	}
 	var err error
 	if f.failSyncNow() {
 		err = fmt.Errorf("wal: sync: %w", ErrDiskFault)
@@ -318,13 +308,8 @@ func (l *Log) syncLeader() {
 	var err error
 	if f.failSyncNow() {
 		err = fmt.Errorf("wal: sync: %w", ErrDiskFault)
-	} else {
-		if d := f.delay(); d > 0 {
-			time.Sleep(d)
-		}
-		if serr := seg.Sync(); serr != nil {
-			err = fmt.Errorf("wal: sync: %w", serr)
-		}
+	} else if serr := seg.Sync(); serr != nil {
+		err = fmt.Errorf("wal: sync: %w", serr)
 	}
 
 	l.mu.Lock()
