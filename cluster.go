@@ -181,19 +181,15 @@ func (c *Cluster) Gateway(dc DC) *Gateway {
 // FailDC simulates a data-center outage: every storage node in dc
 // stops sending and receiving until RecoverDC.
 func (c *Cluster) FailDC(dc DC) {
-	for _, n := range c.cl.Storage {
-		if n.DC == dc {
-			c.net.Fail(n.ID)
-		}
+	for _, n := range c.cl.StorageIn(dc) {
+		c.net.Fail(n.ID)
 	}
 }
 
 // RecoverDC ends a simulated outage.
 func (c *Cluster) RecoverDC(dc DC) {
-	for _, n := range c.cl.Storage {
-		if n.DC == dc {
-			c.net.Recover(n.ID)
-		}
+	for _, n := range c.cl.StorageIn(dc) {
+		c.net.Recover(n.ID)
 	}
 }
 

@@ -5,87 +5,44 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"mdcc/internal/bench"
-	"mdcc/internal/stats"
 )
 
-// writeCDFCSV dumps each protocol's latency CDF as
-// "<dir>/<name>.csv" with columns protocol,latency_ms,cdf — the raw
-// series behind the paper's CDF figures, ready for gnuplot/matplotlib.
-func writeCDFCSV(name string, results map[bench.Protocol]*bench.Result) {
+// writeCSV writes header and rows as "<-csv dir>/<name>.csv" — the raw
+// series behind a figure, ready for gnuplot/matplotlib — when -csv is
+// set; what names the content in the confirmation line.
+func writeCSV(name, what, header string, rows []string) {
 	if *csvDir == "" {
 		return
 	}
-	if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-		fmt.Fprintf(os.Stderr, "csv: %v\n", err)
-		return
-	}
 	path := filepath.Join(*csvDir, name+".csv")
-	f, err := os.Create(path)
+	data := strings.Join(append([]string{header}, rows...), "\n") + "\n"
+	err := os.MkdirAll(*csvDir, 0o755)
+	if err == nil {
+		err = os.WriteFile(path, []byte(data), 0o644)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "csv: %v\n", err)
 		return
 	}
-	defer f.Close()
-	fmt.Fprintln(f, "protocol,latency_ms,cdf")
+	fmt.Printf("(%s written to %s)\n", what, path)
+}
+
+// writeCDFCSV dumps each protocol's latency CDF (figures 3 and 5),
+// protocols in name order.
+func writeCDFCSV(name string, results map[bench.Protocol]*bench.Result) {
 	protos := make([]string, 0, len(results))
-	byName := map[string]*stats.Sample{}
-	for p, r := range results {
+	for p := range results {
 		protos = append(protos, string(p))
-		byName[string(p)] = r.WriteLat
 	}
 	sort.Strings(protos)
+	var rows []string
 	for _, p := range protos {
-		for _, pt := range byName[p].CDF(200) {
-			fmt.Fprintf(f, "%s,%.3f,%.5f\n", p, pt.X, pt.Frac)
+		for _, pt := range results[bench.Protocol(p)].WriteLat.CDF(200) {
+			rows = append(rows, fmt.Sprintf("%s,%.3f,%.5f", p, pt.X, pt.Frac))
 		}
 	}
-	fmt.Printf("(raw CDF series written to %s)\n", path)
-}
-
-// writeSeriesCSV dumps a time series (figure 8) as CSV.
-func writeSeriesCSV(name string, series *stats.TimeSeries) {
-	if *csvDir == "" {
-		return
-	}
-	if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-		fmt.Fprintf(os.Stderr, "csv: %v\n", err)
-		return
-	}
-	path := filepath.Join(*csvDir, name+".csv")
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "csv: %v\n", err)
-		return
-	}
-	defer f.Close()
-	fmt.Fprintln(f, "time_s,mean_latency_ms,commits")
-	for _, pt := range series.Points() {
-		fmt.Fprintf(f, "%.0f,%.2f,%d\n", pt.Start.Seconds(), pt.Mean, pt.N)
-	}
-	fmt.Printf("(time series written to %s)\n", path)
-}
-
-// writeRowsCSV dumps generic rows (figures 4, 6, 7).
-func writeRowsCSV(name, header string, rows []string) {
-	if *csvDir == "" {
-		return
-	}
-	if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-		fmt.Fprintf(os.Stderr, "csv: %v\n", err)
-		return
-	}
-	path := filepath.Join(*csvDir, name+".csv")
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "csv: %v\n", err)
-		return
-	}
-	defer f.Close()
-	fmt.Fprintln(f, header)
-	for _, r := range rows {
-		fmt.Fprintln(f, r)
-	}
-	fmt.Printf("(rows written to %s)\n", path)
+	writeCSV(name, "raw CDF series", "protocol,latency_ms,cdf", rows)
 }

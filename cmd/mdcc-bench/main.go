@@ -260,7 +260,7 @@ func fig4() {
 		}
 		fmt.Println()
 	}
-	writeRowsCSV("fig4", "protocol,clients,write_tps", rows)
+	writeCSV("fig4", "rows", "protocol,clients,write_tps", rows)
 }
 
 func fig5() {
@@ -298,7 +298,7 @@ func fig6() {
 		}
 		fmt.Println()
 	}
-	writeRowsCSV("fig6", "protocol,hotspot_pct,commits,aborts", rows)
+	writeCSV("fig6", "rows", "protocol,hotspot_pct,commits,aborts", rows)
 }
 
 func fig7() {
@@ -317,7 +317,7 @@ func fig7() {
 			rows = append(rows, fmt.Sprintf("%s,%d,%.1f,%.1f,%.1f,%.1f,%.1f", proto, p.LocalPct, b.Min, b.Q1, b.Median, b.Q3, b.Max))
 		}
 	}
-	writeRowsCSV("fig7", "protocol,locality_pct,min,q1,median,q3,max", rows)
+	writeCSV("fig7", "rows", "protocol,locality_pct,min,q1,median,q3,max", rows)
 }
 
 func fig8() {
@@ -331,9 +331,14 @@ func fig8() {
 	fr := bench.Figure8(*seed, clients, failAt, total)
 	fmt.Printf("mean before outage: %7.1f ms  (n=%d)\n", fr.PreMean, fr.PreCount)
 	fmt.Printf("mean after outage:  %7.1f ms  (n=%d)\n", fr.PostMean, fr.PostCount)
-	writeSeriesCSV("fig8", fr.Result.Series)
+	points := fr.Result.Series.Points()
+	var rows []string
+	for _, pt := range points {
+		rows = append(rows, fmt.Sprintf("%.0f,%.2f,%d", pt.Start.Seconds(), pt.Mean, pt.N))
+	}
+	writeCSV("fig8", "time series", "time_s,mean_latency_ms,commits", rows)
 	fmt.Println("\ntime(s)  mean-latency(ms)  commits")
-	for _, pt := range fr.Result.Series.Points() {
+	for _, pt := range points {
 		marker := ""
 		if pt.Start >= failAt && pt.Start < failAt+time.Second {
 			marker = "   <-- data center failed"

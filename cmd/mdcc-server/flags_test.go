@@ -19,10 +19,6 @@ func TestFlagSurface(t *testing.T) {
 		"data",
 		"dc",
 		"gateway",
-		"gateway-batch-window",
-		"gateway-coalesce-window",
-		"gateway-max-inflight",
-		"gateway-pool",
 		"http",
 		"listen",
 		"profile",

@@ -292,7 +292,7 @@ func serveHTTP(addr string, dc topology.DC, cl *topology.Cluster, nodes []*core.
 				})
 			}
 			out.TraceEvents = rec.Events()
-			out.TraceRetained = len(rec.Retained()) + len(rec.Slowest())
+			out.TraceRetained = len(rec.Bundle())
 		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
@@ -306,27 +306,15 @@ func serveHTTP(addr string, dc topology.DC, cl *topology.Cluster, nodes []*core.
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		full := r.URL.Query().Get("full") != ""
-		seen := make(map[string]bool)
-		emit := func(t *trace.Trace) {
-			if t == nil || (t.Tx != "" && t.Tx != "?" && seen[t.Tx]) {
-				return
-			}
-			seen[t.Tx] = true
+		bundle := rec.Bundle()
+		for _, t := range bundle {
 			if full {
 				fmt.Fprintln(w, t.Timeline())
 			} else {
 				fmt.Fprintln(w, t.Compact())
 			}
 		}
-		// Slowest-N first (always populated), then the interesting set:
-		// aborted, outcome-unknown, recovered, wrong-shard-retried, slow.
-		for _, t := range rec.Slowest() {
-			emit(t)
-		}
-		for _, t := range rec.Retained() {
-			emit(t)
-		}
-		if len(seen) == 0 {
+		if len(bundle) == 0 {
 			fmt.Fprintln(w, "(no traces retained yet)")
 		}
 	}))

@@ -43,11 +43,7 @@ var (
 
 	ckptEvery = flag.Duration("checkpoint-interval", 30*time.Second, "how often durable nodes snapshot full state and truncate the WAL; 0 disables and recovery replays the whole log (with -data)")
 
-	gwMode     = flag.Bool("gateway", false, "host this DC's transaction gateway tier (mdcc.DialGateway clients)")
-	gwPool     = flag.Int("gateway-pool", 0, "pooled coordinators in the gateway (0 = default)")
-	gwBatch    = flag.Duration("gateway-batch-window", 0, "outbound cross-transaction batching window (0 = default 2ms, negative = off)")
-	gwCoalesce = flag.Duration("gateway-coalesce-window", 0, "hot-key delta coalescing window (0 = default 5ms, negative = off)")
-	gwInflight = flag.Int("gateway-max-inflight", 0, "admission: max in-flight transactions (0 = default)")
+	gwMode = flag.Bool("gateway", false, "host this DC's transaction gateway tier (mdcc.DialGateway clients)")
 
 	profile   = flag.Bool("profile", false, "serve Go pprof endpoints under /debug/pprof/ on -http and enable block/mutex profiling")
 	traceOn   = flag.Bool("trace", false, "run the transaction flight recorder; retained timelines serve on /trace")
@@ -77,10 +73,6 @@ func main() {
 	}
 	if addr == "" {
 		log.Fatalf("no listen address for %s in %s", dc, *topoPath)
-	}
-
-	if *gwPool > gateway.MaxRoutedPool {
-		log.Fatalf("-gateway-pool %d exceeds the cross-server routing cap of %d", *gwPool, gateway.MaxRoutedPool)
 	}
 
 	// Routes to the other data centers' servers: their storage nodes
@@ -180,12 +172,7 @@ func main() {
 	}
 	var gw *gateway.Gateway
 	if *gwMode {
-		gw = gateway.New(dc, net, cl, cfg, mdcc.GatewayTuning{
-			Pool:           *gwPool,
-			BatchWindow:    *gwBatch,
-			CoalesceWindow: *gwCoalesce,
-			MaxInflight:    *gwInflight,
-		})
+		gw = gateway.New(dc, net, cl, cfg, gateway.Tuning{})
 		resolved := gw.Tuning()
 		log.Printf("gateway tier up as %s (pool %d, batch %s, coalesce %s, headroom share 1/%d, read tier on)",
 			gw.ID(), resolved.Pool, resolved.BatchWindow, resolved.CoalesceWindow, resolved.HeadroomShare)

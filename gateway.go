@@ -56,19 +56,7 @@ func (b gatewayBackend) ReadQuorum(key Key, cb func(record.Value, record.Version
 }
 
 func (b gatewayBackend) Commit(updates []Update, done func(bool, error)) {
-	b.gw.Commit(updates, func(ok bool, err error) {
-		switch err {
-		case gateway.ErrOverloaded:
-			err = ErrOverloaded
-		case gateway.ErrClosed:
-			err = ErrClosed
-		case gateway.ErrOutcomeUnknown:
-			// In-process analogue of the RPC client's settle deadline:
-			// the gateway was killed with this transaction in flight.
-			err = ErrOutcomeUnknown
-		}
-		done(ok, err)
-	})
+	b.gw.Commit(updates, done)
 }
 
 // Metrics reports only the gateway-level outcome counters live; the

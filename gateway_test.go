@@ -1,9 +1,13 @@
 package mdcc
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
+
+	"mdcc/internal/gateway"
 )
 
 // TestGatewaySessionsCoalesceHotKey attaches many sessions to one
@@ -233,5 +237,37 @@ func TestDialGatewayRoundTrip(t *testing.T) {
 	defer sess2.Close()
 	if ok, err := sess2.Commit(Commutative("k/1", map[string]int64{"v": 3})); err != nil || !ok {
 		t.Fatalf("commutative via gateway: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestGatewaySessionOnClosedGatewayAnswersAtOnce: once the cluster is
+// closed, a gateway session's calls return immediately — the commit
+// with the gateway's own ErrClosed, the floored read with ErrTimeout
+// (absent is below the floor its own insert set) — instead of hanging
+// to the session's blocking deadline.
+func TestGatewaySessionOnClosedGatewayAnswersAtOnce(t *testing.T) {
+	c, err := StartCluster(ClusterConfig{LatencyScale: 0.02})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := c.Gateway(USWest).Session()
+	s.EnableSessionGuarantees()
+	if ok, err := s.Commit(Insert("closed/1", Value{Attrs: map[string]int64{"x": 1}})); err != nil || !ok {
+		t.Fatalf("insert: ok=%v err=%v", ok, err)
+	}
+	c.Close()
+
+	start := time.Now()
+	if _, _, _, err := s.Read("closed/1"); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("floored read on a closed gateway: err=%v, want ErrTimeout", err)
+	}
+	if _, _, exists, err := s.Read("closed/never-seen"); err != nil || exists {
+		t.Fatalf("floor-less read on a closed gateway: exists=%v err=%v, want absent", exists, err)
+	}
+	if ok, err := s.Commit(Commutative("closed/1", map[string]int64{"x": 1})); ok || err != ErrClosed || err != gateway.ErrClosed {
+		t.Fatalf("commit on a closed gateway: ok=%v err=%v, want the gateway's ErrClosed", ok, err)
+	}
+	if d := time.Since(start); d > s.timeout/2 {
+		t.Fatalf("calls on a closed gateway took %s (session deadline %s)", d, s.timeout)
 	}
 }

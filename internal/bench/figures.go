@@ -33,10 +33,10 @@ func QuickScale() Scale {
 		Warmup: 5 * time.Second, Measure: 20 * time.Second}
 }
 
-// Figure3 — TPC-W write-transaction response-time CDFs for QW-3,
-// QW-4, MDCC, 2PC and Megastore*. Megastore* clients (and its master)
-// are pinned to US-West, in its favor, exactly as in the paper.
-func Figure3(seed int64, sc Scale) map[Protocol]*Result {
+// tpcwSweep runs TPC-W once per protocol of figures 3 and 4.
+// Megastore* clients (and its master) are pinned to US-West, in its
+// favor, exactly as in the paper.
+func tpcwSweep(seed int64, nodesPerDC, clients, items int, warmup, measure time.Duration) map[Protocol]*Result {
 	out := make(map[Protocol]*Result)
 	for _, proto := range AllProtocols() {
 		clientDC := -1
@@ -45,16 +45,22 @@ func Figure3(seed int64, sc Scale) map[Protocol]*Result {
 		}
 		w := NewWorld(Options{
 			Protocol:    proto,
-			NodesPerDC:  sc.NodesPerDC,
-			Clients:     sc.Clients,
+			NodesPerDC:  nodesPerDC,
+			Clients:     clients,
 			ClientDC:    clientDC,
 			Seed:        seed,
 			Constraints: []record.Constraint{tpcw.Constraint()},
 		})
-		wl := tpcw.New(tpcw.Options{Items: sc.Items})
-		out[proto] = Run(w, wl, RunConfig{Warmup: sc.Warmup, Measure: sc.Measure})
+		wl := tpcw.New(tpcw.Options{Items: items})
+		out[proto] = Run(w, wl, RunConfig{Warmup: warmup, Measure: measure})
 	}
 	return out
+}
+
+// Figure3 — TPC-W write-transaction response-time CDFs for QW-3,
+// QW-4, MDCC, 2PC and Megastore*.
+func Figure3(seed int64, sc Scale) map[Protocol]*Result {
+	return tpcwSweep(seed, sc.NodesPerDC, sc.Clients, sc.Items, sc.Warmup, sc.Measure)
 }
 
 // Figure4 — TPC-W throughput scale-out: (50 clients, 5k items),
@@ -74,38 +80,18 @@ func Figure4(seed int64, clientCounts []int, warmup, measure time.Duration) []Fi
 		if nodesPerDC < 1 {
 			nodesPerDC = 1
 		}
-		point := Fig4Point{Clients: clients, Results: make(map[Protocol]*Result)}
-		for _, proto := range AllProtocols() {
-			clientDC := -1
-			if proto == ProtoMegastore {
-				clientDC = int(topology.USWest)
-			}
-			w := NewWorld(Options{
-				Protocol:    proto,
-				NodesPerDC:  nodesPerDC,
-				Clients:     clients,
-				ClientDC:    clientDC,
-				Seed:        seed,
-				Constraints: []record.Constraint{tpcw.Constraint()},
-			})
-			wl := tpcw.New(tpcw.Options{Items: items})
-			point.Results[proto] = Run(w, wl, RunConfig{Warmup: warmup, Measure: measure})
-		}
-		out = append(out, point)
+		out = append(out, Fig4Point{Clients: clients,
+			Results: tpcwSweep(seed, nodesPerDC, clients, items, warmup, measure)})
 	}
 	return out
 }
 
-// fig5Protocols are the micro-benchmark configurations of §5.3.1.
-func fig5Protocols() []Protocol {
-	return []Protocol{ProtoMDCC, ProtoFast, ProtoMulti, Proto2PC}
-}
-
-// Figure5 — micro-benchmark response-time CDFs for MDCC, Fast, Multi
-// and 2PC (2 storage nodes per DC).
-func Figure5(seed int64, sc Scale) map[Protocol]*Result {
+// microSweep runs the micro-benchmark, shaped by tune (nil = the
+// defaults), once per protocol on §5.3's deployment: 2 storage nodes
+// per DC, geo-distributed clients.
+func microSweep(seed int64, sc Scale, protos []Protocol, tune func(*microbench.Options)) map[Protocol]*Result {
 	out := make(map[Protocol]*Result)
-	for _, proto := range fig5Protocols() {
+	for _, proto := range protos {
 		w := NewWorld(Options{
 			Protocol:    proto,
 			NodesPerDC:  2,
@@ -116,10 +102,18 @@ func Figure5(seed int64, sc Scale) map[Protocol]*Result {
 		})
 		opts := microbench.Defaults()
 		opts.Items = sc.Items
-		wl := microbench.New(opts)
-		out[proto] = Run(w, wl, RunConfig{Warmup: sc.Warmup, Measure: sc.Measure})
+		if tune != nil {
+			tune(&opts)
+		}
+		out[proto] = Run(w, microbench.New(opts), RunConfig{Warmup: sc.Warmup, Measure: sc.Measure})
 	}
 	return out
+}
+
+// Figure5 — micro-benchmark response-time CDFs for MDCC, Fast, Multi
+// and 2PC, the configurations of §5.3.1.
+func Figure5(seed int64, sc Scale) map[Protocol]*Result {
+	return microSweep(seed, sc, []Protocol{ProtoMDCC, ProtoFast, ProtoMulti, Proto2PC}, nil)
 }
 
 // Fig6Point is one hot-spot size's commit/abort tallies.
@@ -138,34 +132,23 @@ func Figure6(seed int64, sc Scale, hotspotPcts []int) []Fig6Point {
 	// 350ms, 3 items × ~2 units each, 90% into the hot spot.
 	expTxns := float64(sc.Clients) * sc.Measure.Seconds() / 0.35
 	hotUnits := 0.9 * expTxns * 3 * 2
+	// Half the 2%-hotspot per-item load: the smallest hot spots
+	// deplete mid-run, larger ones never do.
+	stock := int64(0.5 * hotUnits / (float64(sc.Items) * 0.02))
+	if stock < 10 {
+		stock = 10
+	}
 	var out []Fig6Point
 	for _, pct := range hotspotPcts {
-		// Half the 2%-hotspot per-item load: the smallest hot spots
-		// deplete mid-run, larger ones never do.
-		stock := int64(0.5 * hotUnits / (float64(sc.Items) * 0.02))
-		if stock < 10 {
-			stock = 10
-		}
-		point := Fig6Point{HotspotPct: pct, Results: make(map[Protocol]*Result)}
-		for _, proto := range []Protocol{Proto2PC, ProtoMulti, ProtoFast, ProtoMDCC} {
-			w := NewWorld(Options{
-				Protocol:    proto,
-				NodesPerDC:  2,
-				Clients:     sc.Clients,
-				ClientDC:    -1,
-				Seed:        seed,
-				Constraints: []record.Constraint{microbench.Constraint()},
-			})
-			opts := microbench.Defaults()
-			opts.Items = sc.Items
-			opts.HotspotFrac = float64(pct) / 100
-			opts.HotProb = 0.9
-			opts.InitialStockMin = stock
-			opts.InitialStockMax = stock * 2
-			wl := microbench.New(opts)
-			point.Results[proto] = Run(w, wl, RunConfig{Warmup: sc.Warmup, Measure: sc.Measure})
-		}
-		out = append(out, point)
+		pct := pct
+		out = append(out, Fig6Point{HotspotPct: pct,
+			Results: microSweep(seed, sc, []Protocol{Proto2PC, ProtoMulti, ProtoFast, ProtoMDCC},
+				func(o *microbench.Options) {
+					o.HotspotFrac = float64(pct) / 100
+					o.HotProb = 0.9
+					o.InitialStockMin = stock
+					o.InitialStockMax = stock * 2
+				})})
 	}
 	return out
 }
@@ -182,23 +165,10 @@ type Fig7Point struct {
 func Figure7(seed int64, sc Scale, localPcts []int) []Fig7Point {
 	var out []Fig7Point
 	for _, pct := range localPcts {
-		point := Fig7Point{LocalPct: pct, Results: make(map[Protocol]*Result)}
-		for _, proto := range []Protocol{ProtoMulti, ProtoMDCC} {
-			w := NewWorld(Options{
-				Protocol:    proto,
-				NodesPerDC:  2,
-				Clients:     sc.Clients,
-				ClientDC:    -1,
-				Seed:        seed,
-				Constraints: []record.Constraint{microbench.Constraint()},
-			})
-			opts := microbench.Defaults()
-			opts.Items = sc.Items
-			opts.LocalMasterFrac = float64(pct) / 100
-			wl := microbench.New(opts)
-			point.Results[proto] = Run(w, wl, RunConfig{Warmup: sc.Warmup, Measure: sc.Measure})
-		}
-		out = append(out, point)
+		pct := pct
+		out = append(out, Fig7Point{LocalPct: pct,
+			Results: microSweep(seed, sc, []Protocol{ProtoMulti, ProtoMDCC},
+				func(o *microbench.Options) { o.LocalMasterFrac = float64(pct) / 100 })})
 	}
 	return out
 }

@@ -61,8 +61,11 @@ func TestBuyConfirmDecrementsStock(t *testing.T) {
 	if res.Commits == 0 {
 		t.Fatal("no commits")
 	}
-	m := w.CoreMetrics()
-	if m.Executed == 0 {
+	var executed int64
+	for _, n := range w.nodes {
+		executed += n.Metrics().Executed
+	}
+	if executed == 0 {
 		t.Fatal("no options executed")
 	}
 }

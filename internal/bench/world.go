@@ -70,25 +70,7 @@ type World struct {
 	Clients []mtx.Client
 
 	*deployment // Net and Cluster are its net and cl
-	coreCoords  []*core.Coordinator
-	qwNodes     []*qw.StorageNode
-	twopcParts  []*twopc.Participant
-	twopcCos    []*twopc.Coordinator
-	msReplicas  []*megastore.Replica
-	msMaster    *megastore.Master
 }
-
-// coreClient adapts core.Coordinator to mtx.Client.
-type coreClient struct {
-	c    *core.Coordinator
-	comm bool
-}
-
-func (cc coreClient) Read(key record.Key, cb mtx.ReadFunc) { cc.c.Read(key, cb) }
-func (cc coreClient) Commit(updates []record.Update, done func(bool)) {
-	cc.c.Commit(updates, func(r core.CommitResult) { done(r.Committed) })
-}
-func (cc coreClient) SupportsCommutative() bool { return cc.comm }
 
 // NewWorld builds the deployment for opts.
 func NewWorld(opts Options) *World {
@@ -161,9 +143,7 @@ func (w *World) buildCore(opts Options, cl *topology.Cluster, net *simnet.Net) {
 	}
 	w.startCore(cfg)
 	for _, c := range cl.Clients {
-		co := core.NewCoordinator(c.ID, c.DC, net, cl, cfg)
-		w.coreCoords = append(w.coreCoords, co)
-		w.Clients = append(w.Clients, coreClient{c: co, comm: mode == core.ModeMDCC})
+		w.Clients = append(w.Clients, core.NewCoordinator(c.ID, c.DC, net, cl, cfg).Client())
 	}
 }
 
@@ -171,13 +151,10 @@ func (w *World) build2PC(opts Options, cl *topology.Cluster, net *simnet.Net) {
 	for _, n := range cl.Storage {
 		store := kv.NewMemory()
 		w.stores = append(w.stores, store)
-		w.twopcParts = append(w.twopcParts,
-			twopc.NewParticipant(n.ID, net, store, opts.Constraints, 10*time.Second))
+		twopc.NewParticipant(n.ID, net, store, opts.Constraints, 10*time.Second)
 	}
 	for _, c := range cl.Clients {
-		co := twopc.NewCoordinator(c.ID, c.DC, net, cl, 5*time.Second)
-		w.twopcCos = append(w.twopcCos, co)
-		w.Clients = append(w.Clients, co)
+		w.Clients = append(w.Clients, twopc.NewCoordinator(c.ID, c.DC, net, cl, 5*time.Second))
 	}
 }
 
@@ -185,7 +162,7 @@ func (w *World) buildQW(cl *topology.Cluster, net *simnet.Net, quorum int) {
 	for _, n := range cl.Storage {
 		store := kv.NewMemory()
 		w.stores = append(w.stores, store)
-		w.qwNodes = append(w.qwNodes, qw.NewStorageNode(n.ID, net, store))
+		qw.NewStorageNode(n.ID, net, store)
 	}
 	for _, c := range cl.Clients {
 		w.Clients = append(w.Clients, qw.NewClient(c.ID, c.DC, net, cl, quorum))
@@ -198,12 +175,11 @@ func (w *World) buildMegastore(cl *topology.Cluster, net *simnet.Net) {
 		store := kv.NewMemory()
 		w.stores = append(w.stores, store)
 		r := megastore.NewReplica(megastore.ReplicaIDFor(dc), net, store)
-		w.msReplicas = append(w.msReplicas, r)
 		if dc == topology.USWest {
 			west = r
 		}
 	}
-	w.msMaster = megastore.NewMaster(net, cl, west)
+	megastore.NewMaster(net, cl, west)
 	for _, c := range cl.Clients {
 		w.Clients = append(w.Clients, megastore.NewClient(c.ID, c.DC, net, cl))
 	}
@@ -235,44 +211,12 @@ func (w *World) Preload(entries []kv.Entry) {
 // FailDC fails every storage node of a data center (figure 8's
 // simulated outage: the DC stops receiving messages).
 func (w *World) FailDC(dc topology.DC) {
-	for _, n := range w.Cluster.Storage {
-		if n.DC == dc {
-			w.Net.Fail(n.ID)
-		}
+	for _, n := range w.Cluster.StorageIn(dc) {
+		w.Net.Fail(n.ID)
 	}
 	if w.Opts.Protocol == ProtoMegastore {
 		w.Net.Fail(megastore.ReplicaIDFor(dc))
 	}
-}
-
-// RecoverDC brings a failed data center back.
-func (w *World) RecoverDC(dc topology.DC) {
-	for _, n := range w.Cluster.Storage {
-		if n.DC == dc {
-			w.Net.Recover(n.ID)
-		}
-	}
-	if w.Opts.Protocol == ProtoMegastore {
-		w.Net.Recover(megastore.ReplicaIDFor(dc))
-	}
-}
-
-// CoreMetrics sums storage-node metrics (zero for non-core protocols).
-func (w *World) CoreMetrics() core.Metrics {
-	var total core.Metrics
-	for _, n := range w.nodes {
-		total.Add(n.Metrics())
-	}
-	return total
-}
-
-// CoordMetrics sums coordinator metrics (zero for non-core protocols).
-func (w *World) CoordMetrics() core.CoordMetrics {
-	var total core.CoordMetrics
-	for _, c := range w.coreCoords {
-		total.Add(c.Metrics())
-	}
-	return total
 }
 
 // StoreOf returns the committed state of key at its replica in the

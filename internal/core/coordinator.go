@@ -713,3 +713,20 @@ func (m *CoordMetrics) Add(o CoordMetrics) {
 
 // Metrics returns a snapshot of this coordinator's counters.
 func (c *Coordinator) Metrics() CoordMetrics { return c.m }
+
+// Client is the coordinator behind the harnesses' uniform client
+// interface (mtx.Client, whose unnamed signatures it matches without
+// importing it): Commit reports just the outcome, and commutative
+// updates run natively exactly when the mode is full MDCC.
+type Client struct{ c *Coordinator }
+
+// Client returns the coordinator's mtx.Client view.
+func (c *Coordinator) Client() Client { return Client{c} }
+
+func (cl Client) Read(key record.Key, cb func(val record.Value, ver record.Version, exists bool)) {
+	cl.c.Read(key, cb)
+}
+func (cl Client) Commit(updates []record.Update, done func(committed bool)) {
+	cl.c.Commit(updates, func(r CommitResult) { done(r.Committed) })
+}
+func (cl Client) SupportsCommutative() bool { return cl.c.cfg.Mode == ModeMDCC }

@@ -72,15 +72,6 @@ func (w *durableWorld) restart(i int) {
 	w.nodes[i] = NewDurableStorageNode(n.ID, n.DC, w.net, w.cl, w.cfg, ds)
 }
 
-// coordMtx adapts a Coordinator to mtx.Client for check.History.
-type coordMtx struct{ c *Coordinator }
-
-func (cm coordMtx) Read(key record.Key, cb mtx.ReadFunc) { cm.c.Read(key, cb) }
-func (cm coordMtx) Commit(ups []record.Update, done func(bool)) {
-	cm.c.Commit(ups, func(r CommitResult) { done(r.Committed) })
-}
-func (cm coordMtx) SupportsCommutative() bool { return true }
-
 // TestCrashRestartFromWALMidPhase2 kills an acceptor while a stream
 // of transactions is mid-protocol (Phase2 messages and visibility in
 // flight), restarts it from its WALs, and asserts that no
@@ -91,7 +82,7 @@ func TestCrashRestartFromWALMidPhase2(t *testing.T) {
 	hist := check.New()
 	clients := make([]mtx.Client, len(w.coords))
 	for i, c := range w.coords {
-		clients[i] = hist.Client(i, coordMtx{c})
+		clients[i] = hist.Client(i, c.Client())
 	}
 
 	// Preload one commutative counter on every replica (version 1, as

@@ -74,8 +74,9 @@ var ErrClosed = errors.New("gateway: closed")
 // ErrOutcomeUnknown is reported for transactions a killed gateway had
 // already dispatched into the protocol: their options may have been
 // proposed (and may still commit via the dangling-option sweep), but
-// the acknowledgement died with the process. See Kill. Callers map it
-// to the public mdcc.ErrOutcomeUnknown.
+// the acknowledgement died with the process. See Kill. The public
+// mdcc.ErrOutcomeUnknown (like mdcc.ErrOverloaded and mdcc.ErrClosed)
+// is this value.
 var ErrOutcomeUnknown = errors.New("gateway: transaction outcome unknown (gateway crashed before acknowledgement)")
 
 // Tuning shapes one gateway. The zero value means defaults.
@@ -165,11 +166,11 @@ func NodeIDs(dc topology.DC, t Tuning) []transport.NodeID {
 	return out
 }
 
-// MaxRoutedPool is the largest coordinator pool whose node IDs peer
+// maxRoutedPool is the largest coordinator pool whose node IDs peer
 // servers pre-install routes for (RouteIDs). Pools are bounded by
 // design — the tier's whole point is a small coordinator set — so a
 // static cap keeps cross-server routing coordination-free.
-const MaxRoutedPool = 64
+const maxRoutedPool = 64
 
 // RouteIDs lists every transport id a *peer* process must be able to
 // route back to a gateway possibly hosted in dc: acceptor votes,
@@ -177,7 +178,7 @@ const MaxRoutedPool = 64
 // coordinators, which live on the gateway DC's server. Pool sizes are
 // a local tuning choice, so peers route the maximum.
 func RouteIDs(dc topology.DC) []transport.NodeID {
-	return NodeIDs(dc, Tuning{Pool: MaxRoutedPool})
+	return NodeIDs(dc, Tuning{Pool: maxRoutedPool})
 }
 
 // Metrics is a gateway's operational snapshot.
@@ -445,14 +446,17 @@ type Gateway struct {
 	reqSeq   uint64
 	closed   bool
 
-	// pending registers every admitted transaction's completion
-	// callback (plus its write-set keys, for the shard mover's drain
-	// probe) until it settles, so Kill can fail them all with
-	// ErrOutcomeUnknown (the in-process analogue of the RPC client's
-	// settle deadline). Exactly-once delivery is the map's job: the
-	// wrapper only fires a callback it can still remove.
+	// pending registers everything the gateway owes an answer: every
+	// admitted transaction's completion callback (plus its write-set
+	// keys, for the shard mover's drain probe) until it settles, and
+	// every read callback that left the memory rung until its reply
+	// lands — so Kill can fail the transactions with ErrOutcomeUnknown
+	// (the in-process analogue of the RPC client's settle deadline) and
+	// Kill and Close can answer the reads absent. Exactly-once delivery
+	// is the map's job: a wrapper only fires a callback it can still
+	// remove.
 	pendSeq uint64
-	pending map[uint64]pendingTx
+	pending map[uint64]pendingOp
 
 	// Shard-move admission freeze (see FreezeShards): while a live
 	// move drains, commits touching a moving key are refused with
@@ -492,7 +496,7 @@ func NewGen(dc topology.DC, net transport.Network, cl *topology.Cluster, coreCfg
 		tun:     tun,
 		q:       paxos.NewQuorum(cl.ReplicationFactor()),
 		keys:    make(map[record.Key]*keyState),
-		pending: make(map[uint64]pendingTx),
+		pending: make(map[uint64]pendingOp),
 	}
 	g.bnet = newBatcher(net, g.id, tun.BatchWindow)
 	if coreCfg.Tracer != nil {
@@ -528,11 +532,9 @@ func NewGen(dc topology.DC, net transport.Network, cl *topology.Cluster, coreCfg
 		g.subEpoch = uint64(net.Now().UnixNano())
 		g.feeds = make(map[transport.NodeID]*feedState)
 		g.flights = make(map[record.Key]*readFlight)
-		for _, n := range cl.Storage {
-			if n.DC == dc {
-				g.shards = append(g.shards, n.ID)
-				g.feeds[n.ID] = &feedState{}
-			}
+		for _, n := range cl.StorageIn(dc) {
+			g.shards = append(g.shards, n.ID)
+			g.feeds[n.ID] = &feedState{}
 		}
 		g.mu.Lock()
 		g.subscribeFeedsLocked()
@@ -545,9 +547,6 @@ func NewGen(dc topology.DC, net transport.Network, cl *topology.Cluster, coreCfg
 // ID returns the gateway's transport node identity.
 func (g *Gateway) ID() transport.NodeID { return g.id }
 
-// DC returns the gateway's data center.
-func (g *Gateway) DC() topology.DC { return g.dc }
-
 // Tuning returns the gateway's resolved tuning (defaults applied), so
 // operators log what actually runs instead of re-deriving defaults.
 func (g *Gateway) Tuning() Tuning { return g.tun }
@@ -559,28 +558,27 @@ func (g *Gateway) nextCoordLocked() *core.Coordinator {
 	return co
 }
 
-// Read serves a committed read with no version floor: from the
-// materialized read tier when live (zero RPCs), else through a pooled
-// coordinator. cb may fire synchronously (memory hit) or on a
-// coordinator goroutine. See ReadFloor for floor-aware reads.
-func (g *Gateway) Read(key record.Key, cb func(val record.Value, ver record.Version, exists bool)) {
-	if !g.tun.DisableReadTier {
-		g.ReadFloor(key, 0, cb)
-		return
-	}
-	g.mu.Lock()
-	co := g.nextCoordLocked()
-	g.mu.Unlock()
-	g.net.After(co.ID(), 0, func() { co.Read(key, cb) })
-}
+// ReadFunc receives a read's answer. A gateway that cannot answer —
+// no replica reachable, or the gateway itself killed or closed —
+// answers absent: the zero value, version 0, exists false.
+type ReadFunc = func(val record.Value, ver record.Version, exists bool)
+
+// Read serves a committed read with no version floor; see ReadFloor.
+func (g *Gateway) Read(key record.Key, cb ReadFunc) { g.ReadFloor(key, 0, cb) }
 
 // ReadQuorum serves an up-to-date quorum read through a pooled
 // coordinator.
-func (g *Gateway) ReadQuorum(key record.Key, cb func(val record.Value, ver record.Version, exists bool)) {
+func (g *Gateway) ReadQuorum(key record.Key, cb ReadFunc) {
 	g.mu.Lock()
+	if g.closed {
+		g.mu.Unlock()
+		cb(record.Value{}, 0, false)
+		return
+	}
+	held := g.holdReadLocked(cb)
 	co := g.nextCoordLocked()
 	g.mu.Unlock()
-	g.net.After(co.ID(), 0, func() { co.ReadQuorum(key, cb) })
+	g.net.After(co.ID(), 0, func() { co.ReadQuorum(key, held) })
 }
 
 // Commit submits a client transaction. done fires exactly once:
@@ -676,13 +674,15 @@ func (g *Gateway) startLocked(updates []record.Update, done func(bool, error), s
 	})
 }
 
-// pendingTx is one admitted-but-unsettled transaction: its completion
-// callback plus the keys it touches (the shard mover's drain probe
-// scans these).
-type pendingTx struct {
+// pendingOp is one operation the gateway holds an answer for: an
+// admitted-but-unsettled transaction (its completion callback plus the
+// keys it touches — the shard mover's drain probe scans these), or a
+// read that left the memory rung (read set, the rest zero).
+type pendingOp struct {
 	keys []record.Key
 	done func(bool, error)
 	span *gwSpan
+	read ReadFunc
 }
 
 // registerPendingLocked wraps a client completion callback with
@@ -695,16 +695,59 @@ func (g *Gateway) registerPendingLocked(updates []record.Update, done func(bool,
 	for i, up := range updates {
 		keys[i] = up.Key
 	}
-	g.pending[id] = pendingTx{keys: keys, done: done, span: span}
+	g.pending[id] = pendingOp{keys: keys, done: done, span: span}
 	return func(ok bool, err error) {
-		g.mu.Lock()
-		p, live := g.pending[id]
-		delete(g.pending, id)
-		g.mu.Unlock()
-		if live {
+		if p, live := g.claimPending(id); live {
 			p.done(ok, err)
 		}
 	}
+}
+
+// holdReadLocked registers a read the gateway cannot answer on the
+// spot (a single-flight waiter, a quorum escalation, a quorum read) in
+// the pending map, under the same sequence as the transactions, and
+// returns the callback to answer it through: whichever of the reply
+// and Kill/Close claims the entry first delivers. Callers have checked
+// the gateway is open (a closed one answers absent at once).
+func (g *Gateway) holdReadLocked(cb ReadFunc) ReadFunc {
+	g.pendSeq++
+	id := g.pendSeq
+	g.pending[id] = pendingOp{read: cb}
+	return func(val record.Value, ver record.Version, exists bool) {
+		if _, live := g.claimPending(id); live {
+			cb(val, ver, exists)
+		}
+	}
+}
+
+func (g *Gateway) claimPending(id uint64) (pendingOp, bool) {
+	g.mu.Lock()
+	p, live := g.pending[id]
+	delete(g.pending, id)
+	g.mu.Unlock()
+	return p, live
+}
+
+// takePendingLocked empties the pending map in registration order:
+// the transactions' entries (left in place when reads only — Close
+// lets dispatched transactions drain) and the held reads' callbacks.
+func (g *Gateway) takePendingLocked(readsOnly bool) (txs []pendingOp, reads []ReadFunc) {
+	ids := make([]uint64, 0, len(g.pending))
+	for id, p := range g.pending {
+		if p.read != nil || !readsOnly {
+			ids = append(ids, id)
+		}
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		if p := g.pending[id]; p.read != nil {
+			reads = append(reads, p.read)
+		} else {
+			txs = append(txs, p)
+		}
+		delete(g.pending, id)
+	}
+	return txs, reads
 }
 
 // outTrack is one key's share of a dispatched write-set in the
@@ -1425,13 +1468,15 @@ func (g *Gateway) Metrics() Metrics {
 
 // Kill models a gateway process crash for in-process deployments and
 // harnesses: the backlog (never admitted — outcome known) fails with
-// ErrClosed, while every admitted in-flight transaction fails with
+// ErrClosed, every admitted in-flight transaction fails with
 // ErrOutcomeUnknown — its options may already be proposed and the
 // protocol will still settle them (dangling-option sweep), but the
-// acknowledgement died with the process. Callbacks fire synchronously
-// on the caller's goroutine; pair with crashing the gateway's
-// transport nodes so no late coordinator callback races (stragglers
-// are absorbed by the pending map's exactly-once claim anyway).
+// acknowledgement died with the process — and every held read is
+// answered absent. Callbacks fire synchronously on the caller's
+// goroutine, the transactions' before the reads', each cohort in
+// registration order; pair with crashing the gateway's transport nodes
+// so no late coordinator callback races (stragglers are absorbed by
+// the pending map's exactly-once claim anyway).
 func (g *Gateway) Kill() {
 	g.mu.Lock()
 	if g.closed {
@@ -1441,41 +1486,24 @@ func (g *Gateway) Kill() {
 	g.closed = true
 	queued := g.queue
 	g.queue = nil
-	for _, ks := range g.keys {
-		if ks.win == nil {
-			continue
-		}
-		if ks.win.timer != nil {
-			ks.win.timer.Stop()
-		}
-		// Window waiters were admitted and registered; they fail with
-		// the in-flight cohort below (outcome-unknown is conservative
-		// for a never-proposed waiter, and matches what the crashed
-		// process's clients could actually know).
-		ks.win = nil
-	}
-	ids := make([]uint64, 0, len(g.pending))
-	for id := range g.pending {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	dones := make([]func(bool, error), 0, len(ids))
-	var spans []*gwSpan
-	for _, id := range ids {
-		dones = append(dones, g.pending[id].done)
-		if sp := g.pending[id].span; sp != nil {
-			spans = append(spans, sp)
-		}
-		delete(g.pending, id)
-	}
+	// Window waiters were admitted and registered; they fail with the
+	// in-flight cohort below (outcome-unknown is conservative for a
+	// never-proposed waiter, and matches what the crashed process's
+	// clients could actually know).
+	g.dropWindowsLocked()
+	txs, reads := g.takePendingLocked(false)
 	g.inflight = 0
-	g.m.Aborts += int64(len(queued) + len(dones))
+	g.m.Aborts += int64(len(queued) + len(txs))
 	g.mu.Unlock()
 	// The killed incarnation's clients never learn these outcomes —
 	// exactly the traces worth keeping. The protocol TxID is unknown
 	// here (the option may or may not have been proposed), so the
 	// assembled timeline rides on the admit seq and the write-set keys.
-	for _, sp := range spans {
+	for _, p := range txs {
+		sp := p.span
+		if sp == nil {
+			continue
+		}
 		now := g.net.Now().UnixNano()
 		g.tr.Add(trace.Event{At: now, Key: orFirst(sp.keys), Stage: trace.StageAck,
 			Flags: trace.FlagUnknown})
@@ -1485,8 +1513,11 @@ func (g *Gateway) Kill() {
 	for _, q := range queued {
 		q.done(false, ErrClosed)
 	}
-	for _, d := range dones {
-		d(false, ErrOutcomeUnknown)
+	for _, p := range txs {
+		p.done(false, ErrOutcomeUnknown)
+	}
+	for _, cb := range reads {
+		cb(record.Value{}, 0, false)
 	}
 }
 
@@ -1497,9 +1528,26 @@ func orFirst(keys []string) string {
 	return keys[0]
 }
 
-// Close rejects the backlog and every parked window with ErrClosed
-// and flushes the batcher. Pooled coordinators keep draining what was
-// already dispatched (their lifecycle belongs to the network).
+// dropWindowsLocked stops every open merge window and returns the
+// client transactions parked in them.
+func (g *Gateway) dropWindowsLocked() (parked []waiter) {
+	for _, ks := range g.keys {
+		if ks.win == nil {
+			continue
+		}
+		if ks.win.timer != nil {
+			ks.win.timer.Stop()
+		}
+		parked = append(parked, ks.win.waiters...)
+		ks.win = nil
+	}
+	return parked
+}
+
+// Close rejects the backlog and every parked window with ErrClosed,
+// answers every held read absent and flushes the batcher. Pooled
+// coordinators keep draining what was already dispatched (their
+// lifecycle belongs to the network).
 func (g *Gateway) Close() {
 	g.mu.Lock()
 	if g.closed {
@@ -1509,27 +1557,19 @@ func (g *Gateway) Close() {
 	g.closed = true
 	queued := g.queue
 	g.queue = nil
-	var parked []waiter
-	for key, ks := range g.keys {
-		if ks.win == nil {
-			continue
-		}
-		if ks.win.timer != nil {
-			ks.win.timer.Stop()
-		}
-		parked = append(parked, ks.win.waiters...)
-		ks.win = nil
-		_ = key
-	}
-	n := len(queued) // queued never held inflight slots
-	g.inflight -= len(parked)
-	g.m.Aborts += int64(n + len(parked))
+	parked := g.dropWindowsLocked()
+	_, reads := g.takePendingLocked(true)
+	g.inflight -= len(parked) // queued never held inflight slots
+	g.m.Aborts += int64(len(queued) + len(parked))
 	g.mu.Unlock()
 	for _, q := range queued {
 		q.done(false, ErrClosed)
 	}
 	for _, w := range parked {
 		w.done(false, ErrClosed)
+	}
+	for _, cb := range reads {
+		cb(record.Value{}, 0, false)
 	}
 	g.bnet.flushAll()
 }

@@ -81,7 +81,7 @@ const interestSlack = 1024
 // readWaiter is one caller parked on a single-flight read.
 type readWaiter struct {
 	floor record.Version
-	cb    func(record.Value, record.Version, bool)
+	cb    ReadFunc
 }
 
 // readFlight is one in-flight fallback read shared by every
@@ -312,16 +312,21 @@ func (g *Gateway) feedLiveLocked(key record.Key) bool {
 //  3. an up-to-date quorum read when even the local replica lags the
 //     floor (one per flight, shared by every floor-outrun waiter).
 //
-// The callback may fire synchronously (memory hit) or on a pooled
-// coordinator's goroutine (fallbacks). The result can still lag the
-// floor when no reachable replica has caught up; callers holding
-// session guarantees retry as Session.Read does.
-func (g *Gateway) ReadFloor(key record.Key, floor record.Version, cb func(val record.Value, ver record.Version, exists bool)) {
-	if g.tun.DisableReadTier {
-		g.Read(key, cb)
+// With the read tier disabled the ladder is rung 2 alone, one RPC per
+// read. The callback may fire synchronously (memory hit, closed
+// gateway) or on a pooled coordinator's goroutine (fallbacks); past
+// the memory rung it is held in the pending map, so Kill and Close
+// answer it. The result can still lag the floor when no reachable
+// replica has caught up: the gateway walks its ladder once, and what a
+// caller holding session guarantees does with a miss is mtx.ReadAtFloor's
+// rule, not the gateway's.
+func (g *Gateway) ReadFloor(key record.Key, floor record.Version, cb ReadFunc) {
+	g.mu.Lock()
+	if g.closed {
+		g.mu.Unlock()
+		cb(record.Value{}, 0, false)
 		return
 	}
-	g.mu.Lock()
 	if ks, ok := g.keys[key]; ok && ks.hasVal && ks.confirmed && ks.valVer >= floor && g.feedLiveLocked(key) {
 		val, ver, exists := ks.val, ks.valVer, ks.valExists
 		ks.readAt = g.net.Now()
@@ -336,13 +341,20 @@ func (g *Gateway) ReadFloor(key record.Key, floor record.Version, cb func(val re
 		cb(val, ver, exists)
 		return
 	}
+	held := g.holdReadLocked(cb)
+	if g.tun.DisableReadTier {
+		co := g.nextCoordLocked()
+		g.mu.Unlock()
+		g.net.After(co.ID(), 0, func() { co.Read(key, held) })
+		return
+	}
 	if fl, ok := g.flights[key]; ok {
-		fl.waiters = append(fl.waiters, readWaiter{floor: floor, cb: cb})
+		fl.waiters = append(fl.waiters, readWaiter{floor: floor, cb: held})
 		g.m.ReadCoalesced++
 		g.mu.Unlock()
 		return
 	}
-	fl := &readFlight{waiters: []readWaiter{{floor: floor, cb: cb}}}
+	fl := &readFlight{waiters: []readWaiter{{floor: floor, cb: held}}}
 	g.flights[key] = fl
 	g.m.ReadRPCs++
 	co := g.nextCoordLocked()

@@ -1,6 +1,8 @@
 package gateway
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -401,5 +403,113 @@ func TestReadTierPublisherChurnedOut(t *testing.T) {
 	}
 	if got := w.gw.Metrics().ReadRPCs; got != rpcs {
 		t.Fatalf("post-churn read paid an RPC (%d -> %d): the replacement's feed is not feeding memory", rpcs, got)
+	}
+}
+
+// TestKillAndCloseAnswerHeldReads pins the teardown half of the client
+// contract: every read the gateway holds past the memory rung — a
+// single-flight fill, the waiter sharing it, a floor escalation
+// already on its quorum rung, a plain quorum read, and the tier-less
+// per-read RPC — is answered absent exactly once by Kill and by Close
+// (after the transactions, in registration order), late replies never
+// re-fire a callback, and every call made afterwards answers at once.
+func TestKillAndCloseAnswerHeldReads(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tier bool
+		kill bool
+	}{
+		{"kill", true, true},
+		{"close", true, false},
+		{"kill without read tier", false, true},
+		{"close without read tier", false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newTestWorld(t, Tuning{CoalesceWindow: -1, DisableReadTier: !tc.tier}, nil)
+			for _, key := range []record.Key{"held/a", "held/b", "held/c"} {
+				w.preload(key, record.Value{Attrs: map[string]int64{"x": 1}})
+			}
+			w.net.RunFor(3 * time.Second) // feeds subscribe, hellos land
+
+			var order []string
+			fired := map[string]int{}
+			read := func(name string) func(record.Value, record.Version, bool) {
+				return func(_ record.Value, ver record.Version, exists bool) {
+					if ver != 0 || exists {
+						t.Errorf("%s answered v%d exists=%v, want absent", name, ver, exists)
+					}
+					fired[name]++
+					order = append(order, name)
+				}
+			}
+			commit := func(name string) func(bool, error) {
+				return func(ok bool, err error) {
+					// Kill fails what it dispatched; Close lets it drain.
+					if tc.kill != errors.Is(err, ErrOutcomeUnknown) || tc.kill == ok {
+						t.Errorf("%s settled ok=%v err=%v", name, ok, err)
+					}
+					fired[name]++
+					order = append(order, name)
+				}
+			}
+			var want []string
+			if tc.tier {
+				// A floor nobody can meet: 20ms in, the local fill has
+				// answered and the read sits on its quorum rung.
+				w.net.At(0, func() { w.gw.ReadFloor("held/b", 99, read("escalated")) })
+				w.net.RunFor(20 * time.Millisecond)
+				if m := w.gw.Metrics(); m.ReadQuorums != 1 || len(order) != 0 {
+					t.Fatalf("escalation not in flight: %d quorum reads, answered %v", m.ReadQuorums, order)
+				}
+				want = []string{"escalated"}
+			}
+			want = append(want, "fill", "waiter", "quorum", "plain")
+			w.net.At(0, func() {
+				w.gw.ReadFloor("held/a", 0, read("fill"))
+				w.gw.Commit([]record.Update{record.Commutative("held/a", map[string]int64{"x": 1})}, commit("tx1"))
+				w.gw.ReadFloor("held/a", 0, read("waiter"))
+				w.gw.ReadQuorum("held/a", read("quorum"))
+				w.gw.Commit([]record.Update{record.Commutative("held/b", map[string]int64{"x": 1})}, commit("tx2"))
+				w.gw.Read("held/c", read("plain"))
+				if tc.kill {
+					w.gw.Kill()
+					want = append([]string{"tx1", "tx2"}, want...) // transactions first
+				} else {
+					w.gw.Close()
+				}
+			})
+			w.net.RunFor(time.Millisecond)
+			if fmt.Sprint(order) != fmt.Sprint(want) {
+				t.Fatalf("teardown answered %v, want %v", order, want)
+			}
+
+			// A closed gateway answers at once, on the caller's stack.
+			after := 0
+			absent := func(_ record.Value, ver record.Version, exists bool) {
+				if ver == 0 && !exists {
+					after++
+				}
+			}
+			w.gw.ReadFloor("held/a", 0, absent)
+			w.gw.ReadQuorum("held/a", absent)
+			w.gw.Commit([]record.Update{record.Commutative("held/a", map[string]int64{"x": 1})},
+				func(ok bool, err error) {
+					if !ok && errors.Is(err, ErrClosed) {
+						after++
+					}
+				})
+			if after != 3 {
+				t.Fatalf("%d of 3 calls on a closed gateway answered at once", after)
+			}
+
+			// Replies still in flight (Close leaves the nodes up) must not
+			// re-fire anything.
+			w.net.RunFor(10 * time.Second)
+			for _, name := range append(want, "tx1", "tx2") {
+				if fired[name] != 1 {
+					t.Fatalf("%q answered %d times", name, fired[name])
+				}
+			}
+		})
 	}
 }

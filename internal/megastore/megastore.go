@@ -99,9 +99,6 @@ func NewReplica(id transport.NodeID, net transport.Network, store *kv.Store) *Re
 	return r
 }
 
-// ID returns the replica identity.
-func (r *Replica) ID() transport.NodeID { return r.id }
-
 // Store exposes the replica's store.
 func (r *Replica) Store() *kv.Store { return r.store }
 

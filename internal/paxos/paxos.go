@@ -114,10 +114,6 @@ func (q Quorum) PossiblyChosen(votes, responded int) bool {
 // learn in a fast ballot.
 func (q Quorum) FastLearned(votes int) bool { return votes >= q.Fast }
 
-// ClassicLearned reports whether `votes` identical votes suffice to
-// learn in a classic ballot.
-func (q Quorum) ClassicLearned(votes int) bool { return votes >= q.Classic }
-
 // Valid checks the Fast Paxos quorum requirements: any two quorums
 // intersect, and any two fast quorums intersect with every classic
 // quorum.

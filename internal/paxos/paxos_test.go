@@ -163,9 +163,6 @@ func TestLearnedThresholds(t *testing.T) {
 	if q.FastLearned(3) || !q.FastLearned(4) {
 		t.Fatal("FastLearned thresholds wrong")
 	}
-	if q.ClassicLearned(2) || !q.ClassicLearned(3) {
-		t.Fatal("ClassicLearned thresholds wrong")
-	}
 }
 
 func TestBallotString(t *testing.T) {

@@ -77,9 +77,6 @@ func NewStorageNode(id transport.NodeID, net transport.Network, store *kv.Store)
 	return n
 }
 
-// ID returns the node identity.
-func (n *StorageNode) ID() transport.NodeID { return n.id }
-
 // Store exposes the local store.
 func (n *StorageNode) Store() *kv.Store { return n.store }
 

@@ -65,15 +65,6 @@ func NewMover(t *Table, h Hooks) *Mover {
 // Phase returns the in-flight move's phase (PhaseIdle when none).
 func (mv *Mover) Phase() string { return mv.phase }
 
-// Next returns the staged target ring of the in-flight move, nil when
-// idle.
-func (mv *Mover) Next() *Ring {
-	if mv.phase == PhaseIdle || mv.phase == PhaseDone {
-		return nil
-	}
-	return mv.next
-}
-
 // Move stages next and starts the three-phase sequence; done (may be
 // nil) fires after publish. Returns an error when a move is already in
 // flight or next does not supersede the current epoch.
@@ -84,7 +75,7 @@ func (mv *Mover) Move(next Map, done func(MoveStats)) error {
 	if next.Epoch <= mv.t.Epoch() {
 		return fmt.Errorf("ring: stale move target epoch %d (current %d)", next.Epoch, mv.t.Epoch())
 	}
-	mv.next = mv.t.Stage(next)
+	mv.next = Compile(next)
 	mv.done = done
 	mv.phase = PhaseFreeze
 	mv.h.Freeze(mv.next, mv.frozen)

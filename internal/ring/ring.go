@@ -155,15 +155,13 @@ func (r *Ring) Epoch() Epoch { return r.m.Epoch }
 // Groups returns the active group indices.
 func (r *Ring) Groups() []int { return append([]int(nil), r.m.Groups...) }
 
-// Table is a cluster's live ring view: the current ring, the previous
-// one (so re-homed keys can be enumerated after a publish), and an
-// optionally staged next ring while a move is in flight. Reads are
-// concurrency-safe; Stage/Install are serialized by the mover.
+// Table is a cluster's live ring view: the current ring and the
+// previous one (so re-homed keys can be enumerated after a publish).
+// Reads are concurrency-safe; Install is serialized by the mover.
 type Table struct {
-	mu     sync.RWMutex
-	cur    *Ring
-	prev   *Ring
-	staged *Ring
+	mu   sync.RWMutex
+	cur  *Ring
+	prev *Ring
 }
 
 // NewTable builds a table serving map m.
@@ -193,27 +191,9 @@ func (t *Table) Current() *Ring {
 	return t.cur
 }
 
-// Stage compiles and remembers the next map without publishing it:
-// movers and bootstrap filters resolve prospective owners against the
-// staged ring while routing still follows the current one.
-func (t *Table) Stage(m Map) *Ring {
-	r := Compile(m)
-	t.mu.Lock()
-	t.staged = r
-	t.mu.Unlock()
-	return r
-}
-
-// Staged returns the staged ring (nil when no move is preparing).
-func (t *Table) Staged() *Ring {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.staged
-}
-
-// Install publishes map m: the current ring becomes the previous one,
-// the staged ring is cleared. A stale install (epoch not above the
-// current) is ignored and reported false.
+// Install publishes map m: the current ring becomes the previous one.
+// A stale install (epoch not above the current) is ignored and
+// reported false.
 func (t *Table) Install(m Map) bool {
 	r := Compile(m)
 	t.mu.Lock()
@@ -223,7 +203,6 @@ func (t *Table) Install(m Map) bool {
 	}
 	t.prev = t.cur
 	t.cur = r
-	t.staged = nil
 	return true
 }
 

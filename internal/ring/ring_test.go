@@ -128,12 +128,12 @@ func TestTableInstallAndMoved(t *testing.T) {
 	if tb.Install(tb.Current().Map()) {
 		t.Fatal("stale install (same epoch) accepted")
 	}
-	staged := tb.Stage(next)
+	staged := Compile(next)
 	if !tb.Install(next) {
 		t.Fatal("install of next epoch refused")
 	}
-	if tb.Epoch() != 2 || tb.Staged() != nil {
-		t.Fatalf("post-install epoch=%d staged=%v", tb.Epoch(), tb.Staged())
+	if tb.Epoch() != 2 {
+		t.Fatalf("post-install epoch=%d", tb.Epoch())
 	}
 	movedSome := false
 	for _, k := range testKeys(3000) {

@@ -79,12 +79,10 @@ type Run struct {
 	cons            []record.Constraint
 
 	// Gateway fault-injection state (gateway scenarios only).
-	gwDown         map[topology.DC]bool    // crashed, awaiting restart
-	gwGen          map[topology.DC]uint64  // incarnation generation per DC
-	gwRetired      []*gateway.Gateway      // dead incarnations (metrics)
-	gwSeq          uint64                  // in-flight op token source
-	gwTokens       map[uint64]*gwPendingOp // ops the gateway tier holds
-	gwUnknownTyped int                     // typed in-process ErrOutcomeUnknown observations
+	gwDown         map[topology.DC]bool   // crashed, awaiting restart
+	gwGen          map[topology.DC]uint64 // incarnation generation per DC
+	gwRetired      []*gateway.Gateway     // dead incarnations (metrics)
+	gwUnknownTyped int                    // typed in-process ErrOutcomeUnknown observations
 
 	// Live shard-move state (Scenario.Rebalance and churn QueueMove);
 	// see rebalance.go.
@@ -101,9 +99,10 @@ type Run struct {
 
 	// Session-guarantee floors, one map per client (read workloads
 	// only): the minimum version each client may observe per key,
-	// raised by floored reads and acknowledged physical writes —
-	// mirroring Session.EnableSessionGuarantees, and recomputed
-	// independently by check.ValidateSessionReads from the history.
+	// raised by floored reads and acknowledged physical writes — the
+	// bookkeeping Session.EnableSessionGuarantees keeps, fed to the same
+	// mtx.ReadAtFloor — and recomputed independently by
+	// check.ValidateSessionReads from the history.
 	floors []map[record.Key]record.Version
 
 	// rec is the run's flight recorder (Options.Trace only). The whole
@@ -122,24 +121,10 @@ type Run struct {
 
 // Run executes the scenario and returns its validated result.
 func (s *Scenario) Run(o Options) (*Result, error) {
-	if o.Clients <= 0 {
-		o.Clients = s.Clients
-	}
-	if o.Clients <= 0 {
-		o.Clients = 50
-	}
-	if o.NodesPerDC <= 0 {
-		o.NodesPerDC = s.NodesPerDC
-	}
-	if o.NodesPerDC <= 0 {
-		o.NodesPerDC = 1
-	}
-	if o.Duration <= 0 {
-		o.Duration = s.Duration
-	}
-	if o.Duration <= 0 {
-		o.Duration = time.Minute
-	}
+	// Sizing: the option, else the scenario's default, else the harness's.
+	o.Clients = firstPositive(o.Clients, s.Clients, 50)
+	o.NodesPerDC = firstPositive(o.NodesPerDC, s.NodesPerDC, 1)
+	o.Duration = firstPositive(o.Duration, s.Duration, time.Minute)
 	if o.Logf == nil {
 		o.Logf = func(string, ...interface{}) {}
 	}
@@ -149,6 +134,15 @@ func (s *Scenario) Run(o Options) (*Result, error) {
 	}
 	defer r.close()
 	return r.run()
+}
+
+func firstPositive[T int | time.Duration](vals ...T) T {
+	for _, v := range vals {
+		if v > 0 {
+			return v
+		}
+	}
+	return 0
 }
 
 func build(s *Scenario, o Options) (*Run, error) {
@@ -211,7 +205,6 @@ func build(s *Scenario, o Options) (*Run, error) {
 		lat:       stats.NewSample(4096),
 		gwDown:    make(map[topology.DC]bool),
 		gwGen:     make(map[topology.DC]uint64),
-		gwTokens:  make(map[uint64]*gwPendingOp),
 		rec:       rec,
 	}
 	if r.Opts.Dir == "" {
@@ -252,37 +245,11 @@ func build(s *Scenario, o Options) (*Run, error) {
 		for _, c := range cl.Clients {
 			co := core.NewCoordinator(c.ID, c.DC, net, cl, cfg)
 			r.coords = append(r.coords, co)
-			r.clients = append(r.clients, r.hist.Client(c.Index, coreClient{co}))
+			r.clients = append(r.clients, r.hist.Client(c.Index, co.Client()))
 		}
 	}
 	r.preload()
 	return r, nil
-}
-
-// coreClient adapts core.Coordinator to mtx.Client.
-type coreClient struct{ c *core.Coordinator }
-
-func (cc coreClient) Read(key record.Key, cb mtx.ReadFunc) { cc.c.Read(key, cb) }
-func (cc coreClient) Commit(updates []record.Update, done func(bool)) {
-	cc.c.Commit(updates, func(res core.CommitResult) { done(res.Committed) })
-}
-func (cc coreClient) SupportsCommutative() bool { return true }
-
-// gwPendingOp is one client op the gateway tier currently holds; if
-// the gateway crashes first, the op is force-settled (commits become
-// unknown-outcome history entries, reads fail) so the closed loop
-// keeps running and the checker knows what the crash swallowed.
-// Exactly-once settlement is the token map's job: claimGw deletes the
-// token, so whichever of crash and completion runs first wins. Since
-// Gateway.Kill, commits are normally settled by the gateway's own
-// typed ErrOutcomeUnknown callback; the token sweep remains the
-// backstop for reads.
-type gwPendingOp struct {
-	dc      topology.DC
-	client  int
-	updates []record.Update // nil for reads
-	settle  func(bool)      // commit path (clientLoop settle)
-	readCB  mtx.ReadFunc    // read path
 }
 
 // gwClient is the crash-aware client layer: it talks to the DC's
@@ -290,7 +257,11 @@ type gwPendingOp struct {
 // swap the incarnation underneath), records commit outcomes into the
 // history, diverts the in-process ErrOutcomeUnknown to Orphan
 // entries, and fails fast while the DC's gateway is down (connection
-// refused — nothing was submitted, nothing is recorded).
+// refused — nothing was submitted, nothing is recorded). What a
+// crashing gateway still holds it answers itself (Gateway.Kill: typed
+// unknown outcomes for the commits, absent for the reads), so the
+// closed loop keeps running and the checker knows what the crash
+// swallowed.
 type gwClient struct {
 	r  *Run
 	dc topology.DC
@@ -307,50 +278,20 @@ func (gc gwClient) refuse(f func()) {
 	gc.r.Net.After(gc.r.Cluster.Clients[gc.id].ID, 100*time.Millisecond, f)
 }
 
-func (gc gwClient) Read(key record.Key, cb mtx.ReadFunc) {
-	if gc.r.gwDown[gc.dc] {
+// read is the one read entry: the gateway's floored read (floor 0 =
+// any committed version), or an up-to-date quorum read.
+func (gc gwClient) read(key record.Key, floor record.Version, quorum bool, cb mtx.ReadFunc) {
+	switch {
+	case gc.r.gwDown[gc.dc]:
 		gc.refuse(func() { cb(record.Value{}, 0, false) })
-		return
+	case quorum:
+		gc.r.gws[gc.dc].ReadQuorum(key, cb)
+	default:
+		gc.r.gws[gc.dc].ReadFloor(key, floor, cb)
 	}
-	tok := gc.r.trackGw(&gwPendingOp{dc: gc.dc, client: gc.id, readCB: cb})
-	gc.r.gws[gc.dc].Read(key, func(val record.Value, ver record.Version, ok bool) {
-		if gc.r.claimGw(tok) {
-			cb(val, ver, ok)
-		}
-	})
 }
 
-// ReadFloor is the session-guaranteed read entry: it must never
-// return a version below floor that the harness then records (the
-// clientLoop ladder escalates through ReadLatest when the gateway's
-// best effort falls short). Crash-orphaned reads fail, they do not
-// dangle.
-func (gc gwClient) ReadFloor(key record.Key, floor record.Version, cb mtx.ReadFunc) {
-	if gc.r.gwDown[gc.dc] {
-		gc.refuse(func() { cb(record.Value{}, 0, false) })
-		return
-	}
-	tok := gc.r.trackGw(&gwPendingOp{dc: gc.dc, client: gc.id, readCB: cb})
-	gc.r.gws[gc.dc].ReadFloor(key, floor, func(val record.Value, ver record.Version, ok bool) {
-		if gc.r.claimGw(tok) {
-			cb(val, ver, ok)
-		}
-	})
-}
-
-// ReadLatest is the quorum escalation rung of the floored-read ladder.
-func (gc gwClient) ReadLatest(key record.Key, cb mtx.ReadFunc) {
-	if gc.r.gwDown[gc.dc] {
-		gc.refuse(func() { cb(record.Value{}, 0, false) })
-		return
-	}
-	tok := gc.r.trackGw(&gwPendingOp{dc: gc.dc, client: gc.id, readCB: cb})
-	gc.r.gws[gc.dc].ReadQuorum(key, func(val record.Value, ver record.Version, ok bool) {
-		if gc.r.claimGw(tok) {
-			cb(val, ver, ok)
-		}
-	})
-}
+func (gc gwClient) Read(key record.Key, cb mtx.ReadFunc) { gc.read(key, 0, false, cb) }
 
 func (gc gwClient) Commit(updates []record.Update, done func(bool)) {
 	if gc.r.gwDown[gc.dc] {
@@ -358,62 +299,44 @@ func (gc gwClient) Commit(updates []record.Update, done func(bool)) {
 		return
 	}
 	ups := append([]record.Update(nil), updates...)
-	tok := gc.r.trackGw(&gwPendingOp{dc: gc.dc, client: gc.id, updates: ups, settle: done})
 	sync := true
 	gc.r.gws[gc.dc].Commit(updates, func(ok bool, err error) {
-		if !gc.r.claimGw(tok) {
-			return
-		}
 		var ws ring.ErrWrongShard
 		if errors.As(err, &ws) {
 			// Epoch-fence refusal: the transaction touches a shard slice
 			// that is frozen for a live move (or was routed under a stale
 			// ring epoch). Nothing was admitted, so nothing is recorded —
-			// the client refreshes its ring view and retries after a
-			// backoff, exactly like the RPC client's retry contract. The
-			// retry re-enters Commit, which re-resolves against whatever
-			// ring epoch is current by then.
+			// this in-process client sees the typed error and retries
+			// after a backoff; the retry re-enters Commit, which
+			// re-resolves against whatever ring epoch is current by then.
+			// (The RPC surface has no such signal yet: gateway/remote.go
+			// answers a fenced MsgTx with Committed:false, a plain abort.)
 			gc.r.wrongShard++
 			gc.refuse(func() { gc.Commit(ups, done) })
 			return
 		}
 		outcome := ok && err == nil
 		if errors.Is(err, gateway.ErrOutcomeUnknown) {
-			// The typed in-process unknown-outcome signal (a killed
-			// gateway): the op's options may still settle either way,
-			// so it enters the history as an Orphan, exactly like the
-			// RPC client's mdcc.ErrOutcomeUnknown contract.
+			// The typed unknown-outcome signal (a killed gateway): the
+			// op's options may still settle either way, so it enters the
+			// history as an Orphan — what an RPC client does with
+			// mdcc.ErrOutcomeUnknown, which is this same value.
 			gc.r.gwUnknownTyped++
 			gc.r.hist.Orphan(gc.id, ups)
 		} else {
 			gc.r.hist.Record(gc.id, ups, outcome)
 		}
 		if sync {
-			// Admission sheds (ErrOverloaded) — and Kill teardowns —
-			// can fire synchronously from Gateway.Commit; surfacing
-			// them inline would let the closed client loop recurse
-			// without yielding to the simulator — same hazard refuse()
-			// defends against on the gwDown path.
+			// Admission sheds (ErrOverloaded) can fire synchronously from
+			// Gateway.Commit; surfacing them inline would let the closed
+			// client loop recurse without yielding to the simulator —
+			// same hazard refuse() defends against on the gwDown path.
 			gc.refuse(func() { done(outcome) })
 			return
 		}
 		done(outcome)
 	})
 	sync = false
-}
-
-func (r *Run) trackGw(p *gwPendingOp) uint64 {
-	r.gwSeq++
-	r.gwTokens[r.gwSeq] = p
-	return r.gwSeq
-}
-
-func (r *Run) claimGw(tok uint64) bool {
-	if _, ok := r.gwTokens[tok]; !ok {
-		return false
-	}
-	delete(r.gwTokens, tok)
-	return true
 }
 
 // preload bulk-loads the initial database into every replica's store
@@ -628,30 +551,16 @@ func (r *Run) run() (*Result, error) {
 	return res, nil
 }
 
-// assembleTimelines renders the run's diagnosis bundle in a fixed
-// order: the N slowest transactions, then every retained trace
-// (aborted / outcome-unknown / recovered / wrong-shard / slow), then —
-// per invariant violation — up to three transactions whose recorded
-// events touch the violation's keys. Deterministic for a fixed seed:
-// retention is count/Lamport-based and the rings are in their final,
-// quiesced state.
+// assembleTimelines renders the run's diagnosis bundle: the recorder's
+// own bundle (trace.Recorder.Bundle: the N slowest transactions, then
+// every retained trace), then — per invariant violation — up to three
+// transactions whose recorded events touch the violation's keys.
+// Deterministic for a fixed seed: retention is count/Lamport-based and
+// the rings are in their final, quiesced state.
 func (r *Run) assembleTimelines(violations []string, touched []record.Key) []string {
 	var out []string
-	seen := make(map[string]bool)
-	emit := func(t *trace.Trace) {
-		if t.Tx != "" && t.Tx != "?" {
-			if seen[t.Tx] {
-				return
-			}
-			seen[t.Tx] = true
-		}
+	for _, t := range r.rec.Bundle() {
 		out = append(out, t.Timeline())
-	}
-	for _, t := range r.rec.Slowest() {
-		emit(t)
-	}
-	for _, t := range r.rec.Retained() {
-		emit(t)
 	}
 	for _, v := range violations {
 		vkeys := check.KeysMentioned(v, touched)
@@ -698,14 +607,6 @@ func (r *Run) finalState(key record.Key) (record.Value, record.Version, bool) {
 	return bestVal, bestVer, true
 }
 
-// floorReader is the session-guaranteed read surface of a harness
-// client (gateway runs only): floored reads plus the quorum
-// escalation rung.
-type floorReader interface {
-	ReadFloor(key record.Key, floor record.Version, cb mtx.ReadFunc)
-	ReadLatest(key record.Key, cb mtx.ReadFunc)
-}
-
 // readKeyFor picks a read target across the hot stock keys (the
 // stampede) and the items (read-your-writes after physical updates).
 func readKeyFor(rng *rand.Rand, w Workload) record.Key {
@@ -738,19 +639,17 @@ func (r *Run) clientLoop(ci int) {
 	p := rng.Float64()
 	switch {
 	case p < w.ReadFrac && r.floors != nil && w.StockKeys+w.Items > 0:
-		// Session-guaranteed read: the ladder mirrors Session.Read —
-		// take the gateway's floored read, escalate to quorum reads
-		// while the result lags the session floor. Only floor-meeting
-		// results are consumed and recorded for
-		// check.ValidateSessionReads; a read still below the floor
-		// after the retries counts as a failed read, exactly as a
-		// partitioned Session.Read deadlines out — a minority-side
-		// client whose pre-partition write's visibility was cut off can
+		// Session-guaranteed read: the gateway's floored read, then quorum
+		// re-reads while the result lags the session floor. Only
+		// floor-meeting results are consumed and recorded for
+		// check.ValidateSessionReads; a read still below the floor after
+		// the retries counts as a failed read — a minority-side client
+		// whose pre-partition write's visibility was cut off can
 		// legitimately find NO reachable replica at its floor, which is
-		// in-contract, not a tier violation. (The tier's own floor
-		// discipline — memory never served below a floor — is pinned by
-		// TestReadTierFloorEscalation and by the recorded reads.)
-		fr := c.(floorReader)
+		// in-contract, not a tier violation. (This private ladder is what
+		// the next commit replaces with mtx.ReadAtFloor; it differs from
+		// it only in giving up on an absent answer at once.)
+		gc := c.(gwClient)
 		key := readKeyFor(rng, w)
 		floor := r.floors[ci][key]
 		attempts := 0
@@ -758,7 +657,7 @@ func (r *Run) clientLoop(ci int) {
 		deliver = func(val record.Value, ver record.Version, exists bool) {
 			if exists && ver < floor && attempts < 6 {
 				attempts++
-				fr.ReadLatest(key, deliver)
+				gc.read(key, 0, true, deliver)
 				return
 			}
 			if exists && ver >= floor {
@@ -776,7 +675,7 @@ func (r *Run) clientLoop(ci int) {
 			// recursing at one instant.
 			r.Net.After(r.Cluster.Clients[ci].ID, time.Millisecond, func() { r.clientLoop(ci) })
 		}
-		fr.ReadFloor(key, floor, deliver)
+		gc.read(key, floor, false, deliver)
 	case p < w.ReadFrac+w.TransferFrac && w.Accounts >= 2:
 		from := rng.Intn(w.Accounts)
 		to := rng.Intn(w.Accounts - 1)
@@ -843,61 +742,30 @@ func (r *Run) At(offset time.Duration, what string, f func()) {
 	})
 }
 
-// StorageIDs returns the IDs of all storage nodes in dc.
-func (r *Run) StorageIDs(dc topology.DC) []transport.NodeID {
-	var out []transport.NodeID
-	for _, n := range r.Cluster.Storage {
-		if n.DC == dc {
-			out = append(out, n.ID)
-		}
-	}
-	return out
-}
-
 // SideIDs returns every node ID (storage, clients, and — in gateway
 // runs — the DC's gateway tier) inside the given data centers: one
-// side of a partition cut.
-func (r *Run) SideIDs(dcs ...topology.DC) []transport.NodeID {
-	in := make(map[topology.DC]bool, len(dcs))
-	for _, dc := range dcs {
-		in[dc] = true
-	}
-	var out []transport.NodeID
-	for _, n := range r.Cluster.Storage {
-		if in[n.DC] {
-			out = append(out, n.ID)
-		}
-	}
-	for _, n := range r.Cluster.Clients {
-		if in[n.DC] {
-			out = append(out, n.ID)
-		}
-	}
-	for _, dc := range dcs {
-		out = append(out, r.GatewayIDs(dc)...)
-	}
-	return out
-}
+// side of a partition cut. OtherSideIDs is the complement.
+func (r *Run) SideIDs(dcs ...topology.DC) []transport.NodeID { return r.nodeIDs(dcs, true) }
 
-// OtherSideIDs returns every node ID outside the given data centers.
-func (r *Run) OtherSideIDs(dcs ...topology.DC) []transport.NodeID {
-	in := make(map[topology.DC]bool, len(dcs))
+func (r *Run) OtherSideIDs(dcs ...topology.DC) []transport.NodeID { return r.nodeIDs(dcs, false) }
+
+// nodeIDs walks the node catalogue once, keeping the nodes whose data
+// center is (inside) or is not among dcs.
+func (r *Run) nodeIDs(dcs []topology.DC, inside bool) []transport.NodeID {
+	listed := make(map[topology.DC]bool, len(dcs))
 	for _, dc := range dcs {
-		in[dc] = true
+		listed[dc] = true
 	}
 	var out []transport.NodeID
-	for _, n := range r.Cluster.Storage {
-		if !in[n.DC] {
-			out = append(out, n.ID)
-		}
-	}
-	for _, n := range r.Cluster.Clients {
-		if !in[n.DC] {
-			out = append(out, n.ID)
+	for _, nodes := range [][]topology.Node{r.Cluster.Storage, r.Cluster.Clients} {
+		for _, n := range nodes {
+			if listed[n.DC] == inside {
+				out = append(out, n.ID)
+			}
 		}
 	}
 	for _, dc := range topology.AllDCs() {
-		if !in[dc] {
+		if listed[dc] == inside {
 			out = append(out, r.GatewayIDs(dc)...)
 		}
 	}
@@ -908,16 +776,16 @@ func (r *Run) OtherSideIDs(dcs ...topology.DC) []transport.NodeID {
 // processes (the paper's §5.4 outage: the DC "stops receiving any
 // messages"). Undone by RecoverDC or the epilogue heal.
 func (r *Run) FailDC(dc topology.DC) {
-	for _, id := range r.StorageIDs(dc) {
-		r.Net.Fail(id)
+	for _, n := range r.Cluster.StorageIn(dc) {
+		r.Net.Fail(n.ID)
 	}
 	r.downDC[dc] = true
 }
 
 // RecoverDC brings a failed data center back.
 func (r *Run) RecoverDC(dc topology.DC) {
-	for _, id := range r.StorageIDs(dc) {
-		r.Net.Recover(id)
+	for _, n := range r.Cluster.StorageIn(dc) {
+		r.Net.Recover(n.ID)
 	}
 	delete(r.downDC, dc)
 }
@@ -970,31 +838,14 @@ func (r *Run) RestartStorage(i int) {
 		HadSnapshot:  pre.SnapshotSeq > 0,
 		ExpectedTail: pre.AppendsSinceCheckpoint,
 	}
-	ds, err := core.OpenDurableOpts(r.dirs[i], r.durOpts(i))
+	err := r.reopen(i, false, rec)
 	if errors.Is(err, wal.ErrCorrupt) {
 		r.events = append(r.events, fmt.Sprintf("restart %s: state unrecoverable (%v); wiped for quorum rebuild", n.ID, err))
-		r.wiped++
-		rec.Wiped = true
-		if rmErr := os.RemoveAll(r.dirs[i]); rmErr != nil {
-			r.events = append(r.events, fmt.Sprintf("restart %s: wipe failed: %v", n.ID, rmErr))
-			return
-		}
-		ds, err = core.OpenDurableOpts(r.dirs[i], r.durOpts(i))
+		err = r.reopen(i, true, rec)
 	}
 	if err != nil {
 		r.events = append(r.events, fmt.Sprintf("restart %s failed: %v", n.ID, err))
-		return
 	}
-	rs := ds.RecoveryStats()
-	rec.UsedSnapshot = rs.UsedSnapshot
-	rec.FellBack = rs.FellBack
-	rec.TailRecords = rs.TailStore + rs.TailOplog
-	rec.Wall = rs.Duration
-	r.recoveries = append(r.recoveries, rec)
-	r.durables[i] = ds
-	r.Net.Recover(n.ID)
-	r.nodes[i] = core.NewDurableStorageNode(n.ID, n.DC, r.Net, r.Cluster, r.Cfg, ds)
-	delete(r.crashed, i)
 }
 
 // ReplaceStorage swaps storage node i for a brand-new machine at the
@@ -1010,25 +861,38 @@ func (r *Run) ReplaceStorage(i int) {
 		r.CrashStorage(i)
 	}
 	n := r.Cluster.Storage[i]
-	if err := os.RemoveAll(r.dirs[i]); err != nil {
-		r.events = append(r.events, fmt.Sprintf("replace %s: wipe failed: %v", n.ID, err))
-		return
+	if err := r.reopen(i, true, check.RecoveryRecord{Node: string(n.ID)}); err != nil {
+		r.events = append(r.events, fmt.Sprintf("replace %s failed: %v", n.ID, err))
 	}
-	r.wiped++
+}
+
+// reopen boots a fresh incarnation of crashed storage node i over its
+// directory — discarded first when wipe is set — and files rec with
+// what the reopen replayed.
+func (r *Run) reopen(i int, wipe bool, rec check.RecoveryRecord) error {
+	if wipe {
+		if err := os.RemoveAll(r.dirs[i]); err != nil {
+			return fmt.Errorf("wipe: %w", err)
+		}
+		r.wiped++
+		rec.Wiped = true
+	}
 	ds, err := core.OpenDurableOpts(r.dirs[i], r.durOpts(i))
 	if err != nil {
-		r.events = append(r.events, fmt.Sprintf("replace %s failed: %v", n.ID, err))
-		return
+		return err
 	}
-	r.recoveries = append(r.recoveries, check.RecoveryRecord{
-		Node:  string(n.ID),
-		Wiped: true,
-		Wall:  ds.RecoveryStats().Duration,
-	})
+	rs := ds.RecoveryStats()
+	rec.UsedSnapshot = rs.UsedSnapshot
+	rec.FellBack = rs.FellBack
+	rec.TailRecords = rs.TailStore + rs.TailOplog
+	rec.Wall = rs.Duration
+	r.recoveries = append(r.recoveries, rec)
 	r.durables[i] = ds
+	n := r.Cluster.Storage[i]
 	r.Net.Recover(n.ID)
 	r.nodes[i] = core.NewDurableStorageNode(n.ID, n.DC, r.Net, r.Cluster, r.Cfg, ds)
 	delete(r.crashed, i)
+	return nil
 }
 
 // StorageIdx locates the storage node of a DC and replica group
@@ -1135,24 +999,6 @@ func (r *Run) CorruptNewestSnapshot(i int) {
 	}
 }
 
-// CrashDC crashes every storage node of a data center.
-func (r *Run) CrashDC(dc topology.DC) {
-	for i, n := range r.Cluster.Storage {
-		if n.DC == dc {
-			r.CrashStorage(i)
-		}
-	}
-}
-
-// RestartDC restarts every crashed storage node of a data center.
-func (r *Run) RestartDC(dc topology.DC) {
-	for i, n := range r.Cluster.Storage {
-		if n.DC == dc {
-			r.RestartStorage(i)
-		}
-	}
-}
-
 // GatewayIDs returns the transport nodes of a DC's gateway tier (the
 // gateway plus its pooled coordinators); empty for non-gateway runs.
 func (r *Run) GatewayIDs(dc topology.DC) []transport.NodeID {
@@ -1164,13 +1010,12 @@ func (r *Run) GatewayIDs(dc topology.DC) []transport.NodeID {
 
 // CrashGateway kills a data center's gateway process: the gateway and
 // its pooled coordinators stop receiving (their queued events and
-// timers die with the incarnation), then Gateway.Kill fails every
-// admitted in-flight transaction with the typed in-process
-// ErrOutcomeUnknown — the gwClient records those as unknown-outcome
-// history entries (the protocol itself still settles any
-// already-proposed option via the dangling-option sweep). The token
-// sweep remains the backstop for reads and anything Kill could not
-// reach. New ops are refused until RestartGateway.
+// timers die with the incarnation), then Gateway.Kill answers
+// everything the process held — every admitted in-flight transaction
+// with the typed ErrOutcomeUnknown, which the gwClient records as an
+// unknown-outcome history entry (the protocol itself still settles any
+// already-proposed option via the dangling-option sweep), every held
+// read absent. New ops are refused until RestartGateway.
 func (r *Run) CrashGateway(dc topology.DC) {
 	if r.gws == nil || r.gwDown[dc] {
 		return
@@ -1184,28 +1029,6 @@ func (r *Run) CrashGateway(dc topology.DC) {
 	r.gws[dc].Kill()
 	r.Opts.Logf("[%s] gateway %s killed: %d in-flight commits surfaced typed outcome-unknown",
 		r.scn.Name, dc, r.gwUnknownTyped-before)
-	// Backstop: orphan whatever the Kill callbacks did not settle
-	// (reads, and ops raced past the pending registry), in
-	// deterministic token order.
-	toks := make([]uint64, 0, len(r.gwTokens))
-	for tok, p := range r.gwTokens {
-		if p.dc == dc {
-			toks = append(toks, tok)
-		}
-	}
-	sort.Slice(toks, func(i, j int) bool { return toks[i] < toks[j] })
-	for _, tok := range toks {
-		p := r.gwTokens[tok]
-		if !r.claimGw(tok) {
-			continue
-		}
-		if p.readCB != nil {
-			p.readCB(record.Value{}, 0, false)
-			continue
-		}
-		r.hist.Orphan(p.client, p.updates)
-		p.settle(false)
-	}
 }
 
 // RestartGateway boots a fresh gateway incarnation for the data
@@ -1237,11 +1060,8 @@ func (r *Run) RestartGateway(dc topology.DC) {
 func (r *Run) heal() {
 	r.Net.HealAll()
 	for dc := range r.downDC {
-		for _, id := range r.StorageIDs(dc) {
-			r.Net.Recover(id)
-		}
+		r.RecoverDC(dc)
 	}
-	r.downDC = make(map[topology.DC]bool)
 	idxs := make([]int, 0, len(r.crashed))
 	for i := range r.crashed {
 		idxs = append(idxs, i)

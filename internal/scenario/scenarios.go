@@ -6,6 +6,7 @@ import (
 	"mdcc/internal/record"
 	"mdcc/internal/ring"
 	"mdcc/internal/topology"
+	"mdcc/internal/transport"
 )
 
 // The scenario library. Each scenario pins a workload shape and a
@@ -57,8 +58,17 @@ var registry = []*Scenario{
 		Duration:    time.Minute,
 		MasterDC:    func(record.Key) topology.DC { return topology.USWest },
 		Nemesis: func(r *Run) {
-			r.At(frac(r, 0.25), "crash all storage in us-west (master DC)", func() { r.CrashDC(topology.USWest) })
-			r.At(frac(r, 0.60), "restart us-west from WAL", func() { r.RestartDC(topology.USWest) })
+			west := r.Cluster.StorageIn(topology.USWest)
+			r.At(frac(r, 0.25), "crash all storage in us-west (master DC)", func() {
+				for _, n := range west {
+					r.CrashStorage(r.StorageIdx(n.DC, n.Index))
+				}
+			})
+			r.At(frac(r, 0.60), "restart us-west from WAL", func() {
+				for _, n := range west {
+					r.RestartStorage(r.StorageIdx(n.DC, n.Index))
+				}
+			})
 		},
 	},
 	{
@@ -469,7 +479,11 @@ var registry = []*Scenario{
 		Nemesis: func(r *Run) {
 			r.At(frac(r, 0.05), "6% packet loss (seed forked applies)", func() { r.Net.SetDropProb(0.06) })
 			r.At(frac(r, 0.15), "partition us-east storage from the rest", func() {
-				r.Net.Partition(r.StorageIDs(topology.USEast), r.OtherSideIDs(topology.USEast))
+				var east []transport.NodeID
+				for _, n := range r.Cluster.StorageIn(topology.USEast) {
+					east = append(east, n.ID)
+				}
+				r.Net.Partition(east, r.OtherSideIDs(topology.USEast))
 			})
 			r.At(frac(r, 0.25), "packet loss off", func() { r.Net.SetDropProb(0) })
 			r.At(frac(r, 0.40), "crash one ap-tk replica (WAL summaries)", func() {

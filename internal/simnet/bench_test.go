@@ -54,7 +54,7 @@ func benchSteps(b *testing.B, engine string, nodes, inflight int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !n.Step() {
+		if n.step(noLimit) != stepRan {
 			b.Fatal("event queue drained mid-benchmark")
 		}
 	}

@@ -138,14 +138,14 @@ func TestReapBoundsNodeStateUnderChurn(t *testing.T) {
 		n.After(ids[victim], 500*time.Microsecond, func() {})
 		n.Crash(ids[victim])
 		n.RunFor(5 * time.Millisecond)
-		if got := n.NodeStates(); got > catalogue {
+		if got := len(n.nodes); got > catalogue {
 			t.Fatalf("round %d: %d node states live, want <= %d (reaping leaked)", round, got, catalogue)
 		}
 		n.Recover(ids[victim])
 		reg(victim)
 	}
 	n.Run()
-	if got := n.NodeStates(); got > catalogue {
+	if got := len(n.nodes); got > catalogue {
 		t.Fatalf("final node-state count %d, want <= %d", got, catalogue)
 	}
 	// Replaced incarnations must still work end to end.
@@ -167,17 +167,17 @@ func TestReapPreservesObservables(t *testing.T) {
 		t.Fatalf("DeliveredTo before crash = %d", n.DeliveredTo("b"))
 	}
 	n.Crash("b") // queue empty → reaped immediately
-	if n.NodeStates() != 0 {
-		t.Fatalf("crashed idle node not reaped: %d states", n.NodeStates())
+	if len(n.nodes) != 0 {
+		t.Fatalf("crashed idle node not reaped: %d states", len(n.nodes))
 	}
-	if !n.Failed("b") {
+	if !n.isFailed("b") {
 		t.Fatal("reap lost the failed bit")
 	}
 	if n.DeliveredTo("b") != 1 {
 		t.Fatalf("reap lost delivery count: %d", n.DeliveredTo("b"))
 	}
 	n.Recover("b")
-	if n.Failed("b") {
+	if n.isFailed("b") {
 		t.Fatal("Recover did not clear the preserved failed bit")
 	}
 	got := 0

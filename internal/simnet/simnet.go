@@ -133,13 +133,12 @@ type Net struct {
 	seq      int64
 	nodes    map[transport.NodeID]*simNode
 	// deadFailed / deadDelivered preserve the only observable bits of
-	// a reaped node (Failed() and DeliveredTo()) so reaping is
+	// a reaped node (isFailed and DeliveredTo) so reaping is
 	// invisible to the schedule. Both are bounded by the id catalogue,
 	// not by churn count.
 	deadFailed    map[transport.NodeID]bool
 	deadDelivered map[transport.NodeID]int64
-	blocked       map[linkKey]int // refcount: overlapping cuts may share links
-	linkLat       map[linkKey]time.Duration
+	blocked       map[linkKey]bool // links cut by Partition
 	latScale      float64
 	rng           *rand.Rand
 	stats         Stats
@@ -216,8 +215,7 @@ func New(opts Options) *Net {
 		nodes:         make(map[transport.NodeID]*simNode),
 		deadFailed:    make(map[transport.NodeID]bool),
 		deadDelivered: make(map[transport.NodeID]int64),
-		blocked:       make(map[linkKey]int),
-		linkLat:       make(map[linkKey]time.Duration),
+		blocked:       make(map[linkKey]bool),
 		latScale:      1,
 		rng:           rand.New(rand.NewSource(opts.Seed)),
 	}
@@ -262,10 +260,6 @@ func (n *Net) maybeReap(nd *simNode) {
 	delete(n.nodes, nd.id)
 }
 
-// NodeStates reports how many per-node state structs are live — the
-// churn scenarios assert this stays flat while nodes join and leave.
-func (n *Net) NodeStates() int { return len(n.nodes) }
-
 // Register installs a node handler. Registering is also how a
 // restarted incarnation comes back after Crash.
 func (n *Net) Register(id transport.NodeID, h transport.Handler) {
@@ -304,20 +298,12 @@ func (n *Net) Send(from, to transport.NodeID, msg transport.Message) {
 		n.dropEndpoint()
 		return
 	}
-	if len(n.blocked) > 0 && n.blocked[linkKey{from, to}] > 0 {
+	if len(n.blocked) > 0 && n.blocked[linkKey{from, to}] {
 		n.stats.Dropped++
 		n.stats.DroppedPartition++
 		return
 	}
-	var d time.Duration
-	if len(n.linkLat) > 0 {
-		var ok bool
-		if d, ok = n.linkLat[linkKey{from, to}]; !ok {
-			d = n.opts.Latency(from, to)
-		}
-	} else {
-		d = n.opts.Latency(from, to)
-	}
+	d := n.opts.Latency(from, to)
 	if n.latScale != 1 {
 		d = time.Duration(float64(d) * n.latScale)
 	}
@@ -454,9 +440,6 @@ func (n *Net) Recover(id transport.NodeID) {
 	delete(n.deadFailed, id)
 }
 
-// Failed reports whether a node is currently failed.
-func (n *Net) Failed(id transport.NodeID) bool { return n.isFailed(id) }
-
 // Crash kills a node's process: unlike Fail (a partition — the node
 // keeps computing), Crash discards every queued event bound to the
 // node, in-flight deliveries and its own timers alike, by bumping the
@@ -475,48 +458,18 @@ func (n *Net) Crash(id transport.NodeID) {
 // directions (the paper's data-center outage "prevented the data
 // center from receiving any messages"). Nodes keep running; messages
 // crossing the cut are dropped and counted as DroppedPartition.
-// Links are reference-counted, so overlapping cuts compose: a link
-// stays blocked until every cut covering it is healed.
+// Cuts accumulate until HealAll.
 func (n *Net) Partition(a, b []transport.NodeID) {
 	for _, x := range a {
 		for _, y := range b {
-			n.blocked[linkKey{x, y}]++
-			n.blocked[linkKey{y, x}]++
-		}
-	}
-}
-
-// Heal removes one cut between two node sets installed by Partition;
-// links still covered by another overlapping cut remain blocked.
-func (n *Net) Heal(a, b []transport.NodeID) {
-	unblock := func(k linkKey) {
-		if c := n.blocked[k]; c > 1 {
-			n.blocked[k] = c - 1
-		} else {
-			delete(n.blocked, k)
-		}
-	}
-	for _, x := range a {
-		for _, y := range b {
-			unblock(linkKey{x, y})
-			unblock(linkKey{y, x})
+			n.blocked[linkKey{x, y}] = true
+			n.blocked[linkKey{y, x}] = true
 		}
 	}
 }
 
 // HealAll removes every partition.
-func (n *Net) HealAll() { n.blocked = make(map[linkKey]int) }
-
-// SetLinkLatency overrides the base one-way latency of one directed
-// link (latency spikes, asymmetric degradation). A non-positive d
-// clears the override.
-func (n *Net) SetLinkLatency(from, to transport.NodeID, d time.Duration) {
-	if d <= 0 {
-		delete(n.linkLat, linkKey{from, to})
-		return
-	}
-	n.linkLat[linkKey{from, to}] = d
-}
+func (n *Net) HealAll() { n.blocked = make(map[linkKey]bool) }
 
 // ScaleLatency multiplies every link's base latency by f (a global
 // WAN brown-out when f > 1). f <= 0 resets to 1.
@@ -579,6 +532,9 @@ const (
 	stepBlocked
 	stepEmpty
 )
+
+// noLimit is step's limit for "whatever comes next".
+const noLimit = 1<<63 - 1
 
 // step executes the next event whose run time is ≤ limitN. Cancelled
 // timers and events addressed to crashed incarnations are discarded
@@ -651,12 +607,6 @@ func (n *Net) step(limitN int64) int {
 	}
 }
 
-// Step executes the next event; it reports false when no events
-// remain.
-func (n *Net) Step() bool {
-	return n.step(1<<63-1) == stepRan
-}
-
 // RunFor processes events until `d` of virtual time has elapsed from
 // the current instant (or the event queue drains, or Stop is called).
 // An event is executed iff its run time is within the window: a
@@ -674,7 +624,7 @@ func (n *Net) RunFor(d time.Duration) {
 // Run processes events until the queue drains or Stop is called.
 func (n *Net) Run() {
 	n.stopped = false
-	for !n.stopped && n.Step() {
+	for !n.stopped && n.step(noLimit) == stepRan {
 	}
 }
 

@@ -142,7 +142,7 @@ func TestFailRecover(t *testing.T) {
 	if got != 1 {
 		t.Fatal("failed sender's message was delivered")
 	}
-	if !n.Failed("a") || n.Failed("b") {
+	if !n.isFailed("a") || n.isFailed("b") {
 		t.Fatal("Failed() bookkeeping wrong")
 	}
 }

@@ -192,6 +192,18 @@ func ClientID(i int) transport.NodeID {
 	return transport.NodeID(fmt.Sprintf("client%d", i))
 }
 
+// StorageIn lists dc's storage nodes: what a data-center outage takes
+// down, and what a DC-local gateway subscribes to.
+func (c *Cluster) StorageIn(dc DC) []Node {
+	var out []Node
+	for _, n := range c.Storage {
+		if n.DC == dc {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
 // ReplicationFactor returns N (one replica per DC).
 func (c *Cluster) ReplicationFactor() int { return len(c.StorageDCs) }
 
@@ -204,8 +216,8 @@ func (c *Cluster) Shard(key record.Key) int {
 	return c.shardRing.Owner(string(key))
 }
 
-// Ring exposes the cluster's shard ring table: current/staged epochs
-// for routing and fencing, Install for publication by a mover.
+// Ring exposes the cluster's shard ring table: the current epoch for
+// routing and fencing, Install for publication by a mover.
 func (c *Cluster) Ring() *ring.Table { return c.shardRing }
 
 // Replicas returns the storage node IDs (one per DC, in StorageDCs

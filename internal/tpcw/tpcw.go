@@ -92,9 +92,6 @@ type Options struct {
 	CartMax int
 }
 
-// Defaults returns the paper's TPC-W parameters.
-func Defaults() Options { return Options{Items: 10000, CartMax: 3} }
-
 // browser is one emulated browser's session state.
 type browser struct {
 	client    int

@@ -266,6 +266,26 @@ func (rec *Recorder) Slowest() []*Trace {
 	return out
 }
 
+// Bundle returns the diagnosis bundle in its fixed order — the N
+// slowest transactions (always populated), then every retained trace
+// (aborted, outcome-unknown, recovered, wrong-shard-retried, slow) —
+// with each identified transaction once. Traces without a protocol id
+// (a killed gateway's "?") are all kept.
+func (rec *Recorder) Bundle() []*Trace {
+	var out []*Trace
+	seen := make(map[string]bool)
+	for _, t := range append(rec.Slowest(), rec.Retained()...) {
+		if t.Tx != "" && t.Tx != "?" {
+			if seen[t.Tx] {
+				continue
+			}
+			seen[t.Tx] = true
+		}
+		out = append(out, t)
+	}
+	return out
+}
+
 // Dropped reports how many retain-worthy transactions were not
 // assembled because the deterministic assembly budget ran out.
 func (rec *Recorder) Dropped() int {

@@ -98,9 +98,6 @@ func NewParticipant(id transport.NodeID, net transport.Network, store *kv.Store,
 	return p
 }
 
-// ID returns the node identity.
-func (p *Participant) ID() transport.NodeID { return p.id }
-
 // Store exposes the local store.
 func (p *Participant) Store() *kv.Store { return p.store }
 

@@ -179,9 +179,6 @@ func TestTornWriteTruncatedOnReopen(t *testing.T) {
 	if len(got) != 3 || got[2] != "rec-2" {
 		t.Fatalf("after tear replayed %v, want the 3 acked records", got)
 	}
-	if _, torn, _ := f.Counters(); torn != 1 {
-		t.Fatalf("torn counter = %d", torn)
-	}
 }
 
 func TestBitFlipSurfacesCorrupt(t *testing.T) {

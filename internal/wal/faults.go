@@ -24,10 +24,6 @@ type Faults struct {
 	failSync bool
 	torn     int // -1 unarmed; else one-shot byte budget for the next frame
 	bitFlip  bool
-
-	nSyncFails int64
-	nTorn      int64
-	nFlips     int64
 }
 
 // NewFaults returns an empty fault plan.
@@ -55,28 +51,14 @@ func (f *Faults) BitFlip() {
 	f.mu.Unlock()
 }
 
-// Counters reports how many faults actually fired.
-func (f *Faults) Counters() (syncFails, tornWrites, bitFlips int64) {
-	if f == nil {
-		return 0, 0, 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.nSyncFails, f.nTorn, f.nFlips
-}
-
-// failSyncNow reports (and counts) whether the current sync must fail.
+// failSyncNow reports whether the current sync must fail.
 func (f *Faults) failSyncNow() bool {
 	if f == nil {
 		return false
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.failSync {
-		f.nSyncFails++
-		return true
-	}
-	return false
+	return f.failSync
 }
 
 // takeTorn consumes a one-shot torn write, returning its byte budget.
@@ -91,7 +73,6 @@ func (f *Faults) takeTorn() (int, bool) {
 	}
 	n := f.torn
 	f.torn = -1
-	f.nTorn++
 	return n, true
 }
 
@@ -106,6 +87,5 @@ func (f *Faults) takeFlip() bool {
 		return false
 	}
 	f.bitFlip = false
-	f.nFlips++
 	return true
 }

@@ -1,6 +1,7 @@
 package mdcc
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -534,5 +535,32 @@ func TestSessionGuaranteesMonotonic(t *testing.T) {
 			val, wver, _, _ := writer.Read("mono/1")
 			writer.Commit(Physical("mono/1", wver, val.WithAttr("x", 9)))
 		}
+	}
+}
+
+// TestSessionFloorMissIsTimeout: a session whose every replica lags its
+// floor (here: a floor no replica can ever reach) gets ErrTimeout from
+// Read and ReadMany — never a version below the floor with a nil error
+// — and a key whose floor is met still reads normally beside it.
+func TestSessionFloorMissIsTimeout(t *testing.T) {
+	c := startTestCluster(t, ClusterConfig{})
+	s := c.Session(USWest)
+	s.EnableSessionGuarantees()
+	for _, k := range []Key{"floor/lag", "floor/ok"} {
+		if ok, err := s.Commit(Insert(k, Value{Attrs: map[string]int64{"x": 1}})); err != nil || !ok {
+			t.Fatalf("insert %s: ok=%v err=%v", k, ok, err)
+		}
+	}
+	waitEverywhere(t, c, "floor/lag", atVersion(1))
+	s.raiseFloor("floor/lag", 99) // as if the session had seen v99: every replica now lags it
+
+	if _, ver, _, err := s.Read("floor/lag"); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("Read below the floor returned v%d err=%v, want ErrTimeout", ver, err)
+	}
+	if _, vers, _, err := s.ReadMany([]Key{"floor/ok", "floor/lag"}); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("ReadMany below the floor returned %v err=%v, want ErrTimeout", vers, err)
+	}
+	if _, ver, exists, err := s.Read("floor/ok"); err != nil || !exists || ver != 1 {
+		t.Fatalf("Read at the floor: v%d exists=%v err=%v", ver, exists, err)
 	}
 }

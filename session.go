@@ -6,30 +6,41 @@ import (
 	"time"
 
 	"mdcc/internal/core"
+	"mdcc/internal/gateway"
+	"mdcc/internal/mtx"
 	"mdcc/internal/record"
 	"mdcc/internal/transport"
 )
 
-// ErrTimeout is returned when a blocking call outlives its deadline.
+// ErrTimeout is returned when a blocking call outlives its deadline,
+// and by reads under session guarantees that could not reach the
+// session's floor version (see Session.Read).
 var ErrTimeout = errors.New("mdcc: operation timed out")
 
-// ErrClosed is returned on sessions whose cluster has shut down.
-var ErrClosed = errors.New("mdcc: session closed")
+// The gateway tier's failures are the gateway's own values (one set of
+// sentinels: what an in-process session and an RPC session report is
+// what the gateway reported; DESIGN.md §8 has the table).
+var (
+	// ErrClosed is returned by commits on sessions whose gateway has
+	// shut down. The transaction was never submitted.
+	ErrClosed = gateway.ErrClosed
 
-// ErrOverloaded is returned when a gateway's admission control sheds
-// a transaction (bounded in-flight window and backlog both full).
-// The transaction was never submitted; retrying later is safe.
-var ErrOverloaded = errors.New("mdcc: gateway overloaded")
+	// ErrOverloaded is returned when a gateway's admission control sheds
+	// a transaction (bounded in-flight window and backlog both full).
+	// The transaction was never submitted; retrying later is safe.
+	ErrOverloaded = gateway.ErrOverloaded
 
-// ErrOutcomeUnknown is the sentinel matched (via errors.Is) by
-// OutcomeUnknownError: a submitted transaction whose acknowledgement
-// was lost — typically swallowed by a crashed or unreachable gateway.
-// Unlike ErrOverloaded, the transaction MAY have committed (the
-// protocol settles every proposed option even if the submitter dies);
-// blind retries can double-apply. Both the RPC client (DialGateway)
-// and the in-process gateway path (a gateway torn down by
-// Gateway.Kill-style crash handling) surface it.
-var ErrOutcomeUnknown = errors.New("mdcc: transaction outcome unknown")
+	// ErrOutcomeUnknown is the sentinel matched (via errors.Is) by
+	// OutcomeUnknownError: a submitted transaction whose acknowledgement
+	// was lost — typically swallowed by a crashed or unreachable gateway.
+	// Unlike ErrOverloaded, the transaction MAY have committed (the
+	// protocol settles every proposed option even if the submitter dies);
+	// blind retries can double-apply. The RPC client (DialGateway) wraps
+	// it in an OutcomeUnknownError naming the submission; a gateway
+	// killed in-process (Gateway.Kill-style crash handling) reports it
+	// bare.
+	ErrOutcomeUnknown = gateway.ErrOutcomeUnknown
+)
 
 // ErrMixedUpdateKinds reports a transaction rejected by the
 // kind-disjoint rule: a physical rewrite of a key with commutative
@@ -68,9 +79,9 @@ func (e *OutcomeUnknownError) Is(target error) bool { return target == ErrOutcom
 // Read's floor is the session's version floor for the key (0 = none):
 // gateway backends use it to walk the read tier's fallback ladder
 // (materialized store → single-flight RPC → quorum) without serving a
-// stale memory copy; coordinator backends ignore it — a replica RPC
-// read is the pre-tier behavior and the Session's own escalation loop
-// still enforces the floor on the result.
+// stale memory copy; coordinator backends ignore it. Either way the
+// answer may still lag the floor, and mtx.ReadAtFloor — not the
+// backend — decides what happens then.
 type backend interface {
 	Read(key Key, floor Version, cb func(record.Value, record.Version, bool))
 	ReadQuorum(key Key, cb func(record.Value, record.Version, bool))
@@ -117,8 +128,8 @@ type Session struct {
 	// Session guarantees (§4.2): when enabled, reads never go
 	// backwards within the session (monotonic reads) and observe the
 	// session's own committed physical writes (read-your-writes),
-	// implemented by tracking a per-key version floor and escalating
-	// to quorum reads when the local replica lags it.
+	// implemented by tracking a per-key version floor that every read
+	// must reach (readAtFloor).
 	gmu       sync.Mutex
 	guarantee bool
 	seen      map[Key]Version
@@ -136,7 +147,8 @@ func newSession(b backend, cfg core.Config) *Session {
 // EnableSessionGuarantees turns on monotonic reads and
 // read-your-writes for this session (§4.2). Reads that would go
 // backwards (a lagging or recovered local replica) transparently
-// escalate to quorum reads and wait for the session's floor version.
+// escalate to quorum reads; one that still cannot reach the session's
+// floor version fails with ErrTimeout instead of returning stale data.
 func (s *Session) EnableSessionGuarantees() {
 	s.gmu.Lock()
 	defer s.gmu.Unlock()
@@ -146,14 +158,12 @@ func (s *Session) EnableSessionGuarantees() {
 	}
 }
 
-// floor returns the minimum version this session may observe for key.
-func (s *Session) floor(key Key) (Version, bool) {
+// floor returns the minimum version this session may observe for key
+// (0 without guarantees: any committed version).
+func (s *Session) floor(key Key) Version {
 	s.gmu.Lock()
 	defer s.gmu.Unlock()
-	if !s.guarantee {
-		return 0, false
-	}
-	return s.seen[key], true
+	return s.seen[key] // nil, so 0, until guarantees are enabled
 }
 
 // raiseFloor records an observed or self-written version.
@@ -172,52 +182,42 @@ func (s *Session) raiseFloor(key Key, ver Version) {
 // nearest replica (read committed: never an uncommitted option).
 // exists is false for absent or deleted records. With session
 // guarantees enabled the result never regresses below versions this
-// session has already observed or committed.
+// session has already observed or committed: a read that cannot reach
+// that floor (every reachable replica lags it, even by quorum) returns
+// ErrTimeout, never a stale value.
 func (s *Session) Read(key Key) (val Value, ver Version, exists bool, err error) {
-	min, on := s.floor(key)
-	val, ver, exists, err = s.readLocal(key, min)
-	if err != nil {
-		return val, ver, exists, err
-	}
-	if on && ver < min {
-		// The local replica lags this session: escalate to quorum
-		// reads until the floor is met (visibility is asynchronous, so
-		// right after a commit even a quorum can briefly lag).
-		deadline := time.Now().Add(s.timeout)
-		for ver < min {
-			val, ver, exists, err = s.ReadLatest(key)
-			if err != nil {
-				return val, ver, exists, err
-			}
-			if ver >= min || time.Now().After(deadline) {
-				break
-			}
+	select {
+	case r := <-s.readAtFloor(key):
+		if !r.met {
+			return Value{}, 0, false, ErrTimeout
 		}
+		s.raiseFloor(key, r.ver)
+		return r.val, r.ver, r.ok, nil
+	case <-time.After(s.timeout):
+		return Value{}, 0, false, ErrTimeout
 	}
-	s.raiseFloor(key, ver)
-	return val, ver, exists, err
 }
 
 type readRes struct {
 	val record.Value
 	ver record.Version
 	ok  bool
+	met bool // reached the session floor (always, without guarantees)
 }
 
-// readLocal is the plain nearest-replica (or gateway-materialized)
-// read, carrying the session's floor so a gateway backend can meet it
-// without a round trip back through the escalation loop.
-func (s *Session) readLocal(key Key, floor Version) (val Value, ver Version, exists bool, err error) {
+// readAtFloor starts one read of key under the client contract's floor
+// rule: the backend's nearest (or gateway-materialized) read, carrying
+// the session's floor so a gateway can meet it on its own ladder, then
+// quorum re-reads while the answer lags it.
+func (s *Session) readAtFloor(key Key) <-chan readRes {
+	floor := s.floor(key)
 	ch := make(chan readRes, 1)
-	s.b.Read(key, floor, func(v record.Value, vr record.Version, ok bool) {
-		ch <- readRes{v, vr, ok}
-	})
-	select {
-	case r := <-ch:
-		return r.val, r.ver, r.ok, nil
-	case <-time.After(s.timeout):
-		return Value{}, 0, false, ErrTimeout
-	}
+	mtx.ReadAtFloor(
+		func(cb mtx.ReadFunc) { s.b.Read(key, floor, cb) },
+		func(cb mtx.ReadFunc) { s.b.ReadQuorum(key, cb) },
+		floor,
+		func(v record.Value, vr record.Version, ok, met bool) { ch <- readRes{v, vr, ok, met} })
+	return ch
 }
 
 // ReadLatest performs an up-to-date quorum read (§4.2): it waits for
@@ -227,7 +227,7 @@ func (s *Session) readLocal(key Key, floor Version) (val Value, ver Version, exi
 func (s *Session) ReadLatest(key Key) (val Value, ver Version, exists bool, err error) {
 	ch := make(chan readRes, 1)
 	s.b.ReadQuorum(key, func(v record.Value, vr record.Version, ok bool) {
-		ch <- readRes{v, vr, ok}
+		ch <- readRes{val: v, ver: vr, ok: ok}
 	})
 	select {
 	case r := <-ch:
@@ -237,36 +237,31 @@ func (s *Session) ReadLatest(key Key) (val Value, ver Version, exists bool, err 
 	}
 }
 
-// ReadMany reads several keys concurrently. Session floors are passed
-// to the backend (a gateway meets them through its fallback ladder)
-// and every observed version raises the session's floor, but unlike
-// Read there is no per-key quorum-escalation loop on a result that
-// still lags its floor — callers needing the full monotonic-read
-// deadline semantics per key use Read.
+// ReadMany reads several keys concurrently, each exactly as Read does
+// (floors included); the first key that times out or misses its floor
+// fails the whole call with ErrTimeout.
 func (s *Session) ReadMany(keys []Key) (vals []Value, vers []Version, exist []bool, err error) {
 	vals = make([]Value, len(keys))
 	vers = make([]Version, len(keys))
 	exist = make([]bool, len(keys))
-	done := make(chan int, len(keys))
+	reads := make([]<-chan readRes, len(keys))
 	for i, k := range keys {
-		i := i
-		floor, _ := s.floor(k)
-		s.b.Read(k, floor, func(v record.Value, vr record.Version, ok bool) {
-			vals[i], vers[i], exist[i] = v, vr, ok
-			done <- i
-		})
+		reads[i] = s.readAtFloor(k)
 	}
-	for range keys {
+	deadline := time.After(s.timeout)
+	for i := range keys {
 		select {
-		case <-done:
-		case <-time.After(s.timeout):
+		case r := <-reads[i]:
+			if !r.met {
+				return nil, nil, nil, ErrTimeout
+			}
+			vals[i], vers[i], exist[i] = r.val, r.ver, r.ok
+		case <-deadline:
 			return nil, nil, nil, ErrTimeout
 		}
 	}
 	for i, k := range keys {
-		if exist[i] {
-			s.raiseFloor(k, vers[i])
-		}
+		s.raiseFloor(k, vers[i])
 	}
 	return vals, vers, exist, nil
 }
