@@ -639,43 +639,40 @@ func (r *Run) clientLoop(ci int) {
 	p := rng.Float64()
 	switch {
 	case p < w.ReadFrac && r.floors != nil && w.StockKeys+w.Items > 0:
-		// Session-guaranteed read: the gateway's floored read, then quorum
-		// re-reads while the result lags the session floor. Only
-		// floor-meeting results are consumed and recorded for
-		// check.ValidateSessionReads; a read still below the floor after
-		// the retries counts as a failed read — a minority-side client
-		// whose pre-partition write's visibility was cut off can
-		// legitimately find NO reachable replica at its floor, which is
-		// in-contract, not a tier violation. (This private ladder is what
-		// the next commit replaces with mtx.ReadAtFloor; it differs from
-		// it only in giving up on an absent answer at once.)
+		// Session-guaranteed read under the product's own floor rule
+		// (mtx.ReadAtFloor, what Session.Read runs): the gateway's
+		// floored read, then quorum re-reads while the answer lags the
+		// session floor. Only floor-meeting results are consumed and
+		// recorded for check.ValidateSessionReads; a miss counts as a
+		// failed read, as Session.Read's ErrTimeout would — a
+		// minority-side client whose pre-partition write's visibility was
+		// cut off can legitimately find NO reachable replica at its floor,
+		// which is in-contract, not a tier violation. (The tier's own
+		// floor discipline — memory never served below a floor — is pinned
+		// by TestReadTierFloorEscalation and by the recorded reads.)
 		gc := c.(gwClient)
 		key := readKeyFor(rng, w)
 		floor := r.floors[ci][key]
-		attempts := 0
-		var deliver mtx.ReadFunc
-		deliver = func(val record.Value, ver record.Version, exists bool) {
-			if exists && ver < floor && attempts < 6 {
-				attempts++
-				gc.read(key, 0, true, deliver)
-				return
-			}
-			if exists && ver >= floor {
-				r.hist.ObserveRead(ci, key, ver, true)
-				if ver > r.floors[ci][key] {
-					r.floors[ci][key] = ver
+		mtx.ReadAtFloor(
+			func(cb mtx.ReadFunc) { gc.read(key, floor, false, cb) },
+			func(cb mtx.ReadFunc) { gc.read(key, 0, true, cb) },
+			floor,
+			func(_ record.Value, ver record.Version, exists, met bool) {
+				if exists && met {
+					r.hist.ObserveRead(ci, key, ver, true)
+					if ver > r.floors[ci][key] {
+						r.floors[ci][key] = ver
+					}
+				} else {
+					r.readFails++
 				}
-			} else {
-				r.readFails++
-			}
-			r.inflight--
-			// Pace the loop: a memory-served read completes in zero
-			// virtual time, so reschedule through the event queue
-			// (modeling the client's own request turnaround) instead of
-			// recursing at one instant.
-			r.Net.After(r.Cluster.Clients[ci].ID, time.Millisecond, func() { r.clientLoop(ci) })
-		}
-		gc.read(key, floor, false, deliver)
+				r.inflight--
+				// Pace the loop: a memory-served read completes in zero
+				// virtual time, so reschedule through the event queue
+				// (modeling the client's own request turnaround) instead of
+				// recursing at one instant.
+				r.Net.After(r.Cluster.Clients[ci].ID, time.Millisecond, func() { r.clientLoop(ci) })
+			})
 	case p < w.ReadFrac+w.TransferFrac && w.Accounts >= 2:
 		from := rng.Intn(w.Accounts)
 		to := rng.Intn(w.Accounts - 1)
