@@ -44,8 +44,10 @@ func freePorts(t *testing.T, n int) []int {
 // deployment is the running five-process cluster.
 type deployment struct {
 	topo     *mdcc.RemoteTopology
-	procs    []*exec.Cmd
-	httpURLs []string
+	bin      string
+	topoPath string
+	procs    []*exec.Cmd // by data center
+	http     []string    // each server's -http address
 	logDir   string
 }
 
@@ -58,57 +60,75 @@ func startDeployment(t *testing.T, bin string) *deployment {
 	ports := freePorts(t, 2*len(dcs))
 	d := &deployment{
 		topo:   &mdcc.RemoteTopology{NodesPerDC: 1, Mode: "mdcc", Addrs: map[string]string{}},
+		bin:    bin,
+		procs:  make([]*exec.Cmd, len(dcs)),
 		logDir: t.TempDir(),
 	}
 	for i, dc := range dcs {
 		d.topo.Addrs[dc.String()] = fmt.Sprintf("127.0.0.1:%d", ports[i])
+		d.http = append(d.http, fmt.Sprintf("127.0.0.1:%d", ports[len(dcs)+i]))
 	}
 	blob, err := json.Marshal(d.topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	topoPath := filepath.Join(d.logDir, "topology.json")
-	if err := os.WriteFile(topoPath, blob, 0o644); err != nil {
+	d.topoPath = filepath.Join(d.logDir, "topology.json")
+	if err := os.WriteFile(d.topoPath, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
 		for _, p := range d.procs {
-			_ = p.Process.Kill()
-			_ = p.Wait()
+			if p != nil {
+				_ = p.Process.Kill()
+				_ = p.Wait()
+			}
 		}
 	})
-	for i, dc := range dcs {
-		httpAddr := fmt.Sprintf("127.0.0.1:%d", ports[len(dcs)+i])
-		d.httpURLs = append(d.httpURLs, "http://"+httpAddr+"/metrics")
-		logf, err := os.Create(filepath.Join(d.logDir, dc.String()+".log"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cmd := exec.Command(bin, "-topology", topoPath, "-dc", dc.String(), "-gateway", "-http", httpAddr)
-		cmd.Stdout, cmd.Stderr = logf, logf
-		err = cmd.Start()
-		logf.Close() // the child holds its own descriptor
-		if err != nil {
-			t.Fatalf("start %s: %v", dc, err)
-		}
-		d.procs = append(d.procs, cmd)
+	for i := range dcs {
+		d.start(t, i)
 	}
-	deadline := time.Now().Add(15 * time.Second)
-	for _, dc := range dcs {
-		addr := d.topo.Addrs[dc.String()]
-		for {
-			conn, err := net.DialTimeout("tcp", addr, time.Second)
-			if err == nil {
-				conn.Close()
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("server %s never came up on %s\n%s", dc, addr, d.logs())
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
+	for i := range dcs {
+		d.waitUp(t, i)
 	}
 	return d
+}
+
+// start launches data center i's server process on its fixed addresses,
+// appending to its log (a restarted process continues the same file).
+func (d *deployment) start(t *testing.T, i int) {
+	t.Helper()
+	dc := mdcc.AllDCs()[i]
+	logf, err := os.OpenFile(filepath.Join(d.logDir, dc.String()+".log"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(d.bin, "-topology", d.topoPath, "-dc", dc.String(), "-gateway", "-http", d.http[i])
+	cmd.Stdout, cmd.Stderr = logf, logf
+	err = cmd.Start()
+	logf.Close() // the child holds its own descriptor
+	if err != nil {
+		t.Fatalf("start %s: %v", dc, err)
+	}
+	d.procs[i] = cmd
+}
+
+// waitUp blocks until data center i's transport listener accepts.
+func (d *deployment) waitUp(t *testing.T, i int) {
+	t.Helper()
+	dc := mdcc.AllDCs()[i]
+	addr := d.topo.Addrs[dc.String()]
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		conn, err := net.DialTimeout("tcp", addr, time.Second)
+		if err == nil {
+			conn.Close()
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server %s never came up on %s\n%s", dc, addr, d.logs())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 }
 
 // logs returns every server's log, for failure messages.
@@ -119,6 +139,42 @@ func (d *deployment) logs() string {
 		out = append(out, b...)
 	}
 	return string(out)
+}
+
+// scrape decodes data center i's /metrics document into v.
+func (d *deployment) scrape(t *testing.T, i int, v interface{}) {
+	t.Helper()
+	url := "http://" + d.http[i] + "/metrics"
+	resp, err := (&http.Client{Timeout: 2 * time.Second}).Get(url)
+	if err != nil {
+		t.Fatalf("scrape %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("decode %s: %v", url, err)
+	}
+}
+
+// waitApplied blocks until each server's replica has applied exactly
+// puts[i] writes (its store's put count on /metrics).
+func (d *deployment) waitApplied(t *testing.T, puts []int64) {
+	t.Helper()
+	for i, want := range puts {
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			var m struct {
+				Shards []struct {
+					Puts int64 `json:"puts"`
+				} `json:"shards"`
+			}
+			d.scrape(t, i, &m)
+			if len(m.Shards) == 1 && m.Shards[0].Puts == want {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s applied %+v writes, want %d", mdcc.AllDCs()[i], m.Shards, want)
+			}
+		}
+	}
 }
 
 // stop sends every server SIGINT and requires a clean exit within five
@@ -144,7 +200,9 @@ func (d *deployment) stop(t *testing.T) {
 			t.Errorf("server %s still running 5s after SIGINT", mdcc.AllDCs()[i])
 		}
 	}
-	d.procs = nil
+	for i := range d.procs {
+		d.procs[i] = nil
+	}
 	if t.Failed() {
 		t.Logf("server logs:\n%s", d.logs())
 	}
@@ -174,22 +232,110 @@ func TestServerProcesses(t *testing.T) {
 		t.Fatalf("read back: n=%d ok=%v err=%v, want n=1", v.Attr("n"), ok, err)
 	}
 
-	client := &http.Client{Timeout: 2 * time.Second}
-	for i, url := range d.httpURLs {
-		resp, err := client.Get(url)
-		if err != nil {
-			t.Fatalf("scrape %s: %v", url, err)
-		}
+	for i := range d.http {
 		var m struct {
 			Transport transport.Stats `json:"transport"`
 		}
-		err = json.NewDecoder(resp.Body).Decode(&m)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("decode %s: %v", url, err)
-		}
+		d.scrape(t, i, &m)
 		if m.Transport.MsgsSent == 0 {
 			t.Errorf("%s: /metrics shows no transport sends after a commit: %+v", mdcc.AllDCs()[i], m.Transport)
+		}
+	}
+	d.stop(t)
+}
+
+// TestGatewayProcessRestart is the restart half of the binary's check: a
+// `-gateway` process SIGKILLed and started again on the same addresses
+// re-registers the same coordinator node ids, and every write the new
+// process acknowledges must be applied. Acceptors remember each
+// (lane, KeySeq) decision forever, so the successor is safe only because
+// it names its own incarnation (DESIGN.md §8) — nothing here, and no
+// flag of the server, tells it that it is a restart.
+func TestGatewayProcessRestart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and boots five server processes")
+	}
+	d := startDeployment(t, buildServer(t))
+	const west = 0 // mdcc.AllDCs()[0]
+	keys := make([]mdcc.Key, 8)
+	for i := range keys {
+		keys[i] = mdcc.Key(fmt.Sprintf("restart/%d", i))
+	}
+
+	// The first process writes every key through every pooled
+	// coordinator: commits alone walk the pool's round robin one lane a
+	// call, and each call — committed or not — settles that lane's next
+	// KeySeq on all eight keys.
+	sess, err := mdcc.DialGateway(d.topo, mdcc.USWest, "restart-test", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for ver := mdcc.Version(0); ver < 4; {
+		ups := make([]mdcc.Update, len(keys))
+		for i, k := range keys {
+			ups[i] = mdcc.Physical(k, ver, mdcc.Value{Attrs: map[string]int64{"n": int64(ver)}})
+		}
+		ok, err := sess.Commit(ups...)
+		if err != nil {
+			t.Fatalf("first process, write %d: %v\n%s", ver, err, d.logs())
+		}
+		if ok {
+			ver++
+		} else if time.Now().After(deadline) {
+			t.Fatalf("first process never committed write %d", ver)
+		} else {
+			time.Sleep(5 * time.Millisecond) // visibility of the previous write still in flight
+		}
+	}
+	sess.Close()
+	// Kill only once every replica has applied all four writes: a
+	// visibility message that died in the killed gateway's batch window
+	// would leave an option outstanding, and the abort it causes below
+	// would be the protocol's, not a restart's.
+	puts := make([]int64, len(d.http))
+	for i := range puts {
+		puts[i] = int64(4 * len(keys))
+	}
+	d.waitApplied(t, puts)
+
+	if err := d.procs[west].Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	_ = d.procs[west].Wait()
+	d.start(t, west)
+	d.waitUp(t, west)
+	puts[west] = 0 // no -data: the process's replica restarts empty
+
+	sess, err = mdcc.DialGateway(d.topo, mdcc.USWest, "restart-test", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	// Two rounds, so each key is also written at a version only the
+	// restarted process produced. ReadLatest, not Read: the restarted
+	// replica is empty and nothing in this deployment runs anti-entropy.
+	for round := int64(1); round <= 2; round++ {
+		for i, k := range keys {
+			v, ver, ok, err := sess.ReadLatest(k)
+			if err != nil || !ok {
+				t.Fatalf("restarted gateway, read %s: ok=%v err=%v\n%s", k, ok, err, d.logs())
+			}
+			up := mdcc.Physical(k, ver, v.WithAttr("n", 100*round+int64(i)))
+			if ok, err := sess.Commit(up); err != nil || !ok {
+				t.Fatalf("restarted gateway, round %d: uncontended write to %s at version %d: committed=%v err=%v",
+					round, k, ver, ok, err)
+			}
+		}
+		// Acknowledged means applied, on every replica.
+		for i := range puts {
+			puts[i] += int64(len(keys))
+		}
+		d.waitApplied(t, puts)
+		for i, k := range keys {
+			if v, _, _, err := sess.ReadLatest(k); err != nil || v.Attr("n") != 100*round+int64(i) {
+				t.Errorf("round %d: %s reads n=%d err=%v, want the acknowledged n=%d", round, k, v.Attr("n"), err, 100*round+int64(i))
+			}
 		}
 	}
 	d.stop(t)

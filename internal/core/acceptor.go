@@ -147,12 +147,9 @@ func NewStorageNode(id transport.NodeID, dc topology.DC, net transport.Network,
 		}
 	}
 	// The feed boot id distinguishes this incarnation's stream from a
-	// dead predecessor's: construction time is strictly later than any
-	// prior incarnation's (restarts happen after crashes, on the real
-	// clock and the virtual one), so the id changes across restarts
-	// without durable state. +1 keeps it nonzero even at the simulated
-	// clock's epoch (consumers use 0 as "no stream consumed yet").
-	n.feedBoot = uint64(net.Now().UnixNano()) + 1
+	// dead predecessor's. +1 keeps it nonzero at the simulator's zero
+	// instant (consumers use 0 as "no stream consumed yet").
+	n.feedBoot = transport.Incarnation(net) + 1
 	net.Register(id, n.handle)
 	if cfg.PendingTimeout > 0 {
 		n.scheduleSweep()

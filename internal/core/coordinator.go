@@ -1,8 +1,9 @@
 package core
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"mdcc/internal/clock"
@@ -51,8 +52,9 @@ type Coordinator struct {
 	q   paxos.Quorum
 	tr  *trace.Ring // flight-recorder ring, nil when tracing is off
 
-	gen    uint64 // incarnation generation (see NewCoordinatorGen)
+	inc    uint64 // transport.Incarnation at construction
 	era    uint64 // lane era (see rotateLane)
+	lane   string // TxID prefix of every option minted now (see setLane)
 	txSeq  uint64
 	reqSeq uint64
 	reads  map[uint64]*readCtx
@@ -117,21 +119,17 @@ type optCtx struct {
 }
 
 // NewCoordinator builds a coordinator on node id (located in dc) and
-// registers its handler.
+// registers its handler. A process that died and came back calls it
+// again with the same id and nothing else: the coordinator names its own
+// incarnation (transport.Incarnation), so its transaction ids, lineage
+// lanes and read-request ids are ones its predecessor never minted.
+// Acceptors answer a settled (lane, KeySeq) with the settled decision
+// forever, and replies to the predecessor may still be in flight; a
+// re-minted identifier would have the new incarnation's unrelated
+// operation answered by either — an acknowledged commit that is never
+// applied.
 func NewCoordinator(id transport.NodeID, dc topology.DC, net transport.Network,
 	cl *topology.Cluster, cfg Config) *Coordinator {
-	return NewCoordinatorGen(id, dc, net, cl, cfg, 0)
-}
-
-// NewCoordinatorGen builds a coordinator whose transaction and read
-// identifiers embed an incarnation generation. A restarted process
-// that re-registers the same node id MUST pass a fresh generation:
-// otherwise it re-mints its dead predecessor's transaction ids from
-// zero, and stale votes or read replies still in flight would be
-// attributed to the new incarnation's unrelated transactions (a false
-// fast-quorum learn — an acked commit whose update never executes).
-func NewCoordinatorGen(id transport.NodeID, dc topology.DC, net transport.Network,
-	cl *topology.Cluster, cfg Config, gen uint64) *Coordinator {
 	c := &Coordinator{
 		id:      id,
 		dc:      dc,
@@ -140,31 +138,42 @@ func NewCoordinatorGen(id transport.NodeID, dc topology.DC, net transport.Networ
 		cfg:     cfg,
 		q:       paxos.NewQuorum(cl.ReplicationFactor()),
 		tr:      cfg.Tracer.Ring(string(id), int(dc)),
-		gen:     gen,
+		inc:     transport.Incarnation(net),
 		reads:   make(map[uint64]*readCtx),
 		txs:     make(map[TxID]*txCtx),
 		hints:   make(map[record.Key]leaderHint),
 		keySeqs: make(map[record.Key]uint64),
 	}
-	// Read request ids live in a per-generation namespace.
-	c.reqSeq = gen << 32
+	// Read request ids count up from the construction instant: a
+	// predecessor's ids all lie below it.
+	c.reqSeq = c.inc
+	c.setLane()
 	net.Register(id, c.handle)
 	return c
 }
 
-// txID mints the next transaction id (node-scoped sequence, plus the
-// generation for restarted incarnations and the era for rotated
-// lanes). Everything before the '#' is the lineage lane.
-func (c *Coordinator) txID() TxID {
-	c.txSeq++
-	id := string(c.id)
-	if c.gen != 0 {
-		id = fmt.Sprintf("%s~g%d", id, c.gen)
+// setLane derives the current lineage lane, "<id>[~<token>][~e<era>]":
+// the token is the incarnation in milliseconds, base 36 in capitals (an
+// era's marker is a lower-case e, so the two never read alike) — eight
+// characters on a real clock until 2059, omitted at the simulator's zero
+// instant. Its resolution is the one limit of the rule: two incarnations
+// of one node id built within the same millisecond share a token, which
+// no process restart can manage.
+func (c *Coordinator) setLane() {
+	c.lane = string(c.id)
+	if c.inc != 0 {
+		c.lane += "~" + strings.ToUpper(strconv.FormatUint(c.inc/uint64(time.Millisecond), 36))
 	}
 	if c.era != 0 {
-		id = fmt.Sprintf("%s~e%d", id, c.era)
+		c.lane += "~e" + strconv.FormatUint(c.era, 10)
 	}
-	return TxID(fmt.Sprintf("%s#%d", id, c.txSeq))
+}
+
+// txID mints the next transaction id: the lane, '#', and a sequence
+// scoped to this incarnation.
+func (c *Coordinator) txID() TxID {
+	c.txSeq++
+	return TxID(c.lane + "#" + strconv.FormatUint(c.txSeq, 10))
 }
 
 // keySeqWords resolves the counter-map bound (see Config.KeySeqWords).
@@ -189,6 +198,7 @@ func (c *Coordinator) rotateLane() {
 		return
 	}
 	c.era++
+	c.setLane()
 	c.keySeqs = make(map[record.Key]uint64)
 }
 

@@ -73,9 +73,8 @@ type LineageSummary struct {
 }
 
 // laneOf derives an option's coordinator lane from its transaction
-// id: everything before the final '#' (TxIDs are minted as
-// "<coord>#<seq>" or "<coord>~g<gen>#<seq>", so the prefix identifies
-// the coordinator incarnation).
+// id: everything before the final '#' (see Coordinator.setLane: the
+// prefix names the coordinator, its incarnation and its lane era).
 func laneOf(tx TxID) string {
 	s := string(tx)
 	if i := strings.LastIndexByte(s, '#'); i >= 0 {

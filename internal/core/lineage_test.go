@@ -76,9 +76,9 @@ func TestLineageSummaryUnionAndEqual(t *testing.T) {
 
 func TestLaneOf(t *testing.T) {
 	cases := map[TxID]string{
-		"app/us-west/0#17":      "app/us-west/0",
-		"gw/eu-ie/c3~g2#5":      "gw/eu-ie/c3~g2",
-		"raw-tx-without-suffix": "raw-tx-without-suffix",
+		"app/us-west/0#17":          "app/us-west/0",
+		"gw/eu-ie/c3~MG5PZK1W~e2#5": "gw/eu-ie/c3~MG5PZK1W~e2",
+		"raw-tx-without-suffix":     "raw-tx-without-suffix",
 	}
 	for tx, want := range cases {
 		if got := laneOf(tx); got != want {
@@ -94,7 +94,7 @@ func TestLineageSummaryWireRoundTrip(t *testing.T) {
 	s.Add("gw/us-west/c0", 1, false, true)
 	s.Add("gw/us-west/c0", 2, true, false)
 	s.Add("gw/us-west/c0", 4, false, true)
-	s.Add("app/1~g3", 1, false, false)
+	s.Add("app/1~MG5PZK1W", 1, false, false)
 	msg := MsgSyncReply{Entries: []SyncEntry{{
 		Key: "k", Version: 3, Lineage: s.Clone(),
 	}}}

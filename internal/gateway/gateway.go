@@ -443,7 +443,6 @@ type Gateway struct {
 	queue    []queuedTx
 	keys     map[record.Key]*keyState
 	m        Metrics
-	reqSeq   uint64
 	closed   bool
 
 	// pending registers everything the gateway owes an answer: every
@@ -473,19 +472,11 @@ type Gateway struct {
 
 // New builds a gateway for dc on net and registers its node (and its
 // pooled coordinators') handlers. coreCfg is the same protocol config
-// the deployment's storage nodes run.
+// the deployment's storage nodes run. A restarted process calls it
+// again on the same node ids: the pooled coordinators name their own
+// incarnation (core.NewCoordinator), and so do the feed subscriptions
+// below.
 func New(dc topology.DC, net transport.Network, cl *topology.Cluster, coreCfg core.Config, tun Tuning) *Gateway {
-	return NewGen(dc, net, cl, coreCfg, tun, 0)
-}
-
-// NewGen builds a gateway with an incarnation generation. A
-// supervisor restarting a crashed gateway MUST pass a fresh
-// generation: the replacement re-registers the dead incarnation's
-// node ids, and without a generation its pooled coordinators would
-// re-mint the same transaction ids from zero — stale votes still in
-// flight for the dead process's transactions would then count toward
-// the new process's unrelated ones (see core.NewCoordinatorGen).
-func NewGen(dc topology.DC, net transport.Network, cl *topology.Cluster, coreCfg core.Config, tun Tuning, gen uint64) *Gateway {
 	tun = tun.withDefaults()
 	g := &Gateway{
 		id:      GatewayID(dc),
@@ -511,7 +502,7 @@ func NewGen(dc topology.DC, net transport.Network, cl *topology.Cluster, coreCfg
 		g.bnet.tracer = coreCfg.Tracer
 	}
 	for i := 0; i < tun.Pool; i++ {
-		co := core.NewCoordinatorGen(coordID(dc, i), dc, g.bnet, cl, coreCfg, gen)
+		co := core.NewCoordinator(coordID(dc, i), dc, g.bnet, cl, coreCfg)
 		// Every pooled coordinator feeds the piggybacked escrow
 		// snapshots on its votes and read replies into the shared
 		// headroom accounts.
@@ -525,11 +516,8 @@ func NewGen(dc topology.DC, net transport.Network, cl *topology.Cluster, coreCfg
 		// Epochs must outrank every epoch a dead predecessor left in
 		// the shards' subscriber tables — otherwise the stale-epoch
 		// guard drops the fresh incarnation's subscriptions until its
-		// counter catches up. Deriving the base from construction time
-		// guarantees that without generation plumbing (restarts are
-		// strictly later, on the real clock and the virtual one), the
-		// same trick the publisher side's Boot id uses.
-		g.subEpoch = uint64(net.Now().UnixNano())
+		// counter catches up — so they count up from the incarnation.
+		g.subEpoch = transport.Incarnation(net)
 		g.feeds = make(map[transport.NodeID]*feedState)
 		g.flights = make(map[record.Key]*readFlight)
 		for _, n := range cl.StorageIn(dc) {
@@ -825,7 +813,7 @@ func (g *Gateway) dispatchLocked(updates []record.Update, span *gwSpan, done fun
 
 // traceSettle records the client-ack event, the end-to-end latency,
 // and closes the transaction's flight record (the gateway owns
-// completion — see ClaimTop in NewGen). n > 1 reports a merged window
+// completion — see ClaimTop in New). n > 1 reports a merged window
 // settling n client transactions under one protocol transaction.
 func (g *Gateway) traceSettle(span *gwSpan, r core.CommitResult, n int) {
 	if span == nil {
@@ -1493,6 +1481,11 @@ func (g *Gateway) Kill() {
 	g.dropWindowsLocked()
 	txs, reads := g.takePendingLocked(false)
 	g.inflight = 0
+	// Headroom accounts, materialized values and feed streams died with
+	// the process: a dead incarnation's Metrics are its counters, with
+	// every gauge at rest.
+	g.keys = make(map[record.Key]*keyState)
+	g.feeds = nil
 	g.m.Aborts += int64(len(queued) + len(txs))
 	g.mu.Unlock()
 	// The killed incarnation's clients never learn these outcomes —

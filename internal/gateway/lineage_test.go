@@ -7,6 +7,7 @@ import (
 
 	"mdcc/internal/core"
 	"mdcc/internal/record"
+	"mdcc/internal/topology"
 )
 
 // A killed gateway surfaces the typed in-process outcome-unknown
@@ -136,5 +137,68 @@ func TestAdaptiveHeadroomShare(t *testing.T) {
 	}
 	if m := w.gw.Metrics(); m.EscrowUpdates == 0 {
 		t.Fatal("no escrow snapshots folded — contender plumbing untested")
+	}
+}
+
+// A gateway killed and rebuilt on the same node ids — what a restarted
+// mdcc-server -gateway process does — must mint lanes its dead
+// predecessor never wrote with. Acceptors answer a (lane, KeySeq) they
+// already settled with the settled decision, forever, so a re-minted
+// lane would have the successor's first write per key acknowledged from
+// the predecessor's decision and never applied.
+func TestRestartedGatewayWritesAreApplied(t *testing.T) {
+	w := newTestWorld(t, Tuning{CoalesceWindow: -1}, nil)
+	key := record.Key("rg/1")
+	w.preload(key, record.Value{Attrs: map[string]int64{"v": 0}})
+
+	// rmw commits one uncontended read-modify-write and returns the
+	// version it produced.
+	rmw := func() record.Version {
+		t.Helper()
+		val, ver := w.state(key)
+		acked := false
+		w.net.At(0, func() {
+			w.gw.Commit([]record.Update{record.Physical(key, ver, val.WithAttr("v", val.Attr("v")+1))},
+				func(ok bool, err error) { acked = ok && err == nil })
+		})
+		w.net.RunFor(3 * time.Second)
+		if !acked {
+			t.Fatalf("uncontended write at version %d not acknowledged", ver)
+		}
+		return ver + 1
+	}
+	// Once through every pooled coordinator: each lane's KeySeq 1 on the
+	// key is now settled at the acceptors.
+	pool := len(w.gw.coords)
+	for i := 0; i < pool; i++ {
+		rmw()
+	}
+
+	readOnce(w, key, 0)
+	if m := w.gw.Metrics(); m.FeedsLive == 0 || m.MaterializedKeys == 0 {
+		t.Fatalf("nothing for Kill to drop: %+v", m)
+	}
+
+	for _, id := range NodeIDs(topology.USWest, Tuning{}) {
+		w.net.Crash(id)
+	}
+	w.gw.Kill()
+	w.net.RunFor(time.Second)
+	// The dead incarnation keeps its counters and reports every gauge at
+	// rest, so whoever sums incarnations adds it as it is.
+	if m := w.gw.Metrics(); m.Commits != int64(pool) || m.Inflight != 0 || m.QueueDepth != 0 ||
+		m.TrackedKeys != 0 || m.MinHeadroom != -1 || m.MaterializedKeys != 0 || m.FeedsLive != 0 {
+		t.Fatalf("killed gateway's metrics: %+v", m)
+	}
+	for _, id := range NodeIDs(topology.USWest, Tuning{}) {
+		w.net.Recover(id)
+	}
+	w.gw = New(topology.USWest, w.net, w.cl, w.cfg, Tuning{CoalesceWindow: -1})
+
+	for i := 0; i < pool; i++ {
+		want := rmw()
+		if _, got := w.state(key); got != want {
+			t.Fatalf("restarted gateway's write %d was acknowledged but the store is at version %d, want %d", i, got, want)
+		}
 	}
 }

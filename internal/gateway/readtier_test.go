@@ -201,7 +201,7 @@ func TestReadTierFeedGapResync(t *testing.T) {
 }
 
 // TestReadTierSubscriberRestart models a gateway restart: a fresh
-// incarnation (same node ids, bumped generation) starts with an empty
+// incarnation (same node ids, same constructor) starts with an empty
 // store, must resubscribe under a fresh epoch, and must not consume
 // the dead incarnation's stream state.
 func TestReadTierSubscriberRestart(t *testing.T) {
@@ -213,10 +213,9 @@ func TestReadTierSubscriberRestart(t *testing.T) {
 
 	// Stop the old incarnation (its timers must die with it — the
 	// hard-crash variant is covered by the read-storm scenario's
-	// CrashGateway nemesis) and boot a replacement under a fresh
-	// generation on the same node ids.
+	// CrashGateway nemesis) and boot a replacement on the same node ids.
 	w.gw.Close()
-	w.gw = NewGen(topology.USWest, w.net, w.cl, w.cfg, Tuning{}, 1)
+	w.gw = New(topology.USWest, w.net, w.cl, w.cfg, Tuning{})
 	w.net.RunFor(3 * time.Second) // hellos under the new epoch land
 
 	m := w.gw.Metrics()

@@ -1,6 +1,10 @@
 package mtx
 
-import "mdcc/internal/record"
+import (
+	"sync"
+
+	"mdcc/internal/record"
+)
 
 // floorRetries caps the quorum re-reads one floored read may spend.
 // Visibility is asynchronous, so right after a commit even a quorum
@@ -32,4 +36,51 @@ func ReadAtFloor(first, again func(ReadFunc), floor record.Version,
 		cb(val, ver, exists, ver >= floor)
 	}
 	first(got)
+}
+
+// Floors is the other half of the contract: which version of each key
+// one session may no longer read below. The zero value tracks nothing —
+// every floor is 0, the answer for a session without guarantees — until
+// Enable. Safe for concurrent use.
+type Floors struct {
+	mu   sync.Mutex
+	seen map[record.Key]record.Version // nil until Enable
+}
+
+// Enable starts tracking: from here on reads never go backwards
+// (monotonic reads) and observe the session's own acknowledged physical
+// writes (read-your-writes).
+func (f *Floors) Enable() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.seen == nil {
+		f.seen = make(map[record.Key]record.Version)
+	}
+}
+
+// Floor is the minimum version the session may observe for key.
+func (f *Floors) Floor(key record.Key) record.Version {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.seen[key]
+}
+
+// Read records a read the session consumed at ver.
+func (f *Floors) Read(key record.Key, ver record.Version) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.seen != nil && ver > f.seen[key] {
+		f.seen[key] = ver
+	}
+}
+
+// Committed records an acknowledged commit of updates. A physical
+// update produced a known version, the one it read plus one; a
+// commutative delta did not, so it raises nothing.
+func (f *Floors) Committed(updates []record.Update) {
+	for _, up := range updates {
+		if up.Kind == record.KindPhysical {
+			f.Read(up.Key, up.ReadVersion+1)
+		}
+	}
 }

@@ -76,3 +76,30 @@ func TestReadAtFloorPartitionedMinority(t *testing.T) {
 		t.Fatalf("healed: %+v, want the floor met at v3 by one quorum re-read", a)
 	}
 }
+
+// TestFloorsRaiseRule pins which events move a session's floor: nothing
+// before Enable; afterwards a consumed read and an acknowledged physical
+// write (to the version it read plus one) raise it and nothing lowers
+// it; a commutative delta, whose resulting version is unknown, raises
+// nothing.
+func TestFloorsRaiseRule(t *testing.T) {
+	var f Floors
+	f.Read("k", 7)
+	f.Committed([]record.Update{record.Physical("k", 7, record.Value{})})
+	if got := f.Floor("k"); got != 0 {
+		t.Fatalf("floor %d before Enable, want 0", got)
+	}
+	f.Enable()
+	f.Read("k", 3)
+	f.Read("k", 2)
+	if got := f.Floor("k"); got != 3 {
+		t.Fatalf("floor %d after reads at 3 then 2, want 3", got)
+	}
+	f.Committed([]record.Update{
+		record.Physical("k", 3, record.Value{}),
+		record.Commutative("d", map[string]int64{"x": 1}),
+	})
+	if k, d := f.Floor("k"), f.Floor("d"); k != 4 || d != 0 {
+		t.Fatalf("floors after commit: k=%d d=%d, want 4 and 0", k, d)
+	}
+}

@@ -79,10 +79,9 @@ type Run struct {
 	cons            []record.Constraint
 
 	// Gateway fault-injection state (gateway scenarios only).
-	gwDown         map[topology.DC]bool   // crashed, awaiting restart
-	gwGen          map[topology.DC]uint64 // incarnation generation per DC
-	gwRetired      []*gateway.Gateway     // dead incarnations (metrics)
-	gwUnknownTyped int                    // typed in-process ErrOutcomeUnknown observations
+	gwDown         map[topology.DC]bool // crashed, awaiting restart
+	gwRetired      []*gateway.Gateway   // dead incarnations (metrics)
+	gwUnknownTyped int                  // typed in-process ErrOutcomeUnknown observations
 
 	// Live shard-move state (Scenario.Rebalance and churn QueueMove);
 	// see rebalance.go.
@@ -97,13 +96,12 @@ type Run struct {
 	rebAdopted map[int]int               // storage idx -> keys adopted by its chain
 	wrongShard int                       // client commits refused by the fence and retried
 
-	// Session-guarantee floors, one map per client (read workloads
-	// only): the minimum version each client may observe per key,
-	// raised by floored reads and acknowledged physical writes — the
-	// bookkeeping Session.EnableSessionGuarantees keeps, fed to the same
+	// Session-guarantee floors, one per client (gateway scenarios
+	// only): the product's own bookkeeping (what
+	// Session.EnableSessionGuarantees keeps), fed to the same
 	// mtx.ReadAtFloor — and recomputed independently by
 	// check.ValidateSessionReads from the history.
-	floors []map[record.Key]record.Version
+	floors []mtx.Floors
 
 	// rec is the run's flight recorder (Options.Trace only). The whole
 	// simulated cluster is one process, so a single shared Recorder
@@ -204,7 +202,6 @@ func build(s *Scenario, o Options) (*Run, error) {
 		cons:      cons,
 		lat:       stats.NewSample(4096),
 		gwDown:    make(map[topology.DC]bool),
-		gwGen:     make(map[topology.DC]uint64),
 		rec:       rec,
 	}
 	if r.Opts.Dir == "" {
@@ -237,9 +234,10 @@ func build(s *Scenario, o Options) (*Run, error) {
 		for _, dc := range topology.AllDCs() {
 			r.gws[dc] = gateway.New(dc, net, cl, cfg, gateway.Tuning{})
 		}
+		r.floors = make([]mtx.Floors, len(cl.Clients))
 		for _, c := range cl.Clients {
 			r.clients = append(r.clients, gwClient{r: r, dc: c.DC, id: c.Index})
-			r.floors = append(r.floors, make(map[record.Key]record.Version))
+			r.floors[c.Index].Enable()
 		}
 	} else {
 		for _, c := range cl.Clients {
@@ -448,15 +446,7 @@ func (r *Run) run() (*Result, error) {
 		}
 		for _, g := range r.gwRetired { // crashed incarnations' work still counts
 			res.Coord.Add(g.CoordMetrics())
-			m := g.Metrics()
-			// Gauges are point-in-time state of a dead process: its
-			// crash-time inflight was orphaned by the harness and its
-			// headroom accounts and materialized store died with it —
-			// only counters carry over.
-			m.Inflight, m.QueueDepth = 0, 0
-			m.TrackedKeys, m.MinHeadroom = 0, -1
-			m.MaterializedKeys, m.FeedsLive = 0, 0
-			agg.Add(m)
+			agg.Add(g.Metrics()) // a killed gateway reports its gauges at rest
 		}
 		agg.Finalize()
 		res.Gateway = &agg
@@ -652,7 +642,7 @@ func (r *Run) clientLoop(ci int) {
 		// by TestReadTierFloorEscalation and by the recorded reads.)
 		gc := c.(gwClient)
 		key := readKeyFor(rng, w)
-		floor := r.floors[ci][key]
+		floor := r.floors[ci].Floor(key)
 		mtx.ReadAtFloor(
 			func(cb mtx.ReadFunc) { gc.read(key, floor, false, cb) },
 			func(cb mtx.ReadFunc) { gc.read(key, 0, true, cb) },
@@ -660,9 +650,7 @@ func (r *Run) clientLoop(ci int) {
 			func(_ record.Value, ver record.Version, exists, met bool) {
 				if exists && met {
 					r.hist.ObserveRead(ci, key, ver, true)
-					if ver > r.floors[ci][key] {
-						r.floors[ci][key] = ver
-					}
+					r.floors[ci].Read(key, ver)
 				} else {
 					r.readFails++
 				}
@@ -696,16 +684,10 @@ func (r *Run) clientLoop(ci int) {
 				settle(false)
 				return
 			}
-			c.Commit([]record.Update{
-				record.Physical(key, ver, val.WithAttr("v", val.Attr("v")+1)),
-			}, func(ok bool) {
+			write := []record.Update{record.Physical(key, ver, val.WithAttr("v", val.Attr("v")+1))}
+			c.Commit(write, func(ok bool) {
 				if ok && r.floors != nil {
-					// Read-your-writes: the acknowledged physical write
-					// produced version ver+1; later floored reads by this
-					// client must observe it.
-					if ver+1 > r.floors[ci][key] {
-						r.floors[ci][key] = ver + 1
-					}
+					r.floors[ci].Committed(write) // read-your-writes
 				}
 				settle(ok)
 			})
@@ -1029,10 +1011,9 @@ func (r *Run) CrashGateway(dc topology.DC) {
 }
 
 // RestartGateway boots a fresh gateway incarnation for the data
-// center (gateways hold no durable state; the fresh instance re-learns
-// escrow headroom from piggybacked snapshots). The bumped generation
-// keeps the new incarnation's transaction ids disjoint from its dead
-// predecessor's, so stale in-flight votes cannot alias.
+// center, the way a restarted process would: the same constructor on
+// the same node ids (gateways hold no durable state; the fresh instance
+// re-learns escrow headroom from piggybacked snapshots).
 func (r *Run) RestartGateway(dc topology.DC) {
 	if r.gws == nil || !r.gwDown[dc] {
 		return
@@ -1040,8 +1021,7 @@ func (r *Run) RestartGateway(dc topology.DC) {
 	for _, id := range r.GatewayIDs(dc) {
 		r.Net.Recover(id)
 	}
-	r.gwGen[dc]++
-	r.gws[dc] = gateway.NewGen(dc, r.Net, r.Cluster, r.Cfg, gateway.Tuning{}, r.gwGen[dc])
+	r.gws[dc] = gateway.New(dc, r.Net, r.Cluster, r.Cfg, gateway.Tuning{})
 	delete(r.gwDown, dc)
 	if r.rebFrozen {
 		// A gateway restarted mid-move must not admit transactions onto

@@ -71,6 +71,16 @@ type Network interface {
 	Now() time.Time
 }
 
+// Incarnation names the process lifetime of a node constructed now on
+// net, with nothing kept across restarts and nothing passed in by
+// whoever restarts it: the construction instant in nanoseconds. A
+// successor that re-registers the same node id is built strictly later,
+// on the real clock and on the simulator's, so an identifier seeded from
+// its Incarnation (transaction lanes, request ids, feed epochs and boot
+// ids — DESIGN.md §8) is one no predecessor issued. It is 0 exactly at
+// the simulator's zero instant.
+func Incarnation(net Network) uint64 { return uint64(net.Now().UnixNano()) }
+
 // Batch is a coalesced envelope: independent protocol messages —
 // often from different senders and different transactions — bound for
 // the same destination node, shipped as one wire message. The gateway

@@ -552,7 +552,7 @@ func TestSessionFloorMissIsTimeout(t *testing.T) {
 		}
 	}
 	waitEverywhere(t, c, "floor/lag", atVersion(1))
-	s.raiseFloor("floor/lag", 99) // as if the session had seen v99: every replica now lags it
+	s.floors.Read("floor/lag", 99) // as if the session had seen v99: every replica now lags it
 
 	if _, ver, _, err := s.Read("floor/lag"); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("Read below the floor returned v%d err=%v, want ErrTimeout", ver, err)

@@ -127,9 +127,12 @@ type RemoteSession struct {
 func (r *RemoteSession) Close() { r.net.Close() }
 
 // Dial connects a client session (homed in dc) to a TCP deployment.
-// clientID must be unique among concurrently connected clients;
-// listen is the local address for replies ("127.0.0.1:0" for any
-// port).
+// clientID must be unique among concurrently connected clients, and
+// only among those: a process that exits and dials again under the id
+// it had is safe, because every session names its own incarnation
+// (DESIGN.md §8) — its transactions and requests are never taken for
+// its predecessor's. listen is the local address for replies
+// ("127.0.0.1:0" for any port).
 func Dial(topo *RemoteTopology, dc DC, clientID, listen string) (*RemoteSession, error) {
 	mode, err := topo.ModeValue()
 	if err != nil {
@@ -160,6 +163,7 @@ func Dial(topo *RemoteTopology, dc DC, clientID, listen string) (*RemoteSession,
 // Unlike Dial, the client embeds no coordinator: transactions travel
 // as single request/reply RPCs to the gateway, which pools
 // coordinators, batches and coalesces across all attached clients.
+// clientID is Dial's: unique among concurrent sessions, reusable after.
 func DialGateway(topo *RemoteTopology, dc DC, clientID, listen string) (*RemoteSession, error) {
 	mode, err := topo.ModeValue()
 	if err != nil {
@@ -182,6 +186,10 @@ func DialGateway(topo *RemoteTopology, dc DC, clientID, listen string) (*RemoteS
 		id:   id,
 		gwID: gateway.GatewayID(dc),
 		net:  net,
+		// Request ids count up from the incarnation, so a reply the
+		// gateway still owes a dead session that dialed under this
+		// clientID can never answer one of this session's requests.
+		seq: transport.Incarnation(net),
 		// A commit unacknowledged past this deadline surfaces as a typed
 		// OutcomeUnknownError instead of hanging to the session timeout:
 		// long enough for the protocol to settle through recoveries,

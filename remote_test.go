@@ -136,6 +136,43 @@ func TestTCPConflictDetection(t *testing.T) {
 // after the settle deadline, well before the generic session timeout
 // would fire. Blind retries are unsafe on this error (the transaction
 // may still commit), which is why it is distinct from ErrTimeout.
+// A clientID names a seat, not a process lifetime: a second Dial under
+// the same id (mdcc-client's default id is its pid, a constant in a
+// container) registers the same coordinator node, and its first write to
+// a key its predecessor wrote must be applied, not answered from the
+// predecessor's settled decision.
+func TestDialReusedClientID(t *testing.T) {
+	topo := startTCPDeployment(t, ModeMDCC, nil, false)
+	first, err := Dial(topo, USWest, "seat", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := first.Commit(Insert("seat/1", Value{Attrs: map[string]int64{"n": 1}})); err != nil || !ok {
+		t.Fatalf("first session's insert: ok=%v err=%v", ok, err)
+	}
+	waitFor(t, "the insert to be visible", func() bool {
+		_, ver, _, err := first.ReadLatest("seat/1")
+		return err == nil && ver == 1
+	})
+	first.Close()
+	// The incarnation token resolves one millisecond; no process restart
+	// is faster, but two Dials in one test can be.
+	time.Sleep(2 * time.Millisecond)
+
+	second, err := Dial(topo, USWest, "seat", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	if ok, err := second.Commit(Physical("seat/1", 1, Value{Attrs: map[string]int64{"n": 2}})); err != nil || !ok {
+		t.Fatalf("second session's first write: ok=%v err=%v", ok, err)
+	}
+	waitFor(t, "the second session's acknowledged write to be applied", func() bool {
+		v, _, _, err := second.ReadLatest("seat/1")
+		return err == nil && v.Attr("n") == 2
+	})
+}
+
 func TestGatewayRPCOutcomeUnknown(t *testing.T) {
 	srv := transport.NewTCP(nil)
 	addr, err := srv.Listen("127.0.0.1:0")

@@ -2,7 +2,6 @@ package mdcc
 
 import (
 	"errors"
-	"sync"
 	"time"
 
 	"mdcc/internal/core"
@@ -125,14 +124,9 @@ type Session struct {
 	// is attached to.
 	gwMetrics func() GatewayMetrics
 
-	// Session guarantees (§4.2): when enabled, reads never go
-	// backwards within the session (monotonic reads) and observe the
-	// session's own committed physical writes (read-your-writes),
-	// implemented by tracking a per-key version floor that every read
-	// must reach (readAtFloor).
-	gmu       sync.Mutex
-	guarantee bool
-	seen      map[Key]Version
+	// Session guarantees (§4.2): once enabled, every read must reach the
+	// session's per-key version floor (readAtFloor).
+	floors mtx.Floors
 }
 
 func newSession(b backend, cfg core.Config) *Session {
@@ -149,34 +143,7 @@ func newSession(b backend, cfg core.Config) *Session {
 // backwards (a lagging or recovered local replica) transparently
 // escalate to quorum reads; one that still cannot reach the session's
 // floor version fails with ErrTimeout instead of returning stale data.
-func (s *Session) EnableSessionGuarantees() {
-	s.gmu.Lock()
-	defer s.gmu.Unlock()
-	s.guarantee = true
-	if s.seen == nil {
-		s.seen = make(map[Key]Version)
-	}
-}
-
-// floor returns the minimum version this session may observe for key
-// (0 without guarantees: any committed version).
-func (s *Session) floor(key Key) Version {
-	s.gmu.Lock()
-	defer s.gmu.Unlock()
-	return s.seen[key] // nil, so 0, until guarantees are enabled
-}
-
-// raiseFloor records an observed or self-written version.
-func (s *Session) raiseFloor(key Key, ver Version) {
-	s.gmu.Lock()
-	defer s.gmu.Unlock()
-	if !s.guarantee {
-		return
-	}
-	if ver > s.seen[key] {
-		s.seen[key] = ver
-	}
-}
+func (s *Session) EnableSessionGuarantees() { s.floors.Enable() }
 
 // Read returns the committed value and version of key from the
 // nearest replica (read committed: never an uncommitted option).
@@ -191,7 +158,7 @@ func (s *Session) Read(key Key) (val Value, ver Version, exists bool, err error)
 		if !r.met {
 			return Value{}, 0, false, ErrTimeout
 		}
-		s.raiseFloor(key, r.ver)
+		s.floors.Read(key, r.ver)
 		return r.val, r.ver, r.ok, nil
 	case <-time.After(s.timeout):
 		return Value{}, 0, false, ErrTimeout
@@ -210,7 +177,7 @@ type readRes struct {
 // the session's floor so a gateway can meet it on its own ladder, then
 // quorum re-reads while the answer lags it.
 func (s *Session) readAtFloor(key Key) <-chan readRes {
-	floor := s.floor(key)
+	floor := s.floors.Floor(key)
 	ch := make(chan readRes, 1)
 	mtx.ReadAtFloor(
 		func(cb mtx.ReadFunc) { s.b.Read(key, floor, cb) },
@@ -261,7 +228,7 @@ func (s *Session) ReadMany(keys []Key) (vals []Value, vers []Version, exist []bo
 		}
 	}
 	for i, k := range keys {
-		s.raiseFloor(k, vers[i])
+		s.floors.Read(k, vers[i])
 	}
 	return vals, vers, exist, nil
 }
@@ -286,14 +253,7 @@ func (s *Session) Commit(updates ...Update) (committed bool, err error) {
 			return false, r.err
 		}
 		if r.ok {
-			// Read-your-writes: physical updates produce a known new
-			// version (vread+1); commutative deltas do not, so they
-			// are not tracked.
-			for _, up := range updates {
-				if up.Kind == record.KindPhysical {
-					s.raiseFloor(up.Key, up.ReadVersion+1)
-				}
-			}
+			s.floors.Committed(updates) // read-your-writes
 		}
 		return r.ok, nil
 	case <-time.After(s.timeout):
