@@ -1,8 +1,10 @@
-// Package btree implements an in-memory B-tree keyed by string with
-// arbitrary values. It is the ordered-map substrate under
-// internal/kv — the role Oracle BDB Java Edition plays in the paper's
-// prototype — supporting point operations and ordered range scans
-// (the storage layer range-partitions tables by key).
+// Package btree implements an in-memory B-tree keyed by string. It is
+// the ordered-map substrate under internal/kv — the role Oracle BDB
+// Java Edition plays in the paper's prototype — and carries exactly what
+// the store does: insert, replace, point lookup and ordered range scans
+// (the storage layer range-partitions tables by key). The store never
+// removes a key (a delete is a tombstone value), so neither does the
+// tree.
 //
 // The tree is not safe for concurrent use; internal/kv serializes
 // access per storage node.
@@ -14,39 +16,40 @@ import "sort"
 // (except the root). A node holds between degree-1 and 2*degree-1 keys.
 const defaultDegree = 32
 
-// Tree is a B-tree mapping string keys to values.
-type Tree struct {
-	root   *node
+// Tree is a B-tree mapping string keys to values of type V, stored in
+// the nodes themselves.
+type Tree[V any] struct {
+	root   *node[V]
 	size   int
 	degree int
 }
 
-type item struct {
+type item[V any] struct {
 	key string
-	val interface{}
+	val V
 }
 
-type node struct {
-	items    []item
-	children []*node // nil for leaves
+type node[V any] struct {
+	items    []item[V]
+	children []*node[V] // nil for leaves
 }
 
 // New returns an empty tree with the default branching factor.
-func New() *Tree { return NewDegree(defaultDegree) }
+func New[V any]() *Tree[V] { return NewDegree[V](defaultDegree) }
 
 // NewDegree returns an empty tree with minimum degree d (d >= 2).
-func NewDegree(d int) *Tree {
+func NewDegree[V any](d int) *Tree[V] {
 	if d < 2 {
 		panic("btree: degree must be >= 2")
 	}
-	return &Tree{degree: d}
+	return &Tree[V]{degree: d}
 }
 
 // Len returns the number of keys in the tree.
-func (t *Tree) Len() int { return t.size }
+func (t *Tree[V]) Len() int { return t.size }
 
 // Get returns the value stored under key and whether it exists.
-func (t *Tree) Get(key string) (interface{}, bool) {
+func (t *Tree[V]) Get(key string) (val V, ok bool) {
 	n := t.root
 	for n != nil {
 		i, found := n.search(key)
@@ -54,25 +57,25 @@ func (t *Tree) Get(key string) (interface{}, bool) {
 			return n.items[i].val, true
 		}
 		if n.children == nil {
-			return nil, false
+			break
 		}
 		n = n.children[i]
 	}
-	return nil, false
+	return val, false
 }
 
 // Put inserts or replaces the value under key. It reports whether the
 // key was newly inserted (false means replaced).
-func (t *Tree) Put(key string, val interface{}) bool {
+func (t *Tree[V]) Put(key string, val V) bool {
 	if t.root == nil {
-		t.root = &node{items: []item{{key, val}}}
+		t.root = &node[V]{items: []item[V]{{key, val}}}
 		t.size = 1
 		return true
 	}
 	if len(t.root.items) == t.maxItems() {
 		// Split the root preemptively so insertion never revisits parents.
 		old := t.root
-		t.root = &node{children: []*node{old}}
+		t.root = &node[V]{children: []*node[V]{old}}
 		t.splitChild(t.root, 0)
 	}
 	inserted := t.insertNonFull(t.root, key, val)
@@ -82,76 +85,17 @@ func (t *Tree) Put(key string, val interface{}) bool {
 	return inserted
 }
 
-// Delete removes key and reports whether it was present.
-func (t *Tree) Delete(key string) bool {
-	if t.root == nil {
-		return false
-	}
-	deleted := t.delete(t.root, key)
-	if len(t.root.items) == 0 && t.root.children != nil {
-		t.root = t.root.children[0]
-	}
-	if t.root != nil && len(t.root.items) == 0 && t.root.children == nil {
-		t.root = nil
-	}
-	if deleted {
-		t.size--
-	}
-	return deleted
-}
-
-// Ascend calls fn for each key/value in ascending key order until fn
-// returns false.
-func (t *Tree) Ascend(fn func(key string, val interface{}) bool) {
-	t.ascendRange(t.root, "", "", false, false, fn)
-}
-
 // AscendRange calls fn for keys in [from, to) in ascending order until
 // fn returns false. An empty `to` means no upper bound.
-func (t *Tree) AscendRange(from, to string, fn func(key string, val interface{}) bool) {
-	t.ascendRange(t.root, from, to, true, to != "", fn)
+func (t *Tree[V]) AscendRange(from, to string, fn func(key string, val V) bool) {
+	t.ascendRange(t.root, from, to, fn)
 }
 
-// Keys returns all keys in ascending order (testing convenience).
-func (t *Tree) Keys() []string {
-	out := make([]string, 0, t.size)
-	t.Ascend(func(k string, _ interface{}) bool {
-		out = append(out, k)
-		return true
-	})
-	return out
-}
-
-// Min returns the smallest key, or "" if empty.
-func (t *Tree) Min() (string, bool) {
-	n := t.root
-	if n == nil {
-		return "", false
-	}
-	for n.children != nil {
-		n = n.children[0]
-	}
-	return n.items[0].key, true
-}
-
-// Max returns the largest key, or "" if empty.
-func (t *Tree) Max() (string, bool) {
-	n := t.root
-	if n == nil {
-		return "", false
-	}
-	for n.children != nil {
-		n = n.children[len(n.children)-1]
-	}
-	return n.items[len(n.items)-1].key, true
-}
-
-func (t *Tree) maxItems() int { return 2*t.degree - 1 }
-func (t *Tree) minItems() int { return t.degree - 1 }
+func (t *Tree[V]) maxItems() int { return 2*t.degree - 1 }
 
 // search returns the index of key in n.items if present, else the
 // child index to descend into.
-func (n *node) search(key string) (int, bool) {
+func (n *node[V]) search(key string) (int, bool) {
 	i := sort.Search(len(n.items), func(i int) bool { return n.items[i].key >= key })
 	if i < len(n.items) && n.items[i].key == key {
 		return i, true
@@ -160,12 +104,12 @@ func (n *node) search(key string) (int, bool) {
 }
 
 // splitChild splits the full child at index i of parent p.
-func (t *Tree) splitChild(p *node, i int) {
+func (t *Tree[V]) splitChild(p *node[V], i int) {
 	child := p.children[i]
 	mid := t.degree - 1
 	median := child.items[mid]
 
-	right := &node{}
+	right := &node[V]{}
 	right.items = append(right.items, child.items[mid+1:]...)
 	child.items = child.items[:mid]
 	if child.children != nil {
@@ -173,7 +117,7 @@ func (t *Tree) splitChild(p *node, i int) {
 		child.children = child.children[:t.degree]
 	}
 
-	p.items = append(p.items, item{})
+	p.items = append(p.items, item[V]{})
 	copy(p.items[i+1:], p.items[i:])
 	p.items[i] = median
 
@@ -182,7 +126,7 @@ func (t *Tree) splitChild(p *node, i int) {
 	p.children[i+1] = right
 }
 
-func (t *Tree) insertNonFull(n *node, key string, val interface{}) bool {
+func (t *Tree[V]) insertNonFull(n *node[V], key string, val V) bool {
 	for {
 		i, found := n.search(key)
 		if found {
@@ -190,9 +134,9 @@ func (t *Tree) insertNonFull(n *node, key string, val interface{}) bool {
 			return false
 		}
 		if n.children == nil {
-			n.items = append(n.items, item{})
+			n.items = append(n.items, item[V]{})
 			copy(n.items[i+1:], n.items[i:])
-			n.items[i] = item{key, val}
+			n.items[i] = item[V]{key, val}
 			return true
 		}
 		if len(n.children[i].items) == t.maxItems() {
@@ -209,131 +153,17 @@ func (t *Tree) insertNonFull(n *node, key string, val interface{}) bool {
 	}
 }
 
-func (t *Tree) delete(n *node, key string) bool {
-	i, found := n.search(key)
-	if n.children == nil {
-		if !found {
-			return false
-		}
-		n.items = append(n.items[:i], n.items[i+1:]...)
-		return true
-	}
-	if found {
-		// Replace with predecessor from the left subtree, then delete
-		// the predecessor recursively (after ensuring the child can
-		// spare an item).
-		if len(n.children[i].items) > t.minItems() {
-			pred := t.maxItem(n.children[i])
-			n.items[i] = pred
-			return t.deleteDescend(n, i, pred.key)
-		}
-		if len(n.children[i+1].items) > t.minItems() {
-			succ := t.minItem(n.children[i+1])
-			n.items[i] = succ
-			return t.deleteDescend(n, i+1, succ.key)
-		}
-		t.mergeChildren(n, i)
-		return t.delete(n.children[i], key)
-	}
-	return t.deleteDescend(n, i, key)
-}
-
-// deleteDescend ensures child i has more than minItems items (fixing
-// up by borrow or merge) then recurses.
-func (t *Tree) deleteDescend(n *node, i int, key string) bool {
-	child := n.children[i]
-	if len(child.items) <= t.minItems() {
-		i = t.fixup(n, i)
-		child = n.children[i]
-		// Fixup may have merged the key's subtree; re-dispatch from n.
-		return t.delete(n, key)
-	}
-	_ = child
-	return t.delete(n.children[i], key)
-}
-
-// fixup grows child i of n by borrowing from a sibling or merging, and
-// returns the (possibly shifted) child index that now covers the range.
-func (t *Tree) fixup(n *node, i int) int {
-	if i > 0 && len(n.children[i-1].items) > t.minItems() {
-		// Borrow from left sibling through the separator.
-		child, left := n.children[i], n.children[i-1]
-		child.items = append(child.items, item{})
-		copy(child.items[1:], child.items)
-		child.items[0] = n.items[i-1]
-		n.items[i-1] = left.items[len(left.items)-1]
-		left.items = left.items[:len(left.items)-1]
-		if left.children != nil {
-			child.children = append(child.children, nil)
-			copy(child.children[1:], child.children)
-			child.children[0] = left.children[len(left.children)-1]
-			left.children = left.children[:len(left.children)-1]
-		}
-		return i
-	}
-	if i < len(n.children)-1 && len(n.children[i+1].items) > t.minItems() {
-		// Borrow from right sibling through the separator.
-		child, right := n.children[i], n.children[i+1]
-		child.items = append(child.items, n.items[i])
-		n.items[i] = right.items[0]
-		right.items = append(right.items[:0], right.items[1:]...)
-		if right.children != nil {
-			child.children = append(child.children, right.children[0])
-			right.children = append(right.children[:0], right.children[1:]...)
-		}
-		return i
-	}
-	if i > 0 {
-		t.mergeChildren(n, i-1)
-		return i - 1
-	}
-	t.mergeChildren(n, i)
-	return i
-}
-
-// mergeChildren merges child i, separator i, and child i+1 into child i.
-func (t *Tree) mergeChildren(n *node, i int) {
-	left, right := n.children[i], n.children[i+1]
-	left.items = append(left.items, n.items[i])
-	left.items = append(left.items, right.items...)
-	left.children = append(left.children, right.children...)
-	n.items = append(n.items[:i], n.items[i+1:]...)
-	n.children = append(n.children[:i+1], n.children[i+2:]...)
-}
-
-func (t *Tree) maxItem(n *node) item {
-	for n.children != nil {
-		n = n.children[len(n.children)-1]
-	}
-	return n.items[len(n.items)-1]
-}
-
-func (t *Tree) minItem(n *node) item {
-	for n.children != nil {
-		n = n.children[0]
-	}
-	return n.items[0]
-}
-
-func (t *Tree) ascendRange(n *node, from, to string, useFrom, useTo bool, fn func(string, interface{}) bool) bool {
+func (t *Tree[V]) ascendRange(n *node[V], from, to string, fn func(string, V) bool) bool {
 	if n == nil {
 		return true
 	}
-	start := 0
-	if useFrom {
-		start, _ = n.search(from)
-	}
+	start, _ := n.search(from)
 	for i := start; i < len(n.items); i++ {
-		if n.children != nil {
-			if !t.ascendRange(n.children[i], from, to, useFrom, useTo, fn) {
-				return false
-			}
+		if n.children != nil && !t.ascendRange(n.children[i], from, to, fn) {
+			return false
 		}
-		it := n.items[i]
-		if useFrom && it.key < from {
-			continue
-		}
-		if useTo && it.key >= to {
+		it := &n.items[i]
+		if to != "" && it.key >= to {
 			return false
 		}
 		if !fn(it.key, it.val) {
@@ -341,46 +171,7 @@ func (t *Tree) ascendRange(n *node, from, to string, useFrom, useTo bool, fn fun
 		}
 	}
 	if n.children != nil {
-		return t.ascendRange(n.children[len(n.children)-1], from, to, useFrom, useTo, fn)
+		return t.ascendRange(n.children[len(n.children)-1], from, to, fn)
 	}
 	return true
-}
-
-// checkInvariants walks the tree verifying B-tree structural
-// invariants; used by tests. It panics on violation.
-func (t *Tree) checkInvariants() {
-	if t.root == nil {
-		return
-	}
-	var depthOf func(n *node, depth int, isRoot bool) int
-	depthOf = func(n *node, depth int, isRoot bool) int {
-		if !isRoot && len(n.items) < t.minItems() {
-			panic("btree: underfull node")
-		}
-		if len(n.items) > t.maxItems() {
-			panic("btree: overfull node")
-		}
-		for i := 1; i < len(n.items); i++ {
-			if n.items[i-1].key >= n.items[i].key {
-				panic("btree: unsorted items")
-			}
-		}
-		if n.children == nil {
-			return depth
-		}
-		if len(n.children) != len(n.items)+1 {
-			panic("btree: child count mismatch")
-		}
-		d := -1
-		for _, c := range n.children {
-			cd := depthOf(c, depth+1, false)
-			if d == -1 {
-				d = cd
-			} else if d != cd {
-				panic("btree: uneven leaf depth")
-			}
-		}
-		return d
-	}
-	depthOf(t.root, 0, true)
 }

@@ -8,27 +8,70 @@ import (
 	"testing/quick"
 )
 
+// keys returns every key in ascending order.
+func (t *Tree[V]) keys() []string {
+	out := make([]string, 0, t.size)
+	t.AscendRange("", "", func(k string, _ V) bool {
+		out = append(out, k)
+		return true
+	})
+	return out
+}
+
+// checkInvariants walks the tree verifying B-tree structural
+// invariants. It panics on violation.
+func (t *Tree[V]) checkInvariants() {
+	if t.root == nil {
+		return
+	}
+	var depthOf func(n *node[V], depth int, isRoot bool) int
+	depthOf = func(n *node[V], depth int, isRoot bool) int {
+		if !isRoot && len(n.items) < t.degree-1 {
+			panic("btree: underfull node")
+		}
+		if len(n.items) > t.maxItems() {
+			panic("btree: overfull node")
+		}
+		for i := 1; i < len(n.items); i++ {
+			if n.items[i-1].key >= n.items[i].key {
+				panic("btree: unsorted items")
+			}
+		}
+		if n.children == nil {
+			return depth
+		}
+		if len(n.children) != len(n.items)+1 {
+			panic("btree: child count mismatch")
+		}
+		d := -1
+		for _, c := range n.children {
+			cd := depthOf(c, depth+1, false)
+			if d == -1 {
+				d = cd
+			} else if d != cd {
+				panic("btree: uneven leaf depth")
+			}
+		}
+		return d
+	}
+	depthOf(t.root, 0, true)
+}
+
 func TestEmpty(t *testing.T) {
-	tr := New()
+	tr := New[int]()
 	if tr.Len() != 0 {
 		t.Fatal("new tree not empty")
 	}
 	if _, ok := tr.Get("x"); ok {
 		t.Fatal("Get on empty tree found a key")
 	}
-	if tr.Delete("x") {
-		t.Fatal("Delete on empty tree reported success")
-	}
-	if _, ok := tr.Min(); ok {
-		t.Fatal("Min on empty tree")
-	}
-	if _, ok := tr.Max(); ok {
-		t.Fatal("Max on empty tree")
+	if len(tr.keys()) != 0 {
+		t.Fatal("range over empty tree visited a key")
 	}
 }
 
 func TestPutGet(t *testing.T) {
-	tr := New()
+	tr := New[int]()
 	if !tr.Put("a", 1) {
 		t.Fatal("first Put not reported as insert")
 	}
@@ -36,7 +79,7 @@ func TestPutGet(t *testing.T) {
 		t.Fatal("second Put of same key reported as insert")
 	}
 	v, ok := tr.Get("a")
-	if !ok || v.(int) != 2 {
+	if !ok || v != 2 {
 		t.Fatalf("Get = %v,%v want 2,true", v, ok)
 	}
 	if tr.Len() != 1 {
@@ -50,12 +93,12 @@ func TestDegreePanics(t *testing.T) {
 			t.Fatal("NewDegree(1) should panic")
 		}
 	}()
-	NewDegree(1)
+	NewDegree[int](1)
 }
 
 func TestManyInsertsOrdered(t *testing.T) {
 	for _, deg := range []int{2, 3, 8, 32} {
-		tr := NewDegree(deg)
+		tr := NewDegree[int](deg)
 		const n = 2000
 		for i := 0; i < n; i++ {
 			tr.Put(fmt.Sprintf("k%06d", i), i)
@@ -64,71 +107,62 @@ func TestManyInsertsOrdered(t *testing.T) {
 		if tr.Len() != n {
 			t.Fatalf("deg %d: Len = %d, want %d", deg, tr.Len(), n)
 		}
-		keys := tr.Keys()
+		keys := tr.keys()
 		if !sort.StringsAreSorted(keys) {
 			t.Fatalf("deg %d: keys not sorted", deg)
 		}
-		mn, _ := tr.Min()
-		mx, _ := tr.Max()
-		if mn != "k000000" || mx != fmt.Sprintf("k%06d", n-1) {
-			t.Fatalf("deg %d: Min/Max = %q/%q", deg, mn, mx)
+		if len(keys) != n || keys[0] != "k000000" || keys[n-1] != fmt.Sprintf("k%06d", n-1) {
+			t.Fatalf("deg %d: %d keys, %q..%q", deg, len(keys), keys[0], keys[n-1])
 		}
 	}
 }
 
-func TestRandomInsertDelete(t *testing.T) {
+// agrees reports whether tr holds exactly ref, in key order.
+func agrees(tr *Tree[int], ref map[string]int) bool {
+	keys := tr.keys()
+	if tr.Len() != len(ref) || len(keys) != len(ref) || !sort.StringsAreSorted(keys) {
+		return false
+	}
+	for k, v := range ref {
+		if got, ok := tr.Get(k); !ok || got != v {
+			return false
+		}
+	}
+	return true
+}
+
+// Random inserts and replaces (the store's whole write surface) agree
+// with a map at every degree, through many splits.
+func TestRandomInsertReplace(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for _, deg := range []int{2, 3, 5, 16} {
-		tr := NewDegree(deg)
+		tr := NewDegree[int](deg)
 		ref := map[string]int{}
 		for step := 0; step < 8000; step++ {
-			k := fmt.Sprintf("k%04d", r.Intn(500))
-			switch r.Intn(3) {
-			case 0, 1:
-				tr.Put(k, step)
-				ref[k] = step
-			case 2:
-				got := tr.Delete(k)
-				_, want := ref[k]
-				if got != want {
-					t.Fatalf("deg %d step %d: Delete(%q) = %v, want %v", deg, step, k, got, want)
-				}
-				delete(ref, k)
+			k := fmt.Sprintf("k%04d", r.Intn(2000))
+			_, had := ref[k]
+			if inserted := tr.Put(k, step); inserted == had {
+				t.Fatalf("deg %d step %d: Put(%q) inserted=%v with the key present=%v", deg, step, k, inserted, had)
 			}
+			ref[k] = step
 			if step%500 == 0 {
 				tr.checkInvariants()
 			}
 		}
 		tr.checkInvariants()
-		if tr.Len() != len(ref) {
-			t.Fatalf("deg %d: Len = %d, ref = %d", deg, tr.Len(), len(ref))
+		if !agrees(tr, ref) {
+			t.Fatalf("deg %d: tree and map disagree (Len %d, ref %d)", deg, tr.Len(), len(ref))
 		}
-		for k, v := range ref {
-			got, ok := tr.Get(k)
-			if !ok || got.(int) != v {
-				t.Fatalf("deg %d: Get(%q) = %v,%v want %v,true", deg, k, got, ok, v)
-			}
-		}
-		// Drain completely.
-		for k := range ref {
-			if !tr.Delete(k) {
-				t.Fatalf("deg %d: drain Delete(%q) failed", deg, k)
-			}
-		}
-		if tr.Len() != 0 {
-			t.Fatalf("deg %d: tree not empty after drain: %d", deg, tr.Len())
-		}
-		tr.checkInvariants()
 	}
 }
 
 func TestAscendRange(t *testing.T) {
-	tr := New()
+	tr := New[int]()
 	for i := 0; i < 100; i++ {
 		tr.Put(fmt.Sprintf("k%03d", i), i)
 	}
 	var got []string
-	tr.AscendRange("k010", "k020", func(k string, _ interface{}) bool {
+	tr.AscendRange("k010", "k020", func(k string, _ int) bool {
 		got = append(got, k)
 		return true
 	})
@@ -137,7 +171,7 @@ func TestAscendRange(t *testing.T) {
 	}
 	// Open upper bound.
 	got = nil
-	tr.AscendRange("k095", "", func(k string, _ interface{}) bool {
+	tr.AscendRange("k095", "", func(k string, _ int) bool {
 		got = append(got, k)
 		return true
 	})
@@ -146,22 +180,22 @@ func TestAscendRange(t *testing.T) {
 	}
 	// Early stop.
 	count := 0
-	tr.Ascend(func(string, interface{}) bool {
+	tr.AscendRange("", "", func(string, int) bool {
 		count++
 		return count < 7
 	})
 	if count != 7 {
-		t.Fatalf("early-stop Ascend visited %d, want 7", count)
+		t.Fatalf("early-stop AscendRange visited %d, want 7", count)
 	}
 }
 
 func TestAscendRangeEmptyWindow(t *testing.T) {
-	tr := New()
+	tr := New[int]()
 	for i := 0; i < 10; i++ {
 		tr.Put(fmt.Sprintf("k%d", i), i)
 	}
 	called := false
-	tr.AscendRange("z", "zz", func(string, interface{}) bool {
+	tr.AscendRange("z", "zz", func(string, int) bool {
 		called = true
 		return true
 	})
@@ -170,36 +204,19 @@ func TestAscendRangeEmptyWindow(t *testing.T) {
 	}
 }
 
-// Property: for random operation sequences the tree agrees with a map
-// and iteration order is sorted.
+// Property: for random insert/replace sequences the tree agrees with a
+// map and iteration order is sorted.
 func TestQuickAgainstMap(t *testing.T) {
 	f := func(ops []uint16) bool {
-		tr := NewDegree(3)
+		tr := NewDegree[int](3)
 		ref := map[string]int{}
 		for i, op := range ops {
 			k := fmt.Sprintf("%03d", op%200)
-			if op%3 == 0 {
-				tr.Delete(k)
-				delete(ref, k)
-			} else {
-				tr.Put(k, i)
-				ref[k] = i
-			}
+			tr.Put(k, i)
+			ref[k] = i
 		}
-		if tr.Len() != len(ref) {
-			return false
-		}
-		keys := tr.Keys()
-		if !sort.StringsAreSorted(keys) {
-			return false
-		}
-		for k, v := range ref {
-			got, ok := tr.Get(k)
-			if !ok || got.(int) != v {
-				return false
-			}
-		}
-		return true
+		tr.checkInvariants()
+		return agrees(tr, ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -207,7 +224,7 @@ func TestQuickAgainstMap(t *testing.T) {
 }
 
 func BenchmarkPut(b *testing.B) {
-	tr := New()
+	tr := New[int]()
 	keys := make([]string, 100000)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("k%08d", i)
@@ -219,7 +236,7 @@ func BenchmarkPut(b *testing.B) {
 }
 
 func BenchmarkGet(b *testing.B) {
-	tr := New()
+	tr := New[int]()
 	keys := make([]string, 100000)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("k%08d", i)

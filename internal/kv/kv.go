@@ -65,7 +65,7 @@ func decodeRecord(payload []byte) (Entry, error) {
 // Store is a versioned key/value store. Safe for concurrent use.
 type Store struct {
 	mu       sync.RWMutex
-	tree     *btree.Tree
+	tree     *btree.Tree[Entry]
 	log      *wal.Log // nil for memory-only stores
 	puts     int64
 	replayed int64
@@ -74,7 +74,7 @@ type Store struct {
 // NewMemory returns a store without durability (the simulator's
 // storage nodes: durability there is modeled, not real).
 func NewMemory() *Store {
-	return &Store{tree: btree.New()}
+	return &Store{tree: btree.New[Entry]()}
 }
 
 // Open returns a durable store backed by a WAL in dir, replaying any
@@ -95,7 +95,7 @@ func OpenWith(dir string, opts wal.Options, seed []Entry, fromSeg int) (*Store, 
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{tree: btree.New(), log: log}
+	s := &Store{tree: btree.New[Entry](), log: log}
 	for _, e := range seed {
 		s.tree.Put(string(e.Key), Entry{Key: e.Key, Value: e.Value.Clone(), Version: e.Version})
 	}
@@ -125,11 +125,10 @@ func OpenWith(dir string, opts wal.Options, seed []Entry, fromSeg int) (*Store, 
 func (s *Store) Get(key record.Key) (record.Value, record.Version, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	v, ok := s.tree.Get(string(key))
+	e, ok := s.tree.Get(string(key))
 	if !ok {
 		return record.Value{}, 0, false
 	}
-	e := v.(Entry)
 	return e.Value.Clone(), e.Version, true
 }
 
@@ -139,22 +138,16 @@ func (s *Store) Get(key record.Key) (record.Value, record.Version, bool) {
 func (s *Store) Version(key record.Key) (record.Version, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	v, ok := s.tree.Get(string(key))
-	if !ok {
-		return 0, false
-	}
-	return v.(Entry).Version, true
+	e, ok := s.tree.Get(string(key))
+	return e.Version, ok
 }
 
 // Exists reports whether key holds a live (non-tombstoned) record.
 func (s *Store) Exists(key record.Key) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	v, ok := s.tree.Get(string(key))
-	if !ok {
-		return false
-	}
-	return !v.(Entry).Value.Tombstone
+	e, ok := s.tree.Get(string(key))
+	return ok && !e.Value.Tombstone
 }
 
 // Put replaces the committed state of key.
@@ -177,8 +170,7 @@ func (s *Store) Put(key record.Key, value record.Value, version record.Version) 
 func (s *Store) Scan(from, to record.Key, fn func(Entry) bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.tree.AscendRange(string(from), string(to), func(k string, v interface{}) bool {
-		e := v.(Entry)
+	s.tree.AscendRange(string(from), string(to), func(_ string, e Entry) bool {
 		if e.Value.Tombstone {
 			return true
 		}
@@ -192,8 +184,7 @@ func (s *Store) Entries() []Entry {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]Entry, 0, s.tree.Len())
-	s.tree.AscendRange("", "", func(k string, v interface{}) bool {
-		e := v.(Entry)
+	s.tree.AscendRange("", "", func(_ string, e Entry) bool {
 		out = append(out, Entry{Key: e.Key, Value: e.Value.Clone(), Version: e.Version})
 		return true
 	})
