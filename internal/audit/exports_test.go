@@ -3,10 +3,16 @@
 package audit
 
 import (
+	"bytes"
+	"encoding/json"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
+	"io"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -14,7 +20,7 @@ import (
 )
 
 // allowed lists exported functions and methods under internal/ that may
-// stay without a production reference, each with its reason. Keys are
+// stay without a production caller, each with its reason. Keys are
 // "<package dir>.<Func>" or "<package dir>.<Type>.<Method>".
 var allowed = map[string]string{
 	// An export_test.go serves only its own package's tests; these three
@@ -24,103 +30,166 @@ var allowed = map[string]string{
 	"internal/transport.TCP.DropPeerConns": "internal/core's vote-transport test tears connections down mid-stream with it",
 }
 
-// stdlibInterface names methods that satisfy standard-library
-// interfaces (error, fmt.Stringer, sort.Interface, heap.Interface,
-// errors.Is): the caller is the standard library, by interface.
+// stdlibInterface names methods the standard library calls through its
+// own interfaces (error, fmt.Stringer, sort.Interface, heap.Interface,
+// errors.Is): a caller this scan, which reads only the module, cannot
+// see.
 var stdlibInterface = map[string]bool{
 	"Error": true, "String": true, "Is": true,
 	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
 }
 
+const module = "mdcc"
+
 // TestExportedFuncsHaveProductionCallers fails when an exported
-// function or method declared under internal/ is referenced by no
-// non-test file of the repository (benchmark/, cmd/ and examples/
-// count as production): such an export is either dead or a test hook,
-// and a test hook belongs behind an export_test.go. References are
-// matched by name — a selector x.Name anywhere, or a bare Name in the
-// declaring package — so a same-named method elsewhere can hide a dead
-// one; what the gate reports is always real.
+// function or method declared under internal/ is unreachable from
+// production code: such an export is either dead or a test hook, and a
+// test hook belongs behind an export_test.go. Reachability is
+// type-checked — every non-test file of the module and of benchmark/ is
+// loaded with go/types, and a function is live when a chain of
+// references leads to it from a root: any main or init, a package-level
+// initializer, the root package's exported API (what an importer of the
+// module can call), or anything benchmark/ mentions. A call through an
+// interface reaches that method on every type of the module
+// implementing the interface, so a dead method no longer hides behind a
+// live one of the same name.
 func TestExportedFuncsHaveProductionCallers(t *testing.T) {
-	const root = "../.."
-	type decl struct {
-		key, dir, name string
-		pos            token.Position
+	if testing.Short() {
+		t.Skip("type-checks the whole module and the standard library it imports from source")
 	}
-	var decls []decl
-	selected := map[string]bool{}        // x.Name, anywhere
-	bare := map[string]map[string]bool{} // package dir -> Name used unqualified there
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			// Hidden directories (.git, the benchmark's .bench_build
-			// cache), fixtures and the benchmark's output hold no source.
-			name := d.Name()
-			if (strings.HasPrefix(name, ".") && name != "..") || name == "testdata" || strings.HasSuffix(filepath.ToSlash(path), "benchmark/out") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir, _ := filepath.Rel(root, filepath.Dir(path))
-		dir = filepath.ToSlash(dir)
-		if bare[dir] == nil {
-			bare[dir] = map[string]bool{}
-		}
-		declared := map[*ast.Ident]bool{}
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				declared[n.Name] = true
-				if !strings.HasPrefix(dir, "internal/") || !n.Name.IsExported() {
-					break
-				}
-				key := dir + "." + n.Name.Name
-				if n.Recv != nil {
-					recv := recvName(n.Recv.List[0].Type)
-					if !ast.IsExported(recv) || stdlibInterface[n.Name.Name] {
-						break
-					}
-					key = dir + "." + recv + "." + n.Name.Name
-				}
-				decls = append(decls, decl{key, dir, n.Name.Name, fset.Position(n.Pos())})
-			case *ast.SelectorExpr:
-				selected[n.Sel.Name] = true
-			case *ast.Ident:
-				if !declared[n] {
-					bare[dir][n.Name] = true
+	l := load(t, "../..", "../../benchmark")
+
+	// Every function declaration is a node; its edges are the functions
+	// its body mentions (called or taken as a value).
+	refs := map[*types.Func][]*types.Func{}
+	var roots, decls []*types.Func
+	mentions := func(n ast.Node) (out []*types.Func) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if f, ok := l.info.Uses[id].(*types.Func); ok {
+					out = append(out, f.Origin())
 				}
 			}
 			return true
 		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		return out
 	}
+	for path, files := range l.files {
+		for _, file := range files {
+			for _, d := range file.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok {
+					roots = append(roots, mentions(d)...) // package-level initializers
+					continue
+				}
+				f := l.info.Defs[fd.Name].(*types.Func)
+				decls = append(decls, f)
+				if fd.Body != nil {
+					refs[f] = mentions(fd.Body)
+				}
+				switch {
+				case fd.Recv == nil && (f.Name() == "main" || f.Name() == "init"),
+					path == module+"/benchmark":
+					roots = append(roots, f)
+				}
+			}
+		}
+	}
+	// The root package's API: its exported functions, and the exported
+	// methods of every type it exports — aliases of internal types
+	// included, since an alias hands the type's whole method set out.
+	var named []*types.Named // every named type of the module, for interface dispatch
+	for path, pkg := range l.pkgs {
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			switch obj := scope.Lookup(name).(type) {
+			case *types.Func:
+				if path == module && obj.Exported() {
+					roots = append(roots, obj)
+				}
+			case *types.TypeName:
+				// An alias's type is what it names (go.mod's go 1.21 keeps
+				// go/types from materializing alias nodes).
+				n, ok := obj.Type().(*types.Named)
+				if !ok {
+					continue
+				}
+				if obj.Pkg() == n.Obj().Pkg() && !types.IsInterface(n) {
+					named = append(named, n)
+				}
+				if path == module && obj.Exported() {
+					ms := types.NewMethodSet(types.NewPointer(n))
+					for i := 0; i < ms.Len(); i++ {
+						if m := ms.At(i).Obj().(*types.Func); m.Exported() {
+							roots = append(roots, m.Origin())
+						}
+					}
+				}
+			}
+		}
+	}
+	// implementers resolves an interface method to that method on every
+	// module type whose pointer implements the interface.
+	implementers := func(m *types.Func) (out []*types.Func) {
+		recv := m.Type().(*types.Signature).Recv()
+		if recv == nil {
+			return nil
+		}
+		iface, ok := recv.Type().Underlying().(*types.Interface)
+		if !ok {
+			return nil
+		}
+		for _, n := range named {
+			if n.TypeParams().Len() > 0 {
+				continue // no generic type of the module is used through an interface
+			}
+			if ptr := types.NewPointer(n); types.Implements(ptr, iface) {
+				sel := types.NewMethodSet(ptr).Lookup(m.Pkg(), m.Name())
+				out = append(out, sel.Obj().(*types.Func).Origin())
+			}
+		}
+		return out
+	}
+
+	live := map[*types.Func]bool{}
+	for len(roots) > 0 {
+		f := roots[len(roots)-1]
+		roots = roots[:len(roots)-1]
+		if live[f] {
+			continue
+		}
+		live[f] = true
+		roots = append(roots, refs[f]...)
+		roots = append(roots, implementers(f)...)
+	}
+
 	seen := map[string]bool{}
 	var dead []string
-	for _, d := range decls {
-		seen[d.key] = true
-		if selected[d.name] || bare[d.dir][d.name] {
+	for _, f := range decls {
+		dir := strings.TrimPrefix(f.Pkg().Path(), module+"/")
+		if !strings.HasPrefix(dir, "internal/") || !f.Exported() {
 			continue
 		}
-		if _, ok := allowed[d.key]; ok {
-			continue
+		key := dir + "." + f.Name()
+		if recv := f.Type().(*types.Signature).Recv(); recv != nil {
+			rt := recv.Type()
+			if p, ok := rt.(*types.Pointer); ok {
+				rt = p.Elem()
+			}
+			owner := rt.(*types.Named).Obj()
+			if !owner.Exported() || stdlibInterface[f.Name()] {
+				continue
+			}
+			key = dir + "." + owner.Name() + "." + f.Name()
 		}
-		dead = append(dead, d.pos.String()+": "+d.key)
+		seen[key] = true
+		if _, ok := allowed[key]; !ok && !live[f] {
+			dead = append(dead, l.fset.Position(f.Pos()).String()+": "+key)
+		}
 	}
 	sort.Strings(dead)
 	for _, d := range dead {
-		t.Errorf("%s has no reference outside _test.go files: delete it, unexport it behind an export_test.go, or allow-list it with a reason", d)
+		t.Errorf("%s is unreachable from production code: delete it, unexport it behind an export_test.go, or allow-list it with a reason", d)
 	}
 	for key := range allowed {
 		if !seen[key] {
@@ -129,18 +198,90 @@ func TestExportedFuncsHaveProductionCallers(t *testing.T) {
 	}
 }
 
-// recvName returns the receiver's type name (T for T, *T and T[K]).
-func recvName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
+// loaded is the type-checked non-test source of a set of modules.
+type loaded struct {
+	fset  *token.FileSet
+	info  *types.Info
+	src   map[string]listed // import path -> where its source is
+	pkgs  map[string]*types.Package
+	files map[string][]*ast.File
+	std   types.Importer
+	err   error // first type error
+}
+
+// listed is the part of `go list -json` this scan reads.
+type listed struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+}
+
+// load lists and type-checks every package under each module directory.
+// Packages of the listed modules are checked here, once, so that a
+// function is one object however many packages mention it; everything
+// else (the standard library) comes from the source importer.
+func load(t *testing.T, moduleDirs ...string) *loaded {
+	t.Helper()
+	build.Default.CgoEnabled = false // the pure-Go files of net and os/user type-check without a C toolchain
+	l := &loaded{
+		fset:  token.NewFileSet(),
+		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		src:   map[string]listed{},
+		pkgs:  map[string]*types.Package{},
+		files: map[string][]*ast.File{},
+	}
+	l.std = importer.ForCompiler(l.fset, "source", nil)
+	for _, dir := range moduleDirs {
+		cmd := exec.Command("go", "list", "-json", "./...")
+		cmd.Dir = dir
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("go list in %s: %v", dir, err)
+		}
+		for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+			var p listed
+			if err := dec.Decode(&p); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatalf("go list in %s: %v", dir, err)
+			}
+			l.src[p.ImportPath] = p
 		}
 	}
+	for path := range l.src {
+		if _, err := l.Import(path); err != nil {
+			t.Fatalf("type-check %s: %v", path, err)
+		}
+	}
+	if l.err != nil {
+		t.Fatalf("type-check: %v", l.err)
+	}
+	return l
+}
+
+// Import implements types.Importer.
+func (l *loaded) Import(path string) (*types.Package, error) {
+	if pkg, ok := l.pkgs[path]; ok {
+		return pkg, nil
+	}
+	p, ok := l.src[path]
+	if !ok {
+		return l.std.Import(path)
+	}
+	var files []*ast.File
+	for _, name := range p.GoFiles {
+		f, err := parser.ParseFile(l.fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: l, Error: func(err error) {
+		if l.err == nil {
+			l.err = err
+		}
+	}}
+	pkg, _ := conf.Check(path, l.fset, files, l.info)
+	l.pkgs[path], l.files[path] = pkg, files
+	return pkg, nil
 }

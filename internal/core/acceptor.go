@@ -1165,16 +1165,6 @@ func (n *StorageNode) onEnableFast(m MsgEnableFast) {
 	}
 }
 
-// Lineage returns a copy of the record's exact applied-option
-// summary (empty for unknown keys). Harnesses use it for the
-// exact-convergence invariant; tools for inspection.
-func (n *StorageNode) Lineage(key record.Key) LineageSummary {
-	if r, ok := n.recs[key]; ok {
-		return r.summary.Clone()
-	}
-	return LineageSummary{}
-}
-
 // LineageFingerprint renders the record's canonical lineage
 // fingerprint (see LineageSummary.String): equal fingerprints mean
 // identical settled sets. Packages that must not import core's types

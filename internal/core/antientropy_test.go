@@ -16,7 +16,7 @@ func newSyncWorld(t *testing.T, syncInterval time.Duration, seed int64) *world {
 	t.Helper()
 	cl := topology.NewCluster(topology.Layout{NodesPerDC: 1, Clients: 2, ClientDC: -1})
 	net := simnet.New(simnet.Options{
-		Latency:     cl.Latency(),
+		Latency:     cl.LatencyWith(nil),
 		JitterFrac:  0.05,
 		ServiceTime: 100 * time.Microsecond,
 		Seed:        seed,

@@ -21,7 +21,7 @@ func newCheckpointWorld(t *testing.T, seed int64, interval time.Duration) *durab
 	t.Helper()
 	cl := topology.NewCluster(topology.Layout{NodesPerDC: 1, Clients: 3, ClientDC: -1})
 	net := simnet.New(simnet.Options{
-		Latency:     cl.Latency(),
+		Latency:     cl.LatencyWith(nil),
 		JitterFrac:  0.05,
 		ServiceTime: 100 * time.Microsecond,
 		Seed:        seed,
@@ -247,8 +247,8 @@ func TestCheckpointFallbackToPreviousSnapshot(t *testing.T) {
 	if err := ds.Checkpoint(nil); err != nil {
 		t.Fatalf("checkpoint after fallback: %v", err)
 	}
-	if ds.SnapshotSeq() != 2 {
-		t.Errorf("snapshot seq after fallback checkpoint = %d, want 2", ds.SnapshotSeq())
+	if ds.snapSeq != 2 {
+		t.Errorf("snapshot seq after fallback checkpoint = %d, want 2", ds.snapSeq)
 	}
 	if err := ds.Close(); err != nil {
 		t.Fatal(err)
@@ -269,7 +269,7 @@ func TestCheckpointFallbackToPreviousSnapshot(t *testing.T) {
 // dropped, counters visible — and nothing acked after the failure.
 func TestDegradeOnDurabilityFailure(t *testing.T) {
 	cl := topology.NewCluster(topology.Layout{NodesPerDC: 1, Clients: 1, ClientDC: -1})
-	net := simnet.New(simnet.Options{Latency: cl.Latency(), Seed: 1})
+	net := simnet.New(simnet.Options{Latency: cl.LatencyWith(nil), Seed: 1})
 	faults := wal.NewFaults()
 	ds, err := OpenDurableOpts(t.TempDir(), DurableOptions{NoSync: true, Faults: faults})
 	if err != nil {

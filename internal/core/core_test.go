@@ -24,7 +24,7 @@ func newWorld(t *testing.T, cfg Config, nodesPerDC, clients int, seed int64) *wo
 	t.Helper()
 	cl := topology.NewCluster(topology.Layout{NodesPerDC: nodesPerDC, Clients: clients, ClientDC: -1})
 	net := simnet.New(simnet.Options{
-		Latency:     cl.Latency(),
+		Latency:     cl.LatencyWith(nil),
 		JitterFrac:  0.05,
 		ServiceTime: 100 * time.Microsecond,
 		Seed:        seed,

@@ -156,15 +156,6 @@ func rangeSubset(a, b []SeqRange) bool {
 	return true
 }
 
-// rangeCount sums the sequence count of a canonical range slice.
-func rangeCount(rs []SeqRange) uint64 {
-	var n uint64
-	for _, r := range rs {
-		n += r.Hi - r.Lo + 1
-	}
-	return n
-}
-
 // lane returns the lane entry (nil if absent).
 func (s LineageSummary) lane(lane string) *LaneLineage {
 	i := sort.Search(len(s.Lanes), func(i int) bool { return s.Lanes[i].Lane >= lane })
@@ -259,34 +250,6 @@ func (s LineageSummary) ContainsAll(o LineageSummary) bool {
 	return true
 }
 
-// Equal reports canonical equality — the exact-convergence predicate:
-// two replicas with equal summaries have settled identical option
-// sets, hence (for in-envelope workloads) identical values.
-func (s LineageSummary) Equal(o LineageSummary) bool {
-	if s.Deltas != o.Deltas || s.Physical != o.Physical || len(s.Lanes) != len(o.Lanes) {
-		return false
-	}
-	for i := range s.Lanes {
-		a, b := &s.Lanes[i], &o.Lanes[i]
-		if a.Lane != b.Lane || !rangesEqual(a.Done, b.Done) || !rangesEqual(a.Rejected, b.Rejected) {
-			return false
-		}
-	}
-	return true
-}
-
-func rangesEqual(a, b []SeqRange) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone deep-copies the summary.
 func (s LineageSummary) Clone() LineageSummary {
 	out := LineageSummary{Deltas: s.Deltas, Physical: s.Physical}
@@ -306,20 +269,11 @@ func (s LineageSummary) Clone() LineageSummary {
 // IsEmpty reports a summary with no settled entries.
 func (s LineageSummary) IsEmpty() bool { return len(s.Lanes) == 0 }
 
-// Spans returns the total settled count and the number of stored
-// intervals (the compactness gauge: Spans → #lanes at quiescence).
-func (s LineageSummary) Spans() (settled uint64, intervals int) {
-	for _, l := range s.Lanes {
-		settled += rangeCount(l.Done)
-		intervals += len(l.Done) + len(l.Rejected)
-	}
-	return settled, intervals
-}
-
 // String renders the canonical fingerprint, e.g.
-// "Δ{c0:[1-7 9]!:[4];c1:[1-3]}". Equal summaries render identically,
-// so the string doubles as a convergence fingerprint for packages
-// that must not import core's types.
+// "Δ{c0:[1-7 9]!:[4];c1:[1-3]}". Summaries are kept canonical, so two
+// render identically exactly when they have settled identical option
+// sets — the exact-convergence predicate, and the form in which
+// packages that must not import core's types compare them.
 func (s LineageSummary) String() string {
 	var b strings.Builder
 	if s.Deltas {

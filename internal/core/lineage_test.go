@@ -38,10 +38,6 @@ func TestLineageSummaryRanges(t *testing.T) {
 	if _, ok := s.Decision("c0", 99); ok {
 		t.Fatal("unknown seq answered")
 	}
-	settled, intervals := s.Spans()
-	if settled != 7 || intervals != 2 {
-		t.Fatalf("spans = %d/%d, want 7 settled in 2 intervals", settled, intervals)
-	}
 }
 
 func TestLineageSummaryUnionAndEqual(t *testing.T) {
@@ -51,14 +47,14 @@ func TestLineageSummaryUnionAndEqual(t *testing.T) {
 	a.Add("c1", 5, true, false)
 	b.Add("c0", 3, false, true)
 	b.Add("c1", 5, true, false)
-	if a.Equal(b) || a.ContainsAll(b) {
+	if a.String() == b.String() || a.ContainsAll(b) {
 		t.Fatal("unequal summaries compared equal")
 	}
 	u1 := a.Clone()
 	u1.Union(b)
 	u2 := b.Clone()
 	u2.Union(a)
-	if !u1.Equal(u2) {
+	if u1.String() != u2.String() {
 		t.Fatalf("union not commutative: %s vs %s", u1, u2)
 	}
 	if !u1.ContainsAll(a) || !u1.ContainsAll(b) {
@@ -66,7 +62,7 @@ func TestLineageSummaryUnionAndEqual(t *testing.T) {
 	}
 	u3 := u1.Clone()
 	u3.Union(b)
-	if !u3.Equal(u1) {
+	if u3.String() != u1.String() {
 		t.Fatal("union not idempotent")
 	}
 	if u1.String() != "Δ{c0:[1-3];c1:[5]!:[5]}" {
@@ -99,7 +95,7 @@ func TestLineageSummaryWireRoundTrip(t *testing.T) {
 		Key: "k", Version: 3, Lineage: s.Clone(),
 	}}}
 	got := binaryRoundTrip(t, msg).(MsgSyncReply)
-	if !got.Entries[0].Lineage.Equal(s) || got.Entries[0].Lineage.String() != s.String() {
+	if !reflect.DeepEqual(got.Entries[0].Lineage, s) {
 		t.Fatalf("wire mangled summary: %s -> %s", s, got.Entries[0].Lineage)
 	}
 }
@@ -294,8 +290,8 @@ func TestRecoveryHealsFromSettledEntries(t *testing.T) {
 		}
 	}
 	for _, up := range updates {
-		if got, ok := victim.Lineage(up.Key), healthy.Lineage(up.Key); !got.Equal(ok) {
-			t.Errorf("%s: victim lineage %s, healthy replica %s", up.Key, got, ok)
+		if got, want := victim.LineageFingerprint(up.Key), healthy.LineageFingerprint(up.Key); got != want {
+			t.Errorf("%s: victim lineage %s, healthy replica %s", up.Key, got, want)
 		}
 		if n := len(victim.rs(up.Key).votes); n != 0 {
 			t.Errorf("%s: %d votes still unresolved on the victim", up.Key, n)
@@ -317,7 +313,7 @@ func TestRecoveryHealsFromSettledEntries(t *testing.T) {
 // summary snapshots, not per-decision records).
 func TestRestartRebuildsLineageExactly(t *testing.T) {
 	cl := topology.NewCluster(topology.Layout{NodesPerDC: 1, Clients: 1, ClientDC: -1})
-	net := simnet.New(simnet.Options{Latency: cl.Latency(), Seed: 13})
+	net := simnet.New(simnet.Options{Latency: cl.LatencyWith(nil), Seed: 13})
 	cfg := Defaults(ModeMDCC)
 	cfg.PendingTimeout = 0
 	dir := t.TempDir()
@@ -337,7 +333,7 @@ func TestRestartRebuildsLineageExactly(t *testing.T) {
 	val, ver, _ := fr.node.Store().Get("rs/1")
 	val = record.Commutative("rs/1", map[string]int64{"x": 2}).Apply(val)
 	fr.node.adoptBase("rs/1", val, ver+2, func() LineageSummary {
-		s := fr.node.Lineage("rs/1")
+		s := fr.node.rs("rs/1").summary.Clone()
 		s.Union(peer)
 		return s
 	}())
@@ -447,7 +443,7 @@ func FuzzLineageMergeExact(f *testing.F) {
 		}
 
 		cl := topology.NewCluster(topology.Layout{NodesPerDC: 1, Clients: 1, ClientDC: -1})
-		net := simnet.New(simnet.Options{Latency: cl.Latency(), Seed: 7})
+		net := simnet.New(simnet.Options{Latency: cl.LatencyWith(nil), Seed: 7})
 		cfg := Defaults(ModeMDCC)
 		cfg.PendingTimeout = 0
 		base := t.TempDir()
@@ -494,7 +490,7 @@ func FuzzLineageMergeExact(f *testing.F) {
 
 		merge := func(dst, src *fuzzReplica) {
 			val, ver, _ := src.node.Store().Get("k")
-			dst.node.adoptBase("k", val, ver, src.node.Lineage("k"))
+			dst.node.adoptBase("k", val, ver, src.node.rs("k").summary.Clone())
 		}
 		converge := func(a, b *fuzzReplica) {
 			for i := 0; i < 3; i++ {

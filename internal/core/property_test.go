@@ -27,7 +27,7 @@ type propWorld struct {
 func newPropWorld(cfg Config, clients int, seed int64, dropProb float64) *propWorld {
 	cl := topology.NewCluster(topology.Layout{NodesPerDC: 1, Clients: clients, ClientDC: -1})
 	net := simnet.New(simnet.Options{
-		Latency:     cl.Latency(),
+		Latency:     cl.LatencyWith(nil),
 		JitterFrac:  0.15,
 		ServiceTime: 100 * time.Microsecond,
 		DropProb:    dropProb,

@@ -294,9 +294,6 @@ func (ds *DurableState) Checkpoint(oplogState []oplogEntry) error {
 // RecoveryStats reports how the last OpenDurableOpts recovered.
 func (ds *DurableState) RecoveryStats() ReplayStats { return ds.replay }
 
-// SnapshotSeq is the newest on-disk checkpoint's sequence (0 = none).
-func (ds *DurableState) SnapshotSeq() int { return ds.snapSeq }
-
 // AppendsSinceCheckpoint is the snapshot-age gauge: WAL records
 // written since the last checkpoint (what a crash right now would
 // have to tail-replay). After a restart it counts from the recovery

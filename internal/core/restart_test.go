@@ -30,7 +30,7 @@ func newDurableWorld(t *testing.T, seed int64) *durableWorld {
 	t.Helper()
 	cl := topology.NewCluster(topology.Layout{NodesPerDC: 1, Clients: 3, ClientDC: -1})
 	net := simnet.New(simnet.Options{
-		Latency:     cl.Latency(),
+		Latency:     cl.LatencyWith(nil),
 		JitterFrac:  0.05,
 		ServiceTime: 100 * time.Microsecond,
 		Seed:        seed,

@@ -288,7 +288,7 @@ func TestDemarcationLimitSafeRange(t *testing.T) {
 func unitNode(t *testing.T, mode Mode, cons []record.Constraint) (*StorageNode, *simnet.Net) {
 	t.Helper()
 	cl := topology.NewCluster(topology.Layout{NodesPerDC: 1, Clients: 1, ClientDC: -1})
-	net := simnet.New(simnet.Options{Latency: cl.Latency(), Seed: 9})
+	net := simnet.New(simnet.Options{Latency: cl.LatencyWith(nil), Seed: 9})
 	cfg := Defaults(mode)
 	cfg.PendingTimeout = 0
 	cfg.Constraints = cons
@@ -415,14 +415,14 @@ func TestAcceptorPhase1aPromise(t *testing.T) {
 	})
 	b1 := paxos.Classic(1, "probe")
 	n.onPhase1a("probe", MsgPhase1a{Key: "k", Ballot: b1})
-	net.Run()
+	net.RunFor(time.Second)
 	if len(got) != 1 || got[0].Ballot.Cmp(b1) != 0 {
 		t.Fatalf("phase1b = %+v", got)
 	}
 	// A lower ballot gets the higher promise back (nack).
 	b0 := paxos.Classic(0, "loser")
 	n.onPhase1a("probe", MsgPhase1a{Key: "k", Ballot: b0})
-	net.Run()
+	net.RunFor(time.Second)
 	if len(got) != 2 || got[1].Ballot.Cmp(b1) != 0 {
 		t.Fatalf("nack should echo the promised ballot: %+v", got[1])
 	}
@@ -440,7 +440,7 @@ func TestAcceptorPhase2aRespectsPromise(t *testing.T) {
 	n.onPhase1a("ldr", MsgPhase1a{Key: "k", Ballot: high})
 	low := paxos.Classic(2, "ldr")
 	n.onPhase2a("ldr", MsgPhase2a{Key: "k", Ballot: low, Seq: 1})
-	net.Run()
+	net.RunFor(time.Second)
 	var p2 *MsgPhase2b
 	for i := range got {
 		p2 = &got[i]

@@ -99,9 +99,6 @@ func NewReplica(id transport.NodeID, net transport.Network, store *kv.Store) *Re
 	return r
 }
 
-// Store exposes the replica's store.
-func (r *Replica) Store() *kv.Store { return r.store }
-
 func (r *Replica) handle(env transport.Envelope) {
 	switch m := env.Msg.(type) {
 	case MsgAccept:
@@ -171,8 +168,6 @@ type Master struct {
 	nextPos uint64
 	acks    map[uint64]int
 	inPos   map[uint64]MsgTxReq
-
-	nCommits, nAborts int64
 }
 
 // ReplicaIDFor names the log replica in a DC.
@@ -213,7 +208,6 @@ func (m *Master) pump() {
 		req := m.queue[0]
 		m.queue = m.queue[1:]
 		if !m.validate(req.Updates) {
-			m.nAborts++
 			m.net.Send(m.id, req.Client, MsgTxResp{Tx: req.Tx, Committed: false})
 			continue
 		}
@@ -259,14 +253,10 @@ func (m *Master) onAccepted(msg MsgAccepted) {
 			m.net.Send(m.id, ReplicaIDFor(dc), MsgApply{Pos: msg.Pos})
 		}
 	}
-	m.nCommits++
 	m.net.Send(m.id, req.Client, MsgTxResp{Tx: req.Tx, Committed: true})
 	m.busy = false
 	m.pump()
 }
-
-// Metrics reports commit/abort counts at the master.
-func (m *Master) Metrics() (commits, aborts int64) { return m.nCommits, m.nAborts }
 
 // Client is the Megastore* client library: reads go to the local
 // replica, commits to the (single) master.

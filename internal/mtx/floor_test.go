@@ -20,7 +20,7 @@ import (
 // with no floor is met without any re-read.
 func TestReadAtFloorPartitionedMinority(t *testing.T) {
 	cl := topology.NewCluster(topology.Layout{NodesPerDC: 1, Clients: 1, ClientDC: int(topology.APSingapore)})
-	net := simnet.New(simnet.Options{Latency: cl.Latency(), Seed: 1})
+	net := simnet.New(simnet.Options{Latency: cl.LatencyWith(nil), Seed: 1})
 	cfg := core.Defaults(core.ModeMDCC)
 	const key = record.Key("floor/k")
 	minority := map[topology.DC]bool{topology.APSingapore: true, topology.APTokyo: true}

@@ -113,18 +113,3 @@ func (q Quorum) PossiblyChosen(votes, responded int) bool {
 // FastLearned reports whether `votes` identical votes suffice to
 // learn in a fast ballot.
 func (q Quorum) FastLearned(votes int) bool { return votes >= q.Fast }
-
-// Valid checks the Fast Paxos quorum requirements: any two quorums
-// intersect, and any two fast quorums intersect with every classic
-// quorum.
-func (q Quorum) Valid() bool {
-	if q.Classic < 1 || q.Fast < q.Classic || q.Fast > q.N {
-		return false
-	}
-	// (i) two classic quorums intersect.
-	if 2*q.Classic <= q.N {
-		return false
-	}
-	// (ii) two fast quorums and a classic quorum intersect.
-	return 2*q.Fast+q.Classic > 2*q.N
-}

@@ -93,16 +93,24 @@ func TestQuorumSizes(t *testing.T) {
 	if q.Classic != 3 || q.Fast != 4 {
 		t.Fatalf("NewQuorum(5) = %+v, want classic 3 fast 4", q)
 	}
-	if !q.Valid() {
-		t.Fatal("5-replica quorum invalid")
-	}
 	for n := 3; n <= 12; n++ {
-		if !NewQuorum(n).Valid() {
-			t.Errorf("NewQuorum(%d) invalid", n)
+		if q := NewQuorum(n); !valid(q) {
+			t.Errorf("NewQuorum(%d) = %+v breaks a quorum intersection requirement", n, q)
 		}
 	}
 }
 
+// valid is the oracle for NewQuorum: the Fast Paxos quorum
+// requirements — any two classic quorums intersect, and any two fast
+// quorums intersect with every classic quorum.
+func valid(q Quorum) bool {
+	if q.Classic < 1 || q.Fast < q.Classic || q.Fast > q.N {
+		return false
+	}
+	return 2*q.Classic > q.N && 2*q.Fast+q.Classic > 2*q.N
+}
+
+// The oracle itself refuses each way a quorum pair can fail to meet.
 func TestQuorumInvalid(t *testing.T) {
 	bad := []Quorum{
 		{N: 5, Classic: 2, Fast: 4}, // two classics may not intersect
@@ -111,7 +119,7 @@ func TestQuorumInvalid(t *testing.T) {
 		{N: 5, Classic: 0, Fast: 4},
 	}
 	for i, q := range bad {
-		if q.Valid() {
+		if valid(q) {
 			t.Errorf("case %d: %+v should be invalid", i, q)
 		}
 	}

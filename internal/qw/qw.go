@@ -77,9 +77,6 @@ func NewStorageNode(id transport.NodeID, net transport.Network, store *kv.Store)
 	return n
 }
 
-// Store exposes the local store.
-func (n *StorageNode) Store() *kv.Store { return n.store }
-
 func (n *StorageNode) handle(env transport.Envelope) {
 	switch m := env.Msg.(type) {
 	case MsgWrite:

@@ -20,7 +20,7 @@ type world struct {
 func newWorld(t *testing.T, w int, clients int, seed int64) *world {
 	t.Helper()
 	cl := topology.NewCluster(topology.Layout{NodesPerDC: 1, Clients: clients, ClientDC: -1})
-	net := simnet.New(simnet.Options{Latency: cl.Latency(), JitterFrac: 0.05, Seed: seed})
+	net := simnet.New(simnet.Options{Latency: cl.LatencyWith(nil), JitterFrac: 0.05, Seed: seed})
 	wd := &world{net: net, cl: cl}
 	for _, n := range cl.Storage {
 		wd.nodes = append(wd.nodes, NewStorageNode(n.ID, net, kv.NewMemory()))
@@ -74,7 +74,7 @@ func TestEventualConvergenceAndRead(t *testing.T) {
 	w.net.RunUntil(func() bool { return done }, time.Minute)
 	w.net.RunFor(time.Second) // let the slow replicas catch up
 	for i, n := range w.nodes {
-		v, _, ok := n.Store().Get("k2")
+		v, _, ok := n.store.Get("k2")
 		if !ok || v.Attr("x") != 7 {
 			t.Fatalf("replica %d did not converge: %v %v", i, v, ok)
 		}
@@ -105,7 +105,7 @@ func TestLastWriterWins(t *testing.T) {
 	w.net.RunUntil(func() bool { return done2 }, time.Minute)
 	w.net.RunFor(time.Second)
 	for i, n := range w.nodes {
-		v, _, _ := n.Store().Get("k3")
+		v, _, _ := n.store.Get("k3")
 		if v.Attr("x") != 2 {
 			t.Fatalf("replica %d kept the older write: %v", i, v)
 		}
@@ -129,7 +129,7 @@ func TestCommutativeApplied(t *testing.T) {
 	w.net.RunUntil(func() bool { return results == 2 }, time.Minute)
 	w.net.RunFor(time.Second)
 	for i, n := range w.nodes {
-		v, _, _ := n.Store().Get("k4")
+		v, _, _ := n.store.Get("k4")
 		if v.Attr("stock") != 4 {
 			t.Fatalf("replica %d stock = %d, want 4", i, v.Attr("stock"))
 		}

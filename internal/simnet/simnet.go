@@ -33,7 +33,7 @@ import (
 // Options configures a simulated network.
 type Options struct {
 	// Latency returns the base one-way delay between nodes
-	// (typically topology.Cluster.Latency()). Nil means 1ms uniform.
+	// (typically topology.Cluster.LatencyWith). Nil means 1ms uniform.
 	Latency transport.LatencyFunc
 	// JitterFrac adds ±frac multiplicative uniform jitter to each
 	// message's latency (paper-world WAN variance). 0 disables.
@@ -142,7 +142,6 @@ type Net struct {
 	latScale      float64
 	rng           *rand.Rand
 	stats         Stats
-	stopped       bool
 	// free is the event freelist: the steady-state message path
 	// recycles event structs instead of allocating per send.
 	free []*event
@@ -513,9 +512,6 @@ func (n *Net) SetReorder(p float64, w time.Duration) {
 	}
 }
 
-// Stop makes the current Run call return after the in-flight event.
-func (n *Net) Stop() { n.stopped = true }
-
 func (n *Net) push(e *event) {
 	e.seq = n.seq
 	n.seq++
@@ -532,9 +528,6 @@ const (
 	stepBlocked
 	stepEmpty
 )
-
-// noLimit is step's limit for "whatever comes next".
-const noLimit = 1<<63 - 1
 
 // step executes the next event whose run time is ≤ limitN. Cancelled
 // timers and events addressed to crashed incarnations are discarded
@@ -608,23 +601,15 @@ func (n *Net) step(limitN int64) int {
 }
 
 // RunFor processes events until `d` of virtual time has elapsed from
-// the current instant (or the event queue drains, or Stop is called).
-// An event is executed iff its run time is within the window: a
-// deadline never truncates the schedule, it only slices it.
+// the current instant (or the event queue drains). An event is executed
+// iff its run time is within the window: a deadline never truncates the
+// schedule, it only slices it.
 func (n *Net) RunFor(d time.Duration) {
 	deadlineN := n.nowN + int64(d)
-	n.stopped = false
-	for !n.stopped && n.step(deadlineN) == stepRan {
+	for n.step(deadlineN) == stepRan {
 	}
 	if n.nowN < deadlineN {
 		n.setNow(deadlineN)
-	}
-}
-
-// Run processes events until the queue drains or Stop is called.
-func (n *Net) Run() {
-	n.stopped = false
-	for !n.stopped && n.step(noLimit) == stepRan {
 	}
 }
 
@@ -632,11 +617,7 @@ func (n *Net) Run() {
 // It reports whether the condition was met.
 func (n *Net) RunUntil(cond func() bool, maxVirtual time.Duration) bool {
 	deadlineN := n.nowN + int64(maxVirtual)
-	n.stopped = false
-	for !n.stopped {
-		if cond() {
-			return true
-		}
+	for !cond() {
 		switch n.step(deadlineN) {
 		case stepBlocked:
 			return false
@@ -644,5 +625,5 @@ func (n *Net) RunUntil(cond func() bool, maxVirtual time.Duration) bool {
 			return cond()
 		}
 	}
-	return cond()
+	return true
 }

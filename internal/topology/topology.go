@@ -256,15 +256,10 @@ func (c *Cluster) NodeDC(id transport.NodeID) (DC, bool) {
 	return 0, false
 }
 
-// Latency builds the base (jitter-free) latency function between
-// nodes of this cluster for use by transports.
-func (c *Cluster) Latency() transport.LatencyFunc {
-	return c.LatencyWith(nil)
-}
-
-// LatencyWith builds the latency function with additional nodes that
-// are not part of the regular storage/client catalogue (e.g. the
-// Megastore* entity-group replicas).
+// LatencyWith builds the base (jitter-free) latency function between
+// nodes of this cluster for use by transports, with additional nodes
+// that are not part of the regular storage/client catalogue (gateways,
+// the Megastore* entity-group replicas; nil for none).
 func (c *Cluster) LatencyWith(extra map[transport.NodeID]DC) transport.LatencyFunc {
 	dcOf := make(map[transport.NodeID]DC, len(c.Storage)+len(c.Clients)+len(extra))
 	for _, n := range c.Storage {

@@ -174,7 +174,7 @@ func TestShardStableAndInRange(t *testing.T) {
 
 func TestClusterLatencyFunc(t *testing.T) {
 	c := NewCluster(Layout{NodesPerDC: 1, Clients: 2, ClientDC: -1})
-	lat := c.Latency()
+	lat := c.LatencyWith(nil)
 	// client0 is in USWest, store in USEast.
 	d := lat(ClientID(0), StorageID(USEast, 0))
 	if d != OneWay(USWest, USEast) {

@@ -98,9 +98,6 @@ func NewParticipant(id transport.NodeID, net transport.Network, store *kv.Store,
 	return p
 }
 
-// Store exposes the local store.
-func (p *Participant) Store() *kv.Store { return p.store }
-
 func (p *Participant) handle(env transport.Envelope) {
 	switch m := env.Msg.(type) {
 	case MsgPrepare:
@@ -209,8 +206,6 @@ type Coordinator struct {
 	// single node failures") — the timeout lets the benchmark
 	// continue and counts the transaction aborted.
 	prepareTimeout time.Duration
-
-	nCommits, nAborts int64
 }
 
 type txCtx struct {
@@ -268,7 +263,6 @@ func (c *Coordinator) Commit(updates []record.Update, done func(bool)) {
 	c.txSeq++
 	tx := TxID(string(c.id) + "#2pc#" + itoa(c.txSeq))
 	if len(updates) == 0 {
-		c.nCommits++
 		done(true)
 		return
 	}
@@ -367,17 +361,7 @@ func (c *Coordinator) onAck(m MsgDecisionAck) {
 
 func (c *Coordinator) finish(t *txCtx) {
 	delete(c.txs, t.id)
-	if t.commit {
-		c.nCommits++
-	} else {
-		c.nAborts++
-	}
 	t.done(t.commit)
-}
-
-// Metrics reports commit/abort counts.
-func (c *Coordinator) Metrics() (commits, aborts int64) {
-	return c.nCommits, c.nAborts
 }
 
 // SupportsCommutative: constraints are validated under locks at all

@@ -53,7 +53,7 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	}
 	defer l2.Close()
 	n := 0
-	if err := l2.Replay(func([]byte) error { n++; return nil }); err != nil {
+	if err := l2.ReplayFrom(0, func([]byte) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != workers*per {
@@ -173,7 +173,7 @@ func TestTornWriteTruncatedOnReopen(t *testing.T) {
 	}
 	defer l2.Close()
 	var got []string
-	if err := l2.Replay(func(p []byte) error { got = append(got, string(p)); return nil }); err != nil {
+	if err := l2.ReplayFrom(0, func(p []byte) error { got = append(got, string(p)); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 || got[2] != "rec-2" {
@@ -203,7 +203,7 @@ func TestBitFlipSurfacesCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	err = l2.Replay(func([]byte) error { return nil })
+	err = l2.ReplayFrom(0, func([]byte) error { return nil })
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("replay of flipped mid-segment record = %v, want ErrCorrupt", err)
 	}
@@ -268,7 +268,7 @@ func TestCorruptFinalRecordTolerated(t *testing.T) {
 	}
 	defer l2.Close()
 	var got []string
-	if err := l2.Replay(func(p []byte) error { got = append(got, string(p)); return nil }); err != nil {
+	if err := l2.ReplayFrom(0, func(p []byte) error { got = append(got, string(p)); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 || got[1] != "rec-1" {
@@ -319,7 +319,7 @@ func TestCutTruncateReplayFrom(t *testing.T) {
 		}
 	}
 	var all []string
-	if err := l.Replay(func(p []byte) error { all = append(all, string(p)); return nil }); err != nil {
+	if err := l.ReplayFrom(0, func(p []byte) error { all = append(all, string(p)); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(all) != 3 {

@@ -106,7 +106,7 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		defer l2.Close()
 		i := 0
-		err = l2.Replay(func(p []byte) error {
+		err = l2.ReplayFrom(0, func(p []byte) error {
 			if i >= len(want) {
 				return fmt.Errorf("replayed phantom record %d: %q", i, p)
 			}

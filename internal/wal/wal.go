@@ -399,15 +399,10 @@ func (l *Log) Stats() Stats {
 	return s
 }
 
-// Replay calls fn for every record in log order. It must not be
-// called concurrently with Append.
-func (l *Log) Replay(fn func(payload []byte) error) error {
-	return l.ReplayFrom(0, fn)
-}
-
 // ReplayFrom calls fn for every record in segments >= from, in log
 // order — the bounded tail replay after recovering from a snapshot
-// whose cut is from. It must not be called concurrently with Append.
+// whose cut is from (0: the whole log). It must not be called
+// concurrently with Append.
 func (l *Log) ReplayFrom(from int, fn func(payload []byte) error) error {
 	l.mu.Lock()
 	l.drainSyncLocked()
@@ -473,29 +468,6 @@ func (l *Log) TruncateBefore(seg int) error {
 		}
 	}
 	return nil
-}
-
-// Truncate discards all log contents (after a checkpoint).
-func (l *Log) Truncate() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	l.drainSyncLocked()
-	if l.seg != nil {
-		l.seg.Close()
-	}
-	segs, err := listSegments(l.dir)
-	if err != nil {
-		return err
-	}
-	for _, idx := range segs {
-		if err := os.Remove(filepath.Join(l.dir, segName(idx))); err != nil {
-			return fmt.Errorf("wal: truncate: %w", err)
-		}
-	}
-	return l.rollLocked(0)
 }
 
 // Close syncs and closes the log.

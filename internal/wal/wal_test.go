@@ -22,7 +22,7 @@ func openTemp(t *testing.T, opts Options) (*Log, string) {
 func collect(t *testing.T, l *Log) [][]byte {
 	t.Helper()
 	var out [][]byte
-	if err := l.Replay(func(p []byte) error {
+	if err := l.ReplayFrom(0, func(p []byte) error {
 		cp := make([]byte, len(p))
 		copy(cp, p)
 		out = append(out, cp)
@@ -189,25 +189,6 @@ func TestCorruptPayloadTruncated(t *testing.T) {
 	}
 }
 
-func TestTruncate(t *testing.T) {
-	l, _ := openTemp(t, Options{NoSync: true})
-	defer l.Close()
-	l.Append([]byte("a"))
-	l.Append([]byte("b"))
-	if err := l.Truncate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := collect(t, l); len(got) != 0 {
-		t.Fatalf("after Truncate replayed %d records, want 0", len(got))
-	}
-	if err := l.Append([]byte("c")); err != nil {
-		t.Fatal(err)
-	}
-	if got := collect(t, l); len(got) != 1 {
-		t.Fatalf("append after Truncate replayed %d records, want 1", len(got))
-	}
-}
-
 func TestClosedErrors(t *testing.T) {
 	l, _ := openTemp(t, Options{NoSync: true})
 	l.Close()
@@ -242,7 +223,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		}
 		defer l2.Close()
 		var got [][]byte
-		if err := l2.Replay(func(p []byte) error {
+		if err := l2.ReplayFrom(0, func(p []byte) error {
 			cp := make([]byte, len(p))
 			copy(cp, p)
 			got = append(got, cp)
@@ -309,7 +290,7 @@ func TestMiddleSegmentCorruptionFailsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	err = l2.Replay(func([]byte) error { return nil })
+	err = l2.ReplayFrom(0, func([]byte) error { return nil })
 	if err == nil {
 		t.Fatal("corrupt middle segment replayed silently")
 	}
@@ -322,17 +303,9 @@ func TestReplayCallbackError(t *testing.T) {
 	l.Append([]byte("b"))
 	wantErr := fmt.Errorf("stop")
 	n := 0
-	err := l.Replay(func([]byte) error { n++; return wantErr })
+	err := l.ReplayFrom(0, func([]byte) error { n++; return wantErr })
 	if err != wantErr || n != 1 {
 		t.Fatalf("Replay error propagation: err=%v n=%d", err, n)
-	}
-}
-
-func TestTruncateAfterCloseErrors(t *testing.T) {
-	l, _ := openTemp(t, Options{NoSync: true})
-	l.Close()
-	if err := l.Truncate(); err != ErrClosed {
-		t.Fatalf("Truncate after close = %v, want ErrClosed", err)
 	}
 }
 
