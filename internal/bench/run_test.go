@@ -2,6 +2,7 @@ package bench
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -117,4 +118,28 @@ func TestUnknownProtocolPanics(t *testing.T) {
 		}
 	}()
 	NewWorld(Options{Protocol: "nonsense", Clients: 1})
+}
+
+// A simulated run is a function of its seed and nothing else: the same
+// TPC-W and micro-benchmark arms run twice give the same result, sample
+// for sample, on every protocol. (2PC's decision fan-out and TPC-W's
+// buy-confirm once walked Go maps, so figures 3–6 moved run to run.)
+func TestRunsAreAFunctionOfTheSeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every protocol twice")
+	}
+	sc := Scale{Clients: 10, Items: 200, NodesPerDC: 1, Warmup: 2 * time.Second, Measure: 10 * time.Second}
+	arms := map[string]func() map[Protocol]*Result{
+		"tpcw (figs 3, 4)":  func() map[Protocol]*Result { return Figure3(1, sc) },
+		"micro (figs 5, 6)": func() map[Protocol]*Result { return Figure5(1, sc) },
+	}
+	for name, arm := range arms {
+		a, b := arm(), arm()
+		for p, ra := range a {
+			if rb := b[p]; !reflect.DeepEqual(ra, rb) {
+				t.Errorf("%s, %s: two runs at seed 1 differ: %d commits / %d aborts / median %.3f ms, then %d / %d / %.3f",
+					name, p, ra.Commits, ra.Aborts, ra.WriteLat.Median(), rb.Commits, rb.Aborts, rb.WriteLat.Median())
+			}
+		}
+	}
 }

@@ -11,6 +11,7 @@ package tpcw
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"mdcc/internal/kv"
 	"mdcc/internal/mtx"
@@ -328,13 +329,21 @@ func (w *Workload) buyRequest(b *browser, rng *rand.Rand) mtx.Txn {
 // the order, and reset the cart.
 func (w *Workload) buyConfirm(b *browser, rng *rand.Rand) mtx.Txn {
 	// Snapshot and reset the browser cart; an empty cart buys one
-	// impulse item (keeps the interaction meaningful).
-	lines := make(map[int]int64, len(b.cart))
-	for it, q := range b.cart {
-		lines[it] = q
+	// impulse item (keeps the interaction meaningful). The lines are in
+	// item order: they become the write-set, whose order decides the
+	// send order and with it the simulator's schedule — a map's order
+	// would make a run a function of more than its seed.
+	type line struct {
+		item int
+		qty  int64
 	}
+	lines := make([]line, 0, len(b.cart)+1)
+	for it, q := range b.cart {
+		lines = append(lines, line{it, q})
+	}
+	sort.Slice(lines, func(i, j int) bool { return lines[i].item < lines[j].item })
 	if len(lines) == 0 {
-		lines[rng.Intn(w.opts.Items)] = 1
+		lines = append(lines, line{rng.Intn(w.opts.Items), 1})
 	}
 	b.cart = make(map[int]int64)
 	b.orderSeq++
@@ -343,15 +352,15 @@ func (w *Workload) buyConfirm(b *browser, rng *rand.Rand) mtx.Txn {
 
 	return func(c mtx.Client, rng *rand.Rand, done func(mtx.TxnResult)) {
 		orderVal := record.Value{Attrs: map[string]int64{AttrQty: 0, AttrTotal: 0}}
-		for it, q := range lines {
-			orderVal.Attrs[fmt.Sprintf("line_%06d", it)] = q
-			orderVal.Attrs[AttrQty] += q
+		for _, l := range lines {
+			orderVal.Attrs[fmt.Sprintf("line_%06d", l.item)] = l.qty
+			orderVal.Attrs[AttrQty] += l.qty
 		}
 		if mtx.Commutative(c) {
 			updates := make([]record.Update, 0, len(lines)+1)
-			for it, q := range lines {
-				updates = append(updates, record.Commutative(ItemKey(it),
-					map[string]int64{AttrStock: -q}))
+			for _, l := range lines {
+				updates = append(updates, record.Commutative(ItemKey(l.item),
+					map[string]int64{AttrStock: -l.qty}))
 			}
 			updates = append(updates, record.Insert(orderKey, orderVal))
 			c.Commit(updates, func(ok bool) {
@@ -360,34 +369,30 @@ func (w *Workload) buyConfirm(b *browser, rng *rand.Rand) mtx.Txn {
 			return
 		}
 		// Read-modify-write path.
-		items := make([]int, 0, len(lines))
-		for it := range lines {
-			items = append(items, it)
-		}
 		type rd struct {
 			val record.Value
 			ver record.Version
 			ok  bool
 		}
-		reads := make([]rd, len(items))
-		remaining := len(items)
-		for i, it := range items {
-			i, it := i, it
-			c.Read(ItemKey(it), func(val record.Value, ver record.Version, ok bool) {
+		reads := make([]rd, len(lines))
+		remaining := len(lines)
+		for i, l := range lines {
+			i := i
+			c.Read(ItemKey(l.item), func(val record.Value, ver record.Version, ok bool) {
 				reads[i] = rd{val, ver, ok}
 				remaining--
 				if remaining > 0 {
 					return
 				}
-				updates := make([]record.Update, 0, len(items)+1)
-				for j, jt := range items {
+				updates := make([]record.Update, 0, len(lines)+1)
+				for j, l := range lines {
 					r := reads[j]
-					if !r.ok || r.val.Attr(AttrStock) < lines[jt] {
+					if !r.ok || r.val.Attr(AttrStock) < l.qty {
 						done(mtx.TxnResult{Committed: false, Write: true})
 						return
 					}
-					updates = append(updates, record.Physical(ItemKey(jt), r.ver,
-						r.val.WithAttr(AttrStock, r.val.Attr(AttrStock)-lines[jt])))
+					updates = append(updates, record.Physical(ItemKey(l.item), r.ver,
+						r.val.WithAttr(AttrStock, r.val.Attr(AttrStock)-l.qty)))
 				}
 				updates = append(updates, record.Insert(orderKey, orderVal))
 				c.Commit(updates, func(ok bool) {

@@ -210,7 +210,7 @@ type Coordinator struct {
 
 type txCtx struct {
 	id       TxID
-	updates  map[record.Key]record.Update
+	keys     []record.Key       // the write-set's keys, in its order
 	votes    map[record.Key]int // yes votes per key
 	voteFail bool
 	want     int // replicas per key (all of them)
@@ -267,16 +267,17 @@ func (c *Coordinator) Commit(updates []record.Update, done func(bool)) {
 		return
 	}
 	t := &txCtx{
-		id:      tx,
-		updates: make(map[record.Key]record.Update, len(updates)),
-		votes:   make(map[record.Key]int, len(updates)),
-		voted:   make(map[record.Key]map[transport.NodeID]bool, len(updates)),
-		want:    c.cl.ReplicationFactor(),
-		done:    done,
+		id:    tx,
+		votes: make(map[record.Key]int, len(updates)),
+		voted: make(map[record.Key]map[transport.NodeID]bool, len(updates)),
+		want:  c.cl.ReplicationFactor(),
+		done:  done,
 	}
 	c.txs[tx] = t
 	for _, up := range updates {
-		t.updates[up.Key] = up
+		if t.voted[up.Key] == nil {
+			t.keys = append(t.keys, up.Key)
+		}
 		t.voted[up.Key] = make(map[transport.NodeID]bool, t.want)
 		for _, rep := range c.cl.Replicas(up.Key) {
 			c.net.Send(c.id, rep, MsgPrepare{Tx: tx, Update: up})
@@ -312,7 +313,7 @@ func (c *Coordinator) onVote(from transport.NodeID, m MsgVote) {
 		return
 	}
 	// This key fully prepared; all keys fully prepared → commit.
-	for k := range t.updates {
+	for _, k := range t.keys {
 		if t.votes[k] < t.want {
 			return
 		}
@@ -324,8 +325,10 @@ func (c *Coordinator) onVote(from transport.NodeID, m MsgVote) {
 func (c *Coordinator) decide(t *txCtx, commit bool) {
 	t.decided = true
 	t.commit = commit
-	t.ackWant = len(t.updates) * t.want
-	for k := range t.updates {
+	t.ackWant = len(t.keys) * t.want
+	// In write-set order, like the prepares: the send order is part of
+	// the simulator's schedule, and a map's would differ run to run.
+	for _, k := range t.keys {
 		for _, rep := range c.cl.Replicas(k) {
 			c.net.Send(c.id, rep, MsgDecision{Tx: t.id, Key: k, Commit: commit})
 		}
