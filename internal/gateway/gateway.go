@@ -1464,7 +1464,9 @@ func (g *Gateway) Metrics() Metrics {
 // goroutine, the transactions' before the reads', each cohort in
 // registration order; pair with crashing the gateway's transport nodes
 // so no late coordinator callback races (stragglers are absorbed by
-// the pending map's exactly-once claim anyway).
+// the pending map's exactly-once claim anyway). What the process held
+// in memory goes with it, so the dead incarnation's Metrics are its
+// counters with every gauge at rest.
 func (g *Gateway) Kill() {
 	g.mu.Lock()
 	if g.closed {
@@ -1481,10 +1483,7 @@ func (g *Gateway) Kill() {
 	g.dropWindowsLocked()
 	txs, reads := g.takePendingLocked(false)
 	g.inflight = 0
-	// Headroom accounts, materialized values and feed streams died with
-	// the process: a dead incarnation's Metrics are its counters, with
-	// every gauge at rest.
-	g.keys = make(map[record.Key]*keyState)
+	g.keys = make(map[record.Key]*keyState) // headroom accounts, materialized values
 	g.feeds = nil
 	g.m.Aborts += int64(len(queued) + len(txs))
 	g.mu.Unlock()
