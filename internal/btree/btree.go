@@ -16,8 +16,10 @@ import "sort"
 // (except the root). A node holds between degree-1 and 2*degree-1 keys.
 const defaultDegree = 32
 
-// Tree is a B-tree mapping string keys to values of type V, stored in
-// the nodes themselves.
+// Tree is a B-tree mapping string keys to values of type V. A value is
+// allocated once, when its key is inserted, and overwritten in place by
+// every later Put: replacing allocates nothing, and the slack of a
+// partly filled node is a pointer per slot, not a V.
 type Tree[V any] struct {
 	root   *node[V]
 	size   int
@@ -26,12 +28,20 @@ type Tree[V any] struct {
 
 type item[V any] struct {
 	key string
-	val V
+	val *V
 }
 
 type node[V any] struct {
 	items    []item[V]
 	children []*node[V] // nil for leaves
+}
+
+// box allocates a key's value. (Taking the address of Put's parameter
+// instead would move it to the heap on every call, replaces included.)
+func box[V any](val V) *V {
+	p := new(V)
+	*p = val
+	return p
 }
 
 // New returns an empty tree with the default branching factor.
@@ -54,7 +64,7 @@ func (t *Tree[V]) Get(key string) (val V, ok bool) {
 	for n != nil {
 		i, found := n.search(key)
 		if found {
-			return n.items[i].val, true
+			return *n.items[i].val, true
 		}
 		if n.children == nil {
 			break
@@ -68,7 +78,7 @@ func (t *Tree[V]) Get(key string) (val V, ok bool) {
 // key was newly inserted (false means replaced).
 func (t *Tree[V]) Put(key string, val V) bool {
 	if t.root == nil {
-		t.root = &node[V]{items: []item[V]{{key, val}}}
+		t.root = &node[V]{items: []item[V]{{key, box(val)}}}
 		t.size = 1
 		return true
 	}
@@ -130,19 +140,19 @@ func (t *Tree[V]) insertNonFull(n *node[V], key string, val V) bool {
 	for {
 		i, found := n.search(key)
 		if found {
-			n.items[i].val = val
+			*n.items[i].val = val
 			return false
 		}
 		if n.children == nil {
 			n.items = append(n.items, item[V]{})
 			copy(n.items[i+1:], n.items[i:])
-			n.items[i] = item[V]{key, val}
+			n.items[i] = item[V]{key, box(val)}
 			return true
 		}
 		if len(n.children[i].items) == t.maxItems() {
 			t.splitChild(n, i)
 			if key == n.items[i].key {
-				n.items[i].val = val
+				*n.items[i].val = val
 				return false
 			}
 			if key > n.items[i].key {
@@ -162,11 +172,11 @@ func (t *Tree[V]) ascendRange(n *node[V], from, to string, fn func(string, V) bo
 		if n.children != nil && !t.ascendRange(n.children[i], from, to, fn) {
 			return false
 		}
-		it := &n.items[i]
+		it := n.items[i]
 		if to != "" && it.key >= to {
 			return false
 		}
-		if !fn(it.key, it.val) {
+		if !fn(it.key, *it.val) {
 			return false
 		}
 	}
