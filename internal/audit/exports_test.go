@@ -152,15 +152,15 @@ func TestExportedFuncsHaveProductionCallers(t *testing.T) {
 	}
 
 	live := map[*types.Func]bool{}
-	for len(roots) > 0 {
-		f := roots[len(roots)-1]
-		roots = roots[:len(roots)-1]
+	for work := roots; len(work) > 0; {
+		f := work[len(work)-1]
+		work = work[:len(work)-1]
 		if live[f] {
 			continue
 		}
 		live[f] = true
-		roots = append(roots, refs[f]...)
-		roots = append(roots, implementers(f)...)
+		work = append(work, refs[f]...)
+		work = append(work, implementers(f)...)
 	}
 
 	seen := map[string]bool{}

@@ -65,7 +65,8 @@ func (f *Floors) Floor(key record.Key) record.Version {
 	return f.seen[key]
 }
 
-// Read records a read the session consumed at ver.
+// Read raises key's floor to ver, the version of a read the session
+// consumed. Floors only rise.
 func (f *Floors) Read(key record.Key, ver record.Version) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
