@@ -8,9 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"mdcc/internal/paxos"
 	"mdcc/internal/record"
 	"mdcc/internal/simnet"
 	"mdcc/internal/topology"
+	"mdcc/internal/transport"
 	"mdcc/internal/wal"
 )
 
@@ -265,8 +267,10 @@ func TestCheckpointFallbackToPreviousSnapshot(t *testing.T) {
 
 // TestDegradeOnDurabilityFailure arms a persistent fsync fault under a
 // durable node's logs and asserts the first refused write degrades it:
-// typed error latched, node halted, staged votes and feed keys
-// dropped, counters visible — and nothing acked after the failure.
+// typed error latched, node halted, counters visible. That nothing is
+// acked after the failure — the dispatch it happened in sends nothing,
+// what it staged before the failure included — is
+// TestDegradedDispatchSendsNothing's to show, below.
 func TestDegradeOnDurabilityFailure(t *testing.T) {
 	cl := topology.NewCluster(topology.Layout{NodesPerDC: 1, Clients: 1, ClientDC: -1})
 	net := simnet.New(simnet.Options{Latency: cl.LatencyWith(nil), Seed: 1})
@@ -316,5 +320,92 @@ func TestDegradeOnDurabilityFailure(t *testing.T) {
 	n2.logDecision("k", &decidedEntry{Tx: "tx1", Decision: DecAccept})
 	if n2.DurabilityError() == nil {
 		t.Fatal("oplog append failure did not degrade node")
+	}
+}
+
+// sendRecorder counts what a node hands to the network.
+type sendRecorder struct {
+	transport.Network
+	sent []transport.Message
+}
+
+func (r *sendRecorder) Send(from, to transport.NodeID, msg transport.Message) {
+	r.sent = append(r.sent, msg)
+	r.Network.Send(from, to, msg)
+}
+
+// TestDegradedDispatchSendsNothing drives, through handle, three
+// envelopes whose handlers persist and then answer, on a durable node
+// whose disk refuses every write: the node must degrade and the
+// dispatch must hand the network nothing — not the messages staged
+// before the failure, and not the ones a handler goes on to produce
+// after it (a Phase2b{OK: true} for a base put the disk refused is an
+// ack of unsynced state).
+func TestDegradedDispatchSendsNothing(t *testing.T) {
+	commit := func(tx TxID, key record.Key) MsgVisibility {
+		return MsgVisibility{Commit: true, Opt: Option{Tx: tx, KeySeq: 1, Coord: "coord",
+			Update: record.Insert(key, record.Value{Attrs: map[string]int64{"x": 1}})}}
+	}
+	for _, tc := range []struct {
+		name string
+		// prime builds leader state on the healthy node; env is what
+		// arrives once the disk has failed.
+		prime func(n *StorageNode)
+		env   transport.Envelope
+	}{
+		{
+			name: "Phase2a with a base",
+			env: transport.Envelope{From: "ldr", Msg: MsgPhase2a{
+				Key: "k", Ballot: paxos.Classic(1, "ldr"), Seq: 1,
+				HasBase: true, BaseVersion: 1, BaseValue: record.Value{Attrs: map[string]int64{"x": 1}},
+			}},
+		},
+		{
+			name: "Batch of a proposal and a commit visibility",
+			env: transport.Envelope{From: "gw", Msg: transport.Batch{Items: []transport.Envelope{
+				{From: "coord", Msg: MsgProposeBatch{Opts: []Option{{Tx: "c#2", KeySeq: 2, Coord: "coord",
+					Update: record.Insert("other", record.Value{})}}}},
+				{From: "coord", Msg: commit("c#1", "k")},
+			}}},
+		},
+		{
+			name: "commit visibility with a recovery waiter to answer",
+			prime: func(n *StorageNode) {
+				id := OptionID{Tx: "c#1", Key: "k"}
+				n.lr("k").waiters[id] = []optWaiter{{reqID: 7, from: "recoverer", keySeq: 1}}
+			},
+			env: transport.Envelope{From: "coord", Msg: commit("c#1", "k")},
+		},
+		{
+			name: "commit visibility that drains the classic window",
+			prime: func(n *StorageNode) {
+				l := n.lr("k")
+				l.owned, l.ballot, l.classicLeft = true, paxos.Classic(1, string(n.id)), 0
+			},
+			env: transport.Envelope{From: "coord", Msg: commit("c#1", "k")},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := topology.NewCluster(topology.Layout{NodesPerDC: 1, Clients: 1, ClientDC: -1})
+			net := &sendRecorder{Network: simnet.New(simnet.Options{Latency: cl.LatencyWith(nil), Seed: 1})}
+			faults := wal.NewFaults()
+			ds, err := OpenDurableOpts(t.TempDir(), DurableOptions{NoSync: true, Faults: faults})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sn := cl.Storage[0]
+			n := NewDurableStorageNode(sn.ID, sn.DC, net, cl, Defaults(ModeMDCC), ds)
+			if tc.prime != nil {
+				tc.prime(n)
+			}
+			faults.FailSync(true)
+			n.handle(tc.env)
+			if n.DurabilityError() == nil {
+				t.Fatal("the dispatch persisted nothing: the node did not degrade")
+			}
+			if len(net.sent) != 0 {
+				t.Fatalf("degraded dispatch sent %d messages: %+v", len(net.sent), net.sent)
+			}
+		})
 	}
 }
