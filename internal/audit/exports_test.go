@@ -5,6 +5,7 @@ package audit
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -16,6 +17,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -57,7 +59,7 @@ func TestExportedFuncsHaveProductionCallers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module and the standard library it imports from source")
 	}
-	l := load(t, "../..", "../../benchmark")
+	l := load(t)
 
 	// Every function declaration is a node; its edges are the functions
 	// its body mentions (called or taken as a value).
@@ -216,16 +218,35 @@ type listed struct {
 	GoFiles    []string
 }
 
-// load lists and type-checks every package under each module directory.
-// Packages of the listed modules are checked here, once, so that a
-// function is one object however many packages mention it; everything
-// else (the standard library) comes from the source importer.
-func load(t *testing.T, moduleDirs ...string) *loaded {
+// load lists and type-checks every non-test package of the module and
+// of benchmark/, once for all the gates of this package. Packages of the
+// two modules are checked here, so that a function or a field is one
+// object however many packages mention it; everything else (the
+// standard library) comes from the source importer.
+func load(t *testing.T) *loaded {
 	t.Helper()
+	loadOnce.Do(func() { theLoad, loadErr = loadModules("../..", "../../benchmark") })
+	if loadErr != nil {
+		t.Fatal(loadErr)
+	}
+	return theLoad
+}
+
+var (
+	loadOnce sync.Once
+	theLoad  *loaded
+	loadErr  error
+)
+
+func loadModules(moduleDirs ...string) (*loaded, error) {
 	build.Default.CgoEnabled = false // the pure-Go files of net and os/user type-check without a C toolchain
 	l := &loaded{
-		fset:  token.NewFileSet(),
-		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		fset: token.NewFileSet(),
+		info: &types.Info{
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		},
 		src:   map[string]listed{},
 		pkgs:  map[string]*types.Package{},
 		files: map[string][]*ast.File{},
@@ -236,27 +257,27 @@ func load(t *testing.T, moduleDirs ...string) *loaded {
 		cmd.Dir = dir
 		out, err := cmd.Output()
 		if err != nil {
-			t.Fatalf("go list in %s: %v", dir, err)
+			return nil, fmt.Errorf("go list in %s: %v", dir, err)
 		}
 		for dec := json.NewDecoder(bytes.NewReader(out)); ; {
 			var p listed
 			if err := dec.Decode(&p); err == io.EOF {
 				break
 			} else if err != nil {
-				t.Fatalf("go list in %s: %v", dir, err)
+				return nil, fmt.Errorf("go list in %s: %v", dir, err)
 			}
 			l.src[p.ImportPath] = p
 		}
 	}
 	for path := range l.src {
 		if _, err := l.Import(path); err != nil {
-			t.Fatalf("type-check %s: %v", path, err)
+			return nil, fmt.Errorf("type-check %s: %v", path, err)
 		}
 	}
 	if l.err != nil {
-		t.Fatalf("type-check: %v", l.err)
+		return nil, fmt.Errorf("type-check: %v", l.err)
 	}
-	return l
+	return l, nil
 }
 
 // Import implements types.Importer.

@@ -50,18 +50,18 @@ type StorageNode struct {
 	pull     *shardPull
 	pullReqs map[uint64]bool
 
-	// Outbound vote batching: votes produced while dispatching one
-	// inbound envelope are buffered per destination coordinator and
-	// flushed as one transport.Batch when the dispatch finishes (see
-	// handle / sendVote). Zero added latency: nothing is ever held
-	// across dispatches.
-	dispatchDepth int
-	voteBuf       map[transport.NodeID][]transport.Envelope
-	voteOrder     []transport.NodeID
+	// The shell (see enter/leave): depth counts the open dispatches
+	// (a Batch item's nests inside its envelope's), out holds what the
+	// outermost one has staged to send, and batch is the scratch slice
+	// one destination's coalesced answers are gathered into at flush.
+	// Nothing is ever held across dispatches.
+	depth int
+	out   []staged
+	batch []transport.Envelope
 
 	// Committed-visibility feed (see feed.go): per-subscriber stream
 	// state and the keys dirtied by the dispatch in progress, flushed
-	// alongside the vote buffers.
+	// behind what it staged.
 	feedSubs           map[transport.NodeID]*feedSub
 	feedSubOrder       []transport.NodeID
 	feedDirty          []record.Key
@@ -132,7 +132,6 @@ func NewStorageNode(id transport.NodeID, dc topology.DC, net transport.Network,
 		recs:         make(map[record.Key]*recState),
 		ldrs:         make(map[record.Key]*leaderRec),
 		recoveries:   make(map[uint64]*txRecovery),
-		voteBuf:      make(map[transport.NodeID][]transport.Envelope),
 		feedSubs:     make(map[transport.NodeID]*feedSub),
 		feedDirtySet: make(map[record.Key]bool),
 		group:        -1,
@@ -178,20 +177,118 @@ func (n *StorageNode) owns(key record.Key) bool {
 // Store exposes the committed-state store (reads, tests, tools).
 func (n *StorageNode) Store() *kv.Store { return n.store }
 
-// handle dispatches every message addressed to this node. While a
-// top-level dispatch runs, outbound votes are buffered per destination
-// and flushed when it returns (dispatch recurses for Batch items, so
-// the votes of a whole gateway-coalesced envelope share wire messages).
-func (n *StorageNode) handle(env transport.Envelope) {
+// staged is one message a dispatch produced, held until the dispatch
+// returns. coalesce marks an answer that may share an envelope with the
+// dispatch's other answers to the same node (see sendCoalesced).
+type staged struct {
+	to       transport.NodeID
+	msg      transport.Message
+	coalesce bool
+}
+
+// The shell. Every way into the node — a delivered envelope (handle), a
+// fired timer (after), an exported method that can send (AdoptShard) —
+// runs between enter and leave, and inside it the node touches the
+// network only by staging: nothing leaves the node until the dispatch
+// that produced it has returned and every persist it made has
+// succeeded. flush is the one function that sends and after the one
+// that arms a timer (internal/audit's TestStorageNodeTouchesNetInOneShell
+// holds both to that).
+
+// enter opens a dispatch; a halted node admits none.
+func (n *StorageNode) enter() bool {
 	if n.halted {
+		return false
+	}
+	n.depth++
+	return true
+}
+
+// leave closes a dispatch. When the outermost one returns, a node that
+// degraded or was halted inside it drops everything the dispatch
+// staged — messages and dirty feed keys alike: a reply to an envelope
+// whose persist the disk refused must not leave. Otherwise the staged
+// messages go out, then the feed flush behind them.
+func (n *StorageNode) leave() {
+	n.depth--
+	if n.depth > 0 {
 		return
 	}
-	n.dispatchDepth++
-	n.dispatch(env)
-	n.dispatchDepth--
-	if n.dispatchDepth == 0 {
-		n.flushVotes()
-		n.flushFeeds()
+	if n.halted {
+		clear(n.out)
+		n.out = n.out[:0]
+		n.feedDirty = n.feedDirty[:0]
+		clear(n.feedDirtySet)
+		return
+	}
+	n.flush()
+	n.flushFeeds()
+	n.flush()
+}
+
+// send stages msg for to.
+func (n *StorageNode) send(to transport.NodeID, msg transport.Message) {
+	n.out = append(n.out, staged{to: to, msg: msg})
+}
+
+// sendCoalesced stages an acceptor's answer to a coordinator. The
+// answers one dispatch produces for one coordinator leave as one
+// transport.Batch (dispatch recurses for Batch items, so the votes of a
+// whole gateway-coalesced envelope share wire messages: the §7 batching
+// generalized to the vote direction, at zero added latency).
+func (n *StorageNode) sendCoalesced(to transport.NodeID, msg transport.Message) {
+	n.out = append(n.out, staged{to: to, msg: msg, coalesce: !n.cfg.DisableBatching})
+}
+
+// flush sends what the dispatch staged: plain messages in the order
+// they were staged, then the coalesced answers, one group per
+// destination in order of its first answer (FIFO within a group, so
+// vote order per (acceptor, coordinator) pair is preserved). out and
+// batch keep their backing arrays, so the common one-vote dispatch
+// sends allocation-free.
+func (n *StorageNode) flush() {
+	for i := range n.out {
+		if s := &n.out[i]; !s.coalesce {
+			n.net.Send(n.id, s.to, s.msg)
+		}
+	}
+	for i := range n.out {
+		if !n.out[i].coalesce {
+			continue
+		}
+		to := n.out[i].to
+		for j := i; j < len(n.out); j++ {
+			if s := &n.out[j]; s.coalesce && s.to == to {
+				n.batch = append(n.batch, transport.Envelope{From: n.id, To: to, Msg: s.msg})
+				s.coalesce = false
+			}
+		}
+		if len(n.batch) > 1 {
+			n.m.VoteBatchEnvelopes++
+			n.m.VoteBatchItems += int64(len(n.batch))
+		}
+		n.batch = transport.SendCoalesced(n.net, n.id, to, n.batch)
+	}
+	clear(n.out)
+	n.out = n.out[:0]
+}
+
+// after arms fn to run as a dispatch of its own in d; a node halted by
+// then never runs it.
+func (n *StorageNode) after(d time.Duration, fn func()) {
+	n.net.After(n.id, d, func() {
+		if n.enter() {
+			fn()
+			n.leave()
+		}
+	})
+}
+
+// handle dispatches every message addressed to this node.
+func (n *StorageNode) handle(env transport.Envelope) {
+	if n.enter() {
+		n.dispatch(env)
+		n.leave()
 	}
 }
 
@@ -406,7 +503,7 @@ func (n *StorageNode) onRead(from transport.NodeID, m MsgRead) {
 		n.tr.Add(trace.Event{At: n.net.Now().UnixNano(), Key: string(m.Key),
 			Stage: trace.StageRead, Arg: int64(ver)})
 	}
-	n.net.Send(n.id, from, MsgReadReply{
+	n.send(from, MsgReadReply{
 		ReqID: m.ReqID, Key: m.Key, Value: val, Version: ver, Exists: exists,
 		Escrow: n.escrowSnap(m.Key, val, ver, from),
 	})
@@ -487,59 +584,12 @@ func pendingSums(pending []VotedOption, attr string) (down, up int64) {
 	return down, up
 }
 
-// sendVote routes an acceptor→coordinator vote through the outbound
-// vote buffer: votes produced while one inbound envelope is being
-// dispatched coalesce per destination into one transport.Batch (the
-// §7 batching generalized to the vote direction). With batching
-// disabled (or outside a dispatch) votes are sent directly.
-func (n *StorageNode) sendVote(to transport.NodeID, msg transport.Message) {
-	if n.cfg.DisableBatching || n.dispatchDepth == 0 {
-		n.net.Send(n.id, to, msg)
-		return
-	}
-	if len(n.voteBuf[to]) == 0 {
-		n.voteOrder = append(n.voteOrder, to)
-	}
-	n.voteBuf[to] = append(n.voteBuf[to], transport.Envelope{From: n.id, To: to, Msg: msg})
-}
-
-// flushVotes drains the per-destination vote buffers accumulated by
-// the dispatch that just finished (FIFO per destination, so vote
-// order per (acceptor, coordinator) pair is preserved).
-func (n *StorageNode) flushVotes() {
-	// A node that degraded mid-dispatch already cleared these buffers;
-	// the guard keeps any vote staged before the failure from leaving.
-	if n.halted || len(n.voteOrder) == 0 {
-		return
-	}
-	for _, to := range n.voteOrder {
-		items := n.voteBuf[to]
-		if len(items) == 1 {
-			// Keep the map entry and its backing array: the common
-			// one-vote dispatch then runs allocation-free (destinations
-			// are bounded by the topology, so retained entries are too).
-			msg := items[0].Msg
-			items[0] = transport.Envelope{}
-			n.voteBuf[to] = items[:0]
-			n.net.Send(n.id, to, msg)
-			continue
-		}
-		// The slice escapes into an asynchronously serialized Batch, so
-		// it cannot be reused; the next vote for this peer reallocates.
-		n.voteBuf[to] = nil
-		n.m.VoteBatchEnvelopes++
-		n.m.VoteBatchItems += int64(len(items))
-		n.net.Send(n.id, to, transport.Batch{Items: items})
-	}
-	n.voteOrder = n.voteOrder[:0]
-}
-
 // onProposeFast handles a master-bypassing proposal (§3.3). In a fast
 // ballot the acceptor votes immediately; in a classic window it
 // forwards to the record's leader and tells the coordinator where it
 // went.
 func (n *StorageNode) onProposeFast(m MsgProposeFast) {
-	n.sendVote(m.Opt.Coord, n.proposeVote(m.Opt))
+	n.sendCoalesced(m.Opt.Coord, n.proposeVote(m.Opt))
 }
 
 // onProposeBatch votes on every option of a transaction destined for
@@ -552,7 +602,7 @@ func (n *StorageNode) onProposeBatch(m MsgProposeBatch) {
 	for _, opt := range m.Opts {
 		batch.Votes = append(batch.Votes, n.proposeVote(opt))
 	}
-	n.sendVote(m.Opts[0].Coord, batch)
+	n.sendCoalesced(m.Opts[0].Coord, batch)
 }
 
 // proposeVote computes this acceptor's Phase2b answer for one
@@ -616,7 +666,7 @@ func (n *StorageNode) voteFor(opt Option) MsgVote {
 			n.tr.Add(trace.Event{At: n.net.Now().UnixNano(), Tx: string(opt.Tx),
 				Key: string(key), Stage: trace.StageForward})
 		}
-		n.net.Send(n.id, leader, MsgProposeLeader{Opt: opt})
+		n.send(leader, MsgProposeLeader{Opt: opt})
 		return MsgVote{OptID: id, Ballot: r.promised, Forwarded: true, Leader: leader}
 	}
 
@@ -633,8 +683,8 @@ func (n *StorageNode) voteFor(opt Option) MsgVote {
 		if n.m.DemarcationRejects > demBefore {
 			fl |= trace.FlagDemarcation
 		}
-		if n.dispatchDepth > 0 && !n.cfg.DisableBatching {
-			fl |= trace.FlagBatched // reply rides the vote-batch buffer
+		if !n.cfg.DisableBatching {
+			fl |= trace.FlagBatched // the reply may share its envelope
 		}
 		n.tr.Add(trace.Event{At: n.net.Now().UnixNano(), Tx: string(opt.Tx),
 			Key: string(key), Stage: trace.StageVote, Flags: fl})
@@ -1079,7 +1129,7 @@ func (n *StorageNode) onPhase1a(from transport.NodeID, m MsgPhase1a) {
 		Exists:  ok && !val.Tombstone,
 		Lineage: r.summary.Clone(),
 	}
-	n.net.Send(n.id, from, reply)
+	n.send(from, reply)
 }
 
 // onPhase2a adopts the leader's cstruct (classic Phase2b, algorithm 3
@@ -1089,7 +1139,7 @@ func (n *StorageNode) onPhase1a(from transport.NodeID, m MsgPhase1a) {
 func (n *StorageNode) onPhase2a(from transport.NodeID, m MsgPhase2a) {
 	r := n.rs(m.Key)
 	if m.Ballot.Less(r.promised) {
-		n.net.Send(n.id, from, MsgPhase2b{
+		n.send(from, MsgPhase2b{
 			Key: m.Key, Ballot: m.Ballot, Seq: m.Seq, OK: false, Promised: r.promised,
 		})
 		return
@@ -1099,7 +1149,7 @@ func (n *StorageNode) onPhase2a(from transport.NodeID, m MsgPhase2a) {
 		// snapshot (or a newer one) was already adopted. Re-ack without
 		// touching state — re-adopting an older cstruct would silently
 		// drop votes the leader has since added.
-		n.net.Send(n.id, from, MsgPhase2b{Key: m.Key, Ballot: m.Ballot, Seq: m.Seq, OK: true})
+		n.send(from, MsgPhase2b{Key: m.Key, Ballot: m.Ballot, Seq: m.Seq, OK: true})
 		return
 	}
 	if m.Ballot.Cmp(r.accepted) != 0 {
@@ -1152,7 +1202,7 @@ func (n *StorageNode) onPhase2a(from transport.NodeID, m MsgPhase2a) {
 		r.votedAt = append(r.votedAt, at)
 	}
 	n.m.Phase2++
-	n.net.Send(n.id, from, MsgPhase2b{Key: m.Key, Ballot: m.Ballot, Seq: m.Seq, OK: true})
+	n.send(from, MsgPhase2b{Key: m.Key, Ballot: m.Ballot, Seq: m.Seq, OK: true})
 }
 
 // onEnableFast re-opens the record for master-bypassing proposals.

@@ -55,10 +55,7 @@ const syncChunkSize = 128
 // scheduleAntiEntropy arms the periodic sync. Called from the
 // constructor when cfg.SyncInterval > 0.
 func (n *StorageNode) scheduleAntiEntropy(rng *rand.Rand) {
-	n.net.After(n.id, n.cfg.SyncInterval, func() {
-		if n.halted {
-			return
-		}
+	n.after(n.cfg.SyncInterval, func() {
 		n.syncStep(rng)
 		n.scheduleAntiEntropy(rng)
 	})
@@ -72,7 +69,7 @@ func (n *StorageNode) syncStep(rng *rand.Rand) {
 	}
 	peer := topology.StorageID(peerDC, n.shardIndex())
 	n.reqSeq++
-	n.net.Send(n.id, peer, MsgSyncReq{ReqID: n.reqSeq, From: n.syncCursor, Limit: syncChunkSize})
+	n.send(peer, MsgSyncReq{ReqID: n.reqSeq, From: n.syncCursor, Limit: syncChunkSize})
 }
 
 // shardIndex parses this node's shard from its catalogue entry.
@@ -107,7 +104,7 @@ func (n *StorageNode) onSyncReq(from transport.NodeID, m MsgSyncReq) {
 		reply.Entries = append(reply.Entries, entry)
 		return true
 	})
-	n.net.Send(n.id, from, reply)
+	n.send(from, reply)
 }
 
 // onSyncReply merges anything at least as new as local state (equal
@@ -168,18 +165,19 @@ type shardPull struct {
 // makes AdoptShard a no-op (the mover re-invokes on fresh node
 // incarnations after crashes, not on live ones).
 func (n *StorageNode) AdoptShard(src transport.NodeID, accept func(record.Key) bool, done func(adopted int)) {
-	if n.halted || n.pull != nil {
+	if n.pull != nil || !n.enter() {
 		return
 	}
 	n.pull = &shardPull{src: src, accept: accept, done: done}
 	n.pullStep()
+	n.leave()
 }
 
 // pullStep requests the next chunk of the directed walk and arms its
 // retry.
 func (n *StorageNode) pullStep() {
 	p := n.pull
-	if p == nil || n.halted {
+	if p == nil {
 		return
 	}
 	n.reqSeq++
@@ -188,16 +186,16 @@ func (n *StorageNode) pullStep() {
 		n.pullReqs = make(map[uint64]bool)
 	}
 	n.pullReqs[p.reqID] = true
-	n.net.Send(n.id, p.src, MsgSyncReq{ReqID: p.reqID, From: p.cursor, Limit: syncChunkSize})
+	n.send(p.src, MsgSyncReq{ReqID: p.reqID, From: p.cursor, Limit: syncChunkSize})
 	retry := 2 * n.cfg.SyncInterval
 	if retry <= 0 {
 		retry = 2 * time.Second
 	}
 	reqID := p.reqID
-	n.net.After(n.id, retry, func() {
+	n.after(retry, func() {
 		// Still waiting on the same chunk: the request or its reply
 		// was lost — re-issue under a fresh id.
-		if n.halted || n.pull != p || p.reqID != reqID {
+		if n.pull != p || p.reqID != reqID {
 			return
 		}
 		delete(n.pullReqs, reqID)

@@ -22,10 +22,7 @@ func (n *StorageNode) scheduleCheckpoint() {
 	if n.durable == nil || n.cfg.CheckpointInterval <= 0 {
 		return
 	}
-	n.net.After(n.id, n.cfg.CheckpointInterval, func() {
-		if n.halted {
-			return
-		}
+	n.after(n.cfg.CheckpointInterval, func() {
 		n.Checkpoint()
 		n.scheduleCheckpoint()
 	})

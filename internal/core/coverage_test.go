@@ -104,7 +104,7 @@ func TestAbandonLeadershipOnPreemption(t *testing.T) {
 	// upcoming Phase2a is refused.
 	high := paxos.Classic(99, "usurper")
 	for i := 0; i < 3; i++ {
-		w.nodes[i].onPhase1a("usurper-node", MsgPhase1a{Key: "ab/1", Ballot: high})
+		w.nodes[i].handle(transport.Envelope{From: "usurper-node", Msg: MsgPhase1a{Key: "ab/1", Ballot: high}})
 	}
 	// Now ask us-west to lead an option classically.
 	opt := Option{
@@ -119,7 +119,7 @@ func TestAbandonLeadershipOnPreemption(t *testing.T) {
 			learned = &m
 		}
 	})
-	ldr.leaderPropose(opt, true)
+	ldr.handle(transport.Envelope{Msg: MsgStartRecovery{Key: "ab/1", Opt: opt, HasOpt: true}})
 	if !w.net.RunUntil(func() bool { return learned != nil }, time.Minute) {
 		t.Fatal("preempted leader never settled the option")
 	}

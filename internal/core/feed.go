@@ -13,8 +13,8 @@ import (
 // gateway) asks a storage node to stream every change to its
 // committed state; the node batches the keys dirtied while
 // dispatching one inbound envelope into a single MsgVisibilityFeed
-// per subscriber — the same zero-added-latency flush discipline as
-// outbound vote batching — so at steady state the feed rides the
+// per subscriber, staged behind the dispatch's own messages (see
+// StorageNode.leave), so at steady state the feed rides the
 // dispatch cadence the node already pays for. Each item carries the
 // committed value, its version, and the record's escrow snapshot, so
 // gateway headroom accounts refresh on the same stream.
@@ -183,9 +183,8 @@ func (n *StorageNode) feedItem(key record.Key, to transport.NodeID) FeedItem {
 }
 
 // markFeedDirty queues a key whose committed state (or escrow
-// pendings) changed for the end-of-dispatch feed flush — only if some
-// subscriber registered interest in it. Outside a dispatch
-// (timer-driven mutations) the flush happens immediately.
+// pendings) changed for the end-of-dispatch feed flush (see leave) —
+// only if some subscriber registered interest in it.
 func (n *StorageNode) markFeedDirty(key record.Key) {
 	if len(n.feedSubs) == 0 || n.feedDirtySet[key] {
 		return
@@ -202,9 +201,6 @@ func (n *StorageNode) markFeedDirty(key record.Key) {
 	}
 	n.feedDirtySet[key] = true
 	n.feedDirty = append(n.feedDirty, key)
-	if n.dispatchDepth == 0 {
-		n.flushFeeds()
-	}
 }
 
 // flushFeeds ships the dirtied keys, rate-limited to one feed message
@@ -217,20 +213,15 @@ func (n *StorageNode) markFeedDirty(key record.Key) {
 // (which its coalesce-window and sweep timers share) melts under the
 // stream, taxing the very write path the feed is observing.
 func (n *StorageNode) flushFeeds() {
-	// Degraded nodes cleared feedDirty already (see degrade); the guard
-	// keeps keys dirtied before the failure from being fed as durable.
-	if n.halted || len(n.feedDirty) == 0 || len(n.feedSubs) == 0 {
+	if len(n.feedDirty) == 0 || len(n.feedSubs) == 0 {
 		return
 	}
 	now := n.net.Now()
 	if since := now.Sub(n.feedLastFlush); since < feedFlushEvery {
 		if !n.feedFlushArmed {
 			n.feedFlushArmed = true
-			n.net.After(n.id, feedFlushEvery-since, func() {
+			n.after(feedFlushEvery-since, func() {
 				n.feedFlushArmed = false
-				if n.halted {
-					return
-				}
 				n.flushFeedsNow()
 			})
 		}
@@ -288,7 +279,7 @@ func (n *StorageNode) sendFeed(to transport.NodeID, sub *feedSub, items []FeedIt
 			n.tr.Add(trace.Event{At: at, Key: string(it.Key), Stage: trace.StageFeedPub})
 		}
 	}
-	n.net.Send(n.id, to, MsgVisibilityFeed{Epoch: sub.epoch, Seq: sub.seq, Boot: n.feedBoot, Items: items})
+	n.send(to, MsgVisibilityFeed{Epoch: sub.epoch, Seq: sub.seq, Boot: n.feedBoot, Items: items})
 }
 
 // scheduleFeedKeepAlive arms the periodic keepalive: any subscriber
@@ -297,10 +288,7 @@ func (n *StorageNode) sendFeed(to transport.NodeID, sub *feedSub, items []FeedIt
 // node-side half of the read tier's staleness bound (the gateway
 // declares a feed dead after its feed TTL of silence).
 func (n *StorageNode) scheduleFeedKeepAlive() {
-	n.net.After(n.id, feedKeepAlive, func() {
-		if n.halted {
-			return
-		}
+	n.after(feedKeepAlive, func() {
 		if len(n.feedSubs) == 0 {
 			// Every subscriber expired: stop ticking; the next
 			// subscription re-arms.

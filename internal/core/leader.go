@@ -140,7 +140,7 @@ func (n *StorageNode) leaderPropose(opt Option, recovery bool) {
 	// Tell the coordinator to re-route under the current ring.
 	if !n.owns(key) {
 		n.m.WrongGroupRefusals++
-		n.net.Send(n.id, opt.Coord, MsgVote{OptID: id, WrongGroup: true})
+		n.send(opt.Coord, MsgVote{OptID: id, WrongGroup: true})
 		return
 	}
 
@@ -203,7 +203,7 @@ func (n *StorageNode) startPhase1(key record.Key, l *leaderRec) {
 			Stage: trace.StagePhase1, Arg: int64(len(l.queue))})
 	}
 	for _, rep := range n.cl.Replicas(key) {
-		n.net.Send(n.id, rep, MsgPhase1a{Key: key, Ballot: ballot})
+		n.send(rep, MsgPhase1a{Key: key, Ballot: ballot})
 	}
 }
 
@@ -220,10 +220,7 @@ func (n *StorageNode) onPhase1b(from transport.NodeID, m MsgPhase1b) {
 		l.phase1 = nil
 		key := m.Key
 		seen := m.Ballot
-		n.net.After(n.id, 50*time.Millisecond, func() {
-			if n.halted {
-				return
-			}
+		n.after(50*time.Millisecond, func() {
 			l2 := n.lr(key)
 			if l2.owned || l2.phase1 != nil {
 				return
@@ -413,7 +410,7 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 				// replicas is lost for good.
 				vis := visibilityFor(t.opt, t.decision == DecAccept)
 				for _, rep := range n.cl.Replicas(key) {
-					n.net.Send(n.id, rep, vis)
+					n.send(rep, vis)
 				}
 			}
 			continue
@@ -591,7 +588,7 @@ func (n *StorageNode) sendPhase2a(key record.Key, l *leaderRec) {
 		}
 	}
 	for _, rep := range n.cl.Replicas(key) {
-		n.net.Send(n.id, rep, msg)
+		n.send(rep, msg)
 	}
 }
 
@@ -661,10 +658,7 @@ func (n *StorageNode) abandonLeadership(key record.Key, l *leaderRec, seen paxos
 		r.promised = seen
 	}
 	if l.phase1 == nil && (len(l.queue) > 0 || len(l.waiters) > 0) {
-		n.net.After(n.id, 50*time.Millisecond, func() {
-			if n.halted {
-				return
-			}
+		n.after(50*time.Millisecond, func() {
 			l2 := n.lr(key)
 			if !l2.owned && l2.phase1 == nil && (len(l2.queue) > 0 || len(l2.waiters) > 0) {
 				n.startPhase1(key, l2)
@@ -689,7 +683,7 @@ func (n *StorageNode) maybeEnableFast(key record.Key, l *leaderRec) {
 	}
 	fast := l.ballot.NextFast()
 	for _, rep := range n.cl.Replicas(key) {
-		n.net.Send(n.id, rep, MsgEnableFast{Key: key, Ballot: fast})
+		n.send(rep, MsgEnableFast{Key: key, Ballot: fast})
 	}
 	l.owned = false
 	l.ballot = fast
@@ -735,7 +729,7 @@ func (n *StorageNode) notifyLearned(coord transport.NodeID, id OptionID, d Decis
 		val, ver, _ := n.store.Get(id.Key)
 		msg.Escrow = n.escrowSnap(id.Key, val, ver, coord)
 	}
-	n.net.Send(n.id, coord, msg)
+	n.send(coord, msg)
 }
 
 // resolveWaiters answers dangling-recovery requests for an option.
@@ -750,7 +744,7 @@ func (n *StorageNode) resolveWaiters(l *leaderRec, id OptionID, d Decision) {
 		opt, hasOpt = e.option()
 	}
 	for _, w := range ws {
-		n.net.Send(n.id, w.from, MsgOptDecided{
+		n.send(w.from, MsgOptDecided{
 			ReqID: w.reqID, Tx: id.Tx, Key: id.Key, Decision: d, Opt: opt, HasOpt: hasOpt,
 		})
 	}

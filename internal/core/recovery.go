@@ -36,10 +36,7 @@ func (n *StorageNode) scheduleSweep() {
 	if period <= 0 {
 		period = n.cfg.PendingTimeout
 	}
-	n.net.After(n.id, period, func() {
-		if n.halted {
-			return
-		}
+	n.after(period, func() {
 		n.sweepPending()
 		n.scheduleSweep()
 	})
@@ -138,11 +135,11 @@ func (n *StorageNode) startTxRecovery(opt Option) {
 			m.KeySeq = opt.KeySeq
 		}
 		rec.seqs[k] = m.KeySeq
-		n.net.Send(n.id, n.leaderFor(k), m)
+		n.send(n.leaderFor(k), m)
 	}
 	// Garbage-collect if the leaders never all answer; the sweep will
 	// retry on the next pass.
-	n.net.After(n.id, n.cfg.OptionTimeout, func() {
+	n.after(n.cfg.OptionTimeout, func() {
 		delete(n.recoveries, reqID)
 	})
 }
@@ -161,7 +158,7 @@ func (n *StorageNode) onRecoverOpt(from transport.NodeID, m MsgRecoverOpt) {
 		// The reply carries what the entry retains of the option (Tx,
 		// Update, KeySeq) — all the recoverer's visibility needs.
 		opt, hasOpt := e.option()
-		n.net.Send(n.id, from, MsgOptDecided{
+		n.send(from, MsgOptDecided{
 			ReqID: m.ReqID, Tx: m.Tx, Key: m.Key,
 			Decision: e.Decision, Opt: opt, HasOpt: hasOpt,
 		})
@@ -176,7 +173,7 @@ func (n *StorageNode) onRecoverOpt(from transport.NodeID, m MsgRecoverOpt) {
 		// would instead re-force — and could contradict — a decision
 		// that was already made.
 		if d, ok := r.summary.Decision(laneOf(m.Tx), m.KeySeq); ok {
-			n.net.Send(n.id, from, MsgOptDecided{
+			n.send(from, MsgOptDecided{
 				ReqID: m.ReqID, Tx: m.Tx, Key: m.Key, Decision: d,
 			})
 			return
@@ -265,7 +262,7 @@ func (n *StorageNode) onOptDecided(m MsgOptDecided) {
 		}
 		vis := visibilityFor(opt, commit)
 		for _, rep := range n.cl.Replicas(k) {
-			n.net.Send(n.id, rep, vis)
+			n.send(rep, vis)
 		}
 	}
 }

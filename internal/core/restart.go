@@ -354,12 +354,14 @@ func NewDurableStorageNode(id transport.NodeID, dc topology.DC, net transport.Ne
 // transport-independent guarantee).
 func (n *StorageNode) Halt() { n.halted = true }
 
-// degrade latches the node's first durability failure: the node halts
-// (it must never acknowledge a write its disk refused) and everything
-// staged by the failing dispatch — buffered votes, dirty feed keys —
-// is dropped so nothing unsynced leaves the node. The failure is
-// surfaced typed via DurabilityError; the harness/operator crashes the
-// node, replaces the disk, and restarts it from its durable state.
+// degrade latches the node's first durability failure and halts the
+// node: it must never acknowledge a write its disk refused. The
+// dispatch the failure happened in emits nothing — leave drops every
+// message and dirty feed key it staged, those staged before the failure
+// included, so nothing unsynced leaves the node — and no later envelope
+// or timer is admitted (enter). The failure is surfaced typed via
+// DurabilityError; the harness/operator crashes the node, replaces the
+// disk, and restarts it from its durable state.
 func (n *StorageNode) degrade(err error) {
 	if n.degraded != nil {
 		return
@@ -367,14 +369,6 @@ func (n *StorageNode) degrade(err error) {
 	n.degraded = fmt.Errorf("%w: %v", ErrDurability, err)
 	n.m.DurabilityFailures++
 	n.halted = true
-	for to := range n.voteBuf {
-		delete(n.voteBuf, to)
-	}
-	n.voteOrder = n.voteOrder[:0]
-	n.feedDirty = n.feedDirty[:0]
-	for k := range n.feedDirtySet {
-		delete(n.feedDirtySet, k)
-	}
 }
 
 // DurabilityError reports the typed failure a degraded node latched

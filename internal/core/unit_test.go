@@ -414,14 +414,14 @@ func TestAcceptorPhase1aPromise(t *testing.T) {
 		}
 	})
 	b1 := paxos.Classic(1, "probe")
-	n.onPhase1a("probe", MsgPhase1a{Key: "k", Ballot: b1})
+	n.handle(transport.Envelope{From: "probe", Msg: MsgPhase1a{Key: "k", Ballot: b1}})
 	net.RunFor(time.Second)
 	if len(got) != 1 || got[0].Ballot.Cmp(b1) != 0 {
 		t.Fatalf("phase1b = %+v", got)
 	}
 	// A lower ballot gets the higher promise back (nack).
 	b0 := paxos.Classic(0, "loser")
-	n.onPhase1a("probe", MsgPhase1a{Key: "k", Ballot: b0})
+	n.handle(transport.Envelope{From: "probe", Msg: MsgPhase1a{Key: "k", Ballot: b0}})
 	net.RunFor(time.Second)
 	if len(got) != 2 || got[1].Ballot.Cmp(b1) != 0 {
 		t.Fatalf("nack should echo the promised ballot: %+v", got[1])
@@ -437,9 +437,9 @@ func TestAcceptorPhase2aRespectsPromise(t *testing.T) {
 		}
 	})
 	high := paxos.Classic(5, "other")
-	n.onPhase1a("ldr", MsgPhase1a{Key: "k", Ballot: high})
+	n.handle(transport.Envelope{From: "ldr", Msg: MsgPhase1a{Key: "k", Ballot: high}})
 	low := paxos.Classic(2, "ldr")
-	n.onPhase2a("ldr", MsgPhase2a{Key: "k", Ballot: low, Seq: 1})
+	n.handle(transport.Envelope{From: "ldr", Msg: MsgPhase2a{Key: "k", Ballot: low, Seq: 1}})
 	net.RunFor(time.Second)
 	var p2 *MsgPhase2b
 	for i := range got {

@@ -91,30 +91,20 @@ func (b *batcher) flush(to transport.NodeID) {
 	b.mu.Unlock()
 }
 
+// flushLocked sends the destination's window by the one coalescing rule
+// (transport.SendCoalesced); a Batch's outer From is the gateway node.
 func (b *batcher) flushLocked(to transport.NodeID) {
 	items := b.buf[to]
-	if len(items) == 0 {
+	switch len(items) {
+	case 0:
 		return
-	}
-	if len(items) == 1 {
-		// Keep the map entry and its backing array so the common
-		// single-message window flushes allocation-free (destinations
-		// are bounded by the topology, so retained entries are too).
+	case 1:
 		b.singles.Add(1)
-		e := items[0]
-		items[0] = transport.Envelope{}
-		b.buf[to] = items[:0]
-		b.inner.Send(e.From, to, e.Msg)
-		return
+	default:
+		b.envelopes.Add(1)
+		b.batched.Add(int64(len(items)))
 	}
-	// The slice escapes into an asynchronously serialized Batch and
-	// cannot be reused; the next window for this peer reallocates.
-	b.buf[to] = nil
-	b.envelopes.Add(1)
-	b.batched.Add(int64(len(items)))
-	// The envelope's outer From is the gateway node; receivers dispatch
-	// each item under its own original From.
-	b.inner.Send(b.on, to, transport.Batch{Items: items})
+	b.buf[to] = transport.SendCoalesced(b.inner, b.on, to, items)
 }
 
 // flushAll drains every pending window (shutdown).

@@ -92,6 +92,31 @@ type Batch struct {
 	Items []Envelope
 }
 
+// SendCoalesced sends what a batching layer staged for one destination
+// and returns the slice to stage the next round into. This is the one
+// coalescing rule (the gateway's batch windows and a storage node's
+// per-dispatch answers both flush through it): one staged item goes
+// bare, under its own From, and the slice keeps its backing array, so
+// the common single-message round sends allocation-free (a caller keeps
+// one slice per destination or one in all, so what is retained is
+// bounded); two or more leave as one Batch from `from`, and the slice is
+// surrendered — it escapes into an asynchronously serialized envelope,
+// so the next round reallocates. Receivers dispatch each item under its
+// own original From.
+func SendCoalesced(net Network, from, to NodeID, items []Envelope) []Envelope {
+	switch len(items) {
+	case 0:
+		return items
+	case 1:
+		e := items[0]
+		items[0] = Envelope{}
+		net.Send(e.From, to, e.Msg)
+		return items[:0]
+	}
+	net.Send(from, to, Batch{Items: items})
+	return nil
+}
+
 // Stats counts transport-level activity. The real-time transports
 // (Local, TCP) maintain these; byte counts are TCP-only (Local never
 // serializes).

@@ -217,3 +217,43 @@ func TestLocalFailRecover(t *testing.T) {
 		t.Fatal("failed sender's message delivered")
 	}
 }
+
+// lastSend is a Network that keeps only the last Send.
+type lastSend struct {
+	Network
+	from, to NodeID
+	msg      Message
+}
+
+func (l *lastSend) Send(from, to NodeID, msg Message) { l.from, l.to, l.msg = from, to, msg }
+
+// TestSendCoalesced pins the one coalescing rule both batching layers
+// flush through: one item goes bare under its own From, allocation-free,
+// and the slice is kept; two or more leave as one Batch from the
+// batching node and the slice is surrendered.
+func TestSendCoalesced(t *testing.T) {
+	net := &lastSend{}
+	var msg Message = ping{Seq: 1}
+	items := make([]Envelope, 0, 4)
+	if allocs := testing.AllocsPerRun(100, func() {
+		items = append(items, Envelope{From: "c1", To: "b", Msg: msg})
+		items = SendCoalesced(net, "gw", "b", items)
+	}); allocs != 0 {
+		t.Errorf("a single-item round allocated %.0f times", allocs)
+	}
+	if net.from != "c1" || net.to != "b" || net.msg != msg {
+		t.Errorf("single item sent as %s→%s %v, want bare from its own sender", net.from, net.to, net.msg)
+	}
+	if len(items) != 0 || cap(items) != 4 || items[:1][0] != (Envelope{}) {
+		t.Errorf("single-item round kept len %d cap %d (slot %+v), want the cleared backing array", len(items), cap(items), items[:1][0])
+	}
+	items = append(items, Envelope{From: "c1", To: "b", Msg: ping{Seq: 1}}, Envelope{From: "c2", To: "b", Msg: ping{Seq: 2}})
+	sent := items
+	if items = SendCoalesced(net, "gw", "b", items); items != nil {
+		t.Error("a batched slice was handed back for reuse")
+	}
+	b, ok := net.msg.(Batch)
+	if !ok || net.from != "gw" || len(b.Items) != 2 || &b.Items[0] != &sent[0] {
+		t.Errorf("two items sent as %s→%s %+v, want one Batch from gw carrying the staged slice", net.from, net.to, net.msg)
+	}
+}
