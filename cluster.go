@@ -53,7 +53,6 @@ type Cluster struct {
 	coreCfg core.Config
 	net     *transport.Local
 	cl      *topology.Cluster
-	nodes   []*core.StorageNode
 	durable []*core.DurableState // DataDir clusters only
 	mu      sync.Mutex
 	gws     map[DC]*Gateway
@@ -95,7 +94,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	c := &Cluster{coreCfg: coreCfg, net: net, cl: cl, gws: make(map[DC]*Gateway)}
 	for _, n := range cl.Storage {
 		if cfg.DataDir == "" {
-			c.nodes = append(c.nodes, core.NewStorageNode(n.ID, n.DC, net, cl, coreCfg, kv.NewMemory()))
+			core.NewStorageNode(n.ID, n.DC, net, cl, coreCfg, kv.NewMemory())
 			continue
 		}
 		ds, err := openNodeDir(filepath.Join(cfg.DataDir, string(n.ID)))
@@ -104,7 +103,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 			return nil, err
 		}
 		c.durable = append(c.durable, ds)
-		c.nodes = append(c.nodes, core.NewDurableStorageNode(n.ID, n.DC, net, cl, coreCfg, ds))
+		core.NewDurableStorageNode(n.ID, n.DC, net, cl, coreCfg, ds)
 	}
 	return c, nil
 }

@@ -176,7 +176,6 @@ func Figure7(seed int64, sc Scale, localPcts []int) []Fig7Point {
 // Fig8Result is the failure-experiment harvest.
 type Fig8Result struct {
 	Result    *Result
-	FailAt    time.Duration
 	PreMean   float64 // mean committed latency before the outage (ms)
 	PostMean  float64 // after
 	PreCount  int
@@ -207,7 +206,7 @@ func Figure8(seed int64, clients int, failAt, total time.Duration) Fig8Result {
 	pre, npre := res.Series.MeanBetween(10*time.Second, failAt)
 	post, npost := res.Series.MeanBetween(failAt+5*time.Second, total)
 	return Fig8Result{
-		Result: res, FailAt: failAt,
+		Result:  res,
 		PreMean: pre, PostMean: post, PreCount: npre, PostCount: npost,
 	}
 }

@@ -27,10 +27,6 @@ type RunConfig struct {
 
 // Result is one run's harvest.
 type Result struct {
-	Protocol Protocol
-	Workload string
-	Clients  int
-
 	// Committed write-transaction response times, in milliseconds
 	// (the paper's primary metric).
 	WriteLat *stats.Sample
@@ -41,7 +37,6 @@ type Result struct {
 
 	Commits, Aborts int64 // write transactions in the measure window
 	Reads           int64 // read-only transactions in the window
-	TPS             float64
 	WriteTPS        float64
 
 	// Series is the committed-transaction latency time series across
@@ -61,9 +56,6 @@ func Run(w *World, wl mtx.Workload, rc RunConfig) *Result {
 	w.Preload(wl.Preload(rng))
 
 	res := &Result{
-		Protocol: w.Opts.Protocol,
-		Workload: wl.Name(),
-		Clients:  len(w.Clients),
 		WriteLat: stats.NewSample(4096),
 		AbortLat: stats.NewSample(1024),
 		ReadLat:  stats.NewSample(4096),
@@ -121,7 +113,6 @@ func Run(w *World, wl mtx.Workload, rc RunConfig) *Result {
 	secs := rc.Measure.Seconds()
 	if secs > 0 {
 		res.WriteTPS = float64(res.Commits) / secs
-		res.TPS = float64(res.Commits+res.Reads) / secs
 	}
 	return res
 }

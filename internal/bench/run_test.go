@@ -21,7 +21,6 @@ type syntheticWorkload struct {
 	world  *World
 }
 
-func (s *syntheticWorkload) Name() string                  { return "synthetic" }
 func (s *syntheticWorkload) Preload(*rand.Rand) []kv.Entry { return nil }
 func (s *syntheticWorkload) Next(client int, dc topology.DC, rng *rand.Rand) mtx.Txn {
 	return func(c mtx.Client, rng *rand.Rand, done func(mtx.TxnResult)) {

@@ -181,7 +181,7 @@ func (w *World) buildMegastore(cl *topology.Cluster, net *simnet.Net) {
 	}
 	megastore.NewMaster(net, cl, west)
 	for _, c := range cl.Clients {
-		w.Clients = append(w.Clients, megastore.NewClient(c.ID, c.DC, net, cl))
+		w.Clients = append(w.Clients, megastore.NewClient(c.ID, c.DC, net))
 	}
 }
 

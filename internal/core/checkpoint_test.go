@@ -91,7 +91,7 @@ func TestCheckpointBoundsRecovery(t *testing.T) {
 	if !rs.UsedSnapshot {
 		t.Fatalf("recovery did not use a snapshot: %+v", rs)
 	}
-	if rs.FellBack || rs.FullReplay {
+	if rs.FellBack || !rs.UsedSnapshot {
 		t.Errorf("unexpected fallback/full replay: %+v", rs)
 	}
 	// The bound: the tail is the work since the last checkpoint, which
@@ -156,7 +156,7 @@ func TestCheckpointedReopenBounded(t *testing.T) {
 	}
 	defer ds.Close()
 	rs := ds.RecoveryStats()
-	if !rs.UsedSnapshot || rs.FellBack || rs.FullReplay {
+	if !rs.UsedSnapshot || rs.FellBack {
 		t.Errorf("reopen did not seed from the newest snapshot: %+v", rs)
 	}
 	if tail := rs.TailStore + rs.TailOplog; tail != after {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"time"
 
 	"mdcc/internal/record"
 	"mdcc/internal/trace"
@@ -27,7 +26,6 @@ type txRecovery struct {
 	decisions map[record.Key]Decision
 	opts      map[record.Key]Option
 	hasOpt    map[record.Key]bool
-	deadline  time.Time
 }
 
 // scheduleSweep arms the periodic stale-option scan.
@@ -114,7 +112,6 @@ func (n *StorageNode) startTxRecovery(opt Option) {
 		decisions: make(map[record.Key]Decision, len(keys)),
 		opts:      make(map[record.Key]Option, len(keys)),
 		hasOpt:    make(map[record.Key]bool, len(keys)),
-		deadline:  n.net.Now().Add(n.cfg.OptionTimeout),
 	}
 	n.recoveries[reqID] = rec
 	if n.tr != nil {

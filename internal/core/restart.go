@@ -83,20 +83,17 @@ func (o DurableOptions) walOptions() wal.Options {
 // TailOplog staying O(writes since the last checkpoint), not O(writes
 // ever).
 type ReplayStats struct {
-	// UsedSnapshot is true when recovery seeded from a checkpoint;
-	// FullReplay when no snapshot existed and the whole log replayed.
+	// UsedSnapshot is true when recovery seeded from a checkpoint,
+	// false when no snapshot existed and the whole log replayed.
 	UsedSnapshot bool
-	FullReplay   bool
 	// SnapshotSeq is the snapshot recovered from; FellBack is true
 	// when the newest snapshot was corrupt and an older one was used.
 	SnapshotSeq int
 	FellBack    bool
-	// SeededKeys / SeededDecisions are the snapshot's contents;
-	// TailStore / TailOplog the records replayed beyond its cut.
-	SeededKeys      int
-	SeededDecisions int
-	TailStore       int64
-	TailOplog       int64
+	// TailStore / TailOplog are the records replayed beyond the
+	// snapshot's cut.
+	TailStore int64
+	TailOplog int64
 	// Duration is the wall-clock time OpenDurableOpts spent.
 	Duration time.Duration
 }
@@ -137,7 +134,6 @@ type DurableState struct {
 	// checkpointAppends is the combined append counter at the last
 	// checkpoint, so AppendsSinceCheckpoint is the snapshot-age gauge.
 	checkpointAppends int64
-	checkpoints       int64
 }
 
 // OpenDurableOpts opens (creating on first boot, replaying after a
@@ -203,10 +199,7 @@ func OpenDurableOpts(dir string, o DurableOptions) (*DurableState, error) {
 		ds.decided = append(ds.decided, st.Oplog...)
 		ds.replay.UsedSnapshot = true
 		ds.replay.SnapshotSeq = ds.snapSeq
-		ds.replay.SeededKeys = len(st.KV)
-		ds.replay.SeededDecisions = len(st.Oplog)
 	} else {
-		ds.replay.FullReplay = true
 		ds.replay.FellBack = false
 	}
 
@@ -281,7 +274,6 @@ func (ds *DurableState) Checkpoint(oplogState []oplogEntry) error {
 	ds.snapSeq = seq
 	ds.lastCuts = cuts{Store: storeCut, Oplog: oplogCut}
 	ds.checkpointAppends = ds.Store.Log().Appends() + ds.oplog.Appends()
-	ds.checkpoints++
 	if err := ds.Store.Log().TruncateBefore(floor.Store); err != nil {
 		return err
 	}

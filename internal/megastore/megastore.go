@@ -70,7 +70,6 @@ type MsgReadReply struct {
 
 // logEntry is one replicated position.
 type logEntry struct {
-	tx      TxID
 	updates []record.Update
 }
 
@@ -102,7 +101,7 @@ func NewReplica(id transport.NodeID, net transport.Network, store *kv.Store) *Re
 func (r *Replica) handle(env transport.Envelope) {
 	switch m := env.Msg.(type) {
 	case MsgAccept:
-		r.log[m.Pos] = logEntry{tx: m.Tx, updates: m.Updates}
+		r.log[m.Pos] = logEntry{updates: m.Updates}
 		r.net.Send(r.id, env.From, MsgAccepted{Pos: m.Pos})
 	case MsgApply:
 		r.chosen[m.Pos] = true
@@ -159,7 +158,6 @@ func (r *Replica) applyReady() {
 type Master struct {
 	id      transport.NodeID
 	net     transport.Network
-	cl      *topology.Cluster
 	replica *Replica // co-located replica applies entries locally
 	quorum  int
 
@@ -187,7 +185,6 @@ func NewMaster(net transport.Network, cl *topology.Cluster, replica *Replica) *M
 	m := &Master{
 		id:      replica.id,
 		net:     net,
-		cl:      cl,
 		replica: replica,
 		quorum:  cl.ReplicationFactor()/2 + 1,
 		acks:    make(map[uint64]int),
@@ -264,7 +261,6 @@ type Client struct {
 	id  transport.NodeID
 	dc  topology.DC
 	net transport.Network
-	cl  *topology.Cluster
 
 	txSeq  uint64
 	reqSeq uint64
@@ -273,9 +269,9 @@ type Client struct {
 }
 
 // NewClient builds a Megastore* client.
-func NewClient(id transport.NodeID, dc topology.DC, net transport.Network, cl *topology.Cluster) *Client {
+func NewClient(id transport.NodeID, dc topology.DC, net transport.Network) *Client {
 	c := &Client{
-		id: id, dc: dc, net: net, cl: cl,
+		id: id, dc: dc, net: net,
 		txs:   make(map[TxID]func(bool)),
 		reads: make(map[uint64]func(record.Value, record.Version, bool)),
 	}

@@ -39,7 +39,7 @@ func newWorld(t *testing.T, clients int, clientDC int, seed int64) *world {
 	}
 	w.master = NewMaster(net, cl, west)
 	for _, c := range cl.Clients {
-		w.clients = append(w.clients, NewClient(c.ID, c.DC, net, cl))
+		w.clients = append(w.clients, NewClient(c.ID, c.DC, net))
 	}
 	return w
 }

@@ -123,9 +123,6 @@ func ItemKey(i int) record.Key {
 	return record.Key(fmt.Sprintf("item/%06d", i))
 }
 
-// Name implements bench.Workload.
-func (w *Workload) Name() string { return "microbench" }
-
 // Preload implements bench.Workload.
 func (w *Workload) Preload(rng *rand.Rand) []kv.Entry {
 	entries := make([]kv.Entry, 0, w.opts.Items)

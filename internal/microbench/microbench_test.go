@@ -136,9 +136,6 @@ func TestItemKeyStable(t *testing.T) {
 	if Constraint().Attr != StockAttr {
 		t.Fatal("constraint attr mismatch")
 	}
-	if New(Options{}).Name() != "microbench" {
-		t.Fatal("name")
-	}
 }
 
 // fakeClient drives Next paths synchronously without a cluster.

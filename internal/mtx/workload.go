@@ -19,8 +19,6 @@ type Txn func(c Client, rng *rand.Rand, done func(TxnResult))
 
 // Workload generates transactions and initial data for the harness.
 type Workload interface {
-	// Name labels result rows.
-	Name() string
 	// Preload produces the initial database (bulk-loaded before the
 	// run, outside the measured window).
 	Preload(rng *rand.Rand) []kv.Entry

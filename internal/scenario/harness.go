@@ -87,7 +87,6 @@ type Run struct {
 	// see rebalance.go.
 	mover      *ring.Mover
 	moveQueue  []queuedMove              // pending membership changes, FIFO
-	moves      int                       // published moves this run
 	rebMoving  func(record.Key) bool     // keys re-homed by the staged epoch
 	rebNext    ring.Epoch                // the staged epoch
 	rebFrozen  bool                      // freeze fence active (freeze..publish)

@@ -113,7 +113,6 @@ func (r *Run) maybeStartMove() {
 	r.rebAdopted = make(map[int]int)
 	label := mv.label
 	err := r.mover.Move(next, func(st ring.MoveStats) {
-		r.moves++
 		r.events = append(r.events, fmt.Sprintf(
 			"shard move %q published: epoch %d, %d keys re-homed, %d wrong-shard refusals retried so far",
 			label, st.Epoch, st.MovedKeys, r.wrongShard))

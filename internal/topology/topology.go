@@ -87,20 +87,10 @@ func Quorums(n int) (classic, fast int) {
 	return q.Classic, q.Fast
 }
 
-// NodeKind distinguishes the roles a simulated host can play.
-type NodeKind int
-
-// Host roles.
-const (
-	KindStorage NodeKind = iota
-	KindClient
-)
-
 // Node describes one simulated host.
 type Node struct {
-	ID   transport.NodeID
-	DC   DC
-	Kind NodeKind
+	ID transport.NodeID
+	DC DC
 	// Index is the per-DC storage node index (partition shard) or
 	// the global client index.
 	Index int
@@ -108,11 +98,9 @@ type Node struct {
 
 // Cluster is a full deployment: per-DC storage nodes plus clients.
 type Cluster struct {
-	StorageDCs  []DC // usually all 5
-	NodesPerDC  int  // storage nodes (replica groups) per DC
-	Storage     []Node
-	Clients     []Node
-	Constraints []record.Constraint
+	StorageDCs []DC // usually all 5
+	Storage    []Node
+	Clients    []Node
 	// shardRing maps keys to replica groups. Every provisioned group
 	// (0..NodesPerDC-1) is a candidate; the ring's active set says who
 	// owns keys right now, and live moves republish it (see ring.Mover).
@@ -144,7 +132,7 @@ func NewCluster(l Layout) *Cluster {
 	if l.NodesPerDC < 1 {
 		l.NodesPerDC = 1
 	}
-	c := &Cluster{StorageDCs: AllDCs(), NodesPerDC: l.NodesPerDC}
+	c := &Cluster{StorageDCs: AllDCs()}
 	active := l.Groups
 	if active <= 0 || active > l.NodesPerDC {
 		active = l.NodesPerDC
@@ -161,7 +149,6 @@ func NewCluster(l Layout) *Cluster {
 			c.Storage = append(c.Storage, Node{
 				ID:    id,
 				DC:    dc,
-				Kind:  KindStorage,
 				Index: i,
 			})
 			c.replicaIDs[i] = append(c.replicaIDs[i], id)
@@ -175,7 +162,6 @@ func NewCluster(l Layout) *Cluster {
 		c.Clients = append(c.Clients, Node{
 			ID:    ClientID(i),
 			DC:    dc,
-			Kind:  KindClient,
 			Index: i,
 		})
 	}

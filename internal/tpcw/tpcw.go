@@ -121,9 +121,6 @@ func New(opts Options) *Workload {
 	return &Workload{opts: opts, browsers: make(map[int]*browser)}
 }
 
-// Name implements mtx.Workload.
-func (w *Workload) Name() string { return "tpcw" }
-
 // ItemKey / CustKey / CartKey / OrderKey name records.
 func ItemKey(i int) record.Key { return record.Key(fmt.Sprintf("item/%06d", i)) }
 

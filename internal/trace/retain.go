@@ -15,8 +15,6 @@ const watchWindow = 4096
 type Trace struct {
 	Tx      string
 	Keys    []string
-	Start   int64 // transport-clock nanos at admit/propose
-	End     int64 // transport-clock nanos at completion
 	Dur     time.Duration
 	Outcome uint8    // FlagCommit / FlagAbort / FlagUnknown
 	Reasons []string // why it was retained: slow, aborted, unknown, recovered, wrong-shard, slowest
@@ -124,7 +122,7 @@ func (rec *Recorder) completeAt(tx string, keys []string, loSeq uint64, start, e
 	}
 
 	t := rec.assembleLocked(tx, keys, loSeq)
-	t.Start, t.End, t.Dur, t.Outcome, t.Reasons = start, end, dur, outcome, reasons
+	t.Dur, t.Outcome, t.Reasons = dur, outcome, reasons
 	if retain {
 		rec.budget--
 		rec.retainLocked(t)

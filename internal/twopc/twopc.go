@@ -69,7 +69,6 @@ type MsgReadReply struct {
 type lockState struct {
 	tx     TxID
 	update record.Update
-	since  time.Time
 }
 
 // Participant is a 2PC storage replica.
@@ -128,7 +127,7 @@ func (p *Participant) onPrepare(from transport.NodeID, m MsgPrepare) {
 		p.net.Send(p.id, from, MsgVote{Tx: m.Tx, Key: key, Yes: false})
 		return
 	}
-	p.locks[key] = &lockState{tx: m.Tx, update: m.Update, since: p.net.Now()}
+	p.locks[key] = &lockState{tx: m.Tx, update: m.Update}
 	if p.lockTimeout > 0 {
 		tx := m.Tx
 		p.net.After(p.id, p.lockTimeout, func() {
@@ -209,17 +208,16 @@ type Coordinator struct {
 }
 
 type txCtx struct {
-	id       TxID
-	keys     []record.Key       // the write-set's keys, in its order
-	votes    map[record.Key]int // yes votes per key
-	voteFail bool
-	want     int // replicas per key (all of them)
-	voted    map[record.Key]map[transport.NodeID]bool
-	acks     int
-	ackWant  int
-	decided  bool
-	commit   bool
-	done     func(bool)
+	id      TxID
+	keys    []record.Key       // the write-set's keys, in its order
+	votes   map[record.Key]int // yes votes per key
+	want    int                // replicas per key (all of them)
+	voted   map[record.Key]map[transport.NodeID]bool
+	acks    int
+	ackWant int
+	decided bool
+	commit  bool
+	done    func(bool)
 }
 
 // NewCoordinator builds a 2PC transaction manager.

@@ -364,15 +364,10 @@ type Stats struct {
 	Syncs         int64
 	SyncedAppends int64
 	MaxBatch      int64
-	// ActiveSegment is the index appends currently go to; Segments and
-	// LiveBytes the on-disk footprint (what TruncateBefore has not yet
-	// reclaimed).
-	ActiveSegment int
-	Segments      int
-	LiveBytes     int64
-	// Failed reports the poisoned state (a durability failure latched
-	// until reopen).
-	Failed bool
+	// Segments and LiveBytes are the on-disk footprint (what
+	// TruncateBefore has not yet reclaimed).
+	Segments  int
+	LiveBytes int64
 }
 
 // Stats reports the log's counters and on-disk footprint.
@@ -383,8 +378,6 @@ func (l *Log) Stats() Stats {
 		Syncs:         l.nSyncs,
 		SyncedAppends: l.nSyncedAppends,
 		MaxBatch:      l.maxBatch,
-		ActiveSegment: l.segIdx,
-		Failed:        l.failed != nil,
 	}
 	dir := l.dir
 	l.mu.Unlock()

@@ -370,8 +370,8 @@ func TestDurableCluster(t *testing.T) {
 	// The embedded cluster runs the same durable engine as
 	// mdcc-server -data: the decision oplog comes back too, not only
 	// the committed store.
-	for i, n := range c2.nodes {
-		if rs := n.Durability().Replay; rs.TailOplog == 0 && !rs.UsedSnapshot {
+	for i, ds := range c2.durable {
+		if rs := ds.RecoveryStats(); rs.TailOplog == 0 && !rs.UsedSnapshot {
 			t.Errorf("node %d recovered no decision log: %+v", i, rs)
 		}
 	}
