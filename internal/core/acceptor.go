@@ -11,7 +11,6 @@ import (
 	"mdcc/internal/topology"
 	"mdcc/internal/trace"
 	"mdcc/internal/transport"
-	"mdcc/internal/wal"
 )
 
 // StorageNode is one replica: the Paxos acceptor for every record it
@@ -33,7 +32,6 @@ type StorageNode struct {
 	reqSeq     uint64
 	recoveries map[uint64]*txRecovery
 	syncCursor record.Key
-	oplog      *wal.Log // non-nil for durable nodes (see restart.go)
 	halted     bool
 
 	// Durable-storage engine state (restart.go / checkpoint.go):

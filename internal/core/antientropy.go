@@ -67,19 +67,9 @@ func (n *StorageNode) syncStep(rng *rand.Rand) {
 	if peerDC == n.dc {
 		peerDC = topology.DC((int(peerDC) + 1) % topology.NumDCs)
 	}
-	peer := topology.StorageID(peerDC, n.shardIndex())
+	peer := topology.StorageID(peerDC, max(n.group, 0))
 	n.reqSeq++
 	n.send(peer, MsgSyncReq{ReqID: n.reqSeq, From: n.syncCursor, Limit: syncChunkSize})
-}
-
-// shardIndex parses this node's shard from its catalogue entry.
-func (n *StorageNode) shardIndex() int {
-	for _, node := range n.cl.Storage {
-		if node.ID == n.id {
-			return node.Index
-		}
-	}
-	return 0
 }
 
 // onSyncReq streams one chunk of committed state to the requester.
@@ -177,9 +167,6 @@ func (n *StorageNode) AdoptShard(src transport.NodeID, accept func(record.Key) b
 // retry.
 func (n *StorageNode) pullStep() {
 	p := n.pull
-	if p == nil {
-		return
-	}
 	n.reqSeq++
 	p.reqID = n.reqSeq
 	if n.pullReqs == nil {

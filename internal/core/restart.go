@@ -25,6 +25,12 @@ import (
 // in the rest of this codebase's durability model: a restarted
 // acceptor rejoins with an empty cstruct and catches up through
 // Phase 1, the dangling-option sweep, and anti-entropy.
+//
+// What is persisted is persisted before anything that depends on it
+// is said: both logs are written synchronously inside the handler
+// (storePut, appendOplog), a handler's messages only leave when its
+// dispatch returns (StorageNode.leave), and a dispatch in which a write
+// was refused emits nothing at all — see degrade.
 
 // ErrDurability is the typed error a storage node degrades with when
 // its disk refuses a write (WAL append, fsync, store put): the node
@@ -311,7 +317,6 @@ func (ds *DurableState) Close() error {
 func NewDurableStorageNode(id transport.NodeID, dc topology.DC, net transport.Network,
 	cl *topology.Cluster, cfg Config, ds *DurableState) *StorageNode {
 	n := NewStorageNode(id, dc, net, cl, cfg, ds.Store)
-	n.oplog = ds.oplog
 	n.durable = ds
 	for _, e := range ds.decided {
 		r := n.rs(e.Key)
@@ -374,7 +379,7 @@ func (n *StorageNode) DurabilityError() error { return n.degraded }
 // swallowing the error silently lost durability while continuing to
 // acknowledge writes.
 func (n *StorageNode) logDecision(key record.Key, e *decidedEntry) {
-	if n.oplog == nil {
+	if n.durable == nil {
 		return
 	}
 	n.appendOplog(&oplogEntry{Key: key, decidedEntry: *e})
@@ -387,7 +392,7 @@ func (n *StorageNode) logDecision(key record.Key, e *decidedEntry) {
 // and its value (replayed exactly by the kv WAL) would claim applies
 // its summary could not account for.
 func (n *StorageNode) logLineage(key record.Key, s LineageSummary) {
-	if n.oplog == nil {
+	if n.durable == nil {
 		return
 	}
 	snap := s.Clone()
@@ -395,7 +400,7 @@ func (n *StorageNode) logLineage(key record.Key, s LineageSummary) {
 }
 
 func (n *StorageNode) appendOplog(e *oplogEntry) {
-	if err := n.oplog.Append(appendOplogEntry([]byte{oplogFormat}, e)); err != nil {
+	if err := n.durable.oplog.Append(appendOplogEntry([]byte{oplogFormat}, e)); err != nil {
 		n.degrade(err)
 	}
 }
