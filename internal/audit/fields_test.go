@@ -69,49 +69,41 @@ func TestStructFieldsAreRead(t *testing.T) {
 	}
 
 	// opaque marks the struct types whose fields have readers this scan
-	// cannot see, following field types down.
+	// cannot see. A struct used whole as a value (compared, hashed,
+	// converted) takes the structs and arrays it holds by value with it;
+	// one read by reflection also takes everything it points to.
 	opaque := map[*types.Struct]bool{}
-	var reach func(typ types.Type, seen map[types.Type]bool)
-	reach = func(typ types.Type, seen map[types.Type]bool) {
+	var mark func(typ types.Type, reflected bool, seen map[types.Type]bool)
+	mark = func(typ types.Type, reflected bool, seen map[types.Type]bool) {
 		if typ == nil || seen[typ] {
 			return
 		}
 		seen[typ] = true
 		switch u := typ.Underlying().(type) {
+		case *types.Array:
+			mark(u.Elem(), reflected, seen)
+		case *types.Struct:
+			opaque[u] = true
+			for i := 0; i < u.NumFields(); i++ {
+				mark(u.Field(i).Type(), reflected, seen)
+			}
 		case *types.Pointer:
-			reach(u.Elem(), seen)
+			if reflected {
+				mark(u.Elem(), reflected, seen)
+			}
 		case *types.Slice:
-			reach(u.Elem(), seen)
-		case *types.Array:
-			reach(u.Elem(), seen)
+			if reflected {
+				mark(u.Elem(), reflected, seen)
+			}
 		case *types.Map:
-			reach(u.Key(), seen)
-			reach(u.Elem(), seen)
-		case *types.Struct:
-			opaque[u] = true
-			for i := 0; i < u.NumFields(); i++ {
-				reach(u.Field(i).Type(), seen)
+			if reflected {
+				mark(u.Key(), reflected, seen)
+				mark(u.Elem(), reflected, seen)
 			}
 		}
 	}
-	markReflected := func(typ types.Type) { reach(typ, map[types.Type]bool{}) }
-	// markCompared marks a struct used as a value, whole: the structs
-	// and arrays it holds by value take part, what it points to does not.
-	var markCompared func(typ types.Type)
-	markCompared = func(typ types.Type) {
-		if typ == nil {
-			return
-		}
-		switch u := typ.Underlying().(type) {
-		case *types.Array:
-			markCompared(u.Elem())
-		case *types.Struct:
-			opaque[u] = true
-			for i := 0; i < u.NumFields(); i++ {
-				markCompared(u.Field(i).Type())
-			}
-		}
-	}
+	markReflected := func(typ types.Type) { mark(typ, true, map[types.Type]bool{}) }
+	markCompared := func(typ types.Type) { mark(typ, false, map[types.Type]bool{}) }
 	typeOf := func(e ast.Expr) types.Type { return l.info.Types[e].Type }
 	isAny := func(typ types.Type) bool {
 		if typ == nil {

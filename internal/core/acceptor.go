@@ -220,7 +220,7 @@ func (n *StorageNode) leave() {
 		return
 	}
 	n.flush()
-	n.flushFeeds()
+	n.flushFeeds() // stages one feed message per subscriber
 	n.flush()
 }
 

@@ -67,7 +67,7 @@ func (n *StorageNode) syncStep(rng *rand.Rand) {
 	if peerDC == n.dc {
 		peerDC = topology.DC((int(peerDC) + 1) % topology.NumDCs)
 	}
-	peer := topology.StorageID(peerDC, max(n.group, 0))
+	peer := topology.StorageID(peerDC, max(n.group, 0)) // outside the catalogue: shard 0
 	n.reqSeq++
 	n.send(peer, MsgSyncReq{ReqID: n.reqSeq, From: n.syncCursor, Limit: syncChunkSize})
 }
