@@ -25,9 +25,10 @@ import (
 // stay without a production caller, each with its reason. Keys are
 // "<package dir>.<Func>" or "<package dir>.<Type>.<Method>".
 var allowed = map[string]string{
-	// An export_test.go serves only its own package's tests; these three
+	// An export_test.go serves only its own package's tests; these four
 	// are test hooks another package's tests call.
 	"internal/bench.World.StoreOf":         "internal/check's tests read a bench.World's final replica state through it",
+	"internal/kv.AppendEntry":              "the row layout's reference encoder: internal/core's disk tests build store WAL records and snapshot rows with it, and internal/kv's pin the rows the store writes from its stored bytes to it",
 	"internal/tpcw.Workload.Interactions":  "internal/bench's TPC-W run test asserts the interaction mix through it",
 	"internal/transport.TCP.DropPeerConns": "internal/core's vote-transport test tears connections down mid-stream with it",
 }

@@ -28,6 +28,9 @@ type StorageNode struct {
 	recs  map[record.Key]*recState
 	ldrs  map[record.Key]*leaderRec
 	tr    *trace.Ring // flight-recorder ring, nil when tracing is off
+	// freeVotes holds the vote arrays of records whose last unresolved
+	// vote settled, for the next record that votes (see takeVoteSlots).
+	freeVotes []voteSlots
 
 	reqSeq     uint64
 	recoveries map[uint64]*txRecovery
@@ -87,7 +90,10 @@ type StorageNode struct {
 type recState struct {
 	promised paxos.Ballot
 	accepted paxos.Ballot
-	votes    []VotedOption
+	// votes is nil on a record with no unresolved vote: a record at
+	// rest keeps its state, and the arrays a vote needs while it is
+	// open belong to the node (takeVoteSlots, truncateVotes).
+	votes []VotedOption
 	// votedAt is parallel to votes: when each unresolved vote was cast
 	// (UnixNano), for the dangling-transaction sweep.
 	votedAt []int64
@@ -692,6 +698,9 @@ func (n *StorageNode) voteFor(opt Option) MsgVote {
 
 // castVote appends a vote to the record's cstruct.
 func (n *StorageNode) castVote(r *recState, opt Option, dec Decision, reason RejectReason) {
+	if r.votes == nil {
+		r.votes, r.votedAt = n.takeVoteSlots(1)
+	}
 	r.votes = append(r.votes, VotedOption{Opt: opt, Decision: dec, Reason: reason})
 	r.votedAt = append(r.votedAt, n.net.Now().UnixNano())
 	if dec == DecAccept {
@@ -1087,14 +1096,61 @@ func (r *recState) voteIndex(id OptionID) int {
 	return -1
 }
 
-// truncateVotes cuts votes and votedAt to their first n elements,
-// zeroing the vacated slots: the backing arrays outlive the cut, and a
-// stale VotedOption there would pin its option's attribute map and
-// write-set for as long as the record lives.
-func (r *recState) truncateVotes(n int) {
-	clear(r.votes[n:])
-	r.votes = r.votes[:n]
-	r.votedAt = r.votedAt[:n]
+// voteSlots is one record's pair of vote arrays, empty and zeroed,
+// between two records that use it.
+type voteSlots struct {
+	votes []VotedOption
+	at    []int64
+}
+
+// maxFreeVoteSlots bounds the free list. The list is as long as the
+// drop from the most records that ever had a vote open at once to the
+// number that have one now, so steady traffic needs about as many
+// entries as it has options in flight: a few hundred under the
+// benchmark's heaviest closed loop (256 callers). The bound is for the
+// burst that opens a vote on every record at once (a recovery storm, a
+// shard pull): past it a released pair is left to the collector, so
+// such a burst leaves at most about 250 KB of single-vote pairs pinned
+// per node.
+const maxFreeVoteSlots = 1024
+
+// takeVoteSlots returns empty vote arrays with room for that many
+// votes: the pair on top of the free list when it is large enough,
+// fresh ones otherwise. In the steady state every vote is cast into a pair some
+// settled record gave back, so voting allocates nothing.
+func (n *StorageNode) takeVoteSlots(room int) ([]VotedOption, []int64) {
+	if last := len(n.freeVotes) - 1; last >= 0 && cap(n.freeVotes[last].votes) >= room {
+		s := n.freeVotes[last]
+		n.freeVotes[last] = voteSlots{}
+		n.freeVotes = n.freeVotes[:last]
+		return s.votes, s.at
+	}
+	return make([]VotedOption, 0, room), make([]int64, 0, room)
+}
+
+// releaseVoteSlots zeroes a pair of vote arrays no record uses any
+// more and puts it on the free list, if there is room.
+func (n *StorageNode) releaseVoteSlots(votes []VotedOption, at []int64) {
+	if cap(votes) == 0 || len(n.freeVotes) == maxFreeVoteSlots {
+		return
+	}
+	clear(votes)
+	n.freeVotes = append(n.freeVotes, voteSlots{votes: votes[:0], at: at[:0]})
+}
+
+// truncateVotes cuts r's votes and votedAt to their first k elements,
+// zeroing the vacated slots so that no settled option's attribute map
+// and write-set stay reachable from an array that is still in use.
+// When the last vote goes the arrays go with it, back to the node: a
+// vote slot does not outlive its vote.
+func (n *StorageNode) truncateVotes(r *recState, k int) {
+	clear(r.votes[k:])
+	r.votes = r.votes[:k]
+	r.votedAt = r.votedAt[:k]
+	if k == 0 {
+		n.releaseVoteSlots(r.votes, r.votedAt)
+		r.votes, r.votedAt = nil, nil
+	}
 }
 
 // pruneVote drops an unresolved vote once its option is settled.
@@ -1106,7 +1162,7 @@ func (n *StorageNode) pruneVote(r *recState, id OptionID) {
 	last := len(r.votes) - 1
 	copy(r.votes[i:], r.votes[i+1:])
 	copy(r.votedAt[i:], r.votedAt[i+1:])
-	r.truncateVotes(last)
+	n.truncateVotes(r, last)
 }
 
 // onPhase1a promises a classic ballot and reports state (§3.1.1).
@@ -1164,12 +1220,11 @@ func (n *StorageNode) onPhase2a(from transport.NodeID, m MsgPhase2a) {
 		n.adoptBase(m.Key, m.BaseValue, m.BaseVersion, m.BaseLineage)
 	}
 	now := n.net.Now().UnixNano()
-	// The adopted cstruct replaces the votes wholesale, in fresh arrays:
-	// the previous ones are read below and then become garbage, so no
-	// dropped vote stays reachable.
+	// The adopted cstruct replaces the votes wholesale, in other arrays:
+	// the previous ones are read below and then released, so no dropped
+	// vote stays reachable.
 	prev, prevAt := r.votes, r.votedAt
-	r.votes = make([]VotedOption, 0, len(m.CStruct))
-	r.votedAt = make([]int64, 0, len(m.CStruct))
+	r.votes, r.votedAt = n.takeVoteSlots(len(m.CStruct))
 	next := 0 // cursor into prev: successive cstructs keep their order
 	for _, v := range m.CStruct {
 		if _, ok := r.decided.get(v.Opt.Tx); ok {
@@ -1198,6 +1253,10 @@ func (n *StorageNode) onPhase2a(from transport.NodeID, m MsgPhase2a) {
 		}
 		r.votes = append(r.votes, v)
 		r.votedAt = append(r.votedAt, at)
+	}
+	n.releaseVoteSlots(prev, prevAt)
+	if len(r.votes) == 0 {
+		n.truncateVotes(r, 0) // nothing adopted: the record is at rest
 	}
 	n.m.Phase2++
 	n.send(from, MsgPhase2b{Key: m.Key, Ballot: m.Ballot, Seq: m.Seq, OK: true})

@@ -75,17 +75,17 @@ func decodeOplogRecord(payload []byte) (oplogEntry, error) {
 	return e, nil
 }
 
-func appendSnapshot(b []byte, st *snapshotState) []byte {
+// appendSnapshot encodes a checkpoint. kvRows appends the counted kv
+// entry list (kv.Store.AppendEntries: the store writes its rows from
+// their stored form, so a checkpoint builds no record.Value per key).
+func appendSnapshot(b []byte, c cuts, kvRows func([]byte) []byte, oplog []oplogEntry) []byte {
 	b = append(b, snapshotFormat)
-	b = transport.AppendUvarint(b, uint64(st.StoreCut))
-	b = transport.AppendUvarint(b, uint64(st.OplogCut))
-	b = transport.AppendUvarint(b, uint64(len(st.KV)))
-	for _, e := range st.KV {
-		b = kv.AppendEntry(b, e)
-	}
-	b = transport.AppendUvarint(b, uint64(len(st.Oplog)))
-	for i := range st.Oplog {
-		b = appendOplogEntry(b, &st.Oplog[i])
+	b = transport.AppendUvarint(b, uint64(c.Store))
+	b = transport.AppendUvarint(b, uint64(c.Oplog))
+	b = kvRows(b)
+	b = transport.AppendUvarint(b, uint64(len(oplog)))
+	for i := range oplog {
+		b = appendOplogEntry(b, &oplog[i])
 	}
 	return b
 }

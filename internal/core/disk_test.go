@@ -12,6 +12,7 @@ import (
 
 	"mdcc/internal/kv"
 	"mdcc/internal/record"
+	"mdcc/internal/transport"
 	"mdcc/internal/wal"
 )
 
@@ -37,6 +38,19 @@ func sampleSnapshotState() *snapshotState {
 	}
 }
 
+// snapshotBytes encodes st as Checkpoint would, with the kv rows
+// written from st.KV as they stand (a fuzzed list may repeat keys, so
+// it cannot go through a store).
+func snapshotBytes(st *snapshotState) []byte {
+	return appendSnapshot(nil, cuts{Store: st.StoreCut, Oplog: st.OplogCut}, func(b []byte) []byte {
+		b = transport.AppendUvarint(b, uint64(len(st.KV)))
+		for _, e := range st.KV {
+			b = kv.AppendEntry(b, e)
+		}
+		return b
+	}, st.Oplog)
+}
+
 // diskSamples lists the disk records core writes, as the exact bytes
 // that reach the WAL or the snapshot file.
 func diskSamples() map[string][]byte {
@@ -44,7 +58,7 @@ func diskSamples() map[string][]byte {
 	return map[string][]byte{
 		"oplog_decision": appendOplogEntry([]byte{oplogFormat}, &d),
 		"oplog_summary":  appendOplogEntry([]byte{oplogFormat}, &s),
-		"snapshot":       appendSnapshot(nil, sampleSnapshotState()),
+		"snapshot":       snapshotBytes(sampleSnapshotState()),
 	}
 }
 
@@ -66,9 +80,19 @@ func TestDiskRoundTrip(t *testing.T) {
 		}
 	}
 	want := sampleSnapshotState()
-	got, err := decodeSnapshot(appendSnapshot(nil, want))
+	got, err := decodeSnapshot(snapshotBytes(want))
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("snapshot round trip: got %+v, %v; want %+v", got, err, want)
+	}
+	// A store holding those entries writes the same rows from its
+	// stored form: the snapshot a Checkpoint takes is the golden one.
+	store := kv.NewMemory()
+	for _, e := range want.KV {
+		store.Put(e.Key, e.Value, e.Version)
+	}
+	fromStore := appendSnapshot(nil, cuts{Store: want.StoreCut, Oplog: want.OplogCut}, store.AppendEntries, want.Oplog)
+	if !bytes.Equal(fromStore, snapshotBytes(want)) {
+		t.Errorf("snapshot written from a store differs\n got %x\nwant %x", fromStore, snapshotBytes(want))
 	}
 	// Every strict prefix of a record is refused, typed.
 	for name, raw := range diskSamples() {
@@ -139,7 +163,7 @@ func TestGobDataDirRefused(t *testing.T) {
 			if err := wal.WriteSnapshot(snapDir, 1, gobBytes(t, sampleSnapshotState()), true); err != nil {
 				t.Fatal(err)
 			}
-			if err := wal.WriteSnapshot(snapDir, 2, appendSnapshot(nil, sampleSnapshotState()), true); err != nil {
+			if err := wal.WriteSnapshot(snapDir, 2, snapshotBytes(sampleSnapshotState()), true); err != nil {
 				t.Fatal(err)
 			}
 			path := filepath.Join(snapDir, "snap-00000002.snap")
@@ -190,7 +214,7 @@ func FuzzDiskDecode(f *testing.F) {
 			}
 		}
 		if st, err := decodeSnapshot(b); err == nil {
-			again, err := decodeSnapshot(appendSnapshot(nil, st))
+			again, err := decodeSnapshot(snapshotBytes(st))
 			if err != nil || !reflect.DeepEqual(again, st) {
 				t.Fatalf("snapshot does not survive re-encoding: %+v -> %+v, %v", st, again, err)
 			}

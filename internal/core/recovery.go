@@ -70,7 +70,7 @@ func (n *StorageNode) sweepPending() {
 			r.votes[live], r.votedAt[live] = v, r.votedAt[i]
 			live++
 		}
-		r.truncateVotes(live)
+		n.truncateVotes(r, live)
 		for i, v := range r.votes {
 			if v.Decision != DecAccept || now-r.votedAt[i] < int64(n.cfg.PendingTimeout) {
 				continue

@@ -53,17 +53,20 @@ func (n *codecNet) deliver(t *testing.T, to transport.NodeID, msg transport.Mess
 // Visibility, both through the codec. Values carry a blob and no
 // attributes, so no map is allocated per record or per option anywhere
 // on the path and the figures do not depend on the runtime's map
-// layout. Measured when the log took the oplog's shape (go1.24, amd64):
-// 121 B per option and 690 B per record (780 B in a run that also fills
-// the key intern table), against 360 B and 1660 B with a map of whole
-// Options per record; the gates sit under twice the new figures.
+// layout. Measured go1.24, amd64: 110 B per option and 548 B per record
+// — its state, its stored value and its key, in a run that also fills
+// the key intern table (459 B in one that does not). That was 772 B
+// while every record that had ever voted kept a cleared 192-byte vote
+// slot and the store held a record.Value per key, and 1660 B before
+// that, with a map of whole Options per record. A settled record holds
+// no vote arrays at all, which the test asserts record by record.
 func TestResidentBytesPerSettledOption(t *testing.T) {
 	const (
 		records   = 2000
 		perRecord = 8 // options settled on each record, the first an insert
 
 		maxPerOption = 240
-		maxPerRecord = 1300
+		maxPerRecord = 700
 	)
 	cl := topology.NewCluster(topology.Layout{NodesPerDC: 1, ClientDC: -1})
 	cfg := Defaults(ModeMDCC)
@@ -107,6 +110,11 @@ func TestResidentBytesPerSettledOption(t *testing.T) {
 
 	if got := n.Metrics().Executed; got != records*perRecord {
 		t.Fatalf("executed %d options, want %d", got, records*perRecord)
+	}
+	for key, r := range n.recs {
+		if r.votes != nil || r.votedAt != nil {
+			t.Fatalf("%s has settled every option and still holds vote arrays (cap %d, %d)", key, cap(r.votes), cap(r.votedAt))
+		}
 	}
 	perOption := float64(settled-touched) / (records * (perRecord - 1))
 	perRec := float64(touched-empty)/records - perOption

@@ -111,7 +111,7 @@ type cuts struct {
 	Store, Oplog int
 }
 
-// snapshotState is a checkpoint's serialized payload: the full kv
+// snapshotState is a checkpoint's decoded payload: the full kv
 // state (values, versions, escrow bases — tombstones included), every
 // record's lineage summary and decided cache in oplog-replay shape,
 // and the log cuts the snapshot covers.
@@ -262,12 +262,7 @@ func (ds *DurableState) Checkpoint(oplogState []oplogEntry) error {
 	if err != nil {
 		return err
 	}
-	payload := appendSnapshot(nil, &snapshotState{
-		KV:       ds.Store.Entries(),
-		Oplog:    oplogState,
-		StoreCut: storeCut,
-		OplogCut: oplogCut,
-	})
+	payload := appendSnapshot(nil, cuts{Store: storeCut, Oplog: oplogCut}, ds.Store.AppendEntries, oplogState)
 	snapDir := filepath.Join(ds.dir, "snap")
 	seq := ds.snapSeq + 1
 	if err := wal.WriteSnapshot(snapDir, seq, payload, ds.opts.NoSync); err != nil {

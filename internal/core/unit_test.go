@@ -455,9 +455,10 @@ func TestAcceptorPhase2aRespectsPromise(t *testing.T) {
 
 // The cast times stay parallel to the votes through every way a vote
 // leaves or re-enters the cstruct, a re-adopted vote keeps its first
-// cast time whatever order the leader ships it in, and a dropped vote
-// is zeroed out of the backing arrays — left in their tails it would
-// pin its option's attribute map and write-set while the record lives.
+// cast time whatever order the leader ships it in, a dropped vote is
+// zeroed out of the backing arrays — left in their tails it would pin
+// its option's attribute map and write-set — and the arrays leave the
+// record with its last vote, for the next record that votes.
 func TestVoteBookkeepingStaysParallel(t *testing.T) {
 	n, net := unitNode(t, ModeMDCC, nil)
 	r := n.rs("k")
@@ -508,6 +509,50 @@ func TestVoteBookkeepingStaysParallel(t *testing.T) {
 	r.summary.Add("c0", 1, true, false)
 	n.sweepPending()
 	check("after sweepPending", 4)
+
+	// The last vote takes the arrays with it: the record at rest holds
+	// none, the node holds them zeroed, and voting on another record
+	// uses them instead of allocating.
+	n.pruneVote(r, opt(4).ID())
+	if r.votes != nil || r.votedAt != nil {
+		t.Fatalf("record at rest still holds vote arrays: cap %d, %d", cap(r.votes), cap(r.votedAt))
+	}
+	if len(n.freeVotes) == 0 {
+		t.Fatal("the drained record's arrays were not kept for reuse")
+	}
+	for _, free := range n.freeVotes {
+		for i, v := range free.votes[:cap(free.votes)] {
+			if !reflect.DeepEqual(v, VotedOption{}) {
+				t.Fatalf("free vote array still reaches %s in slot %d", v.Opt.Tx, i)
+			}
+		}
+	}
+	r2, o := n.rs("k2"), opt(5)
+	if allocs := testing.AllocsPerRun(100, func() {
+		n.castVote(r2, o, DecAccept, ReasonNone)
+		n.pruneVote(r2, o.ID())
+	}); allocs != 0 {
+		t.Fatalf("a vote cast and settled on a record at rest allocates %v objects", allocs)
+	}
+	// A cstruct with nothing left to adopt leaves the record at rest too.
+	r.summary.Add("c0", 4, true, false)
+	n.onPhase2a("ldr", MsgPhase2a{Key: "k", Ballot: paxos.Classic(1, "ldr"), Seq: 2, CStruct: cstruct[1:2]})
+	if r.votes != nil || r.votedAt != nil {
+		t.Fatal("an adopted cstruct of settled options left vote arrays on the record")
+	}
+	// A burst that opens a vote on more records than the list's bound
+	// leaves at most the bound behind once it settles.
+	burst := make([]*recState, maxFreeVoteSlots+8)
+	for i := range burst {
+		burst[i] = n.rs(record.Key(fmt.Sprintf("burst/%d", i)))
+		n.castVote(burst[i], o, DecAccept, ReasonNone)
+	}
+	for _, b := range burst {
+		n.pruneVote(b, o.ID())
+	}
+	if len(n.freeVotes) != maxFreeVoteSlots {
+		t.Fatalf("free list holds %d pairs after the burst, bound %d", len(n.freeVotes), maxFreeVoteSlots)
+	}
 }
 
 func TestVisibilityIdempotent(t *testing.T) {

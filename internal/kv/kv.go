@@ -4,6 +4,14 @@
 // optional write-ahead log so a restarted node recovers its committed
 // state. Protocol state (pending options, ballots) lives above this
 // layer in internal/core; only *committed* data enters the store.
+//
+// A value rests in the tree as the bytes the log and the snapshots
+// already write for it (record.AppendValue), not as a record.Value: a
+// replica pays for every key it holds for as long as it runs, and the
+// bytes cost a third of the attribute map they decode to (116 B
+// against 372 B per one-attribute key, TestResidentBytesPerStoredValue).
+// Put encodes, Get and Scan decode; nothing is shared with a caller in
+// either direction.
 package kv
 
 import (
@@ -31,7 +39,9 @@ const entryFormat = 0xD1
 
 // AppendEntry encodes e with the wire primitives — the body of a WAL
 // record here and of each kv row in internal/core's checkpoint
-// snapshots.
+// snapshots. It is the layout's definition; the store writes both from
+// the value bytes it already holds (appendRow), and the tests pin those
+// rows to this function's.
 func AppendEntry(b []byte, e Entry) []byte {
 	b = transport.AppendString(b, string(e.Key))
 	b = record.AppendValue(b, e.Value)
@@ -62,11 +72,35 @@ func decodeRecord(payload []byte) (Entry, error) {
 	return e, nil
 }
 
+// stored is a key's committed state at rest. Version and the tombstone
+// bit sit beside the value's bytes so that Version, Exists and Scan's
+// tombstone skip never decode.
+type stored struct {
+	value     []byte // record.AppendValue's encoding, never mutated
+	version   record.Version
+	tombstone bool
+}
+
+// decode returns the value as a fresh record.Value. The bytes are
+// always rest's own output (replay and seeding re-encode what they
+// read), so the reader cannot fail.
+func (st stored) decode() record.Value {
+	return record.ReadValue(transport.NewWireReader(st.value))
+}
+
+// appendRow is AppendEntry for a value already in its encoding.
+func appendRow(b []byte, key string, st stored) []byte {
+	b = transport.AppendString(b, key)
+	b = append(b, st.value...)
+	return transport.AppendUvarint(b, uint64(st.version))
+}
+
 // Store is a versioned key/value store. Safe for concurrent use.
 type Store struct {
 	mu       sync.RWMutex
-	tree     *btree.Tree[Entry]
+	tree     *btree.Tree[stored]
 	log      *wal.Log // nil for memory-only stores
+	buf      []byte   // encode scratch, reused by every write
 	puts     int64
 	replayed int64
 }
@@ -74,7 +108,14 @@ type Store struct {
 // NewMemory returns a store without durability (the simulator's
 // storage nodes: durability there is modeled, not real).
 func NewMemory() *Store {
-	return &Store{tree: btree.New[Entry]()}
+	return &Store{tree: btree.New[stored]()}
+}
+
+// rest returns a value's state at rest: its encoding, built in the
+// scratch buffer and copied out at its exact size.
+func (s *Store) rest(v record.Value, version record.Version) stored {
+	s.buf = record.AppendValue(s.buf[:0], v)
+	return stored{value: append([]byte(nil), s.buf...), version: version, tombstone: v.Tombstone}
 }
 
 // Open returns a durable store backed by a WAL in dir, replaying any
@@ -95,16 +136,16 @@ func OpenWith(dir string, opts wal.Options, seed []Entry, fromSeg int) (*Store, 
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{tree: btree.New[Entry](), log: log}
+	s := &Store{tree: btree.New[stored](), log: log}
 	for _, e := range seed {
-		s.tree.Put(string(e.Key), Entry{Key: e.Key, Value: e.Value.Clone(), Version: e.Version})
+		s.tree.Put(string(e.Key), s.rest(e.Value, e.Version))
 	}
 	err = log.ReplayFrom(fromSeg, func(payload []byte) error {
 		e, derr := decodeRecord(payload)
 		if derr != nil {
 			return fmt.Errorf("kv: replay: %w", derr)
 		}
-		s.tree.Put(string(e.Key), e)
+		s.tree.Put(string(e.Key), s.rest(e.Value, e.Version))
 		s.replayed++
 		return nil
 	})
@@ -118,18 +159,21 @@ func OpenWith(dir string, opts wal.Options, seed []Entry, fromSeg int) (*Store, 
 // Get returns the committed value and version for key. ok is false if
 // the key has never been written. Tombstoned records are returned
 // with ok=true (callers decide how to treat deletes); Exists reports
-// presence net of tombstones. The value is a deep copy the caller may
-// keep or mutate — an attribute map and a blob allocated per call,
-// which is why a Get costs several times an in-memory Put; callers
-// that need only the version use Version.
+// presence net of tombstones. The value is decoded per call, so it is
+// the caller's to keep or mutate: an attribute map and a blob allocated
+// each time, which is why a Get costs one and a half in-memory Puts.
+// (One of 8000 one-attribute keys, go1.24 amd64, two shared cores: Get
+// 810 ns, 2 allocations, 256 B — 760 ns when it cloned a stored map;
+// Put 520 ns, 1 allocation, 8 B — 780 ns, 2 allocations, 256 B when it
+// cloned the caller's.) Callers that need only the version use Version.
 func (s *Store) Get(key record.Key) (record.Value, record.Version, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	e, ok := s.tree.Get(string(key))
+	st, ok := s.tree.Get(string(key))
 	if !ok {
 		return record.Value{}, 0, false
 	}
-	return e.Value.Clone(), e.Version, true
+	return st.decode(), st.version, true
 }
 
 // Version returns key's committed version without copying its value
@@ -138,29 +182,32 @@ func (s *Store) Get(key record.Key) (record.Value, record.Version, bool) {
 func (s *Store) Version(key record.Key) (record.Version, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	e, ok := s.tree.Get(string(key))
-	return e.Version, ok
+	st, ok := s.tree.Get(string(key))
+	return st.version, ok
 }
 
 // Exists reports whether key holds a live (non-tombstoned) record.
 func (s *Store) Exists(key record.Key) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	e, ok := s.tree.Get(string(key))
-	return ok && !e.Value.Tombstone
+	st, ok := s.tree.Get(string(key))
+	return ok && !st.tombstone
 }
 
-// Put replaces the committed state of key.
+// Put replaces the committed state of key. It keeps nothing of value:
+// the store holds its own encoding of it, and the WAL record is built
+// around those bytes, so a durable Put encodes the value once.
 func (s *Store) Put(key record.Key, value record.Value, version record.Version) error {
-	e := Entry{Key: key, Value: value.Clone(), Version: version}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	st := s.rest(value, version)
 	if s.log != nil {
-		if err := s.log.Append(AppendEntry([]byte{entryFormat}, e)); err != nil {
+		s.buf = appendRow(append(s.buf[:0], entryFormat), string(key), st)
+		if err := s.log.Append(s.buf); err != nil { // Append copies the record
 			return err
 		}
 	}
-	s.tree.Put(string(key), e)
+	s.tree.Put(string(key), st)
 	s.puts++
 	return nil
 }
@@ -170,25 +217,27 @@ func (s *Store) Put(key record.Key, value record.Value, version record.Version) 
 func (s *Store) Scan(from, to record.Key, fn func(Entry) bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.tree.AscendRange(string(from), string(to), func(_ string, e Entry) bool {
-		if e.Value.Tombstone {
+	s.tree.AscendRange(string(from), string(to), func(key string, st stored) bool {
+		if st.tombstone {
 			return true
 		}
-		return fn(Entry{Key: e.Key, Value: e.Value.Clone(), Version: e.Version})
+		return fn(Entry{Key: record.Key(key), Value: st.decode(), Version: st.version})
 	})
 }
 
-// Entries returns every entry — tombstones included, a checkpoint must
-// preserve them — in key order, with cloned values.
-func (s *Store) Entries() []Entry {
+// AppendEntries appends the store's whole state the way a checkpoint
+// snapshot embeds it: a uvarint count, then every key's AppendEntry
+// bytes in key order — tombstones included, a checkpoint must preserve
+// them. The rows are written from the stored form; no value is decoded.
+func (s *Store) AppendEntries(b []byte) []byte {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]Entry, 0, s.tree.Len())
-	s.tree.AscendRange("", "", func(_ string, e Entry) bool {
-		out = append(out, Entry{Key: e.Key, Value: e.Value.Clone(), Version: e.Version})
+	b = transport.AppendUvarint(b, uint64(s.tree.Len()))
+	s.tree.AscendRange("", "", func(key string, st stored) bool {
+		b = appendRow(b, key, st)
 		return true
 	})
-	return out
+	return b
 }
 
 // Log exposes the backing WAL (nil for memory stores) for checkpoint

@@ -1,10 +1,13 @@
 package kv
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"mdcc/internal/record"
+	"mdcc/internal/transport"
 )
 
 func TestMemoryBasics(t *testing.T) {
@@ -29,22 +32,37 @@ func TestMemoryBasics(t *testing.T) {
 	}
 }
 
+// Get hands out a fresh value and Put keeps nothing of the caller's:
+// no attribute map or blob is shared between the store, the value that
+// was put and any two values read back.
 func TestGetReturnsCopy(t *testing.T) {
 	s := NewMemory()
 	defer s.Close()
-	v := record.Value{Attrs: map[string]int64{"x": 1}}
+	want := record.Value{Attrs: map[string]int64{"x": 1}, Blob: []byte("row")}
+	v := record.Value{Attrs: map[string]int64{"x": 1}, Blob: []byte("row")}
 	s.Put("k", v, 1)
-	got, _, _ := s.Get("k")
-	got.Attrs["x"] = 99
-	again, _, _ := s.Get("k")
-	if again.Attr("x") != 1 {
-		t.Fatal("Get leaked internal storage")
-	}
-	// The Put must also have copied.
 	v.Attrs["x"] = 77
-	again, _, _ = s.Get("k")
-	if again.Attr("x") != 1 {
-		t.Fatal("Put aliased caller's value")
+	v.Attrs["y"] = 5
+	v.Blob[0] = 'P'
+	a, _, _ := s.Get("k")
+	if !a.Equal(want) {
+		t.Fatalf("Put aliased caller's value: Get = %v", a)
+	}
+	b, _, _ := s.Get("k")
+	a.Attrs["x"] = 99
+	a.Blob[0] = 'G'
+	if !b.Equal(want) {
+		t.Fatalf("two Gets alias each other: %v", b)
+	}
+	var scanned record.Value
+	s.Scan("", "", func(e Entry) bool { scanned = e.Value; return true })
+	if !scanned.Equal(want) {
+		t.Fatalf("Get leaked internal storage: Scan = %v", scanned)
+	}
+	scanned.Attrs["x"] = 55
+	scanned.Blob[0] = 'S'
+	if again, _, _ := s.Get("k"); !again.Equal(want) {
+		t.Fatalf("Scan leaked internal storage: Get = %v", again)
 	}
 }
 
@@ -85,6 +103,15 @@ func TestTombstone(t *testing.T) {
 	s.Scan("", "", func(Entry) bool { found++; return true })
 	if found != 0 {
 		t.Fatal("Scan returned a tombstoned record")
+	}
+	// Presence and version are held beside the value's bytes, so a
+	// tombstone that still carries a row answers both without a decode.
+	s.Put("gone", record.Value{Attrs: map[string]int64{"x": 1}, Blob: []byte("row"), Tombstone: true}, 3)
+	if ver, ok := s.Version("gone"); s.Exists("gone") || !ok || ver != 3 {
+		t.Fatalf("tombstone Exists = %v, Version = v%d %v; want false, v3 true", s.Exists("gone"), ver, ok)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Exists("gone"); s.Version("gone") }); n != 0 {
+		t.Fatalf("Exists and Version of a tombstone allocate %v objects", n)
 	}
 }
 
@@ -183,4 +210,85 @@ func TestConcurrentAccess(t *testing.T) {
 		s.Len()
 	}
 	<-done
+}
+
+// TestResidentBytesPerStoredValue is the store's retained-heap gate:
+// what one committed one-attribute value still costs after two
+// collections — key, tree slot, version and the value itself. Every
+// replica pays it per key for as long as it runs. Measured go1.24,
+// amd64: 116 B with the tree holding the value's record.AppendValue
+// bytes, 372 B when it held a record.Value (a map per stored value).
+func TestResidentBytesPerStoredValue(t *testing.T) {
+	const (
+		keys        = 20_000
+		maxPerValue = 200
+	)
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	names := make([]record.Key, keys)
+	for i := range names {
+		names[i] = record.Key(fmt.Sprintf("item/%06d", i))
+	}
+	s := NewMemory()
+	empty := live()
+	for i, k := range names {
+		if err := s.Put(k, record.Value{Attrs: map[string]int64{"stock": int64(i)}}, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	filled := live()
+	// The key strings are the caller's (a node's keys arrive interned
+	// off the wire and are shared with its record state), so they are
+	// live on both sides of the difference.
+	runtime.KeepAlive(names)
+	if s.Len() != keys {
+		t.Fatalf("Len = %d, want %d", s.Len(), keys)
+	}
+	per := float64(filled-empty) / keys
+	t.Logf("resident: %.0f B per stored value", per)
+	if per > maxPerValue {
+		t.Errorf("%.0f B retained per stored value, gate %d", per, maxPerValue)
+	}
+}
+
+// An empty attribute map and no attribute map are one value: both come
+// back Equal to what was put.
+func TestEmptyValuesRoundTrip(t *testing.T) {
+	s := NewMemory()
+	defer s.Close()
+	for i, v := range []record.Value{{}, {Attrs: map[string]int64{}}, {Blob: []byte{}}} {
+		k := record.Key(fmt.Sprintf("k%d", i))
+		s.Put(k, v, 1)
+		got, ver, ok := s.Get(k)
+		if !ok || ver != 1 || !got.Equal(v) {
+			t.Errorf("Put(%#v) came back %#v v%d %v", v, got, ver, ok)
+		}
+	}
+}
+
+// AppendEntries is what a checkpoint snapshot embeds: a count, then
+// every key's AppendEntry bytes in key order, tombstones included.
+func TestAppendEntriesMatchesAppendEntry(t *testing.T) {
+	s := NewMemory()
+	defer s.Close()
+	entries := []Entry{
+		sampleEntry(),
+		{Key: "gone#1", Value: record.Value{Tombstone: true}, Version: 5},
+		{Key: "item#9", Value: record.Value{Blob: []byte("row")}, Version: 2},
+	}
+	want := transport.AppendUvarint([]byte("head"), uint64(len(entries)))
+	for _, e := range entries {
+		want = AppendEntry(want, e)
+	}
+	for i := len(entries) - 1; i >= 0; i-- { // put out of key order
+		s.Put(entries[i].Key, entries[i].Value, entries[i].Version)
+	}
+	if got := s.AppendEntries([]byte("head")); !bytes.Equal(got, want) {
+		t.Fatalf("AppendEntries\n got %x\nwant %x", got, want)
+	}
 }
