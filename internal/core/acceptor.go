@@ -31,6 +31,9 @@ type StorageNode struct {
 	// freeVotes holds the vote arrays of records whose last unresolved
 	// vote settled, for the next record that votes (see takeVoteSlots).
 	freeVotes []voteSlots
+	// lanes holds one copy of each coordinator lane name the node's
+	// lineage summaries use (see laneName).
+	lanes map[string]string
 
 	reqSeq     uint64
 	recoveries map[uint64]*txRecovery
@@ -136,6 +139,7 @@ func NewStorageNode(id transport.NodeID, dc topology.DC, net transport.Network,
 		recs:         make(map[record.Key]*recState),
 		ldrs:         make(map[record.Key]*leaderRec),
 		recoveries:   make(map[uint64]*txRecovery),
+		lanes:        make(map[string]string),
 		feedSubs:     make(map[transport.NodeID]*feedSub),
 		feedDirtySet: make(map[record.Key]bool),
 		group:        -1,
@@ -392,7 +396,7 @@ func (n *StorageNode) notePeerLineage(r *recState, from transport.NodeID, s Line
 // since the last settle still shrink the log).
 func (n *StorageNode) compactDecided(key record.Key, r *recState, force bool) {
 	if force {
-		if len(r.decided.entries) <= decidedLimit {
+		if r.decided.len() <= decidedLimit {
 			return
 		}
 	} else if !r.decided.wantsCompact() {
@@ -405,13 +409,13 @@ func (n *StorageNode) compactDecided(key record.Key, r *recState, force bool) {
 // log with the all-peer-ack predicate.
 func (n *StorageNode) releaseDecided(key record.Key, r *recState) {
 	peers := n.cl.Replicas(key)
-	n.m.DecidedReleased += int64(r.decided.compact(n.net.Now(), n.cfg.DecidedRetention, func(e *decidedEntry) bool {
+	n.m.DecidedReleased += int64(r.decided.compact(n.net.Now(), n.cfg.DecidedRetention, func(e decidedEntry) bool {
 		for _, p := range peers {
 			if p == n.id {
 				continue
 			}
 			pl, ok := r.peerLineage[p]
-			if !ok || !pl.Contains(e.lane(), e.KeySeq) {
+			if !ok || !pl.Contains(string(e.lane()), e.KeySeq) {
 				return false
 			}
 		}
@@ -421,25 +425,41 @@ func (n *StorageNode) releaseDecided(key record.Key, r *recState) {
 
 // settleOption records one final decision the caller found to be new:
 // decided-log entry, lineage summary, durable decision log, and the
-// record's kind class. The update is encoded once; the entry and the
-// oplog record share the bytes.
+// record's kind class. The decision is encoded once, into the decided
+// log, and the oplog record copies those bytes.
 func (n *StorageNode) settleOption(key record.Key, r *recState, d Decision, opt Option) {
-	e := settledEntry(d, opt, true, n.net.Now())
-	if !r.decided.record(e) {
+	body, isNew := r.decided.record(d, opt, true, n.net.Now())
+	if !isNew {
 		return
 	}
-	r.noteSettled(d, opt)
-	n.logDecision(key, &e)
+	n.noteSettled(r, d, opt)
+	n.logDecision(key, body)
 	n.compactDecided(key, r, false)
+}
+
+// laneName returns tx's coordinator lane as the node's shared copy of
+// the name. A lineage lane keeps its name for the life of the record,
+// and a lane named by a substring of tx would keep the whole
+// transaction id alive with it. The table holds a name per lane the
+// node has settled an option of, which its summaries hold forever
+// anyway.
+func (n *StorageNode) laneName(tx TxID) string {
+	lane := laneOf(tx)
+	if name, ok := n.lanes[lane]; ok {
+		return name
+	}
+	name := strings.Clone(lane)
+	n.lanes[name] = name
+	return name
 }
 
 // noteSettled folds one settled option (with contents) into the
 // record's summary and class lock (shared by live settles and WAL
 // replay).
-func (r *recState) noteSettled(d Decision, opt Option) {
+func (n *StorageNode) noteSettled(r *recState, d Decision, opt Option) {
 	if opt.KeySeq > 0 {
 		applied := d == DecAccept && opt.Update.Kind == record.KindCommutative
-		r.summary.Add(laneOf(opt.Tx), opt.KeySeq, d != DecAccept, applied)
+		r.summary.Add(n.laneName(opt.Tx), opt.KeySeq, d != DecAccept, applied)
 		if d == DecAccept && opt.Update.Kind == record.KindPhysical && opt.Update.ReadVersion > 0 {
 			r.summary.Physical = true
 		}
@@ -1007,44 +1027,41 @@ func (n *StorageNode) adoptBase(key record.Key, base record.Value, baseVer recor
 		return false
 	}
 	if lineage.Deltas {
-		for i := range r.decided.entries {
-			e := &r.decided.entries[i]
-			if e.Decision != DecAccept || e.kind != record.KindPhysical || e.KeySeq == 0 {
-				continue
-			}
-			if !lineage.Contains(e.lane(), e.KeySeq) {
-				n.m.AdoptRefused++
-				return false
-			}
+		refused := false
+		r.decided.each(func(e decidedEntry) bool {
+			refused = e.Decision == DecAccept && e.kind() == record.KindPhysical && e.KeySeq != 0 &&
+				!lineage.Contains(string(e.lane()), e.KeySeq)
+			return !refused
+		})
+		if refused {
+			n.m.AdoptRefused++
+			return false
 		}
 	}
 	val, ver := base, baseVer
 	merged := 0
-	for i := range r.decided.entries {
-		e := &r.decided.entries[i]
-		if e.Decision != DecAccept || e.kind != record.KindCommutative {
+	r.decided.each(func(e decidedEntry) bool {
+		switch {
+		case e.Decision != DecAccept || e.kind() != record.KindCommutative:
 			// Physical applies are never grafted: either the incoming
 			// summary contains them, or (pure-physical branch) the
 			// higher base version proves supersession, or the refusal
 			// above already bailed.
-			continue
-		}
-		if e.KeySeq == 0 {
+		case e.KeySeq == 0:
 			// No lineage identity (hand-built option): containment is
 			// unprovable, so treat as contained rather than risk a
 			// double apply. Coordinators always mint identities.
-			continue
+		case lineage.Contains(string(e.lane()), e.KeySeq):
+		default:
+			// The graft: the one place a settled entry's contents are
+			// decoded on the merge path.
+			up := e.update()
+			val = up.Apply(val)
+			ver += up.Span()
+			merged++
 		}
-		if lineage.Contains(e.lane(), e.KeySeq) {
-			continue
-		}
-		// The graft: the one place a settled entry's contents are
-		// decoded on the merge path.
-		up := e.update()
-		val = up.Apply(val)
-		ver += up.Span()
-		merged++
-	}
+		return true
+	})
 	n.m.Grafted += int64(merged)
 	if ver == localVer && merged == 0 {
 		if cur, _, ok := n.store.Get(key); ok && cur.Equal(val) {

@@ -43,11 +43,13 @@ func (n *StorageNode) Checkpoint() {
 	n.m.Checkpoints++
 }
 
-// snapshotOplog serializes every record's lineage summary and decided
-// cache in oplog-replay shape, so restoring a snapshot runs through
+// snapshotOplog lists every record's lineage summary and decided cache
+// in oplog-replay shape, so restoring a snapshot runs through
 // NewDurableStorageNode's seeding loop unchanged: one summary-snapshot
 // entry per record (unioned first), then the decided options in
-// settle order (recorded and noted idempotently). Keys are emitted in
+// settle order (recorded and noted idempotently), each the decided
+// log's own bytes. The entries alias the node's state, which
+// Checkpoint encodes before the dispatch returns. Keys are emitted in
 // sorted order so identical states checkpoint to identical bytes.
 func (n *StorageNode) snapshotOplog() []oplogEntry {
 	keys := make([]record.Key, 0, len(n.recs))
@@ -59,12 +61,12 @@ func (n *StorageNode) snapshotOplog() []oplogEntry {
 	for _, k := range keys {
 		r := n.recs[k]
 		if !r.summary.IsEmpty() {
-			snap := r.summary.Clone()
-			out = append(out, oplogEntry{Key: k, Snapshot: &snap})
+			out = append(out, oplogEntry{Key: k, Snapshot: &r.summary})
 		}
-		for _, e := range r.decided.entries {
-			out = append(out, oplogEntry{Key: k, decidedEntry: e})
-		}
+		r.decided.each(func(e decidedEntry) bool {
+			out = append(out, oplogEntry{Key: k, Decision: e.body})
+			return true
+		})
 	}
 	return out
 }

@@ -314,7 +314,7 @@ func TestDegradeOnDurabilityFailure(t *testing.T) {
 	sn2 := cl2.Storage[1]
 	n2 := NewDurableStorageNode(sn2.ID, sn2.DC, net, cl2, Defaults(ModeMDCC), ds2)
 	faults2.FailSync(true)
-	n2.logDecision("k", &decidedEntry{Tx: "tx1", Decision: DecAccept})
+	n2.logDecision("k", appendDecision(nil, "tx1", DecAccept, 0, nil))
 	if n2.DurabilityError() == nil {
 		t.Fatal("oplog append failure did not degrade node")
 	}

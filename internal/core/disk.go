@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"mdcc/internal/kv"
@@ -34,11 +35,7 @@ func appendOplogEntry(b []byte, e *oplogEntry) []byte {
 	if e.Snapshot != nil {
 		return appendLineage(b, *e.Snapshot)
 	}
-	b = transport.AppendString(b, string(e.Tx))
-	b = append(b, uint8(e.Decision))
-	b = transport.AppendUvarint(b, e.KeySeq)
-	b = transport.AppendBool(b, e.up != nil)
-	return append(b, e.up...) // already in record.AppendUpdate's encoding
+	return append(b, e.Decision...) // a decided log's bytes, copied
 }
 
 func readOplogEntry(r *transport.WireReader) oplogEntry {
@@ -48,15 +45,18 @@ func readOplogEntry(r *transport.WireReader) oplogEntry {
 		e.Snapshot = &s
 		return e
 	}
-	e.Tx = TxID(r.String())
-	e.Decision = Decision(r.Byte())
-	e.KeySeq = r.Uvarint()
+	tx := TxID(r.String())
+	d := Decision(r.Byte())
+	keySeq := r.Uvarint()
+	var up *record.Update
 	if r.Bool() {
-		// Decoding validates the update; re-encoding gives the entry its
-		// own copy of the bytes, in canonical form.
-		up := record.ReadUpdate(r)
-		e.up, e.kind = encodeUpdate(up), up.Kind
+		// Decoding validates the update; re-encoding the body gives the
+		// entry its own copy of the bytes, in canonical form.
+		u := record.ReadUpdate(r)
+		up = &u
 	}
+	var scratch [256]byte
+	e.Decision = bytes.Clone(appendDecision(scratch[:0], tx, d, keySeq, up))
 	return e
 }
 

@@ -8,17 +8,22 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"mdcc/internal/kv"
 	"mdcc/internal/record"
+	"mdcc/internal/topology"
 	"mdcc/internal/transport"
 	"mdcc/internal/wal"
 )
 
 func sampleDecisionEntry() oplogEntry {
 	o := sampleOption()
-	return oplogEntry{Key: o.Update.Key, decidedEntry: settledEntry(DecAccept, o, true, time.Unix(0, 0))}
+	return oplogEntry{Key: o.Update.Key, Decision: appendDecision(nil, o.Tx, DecAccept, o.KeySeq, &o.Update)}
+}
+
+// bareDecisionEntry is a decision without contents.
+func bareDecisionEntry(key record.Key, tx TxID) oplogEntry {
+	return oplogEntry{Key: key, Decision: appendDecision(nil, tx, DecReject, 0, nil)}
 }
 
 func sampleSummaryEntry() oplogEntry {
@@ -32,7 +37,7 @@ func sampleSnapshotState() *snapshotState {
 			{Key: "cust#2", Value: sampleValue(), Version: 11},
 			{Key: "gone#1", Value: record.Value{Tombstone: true}, Version: 5},
 		},
-		Oplog:    []oplogEntry{sampleSummaryEntry(), sampleDecisionEntry(), {Key: "item#9", decidedEntry: decidedEntry{Tx: "tx-6", Decision: DecReject}}},
+		Oplog:    []oplogEntry{sampleSummaryEntry(), sampleDecisionEntry(), bareDecisionEntry("item#9", "tx-6")},
 		StoreCut: 3,
 		OplogCut: 2,
 	}
@@ -73,7 +78,7 @@ func TestDiskGolden(t *testing.T) {
 }
 
 func TestDiskRoundTrip(t *testing.T) {
-	for _, want := range []oplogEntry{sampleDecisionEntry(), sampleSummaryEntry(), {Key: "k", decidedEntry: decidedEntry{Tx: "t", Decision: DecReject}}} {
+	for _, want := range []oplogEntry{sampleDecisionEntry(), sampleSummaryEntry(), bareDecisionEntry("k", "t")} {
 		got, err := decodeOplogRecord(appendOplogEntry([]byte{oplogFormat}, &want))
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Errorf("oplog entry round trip: got %+v, %v; want %+v", got, err, want)
@@ -107,6 +112,54 @@ func TestDiskRoundTrip(t *testing.T) {
 				t.Fatalf("%s truncated to %d of %d bytes: err = %v, want wal.ErrFormat", name, n, len(raw), err)
 			}
 		}
+	}
+}
+
+// TestSettledBytesMatchDiskGolden: when a durable node settles an
+// option, the oplog record it appends — the decided log's bytes,
+// copied — and the entry its next checkpoint writes are the bytes the
+// golden vector pins, so the decided log can hold the oplog's layout
+// without moving it.
+func TestSettledBytesMatchDiskGolden(t *testing.T) {
+	dir := t.TempDir()
+	ds, err := OpenDurableOpts(dir, DurableOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := topology.NewCluster(topology.Layout{NodesPerDC: 1, ClientDC: -1})
+	n := NewDurableStorageNode(cl.Storage[0].ID, cl.Storage[0].DC, &codecNet{}, cl, Defaults(ModeMDCC), ds)
+	opt := sampleOption()
+	n.settleOption(opt.Update.Key, n.rs(opt.Update.Key), DecAccept, opt)
+	n.Checkpoint()
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	log, err := wal.Open(filepath.Join(dir, "oplog"), wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs [][]byte
+	if err := log.ReplayFrom(0, func(p []byte) error { recs = append(recs, bytes.Clone(p)); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	log.Close()
+	if len(recs) != 1 {
+		t.Fatalf("%d oplog records, want 1", len(recs))
+	}
+	checkGolden(t, "disk_golden", "oplog_decision", recs[0])
+
+	snapDir := filepath.Join(dir, "snap")
+	seqs, err := wal.ListSnapshots(snapDir)
+	if err != nil || len(seqs) != 1 {
+		t.Fatalf("snapshots %v, %v", seqs, err)
+	}
+	payload, err := wal.ReadSnapshot(snapDir, seqs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(payload, recs[0][1:]) { // the record less its format byte
+		t.Errorf("checkpoint does not carry the golden decision entry\nsnapshot %x\nentry    %x", payload, recs[0][1:])
 	}
 }
 

@@ -397,7 +397,7 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 			// Settled (executed/discarded) at some replica: nothing to
 			// carry; make sure recovery requesters hear the outcome.
 			n.resolveWaiters(l, id, t.decision)
-			l.learned.record(settledEntry(t.decision, t.opt, t.opt.Update.Kind != 0, n.net.Now()))
+			l.learned.record(t.decision, t.opt, t.opt.Update.Kind != 0, n.net.Now())
 			if t.opt.Update.Kind != 0 {
 				// Some replica still holds an unresolved vote for this
 				// settled option — its visibility was lost (e.g. dropped
@@ -624,7 +624,7 @@ func (n *StorageNode) onPhase2b(from transport.NodeID, m MsgPhase2b) {
 		if _, done := r.decided.get(id.Tx); done {
 			continue
 		}
-		l.learned.record(settledEntry(v.Decision, v.Opt, true, n.net.Now()))
+		l.learned.record(v.Decision, v.Opt, true, n.net.Now())
 		l.learned.compactLegacy(n.net.Now(), n.cfg.DecidedRetention)
 		n.notifyLearned(v.Opt.Coord, id, v.Decision, v.Reason,
 			v.Opt.Update.Kind == record.KindCommutative)

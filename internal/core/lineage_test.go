@@ -168,16 +168,16 @@ func TestReleasedEntryStaysIdempotent(t *testing.T) {
 		}
 	}
 	r := victim.rs("rel/1")
-	if len(r.decided.entries) == 0 {
+	if r.decided.len() == 0 {
 		t.Fatal("no decided entries to release")
 	}
 	// Keep a copy of a settled option for the late replay below.
-	for i := range r.decided.entries {
-		e := &r.decided.entries[i]
+	r.decided.each(func(e decidedEntry) bool {
 		if opt, ok := e.option(); ok && e.Decision == DecAccept {
 			opts = append(opts, opt)
 		}
-	}
+		return true
+	})
 	if len(opts) == 0 {
 		t.Fatal("no applied entries captured")
 	}

@@ -41,7 +41,7 @@ import (
 var ErrDurability = errors.New("mdcc/core: durability failure, node degraded")
 
 // oplogEntry is one persisted oplog record: either one decision — the
-// record's key plus the settled entry exactly as the in-memory decided
+// record's key plus the decision body exactly as the in-memory decided
 // log holds it (the executed update's contents when known, so a
 // restarted node can still graft its own applies onto diverged peers'
 // bases — see adoptBase; KeySeq, so replay rebuilds the record's
@@ -53,9 +53,10 @@ var ErrDurability = errors.New("mdcc/core: durability failure, node degraded")
 // entry's retention clock restarts with the node.
 type oplogEntry struct {
 	Key record.Key
-	decidedEntry
-	// Snapshot, when non-nil, makes this a summary-snapshot record;
-	// the decision fields are unused then.
+	// Decision is the decision body (string Tx | u8 Decision | uvarint
+	// KeySeq | bool HasUp | [Update]); unused in a summary snapshot.
+	Decision []byte
+	// Snapshot, when non-nil, makes this a summary-snapshot record.
 	Snapshot *LineageSummary
 }
 
@@ -324,11 +325,10 @@ func NewDurableStorageNode(id transport.NodeID, dc topology.DC, net transport.Ne
 			r.noteKindFromSummary()
 			continue
 		}
-		settled := e.decidedEntry
-		settled.settledAt = net.Now().UnixNano()
-		if r.decided.record(settled) {
+		if r.decided.restore(net.Now().UnixNano(), e.Decision) {
+			settled := readDecision(e.Decision)
 			if opt, ok := settled.option(); ok {
-				r.noteSettled(settled.Decision, opt)
+				n.noteSettled(r, settled.Decision, opt)
 			}
 		}
 	}
@@ -368,16 +368,16 @@ func (n *StorageNode) degrade(err error) {
 // needs its durable state reopened.
 func (n *StorageNode) DurabilityError() error { return n.degraded }
 
-// logDecision persists a settled entry (its encoded update is written
-// as is, not encoded again), if this node is durable. A refused append
-// degrades the node (see degrade) — the historical behavior of
-// swallowing the error silently lost durability while continuing to
-// acknowledge writes.
-func (n *StorageNode) logDecision(key record.Key, e *decidedEntry) {
+// logDecision persists a settled entry's decision body (the decided
+// log's bytes, copied, not encoded again), if this node is durable. A
+// refused append degrades the node (see degrade) — the historical
+// behavior of swallowing the error silently lost durability while
+// continuing to acknowledge writes.
+func (n *StorageNode) logDecision(key record.Key, body []byte) {
 	if n.durable == nil {
 		return
 	}
-	n.appendOplog(&oplogEntry{Key: key, decidedEntry: *e})
+	n.appendOplog(&oplogEntry{Key: key, Decision: body})
 }
 
 // logLineage persists a record's lineage summary snapshot. Written on

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -16,17 +17,37 @@ import (
 	"mdcc/internal/transport"
 )
 
-// bare builds a contents-free settled entry (what the leader's learned
-// log records for an option it only knows by id).
-func bare(tx TxID, d Decision, at time.Time) decidedEntry {
-	return settledEntry(d, Option{Tx: tx}, false, at)
+// bare records a contents-free decision (what the leader's learned log
+// records for an option it only knows by id) and reports whether it
+// was new.
+func bare(l *decidedLog, tx TxID, d Decision, at time.Time) bool {
+	_, isNew := l.record(d, Option{Tx: tx}, false, at)
+	return isNew
+}
+
+// indexLen is the number of hashes l's index files, 0 with no index.
+func indexLen(l *decidedLog) int {
+	if l.idx == nil {
+		return 0
+	}
+	return len(l.idx.pos)
+}
+
+// txs lists a log's transactions in settle order.
+func txs(l *decidedLog) []TxID {
+	var out []TxID
+	l.each(func(e decidedEntry) bool {
+		out = append(out, TxID(e.tx))
+		return true
+	})
+	return out
 }
 
 func TestDecidedLogFirstWriteWins(t *testing.T) {
 	var l decidedLog
 	now := time.Unix(0, 0)
-	l.record(bare("t1", DecAccept, now))
-	if l.record(bare("t1", DecReject, now)) { // ignored
+	bare(&l, "t1", DecAccept, now)
+	if bare(&l, "t1", DecReject, now) { // ignored
 		t.Fatal("second record of one transaction reported as new")
 	}
 	if d, ok := l.get("t1"); !ok || d != DecAccept {
@@ -43,19 +64,19 @@ func TestDecidedLogLegacyEviction(t *testing.T) {
 	// may be forgotten (late visibility could still be re-delivered).
 	n := decidedLimit + 2
 	for i := 0; i < n; i++ {
-		l.record(bare(tx(i), DecAccept, start.Add(time.Duration(i)*time.Millisecond)))
+		bare(&l, tx(i), DecAccept, start.Add(time.Duration(i)*time.Millisecond))
 	}
 	l.compactLegacy(start.Add(5*time.Second), retention)
-	if len(l.entries) != n || len(l.index) != n {
-		t.Fatalf("entries inside the retention horizon evicted: %d/%d", len(l.entries), len(l.index))
+	if l.len() != n || indexLen(&l) != n {
+		t.Fatalf("entries inside the retention horizon evicted: %d/%d", l.len(), indexLen(&l))
 	}
 	// Once the oldest entries age past retention, the count limit
 	// evicts them.
 	late := start.Add(retention + 10*time.Second)
-	l.record(bare(tx(n), DecAccept, late))
+	bare(&l, tx(n), DecAccept, late)
 	l.compactLegacy(late, retention)
-	if len(l.entries) != decidedLimit || len(l.index) != decidedLimit {
-		t.Fatalf("aged-out entries not evicted down to limit: %d/%d", len(l.entries), len(l.index))
+	if l.len() != decidedLimit || indexLen(&l) != decidedLimit {
+		t.Fatalf("aged-out entries not evicted down to limit: %d/%d", l.len(), indexLen(&l))
 	}
 	if _, ok := l.get(tx(0)); ok {
 		t.Fatal("oldest aged-out entry not evicted")
@@ -78,18 +99,18 @@ func TestDecidedLogAckGatedCompaction(t *testing.T) {
 			KeySeq: 1,
 			Update: record.Commutative("k", map[string]int64{"x": -1}),
 		}
-		l.record(settledEntry(DecAccept, opt, true, start))
+		l.record(DecAccept, opt, true, start)
 	}
 	late := start.Add(retention + time.Minute)
 	// Nothing acked: nothing released, regardless of age or count.
-	if got := l.compact(late, retention, func(*decidedEntry) bool { return false }); got != 0 {
+	if got := l.compact(late, retention, func(decidedEntry) bool { return false }); got != 0 {
 		t.Fatalf("released %d unacked entries", got)
 	}
-	if len(l.entries) != 6 {
-		t.Fatalf("unacked entries evicted: %d left", len(l.entries))
+	if l.len() != 6 {
+		t.Fatalf("unacked entries evicted: %d left", l.len())
 	}
 	// Ack lanes c0..c3: exactly those become releasable.
-	acked := func(e *decidedEntry) bool { return e.lane() < "c4" }
+	acked := func(e decidedEntry) bool { return string(e.lane()) < "c4" }
 	if got := l.compact(late, retention, acked); got != 4 {
 		t.Fatalf("released %d, want 4", got)
 	}
@@ -97,30 +118,101 @@ func TestDecidedLogAckGatedCompaction(t *testing.T) {
 		t.Fatal("unacked entry lost")
 	}
 	// Aged but acked inside retention: still held (cache courtesy).
-	if got := l.compact(start, retention, func(*decidedEntry) bool { return true }); got != 0 {
+	if got := l.compact(start, retention, func(decidedEntry) bool { return true }); got != 0 {
 		t.Fatalf("released %d entries inside retention", got)
 	}
 }
 
 // A settled entry keeps what the oplog persists: the option decodes
 // back to Tx, Update and KeySeq; coordinator and write-set are gone.
+// HasUp round-trips on its own: a present update with nothing in it
+// (the zero Update) keeps contents, an absent one has none — in the
+// log, and through an oplog record.
 func TestDecidedLogEntryKeepsOption(t *testing.T) {
 	var l decidedLog
 	opt := Option{
 		Tx: "t", Coord: "c0", KeySeq: 3, WriteSet: []record.Key{"k", "j"}, WriteSeqs: []uint64{3, 1},
 		Update: record.MergedCommutative("k", map[string]int64{"x": -1}, 4),
 	}
-	l.record(settledEntry(DecAccept, opt, true, time.Unix(0, 0)))
+	l.record(DecAccept, opt, true, time.Unix(0, 0))
 	e, ok := l.entry("t")
 	got, has := e.option()
 	want := Option{Tx: "t", KeySeq: 3, Update: opt.Update}
-	if !ok || !has || e.kind != record.KindCommutative || !reflect.DeepEqual(got, want) {
+	if !ok || !has || e.kind() != record.KindCommutative || !reflect.DeepEqual(got, want) {
 		t.Fatalf("entry = %+v %v, option = %+v %v, want %+v", e, ok, got, has, want)
 	}
-	l.record(bare("u", DecReject, time.Unix(0, 0)))
+	bare(&l, "u", DecReject, time.Unix(0, 0))
+	body, isNew := l.record(DecAccept, Option{Tx: "empty"}, true, time.Unix(0, 0))
+	if !isNew {
+		t.Fatal("empty-update entry not recorded")
+	}
+	disk, err := decodeOplogRecord(appendOplogEntry([]byte{oplogFormat}, &oplogEntry{Key: "k", Decision: body}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged, _ := l.entry("empty")
+	for name, e := range map[string]decidedEntry{"log": logged, "oplog": readDecision(disk.Decision)} {
+		if got, has := e.option(); !has || e.kind() != 0 || !reflect.DeepEqual(got, Option{Tx: "empty"}) {
+			t.Errorf("%s: present empty update = %+v %v (kind %d), want contents kept", name, got, has, e.kind())
+		}
+	}
 	e, _ = l.entry("u")
-	if _, has := e.option(); has || e.kind != 0 {
+	if _, has := e.option(); has || e.kind() != 0 {
 		t.Fatalf("contents-free entry = %+v", e)
+	}
+	body, _ = l.record(DecReject, Option{Tx: "absent"}, false, time.Unix(0, 0))
+	disk, err = decodeOplogRecord(appendOplogEntry([]byte{oplogFormat}, &oplogEntry{Key: "k", Decision: body}))
+	if e := readDecision(disk.Decision); err != nil || e.up != nil || e.Decision != DecReject {
+		t.Fatalf("absent update through the oplog = %+v, %v", e, err)
+	}
+}
+
+// An indexed log keeps answering get and entry exactly after either
+// compaction: compactLegacy drops the oldest entries off the front
+// (index positions must survive the shift) and compact moves the kept
+// ones up and rebuilds the index.
+func TestDecidedLogIndexedAfterCompaction(t *testing.T) {
+	var l decidedLog
+	const retention = time.Minute
+	start := time.Unix(0, 0)
+	n := 2*decidedLimit + 10
+	tx := func(i int) TxID { return TxID(fmt.Sprintf("c%d#%d", i%3, i)) }
+	for i := 0; i < n; i++ {
+		opt := Option{Tx: tx(i), KeySeq: uint64(i%2) + 1, Update: record.Commutative("k", map[string]int64{"x": int64(i)})}
+		l.record(Decision(1+i%2), opt, true, start.Add(time.Duration(i)*time.Second))
+	}
+	check := func(stage string, present func(i int) bool) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			d, ok := l.get(tx(i))
+			e, eok := l.entry(tx(i))
+			if ok != present(i) || eok != ok {
+				t.Fatalf("%s: %s present %v/%v, want %v", stage, tx(i), ok, eok, present(i))
+			}
+			if !ok {
+				continue
+			}
+			opt, has := e.option()
+			if d != Decision(1+i%2) || e.Decision != d || !has || opt.Tx != tx(i) || opt.Update.Deltas["x"] != int64(i) {
+				t.Fatalf("%s: %s answers %v, entry %+v", stage, tx(i), d, opt)
+			}
+		}
+		if _, ok := l.get("c0#absent"); ok {
+			t.Fatalf("%s: absent transaction found", stage)
+		}
+	}
+	check("filled", func(int) bool { return true })
+	// Everything older than an hour is past retention: the count cap
+	// takes the oldest down to decidedLimit.
+	l.compactLegacy(start.Add(time.Hour), retention)
+	firstKept := n - decidedLimit
+	check("compactLegacy", func(i int) bool { return i >= firstKept })
+	// Release the lane-c1 entries the legacy pass left.
+	acked := func(e decidedEntry) bool { return string(e.lane()) == "c1" }
+	l.compact(start.Add(time.Hour), retention, acked)
+	check("compact", func(i int) bool { return i >= firstKept && i%3 != 1 })
+	if (l.idx == nil) || indexLen(&l) != l.len() {
+		t.Fatalf("index of %d for %d entries", indexLen(&l), l.len())
 	}
 }
 
@@ -130,13 +222,19 @@ func TestDecidedLogEntryKeepsOption(t *testing.T) {
 // map plus order slice — the structure the log replaced.
 func TestDecidedLogMatchesMapOracle(t *testing.T) {
 	const retention = time.Minute
+	type settled struct {
+		d         Decision
+		opt       Option
+		hasOpt    bool
+		settledAt int64
+	}
 	rng := rand.New(rand.NewSource(17))
 	for round := 0; round < 20; round++ {
 		var l decidedLog
-		ref := map[TxID]decidedEntry{}
+		ref := map[TxID]settled{}
 		var order []TxID
 		now := time.Unix(0, 0)
-		evict := func(keep func(decidedEntry) bool) {
+		evict := func(keep func(settled) bool) {
 			kept := order[:0]
 			for _, tx := range order {
 				if keep(ref[tx]) {
@@ -153,31 +251,37 @@ func TestDecidedLogMatchesMapOracle(t *testing.T) {
 			tx := TxID(fmt.Sprintf("c%d#%d", rng.Intn(4), rng.Intn(steps)))
 			switch op := rng.Intn(100); {
 			case op < 70:
-				opt := Option{Tx: tx, KeySeq: uint64(rng.Intn(3)), // 0 = legacy
-					Update: record.Commutative("k", map[string]int64{"x": int64(step)})}
-				e := settledEntry(Decision(1+rng.Intn(2)), opt, rng.Intn(4) > 0, now)
+				s := settled{d: Decision(1 + rng.Intn(2)), hasOpt: rng.Intn(4) > 0, settledAt: now.UnixNano(),
+					opt: Option{Tx: tx, KeySeq: uint64(rng.Intn(3)), // 0 = legacy
+						Update: record.Commutative("k", map[string]int64{"x": int64(step)})}}
+				if !s.hasOpt {
+					s.opt = Option{Tx: tx} // what a contents-free entry keeps
+				}
 				_, known := ref[tx]
-				if l.record(e) == known {
+				if _, isNew := l.record(s.d, s.opt, s.hasOpt, now); isNew == known {
 					t.Fatalf("round %d step %d: record(%s) new=%v, oracle known=%v", round, step, tx, !known, known)
 				}
 				if !known {
-					ref[tx] = e
+					ref[tx] = s
 					order = append(order, tx)
 				}
 			case op < 90:
 				d, ok := l.get(tx)
 				e, eok := l.entry(tx)
 				want, wok := ref[tx]
-				if ok != wok || eok != wok || d != want.Decision || !reflect.DeepEqual(e, want) {
+				opt, has := e.option()
+				if ok != wok || eok != wok || d != want.d || e.Decision != want.d || e.settledAt != want.settledAt ||
+					has != want.hasOpt || (has && !reflect.DeepEqual(opt, want.opt)) {
 					t.Fatalf("round %d step %d: get(%s) = %v %v, entry = %+v %v; oracle %+v %v",
-						round, step, tx, d, ok, e, eok, want, wok)
+						round, step, tx, d, ok, opt, eok, want, wok)
 				}
 			case op < 95:
 				horizon := now.Add(-retention).UnixNano()
-				acked := func(e *decidedEntry) bool { return e.lane() < "c2" }
+				acked := func(e decidedEntry) bool { return string(e.lane()) < "c2" }
 				before := len(order)
-				evict(func(e decidedEntry) bool {
-					return !(e.settledAt <= horizon && (e.KeySeq == 0 || acked(&e)))
+				evict(func(s settled) bool {
+					e := decidedEntry{tx: []byte(s.opt.Tx)}
+					return !(s.settledAt <= horizon && (s.opt.KeySeq == 0 || acked(e)))
 				})
 				if got := l.compact(now, retention, acked); got != before-len(order) {
 					t.Fatalf("round %d step %d: compact released %d, oracle %d", round, step, got, before-len(order))
@@ -194,16 +298,39 @@ func TestDecidedLogMatchesMapOracle(t *testing.T) {
 			if indexed < decidedIndexMin {
 				indexed = 0 // short logs are scanned, and carry no map
 			}
-			if len(l.entries) != len(order) || len(l.index) != indexed || (l.index != nil) != (indexed > 0) {
+			if l.len() != len(order) || indexLen(&l) != indexed || (l.idx != nil) != (indexed > 0) {
 				t.Fatalf("round %d step %d: %d entries, %d indexed (nil %v), oracle %d",
-					round, step, len(l.entries), len(l.index), l.index == nil, len(order))
+					round, step, l.len(), indexLen(&l), (l.idx == nil), len(order))
 			}
 		}
-		for i, tx := range order {
-			if l.entries[i].Tx != tx {
-				t.Fatalf("round %d: settle order diverged at %d: %s vs oracle %s", round, i, l.entries[i].Tx, tx)
-			}
+		if got := txs(&l); !reflect.DeepEqual(got, order) && !(len(got) == 0 && len(order) == 0) {
+			t.Fatalf("round %d: settle order diverged: %v vs oracle %v", round, got, order)
 		}
+	}
+}
+
+// Two transactions whose hashes collide are told apart by their bytes:
+// the index marks the shared hash and get scans.
+func TestDecidedLogIndexCollision(t *testing.T) {
+	var l decidedLog
+	for i := 0; i < decidedIndexMin; i++ {
+		bare(&l, TxID(fmt.Sprintf("t%d", i)), DecAccept, time.Unix(0, 0))
+	}
+	// Force t1's and t2's entries onto one hash, as a collision would.
+	h1 := maphash.String(decidedSeed, "t1")
+	h2 := maphash.String(decidedSeed, "t2")
+	delete(l.idx.pos, h2)
+	l.idx.pos[h1] = -1
+	l.idx.pos[h2] = -1
+	for _, tx := range []TxID{"t1", "t2"} {
+		if _, ok := l.get(tx); !ok {
+			t.Fatalf("%s lost behind a shared hash", tx)
+		}
+	}
+	// A transaction whose hash is filed under another's is absent.
+	l.idx.pos[maphash.String(decidedSeed, "nope")] = l.idx.pos[maphash.String(decidedSeed, "t3")]
+	if _, ok := l.get("nope"); ok {
+		t.Fatal("absent transaction found through another's hash")
 	}
 }
 
@@ -213,13 +340,13 @@ func TestDecidedLogGetDoesNotScan(t *testing.T) {
 	fill := func(n int) *decidedLog {
 		l := new(decidedLog)
 		for i := 0; i < n; i++ {
-			l.record(bare(TxID(fmt.Sprintf("gw/us-west/c0#%d", i)), DecAccept, time.Unix(0, 0)))
+			bare(l, TxID(fmt.Sprintf("gw/us-west/c0#%d", i)), DecAccept, time.Unix(0, 0))
 		}
 		return l
 	}
 	small, large := fill(100), fill(10000)
-	if small.index == nil || len(large.index) != 10000 {
-		t.Fatalf("index sizes %d, %d", len(small.index), len(large.index))
+	if small.idx == nil || indexLen(large) != 10000 {
+		t.Fatalf("index sizes %d, %d", indexLen(small), indexLen(large))
 	}
 	probe := func(l *decidedLog) time.Duration {
 		best := time.Duration(1 << 62)
@@ -239,6 +366,33 @@ func TestDecidedLogGetDoesNotScan(t *testing.T) {
 	}
 	if s, g := probe(small), probe(large); g > 20*s {
 		t.Fatalf("4000 gets: %v on 10000 entries vs %v on 100 — get scans", g, s)
+	}
+}
+
+// get and record allocate nothing beyond the log's own growth: the
+// lookup compares bytes in place, and a settle's one allocation is the
+// buffer it lands in.
+func TestDecidedLogAllocations(t *testing.T) {
+	var l decidedLog
+	for i := 0; i < 8; i++ {
+		bare(&l, TxID(fmt.Sprintf("gw/us-west/c0~MG3X9K2A#%d", i)), DecAccept, time.Unix(0, 0))
+	}
+	if a := testing.AllocsPerRun(100, func() { l.get("gw/us-west/c0~MG3X9K2A#5") }); a != 0 {
+		t.Errorf("get on a scanned log: %v allocations", a)
+	}
+	opt := Option{Tx: "gw/us-west/c0~MG3X9K2A#100", KeySeq: 9, Update: record.Commutative("k", map[string]int64{"x": 1})}
+	if a := testing.AllocsPerRun(1, func() {
+		var fresh decidedLog
+		fresh.record(DecAccept, opt, true, time.Unix(0, 0))
+	}); a != 1 {
+		t.Errorf("first settle on a record: %v allocations, want 1 (its buffer)", a)
+	}
+	large := new(decidedLog)
+	for i := 0; i < 100; i++ {
+		bare(large, TxID(fmt.Sprintf("gw/us-west/c0~MG3X9K2A#%d", i)), DecAccept, time.Unix(0, 0))
+	}
+	if a := testing.AllocsPerRun(100, func() { large.get("gw/us-west/c0~MG3X9K2A#57") }); a != 0 {
+		t.Errorf("get on an indexed log: %v allocations", a)
 	}
 }
 

@@ -50,21 +50,48 @@ type TCP struct {
 	Logf func(format string, args ...interface{})
 }
 
-// outboundDepth bounds each peer's send queue; overflow drops (WAN
-// loss semantics) rather than blocking protocol goroutines.
-const outboundDepth = 8192
+const (
+	// outboundDepth bounds what one peer connection holds unwritten —
+	// queued, plus the batch its writer is working through: room for a
+	// burst from every node in the process, not for a peer that has
+	// stopped reading. Past it a Send drops (WAN loss semantics) rather
+	// than blocking a protocol goroutine.
+	outboundDepth = 8192
+	// spareKeep is the largest drained batch a writer keeps for the next
+	// round of Sends: a steady connection cycles two small slices without
+	// allocating, and a burst's slice goes back to the collector.
+	spareKeep = 256
+	// frameInit is a frame buffer's starting size, which covers every hot
+	// message; frameKeep is the largest one a connection keeps between
+	// frames. A buffer that grew past it for one oversized frame (a shard
+	// pull, a large blob) returns to frameInit, so an idle connection
+	// holds no high-water mark.
+	frameInit = 4 << 10
+	frameKeep = 64 << 10
+)
+
+// Why tcpConn.put did not queue an envelope.
+var (
+	errConnDown  = errors.New("connection down")
+	errQueueFull = errors.New("queue full")
+)
 
 // tcpConn is one peer's ordered outbound queue. The writer goroutine
 // dials lazily, then drains the queue over a single connection, which
-// is what preserves per-(from,to) send order.
+// is what preserves per-(from,to) send order. The queue is a slice the
+// writer swaps out whole, so a connection holds what is in flight, not
+// a preallocated bound.
 type tcpConn struct {
 	addr string
-	ch   chan Envelope
+	wake chan struct{} // one slot: the queue has something for the writer
 	done chan struct{}
 	once sync.Once // closes done exactly once
 
-	mu   sync.Mutex
-	conn net.Conn // set by the writer after dialing (for Close)
+	mu      sync.Mutex
+	conn    net.Conn   // set by the writer after dialing (for Close)
+	queue   []Envelope // handed over by Send, not yet taken by the writer
+	spare   []Envelope // the writer's last drained batch, reused by the next queue
+	writing int        // envelopes in the batch the writer is working through
 }
 
 func (c *tcpConn) close() {
@@ -74,6 +101,48 @@ func (c *tcpConn) close() {
 		c.conn.Close()
 	}
 	c.mu.Unlock()
+}
+
+// put queues e for the writer: errConnDown once the connection is
+// closed, errQueueFull when it already holds outboundDepth unwritten
+// envelopes.
+func (c *tcpConn) put(e Envelope) error {
+	select {
+	case <-c.done:
+		return errConnDown
+	default:
+	}
+	c.mu.Lock()
+	if len(c.queue)+c.writing >= outboundDepth {
+		c.mu.Unlock()
+		return errQueueFull
+	}
+	if c.queue == nil {
+		c.queue, c.spare = c.spare, nil
+	}
+	c.queue = append(c.queue, e)
+	c.mu.Unlock()
+	select {
+	case c.wake <- struct{}{}:
+	default: // a wake-up is already pending
+	}
+	return nil
+}
+
+// take hands the writer everything queued, and the previous batch
+// back: it is cleared, so no sent message stays reachable, and kept for
+// the next queue only while it is small.
+func (c *tcpConn) take(prev []Envelope) []Envelope {
+	clear(prev)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cap(prev) <= spareKeep && c.spare == nil {
+		c.spare = prev[:0]
+	}
+	batch := c.queue
+	c.queue = nil
+	c.writing = len(batch)
+	return batch
 }
 
 // countingWriter / countingReader count wire bytes into the shared
@@ -187,7 +256,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 		return
 	}
 	var lenb [4]byte
-	payload := make([]byte, 4096)
+	payload := make([]byte, frameInit)
 	for {
 		if _, err := io.ReadFull(br, lenb[:]); err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
@@ -210,6 +279,9 @@ func (t *TCP) readLoop(conn net.Conn) {
 			return
 		}
 		e, err := DecodeFrame(payload[:n])
+		if len(payload) > frameKeep {
+			payload = make([]byte, frameInit)
+		}
 		if err != nil {
 			t.logf("transport: decode frame from %s: %v; dropping connection", conn.RemoteAddr(), err)
 			return
@@ -261,14 +333,13 @@ func (t *TCP) Send(from, to NodeID, msg Message) {
 		t.logf("transport: no route to %s, dropping %T", to, msg)
 		return
 	}
-	c := t.connTo(addr)
 	// Count only what is actually enqueued: a dropped message never
 	// reaches the wire, and counting it as sent inflates the /metrics
 	// send counters exactly when the transport is failing.
-	select {
-	case c.ch <- e:
+	switch err := t.connTo(addr).put(e); err {
+	case nil:
 		t.stats.countSend(msg)
-	case <-c.done:
+	case errConnDown:
 		t.stats.droppedConnDown.Add(1)
 		t.logf("transport: conn to %s down, dropping %T", addr, msg)
 	default:
@@ -292,7 +363,7 @@ func (t *TCP) connTo(addr string) *tcpConn {
 		t.mu.Unlock()
 		return exist
 	}
-	c = &tcpConn{addr: addr, ch: make(chan Envelope, outboundDepth), done: make(chan struct{})}
+	c = &tcpConn{addr: addr, wake: make(chan struct{}, 1), done: make(chan struct{})}
 	if t.closed {
 		t.mu.Unlock()
 		c.close()
@@ -348,21 +419,24 @@ func (t *TCP) writeLoop(c *tcpConn) {
 	// The frame buffer is reused across messages: encode after the
 	// 4-byte length slot, then back-fill the length. A message the wire
 	// cannot carry is dropped whole (and counted), never half-written.
-	buf := make([]byte, 4, 4096)
+	buf := make([]byte, 4, frameInit)
 	write := func(e Envelope) error {
 		var err error
 		buf, err = AppendEnvelope(buf[:4], e)
-		if err != nil {
+		switch {
+		case err != nil:
 			t.stats.droppedNoRoute.Add(1)
 			t.logf("transport: encode for %s: %v (message dropped)", c.addr, err)
-			return nil
-		}
-		if len(buf)-4 > maxFrame {
+			err = nil
+		case len(buf)-4 > maxFrame:
 			t.logf("transport: %T for %s exceeds max frame (%d bytes), dropped", e.Msg, c.addr, len(buf)-4)
-			return nil
+		default:
+			binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
+			_, err = bw.Write(buf)
 		}
-		binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
-		_, err = bw.Write(buf)
+		if cap(buf) > frameKeep {
+			buf = make([]byte, 4, frameInit)
+		}
 		return err
 	}
 	// A fresh connection's head re-announces every hello registered for
@@ -386,25 +460,29 @@ func (t *TCP) writeLoop(c *tcpConn) {
 		t.dropConn(c.addr, c)
 		return
 	}
+	var batch []Envelope
 	for {
-		select {
-		case e := <-c.ch:
-			if err := write(e); err != nil {
-				t.logf("transport: send to %s: %v", c.addr, err)
-				t.dropConn(c.addr, c)
-				return
-			}
-			if len(c.ch) > 0 {
-				continue // more queued: keep filling the buffer
-			}
+		// Take everything queued; more may arrive while it is written, and
+		// the buffer is flushed only once a take comes back empty.
+		if batch = c.take(batch); len(batch) == 0 {
 			if err := bw.Flush(); err != nil {
 				t.logf("transport: flush to %s: %v", c.addr, err)
 				t.dropConn(c.addr, c)
 				return
 			}
-		case <-c.done:
-			bw.Flush()
-			return
+			select {
+			case <-c.wake:
+				continue
+			case <-c.done:
+				return
+			}
+		}
+		for _, e := range batch {
+			if err := write(e); err != nil {
+				t.logf("transport: send to %s: %v", c.addr, err)
+				t.dropConn(c.addr, c)
+				return
+			}
 		}
 	}
 }
@@ -454,12 +532,9 @@ func (t *TCP) Hello(peerAddr string, self NodeID, selfAddr string) {
 		t.hellos[peerAddr] = append(t.hellos[peerAddr], h)
 	}
 	t.mu.Unlock()
-	c := t.connTo(peerAddr)
-	select {
-	case c.ch <- Envelope{From: self, Msg: h}:
-	case <-c.done:
-	default:
-	}
+	// Best effort: a full or closed queue loses it here, and every fresh
+	// connection replays it anyway.
+	_ = t.connTo(peerAddr).put(Envelope{From: self, Msg: h})
 }
 
 // Close shuts the mailboxes, listener and connections.

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"mdcc/internal/clock"
 	"mdcc/internal/core"
 	"mdcc/internal/gateway"
 	"mdcc/internal/record"
@@ -227,6 +228,9 @@ type gatewayRPCBackend struct {
 type pendingTx struct {
 	cb func(bool, error)
 	at time.Time
+	// deadline is the settle-deadline timer (nil until armed); whoever
+	// claims the entry stops it.
+	deadline clock.Timer
 }
 
 type pendingRead struct {
@@ -242,6 +246,9 @@ func (b *gatewayRPCBackend) handle(env transport.Envelope) {
 		delete(b.txs, m.ReqID)
 		b.mu.Unlock()
 		if ok {
+			if p.deadline != nil {
+				p.deadline.Stop()
+			}
 			switch {
 			case m.Overloaded:
 				p.cb(false, ErrOverloaded)
@@ -322,8 +329,11 @@ func (b *gatewayRPCBackend) Commit(updates []Update, done func(bool, error)) {
 		// gateway crashed with the transaction in hand, or the reply was
 		// lost for good), fail fast with the typed unknown-outcome error
 		// instead of letting the session block to its generic timeout.
-		// Exactly-once with the reply path via the pending-table claim.
-		b.net.After(b.id, b.unknownAfter, func() {
+		// Exactly-once with the reply path via the pending-table claim;
+		// a reply that claims the entry first stops the timer, and one
+		// that claimed it before the timer was stored leaves it to be
+		// stopped here.
+		deadline := b.net.After(b.id, b.unknownAfter, func() {
 			b.mu.Lock()
 			p, ok := b.txs[req]
 			delete(b.txs, req)
@@ -332,6 +342,16 @@ func (b *gatewayRPCBackend) Commit(updates []Update, done func(bool, error)) {
 				p.cb(false, &OutcomeUnknownError{TxID: fmt.Sprintf("%s/%s#%d", b.gwID, b.id, req)})
 			}
 		})
+		b.mu.Lock()
+		p, pending := b.txs[req]
+		if pending {
+			p.deadline = deadline
+			b.txs[req] = p
+		}
+		b.mu.Unlock()
+		if !pending {
+			deadline.Stop()
+		}
 	}
 }
 

@@ -217,6 +217,31 @@ func TestGatewayRPCOutcomeUnknown(t *testing.T) {
 	}
 }
 
+// TestGatewayRPCReplyStopsSettleDeadline: the reply that claims an RPC
+// commit stops the commit's settle-deadline timer, so a deadline does
+// not outlive the call it guards.
+func TestGatewayRPCReplyStopsSettleDeadline(t *testing.T) {
+	cli := transport.NewTCP(nil)
+	t.Cleanup(cli.Close)
+	b := &gatewayRPCBackend{id: "client/deadline-test", gwID: gateway.GatewayID(USWest), net: cli, unknownAfter: time.Minute}
+	var committed bool
+	b.Commit([]Update{Commutative("dl/1", map[string]int64{"x": 1})}, func(ok bool, _ error) { committed = ok })
+	b.mu.Lock()
+	req := b.seq
+	p := b.txs[req]
+	b.mu.Unlock()
+	if p.deadline == nil {
+		t.Fatal("pending commit holds no settle-deadline timer")
+	}
+	b.handle(transport.Envelope{Msg: gateway.MsgTxReply{ReqID: req, Committed: true}})
+	if !committed {
+		t.Fatal("the reply did not reach the caller")
+	}
+	if p.deadline.Stop() {
+		t.Fatal("the settle deadline was still armed after the reply claimed the commit")
+	}
+}
+
 func TestRemoteTopologyParsing(t *testing.T) {
 	path := t.TempDir() + "/topo.json"
 	blob := `{

@@ -153,6 +153,11 @@ func (s *Session) EnableSessionGuarantees() { s.floors.Enable() }
 // that floor (every reachable replica lags it, even by quorum) returns
 // ErrTimeout, never a stale value.
 func (s *Session) Read(key Key) (val Value, ver Version, exists bool, err error) {
+	// Every blocking call stops its deadline when it returns: under the
+	// timer semantics of a go 1.21 main module an unstopped timer stays
+	// reachable until it fires, a whole timeout after the call.
+	deadline := time.NewTimer(s.timeout)
+	defer deadline.Stop()
 	select {
 	case r := <-s.readAtFloor(key):
 		if !r.met {
@@ -160,7 +165,7 @@ func (s *Session) Read(key Key) (val Value, ver Version, exists bool, err error)
 		}
 		s.floors.Read(key, r.ver)
 		return r.val, r.ver, r.ok, nil
-	case <-time.After(s.timeout):
+	case <-deadline.C:
 		return Value{}, 0, false, ErrTimeout
 	}
 }
@@ -193,13 +198,15 @@ func (s *Session) readAtFloor(key Key) <-chan readRes {
 // at the cost of a wide-area quorum round trip.
 func (s *Session) ReadLatest(key Key) (val Value, ver Version, exists bool, err error) {
 	ch := make(chan readRes, 1)
+	deadline := time.NewTimer(s.timeout)
+	defer deadline.Stop()
 	s.b.ReadQuorum(key, func(v record.Value, vr record.Version, ok bool) {
 		ch <- readRes{val: v, ver: vr, ok: ok}
 	})
 	select {
 	case r := <-ch:
 		return r.val, r.ver, r.ok, nil
-	case <-time.After(s.timeout):
+	case <-deadline.C:
 		return Value{}, 0, false, ErrTimeout
 	}
 }
@@ -215,7 +222,8 @@ func (s *Session) ReadMany(keys []Key) (vals []Value, vers []Version, exist []bo
 	for i, k := range keys {
 		reads[i] = s.readAtFloor(k)
 	}
-	deadline := time.After(s.timeout)
+	deadline := time.NewTimer(s.timeout)
+	defer deadline.Stop()
 	for i := range keys {
 		select {
 		case r := <-reads[i]:
@@ -223,7 +231,7 @@ func (s *Session) ReadMany(keys []Key) (vals []Value, vers []Version, exist []bo
 				return nil, nil, nil, ErrTimeout
 			}
 			vals[i], vers[i], exist[i] = r.val, r.ver, r.ok
-		case <-deadline:
+		case <-deadline.C:
 			return nil, nil, nil, ErrTimeout
 		}
 	}
@@ -246,6 +254,8 @@ func (s *Session) Commit(updates ...Update) (committed bool, err error) {
 		err error
 	}
 	ch := make(chan res, 1)
+	deadline := time.NewTimer(s.timeout)
+	defer deadline.Stop()
 	s.b.Commit(updates, func(ok bool, cerr error) { ch <- res{ok, cerr} })
 	select {
 	case r := <-ch:
@@ -256,7 +266,7 @@ func (s *Session) Commit(updates ...Update) (committed bool, err error) {
 			s.floors.Committed(updates) // read-your-writes
 		}
 		return r.ok, nil
-	case <-time.After(s.timeout):
+	case <-deadline.C:
 		return false, ErrTimeout
 	}
 }

@@ -1,0 +1,68 @@
+package mdcc
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"mdcc/internal/core"
+	"mdcc/internal/record"
+)
+
+// instantBackend answers every call before it returns.
+type instantBackend struct{}
+
+func (instantBackend) Read(_ Key, _ Version, cb func(record.Value, record.Version, bool)) {
+	cb(record.Value{}, 1, true)
+}
+
+func (instantBackend) ReadQuorum(_ Key, cb func(record.Value, record.Version, bool)) {
+	cb(record.Value{}, 1, true)
+}
+
+func (instantBackend) Commit(_ []Update, done func(bool, error)) { done(true, nil) }
+
+func (instantBackend) Metrics() core.CoordMetrics { return core.CoordMetrics{} }
+
+// TestSessionDeadlinesReleaseTimers: a blocking call's deadline is
+// released when the call returns, not when the deadline would have
+// fired. The module's go line keeps the timer semantics of go 1.21, under
+// which a timer that is neither stopped nor fired stays reachable from
+// the runtime, so a deadline armed with time.After cost about 300 B per
+// call for the whole session timeout after the call had returned.
+func TestSessionDeadlinesReleaseTimers(t *testing.T) {
+	const (
+		calls      = 20000
+		maxPerCall = 16
+	)
+	s := &Session{b: instantBackend{}, timeout: time.Minute}
+	up := Physical("k", 1, Value{})
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := live()
+	for i := 0; i < calls/4; i++ {
+		if ok, err := s.Commit(up); !ok || err != nil {
+			t.Fatalf("Commit = %v, %v", ok, err)
+		}
+		if _, _, _, err := s.Read("k"); err != nil {
+			t.Fatalf("Read: %v", err)
+		}
+		if _, _, _, err := s.ReadLatest("k"); err != nil {
+			t.Fatalf("ReadLatest: %v", err)
+		}
+		if _, _, _, err := s.ReadMany([]Key{"k"}); err != nil {
+			t.Fatalf("ReadMany: %v", err)
+		}
+	}
+	after := live()
+	perCall := (float64(after) - float64(before)) / calls
+	t.Logf("%.1f B retained per returned call", perCall)
+	if perCall > maxPerCall {
+		t.Errorf("%.1f B retained per returned call, gate %d: a deadline outlives its call", perCall, maxPerCall)
+	}
+}
