@@ -11,7 +11,8 @@
 //
 // Maps are plain data (exported fields, no pointers) with a monotone
 // Epoch, so a ring change is published by value: stage the next map,
-// drain and bootstrap the moving shards (see Mover), then install it. Stale
+// drain and bootstrap the moving shards (internal/scenario's rebalance.go
+// runs that sequence), then install it. Stale
 // participants are fenced by epoch — a request routed under an old
 // epoch is refused with ErrWrongShard carrying the current one.
 package ring
@@ -157,7 +158,8 @@ func (r *Ring) Groups() []int { return append([]int(nil), r.m.Groups...) }
 
 // Table is a cluster's live ring view: the current ring and the
 // previous one (so re-homed keys can be enumerated after a publish).
-// Reads are concurrency-safe; Install is serialized by the mover.
+// Reads are concurrency-safe; Install is serialized by its one caller,
+// the move's publish step.
 type Table struct {
 	mu   sync.RWMutex
 	cur  *Ring

@@ -148,49 +148,6 @@ func TestTableInstallAndMoved(t *testing.T) {
 	}
 }
 
-// TestMoverSequence drives a move through its phases with synchronous
-// hooks and checks ordering, the epoch fence, and stats.
-func TestMoverSequence(t *testing.T) {
-	tb := NewTable(New([]int{0}, DefaultVPoints))
-	var order []string
-	mv := NewMover(tb, Hooks{
-		Freeze: func(next *Ring, ready func()) {
-			order = append(order, PhaseFreeze)
-			if tb.Epoch() != 1 {
-				t.Errorf("freeze ran after publish: epoch %d", tb.Epoch())
-			}
-			ready()
-		},
-		Bootstrap: func(next *Ring, ready func(int)) {
-			order = append(order, PhaseBootstrap)
-			ready(42)
-		},
-		Publish: func(next *Ring) {
-			order = append(order, PhasePublish)
-			if tb.Epoch() != next.Epoch() {
-				t.Errorf("publish hook before install: table epoch %d, next %d", tb.Epoch(), next.Epoch())
-			}
-		},
-	})
-	var st MoveStats
-	next := tb.Current().Map().WithGroup(1)
-	if err := mv.Move(next, func(s MoveStats) { st = s }); err != nil {
-		t.Fatalf("move: %v", err)
-	}
-	if want := []string{PhaseFreeze, PhaseBootstrap, PhasePublish}; fmt.Sprint(order) != fmt.Sprint(want) {
-		t.Fatalf("phase order %v, want %v", order, want)
-	}
-	if st.Epoch != 2 || st.MovedKeys != 42 {
-		t.Fatalf("stats %+v", st)
-	}
-	if mv.Phase() != PhaseDone || tb.Epoch() != 2 {
-		t.Fatalf("post-move phase=%s epoch=%d", mv.Phase(), tb.Epoch())
-	}
-	if err := mv.Move(tb.Current().Map(), nil); err == nil {
-		t.Fatal("stale second move accepted")
-	}
-}
-
 // TestErrWrongShard pins the typed fence error carrying the epoch.
 func TestErrWrongShard(t *testing.T) {
 	err := error(ErrWrongShard{Epoch: 7})

@@ -85,11 +85,10 @@ type Run struct {
 
 	// Live shard-move state (Scenario.Rebalance and churn QueueMove);
 	// see rebalance.go.
-	mover      *ring.Mover
 	moveQueue  []queuedMove              // pending membership changes, FIFO
 	rebMoving  func(record.Key) bool     // keys re-homed by the staged epoch
 	rebNext    ring.Epoch                // the staged epoch
-	rebFrozen  bool                      // freeze fence active (freeze..publish)
+	rebFrozen  bool                      // a move is in flight: freeze fence up (freeze..publish)
 	rebIssued  map[int]*core.StorageNode // storage idx -> incarnation a pull chain was issued on
 	rebDone    map[int]bool              // storage idx -> bootstrap chain complete
 	rebAdopted map[int]int               // storage idx -> keys adopted by its chain
@@ -1025,7 +1024,7 @@ func (r *Run) RestartGateway(dc topology.DC) {
 	if r.rebFrozen {
 		// A gateway restarted mid-move must not admit transactions onto
 		// the moving slice: re-apply the ambient freeze immediately
-		// (the mover's poll would also re-apply it, but only at its next
+		// (the move's poll would also re-apply it, but only at its next
 		// tick — this closes the restart window).
 		r.gws[dc].FreezeShards(r.rebMoving, r.rebNext)
 	}

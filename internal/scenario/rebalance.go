@@ -11,8 +11,8 @@ import (
 	"mdcc/internal/transport"
 )
 
-// Live shard moves: the harness is the move's control plane. It drives
-// a ring.Mover through freeze → bootstrap → publish with poll loops
+// Live shard moves: the harness is the move's control plane. It runs
+// each move through freeze → bootstrap → publish with poll loops
 // that survive every fault the nemesis throws at the window — crashed
 // and restarted storage nodes (pull chains re-issue per incarnation),
 // crashed and restarted gateways (the freeze fence re-applies every
@@ -22,12 +22,21 @@ import (
 // every byte of shard data moves over the simulated network through
 // the same anti-entropy path background sync uses.
 //
-// Moves are queued and run strictly one at a time (the Mover enforces
-// single-flight; the queue is what lets a churn nemesis script joins
-// and leaves back to back). A move may add groups (capacity growth:
-// keys re-home onto the newcomers) or remove them (a leave: the
-// departing group's slice scatters across every survivor, each pulling
-// its share — including from the leaver — before the epoch publishes).
+// Moves are queued and run strictly one at a time (rebFrozen is the
+// in-flight flag; the queue is what lets a churn nemesis script joins
+// and leaves back to back):
+//
+//  1. freeze — admission for moving shards is fenced at the source
+//     gateways and in-flight options drain or force-settle;
+//  2. bootstrap — destination replicas adopt the moving shards via
+//     the anti-entropy value+version+summary path;
+//  3. publish — the new epoch is installed in the ring table and
+//     routing state re-homes.
+//
+// A move may add groups (capacity growth: keys re-home onto the
+// newcomers) or remove them (a leave: the departing group's slice
+// scatters across every survivor, each pulling its share — including
+// from the leaver — before the epoch publishes).
 const (
 	rebFreezePoll    = 250 * time.Millisecond
 	rebBootstrapPoll = 500 * time.Millisecond
@@ -42,7 +51,7 @@ type queuedMove struct {
 	target func(cur ring.Map) ring.Map
 }
 
-// ctrl is the node whose event queue carries the mover's poll timers.
+// ctrl is the node whose event queue carries the move's poll timers.
 // Clients are never crashed by the nemesis, so the control loop cannot
 // die mid-move.
 func (r *Run) ctrl() transport.NodeID { return r.Cluster.Clients[0].ID }
@@ -73,21 +82,14 @@ func (r *Run) QueueMove(label string, target func(cur ring.Map) ring.Map) {
 }
 
 // maybeStartMove starts the next queued move unless one is in flight.
-// Called at queue time and from each move's completion callback.
+// Called at queue time and from each move's publish.
 func (r *Run) maybeStartMove() {
-	if len(r.moveQueue) == 0 {
+	if len(r.moveQueue) == 0 || r.rebFrozen {
 		return
-	}
-	if r.mover != nil {
-		if ph := r.mover.Phase(); ph != ring.PhaseIdle && ph != ring.PhaseDone {
-			return
-		}
 	}
 	mv := r.moveQueue[0]
 	r.moveQueue = r.moveQueue[1:]
-	tbl := r.Cluster.Ring()
-	cur := tbl.Current().Map()
-	next := mv.target(cur)
+	next := mv.target(r.Cluster.Ring().Current().Map())
 	if len(next.Groups) == 0 {
 		r.events = append(r.events, fmt.Sprintf("shard move %q skipped: would empty the ring", mv.label))
 		r.maybeStartMove()
@@ -101,28 +103,10 @@ func (r *Run) maybeStartMove() {
 			return
 		}
 	}
-	if r.mover == nil {
-		r.mover = ring.NewMover(tbl, ring.Hooks{
-			Freeze:    r.rebFreeze,
-			Bootstrap: r.rebBootstrap,
-			Publish:   r.rebPublish,
-		})
-	}
 	r.rebIssued = make(map[int]*core.StorageNode)
 	r.rebDone = make(map[int]bool)
 	r.rebAdopted = make(map[int]int)
-	label := mv.label
-	err := r.mover.Move(next, func(st ring.MoveStats) {
-		r.events = append(r.events, fmt.Sprintf(
-			"shard move %q published: epoch %d, %d keys re-homed, %d wrong-shard refusals retried so far",
-			label, st.Epoch, st.MovedKeys, r.wrongShard))
-		r.Opts.Logf("[%s] shard move %q published: epoch %d, %d keys", r.scn.Name, label, st.Epoch, st.MovedKeys)
-		r.maybeStartMove()
-	})
-	if err != nil {
-		r.events = append(r.events, fmt.Sprintf("shard move %q failed to start: %v", label, err))
-		r.maybeStartMove()
-	}
+	r.rebFreeze(ring.Compile(next), mv.label)
 }
 
 // rebFreeze fences admission for moving keys at every gateway, then
@@ -133,21 +117,18 @@ func (r *Run) maybeStartMove() {
 // live copies the bootstrap pulls from; a crashed replica's replayed
 // vote re-settles through the sweep and reconciles among the new
 // owners' own anti-entropy after publish.
-func (r *Run) rebFreeze(next *ring.Ring, ready func()) {
+func (r *Run) rebFreeze(next *ring.Ring, label string) {
 	cur := r.Cluster.Ring().Current()
 	r.rebMoving = func(k record.Key) bool { return next.Owner(string(k)) != cur.Owner(string(k)) }
 	r.rebNext = next.Epoch()
 	r.rebFrozen = true
 	var poll func()
 	poll = func() {
-		if r.mover == nil || r.mover.Phase() != ring.PhaseFreeze {
-			return
-		}
 		// Re-apply every tick: a gateway restarted since the last tick
 		// has a fresh, unfenced incarnation (FreezeShards is idempotent).
 		r.rebApplyFreeze()
 		if r.rebDrained() {
-			ready()
+			r.rebBootstrap(next, label)
 			return
 		}
 		r.Net.After(r.ctrl(), rebFreezePoll, poll)
@@ -202,7 +183,7 @@ func (r *Run) rebDrained() bool {
 // wiped its disks (adoption is WAL-durable, so a completed chain
 // survives ordinary crashes; a wiped replacement re-pulls everything);
 // pulls to a crashed source simply retry until it returns.
-func (r *Run) rebBootstrap(next *ring.Ring, ready func(moved int)) {
+func (r *Run) rebBootstrap(next *ring.Ring, label string) {
 	cur := r.Cluster.Ring().Current() // still the pre-move ring: Install runs at publish
 	curHas := make(map[int]bool)
 	for _, g := range cur.Groups() {
@@ -235,9 +216,6 @@ func (r *Run) rebBootstrap(next *ring.Ring, ready func(moved int)) {
 	}
 	var poll func()
 	poll = func() {
-		if r.mover == nil || r.mover.Phase() != ring.PhaseBootstrap {
-			return
-		}
 		r.rebApplyFreeze() // keep restarted gateways fenced through bootstrap
 		allDone := true
 		for i, sn := range r.Cluster.Storage {
@@ -259,7 +237,7 @@ func (r *Run) rebBootstrap(next *ring.Ring, ready func(moved int)) {
 			for _, a := range r.rebAdopted {
 				total += a
 			}
-			ready(total)
+			r.rebPublish(next, label, total)
 			return
 		}
 		r.Net.After(r.ctrl(), rebBootstrapPoll, poll)
@@ -297,16 +275,22 @@ func (r *Run) rebIssueChain(i int, srcGroups []int, accept func(record.Key) bool
 	step(0, 0)
 }
 
-// rebPublish lifts the freeze and re-homes per-key routing state at
-// every live gateway. The mover has already installed the next map in
-// the shared ring table, so Shard() answers with the new owners from
-// here on; a gateway restarted after publish starts fresh against the
-// new ring and needs nothing.
-func (r *Run) rebPublish(next *ring.Ring) {
+// rebPublish installs the next map in the shared ring table, so
+// Shard() answers with the new owners from here on, then lifts the
+// freeze, re-homes per-key routing state at every live gateway (one
+// restarted after publish starts fresh against the new ring and needs
+// nothing) and starts the next queued move.
+func (r *Run) rebPublish(next *ring.Ring, label string, moved int) {
+	r.Cluster.Ring().Install(next.Map())
 	r.rebFrozen = false
 	for _, dc := range topology.AllDCs() {
 		if g := r.gws[dc]; g != nil && !r.gwDown[dc] {
 			g.RingPublished()
 		}
 	}
+	r.events = append(r.events, fmt.Sprintf(
+		"shard move %q published: epoch %d, %d keys re-homed, %d wrong-shard refusals retried so far",
+		label, next.Epoch(), moved, r.wrongShard))
+	r.Opts.Logf("[%s] shard move %q published: epoch %d, %d keys", r.scn.Name, label, next.Epoch(), moved)
+	r.maybeStartMove()
 }

@@ -103,7 +103,7 @@ type Cluster struct {
 	Clients    []Node
 	// shardRing maps keys to replica groups. Every provisioned group
 	// (0..NodesPerDC-1) is a candidate; the ring's active set says who
-	// owns keys right now, and live moves republish it (see ring.Mover).
+	// owns keys right now, and live moves republish it (ring.Table.Install).
 	shardRing *ring.Table
 	// replicaIDs[group] lists the group's storage node ids in
 	// StorageDCs order, formatted once here so routing a key (several
@@ -203,7 +203,7 @@ func (c *Cluster) Shard(key record.Key) int {
 }
 
 // Ring exposes the cluster's shard ring table: the current epoch for
-// routing and fencing, Install for publication by a mover.
+// routing and fencing, Install for publication by a shard move.
 func (c *Cluster) Ring() *ring.Table { return c.shardRing }
 
 // Replicas returns the storage node IDs (one per DC, in StorageDCs
