@@ -3,7 +3,6 @@ package mdcc
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -14,7 +13,6 @@ import (
 	"mdcc/internal/kv"
 	"mdcc/internal/topology"
 	"mdcc/internal/transport"
-	"mdcc/internal/wal"
 )
 
 // ClusterConfig shapes an in-process cluster.
@@ -31,9 +29,10 @@ type ClusterConfig struct {
 	// examples snappy while preserving relative geometry. Default 0.05.
 	LatencyScale float64
 	// DataDir, when set, gives every storage node the durable engine
-	// mdcc-server -data runs (group-commit WALs for the committed store
-	// and the decision oplog, periodic checkpoints) under
-	// DataDir/<node>; empty means in-memory.
+	// mdcc-server -data runs (one group-commit WAL per node holding its
+	// committed puts and decisions, periodic checkpoints) under
+	// DataDir/<node>; empty means in-memory. A node directory in an
+	// older layout is refused (core.OpenDurableOpts).
 	DataDir string
 	// SyncInterval enables background anti-entropy between replicas
 	// (catch-up after outages); zero disables.
@@ -97,7 +96,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 			core.NewStorageNode(n.ID, n.DC, net, cl, coreCfg, kv.NewMemory())
 			continue
 		}
-		ds, err := openNodeDir(filepath.Join(cfg.DataDir, string(n.ID)))
+		ds, err := core.OpenDurableOpts(filepath.Join(cfg.DataDir, string(n.ID)), core.DurableOptions{GroupCommit: true})
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -106,24 +105,6 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		core.NewDurableStorageNode(n.ID, n.DC, net, cl, coreCfg, ds)
 	}
 	return c, nil
-}
-
-// openNodeDir opens one node's durable state. A directory written by
-// the earlier kv-only layout (WAL segments directly in the node
-// directory, no decision oplog) is refused: opening it would start the
-// node empty beside data it silently ignores.
-func openNodeDir(dir string) (*core.DurableState, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("mdcc: %w", err)
-	}
-	segs, err := wal.Segments(dir)
-	if err != nil {
-		return nil, fmt.Errorf("mdcc: %w", err)
-	}
-	if len(segs) > 0 {
-		return nil, fmt.Errorf("mdcc: %s holds WAL segments of the old kv-only DataDir layout; this build keeps node state under store/, oplog/ and snap/ and cannot read it", dir)
-	}
-	return core.OpenDurableOpts(dir, core.DurableOptions{GroupCommit: true})
 }
 
 // clusterCoreConfig derives the protocol configuration, scaling the
@@ -209,6 +190,6 @@ func (c *Cluster) Close() {
 	}
 	c.net.Close()
 	for _, ds := range c.durable {
-		_ = ds.Close() // flushes and releases both WALs; nothing to report to
+		_ = ds.Close() // flushes and releases the node's WAL; nothing to report to
 	}
 }

@@ -46,7 +46,8 @@
 //	      "appendsSinceCheckpoint": 120,  // snapshot age in WAL records:
 //	                                      // the tail a crash right now
 //	                                      // would replay
-//	      "walAppends": 456,              // store + oplog WAL records
+//	      "walAppends": 456,              // records in the node's one WAL
+//	                                      // (puts and decisions)
 //	      "walSyncs": 40,                 // fsync batches issued
 //	      "syncBatchMean": 11.4,          // group-commit fan-in
 //	      "syncBatchMax": 32,
@@ -259,17 +260,17 @@ func serveHTTP(addr string, dc topology.DC, cl *topology.Cluster, nodes []*core.
 					SnapshotSeq:            d.SnapshotSeq,
 					Checkpoints:            d.Checkpoints,
 					AppendsSinceCheckpoint: d.AppendsSinceCheckpoint,
-					WalAppends:             d.Store.Appends + d.Oplog.Appends,
-					WalSyncs:               d.Store.Syncs + d.Oplog.Syncs,
-					SyncBatchMax:           max(d.Store.MaxBatch, d.Oplog.MaxBatch),
-					WalSegments:            d.Store.Segments + d.Oplog.Segments,
-					WalLiveBytes:           d.Store.LiveBytes + d.Oplog.LiveBytes,
+					WalAppends:             d.Store.Appends,
+					WalSyncs:               d.Store.Syncs,
+					SyncBatchMax:           d.Store.MaxBatch,
+					WalSegments:            d.Store.Segments,
+					WalLiveBytes:           d.Store.LiveBytes,
 					ReplayMs:               float64(d.Replay.Duration) / float64(time.Millisecond),
 					ReplayUsedSnapshot:     d.Replay.UsedSnapshot,
-					ReplayTail:             d.Replay.TailStore + d.Replay.TailOplog,
+					ReplayTail:             d.Replay.Tail,
 				}
-				if synced := d.Store.SyncedAppends + d.Oplog.SyncedAppends; do.WalSyncs > 0 {
-					do.SyncBatchMean = float64(synced) / float64(do.WalSyncs)
+				if do.WalSyncs > 0 {
+					do.SyncBatchMean = float64(d.Store.SyncedAppends) / float64(do.WalSyncs)
 				}
 				sh.Durability = do
 			}

@@ -147,12 +147,12 @@ func main() {
 			from := "empty log"
 			switch {
 			case rs.UsedSnapshot:
-				from = fmt.Sprintf("snapshot %d + %d-record tail", rs.SnapshotSeq, rs.TailStore+rs.TailOplog)
+				from = fmt.Sprintf("snapshot %d + %d-record tail", rs.SnapshotSeq, rs.Tail)
 				if rs.FellBack {
 					from += " (fell back one snapshot)"
 				}
-			case rs.TailStore+rs.TailOplog > 0:
-				from = fmt.Sprintf("full replay of %d records", rs.TailStore+rs.TailOplog)
+			case rs.Tail > 0:
+				from = fmt.Sprintf("full replay of %d records", rs.Tail)
 			}
 			log.Printf("storage node %s up (shard %d/%d, mode %s, recovered from %s in %s)",
 				id, i+1, topo.NodesPerDC, mode, from, rs.Duration.Round(time.Millisecond))
@@ -196,8 +196,8 @@ func main() {
 	}
 	net.Close()
 	if len(durables) > 0 {
-		// Durable close flushes and releases both WALs per shard (the
-		// committed store's and the decision oplog's).
+		// Durable close flushes and releases each shard's WAL (its
+		// committed puts and decisions).
 		for _, ds := range durables {
 			_ = ds.Close()
 		}

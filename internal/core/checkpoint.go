@@ -74,9 +74,12 @@ func (n *StorageNode) snapshotOplog() []oplogEntry {
 // DurabilityInfo is a durable node's storage-engine gauge set, exposed
 // by /metrics and scenario reports.
 type DurabilityInfo struct {
-	// Store and Oplog are the two WALs' counters (appends, fsyncs,
-	// group-commit batch sizes, live bytes, poisoned state).
+	// Store is the node's one log's counters (appends, fsyncs,
+	// group-commit batch sizes, live bytes); the store owns the log.
 	Store wal.Stats
+	// Oplog is always zero: decision records share Store's log. The
+	// field stays only because the benchmark module (benchmark/layers.go)
+	// sums Store and Oplog, and dropping it is a change to that module.
 	Oplog wal.Stats
 	// SnapshotSeq is the newest checkpoint's sequence (0 = none);
 	// AppendsSinceCheckpoint the snapshot age in WAL records — the tail
@@ -99,7 +102,6 @@ func (n *StorageNode) Durability() DurabilityInfo {
 	}
 	return DurabilityInfo{
 		Store:                  n.durable.Store.Log().Stats(),
-		Oplog:                  n.durable.oplog.Stats(),
 		SnapshotSeq:            n.durable.snapSeq,
 		AppendsSinceCheckpoint: n.durable.AppendsSinceCheckpoint(),
 		Checkpoints:            n.m.Checkpoints,

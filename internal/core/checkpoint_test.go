@@ -81,7 +81,7 @@ func TestCheckpointBoundsRecovery(t *testing.T) {
 	if info.Checkpoints == 0 || info.SnapshotSeq == 0 {
 		t.Fatalf("no checkpoint taken in 10s at 1s interval: %+v", info)
 	}
-	totalAppends := info.Store.Appends + info.Oplog.Appends
+	totalAppends := info.Store.Appends
 	preVal, preVer, _ := w.durables[victim].Store.Get(key)
 	preEntries := w.durables[victim].Store.AppendEntries(nil)
 
@@ -97,7 +97,7 @@ func TestCheckpointBoundsRecovery(t *testing.T) {
 	}
 	// The bound: the tail is the work since the last checkpoint, which
 	// must be well under everything the node ever logged.
-	if tail := rs.TailStore + rs.TailOplog; tail >= totalAppends {
+	if tail := rs.Tail; tail >= totalAppends {
 		t.Errorf("recovery tail %d not bounded by checkpoint (total appends %d)", tail, totalAppends)
 	}
 	v, ver, ok := w.durables[victim].Store.Get(key)
@@ -156,7 +156,7 @@ func TestCheckpointedReopenBounded(t *testing.T) {
 	if !rs.UsedSnapshot || rs.FellBack {
 		t.Errorf("reopen did not seed from the newest snapshot: %+v", rs)
 	}
-	if tail := rs.TailStore + rs.TailOplog; tail != after {
+	if tail := rs.Tail; tail != after {
 		t.Errorf("replayed a tail of %d records, want the %d written since the last checkpoint", tail, after)
 	}
 	if rs.Duration >= 2*time.Second {
@@ -304,7 +304,7 @@ func TestDegradeOnDurabilityFailure(t *testing.T) {
 	if !n.Durability().Degraded {
 		t.Error("Durability() does not report degraded")
 	}
-	// Oplog appends degrade the same way on a fresh node.
+	// Decision records degrade the same way on a fresh node.
 	faults2 := wal.NewFaults()
 	ds2, err := OpenDurableOpts(t.TempDir(), DurableOptions{NoSync: true, Faults: faults2})
 	if err != nil {
@@ -316,7 +316,7 @@ func TestDegradeOnDurabilityFailure(t *testing.T) {
 	faults2.FailSync(true)
 	n2.logDecision("k", appendDecision(nil, "tx1", DecAccept, 0, nil))
 	if n2.DurabilityError() == nil {
-		t.Fatal("oplog append failure did not degrade node")
+		t.Fatal("refused decision record did not degrade node")
 	}
 }
 

@@ -10,23 +10,25 @@ import (
 	"mdcc/internal/wal"
 )
 
-// Disk records: the decision oplog's entries and the checkpoint
-// snapshot payload, written with the wire's primitives and the very
-// sub-encoders the messages use (record.AppendUpdate, appendLineage,
-// kv.AppendEntry). Each opens with a format byte (see wal.ErrFormat):
+// Disk records: the decision records core writes into the node's log
+// beside kv's 0xD1 puts, and the checkpoint snapshot payload, written
+// with the wire's primitives and the very sub-encoders the messages use
+// (record.AppendUpdate, appendLineage, kv.AppendEntry). Each opens with
+// a format byte (see wal.ErrFormat):
 //
 //	oplog entry: 0xD2 | string Key | bool snapshot |
 //	               snapshot:  LineageSummary
 //	               decision:  string Tx | u8 Decision | uvarint KeySeq |
 //	                          bool HasUp | [Update]
-//	snapshot:    0xD3 | uvarint StoreCut | uvarint OplogCut |
+//	snapshot:    0xD4 | uvarint Cut |
 //	             uvarint n | n × kv entry | uvarint m | m × oplog entry body
 //
 // A change to either layout takes a new format byte, so an older
-// directory is refused (wal.ErrFormat), never mis-read.
+// directory is refused (wal.ErrFormat), never mis-read: 0xD3 was the
+// snapshot of the two-log layout, which carried a cut per log.
 const (
 	oplogFormat    = 0xD2
-	snapshotFormat = 0xD3
+	snapshotFormat = 0xD4
 )
 
 func appendOplogEntry(b []byte, e *oplogEntry) []byte {
@@ -60,7 +62,7 @@ func readOplogEntry(r *transport.WireReader) oplogEntry {
 	return e
 }
 
-// decodeOplogRecord parses one oplog WAL payload; anything but a
+// decodeOplogRecord parses one decision record; anything but a
 // well-formed entry in the current format is a wal.ErrFormat.
 func decodeOplogRecord(payload []byte) (oplogEntry, error) {
 	body, err := wal.Body(payload, oplogFormat, "oplog entry")
@@ -78,10 +80,9 @@ func decodeOplogRecord(payload []byte) (oplogEntry, error) {
 // appendSnapshot encodes a checkpoint. kvRows appends the counted kv
 // entry list (kv.Store.AppendEntries: the store writes its rows from
 // their stored form, so a checkpoint builds no record.Value per key).
-func appendSnapshot(b []byte, c cuts, kvRows func([]byte) []byte, oplog []oplogEntry) []byte {
+func appendSnapshot(b []byte, cut int, kvRows func([]byte) []byte, oplog []oplogEntry) []byte {
 	b = append(b, snapshotFormat)
-	b = transport.AppendUvarint(b, uint64(c.Store))
-	b = transport.AppendUvarint(b, uint64(c.Oplog))
+	b = transport.AppendUvarint(b, uint64(cut))
 	b = kvRows(b)
 	b = transport.AppendUvarint(b, uint64(len(oplog)))
 	for i := range oplog {
@@ -99,7 +100,7 @@ func decodeSnapshot(payload []byte) (*snapshotState, error) {
 		return nil, err
 	}
 	r := transport.NewWireReader(body)
-	st := &snapshotState{StoreCut: int(r.Uvarint()), OplogCut: int(r.Uvarint())}
+	st := &snapshotState{Cut: int(r.Uvarint())}
 	if n := r.Count("kv entry"); n > 0 {
 		st.KV = make([]kv.Entry, 0, n)
 		for i := 0; i < n; i++ {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mdcc/internal/kv"
@@ -37,9 +38,8 @@ func sampleSnapshotState() *snapshotState {
 			{Key: "cust#2", Value: sampleValue(), Version: 11},
 			{Key: "gone#1", Value: record.Value{Tombstone: true}, Version: 5},
 		},
-		Oplog:    []oplogEntry{sampleSummaryEntry(), sampleDecisionEntry(), bareDecisionEntry("item#9", "tx-6")},
-		StoreCut: 3,
-		OplogCut: 2,
+		Oplog: []oplogEntry{sampleSummaryEntry(), sampleDecisionEntry(), bareDecisionEntry("item#9", "tx-6")},
+		Cut:   3,
 	}
 }
 
@@ -47,7 +47,7 @@ func sampleSnapshotState() *snapshotState {
 // written from st.KV as they stand (a fuzzed list may repeat keys, so
 // it cannot go through a store).
 func snapshotBytes(st *snapshotState) []byte {
-	return appendSnapshot(nil, cuts{Store: st.StoreCut, Oplog: st.OplogCut}, func(b []byte) []byte {
+	return appendSnapshot(nil, st.Cut, func(b []byte) []byte {
 		b = transport.AppendUvarint(b, uint64(len(st.KV)))
 		for _, e := range st.KV {
 			b = kv.AppendEntry(b, e)
@@ -57,7 +57,7 @@ func snapshotBytes(st *snapshotState) []byte {
 }
 
 // diskSamples lists the disk records core writes, as the exact bytes
-// that reach the WAL or the snapshot file.
+// that reach the node's log or the snapshot file.
 func diskSamples() map[string][]byte {
 	d, s := sampleDecisionEntry(), sampleSummaryEntry()
 	return map[string][]byte{
@@ -69,7 +69,7 @@ func diskSamples() map[string][]byte {
 
 // TestDiskGolden pins the on-disk layouts next to the wire vectors: a
 // change must take a new format byte (so existing directories are
-// refused, not mis-read) and a deliberate -update. The kv WAL record's
+// refused, not mis-read) and a deliberate -update. The kv put record's
 // vector lives with its encoder, in internal/kv.
 func TestDiskGolden(t *testing.T) {
 	for name, raw := range diskSamples() {
@@ -95,7 +95,7 @@ func TestDiskRoundTrip(t *testing.T) {
 	for _, e := range want.KV {
 		store.Put(e.Key, e.Value, e.Version)
 	}
-	fromStore := appendSnapshot(nil, cuts{Store: want.StoreCut, Oplog: want.OplogCut}, store.AppendEntries, want.Oplog)
+	fromStore := appendSnapshot(nil, want.Cut, store.AppendEntries, want.Oplog)
 	if !bytes.Equal(fromStore, snapshotBytes(want)) {
 		t.Errorf("snapshot written from a store differs\n got %x\nwant %x", fromStore, snapshotBytes(want))
 	}
@@ -116,10 +116,10 @@ func TestDiskRoundTrip(t *testing.T) {
 }
 
 // TestSettledBytesMatchDiskGolden: when a durable node settles an
-// option, the oplog record it appends — the decided log's bytes,
-// copied — and the entry its next checkpoint writes are the bytes the
-// golden vector pins, so the decided log can hold the oplog's layout
-// without moving it.
+// option, the decision record it appends to its log — the decided
+// log's bytes, copied — and the entry its next checkpoint writes are
+// the bytes the golden vector pins, so the decided log can hold the
+// record's layout without moving it.
 func TestSettledBytesMatchDiskGolden(t *testing.T) {
 	dir := t.TempDir()
 	ds, err := OpenDurableOpts(dir, DurableOptions{NoSync: true})
@@ -135,7 +135,7 @@ func TestSettledBytesMatchDiskGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	log, err := wal.Open(filepath.Join(dir, "oplog"), wal.Options{NoSync: true})
+	log, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestSettledBytesMatchDiskGolden(t *testing.T) {
 	}
 	log.Close()
 	if len(recs) != 1 {
-		t.Fatalf("%d oplog records, want 1", len(recs))
+		t.Fatalf("%d log records, want 1", len(recs))
 	}
 	checkGolden(t, "disk_golden", "oplog_decision", recs[0])
 
@@ -173,12 +173,14 @@ func gobBytes(t *testing.T, v interface{}) []byte {
 	return buf.Bytes()
 }
 
-// TestGobDataDirRefused builds data directories the way the parent
-// commit wrote them — gob in the store WAL, the oplog, or the
-// checkpoint snapshot — and requires each to be refused with the typed
-// wal.ErrFormat (not wal.ErrCorrupt: the bytes are what their writer
-// meant, and the harness's wipe-on-corruption must not fire by itself)
-// with no DurableState handed back, so none of it is ever applied.
+// TestGobDataDirRefused builds data directories this build cannot
+// read — gob where the node's log or checkpoint snapshot holds a
+// record (how an older commit serialized), and the two directory
+// layouts older builds wrote — and requires each to be refused with
+// the typed wal.ErrFormat (not wal.ErrCorrupt: the bytes are what
+// their writer meant, and the harness's wipe-on-corruption must not
+// fire by itself) with no DurableState handed back and nothing created
+// beside the old data, so none of it is ever applied or shadowed.
 func TestGobDataDirRefused(t *testing.T) {
 	appendTo := func(t *testing.T, dir string, records ...[]byte) {
 		t.Helper()
@@ -197,16 +199,16 @@ func TestGobDataDirRefused(t *testing.T) {
 	}
 	goodStore := kv.AppendEntry([]byte{0xD1}, kv.Entry{Key: "k", Version: 1})
 	decision := sampleDecisionEntry()
+	goodDecision := appendOplogEntry([]byte{oplogFormat}, &decision)
 	cases := map[string]func(t *testing.T, dir string){
 		"store": func(t *testing.T, dir string) {
-			appendTo(t, filepath.Join(dir, "store"), goodStore, gobBytes(t, &kv.Entry{Key: "cust#2", Value: sampleValue(), Version: 11}))
+			appendTo(t, filepath.Join(dir, "wal"), goodStore, gobBytes(t, &kv.Entry{Key: "cust#2", Value: sampleValue(), Version: 11}))
 		},
 		"oplog": func(t *testing.T, dir string) {
-			appendTo(t, filepath.Join(dir, "store"), goodStore)
-			appendTo(t, filepath.Join(dir, "oplog"), appendOplogEntry([]byte{oplogFormat}, &decision), gobBytes(t, &decision))
+			appendTo(t, filepath.Join(dir, "wal"), goodStore, goodDecision, gobBytes(t, &decision))
 		},
 		"snapshot": func(t *testing.T, dir string) {
-			appendTo(t, filepath.Join(dir, "store"), goodStore)
+			appendTo(t, filepath.Join(dir, "wal"), goodStore)
 			if err := wal.WriteSnapshot(filepath.Join(dir, "snap"), 1, gobBytes(t, sampleSnapshotState()), true); err != nil {
 				t.Fatal(err)
 			}
@@ -229,11 +231,38 @@ func TestGobDataDirRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
+		// The layout the parent of the one-log change wrote: puts in
+		// store/, decisions in oplog/, and a 0xD3 snapshot carrying a
+		// cut for each (store cut 1, oplog cut 1, no rows).
+		"two-log layout": func(t *testing.T, dir string) {
+			appendTo(t, filepath.Join(dir, "store"), goodStore)
+			appendTo(t, filepath.Join(dir, "oplog"), goodDecision)
+			if err := wal.WriteSnapshot(filepath.Join(dir, "snap"), 1, []byte{0xD3, 1, 1, 0, 0}, true); err != nil {
+				t.Fatal(err)
+			}
+		},
+		// The kv-only layout: WAL segments of puts at top level.
+		"kv-only layout": func(t *testing.T, dir string) {
+			appendTo(t, dir, goodStore)
+		},
+	}
+	names := func(t *testing.T, dir string) []string {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, e := range entries {
+			out = append(out, e.Name())
+		}
+		return out
 	}
 	for name, build := range cases {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			build(t, dir)
+			before := names(t, dir)
 			ds, err := OpenDurableOpts(dir, DurableOptions{NoSync: true})
 			if !errors.Is(err, wal.ErrFormat) {
 				t.Errorf("OpenDurableOpts error = %v, want wal.ErrFormat", err)
@@ -245,7 +274,17 @@ func TestGobDataDirRefused(t *testing.T) {
 				t.Error("OpenDurableOpts returned state alongside the error")
 				ds.Close()
 			}
+			if after := names(t, dir); !reflect.DeepEqual(after, before) {
+				t.Errorf("refused open left %v beside the old data %v", after, before)
+			}
 		})
+	}
+	// A layout refusal names the directory, so the operator knows which
+	// node's data to move aside.
+	dir := t.TempDir()
+	cases["two-log layout"](t, dir)
+	if _, err := OpenDurableOpts(dir, DurableOptions{NoSync: true}); err == nil || !strings.Contains(err.Error(), dir) {
+		t.Errorf("layout refusal %v does not name %s", err, dir)
 	}
 }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"time"
 
@@ -13,13 +15,28 @@ import (
 	"mdcc/internal/wal"
 )
 
-// Crash/restart support. A storage node's durable footprint is two
-// WALs under one directory — the committed record store (what BDB
-// persists in the paper's prototype) and the decision log (the final
-// accept/reject outcome of every option whose effect entered the
-// store) — plus periodic checkpoint snapshots of the full state (see
-// checkpoint.go), which bound recovery to the newest valid snapshot
-// and the log tail since its cut instead of a whole-log replay.
+// Crash/restart support. A storage node's durable footprint is one
+// WAL, wal/ under its directory, and the checkpoint snapshots in snap/
+// (see checkpoint.go). The log holds, in the order they were written,
+// the committed record store's puts (kv's 0xD1 records: what BDB
+// persists in the paper's prototype) and the decision records (0xD2:
+// the final accept/reject outcome of every option whose effect entered
+// the store, and lineage-summary snapshots). kv.Store owns the log;
+// this file writes its records through Store.Append and reads them back
+// through the callback kv.OpenWith hands every non-kv record to. A
+// snapshot covers everything below one cut, so recovery is the newest
+// valid snapshot plus one log tail, not a whole-log replay.
+//
+// One log is one poisoning latch: the first write the disk refuses
+// fails every later one, so a settle whose decision record was refused
+// cannot go on to persist the put behind it — after a reopen the
+// replica can tell from its own state that the option never took
+// effect here, and applies it once when its visibility comes again.
+// What one latch does not close: a settle is still two records, the
+// decision and then its put, so a disk that takes the first and
+// refuses the second leaves a decision without its effect. Writing a
+// settle as one record would close that; a sweep that fails the k-th
+// append of a recorded run, for every k, is the test that finds it.
 //
 // Paxos promises and unresolved votes are deliberately volatile, as
 // in the rest of this codebase's durability model: a restarted
@@ -27,7 +44,7 @@ import (
 // Phase 1, the dangling-option sweep, and anti-entropy.
 //
 // What is persisted is persisted before anything that depends on it
-// is said: both logs are written synchronously inside the handler
+// is said: records are written synchronously inside the handler
 // (storePut, appendOplog), a handler's messages only leave when its
 // dispatch returns (StorageNode.leave), and a dispatch in which a write
 // was refused emits nothing at all — see degrade.
@@ -40,7 +57,7 @@ import (
 // meanwhile.
 var ErrDurability = errors.New("mdcc/core: durability failure, node degraded")
 
-// oplogEntry is one persisted oplog record: either one decision — the
+// oplogEntry is one decision record: either one decision — the
 // record's key plus the decision body exactly as the in-memory decided
 // log holds it (the executed update's contents when known, so a
 // restarted node can still graft its own applies onto diverged peers'
@@ -60,35 +77,13 @@ type oplogEntry struct {
 	Snapshot *LineageSummary
 }
 
-// DurableOptions configures a node's durable state.
-type DurableOptions struct {
-	// NoSync skips fsync (harnesses that model durability). Injected
-	// faults still apply — see wal.Options.NoSync.
-	NoSync bool
-	// GroupCommit coalesces concurrent appends into one fsync. See
-	// wal.Options.
-	GroupCommit bool
-	// SegmentSize overrides the WAL segment threshold (0 = default);
-	// scenarios shrink it to exercise many-segment recovery.
-	SegmentSize int64
-	// Faults, when non-nil, injects disk faults under both WALs and is
-	// the handle the scenario nemesis drives.
-	Faults *wal.Faults
-}
-
-func (o DurableOptions) walOptions() wal.Options {
-	return wal.Options{
-		SegmentSize: o.SegmentSize,
-		NoSync:      o.NoSync,
-		GroupCommit: o.GroupCommit,
-		Faults:      o.Faults,
-	}
-}
+// DurableOptions configures a node's durable state: the options of its
+// one log (NoSync also skips the checkpoint snapshots' fsyncs).
+type DurableOptions = wal.Options
 
 // ReplayStats describes one recovery: what it started from and how
-// much log it had to replay. The recovery bound rests on TailStore +
-// TailOplog staying O(writes since the last checkpoint), not O(writes
-// ever).
+// much log it had to replay. The recovery bound rests on Tail staying
+// O(writes since the last checkpoint), not O(writes ever).
 type ReplayStats struct {
 	// UsedSnapshot is true when recovery seeded from a checkpoint,
 	// false when no snapshot existed and the whole log replayed.
@@ -97,68 +92,81 @@ type ReplayStats struct {
 	// when the newest snapshot was corrupt and an older one was used.
 	SnapshotSeq int
 	FellBack    bool
-	// TailStore / TailOplog are the records replayed beyond the
-	// snapshot's cut.
-	TailStore int64
-	TailOplog int64
+	// Tail is the records replayed beyond the snapshot's cut.
+	Tail int64
 	// Duration is the wall-clock time OpenDurableOpts spent.
 	Duration time.Duration
-}
-
-// cuts names the first live segment of each WAL as of one snapshot:
-// the snapshot covers everything below, the tail is everything from
-// the cut on.
-type cuts struct {
-	Store, Oplog int
 }
 
 // snapshotState is a checkpoint's decoded payload: the full kv
 // state (values, versions, escrow bases — tombstones included), every
 // record's lineage summary and decided cache in oplog-replay shape,
-// and the log cuts the snapshot covers.
+// and the log cut the snapshot covers.
 type snapshotState struct {
-	KV       []kv.Entry
-	Oplog    []oplogEntry
-	StoreCut int
-	OplogCut int
+	Cut   int
+	KV    []kv.Entry
+	Oplog []oplogEntry
 }
 
 // DurableState is a storage node's on-disk state, opened before the
 // node (re)starts and handed to NewDurableStorageNode.
 type DurableState struct {
-	// Store is the WAL-backed committed record store.
+	// Store is the committed record store; it owns the node's log.
 	Store *kv.Store
 
-	oplog   *wal.Log
 	decided []oplogEntry // what recovery replayed; NewDurableStorageNode consumes it
 	dir     string
 	opts    DurableOptions
 
-	snapSeq  int  // newest usable snapshot on disk (0 = none yet)
-	lastCuts cuts // its cuts: the truncation floor for the next checkpoint
-	replay   ReplayStats
+	snapSeq int // newest usable snapshot on disk (0 = none yet)
+	lastCut int // its cut: the truncation floor for the next checkpoint
+	replay  ReplayStats
 
-	// checkpointAppends is the combined append counter at the last
+	// checkpointAppends is the log's append counter at the last
 	// checkpoint, so AppendsSinceCheckpoint is the snapshot-age gauge.
 	checkpointAppends int64
+}
+
+// checkLayout refuses a node directory an older build wrote, before
+// anything is opened in it: WAL segments at top level (the kv-only
+// layout, no decision log) or store/ and oplog/ (two logs, which
+// poisoned separately). Opening either would start the node empty
+// beside data it silently ignores.
+func checkLayout(dir string) error {
+	segs, err := wal.Segments(dir)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	if len(segs) > 0 {
+		return fmt.Errorf("%w: %s holds WAL segments of the kv-only layout; this build keeps node state under wal/ and snap/ and cannot read it", wal.ErrFormat, dir)
+	}
+	for _, sub := range []string{"store", "oplog"} {
+		if _, err := os.Stat(filepath.Join(dir, sub)); err == nil {
+			return fmt.Errorf("%w: %s holds the two-log layout (store/ and oplog/); this build keeps node state under wal/ and snap/ and cannot read it", wal.ErrFormat, dir)
+		}
+	}
+	return nil
 }
 
 // OpenDurableOpts opens (creating on first boot, replaying after a
 // crash) the durable state rooted at dir. Recovery seeds from the
 // newest valid checkpoint snapshot and replays only the log tail past
-// its cut,
-// falling back to the previous snapshot if the newest is corrupt;
-// with no snapshot it replays the whole log (first boot, or
+// its cut, falling back to the previous snapshot if the newest is
+// corrupt; with no snapshot it replays the whole log (first boot, or
 // checkpointing disabled). If snapshots exist but none is usable the
 // node's state is gone — the error wraps wal.ErrCorrupt so the
 // operator (or harness) can rebuild the replica from its quorum. A
-// snapshot or log record that is intact but not in this build's disk
-// format (a directory written with gob by an older build) refuses the
-// open with wal.ErrFormat before anything is applied; there is no
-// fallback past it, because an older snapshot would be older state in
-// the same unreadable format.
+// directory in an older layout (checkLayout), or a snapshot or log
+// record that is intact but not in this build's disk format (a
+// directory written with gob by an older build), refuses the open with
+// wal.ErrFormat before anything is applied; there is no fallback past
+// it, because an older snapshot would be older state in the same
+// unreadable format.
 func OpenDurableOpts(dir string, o DurableOptions) (*DurableState, error) {
 	start := time.Now()
+	if err := checkLayout(dir); err != nil {
+		return nil, err
+	}
 	snapDir := filepath.Join(dir, "snap")
 	ds := &DurableState{dir: dir, opts: o}
 
@@ -198,11 +206,9 @@ func OpenDurableOpts(dir string, o DurableOptions) (*DurableState, error) {
 	}
 
 	var seed []kv.Entry
-	storeFrom, oplogFrom := 0, 0
 	if st != nil {
 		seed = st.KV
-		storeFrom, oplogFrom = st.StoreCut, st.OplogCut
-		ds.lastCuts = cuts{Store: st.StoreCut, Oplog: st.OplogCut}
+		ds.lastCut = st.Cut
 		ds.decided = append(ds.decided, st.Oplog...)
 		ds.replay.UsedSnapshot = true
 		ds.replay.SnapshotSeq = ds.snapSeq
@@ -210,76 +216,57 @@ func OpenDurableOpts(dir string, o DurableOptions) (*DurableState, error) {
 		ds.replay.FellBack = false
 	}
 
-	store, err := kv.OpenWith(filepath.Join(dir, "store"), o.walOptions(), seed, storeFrom)
+	store, err := kv.OpenWith(filepath.Join(dir, "wal"), o, seed, ds.lastCut, func(payload []byte) error {
+		e, derr := decodeOplogRecord(payload)
+		if derr != nil {
+			return fmt.Errorf("core: replay: %w", derr)
+		}
+		ds.decided = append(ds.decided, e)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	ds.Store = store
-	oplog, err := wal.Open(filepath.Join(dir, "oplog"), o.walOptions())
-	if err != nil {
-		store.Close()
-		return nil, err
-	}
-	ds.oplog = oplog
-	err = oplog.ReplayFrom(oplogFrom, func(payload []byte) error {
-		e, derr := decodeOplogRecord(payload)
-		if derr != nil {
-			return fmt.Errorf("core: oplog replay: %w", derr)
-		}
-		ds.decided = append(ds.decided, e)
-		ds.replay.TailOplog++
-		return nil
-	})
-	if err != nil {
-		oplog.Close()
-		store.Close()
-		return nil, err
-	}
-	ds.replay.TailStore = store.Replayed()
+	ds.replay.Tail = store.Replayed()
 	ds.replay.Duration = time.Since(start)
 	// The appends-since-checkpoint gauge must count the tail this open
 	// just replayed: those records sit past the snapshot cut on disk, so
 	// a crash right now would replay them again. Appends() restarts at
 	// zero per incarnation; backdating the baseline folds the tail in.
-	ds.checkpointAppends = -(ds.replay.TailStore + ds.replay.TailOplog)
+	ds.checkpointAppends = -ds.replay.Tail
 	return ds, nil
 }
 
 // Checkpoint writes a full-state snapshot (the caller serializes its
 // record state into oplogState; kv entries are read here) and
-// truncates WAL segments the previous snapshot covers. The last two
-// snapshots are kept: recovery may fall back one, and the logs retain
+// truncates log segments the previous snapshot covers. The last two
+// snapshots are kept: recovery may fall back one, and the log retains
 // everything from the older one's cut, so the fallback always has its
 // tail. Crashing between any two steps is safe — replaying a tail
 // that overlaps a snapshot is idempotent (kv puts are last-write-wins
 // in log order, summary unions are monotone, decision records
 // deduplicate).
 func (ds *DurableState) Checkpoint(oplogState []oplogEntry) error {
-	storeCut, err := ds.Store.Log().Cut()
+	log := ds.Store.Log()
+	cut, err := log.Cut()
 	if err != nil {
 		return err
 	}
-	oplogCut, err := ds.oplog.Cut()
-	if err != nil {
-		return err
-	}
-	payload := appendSnapshot(nil, cuts{Store: storeCut, Oplog: oplogCut}, ds.Store.AppendEntries, oplogState)
+	payload := appendSnapshot(nil, cut, ds.Store.AppendEntries, oplogState)
 	snapDir := filepath.Join(ds.dir, "snap")
 	seq := ds.snapSeq + 1
 	if err := wal.WriteSnapshot(snapDir, seq, payload, ds.opts.NoSync); err != nil {
 		return err
 	}
-	// Truncate below the *previous* snapshot's cuts, never this one's:
+	// Truncate below the *previous* snapshot's cut, never this one's:
 	// if this snapshot later reads corrupt, recovery falls back to the
 	// previous and needs the log from its cut on.
-	floor := ds.lastCuts
+	floor := ds.lastCut
 	ds.snapSeq = seq
-	ds.lastCuts = cuts{Store: storeCut, Oplog: oplogCut}
-	ds.checkpointAppends = ds.Store.Log().Appends() + ds.oplog.Appends()
-	if err := ds.Store.Log().TruncateBefore(floor.Store); err != nil {
-		return err
-	}
-	if err := ds.oplog.TruncateBefore(floor.Oplog); err != nil {
+	ds.lastCut = cut
+	ds.checkpointAppends = log.Appends()
+	if err := log.TruncateBefore(floor); err != nil {
 		return err
 	}
 	return wal.PruneSnapshots(snapDir, 2)
@@ -293,17 +280,11 @@ func (ds *DurableState) RecoveryStats() ReplayStats { return ds.replay }
 // have to tail-replay). After a restart it counts from the recovery
 // point.
 func (ds *DurableState) AppendsSinceCheckpoint() int64 {
-	return ds.Store.Log().Appends() + ds.oplog.Appends() - ds.checkpointAppends
+	return ds.Store.Log().Appends() - ds.checkpointAppends
 }
 
-// Close releases both logs (call when the node crashes or shuts down).
-func (ds *DurableState) Close() error {
-	err := ds.oplog.Close()
-	if serr := ds.Store.Close(); err == nil {
-		err = serr
-	}
-	return err
-}
+// Close releases the log (call when the node crashes or shuts down).
+func (ds *DurableState) Close() error { return ds.Store.Close() }
 
 // NewDurableStorageNode builds a storage node whose committed store
 // and decision log live in ds, seeding the per-record decided logs
@@ -319,8 +300,8 @@ func NewDurableStorageNode(id transport.NodeID, dc topology.DC, net transport.Ne
 		if e.Snapshot != nil {
 			// A base adoption's summary snapshot: union in replay order
 			// (summaries are monotone, so the final union matches the
-			// pre-crash state exactly, in lockstep with the kv WAL's
-			// final value).
+			// pre-crash state exactly, in lockstep with the store's
+			// replayed value).
 			r.summary.Union(*e.Snapshot)
 			r.noteKindFromSummary()
 			continue
@@ -384,18 +365,19 @@ func (n *StorageNode) logDecision(key record.Key, body []byte) {
 // every base adoption: the adopted union has no per-decision records
 // to replay, so without the snapshot a restarted replica's rebuilt
 // summary would miss everything it learned wholesale from peers —
-// and its value (replayed exactly by the kv WAL) would claim applies
-// its summary could not account for.
+// and its value (replayed exactly from the same log) would claim
+// applies its summary could not account for.
 func (n *StorageNode) logLineage(key record.Key, s LineageSummary) {
 	if n.durable == nil {
 		return
 	}
-	snap := s.Clone()
-	n.appendOplog(&oplogEntry{Key: key, Snapshot: &snap})
+	n.appendOplog(&oplogEntry{Key: key, Snapshot: &s})
 }
 
+// appendOplog encodes e into the node's log at once (nothing of e is
+// kept), degrading the node if the log refuses it.
 func (n *StorageNode) appendOplog(e *oplogEntry) {
-	if err := n.durable.oplog.Append(appendOplogEntry([]byte{oplogFormat}, e)); err != nil {
+	if err := n.store.Append(appendOplogEntry([]byte{oplogFormat}, e)); err != nil {
 		n.degrade(err)
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"mdcc/internal/record"
 	"mdcc/internal/simnet"
 	"mdcc/internal/topology"
+	"mdcc/internal/transport"
+	"mdcc/internal/wal"
 )
 
 // durableWorld is the crash/restart test harness: a 5-DC cluster
@@ -165,7 +167,7 @@ func TestCrashRestartFromWALMidPhase2(t *testing.T) {
 }
 
 // TestRestartReplaysDecisionLog asserts the restart-idempotence the
-// decision oplog exists for: a commutative option executed before the
+// decision records exist for: a commutative option executed before the
 // crash must not be applied a second time when its visibility is
 // re-delivered to the restarted incarnation.
 func TestRestartReplaysDecisionLog(t *testing.T) {
@@ -209,5 +211,75 @@ func TestRestartReplaysDecisionLog(t *testing.T) {
 	v, ver, _ = w.durables[victim].Store.Get(key)
 	if v.Attr("bal") != 15 || ver != 2 {
 		t.Errorf("duplicate visibility re-applied after restart: bal=%d ver=%d, want 15/2", v.Attr("bal"), ver)
+	}
+}
+
+// TestRefusedSettleLeavesNothingOnDisk: when the disk refuses the
+// decision record of a committing visibility, nothing of that settle
+// survives a reopen — not the decision, not the summary bit, not the
+// put behind them — so the restarted replica can tell from its own
+// state that the option did not take effect here, and applies it
+// exactly once when the visibility arrives again. Both ways a disk
+// refuses are covered: a write torn before its first byte, and a sync
+// that fails after the frame was written.
+func TestRefusedSettleLeavesNothingOnDisk(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		arm  func(*wal.Faults)
+	}{
+		{"torn write", func(f *wal.Faults) { f.TornWrite(0) }},
+		{"failed sync", func(f *wal.Faults) { f.FailSync(true) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := topology.NewCluster(topology.Layout{NodesPerDC: 1, Clients: 1, ClientDC: -1})
+			net := simnet.New(simnet.Options{Latency: cl.LatencyWith(nil), Seed: 1})
+			sn := cl.Storage[0]
+			dir := t.TempDir()
+			faults := wal.NewFaults()
+			open := func() (*DurableState, *StorageNode) {
+				ds, err := OpenDurableOpts(dir, DurableOptions{NoSync: true, Faults: faults})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ds, NewDurableStorageNode(sn.ID, sn.DC, net, cl, Defaults(ModeMDCC), ds)
+			}
+			const key, tx = record.Key("x"), TxID("c#1")
+			want := func(ds *DurableState, when string, x int64, ver record.Version) {
+				t.Helper()
+				if v, got, _ := ds.Store.Get(key); v.Attr("x") != x || got != ver {
+					t.Fatalf("%s: x=%d v%d, want x=%d v%d", when, v.Attr("x"), got, x, ver)
+				}
+			}
+			vis := transport.Envelope{From: "coord", Msg: MsgVisibility{Commit: true, Opt: Option{
+				Tx: tx, KeySeq: 1, Coord: "coord", Update: record.Commutative(key, map[string]int64{"x": 5})}}}
+
+			ds, n := open()
+			if err := ds.Store.Put(key, record.Value{Attrs: map[string]int64{"x": 10}}, 1); err != nil {
+				t.Fatal(err)
+			}
+			tc.arm(faults)
+			n.handle(vis)
+			if n.DurabilityError() == nil {
+				t.Fatal("the refused settle did not degrade the node")
+			}
+			n.Halt()
+			ds.Close()
+			faults.FailSync(false) // the operator replaced the disk
+
+			ds, n = open()
+			defer ds.Close()
+			want(ds, "after reopen", 10, 1)
+			r := n.rs(key)
+			if _, ok := r.decided.get(tx); ok {
+				t.Error("after reopen the decided log holds the refused decision")
+			}
+			if r.summary.Contains(laneOf(tx), 1) {
+				t.Error("after reopen the lineage summary holds the refused option")
+			}
+			n.handle(vis)
+			want(ds, "redelivered visibility", 15, 2)
+			n.handle(vis)
+			want(ds, "visibility delivered a third time", 15, 2)
+		})
 	}
 }

@@ -119,9 +119,9 @@ func (s *Store) rest(v record.Value, version record.Version) stored {
 }
 
 // Open returns a durable store backed by a WAL in dir, replaying any
-// existing log into memory.
+// existing log into memory. Every record in it must be a kv entry.
 func Open(dir string, noSync bool) (*Store, error) {
-	return OpenWith(dir, wal.Options{NoSync: noSync}, nil, 0)
+	return OpenWith(dir, wal.Options{NoSync: noSync}, nil, 0, nil)
 }
 
 // OpenWith returns a durable store backed by a WAL in dir with full
@@ -131,7 +131,13 @@ func Open(dir string, noSync bool) (*Store, error) {
 // snapshot's cut), so recovery is the bounded tail, not the whole log.
 // Replaying a tail that overlaps the seed is sound: puts are
 // last-write-wins in log order.
-func OpenWith(dir string, opts wal.Options, seed []Entry, fromSeg int) (*Store, error) {
+//
+// The log may be shared with the layer above (internal/core writes its
+// decision records into it with Append, so one log orders a settle's
+// decision and its put): replay hands every record that does not open
+// with the kv entry format byte to other, in log order. With other nil
+// such a record is a wal.ErrFormat.
+func OpenWith(dir string, opts wal.Options, seed []Entry, fromSeg int, other func(payload []byte) error) (*Store, error) {
 	log, err := wal.Open(dir, opts)
 	if err != nil {
 		return nil, err
@@ -141,12 +147,15 @@ func OpenWith(dir string, opts wal.Options, seed []Entry, fromSeg int) (*Store, 
 		s.tree.Put(string(e.Key), s.rest(e.Value, e.Version))
 	}
 	err = log.ReplayFrom(fromSeg, func(payload []byte) error {
+		s.replayed++
+		if other != nil && (len(payload) == 0 || payload[0] != entryFormat) {
+			return other(payload)
+		}
 		e, derr := decodeRecord(payload)
 		if derr != nil {
 			return fmt.Errorf("kv: replay: %w", derr)
 		}
 		s.tree.Put(string(e.Key), s.rest(e.Value, e.Version))
-		s.replayed++
 		return nil
 	})
 	if err != nil {
@@ -212,6 +221,14 @@ func (s *Store) Put(key record.Key, value record.Value, version record.Version) 
 	return nil
 }
 
+// Append writes a record of the layer above into the store's log
+// (see OpenWith). It opens with that layer's own format byte, never
+// the kv entry's. A log that refused any earlier write refuses this
+// one too, and the other way round: one log poisons once.
+func (s *Store) Append(payload []byte) error {
+	return s.log.Append(payload)
+}
+
 // Scan calls fn for every live entry with from <= key < to (to == ""
 // means unbounded) in key order, stopping early if fn returns false.
 func (s *Store) Scan(from, to record.Key, fn func(Entry) bool) {
@@ -248,8 +265,9 @@ func (s *Store) Log() *wal.Log {
 	return s.log
 }
 
-// Replayed returns how many WAL records were replayed at open — the
-// recovery tail length when opened from a snapshot.
+// Replayed returns how many WAL records were replayed at open, the
+// other layer's included — the recovery tail length when opened from a
+// snapshot.
 func (s *Store) Replayed() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -780,8 +780,8 @@ func (r *Run) durOpts(i int) core.DurableOptions {
 }
 
 // CrashStorage kills storage node i (index into Cluster.Storage): its
-// queued events die, its volatile Paxos state is lost, and its WALs
-// are closed as a crashed process would leave them. The durability
+// queued events die, its volatile Paxos state is lost, and its WAL
+// is closed as a crashed process would leave it. The durability
 // gauges are captured first so the restart's replay can be validated
 // against what had actually accumulated since the last checkpoint.
 func (r *Run) CrashStorage(i int) {
@@ -796,7 +796,7 @@ func (r *Run) CrashStorage(i int) {
 	r.crashed[i] = true
 }
 
-// RestartStorage reboots a crashed storage node: reopen its WALs,
+// RestartStorage reboots a crashed storage node: reopen its WAL,
 // recover from the newest valid checkpoint snapshot plus the log tail
 // (full replay when no checkpoint exists), and register the fresh
 // incarnation. If no snapshot is usable (every one corrupt), the
@@ -861,7 +861,7 @@ func (r *Run) reopen(i int, wipe bool, rec check.RecoveryRecord) error {
 	rs := ds.RecoveryStats()
 	rec.UsedSnapshot = rs.UsedSnapshot
 	rec.FellBack = rs.FellBack
-	rec.TailRecords = rs.TailStore + rs.TailOplog
+	rec.TailRecords = rs.Tail
 	rec.Wall = rs.Duration
 	r.recoveries = append(r.recoveries, rec)
 	r.durables[i] = ds
@@ -913,7 +913,7 @@ func (r *Run) FlipDiskBit(i int) {
 }
 
 // RotWALRecord flips a byte inside the first record of crashed node
-// i's newest store-log segment: bit rot guaranteed to land in the
+// i's newest log segment: bit rot guaranteed to land in the
 // replay tail. (FlipDiskBit's runtime injection can land in a segment
 // a later checkpoint truncates away — harmless by design; this helper
 // pins the other outcome.) The restart must surface it as typed
@@ -921,7 +921,7 @@ func (r *Run) FlipDiskBit(i int) {
 // it — driving the wipe + quorum-rebuild path.
 func (r *Run) RotWALRecord(i int) {
 	id := r.Cluster.Storage[i].ID
-	dir := filepath.Join(r.dirs[i], "store")
+	dir := filepath.Join(r.dirs[i], "wal")
 	segs, err := wal.Segments(dir)
 	if err != nil || len(segs) == 0 {
 		r.events = append(r.events, fmt.Sprintf("rot WAL on %s: no segments", id))

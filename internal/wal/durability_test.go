@@ -136,6 +136,15 @@ func TestFailSyncPoisonsLog(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The refused record was cut: a reopen replays only what was
+		// acknowledged.
+		var got []string
+		if err := l2.ReplayFrom(0, func(p []byte) error { got = append(got, string(p)); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || got[0] != "ok" {
+			t.Fatalf("mode %+v: reopen replayed %q, want only the acknowledged record", mode, got)
+		}
 		if err := l2.Append([]byte("fresh")); err != nil {
 			t.Fatalf("reopened log still failing: %v", err)
 		}

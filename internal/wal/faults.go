@@ -2,17 +2,18 @@ package wal
 
 import "sync"
 
-// Faults is a nemesis-drivable fault plan for the file layer under one
-// or more Logs (share one Faults between a node's store and oplog to
-// model a single failing disk). All methods are safe for concurrent
-// use and safe on a nil receiver (no faults).
+// Faults is a nemesis-drivable fault plan for the file layer under a
+// Log (a storage node keeps one log, so one Faults is one node's disk).
+// All methods are safe for concurrent use and safe on a nil receiver
+// (no faults).
 //
 // The fault model, mirroring how real disks fail:
 //
 //   - FailSync: every sync fails with ErrDiskFault until disarmed.
 //     Under NoSync the *modeled* sync fails, so harnesses that never
 //     pay for fsync still see the disk refuse durability. The log is
-//     poisoned on the first failure (fsyncgate semantics).
+//     poisoned on the first failure (fsyncgate semantics) and cut back
+//     to its last synced length, so the refused record never replays.
 //   - TornWrite: one-shot — the next append writes only a prefix of
 //     its frame and fails, as if the disk died mid-write. Recovery
 //     must truncate the tear (tail) or report it typed (mid-segment).

@@ -23,7 +23,12 @@
 // (fsyncgate semantics): the kernel may have dropped the dirty pages,
 // so no later sync can retroactively make the lost writes durable —
 // every subsequent Append fails with the original error until the log
-// is reopened.
+// is reopened. The records that sync covered were refused to their
+// appenders, so the log treats them as the lost pages they may be and
+// cuts the segment back to its last synced length: a reopen never
+// replays a record whose Append returned an error. (A torn write is
+// the other refusal: the disk died mid-frame, and the partial frame is
+// left for the reopen to drop as a torn tail.)
 //
 // Checkpoint support: Cut() seals the active segment so a snapshot can
 // name "everything below segment N", TruncateBefore(n) deletes sealed
@@ -123,6 +128,7 @@ type Log struct {
 	segSize int64
 	closed  bool
 	failed  error // sticky first durability failure; cleared only by reopening
+	synced  int64 // active segment bytes the last successful sync covers
 	appends int64
 	frame   []byte // reused frame build buffer
 
@@ -179,6 +185,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	l.seg = f
 	l.segIdx = last
 	l.segSize = valid
+	l.synced = valid
 	return l, nil
 }
 
@@ -251,11 +258,11 @@ func (l *Log) Append(payload []byte) error {
 		// syncs fail must refuse the append loudly even when the
 		// harness never pays for real fsync.
 		if f.failSyncNow() {
-			l.failed = fmt.Errorf("wal: sync: %w", ErrDiskFault)
-			err := l.failed
+			err := l.refuseLocked(fmt.Errorf("wal: sync: %w", ErrDiskFault))
 			l.mu.Unlock()
 			return err
 		}
+		l.synced = l.segSize
 		l.mu.Unlock()
 		return nil
 	case l.opts.GroupCommit:
@@ -289,7 +296,21 @@ func (l *Log) syncLocked() error {
 		l.maxBatch = 1
 	}
 	if err != nil {
-		l.failed = err
+		return l.refuseLocked(err)
+	}
+	l.synced = l.segSize
+	return nil
+}
+
+// refuseLocked poisons the log with a failed sync's error and cuts the
+// active segment back to its synced length (mu held), so the records
+// the sync covered — refused to their appenders — never replay. A cut
+// that fails leaves them for the reopen to find; the log stays
+// poisoned either way.
+func (l *Log) refuseLocked(err error) error {
+	l.failed = err
+	if l.seg.Truncate(l.synced) == nil {
+		l.segSize = l.synced
 	}
 	return err
 }
@@ -301,7 +322,7 @@ func (l *Log) syncLeader() {
 	l.mu.Lock()
 	waiters := l.pending
 	l.pending = nil
-	seg := l.seg
+	seg, upto := l.seg, l.segSize
 	f := l.opts.Faults
 	l.mu.Unlock()
 
@@ -319,12 +340,14 @@ func (l *Log) syncLeader() {
 		l.maxBatch = int64(len(waiters))
 	}
 	if err != nil {
-		l.failed = err
 		// Poisoned: records queued behind the failed sync were never
 		// made durable either; fail them all rather than pretend a
-		// later fsync could cover them.
+		// later fsync could cover them, and cut them all.
+		l.refuseLocked(err)
 		waiters = append(waiters, l.pending...)
 		l.pending = nil
+	} else {
+		l.synced = upto
 	}
 	if len(l.pending) > 0 {
 		go l.syncLeader()
@@ -500,6 +523,7 @@ func (l *Log) rollLocked(idx int) error {
 	l.seg = f
 	l.segIdx = idx
 	l.segSize = 0
+	l.synced = 0
 	return nil
 }
 

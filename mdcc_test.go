@@ -368,11 +368,11 @@ func TestDurableCluster(t *testing.T) {
 		t.Fatalf("after restart: %v %v %v", v, exists, err)
 	}
 	// The embedded cluster runs the same durable engine as
-	// mdcc-server -data: the decision oplog comes back too, not only
-	// the committed store.
+	// mdcc-server -data: one log per node, puts and decisions, replayed
+	// at reopen.
 	for i, ds := range c2.durable {
-		if rs := ds.RecoveryStats(); rs.TailOplog == 0 && !rs.UsedSnapshot {
-			t.Errorf("node %d recovered no decision log: %+v", i, rs)
+		if rs := ds.RecoveryStats(); rs.Tail == 0 && !rs.UsedSnapshot {
+			t.Errorf("node %d recovered nothing from its log: %+v", i, rs)
 		}
 	}
 }
