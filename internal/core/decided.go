@@ -38,12 +38,12 @@ import (
 // with the divergence horizon (e.g. a partitioned peer), which is the
 // minimum state any exact merge scheme must keep.
 //
-// The log is the oplog's twin (DESIGN §12): its entries sit in settle
-// order, back to back in one byte slice, each
+// The log is the decision record's twin (DESIGN §12): its entries sit
+// in settle order, back to back in one byte slice, each
 //
 //	u64 settledAt | uvarint n | n-byte oplog decision body
 //
-// where the body is exactly what the oplog record carries after its
+// where the body is exactly what the 0xD2 record carries after its
 // key (string Tx | u8 Decision | uvarint KeySeq | bool HasUp |
 // [Update]), so persisting or checkpointing an entry copies it. The
 // settle time is fixed-width (little-endian UnixNano): a real clock's
