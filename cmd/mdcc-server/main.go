@@ -133,9 +133,6 @@ func main() {
 		id := topology.StorageID(dc, i)
 		if *dataDir != "" {
 			dir := filepath.Join(*dataDir, fmt.Sprintf("shard%d", i))
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				log.Fatal(err)
-			}
 			ds, err := core.OpenDurableOpts(dir, core.DurableOptions{GroupCommit: true})
 			if err != nil {
 				log.Fatal(err)
