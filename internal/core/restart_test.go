@@ -76,7 +76,7 @@ func (w *durableWorld) restart(i int) {
 
 // TestCrashRestartFromWALMidPhase2 kills an acceptor while a stream
 // of transactions is mid-protocol (Phase2 messages and visibility in
-// flight), restarts it from its WALs, and asserts that no
+// flight), restarts it from its WAL, and asserts that no
 // acknowledged commit is lost and every internal/check invariant
 // holds over the full history.
 func TestCrashRestartFromWALMidPhase2(t *testing.T) {

@@ -152,6 +152,67 @@ func TestFailSyncPoisonsLog(t *testing.T) {
 	}
 }
 
+// TestFailedSyncCutsWhatItRefused arms FailSync while group-commit
+// appenders are in flight: a reopen must replay exactly the records
+// whose Append returned nil — none of a failed batch, none queued
+// behind it — whichever batch the fault lands in.
+func TestFailedSyncCutsWhatItRefused(t *testing.T) {
+	f := NewFaults()
+	dir := t.TempDir()
+	l, err := Open(dir, Options{GroupCommit: true, Faults: f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, per = 8, 25
+	var mu sync.Mutex
+	acked := map[string]bool{}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				rec := fmt.Sprintf("w%d-%d", w, i)
+				if l.Append([]byte(rec)) != nil {
+					return
+				}
+				mu.Lock()
+				acked[rec] = true
+				mu.Unlock()
+			}
+		}(w)
+	}
+	for l.Appends() < workers*per/4 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	f.FailSync(true)
+	wg.Wait()
+	l.Close()
+
+	l2, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	replayed := map[string]bool{}
+	if err := l2.ReplayFrom(0, func(p []byte) error { replayed[string(p)] = true; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(acked) == workers*per {
+		t.Fatal("every append was acknowledged: the fault never fired")
+	}
+	for rec := range replayed {
+		if !acked[rec] {
+			t.Errorf("reopen replayed %s, whose Append failed", rec)
+		}
+	}
+	for rec := range acked {
+		if !replayed[rec] {
+			t.Errorf("reopen lost %s, whose Append succeeded", rec)
+		}
+	}
+}
+
 func TestTornWriteTruncatedOnReopen(t *testing.T) {
 	f := NewFaults()
 	dir := t.TempDir()

@@ -23,12 +23,9 @@
 // (fsyncgate semantics): the kernel may have dropped the dirty pages,
 // so no later sync can retroactively make the lost writes durable —
 // every subsequent Append fails with the original error until the log
-// is reopened. The records that sync covered were refused to their
-// appenders, so the log treats them as the lost pages they may be and
-// cuts the segment back to its last synced length: a reopen never
-// replays a record whose Append returned an error. (A torn write is
-// the other refusal: the disk died mid-frame, and the partial frame is
-// left for the reopen to drop as a torn tail.)
+// is reopened — and the records that sync covered are cut from the
+// segment, so a reopen never replays a record whose Append returned an
+// error (a torn write's partial frame is left for the reopen to drop).
 //
 // Checkpoint support: Cut() seals the active segment so a snapshot can
 // name "everything below segment N", TruncateBefore(n) deletes sealed
