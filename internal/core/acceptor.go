@@ -29,11 +29,14 @@ type StorageNode struct {
 	ldrs  map[record.Key]*leaderRec
 	tr    *trace.Ring // flight-recorder ring, nil when tracing is off
 	// freeVotes holds the vote arrays of records whose last unresolved
-	// vote settled, for the next record that votes (see takeVoteSlots).
+	// vote settled, for the next record that votes (see takeVoteSlots);
+	// freeOpen the open parts of records that went back to rest, for the
+	// next record that needs one (see opened).
 	freeVotes []voteSlots
-	// lanes holds one copy of each coordinator lane name the node's
-	// lineage summaries use (see laneName).
-	lanes map[string]string
+	freeOpen  []*recOpen
+	// lanes numbers the coordinator lanes of every record's packed
+	// lineage summary.
+	lanes laneTable
 
 	reqSeq     uint64
 	recoveries map[uint64]*txRecovery
@@ -86,37 +89,50 @@ type StorageNode struct {
 	group int
 }
 
-// recState is the acceptor's per-record Paxos state: the promised and
-// accepted ballots, the unresolved votes of the current ballot (the
-// cstruct), the decided-option log (the idempotence/merge cache), and
-// the record's exact lineage summary.
+// recState is the acceptor's per-record state. Every record the node
+// has touched keeps its rest part — the decided-option log (the
+// idempotence/merge cache), the packed lineage summary and the class
+// lock, 80 bytes with the open pointer. The Paxos state only a record
+// in use needs is its open part, nil while each of its fields would
+// read as initial (see recOpen).
 type recState struct {
-	promised paxos.Ballot
-	accepted paxos.Ballot
-	// votes is nil on a record with no unresolved vote: a record at
-	// rest keeps its state, and the arrays a vote needs while it is
-	// open belong to the node (takeVoteSlots, truncateVotes).
-	votes []VotedOption
-	// votedAt is parallel to votes: when each unresolved vote was cast
-	// (UnixNano), for the dangling-transaction sweep.
-	votedAt []int64
 	decided decidedLog
 	// summary is the record's exact applied-option summary: the
 	// settled set whose effects the committed value contains (or, for
 	// physical options, contains-or-supersedes). It is what makes
 	// "does this base already contain apply X?" answerable forever —
-	// see lineage.go.
-	summary LineageSummary
+	// see lineage.go. It is packed against the node's lane table.
+	summary packedLineage
+	// kind is the record's established update class (the kind-disjoint
+	// rule, DESIGN.md §5): locked by the first non-creating update;
+	// record-creating inserts are class-neutral. 0 = not yet locked.
+	kind record.UpdateKind
+	open *recOpen
+}
+
+// recOpen is a record's Paxos state beyond its rest part. The node
+// allocates it on the record's first vote, ballot change or peer
+// observation (opened) and takes it back when the record's last vote
+// settles with nothing else in it off its initial value
+// (truncateVotes). Absent, both ballots read as initialBallot(key) —
+// the implicit fast ballot, or in Multi mode the master's classic
+// ballot 1 — and everything else as empty.
+type recOpen struct {
+	promised paxos.Ballot
+	accepted paxos.Ballot
+	// votes holds the unresolved votes of the accepted ballot (the
+	// cstruct), nil with none: the arrays belong to the node between
+	// uses (takeVoteSlots, truncateVotes).
+	votes []VotedOption
+	// votedAt is parallel to votes: when each unresolved vote was cast
+	// (UnixNano), for the dangling-transaction sweep.
+	votedAt []int64
 	// peerLineage is the last summary learned from each peer replica
 	// (anti-entropy replies, Phase1b, Phase2a bases). Content release
 	// from the decided log is gated on every peer containing the entry
 	// (see decidedLog.compact); summaries are monotone per replica, so
 	// a stale observation is only ever conservative.
 	peerLineage map[transport.NodeID]LineageSummary
-	// kind is the record's established update class (the kind-disjoint
-	// rule, DESIGN.md §5): locked by the first non-creating update;
-	// record-creating inserts are class-neutral. 0 = not yet locked.
-	kind record.UpdateKind
 	// p2aSeq is the highest proposal sequence adopted in the accepted
 	// ballot, so duplicated or reordered Phase2a messages cannot
 	// regress the cstruct to an older snapshot.
@@ -139,7 +155,6 @@ func NewStorageNode(id transport.NodeID, dc topology.DC, net transport.Network,
 		recs:         make(map[record.Key]*recState),
 		ldrs:         make(map[record.Key]*leaderRec),
 		recoveries:   make(map[uint64]*txRecovery),
-		lanes:        make(map[string]string),
 		feedSubs:     make(map[transport.NodeID]*feedSub),
 		feedDirtySet: make(map[record.Key]bool),
 		group:        -1,
@@ -355,18 +370,63 @@ func (n *StorageNode) dispatch(env transport.Envelope) {
 	}
 }
 
-// rs returns (creating lazily) the record's acceptor state. Records
-// start in the implicit fast ballot, except in Multi mode where every
-// record starts owned by its stable master at classic ballot 1
-// (the Multi-Paxos mastership reservation over all instances).
+// rs returns (creating lazily) the record's acceptor state, at rest.
 func (n *StorageNode) rs(key record.Key) *recState {
 	r, ok := n.recs[key]
 	if !ok {
-		r = &recState{promised: n.initialBallot(key)}
-		r.accepted = r.promised
+		r = &recState{}
 		n.recs[key] = r
 	}
 	return r
+}
+
+// ballots returns the record's promised and accepted ballots. Records
+// start in the implicit fast ballot, except in Multi mode where every
+// record starts owned by its stable master at classic ballot 1 (the
+// Multi-Paxos mastership reservation over all instances).
+func (n *StorageNode) ballots(key record.Key, r *recState) (promised, accepted paxos.Ballot) {
+	if r.open == nil {
+		b := n.initialBallot(key)
+		return b, b
+	}
+	return r.open.promised, r.open.accepted
+}
+
+// opened returns the record's open part, giving it one at the initial
+// ballots if it has none.
+func (n *StorageNode) opened(key record.Key, r *recState) *recOpen {
+	if r.open != nil {
+		return r.open
+	}
+	var o *recOpen
+	if last := len(n.freeOpen) - 1; last >= 0 {
+		o, n.freeOpen[last] = n.freeOpen[last], nil
+		n.freeOpen = n.freeOpen[:last]
+	} else {
+		o = new(recOpen)
+	}
+	o.promised = n.initialBallot(key)
+	o.accepted = o.promised
+	r.open = o
+	return o
+}
+
+// promise raises the record's promised ballot to b if b is higher and
+// returns the promise it then holds.
+func (n *StorageNode) promise(key record.Key, r *recState, b paxos.Ballot) paxos.Ballot {
+	if p, _ := n.ballots(key, r); !p.Less(b) {
+		return p
+	}
+	n.opened(key, r).promised = b
+	return b
+}
+
+// votes returns the record's unresolved votes (nil at rest).
+func (r *recState) votes() []VotedOption {
+	if r.open == nil {
+		return nil
+	}
+	return r.open.votes
 }
 
 // notePeerLineage records a peer replica's summary for ack-gated
@@ -375,16 +435,17 @@ func (n *StorageNode) rs(key record.Key) *recState {
 // resets a peer's summary, but then every base that peer ever sends
 // is one it adopted from the quorum, which contains everything the
 // acked entries cover — release stays safe).
-func (n *StorageNode) notePeerLineage(r *recState, from transport.NodeID, s LineageSummary) {
+func (n *StorageNode) notePeerLineage(key record.Key, r *recState, from transport.NodeID, s LineageSummary) {
 	if from == n.id {
 		return
 	}
-	if r.peerLineage == nil {
-		r.peerLineage = make(map[transport.NodeID]LineageSummary, 4)
+	o := n.opened(key, r)
+	if o.peerLineage == nil {
+		o.peerLineage = make(map[transport.NodeID]LineageSummary, 4)
 	}
-	prev := r.peerLineage[from]
+	prev := o.peerLineage[from]
 	prev.Union(s)
-	r.peerLineage[from] = prev
+	o.peerLineage[from] = prev
 }
 
 // compactDecided releases decided-log contents that are provably
@@ -409,12 +470,16 @@ func (n *StorageNode) compactDecided(key record.Key, r *recState, force bool) {
 // log with the all-peer-ack predicate.
 func (n *StorageNode) releaseDecided(key record.Key, r *recState) {
 	peers := n.cl.Replicas(key)
+	var seen map[transport.NodeID]LineageSummary
+	if r.open != nil {
+		seen = r.open.peerLineage
+	}
 	n.m.DecidedReleased += int64(r.decided.compact(n.net.Now(), n.cfg.DecidedRetention, func(e decidedEntry) bool {
 		for _, p := range peers {
 			if p == n.id {
 				continue
 			}
-			pl, ok := r.peerLineage[p]
+			pl, ok := seen[p]
 			if !ok || !pl.Contains(string(e.lane()), e.KeySeq) {
 				return false
 			}
@@ -437,31 +502,15 @@ func (n *StorageNode) settleOption(key record.Key, r *recState, d Decision, opt 
 	n.compactDecided(key, r, false)
 }
 
-// laneName returns tx's coordinator lane as the node's shared copy of
-// the name. A lineage lane keeps its name for the life of the record,
-// and a lane named by a substring of tx would keep the whole
-// transaction id alive with it. The table holds a name per lane the
-// node has settled an option of, which its summaries hold forever
-// anyway.
-func (n *StorageNode) laneName(tx TxID) string {
-	lane := laneOf(tx)
-	if name, ok := n.lanes[lane]; ok {
-		return name
-	}
-	name := strings.Clone(lane)
-	n.lanes[name] = name
-	return name
-}
-
 // noteSettled folds one settled option (with contents) into the
 // record's summary and class lock (shared by live settles and WAL
 // replay).
 func (n *StorageNode) noteSettled(r *recState, d Decision, opt Option) {
 	if opt.KeySeq > 0 {
 		applied := d == DecAccept && opt.Update.Kind == record.KindCommutative
-		r.summary.Add(n.laneName(opt.Tx), opt.KeySeq, d != DecAccept, applied)
+		r.summary.add(&n.lanes, laneOf(opt.Tx), opt.KeySeq, d != DecAccept, applied)
 		if d == DecAccept && opt.Update.Kind == record.KindPhysical && opt.Update.ReadVersion > 0 {
-			r.summary.Physical = true
+			r.summary.mark(false, true)
 		}
 	}
 	if d == DecAccept {
@@ -496,10 +545,10 @@ func (r *recState) noteKindFromSummary() {
 	if r.kind != 0 {
 		return
 	}
-	switch {
-	case r.summary.Deltas:
+	switch deltas, physical := r.summary.bits(); {
+	case deltas:
 		r.kind = record.KindCommutative
-	case r.summary.Physical:
+	case physical:
 		r.kind = record.KindPhysical
 	}
 }
@@ -547,7 +596,7 @@ func (n *StorageNode) escrowSnap(key record.Key, val record.Value, ver record.Ve
 	}
 	var pending []VotedOption
 	if r, ok := n.recs[key]; ok {
-		pending = r.votes
+		pending = r.votes()
 	}
 	snap := EscrowSnap{Valid: true, Version: ver, Contenders: contenderGroups(pending, recipient)}
 	for _, con := range n.cfg.Constraints {
@@ -647,21 +696,22 @@ func (n *StorageNode) voteFor(opt Option) MsgVote {
 	key := opt.Update.Key
 	r := n.rs(key)
 	id := opt.ID()
+	promised, accepted := n.ballots(key, r)
 
 	// Idempotence: final decisions and existing votes are resent. The
 	// lineage summary answers for settled options whose decided-log
 	// entry was released — exact, forever.
 	if d, ok := r.decided.get(opt.Tx); ok {
-		return MsgVote{OptID: id, Ballot: r.promised, Decision: d}
+		return MsgVote{OptID: id, Ballot: promised, Decision: d}
 	}
 	if opt.KeySeq > 0 {
-		if d, ok := r.summary.Decision(laneOf(opt.Tx), opt.KeySeq); ok {
-			return MsgVote{OptID: id, Ballot: r.promised, Decision: d}
+		if d, ok := r.summary.decision(&n.lanes, laneOf(opt.Tx), opt.KeySeq); ok {
+			return MsgVote{OptID: id, Ballot: promised, Decision: d}
 		}
 	}
 	if i := r.voteIndex(id); i >= 0 {
-		v := &r.votes[i]
-		return MsgVote{OptID: id, Ballot: r.accepted, Decision: v.Decision, Reason: v.Reason}
+		v := &r.open.votes[i]
+		return MsgVote{OptID: id, Ballot: accepted, Decision: v.Decision, Reason: v.Reason}
 	}
 
 	// Ring fence: settled options are answered exactly above, but this
@@ -673,15 +723,15 @@ func (n *StorageNode) voteFor(opt Option) MsgVote {
 			n.tr.Add(trace.Event{At: n.net.Now().UnixNano(), Tx: string(opt.Tx),
 				Key: string(key), Stage: trace.StageWrongShard})
 		}
-		return MsgVote{OptID: id, Ballot: r.promised, WrongGroup: true}
+		return MsgVote{OptID: id, Ballot: promised, WrongGroup: true}
 	}
 
-	if !r.promised.Fast {
+	if !promised.Fast {
 		// Classic window: the record's current leader must order this
 		// option. That is whoever owns the promised ballot — after a
 		// master-DC failure this is a fallback leader in a live DC,
 		// not the static master.
-		leader := transport.NodeID(r.promised.Leader)
+		leader := transport.NodeID(promised.Leader)
 		if leader == "" {
 			leader = n.leaderFor(key)
 		}
@@ -691,11 +741,11 @@ func (n *StorageNode) voteFor(opt Option) MsgVote {
 				Key: string(key), Stage: trace.StageForward})
 		}
 		n.send(leader, MsgProposeLeader{Opt: opt})
-		return MsgVote{OptID: id, Ballot: r.promised, Forwarded: true, Leader: leader}
+		return MsgVote{OptID: id, Ballot: promised, Forwarded: true, Leader: leader}
 	}
 
 	demBefore := n.m.DemarcationRejects
-	dec, reason := n.evalOption(r.votes, opt, true)
+	dec, reason := n.evalOption(r.votes(), opt, true)
 	n.castVote(r, opt, dec, reason)
 	if n.tr != nil {
 		fl := uint8(trace.FlagFast)
@@ -713,16 +763,17 @@ func (n *StorageNode) voteFor(opt Option) MsgVote {
 		n.tr.Add(trace.Event{At: n.net.Now().UnixNano(), Tx: string(opt.Tx),
 			Key: string(key), Stage: trace.StageVote, Flags: fl})
 	}
-	return MsgVote{OptID: id, Ballot: r.promised, Decision: dec, Reason: reason}
+	return MsgVote{OptID: id, Ballot: promised, Decision: dec, Reason: reason}
 }
 
 // castVote appends a vote to the record's cstruct.
 func (n *StorageNode) castVote(r *recState, opt Option, dec Decision, reason RejectReason) {
-	if r.votes == nil {
-		r.votes, r.votedAt = n.takeVoteSlots(1)
+	o := n.opened(opt.Update.Key, r)
+	if o.votes == nil {
+		o.votes, o.votedAt = n.takeVoteSlots(1)
 	}
-	r.votes = append(r.votes, VotedOption{Opt: opt, Decision: dec, Reason: reason})
-	r.votedAt = append(r.votedAt, n.net.Now().UnixNano())
+	o.votes = append(o.votes, VotedOption{Opt: opt, Decision: dec, Reason: reason})
+	o.votedAt = append(o.votedAt, n.net.Now().UnixNano())
 	if dec == DecAccept {
 		n.m.VotesAccept++
 		r.noteKind(opt.Update)
@@ -946,7 +997,7 @@ func (n *StorageNode) onVisibility(m MsgVisibility) {
 		n.pruneVote(r, id)
 		return
 	}
-	if m.Opt.KeySeq > 0 && r.summary.Contains(laneOf(m.Opt.Tx), m.Opt.KeySeq) {
+	if m.Opt.KeySeq > 0 && r.summary.contains(&n.lanes, laneOf(m.Opt.Tx), m.Opt.KeySeq) {
 		n.pruneVote(r, id)
 		return // settled knowledge outlived the decided-log cache
 	}
@@ -962,7 +1013,7 @@ func (n *StorageNode) onVisibility(m MsgVisibility) {
 		// before its side effects became readable here.
 		if i := r.voteIndex(id); i >= 0 {
 			n.cfg.Tracer.ObservePhase(trace.PhaseVisibility, int(n.dc),
-				time.Duration(now.UnixNano()-r.votedAt[i]))
+				time.Duration(now.UnixNano()-r.open.votedAt[i]))
 		}
 	}
 	if m.Commit {
@@ -1018,7 +1069,7 @@ func (n *StorageNode) adoptBase(key record.Key, base record.Value, baseVer recor
 		return false
 	}
 	r := n.rs(key)
-	if baseVer == localVer && r.summary.ContainsAll(lineage) {
+	if baseVer == localVer && r.summary.containsAll(&n.lanes, lineage) {
 		// Nothing to learn: the incoming branch is a subset of ours at
 		// the same version (equal sets when the peer is converged).
 		// Equal version and value alone would NOT prove this — two
@@ -1068,16 +1119,16 @@ func (n *StorageNode) adoptBase(key record.Key, base record.Value, baseVer recor
 			// Same value and version, but the incoming summary knows
 			// settles we don't (e.g. rejects, which bump no version):
 			// absorb the knowledge without rewriting the store.
-			r.summary.Union(lineage)
+			r.summary.union(&n.lanes, lineage)
 			r.noteKindFromSummary()
-			n.logLineage(key, r.summary)
+			n.logLineage(key, r)
 			return true
 		}
 	}
 	n.storePut(key, val, ver)
-	r.summary.Union(lineage)
+	r.summary.union(&n.lanes, lineage)
 	r.noteKindFromSummary()
-	n.logLineage(key, r.summary)
+	n.logLineage(key, r)
 	n.markFeedDirty(key)
 	return true
 }
@@ -1105,8 +1156,9 @@ func (n *StorageNode) applyUpdate(up record.Update) {
 
 // voteIndex returns the position of id's unresolved vote, -1 if none.
 func (r *recState) voteIndex(id OptionID) int {
-	for i := range r.votes {
-		if r.votes[i].Opt.ID() == id {
+	votes := r.votes()
+	for i := range votes {
+		if votes[i].Opt.ID() == id {
 			return i
 		}
 	}
@@ -1155,18 +1207,30 @@ func (n *StorageNode) releaseVoteSlots(votes []VotedOption, at []int64) {
 	n.freeVotes = append(n.freeVotes, voteSlots{votes: votes[:0], at: at[:0]})
 }
 
-// truncateVotes cuts r's votes and votedAt to their first k elements,
-// zeroing the vacated slots so that no settled option's attribute map
-// and write-set stay reachable from an array that is still in use.
-// When the last vote goes the arrays go with it, back to the node: a
-// vote slot does not outlive its vote.
-func (n *StorageNode) truncateVotes(r *recState, k int) {
-	clear(r.votes[k:])
-	r.votes = r.votes[:k]
-	r.votedAt = r.votedAt[:k]
-	if k == 0 {
-		n.releaseVoteSlots(r.votes, r.votedAt)
-		r.votes, r.votedAt = nil, nil
+// truncateVotes cuts the votes and votedAt of key's open record to
+// their first k elements, zeroing the vacated slots so that no settled
+// option's attribute map and write-set stay reachable from an array
+// that is still in use. When the last vote goes the arrays go with it,
+// back to the node: a vote slot does not outlive its vote. So does the
+// open part, if nothing else in it is off its initial value — a record
+// whose fast-path votes have all settled is at rest again.
+func (n *StorageNode) truncateVotes(key record.Key, r *recState, k int) {
+	o := r.open
+	clear(o.votes[k:])
+	o.votes = o.votes[:k]
+	o.votedAt = o.votedAt[:k]
+	if k > 0 {
+		return
+	}
+	n.releaseVoteSlots(o.votes, o.votedAt)
+	o.votes, o.votedAt = nil, nil
+	if init := n.initialBallot(key); o.promised != init || o.accepted != init || o.peerLineage != nil || o.p2aSeq != 0 {
+		return
+	}
+	r.open = nil
+	if len(n.freeOpen) < maxFreeVoteSlots {
+		*o = recOpen{}
+		n.freeOpen = append(n.freeOpen, o)
 	}
 }
 
@@ -1176,29 +1240,29 @@ func (n *StorageNode) pruneVote(r *recState, id OptionID) {
 	if i < 0 {
 		return
 	}
-	last := len(r.votes) - 1
-	copy(r.votes[i:], r.votes[i+1:])
-	copy(r.votedAt[i:], r.votedAt[i+1:])
-	n.truncateVotes(r, last)
+	o := r.open
+	last := len(o.votes) - 1
+	copy(o.votes[i:], o.votes[i+1:])
+	copy(o.votedAt[i:], o.votedAt[i+1:])
+	n.truncateVotes(id.Key, r, last)
 }
 
 // onPhase1a promises a classic ballot and reports state (§3.1.1).
 func (n *StorageNode) onPhase1a(from transport.NodeID, m MsgPhase1a) {
 	r := n.rs(m.Key)
-	if r.promised.Less(m.Ballot) {
-		r.promised = m.Ballot
-	}
+	promised := n.promise(m.Key, r, m.Ballot)
+	_, accepted := n.ballots(m.Key, r)
 	val, ver, ok := n.store.Get(m.Key)
 	n.m.Phase1++
 	reply := MsgPhase1b{
 		Key:     m.Key,
-		Ballot:  r.promised, // echoes m.Ballot, or a higher promise (nack)
-		Bal:     r.accepted,
-		Votes:   append([]VotedOption(nil), r.votes...),
+		Ballot:  promised, // echoes m.Ballot, or a higher promise (nack)
+		Bal:     accepted,
+		Votes:   append([]VotedOption(nil), r.votes()...),
 		Version: ver,
 		Value:   val,
 		Exists:  ok && !val.Tombstone,
-		Lineage: r.summary.Clone(),
+		Lineage: r.summary.unpack(&n.lanes),
 	}
 	n.send(from, reply)
 }
@@ -1209,13 +1273,14 @@ func (n *StorageNode) onPhase1a(from transport.NodeID, m MsgPhase1a) {
 // leader catches up lagging replicas.
 func (n *StorageNode) onPhase2a(from transport.NodeID, m MsgPhase2a) {
 	r := n.rs(m.Key)
-	if m.Ballot.Less(r.promised) {
+	if promised, _ := n.ballots(m.Key, r); m.Ballot.Less(promised) {
 		n.send(from, MsgPhase2b{
-			Key: m.Key, Ballot: m.Ballot, Seq: m.Seq, OK: false, Promised: r.promised,
+			Key: m.Key, Ballot: m.Ballot, Seq: m.Seq, OK: false, Promised: promised,
 		})
 		return
 	}
-	if m.Ballot.Cmp(r.accepted) == 0 && m.Seq <= r.p2aSeq {
+	o := n.opened(m.Key, r)
+	if m.Ballot.Cmp(o.accepted) == 0 && m.Seq <= o.p2aSeq {
 		// Duplicated or reordered proposal of the current ballot: this
 		// snapshot (or a newer one) was already adopted. Re-ack without
 		// touching state — re-adopting an older cstruct would silently
@@ -1223,31 +1288,31 @@ func (n *StorageNode) onPhase2a(from transport.NodeID, m MsgPhase2a) {
 		n.send(from, MsgPhase2b{Key: m.Key, Ballot: m.Ballot, Seq: m.Seq, OK: true})
 		return
 	}
-	if m.Ballot.Cmp(r.accepted) != 0 {
-		r.p2aSeq = 0 // new ballot: its proposal sequence starts over
+	if m.Ballot.Cmp(o.accepted) != 0 {
+		o.p2aSeq = 0 // new ballot: its proposal sequence starts over
 	}
-	r.promised = m.Ballot
-	r.accepted = m.Ballot
-	r.p2aSeq = m.Seq
+	o.promised = m.Ballot
+	o.accepted = m.Ballot
+	o.p2aSeq = m.Seq
 	if m.HasBase {
 		// A fresher committed base piggybacked by the leader catches up
 		// (and merges with) lagging replicas. The leader's summary also
 		// feeds the peer-ack ledger gating content release.
-		n.notePeerLineage(r, from, m.BaseLineage)
+		n.notePeerLineage(m.Key, r, from, m.BaseLineage)
 		n.adoptBase(m.Key, m.BaseValue, m.BaseVersion, m.BaseLineage)
 	}
 	now := n.net.Now().UnixNano()
 	// The adopted cstruct replaces the votes wholesale, in other arrays:
 	// the previous ones are read below and then released, so no dropped
 	// vote stays reachable.
-	prev, prevAt := r.votes, r.votedAt
-	r.votes, r.votedAt = n.takeVoteSlots(len(m.CStruct))
+	prev, prevAt := o.votes, o.votedAt
+	o.votes, o.votedAt = n.takeVoteSlots(len(m.CStruct))
 	next := 0 // cursor into prev: successive cstructs keep their order
 	for _, v := range m.CStruct {
 		if _, ok := r.decided.get(v.Opt.Tx); ok {
 			continue // already settled locally (e.g. visibility raced ahead)
 		}
-		if v.Opt.KeySeq > 0 && r.summary.Contains(laneOf(v.Opt.Tx), v.Opt.KeySeq) {
+		if v.Opt.KeySeq > 0 && r.summary.contains(&n.lanes, laneOf(v.Opt.Tx), v.Opt.KeySeq) {
 			continue // settled knowledge outlived the decided-log cache
 		}
 		// votedAt measures how long the option has been unresolved, so
@@ -1268,12 +1333,12 @@ func (n *StorageNode) onPhase2a(from transport.NodeID, m MsgPhase2a) {
 				break
 			}
 		}
-		r.votes = append(r.votes, v)
-		r.votedAt = append(r.votedAt, at)
+		o.votes = append(o.votes, v)
+		o.votedAt = append(o.votedAt, at)
 	}
 	n.releaseVoteSlots(prev, prevAt)
-	if len(r.votes) == 0 {
-		n.truncateVotes(r, 0) // nothing adopted: the record is at rest
+	if len(o.votes) == 0 {
+		n.truncateVotes(m.Key, r, 0) // nothing adopted: no vote arrays
 	}
 	n.m.Phase2++
 	n.send(from, MsgPhase2b{Key: m.Key, Ballot: m.Ballot, Seq: m.Seq, OK: true})
@@ -1282,9 +1347,10 @@ func (n *StorageNode) onPhase2a(from transport.NodeID, m MsgPhase2a) {
 // onEnableFast re-opens the record for master-bypassing proposals.
 func (n *StorageNode) onEnableFast(m MsgEnableFast) {
 	r := n.rs(m.Key)
-	if r.promised.Less(m.Ballot) {
-		r.promised = m.Ballot
-		r.accepted = m.Ballot
+	if promised, _ := n.ballots(m.Key, r); promised.Less(m.Ballot) {
+		o := n.opened(m.Key, r)
+		o.promised = m.Ballot
+		o.accepted = m.Ballot
 		n.m.EnableFast++
 	}
 }
@@ -1295,7 +1361,7 @@ func (n *StorageNode) onEnableFast(m MsgEnableFast) {
 // (internal/check) compare these strings.
 func (n *StorageNode) LineageFingerprint(key record.Key) string {
 	if r, ok := n.recs[key]; ok {
-		return r.summary.String()
+		return r.summary.unpack(&n.lanes).String()
 	}
 	return LineageSummary{}.String()
 }

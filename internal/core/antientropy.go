@@ -89,7 +89,7 @@ func (n *StorageNode) onSyncReq(from transport.NodeID, m MsgSyncReq) {
 		count++
 		entry := SyncEntry{Key: e.Key, Value: e.Value, Version: e.Version}
 		if r, ok := n.recs[e.Key]; ok {
-			entry.Lineage = r.summary.Clone()
+			entry.Lineage = r.summary.unpack(&n.lanes)
 		}
 		reply.Entries = append(reply.Entries, entry)
 		return true
@@ -115,7 +115,7 @@ func (n *StorageNode) onSyncReply(from transport.NodeID, m MsgSyncReply) {
 	}
 	for _, e := range m.Entries {
 		ver, _ := n.store.Version(e.Key)
-		n.notePeerLineage(n.rs(e.Key), from, e.Lineage)
+		n.notePeerLineage(e.Key, n.rs(e.Key), from, e.Lineage)
 		if e.Version < ver {
 			continue
 		}
@@ -198,7 +198,7 @@ func (n *StorageNode) onPullReply(from transport.NodeID, m MsgSyncReply) {
 			continue
 		}
 		ver, _ := n.store.Version(e.Key)
-		n.notePeerLineage(n.rs(e.Key), from, e.Lineage)
+		n.notePeerLineage(e.Key, n.rs(e.Key), from, e.Lineage)
 		if e.Version >= ver && n.adoptBase(e.Key, e.Value, e.Version, e.Lineage) {
 			n.m.Synced++
 		}
@@ -233,7 +233,7 @@ func (n *StorageNode) Unsettled(sel func(record.Key) bool) int {
 		if sel != nil && !sel(key) {
 			continue
 		}
-		total += len(r.votes)
+		total += len(r.votes())
 	}
 	return total
 }

@@ -48,8 +48,9 @@ func (n *StorageNode) Checkpoint() {
 // NewDurableStorageNode's seeding loop unchanged: one summary-snapshot
 // entry per record (unioned first), then the decided options in
 // settle order (recorded and noted idempotently), each the decided
-// log's own bytes. The entries alias the node's state, which
-// Checkpoint encodes before the dispatch returns. Keys are emitted in
+// log's own bytes. The decisions alias the node's state, which
+// Checkpoint encodes before the dispatch returns; each summary is
+// unpacked into one of its own. Keys are emitted in
 // sorted order so identical states checkpoint to identical bytes.
 func (n *StorageNode) snapshotOplog() []oplogEntry {
 	keys := make([]record.Key, 0, len(n.recs))
@@ -60,8 +61,9 @@ func (n *StorageNode) snapshotOplog() []oplogEntry {
 	var out []oplogEntry
 	for _, k := range keys {
 		r := n.recs[k]
-		if !r.summary.IsEmpty() {
-			out = append(out, oplogEntry{Key: k, Snapshot: &r.summary})
+		if !r.summary.isEmpty() {
+			s := r.summary.unpack(&n.lanes)
+			out = append(out, oplogEntry{Key: k, Snapshot: &s})
 		}
 		r.decided.each(func(e decidedEntry) bool {
 			out = append(out, oplogEntry{Key: k, Decision: e.body})

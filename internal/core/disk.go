@@ -43,7 +43,7 @@ func appendOplogEntry(b []byte, e *oplogEntry) []byte {
 func readOplogEntry(r *transport.WireReader) oplogEntry {
 	e := oplogEntry{Key: record.Key(r.InternString())}
 	if r.Bool() {
-		s := readLineage(r)
+		s := readLineage(r, nil)
 		e.Snapshot = &s
 		return e
 	}

@@ -127,7 +127,7 @@ func (n *StorageNode) leaderPropose(opt Option, recovery bool) {
 		return
 	}
 	if opt.KeySeq > 0 {
-		if d, ok := r.summary.Decision(laneOf(opt.Tx), opt.KeySeq); ok {
+		if d, ok := r.summary.decision(&n.lanes, laneOf(opt.Tx), opt.KeySeq); ok {
 			n.notifyLearned(opt.Coord, id, d, ReasonNone, comm)
 			n.resolveWaiters(l, id, d)
 			return
@@ -189,10 +189,9 @@ func (n *StorageNode) startPhase1(key record.Key, l *leaderRec) {
 		l.queue = nil
 		return
 	}
-	r := n.rs(key)
 	base := l.ballot
-	if base.Less(r.promised) {
-		base = r.promised
+	if promised, _ := n.ballots(key, n.rs(key)); base.Less(promised) {
+		base = promised
 	}
 	ballot := base.Next(string(n.id))
 	l.phase1 = &phase1Ctx{ballot: ballot, replies: make(map[transport.NodeID]MsgPhase1b)}
@@ -225,10 +224,7 @@ func (n *StorageNode) onPhase1b(from transport.NodeID, m MsgPhase1b) {
 			if l2.owned || l2.phase1 != nil {
 				return
 			}
-			r := n.rs(key)
-			if r.promised.Less(seen) {
-				r.promised = seen
-			}
+			n.promise(key, n.rs(key), seen)
 			if len(l2.queue) > 0 || len(l2.waiters) > 0 {
 				n.startPhase1(key, l2)
 			}
@@ -273,7 +269,7 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 	var freshest *MsgPhase1b
 	for _, from := range froms {
 		rep := p1.replies[from]
-		n.notePeerLineage(r, from, rep.Lineage)
+		n.notePeerLineage(key, r, from, rep.Lineage)
 		if rep.Version > localVer && (freshest == nil || rep.Version > freshest.Version) {
 			freshest = &rep
 		}
@@ -363,7 +359,7 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 			continue
 		}
 		lane := laneOf(id.Tx)
-		if d, ok := r.summary.Decision(lane, t.opt.KeySeq); ok {
+		if d, ok := r.summary.decision(&n.lanes, lane, t.opt.KeySeq); ok {
 			t.decided, t.decision = true, d
 			continue
 		}
@@ -539,7 +535,7 @@ func (n *StorageNode) waiterSummaryDecision(r *recState, l *leaderRec, p1 *phase
 		return DecUnknown, false
 	}
 	lane := laneOf(id.Tx)
-	if d, ok := r.summary.Decision(lane, keySeq); ok {
+	if d, ok := r.summary.decision(&n.lanes, lane, keySeq); ok {
 		return d, true
 	}
 	for _, from := range froms {
@@ -576,7 +572,7 @@ func (n *StorageNode) sendPhase2a(key record.Key, l *leaderRec) {
 	msg := MsgPhase2a{
 		Key: key, Ballot: l.ballot, Seq: l.seq, CStruct: snap,
 		HasBase: true, BaseVersion: ver, BaseValue: val, BaseExists: ok && !val.Tombstone,
-		BaseLineage: r.summary.Clone(),
+		BaseLineage: r.summary.unpack(&n.lanes),
 	}
 	if n.tr != nil {
 		// One event per option in the broadcast cstruct, so each
@@ -653,10 +649,7 @@ func (n *StorageNode) abandonLeadership(key record.Key, l *leaderRec, seen paxos
 	for s := range l.props {
 		delete(l.props, s)
 	}
-	r := n.rs(key)
-	if r.promised.Less(seen) {
-		r.promised = seen
-	}
+	n.promise(key, n.rs(key), seen)
 	if l.phase1 == nil && (len(l.queue) > 0 || len(l.waiters) > 0) {
 		n.after(50*time.Millisecond, func() {
 			l2 := n.lr(key)

@@ -90,21 +90,25 @@ func TestRecoverOptUnknownOptionRejected(t *testing.T) {
 func TestEnableFastAdvancesBallot(t *testing.T) {
 	n, _ := unitNode(t, ModeMDCC, nil)
 	r := n.rs("k")
+	promised := func() paxos.Ballot {
+		p, _ := n.ballots("k", r)
+		return p
+	}
 	classic := paxos.Classic(3, "ldr")
 	n.onPhase1a("ldr", MsgPhase1a{Key: "k", Ballot: classic})
-	if r.promised.Cmp(classic) != 0 {
-		t.Fatalf("promise not taken: %v", r.promised)
+	if promised().Cmp(classic) != 0 {
+		t.Fatalf("promise not taken: %v", promised())
 	}
 	n.onEnableFast(MsgEnableFast{Key: "k", Ballot: classic.NextFast()})
-	if !r.promised.Fast {
+	if !promised().Fast {
 		t.Fatal("record not back in fast mode")
 	}
-	if !classic.Less(r.promised) {
+	if !classic.Less(promised()) {
 		t.Fatal("fast ballot does not outrank the classic one")
 	}
 	// A stale EnableFast (lower ballot) must be ignored.
 	n.onEnableFast(MsgEnableFast{Key: "k", Ballot: paxos.FastBallot(1)})
-	if r.promised.Cmp(classic.NextFast()) != 0 {
+	if promised().Cmp(classic.NextFast()) != 0 {
 		t.Fatal("stale EnableFast regressed the ballot")
 	}
 }

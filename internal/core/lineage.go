@@ -1,9 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+
+	"mdcc/internal/transport"
 )
 
 // Lineage summaries: the exact, compact, retention-free answer to
@@ -55,7 +59,9 @@ type LaneLineage struct {
 	Rejected []SeqRange // the subset that settled as rejects
 }
 
-// LineageSummary is a record's exact applied-option summary.
+// LineageSummary is a record's exact applied-option summary in the
+// form messages, the disk and tests exchange. A storage node keeps each
+// record's packed (packedLineage).
 type LineageSummary struct {
 	Lanes []LaneLineage
 	// Deltas reports whether this branch contains at least one applied
@@ -176,26 +182,6 @@ func (s *LineageSummary) laneOrNew(name string) *LaneLineage {
 	return &s.Lanes[i]
 }
 
-// Add records one settled option. rejected marks reject outcomes;
-// applied marks an executed commutative update (sets Deltas). Returns
-// whether the summary changed (false for duplicates). seq 0 (no
-// lineage identity) is ignored.
-func (s *LineageSummary) Add(lane string, seq uint64, rejected, applied bool) bool {
-	if seq == 0 {
-		return false
-	}
-	l := s.laneOrNew(lane)
-	done, changed := addRange(l.Done, seq)
-	l.Done = done
-	if rejected {
-		l.Rejected, _ = addRange(l.Rejected, seq)
-	}
-	if applied {
-		s.Deltas = true
-	}
-	return changed
-}
-
 // Contains reports whether (lane, seq) settled in this summary.
 func (s LineageSummary) Contains(lane string, seq uint64) bool {
 	l := s.lane(lane)
@@ -230,44 +216,6 @@ func (s *LineageSummary) Union(o LineageSummary) {
 	s.Deltas = s.Deltas || o.Deltas
 	s.Physical = s.Physical || o.Physical
 }
-
-// ContainsAll reports o ⊆ s (every settled entry of o is settled in
-// s; the Rejected split is implied by decision consistency).
-func (s LineageSummary) ContainsAll(o LineageSummary) bool {
-	for i := range o.Lanes {
-		ol := &o.Lanes[i]
-		l := s.lane(ol.Lane)
-		if l == nil {
-			if len(ol.Done) == 0 {
-				continue
-			}
-			return false
-		}
-		if !rangeSubset(ol.Done, l.Done) {
-			return false
-		}
-	}
-	return true
-}
-
-// Clone deep-copies the summary.
-func (s LineageSummary) Clone() LineageSummary {
-	out := LineageSummary{Deltas: s.Deltas, Physical: s.Physical}
-	if len(s.Lanes) > 0 {
-		out.Lanes = make([]LaneLineage, len(s.Lanes))
-		for i, l := range s.Lanes {
-			out.Lanes[i] = LaneLineage{
-				Lane:     l.Lane,
-				Done:     append([]SeqRange(nil), l.Done...),
-				Rejected: append([]SeqRange(nil), l.Rejected...),
-			}
-		}
-	}
-	return out
-}
-
-// IsEmpty reports a summary with no settled entries.
-func (s LineageSummary) IsEmpty() bool { return len(s.Lanes) == 0 }
 
 // String renders the canonical fingerprint, e.g.
 // "Δ{c0:[1-7 9]!:[4];c1:[1-3]}". Summaries are kept canonical, so two
@@ -312,4 +260,237 @@ func writeRanges(b *strings.Builder, rs []SeqRange) {
 		}
 	}
 	b.WriteByte(']')
+}
+
+// laneTable numbers the coordinator lanes a storage node's packed
+// summaries name, so a record holds a lane as a one-byte index instead
+// of a string. Each name is the table's own copy: a lane named by a
+// substring of a transaction id would keep the whole id alive. The
+// table grows only with coordinator incarnations (and their lane eras),
+// never per record or per option, and it never shrinks: the summaries
+// name their lanes forever. The zero value is an empty table.
+type laneTable struct {
+	ids   map[string]uint32
+	names []string
+}
+
+// id returns lane's index, numbering it if it is new.
+func (t *laneTable) id(lane string) uint32 {
+	if id, ok := t.ids[lane]; ok {
+		return id
+	}
+	if t.ids == nil {
+		t.ids = make(map[string]uint32)
+	}
+	lane = strings.Clone(lane)
+	id := uint32(len(t.names))
+	t.names = append(t.names, lane)
+	t.ids[lane] = id
+	return id
+}
+
+// packedLineage is a record's LineageSummary as a storage node keeps
+// it: appendLineage's layout, except that a lane is its uvarint index
+// in the node's laneTable instead of its name,
+//
+//	uvarint n | n × (uvarint lane | ranges Done | ranges Rejected) |
+//	bool Deltas | bool Physical
+//
+// with the lanes in name order, so unpacking yields the canonical
+// summary. Nil is the empty summary with neither class bit. Reads scan
+// the bytes in place; add and union rewrite them, in place when the
+// result fits.
+type packedLineage []byte
+
+// packedLane is one lane's entry of a packed summary: the bytes it
+// spans, or where it would go when absent (at == end), and its ranges,
+// decoded onto the caller's buffers.
+type packedLane struct {
+	at, end   int
+	found     bool
+	id        uint32
+	done, rej []SeqRange
+}
+
+// emptyPacked is what a nil summary reads as; splice never writes it.
+var emptyPacked = packedLineage{0, 0, 0}
+
+// lane finds lane's entry, decoding its ranges onto done and rej
+// (stack buffers at the callers: a lookup allocates nothing).
+func (p packedLineage) lane(t *laneTable, lane string, done, rej []SeqRange) packedLane {
+	if len(p) == 0 {
+		return packedLane{at: 1, end: 1}
+	}
+	r := transport.NewWireReader(p)
+	n := r.Count("lane")
+	for i := 0; i < n; i++ {
+		at := len(p) - r.Len()
+		id := uint32(r.Uvarint())
+		switch name := t.names[id]; {
+		case name == lane:
+			l := packedLane{at: at, found: true, id: id}
+			l.done = readRanges(r, done)
+			l.rej = readRanges(r, rej)
+			l.end = len(p) - r.Len()
+			return l
+		case name > lane:
+			return packedLane{at: at, end: at}
+		}
+		skipRanges(r)
+		skipRanges(r)
+	}
+	at := len(p) - r.Len()
+	return packedLane{at: at, end: at}
+}
+
+func skipRanges(r *transport.WireReader) {
+	for n := 2 * r.Count("range"); n > 0; n-- {
+		r.Uvarint()
+	}
+}
+
+// isEmpty reports a summary with no lanes (LineageSummary's IsEmpty).
+func (p packedLineage) isEmpty() bool { return len(p) == 0 || p[0] == 0 }
+
+// bits returns the class bits.
+func (p packedLineage) bits() (deltas, physical bool) {
+	if len(p) == 0 {
+		return false, false
+	}
+	return p[len(p)-2] != 0, p[len(p)-1] != 0
+}
+
+// mark sets the class bits given (it never clears one).
+func (p *packedLineage) mark(deltas, physical bool) {
+	if !deltas && !physical {
+		return
+	}
+	if len(*p) == 0 {
+		*p = packedLineage{0, 0, 0}
+	}
+	if deltas {
+		(*p)[len(*p)-2] = 1
+	}
+	if physical {
+		(*p)[len(*p)-1] = 1
+	}
+}
+
+// contains is LineageSummary.Contains.
+func (p packedLineage) contains(t *laneTable, lane string, seq uint64) bool {
+	var db, rb [4]SeqRange
+	l := p.lane(t, lane, db[:0], rb[:0])
+	return l.found && rangeContains(l.done, seq)
+}
+
+// decision is LineageSummary.Decision.
+func (p packedLineage) decision(t *laneTable, lane string, seq uint64) (Decision, bool) {
+	var db, rb [4]SeqRange
+	l := p.lane(t, lane, db[:0], rb[:0])
+	switch {
+	case !l.found || !rangeContains(l.done, seq):
+		return DecUnknown, false
+	case rangeContains(l.rej, seq):
+		return DecReject, true
+	}
+	return DecAccept, true
+}
+
+// containsAll is LineageSummary.ContainsAll: o ⊆ p.
+func (p packedLineage) containsAll(t *laneTable, o LineageSummary) bool {
+	for i := range o.Lanes {
+		ol := &o.Lanes[i]
+		if len(ol.Done) == 0 {
+			continue
+		}
+		var db, rb [4]SeqRange
+		if l := p.lane(t, ol.Lane, db[:0], rb[:0]); !l.found || !rangeSubset(ol.Done, l.done) {
+			return false
+		}
+	}
+	return true
+}
+
+// add is LineageSummary.Add: it records one settled option and reports
+// whether the settled set changed.
+func (p *packedLineage) add(t *laneTable, lane string, seq uint64, rejected, applied bool) bool {
+	if seq == 0 {
+		return false
+	}
+	var db, rb [4]SeqRange
+	l := p.lane(t, lane, db[:0], rb[:0])
+	done, changed := addRange(l.done, seq)
+	rej, rejChanged := l.rej, false
+	if rejected {
+		rej, rejChanged = addRange(rej, seq)
+	}
+	if changed || rejChanged {
+		p.put(t, lane, l, done, rej)
+	}
+	p.mark(applied, false)
+	return changed
+}
+
+// union is LineageSummary.Union: o's settled sets and class bits join
+// p's.
+func (p *packedLineage) union(t *laneTable, o LineageSummary) {
+	for i := range o.Lanes {
+		ol := &o.Lanes[i]
+		var db, rb [4]SeqRange
+		l := p.lane(t, ol.Lane, db[:0], rb[:0])
+		p.put(t, ol.Lane, l, rangeUnion(l.done, ol.Done), rangeUnion(l.rej, ol.Rejected))
+	}
+	p.mark(o.Deltas, o.Physical)
+}
+
+// unpack returns the summary as a LineageSummary of its own (Clone and
+// String's source, and the checkpoint snapshot's).
+func (p packedLineage) unpack(t *laneTable) LineageSummary {
+	if len(p) == 0 {
+		return LineageSummary{}
+	}
+	return readLineage(transport.NewWireReader(p), t)
+}
+
+// put writes lane's entry l with the ranges given.
+func (p *packedLineage) put(t *laneTable, lane string, l packedLane, done, rej []SeqRange) {
+	id := l.id
+	if !l.found {
+		id = t.id(lane)
+	}
+	var eb [64]byte
+	e := transport.AppendUvarint(eb[:0], uint64(id))
+	e = appendRanges(e, done)
+	e = appendRanges(e, rej)
+	*p = p.splice(l.at, l.end, e, !l.found)
+}
+
+// splice replaces p[at:end] with e, counting one lane more when grow
+// is set. The result reuses p's array when it fits (a settle that
+// extends a watermark rewrites its bytes where they lie) and takes a
+// new one, rounded up to its allocation size, when it does not.
+func (p packedLineage) splice(at, end int, e []byte, grow bool) packedLineage {
+	if len(p) == 0 {
+		p = emptyPacked
+	}
+	n, k := binary.Uvarint(p)
+	if grow {
+		n++
+	}
+	var hb [binary.MaxVarintLen64]byte
+	h := binary.AppendUvarint(hb[:0], n)
+	tail := len(p) - end
+	size := len(h) + (at - k) + len(e) + tail
+	out := p[:0]
+	if size > cap(p) {
+		out = slices.Grow(out[:0:0], size)
+	}
+	out = out[:size]
+	// In place the count never shrinks, so moving the tail first and the
+	// lanes before the entry second never overwrites bytes still to move.
+	copy(out[size-tail:], p[end:])
+	copy(out[len(h):], p[k:at])
+	copy(out[len(h)+at-k:], e)
+	copy(out, h)
+	return out
 }

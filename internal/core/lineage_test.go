@@ -293,7 +293,7 @@ func TestRecoveryHealsFromSettledEntries(t *testing.T) {
 		if got, want := victim.LineageFingerprint(up.Key), healthy.LineageFingerprint(up.Key); got != want {
 			t.Errorf("%s: victim lineage %s, healthy replica %s", up.Key, got, want)
 		}
-		if n := len(victim.rs(up.Key).votes); n != 0 {
+		if n := len(victim.rs(up.Key).votes()); n != 0 {
 			t.Errorf("%s: %d votes still unresolved on the victim", up.Key, n)
 		}
 	}
@@ -333,7 +333,7 @@ func TestRestartRebuildsLineageExactly(t *testing.T) {
 	val, ver, _ := fr.node.Store().Get("rs/1")
 	val = record.Commutative("rs/1", map[string]int64{"x": 2}).Apply(val)
 	fr.node.adoptBase("rs/1", val, ver+2, func() LineageSummary {
-		s := fr.node.rs("rs/1").summary.Clone()
+		s := fr.node.rs("rs/1").summary.unpack(&fr.node.lanes)
 		s.Union(peer)
 		return s
 	}())
@@ -490,7 +490,7 @@ func FuzzLineageMergeExact(f *testing.F) {
 
 		merge := func(dst, src *fuzzReplica) {
 			val, ver, _ := src.node.Store().Get("k")
-			dst.node.adoptBase("k", val, ver, src.node.rs("k").summary.Clone())
+			dst.node.adoptBase("k", val, ver, src.node.rs("k").summary.unpack(&src.node.lanes))
 		}
 		converge := func(a, b *fuzzReplica) {
 			for i := 0; i < 3; i++ {

@@ -56,23 +56,25 @@ func (n *StorageNode) sweepPending() {
 	for _, k := range keys {
 		r := n.recs[k]
 		n.compactDecided(k, r, true)
+		o := r.open
+		if o == nil || o.votes == nil {
+			continue
+		}
 		// Release votes for options the lineage summary already knows
 		// settled (the settle arrived via a base adoption, so no
 		// visibility message ever pruned them): recovering those would
 		// re-force a decision that is already final.
 		live := 0
-		for i, v := range r.votes {
-			if v.Opt.KeySeq > 0 {
-				if _, ok := r.summary.Decision(laneOf(v.Opt.Tx), v.Opt.KeySeq); ok {
-					continue
-				}
+		for i, v := range o.votes {
+			if v.Opt.KeySeq > 0 && r.summary.contains(&n.lanes, laneOf(v.Opt.Tx), v.Opt.KeySeq) {
+				continue
 			}
-			r.votes[live], r.votedAt[live] = v, r.votedAt[i]
+			o.votes[live], o.votedAt[live] = v, o.votedAt[i]
 			live++
 		}
-		n.truncateVotes(r, live)
-		for i, v := range r.votes {
-			if v.Decision != DecAccept || now-r.votedAt[i] < int64(n.cfg.PendingTimeout) {
+		n.truncateVotes(k, r, live)
+		for i, v := range r.votes() {
+			if v.Decision != DecAccept || now-o.votedAt[i] < int64(n.cfg.PendingTimeout) {
 				continue
 			}
 			stale = append(stale, v.Opt)
@@ -169,7 +171,7 @@ func (n *StorageNode) onRecoverOpt(from transport.NodeID, m MsgRecoverOpt) {
 		// (every replica already applied it); the fiat path below
 		// would instead re-force — and could contradict — a decision
 		// that was already made.
-		if d, ok := r.summary.Decision(laneOf(m.Tx), m.KeySeq); ok {
+		if d, ok := r.summary.decision(&n.lanes, laneOf(m.Tx), m.KeySeq); ok {
 			n.send(from, MsgOptDecided{
 				ReqID: m.ReqID, Tx: m.Tx, Key: m.Key, Decision: d,
 			})

@@ -57,26 +57,31 @@ func (n *codecNet) deliver(t *testing.T, to transport.NodeID, msg transport.Mess
 //
 // The one-lane arm settles every option on one coordinator lane.
 // Measured go1.24, amd64: 53 B per option — the entry's own bytes in the
-// record's packed log — and 548 B per record: its state, its stored
+// record's packed log — and 366 B per record: its state, its stored
 // value and its key, in a run that also fills the key intern table. It
 // was 110 B per option while each entry was a 64-byte slot beside an
 // encoded-update allocation, pinning its wire-decoded transaction id,
-// and 360 B before that, with a map of whole Options per record. A
-// settled record holds no vote arrays at all, which the test asserts
-// record by record.
+// and 360 B before that, with a map of whole Options per record. The
+// record was 548 B while its state was one 208-byte struct holding both
+// ballots, the vote arrays' headers and an unpacked lineage summary
+// with a 64-byte slot and a range array per lane; a record at rest now
+// keeps 80 bytes of state and a packed summary. A settled record holds
+// no open part (and so no vote arrays), which the test asserts record
+// by record.
 //
 // The many-lanes arm is the gateway's shape: sixteen pooled coordinators
 // with incarnation tokens, each record's options on rotating lanes, so
 // every option also opens a lane in the record's lineage summary. It
-// reads 142 B per option: the entry, plus a LaneLineage slot and its
-// Done range, whose lane name is the node's one shared copy. It was 198
-// B while each lane's name was a substring of a transaction id that
-// its bytes kept alive.
+// reads 66 B per option: the entry, plus the lane's few bytes in the
+// packed summary, its name an index into the node's lane table. It was
+// 142 B while each lane took a LaneLineage slot and a Done range of its
+// own, and 198 B while each lane's name was a substring of a
+// transaction id that its bytes kept alive.
 func TestResidentBytesPerSettledOption(t *testing.T) {
 	const (
 		maxPerOption      = 80
-		maxPerRecord      = 700
-		maxPerOptionLanes = 160
+		maxPerRecord      = 450
+		maxPerOptionLanes = 80
 		lanes             = 16
 	)
 	perOption, perRec := residentPerSettledOption(t, func(_, _, seq int) (TxID, transport.NodeID, uint64) {
@@ -164,8 +169,11 @@ func residentPerSettledOption(t *testing.T, mint func(rec, round, seq int) (TxID
 		t.Fatalf("executed %d options, want %d", got, records*perRecord)
 	}
 	for key, r := range n.recs {
-		if r.votes != nil || r.votedAt != nil {
-			t.Fatalf("%s has settled every option and still holds vote arrays (cap %d, %d)", key, cap(r.votes), cap(r.votedAt))
+		if r.votes() != nil {
+			t.Fatalf("%s has settled every option and still holds vote arrays", key)
+		}
+		if r.open != nil {
+			t.Fatalf("%s has settled every option on the fast path and still holds its open part", key)
 		}
 	}
 	perOption = float64(settled-touched) / (records * (perRecord - 1))

@@ -302,7 +302,7 @@ func NewDurableStorageNode(id transport.NodeID, dc topology.DC, net transport.Ne
 			// (summaries are monotone, so the final union matches the
 			// pre-crash state exactly, in lockstep with the store's
 			// replayed value).
-			r.summary.Union(*e.Snapshot)
+			r.summary.union(&n.lanes, *e.Snapshot)
 			r.noteKindFromSummary()
 			continue
 		}
@@ -367,10 +367,11 @@ func (n *StorageNode) logDecision(key record.Key, body []byte) {
 // summary would miss everything it learned wholesale from peers —
 // and its value (replayed exactly from the same log) would claim
 // applies its summary could not account for.
-func (n *StorageNode) logLineage(key record.Key, s LineageSummary) {
+func (n *StorageNode) logLineage(key record.Key, r *recState) {
 	if n.durable == nil {
 		return
 	}
+	s := r.summary.unpack(&n.lanes)
 	n.appendOplog(&oplogEntry{Key: key, Snapshot: &s})
 }
 

@@ -631,16 +631,17 @@ func TestVoteBookkeepingStaysParallel(t *testing.T) {
 	}
 	check := func(when string, seqs ...uint64) {
 		t.Helper()
-		if len(r.votes) != len(seqs) || len(r.votedAt) != len(seqs) {
-			t.Fatalf("%s: %d votes, %d cast times, want %d", when, len(r.votes), len(r.votedAt), len(seqs))
+		o := r.open
+		if len(o.votes) != len(seqs) || len(o.votedAt) != len(seqs) {
+			t.Fatalf("%s: %d votes, %d cast times, want %d", when, len(o.votes), len(o.votedAt), len(seqs))
 		}
 		for i, seq := range seqs {
-			if r.votes[i].Opt.KeySeq != seq || r.votedAt[i] != castAt[seq] {
+			if o.votes[i].Opt.KeySeq != seq || o.votedAt[i] != castAt[seq] {
 				t.Fatalf("%s: slot %d holds seq %d cast at %d, want seq %d cast at %d",
-					when, i, r.votes[i].Opt.KeySeq, r.votedAt[i], seq, castAt[seq])
+					when, i, o.votes[i].Opt.KeySeq, o.votedAt[i], seq, castAt[seq])
 			}
 		}
-		for i, v := range r.votes[len(r.votes):cap(r.votes)] {
+		for i, v := range o.votes[len(o.votes):cap(o.votes)] {
 			if !reflect.DeepEqual(v, VotedOption{}) {
 				t.Fatalf("%s: dropped vote %s still reachable %d past the end", when, v.Opt.Tx, i)
 			}
@@ -659,17 +660,18 @@ func TestVoteBookkeepingStaysParallel(t *testing.T) {
 	check("after onPhase2a", 3, 4, 1)
 
 	// The sweep releases votes the summary knows settled.
-	r.summary.Add("c0", 3, false, true)
-	r.summary.Add("c0", 1, true, false)
+	r.summary.add(&n.lanes, "c0", 3, false, true)
+	r.summary.add(&n.lanes, "c0", 1, true, false)
 	n.sweepPending()
 	check("after sweepPending", 4)
 
-	// The last vote takes the arrays with it: the record at rest holds
-	// none, the node holds them zeroed, and voting on another record
-	// uses them instead of allocating.
+	// The last vote takes the arrays with it: the record (its open part
+	// kept by the classic ballot) holds none, the node holds them
+	// zeroed, and voting on another record uses them instead of
+	// allocating.
 	n.pruneVote(r, opt(4).ID())
-	if r.votes != nil || r.votedAt != nil {
-		t.Fatalf("record at rest still holds vote arrays: cap %d, %d", cap(r.votes), cap(r.votedAt))
+	if o := r.open; o.votes != nil || o.votedAt != nil {
+		t.Fatalf("record with no vote still holds vote arrays: cap %d, %d", cap(o.votes), cap(o.votedAt))
 	}
 	if len(n.freeVotes) == 0 {
 		t.Fatal("the drained record's arrays were not kept for reuse")
@@ -688,10 +690,10 @@ func TestVoteBookkeepingStaysParallel(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("a vote cast and settled on a record at rest allocates %v objects", allocs)
 	}
-	// A cstruct with nothing left to adopt leaves the record at rest too.
-	r.summary.Add("c0", 4, true, false)
+	// A cstruct with nothing left to adopt leaves no arrays either.
+	r.summary.add(&n.lanes, "c0", 4, true, false)
 	n.onPhase2a("ldr", MsgPhase2a{Key: "k", Ballot: paxos.Classic(1, "ldr"), Seq: 2, CStruct: cstruct[1:2]})
-	if r.votes != nil || r.votedAt != nil {
+	if o := r.open; o.votes != nil || o.votedAt != nil {
 		t.Fatal("an adopted cstruct of settled options left vote arrays on the record")
 	}
 	// A burst that opens a vote on more records than the list's bound
@@ -706,6 +708,119 @@ func TestVoteBookkeepingStaysParallel(t *testing.T) {
 	}
 	if len(n.freeVotes) != maxFreeVoteSlots {
 		t.Fatalf("free list holds %d pairs after the burst, bound %d", len(n.freeVotes), maxFreeVoteSlots)
+	}
+}
+
+// A record's open part exists only while the record needs it: a vote,
+// a ballot off the initial one, a peer's summary. Absent, the record
+// reports initialBallot(key) for both ballots — the implicit fast
+// ballot, or in Multi mode the master's classic ballot 1 — and a
+// record whose fast-path votes have all settled is at rest again.
+func TestRecordOpenOnlyWhileNeeded(t *testing.T) {
+	w := newWorld(t, cfgNoSweep(ModeMDCC), 1, 1, 28)
+	const key = record.Key("open/1")
+	replicas := func() []*StorageNode {
+		var out []*StorageNode
+		for _, n := range w.nodes {
+			for _, id := range w.cl.Replicas(key) {
+				if n.ID() == id {
+					out = append(out, n)
+				}
+			}
+		}
+		return out
+	}
+	for _, n := range replicas() {
+		r := n.rs(key)
+		if p, a := n.ballots(key, r); r.open != nil || p != paxos.DefaultFast || a != paxos.DefaultFast {
+			t.Fatalf("%s: untouched record open %v, ballots %v %v", n.ID(), r.open != nil, p, a)
+		}
+	}
+
+	// The fast path: each replica opens the record for its vote and
+	// drops the open part when the visibility settles it.
+	var res []CommitResult
+	w.commitAsync(0, &res, record.Insert(key, record.Value{Attrs: map[string]int64{"x": 0}}))
+	if !w.net.RunUntil(func() bool {
+		for _, n := range replicas() {
+			if len(n.rs(key).votes()) == 0 {
+				return false
+			}
+		}
+		return true
+	}, time.Minute) {
+		t.Fatal("the insert's votes never reached every replica")
+	}
+	w.settle()
+	if len(res) != 1 || !res[0].Committed {
+		t.Fatalf("insert: %+v", res)
+	}
+	for _, n := range replicas() {
+		if r := n.rs(key); r.open != nil {
+			t.Fatalf("%s: a settled fast-path record keeps its open part", n.ID())
+		}
+	}
+
+	// Collision recovery: a leader's classic round promises and
+	// accepts a classic ballot on every replica, so each keeps its open
+	// part after the option settles — the ballots are no longer the
+	// initial ones.
+	opt := Option{
+		Tx: "tx-recover", Coord: w.coords[0].ID(), KeySeq: 1,
+		Update:   record.Physical(key, 1, record.Value{Attrs: map[string]int64{"x": 7}}),
+		WriteSet: []record.Key{key}, WriteSeqs: []uint64{1},
+	}
+	leader := topology.StorageID(topology.USWest, 0)
+	w.net.Send("test", leader, MsgStartRecovery{Key: key, Opt: opt, HasOpt: true})
+	w.settle()
+	for _, n := range replicas() {
+		if len(n.rs(key).votes()) != 1 {
+			t.Fatalf("%s: the recovery round's cstruct was not adopted", n.ID())
+		}
+		// The option's own coordinator never started it, so the test
+		// delivers its visibility.
+		w.net.Send("test", n.ID(), visibilityFor(opt, true))
+	}
+	w.settle()
+	for _, n := range replicas() {
+		r := n.rs(key)
+		if r.open == nil {
+			t.Fatalf("%s: a record in a classic round has no open part", n.ID())
+		}
+		if p, _ := n.ballots(key, r); p == paxos.DefaultFast {
+			t.Fatalf("%s: the recovery round left the promise at the initial ballot", n.ID())
+		}
+		if len(r.votes()) != 0 {
+			t.Fatalf("%s: %d votes unresolved after the round settled", n.ID(), len(r.votes()))
+		}
+	}
+
+	// Multi mode: a record with no open part is owned by its master at
+	// classic ballot 1, so a fast proposal is forwarded there — and
+	// forwarding opens nothing (the master's classic round, once the
+	// network runs, does).
+	n, net := unitNode(t, ModeMulti, nil)
+	var votes []MsgVote
+	net.Register("c0", func(e transport.Envelope) {
+		if m, ok := e.Msg.(MsgVote); ok {
+			votes = append(votes, m)
+		}
+	})
+	r := n.rs(key)
+	master := paxos.Classic(1, string(n.leaderFor(key)))
+	if p, a := n.ballots(key, r); p != master || a != master {
+		t.Fatalf("multi: a record at rest reports %v %v, want %v", p, a, master)
+	}
+	n.handle(transport.Envelope{From: "c0", Msg: MsgProposeFast{Opt: Option{
+		Tx: "c0#1", Coord: "c0", KeySeq: 1,
+		Update: record.Insert(key, record.Value{Attrs: map[string]int64{"x": 0}}),
+	}}})
+	if r.open != nil {
+		t.Fatal("multi: forwarding a proposal opened the record")
+	}
+	net.RunFor(time.Second)
+	if len(votes) == 0 || !votes[0].Forwarded || votes[0].Leader != n.leaderFor(key) || votes[0].Ballot != master {
+		t.Fatalf("multi: proposal answered %+v, want a forward to %s at %v", votes, n.leaderFor(key), master)
 	}
 }
 

@@ -177,12 +177,17 @@ func appendRanges(b []byte, rs []SeqRange) []byte {
 	return b
 }
 
-func readRanges(r *transport.WireReader) []SeqRange {
+// readRanges reads a range list onto rs; a nil rs reads into a fresh
+// slice of exactly the list's length (what a decoded message keeps),
+// a stack buffer's reads allocate nothing while the list fits it.
+func readRanges(r *transport.WireReader, rs []SeqRange) []SeqRange {
 	n := r.Count("range")
 	if n == 0 {
-		return nil
+		return rs
 	}
-	rs := make([]SeqRange, 0, n)
+	if rs == nil {
+		rs = make([]SeqRange, 0, n)
+	}
 	for i := 0; i < n; i++ {
 		rs = append(rs, SeqRange{Lo: r.Uvarint(), Hi: r.Uvarint()})
 	}
@@ -200,13 +205,22 @@ func appendLineage(b []byte, s LineageSummary) []byte {
 	return transport.AppendBool(b, s.Physical)
 }
 
-func readLineage(r *transport.WireReader) LineageSummary {
+// readLineage decodes what appendLineage encoded or, given the lane
+// table a record's packed summary names its lanes in (packedLineage),
+// unpacks that summary.
+func readLineage(r *transport.WireReader, t *laneTable) LineageSummary {
 	var s LineageSummary
 	if n := r.Count("lane"); n > 0 {
 		s.Lanes = make([]LaneLineage, 0, n)
 		for i := 0; i < n; i++ {
+			var lane string
+			if t != nil {
+				lane = t.names[r.Uvarint()]
+			} else {
+				lane = r.InternString()
+			}
 			s.Lanes = append(s.Lanes, LaneLineage{
-				Lane: r.InternString(), Done: readRanges(r), Rejected: readRanges(r),
+				Lane: lane, Done: readRanges(r, nil), Rejected: readRanges(r, nil),
 			})
 		}
 	}
@@ -647,7 +661,7 @@ func init() {
 			m.BaseVersion = record.Version(r.Uvarint())
 			m.BaseValue = record.ReadValue(r)
 			m.BaseExists = r.Bool()
-			m.BaseLineage = readLineage(r)
+			m.BaseLineage = readLineage(r, nil)
 		}
 		return m, r.Err()
 	})
@@ -715,7 +729,7 @@ func init() {
 		m.Version = record.Version(r.Uvarint())
 		m.Value = record.ReadValue(r)
 		m.Exists = r.Bool()
-		m.Lineage = readLineage(r)
+		m.Lineage = readLineage(r, nil)
 		return m, r.Err()
 	})
 	transport.RegisterWire(tagMsgEnableFast, func(r *transport.WireReader) (transport.Message, error) {
@@ -757,7 +771,7 @@ func init() {
 			for i := 0; i < n; i++ {
 				m.Entries = append(m.Entries, SyncEntry{
 					Key: record.Key(r.InternString()), Value: record.ReadValue(r),
-					Version: record.Version(r.Uvarint()), Lineage: readLineage(r),
+					Version: record.Version(r.Uvarint()), Lineage: readLineage(r, nil),
 				})
 			}
 		}
