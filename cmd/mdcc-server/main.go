@@ -10,8 +10,9 @@
 // With -gateway the server additionally hosts the data center's
 // transaction gateway tier on the same listener: thin clients
 // (mdcc.DialGateway) submit transactions as RPCs and the gateway
-// pools coordinators, batches outbound messages across transactions,
-// and coalesces hot-key commutative updates into merged options.
+// carries them all on one coordinator, batches outbound messages
+// across transactions, and coalesces hot-key commutative updates into
+// merged options.
 package main
 
 import (
@@ -78,7 +79,7 @@ func main() {
 	// Routes to the other data centers' servers: their storage nodes
 	// and — in case a peer hosts a gateway tier — its gateway nodes
 	// (votes, learned decisions and read replies flow directly back to
-	// the pooled coordinators living on that peer).
+	// the gateway's coordinator living on that peer).
 	routes := make(map[transport.NodeID]string)
 	for name, a := range topo.Addrs {
 		peer, err := mdcc.ParseDC(name)
@@ -171,8 +172,8 @@ func main() {
 	if *gwMode {
 		gw = gateway.New(dc, net, cl, cfg, gateway.Tuning{})
 		resolved := gw.Tuning()
-		log.Printf("gateway tier up as %s (pool %d, batch %s, coalesce %s, headroom share 1/%d, read tier on)",
-			gw.ID(), resolved.Pool, resolved.BatchWindow, resolved.CoalesceWindow, resolved.HeadroomShare)
+		log.Printf("gateway tier up as %s (one coordinator, batch %s, coalesce %s, headroom share 1/%d, read tier on)",
+			gw.ID(), resolved.BatchWindow, resolved.CoalesceWindow, resolved.HeadroomShare)
 	}
 	log.Printf("%s serving on %s (shard ring epoch %d, %d active groups)",
 		dc, bound, cl.Ring().Epoch(), len(cl.Ring().Current().Groups()))

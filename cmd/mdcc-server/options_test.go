@@ -21,7 +21,7 @@ func TestOptionStructSizes(t *testing.T) {
 		want int
 	}{
 		{core.Config{}, 14},
-		{gateway.Tuning{}, 7},
+		{gateway.Tuning{}, 6},
 		{wal.Options{}, 4},
 		{core.DurableOptions{}, 4},
 		{simnet.Options{}, 9},

@@ -608,9 +608,10 @@ func (n *StorageNode) escrowSnap(key record.Key, val record.Value, ver record.Ve
 	return snap
 }
 
-// GatewayGroup maps a coordinator node id to its admission-sharing
-// group: pooled gateway coordinators ("gw/<dc>/cN") collapse to their
-// gateway ("gw/<dc>"); private coordinators are their own group.
+// GatewayGroup maps a node id to its admission-sharing group: a
+// gateway's coordinator ("gw/<dc>/c0") and the gateway itself
+// ("gw/<dc>", which feed snapshots are addressed to) are one group;
+// private coordinators are their own group.
 func GatewayGroup(id transport.NodeID) string {
 	s := string(id)
 	if strings.HasPrefix(s, "gw/") {

@@ -11,11 +11,11 @@ import (
 
 // batcher is a transport.Network decorator that coalesces outbound
 // messages bound for the same destination node within a small
-// time/size window into one transport.Batch envelope. The pooled
-// coordinators send through it, so proposals, visibility and recovery
-// messages of *different* transactions (and different coordinators)
-// destined for the same acceptor share a wire message — the paper's
-// §7 per-transaction batching generalized across transactions.
+// time/size window into one transport.Batch envelope. The gateway's
+// coordinator sends through it, so proposals, visibility and recovery
+// messages of *different* transactions destined for the same acceptor
+// share a wire message — the paper's §7 per-transaction batching
+// generalized across transactions.
 //
 // Per-destination buffers are FIFO, so messages of one (from, to)
 // pair keep their send order through coalescing: they end up either

@@ -4,10 +4,9 @@
 // per-session coordinator and per-transaction messages melting the
 // acceptors. A Gateway instead:
 //
-//   - pools a bounded set of core.Coordinators and multiplexes all
-//     attached client sessions across them (sessions are stateless
-//     with respect to the protocol, so any pooled coordinator can
-//     carry any transaction);
+//   - runs one core.Coordinator and multiplexes all attached client
+//     sessions onto it (sessions are stateless with respect to the
+//     protocol, so one coordinator can carry every transaction);
 //   - coalesces outbound protocol messages bound for the same
 //     acceptor within a small time/size window into one
 //     transport.Batch envelope (cross-transaction batching — the
@@ -48,7 +47,6 @@ package gateway
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -81,8 +79,6 @@ var ErrOutcomeUnknown = errors.New("gateway: transaction outcome unknown (gatewa
 
 // Tuning shapes one gateway. The zero value means defaults.
 type Tuning struct {
-	// Pool is the number of pooled coordinators (default 4).
-	Pool int
 	// BatchWindow is how long an outbound message may wait for
 	// same-destination company. 0 means the 2ms default; a negative
 	// window disables cross-transaction batching.
@@ -105,7 +101,7 @@ type Tuning struct {
 	// per data center; 1 gives a lone gateway the whole slice.
 	HeadroomShare int
 	// DisableReadTier turns the learned-replica read tier off: reads
-	// go through a pooled coordinator as one RPC each (the pre-tier
+	// go through the gateway's coordinator as one RPC each (the pre-tier
 	// behavior; also the read benchmark's baseline arm).
 	DisableReadTier bool
 }
@@ -118,9 +114,6 @@ const (
 )
 
 func (t Tuning) withDefaults() Tuning {
-	if t.Pool <= 0 {
-		t.Pool = 4
-	}
 	if t.BatchWindow == 0 {
 		t.BatchWindow = 2 * time.Millisecond
 	}
@@ -150,35 +143,27 @@ func GatewayID(dc topology.DC) transport.NodeID {
 	return transport.NodeID("gw/" + dc.String())
 }
 
-func coordID(dc topology.DC, i int) transport.NodeID {
-	return transport.NodeID(fmt.Sprintf("gw/%s/c%d", dc, i))
+// coordID names the gateway's one coordinator. The "/c0" suffix is
+// what transaction ids, lane names and core.GatewayGroup have always
+// seen from a gateway, so it stays.
+func coordID(dc topology.DC) transport.NodeID {
+	return transport.NodeID("gw/" + dc.String() + "/c0")
 }
 
-// NodeIDs lists every transport node a gateway for dc will register
-// (the gateway itself plus its pooled coordinators) so deployments
-// can place them in latency maps before the gateway exists.
-func NodeIDs(dc topology.DC, t Tuning) []transport.NodeID {
-	t = t.withDefaults()
-	out := []transport.NodeID{GatewayID(dc)}
-	for i := 0; i < t.Pool; i++ {
-		out = append(out, coordID(dc, i))
-	}
-	return out
+// NodeIDs lists both transport nodes a gateway for dc registers (the
+// gateway itself and its coordinator) so deployments can place them in
+// latency maps before the gateway exists. The Tuning is not read.
+func NodeIDs(dc topology.DC, _ Tuning) []transport.NodeID {
+	return RouteIDs(dc)
 }
-
-// maxRoutedPool is the largest coordinator pool whose node IDs peer
-// servers pre-install routes for (RouteIDs). Pools are bounded by
-// design — the tier's whole point is a small coordinator set — so a
-// static cap keeps cross-server routing coordination-free.
-const maxRoutedPool = 64
 
 // RouteIDs lists every transport id a *peer* process must be able to
 // route back to a gateway possibly hosted in dc: acceptor votes,
-// leader decisions and read replies all flow directly to the pooled
-// coordinators, which live on the gateway DC's server. Pool sizes are
-// a local tuning choice, so peers route the maximum.
+// leader decisions and read replies flow directly to the gateway's
+// coordinator, feed messages to the gateway itself, and both live on
+// the gateway DC's server.
 func RouteIDs(dc topology.DC) []transport.NodeID {
-	return NodeIDs(dc, Tuning{Pool: maxRoutedPool})
+	return []transport.NodeID{GatewayID(dc), coordID(dc)}
 }
 
 // Metrics is a gateway's operational snapshot.
@@ -255,8 +240,8 @@ type Metrics struct {
 	QueueDepth       int64 `json:"queueDepth"`
 	QueuePeak        int64 `json:"queuePeak"`
 
-	// Cross-transaction batching (outbound, from the pooled
-	// coordinators). BatchFanIn is BatchedMsgs / BatchEnvelopes.
+	// Cross-transaction batching (outbound, from the coordinator).
+	// BatchFanIn is BatchedMsgs / BatchEnvelopes.
 	BatchEnvelopes int64   `json:"batchEnvelopes"`
 	BatchedMsgs    int64   `json:"batchedMsgs"`
 	BatchSingles   int64   `json:"batchSingles"`
@@ -423,13 +408,14 @@ type gwSpan struct {
 
 // Gateway is one data center's transaction gateway. Entry points
 // (Commit, Read, ReadQuorum, Metrics) are safe to call from any
-// goroutine; completion callbacks fire on pooled-coordinator handler
-// goroutines.
+// goroutine; completion callbacks fire on the coordinator's handler
+// goroutine.
 type Gateway struct {
 	id   transport.NodeID
 	dc   topology.DC
 	net  transport.Network // the raw network (RPC, timers, reads)
-	bnet *batcher          // what the pooled coordinators send through
+	bnet *batcher          // what the coordinator sends through
+	co   *core.Coordinator // carries every transaction and fallback read
 	cl   *topology.Cluster
 	cfg  core.Config
 	tun  Tuning
@@ -437,8 +423,6 @@ type Gateway struct {
 	tr   *trace.Ring // flight-recorder ring (nil when tracing is off)
 
 	mu       sync.Mutex
-	coords   []*core.Coordinator
-	rr       int
 	inflight int
 	queue    []queuedTx
 	keys     map[record.Key]*keyState
@@ -470,12 +454,11 @@ type Gateway struct {
 	subEpoch uint64
 }
 
-// New builds a gateway for dc on net and registers its node (and its
-// pooled coordinators') handlers. coreCfg is the same protocol config
-// the deployment's storage nodes run. A restarted process calls it
-// again on the same node ids: the pooled coordinators name their own
-// incarnation (core.NewCoordinator), and so do the feed subscriptions
-// below.
+// New builds a gateway for dc on net and registers its node's (and its
+// coordinator's) handlers. coreCfg is the same protocol config the
+// deployment's storage nodes run. A restarted process calls it again
+// on the same node ids: the coordinator names its own incarnation
+// (core.NewCoordinator), and so do the feed subscriptions below.
 func New(dc topology.DC, net transport.Network, cl *topology.Cluster, coreCfg core.Config, tun Tuning) *Gateway {
 	tun = tun.withDefaults()
 	g := &Gateway{
@@ -493,22 +476,18 @@ func New(dc topology.DC, net transport.Network, cl *topology.Cluster, coreCfg co
 	if coreCfg.Tracer != nil {
 		g.tr = coreCfg.Tracer.Ring(string(g.id), int(dc))
 		// The gateway sees the whole admit→ack life of a transaction
-		// (queueing and coalescing included), so it — not the pooled
-		// coordinators — owns flight-recorder completion.
+		// (queueing and coalescing included), so it — not the
+		// coordinator — owns flight-recorder completion.
 		coreCfg.Tracer.ClaimTop()
 		// Stamp batched envelope items at buffering time so the Lamport
 		// order survives the wire even when inner items are re-dispatched
 		// out of the outer envelope by a remote process.
 		g.bnet.tracer = coreCfg.Tracer
 	}
-	for i := 0; i < tun.Pool; i++ {
-		co := core.NewCoordinator(coordID(dc, i), dc, g.bnet, cl, coreCfg)
-		// Every pooled coordinator feeds the piggybacked escrow
-		// snapshots on its votes and read replies into the shared
-		// headroom accounts.
-		co.SetEscrowObserver(g.observeEscrow)
-		g.coords = append(g.coords, co)
-	}
+	g.co = core.NewCoordinator(coordID(dc), dc, g.bnet, cl, coreCfg)
+	// The coordinator feeds the piggybacked escrow snapshots on its
+	// votes and read replies into the headroom accounts.
+	g.co.SetEscrowObserver(g.observeEscrow)
 	net.Register(g.id, g.handle)
 	g.scheduleSweep()
 	if !tun.DisableReadTier {
@@ -539,13 +518,6 @@ func (g *Gateway) ID() transport.NodeID { return g.id }
 // operators log what actually runs instead of re-deriving defaults.
 func (g *Gateway) Tuning() Tuning { return g.tun }
 
-// nextCoordLocked round-robins the pool.
-func (g *Gateway) nextCoordLocked() *core.Coordinator {
-	co := g.coords[g.rr%len(g.coords)]
-	g.rr++
-	return co
-}
-
 // ReadFunc receives a read's answer. A gateway that cannot answer —
 // no replica reachable, or the gateway itself killed or closed —
 // answers absent: the zero value, version 0, exists false.
@@ -554,7 +526,7 @@ type ReadFunc = func(val record.Value, ver record.Version, exists bool)
 // Read serves a committed read with no version floor; see ReadFloor.
 func (g *Gateway) Read(key record.Key, cb ReadFunc) { g.ReadFloor(key, 0, cb) }
 
-// ReadQuorum serves an up-to-date quorum read through a pooled
+// ReadQuorum serves an up-to-date quorum read through the gateway's
 // coordinator.
 func (g *Gateway) ReadQuorum(key record.Key, cb ReadFunc) {
 	g.mu.Lock()
@@ -564,9 +536,8 @@ func (g *Gateway) ReadQuorum(key record.Key, cb ReadFunc) {
 		return
 	}
 	held := g.holdReadLocked(cb)
-	co := g.nextCoordLocked()
 	g.mu.Unlock()
-	g.net.After(co.ID(), 0, func() { co.ReadQuorum(key, held) })
+	g.net.After(g.co.ID(), 0, func() { g.co.ReadQuorum(key, held) })
 }
 
 // Commit submits a client transaction. done fires exactly once:
@@ -794,13 +765,11 @@ func (g *Gateway) coalescible(updates []record.Update) bool {
 		updates[0].Merged <= 1
 }
 
-// dispatchLocked hands a write-set to a pooled coordinator in its
-// handler context; done(ok, rerr) fires on that coordinator's
-// goroutine without the gateway lock held (rerr is the protocol's
-// typed rejection cause, e.g. core.ErrMixedUpdateKinds, nil for
-// commits and plain aborts).
+// dispatchLocked hands a write-set to the coordinator in its handler
+// context; done(ok, rerr) fires on the coordinator's goroutine without
+// the gateway lock held (rerr is the protocol's typed rejection cause,
+// e.g. core.ErrMixedUpdateKinds, nil for commits and plain aborts).
 func (g *Gateway) dispatchLocked(updates []record.Update, span *gwSpan, done func(r core.CommitResult)) {
-	co := g.nextCoordLocked()
 	if span != nil {
 		now := g.net.Now().UnixNano()
 		g.tr.Add(trace.Event{At: now, Key: firstKey(updates),
@@ -808,7 +777,7 @@ func (g *Gateway) dispatchLocked(updates []record.Update, span *gwSpan, done fun
 		g.cfg.Tracer.ObservePhase(trace.PhaseGatewayQueue, int(g.dc),
 			time.Duration(now-span.subAt))
 	}
-	g.net.After(co.ID(), 0, func() { co.Commit(updates, done) })
+	g.net.After(g.co.ID(), 0, func() { g.co.Commit(updates, done) })
 }
 
 // traceSettle records the client-ack event, the end-to-end latency,
@@ -886,7 +855,7 @@ func (g *Gateway) ks(key record.Key) *keyState {
 // are replaced instead of widened, since aborts free escrow without
 // bumping the committed version and a widen-only account would hold
 // worst-case pendings forever on a key that stopped committing. An
-// older version is dropped. Fires on pooled coordinator goroutines.
+// older version is dropped. Fires on the coordinator's goroutine.
 func (g *Gateway) observeEscrow(_ transport.NodeID, key record.Key, snap core.EscrowSnap) {
 	if !snap.Valid {
 		return
@@ -1122,9 +1091,8 @@ func (g *Gateway) maybeRefreshLocked(key record.Key, ks *keyState) {
 		return
 	}
 	ks.refreshing = true
-	co := g.nextCoordLocked()
-	g.net.After(co.ID(), 0, func() {
-		co.Read(key, func(record.Value, record.Version, bool) {
+	g.net.After(g.co.ID(), 0, func() {
+		g.co.Read(key, func(record.Value, record.Version, bool) {
 			// The escrow snapshot (if any) already arrived through the
 			// observer; here we only release the refresh slot.
 			g.mu.Lock()
@@ -1424,16 +1392,10 @@ func (g *Gateway) RingPublished() {
 	}
 }
 
-// CoordMetrics sums the pooled coordinators' protocol counters. The
-// counters live on the coordinator goroutines; call this from a
-// quiesced deployment (after a run, or from the simulator's thread).
-func (g *Gateway) CoordMetrics() core.CoordMetrics {
-	var total core.CoordMetrics
-	for _, c := range g.coords {
-		total.Add(c.Metrics())
-	}
-	return total
-}
+// CoordMetrics returns the coordinator's protocol counters. They live
+// on the coordinator's goroutine; call this from a quiesced deployment
+// (after a run, or from the simulator's thread).
+func (g *Gateway) CoordMetrics() core.CoordMetrics { return g.co.Metrics() }
 
 // Metrics snapshots the gateway's counters.
 func (g *Gateway) Metrics() Metrics {
@@ -1537,8 +1499,8 @@ func (g *Gateway) dropWindowsLocked() (parked []waiter) {
 }
 
 // Close rejects the backlog and every parked window with ErrClosed,
-// answers every held read absent and flushes the batcher. Pooled
-// coordinators keep draining what was already dispatched (their
+// answers every held read absent and flushes the batcher. The
+// coordinator keeps draining what was already dispatched (its
 // lifecycle belongs to the network).
 func (g *Gateway) Close() {
 	g.mu.Lock()

@@ -1,6 +1,8 @@
 package gateway
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,6 +23,8 @@ type testWorld struct {
 	nodes  []*core.StorageNode
 	stores []*kv.Store
 	gw     *Gateway
+	// onDeliver, when set, observes every delivered envelope.
+	onDeliver func(transport.Envelope)
 }
 
 func newTestWorld(t *testing.T, tun Tuning, cons []record.Constraint) *testWorld {
@@ -30,21 +34,26 @@ func newTestWorld(t *testing.T, tun Tuning, cons []record.Constraint) *testWorld
 	for _, id := range NodeIDs(topology.USWest, tun) {
 		extra[id] = topology.USWest
 	}
-	net := simnet.New(simnet.Options{
+	cfg := core.Defaults(core.ModeMDCC)
+	cfg.Constraints = cons
+	w := &testWorld{cl: cl, cfg: cfg}
+	w.net = simnet.New(simnet.Options{
 		Latency:     cl.LatencyWith(extra),
 		JitterFrac:  0.05,
 		ServiceTime: 100 * time.Microsecond,
 		Seed:        1,
+		OnDeliver: func(e transport.Envelope) {
+			if w.onDeliver != nil {
+				w.onDeliver(e)
+			}
+		},
 	})
-	cfg := core.Defaults(core.ModeMDCC)
-	cfg.Constraints = cons
-	w := &testWorld{net: net, cl: cl, cfg: cfg}
 	for _, n := range cl.Storage {
 		store := kv.NewMemory()
 		w.stores = append(w.stores, store)
-		w.nodes = append(w.nodes, core.NewStorageNode(n.ID, n.DC, net, cl, cfg, store))
+		w.nodes = append(w.nodes, core.NewStorageNode(n.ID, n.DC, w.net, cl, cfg, store))
 	}
-	w.gw = New(topology.USWest, net, cl, cfg, tun)
+	w.gw = New(topology.USWest, w.net, cl, cfg, tun)
 	return w
 }
 
@@ -144,6 +153,96 @@ func TestCoalescingMergesHotKeyStampede(t *testing.T) {
 	if env == 0 || items < env*2 {
 		t.Errorf("acceptors saw %d batch envelopes carrying %d messages, want fan-in >= 2", env, items)
 	}
+}
+
+// TestGatewayAnswersShareOneEnvelope pins the vote direction of the
+// batch window: the proposals of several transactions that reach an
+// acceptor in one gateway envelope are answered with one envelope, to
+// the gateway's coordinator. An acceptor groups its answers by
+// destination id, so a gateway spreading its transactions over several
+// coordinator ids got one answer envelope per id.
+func TestGatewayAnswersShareOneEnvelope(t *testing.T) {
+	const n = 8
+	w := newTestWorld(t, Tuning{}, nil)
+	keys := make([]record.Key, n)
+	for i := range keys {
+		keys[i] = record.Key(fmt.Sprintf("one/%d", i))
+		w.preload(keys[i], record.Value{Attrs: map[string]int64{"v": 0}})
+	}
+	// inbound and answers hold, per acceptor, how many proposals each
+	// gateway envelope delivered to it carried and how many votes each
+	// envelope it sent back carried.
+	inbound := map[transport.NodeID][]int{}
+	answers := map[transport.NodeID][]int{}
+	w.onDeliver = func(e transport.Envelope) {
+		if c := carried(e.Msg, false); c > 0 && strings.HasPrefix(string(e.From), "gw/") {
+			inbound[e.To] = append(inbound[e.To], c)
+		}
+		if c := carried(e.Msg, true); c > 0 && strings.HasPrefix(string(e.To), "gw/") {
+			if e.To != coordID(topology.USWest) {
+				t.Errorf("%s answered %s, not the gateway's coordinator", e.From, e.To)
+			}
+			answers[e.From] = append(answers[e.From], c)
+		}
+	}
+	committed := 0
+	w.net.At(0, func() {
+		for _, key := range keys {
+			w.gw.Commit([]record.Update{record.Physical(key, 1, record.Value{Attrs: map[string]int64{"v": 1}})},
+				func(ok bool, err error) {
+					if ok && err == nil {
+						committed++
+					}
+				})
+		}
+	})
+	w.net.RunFor(3 * time.Second)
+
+	if committed != n {
+		t.Fatalf("%d of %d uncontended commits acknowledged", committed, n)
+	}
+	if len(inbound) != len(w.nodes) {
+		t.Fatalf("proposals reached %d of %d acceptors", len(inbound), len(w.nodes))
+	}
+	for acc, in := range inbound {
+		if len(in) != 1 || in[0] != n {
+			t.Fatalf("%s received the proposals as %v, want all %d in one envelope", acc, in, n)
+		}
+		if out := answers[acc]; len(out) != 1 || out[0] != n {
+			t.Errorf("%s answered one gateway envelope of %d proposals with envelopes carrying %v votes, want one carrying %d",
+				acc, n, out, n)
+		}
+	}
+}
+
+// carried counts the proposals (votes false) or the votes (votes true)
+// a message carries, looking inside a transport.Batch.
+func carried(msg transport.Message, votes bool) int {
+	switch m := msg.(type) {
+	case transport.Batch:
+		c := 0
+		for _, it := range m.Items {
+			c += carried(it.Msg, votes)
+		}
+		return c
+	case core.MsgProposeFast:
+		if !votes {
+			return 1
+		}
+	case core.MsgProposeBatch:
+		if !votes {
+			return len(m.Opts)
+		}
+	case core.MsgVote:
+		if votes {
+			return 1
+		}
+	case core.MsgVoteBatch:
+		if votes {
+			return len(m.Votes)
+		}
+	}
+	return 0
 }
 
 // TestMergeSplitOnScarceStock exhausts a scarce key: the merged

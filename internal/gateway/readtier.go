@@ -314,7 +314,7 @@ func (g *Gateway) feedLiveLocked(key record.Key) bool {
 //
 // With the read tier disabled the ladder is rung 2 alone, one RPC per
 // read. The callback may fire synchronously (memory hit, closed
-// gateway) or on a pooled coordinator's goroutine (fallbacks); past
+// gateway) or on the coordinator's goroutine (fallbacks); past
 // the memory rung it is held in the pending map, so Kill and Close
 // answer it. The result can still lag the floor when no reachable
 // replica has caught up: the gateway walks its ladder once, and what a
@@ -343,9 +343,8 @@ func (g *Gateway) ReadFloor(key record.Key, floor record.Version, cb ReadFunc) {
 	}
 	held := g.holdReadLocked(cb)
 	if g.tun.DisableReadTier {
-		co := g.nextCoordLocked()
 		g.mu.Unlock()
-		g.net.After(co.ID(), 0, func() { co.Read(key, held) })
+		g.net.After(g.co.ID(), 0, func() { g.co.Read(key, held) })
 		return
 	}
 	if fl, ok := g.flights[key]; ok {
@@ -357,10 +356,9 @@ func (g *Gateway) ReadFloor(key record.Key, floor record.Version, cb ReadFunc) {
 	fl := &readFlight{waiters: []readWaiter{{floor: floor, cb: held}}}
 	g.flights[key] = fl
 	g.m.ReadRPCs++
-	co := g.nextCoordLocked()
 	g.mu.Unlock()
-	g.net.After(co.ID(), 0, func() {
-		co.Read(key, func(val record.Value, ver record.Version, exists bool) {
+	g.net.After(g.co.ID(), 0, func() {
+		g.co.Read(key, func(val record.Value, ver record.Version, exists bool) {
 			g.settleFlight(key, fl, val, ver, exists)
 		})
 	})
@@ -386,20 +384,18 @@ func (g *Gateway) settleFlight(key record.Key, fl *readFlight, val record.Value,
 			unmet = append(unmet, w)
 		}
 	}
-	var co *core.Coordinator
 	if len(unmet) > 0 {
 		g.m.ReadQuorums++
-		co = g.nextCoordLocked()
 	}
 	g.mu.Unlock()
 	for _, w := range met {
 		w.cb(val, ver, exists)
 	}
-	if co == nil {
+	if len(unmet) == 0 {
 		return
 	}
-	g.net.After(co.ID(), 0, func() {
-		co.ReadQuorum(key, func(qval record.Value, qver record.Version, qexists bool) {
+	g.net.After(g.co.ID(), 0, func() {
+		g.co.ReadQuorum(key, func(qval record.Value, qver record.Version, qexists bool) {
 			g.mu.Lock()
 			qks := g.ks(key)
 			g.installLocked(qks, qval, qver, qexists)

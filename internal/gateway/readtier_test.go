@@ -159,7 +159,7 @@ func TestReadTierFeedGapResync(t *testing.T) {
 	readOnce(w, key, 0) // materialize
 
 	// Cut ONLY the gateway node off from the key's local shard: the
-	// pooled coordinators still commit (all five replicas vote), the
+	// coordinator still commits (all five replicas vote), the
 	// shard still executes visibility and streams it — onto the floor.
 	shard := w.cl.ReplicaIn(key, topology.USWest)
 	cut := func() {
