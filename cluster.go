@@ -69,7 +69,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	cl := topology.NewCluster(topology.Layout{NodesPerDC: cfg.NodesPerDC, Clients: 0, ClientDC: -1})
 
-	// Gateway nodes (one gateway + coordinator pool per DC) live in
+	// Gateway nodes (one gateway + its coordinator per DC) live in
 	// their data center for latency purposes, whether or not a gateway
 	// is ever created.
 	extra := make(map[transport.NodeID]topology.DC)
@@ -144,8 +144,8 @@ func (c *Cluster) Session(dc DC) *Session {
 
 // Gateway returns the data center's shared transaction gateway,
 // creating it on first use. All sessions obtained from it multiplex
-// over one bounded coordinator pool with cross-transaction batching
-// and hot-key delta coalescing.
+// over one coordinator with cross-transaction batching and hot-key
+// delta coalescing.
 func (c *Cluster) Gateway(dc DC) *Gateway {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -262,10 +262,10 @@ func TestGatewayProcessRestart(t *testing.T) {
 		keys[i] = mdcc.Key(fmt.Sprintf("restart/%d", i))
 	}
 
-	// The first process writes every key through every pooled
-	// coordinator: commits alone walk the pool's round robin one lane a
-	// call, and each call — committed or not — settles that lane's next
-	// KeySeq on all eight keys.
+	// The first process writes every key four times through its
+	// coordinator: each call — committed or not — settles the lane's next
+	// KeySeq on all eight keys, so a successor that re-minted the lane
+	// would meet four settled KeySeqs on every key.
 	sess, err := mdcc.DialGateway(d.topo, mdcc.USWest, "restart-test", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,7 @@
 //
 // Shoppers attach to their data center's *gateway tier*
 // (Cluster.Gateway) instead of owning private coordinators: browsing
-// and buying multiplex over a bounded coordinator pool with
+// and buying multiplex over the gateway's one coordinator with
 // cross-transaction batching. The finale is a flash sale — every
 // shopper hammers one hot item with single-decrement buys, the shape
 // the gateway's hot-key delta coalescing turns from O(buyers) into

@@ -6,9 +6,9 @@ import (
 	"mdcc/internal/record"
 )
 
-// GatewayTuning shapes a data center's gateway tier: coordinator pool
-// size, batching and coalescing windows, admission bounds. The zero
-// value means defaults (see internal/gateway.Tuning).
+// GatewayTuning shapes a data center's gateway tier: batching and
+// coalescing windows, admission bounds. The zero value means defaults
+// (see internal/gateway.Tuning).
 type GatewayTuning = gateway.Tuning
 
 // GatewayMetrics is a gateway's operational snapshot: outcome counts,
@@ -16,8 +16,8 @@ type GatewayTuning = gateway.Tuning
 type GatewayMetrics = gateway.Metrics
 
 // Gateway is a DC-local transaction gateway: many client sessions
-// attach to it instead of owning private coordinators. It pools a
-// bounded set of coordinators, batches outbound protocol messages
+// attach to it instead of owning private coordinators. It runs every
+// transaction on one coordinator, batches outbound protocol messages
 // across transactions, coalesces commutative updates to hot keys into
 // merged options, and applies admission control. See Cluster.Gateway.
 type Gateway struct {
@@ -27,7 +27,7 @@ type Gateway struct {
 }
 
 // Session opens a client session backed by this gateway. Gateway
-// sessions share the pooled coordinators; their transactions may be
+// sessions share its coordinator; their transactions may be
 // batched and (when commutative and single-update) coalesced with
 // other sessions' transactions.
 func (g *Gateway) Session() *Session {
@@ -60,7 +60,7 @@ func (b gatewayBackend) Commit(updates []Update, done func(bool, error)) {
 }
 
 // Metrics reports only the gateway-level outcome counters live; the
-// pooled coordinators' protocol internals are read when quiesced via
+// coordinator's protocol internals are read when quiesced via
 // Gateway.Metrics / scenario harnesses.
 func (b gatewayBackend) Metrics() core.CoordMetrics {
 	m := b.gw.Metrics()

@@ -15,7 +15,7 @@ import (
 // (a stock-decrement stampede, the paper's motivating TPC-W buy) is
 // driven twice — once in the paper's deployment model (one private
 // coordinator per client session) and once through per-DC gateways
-// (coordinator pooling + cross-transaction batching + hot-key delta
+// (one shared coordinator + cross-transaction batching + hot-key delta
 // coalescing). The acceptors carry a per-message service time, so the
 // baseline's per-transaction message load saturates them and the
 // comparison measures exactly what the gateway tier buys: committed

@@ -69,7 +69,7 @@ func (n *codecNet) deliver(t *testing.T, to transport.NodeID, msg transport.Mess
 // no open part (and so no vote arrays), which the test asserts record
 // by record.
 //
-// The many-lanes arm is the gateway's shape: sixteen pooled coordinators
+// The many-lanes arm is sixteen coordinators (gateways' and sessions')
 // with incarnation tokens, each record's options on rotating lanes, so
 // every option also opens a lane in the record's lineage summary. It
 // reads 66 B per option: the entry, plus the lane's few bytes in the

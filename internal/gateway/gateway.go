@@ -143,9 +143,8 @@ func GatewayID(dc topology.DC) transport.NodeID {
 	return transport.NodeID("gw/" + dc.String())
 }
 
-// coordID names the gateway's one coordinator. The "/c0" suffix is
-// what transaction ids, lane names and core.GatewayGroup have always
-// seen from a gateway, so it stays.
+// coordID names the gateway's coordinator; core.GatewayGroup maps it
+// to the gateway's own admission-sharing group.
 func coordID(dc topology.DC) transport.NodeID {
 	return transport.NodeID("gw/" + dc.String() + "/c0")
 }

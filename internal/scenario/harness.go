@@ -148,8 +148,8 @@ func build(s *Scenario, o Options) (*Run, error) {
 		Clients:    o.Clients,
 		ClientDC:   -1,
 	})
-	// Gateway scenarios add the gateway nodes (and their coordinator
-	// pools) to the latency map, homed in their data centers.
+	// Gateway scenarios add the gateway nodes (and their coordinators)
+	// to the latency map, homed in their data centers.
 	extra := map[transport.NodeID]topology.DC{}
 	if s.Gateway {
 		for _, dc := range topology.AllDCs() {
@@ -977,7 +977,7 @@ func (r *Run) CorruptNewestSnapshot(i int) {
 }
 
 // GatewayIDs returns the transport nodes of a DC's gateway tier (the
-// gateway plus its pooled coordinators); empty for non-gateway runs.
+// gateway plus its coordinator); empty for non-gateway runs.
 func (r *Run) GatewayIDs(dc topology.DC) []transport.NodeID {
 	if r.gws == nil {
 		return nil
@@ -986,7 +986,7 @@ func (r *Run) GatewayIDs(dc topology.DC) []transport.NodeID {
 }
 
 // CrashGateway kills a data center's gateway process: the gateway and
-// its pooled coordinators stop receiving (their queued events and
+// its coordinator stop receiving (their queued events and
 // timers die with the incarnation), then Gateway.Kill answers
 // everything the process held — every admitted in-flight transaction
 // with the typed ErrOutcomeUnknown, which the gwClient records as an

@@ -135,7 +135,7 @@ type Scenario struct {
 	// MasterDC overrides master placement (nil = uniform by hash).
 	MasterDC func(record.Key) topology.DC
 	// Gateway routes every client through its data center's
-	// transaction gateway (coordinator pooling, cross-transaction
+	// transaction gateway (one shared coordinator, cross-transaction
 	// batching, hot-key delta coalescing) instead of a private
 	// coordinator, validating the gateway tier under faults.
 	Gateway bool

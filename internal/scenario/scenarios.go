@@ -152,7 +152,7 @@ var registry = []*Scenario{
 	{
 		// A flash-sale stampede through the gateway tier: heavy
 		// commutative traffic on a handful of hot stock keys flows
-		// through per-DC gateways (coordinator pooling, cross-
+		// through per-DC gateways (one shared coordinator, cross-
 		// transaction batching, hot-key delta coalescing into merged
 		// options) while a DC outage, packet loss and a latency
 		// brown-out hit the cluster. Invariants under test: delta
@@ -160,7 +160,7 @@ var registry = []*Scenario{
 		// across merged options, units >= 0 under demarcation, and
 		// settle-everything liveness with the gateway in the path.
 		Name:        "gateway-saturation",
-		Description: "hot-key commutative stampede via per-DC gateways (pooling+batching+coalescing) under outage, loss and latency faults",
+		Description: "hot-key commutative stampede via per-DC gateways (batching+coalescing) under outage, loss and latency faults",
 		Gateway:     true,
 		Workload: Workload{
 			Accounts:       20,
@@ -184,8 +184,8 @@ var registry = []*Scenario{
 	},
 	{
 		// The gateway tier itself becomes the fault target: two DCs'
-		// gateways hard-crash (queued events, merge windows and pooled
-		// coordinators die with the process; in-flight client acks are
+		// gateways hard-crash (queued events, merge windows and the
+		// coordinator die with the process; in-flight client acks are
 		// lost) and restart mid-stampede, while a third DC is
 		// partitioned away entirely — gateway included. Crashed-gateway
 		// transactions become unknown-outcome history entries: the

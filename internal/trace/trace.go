@@ -37,7 +37,7 @@ const (
 	StageCoalesceJoin                   // update joined a hot-key coalesce window
 	StageCoalesceFlush                  // merged window flushed as one option
 	StageCoalesceSplit                  // rejected merge split and re-run singly
-	StageDispatch                       // handed to a pooled coordinator
+	StageDispatch                       // handed to the gateway's coordinator
 	StagePropose                        // coordinator proposed the option
 	StageForward                        // acceptor forwarded to the record leader (classic window)
 	StageVote                           // acceptor cast a vote

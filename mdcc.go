@@ -16,7 +16,7 @@
 // paper's per-app-server library: Cluster.Session, Dial) or attaches
 // to its data center's shared transaction gateway
 // (Cluster.Gateway(dc).Session(), DialGateway, mdcc-server -gateway),
-// which pools coordinators, batches protocol messages across
+// which runs one coordinator, batches protocol messages across
 // transactions, coalesces hot-key commutative updates into merged
 // options, and applies admission control — the serving tier for
 // high-fan-in deployments.

@@ -162,8 +162,8 @@ func Dial(topo *RemoteTopology, dc DC, clientID, listen string) (*RemoteSession,
 // DialGateway connects a thin client session to the gateway tier of a
 // TCP deployment (a cmd/mdcc-server running with -gateway in dc).
 // Unlike Dial, the client embeds no coordinator: transactions travel
-// as single request/reply RPCs to the gateway, which pools
-// coordinators, batches and coalesces across all attached clients.
+// as single request/reply RPCs to the gateway, whose one coordinator
+// batches and coalesces across all attached clients.
 // clientID is Dial's: unique among concurrent sessions, reusable after.
 func DialGateway(topo *RemoteTopology, dc DC, clientID, listen string) (*RemoteSession, error) {
 	mode, err := topo.ModeValue()

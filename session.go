@@ -380,8 +380,8 @@ func (t *TxView) Add(key Key, deltas map[string]int64) {
 
 // Metrics exposes the session backend's protocol counters. For
 // gateway sessions, only the outcome counters (Commits, Aborts) are
-// populated live — protocol internals belong to the shared pool; see
-// GatewayMetrics.
+// populated live — protocol internals belong to the shared coordinator;
+// see GatewayMetrics.
 func (s *Session) Metrics() core.CoordMetrics { return s.b.Metrics() }
 
 // GatewayMetrics reports the gateway tier's operational metrics
