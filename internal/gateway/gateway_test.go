@@ -159,8 +159,8 @@ func TestCoalescingMergesHotKeyStampede(t *testing.T) {
 // batch window: the proposals of several transactions that reach an
 // acceptor in one gateway envelope are answered with one envelope, to
 // the gateway's coordinator. An acceptor groups its answers by
-// destination id, so a gateway spreading its transactions over several
-// coordinator ids got one answer envelope per id.
+// destination id, so this holds only while one id carries all of a
+// gateway's transactions.
 func TestGatewayAnswersShareOneEnvelope(t *testing.T) {
 	const n = 8
 	w := newTestWorld(t, Tuning{}, nil)
