@@ -373,10 +373,11 @@ type keyState struct {
 	// key back — which is what licenses serving it from memory: an
 	// RPC-installed value whose interest-add was lost would otherwise
 	// go stale silently under a live feed that simply never carries
-	// the key.
+	// the key. val is the value's record.AppendValue bytes, so every
+	// read decodes a Value of its own: a caller may edit what it read.
 	hasVal    bool
 	confirmed bool
-	val       record.Value
+	val       []byte
 	valVer    record.Version
 	valExists bool
 	readAt    time.Time // last served read (the eviction clock)

@@ -283,15 +283,34 @@ func (g *Gateway) onFeed(from transport.NodeID, m core.MsgVisibilityFeed) {
 }
 
 // installLocked folds a committed (value, version) observation into a
-// key's materialized state; versions only move forward.
+// key's materialized state; versions only move forward. The value is
+// kept encoded, in the previous one's bytes when it fits.
 func (g *Gateway) installLocked(ks *keyState, val record.Value, ver record.Version, exists bool) {
 	if ks.hasVal && ver < ks.valVer {
 		return
 	}
 	ks.hasVal = true
-	ks.val = val
+	ks.val = record.AppendValue(ks.val[:0], val)
 	ks.valVer = ver
 	ks.valExists = exists
+}
+
+// answer hands one read result to every waiter, each a Value of its
+// own: the rest decode val's encoding, taken before any callback runs,
+// and the last takes val itself, which nothing else holds (the cache
+// keeps bytes).
+func answer(ws []readWaiter, val record.Value, ver record.Version, exists bool) {
+	var enc []byte
+	if len(ws) > 1 {
+		enc = record.AppendValue(nil, val)
+	}
+	for i, w := range ws {
+		own := val
+		if i < len(ws)-1 {
+			own = record.ReadValue(transport.NewWireReader(enc))
+		}
+		w.cb(own, ver, exists)
+	}
 }
 
 // feedLiveLocked reports whether the feed covering key currently
@@ -328,7 +347,8 @@ func (g *Gateway) ReadFloor(key record.Key, floor record.Version, cb ReadFunc) {
 		return
 	}
 	if ks, ok := g.keys[key]; ok && ks.hasVal && ks.confirmed && ks.valVer >= floor && g.feedLiveLocked(key) {
-		val, ver, exists := ks.val, ks.valVer, ks.valExists
+		val := record.ReadValue(transport.NewWireReader(ks.val))
+		ver, exists := ks.valVer, ks.valExists
 		ks.readAt = g.net.Now()
 		g.m.LocalReads++
 		if g.tr != nil {
@@ -388,9 +408,7 @@ func (g *Gateway) settleFlight(key record.Key, fl *readFlight, val record.Value,
 		g.m.ReadQuorums++
 	}
 	g.mu.Unlock()
-	for _, w := range met {
-		w.cb(val, ver, exists)
-	}
+	answer(met, val, ver, exists)
 	if len(unmet) == 0 {
 		return
 	}
@@ -402,9 +420,7 @@ func (g *Gateway) settleFlight(key record.Key, fl *readFlight, val record.Value,
 			qks.readAt = g.net.Now()
 			g.askInterestLocked(key, qks)
 			g.mu.Unlock()
-			for _, w := range unmet {
-				w.cb(qval, qver, qexists)
-			}
+			answer(unmet, qval, qver, qexists)
 		})
 	})
 }

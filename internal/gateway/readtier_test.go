@@ -116,6 +116,62 @@ func TestReadTierSingleFlightCoalescing(t *testing.T) {
 	}
 }
 
+// TestGatewayReadsAreTheCallersOwn: a caller may edit the value it
+// read — as it does before a Physical commit — and no other reader
+// sees the edit, neither the readers that shared its fallback RPC nor
+// the memory copy the gateway serves next.
+func TestGatewayReadsAreTheCallersOwn(t *testing.T) {
+	key := record.Key("stock/own")
+	w := newTestWorld(t, Tuning{}, nil)
+	w.preload(key, record.Value{Attrs: map[string]int64{"units": 7}})
+	w.net.RunFor(3 * time.Second)
+
+	// Each reader checks what it got, then scribbles on it.
+	var seen []int64
+	read := func(v record.Value, ver record.Version, ok bool) {
+		if !ok || ver != 1 {
+			t.Errorf("read answered exists=%v ver=%d", ok, ver)
+			return
+		}
+		seen = append(seen, v.Attr("units"))
+		v.Attrs["units"] = 999
+	}
+	check := func(stage string) {
+		t.Helper()
+		for i, units := range seen {
+			if units != 7 {
+				t.Fatalf("%s: reader %d of %d read units=%d, another reader's edit", stage, i+1, len(seen), units)
+			}
+		}
+		seen = seen[:0]
+	}
+
+	// The coalesced fallback: three cold reads share one RPC.
+	const n = 3
+	w.net.At(0, func() {
+		for i := 0; i < n; i++ {
+			w.gw.ReadFloor(key, 0, read)
+		}
+	})
+	w.net.RunFor(5 * time.Second)
+	if m := w.gw.Metrics(); m.ReadRPCs != 1 || m.ReadCoalesced != n-1 || len(seen) != n {
+		t.Fatalf("cold reads: %d answered, %d RPCs, %d coalesced; want %d, 1, %d", len(seen), m.ReadRPCs, m.ReadCoalesced, n, n-1)
+	}
+	check("coalesced fallback")
+
+	// The memory hit: the installed copy is served again and again.
+	w.net.At(0, func() {
+		for i := 0; i < n; i++ {
+			w.gw.ReadFloor(key, 0, read)
+		}
+	})
+	w.net.RunFor(time.Second)
+	if m := w.gw.Metrics(); m.LocalReads != n || len(seen) != n {
+		t.Fatalf("warm reads: %d answered, %d from memory; want %d from memory", len(seen), m.LocalReads, n)
+	}
+	check("memory hit")
+}
+
 // TestReadTierFloorEscalation pins the fallback ladder's quorum rung:
 // a floor above everything the local replica has must escalate to a
 // quorum read rather than serve below the floor.
