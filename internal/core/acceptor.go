@@ -474,13 +474,13 @@ func (n *StorageNode) releaseDecided(key record.Key, r *recState) {
 	if r.open != nil {
 		seen = r.open.peerLineage
 	}
-	n.m.DecidedReleased += int64(r.decided.compact(n.net.Now(), n.cfg.DecidedRetention, func(e decidedEntry) bool {
+	n.m.DecidedReleased += int64(r.decided.compact(&n.lanes, key, n.net.Now(), n.cfg.DecidedRetention, func(e decidedEntry) bool {
 		for _, p := range peers {
 			if p == n.id {
 				continue
 			}
 			pl, ok := seen[p]
-			if !ok || !pl.Contains(string(e.lane()), e.KeySeq) {
+			if !ok || !pl.Contains(e.lane(), e.KeySeq) {
 				return false
 			}
 		}
@@ -490,15 +490,15 @@ func (n *StorageNode) releaseDecided(key record.Key, r *recState) {
 
 // settleOption records one final decision the caller found to be new:
 // decided-log entry, lineage summary, durable decision log, and the
-// record's kind class. The decision is encoded once, into the decided
-// log, and the oplog record copies those bytes.
+// record's kind class. The decision is packed once, into the decided
+// log, and the oplog record expands that entry.
 func (n *StorageNode) settleOption(key record.Key, r *recState, d Decision, opt Option) {
-	body, isNew := r.decided.record(d, opt, true, n.net.Now())
+	e, isNew := r.decided.record(&n.lanes, key, d, opt, true, n.net.Now())
 	if !isNew {
 		return
 	}
 	n.noteSettled(r, d, opt)
-	n.logDecision(key, body)
+	n.logDecision(key, &e)
 	n.compactDecided(key, r, false)
 }
 
@@ -702,7 +702,7 @@ func (n *StorageNode) voteFor(opt Option) MsgVote {
 	// Idempotence: final decisions and existing votes are resent. The
 	// lineage summary answers for settled options whose decided-log
 	// entry was released — exact, forever.
-	if d, ok := r.decided.get(opt.Tx); ok {
+	if d, ok := r.decided.get(&n.lanes, opt.Tx); ok {
 		return MsgVote{OptID: id, Ballot: promised, Decision: d}
 	}
 	if opt.KeySeq > 0 {
@@ -991,7 +991,7 @@ func (n *StorageNode) onVisibility(m MsgVisibility) {
 	key := m.Opt.Update.Key
 	r := n.rs(key)
 	id := m.Opt.ID()
-	if _, ok := r.decided.get(id.Tx); ok {
+	if _, ok := r.decided.get(&n.lanes, id.Tx); ok {
 		// Already executed or discarded; still release any lingering
 		// vote (the settle may have arrived via a base adoption that
 		// never saw the vote).
@@ -1080,9 +1080,9 @@ func (n *StorageNode) adoptBase(key record.Key, base record.Value, baseVer recor
 	}
 	if lineage.Deltas {
 		refused := false
-		r.decided.each(func(e decidedEntry) bool {
+		r.decided.each(&n.lanes, key, func(e decidedEntry) bool {
 			refused = e.Decision == DecAccept && e.kind() == record.KindPhysical && e.KeySeq != 0 &&
-				!lineage.Contains(string(e.lane()), e.KeySeq)
+				!lineage.Contains(e.lane(), e.KeySeq)
 			return !refused
 		})
 		if refused {
@@ -1092,7 +1092,7 @@ func (n *StorageNode) adoptBase(key record.Key, base record.Value, baseVer recor
 	}
 	val, ver := base, baseVer
 	merged := 0
-	r.decided.each(func(e decidedEntry) bool {
+	r.decided.each(&n.lanes, key, func(e decidedEntry) bool {
 		switch {
 		case e.Decision != DecAccept || e.kind() != record.KindCommutative:
 			// Physical applies are never grafted: either the incoming
@@ -1103,7 +1103,7 @@ func (n *StorageNode) adoptBase(key record.Key, base record.Value, baseVer recor
 			// No lineage identity (hand-built option): containment is
 			// unprovable, so treat as contained rather than risk a
 			// double apply. Coordinators always mint identities.
-		case lineage.Contains(string(e.lane()), e.KeySeq):
+		case lineage.Contains(e.lane(), e.KeySeq):
 		default:
 			// The graft: the one place a settled entry's contents are
 			// decoded on the merge path.
@@ -1310,7 +1310,7 @@ func (n *StorageNode) onPhase2a(from transport.NodeID, m MsgPhase2a) {
 	o.votes, o.votedAt = n.takeVoteSlots(len(m.CStruct))
 	next := 0 // cursor into prev: successive cstructs keep their order
 	for _, v := range m.CStruct {
-		if _, ok := r.decided.get(v.Opt.Tx); ok {
+		if _, ok := r.decided.get(&n.lanes, v.Opt.Tx); ok {
 			continue // already settled locally (e.g. visibility raced ahead)
 		}
 		if v.Opt.KeySeq > 0 && r.summary.contains(&n.lanes, laneOf(v.Opt.Tx), v.Opt.KeySeq) {

@@ -47,11 +47,12 @@ func (n *StorageNode) Checkpoint() {
 // in oplog-replay shape, so restoring a snapshot runs through
 // NewDurableStorageNode's seeding loop unchanged: one summary-snapshot
 // entry per record (unioned first), then the decided options in
-// settle order (recorded and noted idempotently), each the decided
-// log's own bytes. The decisions alias the node's state, which
-// Checkpoint encodes before the dispatch returns; each summary is
-// unpacked into one of its own. Keys are emitted in
-// sorted order so identical states checkpoint to identical bytes.
+// settle order (recorded and noted idempotently), each a decided-log
+// entry expanded into its decision body. The bodies share one buffer:
+// when it grows, the bodies already written stay in the array they
+// were written to, which nothing writes again. Each summary is
+// unpacked into one of its own. Keys are emitted in sorted order so
+// identical states checkpoint to identical bytes.
 func (n *StorageNode) snapshotOplog() []oplogEntry {
 	keys := make([]record.Key, 0, len(n.recs))
 	for k := range n.recs {
@@ -59,14 +60,17 @@ func (n *StorageNode) snapshotOplog() []oplogEntry {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	var out []oplogEntry
+	var bodies []byte
 	for _, k := range keys {
 		r := n.recs[k]
 		if !r.summary.isEmpty() {
 			s := r.summary.unpack(&n.lanes)
 			out = append(out, oplogEntry{Key: k, Snapshot: &s})
 		}
-		r.decided.each(func(e decidedEntry) bool {
-			out = append(out, oplogEntry{Key: k, Decision: e.body})
+		r.decided.each(&n.lanes, k, func(e decidedEntry) bool {
+			start := len(bodies)
+			bodies = e.appendBody(bodies)
+			out = append(out, oplogEntry{Key: k, Decision: bodies[start:len(bodies):len(bodies)]})
 			return true
 		})
 	}

@@ -1,10 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"hash/maphash"
+	"math"
 	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"mdcc/internal/record"
@@ -38,24 +40,36 @@ import (
 // with the divergence horizon (e.g. a partitioned peer), which is the
 // minimum state any exact merge scheme must keep.
 //
-// The log is the decision record's twin (DESIGN §12): its entries sit
-// in settle order, back to back in one byte slice, each
+// The log is packed against the node's lane table (DESIGN §12): its
+// entries sit in settle order, back to back in one byte slice, each
 //
-//	u64 settledAt | uvarint n | n-byte oplog decision body
+//	u64 settledAt | uvarint n | n-byte packed decision
 //
-// where the body is exactly what the 0xD2 record carries after its
-// key (string Tx | u8 Decision | uvarint KeySeq | bool HasUp |
-// [Update]), so persisting or checkpointing an entry copies it. The
-// settle time is fixed-width (little-endian UnixNano): a real clock's
-// would take nine bytes as a varint, and a scan steps over eight
-// without decoding them. A
-// settled option costs its encoded bytes and nothing else: no slot, no
-// pointer, no transaction id string of its own. The zero value is an
-// empty log, so a record that never settles anything pays for a nil
-// slice and a nil pointer. Most records hold a handful of entries,
-// which get scans comparing bytes; a log that reaches decidedIndexMin
-// entries also answers from an index keyed by a 64-bit hash of the
-// transaction id, because a hot commutative key holds thousands.
+// where the packed decision is the oplog decision body (the 0xD2
+// record after its key: string Tx | u8 Decision | uvarint KeySeq |
+// bool HasUp | [Update]) with two parts made smaller:
+//
+//	id:     uvarint lane+1 | uvarint seq   Tx is lane#seq, seq in canonical decimal
+//	        0 | string Tx                  any other id
+//	        u8 Decision | uvarint KeySeq |
+//	up:     0                              no contents
+//	        1 | Update                     record.AppendUpdate output
+//	        2 | u8 Kind | Update after Key the same less its key, the record's
+//
+// so an entry keeps a lane index and a sequence, not its transaction
+// id, and not the key every update of the record repeats. Persisting
+// or checkpointing an entry expands it back into the exact body
+// (appendBody), and replay packs what it reads (restore). The settle
+// time is fixed-width (little-endian UnixNano): a real clock's would
+// take nine bytes as a varint, and a scan steps over eight without
+// decoding them. A settled option costs its packed bytes and nothing
+// else: no slot, no pointer, no string of its own. The zero value is
+// an empty log, so a record that never settles anything pays for a
+// nil slice and a nil pointer. Most records hold a handful of entries,
+// which get scans comparing sequences and lane names in place; a log
+// that reaches decidedIndexMin entries also answers from an index
+// keyed by a 64-bit hash of the id, because a hot commutative key
+// holds thousands.
 type decidedLog struct {
 	buf []byte
 	n   int
@@ -84,8 +98,8 @@ const (
 	decidedLimit            = 512
 	defaultDecidedRetention = 2 * time.Minute
 	// decidedIndexMin is the length at which a log builds its lookup
-	// index: below it a scan comparing transaction ids in place beats
-	// hashing one and costs no map per record.
+	// index: below it a scan comparing ids in place beats hashing one
+	// and costs no map per record.
 	decidedIndexMin = 32
 	// decidedFitMax is the size up to which a log's buffer grows to fit
 	// each new entry: most records settle a few dozen options at most,
@@ -95,20 +109,113 @@ const (
 	decidedFitMax = 4 << 10
 )
 
-// decidedSeed keys the index hash. Lookups compare the bytes behind
-// every hit, so the seed changes no answer, only which ids collide.
+// The up tags of a packed decision.
+const (
+	upNone   = 0 // no contents (HasUp false)
+	upKeyed  = 1 // the update as encoded
+	upElided = 2 // the update less its key, which is the record's
+)
+
+// decidedSeed keys the index hash of ids kept whole. Lookups compare
+// the ids behind every hit, so the seed changes no answer, only which
+// ids collide.
 var decidedSeed = maphash.MakeSeed()
 
-// decidedEntry is one entry of a decided log read in place — the oplog
-// decision body's fields and the settle time — and the decoded view
-// the cold readers take: recovery replies, grafts and replay. Nothing
-// is copied (body, tx and up alias the log), so a view is good until
-// the log next changes; what outlives that is decoded (option,
-// update).
+// decidedID is a transaction id as a decided log keys it: its lane and
+// sequence when the id is lane#seq with seq in canonical decimal (what
+// every coordinator mints, see Coordinator.txID), else only the
+// whole id. The split is a function of the id, so an id has one stored
+// form and a lookup compares like with like.
+type decidedID struct {
+	tx     string
+	lane   string
+	seq    uint64
+	packed bool
+}
+
+// parseID splits tx in place: it allocates nothing.
+func parseID(tx TxID) decidedID {
+	s := string(tx)
+	id := decidedID{tx: s}
+	i := strings.LastIndexByte(s, '#')
+	digits := s[i+1:]
+	if i <= 0 || digits == "" || (digits[0] == '0' && len(digits) > 1) {
+		return id
+	}
+	var seq uint64
+	for j := 0; j < len(digits); j++ {
+		c := uint64(digits[j] - '0')
+		if c > 9 || seq > (math.MaxUint64-c)/10 {
+			return id
+		}
+		seq = seq*10 + c
+	}
+	id.lane, id.seq, id.packed = s[:i], seq, true
+	return id
+}
+
+// append writes the id part of a packed decision, numbering its lane
+// in t if the lane is new.
+func (id decidedID) append(b []byte, t *laneTable) []byte {
+	if !id.packed {
+		return transport.AppendString(append(b, 0), id.tx)
+	}
+	b = transport.AppendUvarint(b, uint64(t.id(id.lane))+1)
+	return transport.AppendUvarint(b, id.seq)
+}
+
+// hash is the index key of id, and false when t has never numbered its
+// lane (so no entry can hold it).
+func (id decidedID) hash(t *laneTable) (uint64, bool) {
+	if !id.packed {
+		return maphash.String(decidedSeed, id.tx), true
+	}
+	lane, ok := t.ids[id.lane]
+	return laneSeqHash(uint64(lane)+1, id.seq), ok
+}
+
+// storedID is an entry's id part as the log holds it: tag is the
+// lane's index plus one, or 0 for an id kept whole, whose bytes are tx.
+type storedID struct {
+	tag, seq uint64
+	tx       []byte
+}
+
+// is reports whether the stored id is id.
+func (s storedID) is(t *laneTable, id decidedID) bool {
+	if s.tag == 0 {
+		return !id.packed && string(s.tx) == id.tx
+	}
+	return id.packed && s.seq == id.seq && t.names[s.tag-1] == id.lane
+}
+
+// hash is the index key of the stored id (decidedID.hash).
+func (s storedID) hash() uint64 {
+	if s.tag == 0 {
+		return maphash.Bytes(decidedSeed, s.tx)
+	}
+	return laneSeqHash(s.tag, s.seq)
+}
+
+// laneSeqHash keys a packed id. For one lane it is injective in the
+// sequence; the map hashes it again, and a collision only costs a scan.
+func laneSeqHash(tag, seq uint64) uint64 {
+	return seq*0x9e3779b97f4a7c15 ^ tag*0xc2b2ae3d27d4eb4f
+}
+
+// decidedEntry is one entry of a decided log read in place — the
+// decision's fields, its settle time and the table and record key it
+// is packed against — and the decoded view the cold readers take:
+// recovery replies, grafts, replay and the oplog. Nothing is copied (id
+// and up alias the log), so a view is good until the log next changes;
+// what outlives that is decoded (option, update) or expanded
+// (appendBody).
 type decidedEntry struct {
-	body      []byte // the whole oplog decision body
-	tx        []byte
-	up        []byte // record.AppendUpdate output; nil: contents never known (HasUp false)
+	tab       *laneTable
+	key       record.Key
+	id        storedID
+	up        []byte // the update as packed; nil: contents never known (HasUp false)
+	elided    bool   // up is upElided's: the kind, then the update after its key
 	settledAt int64  // UnixNano
 	KeySeq    uint64
 	Decision  Decision
@@ -127,24 +234,25 @@ func appendDecision(b []byte, tx TxID, d Decision, keySeq uint64, up *record.Upd
 	return b
 }
 
-// readDecision reads a decision body in place. Every body it sees was
-// built by appendDecision in this process (replay re-encodes what it
-// decodes), so it cannot be malformed.
-func readDecision(body []byte) decidedEntry {
-	e := decidedEntry{body: body}
-	n, k := binary.Uvarint(body)
-	e.tx = body[k : k+int(n)]
-	rest := body[k+int(n):]
-	e.Decision = Decision(rest[0])
-	e.KeySeq, k = binary.Uvarint(rest[1:])
-	if rest[1+k] != 0 {
-		e.up = rest[2+k:]
+// packDecision appends the packed decision of id settled as d on the
+// record key; up is record.AppendUpdate output, nil without contents.
+func packDecision(b []byte, t *laneTable, key record.Key, id decidedID, d Decision, keySeq uint64, up []byte) []byte {
+	b = id.append(b, t)
+	b = append(b, uint8(d))
+	b = transport.AppendUvarint(b, keySeq)
+	if up == nil {
+		return append(b, upNone)
 	}
-	return e
+	n, k := binary.Uvarint(up[1:])
+	if after := 1 + k + int(n); string(up[1+k:after]) == string(key) {
+		return append(append(b, upElided, up[0]), up[after:]...)
+	}
+	return append(append(b, upKeyed), up...)
 }
 
-// kind is the update's kind (its encoding's first byte), 0 without
-// contents: adoptBase's physical-containment rule scans it undecoded.
+// kind is the update's kind (its encoding's first byte, kept first
+// when the key is elided), 0 without contents: adoptBase's
+// physical-containment rule scans it undecoded.
 func (e *decidedEntry) kind() record.UpdateKind {
 	if e.up == nil {
 		return 0
@@ -152,18 +260,64 @@ func (e *decidedEntry) kind() record.UpdateKind {
 	return record.UpdateKind(e.up[0])
 }
 
-// lane is the entry's coordinator lane (laneOf, in place).
-func (e *decidedEntry) lane() []byte {
-	if i := bytes.LastIndexByte(e.tx, '#'); i >= 0 {
-		return e.tx[:i]
+// lane is the entry's coordinator lane (laneOf); an id kept whole
+// pays for a string.
+func (e *decidedEntry) lane() string {
+	if e.id.tag == 0 {
+		return laneOf(TxID(e.id.tx))
 	}
-	return e.tx
+	return e.tab.names[e.id.tag-1]
+}
+
+// tx rebuilds the entry's transaction id.
+func (e *decidedEntry) tx() TxID {
+	if e.id.tag == 0 {
+		return TxID(e.id.tx)
+	}
+	var digits [20]byte
+	return TxID(e.lane() + "#" + string(strconv.AppendUint(digits[:0], e.id.seq, 10)))
+}
+
+// appendUpdate appends the update's record.AppendUpdate encoding, the
+// key put back where it was elided.
+func (e *decidedEntry) appendUpdate(b []byte) []byte {
+	if !e.elided {
+		return append(b, e.up...)
+	}
+	b = transport.AppendString(append(b, e.up[0]), string(e.key))
+	return append(b, e.up[1:]...)
+}
+
+// appendBody appends the entry's oplog decision body, byte for byte
+// what appendDecision wrote for it: what the 0xD2 record and a
+// checkpoint carry.
+func (e *decidedEntry) appendBody(b []byte) []byte {
+	if e.id.tag == 0 {
+		b = transport.AppendBytes(b, e.id.tx)
+	} else {
+		var digits [20]byte
+		lane, seq := e.lane(), strconv.AppendUint(digits[:0], e.id.seq, 10)
+		b = transport.AppendUvarint(b, uint64(len(lane)+1+len(seq)))
+		b = append(append(append(b, lane...), '#'), seq...)
+	}
+	b = append(b, uint8(e.Decision))
+	b = transport.AppendUvarint(b, e.KeySeq)
+	b = transport.AppendBool(b, e.up != nil)
+	if e.up == nil {
+		return b
+	}
+	return e.appendUpdate(b)
 }
 
 // update decodes the retained contents. The bytes are this process's
 // own record.AppendUpdate output, so decoding cannot fail.
 func (e *decidedEntry) update() record.Update {
-	return record.ReadUpdate(transport.NewWireReader(e.up))
+	up := e.up
+	if e.elided {
+		var scratch [256]byte
+		up = e.appendUpdate(scratch[:0])
+	}
+	return record.ReadUpdate(transport.NewWireReader(up))
 }
 
 // option rebuilds what the entry retains of its option — Tx, Update
@@ -173,48 +327,56 @@ func (e *decidedEntry) option() (Option, bool) {
 	if e.up == nil {
 		return Option{}, false
 	}
-	return Option{Tx: TxID(e.tx), Update: e.update(), KeySeq: e.KeySeq}, true
+	return Option{Tx: e.tx(), Update: e.update(), KeySeq: e.KeySeq}, true
 }
 
 // len is the number of entries.
 func (l *decidedLog) len() int { return l.n }
 
-// bodyAt returns the body of the entry at offset off of buf, in place,
-// and the next entry's offset.
-func (l *decidedLog) bodyAt(off int) ([]byte, int) {
-	n, k := binary.Uvarint(l.buf[off+8:])
-	start := off + 8 + k
-	return l.buf[start : start+int(n)], start + int(n)
+// uvarintAt decodes the uvarint at b[i:] and returns the offset past
+// it. Nearly every one a lookup reads is a single byte, which it
+// decodes itself.
+func uvarintAt(b []byte, i int) (uint64, int) {
+	if c := b[i]; c < 0x80 {
+		return uint64(c), i + 1
+	}
+	v, k := binary.Uvarint(b[i:])
+	return v, i + k
+}
+
+// idAt reads the id of the entry at offset off of buf, in place: all a
+// lookup reads. It returns the offset of the fields after the id and
+// the next entry's; a scan is this function in a loop.
+func (l *decidedLog) idAt(off int) (id storedID, rest, next int) {
+	n, i := uvarintAt(l.buf, off+8)
+	next = i + int(n)
+	id.tag, i = uvarintAt(l.buf, i)
+	if id.tag == 0 {
+		m, j := uvarintAt(l.buf, i)
+		id.tx = l.buf[j : j+int(m)]
+		return id, j + int(m), next
+	}
+	id.seq, rest = uvarintAt(l.buf, i)
+	return id, rest, next
 }
 
 // at reads the entry at offset off of buf and returns the next one's.
-func (l *decidedLog) at(off int) (decidedEntry, int) {
-	body, next := l.bodyAt(off)
-	e := readDecision(body)
+func (l *decidedLog) at(t *laneTable, key record.Key, off int) (decidedEntry, int) {
+	id, i, next := l.idAt(off)
+	e := decidedEntry{tab: t, key: key, id: id, Decision: Decision(l.buf[i])}
 	e.settledAt = int64(binary.LittleEndian.Uint64(l.buf[off:]))
-	return e, next
-}
-
-// txAt returns the transaction id of the entry at offset off of buf,
-// in place, and the next entry's offset: all a lookup reads. Both
-// lengths it reads are nearly always one-byte varints, which it decodes
-// itself; a scan is this function in a loop.
-func (l *decidedLog) txAt(off int) ([]byte, int) {
-	if n := l.buf[off+8]; n < 0x80 {
-		if m := l.buf[off+9]; m < 0x80 {
-			return l.buf[off+10 : off+10+int(m)], off + 9 + int(n)
-		}
+	e.KeySeq, i = uvarintAt(l.buf, i+1)
+	if tag := l.buf[i]; tag != upNone {
+		e.up, e.elided = l.buf[i+1:next], tag == upElided
 	}
-	body, next := l.bodyAt(off)
-	m, k := binary.Uvarint(body)
-	return body[k : k+int(m)], next
+	return e, next
 }
 
 // each calls fn on the entries in settle order until it returns false.
 // Views are passed by value, so a walk allocates nothing.
-func (l *decidedLog) each(fn func(e decidedEntry) bool) {
+func (l *decidedLog) each(t *laneTable, key record.Key, fn func(e decidedEntry) bool) {
 	for off := 0; off < len(l.buf); {
-		e, next := l.at(off)
+		e, next := l.at(t, key, off)
 		if !fn(e) {
 			return
 		}
@@ -222,16 +384,20 @@ func (l *decidedLog) each(fn func(e decidedEntry) bool) {
 	}
 }
 
-// find returns the offset in buf of tx's entry, -1 if absent.
-func (l *decidedLog) find(tx TxID) int {
+// find returns the offset in buf of id's entry, -1 if absent.
+func (l *decidedLog) find(t *laneTable, id decidedID) int {
 	if l.idx != nil {
-		pos, ok := l.idx.pos[maphash.String(decidedSeed, string(tx))]
+		h, ok := id.hash(t)
+		if !ok {
+			return -1
+		}
+		pos, ok := l.idx.pos[h]
 		if !ok {
 			return -1
 		}
 		if pos >= 0 {
 			off := pos - l.idx.head
-			if id, _ := l.txAt(off); string(id) != string(tx) {
+			if got, _, _ := l.idAt(off); !got.is(t, id) {
 				return -1 // the one entry with this hash is another's
 			}
 			return off
@@ -239,8 +405,8 @@ func (l *decidedLog) find(tx TxID) int {
 		// Two transactions have shared the hash: scan.
 	}
 	for off := 0; off < len(l.buf); {
-		id, next := l.txAt(off)
-		if string(id) == string(tx) {
+		got, _, next := l.idAt(off)
+		if got.is(t, id) {
 			return off
 		}
 		off = next
@@ -249,62 +415,78 @@ func (l *decidedLog) find(tx TxID) int {
 }
 
 // get looks up a decision.
-func (l *decidedLog) get(tx TxID) (Decision, bool) {
-	if off := l.find(tx); off >= 0 {
-		e, _ := l.at(off)
-		return e.Decision, true
+func (l *decidedLog) get(t *laneTable, tx TxID) (Decision, bool) {
+	if off := l.find(t, parseID(tx)); off >= 0 {
+		_, rest, _ := l.idAt(off)
+		return Decision(l.buf[rest]), true
 	}
 	return DecUnknown, false
 }
 
-// entry looks up the settled entry (only recovery asks).
-func (l *decidedLog) entry(tx TxID) (decidedEntry, bool) {
-	if off := l.find(tx); off >= 0 {
-		e, _ := l.at(off)
+// entry looks up the settled entry of tx on the record key (only
+// recovery asks).
+func (l *decidedLog) entry(t *laneTable, key record.Key, tx TxID) (decidedEntry, bool) {
+	if off := l.find(t, parseID(tx)); off >= 0 {
+		e, _ := l.at(t, key, off)
 		return e, true
 	}
 	return decidedEntry{}, false
 }
 
-// record stores opt's final decision d, settled at now (first write
-// wins: decisions are immutable once made). Without contents (hasOpt
-// false) only the transaction and decision are kept. It reports
-// whether the entry was new (false for already-known decisions), so
-// callers persist each decision exactly once, and returns the entry's
-// body as the log holds it — the bytes the oplog record carries —
-// valid until the log next changes. Eviction is the caller's concern
-// (compactLegacy / StorageNode.compactDecided).
-func (l *decidedLog) record(d Decision, opt Option, hasOpt bool, now time.Time) (body []byte, isNew bool) {
-	if l.find(opt.Tx) >= 0 {
-		return nil, false
+// record stores opt's final decision d on the record key, settled at
+// now (first write wins: decisions are immutable once made). Without
+// contents (hasOpt false) only the transaction and decision are kept.
+// It reports whether the entry was new (false for already-known
+// decisions), so callers persist each decision exactly once, and
+// returns the entry as the log holds it, valid until the log next
+// changes. Eviction is the caller's concern (compactLegacy /
+// StorageNode.compactDecided).
+func (l *decidedLog) record(t *laneTable, key record.Key, d Decision, opt Option, hasOpt bool, now time.Time) (decidedEntry, bool) {
+	id := parseID(opt.Tx)
+	if l.find(t, id) >= 0 {
+		return decidedEntry{}, false
 	}
-	var up *record.Update
+	var up []byte
 	var keySeq uint64
+	var upScratch [256]byte // on the stack; covers all but blob-carrying updates
 	if hasOpt {
-		up, keySeq = &opt.Update, opt.KeySeq
+		up, keySeq = record.AppendUpdate(upScratch[:0], opt.Update), opt.KeySeq
 	}
-	var scratch [256]byte // on the stack; covers all but blob-carrying updates
-	return l.add(now.UnixNano(), appendDecision(scratch[:0], opt.Tx, d, keySeq, up)), true
+	var scratch [256]byte
+	e, _ := l.at(t, key, l.add(now.UnixNano(), packDecision(scratch[:0], t, key, id, d, keySeq, up)))
+	return e, true
 }
 
-// restore stores a replayed decision body settled at settledAt, unless
-// its transaction is already known, and reports whether it did.
-func (l *decidedLog) restore(settledAt int64, body []byte) bool {
-	if l.find(TxID(readDecision(body).tx)) >= 0 {
-		return false
+// restore stores a replayed decision body of the record key settled at
+// settledAt, packed, unless its transaction is already known, and
+// returns the entry and whether it did. Every body it sees was built by
+// appendDecision in this process (replay re-encodes what it decodes),
+// so it cannot be malformed.
+func (l *decidedLog) restore(t *laneTable, key record.Key, settledAt int64, body []byte) (decidedEntry, bool) {
+	n, k := binary.Uvarint(body)
+	id := parseID(TxID(body[k : k+int(n)]))
+	if l.find(t, id) >= 0 {
+		return decidedEntry{}, false
 	}
-	l.add(settledAt, body)
-	return true
+	rest := body[k+int(n):]
+	keySeq, k := binary.Uvarint(rest[1:])
+	var up []byte
+	if rest[1+k] != 0 {
+		up = rest[2+k:]
+	}
+	var scratch [256]byte
+	e, _ := l.at(t, key, l.add(settledAt, packDecision(scratch[:0], t, key, id, Decision(rest[0]), keySeq, up)))
+	return e, true
 }
 
-// add appends an entry whose transaction the log does not hold and
-// returns its body as stored.
-func (l *decidedLog) add(settledAt int64, body []byte) []byte {
+// add appends a packed decision whose transaction the log does not
+// hold and returns the entry's offset in buf.
+func (l *decidedLog) add(settledAt int64, packed []byte) int {
 	var hdr [8 + binary.MaxVarintLen64]byte
 	h := binary.LittleEndian.AppendUint64(hdr[:0], uint64(settledAt))
-	h = binary.AppendUvarint(h, uint64(len(body)))
+	h = binary.AppendUvarint(h, uint64(len(packed)))
 	off := len(l.buf)
-	switch need := off + len(h) + len(body); {
+	switch need := off + len(h) + len(packed); {
 	case need <= cap(l.buf):
 	case need <= decidedFitMax:
 		grown := make([]byte, off, need)
@@ -314,21 +496,19 @@ func (l *decidedLog) add(settledAt int64, body []byte) []byte {
 		l.buf = slices.Grow(l.buf, need-off)
 	}
 	l.buf = append(l.buf, h...)
-	l.buf = append(l.buf, body...)
-	stored := l.buf[len(l.buf)-len(body):]
+	l.buf = append(l.buf, packed...)
 	l.n++
 	if l.idx != nil {
-		tx, _ := l.txAt(off)
-		l.idx.file(tx, l.idx.head+off)
+		id, _, _ := l.idAt(off)
+		l.idx.file(id.hash(), l.idx.head+off)
 	} else if l.n >= decidedIndexMin {
 		l.reindex()
 	}
-	return stored
+	return off
 }
 
-// file enters the entry of tx at position pos.
-func (x *decidedIndex) file(tx []byte, pos int) {
-	h := maphash.Bytes(decidedSeed, tx)
+// file enters the entry whose id hashes to h at position pos.
+func (x *decidedIndex) file(h uint64, pos int) {
 	if _, shared := x.pos[h]; shared {
 		pos = -1
 	}
@@ -348,8 +528,8 @@ func (l *decidedLog) reindex() {
 	}
 	l.idx = &decidedIndex{pos: make(map[uint64]int, l.n), lastCompactLen: lastCompactLen}
 	for off := 0; off < len(l.buf); {
-		tx, next := l.txAt(off)
-		l.idx.file(tx, off)
+		id, _, next := l.idAt(off)
+		l.idx.file(id.hash(), off)
 		off = next
 	}
 }
@@ -362,11 +542,11 @@ func (l *decidedLog) compactLegacy(now time.Time, retention time.Duration) {
 	horizon := now.Add(-retention).UnixNano()
 	off := 0
 	for l.n > decidedLimit {
-		e, next := l.at(off)
-		if e.settledAt > horizon {
+		if int64(binary.LittleEndian.Uint64(l.buf[off:])) > horizon {
 			break
 		}
-		if h := maphash.Bytes(decidedSeed, e.tx); l.idx.pos[h] == l.idx.head+off {
+		id, _, next := l.idAt(off)
+		if h := id.hash(); l.idx.pos[h] == l.idx.head+off {
 			delete(l.idx.pos, h)
 		}
 		off = next
@@ -392,11 +572,11 @@ func (l *decidedLog) wantsCompact() bool {
 // compact releases evictable entries: aged past retention and either
 // legacy (KeySeq 0) or acked by every peer summary. The kept entries
 // move up in place. Returns how many entries were released.
-func (l *decidedLog) compact(now time.Time, retention time.Duration, acked func(e decidedEntry) bool) int {
+func (l *decidedLog) compact(t *laneTable, key record.Key, now time.Time, retention time.Duration, acked func(e decidedEntry) bool) int {
 	horizon := now.Add(-retention).UnixNano()
 	w, kept := 0, 0
 	for off := 0; off < len(l.buf); {
-		e, next := l.at(off)
+		e, next := l.at(t, key, off)
 		if !(e.settledAt <= horizon && (e.KeySeq == 0 || acked(e))) {
 			w += copy(l.buf[w:], l.buf[off:next])
 			kept++

@@ -117,9 +117,10 @@ func TestDiskRoundTrip(t *testing.T) {
 
 // TestSettledBytesMatchDiskGolden: when a durable node settles an
 // option, the decision record it appends to its log — the decided
-// log's bytes, copied — and the entry its next checkpoint writes are
-// the bytes the golden vector pins, so the decided log can hold the
-// record's layout without moving it.
+// log's packed entry, expanded — and the entry its next checkpoint
+// writes are the bytes the golden vector pins, so the decided log can
+// pack its entries against the lane table without moving the record's
+// layout.
 func TestSettledBytesMatchDiskGolden(t *testing.T) {
 	dir := t.TempDir()
 	ds, err := OpenDurableOpts(dir, DurableOptions{NoSync: true})

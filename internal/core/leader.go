@@ -116,12 +116,12 @@ func (n *StorageNode) leaderPropose(opt Option, recovery bool) {
 	comm := opt.Update.Kind == record.KindCommutative
 	// Already settled? Answer immediately. The summary answers for
 	// options whose decided-log entry was released.
-	if d, ok := r.decided.get(id.Tx); ok {
+	if d, ok := r.decided.get(&n.lanes, id.Tx); ok {
 		n.notifyLearned(opt.Coord, id, d, ReasonNone, comm)
 		n.resolveWaiters(l, id, d)
 		return
 	}
-	if d, ok := l.learned.get(id.Tx); ok {
+	if d, ok := l.learned.get(&n.lanes, id.Tx); ok {
 		n.notifyLearned(opt.Coord, id, d, ReasonNone, comm)
 		n.resolveWaiters(l, id, d)
 		return
@@ -351,7 +351,7 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 	// — including for options settled long before any retention
 	// window, which the old decided-list exchange could not see.
 	for id, t := range tallies {
-		if d, ok := r.decided.get(id.Tx); ok {
+		if d, ok := r.decided.get(&n.lanes, id.Tx); ok {
 			t.decided, t.decision = true, d
 			continue
 		}
@@ -393,7 +393,7 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 			// Settled (executed/discarded) at some replica: nothing to
 			// carry; make sure recovery requesters hear the outcome.
 			n.resolveWaiters(l, id, t.decision)
-			l.learned.record(t.decision, t.opt, t.opt.Update.Kind != 0, n.net.Now())
+			l.learned.record(&n.lanes, key, t.decision, t.opt, t.opt.Update.Kind != 0, n.net.Now())
 			if t.opt.Update.Kind != 0 {
 				// Some replica still holds an unresolved vote for this
 				// settled option — its visibility was lost (e.g. dropped
@@ -425,10 +425,10 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 	// Queued proposals that surfaced nowhere else are free options.
 	for _, q := range l.queue {
 		if _, ok := tallies[q.ID()]; !ok {
-			if _, done := r.decided.get(q.Tx); done {
+			if _, done := r.decided.get(&n.lanes, q.Tx); done {
 				continue
 			}
-			if _, done := l.learned.get(q.Tx); done {
+			if _, done := l.learned.get(&n.lanes, q.Tx); done {
 				continue
 			}
 			free = append(free, q)
@@ -487,7 +487,7 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 		// left anywhere (settled and fully pruned). Answering from it
 		// is exact; the fiat-reject below is only for options that
 		// provably never settled up to this ballot.
-		if d, ok := r.decided.get(id.Tx); ok {
+		if d, ok := r.decided.get(&n.lanes, id.Tx); ok {
 			n.resolveWaiters(l, id, d)
 			continue
 		}
@@ -613,14 +613,14 @@ func (n *StorageNode) onPhase2b(from transport.NodeID, m MsgPhase2b) {
 	delete(l.props, m.Seq)
 	for _, v := range prop.snapshot {
 		id := v.Opt.ID()
-		if _, done := l.learned.get(id.Tx); done {
+		if _, done := l.learned.get(&n.lanes, id.Tx); done {
 			continue
 		}
 		r := n.rs(m.Key)
-		if _, done := r.decided.get(id.Tx); done {
+		if _, done := r.decided.get(&n.lanes, id.Tx); done {
 			continue
 		}
-		l.learned.record(v.Decision, v.Opt, true, n.net.Now())
+		l.learned.record(&n.lanes, m.Key, v.Decision, v.Opt, true, n.net.Now())
 		l.learned.compactLegacy(n.net.Now(), n.cfg.DecidedRetention)
 		n.notifyLearned(v.Opt.Coord, id, v.Decision, v.Reason,
 			v.Opt.Update.Kind == record.KindCommutative)
@@ -667,7 +667,7 @@ func (n *StorageNode) maybeEnableFast(key record.Key, l *leaderRec) {
 		return
 	}
 	for _, v := range l.cstruct {
-		if _, done := l.learned.get(v.Opt.Tx); !done {
+		if _, done := l.learned.get(&n.lanes, v.Opt.Tx); !done {
 			return // proposals still in flight
 		}
 	}
@@ -702,7 +702,7 @@ func (n *StorageNode) leaderObserveVisibility(key record.Key, id OptionID) {
 		return
 	}
 	n.dropFromCStruct(l, id)
-	if d, known := n.rs(key).decided.get(id.Tx); known {
+	if d, known := n.rs(key).decided.get(&n.lanes, id.Tx); known {
 		n.resolveWaiters(l, id, d)
 	}
 	n.maybeEnableFast(key, l)
@@ -733,7 +733,7 @@ func (n *StorageNode) resolveWaiters(l *leaderRec, id OptionID, d Decision) {
 	}
 	delete(l.waiters, id)
 	opt, hasOpt := Option{}, false
-	if e, found := l.learned.entry(id.Tx); found {
+	if e, found := l.learned.entry(&n.lanes, id.Key, id.Tx); found {
 		opt, hasOpt = e.option()
 	}
 	for _, w := range ws {

@@ -172,7 +172,7 @@ func TestReleasedEntryStaysIdempotent(t *testing.T) {
 		t.Fatal("no decided entries to release")
 	}
 	// Keep a copy of a settled option for the late replay below.
-	r.decided.each(func(e decidedEntry) bool {
+	r.decided.each(&victim.lanes, "rel/1", func(e decidedEntry) bool {
 		if opt, ok := e.option(); ok && e.Decision == DecAccept {
 			opts = append(opts, opt)
 		}

@@ -149,9 +149,9 @@ func (n *StorageNode) onRecoverOpt(from transport.NodeID, m MsgRecoverOpt) {
 	id := OptionID{Tx: m.Tx, Key: m.Key}
 	r := n.rs(m.Key)
 	l := n.lr(m.Key)
-	e, ok := r.decided.entry(m.Tx)
+	e, ok := r.decided.entry(&n.lanes, m.Key, m.Tx)
 	if !ok {
-		e, ok = l.learned.entry(m.Tx)
+		e, ok = l.learned.entry(&n.lanes, m.Key, m.Tx)
 	}
 	if ok {
 		// The reply carries what the entry retains of the option (Tx,

@@ -56,32 +56,35 @@ func (n *codecNet) deliver(t *testing.T, to transport.NodeID, msg transport.Mess
 // layout.
 //
 // The one-lane arm settles every option on one coordinator lane.
-// Measured go1.24, amd64: 53 B per option — the entry's own bytes in the
-// record's packed log — and 366 B per record: its state, its stored
-// value and its key, in a run that also fills the key intern table. It
-// was 110 B per option while each entry was a 64-byte slot beside an
-// encoded-update allocation, pinning its wire-decoded transaction id,
-// and 360 B before that, with a map of whole Options per record. The
-// record was 548 B while its state was one 208-byte struct holding both
-// ballots, the vote arrays' headers and an unpacked lineage summary
-// with a 64-byte slot and a range array per lane; a record at rest now
-// keeps 80 bytes of state and a packed summary. A settled record holds
-// no open part (and so no vote arrays), which the test asserts record
-// by record.
+// Measured go1.24, amd64: 25 B per option — the entry's own bytes in the
+// record's packed log, its transaction id a lane index and a sequence
+// and its update without the record's key — and 361 B per record: its
+// state, its stored value and its key, in a run that also fills the key
+// intern table. It was 53 B per option while each entry held its
+// transaction id and its update's key in full, 110 B while each entry
+// was a 64-byte slot beside an encoded-update allocation, pinning its
+// wire-decoded transaction id, and 360 B before that, with a map of
+// whole Options per record. The record was 548 B while its state was
+// one 208-byte struct holding both ballots, the vote arrays' headers and
+// an unpacked lineage summary with a 64-byte slot and a range array per
+// lane; a record at rest now keeps 80 bytes of state and a packed
+// summary. A settled record holds no open part (and so no vote arrays),
+// which the test asserts record by record.
 //
 // The many-lanes arm is sixteen coordinators (gateways' and sessions')
 // with incarnation tokens, each record's options on rotating lanes, so
 // every option also opens a lane in the record's lineage summary. It
-// reads 66 B per option: the entry, plus the lane's few bytes in the
-// packed summary, its name an index into the node's lane table. It was
+// reads 30 B per option: the entry, plus the lane's few bytes in the
+// packed summary, both naming the lane by its index in the node's lane
+// table. It was 66 B while the entry held its transaction id in full,
 // 142 B while each lane took a LaneLineage slot and a Done range of its
 // own, and 198 B while each lane's name was a substring of a
 // transaction id that its bytes kept alive.
 func TestResidentBytesPerSettledOption(t *testing.T) {
 	const (
-		maxPerOption      = 80
+		maxPerOption      = 40
 		maxPerRecord      = 450
-		maxPerOptionLanes = 80
+		maxPerOptionLanes = 50
 		lanes             = 16
 	)
 	perOption, perRec := residentPerSettledOption(t, func(_, _, seq int) (TxID, transport.NodeID, uint64) {

@@ -58,8 +58,8 @@ import (
 var ErrDurability = errors.New("mdcc/core: durability failure, node degraded")
 
 // oplogEntry is one decision record: either one decision — the
-// record's key plus the decision body exactly as the in-memory decided
-// log holds it (the executed update's contents when known, so a
+// record's key plus the decision body the in-memory decided log's
+// entry expands to (the executed update's contents when known, so a
 // restarted node can still graft its own applies onto diverged peers'
 // bases — see adoptBase; KeySeq, so replay rebuilds the record's
 // summary exactly) — or a lineage-summary snapshot (written on every
@@ -306,8 +306,7 @@ func NewDurableStorageNode(id transport.NodeID, dc topology.DC, net transport.Ne
 			r.noteKindFromSummary()
 			continue
 		}
-		if r.decided.restore(net.Now().UnixNano(), e.Decision) {
-			settled := readDecision(e.Decision)
+		if settled, ok := r.decided.restore(&n.lanes, e.Key, net.Now().UnixNano(), e.Decision); ok {
 			if opt, ok := settled.option(); ok {
 				n.noteSettled(r, settled.Decision, opt)
 			}
@@ -350,15 +349,16 @@ func (n *StorageNode) degrade(err error) {
 func (n *StorageNode) DurabilityError() error { return n.degraded }
 
 // logDecision persists a settled entry's decision body (the decided
-// log's bytes, copied, not encoded again), if this node is durable. A
-// refused append degrades the node (see degrade) — the historical
-// behavior of swallowing the error silently lost durability while
-// continuing to acknowledge writes.
-func (n *StorageNode) logDecision(key record.Key, body []byte) {
+// log's entry expanded, not the option encoded again), if this node is
+// durable. A refused append degrades the node (see degrade) — the
+// historical behavior of swallowing the error silently lost durability
+// while continuing to acknowledge writes.
+func (n *StorageNode) logDecision(key record.Key, e *decidedEntry) {
 	if n.durable == nil {
 		return
 	}
-	n.appendOplog(&oplogEntry{Key: key, Decision: body})
+	var scratch [256]byte // on the stack; covers all but blob-carrying updates
+	n.appendOplog(&oplogEntry{Key: key, Decision: e.appendBody(scratch[:0])})
 }
 
 // logLineage persists a record's lineage summary snapshot. Written on

@@ -270,7 +270,7 @@ func TestRefusedSettleLeavesNothingOnDisk(t *testing.T) {
 			defer ds.Close()
 			want(ds, "after reopen", 10, 1)
 			r := n.rs(key)
-			if _, ok := r.decided.get(tx); ok {
+			if _, ok := r.decided.get(&n.lanes, tx); ok {
 				t.Error("after reopen the decided log holds the refused decision")
 			}
 			if r.summary.contains(&n.lanes, laneOf(tx), 1) {

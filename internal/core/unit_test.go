@@ -17,16 +17,45 @@ import (
 	"mdcc/internal/transport"
 )
 
+// testLog is the decided log of one record, testLogKey, with a lane
+// table of its own, as a storage node gives each record's log its own
+// key and the node's one table.
+type testLog struct {
+	decidedLog
+	tab laneTable
+}
+
+const testLogKey = record.Key("k")
+
+func (l *testLog) get(tx TxID) (Decision, bool) { return l.decidedLog.get(&l.tab, tx) }
+
+func (l *testLog) entry(tx TxID) (decidedEntry, bool) {
+	return l.decidedLog.entry(&l.tab, testLogKey, tx)
+}
+
+func (l *testLog) record(d Decision, opt Option, hasOpt bool, at time.Time) (decidedEntry, bool) {
+	return l.decidedLog.record(&l.tab, testLogKey, d, opt, hasOpt, at)
+}
+
+func (l *testLog) restore(body []byte) bool {
+	_, ok := l.decidedLog.restore(&l.tab, testLogKey, 0, body)
+	return ok
+}
+
+func (l *testLog) compact(now time.Time, retention time.Duration, acked func(e decidedEntry) bool) int {
+	return l.decidedLog.compact(&l.tab, testLogKey, now, retention, acked)
+}
+
 // bare records a contents-free decision (what the leader's learned log
 // records for an option it only knows by id) and reports whether it
 // was new.
-func bare(l *decidedLog, tx TxID, d Decision, at time.Time) bool {
+func bare(l *testLog, tx TxID, d Decision, at time.Time) bool {
 	_, isNew := l.record(d, Option{Tx: tx}, false, at)
 	return isNew
 }
 
 // indexLen is the number of hashes l's index files, 0 with no index.
-func indexLen(l *decidedLog) int {
+func indexLen(l *testLog) int {
 	if l.idx == nil {
 		return 0
 	}
@@ -34,17 +63,34 @@ func indexLen(l *decidedLog) int {
 }
 
 // txs lists a log's transactions in settle order.
-func txs(l *decidedLog) []TxID {
+func txs(l *testLog) []TxID {
 	var out []TxID
-	l.each(func(e decidedEntry) bool {
-		out = append(out, TxID(e.tx))
+	l.each(&l.tab, testLogKey, func(e decidedEntry) bool {
+		out = append(out, e.tx())
 		return true
 	})
 	return out
 }
 
+// throughOplog writes e's decision record as a durable node does, reads
+// it back as replay does and restores it into a fresh log: the entry a
+// restarted node holds.
+func throughOplog(t *testing.T, e decidedEntry) decidedEntry {
+	t.Helper()
+	disk, err := decodeOplogRecord(appendOplogEntry([]byte{oplogFormat}, &oplogEntry{Key: testLogKey, Decision: e.appendBody(nil)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fresh testLog
+	if !fresh.restore(disk.Decision) {
+		t.Fatal("replayed decision not restored into an empty log")
+	}
+	got, _ := fresh.entry(e.tx())
+	return got
+}
+
 func TestDecidedLogFirstWriteWins(t *testing.T) {
-	var l decidedLog
+	var l testLog
 	now := time.Unix(0, 0)
 	bare(&l, "t1", DecAccept, now)
 	if bare(&l, "t1", DecReject, now) { // ignored
@@ -56,7 +102,7 @@ func TestDecidedLogFirstWriteWins(t *testing.T) {
 }
 
 func TestDecidedLogLegacyEviction(t *testing.T) {
-	var l decidedLog
+	var l testLog
 	const retention = defaultDecidedRetention
 	start := time.Unix(0, 0)
 	tx := func(i int) TxID { return TxID(fmt.Sprintf("t%d", i)) }
@@ -90,7 +136,7 @@ func TestDecidedLogLegacyEviction(t *testing.T) {
 // acked by every peer summary; unacked entries survive any age (the
 // retention-is-a-cache-knob contract).
 func TestDecidedLogAckGatedCompaction(t *testing.T) {
-	var l decidedLog
+	var l testLog
 	const retention = defaultDecidedRetention
 	start := time.Unix(0, 0)
 	for i := 0; i < 6; i++ {
@@ -110,7 +156,7 @@ func TestDecidedLogAckGatedCompaction(t *testing.T) {
 		t.Fatalf("unacked entries evicted: %d left", l.len())
 	}
 	// Ack lanes c0..c3: exactly those become releasable.
-	acked := func(e decidedEntry) bool { return string(e.lane()) < "c4" }
+	acked := func(e decidedEntry) bool { return e.lane() < "c4" }
 	if got := l.compact(late, retention, acked); got != 4 {
 		t.Fatalf("released %d, want 4", got)
 	}
@@ -125,45 +171,51 @@ func TestDecidedLogAckGatedCompaction(t *testing.T) {
 
 // A settled entry keeps what the oplog persists: the option decodes
 // back to Tx, Update and KeySeq; coordinator and write-set are gone.
-// HasUp round-trips on its own: a present update with nothing in it
-// (the zero Update) keeps contents, an absent one has none — in the
-// log, and through an oplog record.
+// The record's own key is elided from the update and put back, another
+// key is kept. HasUp round-trips on its own: a present update with
+// nothing in it (the zero Update) keeps contents, an absent one has
+// none. Each holds in the log and through an oplog record, whose body
+// is byte for byte what appendDecision writes.
 func TestDecidedLogEntryKeepsOption(t *testing.T) {
-	var l decidedLog
-	opt := Option{
-		Tx: "t", Coord: "c0", KeySeq: 3, WriteSet: []record.Key{"k", "j"}, WriteSeqs: []uint64{3, 1},
-		Update: record.MergedCommutative("k", map[string]int64{"x": -1}, 4),
-	}
-	l.record(DecAccept, opt, true, time.Unix(0, 0))
-	e, ok := l.entry("t")
-	got, has := e.option()
-	want := Option{Tx: "t", KeySeq: 3, Update: opt.Update}
-	if !ok || !has || e.kind() != record.KindCommutative || !reflect.DeepEqual(got, want) {
-		t.Fatalf("entry = %+v %v, option = %+v %v, want %+v", e, ok, got, has, want)
-	}
-	bare(&l, "u", DecReject, time.Unix(0, 0))
-	body, isNew := l.record(DecAccept, Option{Tx: "empty"}, true, time.Unix(0, 0))
-	if !isNew {
-		t.Fatal("empty-update entry not recorded")
-	}
-	disk, err := decodeOplogRecord(appendOplogEntry([]byte{oplogFormat}, &oplogEntry{Key: "k", Decision: body}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	logged, _ := l.entry("empty")
-	for name, e := range map[string]decidedEntry{"log": logged, "oplog": readDecision(disk.Decision)} {
-		if got, has := e.option(); !has || e.kind() != 0 || !reflect.DeepEqual(got, Option{Tx: "empty"}) {
-			t.Errorf("%s: present empty update = %+v %v (kind %d), want contents kept", name, got, has, e.kind())
+	var l testLog
+	at := time.Unix(0, 0)
+	for _, opt := range []Option{
+		{
+			Tx: "gw/us-west/c0~MG3X9K2A#7", Coord: "gw/us-west/c0~MG3X9K2A", KeySeq: 3,
+			WriteSet: []record.Key{"k", "j"}, WriteSeqs: []uint64{3, 1},
+			Update: record.MergedCommutative(testLogKey, map[string]int64{"x": -1}, 4),
+		},
+		{Tx: "c0#007", KeySeq: 2, Update: record.Physical("j", 5, record.Value{Blob: []byte("another record's key")})},
+		{Tx: "empty"},
+	} {
+		if _, isNew := l.record(DecAccept, opt, true, at); !isNew {
+			t.Fatalf("%s not recorded", opt.Tx)
+		}
+		logged, ok := l.entry(opt.Tx)
+		if !ok {
+			t.Fatalf("%s not found", opt.Tx)
+		}
+		if body, want := logged.appendBody(nil), appendDecision(nil, opt.Tx, DecAccept, opt.KeySeq, &opt.Update); !reflect.DeepEqual(body, want) {
+			t.Fatalf("%s expands to\n%x, want\n%x", opt.Tx, body, want)
+		}
+		want := Option{Tx: opt.Tx, KeySeq: opt.KeySeq, Update: opt.Update}
+		for name, e := range map[string]decidedEntry{"log": logged, "oplog": throughOplog(t, logged)} {
+			if got, has := e.option(); !has || e.kind() != opt.Update.Kind || e.Decision != DecAccept || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %s = %+v %v (kind %d), want %+v", name, opt.Tx, got, has, e.kind(), want)
+			}
 		}
 	}
-	e, _ = l.entry("u")
-	if _, has := e.option(); has || e.kind() != 0 {
-		t.Fatalf("contents-free entry = %+v", e)
+	if e, _ := l.entry("gw/us-west/c0~MG3X9K2A#7"); !e.elided || e.lane() != "gw/us-west/c0~MG3X9K2A" {
+		t.Errorf("an update of the record itself is kept with its key (elided %v), lane %q", e.elided, e.lane())
 	}
-	body, _ = l.record(DecReject, Option{Tx: "absent"}, false, time.Unix(0, 0))
-	disk, err = decodeOplogRecord(appendOplogEntry([]byte{oplogFormat}, &oplogEntry{Key: "k", Decision: body}))
-	if e := readDecision(disk.Decision); err != nil || e.up != nil || e.Decision != DecReject {
-		t.Fatalf("absent update through the oplog = %+v, %v", e, err)
+	if e, _ := l.entry("c0#007"); e.elided || e.lane() != "c0" {
+		t.Errorf("an update of another key lost its key (elided %v), lane %q", e.elided, e.lane())
+	}
+	e, _ := l.record(DecReject, Option{Tx: "absent"}, false, at)
+	for name, e := range map[string]decidedEntry{"log": e, "oplog": throughOplog(t, e)} {
+		if _, has := e.option(); has || e.kind() != 0 || e.up != nil || e.Decision != DecReject {
+			t.Errorf("%s: contents-free entry = %+v", name, e)
+		}
 	}
 }
 
@@ -172,7 +224,7 @@ func TestDecidedLogEntryKeepsOption(t *testing.T) {
 // (index positions must survive the shift) and compact moves the kept
 // ones up and rebuilds the index.
 func TestDecidedLogIndexedAfterCompaction(t *testing.T) {
-	var l decidedLog
+	var l testLog
 	const retention = time.Minute
 	start := time.Unix(0, 0)
 	n := 2*decidedLimit + 10
@@ -208,7 +260,7 @@ func TestDecidedLogIndexedAfterCompaction(t *testing.T) {
 	firstKept := n - decidedLimit
 	check("compactLegacy", func(i int) bool { return i >= firstKept })
 	// Release the lane-c1 entries the legacy pass left.
-	acked := func(e decidedEntry) bool { return string(e.lane()) == "c1" }
+	acked := func(e decidedEntry) bool { return e.lane() == "c1" }
 	l.compact(start.Add(time.Hour), retention, acked)
 	check("compact", func(i int) bool { return i >= firstKept && i%3 != 1 })
 	if (l.idx == nil) || indexLen(&l) != l.len() {
@@ -216,10 +268,34 @@ func TestDecidedLogIndexedAfterCompaction(t *testing.T) {
 	}
 }
 
+// oracleTx draws a transaction id, most of them lane#seq as a
+// coordinator mints them and the rest in every form the log keeps
+// whole: no '#', an empty lane, no sequence, a leading zero, a
+// sequence past 2^64. Lanes with a '#' of their own are minted too.
+func oracleTx(rng *rand.Rand, steps int) TxID {
+	lane, seq := rng.Intn(4), rng.Intn(steps)
+	switch rng.Intn(12) {
+	case 0:
+		return TxID(fmt.Sprintf("t%d", seq))
+	case 1:
+		return TxID(fmt.Sprintf("#%d", seq))
+	case 2:
+		return TxID(fmt.Sprintf("c%d#", lane))
+	case 3:
+		return TxID(fmt.Sprintf("c%d#0%d", lane, seq))
+	case 4:
+		return TxID(fmt.Sprintf("c%d#%d%020d", lane, seq+1, 0))
+	case 5:
+		return TxID(fmt.Sprintf("a#c%d#%d", lane, seq))
+	}
+	return TxID(fmt.Sprintf("c%d#%d", lane, seq))
+}
+
 // TestDecidedLogMatchesMapOracle drives random record / get / entry /
 // compact / compactLegacy sequences, long enough to cross the index
 // threshold in both directions and the count limit, against a plain
-// map plus order slice — the structure the log replaced.
+// map plus order slice — the structure the log replaced. Every entry
+// found expands to the exact body appendDecision writes for it.
 func TestDecidedLogMatchesMapOracle(t *testing.T) {
 	const retention = time.Minute
 	type settled struct {
@@ -230,7 +306,7 @@ func TestDecidedLogMatchesMapOracle(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(17))
 	for round := 0; round < 20; round++ {
-		var l decidedLog
+		var l testLog
 		ref := map[TxID]settled{}
 		var order []TxID
 		now := time.Unix(0, 0)
@@ -248,12 +324,16 @@ func TestDecidedLogMatchesMapOracle(t *testing.T) {
 		steps := 200 + rng.Intn(3*decidedLimit)
 		for step := 0; step < steps; step++ {
 			now = now.Add(time.Duration(rng.Intn(2000)) * time.Millisecond)
-			tx := TxID(fmt.Sprintf("c%d#%d", rng.Intn(4), rng.Intn(steps)))
+			tx := oracleTx(rng, steps)
 			switch op := rng.Intn(100); {
 			case op < 70:
+				key := testLogKey
+				if rng.Intn(8) == 0 {
+					key = "j" // an update of another record: its key is kept
+				}
 				s := settled{d: Decision(1 + rng.Intn(2)), hasOpt: rng.Intn(4) > 0, settledAt: now.UnixNano(),
 					opt: Option{Tx: tx, KeySeq: uint64(rng.Intn(3)), // 0 = legacy
-						Update: record.Commutative("k", map[string]int64{"x": int64(step)})}}
+						Update: record.Commutative(key, map[string]int64{"x": int64(step)})}}
 				if !s.hasOpt {
 					s.opt = Option{Tx: tx} // what a contents-free entry keeps
 				}
@@ -275,13 +355,22 @@ func TestDecidedLogMatchesMapOracle(t *testing.T) {
 					t.Fatalf("round %d step %d: get(%s) = %v %v, entry = %+v %v; oracle %+v %v",
 						round, step, tx, d, ok, opt, eok, want, wok)
 				}
+				if !ok {
+					break
+				}
+				var up *record.Update
+				if want.hasOpt {
+					up = &want.opt.Update
+				}
+				if body, wantBody := e.appendBody(nil), appendDecision(nil, tx, want.d, want.opt.KeySeq, up); !reflect.DeepEqual(body, wantBody) {
+					t.Fatalf("round %d step %d: %s expands to %x, want %x", round, step, tx, body, wantBody)
+				}
 			case op < 95:
 				horizon := now.Add(-retention).UnixNano()
-				acked := func(e decidedEntry) bool { return string(e.lane()) < "c2" }
+				acked := func(e decidedEntry) bool { return e.lane() < "c2" }
 				before := len(order)
 				evict(func(s settled) bool {
-					e := decidedEntry{tx: []byte(s.opt.Tx)}
-					return !(s.settledAt <= horizon && (s.opt.KeySeq == 0 || acked(e)))
+					return !(s.settledAt <= horizon && (s.opt.KeySeq == 0 || laneOf(s.opt.Tx) < "c2"))
 				})
 				if got := l.compact(now, retention, acked); got != before-len(order) {
 					t.Fatalf("round %d step %d: compact released %d, oracle %d", round, step, got, before-len(order))
@@ -309,10 +398,89 @@ func TestDecidedLogMatchesMapOracle(t *testing.T) {
 	}
 }
 
+// FuzzDecidedEntryRoundTrip: for an arbitrary decision body on an
+// arbitrary record key, restore followed by expansion gives back the
+// exact bytes, record packs what restore packs, and get and entry
+// answer as a map would — beside a second transaction and, when long
+// is set, behind the index that thirty-two more put the log behind.
+func FuzzDecidedEntryRoundTrip(f *testing.F) {
+	f.Add("gw/us-west/c0~MG3X9K2A#42", "gw/us-west/c0~MG3X9K2A#43", "k", "k", uint8(DecAccept), uint64(3), uint8(record.KindCommutative), true, false)
+	for _, tx := range []string{"t1", "#5", "c0#", "c0#007", "a#b#3", "c0#18446744073709551616", "c0#18446744073709551615", "c0#0"} {
+		f.Add(tx, "c0#7", "k", "k", uint8(DecReject), uint64(0), uint8(record.KindPhysical), true, true)
+	}
+	// An update of another record than the log's keeps its key.
+	f.Add("c0#1", "c0#2", "k", "j", uint8(DecAccept), uint64(1), uint8(record.KindPhysical), true, false)
+	f.Fuzz(func(t *testing.T, tx, other, key, upKey string, d uint8, keySeq uint64, kind uint8, hasUp, long bool) {
+		type settled struct {
+			d    Decision
+			body []byte
+		}
+		var (
+			tab  laneTable
+			l    decidedLog
+			want = map[TxID]settled{}
+		)
+		settle := func(tx TxID, d Decision, body []byte) {
+			_, known := want[tx]
+			if _, isNew := l.restore(&tab, record.Key(key), 0, body); isNew == known {
+				t.Fatalf("restore(%q) new=%v, map knows it: %v", tx, isNew, known)
+			}
+			if !known {
+				want[tx] = settled{d, body}
+			}
+		}
+		if long {
+			for i := 0; i < decidedIndexMin; i++ {
+				filler := TxID(fmt.Sprintf("f#%d", i))
+				if i%2 == 1 {
+					filler = TxID(fmt.Sprintf("g%d", i))
+				}
+				settle(filler, DecAccept, appendDecision(nil, filler, DecAccept, 0, nil))
+			}
+		}
+		up := record.Update{
+			Kind: record.UpdateKind(kind % 4), Key: record.Key(upKey), ReadVersion: record.Version(keySeq),
+			NewValue: record.Value{Blob: []byte(other)}, Deltas: map[string]int64{"x": int64(keySeq)}, Merged: int(d),
+		}
+		upp := &up
+		if !hasUp {
+			upp, keySeq = nil, 0 // what record keeps of a contents-free option
+		}
+		body := appendDecision(nil, TxID(tx), Decision(d), keySeq, upp)
+		settle(TxID(tx), Decision(d), body)
+		settle(TxID(other), Decision(d^1), appendDecision(nil, TxID(other), Decision(d^1), keySeq+1, nil))
+
+		var recorded, restored decidedLog
+		recorded.record(&tab, record.Key(key), Decision(d), Option{Tx: TxID(tx), Update: up, KeySeq: keySeq}, hasUp, time.Unix(0, 0))
+		restored.restore(&tab, record.Key(key), 0, body)
+		if !reflect.DeepEqual(recorded.buf, restored.buf) {
+			t.Fatalf("record packs %x, restore %x", recorded.buf, restored.buf)
+		}
+
+		for _, id := range []TxID{TxID(tx), TxID(other), TxID(tx + "#1"), "absent"} {
+			w, known := want[id]
+			got, ok := l.get(&tab, id)
+			e, eok := l.entry(&tab, record.Key(key), id)
+			if ok != known || eok != known {
+				t.Fatalf("get(%q) found %v, entry %v; the map knows it: %v", id, ok, eok, known)
+			}
+			if !known {
+				continue
+			}
+			if got != w.d || e.Decision != w.d || e.tx() != id {
+				t.Fatalf("get(%q) = %v, entry %v of %q; want %v", id, got, e.Decision, e.tx(), w.d)
+			}
+			if exp := e.appendBody(nil); !reflect.DeepEqual(exp, w.body) {
+				t.Fatalf("%q expands to\n%x, want\n%x", id, exp, w.body)
+			}
+		}
+	})
+}
+
 // Two transactions whose hashes collide are told apart by their bytes:
 // the index marks the shared hash and get scans.
 func TestDecidedLogIndexCollision(t *testing.T) {
-	var l decidedLog
+	var l testLog
 	for i := 0; i < decidedIndexMin; i++ {
 		bare(&l, TxID(fmt.Sprintf("t%d", i)), DecAccept, time.Unix(0, 0))
 	}
@@ -337,8 +505,8 @@ func TestDecidedLogIndexCollision(t *testing.T) {
 // A long log answers get from its index: a miss on 10 000 entries must
 // cost what it costs on 100, not a hundred times that.
 func TestDecidedLogGetDoesNotScan(t *testing.T) {
-	fill := func(n int) *decidedLog {
-		l := new(decidedLog)
+	fill := func(n int) *testLog {
+		l := new(testLog)
 		for i := 0; i < n; i++ {
 			bare(l, TxID(fmt.Sprintf("gw/us-west/c0#%d", i)), DecAccept, time.Unix(0, 0))
 		}
@@ -348,7 +516,7 @@ func TestDecidedLogGetDoesNotScan(t *testing.T) {
 	if small.idx == nil || indexLen(large) != 10000 {
 		t.Fatalf("index sizes %d, %d", indexLen(small), indexLen(large))
 	}
-	probe := func(l *decidedLog) time.Duration {
+	probe := func(l *testLog) time.Duration {
 		best := time.Duration(1 << 62)
 		for run := 0; run < 5; run++ {
 			t0 := time.Now()
@@ -370,29 +538,35 @@ func TestDecidedLogGetDoesNotScan(t *testing.T) {
 }
 
 // get and record allocate nothing beyond the log's own growth: the
-// lookup compares bytes in place, and a settle's one allocation is the
-// buffer it lands in.
+// lookup compares sequences and lane names in place, and a settle's one
+// allocation is the buffer it lands in (its lane already numbered in
+// the node's table).
 func TestDecidedLogAllocations(t *testing.T) {
-	var l decidedLog
+	probes := []TxID{"gw/us-west/c0~MG3X9K2A#5", "gw/us-west/c0~MG3X9K2A#absent", "gw/us-west/c9#5", "t5"}
+	var l testLog
 	for i := 0; i < 8; i++ {
 		bare(&l, TxID(fmt.Sprintf("gw/us-west/c0~MG3X9K2A#%d", i)), DecAccept, time.Unix(0, 0))
 	}
-	if a := testing.AllocsPerRun(100, func() { l.get("gw/us-west/c0~MG3X9K2A#5") }); a != 0 {
-		t.Errorf("get on a scanned log: %v allocations", a)
+	for _, tx := range probes {
+		if a := testing.AllocsPerRun(100, func() { l.get(tx) }); a != 0 {
+			t.Errorf("get(%s) on a scanned log: %v allocations", tx, a)
+		}
 	}
-	opt := Option{Tx: "gw/us-west/c0~MG3X9K2A#100", KeySeq: 9, Update: record.Commutative("k", map[string]int64{"x": 1})}
+	opt := Option{Tx: "gw/us-west/c0~MG3X9K2A#100", KeySeq: 9, Update: record.Commutative(testLogKey, map[string]int64{"x": 1})}
 	if a := testing.AllocsPerRun(1, func() {
 		var fresh decidedLog
-		fresh.record(DecAccept, opt, true, time.Unix(0, 0))
+		fresh.record(&l.tab, testLogKey, DecAccept, opt, true, time.Unix(0, 0))
 	}); a != 1 {
 		t.Errorf("first settle on a record: %v allocations, want 1 (its buffer)", a)
 	}
-	large := new(decidedLog)
+	large := new(testLog)
 	for i := 0; i < 100; i++ {
 		bare(large, TxID(fmt.Sprintf("gw/us-west/c0~MG3X9K2A#%d", i)), DecAccept, time.Unix(0, 0))
 	}
-	if a := testing.AllocsPerRun(100, func() { large.get("gw/us-west/c0~MG3X9K2A#57") }); a != 0 {
-		t.Errorf("get on an indexed log: %v allocations", a)
+	for _, tx := range probes {
+		if a := testing.AllocsPerRun(100, func() { large.get(tx) }); a != 0 {
+			t.Errorf("get(%s) on an indexed log: %v allocations", tx, a)
+		}
 	}
 }
 
