@@ -269,13 +269,18 @@ func (e *decidedEntry) lane() string {
 	return e.tab.names[e.id.tag-1]
 }
 
+// appendTx appends the bytes of the entry's transaction id.
+func (e *decidedEntry) appendTx(b []byte) []byte {
+	if e.id.tag == 0 {
+		return append(b, e.id.tx...)
+	}
+	return strconv.AppendUint(append(append(b, e.lane()...), '#'), e.id.seq, 10)
+}
+
 // tx rebuilds the entry's transaction id.
 func (e *decidedEntry) tx() TxID {
-	if e.id.tag == 0 {
-		return TxID(e.id.tx)
-	}
-	var digits [20]byte
-	return TxID(e.lane() + "#" + string(strconv.AppendUint(digits[:0], e.id.seq, 10)))
+	var scratch [64]byte
+	return TxID(e.appendTx(scratch[:0]))
 }
 
 // appendUpdate appends the update's record.AppendUpdate encoding, the
@@ -292,14 +297,8 @@ func (e *decidedEntry) appendUpdate(b []byte) []byte {
 // what appendDecision wrote for it: what the 0xD2 record and a
 // checkpoint carry.
 func (e *decidedEntry) appendBody(b []byte) []byte {
-	if e.id.tag == 0 {
-		b = transport.AppendBytes(b, e.id.tx)
-	} else {
-		var digits [20]byte
-		lane, seq := e.lane(), strconv.AppendUint(digits[:0], e.id.seq, 10)
-		b = transport.AppendUvarint(b, uint64(len(lane)+1+len(seq)))
-		b = append(append(append(b, lane...), '#'), seq...)
-	}
+	var scratch [64]byte
+	b = transport.AppendBytes(b, e.appendTx(scratch[:0]))
 	b = append(b, uint8(e.Decision))
 	b = transport.AppendUvarint(b, e.KeySeq)
 	b = transport.AppendBool(b, e.up != nil)

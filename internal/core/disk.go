@@ -37,7 +37,7 @@ func appendOplogEntry(b []byte, e *oplogEntry) []byte {
 	if e.Snapshot != nil {
 		return appendLineage(b, *e.Snapshot)
 	}
-	return append(b, e.Decision...) // a decided log's bytes, copied
+	return append(b, e.Decision...) // a decided-log entry, expanded
 }
 
 func readOplogEntry(r *transport.WireReader) oplogEntry {

@@ -29,7 +29,8 @@ type leaderRec struct {
 	cstruct []VotedOption
 
 	// learned records Paxos decisions this leader made (distinct from
-	// the acceptor's decided log, which records execution outcomes).
+	// the acceptor's decided log, which records execution outcomes),
+	// packed against the same node lane table.
 	learned decidedLog
 
 	// classicLeft counts learned instances until fast ballots are

@@ -263,12 +263,13 @@ func writeRanges(b *strings.Builder, rs []SeqRange) {
 }
 
 // laneTable numbers the coordinator lanes a storage node's packed
-// summaries name, so a record holds a lane as a one-byte index instead
-// of a string. Each name is the table's own copy: a lane named by a
-// substring of a transaction id would keep the whole id alive. The
-// table grows only with coordinator incarnations (and their lane eras),
-// never per record or per option, and it never shrinks: the summaries
-// name their lanes forever. The zero value is an empty table.
+// summaries and decided logs name, so a record holds a lane as a
+// one-byte index instead of a string. Each name is the table's own
+// copy: a lane named by a substring of a transaction id would keep the
+// whole id alive. The table grows only with coordinator incarnations
+// (and their lane eras), never per record or per option, and it never
+// shrinks: the summaries name their lanes forever. The zero value is
+// an empty table.
 type laneTable struct {
 	ids   map[string]uint32
 	names []string
@@ -282,10 +283,10 @@ func (t *laneTable) id(lane string) uint32 {
 	if t.ids == nil {
 		t.ids = make(map[string]uint32)
 	}
-	lane = strings.Clone(lane)
+	name := strings.Clone(lane) // lane itself never escapes: a lookup's probe stays on the stack
 	id := uint32(len(t.names))
-	t.names = append(t.names, lane)
-	t.ids[lane] = id
+	t.names = append(t.names, name)
+	t.ids[name] = id
 	return id
 }
 
