@@ -10,7 +10,7 @@ import (
 
 	"mdcc/internal/core"
 	"mdcc/internal/gateway"
-	"mdcc/internal/kv"
+	"mdcc/internal/server"
 	"mdcc/internal/topology"
 	"mdcc/internal/transport"
 )
@@ -41,20 +41,14 @@ type ClusterConfig struct {
 	Seed int64
 }
 
-// checkpointEvery is how often a DataDir cluster's nodes snapshot
-// their state and truncate their WALs (mdcc-server's
-// -checkpoint-interval default).
-const checkpointEvery = 30 * time.Second
-
 // Cluster is an in-process five-data-center MDCC deployment running
 // on the real-time transport.
 type Cluster struct {
 	coreCfg core.Config
 	net     *transport.Local
 	cl      *topology.Cluster
-	durable []*core.DurableState // DataDir clusters only
-	mu      sync.Mutex
-	gws     map[DC]*Gateway
+	dcs     []*server.DC // indexed by DC
+	mu      sync.Mutex   // guards the gateways and closed
 	nextCli atomic.Int64
 	closed  bool
 }
@@ -69,16 +63,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	cl := topology.NewCluster(topology.Layout{NodesPerDC: cfg.NodesPerDC, Clients: 0, ClientDC: -1})
 
-	// Gateway nodes (one gateway + its coordinator per DC) live in
-	// their data center for latency purposes, whether or not a gateway
-	// is ever created.
-	extra := make(map[transport.NodeID]topology.DC)
-	for _, dc := range topology.AllDCs() {
-		for _, id := range gateway.NodeIDs(dc, gateway.Tuning{}) {
-			extra[id] = dc
-		}
-	}
-	base := cl.LatencyWith(extra)
+	base := cl.LatencyWith(server.GatewayPlacement())
 	scale := cfg.LatencyScale
 	scaled := func(from, to transport.NodeID) time.Duration {
 		return time.Duration(float64(base(from, to)) * scale)
@@ -90,19 +75,20 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	// shared by storage nodes, sessions and gateways.
 	coreCfg := clusterCoreConfig(cfg)
 
-	c := &Cluster{coreCfg: coreCfg, net: net, cl: cl, gws: make(map[DC]*Gateway)}
-	for _, n := range cl.Storage {
-		if cfg.DataDir == "" {
-			core.NewStorageNode(n.ID, n.DC, net, cl, coreCfg, kv.NewMemory())
-			continue
+	c := &Cluster{coreCfg: coreCfg, net: net, cl: cl}
+	for _, dc := range topology.AllDCs() {
+		// DataDir's layout: a node keeps its state in <DataDir>/<dc>/store<i>,
+		// its id as a path. A changed layout would open an old DataDir empty.
+		var dir func(int) string
+		if cfg.DataDir != "" {
+			dir = func(i int) string { return filepath.Join(cfg.DataDir, string(topology.StorageID(dc, i))) }
 		}
-		ds, err := core.OpenDurableOpts(filepath.Join(cfg.DataDir, string(n.ID)), core.DurableOptions{GroupCommit: true})
+		d, err := server.Start(dc, net, cl, coreCfg, dir, false)
 		if err != nil {
 			c.Close()
 			return nil, err
 		}
-		c.durable = append(c.durable, ds)
-		core.NewDurableStorageNode(n.ID, n.DC, net, cl, coreCfg, ds)
+		c.dcs = append(c.dcs, d)
 	}
 	return c, nil
 }
@@ -110,11 +96,10 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 // clusterCoreConfig derives the protocol configuration, scaling the
 // timeouts with the latency scale so compressed clusters stay snappy.
 func clusterCoreConfig(cfg ClusterConfig) core.Config {
-	coreCfg := core.Defaults(cfg.Mode)
-	coreCfg.Constraints = cfg.Constraints
+	coreCfg := server.Config(cfg.Mode, cfg.Constraints)
 	coreCfg.SyncInterval = cfg.SyncInterval
 	if cfg.DataDir != "" {
-		coreCfg.CheckpointInterval = checkpointEvery
+		coreCfg.CheckpointInterval = server.CheckpointEvery
 	}
 	s := cfg.LatencyScale
 	if s < 1 {
@@ -149,13 +134,11 @@ func (c *Cluster) Session(dc DC) *Session {
 func (c *Cluster) Gateway(dc DC) *Gateway {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if g, ok := c.gws[dc]; ok {
-		return g
+	d := c.dcs[dc]
+	if d.Gateway == nil {
+		d.Gateway = gateway.New(dc, c.net, c.cl, c.coreCfg, gateway.Tuning{})
 	}
-	gw := gateway.New(dc, c.net, c.cl, c.coreCfg, gateway.Tuning{})
-	g := &Gateway{dc: dc, gw: gw, cfg: c.coreCfg}
-	c.gws[dc] = g
-	return g
+	return &Gateway{dc: dc, gw: d.Gateway, cfg: c.coreCfg}
 }
 
 // FailDC simulates a data-center outage: every storage node in dc
@@ -185,11 +168,5 @@ func (c *Cluster) Close() {
 		return
 	}
 	c.closed = true
-	for _, g := range c.gws {
-		g.gw.Close()
-	}
-	c.net.Close()
-	for _, ds := range c.durable {
-		_ = ds.Close() // flushes and releases the node's WAL; nothing to report to
-	}
+	server.Close(c.net.Close, c.dcs...)
 }

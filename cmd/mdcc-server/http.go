@@ -154,7 +154,7 @@ import (
 
 	"mdcc/internal/core"
 	"mdcc/internal/gateway"
-	"mdcc/internal/kv"
+	"mdcc/internal/server"
 	"mdcc/internal/topology"
 	"mdcc/internal/trace"
 	"mdcc/internal/transport"
@@ -196,9 +196,8 @@ func (s *opsState) guard(h http.HandlerFunc) http.HandlerFunc {
 
 // serveHTTP starts the operational endpoints documented above on their
 // own goroutine and returns the shutdown gate.
-func serveHTTP(addr string, dc topology.DC, cl *topology.Cluster, nodes []*core.StorageNode,
-	stores []*kv.Store, net *transport.TCP, gw *gateway.Gateway,
-	rec *trace.Recorder, profile, durable bool) *opsState {
+func serveHTTP(addr string, dc topology.DC, cl *topology.Cluster, d *server.DC, net *transport.TCP,
+	rec *trace.Recorder, profile bool) *opsState {
 	state := &opsState{}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -246,14 +245,14 @@ func serveHTTP(addr string, dc topology.DC, cl *topology.Cluster, nodes []*core.
 			TraceEvents   uint64           `json:"traceEvents,omitempty"`
 			TraceRetained int              `json:"traceRetained,omitempty"`
 		}{DC: dc.String(), RingEpoch: uint64(cl.Ring().Epoch()), Transport: net.Stats()}
-		for i, n := range nodes {
+		for _, n := range d.Nodes {
 			sh := shard{
 				Node:    string(n.ID()),
-				Keys:    stores[i].Len(),
-				Puts:    stores[i].Puts(),
+				Keys:    n.Store().Len(),
+				Puts:    n.Store().Puts(),
 				Metrics: n.Metrics(),
 			}
-			if durable {
+			if d.Durable {
 				d := n.Durability()
 				do := &durOut{
 					Degraded:               d.Degraded,
@@ -276,8 +275,8 @@ func serveHTTP(addr string, dc topology.DC, cl *topology.Cluster, nodes []*core.
 			}
 			out.Shards = append(out.Shards, sh)
 		}
-		if gw != nil {
-			m := gw.Metrics()
+		if d.Gateway != nil {
+			m := d.Gateway.Metrics()
 			out.Gateway = &m
 		}
 		if rec != nil {

@@ -28,8 +28,8 @@ import (
 
 	"mdcc"
 	"mdcc/internal/core"
-	"mdcc/internal/gateway"
-	"mdcc/internal/kv"
+	"mdcc/internal/record"
+	"mdcc/internal/server"
 	"mdcc/internal/topology"
 	"mdcc/internal/trace"
 	"mdcc/internal/transport"
@@ -42,7 +42,7 @@ var (
 	dataDir  = flag.String("data", "", "durable store directory (empty = in-memory)")
 	httpAddr = flag.String("http", "", "optional HTTP endpoint serving /metrics and /healthz")
 
-	ckptEvery = flag.Duration("checkpoint-interval", 30*time.Second, "how often durable nodes snapshot full state and truncate the WAL; 0 disables and recovery replays the whole log (with -data)")
+	ckptEvery = flag.Duration("checkpoint-interval", server.CheckpointEvery, "how often durable nodes snapshot full state and truncate the WAL; 0 disables and recovery replays the whole log (with -data)")
 
 	gwMode = flag.Bool("gateway", false, "host this DC's transaction gateway tier (mdcc.DialGateway clients)")
 
@@ -77,26 +77,18 @@ func main() {
 	}
 
 	// Routes to the other data centers' servers: their storage nodes
-	// and — in case a peer hosts a gateway tier — its gateway nodes
-	// (votes, learned decisions and read replies flow directly back to
-	// the gateway's coordinator living on that peer).
-	routes := make(map[transport.NodeID]string)
+	// and — in case a peer hosts a gateway tier — its gateway nodes.
+	peers := make(map[topology.DC]string)
 	for name, a := range topo.Addrs {
 		peer, err := mdcc.ParseDC(name)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if peer == dc {
-			continue
-		}
-		for i := 0; i < topo.NodesPerDC; i++ {
-			routes[topology.StorageID(peer, i)] = a
-		}
-		for _, id := range gateway.RouteIDs(peer) {
-			routes[id] = a
+		if peer != dc {
+			peers[peer] = a
 		}
 	}
-	net := transport.NewTCP(routes)
+	net := transport.NewTCP(server.Routes(peers, topo.NodesPerDC))
 	net.Logf = log.Printf
 	bound, err := net.Listen(addr)
 	if err != nil {
@@ -111,66 +103,46 @@ func main() {
 		log.Printf("profiling on (mutex fraction 1, block rate 1ms)")
 	}
 
-	cfg := core.Defaults(mode)
-	cfg.Constraints = topo.ConstraintList()
 	var rec *trace.Recorder
 	if *traceOn {
 		rec = trace.New(trace.Config{SlowThreshold: *traceSlow})
-		cfg.Tracer = rec
 		// Stamp outbound envelopes and merge inbound stamps so the
 		// Lamport order spans servers, not just this process.
 		net.SetTracer(rec)
 		log.Printf("flight recorder on (slow threshold %s)", rec.SlowThreshold())
 	}
 	cl := topology.NewCluster(topology.Layout{NodesPerDC: topo.NodesPerDC, Clients: 0, ClientDC: -1})
-
-	if *dataDir != "" {
-		cfg.CheckpointInterval = *ckptEvery
+	d, err := server.Start(dc, net, cl, coreConfig(mode, topo.ConstraintList(), rec), dataDirs(*dataDir), *gwMode)
+	if err != nil {
+		log.Fatal(err)
 	}
-	var stores []*kv.Store
-	var durables []*core.DurableState
-	var nodes []*core.StorageNode
-	for i := 0; i < topo.NodesPerDC; i++ {
-		id := topology.StorageID(dc, i)
-		if *dataDir != "" {
-			dir := filepath.Join(*dataDir, fmt.Sprintf("shard%d", i))
-			ds, err := core.OpenDurableOpts(dir, core.DurableOptions{GroupCommit: true})
-			if err != nil {
-				log.Fatal(err)
-			}
-			stores = append(stores, ds.Store)
-			durables = append(durables, ds)
-			nodes = append(nodes, core.NewDurableStorageNode(id, dc, net, cl, cfg, ds))
-			rs := ds.RecoveryStats()
-			from := "empty log"
-			switch {
-			case rs.UsedSnapshot:
-				from = fmt.Sprintf("snapshot %d + %d-record tail", rs.SnapshotSeq, rs.Tail)
-				if rs.FellBack {
-					from += " (fell back one snapshot)"
-				}
-			case rs.Tail > 0:
-				from = fmt.Sprintf("full replay of %d records", rs.Tail)
-			}
-			log.Printf("storage node %s up (shard %d/%d, mode %s, recovered from %s in %s)",
-				id, i+1, topo.NodesPerDC, mode, from, rs.Duration.Round(time.Millisecond))
-		} else {
-			store := kv.NewMemory()
-			stores = append(stores, store)
-			nodes = append(nodes, core.NewStorageNode(id, dc, net, cl, cfg, store))
-			log.Printf("storage node %s up (shard %d/%d, mode %s)", id, i+1, topo.NodesPerDC, mode)
+	for i, n := range d.Nodes {
+		if !d.Durable {
+			log.Printf("storage node %s up (shard %d/%d, mode %s)", n.ID(), i+1, topo.NodesPerDC, mode)
+			continue
 		}
+		rs := n.Durability().Replay
+		from := "empty log"
+		switch {
+		case rs.UsedSnapshot:
+			from = fmt.Sprintf("snapshot %d + %d-record tail", rs.SnapshotSeq, rs.Tail)
+			if rs.FellBack {
+				from += " (fell back one snapshot)"
+			}
+		case rs.Tail > 0:
+			from = fmt.Sprintf("full replay of %d records", rs.Tail)
+		}
+		log.Printf("storage node %s up (shard %d/%d, mode %s, recovered from %s in %s)",
+			n.ID(), i+1, topo.NodesPerDC, mode, from, rs.Duration.Round(time.Millisecond))
 	}
-	if *dataDir != "" {
+	if d.Durable {
 		ckpt := "off (full-log recovery)"
 		if *ckptEvery > 0 {
 			ckpt = ckptEvery.String()
 		}
 		log.Printf("durable engine: group-commit, checkpoints every %s", ckpt)
 	}
-	var gw *gateway.Gateway
-	if *gwMode {
-		gw = gateway.New(dc, net, cl, cfg, gateway.Tuning{})
+	if gw := d.Gateway; gw != nil {
 		resolved := gw.Tuning()
 		log.Printf("gateway tier up as %s (one coordinator, batch %s, coalesce %s, headroom share 1/%d, read tier on)",
 			gw.ID(), resolved.BatchWindow, resolved.CoalesceWindow, resolved.HeadroomShare)
@@ -179,7 +151,7 @@ func main() {
 		dc, bound, cl.Ring().Epoch(), len(cl.Ring().Current().Groups()))
 	var ops *opsState
 	if *httpAddr != "" {
-		ops = serveHTTP(*httpAddr, dc, cl, nodes, stores, net, gw, rec, *profile, len(durables) > 0)
+		ops = serveHTTP(*httpAddr, dc, cl, d, net, rec, *profile)
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -189,19 +161,27 @@ func main() {
 	// Gate the HTTP endpoints first: Close waits out in-flight handlers
 	// and flips them to 503, so nothing below races a /metrics scrape.
 	ops.Close()
-	if gw != nil {
-		gw.Close()
+	server.Close(net.Close, d)
+}
+
+// coreConfig is the protocol config this server runs: server.Config,
+// plus the flight recorder under -trace and the checkpoint interval
+// under -data (DESIGN.md §14 lists both).
+func coreConfig(mode core.Mode, constraints []record.Constraint, rec *trace.Recorder) core.Config {
+	cfg := server.Config(mode, constraints)
+	cfg.Tracer = rec
+	if *dataDir != "" {
+		cfg.CheckpointInterval = *ckptEvery
 	}
-	net.Close()
-	if len(durables) > 0 {
-		// Durable close flushes and releases each shard's WAL (its
-		// committed puts and decisions).
-		for _, ds := range durables {
-			_ = ds.Close()
-		}
-	} else {
-		for _, s := range stores {
-			_ = s.Close()
-		}
+	return cfg
+}
+
+// dataDirs is -data's layout: shard i keeps its state in
+// <data>/shard<i>, nil (in memory) without -data. A changed layout
+// would open an existing data directory empty.
+func dataDirs(data string) func(shard int) string {
+	if data == "" {
+		return nil
 	}
+	return func(i int) string { return filepath.Join(data, fmt.Sprintf("shard%d", i)) }
 }

@@ -6,11 +6,6 @@ import (
 	"mdcc/internal/record"
 )
 
-// GatewayTuning shapes a data center's gateway tier: batching and
-// coalescing windows, admission bounds. The zero value means defaults
-// (see internal/gateway.Tuning).
-type GatewayTuning = gateway.Tuning
-
 // GatewayMetrics is a gateway's operational snapshot: outcome counts,
 // coalesce ratio, admission queue depth, batch fan-in.
 type GatewayMetrics = gateway.Metrics

@@ -29,6 +29,7 @@ var allowed = map[string]string{
 	// are test hooks another package's tests call.
 	"internal/bench.World.StoreOf":         "internal/check's tests read a bench.World's final replica state through it",
 	"internal/kv.AppendEntry":              "the row layout's reference encoder: internal/core's disk tests build store WAL records and snapshot rows with it, and internal/kv's pin the rows the store writes from its stored bytes to it",
+	"internal/server.Unlisted":             "every deployment's TestConfigDeviations (cmd/mdcc-server, the root package, internal/scenario, internal/bench) holds its config to DESIGN.md §14's table through it",
 	"internal/tpcw.Workload.Interactions":  "internal/bench's TPC-W run test asserts the interaction mix through it",
 	"internal/transport.TCP.DropPeerConns": "internal/core's vote-transport test tears connections down mid-stream with it",
 }

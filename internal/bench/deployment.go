@@ -7,6 +7,7 @@ import (
 	"mdcc/internal/gateway"
 	"mdcc/internal/kv"
 	"mdcc/internal/record"
+	"mdcc/internal/server"
 	"mdcc/internal/simnet"
 	"mdcc/internal/topology"
 	"mdcc/internal/trace"
@@ -63,13 +64,9 @@ func (d *deployment) preload(key record.Key, v record.Value, ver record.Version)
 // baseline builds its coordinators from it) and the hot keys.
 func newHotKeyDeployment(seed int64, sc GatewayScale, gateways bool, tun gateway.Tuning,
 	rec *trace.Recorder) (*deployment, core.Config, []record.Key) {
-	extra := map[transport.NodeID]topology.DC{}
+	var extra map[transport.NodeID]topology.DC
 	if gateways {
-		for _, dc := range topology.AllDCs() {
-			for _, id := range gateway.NodeIDs(dc, tun) {
-				extra[id] = dc
-			}
-		}
+		extra = server.GatewayPlacement()
 	}
 	d := newDeployment(topology.Layout{
 		NodesPerDC: sc.NodesPerDC,
@@ -80,9 +77,8 @@ func newHotKeyDeployment(seed int64, sc GatewayScale, gateways bool, tun gateway
 		ServiceTime: sc.ServiceTime,
 		Seed:        seed,
 	})
-	cfg := core.Defaults(core.ModeMDCC)
+	cfg := server.Config(core.ModeMDCC, []record.Constraint{record.MinBound("units", 0)})
 	cfg.Tracer = rec
-	cfg.Constraints = []record.Constraint{record.MinBound("units", 0)}
 	// Saturation pushes commit latency past the WAN-tuned defaults;
 	// widen the recovery timeouts (identically for every arm) so the
 	// comparison measures queueing, not recovery-storm amplification.

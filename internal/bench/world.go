@@ -16,6 +16,7 @@ import (
 	"mdcc/internal/mtx"
 	"mdcc/internal/qw"
 	"mdcc/internal/record"
+	"mdcc/internal/server"
 	"mdcc/internal/simnet"
 	"mdcc/internal/topology"
 	"mdcc/internal/transport"
@@ -124,27 +125,31 @@ func NewWorld(opts Options) *World {
 }
 
 func (w *World) buildCore(opts Options, cl *topology.Cluster, net *simnet.Net) {
-	var mode core.Mode
+	cfg := opts.coreConfig()
+	w.startCore(cfg)
+	for _, c := range cl.Clients {
+		w.Clients = append(w.Clients, core.NewCoordinator(c.ID, c.DC, net, cl, cfg).Client())
+	}
+}
+
+// coreConfig is a core protocol's config for the paper's baselines: the
+// server's, with what opts varies (DESIGN.md §14, `bench.Options`).
+func (opts Options) coreConfig() core.Config {
+	mode := core.ModeMDCC
 	switch opts.Protocol {
 	case ProtoFast:
 		mode = core.ModeFast
 	case ProtoMulti:
 		mode = core.ModeMulti
-	default:
-		mode = core.ModeMDCC
 	}
-	cfg := core.Defaults(mode)
-	cfg.Constraints = opts.Constraints
+	cfg := server.Config(mode, opts.Constraints)
 	cfg.MasterDC = opts.MasterDC
 	cfg.DisableBatching = opts.DisableBatching
 	cfg.SyncInterval = opts.SyncInterval
 	if opts.Gamma > 0 {
 		cfg.Gamma = opts.Gamma
 	}
-	w.startCore(cfg)
-	for _, c := range cl.Clients {
-		w.Clients = append(w.Clients, core.NewCoordinator(c.ID, c.DC, net, cl, cfg).Client())
-	}
+	return cfg
 }
 
 func (w *World) build2PC(opts Options, cl *topology.Cluster, net *simnet.Net) {

@@ -88,7 +88,7 @@ func TestCheckpointBoundsRecovery(t *testing.T) {
 	w.crash(victim)
 	w.restart(victim)
 
-	rs := w.durables[victim].RecoveryStats()
+	rs := w.durables[victim].replay
 	if !rs.UsedSnapshot {
 		t.Fatalf("recovery did not use a snapshot: %+v", rs)
 	}
@@ -152,7 +152,7 @@ func TestCheckpointedReopenBounded(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer ds.Close()
-	rs := ds.RecoveryStats()
+	rs := ds.replay
 	if !rs.UsedSnapshot || rs.FellBack {
 		t.Errorf("reopen did not seed from the newest snapshot: %+v", rs)
 	}
@@ -224,7 +224,7 @@ func TestCheckpointFallbackToPreviousSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen with corrupt newest snapshot: %v", err)
 	}
-	rs := ds.RecoveryStats()
+	rs := ds.replay
 	if !rs.UsedSnapshot || !rs.FellBack || rs.SnapshotSeq != 1 {
 		t.Fatalf("expected fallback to snapshot 1: %+v", rs)
 	}

@@ -272,9 +272,6 @@ func (ds *DurableState) Checkpoint(oplogState []oplogEntry) error {
 	return wal.PruneSnapshots(snapDir, 2)
 }
 
-// RecoveryStats reports how the last OpenDurableOpts recovered.
-func (ds *DurableState) RecoveryStats() ReplayStats { return ds.replay }
-
 // AppendsSinceCheckpoint is the snapshot-age gauge: WAL records
 // written since the last checkpoint (what a crash right now would
 // have to tail-replay). After a restart it counts from the recovery

@@ -150,8 +150,9 @@ func coordID(dc topology.DC) transport.NodeID {
 }
 
 // NodeIDs lists both transport nodes a gateway for dc registers (the
-// gateway itself and its coordinator) so deployments can place them in
-// latency maps before the gateway exists. The Tuning is not read.
+// gateway itself and its coordinator). The Tuning is not read. Only the
+// benchmark module still calls it; in-repo deployments place gateways
+// with server.GatewayPlacement.
 func NodeIDs(dc topology.DC, _ Tuning) []transport.NodeID {
 	return RouteIDs(dc)
 }

@@ -16,6 +16,7 @@ import (
 	"mdcc/internal/mtx"
 	"mdcc/internal/record"
 	"mdcc/internal/ring"
+	"mdcc/internal/server"
 	"mdcc/internal/simnet"
 	"mdcc/internal/stats"
 	"mdcc/internal/topology"
@@ -50,13 +51,12 @@ type Run struct {
 	Cluster *topology.Cluster
 	Cfg     core.Config
 
-	scn      *Scenario
-	nodes    []*core.StorageNode // parallel to Cluster.Storage
-	durables []*core.DurableState
-	dirs     []string
-	faults   []*wal.Faults        // per-node disk fault handles (parallel to nodes)
-	downDC   map[topology.DC]bool // Fail-style outages to undo at heal
-	crashed  map[int]bool         // storage index -> awaiting restart
+	scn     *Scenario
+	nodes   []*core.StorageNode // parallel to Cluster.Storage
+	dirs    []string
+	faults  []*wal.Faults        // per-node disk fault handles (parallel to nodes)
+	downDC  map[topology.DC]bool // Fail-style outages to undo at heal
+	crashed map[int]bool         // storage index -> awaiting restart
 
 	// Durable-storage observations: the durability gauges captured at
 	// each crash (so the restart's replay can be judged against what
@@ -76,7 +76,6 @@ type Run struct {
 	clients         []mtx.Client
 	hist            *check.History
 	initial         map[record.Key]record.Value
-	cons            []record.Constraint
 
 	// Gateway fault-injection state (gateway scenarios only).
 	gwDown         map[topology.DC]bool // crashed, awaiting restart
@@ -100,12 +99,6 @@ type Run struct {
 	// mtx.ReadAtFloor — and recomputed independently by
 	// check.ValidateSessionReads from the history.
 	floors []mtx.Floors
-
-	// rec is the run's flight recorder (Options.Trace only). The whole
-	// simulated cluster is one process, so a single shared Recorder
-	// gives every ring one Lamport clock — timelines assemble in true
-	// causal order without wire stamps.
-	rec *trace.Recorder
 
 	trafficEnd time.Time
 	inflight   int
@@ -132,6 +125,30 @@ func (s *Scenario) Run(o Options) (*Result, error) {
 	return r.run()
 }
 
+// config is the protocol config a run of s deploys: the server's, with
+// the harness's sweep and anti-entropy, the scenario's own knobs and,
+// under Options.Trace, a flight recorder; the whole simulated cluster
+// is one process, so one Recorder gives every ring one Lamport clock.
+// DESIGN.md §14 lists every field it sets.
+func (s *Scenario) config(o Options) core.Config {
+	cfg := server.Config(core.ModeMDCC, []record.Constraint{
+		record.MinBound("bal", 0),
+		record.MinBound("units", 0),
+	})
+	cfg.PendingTimeout = sweepTimeout
+	cfg.SyncInterval = syncInterval
+	if s.Gamma > 0 {
+		cfg.Gamma = s.Gamma
+	}
+	cfg.MasterDC = s.MasterDC
+	cfg.DecidedRetention = s.Retention
+	cfg.CheckpointInterval = s.Checkpoint
+	if o.Trace {
+		cfg.Tracer = trace.New(trace.Config{SlowThreshold: o.TraceSlow})
+	}
+	return cfg
+}
+
 func firstPositive[T int | time.Duration](vals ...T) T {
 	for _, v := range vals {
 		if v > 0 {
@@ -150,13 +167,9 @@ func build(s *Scenario, o Options) (*Run, error) {
 	})
 	// Gateway scenarios add the gateway nodes (and their coordinators)
 	// to the latency map, homed in their data centers.
-	extra := map[transport.NodeID]topology.DC{}
+	var extra map[transport.NodeID]topology.DC
 	if s.Gateway {
-		for _, dc := range topology.AllDCs() {
-			for _, id := range gateway.NodeIDs(dc, gateway.Tuning{}) {
-				extra[id] = dc
-			}
-		}
+		extra = server.GatewayPlacement()
 	}
 	net := simnet.New(simnet.Options{
 		Latency:     cl.LatencyWith(extra),
@@ -166,27 +179,7 @@ func build(s *Scenario, o Options) (*Run, error) {
 		Seed:        o.Seed,
 		OnDeliver:   o.onDeliver,
 	})
-	cons := []record.Constraint{
-		record.MinBound("bal", 0),
-		record.MinBound("units", 0),
-	}
-	cfg := core.Defaults(core.ModeMDCC)
-	cfg.Constraints = cons
-	cfg.PendingTimeout = sweepTimeout
-	cfg.SyncInterval = syncInterval
-	if s.Gamma > 0 {
-		cfg.Gamma = s.Gamma
-	}
-	cfg.MasterDC = s.MasterDC
-	cfg.DecidedRetention = s.Retention
-	cfg.CheckpointInterval = s.Checkpoint
-
-	var rec *trace.Recorder
-	if o.Trace {
-		rec = trace.New(trace.Config{SlowThreshold: o.TraceSlow})
-		cfg.Tracer = rec
-	}
-
+	cfg := s.config(o)
 	r := &Run{
 		Opts:      o,
 		Net:       net,
@@ -197,10 +190,8 @@ func build(s *Scenario, o Options) (*Run, error) {
 		crashed:   make(map[int]bool),
 		crashInfo: make(map[int]core.DurabilityInfo),
 		hist:      check.New(),
-		cons:      cons,
 		lat:       stats.NewSample(4096),
 		gwDown:    make(map[topology.DC]bool),
-		rec:       rec,
 	}
 	if r.Opts.Dir == "" {
 		dir, err := os.MkdirTemp("", "mdcc-scenario-")
@@ -213,14 +204,13 @@ func build(s *Scenario, o Options) (*Run, error) {
 	for i, n := range cl.Storage {
 		dir := filepath.Join(r.Opts.Dir, string(n.ID))
 		r.faults = append(r.faults, wal.NewFaults())
-		ds, err := core.OpenDurableOpts(dir, r.durOpts(i))
+		node, err := server.OpenNode(n.ID, n.DC, net, cl, cfg, dir, r.durOpts(i))
 		if err != nil {
 			r.close()
 			return nil, err
 		}
 		r.dirs = append(r.dirs, dir)
-		r.durables = append(r.durables, ds)
-		r.nodes = append(r.nodes, core.NewDurableStorageNode(n.ID, n.DC, net, cl, cfg, ds))
+		r.nodes = append(r.nodes, node)
 	}
 	if s.Gateway {
 		// Clients attach to their DC's shared gateway instead of
@@ -358,7 +348,7 @@ func (r *Run) preload() {
 		shard := r.Cluster.Shard(e.Key)
 		for i, n := range r.Cluster.Storage {
 			if n.Index == shard {
-				_ = r.durables[i].Store.Put(e.Key, e.Value, e.Version)
+				_ = r.nodes[i].Store().Put(e.Key, e.Value, e.Version)
 			}
 		}
 	}
@@ -465,7 +455,7 @@ func (r *Run) run() (*Result, error) {
 		res.Violations = append(res.Violations, err.Error())
 	}
 	res.RingEpoch = uint64(r.Cluster.Ring().Epoch())
-	for _, err := range r.hist.Validate(r.initial, r.finalState, r.cons) {
+	for _, err := range r.hist.Validate(r.initial, r.finalState, r.Cfg.Constraints) {
 		res.Violations = append(res.Violations, err.Error())
 	}
 	// Exact lineage convergence: after heal + quiesce, every replica of
@@ -494,7 +484,7 @@ func (r *Run) run() (*Result, error) {
 			if nd.Index != shard {
 				continue
 			}
-			val, ver, ok := r.durables[i].Store.Get(key)
+			val, ver, ok := r.nodes[i].Store().Get(key)
 			states = append(states, check.ReplicaState{
 				Replica: string(nd.ID),
 				Lineage: r.nodes[i].LineageFingerprint(key),
@@ -528,10 +518,10 @@ func (r *Run) run() (*Result, error) {
 		}
 	}
 	sort.Strings(res.Violations)
-	if r.rec != nil {
-		res.Phases = r.rec.Phases()
-		res.TraceEvents = r.rec.Events()
-		res.TraceDropped = r.rec.Dropped()
+	if rec := r.Cfg.Tracer; rec != nil {
+		res.Phases = rec.Phases()
+		res.TraceEvents = rec.Events()
+		res.TraceDropped = rec.Dropped()
 		res.Timelines = r.assembleTimelines(res.Violations, keys)
 	}
 	r.Opts.Logf("[%s] done: %d commits, %d aborts, %d violations",
@@ -547,7 +537,8 @@ func (r *Run) run() (*Result, error) {
 // the rings are in their final, quiesced state.
 func (r *Run) assembleTimelines(violations []string, touched []record.Key) []string {
 	var out []string
-	for _, t := range r.rec.Bundle() {
+	rec := r.Cfg.Tracer
+	for _, t := range rec.Bundle() {
 		out = append(out, t.Timeline())
 	}
 	for _, v := range violations {
@@ -560,12 +551,12 @@ func (r *Run) assembleTimelines(violations []string, touched []record.Key) []str
 			ks[i] = string(k)
 		}
 		block := "violation: " + v + "\n"
-		txs := r.rec.TxsTouching(ks, 3)
+		txs := rec.TxsTouching(ks, 3)
 		if len(txs) == 0 {
 			block += "  (no transactions touching its keys remain in the rings)\n"
 		}
 		for _, tx := range txs {
-			block += r.rec.Assemble(tx, ks).Timeline()
+			block += rec.Assemble(tx, ks).Timeline()
 		}
 		out = append(out, block)
 	}
@@ -584,7 +575,7 @@ func (r *Run) finalState(key record.Key) (record.Value, record.Version, bool) {
 		if n.Index != shard {
 			continue
 		}
-		val, ver, ok := r.durables[i].Store.Get(key)
+		val, ver, ok := r.nodes[i].Store().Get(key)
 		if ok && (!found || ver > bestVer) {
 			bestVal, bestVer, found = val, ver, true
 		}
@@ -699,8 +690,8 @@ func (r *Run) clientLoop(ci int) {
 
 // close releases WALs and the temporary directory.
 func (r *Run) close() {
-	for _, ds := range r.durables {
-		_ = ds.Close()
+	for _, n := range r.nodes {
+		_ = n.Store().Close()
 	}
 	if r.tmp {
 		_ = os.RemoveAll(r.Opts.Dir)
@@ -792,7 +783,7 @@ func (r *Run) CrashStorage(i int) {
 	r.deadDegrades += m.DurabilityFailures
 	r.Net.Crash(id)
 	r.nodes[i].Halt()
-	_ = r.durables[i].Close()
+	_ = r.nodes[i].Store().Close()
 	r.crashed[i] = true
 }
 
@@ -854,20 +845,21 @@ func (r *Run) reopen(i int, wipe bool, rec check.RecoveryRecord) error {
 		r.wiped++
 		rec.Wiped = true
 	}
-	ds, err := core.OpenDurableOpts(r.dirs[i], r.durOpts(i))
+	n := r.Cluster.Storage[i]
+	node, err := server.OpenNode(n.ID, n.DC, r.Net, r.Cluster, r.Cfg, r.dirs[i], r.durOpts(i))
 	if err != nil {
 		return err
 	}
-	rs := ds.RecoveryStats()
+	rs := node.Durability().Replay
 	rec.UsedSnapshot = rs.UsedSnapshot
 	rec.FellBack = rs.FellBack
 	rec.TailRecords = rs.Tail
 	rec.Wall = rs.Duration
 	r.recoveries = append(r.recoveries, rec)
-	r.durables[i] = ds
-	n := r.Cluster.Storage[i]
+	// Building the node schedules its timers and sends nothing, so
+	// lifting the crash after it is the same as lifting it before.
 	r.Net.Recover(n.ID)
-	r.nodes[i] = core.NewDurableStorageNode(n.ID, n.DC, r.Net, r.Cluster, r.Cfg, ds)
+	r.nodes[i] = node
 	delete(r.crashed, i)
 	return nil
 }
@@ -982,7 +974,7 @@ func (r *Run) GatewayIDs(dc topology.DC) []transport.NodeID {
 	if r.gws == nil {
 		return nil
 	}
-	return gateway.NodeIDs(dc, gateway.Tuning{})
+	return gateway.RouteIDs(dc)
 }
 
 // CrashGateway kills a data center's gateway process: the gateway and

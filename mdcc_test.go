@@ -370,9 +370,11 @@ func TestDurableCluster(t *testing.T) {
 	// The embedded cluster runs the same durable engine as
 	// mdcc-server -data: one log per node, puts and decisions, replayed
 	// at reopen.
-	for i, ds := range c2.durable {
-		if rs := ds.RecoveryStats(); rs.Tail == 0 && !rs.UsedSnapshot {
-			t.Errorf("node %d recovered nothing from its log: %+v", i, rs)
+	for _, d := range c2.dcs {
+		for _, n := range d.Nodes {
+			if rs := n.Durability().Replay; rs.Tail == 0 && !rs.UsedSnapshot {
+				t.Errorf("node %s recovered nothing from its log: %+v", n.ID(), rs)
+			}
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"mdcc/internal/core"
 	"mdcc/internal/gateway"
 	"mdcc/internal/record"
+	"mdcc/internal/server"
 	"mdcc/internal/topology"
 	"mdcc/internal/transport"
 )
@@ -98,19 +99,17 @@ func (t *RemoteTopology) ConstraintList() []Constraint {
 	return out
 }
 
-// routes builds the storage-node routing table for the topology.
+// routes builds the routing table to every server of the topology.
 func (t *RemoteTopology) routes() (map[transport.NodeID]string, error) {
-	routes := make(map[transport.NodeID]string)
+	addrs := make(map[DC]string, len(t.Addrs))
 	for name, addr := range t.Addrs {
 		dc, err := ParseDC(name)
 		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < t.NodesPerDC; i++ {
-			routes[topology.StorageID(dc, i)] = addr
-		}
+		addrs[dc] = addr
 	}
-	return routes, nil
+	return server.Routes(addrs, t.NodesPerDC), nil
 }
 
 // cluster builds the logical cluster layout for the topology.
@@ -153,8 +152,7 @@ func Dial(topo *RemoteTopology, dc DC, clientID, listen string) (*RemoteSession,
 	for _, serverAddr := range topo.Addrs {
 		net.Hello(serverAddr, id, addr)
 	}
-	cfg := core.Defaults(mode)
-	cfg.Constraints = topo.ConstraintList()
+	cfg := server.Config(mode, topo.ConstraintList())
 	coord := core.NewCoordinator(id, dc, net, topo.cluster(), cfg)
 	return &RemoteSession{Session: newSession(coordBackend{id: id, net: net, coord: coord}, cfg), net: net}, nil
 }
@@ -181,8 +179,7 @@ func DialGateway(topo *RemoteTopology, dc DC, clientID, listen string) (*RemoteS
 	}
 	id := transport.NodeID("client/" + clientID)
 	net.Hello(addr, id, selfAddr)
-	cfg := core.Defaults(mode)
-	cfg.Constraints = topo.ConstraintList()
+	cfg := server.Config(mode, topo.ConstraintList())
 	b := &gatewayRPCBackend{
 		id:   id,
 		gwID: gateway.GatewayID(dc),

@@ -9,7 +9,7 @@ import (
 
 	"mdcc/internal/core"
 	"mdcc/internal/gateway"
-	"mdcc/internal/kv"
+	"mdcc/internal/server"
 	"mdcc/internal/topology"
 	"mdcc/internal/transport"
 )
@@ -22,43 +22,49 @@ func startTCPDeployment(t *testing.T, mode Mode, cons []Constraint, withGateways
 	t.Helper()
 	// First pass: bind listeners so we know every address.
 	nets := make(map[DC]*transport.TCP)
-	addrs := make(map[string]string)
+	addrs := make(map[DC]string)
 	for _, dc := range topology.AllDCs() {
 		net := transport.NewTCP(nil)
 		addr, err := net.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		nets[dc] = net
-		addrs[dc.String()] = addr
+		nets[dc], addrs[dc] = net, addr
 		t.Cleanup(net.Close)
 	}
-	// Second pass: install routes, storage nodes and gateways.
+	// Second pass: install routes, then start each DC as mdcc-server does.
 	cl := topology.NewCluster(topology.Layout{NodesPerDC: 1, Clients: 0, ClientDC: -1})
+	modeName := map[Mode]string{ModeMDCC: "mdcc", ModeFast: "fast", ModeMulti: "multi"}[mode]
+	topo := &RemoteTopology{NodesPerDC: 1, Mode: modeName, Addrs: make(map[string]string)}
 	for _, dc := range topology.AllDCs() {
 		net := nets[dc]
-		for _, peer := range topology.AllDCs() {
+		peers := make(map[DC]string)
+		for peer, addr := range addrs {
 			if peer != dc {
-				net.AddRoute(topology.StorageID(peer, 0), addrs[peer.String()])
-				for _, id := range gateway.RouteIDs(peer) {
-					net.AddRoute(id, addrs[peer.String()])
-				}
+				peers[peer] = addr
 			}
 		}
-		cfg := core.Defaults(mode)
-		cfg.Constraints = cons
-		// Loopback "WAN": tighten timeouts so recovery paths stay fast.
-		cfg.OptionTimeout = 300 * time.Millisecond
-		cfg.RecoveryRetry = 200 * time.Millisecond
-		core.NewStorageNode(topology.StorageID(dc, 0), dc, net, cl, cfg, kv.NewMemory())
-		if withGateways {
-			gw := gateway.New(dc, net, cl, cfg, GatewayTuning{})
-			t.Cleanup(gw.Close)
+		for id, addr := range server.Routes(peers, 1) {
+			net.AddRoute(id, addr)
 		}
+		d, err := server.Start(dc, net, cl, loopbackConfig(mode, cons), nil, withGateways)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { server.Close(net.Close, d) })
+		topo.Addrs[dc.String()] = addrs[dc]
 	}
-	modeName := map[Mode]string{ModeMDCC: "mdcc", ModeFast: "fast", ModeMulti: "multi"}[mode]
-	topo := &RemoteTopology{NodesPerDC: 1, Mode: modeName, Addrs: addrs}
 	return topo
+}
+
+// loopbackConfig is startTCPDeployment's protocol config: the server's,
+// with the timeouts tightened for a loopback "WAN" so recovery paths
+// stay fast.
+func loopbackConfig(mode Mode, cons []Constraint) core.Config {
+	cfg := server.Config(mode, cons)
+	cfg.OptionTimeout = 300 * time.Millisecond
+	cfg.RecoveryRetry = 200 * time.Millisecond
+	return cfg
 }
 
 func TestTCPDeploymentEndToEnd(t *testing.T) {
@@ -272,8 +278,8 @@ func TestRemoteTopologyParsing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(routes) != 10 {
-		t.Fatalf("routes = %d entries, want 10", len(routes))
+	if len(routes) != 20 { // per DC: two storage nodes and the two gateway-tier ids
+		t.Fatalf("routes = %d entries, want 20", len(routes))
 	}
 	if _, err := ParseDC("mars"); err == nil {
 		t.Fatal("ParseDC accepted nonsense")
