@@ -80,41 +80,72 @@ var (
 
 // ---- shared sub-encoders ----
 
-func appendOption(b []byte, o Option) []byte {
+func appendOption(b []byte, o Option) []byte { return appendOptionSets(b, o, true) }
+
+// appendOptionSets encodes o, its WriteSet and WriteSeqs only if sets:
+// a propose batch leaves them out of an option that shares them with
+// the option before it.
+func appendOptionSets(b []byte, o Option, sets bool) []byte {
 	b = transport.AppendString(b, string(o.Tx))
 	b = transport.AppendString(b, string(o.Coord))
 	b = record.AppendUpdate(b, o.Update)
-	b = transport.AppendUvarint(b, uint64(len(o.WriteSet)))
-	for _, k := range o.WriteSet {
-		b = transport.AppendString(b, string(k))
+	if sets {
+		b = transport.AppendUvarint(b, uint64(len(o.WriteSet)))
+		for _, k := range o.WriteSet {
+			b = transport.AppendString(b, string(k))
+		}
 	}
 	b = transport.AppendUvarint(b, o.KeySeq)
-	b = transport.AppendUvarint(b, uint64(len(o.WriteSeqs)))
-	for _, s := range o.WriteSeqs {
-		b = transport.AppendUvarint(b, s)
+	if sets {
+		b = transport.AppendUvarint(b, uint64(len(o.WriteSeqs)))
+		for _, s := range o.WriteSeqs {
+			b = transport.AppendUvarint(b, s)
+		}
 	}
 	return b
 }
 
-func readOption(r *transport.WireReader) Option {
+func readOption(r *transport.WireReader) Option { return readOptionSets(r, nil) }
+
+// readOptionSets decodes what appendOptionSets encoded: with a nil
+// shared the option's own WriteSet and WriteSeqs follow, otherwise it
+// takes shared's slices.
+func readOptionSets(r *transport.WireReader, shared *Option) Option {
 	var o Option
 	o.Tx = TxID(r.String())
 	o.Coord = transport.NodeID(r.InternString())
 	o.Update = record.ReadUpdate(r)
-	if n := r.Count("write-set"); n > 0 {
+	if shared != nil {
+		o.WriteSet = shared.WriteSet
+	} else if n := r.Count("write-set"); n > 0 {
 		o.WriteSet = make([]record.Key, 0, n)
 		for i := 0; i < n; i++ {
 			o.WriteSet = append(o.WriteSet, record.Key(r.InternString()))
 		}
 	}
 	o.KeySeq = r.Uvarint()
-	if n := r.Count("write-seq"); n > 0 {
+	if shared != nil {
+		o.WriteSeqs = shared.WriteSeqs
+	} else if n := r.Count("write-seq"); n > 0 {
 		o.WriteSeqs = make([]uint64, 0, n)
 		for i := 0; i < n; i++ {
 			o.WriteSeqs = append(o.WriteSeqs, r.Uvarint())
 		}
 	}
 	return o
+}
+
+// sharesSets reports whether o carries prev's WriteSet and WriteSeqs:
+// the same slices, not equal contents. A coordinator hands every option
+// of a transaction the same two slices, so identity is the whole test.
+func sharesSets(o, prev Option) bool {
+	return sameSlice(o.WriteSet, prev.WriteSet) && sameSlice(o.WriteSeqs, prev.WriteSeqs)
+}
+
+// sameSlice reports whether a and b have one length and one backing
+// array.
+func sameSlice[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 func appendBallot(b []byte, bal paxos.Ballot) []byte {
@@ -348,11 +379,22 @@ func (m MsgProposeFast) AppendWire(b []byte) []byte { return appendOption(b, m.O
 // WireTag implements transport.WireMessage.
 func (m MsgProposeBatch) WireTag() uint8 { return tagMsgProposeBatch }
 
-// AppendWire implements transport.WireMessage.
+// AppendWire implements transport.WireMessage. The first option is
+// written whole; every later one opens with a bool that says whether it
+// shares the previous option's WriteSet and WriteSeqs (sharesSets),
+// which are then not written again. A transaction's write set thus
+// crosses the wire once per batch, and a one-option batch is encoded
+// as in version 2.
 func (m MsgProposeBatch) AppendWire(b []byte) []byte {
 	b = transport.AppendUvarint(b, uint64(len(m.Opts)))
-	for _, o := range m.Opts {
-		b = appendOption(b, o)
+	for i, o := range m.Opts {
+		if i == 0 {
+			b = appendOption(b, o)
+			continue
+		}
+		shared := sharesSets(o, m.Opts[i-1])
+		b = transport.AppendBool(b, shared)
+		b = appendOptionSets(b, o, !shared)
 	}
 	return b
 }
@@ -598,8 +640,13 @@ func init() {
 		var m MsgProposeBatch
 		if n := r.Count("propose"); n > 0 {
 			m.Opts = make([]Option, 0, n)
-			for i := 0; i < n; i++ {
-				m.Opts = append(m.Opts, readOption(r))
+			m.Opts = append(m.Opts, readOption(r))
+			for i := 1; i < n; i++ {
+				var shared *Option
+				if r.Bool() {
+					shared = &m.Opts[i-1]
+				}
+				m.Opts = append(m.Opts, readOptionSets(r, shared))
 			}
 		}
 		return m, r.Err()

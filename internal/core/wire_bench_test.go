@@ -64,6 +64,11 @@ func BenchmarkWireEncodeFeedBinary(b *testing.B) {
 	benchEncodeBinary(b, wireSamples()["MsgVisibilityFeed"])
 }
 
+// The benchmark's 50-key preload transaction as one replica receives it.
+func BenchmarkWireDecodeProposeBatch50Binary(b *testing.B) {
+	benchDecodeBinary(b, oneTxnBatch("gw/us-west/c0~1a2b3c4d#17", 50))
+}
+
 // TestWireEncodeAllocFree is the allocation gate: encoding a hot
 // message into a reused frame buffer must not allocate. This is what
 // keeps the TCP write loop's steady state allocation-free, and it
@@ -98,8 +103,14 @@ func TestWireEncodeAllocFree(t *testing.T) {
 // through transport's intern table and must NOT cost one string copy
 // per occurrence; a regression that reintroduces per-string copies
 // blows well past these pinned budgets.
+//
+// MsgProposeBatch16 is one transaction's 16 inserts to one replica: the
+// options share one write set, so it decodes one WriteSet and one
+// WriteSeqs slice, not sixteen of each (three allocations per option —
+// its id, its value's map — plus five; version 2 took 83).
 func TestWireDecodeSteadyStateAllocs(t *testing.T) {
 	samples := wireSamples()
+	samples["MsgProposeBatch16"] = oneTxnBatch("gw/us-west/c0~1a2b3c4d#17", 16)
 	budgets := map[string]float64{
 		"MsgRead":           2,
 		"MsgReadReply":      6,
@@ -108,7 +119,8 @@ func TestWireDecodeSteadyStateAllocs(t *testing.T) {
 		"MsgLearned":        4,
 		"MsgPhase2a":        28,
 		"MsgPhase2b_ok":     2,
-		"MsgProposeBatch":   13,
+		"MsgProposeBatch":   16,
+		"MsgProposeBatch16": 53,
 		"MsgVisibilityFeed": 7,
 	}
 	for name, budget := range budgets {

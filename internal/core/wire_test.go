@@ -72,6 +72,16 @@ func samplePhysicalOption() Option {
 	}
 }
 
+// sampleProposeBatch holds two options of one transaction, sharing its
+// write set as a coordinator's do, then another transaction's option.
+func sampleProposeBatch() MsgProposeBatch {
+	a := sampleOption()
+	b := a
+	b.Update = record.Update{Kind: record.KindCommutative, Key: "cart#3", Deltas: map[string]int64{"items": 1}}
+	b.KeySeq = 4
+	return MsgProposeBatch{Opts: []Option{a, b, samplePhysicalOption()}}
+}
+
 func sampleEscrow() EscrowSnap {
 	return EscrowSnap{
 		Valid:   true,
@@ -116,7 +126,7 @@ func wireSamples() map[string]transport.Message {
 		"MsgRead":         MsgRead{ReqID: 99, Key: "cust#2"},
 		"MsgReadReply":    MsgReadReply{ReqID: 99, Key: "cust#2", Value: sampleValue(), Version: 11, Exists: true, Escrow: sampleEscrow()},
 		"MsgProposeFast":  MsgProposeFast{Opt: sampleOption()},
-		"MsgProposeBatch": MsgProposeBatch{Opts: []Option{sampleOption(), samplePhysicalOption()}},
+		"MsgProposeBatch": sampleProposeBatch(),
 		"MsgVote":         sampleWireVote(),
 		"MsgVoteBatch":    MsgVoteBatch{Votes: []MsgVote{sampleWireVote(), {OptID: OptionID{Tx: "tx-8", Key: "cust#2"}, Ballot: paxos.Ballot{N: 7, Leader: "dc2/store1"}, Decision: DecReject, Reason: ReasonMixedKinds, WrongGroup: true}}},
 		"MsgLearned":      MsgLearned{OptID: OptionID{Tx: "tx-7", Key: "item#9"}, Decision: DecAccept, Escrow: sampleEscrow()},
@@ -255,6 +265,86 @@ func TestWireRoundTripParity(t *testing.T) {
 		if !reflect.DeepEqual(bin, gb) {
 			t.Errorf("%s: binary and gob decode disagree\n bin %#v\n gob %#v", name, bin, gb)
 		}
+	}
+}
+
+// oneTxnBatch is the MsgProposeBatch a coordinator sends one replica
+// for an n-key insert transaction shaped like the benchmark's preload:
+// every option shares the transaction's one WriteSet and WriteSeqs.
+func oneTxnBatch(tx TxID, n int) MsgProposeBatch {
+	ws := make([]record.Key, n)
+	seqs := make([]uint64, n)
+	for i := range ws {
+		ws[i] = record.Key(fmt.Sprintf("k/%06d", i))
+		seqs[i] = 1
+	}
+	m := MsgProposeBatch{Opts: make([]Option, n)}
+	for i := range m.Opts {
+		m.Opts[i] = Option{
+			Tx: tx, Coord: "gw/us-west/c0",
+			Update:   record.Insert(ws[i], record.Value{Attrs: map[string]int64{"v": 0}}),
+			WriteSet: ws, KeySeq: seqs[i], WriteSeqs: seqs,
+		}
+	}
+	return m
+}
+
+// TestProposeBatchWriteSetOnce: a transaction's write set crosses the
+// wire once per MsgProposeBatch, not once per option (§3.2.3 has every
+// option carry it; sharing one slice makes that one copy), so a
+// replica's frame grows linearly in the write set. A one-option batch
+// is byte-identical to the version-2 encoding, every decoded option of
+// one transaction shares one WriteSet and WriteSeqs backing array, and
+// a batch mixing several transactions' options keeps each one's own set.
+func TestProposeBatchWriteSetOnce(t *testing.T) {
+	size := map[int]int{}
+	for _, n := range []int{1, 2, 10, 50} {
+		m := oneTxnBatch("gw/us-west/c0~1a2b3c4d#17", n)
+		frame, err := transport.AppendEnvelope(nil, transport.Envelope{From: "gw/us-west/c0", To: "us-west/store0", Msg: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		size[n] = 4 + len(frame) // the TCP length prefix and the envelope
+		if n == 1 {
+			raw := m.AppendWire(nil)
+			want := appendOption(transport.AppendUvarint(nil, 1), m.Opts[0])
+			if !bytes.Equal(raw, want) {
+				t.Errorf("one-option batch changed encoding\n got %x\nwant %x", raw, want)
+			}
+		}
+		got := binaryRoundTrip(t, m).(MsgProposeBatch)
+		if !reflect.DeepEqual(got, m) {
+			t.Fatalf("n=%d: round trip mismatch", n)
+		}
+		for i, o := range got.Opts {
+			if &o.WriteSet[0] != &got.Opts[0].WriteSet[0] || &o.WriteSeqs[0] != &got.Opts[0].WriteSeqs[0] {
+				t.Errorf("n=%d: option %d decoded its own write set, want option 0's", n, i)
+			}
+		}
+	}
+	if size[50] > 40*size[1] {
+		t.Errorf("50-option frame is %d B = %.0f x the one-option %d B, want <= 40x (linear in n)",
+			size[50], float64(size[50])/float64(size[1]), size[1])
+	}
+	t.Logf("one-transaction frame bytes: n=1 %d, n=2 %d, n=10 %d, n=50 %d", size[1], size[2], size[10], size[50])
+
+	// Several transactions' options in one batch: shared runs, a
+	// singleton, and a set equal in content to its neighbour's but not
+	// the same slice.
+	a, b := oneTxnBatch("tx-a", 3), oneTxnBatch("tx-b", 2)
+	lone := samplePhysicalOption()
+	twin := oneTxnBatch("tx-c", 2).Opts[1]
+	mixed := MsgProposeBatch{Opts: append(append(append(append([]Option(nil), a.Opts...), lone), b.Opts...), twin)}
+	got := binaryRoundTrip(t, mixed).(MsgProposeBatch)
+	if !reflect.DeepEqual(got, mixed) {
+		t.Fatalf("mixed batch round trip mismatch\n got %#v\nwant %#v", got, mixed)
+	}
+	shares := func(i, j int) bool { return &got.Opts[i].WriteSet[0] == &got.Opts[j].WriteSet[0] }
+	if !shares(0, 2) || !shares(4, 5) {
+		t.Error("options of one transaction decoded separate write sets")
+	}
+	if shares(2, 4) || shares(5, 6) {
+		t.Error("options of different transactions decoded one write set")
 	}
 }
 
@@ -415,9 +505,22 @@ func randWireMessage(r *rand.Rand, pick uint8) transport.Message {
 	case 2:
 		return MsgProposeFast{Opt: randWireOption(r)}
 	case 3:
+		// Each option after the first shares both of the previous
+		// option's sets (the next option of one transaction), shares
+		// only its write set, or has its own.
 		var m MsgProposeBatch
-		for i, n := 0, r.Intn(4); i < n; i++ {
-			m.Opts = append(m.Opts, randWireOption(r))
+		for i, n := 0, r.Intn(5); i < n; i++ {
+			o := randWireOption(r)
+			if i > 0 {
+				prev := m.Opts[i-1]
+				switch r.Intn(3) {
+				case 0:
+					o.WriteSet, o.WriteSeqs = prev.WriteSet, prev.WriteSeqs
+				case 1:
+					o.WriteSet = prev.WriteSet
+				}
+			}
+			m.Opts = append(m.Opts, o)
 		}
 		return m
 	case 4:
@@ -531,6 +634,11 @@ func randWireMessage(r *rand.Rand, pick uint8) transport.Message {
 func FuzzWireParity(f *testing.F) {
 	for pick := uint8(0); pick < nWirePicks; pick++ {
 		f.Add(int64(pick)*7919, pick)
+	}
+	// More propose batches, so the corpus alone mixes shared, partly
+	// shared and unshared write sets.
+	for seed := int64(1); seed <= 16; seed++ {
+		f.Add(seed, uint8(3))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, pick uint8) {
 		r := rand.New(rand.NewSource(seed))

@@ -40,8 +40,9 @@ import (
 // WireVersion is the binary framing version byte in the connection
 // preamble. Bump on any incompatible change to tags or encodings.
 // Version 2 dropped the tag-0 fallback and MsgPhase2a's trailing
-// decided-list count.
-const WireVersion = 2
+// decided-list count; version 3 writes a propose batch's shared write
+// set once (internal/core's MsgProposeBatch).
+const WireVersion = 3
 
 // wireMagic opens every connection; a peer that starts with anything
 // else is not speaking this protocol and is dropped.
