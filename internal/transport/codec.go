@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // WireVersion is the binary framing version byte in the connection
@@ -79,19 +80,25 @@ type WireMessage interface {
 // reader's backing buffer is reused for the next frame.
 type WireDecoder func(r *WireReader) (Message, error)
 
+// The decoder table is filled by init functions and read without a
+// lock: the first lookup (an encode's codec check or a decode) seals
+// it, and a registration after that panics instead of racing the
+// readers.
 var (
-	wireMu       sync.RWMutex
 	wireDecoders [64]WireDecoder
+	wireSealed   atomic.Bool
 )
 
 // RegisterWire installs the decoder for a wire tag. Protocol packages
-// call it from init, once per message type.
+// call it from init, once per message type; it panics once the table
+// has been read.
 func RegisterWire(tag uint8, dec WireDecoder) {
 	if tag == 0 || int(tag) >= len(wireDecoders) {
 		panic(fmt.Sprintf("transport: wire tag %d out of range", tag))
 	}
-	wireMu.Lock()
-	defer wireMu.Unlock()
+	if wireSealed.Load() {
+		panic(fmt.Sprintf("transport: wire tag %d registered after the first encode or decode; register from init", tag))
+	}
 	if wireDecoders[tag] != nil {
 		panic(fmt.Sprintf("transport: wire tag %d registered twice", tag))
 	}
@@ -99,11 +106,12 @@ func RegisterWire(tag uint8, dec WireDecoder) {
 }
 
 func wireDecoder(tag uint8) WireDecoder {
+	if !wireSealed.Load() {
+		wireSealed.Store(true)
+	}
 	if int(tag) >= len(wireDecoders) {
 		return nil
 	}
-	wireMu.RLock()
-	defer wireMu.RUnlock()
 	return wireDecoders[tag]
 }
 
@@ -238,38 +246,76 @@ func (r *WireReader) String() string {
 // unbounded-cardinality strings (transaction ids): they would only
 // churn the table until it pins at capacity full of dead entries.
 func (r *WireReader) InternString() string {
-	return internBytes(r.take("string"))
+	return interned.intern(r.take("string"))
 }
 
-// The intern table. Lookup keyed by string(p) compiles to a
-// no-allocation map access; a miss copies once and remembers the copy.
-// The table is append-only and capped — under a hostile or pathological
+// internCap bounds the intern table: under a hostile or pathological
 // stream it stops admitting new entries rather than growing without
 // bound, and decoding stays correct either way (a full table just
 // means misses allocate, as they did before interning).
 const internCap = 8192
 
-var (
-	internMu  sync.RWMutex
-	internTab = make(map[string]string, 256)
-)
+// interned is the process's one intern table, shared by every
+// connection (a table per connection would hold each string once per
+// peer).
+var interned = newInternTable()
 
-func internBytes(p []byte) string {
+// internTable is an append-only, capped set of strings. Reads load an
+// immutable snapshot map without a lock; a lookup keyed by string(p)
+// compiles to a no-allocation map access. A miss takes mu: the copy it
+// admits waits in fresh, where lookups under mu find it, until fresh
+// holds a quarter as many strings as the snapshot (or the table is
+// full), and then a new snapshot of both replaces the old one. Each
+// admission thus costs amortised O(1) copies, and a warm table costs
+// its readers one atomic load.
+type internTable struct {
+	snap  atomic.Pointer[map[string]string]
+	mu    sync.Mutex
+	fresh map[string]string // admitted since snap was built; under mu
+}
+
+func newInternTable() *internTable {
+	t := &internTable{fresh: map[string]string{}}
+	t.snap.Store(&map[string]string{})
+	return t
+}
+
+func (t *internTable) intern(p []byte) string {
 	if len(p) == 0 || len(p) > 128 {
 		return string(p) // oversized strings are not worth pinning
 	}
-	internMu.RLock()
-	s, ok := internTab[string(p)]
-	internMu.RUnlock()
-	if ok {
+	snap := *t.snap.Load()
+	if s, ok := snap[string(p)]; ok {
 		return s
 	}
-	s = string(p)
-	internMu.Lock()
-	if len(internTab) < internCap {
-		internTab[s] = s
+	if len(snap) >= internCap {
+		return string(p) // full, and nothing waits in fresh
 	}
-	internMu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	snap = *t.snap.Load() // a rebuild may have landed since the first load
+	if s, ok := snap[string(p)]; ok {
+		return s
+	}
+	if s, ok := t.fresh[string(p)]; ok {
+		return s
+	}
+	s := string(p)
+	if len(snap)+len(t.fresh) >= internCap {
+		return s
+	}
+	t.fresh[s] = s
+	if n := len(snap) + len(t.fresh); len(t.fresh) >= len(snap)/4 || n == internCap {
+		next := make(map[string]string, n)
+		for k, v := range snap {
+			next[k] = v
+		}
+		for k, v := range t.fresh {
+			next[k] = v
+		}
+		t.snap.Store(&next)
+		t.fresh = map[string]string{}
+	}
 	return s
 }
 
