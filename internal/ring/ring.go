@@ -20,7 +20,7 @@ package ring
 import (
 	"fmt"
 	"sort"
-	"sync"
+	"sync/atomic"
 )
 
 // Epoch versions a shard map. Epochs are strictly monotone per
@@ -158,53 +158,44 @@ func (r *Ring) Groups() []int { return append([]int(nil), r.m.Groups...) }
 
 // Table is a cluster's live ring view: the current ring and the
 // previous one (so re-homed keys can be enumerated after a publish).
-// Reads are concurrency-safe; Install is serialized by its one caller,
-// the move's publish step.
+// Reads load the pair through one atomic pointer, so every storage-node
+// dispatch's ownership check takes no lock; Install is serialized by
+// its one caller, the move's publish step.
 type Table struct {
-	mu   sync.RWMutex
-	cur  *Ring
-	prev *Ring
+	rings atomic.Pointer[ringPair]
+}
+
+// ringPair is one published state of a Table; it is never modified.
+type ringPair struct {
+	cur, prev *Ring
 }
 
 // NewTable builds a table serving map m.
 func NewTable(m Map) *Table {
-	return &Table{cur: Compile(m)}
+	t := &Table{}
+	t.rings.Store(&ringPair{cur: Compile(m)})
+	return t
 }
 
 // Owner resolves a key's owning group under the current ring.
-func (t *Table) Owner(key string) int {
-	t.mu.RLock()
-	r := t.cur
-	t.mu.RUnlock()
-	return r.Owner(key)
-}
+func (t *Table) Owner(key string) int { return t.rings.Load().cur.Owner(key) }
 
 // Epoch returns the current (published) epoch.
-func (t *Table) Epoch() Epoch {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.cur.Epoch()
-}
+func (t *Table) Epoch() Epoch { return t.rings.Load().cur.Epoch() }
 
 // Current returns the published ring.
-func (t *Table) Current() *Ring {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.cur
-}
+func (t *Table) Current() *Ring { return t.rings.Load().cur }
 
 // Install publishes map m: the current ring becomes the previous one.
 // A stale install (epoch not above the current) is ignored and
 // reported false.
 func (t *Table) Install(m Map) bool {
 	r := Compile(m)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if r.Epoch() <= t.cur.Epoch() {
+	old := t.rings.Load()
+	if r.Epoch() <= old.cur.Epoch() {
 		return false
 	}
-	t.prev = t.cur
-	t.cur = r
+	t.rings.Store(&ringPair{cur: r, prev: old.cur})
 	return true
 }
 
@@ -212,13 +203,11 @@ func (t *Table) Install(m Map) bool {
 // re-home predicate consumers (gateway interest sets, read tiers) use
 // to invalidate per-key routing state after an epoch change.
 func (t *Table) Moved(key string) bool {
-	t.mu.RLock()
-	cur, prev := t.cur, t.prev
-	t.mu.RUnlock()
-	if prev == nil {
+	p := t.rings.Load()
+	if p.prev == nil {
 		return false
 	}
-	return cur.Owner(key) != prev.Owner(key)
+	return p.cur.Owner(key) != p.prev.Owner(key)
 }
 
 // ErrWrongShard is the epoch fence: a request routed under a stale (or
