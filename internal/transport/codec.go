@@ -106,7 +106,7 @@ func RegisterWire(tag uint8, dec WireDecoder) {
 }
 
 func wireDecoder(tag uint8) WireDecoder {
-	if !wireSealed.Load() {
+	if !wireSealed.Load() { // a store on every lookup would contend across readers
 		wireSealed.Store(true)
 	}
 	if int(tag) >= len(wireDecoders) {
