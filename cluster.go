@@ -34,9 +34,6 @@ type ClusterConfig struct {
 	// DataDir/<node>; empty means in-memory. A node directory in an
 	// older layout is refused (core.OpenDurableOpts).
 	DataDir string
-	// SyncInterval enables background anti-entropy between replicas
-	// (catch-up after outages); zero disables.
-	SyncInterval time.Duration
 	// Seed randomizes latency jitter.
 	Seed int64
 }
@@ -97,7 +94,6 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 // timeouts with the latency scale so compressed clusters stay snappy.
 func clusterCoreConfig(cfg ClusterConfig) core.Config {
 	coreCfg := server.Config(cfg.Mode, cfg.Constraints)
-	coreCfg.SyncInterval = cfg.SyncInterval
 	if cfg.DataDir != "" {
 		coreCfg.CheckpointInterval = server.CheckpointEvery
 	}

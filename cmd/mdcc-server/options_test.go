@@ -25,7 +25,7 @@ func TestOptionStructSizes(t *testing.T) {
 		{wal.Options{}, 4},
 		{core.DurableOptions{}, 4},
 		{simnet.Options{}, 9},
-		{mdcc.ClusterConfig{}, 7},
+		{mdcc.ClusterConfig{}, 6},
 	} {
 		typ := reflect.TypeOf(c.v)
 		if got := typ.NumField(); got != c.want {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mdcc"
+	"mdcc/internal/server"
 	"mdcc/internal/transport"
 )
 
@@ -156,10 +157,14 @@ func (d *deployment) scrape(t *testing.T, i int, v interface{}) {
 }
 
 // waitApplied blocks until each server's replica has applied exactly
-// puts[i] writes (its store's put count on /metrics).
+// puts[i] writes (its store's put count on /metrics). A negative count
+// is not checked.
 func (d *deployment) waitApplied(t *testing.T, puts []int64) {
 	t.Helper()
 	for i, want := range puts {
+		if want < 0 {
+			continue
+		}
 		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
 			var m struct {
 				Shards []struct {
@@ -174,6 +179,39 @@ func (d *deployment) waitApplied(t *testing.T, puts []int64) {
 				t.Fatalf("%s applied %+v writes, want %d", mdcc.AllDCs()[i], m.Shards, want)
 			}
 		}
+	}
+}
+
+// waitCaughtUp blocks, for at most ten anti-entropy periods, until
+// server i's replica holds every key of want and a read through sess,
+// a session of that server's gateway, returns each key's attribute n
+// as want has it.
+func (d *deployment) waitCaughtUp(t *testing.T, i int, sess *mdcc.RemoteSession, want map[mdcc.Key]int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * server.SyncEvery)
+	for {
+		var m struct {
+			Shards []struct {
+				Keys int `json:"keys"`
+			} `json:"shards"`
+		}
+		d.scrape(t, i, &m)
+		caught, got := len(m.Shards) == 1 && m.Shards[0].Keys == len(want), ""
+		for k, n := range want {
+			if !caught {
+				break
+			}
+			v, _, ok, err := sess.Read(k)
+			caught = err == nil && ok && v.Attr("n") == n
+			got = fmt.Sprintf("%s reads n=%d ok=%v err=%v, want n=%d", k, v.Attr("n"), ok, err, n)
+		}
+		if caught {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s not caught up after %s: %+v; %s", mdcc.AllDCs()[i], 10*server.SyncEvery, m.Shards, got)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -247,7 +285,9 @@ func TestServerProcesses(t *testing.T) {
 // TestGatewayProcessRestart is the restart half of the binary's check: a
 // `-gateway` process SIGKILLed and started again on the same addresses
 // re-registers the same coordinator node ids, and every write the new
-// process acknowledges must be applied. Acceptors remember each
+// process acknowledges must be applied: exactly once on every replica
+// that kept running, and, within ten anti-entropy periods, on the
+// restarted one, whose empty replica catches up. Acceptors remember each
 // (lane, KeySeq) decision forever, so the successor is safe only because
 // it names its own incarnation (DESIGN.md §8) — nothing here, and no
 // flag of the server, tells it that it is a restart.
@@ -305,7 +345,9 @@ func TestGatewayProcessRestart(t *testing.T) {
 	_ = d.procs[west].Wait()
 	d.start(t, west)
 	d.waitUp(t, west)
-	puts[west] = 0 // no -data: the process's replica restarts empty
+	// No -data: the process's replica restarts empty and catches up by
+	// adopting its peers' bases, so its put count is not theirs.
+	puts[west] = -1
 
 	sess, err = mdcc.DialGateway(d.topo, mdcc.USWest, "restart-test", "127.0.0.1:0")
 	if err != nil {
@@ -314,7 +356,9 @@ func TestGatewayProcessRestart(t *testing.T) {
 	defer sess.Close()
 	// Two rounds, so each key is also written at a version only the
 	// restarted process produced. ReadLatest, not Read: the restarted
-	// replica is empty and nothing in this deployment runs anti-entropy.
+	// replica starts empty, and anti-entropy may not have caught it up
+	// yet.
+	acked := make(map[mdcc.Key]int64, len(keys))
 	for round := int64(1); round <= 2; round++ {
 		for i, k := range keys {
 			v, ver, ok, err := sess.ReadLatest(k)
@@ -326,12 +370,16 @@ func TestGatewayProcessRestart(t *testing.T) {
 				t.Fatalf("restarted gateway, round %d: uncontended write to %s at version %d: committed=%v err=%v",
 					round, k, ver, ok, err)
 			}
+			acked[k] = 100*round + int64(i)
 		}
 		// Acknowledged means applied, on every replica.
 		for i := range puts {
-			puts[i] += int64(len(keys))
+			if i != west {
+				puts[i] += int64(len(keys))
+			}
 		}
 		d.waitApplied(t, puts)
+		d.waitCaughtUp(t, west, sess, acked)
 		for i, k := range keys {
 			if v, _, _, err := sess.ReadLatest(k); err != nil || v.Attr("n") != 100*round+int64(i) {
 				t.Errorf("round %d: %s reads n=%d err=%v, want the acknowledged n=%d", round, k, v.Attr("n"), err, 100*round+int64(i))

@@ -4,7 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"mdcc/internal/server"
 )
@@ -21,7 +20,7 @@ func TestConfigDeviations(t *testing.T) {
 	for _, cc := range []ClusterConfig{
 		{},
 		{Mode: ModeMulti, Constraints: cons, LatencyScale: 0.002},
-		{DataDir: "d", SyncInterval: time.Second, LatencyScale: 1},
+		{DataDir: "d", LatencyScale: 1},
 	} {
 		if cc.LatencyScale <= 0 {
 			cc.LatencyScale = 0.05 // StartCluster's default

@@ -59,7 +59,8 @@ type Options struct {
 	DisableBatching bool
 	// DropProb uniformly drops messages (chaos tests).
 	DropProb float64
-	// SyncInterval enables core anti-entropy (chaos tests).
+	// SyncInterval is the core anti-entropy period; zero, what the
+	// paper's figures run, disables it (chaos tests set one).
 	SyncInterval time.Duration
 }
 

@@ -111,12 +111,12 @@ type recState struct {
 }
 
 // recOpen is a record's Paxos state beyond its rest part. The node
-// allocates it on the record's first vote, ballot change or peer
-// observation (opened) and takes it back when the record's last vote
-// settles with nothing else in it off its initial value
-// (truncateVotes). Absent, both ballots read as initialBallot(key) —
-// the implicit fast ballot, or in Multi mode the master's classic
-// ballot 1 — and everything else as empty.
+// allocates it on the record's first vote or ballot change (opened)
+// and takes it back when the record's last vote settles with nothing
+// else in it off its initial value (truncateVotes). Absent, both
+// ballots read as initialBallot(key) — the implicit fast ballot, or in
+// Multi mode the master's classic ballot 1 — and everything else as
+// empty.
 type recOpen struct {
 	promised paxos.Ballot
 	accepted paxos.Ballot
@@ -127,12 +127,6 @@ type recOpen struct {
 	// votedAt is parallel to votes: when each unresolved vote was cast
 	// (UnixNano), for the dangling-transaction sweep.
 	votedAt []int64
-	// peerLineage is the last summary learned from each peer replica
-	// (anti-entropy replies, Phase1b, Phase2a bases). Content release
-	// from the decided log is gated on every peer containing the entry
-	// (see decidedLog.compact); summaries are monotone per replica, so
-	// a stale observation is only ever conservative.
-	peerLineage map[transport.NodeID]LineageSummary
 	// p2aSeq is the highest proposal sequence adopted in the accepted
 	// ballot, so duplicated or reordered Phase2a messages cannot
 	// regress the cstruct to an older snapshot.
@@ -430,22 +424,16 @@ func (r *recState) votes() []VotedOption {
 }
 
 // notePeerLineage records a peer replica's summary for ack-gated
-// content release (summaries are monotone per replica incarnation, so
-// later observations only widen the acked set; a non-durable restart
-// resets a peer's summary, but then every base that peer ever sends
-// is one it adopted from the quorum, which contains everything the
-// acked entries cover — release stays safe).
-func (n *StorageNode) notePeerLineage(key record.Key, r *recState, from transport.NodeID, s LineageSummary) {
-	if from == n.id {
-		return
+// content release on the record's decided log (decidedLog.notePeer;
+// summaries are monotone per replica incarnation, so later
+// observations only widen the acked set; a non-durable restart resets
+// a peer's summary, but then every base that peer ever sends is one it
+// adopted from the quorum, which contains everything the acked entries
+// cover — release stays safe).
+func (n *StorageNode) notePeerLineage(r *recState, from transport.NodeID, s LineageSummary) {
+	if from != n.id {
+		r.decided.notePeer(&n.lanes, from, s)
 	}
-	o := n.opened(key, r)
-	if o.peerLineage == nil {
-		o.peerLineage = make(map[transport.NodeID]LineageSummary, 4)
-	}
-	prev := o.peerLineage[from]
-	prev.Union(s)
-	o.peerLineage[from] = prev
 }
 
 // compactDecided releases decided-log contents that are provably
@@ -463,29 +451,7 @@ func (n *StorageNode) compactDecided(key record.Key, r *recState, force bool) {
 	} else if !r.decided.wantsCompact() {
 		return
 	}
-	n.releaseDecided(key, r)
-}
-
-// releaseDecided runs one compaction pass over the record's decided
-// log with the all-peer-ack predicate.
-func (n *StorageNode) releaseDecided(key record.Key, r *recState) {
-	peers := n.cl.Replicas(key)
-	var seen map[transport.NodeID]LineageSummary
-	if r.open != nil {
-		seen = r.open.peerLineage
-	}
-	n.m.DecidedReleased += int64(r.decided.compact(&n.lanes, key, n.net.Now(), n.cfg.DecidedRetention, func(e decidedEntry) bool {
-		for _, p := range peers {
-			if p == n.id {
-				continue
-			}
-			pl, ok := seen[p]
-			if !ok || !pl.Contains(e.lane(), e.KeySeq) {
-				return false
-			}
-		}
-		return true
-	}))
+	n.m.DecidedReleased += int64(r.decided.compact(&n.lanes, key, n.net.Now(), n.cfg.DecidedRetention, n.id, n.cl.Replicas(key)))
 }
 
 // settleOption records one final decision the caller found to be new:
@@ -1225,7 +1191,7 @@ func (n *StorageNode) truncateVotes(key record.Key, r *recState, k int) {
 	}
 	n.releaseVoteSlots(o.votes, o.votedAt)
 	o.votes, o.votedAt = nil, nil
-	if init := n.initialBallot(key); o.promised != init || o.accepted != init || o.peerLineage != nil || o.p2aSeq != 0 {
+	if init := n.initialBallot(key); o.promised != init || o.accepted != init || o.p2aSeq != 0 {
 		return
 	}
 	r.open = nil
@@ -1299,7 +1265,7 @@ func (n *StorageNode) onPhase2a(from transport.NodeID, m MsgPhase2a) {
 		// A fresher committed base piggybacked by the leader catches up
 		// (and merges with) lagging replicas. The leader's summary also
 		// feeds the peer-ack ledger gating content release.
-		n.notePeerLineage(m.Key, r, from, m.BaseLineage)
+		n.notePeerLineage(r, from, m.BaseLineage)
 		n.adoptBase(m.Key, m.BaseValue, m.BaseVersion, m.BaseLineage)
 	}
 	now := n.net.Now().UnixNano()

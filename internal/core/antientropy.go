@@ -115,7 +115,7 @@ func (n *StorageNode) onSyncReply(from transport.NodeID, m MsgSyncReply) {
 	}
 	for _, e := range m.Entries {
 		ver, _ := n.store.Version(e.Key)
-		n.notePeerLineage(e.Key, n.rs(e.Key), from, e.Lineage)
+		n.notePeerLineage(n.rs(e.Key), from, e.Lineage)
 		if e.Version < ver {
 			continue
 		}
@@ -198,7 +198,7 @@ func (n *StorageNode) onPullReply(from transport.NodeID, m MsgSyncReply) {
 			continue
 		}
 		ver, _ := n.store.Version(e.Key)
-		n.notePeerLineage(e.Key, n.rs(e.Key), from, e.Lineage)
+		n.notePeerLineage(n.rs(e.Key), from, e.Lineage)
 		if e.Version >= ver && n.adoptBase(e.Key, e.Value, e.Version, e.Lineage) {
 			n.m.Synced++
 		}

@@ -80,7 +80,8 @@ type Config struct {
 	// SyncInterval is the anti-entropy period: how often a storage
 	// node exchanges a chunk of committed state with a random peer
 	// replica to catch up after outages (§3.2.3's background
-	// bulk-copy). Zero disables.
+	// bulk-copy). Zero disables; every deployment runs
+	// server.SyncEvery.
 	SyncInterval time.Duration
 
 	// DecidedRetention is how long a settled option's entry stays in
@@ -88,10 +89,10 @@ type Config struct {
 	// (zero = 2 min). It is a lower bound, not a lifetime: an entry
 	// with a lineage identity is additionally held until every peer
 	// replica's summary is known to contain it, so shrinking this can
-	// cost a recovery round trip but can never lose a forked apply —
-	// and since peer summaries arrive only with anti-entropy replies
-	// and classic rounds, with SyncInterval 0 such entries are in
-	// practice never released, whatever this says (see decidedLog).
+	// cost a recovery round trip but can never lose a forked apply.
+	// Only a log longer than 512 entries is compacted, so an ordinary
+	// record's entries are never released, whatever this says (see
+	// decidedLog).
 	DecidedRetention time.Duration
 
 	// KeySeqWords bounds the coordinator's per-(lane, key) sequence

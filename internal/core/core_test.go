@@ -8,6 +8,7 @@ import (
 	"mdcc/internal/record"
 	"mdcc/internal/simnet"
 	"mdcc/internal/topology"
+	"mdcc/internal/transport"
 )
 
 // world wires a full 5-DC cluster plus coordinators onto the
@@ -87,6 +88,18 @@ func (w *world) storedValues(key record.Key) []kv.Entry {
 		}
 	}
 	return out
+}
+
+// node returns the storage node id.
+func (w *world) node(id transport.NodeID) *StorageNode {
+	w.t.Helper()
+	for _, n := range w.nodes {
+		if n.ID() == id {
+			return n
+		}
+	}
+	w.t.Fatalf("no storage node %s", id)
+	return nil
 }
 
 func cfgNoSweep(mode Mode) Config {

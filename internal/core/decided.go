@@ -28,10 +28,10 @@ import (
 //     needed for a graft. Retention is therefore a pure cache knob —
 //     shrinking it can cost a recovery round trip, never a lost
 //     apply. Peer summaries arrive with anti-entropy replies, Phase1b
-//     and Phase2a bases only: a node running with SyncInterval 0 (the
-//     server default) and no classic rounds on a record never learns
-//     them, so there these entries are never released and the log is
-//     the steady per-option cost, not a warm-up cache.
+//     and Phase2a bases, and only a log longer than decidedLimit —
+//     the only one compaction reads — keeps them (decidedIndex.peers),
+//     so on an ordinary record the log is the steady per-option cost,
+//     not a warm-up cache.
 //   - Legacy entries (KeySeq == 0: recovery-fiat options) keep the
 //     old count-capped AND age-gated FIFO rule; they carry no effect
 //     to lose.
@@ -91,6 +91,13 @@ type decidedIndex struct {
 	// with nothing evictable costs O(1) amortized per settle, not O(n).
 	// (Below decidedIndexMin entries it would read as decidedLimit.)
 	lastCompactLen int
+	// peers is the last summary learned from each peer replica, packed
+	// against the node's lane table: compact releases an entry only once
+	// every peer's contains it. It is noted only while the log is longer
+	// than decidedLimit, the only length compaction looks at. Summaries
+	// are monotone per replica, so a stale or missing one only delays a
+	// release.
+	peers map[transport.NodeID]packedLineage
 }
 
 const (
@@ -517,15 +524,15 @@ func (x *decidedIndex) file(h uint64, pos int) {
 // reindex rebuilds the lookup index from the entries, or drops it
 // when the log is short again.
 func (l *decidedLog) reindex() {
-	var lastCompactLen int
-	if l.idx != nil {
-		lastCompactLen = l.idx.lastCompactLen
-	}
+	old := l.idx
 	l.idx = nil
 	if l.n < decidedIndexMin {
 		return
 	}
-	l.idx = &decidedIndex{pos: make(map[uint64]int, l.n), lastCompactLen: lastCompactLen}
+	l.idx = &decidedIndex{pos: make(map[uint64]int, l.n)}
+	if old != nil {
+		l.idx.lastCompactLen, l.idx.peers = old.lastCompactLen, old.peers
+	}
 	for off := 0; off < len(l.buf); {
 		id, _, next := l.idAt(off)
 		l.idx.file(id.hash(), off)
@@ -568,15 +575,43 @@ func (l *decidedLog) wantsCompact() bool {
 	return l.idx != nil && l.n >= 2*max(decidedLimit, l.idx.lastCompactLen)
 }
 
+// notePeer folds peer replica from's summary s into the one the log
+// keeps for it, if the log is long enough to be compacted.
+func (l *decidedLog) notePeer(t *laneTable, from transport.NodeID, s LineageSummary) {
+	if l.n <= decidedLimit {
+		return
+	}
+	if l.idx.peers == nil {
+		l.idx.peers = make(map[transport.NodeID]packedLineage, 4)
+	}
+	p := l.idx.peers[from]
+	p.union(t, s)
+	l.idx.peers[from] = p
+}
+
 // compact releases evictable entries: aged past retention and either
-// legacy (KeySeq 0) or acked by every peer summary. The kept entries
-// move up in place. Returns how many entries were released.
-func (l *decidedLog) compact(t *laneTable, key record.Key, now time.Time, retention time.Duration, acked func(e decidedEntry) bool) int {
+// legacy (KeySeq 0) or contained in the noted summary of every one of
+// the record's replicas but self. The kept entries move up in place.
+// Returns how many entries were released.
+func (l *decidedLog) compact(t *laneTable, key record.Key, now time.Time, retention time.Duration,
+	self transport.NodeID, replicas []transport.NodeID) int {
 	horizon := now.Add(-retention).UnixNano()
+	var peers map[transport.NodeID]packedLineage
+	if l.idx != nil {
+		peers = l.idx.peers
+	}
+	acked := func(e *decidedEntry) bool {
+		for _, p := range replicas {
+			if p != self && !peers[p].contains(t, e.lane(), e.KeySeq) {
+				return false
+			}
+		}
+		return true
+	}
 	w, kept := 0, 0
 	for off := 0; off < len(l.buf); {
 		e, next := l.at(t, key, off)
-		if !(e.settledAt <= horizon && (e.KeySeq == 0 || acked(e))) {
+		if !(e.settledAt <= horizon && (e.KeySeq == 0 || acked(&e))) {
 			w += copy(l.buf[w:], l.buf[off:next])
 			kept++
 		}

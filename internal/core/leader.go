@@ -270,7 +270,7 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 	var freshest *MsgPhase1b
 	for _, from := range froms {
 		rep := p1.replies[from]
-		n.notePeerLineage(key, r, from, rep.Lineage)
+		n.notePeerLineage(r, from, rep.Lineage)
 		if rep.Version > localVer && (freshest == nil || rep.Version > freshest.Version) {
 			freshest = &rep
 		}

@@ -171,17 +171,6 @@ func (s LineageSummary) lane(lane string) *LaneLineage {
 	return nil
 }
 
-func (s *LineageSummary) laneOrNew(name string) *LaneLineage {
-	i := sort.Search(len(s.Lanes), func(i int) bool { return s.Lanes[i].Lane >= name })
-	if i < len(s.Lanes) && s.Lanes[i].Lane == name {
-		return &s.Lanes[i]
-	}
-	s.Lanes = append(s.Lanes, LaneLineage{})
-	copy(s.Lanes[i+1:], s.Lanes[i:])
-	s.Lanes[i] = LaneLineage{Lane: name}
-	return &s.Lanes[i]
-}
-
 // Contains reports whether (lane, seq) settled in this summary.
 func (s LineageSummary) Contains(lane string, seq uint64) bool {
 	l := s.lane(lane)
@@ -201,20 +190,6 @@ func (s LineageSummary) Decision(lane string, seq uint64) (Decision, bool) {
 		return DecReject, true
 	}
 	return DecAccept, true
-}
-
-// Union merges o into s (set union per lane; the class bits OR).
-// Sound whenever the caller's committed value contains-or-supersedes
-// every settled effect o reports (see StorageNode.adoptBase).
-func (s *LineageSummary) Union(o LineageSummary) {
-	for i := range o.Lanes {
-		ol := &o.Lanes[i]
-		l := s.laneOrNew(ol.Lane)
-		l.Done = rangeUnion(l.Done, ol.Done)
-		l.Rejected = rangeUnion(l.Rejected, ol.Rejected)
-	}
-	s.Deltas = s.Deltas || o.Deltas
-	s.Physical = s.Physical || o.Physical
 }
 
 // String renders the canonical fingerprint, e.g.

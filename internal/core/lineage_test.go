@@ -142,64 +142,89 @@ func TestMixedKindTypedReject(t *testing.T) {
 	}
 }
 
-// Released decided-log contents must not cost idempotence: after the
-// all-peer ack releases an entry, a duplicated late visibility for it
-// is still skipped — the lineage summary answers forever.
+// Released decided-log contents must not cost idempotence: once a log
+// past decidedLimit entries has every peer's summary from anti-entropy
+// and the sweep's compaction releases its entries, a duplicated late
+// visibility for one is still skipped — the lineage summary answers
+// forever. With one replica partitioned away for the whole run, no
+// replica ever holds that one's summary, and none releases anything:
+// the ack is every peer's, not a quorum's.
 func TestReleasedEntryStaysIdempotent(t *testing.T) {
-	cfg := cfgNoSweep(ModeMDCC)
-	cfg.SyncInterval = 300 * time.Millisecond
-	cfg.DecidedRetention = time.Second
-	w := newWorld(t, cfg, 1, 1, 12)
-	var opts []Option
-	for i := 0; i < 8; i++ {
-		if !w.commit(0, record.Commutative("rel/1", map[string]int64{"x": 1})).Committed {
-			t.Fatal("delta failed")
+	const key = record.Key("rel/1")
+	// Past decidedLimit with room to spare: a replica may take one of
+	// them by base adoption, which leaves no decided-log entry.
+	const deltas = decidedLimit + 8
+	run := func(t *testing.T, partitioned bool) (*world, []Option) {
+		cfg := Defaults(ModeMDCC) // the sweep forces compaction of logs past decidedLimit
+		cfg.SyncInterval = 300 * time.Millisecond
+		cfg.DecidedRetention = time.Second
+		w := newWorld(t, cfg, 1, 1, 12)
+		replicas := w.cl.Replicas(key)
+		if partitioned {
+			var rest []transport.NodeID
+			for _, c := range w.coords {
+				rest = append(rest, c.ID())
+			}
+			w.net.Partition(replicas[:1], append(rest, replicas[1:]...))
 		}
-	}
-	w.settle()
-	// Let anti-entropy exchange summaries (the ack channel).
-	w.net.RunFor(5 * time.Second)
-	var victim *StorageNode
-	for _, n := range w.nodes {
-		for _, rep := range w.cl.Replicas("rel/1") {
-			if n.ID() == rep {
-				victim = n
+		for i := 0; i < deltas; i++ {
+			if !w.commit(0, record.Commutative(key, map[string]int64{"x": 1})).Committed {
+				t.Fatal("delta failed")
 			}
 		}
+		// Keep copies of settled options for a late replay, before
+		// anything is released.
+		victim := w.node(replicas[len(replicas)-1])
+		var opts []Option
+		victim.rs(key).decided.each(&victim.lanes, key, func(e decidedEntry) bool {
+			if opt, ok := e.option(); ok && e.Decision == DecAccept {
+				opts = append(opts, opt)
+			}
+			return true
+		})
+		// Anti-entropy exchanges summaries (the ack channel); the sweep
+		// releases what every peer has.
+		w.net.RunFor(10 * time.Second)
+		return w, opts
 	}
-	r := victim.rs("rel/1")
-	if r.decided.len() == 0 {
-		t.Fatal("no decided entries to release")
-	}
-	// Keep a copy of a settled option for the late replay below.
-	r.decided.each(&victim.lanes, "rel/1", func(e decidedEntry) bool {
-		if opt, ok := e.option(); ok && e.Decision == DecAccept {
-			opts = append(opts, opt)
+
+	t.Run("all peers ack", func(t *testing.T) {
+		w, opts := run(t, false)
+		replicas := w.cl.Replicas(key)
+		victim := w.node(replicas[len(replicas)-1])
+		if len(opts) < decidedLimit {
+			t.Fatalf("captured %d settled options, want the whole log", len(opts))
 		}
-		return true
+		if victim.Metrics().DecidedReleased == 0 {
+			t.Fatal("ack-gated release never fired despite full anti-entropy ack coverage")
+		}
+		val, ver, _ := victim.Store().Get(key)
+		if val.Attr("x") != deltas || ver != deltas {
+			t.Fatalf("pre-replay state %v v%d", val, ver)
+		}
+		// Late duplicated visibility for released options: must be
+		// skipped via the summary, not re-applied.
+		for _, opt := range opts {
+			victim.onVisibility(MsgVisibility{Opt: opt, Commit: true})
+		}
+		val, ver, _ = victim.Store().Get(key)
+		if val.Attr("x") != deltas || ver != deltas {
+			t.Fatalf("late visibility double-applied after content release: %v v%d", val, ver)
+		}
 	})
-	if len(opts) == 0 {
-		t.Fatal("no applied entries captured")
-	}
-	// Eight entries are far under the count limit that triggers a pass
-	// on its own, so run the pass directly.
-	victim.releaseDecided("rel/1", r)
-	if victim.Metrics().DecidedReleased == 0 {
-		t.Fatal("ack-gated release never fired despite full anti-entropy ack coverage")
-	}
-	val, ver, _ := victim.Store().Get("rel/1")
-	if val.Attr("x") != 8 || ver != 8 {
-		t.Fatalf("pre-replay state %v v%d", val, ver)
-	}
-	// Late duplicated visibility for released options: must be skipped
-	// via the summary, not re-applied.
-	for _, opt := range opts {
-		victim.onVisibility(MsgVisibility{Opt: opt, Commit: true})
-	}
-	val, ver, _ = victim.Store().Get("rel/1")
-	if val.Attr("x") != 8 || ver != 8 {
-		t.Fatalf("late visibility double-applied after content release: %v v%d", val, ver)
-	}
+
+	t.Run("one replica partitioned", func(t *testing.T) {
+		w, _ := run(t, true)
+		for _, id := range w.cl.Replicas(key) {
+			n := w.node(id)
+			if got := n.Metrics().DecidedReleased; got != 0 {
+				t.Errorf("%s released %d entries without the partitioned replica's summary", id, got)
+			}
+			if id != w.cl.Replicas(key)[0] && n.rs(key).decided.len() <= decidedLimit {
+				t.Errorf("%s holds %d entries, want more than %d", id, n.rs(key).decided.len(), decidedLimit)
+			}
+		}
+	})
 }
 
 // A replica that missed a transaction's visibility is healed by the

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
 )
 
@@ -11,6 +12,29 @@ import (
 // packed (packedLineage), so these LineageSummary methods have no
 // production caller; they stay here as the specification the packed
 // form is checked against, and as the tests' way to build summaries.
+
+func (s *LineageSummary) laneOrNew(name string) *LaneLineage {
+	i := sort.Search(len(s.Lanes), func(i int) bool { return s.Lanes[i].Lane >= name })
+	if i < len(s.Lanes) && s.Lanes[i].Lane == name {
+		return &s.Lanes[i]
+	}
+	s.Lanes = append(s.Lanes, LaneLineage{})
+	copy(s.Lanes[i+1:], s.Lanes[i:])
+	s.Lanes[i] = LaneLineage{Lane: name}
+	return &s.Lanes[i]
+}
+
+// Union merges o into s (set union per lane; the class bits OR).
+func (s *LineageSummary) Union(o LineageSummary) {
+	for i := range o.Lanes {
+		ol := &o.Lanes[i]
+		l := s.laneOrNew(ol.Lane)
+		l.Done = rangeUnion(l.Done, ol.Done)
+		l.Rejected = rangeUnion(l.Rejected, ol.Rejected)
+	}
+	s.Deltas = s.Deltas || o.Deltas
+	s.Physical = s.Physical || o.Physical
+}
 
 // Add records one settled option. rejected marks reject outcomes;
 // applied marks an executed commutative update (sets Deltas). Returns

@@ -31,9 +31,9 @@ func (n *codecNet) Send(_, _ transport.NodeID, _ transport.Message)           {}
 func (n *codecNet) After(transport.NodeID, time.Duration, func()) clock.Timer { return inertTimer{} }
 func (n *codecNet) Now() time.Time                                            { return time.Unix(1, 0) }
 
-func (n *codecNet) deliver(t *testing.T, to transport.NodeID, msg transport.Message) {
+func (n *codecNet) deliver(t *testing.T, from, to transport.NodeID, msg transport.Message) {
 	var err error
-	n.frame, err = transport.AppendEnvelope(n.frame[:0], transport.Envelope{From: "c0", To: to, Msg: msg})
+	n.frame, err = transport.AppendEnvelope(n.frame[:0], transport.Envelope{From: from, To: to, Msg: msg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +47,9 @@ func (n *codecNet) deliver(t *testing.T, to transport.NodeID, msg transport.Mess
 // TestResidentBytesPerSettledOption is the retained-heap gate: what a
 // storage node still holds, after two collections, per option it has
 // settled and per record it has ever touched. Both are the steady cost
-// of the live deployment — with SyncInterval 0 a decided-log entry is
-// never released — so they are pinned like the wire allocation gates.
+// of the live deployment — a decided log of decidedLimit entries or
+// fewer is never compacted, so its entries are never released — so
+// they are pinned like the wire allocation gates.
 // The option path is the fast path's: one ProposeBatch, one
 // Visibility, both through the codec. Values carry a blob and no
 // attributes, so no map is allocated per record or per option anywhere
@@ -87,9 +88,7 @@ func TestResidentBytesPerSettledOption(t *testing.T) {
 		maxPerOptionLanes = 50
 		lanes             = 16
 	)
-	perOption, perRec := residentPerSettledOption(t, func(_, _, seq int) (TxID, transport.NodeID, uint64) {
-		return TxID(fmt.Sprintf("gw/us-west/c0#%d", seq)), "gw/us-west/c0", 0
-	})
+	perOption, perRec := residentPerSettledOption(t, oneLane)
 	t.Logf("one lane: %.0f B per settled option, %.0f B per record", perOption, perRec)
 	if perOption > maxPerOption {
 		t.Errorf("one lane: %.0f B retained per settled option, gate %d", perOption, maxPerOption)
@@ -113,74 +112,149 @@ func TestResidentBytesPerSettledOption(t *testing.T) {
 	}
 }
 
-// residentPerSettledOption settles perRecord options on each of 2000
-// records through the codec on a fresh storage node and returns what
-// the node retains per settled option and per touched record. mint
-// names each option: its transaction, coordinator and lineage sequence
-// (0 numbers each record's options 1, 2, … on one lane).
-func residentPerSettledOption(t *testing.T, mint func(rec, round, seq int) (TxID, transport.NodeID, uint64)) (perOption, perRec float64) {
-	t.Helper()
-	const (
-		records   = 2000
-		perRecord = 8 // options settled on each record, the first an insert
-	)
+// residentRecords is how many records the resident-bytes gates settle
+// options on.
+const residentRecords = 2000
+
+// residentWorld is a fresh storage node fed through the codec, the
+// records it settles options on, and the options' running count.
+type residentWorld struct {
+	t    *testing.T
+	cl   *topology.Cluster
+	net  *codecNet
+	n    *StorageNode
+	keys []record.Key
+	seq  int
+}
+
+func newResidentWorld(t *testing.T) *residentWorld {
 	cl := topology.NewCluster(topology.Layout{NodesPerDC: 1, ClientDC: -1})
 	cfg := Defaults(ModeMDCC)
 	cfg.PendingTimeout = 0
-	net := &codecNet{}
-	id := cl.Storage[0].ID
-	n := NewStorageNode(id, cl.Storage[0].DC, net, cl, cfg, kv.NewMemory())
-
-	keys := make([]record.Key, records)
-	for i := range keys {
-		keys[i] = record.Key(fmt.Sprintf("res/%06d", i))
+	w := &residentWorld{t: t, cl: cl, net: &codecNet{}, keys: make([]record.Key, residentRecords)}
+	w.n = NewStorageNode(cl.Storage[0].ID, cl.Storage[0].DC, w.net, cl, cfg, kv.NewMemory())
+	for i := range w.keys {
+		w.keys[i] = record.Key(fmt.Sprintf("res/%06d", i))
 	}
-	seq := 0
-	settleRound := func(round int) {
-		for i, key := range keys {
-			seq++
-			tx, coord, keySeq := mint(i, round, seq)
-			if keySeq == 0 {
-				keySeq = uint64(round + 1)
-			}
-			opt := Option{
-				Tx: tx, Coord: coord,
-				Update:   record.Physical(key, record.Version(round), record.Value{Blob: []byte("8 bytes.")}),
-				WriteSet: []record.Key{key}, KeySeq: keySeq, WriteSeqs: []uint64{keySeq},
-			}
-			net.deliver(t, id, MsgProposeBatch{Opts: []Option{opt}})
-			net.deliver(t, id, visibilityFor(opt, true))
+	return w
+}
+
+// settleRound settles one option on every record, on the fast path.
+// mint names each option: its transaction, coordinator and lineage
+// sequence (0 numbers each record's options 1, 2, … on one lane).
+func (w *residentWorld) settleRound(round int, mint func(rec, round, seq int) (TxID, transport.NodeID, uint64)) {
+	for i, key := range w.keys {
+		w.seq++
+		tx, coord, keySeq := mint(i, round, w.seq)
+		if keySeq == 0 {
+			keySeq = uint64(round + 1)
 		}
+		opt := Option{
+			Tx: tx, Coord: coord,
+			Update:   record.Physical(key, record.Version(round), record.Value{Blob: []byte("8 bytes.")}),
+			WriteSet: []record.Key{key}, KeySeq: keySeq, WriteSeqs: []uint64{keySeq},
+		}
+		w.net.deliver(w.t, "c0", w.n.ID(), MsgProposeBatch{Opts: []Option{opt}})
+		w.net.deliver(w.t, "c0", w.n.ID(), visibilityFor(opt, true))
 	}
-	live := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
-	}
+}
 
-	empty := live()
-	settleRound(0)
-	touched := live()
-	for round := 1; round < perRecord; round++ {
-		settleRound(round)
-	}
-	settled := live()
-
-	if got := n.Metrics().Executed; got != records*perRecord {
-		t.Fatalf("executed %d options, want %d", got, records*perRecord)
-	}
-	for key, r := range n.recs {
+// atRest fails the test on a record that holds vote arrays or an open
+// part after every one of its options settled on the fast path.
+func (w *residentWorld) atRest() {
+	for key, r := range w.n.recs {
 		if r.votes() != nil {
-			t.Fatalf("%s has settled every option and still holds vote arrays", key)
+			w.t.Fatalf("%s has settled every option and still holds vote arrays", key)
 		}
 		if r.open != nil {
-			t.Fatalf("%s has settled every option on the fast path and still holds its open part", key)
+			w.t.Fatalf("%s has settled every option on the fast path and still holds its open part", key)
 		}
 	}
-	perOption = float64(settled-touched) / (records * (perRecord - 1))
-	perRec = float64(touched-empty)/records - perOption
-	runtime.KeepAlive(n)
+}
+
+// liveHeap is the heap in use after two collections.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// oneLane mints every option on one coordinator lane.
+func oneLane(_, _, seq int) (TxID, transport.NodeID, uint64) {
+	return TxID(fmt.Sprintf("gw/us-west/c0#%d", seq)), "gw/us-west/c0", 0
+}
+
+// residentPerSettledOption settles perRecord options on each record
+// of a fresh residentWorld and returns what the node retains per
+// settled option and per touched record.
+func residentPerSettledOption(t *testing.T, mint func(rec, round, seq int) (TxID, transport.NodeID, uint64)) (perOption, perRec float64) {
+	t.Helper()
+	const perRecord = 8 // options settled on each record, the first an insert
+	w := newResidentWorld(t)
+	empty := liveHeap()
+	w.settleRound(0, mint)
+	touched := liveHeap()
+	for round := 1; round < perRecord; round++ {
+		w.settleRound(round, mint)
+	}
+	settled := liveHeap()
+
+	if got := w.n.Metrics().Executed; got != residentRecords*perRecord {
+		t.Fatalf("executed %d options, want %d", got, residentRecords*perRecord)
+	}
+	w.atRest()
+	perOption = float64(settled-touched) / (residentRecords * (perRecord - 1))
+	perRec = float64(touched-empty)/residentRecords - perOption
+	runtime.KeepAlive(w.n)
 	return perOption, perRec
+}
+
+// TestSyncReplyOpensNoShortRecord: an anti-entropy reply names every
+// record it carries with the peer's summary of it, and only a decided
+// log longer than decidedLimit, the only one compaction reads, keeps
+// that summary. So a record settled a few times, after a reply naming
+// it from each of its four peers, is still at rest — no open part —
+// and still costs no more than TestResidentBytesPerSettledOption's
+// per-record gate.
+func TestSyncReplyOpensNoShortRecord(t *testing.T) {
+	const (
+		rounds       = 4
+		maxPerRecord = 450
+	)
+	w := newResidentWorld(t)
+	empty := liveHeap()
+	w.settleRound(0, oneLane)
+	touched := liveHeap()
+	for round := 1; round < rounds; round++ {
+		w.settleRound(round, oneLane)
+	}
+	settled := liveHeap()
+
+	// Each peer names every record at the node's own version and with
+	// its own summary: nothing is adopted, only the peers' summaries
+	// are news.
+	reply := MsgSyncReply{ReqID: 1}
+	for _, key := range w.keys {
+		val, ver, _ := w.n.Store().Get(key)
+		reply.Entries = append(reply.Entries, SyncEntry{Key: key, Value: val, Version: ver, Lineage: w.n.rs(key).summary.unpack(&w.n.lanes)})
+	}
+	for _, peer := range w.cl.Storage[1:] {
+		w.net.deliver(t, peer.ID, w.n.ID(), reply)
+	}
+	w.net.frame = nil // the reply's encoding
+	synced := liveHeap()
+
+	w.atRest()
+	if got := w.n.Metrics().Synced; got != 0 {
+		t.Fatalf("adopted %d bases it already held", got)
+	}
+	perOption := float64(settled-touched) / (residentRecords * (rounds - 1))
+	perRec := float64(synced-empty)/residentRecords - rounds*perOption
+	t.Logf("after a sync reply from each of %d peers: %.0f B per record, %.0f B per settled option", len(w.cl.Storage)-1, perRec, perOption)
+	if perRec > maxPerRecord {
+		t.Errorf("%.0f B retained per record after the peers' sync replies, gate %d", perRec, maxPerRecord)
+	}
+	runtime.KeepAlive(w.n)
 }

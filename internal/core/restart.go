@@ -41,7 +41,10 @@ import (
 // Paxos promises and unresolved votes are deliberately volatile, as
 // in the rest of this codebase's durability model: a restarted
 // acceptor rejoins with an empty cstruct and catches up through
-// Phase 1, the dangling-option sweep, and anti-entropy.
+// Phase 1, the dangling-option sweep, and the anti-entropy every
+// deployment runs. So are the peer summaries a long decided log keeps:
+// a restarted node learns them again from its peers, and until then
+// it only releases nothing.
 //
 // What is persisted is persisted before anything that depends on it
 // is said: records are written synchronously inside the handler

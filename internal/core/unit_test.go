@@ -42,8 +42,28 @@ func (l *testLog) restore(body []byte) bool {
 	return ok
 }
 
-func (l *testLog) compact(now time.Time, retention time.Duration, acked func(e decidedEntry) bool) int {
-	return l.decidedLog.compact(&l.tab, testLogKey, now, retention, acked)
+// testReplicas are testLogKey's replicas: the log's own node, then its
+// two peers.
+var testReplicas = []transport.NodeID{"self", "p1", "p2"}
+
+func (l *testLog) notePeer(from transport.NodeID, s LineageSummary) {
+	l.decidedLog.notePeer(&l.tab, from, s)
+}
+
+func (l *testLog) compact(now time.Time, retention time.Duration) int {
+	return l.decidedLog.compact(&l.tab, testLogKey, now, retention, testReplicas[0], testReplicas)
+}
+
+// acking is the summary of a replica that has settled sequences 1 to hi
+// on each of lanes.
+func acking(hi uint64, lanes ...string) LineageSummary {
+	var s LineageSummary
+	for _, lane := range lanes {
+		for seq := uint64(1); seq <= hi; seq++ {
+			s.Add(lane, seq, false, false)
+		}
+	}
+	return s
 }
 
 // bare records a contents-free decision (what the leader's learned log
@@ -133,39 +153,57 @@ func TestDecidedLogLegacyEviction(t *testing.T) {
 }
 
 // compact releases only entries that are BOTH aged past retention and
-// acked by every peer summary; unacked entries survive any age (the
-// retention-is-a-cache-knob contract).
+// contained in every peer replica's noted summary; unacked entries
+// survive any age (the retention-is-a-cache-knob contract). Only a log
+// longer than decidedLimit notes a summary.
 func TestDecidedLogAckGatedCompaction(t *testing.T) {
 	var l testLog
 	const retention = defaultDecidedRetention
 	start := time.Unix(0, 0)
-	for i := 0; i < 6; i++ {
-		opt := Option{
-			Tx:     TxID(fmt.Sprintf("c%d#1", i)),
-			KeySeq: 1,
-			Update: record.Commutative("k", map[string]int64{"x": -1}),
-		}
-		l.record(DecAccept, opt, true, start)
-	}
 	late := start.Add(retention + time.Minute)
-	// Nothing acked: nothing released, regardless of age or count.
-	if got := l.compact(late, retention, func(decidedEntry) bool { return false }); got != 0 {
+	settle := func(tx TxID, at time.Time) {
+		l.record(DecAccept, Option{Tx: tx, KeySeq: 1, Update: record.Commutative("k", map[string]int64{"x": -1})}, true, at)
+	}
+	for i := 0; i < 6; i++ {
+		settle(TxID(fmt.Sprintf("c%d#1", i)), start)
+	}
+	every := acking(1, "c0", "c1", "c2", "c3", "c4", "c5")
+	// A short log notes nothing, so nothing is acked.
+	for _, p := range testReplicas[1:] {
+		l.notePeer(p, every)
+	}
+	if got := l.compact(late, retention); got != 0 {
+		t.Fatalf("a %d-entry log released %d entries", l.len(), got)
+	}
+	// Past decidedLimit it notes. The filler settles at late, inside
+	// retention there: it is never released below.
+	for i := 0; l.len() < decidedLimit+8; i++ {
+		settle(TxID(fmt.Sprintf("fill#%d", i)), late)
+	}
+	// Nothing noted yet: nothing released, regardless of age or count.
+	if got := l.compact(late, retention); got != 0 {
 		t.Fatalf("released %d unacked entries", got)
 	}
-	if l.len() != 6 {
-		t.Fatalf("unacked entries evicted: %d left", l.len())
+	// One peer's ack is not every peer's.
+	l.notePeer("p1", every)
+	if got := l.compact(late, retention); got != 0 {
+		t.Fatalf("released %d entries one peer lacks", got)
 	}
-	// Ack lanes c0..c3: exactly those become releasable.
-	acked := func(e decidedEntry) bool { return e.lane() < "c4" }
-	if got := l.compact(late, retention, acked); got != 4 {
+	// The other peer acks lanes c0..c3: exactly those become releasable.
+	l.notePeer("p2", acking(1, "c0", "c1", "c2", "c3"))
+	if got := l.compact(late, retention); got != 4 {
 		t.Fatalf("released %d, want 4", got)
 	}
 	if _, ok := l.get("c4#1"); !ok {
 		t.Fatal("unacked entry lost")
 	}
 	// Aged but acked inside retention: still held (cache courtesy).
-	if got := l.compact(start, retention, func(decidedEntry) bool { return true }); got != 0 {
+	l.notePeer("p2", every)
+	if got := l.compact(start, retention); got != 0 {
 		t.Fatalf("released %d entries inside retention", got)
+	}
+	if got := l.compact(late, retention); got != 2 {
+		t.Fatalf("released %d, want the last 2", got)
 	}
 }
 
@@ -254,14 +292,17 @@ func TestDecidedLogIndexedAfterCompaction(t *testing.T) {
 		}
 	}
 	check("filled", func(int) bool { return true })
+	// The peers ack lane c1, noted while the log is long.
+	for _, p := range testReplicas[1:] {
+		l.notePeer(p, acking(2, "c1"))
+	}
 	// Everything older than an hour is past retention: the count cap
 	// takes the oldest down to decidedLimit.
 	l.compactLegacy(start.Add(time.Hour), retention)
 	firstKept := n - decidedLimit
 	check("compactLegacy", func(i int) bool { return i >= firstKept })
 	// Release the lane-c1 entries the legacy pass left.
-	acked := func(e decidedEntry) bool { return e.lane() == "c1" }
-	l.compact(start.Add(time.Hour), retention, acked)
+	l.compact(start.Add(time.Hour), retention)
 	check("compact", func(i int) bool { return i >= firstKept && i%3 != 1 })
 	if (l.idx == nil) || indexLen(&l) != l.len() {
 		t.Fatalf("index of %d for %d entries", indexLen(&l), l.len())
@@ -309,6 +350,7 @@ func TestDecidedLogMatchesMapOracle(t *testing.T) {
 		var l testLog
 		ref := map[TxID]settled{}
 		var order []TxID
+		noted := false // the log holds the peers' summaries
 		now := time.Unix(0, 0)
 		evict := func(keep func(settled) bool) {
 			kept := order[:0]
@@ -366,13 +408,21 @@ func TestDecidedLogMatchesMapOracle(t *testing.T) {
 					t.Fatalf("round %d step %d: %s expands to %x, want %x", round, step, tx, body, wantBody)
 				}
 			case op < 95:
+				// The peers ack lanes c0 and c1. A long log notes it and
+				// keeps it while it stays indexed.
+				if len(order) > decidedLimit {
+					for _, p := range testReplicas[1:] {
+						l.notePeer(p, acking(2, "c0", "c1"))
+					}
+					noted = true
+				}
 				horizon := now.Add(-retention).UnixNano()
-				acked := func(e decidedEntry) bool { return e.lane() < "c2" }
 				before := len(order)
 				evict(func(s settled) bool {
-					return !(s.settledAt <= horizon && (s.opt.KeySeq == 0 || laneOf(s.opt.Tx) < "c2"))
+					lane := laneOf(s.opt.Tx)
+					return !(s.settledAt <= horizon && (s.opt.KeySeq == 0 || noted && (lane == "c0" || lane == "c1")))
 				})
-				if got := l.compact(now, retention, acked); got != before-len(order) {
+				if got := l.compact(now, retention); got != before-len(order) {
 					t.Fatalf("round %d step %d: compact released %d, oracle %d", round, step, got, before-len(order))
 				}
 			default:
@@ -386,6 +436,7 @@ func TestDecidedLogMatchesMapOracle(t *testing.T) {
 			indexed := len(order)
 			if indexed < decidedIndexMin {
 				indexed = 0 // short logs are scanned, and carry no map
+				noted = false
 			}
 			if l.len() != len(order) || indexLen(&l) != indexed || (l.idx != nil) != (indexed > 0) {
 				t.Fatalf("round %d step %d: %d entries, %d indexed (nil %v), oracle %d",

@@ -33,7 +33,6 @@ const (
 	drainBudget   = 4 * time.Minute
 	convergeAfter = 30 * time.Second
 	sweepTimeout  = 3 * time.Second
-	syncInterval  = 750 * time.Millisecond
 	// recoveryWallBound is the documented crash-recovery bound: real
 	// (wall-clock) time a storage restart may spend reopening its
 	// durable state — snapshot load plus bounded tail replay. Checked
@@ -125,10 +124,11 @@ func (s *Scenario) Run(o Options) (*Result, error) {
 	return r.run()
 }
 
-// config is the protocol config a run of s deploys: the server's, with
-// the harness's sweep and anti-entropy, the scenario's own knobs and,
-// under Options.Trace, a flight recorder; the whole simulated cluster
-// is one process, so one Recorder gives every ring one Lamport clock.
+// config is the protocol config a run of s deploys: the server's
+// (anti-entropy included), with the harness's sweep, the scenario's own
+// knobs and, under Options.Trace, a flight recorder; the whole
+// simulated cluster is one process, so one Recorder gives every ring
+// one Lamport clock.
 // DESIGN.md §14 lists every field it sets.
 func (s *Scenario) config(o Options) core.Config {
 	cfg := server.Config(core.ModeMDCC, []record.Constraint{
@@ -136,7 +136,6 @@ func (s *Scenario) config(o Options) core.Config {
 		record.MinBound("units", 0),
 	})
 	cfg.PendingTimeout = sweepTimeout
-	cfg.SyncInterval = syncInterval
 	if s.Gamma > 0 {
 		cfg.Gamma = s.Gamma
 	}

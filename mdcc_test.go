@@ -459,7 +459,7 @@ func TestReadLatestSurvivesLocalDCFailure(t *testing.T) {
 }
 
 func TestClusterAntiEntropyCatchUp(t *testing.T) {
-	c := startTestCluster(t, ClusterConfig{SyncInterval: 30 * time.Millisecond})
+	c := startTestCluster(t, ClusterConfig{})
 	s := c.Session(USWest)
 	if ok, _ := s.Commit(Insert("sync/1", Value{Attrs: map[string]int64{"x": 1}})); !ok {
 		t.Fatal("insert failed")
