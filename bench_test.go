@@ -1,8 +1,7 @@
 package mdcc
 
-// The ablation benches DESIGN.md §14 names as what varies Gamma,
-// DisableBatching and the protocol modes, plus the public API's commit
-// path. Each ablation iteration runs a compressed experiment on the
+// The ablation benches DESIGN.md §14 names as what varies Gamma and
+// the protocol modes, plus the public API's commit path. Each ablation iteration runs a compressed experiment on the
 // discrete-event simulator and reports *virtual-time* protocol metrics
 // (p50_ms, vtps) alongside Go's wall-clock numbers: the virtual
 // metrics are the result, the wall numbers just measure the simulator.
@@ -183,32 +182,3 @@ func BenchmarkSessionCommit(b *testing.B) {
 		}
 	}
 }
-
-// AblationBatching: the §7 batching optimization — proposals and
-// visibility grouped per destination node. The signal is messages per
-// committed transaction.
-func benchBatching(b *testing.B, disable bool) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		w := bench.NewWorld(bench.Options{
-			Protocol:        bench.ProtoMDCC,
-			NodesPerDC:      2,
-			Clients:         sc.Clients,
-			ClientDC:        -1,
-			Seed:            int64(i + 1),
-			Constraints:     []record.Constraint{microbench.Constraint()},
-			DisableBatching: disable,
-		})
-		opts := microbench.Defaults()
-		opts.Items = sc.Items
-		res := bench.Run(w, microbench.New(opts),
-			bench.RunConfig{Warmup: sc.Warmup, Measure: sc.Measure})
-		if res.Commits > 0 {
-			b.ReportMetric(float64(w.Net.Stats().Delivered)/float64(res.Commits), "msgs_per_txn")
-		}
-		b.ReportMetric(res.WriteLat.Median(), "p50_ms")
-	}
-}
-
-func BenchmarkAblationBatching_On(b *testing.B)  { benchBatching(b, false) }
-func BenchmarkAblationBatching_Off(b *testing.B) { benchBatching(b, true) }

@@ -144,8 +144,8 @@ func main() {
 	}
 	if gw := d.Gateway; gw != nil {
 		resolved := gw.Tuning()
-		log.Printf("gateway tier up as %s (one coordinator, batch %s, coalesce %s, headroom share 1/%d, read tier on)",
-			gw.ID(), resolved.BatchWindow, resolved.CoalesceWindow, resolved.HeadroomShare)
+		log.Printf("gateway tier up as %s (one coordinator, batch %s, coalesce %s, read tier on)",
+			gw.ID(), resolved.BatchWindow, resolved.CoalesceWindow)
 	}
 	log.Printf("%s serving on %s (shard ring epoch %d, %d active groups)",
 		dc, bound, cl.Ring().Epoch(), len(cl.Ring().Current().Groups()))

@@ -8,6 +8,7 @@ import (
 	"mdcc/internal/core"
 	"mdcc/internal/gateway"
 	"mdcc/internal/simnet"
+	"mdcc/internal/trace"
 	"mdcc/internal/wal"
 )
 
@@ -20,8 +21,9 @@ func TestOptionStructSizes(t *testing.T) {
 		v    interface{}
 		want int
 	}{
-		{core.Config{}, 14},
-		{gateway.Tuning{}, 6},
+		{core.Config{}, 12},
+		{gateway.Tuning{}, 5},
+		{trace.Config{}, 1},
 		{wal.Options{}, 4},
 		{core.DurableOptions{}, 4},
 		{simnet.Options{}, 9},

@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"mdcc/internal/gateway"
-	"mdcc/internal/record"
 	"mdcc/internal/server"
-	"mdcc/internal/topology"
 	"mdcc/internal/trace"
 )
 
@@ -20,11 +18,10 @@ func TestConfigDeviations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	west := func(record.Key) topology.DC { return topology.USWest }
 	for _, o := range []Options{
 		{Protocol: ProtoMDCC},
-		{Protocol: ProtoFast, Gamma: 10, DisableBatching: true},
-		{Protocol: ProtoMulti, MasterDC: west, SyncInterval: time.Second},
+		{Protocol: ProtoFast, Gamma: 10},
+		{Protocol: ProtoMulti, SyncInterval: time.Second},
 	} {
 		for _, f := range server.Unlisted(design, o.coreConfig(), "bench.Options") {
 			t.Errorf("%s sets core.Config.%s away from server.Config, and DESIGN.md §14 does not list it", o.Protocol, f)

@@ -17,13 +17,14 @@ type Event struct {
 type RunConfig struct {
 	Warmup  time.Duration
 	Measure time.Duration
-	// Grace lets transactions that started inside the window finish
-	// (default 5s virtual).
-	Grace time.Duration
 	// TimeSeriesBucket buckets the latency series (default 5s).
 	TimeSeriesBucket time.Duration
 	Events           []Event
 }
+
+// grace lets transactions that started inside the measure window
+// finish (virtual time).
+const grace = 5 * time.Second
 
 // Result is one run's harvest.
 type Result struct {
@@ -46,9 +47,6 @@ type Result struct {
 
 // Run executes the workload on the world and collects results.
 func Run(w *World, wl mtx.Workload, rc RunConfig) *Result {
-	if rc.Grace == 0 {
-		rc.Grace = 5 * time.Second
-	}
 	if rc.TimeSeriesBucket == 0 {
 		rc.TimeSeriesBucket = 5 * time.Second
 	}
@@ -108,7 +106,7 @@ func Run(w *World, wl mtx.Workload, rc RunConfig) *Result {
 		w.Net.At(0, loop)
 	}
 
-	w.Net.RunFor(rc.Warmup + rc.Measure + rc.Grace)
+	w.Net.RunFor(rc.Warmup + rc.Measure + grace)
 
 	secs := rc.Measure.Seconds()
 	if secs > 0 {

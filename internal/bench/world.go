@@ -49,20 +49,20 @@ type Options struct {
 	Clients     int
 	ClientDC    int // -1 = geo-distributed round-robin
 	Seed        int64
-	ServiceTime time.Duration // per-message node busy time
-	JitterFrac  float64
 	Constraints []record.Constraint
-	MasterDC    func(record.Key) topology.DC // core protocols only
-	Gamma       int                          // 0 = paper default (100)
-	// DisableBatching turns off the §7 message-batching optimization
-	// (core protocols; used by the batching ablation).
-	DisableBatching bool
+	Gamma       int // 0 = paper default (100)
 	// DropProb uniformly drops messages (chaos tests).
 	DropProb float64
 	// SyncInterval is the core anti-entropy period; zero, what the
 	// paper's figures run, disables it (chaos tests set one).
 	SyncInterval time.Duration
 }
+
+// serviceTime is each storage node's busy time per message: ~4k
+// messages/second (m1.large-era boxes). Higher values saturate the
+// 2-node-per-DC micro-benchmark deployments at 100 clients and drown
+// protocol latency in queueing delay.
+const serviceTime = 250 * time.Microsecond
 
 // World is a ready-to-run deployment.
 type World struct {
@@ -79,16 +79,6 @@ func NewWorld(opts Options) *World {
 	if opts.NodesPerDC < 1 {
 		opts.NodesPerDC = 1
 	}
-	if opts.ServiceTime == 0 {
-		// ~4k messages/second per storage node (m1.large-era boxes).
-		// Higher values saturate the 2-node-per-DC micro-benchmark
-		// deployments at 100 clients and drown protocol latency in
-		// queueing delay.
-		opts.ServiceTime = 250 * time.Microsecond
-	}
-	if opts.JitterFrac == 0 {
-		opts.JitterFrac = 0.10
-	}
 	extra := map[transport.NodeID]topology.DC{}
 	if opts.Protocol == ProtoMegastore {
 		for _, dc := range topology.AllDCs() {
@@ -100,8 +90,8 @@ func NewWorld(opts Options) *World {
 		Clients:    opts.Clients,
 		ClientDC:   opts.ClientDC,
 	}, extra, simnet.Options{
-		JitterFrac:  opts.JitterFrac,
-		ServiceTime: opts.ServiceTime,
+		JitterFrac:  0.10,
+		ServiceTime: serviceTime,
 		DropProb:    opts.DropProb,
 		Seed:        opts.Seed,
 	})
@@ -144,8 +134,6 @@ func (opts Options) coreConfig() core.Config {
 		mode = core.ModeMulti
 	}
 	cfg := server.Config(mode, opts.Constraints)
-	cfg.MasterDC = opts.MasterDC
-	cfg.DisableBatching = opts.DisableBatching
 	cfg.SyncInterval = opts.SyncInterval
 	if opts.Gamma > 0 {
 		cfg.Gamma = opts.Gamma

@@ -254,7 +254,7 @@ func (n *StorageNode) send(to transport.NodeID, msg transport.Message) {
 // whole gateway-coalesced envelope share wire messages: the §7 batching
 // generalized to the vote direction, at zero added latency).
 func (n *StorageNode) sendCoalesced(to transport.NodeID, msg transport.Message) {
-	n.out = append(n.out, staged{to: to, msg: msg, coalesce: !n.cfg.DisableBatching})
+	n.out = append(n.out, staged{to: to, msg: msg, coalesce: true})
 }
 
 // flush sends what the dispatch staged: plain messages in the order
@@ -715,7 +715,7 @@ func (n *StorageNode) voteFor(opt Option) MsgVote {
 	dec, reason := n.evalOption(r.votes(), opt, true)
 	n.castVote(r, opt, dec, reason)
 	if n.tr != nil {
-		fl := uint8(trace.FlagFast)
+		fl := uint8(trace.FlagFast | trace.FlagBatched) // the reply may share its envelope
 		if dec == DecAccept {
 			fl |= trace.FlagAccept
 		} else {
@@ -723,9 +723,6 @@ func (n *StorageNode) voteFor(opt Option) MsgVote {
 		}
 		if n.m.DemarcationRejects > demBefore {
 			fl |= trace.FlagDemarcation
-		}
-		if !n.cfg.DisableBatching {
-			fl |= trace.FlagBatched // the reply may share its envelope
 		}
 		n.tr.Add(trace.Event{At: n.net.Now().UnixNano(), Tx: string(opt.Tx),
 			Key: string(key), Stage: trace.StageVote, Flags: fl})

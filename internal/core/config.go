@@ -49,7 +49,8 @@ type Config struct {
 	Gamma int
 
 	// MasterDC maps a record to the data center whose replica acts
-	// as the record's master (leader). Nil means uniform by key hash.
+	// as the record's master (leader). Nil means
+	// topology.DefaultMasterDC, uniform by key hash.
 	MasterDC func(record.Key) topology.DC
 
 	// Constraints are the value constraints acceptors enforce
@@ -72,11 +73,6 @@ type Config struct {
 	// ReadTimeout bounds local reads before retrying another DC.
 	ReadTimeout time.Duration
 
-	// DisableBatching turns off the §7 batching optimization
-	// (grouping a transaction's proposals and visibility messages per
-	// destination node); used by the batching ablation bench.
-	DisableBatching bool
-
 	// SyncInterval is the anti-entropy period: how often a storage
 	// node exchanges a chunk of committed state with a random peer
 	// replica to catch up after outages (§3.2.3's background
@@ -94,13 +90,6 @@ type Config struct {
 	// record's entries are never released, whatever this says (see
 	// decidedLog).
 	DecidedRetention time.Duration
-
-	// KeySeqWords bounds the coordinator's per-(lane, key) sequence
-	// counter map: when a coordinator has minted sequences for this
-	// many distinct keys it retires the lane (bumping the TxID era) and
-	// starts a fresh counter map, keeping lineage bookkeeping O(live
-	// keys) instead of O(keys ever written). Zero means 4096.
-	KeySeqWords int
 
 	// Tracer, when non-nil, is the transaction flight recorder every
 	// coordinator and storage node appends span events to (see
@@ -135,22 +124,7 @@ func (c Config) masterDC(key record.Key) topology.DC {
 	if c.MasterDC != nil {
 		return c.MasterDC(key)
 	}
-	return DefaultMasterDC(key)
-}
-
-// DefaultMasterDC distributes masters uniformly across data centers
-// by key hash (the paper's Multi experiments use uniformly
-// distributed masters).
-func DefaultMasterDC(key record.Key) topology.DC {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	h ^= h >> 16
-	h *= 0x85ebca6b
-	h ^= h >> 13
-	return topology.DC(int(h % uint32(topology.NumDCs)))
+	return topology.DefaultMasterDC(key)
 }
 
 // constraintFor returns the constraint on an attribute name, if any.

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"mdcc/internal/clock"
 	"mdcc/internal/paxos"
 	"mdcc/internal/record"
 	"mdcc/internal/topology"
@@ -68,8 +67,8 @@ type Coordinator struct {
 	// contiguous by construction. A counter word can never be evicted
 	// individually (reuse would alias identities, a gap would fragment
 	// the lane's interval set forever), so the bound works by lane
-	// rotation: once the map holds Config.KeySeqWords words the whole
-	// lane retires and a fresh era starts minting from scratch (see
+	// rotation: once the map holds keySeqWords words the whole lane
+	// retires and a fresh era starts minting from scratch (see
 	// rotateLane).
 	keySeqs map[record.Key]uint64
 
@@ -89,7 +88,7 @@ type readCtx struct {
 	key     record.Key
 	cb      func(record.Value, record.Version, bool)
 	attempt int
-	timer   clock.Timer
+	timer   transport.Timer
 
 	// Quorum-read state (§4.2 up-to-date reads): nil for local reads.
 	quorum  int
@@ -113,7 +112,7 @@ type optCtx struct {
 	rejects  int
 	reason   RejectReason // typed cause from reject votes/learns
 	learned  Decision
-	timer    clock.Timer
+	timer    transport.Timer
 	attempts int
 	rerouted bool // re-dispatched once after a wrong-group refusal
 }
@@ -176,13 +175,11 @@ func (c *Coordinator) txID() TxID {
 	return TxID(c.lane + "#" + strconv.FormatUint(c.txSeq, 10))
 }
 
-// keySeqWords resolves the counter-map bound (see Config.KeySeqWords).
-func (c *Coordinator) keySeqWords() int {
-	if c.cfg.KeySeqWords > 0 {
-		return c.cfg.KeySeqWords
-	}
-	return 4096
-}
+// keySeqWords bounds the per-(lane, key) sequence counter map: a
+// coordinator that has minted sequences for this many distinct keys
+// retires its lane (see rotateLane), keeping lineage bookkeeping O(live
+// keys) instead of O(keys ever written).
+const keySeqWords = 4096
 
 // rotateLane retires the current lineage lane when its counter map is
 // full: the era bumps (changing the TxID prefix, i.e. the lane) and a
@@ -194,7 +191,7 @@ func (c *Coordinator) keySeqWords() int {
 // intervals are frozen (at quiescence a single [1..W] range per key),
 // and the new lane cannot alias them because its TxID prefix differs.
 func (c *Coordinator) rotateLane() {
-	if len(c.keySeqs) < c.keySeqWords() {
+	if len(c.keySeqs) < keySeqWords {
 		return
 	}
 	c.era++
@@ -371,36 +368,29 @@ func (c *Coordinator) Commit(updates []record.Update, done func(CommitResult)) {
 	}
 	c.txs[tx] = t
 	// Fast-path proposals for the whole write-set are grouped per
-	// destination node (§7's batching optimization) unless disabled.
+	// destination node (§7's batching optimization).
 	var fastByNode map[transport.NodeID][]Option
 	for i, up := range updates {
 		opt := Option{Tx: tx, Coord: c.id, Update: up, WriteSet: writeSet,
 			KeySeq: writeSeqs[i], WriteSeqs: writeSeqs}
 		oc := &optCtx{opt: opt, votes: make(map[transport.NodeID]Decision)}
 		t.opts[opt.ID()] = oc
+		dest, viaLeader := c.route(up.Key)
 		if c.tr != nil {
 			var fl uint8
-			if dest, viaLeader := c.route(opt.Update.Key); !viaLeader {
-				fl = trace.FlagFast
-				_ = dest
-				if !c.cfg.DisableBatching {
-					fl |= trace.FlagBatched
-				}
+			if !viaLeader {
+				fl = trace.FlagFast | trace.FlagBatched
 			}
 			c.tr.Add(trace.Event{At: t.startAt, Tx: string(tx), Key: string(up.Key),
 				Stage: trace.StagePropose, Flags: fl, Arg: int64(c.q.N)})
 		}
-		if dest, viaLeader := c.route(opt.Update.Key); viaLeader {
+		if viaLeader {
 			c.net.Send(c.id, dest, MsgProposeLeader{Opt: opt})
-		} else if c.cfg.DisableBatching {
-			for _, rep := range c.cl.Replicas(opt.Update.Key) {
-				c.net.Send(c.id, rep, MsgProposeFast{Opt: opt})
-			}
 		} else {
 			if fastByNode == nil {
 				fastByNode = make(map[transport.NodeID][]Option)
 			}
-			for _, rep := range c.cl.Replicas(opt.Update.Key) {
+			for _, rep := range c.cl.Replicas(up.Key) {
 				fastByNode[rep] = append(fastByNode[rep], opt)
 			}
 		}
@@ -621,8 +611,7 @@ func (c *Coordinator) learn(t *txCtx, oc *optCtx, d Decision) {
 // finish settles the transaction: visibility to every replica of
 // every written record (asynchronous — it does not gate the commit
 // response, §3.2.1), then the application callback. Visibility for
-// the whole write-set is batched per destination node unless
-// batching is disabled.
+// the whole write-set is batched per destination node.
 func (c *Coordinator) finish(t *txCtx, commit bool) {
 	delete(c.txs, t.id)
 	// Deterministic option order (map iteration would randomize the
@@ -641,10 +630,6 @@ func (c *Coordinator) finish(t *txCtx, commit bool) {
 		}
 		vis := visibilityFor(oc.opt, commit)
 		for _, rep := range c.cl.Replicas(oc.opt.Update.Key) {
-			if c.cfg.DisableBatching {
-				c.net.Send(c.id, rep, vis)
-				continue
-			}
 			if _, seen := byNode[rep]; !seen {
 				order = append(order, rep)
 			}

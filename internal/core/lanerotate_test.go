@@ -11,35 +11,42 @@ import (
 // TestLaneRotationBoundsKeySeqs pins the lineage memory bound and its
 // eviction rule: per-(lane, key) counter words are never evicted
 // individually (a seq gap or reuse would corrupt summary identities);
-// instead, once the map holds KeySeqWords words the whole lane retires
+// instead, once the map holds keySeqWords words the whole lane retires
 // — the era bumps, changing the TxID prefix, and a fresh map mints
 // from 1 again. The coordinator's lineage state is therefore O(keys
-// live in the current lane) no matter how many keys it ever wrote.
+// live in the current lane) no matter how many keys it ever wrote. The
+// map is pre-filled with words for keys never proposed, so a handful of
+// commits reach the bound.
 func TestLaneRotationBoundsKeySeqs(t *testing.T) {
-	cfg := cfgNoSweep(ModeMDCC)
-	cfg.KeySeqWords = 4
-	w := newWorld(t, cfg, 1, 1, 11)
+	w := newWorld(t, cfgNoSweep(ModeMDCC), 1, 1, 11)
 	c := w.coords[0]
-
-	// Writing 4 distinct keys fills the lane; no rotation yet (the
-	// rule is "retire when full at the next mint", never mid-lane).
-	for i := 0; i < 4; i++ {
-		key := record.Key(fmt.Sprintf("item/l%d", i))
-		if res := w.commit(0, record.Insert(key, record.Value{Attrs: map[string]int64{"v": 1}})); !res.Committed {
-			t.Fatalf("seed write %d aborted", i)
+	fill := func(words int) {
+		for i := 0; i < words; i++ {
+			c.keySeqs[record.Key(fmt.Sprintf("filler/e%d/%d", c.era, i))] = 1
 		}
 	}
-	if c.era != 0 || len(c.keySeqs) != 4 {
-		t.Fatalf("after 4 distinct keys: era=%d words=%d, want era 0 with 4 words", c.era, len(c.keySeqs))
+	insert := func(key record.Key) CommitResult {
+		t.Helper()
+		res := w.commit(0, record.Insert(key, record.Value{Attrs: map[string]int64{"v": 1}}))
+		if !res.Committed {
+			t.Fatalf("insert %s aborted", key)
+		}
+		return res
 	}
 
-	// The 5th distinct key triggers rotation: era 1, fresh map.
-	res := w.commit(0, record.Insert("item/l4", record.Value{Attrs: map[string]int64{"v": 1}}))
-	if !res.Committed {
-		t.Fatal("post-rotation write aborted")
+	// One word below the bound, a write of a new key fills the lane; no
+	// rotation yet (the rule is "retire when full at the next mint",
+	// never mid-lane).
+	fill(keySeqWords - 1)
+	insert("item/l0")
+	if c.era != 0 || len(c.keySeqs) != keySeqWords {
+		t.Fatalf("full lane: era=%d words=%d, want era 0 with %d words", c.era, len(c.keySeqs), keySeqWords)
 	}
+
+	// The next write triggers rotation: era 1, fresh map.
+	res := insert("item/l1")
 	if c.era != 1 {
-		t.Fatalf("era = %d after exceeding KeySeqWords, want 1", c.era)
+		t.Fatalf("era = %d after exceeding keySeqWords, want 1", c.era)
 	}
 	if len(c.keySeqs) != 1 {
 		t.Fatalf("rotated lane holds %d words, want 1 (only the new write)", len(c.keySeqs))
@@ -81,18 +88,10 @@ func TestLaneRotationBoundsKeySeqs(t *testing.T) {
 		t.Fatalf("settled summary does not mention the rotated lane: %s", want)
 	}
 
-	// The bound holds under churn: many more distinct keys keep the
-	// map at or under the cap, rotating as needed.
-	for i := 0; i < 20; i++ {
-		key := record.Key(fmt.Sprintf("item/churn%d", i))
-		if res := w.commit(0, record.Insert(key, record.Value{Attrs: map[string]int64{"v": 1}})); !res.Committed {
-			t.Fatalf("churn write %d aborted", i)
-		}
-		if len(c.keySeqs) > 4 {
-			t.Fatalf("counter map grew to %d words, cap 4", len(c.keySeqs))
-		}
-	}
-	if c.era < 5 {
-		t.Fatalf("era = %d after 20 churn keys at cap 4, expected several rotations", c.era)
+	// A lane full again retires again.
+	fill(keySeqWords - len(c.keySeqs))
+	insert("item/l2")
+	if c.era != 2 || len(c.keySeqs) != 1 {
+		t.Fatalf("second rotation: era=%d words=%d, want era 2 with 1 word", c.era, len(c.keySeqs))
 	}
 }

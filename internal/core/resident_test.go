@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"mdcc/internal/clock"
 	"mdcc/internal/kv"
 	"mdcc/internal/record"
 	"mdcc/internal/topology"
@@ -26,10 +25,12 @@ type inertTimer struct{}
 
 func (inertTimer) Stop() bool { return false }
 
-func (n *codecNet) Register(_ transport.NodeID, h transport.Handler)          { n.handler = h }
-func (n *codecNet) Send(_, _ transport.NodeID, _ transport.Message)           {}
-func (n *codecNet) After(transport.NodeID, time.Duration, func()) clock.Timer { return inertTimer{} }
-func (n *codecNet) Now() time.Time                                            { return time.Unix(1, 0) }
+func (n *codecNet) Register(_ transport.NodeID, h transport.Handler) { n.handler = h }
+func (n *codecNet) Send(_, _ transport.NodeID, _ transport.Message)  {}
+func (n *codecNet) After(transport.NodeID, time.Duration, func()) transport.Timer {
+	return inertTimer{}
+}
+func (n *codecNet) Now() time.Time { return time.Unix(1, 0) }
 
 func (n *codecNet) deliver(t *testing.T, from, to transport.NodeID, msg transport.Message) {
 	var err error

@@ -1104,7 +1104,7 @@ func TestInitialBallotByMode(t *testing.T) {
 func TestDefaultMasterDCUniform(t *testing.T) {
 	counts := make([]int, topology.NumDCs)
 	for i := 0; i < 5000; i++ {
-		dc := DefaultMasterDC(record.Key(fmt.Sprintf("item/%06d", i)))
+		dc := topology.DefaultMasterDC(record.Key(fmt.Sprintf("item/%06d", i)))
 		counts[dc]++
 	}
 	for dc, c := range counts {

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mdcc/internal/clock"
 	"mdcc/internal/transport"
 )
 
@@ -50,7 +49,7 @@ func newBatcher(inner transport.Network, on transport.NodeID, window time.Durati
 
 // Register, After and Now pass through to the wrapped network.
 func (b *batcher) Register(id transport.NodeID, h transport.Handler) { b.inner.Register(id, h) }
-func (b *batcher) After(on transport.NodeID, d time.Duration, f func()) clock.Timer {
+func (b *batcher) After(on transport.NodeID, d time.Duration, f func()) transport.Timer {
 	return b.inner.After(on, d, f)
 }
 func (b *batcher) Now() time.Time { return b.inner.Now() }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"mdcc/internal/clock"
 	"mdcc/internal/core"
 	"mdcc/internal/paxos"
 	"mdcc/internal/record"
@@ -16,15 +15,16 @@ import (
 // no messages flow.
 type fuzzNet struct{}
 
-func (fuzzNet) Register(transport.NodeID, transport.Handler)               {}
-func (fuzzNet) Send(transport.NodeID, transport.NodeID, transport.Message) {}
-func (fuzzNet) After(transport.NodeID, time.Duration, func()) clock.Timer  { return nil }
-func (fuzzNet) Now() time.Time                                             { return time.Unix(0, 0) }
+func (fuzzNet) Register(transport.NodeID, transport.Handler)                  {}
+func (fuzzNet) Send(transport.NodeID, transport.NodeID, transport.Message)    {}
+func (fuzzNet) After(transport.NodeID, time.Duration, func()) transport.Timer { return nil }
+func (fuzzNet) Now() time.Time                                                { return time.Unix(0, 0) }
 
 // FuzzDemarcationParity drives the gateway's headroom accounting and
 // an acceptor-side oracle (internal/core's DeltaSafe — the exact
 // predicate acceptors evaluate) through randomized bases, bounds,
-// share factors and delta/resolve/snapshot sequences, and asserts the
+// contender counts (so every headroom-share divisor, 1 to 5) and
+// delta/resolve/snapshot sequences, and asserts the
 // admission contract both ways:
 //
 //  1. Knowledge parity (always): whenever the gateway admits a delta
@@ -44,7 +44,7 @@ func FuzzDemarcationParity(f *testing.F) {
 	f.Add(uint8(3), false, uint8(0), uint8(0), []byte{0x00, 0x81, 0x00, 0x81, 0x00, 0x81, 0x02, 0x00})
 	f.Add(uint8(10), true, uint8(20), uint8(2), []byte{0x00, 0x05, 0x03, 0x07, 0x08, 0x00, 0x00, 0x84, 0x02, 0x01})
 	f.Add(uint8(100), true, uint8(7), uint8(1), []byte{0x03, 0x86, 0x08, 0x00, 0x00, 0x82, 0x02, 0x00, 0x00, 0x81})
-	f.Fuzz(func(t *testing.T, base0 uint8, maxOn bool, maxSlack uint8, shareIn uint8, ops []byte) {
+	f.Fuzz(func(t *testing.T, base0 uint8, maxOn bool, maxSlack uint8, contIn uint8, ops []byte) {
 		var con record.Constraint
 		if maxOn {
 			con = record.Bound("u", 0, int64(base0)+int64(maxSlack))
@@ -55,11 +55,11 @@ func FuzzDemarcationParity(f *testing.F) {
 		g := &Gateway{
 			cfg:  core.Config{Constraints: []record.Constraint{con}},
 			q:    q,
-			tun:  Tuning{HeadroomShare: int(shareIn%5) + 1}.withDefaults(),
 			net:  fuzzNet{},
 			keys: make(map[record.Key]*keyState),
 		}
 		key := record.Key("k")
+		contenders := int(contIn%5) + 1
 
 		// Ground-truth acceptor state.
 		type pendEntry struct {
@@ -98,7 +98,7 @@ func FuzzDemarcationParity(f *testing.F) {
 					kUp := a.pendUp + ks.outUp["u"]
 					if !core.DeltaSafe(a.base, kDown, kUp, d, con, q, true) {
 						t.Fatalf("gateway admitted delta %+d but the acceptor predicate rejects it on the gateway's own knowledge (base %d, pend %d/%d, con %s, share %d)",
-							d, a.base, kDown, kUp, con, g.tun.HeadroomShare)
+							d, a.base, kDown, kUp, con, g.shareLocked(ks))
 					}
 					if !othersUsed {
 						td, tu := pendSums()
@@ -143,7 +143,8 @@ func FuzzDemarcationParity(f *testing.F) {
 				td, tu := pendSums()
 				g.observeEscrow("", key, core.EscrowSnap{
 					Valid: true, Version: ver,
-					Attrs: []core.AttrEscrow{{Attr: "u", Base: trueBase, PendDown: td, PendUp: tu}},
+					Attrs:      []core.AttrEscrow{{Attr: "u", Base: trueBase, PendDown: td, PendUp: tu}},
+					Contenders: contenders,
 				})
 			}
 			// Escrow safety ground truth: the acceptor's own admissions

@@ -29,8 +29,8 @@
 //     include every gateway's in-flight deltas, the per-DC gateways
 //     share demarcation headroom through the same channel (each
 //     additionally caps its locally-unconfirmed outstanding deltas at
-//     a 1/HeadroomShare slice of the snapshot headroom instead of
-//     assuming the full local slice);
+//     a slice of the snapshot headroom, one share per contending
+//     gateway, instead of assuming the full local slice);
 //   - applies admission control: a bounded in-flight window plus a
 //     bounded FIFO backlog, beyond which transactions fail fast with
 //     ErrOverloaded instead of stacking unbounded queues onto the
@@ -51,7 +51,6 @@ import (
 	"sync"
 	"time"
 
-	"mdcc/internal/clock"
 	"mdcc/internal/core"
 	"mdcc/internal/paxos"
 	"mdcc/internal/record"
@@ -93,13 +92,6 @@ type Tuning struct {
 	// MaxQueue bounds the backlog beyond MaxInflight; overflow is shed
 	// with ErrOverloaded (default 16384).
 	MaxQueue int
-	// HeadroomShare divides the piggybacked demarcation headroom among
-	// the deployment's concurrently-admitting gateways: a gateway only
-	// holds locally-admitted unresolved deltas up to a 1/HeadroomShare
-	// slice of the snapshot headroom, so the per-DC gateways cannot
-	// collectively over-admit between snapshots. Default: one share
-	// per data center; 1 gives a lone gateway the whole slice.
-	HeadroomShare int
 	// DisableReadTier turns the learned-replica read tier off: reads
 	// go through the gateway's coordinator as one RPC each (the pre-tier
 	// behavior; also the read benchmark's baseline arm).
@@ -125,9 +117,6 @@ func (t Tuning) withDefaults() Tuning {
 	}
 	if t.MaxQueue <= 0 {
 		t.MaxQueue = 16384
-	}
-	if t.HeadroomShare <= 0 {
-		t.HeadroomShare = topology.NumDCs
 	}
 	return t
 }
@@ -333,7 +322,7 @@ type waiter struct {
 type mergeWindow struct {
 	sum     map[string]int64
 	waiters []waiter
-	timer   clock.Timer
+	timer   transport.Timer
 }
 
 // attrAccount is the gateway's mirror of one constrained attribute's
@@ -987,10 +976,10 @@ func (g *Gateway) coalesceLocked(up record.Update, done func(bool, error), span 
 // The share divisor adapts to observed contention: acceptors
 // piggyback how many distinct gateway groups actually hold pending
 // votes on the key (EscrowSnap.Contenders), so a lone gateway takes
-// the full slice instead of the static 1/HeadroomShare, and the
+// the full slice instead of one share per data center, and the
 // divisor grows back as other gateways' deltas appear. When
-// unobserved, the static divisor applies. Safety never depends on
-// this: the DeltaSafe mirror above the cap is what the parity fuzz
+// unobserved, one share per data center applies. Safety never depends
+// on this: the DeltaSafe mirror above the cap is what the parity fuzz
 // pins, and over-admission in the observation lag is arbitrated by
 // the acceptors (split-and-rerun, never a manufactured abort).
 func (g *Gateway) fitsLocked(ks *keyState, up record.Update) bool {
@@ -1031,16 +1020,16 @@ func (g *Gateway) fitsLocked(ks *keyState, up record.Update) bool {
 }
 
 // shareLocked resolves the headroom-share divisor for a key: the
-// observed contender count clamped to the static HeadroomShare
-// ceiling, or the static divisor when unobserved. Acceptors count
-// the snapshot RECIPIENT's gateway group among the contenders even
+// observed contender count clamped to topology.NumDCs (one share per
+// data center's gateway), or that ceiling when unobserved. Acceptors
+// count the snapshot RECIPIENT's gateway group among the contenders even
 // before its votes land (core.contenderGroups), so an observation of
 // 1 really means "just you" — without that, two alternating gateways
 // would each read the other's solo snapshot as their own and both
 // take the full slice. Contenders==0 means the snapshot predates the
-// contention signal: fall back to the static divisor.
+// contention signal: fall back to the ceiling.
 func (g *Gateway) shareLocked(ks *keyState) int64 {
-	share := int64(g.tun.HeadroomShare)
+	share := int64(topology.NumDCs)
 	if !ks.seen || ks.contenders <= 0 {
 		return share
 	}

@@ -70,10 +70,10 @@ func TestKillSurfacesOutcomeUnknown(t *testing.T) {
 // The headroom-share divisor adapts to observed contention: with the
 // acceptor reporting a single contending gateway group, a lone
 // gateway may hold the full snapshot headroom slice (divisor 1); a
-// report of heavier contention restores the static divisor.
+// report of heavier contention restores one share per data center.
 func TestAdaptiveHeadroomShare(t *testing.T) {
 	cons := []record.Constraint{record.MinBound("units", 0)}
-	w := newTestWorld(t, Tuning{HeadroomShare: 5, CoalesceWindow: -1}, cons)
+	w := newTestWorld(t, Tuning{CoalesceWindow: -1}, cons)
 
 	g := w.gw
 	mkSnap := func(contenders int) core.EscrowSnap {
@@ -82,7 +82,7 @@ func TestAdaptiveHeadroomShare(t *testing.T) {
 			Version: 1,
 			Attrs:   []core.AttrEscrow{{Attr: "units", Base: 1000}},
 			// Demarcation low for base 1000, min 0, N=5/QF=4: L=200,
-			// headroom 800. Static share 5 → slice 160; adaptive with
+			// headroom 800. One share per DC (5) → slice 160; adaptive with
 			// one contender → the full 800.
 			Contenders: contenders,
 		}
@@ -95,14 +95,14 @@ func TestAdaptiveHeadroomShare(t *testing.T) {
 	}
 	if !fits(-500) {
 		g.mu.Unlock()
-		t.Fatal("lone gateway denied headroom beyond the static 1/5 slice")
+		t.Fatal("lone gateway denied headroom beyond the 1/5 slice")
 	}
 	if fits(-801) {
 		g.mu.Unlock()
 		t.Fatal("adaptive share exceeded the snapshot headroom itself")
 	}
 	// Heavier observed contention (same version, fresh) restores the
-	// static divisor: the slice shrinks back to 800/5 = 160.
+	// divisor of five: the slice shrinks back to 800/5 = 160.
 	g.foldEscrowLocked(ks, mkSnap(5), g.net.Now())
 	if fits(-500) {
 		g.mu.Unlock()

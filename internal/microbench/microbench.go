@@ -44,10 +44,9 @@ type Options struct {
 
 	// LocalMasterFrac makes this fraction of transactions choose
 	// items whose master is in the client's data center (figure 7's
-	// x-axis). Negative disables locality steering. Requires
-	// MasterDC to mirror the cluster configuration.
+	// x-axis), under the default placement (topology.DefaultMasterDC).
+	// Negative disables locality steering.
 	LocalMasterFrac float64
-	MasterDC        func(record.Key) topology.DC
 }
 
 // Defaults returns the paper's micro-benchmark parameters.
@@ -91,31 +90,13 @@ func New(opts Options) *Workload {
 	if opts.LocalMasterFrac >= 0 {
 		w.byDC = make([][]int, topology.NumDCs)
 		w.masterOf = make([]topology.DC, opts.Items)
-		masterOf := opts.MasterDC
-		if masterOf == nil {
-			masterOf = defaultMaster
-		}
 		for i := 0; i < opts.Items; i++ {
-			dc := masterOf(ItemKey(i))
+			dc := topology.DefaultMasterDC(ItemKey(i))
 			w.byDC[dc] = append(w.byDC[dc], i)
 			w.masterOf[i] = dc
 		}
 	}
 	return w
-}
-
-// defaultMaster mirrors core.DefaultMasterDC without importing core
-// (avoids a dependency cycle through bench).
-func defaultMaster(key record.Key) topology.DC {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	h ^= h >> 16
-	h *= 0x85ebca6b
-	h ^= h >> 13
-	return topology.DC(int(h % uint32(topology.NumDCs)))
 }
 
 // ItemKey names item i.

@@ -26,7 +26,6 @@ import (
 	"math/rand"
 	"time"
 
-	"mdcc/internal/clock"
 	"mdcc/internal/transport"
 )
 
@@ -379,7 +378,7 @@ func (n *Net) DeliveredTo(id transport.NodeID) int64 {
 // network partition (the paper's outage "prevented the data center
 // from receiving any messages"), not a crash — the isolated node's
 // local processing continues but everything it sends is dropped.
-func (n *Net) After(on transport.NodeID, d time.Duration, f func()) clock.Timer {
+func (n *Net) After(on transport.NodeID, d time.Duration, f func()) transport.Timer {
 	if d < 0 {
 		d = 0
 	}

@@ -58,6 +58,21 @@ func AllDCs() []DC {
 	return out
 }
 
+// DefaultMasterDC is the default master placement: masters spread
+// uniformly across data centers by key hash (the paper's Multi
+// experiments use uniformly distributed masters).
+func DefaultMasterDC(key record.Key) DC {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	h ^= h >> 16
+	h *= 0x85ebca6b
+	h ^= h >> 13
+	return DC(int(h % uint32(NumDCs)))
+}
+
 // oneWayMS is the one-way inter-DC latency matrix in milliseconds,
 // modeled on published EC2 inter-region RTTs circa 2012 (see
 // DESIGN.md §6). Intra-DC hops cost 0.5 ms.

@@ -89,9 +89,10 @@ var orderingMix = [numInteractions]int{
 type Options struct {
 	// Items is the scale factor (paper: 10,000).
 	Items int
-	// CartMax bounds cart sizes (spec-ish small carts).
-	CartMax int
 }
+
+// cartMax bounds cart sizes (spec-ish small carts).
+const cartMax = 3
 
 // browser is one emulated browser's session state.
 type browser struct {
@@ -114,9 +115,6 @@ type Workload struct {
 func New(opts Options) *Workload {
 	if opts.Items <= 0 {
 		opts.Items = 10000
-	}
-	if opts.CartMax <= 0 {
-		opts.CartMax = 3
 	}
 	return &Workload{opts: opts, browsers: make(map[int]*browser)}
 }
@@ -259,11 +257,11 @@ func (w *Workload) readKeys(keys []record.Key) mtx.Txn {
 	}
 }
 
-// shoppingCart adds 1..CartMax random items to the browser's cart and
+// shoppingCart adds 1..cartMax random items to the browser's cart and
 // persists the cart record (read current version, write back).
 func (w *Workload) shoppingCart(b *browser, rng *rand.Rand) mtx.Txn {
 	adds := make(map[int]int64)
-	for i := 0; i < 1+rng.Intn(w.opts.CartMax); i++ {
+	for i := 0; i < 1+rng.Intn(cartMax); i++ {
 		adds[rng.Intn(w.opts.Items)] = 1 + rng.Int63n(3)
 	}
 	key := CartKey(b.client)

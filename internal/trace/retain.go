@@ -134,7 +134,7 @@ func (rec *Recorder) completeAt(tx string, keys []string, loSeq uint64, start, e
 
 // beatsSlowestLocked reports whether dur belongs in the slowest-N list.
 func (rec *Recorder) beatsSlowestLocked(dur time.Duration) bool {
-	if len(rec.slowest) < rec.cfg.SlowestN {
+	if len(rec.slowest) < slowestN {
 		return true
 	}
 	return dur > rec.slowest[len(rec.slowest)-1].Dur
@@ -148,10 +148,10 @@ func (rec *Recorder) insertSlowestLocked(t *Trace) {
 	rec.slowest = append(rec.slowest, nil)
 	copy(rec.slowest[i+1:], rec.slowest[i:])
 	rec.slowest[i] = t
-	if len(rec.slowest) > rec.cfg.SlowestN {
-		rec.slowest = rec.slowest[:rec.cfg.SlowestN]
+	if len(rec.slowest) > slowestN {
+		rec.slowest = rec.slowest[:slowestN]
 	}
-	if len(rec.slowest) == rec.cfg.SlowestN {
+	if len(rec.slowest) == slowestN {
 		rec.slowBar.Store(int64(rec.slowest[len(rec.slowest)-1].Dur))
 	}
 }
@@ -160,7 +160,7 @@ func (rec *Recorder) insertSlowestLocked(t *Trace) {
 // trailing-event watch for it.
 func (rec *Recorder) retainLocked(t *Trace) {
 	rec.retained = append(rec.retained, t)
-	if len(rec.retained) > rec.cfg.RetainLimit {
+	if len(rec.retained) > retainLimit {
 		rec.retained = rec.retained[1:]
 	}
 	rec.watch = append(rec.watch, watchEnt{t: t, deadline: rec.clk.Load() + watchWindow})

@@ -189,42 +189,19 @@ func (r *Ring) Snapshot() []Event {
 	return out
 }
 
-// Config sizes a Recorder. The zero value is usable.
+// Config shapes a Recorder. The zero value is usable.
 type Config struct {
-	// RingSize is the per-node event capacity (rounded up to a power
-	// of two; 0 means 4096).
-	RingSize int
 	// SlowThreshold is the completion latency above which a committed,
 	// unremarkable transaction is still retained (0 means 1s).
 	SlowThreshold time.Duration
-	// RetainLimit bounds the retained-trace set (0 means 64).
-	RetainLimit int
-	// SlowestN is how many slowest transactions are always kept,
-	// independent of the retained set (0 means 5).
-	SlowestN int
 }
 
-func (c Config) withDefaults() Config {
-	if c.RingSize <= 0 {
-		c.RingSize = 4096
-	}
-	// Round up to a power of two for mask indexing.
-	s := 1
-	for s < c.RingSize {
-		s <<= 1
-	}
-	c.RingSize = s
-	if c.SlowThreshold <= 0 {
-		c.SlowThreshold = time.Second
-	}
-	if c.RetainLimit <= 0 {
-		c.RetainLimit = 64
-	}
-	if c.SlowestN <= 0 {
-		c.SlowestN = 5
-	}
-	return c
-}
+// The recorder's sizes.
+const (
+	ringSize    = 4096 // per-node event capacity, a power of two for mask indexing
+	retainLimit = 64   // bound of the retained-trace set
+	slowestN    = 5    // slowest transactions always kept, independent of the retained set
+)
 
 // Recorder is one deployment's (or one process's) flight recorder: it
 // owns the per-node rings, the shared Lamport clock, the tail-based
@@ -243,7 +220,7 @@ type Recorder struct {
 	byNode   map[string]*Ring
 	watch    []watchEnt // retained traces still absorbing trailing events
 	retained []*Trace   // bounded, oldest first
-	slowest  []*Trace   // sorted by duration descending, ≤ SlowestN
+	slowest  []*Trace   // sorted by duration descending, ≤ slowestN
 	budget   int        // remaining full assemblies (determinism-safe bound)
 	dropped  int        // retain-worthy completions lost to budget exhaustion
 
@@ -252,14 +229,13 @@ type Recorder struct {
 
 // New builds a recorder.
 func New(cfg Config) *Recorder {
-	cfg = cfg.withDefaults()
+	if cfg.SlowThreshold <= 0 {
+		cfg.SlowThreshold = time.Second
+	}
 	rec := &Recorder{
 		cfg:    cfg,
 		byNode: make(map[string]*Ring),
-		budget: 4 * cfg.RetainLimit,
-	}
-	if rec.budget < 256 {
-		rec.budget = 256
+		budget: 4 * retainLimit,
 	}
 	rec.slowBar.Store(-1)
 	return rec
@@ -281,8 +257,8 @@ func (rec *Recorder) Ring(node string, dc int) *Ring {
 		rec:  rec,
 		node: node,
 		dc:   int8(dc),
-		mask: uint64(rec.cfg.RingSize - 1),
-		buf:  make([]Event, rec.cfg.RingSize),
+		mask: ringSize - 1,
+		buf:  make([]Event, ringSize),
 	}
 	rec.byNode[node] = r
 	rec.rings = append(rec.rings, r)

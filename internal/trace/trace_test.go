@@ -8,23 +8,24 @@ import (
 	"time"
 )
 
-// TestRingWraparound fills a small ring past capacity and checks the
-// snapshot holds exactly the last RingSize events in append order.
+// TestRingWraparound fills a ring past capacity and checks the
+// snapshot holds exactly the last ringSize events in append order.
 func TestRingWraparound(t *testing.T) {
-	rec := New(Config{RingSize: 16})
+	rec := New(Config{})
 	r := rec.Ring("n1", 0)
-	for i := 0; i < 50; i++ {
+	const n = ringSize + 34
+	for i := 0; i < n; i++ {
 		r.Add(Event{Stage: StageVote, Arg: int64(i)})
 	}
-	if r.Len() != 50 {
-		t.Fatalf("Len = %d, want 50", r.Len())
+	if r.Len() != n {
+		t.Fatalf("Len = %d, want %d", r.Len(), n)
 	}
 	snap := r.Snapshot()
-	if len(snap) != 16 {
-		t.Fatalf("snapshot holds %d events, want 16", len(snap))
+	if len(snap) != ringSize {
+		t.Fatalf("snapshot holds %d events, want %d", len(snap), ringSize)
 	}
 	for i, ev := range snap {
-		if want := int64(50 - 16 + i); ev.Arg != want {
+		if want := int64(n - ringSize + i); ev.Arg != want {
 			t.Fatalf("snapshot[%d].Arg = %d, want %d (oldest-first order)", i, ev.Arg, want)
 		}
 		if ev.Node != "n1" || ev.Seq == 0 {
@@ -36,13 +37,13 @@ func TestRingWraparound(t *testing.T) {
 	}
 }
 
-// TestRingConcurrentAppend hammers one deliberately tiny ring from
-// many goroutines so writers constantly lap each other; run under
-// -race this proves the striped slot locks make wraparound safe.
+// TestRingConcurrentAppend hammers one ring from many goroutines with
+// four times its capacity, so writers lap each other; run under -race
+// this proves the striped slot locks make wraparound safe.
 func TestRingConcurrentAppend(t *testing.T) {
-	rec := New(Config{RingSize: 32})
+	rec := New(Config{})
 	r := rec.Ring("n1", 0)
-	const writers, per = 8, 2000
+	const writers, per = 8, ringSize / 2
 	var wg, rg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(writers)
@@ -73,8 +74,8 @@ func TestRingConcurrentAppend(t *testing.T) {
 		t.Fatalf("lost appends: Len = %d, want %d", r.Len(), writers*per)
 	}
 	snap := r.Snapshot()
-	if len(snap) != 32 {
-		t.Fatalf("snapshot holds %d events, want 32", len(snap))
+	if len(snap) != ringSize {
+		t.Fatalf("snapshot holds %d events, want %d", len(snap), ringSize)
 	}
 }
 
@@ -82,7 +83,7 @@ func TestRingConcurrentAppend(t *testing.T) {
 // dropped; slow, aborted, recovered, wrong-shard and unknown-outcome
 // transactions are kept with the right reasons.
 func TestTailRetention(t *testing.T) {
-	rec := New(Config{SlowThreshold: time.Millisecond, RetainLimit: 8, SlowestN: 2})
+	rec := New(Config{SlowThreshold: time.Millisecond})
 	r := rec.Ring("n1", 0)
 	at := int64(0)
 	run := func(tx string, dur time.Duration, outcome uint8, recovered, rerouted bool) {
@@ -130,14 +131,30 @@ func TestTailRetention(t *testing.T) {
 		t.Fatalf("fast commit must not be retained")
 	}
 
-	// Slowest-N keeps the two largest durations regardless of retention.
-	slow := rec.Slowest()
-	if len(slow) != 2 || slow[0].Tx != "slow1" || slow[1].Tx != "rec1" {
-		ids := make([]string, len(slow))
-		for i, tr := range slow {
-			ids[i] = fmt.Sprintf("%s(%s)", tr.Tx, tr.Dur)
-		}
-		t.Fatalf("slowest = %v, want [slow1 rec1]", ids)
+	// Slowest-N keeps the five largest durations regardless of
+	// retention: fast1 is evicted, fast2 never enters.
+	ids := make([]string, 0, slowestN)
+	for _, tr := range rec.Slowest() {
+		ids = append(ids, tr.Tx)
+	}
+	if got, want := strings.Join(ids, " "), "slow1 rec1 shard1 abort1 unk1"; got != want {
+		t.Fatalf("slowest = [%s], want [%s]", got, want)
+	}
+}
+
+// TestRetainedSetBounded: past retainLimit retained traces, the oldest
+// is dropped first.
+func TestRetainedSetBounded(t *testing.T) {
+	rec := New(Config{})
+	r := rec.Ring("n1", 0)
+	for i := 0; i < retainLimit+3; i++ {
+		tx := fmt.Sprintf("a%d", i)
+		r.Add(Event{Tx: tx, Stage: StagePropose})
+		rec.Complete(tx, nil, 0, int64(time.Microsecond), FlagAbort, false, false, false)
+	}
+	kept := rec.Retained()
+	if len(kept) != retainLimit || kept[0].Tx != "a3" || kept[len(kept)-1].Tx != fmt.Sprintf("a%d", retainLimit+2) {
+		t.Fatalf("retained %d traces from %s to %s, want %d from a3", len(kept), kept[0].Tx, kept[len(kept)-1].Tx, retainLimit)
 	}
 }
 
@@ -145,7 +162,7 @@ func TestTailRetention(t *testing.T) {
 // a trace is retained (visibility, feed publishes for its keys) are
 // appended to it, and the watch expires after its Lamport window.
 func TestTrailingEvents(t *testing.T) {
-	rec := New(Config{SlowThreshold: time.Millisecond, RetainLimit: 4, SlowestN: 1})
+	rec := New(Config{SlowThreshold: time.Millisecond})
 	r := rec.Ring("n1", 0)
 	r.Add(Event{Tx: "a1", Key: "k", Stage: StagePropose})
 	rec.Complete("a1", []string{"k"}, 0, int64(100*time.Microsecond), FlagAbort, false, false, false)

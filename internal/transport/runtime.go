@@ -4,8 +4,6 @@ import (
 	"errors"
 	"sync"
 	"time"
-
-	"mdcc/internal/clock"
 )
 
 // mailboxDepth is how much undelivered work (messages and due timer
@@ -162,7 +160,7 @@ func (r *nodeRuntime) deliver(e Envelope, wait bool) error {
 
 // After schedules f to run on node on's mailbox loop once d has
 // elapsed. A callback due after the node is gone is dropped.
-func (r *nodeRuntime) After(on NodeID, d time.Duration, f func()) clock.Timer {
+func (r *nodeRuntime) After(on NodeID, d time.Duration, f func()) Timer {
 	return time.AfterFunc(d, func() {
 		if mb, _ := r.lookup(on); mb != nil {
 			mb.put(func(Handler) { f() }, true)

@@ -14,8 +14,6 @@ package transport
 import (
 	"sync/atomic"
 	"time"
-
-	"mdcc/internal/clock"
 )
 
 // NodeID names an endpoint ("dc1/store0", "client17", ...).
@@ -65,10 +63,18 @@ type Network interface {
 
 	// After schedules f to run on node `on` after d, serialized with
 	// that node's handler.
-	After(on NodeID, d time.Duration, f func()) clock.Timer
+	After(on NodeID, d time.Duration, f func()) Timer
 
 	// Now returns the network's current (possibly virtual) time.
 	Now() time.Time
+}
+
+// Timer is the handle After returns: a cancellable pending callback.
+// *time.Timer satisfies it.
+type Timer interface {
+	// Stop cancels the timer. It reports whether the callback was
+	// prevented from running (false if it already ran or was stopped).
+	Stop() bool
 }
 
 // Incarnation names the process lifetime of a node constructed now on

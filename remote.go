@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"mdcc/internal/clock"
 	"mdcc/internal/core"
 	"mdcc/internal/gateway"
 	"mdcc/internal/record"
@@ -227,7 +226,7 @@ type pendingTx struct {
 	at time.Time
 	// deadline is the settle-deadline timer (nil until armed); whoever
 	// claims the entry stops it.
-	deadline clock.Timer
+	deadline transport.Timer
 }
 
 type pendingRead struct {

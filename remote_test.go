@@ -93,6 +93,16 @@ func TestTCPDeploymentEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess2.Close()
+	// A replica the insert's visibility has not reached yet rejects the
+	// decrement against the stock >= 0 bound, so wait until the second
+	// client's own data center reads the insert too.
+	waitFor(t, "tcp/1 readable at stock=5 from ap-tk", func() bool {
+		val, _, exists, err := sess2.Read("tcp/1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return exists && val.Attr("stock") == 5
+	})
 	ok, err = sess2.Commit(Commutative("tcp/1", map[string]int64{"stock": -2}))
 	if err != nil || !ok {
 		t.Fatalf("decrement over TCP: ok=%v err=%v", ok, err)
