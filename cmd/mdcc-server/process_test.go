@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"mdcc"
-	"mdcc/internal/server"
+	"mdcc/internal/core"
 	"mdcc/internal/transport"
 )
 
@@ -188,7 +188,7 @@ func (d *deployment) waitApplied(t *testing.T, puts []int64) {
 // as want has it.
 func (d *deployment) waitCaughtUp(t *testing.T, i int, sess *mdcc.RemoteSession, want map[mdcc.Key]int64) {
 	t.Helper()
-	deadline := time.Now().Add(10 * server.SyncEvery)
+	deadline := time.Now().Add(10 * core.SyncEvery)
 	for {
 		var m struct {
 			Shards []struct {
@@ -209,7 +209,7 @@ func (d *deployment) waitCaughtUp(t *testing.T, i int, sess *mdcc.RemoteSession,
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%s not caught up after %s: %+v; %s", mdcc.AllDCs()[i], 10*server.SyncEvery, m.Shards, got)
+			t.Fatalf("%s not caught up after %s: %+v; %s", mdcc.AllDCs()[i], 10*core.SyncEvery, m.Shards, got)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -97,11 +97,7 @@ func (n *StorageNode) onSyncReq(from transport.NodeID, m MsgSyncReq) {
 	n.send(from, reply)
 }
 
-// onSyncReply merges anything at least as new as local state (equal
-// versions can hide diverged lineages; adoptBase reconciles them via
-// summary diff). Every entry also teaches us the responder's summary
-// for the key — the ack signal that gates decided-log content
-// release.
+// onSyncReply adopts one chunk of the background walk and moves its cursor.
 func (n *StorageNode) onSyncReply(from transport.NodeID, m MsgSyncReply) {
 	if n.pullReqs[m.ReqID] {
 		// A directed shard-move pull reply (possibly late or
@@ -113,17 +109,29 @@ func (n *StorageNode) onSyncReply(from transport.NodeID, m MsgSyncReply) {
 		}
 		return
 	}
-	for _, e := range m.Entries {
-		ver, _ := n.store.Version(e.Key)
-		n.notePeerLineage(n.rs(e.Key), from, e.Lineage)
-		if e.Version < ver {
+	n.adoptEntries(from, m.Entries, nil)
+	n.syncCursor = m.Next
+}
+
+// adoptEntries takes the entries accept selects (nil = all) and returns
+// how many it took. Each teaches us the peer's summary for its key (the
+// ack that gates decided-log release), and one at least as new as local
+// state is merged (equal versions can hide diverged lineages; adoptBase
+// reconciles them via summary diff).
+func (n *StorageNode) adoptEntries(from transport.NodeID, entries []SyncEntry, accept func(record.Key) bool) int {
+	took := 0
+	for _, e := range entries {
+		if accept != nil && !accept(e.Key) {
 			continue
 		}
-		if n.adoptBase(e.Key, e.Value, e.Version, e.Lineage) {
+		took++
+		ver, _ := n.store.Version(e.Key)
+		n.notePeerLineage(n.rs(e.Key), from, e.Lineage)
+		if e.Version >= ver && n.adoptBase(e.Key, e.Value, e.Version, e.Lineage) {
 			n.m.Synced++
 		}
 	}
-	n.syncCursor = m.Next
+	return took
 }
 
 // Shard-move bootstrap: when a live rebalance re-homes a slice of the
@@ -193,17 +201,7 @@ func (n *StorageNode) pullStep() {
 // onPullReply consumes one chunk of a directed bootstrap.
 func (n *StorageNode) onPullReply(from transport.NodeID, m MsgSyncReply) {
 	p := n.pull
-	for _, e := range m.Entries {
-		if !p.accept(e.Key) {
-			continue
-		}
-		ver, _ := n.store.Version(e.Key)
-		n.notePeerLineage(n.rs(e.Key), from, e.Lineage)
-		if e.Version >= ver && n.adoptBase(e.Key, e.Value, e.Version, e.Lineage) {
-			n.m.Synced++
-		}
-		p.adopted++
-	}
+	p.adopted += n.adoptEntries(from, m.Entries, p.accept)
 	if m.Next == "" {
 		n.pull = nil
 		n.pullReqs = nil

@@ -76,8 +76,7 @@ type Config struct {
 	// SyncInterval is the anti-entropy period: how often a storage
 	// node exchanges a chunk of committed state with a random peer
 	// replica to catch up after outages (§3.2.3's background
-	// bulk-copy). Zero disables; every deployment runs
-	// server.SyncEvery.
+	// bulk-copy). Zero disables; Defaults sets SyncEvery.
 	SyncInterval time.Duration
 
 	// DecidedRetention is how long a settled option's entry stays in
@@ -106,8 +105,12 @@ type Config struct {
 	CheckpointInterval time.Duration
 }
 
-// Defaults returns a Config tuned for the simulated 5-DC WAN: option
-// timeouts comfortably above the worst round trip (~540 ms).
+// SyncEvery is how often a storage node asks a peer replica for a chunk
+// of committed state (paper §3.2.3's background catch-up).
+const SyncEvery = 750 * time.Millisecond
+
+// Defaults returns a Config tuned for the simulated 5-DC WAN (option
+// timeouts comfortably above the ~540 ms worst round trip), with anti-entropy.
 func Defaults(mode Mode) Config {
 	return Config{
 		Mode:           mode,
@@ -116,6 +119,7 @@ func Defaults(mode Mode) Config {
 		RecoveryRetry:  800 * time.Millisecond,
 		PendingTimeout: 5 * time.Second,
 		ReadTimeout:    600 * time.Millisecond,
+		SyncInterval:   SyncEvery,
 	}
 }
 

@@ -414,10 +414,8 @@ func TestReadTierPublisherChurnedOut(t *testing.T) {
 	w.nodes[idx].Halt()
 	w.net.RunFor(time.Second)
 	w.stores[idx] = kv.NewMemory()
-	cfg := w.cfg
-	cfg.SyncInterval = 750 * time.Millisecond
 	w.net.Recover(shard)
-	w.nodes[idx] = core.NewStorageNode(shard, topology.USWest, w.net, w.cl, cfg, w.stores[idx])
+	w.nodes[idx] = core.NewStorageNode(shard, topology.USWest, w.net, w.cl, w.cfg, w.stores[idx])
 	// The silence passes feedTTL, the gateway resubscribes to the
 	// fresh incarnation, and anti-entropy pulls the key back.
 	w.net.RunFor(8 * time.Second)

@@ -19,17 +19,11 @@ import (
 // truncates its WAL (mdcc-server's -checkpoint-interval default).
 const CheckpointEvery = 30 * time.Second
 
-// SyncEvery is every deployment's anti-entropy period (paper §3.2.3's
-// background catch-up): how often a storage node asks a peer replica
-// for a chunk of committed state.
-const SyncEvery = 750 * time.Millisecond
-
 // Config is the protocol configuration mdcc-server runs under default
 // flags.
 func Config(mode core.Mode, constraints []record.Constraint) core.Config {
 	cfg := core.Defaults(mode)
 	cfg.Constraints = constraints
-	cfg.SyncInterval = SyncEvery
 	return cfg
 }
 

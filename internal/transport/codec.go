@@ -409,9 +409,9 @@ func DecodeEnvelope(r *WireReader) (Envelope, error) {
 }
 
 // wireReaderPool recycles WireReaders across frames. The TCP read
-// loop decodes exactly one frame per reader, and with the payload
-// buffer already reused the reader struct itself was the last
-// per-frame allocation on the steady-state read path.
+// loop decodes exactly one frame per reader, in place from its buffered
+// reader, so the reader struct itself was the last per-frame
+// allocation on the steady-state read path.
 var wireReaderPool = sync.Pool{New: func() interface{} { return new(WireReader) }}
 
 // DecodeFrame parses one framed envelope payload using a pooled

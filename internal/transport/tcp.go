@@ -61,13 +61,11 @@ const (
 	// round of Sends: a steady connection cycles two small slices without
 	// allocating, and a burst's slice goes back to the collector.
 	spareKeep = 256
-	// frameInit is a frame buffer's starting size, which covers every hot
-	// message; frameKeep is the largest one a connection keeps between
-	// frames. A buffer that grew past it for one oversized frame (a shard
-	// pull, a large blob) returns to frameInit, so an idle connection
-	// holds no high-water mark.
-	frameInit = 4 << 10
-	frameKeep = 64 << 10
+	// connBuf is the one buffer each direction of a connection keeps. The
+	// hot frames of a tcp-rmw run fit it (DESIGN.md §11); a larger frame
+	// travels in a slice of its own, so an idle connection holds no
+	// high-water mark.
+	connBuf = 16 << 10
 )
 
 // Why tcpConn.put did not queue an envelope.
@@ -227,9 +225,9 @@ func (t *TCP) acceptLoop(ln net.Listener) {
 // readLoop checks the connection preamble — wireMagic plus the
 // version byte; a peer that opens with anything else is logged and
 // dropped, leaving every other connection untouched — then drains
-// length-prefixed frames. The payload buffer is reused across frames
-// (decoders copy what they keep), so a steady-state connection reads
-// without per-frame allocation beyond the decoded messages themselves.
+// length-prefixed frames, decoding one that fits the reader's buffer in
+// place (decoders copy what they keep) and a larger one from a slice of
+// its own.
 func (t *TCP) readLoop(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -237,7 +235,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 		delete(t.accepted, conn)
 		t.mu.Unlock()
 	}()
-	br := bufio.NewReaderSize(countingReader{r: conn, n: &t.stats}, 32<<10)
+	br := bufio.NewReaderSize(countingReader{r: conn, n: &t.stats}, connBuf)
 	var pre [5]byte // magic + version
 	if _, err := io.ReadFull(br, pre[:]); err != nil {
 		if err != io.EOF && !errors.Is(err, net.ErrClosed) {
@@ -256,7 +254,6 @@ func (t *TCP) readLoop(conn net.Conn) {
 		return
 	}
 	var lenb [4]byte
-	payload := make([]byte, frameInit)
 	for {
 		if _, err := io.ReadFull(br, lenb[:]); err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
@@ -264,23 +261,28 @@ func (t *TCP) readLoop(conn net.Conn) {
 			}
 			return
 		}
-		n := binary.BigEndian.Uint32(lenb[:])
+		n := int(binary.BigEndian.Uint32(lenb[:]))
 		if n > maxFrame {
 			t.logf("transport: oversized frame (%d bytes) from %s; dropping connection", n, conn.RemoteAddr())
 			return
 		}
-		if int(n) > len(payload) {
+		var payload []byte
+		var err error
+		if n <= connBuf {
+			payload, err = br.Peek(n)
+		} else {
 			payload = make([]byte, n)
+			_, err = io.ReadFull(br, payload)
 		}
-		if _, err := io.ReadFull(br, payload[:n]); err != nil {
+		if err != nil {
 			if !errors.Is(err, net.ErrClosed) {
 				t.logf("transport: read frame from %s: %v", conn.RemoteAddr(), err)
 			}
 			return
 		}
-		e, err := DecodeFrame(payload[:n])
-		if len(payload) > frameKeep {
-			payload = make([]byte, frameInit)
+		e, err := DecodeFrame(payload)
+		if n <= connBuf {
+			_, _ = br.Discard(n) // cannot fail: Peek buffered all n bytes
 		}
 		if err != nil {
 			t.logf("transport: decode frame from %s: %v; dropping connection", conn.RemoteAddr(), err)
@@ -376,13 +378,10 @@ func (t *TCP) connTo(addr string) *tcpConn {
 }
 
 // writeLoop dials the peer and drains its queue in order. Any dial or
-// encode error tears the queue down; queued and future messages drop
-// until a new Send re-creates the connection.
-//
-// Writes are buffered: each envelope lands in a bufio.Writer, flushed
-// only when the outbound queue has drained empty — so a burst pays one
-// write(2) instead of one per message, while an idle queue still gets
-// every message onto the wire immediately.
+// write error tears the queue down; queued and future messages drop
+// until a new Send re-creates the connection. Frames are buffered and
+// flushed once the queue has drained empty (or the buffer is nearly
+// full), so a burst pays one write(2) per buffer, not one per message.
 func (t *TCP) writeLoop(c *tcpConn) {
 	conn, err := net.DialTimeout("tcp", c.addr, 5*time.Second)
 	if err != nil {
@@ -411,33 +410,10 @@ func (t *TCP) writeLoop(c *tcpConn) {
 			}
 		}
 	}()
-	bw := bufio.NewWriterSize(countingWriter{w: conn, n: &t.stats}, 64<<10)
+	bw := bufio.NewWriterSize(countingWriter{w: conn, n: &t.stats}, connBuf)
 	if _, err := bw.Write(append(wireMagic[:], WireVersion)); err != nil {
 		t.dropConn(c.addr, c)
 		return
-	}
-	// The frame buffer is reused across messages: encode after the
-	// 4-byte length slot, then back-fill the length. A message the wire
-	// cannot carry is dropped whole (and counted), never half-written.
-	buf := make([]byte, 4, frameInit)
-	write := func(e Envelope) error {
-		var err error
-		buf, err = AppendEnvelope(buf[:4], e)
-		switch {
-		case err != nil:
-			t.stats.droppedNoRoute.Add(1)
-			t.logf("transport: encode for %s: %v (message dropped)", c.addr, err)
-			err = nil
-		case len(buf)-4 > maxFrame:
-			t.logf("transport: %T for %s exceeds max frame (%d bytes), dropped", e.Msg, c.addr, len(buf)-4)
-		default:
-			binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
-			_, err = bw.Write(buf)
-		}
-		if cap(buf) > frameKeep {
-			buf = make([]byte, 4, frameInit)
-		}
-		return err
 	}
 	// A fresh connection's head re-announces every hello registered for
 	// this peer: a restarted peer lost its learned routes, and replies
@@ -447,7 +423,7 @@ func (t *TCP) writeLoop(c *tcpConn) {
 	hellos := t.hellos[c.addr]
 	t.mu.RUnlock()
 	for _, h := range hellos {
-		if err := write(Envelope{From: h.ID, Msg: h}); err != nil {
+		if err := t.writeFrame(bw, c.addr, Envelope{From: h.ID, Msg: h}); err != nil {
 			t.logf("transport: send hello to %s: %v", c.addr, err)
 			t.dropConn(c.addr, c)
 			return
@@ -463,7 +439,7 @@ func (t *TCP) writeLoop(c *tcpConn) {
 	var batch []Envelope
 	for {
 		// Take everything queued; more may arrive while it is written, and
-		// the buffer is flushed only once a take comes back empty.
+		// the buffer is flushed once a take comes back empty.
 		if batch = c.take(batch); len(batch) == 0 {
 			if err := bw.Flush(); err != nil {
 				t.logf("transport: flush to %s: %v", c.addr, err)
@@ -478,13 +454,39 @@ func (t *TCP) writeLoop(c *tcpConn) {
 			}
 		}
 		for _, e := range batch {
-			if err := write(e); err != nil {
+			if err := t.writeFrame(bw, c.addr, e); err != nil {
 				t.logf("transport: send to %s: %v", c.addr, err)
 				t.dropConn(c.addr, c)
 				return
 			}
 		}
 	}
+}
+
+// writeFrame encodes e as one length-prefixed frame straight into bw's
+// free space, flushing first when under a quarter is free, so a frame
+// up to that size never needs a slice of its own. A message the wire
+// cannot carry is dropped whole (and counted); only a write error is
+// returned.
+func (t *TCP) writeFrame(bw *bufio.Writer, addr string, e Envelope) error {
+	wm, err := wireEncoder(e.Msg)
+	if err != nil {
+		t.stats.droppedNoRoute.Add(1)
+		t.logf("transport: encode for %s: %v (message dropped)", addr, err)
+		return nil
+	}
+	if bw.Available() < bw.Size()/4 {
+		_ = bw.Flush() // an error sticks: the Write below returns it
+	}
+	frame := appendEnvelope(append(bw.AvailableBuffer(), 0, 0, 0, 0), e, wm)
+	n := len(frame) - 4
+	if n > maxFrame {
+		t.logf("transport: %T for %s exceeds max frame (%d bytes), dropped", e.Msg, addr, n)
+		return nil
+	}
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	_, err = bw.Write(frame)
+	return err
 }
 
 func (t *TCP) dropConn(addr string, c *tcpConn) {

@@ -98,17 +98,20 @@ func TestTCPSendOnClosedConnCountsConnDown(t *testing.T) {
 }
 
 // TestTCPConnHoldsWhatIsQueued is the retained-heap gate of one peer
-// connection, both ends: after it has carried a 1 MiB frame and a burst
-// of small ones and drained, what stays is the sender's 64 KiB buffered
-// writer and the receiver's 32 KiB buffered reader, two 4 KiB frame
-// buffers and the connection's own bookkeeping. Measured go1.24, amd64:
-// about 110 KiB. It was about 2.5 MiB while the outbound queue was an
-// 8192-slot channel allocated with the connection (448 KiB) and each
-// frame buffer kept the largest frame it had carried.
+// connection, both ends: after it has carried a 1 MiB frame, a 40 KiB
+// one (a large sync reply's size) and a burst of small ones and drained,
+// what stays is one 16 KiB buffer per direction and the connection's
+// own bookkeeping. Measured go1.24, amd64: about 35 KiB. With a frame
+// buffer and a payload buffer beside a 64 KiB writer and a 32 KiB
+// reader, kept up to 64 KiB each, it was about 110 KiB, and about
+// 195 KiB once a 40 KiB frame had grown both; it was about 2.5 MiB
+// while the outbound queue was an 8192-slot channel allocated with the
+// connection (448 KiB) and each frame buffer kept the largest frame it
+// had carried.
 func TestTCPConnHoldsWhatIsQueued(t *testing.T) {
 	const (
 		small   = 2000
-		maxHeld = 160 << 10
+		maxHeld = 64 << 10
 	)
 	recv := NewTCP(nil)
 	defer recv.Close()
@@ -130,13 +133,14 @@ func TestTCPConnHoldsWhatIsQueued(t *testing.T) {
 	}
 	before := live()
 	send.Send("a", "sink", orderMsg{Src: "a", Pad: make([]byte, 1<<20)})
+	send.Send("a", "sink", orderMsg{Src: "a", Pad: make([]byte, 40<<10)})
 	for i := 1; i <= small; i++ {
 		send.Send("a", "sink", orderMsg{Src: "a", Seq: i})
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for got.Load() < small+1 {
+	for got.Load() < small+2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("delivered %d of %d", got.Load(), small+1)
+			t.Fatalf("delivered %d of %d", got.Load(), small+2)
 		}
 		time.Sleep(time.Millisecond)
 	}
