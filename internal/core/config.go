@@ -109,6 +109,12 @@ type Config struct {
 // of committed state (paper §3.2.3's background catch-up).
 const SyncEvery = 750 * time.Millisecond
 
+// BatchWindow is how long an outbound message may wait for company
+// bound to the same node: a coordinator's visibility lingers at most this
+// long for its next send to the replica (Coordinator.send), and a gateway
+// batches each destination's messages for this long by default.
+const BatchWindow = 2 * time.Millisecond
+
 // Defaults returns a Config tuned for the simulated 5-DC WAN (option
 // timeouts comfortably above the ~540 ms worst round trip), with anti-entropy.
 func Defaults(mode Mode) Config {

@@ -39,7 +39,8 @@ type CommitResult struct {
 // reads against the nearest replica, proposes options for the
 // write-set at commit, learns their decisions (acting as the Paxos
 // learner on the fast path), derives the transaction outcome, and
-// broadcasts visibility. One Coordinator serves one app-server node;
+// makes it visible at every replica, riding the next message it sends
+// there (see send). One Coordinator serves one app-server node;
 // all methods must be called from that node's handler context (or
 // before the network starts).
 type Coordinator struct {
@@ -76,7 +77,36 @@ type Coordinator struct {
 	// on votes and read replies (the gateway tier's freshness channel).
 	escrowObs func(from transport.NodeID, key record.Key, snap EscrowSnap)
 
+	// vis holds the visibility messages each replica is still owed; they
+	// ride this coordinator's next send to it (see send). visOrder lists
+	// the replicas in the order their queues began, which is the order
+	// the linger timer flushes them in; visArmed says that one timer is
+	// pending.
+	vis      map[transport.NodeID]visQueue
+	visOrder []transport.NodeID
+	visArmed bool
+
 	m CoordMetrics // counters, snapshotted by Metrics
+}
+
+// visQueue is one replica's owed visibility in the order it was queued:
+// head, then rest (allocated only once a second message queues). at is
+// the queue's index in visOrder.
+type visQueue struct {
+	head transport.Message
+	rest []transport.Message
+	at   int
+}
+
+// envelopes lays the queue out as Batch items from `from`, with room for
+// extra more.
+func (q *visQueue) envelopes(from, to transport.NodeID, extra int) []transport.Envelope {
+	items := make([]transport.Envelope, 0, 1+len(q.rest)+extra)
+	items = append(items, transport.Envelope{From: from, To: to, Msg: q.head})
+	for _, m := range q.rest {
+		items = append(items, transport.Envelope{From: from, To: to, Msg: m})
+	}
+	return items
 }
 
 type leaderHint struct {
@@ -142,6 +172,7 @@ func NewCoordinator(id transport.NodeID, dc topology.DC, net transport.Network,
 		txs:     make(map[TxID]*txCtx),
 		hints:   make(map[record.Key]leaderHint),
 		keySeqs: make(map[record.Key]uint64),
+		vis:     make(map[transport.NodeID]visQueue),
 	}
 	// Read request ids count up from the construction instant: a
 	// predecessor's ids all lie below it.
@@ -199,6 +230,64 @@ func (c *Coordinator) rotateLane() {
 	c.keySeqs = make(map[record.Key]uint64)
 }
 
+// send is how every message this coordinator sends reaches a replica:
+// the visibility still queued for `to` goes first, in the same
+// transport.Batch. A replica therefore applies an outcome this
+// coordinator learned before it handles anything the coordinator sends
+// it afterwards, on whatever per-pair order the transport keeps.
+func (c *Coordinator) send(to transport.NodeID, msg transport.Message) {
+	q, ok := c.vis[to]
+	if !ok {
+		c.net.Send(c.id, to, msg)
+		return
+	}
+	delete(c.vis, to)
+	items := append(q.envelopes(c.id, to, 1), transport.Envelope{From: c.id, To: to, Msg: msg})
+	transport.SendCoalesced(c.net, c.id, to, items)
+}
+
+// queueVisibility owes msg to replica `to`: it leaves with the next send
+// there, or when the coordinator's one linger timer fires, at most
+// BatchWindow from now.
+func (c *Coordinator) queueVisibility(to transport.NodeID, msg transport.Message) {
+	if q, ok := c.vis[to]; ok {
+		q.rest = append(q.rest, msg)
+		c.vis[to] = q
+	} else {
+		c.vis[to] = visQueue{head: msg, at: len(c.visOrder)}
+		c.visOrder = append(c.visOrder, to)
+	}
+	if !c.visArmed {
+		c.visArmed = true
+		c.net.After(c.id, BatchWindow, func() {
+			c.visArmed = false
+			c.FlushVisibility()
+		})
+	}
+}
+
+// FlushVisibility sends every queued visibility message now, replica by
+// replica in the order their queues began. The linger timer calls it; a
+// process about to exit calls it on the coordinator's node (see
+// mdcc.RemoteSession.Close) so no outcome is left for the replicas'
+// dangling-option sweep.
+func (c *Coordinator) FlushVisibility() {
+	for i, to := range c.visOrder {
+		q, ok := c.vis[to]
+		switch {
+		case !ok || q.at != i:
+			// drained by a send since; a later queue has its own index
+		case len(q.rest) == 0:
+			c.net.Send(c.id, to, q.head)
+		default:
+			transport.SendCoalesced(c.net, c.id, to, q.envelopes(c.id, to, 0))
+		}
+	}
+	clear(c.vis)
+	clear(c.visOrder)
+	c.visOrder = c.visOrder[:0]
+}
+
 // ID returns the coordinator's node identity.
 func (c *Coordinator) ID() transport.NodeID { return c.id }
 
@@ -251,7 +340,7 @@ func (c *Coordinator) Read(key record.Key, cb func(val record.Value, ver record.
 
 func (c *Coordinator) sendRead(req uint64, rc *readCtx) {
 	dc := topology.DC((int(c.dc) + rc.attempt) % topology.NumDCs)
-	c.net.Send(c.id, c.cl.ReplicaIn(rc.key, dc), MsgRead{ReqID: req, Key: rc.key})
+	c.send(c.cl.ReplicaIn(rc.key, dc), MsgRead{ReqID: req, Key: rc.key})
 	rc.timer = c.net.After(c.id, c.cfg.ReadTimeout, func() {
 		cur, ok := c.reads[req]
 		if !ok || cur != rc {
@@ -317,7 +406,7 @@ func (c *Coordinator) ReadQuorum(key record.Key, cb func(val record.Value, ver r
 	}
 	c.reads[req] = rc
 	for _, rep := range c.cl.Replicas(key) {
-		c.net.Send(c.id, rep, MsgRead{ReqID: req, Key: key})
+		c.send(rep, MsgRead{ReqID: req, Key: key})
 	}
 	// One generous deadline: answer with the best seen, or absent.
 	rc.timer = c.net.After(c.id, 4*c.cfg.ReadTimeout, func() {
@@ -368,8 +457,12 @@ func (c *Coordinator) Commit(updates []record.Update, done func(CommitResult)) {
 	}
 	c.txs[tx] = t
 	// Fast-path proposals for the whole write-set are grouped per
-	// destination node (§7's batching optimization).
-	var fastByNode map[transport.NodeID][]Option
+	// destination node (§7's batching optimization). While every fast key
+	// has the same replicas (one shard), each replica gets the same batch,
+	// built and boxed once; receivers only read it.
+	var fast []Option
+	var reps []transport.NodeID
+	spans := false
 	for i, up := range updates {
 		opt := Option{Tx: tx, Coord: c.id, Update: up, WriteSet: writeSet,
 			KeySeq: writeSeqs[i], WriteSeqs: writeSeqs}
@@ -385,26 +478,48 @@ func (c *Coordinator) Commit(updates []record.Update, done func(CommitResult)) {
 				Stage: trace.StagePropose, Flags: fl, Arg: int64(c.q.N)})
 		}
 		if viaLeader {
-			c.net.Send(c.id, dest, MsgProposeLeader{Opt: opt})
+			c.send(dest, MsgProposeLeader{Opt: opt})
 		} else {
-			if fastByNode == nil {
-				fastByNode = make(map[transport.NodeID][]Option)
+			if fast == nil {
+				fast = make([]Option, 0, len(updates))
+				reps = c.cl.Replicas(up.Key)
+			} else if !sameReplicas(reps, c.cl.Replicas(up.Key)) {
+				spans = true
 			}
-			for _, rep := range c.cl.Replicas(up.Key) {
-				fastByNode[rep] = append(fastByNode[rep], opt)
-			}
+			fast = append(fast, opt)
 		}
 		c.armOptionTimer(t, oc)
+	}
+	if !spans {
+		if len(fast) > 0 {
+			msg := transport.Message(MsgProposeBatch{Opts: fast})
+			for _, rep := range reps {
+				c.send(rep, msg)
+			}
+		}
+		return
+	}
+	fastByNode := make(map[transport.NodeID][]Option)
+	for _, opt := range fast {
+		for _, rep := range c.cl.Replicas(opt.Update.Key) {
+			fastByNode[rep] = append(fastByNode[rep], opt)
+		}
 	}
 	// Deterministic send order for the simulator.
 	for _, up := range updates {
 		for _, rep := range c.cl.Replicas(up.Key) {
 			if opts, ok := fastByNode[rep]; ok {
 				delete(fastByNode, rep)
-				c.net.Send(c.id, rep, MsgProposeBatch{Opts: opts})
+				c.send(rep, MsgProposeBatch{Opts: opts})
 			}
 		}
 	}
+}
+
+// sameReplicas reports whether two Cluster.Replicas answers are one
+// shard's slice.
+func sameReplicas(a, b []transport.NodeID) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // route decides where a key's proposal goes: (leader, true) for the
@@ -451,7 +566,7 @@ func (c *Coordinator) startRecovery(t *txCtx, oc *optCtx) {
 		c.tr.Add(trace.Event{At: c.net.Now().UnixNano(), Tx: string(t.id), Key: string(key),
 			Stage: trace.StageRecovery, Arg: int64(oc.attempts)})
 	}
-	c.net.Send(c.id, c.cl.ReplicaIn(key, dc), MsgStartRecovery{Key: key, Opt: oc.opt, HasOpt: true})
+	c.send(c.cl.ReplicaIn(key, dc), MsgStartRecovery{Key: key, Opt: oc.opt, HasOpt: true})
 	c.armOptionTimer(t, oc)
 }
 
@@ -486,10 +601,10 @@ func (c *Coordinator) onVote(from transport.NodeID, m MsgVote) {
 			oc.rerouted = true
 			c.m.WrongGroupReroutes++
 			if dest, viaLeader := c.route(key); viaLeader {
-				c.net.Send(c.id, dest, MsgProposeLeader{Opt: oc.opt})
+				c.send(dest, MsgProposeLeader{Opt: oc.opt})
 			} else {
 				for _, rep := range c.cl.Replicas(key) {
-					c.net.Send(c.id, rep, MsgProposeFast{Opt: oc.opt})
+					c.send(rep, MsgProposeFast{Opt: oc.opt})
 				}
 			}
 		}
@@ -534,7 +649,7 @@ func (c *Coordinator) onVote(from transport.NodeID, m MsgVote) {
 		// aborts; the recovery is for the record's sake.
 		if oc.opt.Update.Kind == record.KindCommutative {
 			key := oc.opt.Update.Key
-			c.net.Send(c.id, c.leaderFor(key), MsgStartRecovery{Key: key})
+			c.send(c.leaderFor(key), MsgStartRecovery{Key: key})
 		}
 		c.learnEvent(t, oc, DecReject, true)
 		c.learn(t, oc, DecReject)
@@ -611,7 +726,9 @@ func (c *Coordinator) learn(t *txCtx, oc *optCtx, d Decision) {
 // finish settles the transaction: visibility to every replica of
 // every written record (asynchronous — it does not gate the commit
 // response, §3.2.1), then the application callback. Visibility for
-// the whole write-set is batched per destination node.
+// the whole write-set is batched per destination node — one message for
+// all replicas when the write set lies in one shard — and queued to
+// ride the coordinator's next send to each replica (see send).
 func (c *Coordinator) finish(t *txCtx, commit bool) {
 	delete(c.txs, t.id)
 	// Deterministic option order (map iteration would randomize the
@@ -621,28 +738,36 @@ func (c *Coordinator) finish(t *txCtx, commit bool) {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i].Key < ids[j].Key })
-	byNode := make(map[transport.NodeID][]MsgVisibility)
-	var order []transport.NodeID
+	reps := c.cl.Replicas(t.opts[ids[0]].opt.Update.Key)
+	spans := false
+	vis := make([]MsgVisibility, 0, len(ids))
 	for _, id := range ids {
 		oc := t.opts[id]
 		if oc.timer != nil {
 			oc.timer.Stop()
 		}
-		vis := visibilityFor(oc.opt, commit)
-		for _, rep := range c.cl.Replicas(oc.opt.Update.Key) {
-			if _, seen := byNode[rep]; !seen {
-				order = append(order, rep)
-			}
-			byNode[rep] = append(byNode[rep], vis)
-		}
+		vis = append(vis, visibilityFor(oc.opt, commit))
+		spans = spans || !sameReplicas(reps, c.cl.Replicas(id.Key))
 	}
-	for _, rep := range order {
-		items := byNode[rep]
-		if len(items) == 1 {
-			c.net.Send(c.id, rep, items[0])
-			continue
+	if !spans {
+		msg := visibilityMsg(vis)
+		for _, rep := range reps {
+			c.queueVisibility(rep, msg)
 		}
-		c.net.Send(c.id, rep, MsgVisibilityBatch{Items: items})
+	} else {
+		byNode := make(map[transport.NodeID][]MsgVisibility)
+		var order []transport.NodeID
+		for _, v := range vis {
+			for _, rep := range c.cl.Replicas(v.Opt.Update.Key) {
+				if _, seen := byNode[rep]; !seen {
+					order = append(order, rep)
+				}
+				byNode[rep] = append(byNode[rep], v)
+			}
+		}
+		for _, rep := range order {
+			c.queueVisibility(rep, visibilityMsg(byNode[rep]))
+		}
 	}
 	if commit {
 		c.m.Commits++
@@ -678,6 +803,15 @@ func (c *Coordinator) finish(t *txCtx, commit bool) {
 		c.cfg.Tracer.Complete(string(t.id), keys, t.startAt, now, outcome, res.Recovered, res.Rerouted, false)
 	}
 	t.done(res)
+}
+
+// visibilityMsg boxes one replica's visibility for a transaction: a lone
+// item bare, more as one MsgVisibilityBatch.
+func visibilityMsg(items []MsgVisibility) transport.Message {
+	if len(items) == 1 {
+		return items[0]
+	}
+	return MsgVisibilityBatch{Items: items}
 }
 
 // CoordMetrics reports coordinator-side counters.

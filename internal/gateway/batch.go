@@ -19,6 +19,9 @@ import (
 // Per-destination buffers are FIFO, so messages of one (from, to)
 // pair keep their send order through coalescing: they end up either
 // in the same envelope (items preserve order) or in consecutive ones.
+// A transport.Batch handed to Send (the coordinator's owed visibility
+// riding a propose) joins the window item by item, so the envelope stays
+// flat.
 type batcher struct {
 	inner  transport.Network
 	on     transport.NodeID // timer anchor (the gateway's node)
@@ -54,26 +57,24 @@ func (b *batcher) After(on transport.NodeID, d time.Duration, f func()) transpor
 }
 func (b *batcher) Now() time.Time { return b.inner.Now() }
 
-// Send buffers the message in its destination's window; the window
-// flushes when full or when its timer fires, whichever is first.
+// Send buffers the message in its destination's window — a Batch's
+// items one by one, in order; the window flushes when full or when its
+// timer fires, whichever is first.
 func (b *batcher) Send(from, to transport.NodeID, msg transport.Message) {
 	if b.window <= 0 {
 		b.inner.Send(from, to, msg)
 		return
 	}
-	e := transport.Envelope{From: from, To: to, Msg: msg}
-	if b.tracer != nil {
-		e.TraceClk = b.tracer.StampSend()
-	}
 	b.mu.Lock()
-	q := append(b.buf[to], e)
-	b.buf[to] = q
-	if len(q) >= batchMax {
-		b.flushLocked(to)
-		b.mu.Unlock()
-		return
+	first := len(b.buf[to]) == 0
+	if bt, ok := msg.(transport.Batch); ok {
+		for _, e := range bt.Items {
+			b.addLocked(to, e)
+		}
+	} else {
+		b.addLocked(to, transport.Envelope{From: from, To: to, Msg: msg})
 	}
-	first := len(q) == 1
+	first = first && len(b.buf[to]) > 0
 	b.mu.Unlock()
 	if first {
 		// First message of a fresh window: arm its flush timer. A
@@ -81,6 +82,18 @@ func (b *batcher) Send(from, to transport.NodeID, msg transport.Message) {
 		// younger window — that only shortens that window, never loses
 		// or reorders messages.
 		b.inner.After(b.on, b.window, func() { b.flush(to) })
+	}
+}
+
+// addLocked appends e to its destination's window, stamped now, and
+// flushes the window once it is full.
+func (b *batcher) addLocked(to transport.NodeID, e transport.Envelope) {
+	if b.tracer != nil {
+		e.TraceClk = b.tracer.StampSend()
+	}
+	b.buf[to] = append(b.buf[to], e)
+	if len(b.buf[to]) >= batchMax {
+		b.flushLocked(to)
 	}
 }
 

@@ -79,7 +79,7 @@ var ErrOutcomeUnknown = errors.New("gateway: transaction outcome unknown (gatewa
 // Tuning shapes one gateway. The zero value means defaults.
 type Tuning struct {
 	// BatchWindow is how long an outbound message may wait for
-	// same-destination company. 0 means the 2ms default; a negative
+	// same-destination company. 0 means core.BatchWindow; a negative
 	// window disables cross-transaction batching.
 	BatchWindow time.Duration
 	// CoalesceWindow is how long a hot-key commutative update may wait
@@ -107,7 +107,7 @@ const (
 
 func (t Tuning) withDefaults() Tuning {
 	if t.BatchWindow == 0 {
-		t.BatchWindow = 2 * time.Millisecond
+		t.BatchWindow = core.BatchWindow
 	}
 	if t.CoalesceWindow == 0 {
 		t.CoalesceWindow = 5 * time.Millisecond

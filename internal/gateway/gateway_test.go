@@ -509,3 +509,46 @@ func TestBatcherPreservesOrder(t *testing.T) {
 		last[m.From] = m.Seq
 	}
 }
+
+// TestBatcherFlattensBatch hands the batcher a transport.Batch between
+// two plain messages, as the gateway's coordinator does when owed
+// visibility rides a propose: the window must leave as one flat
+// envelope, every item in send order under its own sender.
+func TestBatcherFlattensBatch(t *testing.T) {
+	net := simnet.New(simnet.Options{Seed: 1})
+	var got []transport.Envelope
+	net.Register("sink", func(env transport.Envelope) { got = append(got, env) })
+	net.Register("anchor", func(transport.Envelope) {})
+	b := newBatcher(net, "anchor", 2*time.Millisecond)
+	net.At(0, func() {
+		b.Send("a", "sink", 1)
+		b.Send("c", "sink", transport.Batch{Items: []transport.Envelope{
+			{From: "c", To: "sink", Msg: 2},
+			{From: "c", To: "sink", Msg: 3},
+		}})
+		b.Send("b", "sink", 4)
+	})
+	net.RunFor(time.Second)
+
+	if len(got) != 1 {
+		t.Fatalf("sink got %d envelopes, want 1", len(got))
+	}
+	bt, ok := got[0].Msg.(transport.Batch)
+	if !ok {
+		t.Fatalf("sink got %T, want one transport.Batch", got[0].Msg)
+	}
+	want := []transport.Envelope{
+		{From: "a", To: "sink", Msg: 1},
+		{From: "c", To: "sink", Msg: 2},
+		{From: "c", To: "sink", Msg: 3},
+		{From: "b", To: "sink", Msg: 4},
+	}
+	if len(bt.Items) != len(want) {
+		t.Fatalf("batch carries %d items, want %d: %+v", len(bt.Items), len(want), bt.Items)
+	}
+	for i, e := range bt.Items {
+		if e != want[i] {
+			t.Errorf("item %d = %+v, want %+v", i, e, want[i])
+		}
+	}
+}
