@@ -90,6 +90,7 @@ type tcpConn struct {
 	queue   []Envelope // handed over by Send, not yet taken by the writer
 	spare   []Envelope // the writer's last drained batch, reused by the next queue
 	writing int        // envelopes in the batch the writer is working through
+	flushed bool       // everything put so far is on the socket (see Drain)
 }
 
 func (c *tcpConn) close() {
@@ -119,6 +120,7 @@ func (c *tcpConn) put(e Envelope) error {
 		c.queue, c.spare = c.spare, nil
 	}
 	c.queue = append(c.queue, e)
+	c.flushed = false
 	c.mu.Unlock()
 	select {
 	case c.wake <- struct{}{}:
@@ -446,6 +448,9 @@ func (t *TCP) writeLoop(c *tcpConn) {
 				t.dropConn(c.addr, c)
 				return
 			}
+			c.mu.Lock()
+			c.flushed = len(c.queue) == 0
+			c.mu.Unlock()
 			select {
 			case <-c.wake:
 				continue
@@ -537,6 +542,39 @@ func (t *TCP) Hello(peerAddr string, self NodeID, selfAddr string) {
 	// Best effort: a full or closed queue loses it here, and every fresh
 	// connection replays it anyway.
 	_ = t.connTo(peerAddr).put(Envelope{From: self, Msg: h})
+}
+
+// Drain waits, at most bound, until every outbound connection has put on
+// its socket everything queued for it, and reports whether they all did.
+// A connection that is down counts as drained: what it held is lost
+// either way. A process about to Close calls it first, so its last
+// messages are not dropped with the queues.
+func (t *TCP) Drain(bound time.Duration) bool {
+	deadline := time.Now().Add(bound)
+	for {
+		t.mu.RLock()
+		busy := 0
+		for _, c := range t.conns {
+			select {
+			case <-c.done:
+				continue
+			default:
+			}
+			c.mu.Lock()
+			if !c.flushed {
+				busy++
+			}
+			c.mu.Unlock()
+		}
+		t.mu.RUnlock()
+		if busy == 0 {
+			return true
+		}
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // Close shuts the mailboxes, listener and connections.

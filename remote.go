@@ -120,10 +120,31 @@ func (t *RemoteTopology) cluster() *topology.Cluster {
 type RemoteSession struct {
 	*Session
 	net *transport.TCP
+	// settle, when set, hands what the session's coordinator still owes
+	// the replicas to the transport (see Close).
+	settle func()
+	closed sync.Once
 }
 
-// Close shuts the session's transport down.
-func (r *RemoteSession) Close() { r.net.Close() }
+// closeDrain bounds how long Close waits for the session's last messages
+// to reach the wire.
+const closeDrain = time.Second
+
+// Close shuts the session's transport down, but first sends what is
+// still owed: the private coordinator's queued visibility (on the
+// coordinator's own node), then every frame the transport holds, for at
+// most closeDrain. A one-shot client that closes right after its commit
+// thus leaves no option for the replicas' pending sweep to settle. A
+// second Close does nothing.
+func (r *RemoteSession) Close() {
+	r.closed.Do(func() {
+		if r.settle != nil {
+			r.settle()
+		}
+		r.net.Drain(closeDrain)
+		r.net.Close()
+	})
+}
 
 // Dial connects a client session (homed in dc) to a TCP deployment.
 // clientID must be unique among concurrently connected clients, and
@@ -153,7 +174,19 @@ func Dial(topo *RemoteTopology, dc DC, clientID, listen string) (*RemoteSession,
 	}
 	cfg := server.Config(mode, topo.ConstraintList())
 	coord := core.NewCoordinator(id, dc, net, topo.cluster(), cfg)
-	return &RemoteSession{Session: newSession(coordBackend{id: id, net: net, coord: coord}, cfg), net: net}, nil
+	settle := func() {
+		done := make(chan struct{})
+		net.After(id, 0, func() {
+			coord.FlushVisibility()
+			close(done)
+		})
+		select {
+		case <-done:
+		case <-time.After(closeDrain):
+		}
+	}
+	return &RemoteSession{Session: newSession(coordBackend{id: id, net: net, coord: coord}, cfg),
+		net: net, settle: settle}, nil
 }
 
 // DialGateway connects a thin client session to the gateway tier of a

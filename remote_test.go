@@ -325,3 +325,39 @@ func TestRemoteTopologyRejectsUnknownKeys(t *testing.T) {
 func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
 }
+
+// TestCloseSendsOwedVisibility: a one-shot client — dial, commit, close
+// at once, as cmd/mdcc-client's set does — leaves nothing for the
+// replicas' pending sweep: every replica applies the write well inside
+// PendingTimeout.
+func TestCloseSendsOwedVisibility(t *testing.T) {
+	topo := startTCPDeployment(t, ModeMDCC, nil, false)
+	sess, err := Dial(topo, USWest, "once", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, err := sess.Commit(Insert("once/1", Value{Attrs: map[string]int64{"n": 1}}))
+	sess.Close()
+	if err != nil || !ok {
+		t.Fatalf("insert: ok=%v err=%v", ok, err)
+	}
+	closed := time.Now()
+	within := loopbackConfig(ModeMDCC, nil).PendingTimeout / 5
+	for _, dc := range topology.AllDCs() {
+		r, err := Dial(topo, dc, "reader-"+dc.String(), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		for {
+			_, ver, _, err := r.Read("once/1")
+			if err == nil && ver == 1 {
+				break
+			}
+			if time.Since(closed) > within {
+				t.Fatalf("%s's replica does not hold the write %v after the writer closed", dc, within)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
