@@ -80,11 +80,13 @@ type Coordinator struct {
 	// vis holds the visibility messages each replica is still owed; they
 	// ride this coordinator's next send to it (see send). visOrder lists
 	// the replicas in the order their queues began, which is the order
-	// the linger timer flushes them in; visArmed says that one timer is
-	// pending.
+	// FlushVisibility sends them in. visDue is when the oldest queued
+	// message's linger runs out, and visTimer the one timer armed for
+	// it (nil when nothing is queued).
 	vis      map[transport.NodeID]visQueue
 	visOrder []transport.NodeID
-	visArmed bool
+	visDue   time.Time
+	visTimer transport.Timer
 
 	m CoordMetrics // counters, snapshotted by Metrics
 }
@@ -247,8 +249,9 @@ func (c *Coordinator) send(to transport.NodeID, msg transport.Message) {
 }
 
 // queueVisibility owes msg to replica `to`: it leaves with the next send
-// there, or when the coordinator's one linger timer fires, at most
-// BatchWindow from now.
+// there, or once BatchWindow has passed since the oldest queued message
+// — from the first handler the coordinator runs after that, or from its
+// one linger timer.
 func (c *Coordinator) queueVisibility(to transport.NodeID, msg transport.Message) {
 	if q, ok := c.vis[to]; ok {
 		q.rest = append(q.rest, msg)
@@ -257,21 +260,22 @@ func (c *Coordinator) queueVisibility(to transport.NodeID, msg transport.Message
 		c.vis[to] = visQueue{head: msg, at: len(c.visOrder)}
 		c.visOrder = append(c.visOrder, to)
 	}
-	if !c.visArmed {
-		c.visArmed = true
-		c.net.After(c.id, BatchWindow, func() {
-			c.visArmed = false
-			c.FlushVisibility()
-		})
+	if c.visTimer == nil {
+		c.visDue = c.net.Now().Add(BatchWindow)
+		c.visTimer = c.net.After(c.id, BatchWindow, c.FlushVisibility)
 	}
 }
 
 // FlushVisibility sends every queued visibility message now, replica by
-// replica in the order their queues began. The linger timer calls it; a
-// process about to exit calls it on the coordinator's node (see
-// mdcc.RemoteSession.Close) so no outcome is left for the replicas'
-// dangling-option sweep.
+// replica in the order their queues began, and disarms the linger
+// timer. The linger calls it; a process about to exit calls it on the
+// coordinator's node (see mdcc.RemoteSession.Close) so no outcome is
+// left for the replicas' dangling-option sweep.
 func (c *Coordinator) FlushVisibility() {
+	if c.visTimer != nil {
+		c.visTimer.Stop()
+		c.visTimer = nil
+	}
 	for i, to := range c.visOrder {
 		q, ok := c.vis[to]
 		switch {
@@ -307,6 +311,11 @@ func (c *Coordinator) observeEscrow(from transport.NodeID, key record.Key, snap 
 }
 
 func (c *Coordinator) handle(env transport.Envelope) {
+	// A busy coordinator flushes visibility whose linger has run out
+	// from its own handler, so the linger timer rarely has to fire.
+	if c.visTimer != nil && !c.net.Now().Before(c.visDue) {
+		c.FlushVisibility()
+	}
 	switch m := env.Msg.(type) {
 	case transport.Batch:
 		for _, item := range m.Items {

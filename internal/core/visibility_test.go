@@ -179,7 +179,7 @@ func TestOneShardCommitBuildsOnce(t *testing.T) {
 	// The parent of this change, which boxed each replica's propose and
 	// visibility apart, allocated 38 objects for one key and 55 for two.
 	nn := tap.Network.(*nullNet)
-	for keys, pinned := range map[int]float64{1: 16, 2: 22} {
+	for keys, pinned := range map[int]float64{1: 17, 2: 23} {
 		c = NewCoordinator(cn.ID, cn.DC, nn, cl, Defaults(ModeMDCC))
 		allocs := testing.AllocsPerRun(200, func() {
 			c.Commit(ups[:keys], done)
