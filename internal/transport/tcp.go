@@ -545,11 +545,10 @@ func (t *TCP) Hello(peerAddr string, self NodeID, selfAddr string) {
 }
 
 // Drain waits, at most bound, until every outbound connection has put on
-// its socket everything queued for it, and reports whether they all did.
-// A connection that is down counts as drained: what it held is lost
-// either way. A process about to Close calls it first, so its last
-// messages are not dropped with the queues.
-func (t *TCP) Drain(bound time.Duration) bool {
+// its socket everything queued for it. A connection that is down counts
+// as drained: what it held is lost either way. A process about to Close
+// calls it first, so its last messages are not dropped with the queues.
+func (t *TCP) Drain(bound time.Duration) {
 	deadline := time.Now().Add(bound)
 	for {
 		t.mu.RLock()
@@ -567,11 +566,8 @@ func (t *TCP) Drain(bound time.Duration) bool {
 			c.mu.Unlock()
 		}
 		t.mu.RUnlock()
-		if busy == 0 {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
+		if busy == 0 || time.Now().After(deadline) {
+			return
 		}
 		time.Sleep(time.Millisecond)
 	}
