@@ -466,12 +466,8 @@ func (c *Coordinator) Commit(updates []record.Update, done func(CommitResult)) {
 	}
 	c.txs[tx] = t
 	// Fast-path proposals for the whole write-set are grouped per
-	// destination node (§7's batching optimization). While every fast key
-	// has the same replicas (one shard), each replica gets the same batch,
-	// built and boxed once; receivers only read it.
+	// destination node (§7's batching optimization; see toReplicas).
 	var fast []Option
-	var reps []transport.NodeID
-	spans := false
 	for i, up := range updates {
 		opt := Option{Tx: tx, Coord: c.id, Update: up, WriteSet: writeSet,
 			KeySeq: writeSeqs[i], WriteSeqs: writeSeqs}
@@ -491,37 +487,52 @@ func (c *Coordinator) Commit(updates []record.Update, done func(CommitResult)) {
 		} else {
 			if fast == nil {
 				fast = make([]Option, 0, len(updates))
-				reps = c.cl.Replicas(up.Key)
-			} else if !sameReplicas(reps, c.cl.Replicas(up.Key)) {
-				spans = true
 			}
 			fast = append(fast, opt)
 		}
 		c.armOptionTimer(t, oc)
 	}
+	toReplicas(c.cl, fast, func(o Option) record.Key { return o.Update.Key }, proposeMsg, c.send)
+}
+
+// toReplicas hands every replica of the items' keys its share of the
+// items, boxed by box, to out. While every key has the same replicas (one
+// shard), all of them get one message, built and boxed once; receivers
+// only read it. Otherwise each replica gets its own, replicas in the
+// order the items first name them (a deterministic send order for the
+// simulator).
+func toReplicas[T any](cl *topology.Cluster, items []T, key func(T) record.Key,
+	box func([]T) transport.Message, out func(transport.NodeID, transport.Message)) {
+	if len(items) == 0 {
+		return
+	}
+	reps := cl.Replicas(key(items[0]))
+	spans := false
+	for _, it := range items[1:] {
+		if !sameReplicas(reps, cl.Replicas(key(it))) {
+			spans = true
+			break
+		}
+	}
 	if !spans {
-		if len(fast) > 0 {
-			msg := transport.Message(MsgProposeBatch{Opts: fast})
-			for _, rep := range reps {
-				c.send(rep, msg)
-			}
+		msg := box(items)
+		for _, rep := range reps {
+			out(rep, msg)
 		}
 		return
 	}
-	fastByNode := make(map[transport.NodeID][]Option)
-	for _, opt := range fast {
-		for _, rep := range c.cl.Replicas(opt.Update.Key) {
-			fastByNode[rep] = append(fastByNode[rep], opt)
+	byNode := make(map[transport.NodeID][]T)
+	var order []transport.NodeID
+	for _, it := range items {
+		for _, rep := range cl.Replicas(key(it)) {
+			if _, seen := byNode[rep]; !seen {
+				order = append(order, rep)
+			}
+			byNode[rep] = append(byNode[rep], it)
 		}
 	}
-	// Deterministic send order for the simulator.
-	for _, up := range updates {
-		for _, rep := range c.cl.Replicas(up.Key) {
-			if opts, ok := fastByNode[rep]; ok {
-				delete(fastByNode, rep)
-				c.send(rep, MsgProposeBatch{Opts: opts})
-			}
-		}
+	for _, rep := range order {
+		out(rep, box(byNode[rep]))
 	}
 }
 
@@ -747,8 +758,6 @@ func (c *Coordinator) finish(t *txCtx, commit bool) {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i].Key < ids[j].Key })
-	reps := c.cl.Replicas(t.opts[ids[0]].opt.Update.Key)
-	spans := false
 	vis := make([]MsgVisibility, 0, len(ids))
 	for _, id := range ids {
 		oc := t.opts[id]
@@ -756,28 +765,9 @@ func (c *Coordinator) finish(t *txCtx, commit bool) {
 			oc.timer.Stop()
 		}
 		vis = append(vis, visibilityFor(oc.opt, commit))
-		spans = spans || !sameReplicas(reps, c.cl.Replicas(id.Key))
 	}
-	if !spans {
-		msg := visibilityMsg(vis)
-		for _, rep := range reps {
-			c.queueVisibility(rep, msg)
-		}
-	} else {
-		byNode := make(map[transport.NodeID][]MsgVisibility)
-		var order []transport.NodeID
-		for _, v := range vis {
-			for _, rep := range c.cl.Replicas(v.Opt.Update.Key) {
-				if _, seen := byNode[rep]; !seen {
-					order = append(order, rep)
-				}
-				byNode[rep] = append(byNode[rep], v)
-			}
-		}
-		for _, rep := range order {
-			c.queueVisibility(rep, visibilityMsg(byNode[rep]))
-		}
-	}
+	toReplicas(c.cl, vis, func(v MsgVisibility) record.Key { return v.Opt.Update.Key },
+		visibilityMsg, c.queueVisibility)
 	if commit {
 		c.m.Commits++
 	} else {
@@ -813,6 +803,9 @@ func (c *Coordinator) finish(t *txCtx, commit bool) {
 	}
 	t.done(res)
 }
+
+// proposeMsg boxes one replica's fast-path proposals.
+func proposeMsg(opts []Option) transport.Message { return MsgProposeBatch{Opts: opts} }
 
 // visibilityMsg boxes one replica's visibility for a transaction: a lone
 // item bare, more as one MsgVisibilityBatch.
