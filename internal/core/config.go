@@ -111,9 +111,13 @@ const SyncEvery = 750 * time.Millisecond
 
 // BatchWindow is how long an outbound message may wait for company
 // bound to the same node: a coordinator's visibility lingers at most this
-// long for its next send to the replica (Coordinator.send), and a gateway
-// batches each destination's messages for this long by default.
+// long for its next send to the replica (Coordinator.vis), and a
+// gateway's coordinator lets every message wait this long by default.
 const BatchWindow = 2 * time.Millisecond
+
+// batchMax caps the messages one replica's queue holds: a queue that
+// reaches it leaves at once, as one Batch envelope.
+const batchMax = 64
 
 // Defaults returns a Config tuned for the simulated 5-DC WAN (option
 // timeouts comfortably above the ~540 ms worst round trip), with anti-entropy.

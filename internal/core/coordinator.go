@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"mdcc/internal/paxos"
@@ -40,7 +41,7 @@ type CommitResult struct {
 // write-set at commit, learns their decisions (acting as the Paxos
 // learner on the fast path), derives the transaction outcome, and
 // makes it visible at every replica, riding the next message it sends
-// there (see send). One Coordinator serves one app-server node;
+// there (see vis). One Coordinator serves one app-server node;
 // all methods must be called from that node's handler context (or
 // before the network starts).
 type Coordinator struct {
@@ -77,26 +78,39 @@ type Coordinator struct {
 	// on votes and read replies (the gateway tier's freshness channel).
 	escrowObs func(from transport.NodeID, key record.Key, snap EscrowSnap)
 
-	// vis holds the visibility messages each replica is still owed; they
-	// ride this coordinator's next send to it (see send). visOrder lists
-	// the replicas in the order their queues began, which is the order
-	// FlushVisibility sends them in. visDue is when the oldest queued
-	// message's linger runs out, and visTimer the one timer armed for
-	// it (nil when nothing is queued).
+	// vis is the one outbound queue, per replica: every message this
+	// coordinator sends joins it, and it leaves as one transport.Batch (or
+	// its lone message). With a window (see SetBatchWindow; a gateway's
+	// coordinator), a queue leaves when the window its first message
+	// opened closes. With none (a private coordinator), a message that
+	// must go (propose, read, recovery, reroute) leaves at once, taking
+	// its replica's queue along, so the queue only ever holds visibility:
+	// it leaves with the next send there, or once BatchWindow has passed
+	// since the oldest was queued (visDue), when every queue leaves —
+	// from the first handler the coordinator runs after that or from
+	// visTimer, the one linger timer (nil when nothing lingers). Either
+	// way a queue that reaches batchMax leaves at once. visOrder lists the
+	// replicas in the order their queues began, which is the order
+	// FlushVisibility sends them in.
 	vis      map[transport.NodeID]visQueue
 	visOrder []transport.NodeID
 	visDue   time.Time
 	visTimer transport.Timer
+	window   time.Duration // see SetBatchWindow
 
-	m CoordMetrics // counters, snapshotted by Metrics
+	m    CoordMetrics // counters, snapshotted by Metrics
+	sent sendCounters // what left the queue, read live by Batches
 }
 
-// visQueue is one replica's owed visibility in the order it was queued:
-// head, then rest (allocated only once a second message queues). at is
-// the queue's index in visOrder.
+// visQueue is one replica's queue in the order it was queued: head, then
+// rest (allocated only once a second message queues). clk is head's
+// flight-recorder stamp, taken when it was queued (rest's items carry
+// their own), so the Lamport order survives a Batch's single outer
+// stamp. at is the queue's index in visOrder.
 type visQueue struct {
 	head transport.Message
-	rest []transport.Message
+	clk  uint64
+	rest []transport.Envelope
 	at   int
 }
 
@@ -104,11 +118,16 @@ type visQueue struct {
 // extra more.
 func (q *visQueue) envelopes(from, to transport.NodeID, extra int) []transport.Envelope {
 	items := make([]transport.Envelope, 0, 1+len(q.rest)+extra)
-	items = append(items, transport.Envelope{From: from, To: to, Msg: q.head})
-	for _, m := range q.rest {
-		items = append(items, transport.Envelope{From: from, To: to, Msg: m})
-	}
-	return items
+	items = append(items, transport.Envelope{From: from, To: to, Msg: q.head, TraceClk: q.clk})
+	return append(items, q.rest...)
+}
+
+// sendCounters count what left the queue. They are atomic because a
+// gateway's Metrics reads them while the coordinator runs.
+type sendCounters struct {
+	envelopes atomic.Int64 // Batch envelopes sent
+	batched   atomic.Int64 // messages carried inside them
+	singles   atomic.Int64 // queued messages that left alone
 }
 
 type leaderHint struct {
@@ -233,63 +252,141 @@ func (c *Coordinator) rotateLane() {
 }
 
 // send is how every message this coordinator sends reaches a replica:
-// the visibility still queued for `to` goes first, in the same
-// transport.Batch. A replica therefore applies an outcome this
-// coordinator learned before it handles anything the coordinator sends
-// it afterwards, on whatever per-pair order the transport keeps.
+// it joins the replica's queue behind what is owed there (see vis), so a
+// replica applies an outcome this coordinator learned before it handles
+// anything the coordinator sends it afterwards, on whatever per-pair
+// order the transport keeps.
 func (c *Coordinator) send(to transport.NodeID, msg transport.Message) {
+	if c.window > 0 {
+		c.enqueue(to, msg)
+		return
+	}
 	q, ok := c.vis[to]
 	if !ok {
 		c.net.Send(c.id, to, msg)
 		return
 	}
 	delete(c.vis, to)
-	items := append(q.envelopes(c.id, to, 1), transport.Envelope{From: c.id, To: to, Msg: msg})
-	transport.SendCoalesced(c.net, c.id, to, items)
+	c.leave(to, q, msg)
 }
 
-// queueVisibility owes msg to replica `to`: it leaves with the next send
-// there, or once BatchWindow has passed since the oldest queued message
-// — from the first handler the coordinator runs after that, or from its
-// one linger timer.
+// queueVisibility owes msg to replica `to` (see vis).
 func (c *Coordinator) queueVisibility(to transport.NodeID, msg transport.Message) {
-	if q, ok := c.vis[to]; ok {
-		q.rest = append(q.rest, msg)
-		c.vis[to] = q
-	} else {
-		c.vis[to] = visQueue{head: msg, at: len(c.visOrder)}
-		c.visOrder = append(c.visOrder, to)
-	}
-	if c.visTimer == nil {
+	if c.enqueue(to, msg) && c.window <= 0 && c.visTimer == nil {
 		c.visDue = c.net.Now().Add(BatchWindow)
 		c.visTimer = c.net.After(c.id, BatchWindow, c.FlushVisibility)
 	}
 }
 
-// FlushVisibility sends every queued visibility message now, replica by
-// replica in the order their queues began, and disarms the linger
-// timer. The linger calls it; a process about to exit calls it on the
-// coordinator's node (see mdcc.RemoteSession.Close) so no outcome is
-// left for the replicas' dangling-option sweep.
+// enqueue appends msg to replica to's queue, stamped now; with a window,
+// a queue's first message opens it. It reports whether msg is still
+// queued: a queue that reaches batchMax leaves at once.
+func (c *Coordinator) enqueue(to transport.NodeID, msg transport.Message) bool {
+	clk := c.cfg.Tracer.StampSend()
+	q, ok := c.vis[to]
+	if ok {
+		q.rest = append(q.rest, transport.Envelope{From: c.id, To: to, Msg: msg, TraceClk: clk})
+	} else {
+		if len(c.visOrder) == cap(c.visOrder) {
+			c.compactOrder()
+		}
+		q = visQueue{head: msg, clk: clk, at: len(c.visOrder)}
+		c.visOrder = append(c.visOrder, to)
+		if c.window > 0 {
+			c.net.After(c.id, c.window, func() { c.closeWindow(to) })
+		}
+	}
+	if 1+len(q.rest) >= batchMax {
+		delete(c.vis, to)
+		c.leave(to, q, nil)
+		return false
+	}
+	c.vis[to] = q
+	return true
+}
+
+// closeWindow sends replica to's queue when its window's timer fires. A
+// queue that left early and began again leaves early too, which only
+// shortens that window.
+func (c *Coordinator) closeWindow(to transport.NodeID) {
+	if q, ok := c.vis[to]; ok {
+		delete(c.vis, to)
+		c.leave(to, q, nil)
+	}
+}
+
+// compactOrder drops the visOrder entries of queues that left early, so
+// that visOrder stays as long as the queues it lists.
+func (c *Coordinator) compactOrder() {
+	live := c.visOrder[:0]
+	for i, to := range c.visOrder {
+		if q, ok := c.vis[to]; ok && q.at == i {
+			q.at = len(live)
+			c.vis[to] = q
+			live = append(live, to)
+		}
+	}
+	clear(c.visOrder[len(live):])
+	c.visOrder = live
+}
+
+// leave sends a queue taken out of vis, with msg (when not nil) behind
+// it, by the one coalescing rule (transport.SendCoalesced), and counts
+// what left.
+func (c *Coordinator) leave(to transport.NodeID, q visQueue, msg transport.Message) {
+	if len(q.rest) == 0 && msg == nil {
+		c.sent.singles.Add(1)
+		c.net.Send(c.id, to, q.head)
+		return
+	}
+	items := q.envelopes(c.id, to, 1)
+	if msg != nil {
+		items = append(items, transport.Envelope{From: c.id, To: to, Msg: msg, TraceClk: c.cfg.Tracer.StampSend()})
+	}
+	c.sent.envelopes.Add(1)
+	c.sent.batched.Add(int64(len(items)))
+	transport.SendCoalesced(c.net, c.id, to, items)
+}
+
+// FlushVisibility sends every queue now — the visibility it mostly holds,
+// and open windows with it — replica by replica in the order the queues
+// began, and disarms the linger timer. The linger calls it; a process
+// about to exit has it run through PostFlush, so no outcome is left for
+// the replicas' dangling-option sweep.
 func (c *Coordinator) FlushVisibility() {
 	if c.visTimer != nil {
 		c.visTimer.Stop()
 		c.visTimer = nil
 	}
 	for i, to := range c.visOrder {
-		q, ok := c.vis[to]
-		switch {
-		case !ok || q.at != i:
-			// drained by a send since; a later queue has its own index
-		case len(q.rest) == 0:
-			c.net.Send(c.id, to, q.head)
-		default:
-			transport.SendCoalesced(c.net, c.id, to, q.envelopes(c.id, to, 0))
+		// A queue that left early has no entry or, begun again, a later index.
+		if q, ok := c.vis[to]; ok && q.at == i {
+			c.leave(to, q, nil)
 		}
 	}
 	clear(c.vis)
 	clear(c.visOrder)
 	c.visOrder = c.visOrder[:0]
+}
+
+// PostFlush runs FlushVisibility on the coordinator's own node and
+// returns a channel closed once it has: what the coordinator owed the
+// replicas is then with the transport. A process about to exit waits on
+// it, with a bound; on the simulator nothing runs until the caller
+// returns, so no caller there waits.
+func (c *Coordinator) PostFlush() <-chan struct{} {
+	done := make(chan struct{})
+	c.net.After(c.id, 0, func() {
+		c.FlushVisibility()
+		close(done)
+	})
+	return done
+}
+
+// Batches reports what left the queue: Batch envelopes, the messages they
+// carried, and queued messages that left alone. Safe from any goroutine.
+func (c *Coordinator) Batches() (envelopes, batched, singles int64) {
+	return c.sent.envelopes.Load(), c.sent.batched.Load(), c.sent.singles.Load()
 }
 
 // ID returns the coordinator's node identity.
@@ -303,6 +400,14 @@ func (c *Coordinator) ID() transport.NodeID { return c.id }
 func (c *Coordinator) SetEscrowObserver(obs func(from transport.NodeID, key record.Key, snap EscrowSnap)) {
 	c.escrowObs = obs
 }
+
+// SetBatchWindow gives this coordinator's queue a window of d (see vis):
+// every message it sends waits up to d for company bound to the same
+// replica, so the messages of different transactions share one
+// transport.Batch (§7's batching, across transactions; a gateway's
+// coordinator). d <= 0, the default, sends what must go at once. Call
+// before the network starts delivering to this coordinator.
+func (c *Coordinator) SetBatchWindow(d time.Duration) { c.window = d }
 
 func (c *Coordinator) observeEscrow(from transport.NodeID, key record.Key, snap EscrowSnap) {
 	if c.escrowObs != nil && snap.Valid {
@@ -748,7 +853,7 @@ func (c *Coordinator) learn(t *txCtx, oc *optCtx, d Decision) {
 // response, §3.2.1), then the application callback. Visibility for
 // the whole write-set is batched per destination node — one message for
 // all replicas when the write set lies in one shard — and queued to
-// ride the coordinator's next send to each replica (see send).
+// ride the coordinator's next send to each replica (see vis).
 func (c *Coordinator) finish(t *txCtx, commit bool) {
 	delete(c.txs, t.id)
 	// Deterministic option order (map iteration would randomize the

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mdcc/internal/record"
+	"mdcc/internal/simnet"
 	"mdcc/internal/topology"
 	"mdcc/internal/transport"
 )
@@ -116,6 +117,144 @@ func TestVisibilityRidesNextSend(t *testing.T) {
 	if ver != 1 || val.Attr("x") != 7 {
 		t.Fatalf("read after commit = %v v%d, want x=7 v1", val, ver)
 	}
+}
+
+// TestSendQueueRule pins the one outbound queue under a window (a
+// gateway's coordinator): more than batchMax sends to one node in one
+// instant arrive in send order, in ⌈n/batchMax⌉ envelopes, the last when
+// the window closes; a propose waits for the window; and visibility
+// leaves with the next propose to its replica, in one envelope, or alone
+// when its own window closes. (With no window, TestVisibilityRidesNextSend
+// pins the rule.)
+func TestSendQueueRule(t *testing.T) {
+	t.Run("order and size", func(t *testing.T) {
+		net := simnet.New(simnet.Options{Seed: 1}) // 1ms uniform latency
+		cl := topology.NewCluster(topology.Layout{NodesPerDC: 1, Clients: 1, ClientDC: -1})
+		c := NewCoordinator("coord", topology.USWest, net, cl, Defaults(ModeMDCC))
+		c.SetBatchWindow(BatchWindow)
+		var got []int
+		var arrived []time.Duration
+		start := net.Now()
+		net.Register("sink", func(env transport.Envelope) {
+			arrived = append(arrived, net.Now().Sub(start))
+			switch m := env.Msg.(type) {
+			case transport.Batch:
+				for _, it := range m.Items {
+					got = append(got, it.Msg.(int))
+				}
+			case int:
+				got = append(got, m)
+			}
+		})
+		const n = 2*batchMax + 22
+		net.At(0, func() {
+			for i := 0; i < n; i++ {
+				c.send("sink", i)
+			}
+		})
+		net.RunFor(time.Second)
+
+		if len(got) != n {
+			t.Fatalf("sink received %d messages, want %d", len(got), n)
+		}
+		for i, m := range got {
+			if m != i {
+				t.Fatalf("message %d arrived as the %dth", m, i)
+			}
+		}
+		want := []time.Duration{time.Millisecond, time.Millisecond, time.Millisecond + BatchWindow}
+		if len(arrived) != len(want) {
+			t.Fatalf("sink received %d envelopes, want %d", len(arrived), len(want))
+		}
+		for i := range want {
+			if arrived[i] != want[i] {
+				t.Errorf("envelope %d arrived at %v, want %v", i, arrived[i], want[i])
+			}
+		}
+		if env, batched, singles := c.Batches(); env != 3 || batched != n || singles != 0 {
+			t.Errorf("Batches() = %d, %d, %d; want 3, %d, 0", env, batched, singles, n)
+		}
+	})
+
+	t.Run("visibility", func(t *testing.T) {
+		cfg := cfgNoSweep(ModeMDCC)
+		w := newWorld(t, cfg, 1, 1, 1)
+		tap := &sendTap{Network: w.net}
+		cn := w.cl.Clients[0]
+		w.coords[0] = NewCoordinator(cn.ID, cn.DC, tap, w.cl, cfg)
+		c := w.coords[0]
+		c.SetBatchWindow(BatchWindow)
+		reps := w.cl.Replicas("k/1")
+		insert := func(key record.Key, x int64) []record.Update {
+			return []record.Update{record.Insert(key, record.Value{Attrs: map[string]int64{"x": x}})}
+		}
+
+		// A lone commit: its proposes wait for the window, its visibility
+		// leaves alone when the window it opened closes. The world charges
+		// every event 100µs of service, so the timers closing one instant's
+		// windows run one after another, within slack.
+		const slack = time.Millisecond
+		start := w.net.Now()
+		var first *CommitResult
+		var firstAt time.Time
+		c.Commit(insert("k/1", 1), func(r CommitResult) { first, firstAt = &r, w.net.Now() })
+		if !w.net.RunUntil(func() bool { return first != nil }, time.Minute) || !first.Committed {
+			t.Fatal("first commit did not commit")
+		}
+		if len(tap.sent) != len(reps) {
+			t.Fatalf("first commit sent %d envelopes, want one per replica (%d)", len(tap.sent), len(reps))
+		}
+		for _, s := range tap.sent {
+			_, ok := s.msg.(MsgProposeBatch)
+			if wait := s.at.Sub(start); !ok || wait < BatchWindow || wait > BatchWindow+slack {
+				t.Errorf("to %s: %T %v after the commit began, want the propose when the %v window closes",
+					s.to, s.msg, wait, BatchWindow)
+			}
+		}
+		mark := len(tap.sent)
+		w.net.RunFor(10 * BatchWindow)
+		if len(tap.sent)-mark != len(reps) {
+			t.Fatalf("first commit's visibility left in %d envelopes, want one per replica", len(tap.sent)-mark)
+		}
+		for _, s := range tap.sent[mark:] {
+			if wait := s.at.Sub(firstAt); !visibilityOf(s.msg, first.Tx) || wait < BatchWindow || wait > BatchWindow+slack {
+				t.Errorf("to %s: %T %v after the commit, want its visibility alone when the %v window closes",
+					s.to, s.msg, wait, BatchWindow)
+			}
+		}
+
+		// A commit whose callback commits again: the next propose to
+		// each replica carries the visibility, in one envelope.
+		mark = len(tap.sent)
+		var second, third *CommitResult
+		c.Commit(insert("k/2", 2), func(r CommitResult) {
+			second = &r
+			c.Commit(insert("k/3", 3), func(r CommitResult) { third = &r })
+		})
+		if !w.net.RunUntil(func() bool { return third != nil }, time.Minute) || !second.Committed || !third.Committed {
+			t.Fatal("second or third commit did not commit")
+		}
+		rode := 0
+		for _, s := range tap.sent[mark:] {
+			if visibilityOf(s.msg, second.Tx) {
+				t.Fatalf("the second commit's visibility left alone to %s", s.to)
+			}
+			b, ok := s.msg.(transport.Batch)
+			if !ok {
+				continue
+			}
+			if len(b.Items) != 2 || !visibilityOf(b.Items[0].Msg, second.Tx) {
+				t.Fatalf("to %s: a Batch of %d items, want the second commit's visibility and the third's propose", s.to, len(b.Items))
+			}
+			if pb, ok := b.Items[1].Msg.(MsgProposeBatch); !ok || pb.Opts[0].Update.Key != "k/3" {
+				t.Errorf("to %s: second item %T, want the third commit's propose", s.to, b.Items[1].Msg)
+			}
+			rode++
+		}
+		if rode != len(reps) {
+			t.Errorf("visibility rode %d proposes, want one per replica (%d)", rode, len(reps))
+		}
+	})
 }
 
 // nullNet delivers nothing and never fires a timer, so a coordinator

@@ -79,8 +79,9 @@ var ErrOutcomeUnknown = errors.New("gateway: transaction outcome unknown (gatewa
 // Tuning shapes one gateway. The zero value means defaults.
 type Tuning struct {
 	// BatchWindow is how long an outbound message may wait for
-	// same-destination company. 0 means core.BatchWindow; a negative
-	// window disables cross-transaction batching.
+	// same-destination company (core.Coordinator.SetBatchWindow). 0 means
+	// core.BatchWindow; a negative window disables cross-transaction
+	// batching.
 	BatchWindow time.Duration
 	// CoalesceWindow is how long a hot-key commutative update may wait
 	// to be merged with others. 0 means the 5ms default; a negative
@@ -98,12 +99,8 @@ type Tuning struct {
 	DisableReadTier bool
 }
 
-// batchMax caps messages per batch envelope; coalesceMax caps client
-// updates merged into one option.
-const (
-	batchMax    = 64
-	coalesceMax = 64
-)
+// coalesceMax caps client updates merged into one option.
+const coalesceMax = 64
 
 func (t Tuning) withDefaults() Tuning {
 	if t.BatchWindow == 0 {
@@ -401,16 +398,15 @@ type gwSpan struct {
 // goroutine; completion callbacks fire on the coordinator's handler
 // goroutine.
 type Gateway struct {
-	id   transport.NodeID
-	dc   topology.DC
-	net  transport.Network // the raw network (RPC, timers, reads)
-	bnet *batcher          // what the coordinator sends through
-	co   *core.Coordinator // carries every transaction and fallback read
-	cl   *topology.Cluster
-	cfg  core.Config
-	tun  Tuning
-	q    paxos.Quorum
-	tr   *trace.Ring // flight-recorder ring (nil when tracing is off)
+	id  transport.NodeID
+	dc  topology.DC
+	net transport.Network // RPC replies, feed subscriptions, timers
+	co  *core.Coordinator // carries every transaction and fallback read
+	cl  *topology.Cluster
+	cfg core.Config
+	tun Tuning
+	q   paxos.Quorum
+	tr  *trace.Ring // flight-recorder ring (nil when tracing is off)
 
 	mu       sync.Mutex
 	inflight int
@@ -418,6 +414,7 @@ type Gateway struct {
 	keys     map[record.Key]*keyState
 	m        Metrics
 	closed   bool
+	flushed  <-chan struct{} // see Flushed
 
 	// pending registers everything the gateway owes an answer: every
 	// admitted transaction's completion callback (plus its write-set
@@ -462,19 +459,15 @@ func New(dc topology.DC, net transport.Network, cl *topology.Cluster, coreCfg co
 		keys:    make(map[record.Key]*keyState),
 		pending: make(map[uint64]pendingOp),
 	}
-	g.bnet = newBatcher(net, g.id, tun.BatchWindow)
 	if coreCfg.Tracer != nil {
 		g.tr = coreCfg.Tracer.Ring(string(g.id), int(dc))
 		// The gateway sees the whole admit→ack life of a transaction
 		// (queueing and coalescing included), so it — not the
 		// coordinator — owns flight-recorder completion.
 		coreCfg.Tracer.ClaimTop()
-		// Stamp batched envelope items at buffering time so the Lamport
-		// order survives the wire even when inner items are re-dispatched
-		// out of the outer envelope by a remote process.
-		g.bnet.tracer = coreCfg.Tracer
 	}
-	g.co = core.NewCoordinator(coordID(dc), dc, g.bnet, cl, coreCfg)
+	g.co = core.NewCoordinator(coordID(dc), dc, net, cl, coreCfg)
+	g.co.SetBatchWindow(tun.BatchWindow)
 	// The coordinator feeds the piggybacked escrow snapshots on its
 	// votes and read replies into the headroom accounts.
 	g.co.SetEscrowObserver(g.observeEscrow)
@@ -1399,9 +1392,7 @@ func (g *Gateway) Metrics() Metrics {
 		m.MaterializedKeys, m.FeedsLive = g.readTierGaugesLocked()
 	}
 	g.mu.Unlock()
-	m.BatchEnvelopes = g.bnet.envelopes.Load()
-	m.BatchedMsgs = g.bnet.batched.Load()
-	m.BatchSingles = g.bnet.singles.Load()
+	m.BatchEnvelopes, m.BatchedMsgs, m.BatchSingles = g.co.Batches()
 	m.Finalize()
 	return m
 }
@@ -1488,10 +1479,11 @@ func (g *Gateway) dropWindowsLocked() (parked []waiter) {
 	return parked
 }
 
-// Close rejects the backlog and every parked window with ErrClosed,
-// answers every held read absent and flushes the batcher. The
-// coordinator keeps draining what was already dispatched (its
-// lifecycle belongs to the network).
+// Close rejects the backlog and every parked window with ErrClosed and
+// answers every held read absent. It posts the coordinator's flush of
+// what it still owes the replicas to the coordinator's node without
+// waiting for it (see Flushed). The coordinator keeps draining what was
+// already dispatched (its lifecycle belongs to the network).
 func (g *Gateway) Close() {
 	g.mu.Lock()
 	if g.closed {
@@ -1505,6 +1497,7 @@ func (g *Gateway) Close() {
 	_, reads := g.takePendingLocked(true)
 	g.inflight -= len(parked) // queued never held inflight slots
 	g.m.Aborts += int64(len(queued) + len(parked))
+	g.flushed = g.co.PostFlush()
 	g.mu.Unlock()
 	for _, q := range queued {
 		q.done(false, ErrClosed)
@@ -1515,5 +1508,14 @@ func (g *Gateway) Close() {
 	for _, cb := range reads {
 		cb(record.Value{}, 0, false)
 	}
-	g.bnet.flushAll()
+}
+
+// Flushed returns a channel closed once the flush Close posted has run:
+// what the coordinator owed the replicas is then with the network. A
+// process about to exit waits on it (server.Close). It is nil before
+// Close and after Kill.
+func (g *Gateway) Flushed() <-chan struct{} {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.flushed
 }

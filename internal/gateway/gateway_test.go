@@ -3,6 +3,7 @@ package gateway
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -464,91 +465,58 @@ func TestAdmissionBackpressure(t *testing.T) {
 	}
 }
 
-// TestBatcherPreservesOrder sends interleaved messages from several
-// sources to one destination through the batcher and checks the
-// destination observes every message in per-source send order.
-func TestBatcherPreservesOrder(t *testing.T) {
-	net := simnet.New(simnet.Options{Seed: 1})
-	type tag struct {
-		From int
-		Seq  int
+// TestMetricsReadWhileCommitting reads Metrics from another goroutine
+// while the gateway commits over the real-time Local transport. The
+// batch counters live on the coordinator, which updates them on its own
+// goroutine, so they must be safe to read live; run it under -race.
+func TestMetricsReadWhileCommitting(t *testing.T) {
+	cl := topology.NewCluster(topology.Layout{NodesPerDC: 1, Clients: 0, ClientDC: -1})
+	net := transport.NewLocal(nil)
+	defer net.Close()
+	cfg := core.Defaults(core.ModeMDCC)
+	for _, n := range cl.Storage {
+		core.NewStorageNode(n.ID, n.DC, net, cl, cfg, kv.NewMemory())
 	}
-	var got []tag
-	net.Register("sink", func(env transport.Envelope) {
-		switch m := env.Msg.(type) {
-		case transport.Batch:
-			for _, item := range m.Items {
-				got = append(got, item.Msg.(tag))
-			}
-		case tag:
-			got = append(got, m)
-		}
-	})
-	net.Register("anchor", func(transport.Envelope) {})
-	b := newBatcher(net, "anchor", 2*time.Millisecond)
-	// More than two envelopes' worth in one instant: size-triggered
-	// flushes interleave with the timer flush of the remainder.
-	const senders, per = 3, 50
-	net.At(0, func() {
-		for s := 0; s < per; s++ {
-			for f := 0; f < senders; f++ {
-				b.Send(transport.NodeID(rune('a'+f)), "sink", tag{From: f, Seq: s})
+	gw := New(topology.USWest, net, cl, cfg, Tuning{})
+	defer gw.Close()
+
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				gw.Metrics()
 			}
 		}
-	})
-	net.RunFor(time.Second)
-
-	if len(got) != senders*per {
-		t.Fatalf("received %d messages, want %d", len(got), senders*per)
+	}()
+	defer func() {
+		close(stop)
+		reader.Wait()
+	}()
+	const n = 32
+	done := make(chan bool, n)
+	for i := 0; i < n; i++ {
+		gw.Commit([]record.Update{record.Insert(record.Key(fmt.Sprintf("live/%d", i)),
+			record.Value{Attrs: map[string]int64{"v": 1}})},
+			func(ok bool, err error) { done <- ok && err == nil })
 	}
-	last := map[int]int{0: -1, 1: -1, 2: -1}
-	for _, m := range got {
-		if m.Seq <= last[m.From] {
-			t.Fatalf("reordered: from %d seq %d after %d", m.From, m.Seq, last[m.From])
+	timeout := time.After(10 * time.Second)
+	for i := 0; i < n; i++ {
+		select {
+		case ok := <-done:
+			if !ok {
+				t.Error("a commit failed")
+			}
+		case <-timeout:
+			t.Fatalf("%d of %d commits settled within 10s", i, n)
 		}
-		last[m.From] = m.Seq
 	}
-}
-
-// TestBatcherFlattensBatch hands the batcher a transport.Batch between
-// two plain messages, as the gateway's coordinator does when owed
-// visibility rides a propose: the window must leave as one flat
-// envelope, every item in send order under its own sender.
-func TestBatcherFlattensBatch(t *testing.T) {
-	net := simnet.New(simnet.Options{Seed: 1})
-	var got []transport.Envelope
-	net.Register("sink", func(env transport.Envelope) { got = append(got, env) })
-	net.Register("anchor", func(transport.Envelope) {})
-	b := newBatcher(net, "anchor", 2*time.Millisecond)
-	net.At(0, func() {
-		b.Send("a", "sink", 1)
-		b.Send("c", "sink", transport.Batch{Items: []transport.Envelope{
-			{From: "c", To: "sink", Msg: 2},
-			{From: "c", To: "sink", Msg: 3},
-		}})
-		b.Send("b", "sink", 4)
-	})
-	net.RunFor(time.Second)
-
-	if len(got) != 1 {
-		t.Fatalf("sink got %d envelopes, want 1", len(got))
-	}
-	bt, ok := got[0].Msg.(transport.Batch)
-	if !ok {
-		t.Fatalf("sink got %T, want one transport.Batch", got[0].Msg)
-	}
-	want := []transport.Envelope{
-		{From: "a", To: "sink", Msg: 1},
-		{From: "c", To: "sink", Msg: 2},
-		{From: "c", To: "sink", Msg: 3},
-		{From: "b", To: "sink", Msg: 4},
-	}
-	if len(bt.Items) != len(want) {
-		t.Fatalf("batch carries %d items, want %d: %+v", len(bt.Items), len(want), bt.Items)
-	}
-	for i, e := range bt.Items {
-		if e != want[i] {
-			t.Errorf("item %d = %+v, want %+v", i, e, want[i])
-		}
+	if m := gw.Metrics(); m.BatchEnvelopes+m.BatchSingles == 0 {
+		t.Errorf("no message left the coordinator's queue: %+v", m)
 	}
 }
