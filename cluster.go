@@ -164,5 +164,5 @@ func (c *Cluster) Close() {
 		return
 	}
 	c.closed = true
-	server.Close(c.net.Close, c.dcs...)
+	server.Close(c.net, c.dcs...)
 }

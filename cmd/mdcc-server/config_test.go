@@ -54,12 +54,12 @@ func TestDataDirLayout(t *testing.T) {
 	if err := d.Nodes[1].Store().Put("layout/1", record.Value{Attrs: map[string]int64{"x": 7}}, 1); err != nil {
 		t.Fatal(err)
 	}
-	server.Close(net.Close, d)
+	server.Close(net, d)
 	if _, err := os.Stat(filepath.Join(data, "shard1", "wal")); err != nil {
 		t.Fatalf("shard 1's log is not at <data>/shard1/wal: %v", err)
 	}
 	d, net = start()
-	defer server.Close(net.Close, d)
+	defer server.Close(net, d)
 	if v, ver, ok := d.Nodes[1].Store().Get("layout/1"); !ok || ver != 1 || v.Attr("x") != 7 {
 		t.Fatalf("after reopen: x=%d version %d ok=%v, want x=7 at version 1", v.Attr("x"), ver, ok)
 	}

@@ -161,7 +161,7 @@ func main() {
 	// Gate the HTTP endpoints first: Close waits out in-flight handlers
 	// and flips them to 503, so nothing below races a /metrics scrape.
 	ops.Close()
-	server.Close(net.Close, d)
+	server.Close(net, d)
 }
 
 // coreConfig is the protocol config this server runs: server.Config,

@@ -62,7 +62,7 @@ func Start(dc topology.DC, net transport.Network, cl *topology.Cluster, cfg core
 		}
 		n, err := OpenNode(sn.ID, dc, net, cl, cfg, path, core.DurableOptions{GroupCommit: true})
 		if err != nil {
-			Close(func() {}, d)
+			closeStores(d)
 			return nil, err
 		}
 		d.Nodes = append(d.Nodes, n)
@@ -73,20 +73,56 @@ func Start(dc topology.DC, net transport.Network, cl *topology.Cluster, cfg core
 	return d, nil
 }
 
-// Close shuts data centers down in mdcc-server's order: the gateways
-// (their batchers flush onto the network), the network (stop), then
-// the nodes' stores, so no handler writes into a closed log.
-func Close(stop func(), dcs ...*DC) {
+// CloseDrain bounds each wait of a shutdown for its last messages: for
+// a coordinator's flush, then for a TCP transport's writers.
+const CloseDrain = time.Second
+
+// Close shuts data centers down in mdcc-server's order: the gateways,
+// whose coordinators hand what they still owe the replicas to the
+// network, which sends it (Drain); the network; then the nodes' stores,
+// so no handler writes into a closed log. net is the deployment's
+// real-time transport, Local or TCP.
+func Close(net interface {
+	transport.Network
+	Close()
+}, dcs ...*DC) {
+	var flushed []<-chan struct{}
 	for _, d := range dcs {
 		if d.Gateway != nil {
 			d.Gateway.Close()
+			if f := d.Gateway.Flushed(); f != nil {
+				flushed = append(flushed, f)
+			}
 		}
 	}
-	stop()
+	Drain(net, flushed...)
+	net.Close()
 	for _, d := range dcs {
-		for _, n := range d.Nodes {
-			_ = n.Store().Close() // shutting down: nothing to report to
+		closeStores(d)
+	}
+}
+
+// Drain waits, for at most CloseDrain, until each coordinator flush in
+// flushed has run, and then, when net is a TCP transport, for at most
+// CloseDrain until its writers have put every queued frame on the wire.
+func Drain(net transport.Network, flushed ...<-chan struct{}) {
+	timeout := time.After(CloseDrain)
+wait:
+	for _, f := range flushed {
+		select {
+		case <-f:
+		case <-timeout:
+			break wait
 		}
+	}
+	if tcp, ok := net.(*transport.TCP); ok {
+		tcp.Drain(CloseDrain)
+	}
+}
+
+func closeStores(d *DC) {
+	for _, n := range d.Nodes {
+		_ = n.Store().Close() // shutting down: nothing to report to
 	}
 }
 

@@ -120,28 +120,25 @@ func (t *RemoteTopology) cluster() *topology.Cluster {
 type RemoteSession struct {
 	*Session
 	net *transport.TCP
-	// settle, when set, hands what the session's coordinator still owes
-	// the replicas to the transport (see Close).
-	settle func()
+	// coord is the session's private coordinator (Dial); nil for a
+	// gateway session.
+	coord  *core.Coordinator
 	closed sync.Once
 }
 
-// closeDrain bounds how long Close waits for the session's last messages
-// to reach the wire.
-const closeDrain = time.Second
-
 // Close shuts the session's transport down, but first sends what is
-// still owed: the private coordinator's queued visibility (on the
-// coordinator's own node), then every frame the transport holds, for at
-// most closeDrain. A one-shot client that closes right after its commit
-// thus leaves no option for the replicas' pending sweep to settle. A
-// second Close does nothing.
+// still owed: the private coordinator's queue (flushed on the
+// coordinator's own node), then every frame the transport holds, each
+// wait bounded by server.CloseDrain. A one-shot client that closes right
+// after its commit thus leaves no option for the replicas' pending sweep
+// to settle. A second Close does nothing.
 func (r *RemoteSession) Close() {
 	r.closed.Do(func() {
-		if r.settle != nil {
-			r.settle()
+		if r.coord != nil {
+			server.Drain(r.net, r.coord.PostFlush())
+		} else {
+			server.Drain(r.net)
 		}
-		r.net.Drain(closeDrain)
 		r.net.Close()
 	})
 }
@@ -174,19 +171,8 @@ func Dial(topo *RemoteTopology, dc DC, clientID, listen string) (*RemoteSession,
 	}
 	cfg := server.Config(mode, topo.ConstraintList())
 	coord := core.NewCoordinator(id, dc, net, topo.cluster(), cfg)
-	settle := func() {
-		done := make(chan struct{})
-		net.After(id, 0, func() {
-			coord.FlushVisibility()
-			close(done)
-		})
-		select {
-		case <-done:
-		case <-time.After(closeDrain):
-		}
-	}
 	return &RemoteSession{Session: newSession(coordBackend{id: id, net: net, coord: coord}, cfg),
-		net: net, settle: settle}, nil
+		net: net, coord: coord}, nil
 }
 
 // DialGateway connects a thin client session to the gateway tier of a

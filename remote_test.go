@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,9 +17,11 @@ import (
 
 // startTCPDeployment boots a real five-data-center deployment over
 // loopback TCP (one transport per DC, as cmd/mdcc-server does) and
-// returns its topology. withGateways additionally hosts each DC's
-// gateway tier on its server transport (cmd/mdcc-server -gateway).
-func startTCPDeployment(t *testing.T, mode Mode, cons []Constraint, withGateways bool) *RemoteTopology {
+// returns its topology and each DC's graceful shutdown (server.Close, as
+// mdcc-server runs it on SIGINT; the test's cleanup runs those not run
+// before). withGateways additionally hosts each DC's gateway tier on its
+// server transport (cmd/mdcc-server -gateway).
+func startTCPDeployment(t *testing.T, mode Mode, cons []Constraint, withGateways bool) (*RemoteTopology, map[DC]func()) {
 	t.Helper()
 	// First pass: bind listeners so we know every address.
 	nets := make(map[DC]*transport.TCP)
@@ -36,6 +39,7 @@ func startTCPDeployment(t *testing.T, mode Mode, cons []Constraint, withGateways
 	cl := topology.NewCluster(topology.Layout{NodesPerDC: 1, Clients: 0, ClientDC: -1})
 	modeName := map[Mode]string{ModeMDCC: "mdcc", ModeFast: "fast", ModeMulti: "multi"}[mode]
 	topo := &RemoteTopology{NodesPerDC: 1, Mode: modeName, Addrs: make(map[string]string)}
+	stop := make(map[DC]func())
 	for _, dc := range topology.AllDCs() {
 		net := nets[dc]
 		peers := make(map[DC]string)
@@ -51,10 +55,12 @@ func startTCPDeployment(t *testing.T, mode Mode, cons []Constraint, withGateways
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { server.Close(net.Close, d) })
+		var once sync.Once
+		stop[dc] = func() { once.Do(func() { server.Close(net, d) }) }
+		t.Cleanup(stop[dc])
 		topo.Addrs[dc.String()] = addrs[dc]
 	}
-	return topo
+	return topo, stop
 }
 
 // loopbackConfig is startTCPDeployment's protocol config: the server's,
@@ -68,7 +74,7 @@ func loopbackConfig(mode Mode, cons []Constraint) core.Config {
 }
 
 func TestTCPDeploymentEndToEnd(t *testing.T) {
-	topo := startTCPDeployment(t, ModeMDCC, []Constraint{MinBound("stock", 0)}, false)
+	topo, _ := startTCPDeployment(t, ModeMDCC, []Constraint{MinBound("stock", 0)}, false)
 	sess, err := Dial(topo, USWest, "t1", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +123,7 @@ func TestTCPDeploymentEndToEnd(t *testing.T) {
 }
 
 func TestTCPConflictDetection(t *testing.T) {
-	topo := startTCPDeployment(t, ModeMDCC, nil, false)
+	topo, _ := startTCPDeployment(t, ModeMDCC, nil, false)
 	a, err := Dial(topo, USWest, "a", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +164,7 @@ func TestTCPConflictDetection(t *testing.T) {
 // a key its predecessor wrote must be applied, not answered from the
 // predecessor's settled decision.
 func TestDialReusedClientID(t *testing.T) {
-	topo := startTCPDeployment(t, ModeMDCC, nil, false)
+	topo, _ := startTCPDeployment(t, ModeMDCC, nil, false)
 	first, err := Dial(topo, USWest, "seat", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +337,7 @@ func writeFile(path, content string) error {
 // replicas' pending sweep: every replica applies the write well inside
 // PendingTimeout.
 func TestCloseSendsOwedVisibility(t *testing.T) {
-	topo := startTCPDeployment(t, ModeMDCC, nil, false)
+	topo, _ := startTCPDeployment(t, ModeMDCC, nil, false)
 	sess, err := Dial(topo, USWest, "once", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -356,6 +362,47 @@ func TestCloseSendsOwedVisibility(t *testing.T) {
 			}
 			if time.Since(closed) > within {
 				t.Fatalf("%s's replica does not hold the write %v after the writer closed", dc, within)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
+
+// TestGatewayCloseSendsOwedVisibility: a commit a gateway acknowledged
+// just before its server shuts down gracefully reaches every other
+// replica well inside PendingTimeout. server.Close has the gateway's
+// coordinator send what it still owes, and the transport put it on the
+// wire, before it stops the transport.
+func TestGatewayCloseSendsOwedVisibility(t *testing.T) {
+	topo, stop := startTCPDeployment(t, ModeMDCC, nil, true)
+	sess, err := DialGateway(topo, USWest, "once", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	ok, err := sess.Commit(Insert("gwonce/1", Value{Attrs: map[string]int64{"n": 1}}))
+	stop[USWest]()
+	if err != nil || !ok {
+		t.Fatalf("insert: ok=%v err=%v", ok, err)
+	}
+	closed := time.Now()
+	within := loopbackConfig(ModeMDCC, nil).PendingTimeout / 5
+	for _, dc := range topology.AllDCs() {
+		if dc == USWest {
+			continue
+		}
+		r, err := Dial(topo, dc, "reader-"+dc.String(), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		for {
+			_, ver, _, err := r.Read("gwonce/1")
+			if err == nil && ver == 1 {
+				break
+			}
+			if time.Since(closed) > within {
+				t.Fatalf("%s's replica does not hold the write %v after US-West's server closed", dc, within)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
