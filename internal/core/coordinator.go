@@ -316,7 +316,8 @@ func (c *Coordinator) closeWindow(to transport.NodeID) {
 }
 
 // compactOrder drops the visOrder entries of queues that left early, so
-// that visOrder stays as long as the queues it lists.
+// that visOrder stays as long as the queues it lists. With a window
+// nothing else clears it: the linger, which does, never runs.
 func (c *Coordinator) compactOrder() {
 	live := c.visOrder[:0]
 	for i, to := range c.visOrder {
