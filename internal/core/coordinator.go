@@ -114,14 +114,6 @@ type visQueue struct {
 	at   int
 }
 
-// envelopes lays the queue out as Batch items from `from`, with room for
-// extra more.
-func (q *visQueue) envelopes(from, to transport.NodeID, extra int) []transport.Envelope {
-	items := make([]transport.Envelope, 0, 1+len(q.rest)+extra)
-	items = append(items, transport.Envelope{From: from, To: to, Msg: q.head, TraceClk: q.clk})
-	return append(items, q.rest...)
-}
-
 // sendCounters count what left the queue. They are atomic because a
 // gateway's Metrics reads them while the coordinator runs.
 type sendCounters struct {
@@ -340,7 +332,9 @@ func (c *Coordinator) leave(to transport.NodeID, q visQueue, msg transport.Messa
 		c.net.Send(c.id, to, q.head)
 		return
 	}
-	items := q.envelopes(c.id, to, 1)
+	items := make([]transport.Envelope, 0, len(q.rest)+2)
+	items = append(items, transport.Envelope{From: c.id, To: to, Msg: q.head, TraceClk: q.clk})
+	items = append(items, q.rest...)
 	if msg != nil {
 		items = append(items, transport.Envelope{From: c.id, To: to, Msg: msg, TraceClk: c.cfg.Tracer.StampSend()})
 	}
