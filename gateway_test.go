@@ -211,7 +211,7 @@ func TestGatewaySessionGuaranteesThroughReadTier(t *testing.T) {
 // TestDialGatewayRoundTrip runs a server-side gateway and a thin RPC
 // client in-process over real TCP sockets.
 func TestDialGatewayRoundTrip(t *testing.T) {
-	topo, _ := startTCPDeployment(t, ModeMDCC, nil, true)
+	topo := startTCPDeployment(t, ModeMDCC, nil, true)
 
 	sess, err := DialGateway(topo, USWest, "gwcli1", "127.0.0.1:0")
 	if err != nil {

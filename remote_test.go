@@ -17,11 +17,17 @@ import (
 
 // startTCPDeployment boots a real five-data-center deployment over
 // loopback TCP (one transport per DC, as cmd/mdcc-server does) and
-// returns its topology and each DC's graceful shutdown (server.Close, as
-// mdcc-server runs it on SIGINT; the test's cleanup runs those not run
-// before). withGateways additionally hosts each DC's gateway tier on its
-// server transport (cmd/mdcc-server -gateway).
-func startTCPDeployment(t *testing.T, mode Mode, cons []Constraint, withGateways bool) (*RemoteTopology, map[DC]func()) {
+// returns its topology. withGateways additionally hosts each DC's
+// gateway tier on its server transport (cmd/mdcc-server -gateway).
+func startTCPDeployment(t *testing.T, mode Mode, cons []Constraint, withGateways bool) *RemoteTopology {
+	topo, _ := deployTCP(t, mode, cons, withGateways)
+	return topo
+}
+
+// deployTCP is startTCPDeployment that also returns each DC's graceful
+// shutdown (server.Close, as mdcc-server runs it on SIGINT); the test's
+// cleanup runs those not run before.
+func deployTCP(t *testing.T, mode Mode, cons []Constraint, withGateways bool) (*RemoteTopology, map[DC]func()) {
 	t.Helper()
 	// First pass: bind listeners so we know every address.
 	nets := make(map[DC]*transport.TCP)
@@ -74,7 +80,7 @@ func loopbackConfig(mode Mode, cons []Constraint) core.Config {
 }
 
 func TestTCPDeploymentEndToEnd(t *testing.T) {
-	topo, _ := startTCPDeployment(t, ModeMDCC, []Constraint{MinBound("stock", 0)}, false)
+	topo := startTCPDeployment(t, ModeMDCC, []Constraint{MinBound("stock", 0)}, false)
 	sess, err := Dial(topo, USWest, "t1", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +129,7 @@ func TestTCPDeploymentEndToEnd(t *testing.T) {
 }
 
 func TestTCPConflictDetection(t *testing.T) {
-	topo, _ := startTCPDeployment(t, ModeMDCC, nil, false)
+	topo := startTCPDeployment(t, ModeMDCC, nil, false)
 	a, err := Dial(topo, USWest, "a", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +170,7 @@ func TestTCPConflictDetection(t *testing.T) {
 // a key its predecessor wrote must be applied, not answered from the
 // predecessor's settled decision.
 func TestDialReusedClientID(t *testing.T) {
-	topo, _ := startTCPDeployment(t, ModeMDCC, nil, false)
+	topo := startTCPDeployment(t, ModeMDCC, nil, false)
 	first, err := Dial(topo, USWest, "seat", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +343,7 @@ func writeFile(path, content string) error {
 // replicas' pending sweep: every replica applies the write well inside
 // PendingTimeout.
 func TestCloseSendsOwedVisibility(t *testing.T) {
-	topo, _ := startTCPDeployment(t, ModeMDCC, nil, false)
+	topo := startTCPDeployment(t, ModeMDCC, nil, false)
 	sess, err := Dial(topo, USWest, "once", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -374,7 +380,7 @@ func TestCloseSendsOwedVisibility(t *testing.T) {
 // coordinator send what it still owes, and the transport put it on the
 // wire, before it stops the transport.
 func TestGatewayCloseSendsOwedVisibility(t *testing.T) {
-	topo, stop := startTCPDeployment(t, ModeMDCC, nil, true)
+	topo, stop := deployTCP(t, ModeMDCC, nil, true)
 	sess, err := DialGateway(topo, USWest, "once", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
