@@ -7,10 +7,11 @@
 //   - runs one core.Coordinator and multiplexes all attached client
 //     sessions onto it (sessions are stateless with respect to the
 //     protocol, so one coordinator can carry every transaction);
-//   - coalesces outbound protocol messages bound for the same
-//     acceptor within a small time/size window into one
-//     transport.Batch envelope (cross-transaction batching — the
-//     §7 optimization generalized beyond one transaction);
+//   - gives that coordinator a batch window, so its outbound protocol
+//     messages bound for the same acceptor within a small time/size
+//     window leave as one transport.Batch envelope (cross-transaction
+//     batching — the §7 optimization generalized beyond one
+//     transaction; core.Coordinator.SetBatchWindow);
 //   - merges *commutative* updates to the same hot key from
 //     concurrent transactions into one merged option per coalescing
 //     window, so a stock-decrement stampede costs O(windows) Paxos
