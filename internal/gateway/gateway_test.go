@@ -30,6 +30,13 @@ type testWorld struct {
 
 func newTestWorld(t *testing.T, tun Tuning, cons []record.Constraint) *testWorld {
 	t.Helper()
+	return newTestWorldOn(t, tun, cons, simnet.Options{JitterFrac: 0.05, ServiceTime: 100 * time.Microsecond, Seed: 1})
+}
+
+// newTestWorldOn is newTestWorld on a simulator with opts' jitter,
+// service time and seed.
+func newTestWorldOn(t *testing.T, tun Tuning, cons []record.Constraint, opts simnet.Options) *testWorld {
+	t.Helper()
 	cl := topology.NewCluster(topology.Layout{NodesPerDC: 1, Clients: 0, ClientDC: -1})
 	extra := map[transport.NodeID]topology.DC{}
 	for _, id := range NodeIDs(topology.USWest, tun) {
@@ -38,17 +45,13 @@ func newTestWorld(t *testing.T, tun Tuning, cons []record.Constraint) *testWorld
 	cfg := core.Defaults(core.ModeMDCC)
 	cfg.Constraints = cons
 	w := &testWorld{cl: cl, cfg: cfg}
-	w.net = simnet.New(simnet.Options{
-		Latency:     cl.LatencyWith(extra),
-		JitterFrac:  0.05,
-		ServiceTime: 100 * time.Microsecond,
-		Seed:        1,
-		OnDeliver: func(e transport.Envelope) {
-			if w.onDeliver != nil {
-				w.onDeliver(e)
-			}
-		},
-	})
+	opts.Latency = cl.LatencyWith(extra)
+	opts.OnDeliver = func(e transport.Envelope) {
+		if w.onDeliver != nil {
+			w.onDeliver(e)
+		}
+	}
+	w.net = simnet.New(opts)
 	for _, n := range cl.Storage {
 		store := kv.NewMemory()
 		w.stores = append(w.stores, store)
@@ -463,6 +466,155 @@ func TestAdmissionBackpressure(t *testing.T) {
 	if m.AdmissionRejects != int64(n-8) || m.QueuePeak != 4 {
 		t.Errorf("admission metrics %+v", m)
 	}
+}
+
+// TestBatcherPreservesOrder commits more than one envelope's worth of
+// transactions through the gateway in one instant and checks every
+// acceptor receives their proposals in commit order, in ⌈n/64⌉
+// envelopes from the gateway's coordinator: the coordinator's send queue
+// keeps per-destination order across its size-triggered departures and
+// the one its window closes. The simulator runs without jitter or
+// service time, so one instant's commits share one window and the
+// envelopes arrive as they left.
+func TestBatcherPreservesOrder(t *testing.T) {
+	const n, perEnvelope = 150, 64
+	w := newTestWorldOn(t, Tuning{}, nil, simnet.Options{Seed: 1})
+	keys := make([]record.Key, n)
+	for i := range keys {
+		keys[i] = record.Key(fmt.Sprintf("order/%03d", i))
+	}
+	got := map[transport.NodeID][]record.Key{}
+	envelopes := map[transport.NodeID]int{}
+	w.onDeliver = func(e transport.Envelope) {
+		if e.From != coordID(topology.USWest) {
+			return
+		}
+		if ks := proposedKeys(t, e.Msg); len(ks) > 0 {
+			got[e.To] = append(got[e.To], ks...)
+			envelopes[e.To]++
+		}
+	}
+	committed := 0
+	w.net.At(0, func() {
+		for _, key := range keys {
+			w.gw.Commit([]record.Update{record.Insert(key, record.Value{Attrs: map[string]int64{"v": 1}})},
+				func(ok bool, err error) {
+					if ok && err == nil {
+						committed++
+					}
+				})
+		}
+	})
+	w.net.RunFor(3 * time.Second)
+
+	if committed != n {
+		t.Fatalf("%d of %d uncontended commits acknowledged", committed, n)
+	}
+	if len(got) != len(w.nodes) {
+		t.Fatalf("proposals reached %d of %d acceptors", len(got), len(w.nodes))
+	}
+	for acc, ks := range got {
+		if len(ks) != n {
+			t.Fatalf("%s received %d proposals, want %d", acc, len(ks), n)
+		}
+		for i, k := range ks {
+			if k != keys[i] {
+				t.Fatalf("%s received %s as proposal %d, want %s", acc, k, i, keys[i])
+			}
+		}
+		if want := (n + perEnvelope - 1) / perEnvelope; envelopes[acc] != want {
+			t.Errorf("%s received the proposals in %d envelopes, want %d", acc, envelopes[acc], want)
+		}
+	}
+}
+
+// TestBatcherFlattensBatch commits a transaction whose acknowledgement
+// commits two more, as a client keeping the gateway busy does: at every
+// acceptor the first commit's visibility and the next two proposals
+// arrive as one flat transport.Batch, in that order, every item under
+// the gateway's coordinator.
+func TestBatcherFlattensBatch(t *testing.T) {
+	w := newTestWorldOn(t, Tuning{}, nil, simnet.Options{Seed: 1})
+	insert := func(key record.Key) []record.Update {
+		return []record.Update{record.Insert(key, record.Value{Attrs: map[string]int64{"v": 1}})}
+	}
+	// proposing holds the coordinator's envelopes that carry proposals:
+	// the first commit's, then the pair's.
+	var proposing []transport.Envelope
+	w.onDeliver = func(e transport.Envelope) {
+		if e.From == coordID(topology.USWest) && len(proposedKeys(t, e.Msg)) > 0 {
+			proposing = append(proposing, e)
+		}
+	}
+	settled := 0
+	count := func(ok bool, err error) {
+		if !ok || err != nil {
+			t.Errorf("commit failed: %v", err)
+		}
+		settled++
+	}
+	w.net.At(0, func() {
+		w.gw.Commit(insert("flat/a"), func(ok bool, err error) {
+			count(ok, err)
+			w.gw.Commit(insert("flat/b"), count)
+			w.gw.Commit(insert("flat/c"), count)
+		})
+	})
+	w.net.RunFor(3 * time.Second)
+
+	if settled != 3 {
+		t.Fatalf("%d of 3 commits settled", settled)
+	}
+	if len(proposing) != 2*len(w.nodes) {
+		t.Fatalf("the gateway's coordinator sent proposals in %d envelopes, want two per acceptor (%d)", len(proposing), 2*len(w.nodes))
+	}
+	for _, e := range proposing[len(w.nodes):] {
+		b, ok := e.Msg.(transport.Batch)
+		if !ok || len(b.Items) != 3 {
+			t.Fatalf("to %s: %T %+v, want a Batch of 3 items", e.To, e.Msg, e.Msg)
+		}
+		items := b.Items
+		for _, it := range items {
+			if it.From != e.From || it.To != e.To {
+				t.Errorf("to %s: item %T from %s to %s, want from %s", e.To, it.Msg, it.From, it.To, e.From)
+			}
+		}
+		if v, ok := items[0].Msg.(core.MsgVisibility); !ok || !v.Commit || v.Opt.Update.Key != "flat/a" {
+			t.Errorf("to %s: first item %T, want the first commit's visibility", e.To, items[0].Msg)
+		}
+		for i, want := range []record.Key{"flat/b", "flat/c"} {
+			if ks := proposedKeys(t, items[1+i].Msg); len(ks) != 1 || ks[0] != want {
+				t.Errorf("to %s: item %d proposes %v, want %s", e.To, 1+i, ks, want)
+			}
+		}
+	}
+}
+
+// proposedKeys lists the keys of the proposals msg carries, in order,
+// looking inside a transport.Batch; a Batch inside a Batch fails t.
+func proposedKeys(t *testing.T, msg transport.Message) []record.Key {
+	t.Helper()
+	var keys []record.Key
+	add := func(m transport.Message) {
+		switch m := m.(type) {
+		case core.MsgProposeFast:
+			keys = append(keys, m.Opt.Update.Key)
+		case core.MsgProposeBatch:
+			for _, o := range m.Opts {
+				keys = append(keys, o.Update.Key)
+			}
+		case transport.Batch:
+			t.Errorf("a Batch nested in a Batch: %+v", m)
+		}
+	}
+	if b, ok := msg.(transport.Batch); ok {
+		for _, it := range b.Items {
+			add(it.Msg)
+		}
+		return keys
+	}
+	add(msg)
+	return keys
 }
 
 // TestMetricsReadWhileCommitting reads Metrics from another goroutine
