@@ -18,16 +18,21 @@ type Local struct {
 	nodeRuntime
 	failed  map[NodeID]bool
 	latency LatencyFunc
+	clock   *deliveryClock // nil: each delayed message rides its own runtime timer
 }
 
 // NewLocal returns a Local network. latency may be nil for immediate
 // delivery.
 func NewLocal(latency LatencyFunc) *Local {
-	return &Local{
+	l := &Local{
 		nodeRuntime: newNodeRuntime(),
 		failed:      make(map[NodeID]bool),
 		latency:     latency,
 	}
+	if latency != nil {
+		l.clock = startDeliveryClock(l)
+	}
+	return l
 }
 
 // Fail makes a node unreachable (messages to and from it are
@@ -47,8 +52,8 @@ func (l *Local) Recover(id NodeID) {
 }
 
 // Send routes the message after the configured latency. Delivery runs
-// on a timer (or, with no latency, its own goroutine), never on the
-// sender's, so it waits for room in a full mailbox.
+// on the delivery clock (where there is none, on a runtime timer; with
+// no latency, on its own goroutine), never on the sender's.
 func (l *Local) Send(from, to NodeID, msg Message) {
 	l.mu.RLock()
 	fromFailed := l.failed[from]
@@ -59,24 +64,39 @@ func (l *Local) Send(from, to NodeID, msg Message) {
 	}
 	l.stats.countSend(msg)
 	e := stamped(tracer, from, to, msg)
-	deliver := func() {
-		l.mu.RLock()
-		toFailed := l.failed[to]
-		l.mu.RUnlock()
-		if toFailed {
-			return
-		}
-		l.deliver(e, true) // an unregistered destination drops, like a dead host
-	}
 	var d time.Duration
 	if l.latency != nil {
 		d = l.latency(from, to)
 	}
-	if d <= 0 {
-		go deliver()
-		return
+	switch {
+	case d <= 0:
+		go l.arrive(e, waitIfFull)
+	case l.clock != nil:
+		l.clock.push(e, d)
+	default:
+		time.AfterFunc(d, func() { l.arrive(e, waitIfFull) })
 	}
-	time.AfterFunc(d, deliver)
+}
+
+// arrive is the receiving half of a Send, run when the message is due:
+// a failed destination drops it, and so does an unregistered one, like
+// a dead host.
+func (l *Local) arrive(e Envelope, full whenFull) {
+	l.mu.RLock()
+	toFailed := l.failed[e.To]
+	l.mu.RUnlock()
+	if !toFailed {
+		l.deliver(e, full)
+	}
+}
+
+// Close stops the delivery clock, dropping what it has not yet
+// delivered, and then every mailbox loop; later sends are dropped.
+func (l *Local) Close() {
+	if l.clock != nil {
+		l.clock.stop()
+	}
+	l.nodeRuntime.Close()
 }
 
 // UniformJitter wraps a base latency function with ±frac multiplicative

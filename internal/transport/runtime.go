@@ -53,11 +53,14 @@ func (mb *mailbox) put(f func(Handler), wait bool) bool {
 // What a full mailbox does to whoever posts to it is decided here, once
 // (DESIGN §11 "Delivery"). Work posted by a goroutine that is not a
 // mailbox loop — a timer, a socket reader — waits for room; for a
-// reader that wait is the TCP backpressure. A Send from one hosted node
-// to another may be running on a mailbox loop, so it never waits (two
-// nodes blocked on each other's full mailboxes would stop for good):
-// its message is dropped and counted in Stats.DroppedQueueFull, the
-// best-effort rule a full peer queue already follows.
+// reader that wait is the TCP backpressure. Local's delivery clock
+// serves every node, so it must not wait on one: it hands a message for
+// a full mailbox to a goroutine that waits instead. A Send from one
+// hosted node to another may be running on a mailbox loop, so it never
+// waits (two nodes blocked on each other's full mailboxes would stop
+// for good): its message is dropped and counted in
+// Stats.DroppedQueueFull, the best-effort rule a full peer queue
+// already follows.
 //
 // mu also guards the embedding transport's own tables, so a Send reads
 // everything it routes by under one read lock.
@@ -134,12 +137,22 @@ func (r *nodeRuntime) lookup(id NodeID) (*mailbox, WireTracer) {
 	return r.nodes[id], r.tracer
 }
 
+// whenFull is what deliver does with a message whose destination's
+// mailbox is full (see nodeRuntime).
+type whenFull uint8
+
+const (
+	dropIfFull    whenFull = iota // drop it and count it in Stats.DroppedQueueFull
+	waitIfFull                    // block the caller until there is room
+	handOffIfFull                 // leave a new goroutine waiting for room; the caller goes on
+)
+
 // deliver is the receiving half of a message: it folds the sender's
 // stamp into the tracer, posts the envelope to its destination's
-// mailbox and counts it received. wait is the caller's answer to a
-// full mailbox (see nodeRuntime). The error is errNoNode (nothing
-// registered under e.To, or the runtime closed) or errMailboxFull.
-func (r *nodeRuntime) deliver(e Envelope, wait bool) error {
+// mailbox and counts it received. The error is errNoNode (nothing
+// registered under e.To, or the runtime closed) or, under dropIfFull,
+// errMailboxFull.
+func (r *nodeRuntime) deliver(e Envelope, full whenFull) error {
 	mb, tracer := r.lookup(e.To)
 	if tracer != nil {
 		tracer.ObserveRecv(e.TraceClk)
@@ -147,12 +160,21 @@ func (r *nodeRuntime) deliver(e Envelope, wait bool) error {
 	if mb == nil {
 		return errNoNode
 	}
-	if !mb.put(func(h Handler) { h(e) }, wait) {
-		if wait {
-			return errNoNode
+	f := func(h Handler) { h(e) }
+	if !mb.put(f, full == waitIfFull) {
+		switch full {
+		case waitIfFull:
+			return errNoNode // retired while we waited
+		case dropIfFull:
+			r.stats.droppedQueueFull.Add(1)
+			return errMailboxFull
 		}
-		r.stats.droppedQueueFull.Add(1)
-		return errMailboxFull
+		go func() {
+			if mb.put(f, true) {
+				r.stats.countReceive(e.Msg)
+			}
+		}()
+		return nil
 	}
 	r.stats.countReceive(e.Msg)
 	return nil

@@ -296,14 +296,14 @@ func (t *TCP) readLoop(conn net.Conn) {
 		}
 		// Waiting for room in a full mailbox stops this connection's
 		// reads, which is the backpressure its sender sees.
-		t.deliverLocal(e, true)
+		t.deliverLocal(e, waitIfFull)
 	}
 }
 
 // deliverLocal hands e to the node it names in this process, logs the
 // reason if it could not, and reports whether it did.
-func (t *TCP) deliverLocal(e Envelope, wait bool) bool {
-	err := t.deliver(e, wait)
+func (t *TCP) deliverLocal(e Envelope, full whenFull) bool {
+	err := t.deliver(e, full)
 	if err != nil {
 		t.logf("transport: %s: %v, dropping %T", e.To, err, e.Msg)
 	}
@@ -327,7 +327,7 @@ func (t *TCP) Send(from, to NodeID, msg Message) {
 	}
 	e := stamped(tracer, from, to, msg)
 	if isLocal {
-		if t.deliverLocal(e, false) {
+		if t.deliverLocal(e, dropIfFull) {
 			t.stats.countSend(msg)
 		}
 		return
