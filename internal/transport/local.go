@@ -51,9 +51,12 @@ func (l *Local) Recover(id NodeID) {
 	delete(l.failed, id)
 }
 
-// Send routes the message after the configured latency. Delivery runs
-// on the delivery clock (where there is none, on a runtime timer; with
-// no latency, on its own goroutine), never on the sender's.
+// Send routes the message after the configured latency. A delayed
+// message is delivered by the delivery clock (where there is none, by a
+// runtime timer); with no latency, Send posts it to the destination's
+// mailbox itself, so one sender's messages to one node keep their order
+// while the mailbox has room. It never waits for room: a message for a
+// full mailbox is handed to a goroutine that does.
 func (l *Local) Send(from, to NodeID, msg Message) {
 	l.mu.RLock()
 	fromFailed := l.failed[from]
@@ -70,7 +73,7 @@ func (l *Local) Send(from, to NodeID, msg Message) {
 	}
 	switch {
 	case d <= 0:
-		go l.arrive(e, waitIfFull)
+		l.arrive(e, handOffIfFull)
 	case l.clock != nil:
 		l.clock.push(e, d)
 	default:

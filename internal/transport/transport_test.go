@@ -60,6 +60,35 @@ func TestLocalLatency(t *testing.T) {
 	}
 }
 
+// TestLocalZeroLatencyKeepsPairOrder: with no latency, back-to-back sends
+// from one node to another arrive in the order they were sent, as long
+// as the destination's mailbox has room for all of them.
+func TestLocalZeroLatencyKeepsPairOrder(t *testing.T) {
+	n := NewLocal(nil)
+	defer n.Close()
+	const sends = mailboxDepth - 1
+	got := make(chan int, sends)
+	n.Register("b", func(e Envelope) { got <- e.Msg.(ping).Seq })
+	for i := 0; i < sends; i++ {
+		n.Send("a", "b", ping{Seq: i})
+	}
+	outOfOrder, prev := 0, -1
+	for i := 0; i < sends; i++ {
+		select {
+		case seq := <-got:
+			if seq < prev {
+				outOfOrder++
+			}
+			prev = seq
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%d of %d sends arrived", i, sends)
+		}
+	}
+	if outOfOrder != 0 {
+		t.Errorf("%d of %d back-to-back sends a→b arrived out of order", outOfOrder, sends)
+	}
+}
+
 func TestUniformJitter(t *testing.T) {
 	base := func(from, to NodeID) time.Duration { return 100 * time.Millisecond }
 	j := UniformJitter(base, 0.1, rand.New(rand.NewSource(1)))
