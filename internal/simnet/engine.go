@@ -1,88 +1,29 @@
 package simnet
 
-import "container/heap"
+import "mdcc/internal/minheap"
 
 // engine is the event queue behind the simulator.
 //
 // The contract that keeps engines interchangeable per seed: peek
 // returns the queued event whose *effective* key — (run time, seq),
 // where a busy node's ready events run at the node's free instant —
-// is smallest. Seqs are globally unique, so the order is total, and
-// for a busy node the effective order among ready events reduces to
-// seq order (they all share the node's free instant as run time).
-// popHead removes the peeked event. rekeyHead restores order after
-// the caller raised the peeked event's atN in place — the legacy
-// engine's physical busy-node clamp; the sharded engine instead
-// normalizes run times at peek and never needs it. nodeRan tells the
-// engine a node's service slot advanced (events earlier than the new
-// free instant become "ready"). Any engine honoring this replays the
-// exact same schedule — pinned by TestEngineEquivalence.
+// is smallest, with its atN normalized to that run time. Seqs are
+// globally unique, so the order is total, and for a busy node the
+// effective order among ready events reduces to seq order (they all
+// share the node's free instant as run time). popHead removes the
+// peeked event. nodeRan tells the engine a node's service slot
+// advanced (events earlier than the new free instant become "ready").
+// Any engine honoring this replays the exact same schedule: the
+// sharded engine below is the one the simulator runs, and the legacy
+// global heap survives in engine_test.go as the oracle
+// TestEngineEquivalence replays it against.
 type engine interface {
 	insert(e *event)
 	peek() *event
 	popHead()
-	rekeyHead(e *event)
 	nodeRan(nd *simNode)
 	len() int
 }
-
-// ---- legacy global heap engine ----
-
-// heapEngine is the original single container/heap over every queued
-// event. Each push/pop is O(log E_total) with interface boxing and a
-// pointer dereference per comparison, and a busy node's backlog is
-// re-keyed through the global heap once per service slot — at 1000
-// nodes the one shared heap is the simulator's bottleneck. Kept as
-// the differential oracle for the determinism tests and the baseline
-// for BenchmarkSimnet*.
-type heapEngine struct {
-	h eventHeap
-}
-
-func newHeapEngine() *heapEngine { return &heapEngine{} }
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].atN != h[j].atN {
-		return h[i].atN < h[j].atN
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) {
-	*h = append(*h, x.(*event))
-}
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
-func (g *heapEngine) insert(e *event) { heap.Push(&g.h, e) }
-
-func (g *heapEngine) peek() *event {
-	if len(g.h) == 0 {
-		return nil
-	}
-	return g.h[0]
-}
-
-func (g *heapEngine) popHead() { heap.Pop(&g.h) }
-
-// rekeyHead is the legacy clamp: the head event's atN was raised to
-// the node's free instant; one Fix restores heap order. Equivalent to
-// the original pop+push because unique keys make heap layout
-// unobservable.
-func (g *heapEngine) rekeyHead(e *event) { heap.Fix(&g.h, 0) }
-
-func (g *heapEngine) nodeRan(nd *simNode) {}
-
-func (g *heapEngine) len() int { return len(g.h) }
 
 // ---- sharded engine ----
 
@@ -95,6 +36,12 @@ type nodeEvent struct {
 	seq int64
 	e   *event
 }
+
+// byTime orders the future heaps (a node's and the scheduler's) by
+// (atN, seq); bySeq orders a run queue by seq alone, because ready
+// events share one run time and send order decides.
+func byTime(a, b *nodeEvent) bool { return keyLess(a.atN, a.seq, b.atN, b.seq) }
+func bySeq(a, b *nodeEvent) bool  { return a.seq < b.seq }
 
 // topEntry is a node's presence in the top-level heap: the effective
 // key of the node's earliest event, inlined. nd.ready tracks the
@@ -138,23 +85,22 @@ func keyLess(a1, s1, a2, s2 int64) bool {
 }
 
 // busyAt reports whether an event landing at atN on nd would wait
-// behind the node's service slot — the same strict comparison as the
-// legacy clamp.
-func (s *shardedEngine) busyAt(nd *simNode, e *event) bool {
-	return e.serialize && s.serviceN > 0 && nd.hasFree && nd.freeAtN > e.atN
+// behind the node's service slot.
+func busyAt(serviceN int64, nd *simNode, e *event) bool {
+	return e.serialize && serviceN > 0 && nd.hasFree && nd.freeAtN > e.atN
 }
 
 func (s *shardedEngine) insert(e *event) {
 	s.count++
 	if e.node == nil {
-		s.sched = qPush(s.sched, nodeEvent{e.atN, e.seq, e})
+		s.sched = minheap.Push(s.sched, nodeEvent{e.atN, e.seq, e}, byTime)
 		return
 	}
 	nd := e.node
-	if s.busyAt(nd, e) {
-		nd.run = rPush(nd.run, nodeEvent{e.atN, e.seq, e})
+	if busyAt(s.serviceN, nd, e) {
+		nd.run = minheap.Push(nd.run, nodeEvent{e.atN, e.seq, e}, bySeq)
 	} else {
-		nd.q = qPush(nd.q, nodeEvent{e.atN, e.seq, e})
+		nd.q = minheap.Push(nd.q, nodeEvent{e.atN, e.seq, e}, byTime)
 	}
 	s.syncTop(nd)
 }
@@ -212,8 +158,7 @@ func (s *shardedEngine) peek() *event {
 	nd := s.top[0].nd
 	if s.headIsReady(nd) {
 		// A ready event's run time IS the node's free instant:
-		// normalize atN so the generic step loop sees the effective
-		// key and never needs to clamp.
+		// normalize atN so the step loop sees the effective key.
 		e := nd.run[0].e
 		e.atN = nd.freeAtN
 		return e
@@ -224,22 +169,16 @@ func (s *shardedEngine) peek() *event {
 func (s *shardedEngine) popHead() {
 	s.count--
 	if s.schedFirst() {
-		s.sched, _ = qPop(s.sched)
+		s.sched, _ = minheap.Pop(s.sched, byTime)
 		return
 	}
 	nd := s.top[0].nd
 	if s.headIsReady(nd) {
-		nd.run, _ = rPop(nd.run)
+		nd.run, _ = minheap.Pop(nd.run, bySeq)
 	} else {
-		nd.q, _ = qPop(nd.q)
+		nd.q, _ = minheap.Pop(nd.q, byTime)
 	}
 	s.syncTop(nd)
-}
-
-// rekeyHead never fires on the sharded engine: peek normalizes ready
-// events' run times, so the generic busy-clamp branch cannot trigger.
-func (s *shardedEngine) rekeyHead(e *event) {
-	panic("simnet: sharded engine saw a busy-node clamp (ready-queue invariant broken)")
 }
 
 // nodeRan migrates events the advanced service slot now blocks:
@@ -248,9 +187,9 @@ func (s *shardedEngine) rekeyHead(e *event) {
 func (s *shardedEngine) nodeRan(nd *simNode) {
 	moved := false
 	for len(nd.q) > 0 && nd.q[0].atN < nd.freeAtN {
-		var e *event
-		nd.q, e = qPop(nd.q)
-		nd.run = rPush(nd.run, nodeEvent{e.atN, e.seq, e})
+		var ev nodeEvent
+		nd.q, ev = minheap.Pop(nd.q, byTime)
+		nd.run = minheap.Push(nd.run, ev, bySeq)
 		moved = true
 	}
 	if moved || len(nd.run) > 0 {
@@ -284,127 +223,54 @@ func (s *shardedEngine) syncTop(nd *simNode) {
 	s.topFix(nd.ready)
 }
 
-// qPush / qPop are the (atN, seq)-ordered heap primitives —
-// hand-rolled binary heaps over inline keys.
-func qPush(q []nodeEvent, ev nodeEvent) []nodeEvent {
-	q = append(q, ev)
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !keyLess(q[i].atN, q[i].seq, q[p].atN, q[p].seq) {
-			break
-		}
-		q[i], q[p] = q[p], q[i]
-		i = p
-	}
-	return q
-}
-
-func qPop(q []nodeEvent) ([]nodeEvent, *event) {
-	e := q[0].e
-	last := len(q) - 1
-	q[0] = q[last]
-	q[last] = nodeEvent{} // drop the *event reference
-	q = q[:last]
-	i := 0
-	for {
-		l, r, m := 2*i+1, 2*i+2, i
-		if l < len(q) && keyLess(q[l].atN, q[l].seq, q[m].atN, q[m].seq) {
-			m = l
-		}
-		if r < len(q) && keyLess(q[r].atN, q[r].seq, q[m].atN, q[m].seq) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		q[i], q[m] = q[m], q[i]
-		i = m
-	}
-	return q, e
-}
-
-// rPush / rPop are the run-queue primitives: a heap ordered by seq
-// alone (ready events share one run time, so send order decides).
-func rPush(q []nodeEvent, ev nodeEvent) []nodeEvent {
-	q = append(q, ev)
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if q[i].seq >= q[p].seq {
-			break
-		}
-		q[i], q[p] = q[p], q[i]
-		i = p
-	}
-	return q
-}
-
-func rPop(q []nodeEvent) ([]nodeEvent, *event) {
-	e := q[0].e
-	last := len(q) - 1
-	q[0] = q[last]
-	q[last] = nodeEvent{}
-	q = q[:last]
-	i := 0
-	for {
-		l, r, m := 2*i+1, 2*i+2, i
-		if l < len(q) && q[l].seq < q[m].seq {
-			m = l
-		}
-		if r < len(q) && q[r].seq < q[m].seq {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		q[i], q[m] = q[m], q[i]
-		i = m
-	}
-	return q, e
-}
-
-// Top-level heap primitives: an indexed heap, every swap maintaining
-// nd.ready back-pointers.
+// Top-level heap primitives: an indexed heap, every move maintaining
+// nd.ready back-pointers so syncTop can fix or remove a node's entry in
+// place — which is why it keeps its own sift loops instead of minheap's.
 func (s *shardedEngine) topLess(i, j int) bool {
 	return keyLess(s.top[i].atN, s.top[i].seq, s.top[j].atN, s.top[j].seq)
 }
 
-func (s *shardedEngine) topSwap(i, j int) {
-	s.top[i], s.top[j] = s.top[j], s.top[i]
-	s.top[i].nd.ready = i
-	s.top[j].nd.ready = j
+// topSet puts en at index i and points its node there.
+func (s *shardedEngine) topSet(i int, en topEntry) {
+	s.top[i] = en
+	en.nd.ready = i
 }
 
+// topUp and topDown sift the entry at i by moving a hole: each level
+// copies one entry, and the sifted entry is written once, at the end.
 func (s *shardedEngine) topUp(i int) {
+	en := s.top[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		if !s.topLess(i, p) {
-			return
+		if !keyLess(en.atN, en.seq, s.top[p].atN, s.top[p].seq) {
+			break
 		}
-		s.topSwap(i, p)
+		s.topSet(i, s.top[p])
 		i = p
 	}
+	s.topSet(i, en)
 }
 
 // topDown reports whether the entry moved (mirrors container/heap's
 // down, whose callers sift up only when down didn't move).
 func (s *shardedEngine) topDown(i int) bool {
-	start := i
+	start, en, n := i, s.top[i], len(s.top)
 	for {
-		l, r, m := 2*i+1, 2*i+2, i
-		if l < len(s.top) && s.topLess(l, m) {
-			m = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < len(s.top) && s.topLess(r, m) {
-			m = r
+		if c+1 < n && s.topLess(c+1, c) {
+			c++
 		}
-		if m == i {
-			return i > start
+		if !keyLess(s.top[c].atN, s.top[c].seq, en.atN, en.seq) {
+			break
 		}
-		s.topSwap(i, m)
-		i = m
+		s.topSet(i, s.top[c])
+		i = c
 	}
+	s.topSet(i, en)
+	return i > start
 }
 
 func (s *shardedEngine) topFix(i int) {
@@ -415,20 +281,16 @@ func (s *shardedEngine) topFix(i int) {
 
 func (s *shardedEngine) topPush(en topEntry) {
 	s.top = append(s.top, en)
-	en.nd.ready = len(s.top) - 1
 	s.topUp(len(s.top) - 1)
 }
 
 func (s *shardedEngine) topRemove(i int) {
 	last := len(s.top) - 1
 	s.top[i].nd.ready = -1
-	if i != last {
-		s.top[i] = s.top[last]
-		s.top[i].nd.ready = i
-	}
+	s.top[i] = s.top[last]
 	s.top[last] = topEntry{}
 	s.top = s.top[:last]
 	if i < last {
-		s.topFix(i)
+		s.topFix(i) // places the moved entry and points its node there
 	}
 }

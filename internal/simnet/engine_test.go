@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"container/heap"
 	"fmt"
 	"testing"
 	"time"
@@ -14,10 +15,68 @@ import (
 func newEngineNet(eng string, opts Options) *Net {
 	n := New(opts)
 	if eng == "heap" {
-		n.eng = newHeapEngine()
+		n.eng = &heapEngine{serviceN: n.serviceN}
 	}
 	return n
 }
+
+// heapEngine is the original single container/heap over every queued
+// event, kept as the differential oracle for the determinism tests and
+// the baseline for BenchmarkSimnet*. Each push/pop is O(log E_total)
+// with interface boxing and a pointer dereference per comparison, and
+// a busy node's backlog is re-keyed through the global heap once per
+// service slot — at 1000 nodes the one shared heap is the simulator's
+// bottleneck.
+type heapEngine struct {
+	h        eventHeap
+	serviceN int64
+}
+
+type eventHeap []*event
+
+func (h eventHeap) Len() int { return len(h) }
+func (h eventHeap) Less(i, j int) bool {
+	if h[i].atN != h[j].atN {
+		return h[i].atN < h[j].atN
+	}
+	return h[i].seq < h[j].seq
+}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x interface{}) {
+	*h = append(*h, x.(*event))
+}
+func (h *eventHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	old[n-1] = nil
+	*h = old[:n-1]
+	return e
+}
+
+func (g *heapEngine) insert(e *event) { heap.Push(&g.h, e) }
+
+// peek is where the oracle serializes a busy node: a head event that
+// would run before its node's free instant is re-keyed to that instant
+// in place, and the next head is examined, until the head runs when
+// its key says.
+func (g *heapEngine) peek() *event {
+	for len(g.h) > 0 {
+		e := g.h[0]
+		if !busyAt(g.serviceN, e.node, e) {
+			return e
+		}
+		e.atN = e.node.freeAtN
+		heap.Fix(&g.h, 0)
+	}
+	return nil
+}
+
+func (g *heapEngine) popHead() { heap.Pop(&g.h) }
+
+func (g *heapEngine) nodeRan(nd *simNode) {}
+
+func (g *heapEngine) len() int { return len(g.h) }
 
 // chaosTrace drives every fault primitive at once — jitter, drops,
 // dups, reorders, partitions, crash/restart churn, drift, service-time

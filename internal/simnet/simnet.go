@@ -17,9 +17,12 @@
 // thousand-node cluster pays O(log N_nodes) per push/pop instead of
 // O(log E_total) on one global heap, and per-node state (service
 // slot, drift, incarnation epoch) lives on a node struct instead of
-// global maps. The legacy global heap survives only as the in-package
-// oracle the differential tests and benchmarks compare against: both
-// engines replay the exact same event order for a seed.
+// global maps. The per-node queues are internal/minheap, the binary
+// heap transport.Local's delivery clock also uses. The sharded engine
+// is the only one outside the tests: the legacy global heap lives in
+// engine_test.go as the oracle the differential tests and benchmarks
+// compare against, and both replay the exact same event order for a
+// seed.
 package simnet
 
 import (
@@ -167,11 +170,9 @@ func (n *Net) recycle(e *event) {
 // run/timerF/env is meaningful, keyed off msg and timerF.
 type event struct {
 	// atN is the scheduled virtual time in nanoseconds since
-	// epoch. For a ready event on a busy node atN is normalized
-	// to the node's free instant — by the legacy engine's physical
-	// clamp when the event pops early, by the sharded engine at peek —
-	// so by the time the step loop sees a peeked head, atN is always
-	// the event's run time.
+	// epoch. For a ready event on a busy node the engine normalizes
+	// atN to the node's free instant at peek, so by the time the step
+	// loop sees a peeked head, atN is always the event's run time.
 	atN  int64
 	seq  int64
 	node *simNode // nil for scheduler-level events (At)
@@ -532,11 +533,9 @@ const (
 // timers and events addressed to crashed incarnations are discarded
 // as they surface regardless of the limit — discards are invisible to
 // the schedule. Service-time serialization: a busy node's events run
-// at the node's free instant, in seq order among those that were due
-// — the legacy engine realizes that by physically re-keying the
-// popped head (rekeyHead), the sharded engine by parking them in a
-// per-node run queue that never re-enters the global ordering. Both
-// produce the identical executed schedule (TestEngineEquivalence).
+// at the node's free instant, in seq order among those that were due;
+// the engine realizes that at peek (see engine), so the head it
+// returns already carries its run time.
 func (n *Net) step(limitN int64) int {
 	for {
 		e := n.eng.peek()
@@ -560,13 +559,6 @@ func (n *Net) step(limitN int64) int {
 			}
 			n.recycle(e)
 			n.maybeReap(nd)
-			continue
-		}
-		if e.serialize && n.serviceN > 0 && nd.hasFree && nd.freeAtN > e.atN {
-			// Legacy-engine busy clamp (the sharded engine normalizes
-			// run times at peek, so this branch never fires for it).
-			e.atN = nd.freeAtN
-			n.eng.rekeyHead(e)
 			continue
 		}
 		if e.atN > limitN {

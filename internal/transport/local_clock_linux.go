@@ -9,6 +9,8 @@ import (
 	"syscall"
 	"time"
 	"unsafe"
+
+	"mdcc/internal/minheap"
 )
 
 // deliveryClock delivers a Local's delayed messages when they are due
@@ -30,7 +32,7 @@ type deliveryClock struct {
 	done  chan struct{}
 
 	mu     sync.Mutex
-	due    dueHeap
+	due    []dueMsg // a minheap by dueFirst
 	seq    uint64
 	sleep  int64 // the instant run sleeps until; 0 while it is awake
 	closed bool
@@ -60,7 +62,7 @@ func (c *deliveryClock) push(e Envelope, d time.Duration) {
 	}
 	at := c.now() + int64(d)
 	c.seq++
-	c.due.push(dueMsg{at: at, seq: c.seq, e: e})
+	c.due = minheap.Push(c.due, dueMsg{at: at, seq: c.seq, e: e}, dueFirst)
 	if at < c.sleep {
 		c.sleep = at // later pushes that are due after this one need not wake it again
 		syscall.Write(c.w, c.wake[:])
@@ -96,7 +98,9 @@ func (c *deliveryClock) run() {
 		}
 		now := c.now()
 		for len(c.due) > 0 && c.due[0].at <= now {
-			ready = append(ready, c.due.pop().e)
+			var m dueMsg
+			c.due, m = minheap.Pop(c.due, dueFirst)
+			ready = append(ready, m.e)
 		}
 		if len(ready) > 0 {
 			c.sleep = 0
@@ -155,48 +159,7 @@ type dueMsg struct {
 	e   Envelope
 }
 
-// dueHeap is a binary min-heap of delayed messages by (at, seq), typed
-// so that pushing one neither allocates nor boxes it.
-type dueHeap []dueMsg
-
-func (h dueHeap) less(i, j int) bool {
-	return h[i].at < h[j].at || h[i].at == h[j].at && h[i].seq < h[j].seq
-}
-
-func (h *dueHeap) push(m dueMsg) {
-	*h = append(*h, m)
-	s := *h
-	for i := len(s) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !s.less(i, p) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-}
-
-func (h *dueHeap) pop() dueMsg {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s[last] = dueMsg{} // release the envelope
-	s = s[:last]
-	for i := 0; ; {
-		m, left, right := i, 2*i+1, 2*i+2
-		if left < len(s) && s.less(left, m) {
-			m = left
-		}
-		if right < len(s) && s.less(right, m) {
-			m = right
-		}
-		if m == i {
-			break
-		}
-		s[i], s[m] = s[m], s[i]
-		i = m
-	}
-	*h = s
-	return top
+// dueFirst orders the clock's messages by due instant, then send order.
+func dueFirst(a, b *dueMsg) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
