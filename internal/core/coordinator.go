@@ -85,16 +85,14 @@ type Coordinator struct {
 	// opened closes. With none (a private coordinator), a message that
 	// must go (propose, read, recovery, reroute) leaves at once, taking
 	// its replica's queue along, so the queue only ever holds visibility:
-	// it leaves with the next send there, or once BatchWindow has passed
-	// since the oldest was queued (visDue), when every queue leaves —
-	// from the first handler the coordinator runs after that or from
-	// visTimer, the one linger timer (nil when nothing lingers). Either
-	// way a queue that reaches batchMax leaves at once. visOrder lists the
+	// it leaves with the next send there, or when visTimer, the one
+	// linger timer (nil when nothing lingers), fires BatchWindow after
+	// the oldest was queued and every queue leaves. Either way a queue
+	// that reaches batchMax leaves at once. visOrder lists the
 	// replicas in the order their queues began, which is the order
 	// FlushVisibility sends them in.
 	vis      map[transport.NodeID]visQueue
 	visOrder []transport.NodeID
-	visDue   time.Time
 	visTimer transport.Timer
 	window   time.Duration // see SetBatchWindow
 
@@ -265,7 +263,6 @@ func (c *Coordinator) send(to transport.NodeID, msg transport.Message) {
 // queueVisibility owes msg to replica `to` (see vis).
 func (c *Coordinator) queueVisibility(to transport.NodeID, msg transport.Message) {
 	if c.enqueue(to, msg) && c.window <= 0 && c.visTimer == nil {
-		c.visDue = c.net.Now().Add(BatchWindow)
 		c.visTimer = c.net.After(c.id, BatchWindow, c.FlushVisibility)
 	}
 }
@@ -411,11 +408,6 @@ func (c *Coordinator) observeEscrow(from transport.NodeID, key record.Key, snap 
 }
 
 func (c *Coordinator) handle(env transport.Envelope) {
-	// A busy coordinator flushes visibility whose linger has run out
-	// from its own handler, so the linger timer rarely has to fire.
-	if c.visTimer != nil && !c.net.Now().Before(c.visDue) {
-		c.FlushVisibility()
-	}
 	switch m := env.Msg.(type) {
 	case transport.Batch:
 		for _, item := range m.Items {
