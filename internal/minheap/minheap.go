@@ -1,9 +1,9 @@
-// Package minheap is the binary min-heap every event queue in the
-// repository shares: simnet's per-node queues and transport.Local's
-// delivery clock. The heap is a plain typed slice, so pushing and
-// popping neither allocates (beyond the slice's growth) nor boxes an
-// element into an interface, which container/heap does; less compares
-// elements in place.
+// Package minheap is the one binary min-heap behind the repository's
+// event queues: simnet's per-node and scheduler queues and
+// transport.Local's delivery clock. The heap is a plain typed slice, so
+// pushing and popping neither allocates (beyond the slice's growth) nor
+// boxes an element into an interface, which container/heap does; less
+// compares elements in place.
 package minheap
 
 // Push adds x to the heap h ordered by less and returns the heap.

@@ -1,6 +1,7 @@
 package minheap
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -13,65 +14,49 @@ type item struct {
 
 func byKey(a, b *item) bool { return a.key < b.key }
 
+func byKeyThenSeq(a, b *item) bool { return a.key < b.key || a.key == b.key && a.seq < b.seq }
+
 // TestHeapMatchesSort drives random push/pop sequences over few
 // distinct keys, so most comparisons tie, and checks every pop against
-// a sorted model: the key popped is the least queued, and the popped
-// slot in the backing array is zeroed.
+// a sorted model: the least key comes out, and, where less breaks ties
+// by push order as the event queues do, the very item the model holds.
+// The slot Pop vacates in the backing array must be zeroed.
 func TestHeapMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for round := 0; round < 200; round++ {
-		var h []item
-		var model []int // queued keys, sorted
-		seq := 0
-		for op := 0; op < 300; op++ {
-			if len(h) == 0 || rng.Intn(3) > 0 {
-				seq++
-				x := item{key: rng.Intn(8), seq: seq, ref: new(int)}
-				h = Push(h, x, byKey)
-				i, _ := slices.BinarySearch(model, x.key)
-				model = slices.Insert(model, i, x.key)
-				continue
-			}
+	for round := 0; round < 400; round++ {
+		less, exact := byKey, round%2 == 1
+		if exact {
+			less = byKeyThenSeq
+		}
+		var h, model []item // model is sorted by (key, seq)
+		pop := func(at string) {
 			var got item
-			h, got = Pop(h, byKey)
-			if got.key != model[0] {
-				t.Fatalf("round %d op %d: popped key %d, want %d", round, op, got.key, model[0])
+			h, got = Pop(h, less)
+			if got.key != model[0].key || exact && got != model[0] {
+				t.Fatalf("round %d %s: popped %+v, want %+v", round, at, got, model[0])
 			}
 			model = model[1:]
 			if vacated := h[:len(h)+1][len(h)]; vacated != (item{}) {
-				t.Fatalf("round %d op %d: popped slot holds %+v, want it zeroed", round, op, vacated)
+				t.Fatalf("round %d %s: popped slot holds %+v, want it zeroed", round, at, vacated)
 			}
+		}
+		for seq := 0; seq < 300; seq++ {
+			if len(h) > 0 && rng.Intn(3) == 0 {
+				pop("mid-run")
+				continue
+			}
+			x := item{key: rng.Intn(8), seq: seq, ref: new(int)}
+			h = Push(h, x, less)
+			i, _ := slices.BinarySearchFunc(model, x, func(a, b item) int {
+				if a.key != b.key {
+					return cmp.Compare(a.key, b.key)
+				}
+				return cmp.Compare(a.seq, b.seq)
+			})
+			model = slices.Insert(model, i, x)
 		}
 		for len(h) > 0 {
-			var got item
-			h, got = Pop(h, byKey)
-			if got.key != model[0] {
-				t.Fatalf("round %d drain: popped key %d, want %d", round, got.key, model[0])
-			}
-			model = model[1:]
-		}
-	}
-}
-
-// TestHeapTieBreakBySeq: a less that breaks key ties by insertion
-// sequence pops equal keys in the order they were pushed, which is how
-// the event queues keep send order.
-func TestHeapTieBreakBySeq(t *testing.T) {
-	less := func(a, b *item) bool { return a.key < b.key || a.key == b.key && a.seq < b.seq }
-	rng := rand.New(rand.NewSource(2))
-	var h []item
-	var want []item
-	for seq := 0; seq < 1000; seq++ {
-		x := item{key: rng.Intn(5), seq: seq}
-		h = Push(h, x, less)
-		want = append(want, x)
-	}
-	slices.SortStableFunc(want, func(a, b item) int { return a.key - b.key })
-	for i := range want {
-		var got item
-		h, got = Pop(h, less)
-		if got != want[i] {
-			t.Fatalf("pop %d = %+v, want %+v", i, got, want[i])
+			pop("drain")
 		}
 	}
 }

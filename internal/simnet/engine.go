@@ -25,8 +25,6 @@ type engine interface {
 	len() int
 }
 
-// ---- sharded engine ----
-
 // nodeEvent is one entry in a node-local queue (or the scheduler
 // queue): the ordering key inlined next to the event pointer, so heap
 // comparisons touch only the slice being sifted — no pointer chase
