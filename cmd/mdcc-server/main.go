@@ -106,9 +106,6 @@ func main() {
 	var rec *trace.Recorder
 	if *traceOn {
 		rec = trace.New(trace.Config{SlowThreshold: *traceSlow})
-		// Stamp outbound envelopes and merge inbound stamps so the
-		// Lamport order spans servers, not just this process.
-		net.SetTracer(rec)
 		log.Printf("flight recorder on (slow threshold %s)", rec.SlowThreshold())
 	}
 	cl := topology.NewCluster(topology.Layout{NodesPerDC: topo.NodesPerDC, Clients: 0, ClientDC: -1})

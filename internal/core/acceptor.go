@@ -318,7 +318,6 @@ func (n *StorageNode) dispatch(env transport.Envelope) {
 		n.m.BatchEnvelopes++
 		n.m.BatchItems += int64(len(m.Items))
 		for _, item := range m.Items {
-			n.cfg.Tracer.ObserveRecv(item.TraceClk)
 			n.handle(item)
 		}
 	case MsgRead:

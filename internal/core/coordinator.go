@@ -101,13 +101,10 @@ type Coordinator struct {
 }
 
 // visQueue is one replica's queue in the order it was queued: head, then
-// rest (allocated only once a second message queues). clk is head's
-// flight-recorder stamp, taken when it was queued (rest's items carry
-// their own), so the Lamport order survives a Batch's single outer
-// stamp. at is the queue's index in visOrder.
+// rest (allocated only once a second message queues). at is the queue's
+// index in visOrder.
 type visQueue struct {
 	head transport.Message
-	clk  uint64
 	rest []transport.Envelope
 	at   int
 }
@@ -267,19 +264,18 @@ func (c *Coordinator) queueVisibility(to transport.NodeID, msg transport.Message
 	}
 }
 
-// enqueue appends msg to replica to's queue, stamped now; with a window,
-// a queue's first message opens it. It reports whether msg is still
-// queued: a queue that reaches batchMax leaves at once.
+// enqueue appends msg to replica to's queue; with a window, a queue's
+// first message opens it. It reports whether msg is still queued: a
+// queue that reaches batchMax leaves at once.
 func (c *Coordinator) enqueue(to transport.NodeID, msg transport.Message) bool {
-	clk := c.cfg.Tracer.StampSend()
 	q, ok := c.vis[to]
 	if ok {
-		q.rest = append(q.rest, transport.Envelope{From: c.id, To: to, Msg: msg, TraceClk: clk})
+		q.rest = append(q.rest, transport.Envelope{From: c.id, To: to, Msg: msg})
 	} else {
 		if len(c.visOrder) == cap(c.visOrder) {
 			c.compactOrder()
 		}
-		q = visQueue{head: msg, clk: clk, at: len(c.visOrder)}
+		q = visQueue{head: msg, at: len(c.visOrder)}
 		c.visOrder = append(c.visOrder, to)
 		if c.window > 0 {
 			c.net.After(c.id, c.window, func() { c.closeWindow(to) })
@@ -330,10 +326,10 @@ func (c *Coordinator) leave(to transport.NodeID, q visQueue, msg transport.Messa
 		return
 	}
 	items := make([]transport.Envelope, 0, len(q.rest)+2)
-	items = append(items, transport.Envelope{From: c.id, To: to, Msg: q.head, TraceClk: q.clk})
+	items = append(items, transport.Envelope{From: c.id, To: to, Msg: q.head})
 	items = append(items, q.rest...)
 	if msg != nil {
-		items = append(items, transport.Envelope{From: c.id, To: to, Msg: msg, TraceClk: c.cfg.Tracer.StampSend()})
+		items = append(items, transport.Envelope{From: c.id, To: to, Msg: msg})
 	}
 	c.sent.envelopes.Add(1)
 	c.sent.batched.Add(int64(len(items)))
@@ -411,7 +407,6 @@ func (c *Coordinator) handle(env transport.Envelope) {
 	switch m := env.Msg.(type) {
 	case transport.Batch:
 		for _, item := range m.Items {
-			c.cfg.Tracer.ObserveRecv(item.TraceClk)
 			c.handle(item)
 		}
 	case MsgReadReply:

@@ -390,7 +390,7 @@ type queuedTx struct {
 // site pays one nil check.
 type gwSpan struct {
 	subAt int64    // submit wall time (transport clock, UnixNano)
-	loSeq uint64   // Lamport seq of the first gateway event for this tx
+	loSeq uint64   // recorder seq of the first gateway event for this tx
 	keys  []string // write-set keys
 }
 

@@ -127,8 +127,8 @@ func (s *Scenario) Run(o Options) (*Result, error) {
 // config is the protocol config a run of s deploys: the server's
 // (anti-entropy included), with the harness's sweep, the scenario's own
 // knobs and, under Options.Trace, a flight recorder; the whole
-// simulated cluster is one process, so one Recorder gives every ring
-// one Lamport clock.
+// simulated cluster is one process, so one Recorder numbers every
+// ring's events in one append order.
 // DESIGN.md §14 lists every field it sets.
 func (s *Scenario) config(o Options) core.Config {
 	cfg := server.Config(core.ModeMDCC, []record.Constraint{
@@ -532,8 +532,8 @@ func (r *Run) run() (*Result, error) {
 // own bundle (trace.Recorder.Bundle: the N slowest transactions, then
 // every retained trace), then — per invariant violation — up to three
 // transactions whose recorded events touch the violation's keys.
-// Deterministic for a fixed seed: retention is count/Lamport-based and
-// the rings are in their final, quiesced state.
+// Deterministic for a fixed seed: retention counts the recorder's
+// appends and the rings are in their final, quiesced state.
 func (r *Run) assembleTimelines(violations []string, touched []record.Key) []string {
 	var out []string
 	rec := r.Cfg.Tracer

@@ -71,7 +71,7 @@ func TestScenarioTraceTimelines(t *testing.T) {
 
 // TestScenarioTraceDeterminism reruns a traced scenario with the same
 // seed and demands byte-identical assembled timelines — retention is
-// count/Lamport-based, never wall-clock, so the recorder must not
+// counted in the recorder's appends, never wall-clock, so it must not
 // perturb or diverge from the simulation's determinism.
 func TestScenarioTraceDeterminism(t *testing.T) {
 	s, ok := Find("gateway-saturation")

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// watchWindow is how many Lamport ticks after retention a trace keeps
+// watchWindow is how many appends after retention a trace keeps
 // absorbing trailing events (visibility execution, feed publishes for
 // its keys). Count-based — never wall-clock — so retention is
 // deterministic under the simulator.
@@ -44,7 +44,7 @@ func (t *Trace) hasReason(r string) bool {
 // watchEnt is a retained trace still absorbing trailing events.
 type watchEnt struct {
 	t        *Trace
-	deadline uint64 // Lamport seq after which the watch expires
+	deadline uint64 // append seq after which the watch expires
 }
 
 // Complete reports a transaction's end of life. keys is its write set
@@ -64,7 +64,7 @@ func (rec *Recorder) Complete(tx string, keys []string, start, end int64, outcom
 }
 
 // CompleteFrom is the gateway-tier Complete (top is implied): loSeq —
-// the Lamport sequence of the gateway's admit event — is the explicit
+// the append sequence of the gateway's admit event — is the explicit
 // lower bound for tx-less event matching, so queue and coalesce events
 // recorded before the transaction had an id still join the assembled
 // timeline.
@@ -208,7 +208,7 @@ func (rec *Recorder) assembleLocked(tx string, keys []string, loSeq uint64) *Tra
 
 // observe is the trailing-event hook called from Ring.Add while any
 // watch is live: it appends matching events to retained traces and
-// expires watches whose Lamport window has passed.
+// expires watches whose append window has passed.
 func (rec *Recorder) observe(ev Event) {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()

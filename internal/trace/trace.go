@@ -16,9 +16,11 @@
 // outcome-unknown are assembled — gathered from every ring into one
 // causally ordered Trace — at completion time and kept in a bounded
 // retained set, plus a separate always-kept list of the N slowest.
-// A per-Recorder Lamport clock (shared by all rings) gives events a
-// causal total order that is deterministic on the single-threaded
-// simulator, so the same seed always assembles the same timeline.
+// One append counter per Recorder (shared by all rings) numbers every
+// event in the order it was recorded. Each process assembles its
+// timelines from its own Recorder, so that order is the whole story:
+// on the single-threaded simulator it is deterministic, and the same
+// seed always assembles the same timeline.
 package trace
 
 import (
@@ -100,7 +102,7 @@ const (
 // Event is one span record. All fields are fixed-size or string
 // headers, so appending one allocates nothing.
 type Event struct {
-	Seq   uint64 // per-Recorder Lamport order (causal total order in-process)
+	Seq   uint64 // the Recorder's append order, shared by all its rings
 	At    int64  // transport clock, nanoseconds since the Unix epoch
 	Node  string // emitting node
 	Tx    string // transaction id; "" for node-scoped events (feed, phase1)
@@ -130,7 +132,7 @@ type Ring struct {
 	buf  []Event
 }
 
-// Add records one event, stamping its Lamport sequence, node and DC,
+// Add records one event, stamping its append sequence, node and DC,
 // and returns the assigned sequence (0 when recording is disabled).
 // The gateway pins its admit event's sequence as the assembly lower
 // bound for tx-less events. Safe on a nil ring (disabled recording).
@@ -204,13 +206,13 @@ const (
 )
 
 // Recorder is one deployment's (or one process's) flight recorder: it
-// owns the per-node rings, the shared Lamport clock, the tail-based
+// owns the per-node rings, the shared append counter, the tail-based
 // retained set and the phase-latency histograms. A nil *Recorder is a
 // valid, fully disabled recorder.
 type Recorder struct {
 	cfg Config
 
-	clk     atomic.Uint64 // Lamport clock, shared by all rings and the wire stamps
+	clk     atomic.Uint64 // append counter, shared by all rings (Event.Seq)
 	watchN  atomic.Int32  // live watch entries (hot-path guard)
 	slowBar atomic.Int64  // slowest-N admission bar in ns; -1 while the list isn't full
 	gwTop   atomic.Bool   // a gateway tier owns transaction completion
@@ -297,31 +299,4 @@ func (rec *Recorder) ClaimTop() {
 		return
 	}
 	rec.gwTop.Store(true)
-}
-
-// StampSend implements the transport wire-tracer hook: it ticks the
-// Lamport clock and returns the stamp for an outgoing envelope.
-func (rec *Recorder) StampSend() uint64 {
-	if rec == nil {
-		return 0
-	}
-	return rec.clk.Add(1)
-}
-
-// ObserveRecv merges a received envelope's Lamport stamp into the
-// local clock (clock = max(clock, stamp)), keeping cross-process
-// event orders causally consistent.
-func (rec *Recorder) ObserveRecv(stamp uint64) {
-	if rec == nil || stamp == 0 {
-		return
-	}
-	for {
-		cur := rec.clk.Load()
-		if cur >= stamp {
-			return
-		}
-		if rec.clk.CompareAndSwap(cur, stamp) {
-			return
-		}
-	}
 }

@@ -47,8 +47,8 @@ func (mb *mailbox) put(f func(Handler), wait bool) bool {
 
 // nodeRuntime is the real-time node runtime Local and TCP both embed:
 // one mailbox goroutine per registered node, which is what makes a
-// node's handler and its After callbacks run serially; the
-// flight-recorder wire hook; and the transport counters.
+// node's handler and its After callbacks run serially; the send-time
+// wire hook; and the transport counters.
 //
 // What a full mailbox does to whoever posts to it is decided here, once
 // (DESIGN §11 "Delivery"). Work posted by a goroutine that is not a
@@ -76,11 +76,11 @@ func newNodeRuntime() nodeRuntime {
 	return nodeRuntime{nodes: make(map[NodeID]*mailbox)}
 }
 
-// SetTracer installs the flight-recorder wire hook: outgoing envelopes
-// are stamped with the local Lamport clock and incoming stamps are
-// folded back in, so timelines assembled across nodes stay causally
-// ordered. Call before traffic starts; a nil tracer (the default)
-// costs one nil check per message.
+// SetTracer installs the send-time wire hook: every outgoing envelope,
+// a Batch included, carries tr.StampSend() in Envelope.TraceClk, so the
+// handler that receives it can tell how long it was in flight. Call
+// before traffic starts; a nil tracer (the default) costs one nil check
+// per message.
 func (r *nodeRuntime) SetTracer(tr WireTracer) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -131,10 +131,10 @@ func stamped(tr WireTracer, from, to NodeID, msg Message) Envelope {
 	return e
 }
 
-func (r *nodeRuntime) lookup(id NodeID) (*mailbox, WireTracer) {
+func (r *nodeRuntime) lookup(id NodeID) *mailbox {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.nodes[id], r.tracer
+	return r.nodes[id]
 }
 
 // whenFull is what deliver does with a message whose destination's
@@ -147,16 +147,12 @@ const (
 	handOffIfFull                 // leave a new goroutine waiting for room; the caller goes on
 )
 
-// deliver is the receiving half of a message: it folds the sender's
-// stamp into the tracer, posts the envelope to its destination's
-// mailbox and counts it received. The error is errNoNode (nothing
+// deliver is the receiving half of a message: it posts the envelope to
+// its destination's mailbox and counts it received. The error is errNoNode (nothing
 // registered under e.To, or the runtime closed) or, under dropIfFull,
 // errMailboxFull.
 func (r *nodeRuntime) deliver(e Envelope, full whenFull) error {
-	mb, tracer := r.lookup(e.To)
-	if tracer != nil {
-		tracer.ObserveRecv(e.TraceClk)
-	}
+	mb := r.lookup(e.To)
 	if mb == nil {
 		return errNoNode
 	}
@@ -184,7 +180,7 @@ func (r *nodeRuntime) deliver(e Envelope, full whenFull) error {
 // elapsed. A callback due after the node is gone is dropped.
 func (r *nodeRuntime) After(on NodeID, d time.Duration, f func()) Timer {
 	return time.AfterFunc(d, func() {
-		if mb, _ := r.lookup(on); mb != nil {
+		if mb := r.lookup(on); mb != nil {
 			mb.put(func(Handler) { f() }, true)
 		}
 	})

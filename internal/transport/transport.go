@@ -28,22 +28,19 @@ type Envelope struct {
 	From NodeID
 	To   NodeID
 	Msg  Message
-	// TraceClk is the sender's flight-recorder Lamport stamp, taken at
-	// Send (or, for Batch items, when the item was buffered). Zero when
-	// tracing is off. Receivers merge it into their own recorder's
-	// clock so cross-process timelines stay causally ordered.
+	// TraceClk is the send stamp of the transport's WireTracer, taken
+	// at Send. Zero when no tracer is installed, and on the items of a
+	// Batch, whose one stamp is the outer envelope's.
 	TraceClk uint64
 }
 
-// WireTracer is the hook a flight recorder (internal/trace.Recorder)
-// implements so transports can propagate causal clocks on the wire:
-// StampSend ticks the local Lamport clock and returns the stamp for an
-// outgoing envelope; ObserveRecv folds a received stamp back in
-// (clock = max(clock, stamp)). Implementations must be safe for
-// concurrent use and cheap enough for every message.
+// WireTracer is the send-time hook a transport calls through
+// SetTracer: StampSend returns the stamp an outgoing envelope carries
+// in TraceClk (a send time, for a tracer that measures time in flight).
+// Implementations must be safe for concurrent use and cheap enough for
+// every message.
 type WireTracer interface {
 	StampSend() uint64
-	ObserveRecv(clk uint64)
 }
 
 // Handler consumes messages delivered to one node.
