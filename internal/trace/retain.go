@@ -113,7 +113,10 @@ func (rec *Recorder) completeAt(tx string, keys []string, loSeq uint64, start, e
 		return // bar moved between the atomic check and the lock
 	}
 	retain := len(reasons) > 0
-	if retain && rec.budget <= 0 {
+	if w := rec.clk.Load() / budgetWindow; w != rec.window {
+		rec.window, rec.spent = w, 0
+	}
+	if retain && rec.spent >= assemblyBudget {
 		rec.dropped++
 		retain = false
 	}
@@ -124,7 +127,7 @@ func (rec *Recorder) completeAt(tx string, keys []string, loSeq uint64, start, e
 	t := rec.assembleLocked(tx, keys, loSeq)
 	t.Dur, t.Outcome, t.Reasons = dur, outcome, reasons
 	if retain {
-		rec.budget--
+		rec.spent++
 		rec.retainLocked(t)
 	}
 	if slowCandidate {
@@ -285,7 +288,7 @@ func (rec *Recorder) Bundle() []*Trace {
 }
 
 // Dropped reports how many retain-worthy transactions were not
-// assembled because the deterministic assembly budget ran out.
+// assembled because their window's assembly budget was spent.
 func (rec *Recorder) Dropped() int {
 	if rec == nil {
 		return 0

@@ -203,6 +203,13 @@ const (
 	ringSize    = 4096 // per-node event capacity, a power of two for mask indexing
 	retainLimit = 64   // bound of the retained-trace set
 	slowestN    = 5    // slowest transactions always kept, independent of the retained set
+
+	// At most assemblyBudget retain-worthy completions are assembled per
+	// window of budgetWindow appends (Event.Seq / budgetWindow); the rest
+	// are counted in Dropped. Counted in appends, never wall-clock, so a
+	// traced simulation stays deterministic.
+	assemblyBudget = 4 * retainLimit
+	budgetWindow   = 1 << 16
 )
 
 // Recorder is one deployment's (or one process's) flight recorder: it
@@ -223,7 +230,8 @@ type Recorder struct {
 	watch    []watchEnt // retained traces still absorbing trailing events
 	retained []*Trace   // bounded, oldest first
 	slowest  []*Trace   // sorted by duration descending, ≤ slowestN
-	budget   int        // remaining full assemblies (determinism-safe bound)
+	window   uint64     // the budget window spent counts in (clk / budgetWindow)
+	spent    int        // full assemblies for retention in that window
 	dropped  int        // retain-worthy completions lost to budget exhaustion
 
 	phases phaseSet
@@ -237,7 +245,6 @@ func New(cfg Config) *Recorder {
 	rec := &Recorder{
 		cfg:    cfg,
 		byNode: make(map[string]*Ring),
-		budget: 4 * retainLimit,
 	}
 	rec.slowBar.Store(-1)
 	return rec

@@ -158,6 +158,52 @@ func TestRetainedSetBounded(t *testing.T) {
 	}
 }
 
+// TestAssemblyBudgetRefills: the assembly budget bounds full
+// assemblies per window of the recorder's own appends, and each new
+// window starts with a fresh budget, so a long-running recorder keeps
+// retaining after its first assemblyBudget interesting completions.
+func TestAssemblyBudgetRefills(t *testing.T) {
+	rec := New(Config{})
+	r := rec.Ring("n1", 0)
+	abort := func(tx string) {
+		r.Add(Event{Tx: tx, Stage: StagePropose})
+		rec.Complete(tx, nil, 0, int64(time.Microsecond), FlagAbort, false, false, false)
+	}
+	fill := func(n uint64) {
+		for ; n > 0; n-- {
+			r.Add(Event{Stage: StageRead})
+		}
+	}
+
+	// Spread out, 1000 aborts stay within every window's budget.
+	const n = 1000
+	for i := 0; i < n; i++ {
+		abort(fmt.Sprintf("t%d", i))
+		fill(2 * budgetWindow / assemblyBudget)
+	}
+	kept := rec.Retained()
+	if last := kept[len(kept)-1].Tx; last != fmt.Sprintf("t%d", n-1) || rec.Dropped() != 0 {
+		t.Fatalf("after %d spread-out aborts: retained ends at %s, %d dropped; want t%d, 0 dropped", n, last, rec.Dropped(), n-1)
+	}
+
+	// A burst inside one window is still bounded by the budget.
+	fill(budgetWindow - rec.clk.Load()%budgetWindow)
+	for i := 0; i < assemblyBudget+10; i++ {
+		abort(fmt.Sprintf("b%d", i))
+	}
+	if got := rec.Dropped(); got != 10 {
+		t.Fatalf("burst of %d aborts in one window dropped %d, want 10", assemblyBudget+10, got)
+	}
+
+	// The next window retains again.
+	fill(budgetWindow)
+	abort("after")
+	kept = rec.Retained()
+	if last := kept[len(kept)-1].Tx; last != "after" || rec.Dropped() != 10 {
+		t.Fatalf("next window: retained ends at %s, %d dropped; want after, 10 dropped", last, rec.Dropped())
+	}
+}
+
 // TestTrailingEvents checks the watch mechanism: events recorded after
 // a trace is retained (visibility, feed publishes for its keys) are
 // appended to it, and the watch expires after its append window.
