@@ -27,7 +27,7 @@
 //	    "node": "us-west/store0",         // storage node ID
 //	    "keys": 123,                      // records in the committed store
 //	    "puts": 456,                      // store writes since boot
-//	    "protocol": { ... }               // core.Metrics: votes, Phase1/2,
+//	    "protocol": { ... },              // core.Metrics: votes, Phase1/2,
 //	                                      // executed/discarded options,
 //	                                      // demarcation rejects, sweeps,
 //	                                      // BatchEnvelopes/BatchItems
@@ -76,6 +76,9 @@
 //	    "submitted": 0,                   // transactions entering the tier
 //	    "passthrough": 0,                 // dispatched unmodified
 //	    "coalesced": 0,                   // updates that joined a window
+//	    "coalesceBypass": 0,              // coalescible updates sent singly:
+//	                                      // no demarcation headroom for a
+//	                                      // merge
 //	    "mergedOptions": 0,               // merged proposals issued
 //	    "mergedUpdates": 0,               // client updates inside them
 //	    "mergeSplits": 0,                 // rejected merges re-run singly
@@ -138,6 +141,10 @@
 //	  }],
 //	  "traceEvents": 0,                   // flight-recorder events since
 //	                                      // boot (with -trace)
+//	  "traceDropped": 0,                  // retain-worthy transactions not
+//	                                      // assembled: their window's
+//	                                      // assembly budget was spent
+//	                                      // (with -trace)
 //	  "traceRetained": 0                  // assembled timelines held for
 //	                                      // /trace (with -trace)
 //	}
@@ -194,6 +201,53 @@ func (s *opsState) guard(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// metricsDoc is the /metrics document, whose schema the package comment
+// lists.
+type metricsDoc struct {
+	DC            string           `json:"dc"`
+	RingEpoch     uint64           `json:"ringEpoch"`
+	Shards        []shardOut       `json:"shards"`
+	Transport     transport.Stats  `json:"transport"`
+	Gateway       *gateway.Metrics `json:"gateway,omitempty"`
+	Phases        []phaseOut       `json:"phases,omitempty"`
+	TraceEvents   uint64           `json:"traceEvents,omitempty"`
+	TraceDropped  int              `json:"traceDropped,omitempty"`
+	TraceRetained int              `json:"traceRetained,omitempty"`
+}
+
+type shardOut struct {
+	Node       string         `json:"node"`
+	Keys       int            `json:"keys"`
+	Puts       int64          `json:"puts"`
+	Metrics    core.Metrics   `json:"protocol"`
+	Durability *durabilityOut `json:"durability,omitempty"`
+}
+
+type durabilityOut struct {
+	Degraded               bool    `json:"degraded"`
+	SnapshotSeq            int     `json:"snapshotSeq"`
+	Checkpoints            int64   `json:"checkpoints"`
+	AppendsSinceCheckpoint int64   `json:"appendsSinceCheckpoint"`
+	WalAppends             int64   `json:"walAppends"`
+	WalSyncs               int64   `json:"walSyncs"`
+	SyncBatchMean          float64 `json:"syncBatchMean"`
+	SyncBatchMax           int64   `json:"syncBatchMax"`
+	WalSegments            int     `json:"walSegments"`
+	WalLiveBytes           int64   `json:"walLiveBytes"`
+	ReplayMs               float64 `json:"replayMs"`
+	ReplayUsedSnapshot     bool    `json:"replayUsedSnapshot"`
+	ReplayTail             int64   `json:"replayTail"`
+}
+
+type phaseOut struct {
+	Phase  string  `json:"phase"`
+	N      int64   `json:"n"`
+	P50Ms  float64 `json:"p50Ms"`
+	P99Ms  float64 `json:"p99Ms"`
+	MaxMs  float64 `json:"maxMs"`
+	MeanMs float64 `json:"meanMs"`
+}
+
 // serveHTTP starts the operational endpoints documented above on their
 // own goroutine and returns the shutdown gate.
 func serveHTTP(addr string, dc topology.DC, cl *topology.Cluster, d *server.DC, net *transport.TCP,
@@ -205,48 +259,9 @@ func serveHTTP(addr string, dc topology.DC, cl *topology.Cluster, d *server.DC, 
 		_, _ = w.Write([]byte("ok\n"))
 	})
 	mux.HandleFunc("/metrics", state.guard(func(w http.ResponseWriter, r *http.Request) {
-		type durOut struct {
-			Degraded               bool    `json:"degraded"`
-			SnapshotSeq            int     `json:"snapshotSeq"`
-			Checkpoints            int64   `json:"checkpoints"`
-			AppendsSinceCheckpoint int64   `json:"appendsSinceCheckpoint"`
-			WalAppends             int64   `json:"walAppends"`
-			WalSyncs               int64   `json:"walSyncs"`
-			SyncBatchMean          float64 `json:"syncBatchMean"`
-			SyncBatchMax           int64   `json:"syncBatchMax"`
-			WalSegments            int     `json:"walSegments"`
-			WalLiveBytes           int64   `json:"walLiveBytes"`
-			ReplayMs               float64 `json:"replayMs"`
-			ReplayUsedSnapshot     bool    `json:"replayUsedSnapshot"`
-			ReplayTail             int64   `json:"replayTail"`
-		}
-		type shard struct {
-			Node       string       `json:"node"`
-			Keys       int          `json:"keys"`
-			Puts       int64        `json:"puts"`
-			Metrics    core.Metrics `json:"protocol"`
-			Durability *durOut      `json:"durability,omitempty"`
-		}
-		type phaseOut struct {
-			Phase  string  `json:"phase"`
-			N      int64   `json:"n"`
-			P50Ms  float64 `json:"p50Ms"`
-			P99Ms  float64 `json:"p99Ms"`
-			MaxMs  float64 `json:"maxMs"`
-			MeanMs float64 `json:"meanMs"`
-		}
-		out := struct {
-			DC            string           `json:"dc"`
-			RingEpoch     uint64           `json:"ringEpoch"`
-			Shards        []shard          `json:"shards"`
-			Transport     transport.Stats  `json:"transport"`
-			Gateway       *gateway.Metrics `json:"gateway,omitempty"`
-			Phases        []phaseOut       `json:"phases,omitempty"`
-			TraceEvents   uint64           `json:"traceEvents,omitempty"`
-			TraceRetained int              `json:"traceRetained,omitempty"`
-		}{DC: dc.String(), RingEpoch: uint64(cl.Ring().Epoch()), Transport: net.Stats()}
+		out := metricsDoc{DC: dc.String(), RingEpoch: uint64(cl.Ring().Epoch()), Transport: net.Stats()}
 		for _, n := range d.Nodes {
-			sh := shard{
+			sh := shardOut{
 				Node:    string(n.ID()),
 				Keys:    n.Store().Len(),
 				Puts:    n.Store().Puts(),
@@ -254,7 +269,7 @@ func serveHTTP(addr string, dc topology.DC, cl *topology.Cluster, d *server.DC, 
 			}
 			if d.Durable {
 				d := n.Durability()
-				do := &durOut{
+				do := &durabilityOut{
 					Degraded:               d.Degraded,
 					SnapshotSeq:            d.SnapshotSeq,
 					Checkpoints:            d.Checkpoints,
@@ -293,6 +308,7 @@ func serveHTTP(addr string, dc topology.DC, cl *topology.Cluster, d *server.DC, 
 			}
 			out.TraceEvents = rec.Events()
 			out.TraceRetained = len(rec.Bundle())
+			out.TraceDropped = rec.Dropped()
 		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
