@@ -177,28 +177,25 @@ func (rec *Recorder) retainLocked(t *Trace) {
 // to the transaction's first tx-stamped event.
 func (rec *Recorder) assembleLocked(tx string, keys []string, loSeq uint64) *Trace {
 	t := &Trace{Tx: tx, Keys: append([]string(nil), keys...)}
-	var evs []Event
+	var evs, keyed []Event
 	minSeq := ^uint64(0)
 	for _, r := range rec.rings {
 		for _, ev := range r.Snapshot() {
-			if ev.Tx == tx && tx != "" {
+			switch {
+			case ev.Tx == tx && tx != "":
 				evs = append(evs, ev)
-				if ev.Seq < minSeq {
-					minSeq = ev.Seq
-				}
+				minSeq = min(minSeq, ev.Seq)
+			case ev.Tx == "" && t.hasKey(ev.Key):
+				keyed = append(keyed, ev)
 			}
 		}
 	}
 	if loSeq > 0 {
 		minSeq = loSeq
 	}
-	if len(keys) > 0 {
-		for _, r := range rec.rings {
-			for _, ev := range r.Snapshot() {
-				if ev.Tx == "" && ev.Seq >= minSeq && t.hasKey(ev.Key) {
-					evs = append(evs, ev)
-				}
-			}
+	for _, ev := range keyed {
+		if ev.Seq >= minSeq {
+			evs = append(evs, ev)
 		}
 	}
 	sort.Slice(evs, func(i, j int) bool { return evs[i].Seq < evs[j].Seq })

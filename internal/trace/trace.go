@@ -205,11 +205,12 @@ const (
 	slowestN    = 5    // slowest transactions always kept, independent of the retained set
 
 	// At most assemblyBudget retain-worthy completions are assembled per
-	// window of budgetWindow appends (Event.Seq / budgetWindow); the rest
-	// are counted in Dropped. Counted in appends, never wall-clock, so a
-	// traced simulation stays deterministic.
+	// window of budgetWindow appends (Event.Seq / budgetWindow), so an
+	// abort storm costs at most one full assembly per 1024 appends; the
+	// rest are counted in Dropped. Counted in appends, never wall-clock,
+	// so a traced simulation stays deterministic.
 	assemblyBudget = 4 * retainLimit
-	budgetWindow   = 1 << 16
+	budgetWindow   = 1024 * assemblyBudget
 )
 
 // Recorder is one deployment's (or one process's) flight recorder: it
