@@ -148,9 +148,9 @@ const (
 )
 
 // deliver is the receiving half of a message: it posts the envelope to
-// its destination's mailbox and counts it received. The error is errNoNode (nothing
-// registered under e.To, or the runtime closed) or, under dropIfFull,
-// errMailboxFull.
+// its destination's mailbox and counts it received. The error is
+// errNoNode (nothing registered under e.To, or the runtime closed) or,
+// under dropIfFull, errMailboxFull.
 func (r *nodeRuntime) deliver(e Envelope, full whenFull) error {
 	mb := r.lookup(e.To)
 	if mb == nil {

@@ -225,3 +225,81 @@ func TestTCPLocalSendNeverBlocksHandler(t *testing.T) {
 		t.Fatalf("handled %d messages through two %d-slot mailboxes with no DroppedQueueFull", handled.Load(), mailboxDepth)
 	}
 }
+
+// countingTracer is a WireTracer whose stamps count up from 101.
+type countingTracer struct{ n atomic.Uint64 }
+
+func (c *countingTracer) StampSend() uint64 { return 100 + c.n.Add(1) }
+
+// TestSendStampsTraceClk: a WireTracer installed with SetTracer stamps
+// the envelope a handler receives, a Batch included, with what its
+// StampSend returned for that Send; with no tracer TraceClk stays 0.
+// Over a TCP connection the stamp crosses the wire.
+func TestSendStampsTraceClk(t *testing.T) {
+	type stamping interface {
+		realTime
+		SetTracer(WireTracer)
+	}
+	one := func(t *testing.T, n stamping) (stamping, stamping) {
+		t.Cleanup(n.Close)
+		return n, n
+	}
+	cases := []struct {
+		name string
+		open func(t *testing.T) (from, to stamping)
+	}{
+		{"Local", func(t *testing.T) (stamping, stamping) { return one(t, NewLocal(nil)) }},
+		{"Local/latency", func(t *testing.T) (stamping, stamping) {
+			return one(t, NewLocal(func(_, _ NodeID) time.Duration { return time.Millisecond }))
+		}},
+		{"TCP/hosted", func(t *testing.T) (stamping, stamping) { return one(t, NewTCP(nil)) }},
+		{"TCP/wire", func(t *testing.T) (stamping, stamping) {
+			srv := NewTCP(nil)
+			t.Cleanup(srv.Close)
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cli := NewTCP(map[NodeID]string{"dst": addr})
+			t.Cleanup(cli.Close)
+			return cli, srv
+		}},
+	}
+	for _, c := range cases {
+		for _, traced := range []bool{true, false} {
+			name := c.name + "/untraced"
+			if traced {
+				name = c.name + "/traced"
+			}
+			t.Run(name, func(t *testing.T) {
+				from, to := c.open(t)
+				got := make(chan Envelope, 2)
+				to.Register("dst", func(e Envelope) { got <- e })
+				wantPing, wantBatch := uint64(0), uint64(0)
+				if traced {
+					from.SetTracer(&countingTracer{})
+					wantPing, wantBatch = 101, 102
+				}
+				from.Send("src", "dst", ping{Seq: 1})
+				from.Send("src", "dst", Batch{Items: []Envelope{
+					{From: "a", To: "dst", Msg: ping{Seq: 2}},
+					{From: "b", To: "dst", Msg: ping{Seq: 3}},
+				}})
+				for i := 0; i < 2; i++ {
+					select {
+					case e := <-got:
+						want := wantPing
+						if _, ok := e.Msg.(Batch); ok {
+							want = wantBatch
+						}
+						if e.TraceClk != want {
+							t.Fatalf("%T arrived with TraceClk %d, want %d", e.Msg, e.TraceClk, want)
+						}
+					case <-time.After(5 * time.Second):
+						t.Fatalf("%d of 2 messages delivered", i)
+					}
+				}
+			})
+		}
+	}
+}
