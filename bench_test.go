@@ -16,6 +16,7 @@ import (
 	"mdcc/internal/bench"
 	"mdcc/internal/microbench"
 	"mdcc/internal/record"
+	"mdcc/internal/scenario"
 )
 
 // benchScale is small enough for tight bench loops.
@@ -105,28 +106,35 @@ func BenchmarkAblationDemarcation_Loose(b *testing.B) {
 	})
 }
 
-// AblationGamma: the fast-policy window length after collisions.
+// AblationGamma: the fast-policy window length after collisions, on
+// copies of the collision-storm scenario (hot physical keys, a latency
+// brown-out) that differ only in γ. Each iteration is one seeded run,
+// validated like every scenario run.
 func benchGamma(b *testing.B, gamma int) {
-	sc := benchScale()
-	var last *bench.Result
-	for i := 0; i < b.N; i++ {
-		w := bench.NewWorld(bench.Options{
-			Protocol:    bench.ProtoMDCC,
-			NodesPerDC:  2,
-			Clients:     sc.Clients,
-			ClientDC:    -1,
-			Seed:        int64(i + 1),
-			Constraints: []record.Constraint{microbench.Constraint()},
-			Gamma:       gamma,
-		})
-		opts := microbench.Defaults()
-		opts.Items = sc.Items
-		opts.HotspotFrac = 0.05
-		opts.InitialStockMin, opts.InitialStockMax = 60, 120
-		last = bench.Run(w, microbench.New(opts),
-			bench.RunConfig{Warmup: sc.Warmup, Measure: sc.Measure})
+	s, ok := scenario.Find("collision-storm")
+	if !ok {
+		b.Fatal("scenario collision-storm is not registered")
 	}
-	reportRun(b, last)
+	storm := *s
+	storm.Gamma = gamma
+	var last *scenario.Result
+	for i := 0; i < b.N; i++ {
+		res, err := storm.Run(scenario.Options{Seed: int64(i + 1), Clients: 20,
+			Duration: 15 * time.Second, Faults: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Passed() {
+			b.Fatalf("γ=%d seed %d failed:\n%s", gamma, i+1, res.Report())
+		}
+		last = res
+	}
+	b.ReportMetric(last.WriteLat.Median(), "p50_ms")
+	b.ReportMetric(last.WriteLat.Percentile(99), "p99_ms")
+	b.ReportMetric(last.TPS, "vtps")
+	if last.Commits+last.Aborts > 0 {
+		b.ReportMetric(float64(last.Aborts)/float64(last.Commits+last.Aborts), "abort_frac")
+	}
 }
 
 func BenchmarkAblationGamma_10(b *testing.B)  { benchGamma(b, 10) }

@@ -134,12 +134,12 @@ func gatewayBench() {
 	} else {
 		claim += " and, with the acceptors saturated, commits >= 2x tx/s"
 	}
-	header(
-		fmt.Sprintf("Gateway saturation — %d closed-loop sessions on %d hot keys (%s measure)",
-			sc.Sessions, sc.HotKeys, sc.Measure),
-		"repo benchmark (no paper figure): "+claim)
 	cmp := bench.GatewaySaturation(*seed, sc)
 	cmp.Quick = *quick
+	header(
+		fmt.Sprintf("Gateway saturation — %d closed-loop sessions on %d hot keys (%s measure)",
+			cmp.Sessions, cmp.HotKeys, sc.Measure),
+		"repo benchmark (no paper figure): "+claim)
 	row := func(r bench.GatewayRun) {
 		fmt.Printf("%-26s %9.1f tx/s  %9d commits %7d aborts  %8.1f acceptor msgs/commit  (batch env %d carrying %d)\n",
 			r.Mode, r.TPS, r.Commits, r.Aborts, r.AcceptorMsgsPerCommit,
@@ -152,44 +152,44 @@ func gatewayBench() {
 			g.MergedOptions, g.MergedUpdates, g.CoalesceRatio, g.MergeSplits, g.AdmissionRejects, g.BatchFanIn, g.EscrowUpdates)
 	}
 	fmt.Printf("speedup: %.2fx committed tx/s; acceptor msgs/commit reduced %.1fx\n", cmp.Speedup, cmp.MsgDrop)
-	if rm := cmp.ReadMostly; rm != nil {
-		fmt.Printf("\nread-mostly (%d sessions, %.0f%% reads, %s measure):\n",
-			rm.Sessions, rm.ReadFrac*100, rm.Measure)
-		rrow := func(r bench.ReadRun) {
-			fmt.Printf("%-26s %10.0f reads/s  p50 %6.1fms p99 %6.1fms  %8.1f write tx/s  %0.3f read RPCs/read (%d cross-DC read msgs)\n",
-				r.Mode, r.ReadsPerSec, r.ReadP50Ms, r.ReadP99Ms, r.WriteTPS, r.SteadyReadRPCsPerRead, r.CrossDCReadMsgs)
-		}
-		rrow(rm.Baseline)
-		rrow(rm.Tier)
-		if g := rm.Tier.Gateway; g != nil {
-			fmt.Printf("read tier internals: %d local reads (frac %.3f), %d rpc fills, %d shared flights, %d quorum escalations; feed %d msgs carrying %d items, %d gaps, %d resubs\n",
-				g.LocalReads, g.LocalReadFrac, g.ReadRPCs, g.ReadCoalesced, g.ReadQuorums,
-				g.FeedMsgs, g.FeedItems, g.FeedGaps, g.FeedResubs)
-		}
-		fmt.Printf("read speedup: %.2fx reads/s over per-RPC reads\n", rm.SpeedupRead)
+
+	rm := cmp.ReadMostly
+	fmt.Printf("\nread-mostly (%d sessions, %.0f%% reads, %s measure):\n",
+		rm.Sessions, rm.ReadFrac*100, rm.Measure)
+	rrow := func(r bench.ReadRun) {
+		fmt.Printf("%-26s %10.0f reads/s  p50 %6.1fms p99 %6.1fms  %8.1f write tx/s  %0.3f read RPCs/read (%d cross-DC read msgs)\n",
+			r.Mode, r.ReadsPerSec, r.ReadP50Ms, r.ReadP99Ms, r.WriteTPS, r.SteadyReadRPCsPerRead, r.CrossDCReadMsgs)
 	}
-	if mg := cmp.MultiGroup; mg != nil {
-		fmt.Printf("\nmulti-group capacity (%d sessions and %d hot keys per group, %s measure):\n",
-			mg.SessionsPerGroup, mg.HotKeysPerGroup, sc.MultiMeasure)
-		row(mg.Single)
-		row(mg.Multi)
-		fmt.Printf("capacity scaling: %.2fx committed tx/s at %dx replica groups\n", mg.ScalingTPS, mg.Groups)
+	rrow(rm.Baseline)
+	rrow(rm.Tier)
+	if g := rm.Tier.Gateway; g != nil {
+		fmt.Printf("read tier internals: %d local reads (frac %.3f), %d rpc fills, %d shared flights, %d quorum escalations; feed %d msgs carrying %d items, %d gaps, %d resubs\n",
+			g.LocalReads, g.LocalReadFrac, g.ReadRPCs, g.ReadCoalesced, g.ReadQuorums,
+			g.FeedMsgs, g.FeedItems, g.FeedGaps, g.FeedResubs)
 	}
-	if a := cmp.Recorder; a != nil {
-		fmt.Printf("\nflight-recorder ablation (headline gateway arm, recorder off vs on):\n")
-		row(a.Off)
-		row(a.On)
-		fmt.Printf("recorder overhead: %+.3f%% committed tx/s (virtual), wall %s -> %s (%+.1f%%), %d events recorded\n",
-			a.TPSDeltaPct, a.WallOff, a.WallOn, a.WallOverheadPct, a.RecorderEvents)
+	fmt.Printf("read speedup: %.2fx reads/s over per-RPC reads\n", rm.SpeedupRead)
+
+	mg := cmp.MultiGroup
+	fmt.Printf("\nmulti-group capacity (%d sessions and %d hot keys per group, %s measure):\n",
+		mg.SessionsPerGroup, mg.HotKeysPerGroup, sc.MultiMeasure)
+	row(mg.Single)
+	row(mg.Multi)
+	fmt.Printf("capacity scaling: %.2fx committed tx/s at %dx replica groups\n", mg.ScalingTPS, mg.Groups)
+
+	a := cmp.Recorder
+	fmt.Printf("\nflight-recorder ablation (headline gateway arm, recorder off vs on):\n")
+	row(a.Off)
+	row(a.On)
+	fmt.Printf("recorder overhead: %+.3f%% committed tx/s (virtual), wall %s -> %s (%+.1f%%), %d events recorded\n",
+		a.TPSDeltaPct, a.WallOff, a.WallOn, a.WallOverheadPct, a.RecorderEvents)
+
+	s := cmp.Scarce
+	fmt.Printf("scarce stock arm: %d commits %d aborts, %d demarcation rejects at acceptors", s.Commits, s.Aborts, s.DemarcationRejects)
+	if g := s.Gateway; g != nil {
+		fmt.Printf("; gateway: %d merged options carrying %d updates, %d splits, %d bypassed on exhausted headroom",
+			g.MergedOptions, g.MergedUpdates, g.MergeSplits, g.CoalesceBypass)
 	}
-	if s := cmp.Scarce; s != nil {
-		fmt.Printf("scarce stock arm: %d commits %d aborts, %d demarcation rejects at acceptors", s.Commits, s.Aborts, s.DemarcationRejects)
-		if g := s.Gateway; g != nil {
-			fmt.Printf("; gateway: %d merged options carrying %d updates, %d splits, %d bypassed on exhausted headroom",
-				g.MergedOptions, g.MergedUpdates, g.MergeSplits, g.CoalesceBypass)
-		}
-		fmt.Println()
-	}
+	fmt.Println()
 	writeJSON(cmp)
 }
 

@@ -36,9 +36,14 @@ type scaleResult struct {
 }
 
 func scaleBench() {
+	// The sweep runs chaos-mix at its own client count.
+	swept, ok := scenario.Find("chaos-mix")
+	if !ok {
+		fmt.Fprintln(os.Stderr, "mdcc-bench: scenario chaos-mix is not registered")
+		os.Exit(1)
+	}
 	cfg := scenario.SweepConfig{
 		Seed:     *seed,
-		Clients:  60,
 		Duration: time.Minute,
 	}
 	if *quick {
@@ -55,8 +60,8 @@ func scaleBench() {
 		cfg.DropPcts = parseFloatList(*scDrop)
 	}
 	header(
-		fmt.Sprintf("Scaling curve — cluster size x drop%%, %s virtual per point (chaos-mix workload, %d clients)",
-			cfg.Duration, cfg.Clients),
+		fmt.Sprintf("Scaling curve — cluster size x drop%%, %s virtual per point (%s workload, %d clients)",
+			cfg.Duration, swept.Name, swept.Clients),
 		"repo benchmark (no paper figure): tx/s holds as the cluster grows; sharded engine keeps 1000 processes faster than real time")
 	cfg.Logf = func(format string, args ...interface{}) {
 		fmt.Printf("  "+format+"\n", args...)
@@ -91,9 +96,9 @@ func scaleBench() {
 		}
 	}
 	out := scaleResult{
-		Scenario:   "chaos-mix",
+		Scenario:   swept.Name,
 		Seed:       *seed,
-		Clients:    cfg.Clients,
+		Clients:    swept.Clients,
 		DurationMS: cfg.Duration.Milliseconds(),
 		Quick:      *quick,
 		Points:     pts,

@@ -106,7 +106,7 @@ func TestFailureEventSchedule(t *testing.T) {
 
 func TestPreloadReachesAllShards(t *testing.T) {
 	w := NewWorld(Options{Protocol: ProtoMDCC, NodesPerDC: 4, Clients: 1, ClientDC: -1, Seed: 5})
-	wl := microbench.New(microbench.Options{Items: 100, ItemsPerTxn: 3, MaxDecrement: 3,
+	wl := microbench.New(microbench.Options{Items: 100,
 		InitialStockMin: 10, InitialStockMax: 10, LocalMasterFrac: -1})
 	w.Preload(wl.Preload(w.Net.Rand()))
 	// Every key must be present at its replicas.

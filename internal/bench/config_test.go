@@ -20,14 +20,14 @@ func TestConfigDeviations(t *testing.T) {
 	}
 	for _, o := range []Options{
 		{Protocol: ProtoMDCC},
-		{Protocol: ProtoFast, Gamma: 10},
+		{Protocol: ProtoFast},
 		{Protocol: ProtoMulti, SyncInterval: time.Second},
 	} {
 		for _, f := range server.Unlisted(design, o.coreConfig(), "bench.Options") {
 			t.Errorf("%s sets core.Config.%s away from server.Config, and DESIGN.md §14 does not list it", o.Protocol, f)
 		}
 	}
-	_, cfg, _ := newHotKeyDeployment(1, GatewayScale{Sessions: 1, HotKeys: 1, NodesPerDC: 1}, true, gateway.Tuning{}, trace.New(trace.Config{}))
+	_, cfg, _ := newHotKeyDeployment(1, GatewayScale{Sessions: 1, NodesPerDC: 1}, true, gateway.Tuning{}, trace.New(trace.Config{}))
 	for _, f := range server.Unlisted(design, cfg, "newHotKeyDeployment") {
 		t.Errorf("the gateway arms set core.Config.%s away from server.Config, and DESIGN.md §14 does not list it", f)
 	}

@@ -74,7 +74,7 @@ func newHotKeyDeployment(seed int64, sc GatewayScale, gateways bool, tun gateway
 		ClientDC:   -1,
 	}, extra, simnet.Options{
 		JitterFrac:  0.10,
-		ServiceTime: sc.ServiceTime,
+		ServiceTime: gatewayServiceTime,
 		Seed:        seed,
 	})
 	cfg := server.Config(core.ModeMDCC, []record.Constraint{record.MinBound("units", 0)})
@@ -87,7 +87,7 @@ func newHotKeyDeployment(seed int64, sc GatewayScale, gateways bool, tun gateway
 	cfg.PendingTimeout = 30 * time.Second
 	d.startCore(cfg)
 
-	hot := make([]record.Key, sc.HotKeys)
+	hot := make([]record.Key, hotKeys)
 	for i := range hot {
 		hot[i] = hotKey(i)
 	}

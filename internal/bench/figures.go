@@ -145,7 +145,6 @@ func Figure6(seed int64, sc Scale, hotspotPcts []int) []Fig6Point {
 			Results: microSweep(seed, sc, []Protocol{Proto2PC, ProtoMulti, ProtoFast, ProtoMDCC},
 				func(o *microbench.Options) {
 					o.HotspotFrac = float64(pct) / 100
-					o.HotProb = 0.9
 					o.InitialStockMin = stock
 					o.InitialStockMax = stock * 2
 				})})

@@ -22,23 +22,32 @@ import (
 // transactions per second and acceptor messages per committed
 // transaction.
 
+// The gateway arms' fixed shape: every scale runs the stampede on
+// hotKeys hot stock records through acceptors busy gatewayServiceTime
+// per message (the resource the baseline melts), the read-mostly arms
+// at a readFrac read mix, and the capacity-scaling arm on
+// multiHotKeys hot keys per replica group at 1 and multiGroups groups
+// per DC.
+const (
+	hotKeys            = 4
+	gatewayServiceTime = time.Millisecond
+	readFrac           = 0.9
+	multiGroups        = 4
+	multiHotKeys       = 4
+)
+
 // GatewayScale sizes the saturation experiment.
 type GatewayScale struct {
 	// Sessions is the number of concurrent closed-loop client
 	// sessions (the saturation bench runs >= 1000 at full scale).
 	Sessions int
-	// HotKeys is how many hot stock records absorb the stampede.
-	HotKeys int
 	// InitialStock preloads each hot key ("units" >= 0 constrained)
 	// high enough that demarcation never starves the run.
 	InitialStock int64
 	// NodesPerDC is storage shards per data center.
 	NodesPerDC int
-	// ServiceTime models acceptor CPU per message — the resource the
-	// baseline melts.
-	ServiceTime time.Duration
-	Warmup      time.Duration
-	Measure     time.Duration
+	Warmup     time.Duration
+	Measure    time.Duration
 
 	// ScarceStock and ScarceMeasure size the scarce-stock arm: the
 	// same stampede against stock low enough that the demarcation
@@ -47,23 +56,18 @@ type GatewayScale struct {
 	ScarceStock   int64
 	ScarceMeasure time.Duration
 
-	// ReadFrac/ReadWarmup/ReadMeasure size the read-mostly arms
-	// (see readtier.go): a ReadFrac read mix at Sessions closed-loop
-	// clients, RPC reads vs the learned-replica read tier. ReadFrac 0
-	// skips them.
-	ReadFrac    float64
+	// ReadWarmup/ReadMeasure size the read-mostly arms (see
+	// readtier.go): a readFrac read mix at Sessions closed-loop
+	// clients, RPC reads vs the learned-replica read tier.
 	ReadWarmup  time.Duration
 	ReadMeasure time.Duration
 
-	// MultiGroups/MultiSessions/MultiHotKeys/MultiWarmup/MultiMeasure
-	// size the capacity-scaling arm (see multiGroupCapacity): the same
-	// per-group offered load (MultiSessions closed-loop sessions on
-	// MultiHotKeys hot keys per replica group) driven against 1 and
-	// against MultiGroups shard-ring groups per DC. MultiGroups 0
-	// skips the arm.
-	MultiGroups   int
+	// MultiSessions/MultiWarmup/MultiMeasure size the capacity-scaling
+	// arm (see multiGroupCapacity): the same per-group offered load
+	// (MultiSessions closed-loop sessions on multiHotKeys hot keys per
+	// replica group) driven against 1 and against multiGroups
+	// shard-ring groups per DC.
 	MultiSessions int
-	MultiHotKeys  int
 	MultiWarmup   time.Duration
 	MultiMeasure  time.Duration
 
@@ -78,20 +82,15 @@ type GatewayScale struct {
 func GatewayPaperScale() GatewayScale {
 	return GatewayScale{
 		Sessions:      1000,
-		HotKeys:       4,
 		InitialStock:  50_000_000,
 		NodesPerDC:    2,
-		ServiceTime:   time.Millisecond,
 		Warmup:        10 * time.Second,
 		Measure:       60 * time.Second,
 		ScarceStock:   12_000,
 		ScarceMeasure: 20 * time.Second,
-		ReadFrac:      0.9,
 		ReadWarmup:    5 * time.Second,
 		ReadMeasure:   30 * time.Second,
-		MultiGroups:   4,
 		MultiSessions: 250,
-		MultiHotKeys:  4,
 		MultiWarmup:   5 * time.Second,
 		MultiMeasure:  30 * time.Second,
 	}
@@ -101,20 +100,15 @@ func GatewayPaperScale() GatewayScale {
 func GatewayQuickScale() GatewayScale {
 	return GatewayScale{
 		Sessions:      200,
-		HotKeys:       4,
 		InitialStock:  10_000_000,
 		NodesPerDC:    2,
-		ServiceTime:   time.Millisecond,
 		Warmup:        5 * time.Second,
 		Measure:       20 * time.Second,
 		ScarceStock:   1_200,
 		ScarceMeasure: 10 * time.Second,
-		ReadFrac:      0.9,
 		ReadWarmup:    2 * time.Second,
 		ReadMeasure:   10 * time.Second,
-		MultiGroups:   4,
 		MultiSessions: 60,
-		MultiHotKeys:  4,
 		MultiWarmup:   2 * time.Second,
 		MultiMeasure:  10 * time.Second,
 	}
@@ -163,18 +157,18 @@ type GatewayComparison struct {
 	// demarcation bound binds: exact headroom accounting should merge
 	// only inside real shared headroom (low MergeSplits) while the
 	// acceptors arbitrate the rest (CoalesceBypass, DemarcationRejects).
-	Scarce *GatewayRun `json:"scarce,omitempty"`
+	Scarce GatewayRun `json:"scarce"`
 	// ReadMostly compares the 90/10 read mix with per-RPC reads vs
 	// the learned-replica read tier (see readtier.go).
-	ReadMostly *ReadComparison `json:"readMostly,omitempty"`
+	ReadMostly ReadComparison `json:"readMostly"`
 	// MultiGroup shows committed capacity scaling with shard-ring
 	// group count at fixed per-group offered load (the one-replica-
 	// group capacity ceiling, broken).
-	MultiGroup *MultiGroupResult `json:"multiGroup,omitempty"`
+	MultiGroup MultiGroupResult `json:"multiGroup"`
 	// Recorder is the flight-recorder overhead ablation on the
 	// headline gateway arm (tracing must cost <1% committed tx/s).
-	Recorder *RecorderAblation `json:"recorder,omitempty"`
-	Quick    bool              `json:"quick,omitempty"`
+	Recorder RecorderAblation `json:"recorder"`
+	Quick    bool             `json:"quick,omitempty"`
 }
 
 // MultiGroupResult is the capacity-scaling arm's harvest: the same
@@ -217,7 +211,7 @@ func GatewaySaturation(seed int64, sc GatewayScale) *GatewayComparison {
 	cmp := &GatewayComparison{
 		Seed:     seed,
 		Sessions: sc.Sessions,
-		HotKeys:  sc.HotKeys,
+		HotKeys:  hotKeys,
 		Measure:  sc.Measure.String(),
 		Baseline: base,
 		Gateway:  gw,
@@ -232,74 +226,62 @@ func GatewaySaturation(seed int64, sc GatewayScale) *GatewayComparison {
 	// the recorder wired through the full stack. Virtual TPS must be
 	// bit-identical (the recorder never touches simulated time or the
 	// RNG); wall-clock captures the real CPU cost.
-	{
-		rec := trace.New(trace.Config{})
-		wall1 := time.Now()
-		traced := runGatewayArm(seed, sc, true, rec)
-		tracedWall := time.Since(wall1)
-		traced.Mode = "gateway-traced"
-		abl := &RecorderAblation{
-			Off:            gw,
-			On:             traced,
-			WallOff:        gwWall.Round(time.Millisecond).String(),
-			WallOn:         tracedWall.Round(time.Millisecond).String(),
-			RecorderEvents: rec.Events(),
-		}
-		if gw.TPS > 0 {
-			abl.TPSDeltaPct = (traced.TPS - gw.TPS) / gw.TPS * 100
-		}
-		if gwWall > 0 {
-			abl.WallOverheadPct = (tracedWall.Seconds() - gwWall.Seconds()) / gwWall.Seconds() * 100
-		}
-		cmp.Recorder = abl
+	rec := trace.New(trace.Config{})
+	wall1 := time.Now()
+	traced := runGatewayArm(seed, sc, true, rec)
+	tracedWall := time.Since(wall1)
+	traced.Mode = "gateway-traced"
+	cmp.Recorder = RecorderAblation{
+		Off:            gw,
+		On:             traced,
+		WallOff:        gwWall.Round(time.Millisecond).String(),
+		WallOn:         tracedWall.Round(time.Millisecond).String(),
+		RecorderEvents: rec.Events(),
 	}
-	if sc.ScarceStock > 0 {
-		scarce := sc
-		scarce.InitialStock = sc.ScarceStock
-		scarce.Warmup = 0 // measure the whole burn-down to exhaustion
-		if sc.ScarceMeasure > 0 {
-			scarce.Measure = sc.ScarceMeasure
-		}
-		run := runGatewayArm(seed, scarce, true, nil)
-		run.Mode = "gateway-scarce"
-		cmp.Scarce = &run
+	if gw.TPS > 0 {
+		cmp.Recorder.TPSDeltaPct = (traced.TPS - gw.TPS) / gw.TPS * 100
 	}
-	if sc.ReadFrac > 0 && sc.ReadMeasure > 0 {
-		cmp.ReadMostly = ReadMostly(seed, sc)
+	if gwWall > 0 {
+		cmp.Recorder.WallOverheadPct = (tracedWall.Seconds() - gwWall.Seconds()) / gwWall.Seconds() * 100
 	}
-	if sc.MultiGroups > 1 {
-		cmp.MultiGroup = multiGroupCapacity(seed, sc)
-	}
+
+	scarce := sc
+	scarce.InitialStock = sc.ScarceStock
+	scarce.Warmup = 0 // measure the whole burn-down to exhaustion
+	scarce.Measure = sc.ScarceMeasure
+	cmp.Scarce = runGatewayArm(seed, scarce, true, nil)
+	cmp.Scarce.Mode = "gateway-scarce"
+	cmp.ReadMostly = ReadMostly(seed, sc)
+	cmp.MultiGroup = multiGroupCapacity(seed, sc)
 	return cmp
 }
 
 // multiGroupCapacity drives the same per-group offered load against a
-// single replica group and against sc.MultiGroups groups per DC. Both
+// single replica group and against multiGroups groups per DC. Both
 // arms use the gateway tier; sessions and hot keys scale with the
 // group count (the hot-key set is balanced per group under the shard
 // ring) so each group sees an identical stampede, and the acceptors'
 // per-message service time is the bottleneck — committed tx/s then
 // measures capacity, which a single replica group caps and the ring
 // lets grow with groups.
-func multiGroupCapacity(seed int64, sc GatewayScale) *MultiGroupResult {
+func multiGroupCapacity(seed int64, sc GatewayScale) MultiGroupResult {
 	run := func(groups int) GatewayRun {
 		arm := sc
 		arm.NodesPerDC = groups
 		arm.Sessions = sc.MultiSessions * groups
-		arm.HotKeys = sc.MultiHotKeys * groups
-		arm.balancePerGroup = sc.MultiHotKeys
+		arm.balancePerGroup = multiHotKeys
 		arm.Warmup = sc.MultiWarmup
 		arm.Measure = sc.MultiMeasure
 		r := runGatewayArm(seed, arm, true, nil)
 		r.Mode = fmt.Sprintf("gateway-%dgroups", groups)
 		return r
 	}
-	out := &MultiGroupResult{
-		Groups:           sc.MultiGroups,
+	out := MultiGroupResult{
+		Groups:           multiGroups,
 		SessionsPerGroup: sc.MultiSessions,
-		HotKeysPerGroup:  sc.MultiHotKeys,
+		HotKeysPerGroup:  multiHotKeys,
 		Single:           run(1),
-		Multi:            run(sc.MultiGroups),
+		Multi:            run(multiGroups),
 	}
 	if out.Single.TPS > 0 {
 		out.ScalingTPS = out.Multi.TPS / out.Single.TPS

@@ -70,12 +70,12 @@ type ReadComparison struct {
 }
 
 // ReadMostly runs both read arms and compares.
-func ReadMostly(seed int64, sc GatewayScale) *ReadComparison {
+func ReadMostly(seed int64, sc GatewayScale) ReadComparison {
 	base := runReadArm(seed, sc, false)
 	tier := runReadArm(seed, sc, true)
-	cmp := &ReadComparison{
+	cmp := ReadComparison{
 		Sessions: sc.Sessions,
-		ReadFrac: sc.ReadFrac,
+		ReadFrac: readFrac,
 		Measure:  sc.ReadMeasure.String(),
 		Baseline: base,
 		Tier:     tier,
@@ -120,13 +120,13 @@ func runReadArm(seed int64, sc GatewayScale, tier bool) ReadRun {
 		coordAtWarm = sumCoord()
 	})
 
-	// The ReadFrac mix is a session split — ReadFrac of the sessions
+	// The readFrac mix is a session split — readFrac of the sessions
 	// are closed-loop readers, the rest closed-loop writers — so read
 	// throughput is not artificially clamped by write latency inside
 	// one loop (a mixed closed loop spends ~all its cycle time waiting
 	// on commits, measuring the write path twice and the read path not
 	// at all). The aggregate offered mix is the same 90/10.
-	readers := int(float64(sc.Sessions) * sc.ReadFrac)
+	readers := int(float64(sc.Sessions) * readFrac)
 	for ci, c := range cl.Clients {
 		g := gws[c.DC]
 		ci := ci
@@ -137,7 +137,7 @@ func runReadArm(seed int64, sc GatewayScale, tier bool) ReadRun {
 				if !now.Before(measureTo) {
 					return
 				}
-				key := hotKey(rng.Intn(sc.HotKeys))
+				key := hotKey(rng.Intn(hotKeys))
 				began := now
 				g.ReadFloor(key, 0, func(record.Value, record.Version, bool) {
 					// Response hop back to the client, then the next op.
@@ -159,7 +159,7 @@ func runReadArm(seed int64, sc GatewayScale, tier bool) ReadRun {
 			if !net.Now().Before(measureTo) {
 				return
 			}
-			key := hotKey(rng.Intn(sc.HotKeys))
+			key := hotKey(rng.Intn(hotKeys))
 			g.Commit([]record.Update{record.Commutative(key, map[string]int64{"units": -1})},
 				func(ok bool, err error) {
 					end := net.Now()

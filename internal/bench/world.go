@@ -50,7 +50,6 @@ type Options struct {
 	ClientDC    int // -1 = geo-distributed round-robin
 	Seed        int64
 	Constraints []record.Constraint
-	Gamma       int // 0 = paper default (100)
 	// DropProb uniformly drops messages (chaos tests).
 	DropProb float64
 	// SyncInterval is the core anti-entropy period; zero, what the
@@ -135,9 +134,6 @@ func (opts Options) coreConfig() core.Config {
 	}
 	cfg := server.Config(mode, opts.Constraints)
 	cfg.SyncInterval = opts.SyncInterval
-	if opts.Gamma > 0 {
-		cfg.Gamma = opts.Gamma
-	}
 	return cfg
 }
 

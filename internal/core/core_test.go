@@ -23,7 +23,13 @@ type world struct {
 
 func newWorld(t *testing.T, cfg Config, nodesPerDC, clients int, seed int64) *world {
 	t.Helper()
-	cl := topology.NewCluster(topology.Layout{NodesPerDC: nodesPerDC, Clients: clients, ClientDC: -1})
+	return newWorldOn(t, cfg, topology.Layout{NodesPerDC: nodesPerDC, Clients: clients, ClientDC: -1}, seed)
+}
+
+// newWorldOn is newWorld for any cluster layout.
+func newWorldOn(t *testing.T, cfg Config, layout topology.Layout, seed int64) *world {
+	t.Helper()
+	cl := topology.NewCluster(layout)
 	net := simnet.New(simnet.Options{
 		Latency:     cl.LatencyWith(nil),
 		JitterFrac:  0.05,

@@ -20,17 +20,23 @@ import (
 // StockAttr is the constrained attribute name.
 const StockAttr = "stock"
 
+// The buy transaction's fixed shape (paper §5.3): a basket of
+// basketSize distinct items, each decremented by 1..maxDecrement, and
+// a hot-spot, when there is one, drawing hotProb of the accesses.
+const (
+	basketSize   = 3
+	maxDecrement = 3
+	hotProb      = 0.9
+)
+
 // Constraint returns the stock >= 0 constraint the benchmark declares.
 func Constraint() record.Constraint { return record.MinBound(StockAttr, 0) }
 
 // Options shapes the workload.
 type Options struct {
-	// Items is the table size (paper default 10,000).
+	// Items is the table size (paper default 10,000); a basket needs
+	// at least basketSize of them.
 	Items int
-	// ItemsPerTxn is the basket size (paper: 3).
-	ItemsPerTxn int
-	// MaxDecrement bounds the per-item decrement (paper: 1..3).
-	MaxDecrement int
 	// InitialStock draws each item's starting stock uniformly from
 	// [InitialStockMin, InitialStockMax].
 	InitialStockMin, InitialStockMax int64
@@ -38,9 +44,6 @@ type Options struct {
 	// HotspotFrac is the hot-spot size as a fraction of the table
 	// (figure 6's x-axis: 0.02..0.90). Zero disables hot-spotting.
 	HotspotFrac float64
-	// HotProb is the probability an access goes to the hot-spot
-	// (paper: 0.9).
-	HotProb float64
 
 	// LocalMasterFrac makes this fraction of transactions choose
 	// items whose master is in the client's data center (figure 7's
@@ -53,12 +56,9 @@ type Options struct {
 func Defaults() Options {
 	return Options{
 		Items:           10000,
-		ItemsPerTxn:     3,
-		MaxDecrement:    3,
 		InitialStockMin: 10000,
 		InitialStockMax: 20000,
 		HotspotFrac:     0,
-		HotProb:         0.9,
 		LocalMasterFrac: -1,
 	}
 }
@@ -76,12 +76,6 @@ type Workload struct {
 func New(opts Options) *Workload {
 	if opts.Items <= 0 {
 		opts.Items = 10000
-	}
-	if opts.ItemsPerTxn <= 0 {
-		opts.ItemsPerTxn = 3
-	}
-	if opts.MaxDecrement <= 0 {
-		opts.MaxDecrement = 3
 	}
 	if opts.InitialStockMax < opts.InitialStockMin {
 		opts.InitialStockMax = opts.InitialStockMin
@@ -127,7 +121,7 @@ func (w *Workload) pickItem(rng *rand.Rand) int {
 		if hot < 1 {
 			hot = 1
 		}
-		if rng.Float64() < w.opts.HotProb {
+		if rng.Float64() < hotProb {
 			return rng.Intn(hot)
 		}
 		return hot + rng.Intn(n-hot)
@@ -155,12 +149,11 @@ func (w *Workload) pickItemLocality(rng *rand.Rand, dc topology.DC, local bool) 
 
 // basket draws the transaction's distinct items.
 func (w *Workload) basket(rng *rand.Rand, dc topology.DC) []int {
-	k := w.opts.ItemsPerTxn
-	seen := make(map[int]bool, k)
-	out := make([]int, 0, k)
+	seen := make(map[int]bool, basketSize)
+	out := make([]int, 0, basketSize)
 	useLocality := w.opts.LocalMasterFrac >= 0
 	local := useLocality && rng.Float64() < w.opts.LocalMasterFrac
-	for len(out) < k {
+	for len(out) < basketSize {
 		var i int
 		if useLocality {
 			i = w.pickItemLocality(rng, dc, local)
@@ -180,7 +173,7 @@ func (w *Workload) Next(client int, dc topology.DC, rng *rand.Rand) mtx.Txn {
 	items := w.basket(rng, dc)
 	amounts := make([]int64, len(items))
 	for i := range amounts {
-		amounts[i] = 1 + rng.Int63n(int64(w.opts.MaxDecrement))
+		amounts[i] = 1 + rng.Int63n(maxDecrement)
 	}
 	return func(c mtx.Client, rng *rand.Rand, done func(mtx.TxnResult)) {
 		if mtx.Commutative(c) {

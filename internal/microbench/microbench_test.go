@@ -11,7 +11,7 @@ import (
 
 func TestDefaults(t *testing.T) {
 	o := Defaults()
-	if o.Items != 10000 || o.ItemsPerTxn != 3 || o.MaxDecrement != 3 {
+	if o.Items != 10000 || o.InitialStockMin != 10000 || o.InitialStockMax != 20000 {
 		t.Fatalf("paper defaults wrong: %+v", o)
 	}
 }
@@ -34,7 +34,7 @@ func TestPreload(t *testing.T) {
 }
 
 func TestHotspotSkew(t *testing.T) {
-	w := New(Options{Items: 1000, HotspotFrac: 0.1, HotProb: 0.9, LocalMasterFrac: -1})
+	w := New(Options{Items: 1000, HotspotFrac: 0.1, LocalMasterFrac: -1})
 	rng := rand.New(rand.NewSource(2))
 	hot := 0
 	const n = 20000
@@ -66,7 +66,7 @@ func TestUniformWithoutHotspot(t *testing.T) {
 }
 
 func TestBasketDistinctItems(t *testing.T) {
-	w := New(Options{Items: 10, ItemsPerTxn: 3, LocalMasterFrac: -1})
+	w := New(Options{Items: 10, LocalMasterFrac: -1})
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 200; i++ {
 		b := w.basket(rng, topology.USWest)
@@ -106,7 +106,7 @@ func TestLocalityPicksLocalMasters(t *testing.T) {
 }
 
 func TestLocalityFraction(t *testing.T) {
-	w := New(Options{Items: 1000, ItemsPerTxn: 3, LocalMasterFrac: 0.8})
+	w := New(Options{Items: 1000, LocalMasterFrac: 0.8})
 	rng := rand.New(rand.NewSource(6))
 	localBaskets := 0
 	const n = 5000
@@ -185,7 +185,7 @@ func (f *fakeClient) Commit(updates []record.Update, done func(bool)) {
 func (f *fakeClient) SupportsCommutative() bool { return f.comm }
 
 func TestNextCommutativePath(t *testing.T) {
-	w := New(Options{Items: 20, ItemsPerTxn: 3, MaxDecrement: 2,
+	w := New(Options{Items: 20,
 		InitialStockMin: 100, InitialStockMax: 100, LocalMasterFrac: -1})
 	f := newFake(w, true)
 	rng := rand.New(rand.NewSource(2))
@@ -216,7 +216,7 @@ func TestNextCommutativePath(t *testing.T) {
 }
 
 func TestNextRMWPath(t *testing.T) {
-	w := New(Options{Items: 20, ItemsPerTxn: 2, MaxDecrement: 2,
+	w := New(Options{Items: 20,
 		InitialStockMin: 50, InitialStockMax: 50, LocalMasterFrac: -1})
 	f := newFake(w, false)
 	rng := rand.New(rand.NewSource(3))
@@ -236,7 +236,9 @@ func TestNextRMWPath(t *testing.T) {
 }
 
 func TestNextRMWOutOfStockAborts(t *testing.T) {
-	w := New(Options{Items: 2, ItemsPerTxn: 2, MaxDecrement: 3,
+	// A basket is three distinct items, each wanting 1..3 units of a
+	// stock of 1: the whole table is in every basket.
+	w := New(Options{Items: 3,
 		InitialStockMin: 1, InitialStockMax: 1, LocalMasterFrac: -1})
 	f := newFake(w, false)
 	rng := rand.New(rand.NewSource(4))

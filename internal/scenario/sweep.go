@@ -52,11 +52,12 @@ const sweepScenario = "chaos-mix"
 // SweepConfig shapes a scaling sweep.
 type SweepConfig struct {
 	Seed int64
-	// Clients/Duration override the scenario defaults when > 0.
-	Clients  int
+	// Duration overrides the scenario's default when > 0; the client
+	// count is always the scenario's own.
 	Duration time.Duration
 	// NodesPerDC are the cluster-size axis values (default 1, 40, 188
-	// — 65 / 260 / 1000 total processes at 60 clients).
+	// — 65 / 260 / 1000 total processes with the scenario's 60
+	// clients).
 	NodesPerDC []int
 	// DropPcts are the ambient drop-probability axis values in percent
 	// (default 0 and 2).
@@ -85,7 +86,6 @@ func Sweep(cfg SweepConfig) ([]SweepPoint, error) {
 		for _, drop := range cfg.DropPcts {
 			res, err := s.Run(Options{
 				Seed:       cfg.Seed,
-				Clients:    cfg.Clients,
 				NodesPerDC: npd,
 				Duration:   cfg.Duration,
 				DropProb:   drop / 100,

@@ -228,9 +228,9 @@ type gatewayRPCBackend struct {
 	id   transport.NodeID
 	gwID transport.NodeID
 	net  *transport.TCP
-	// unknownAfter is the per-commit settle deadline: a submitted
-	// write-set with no reply by then fails fast with a typed
-	// *OutcomeUnknownError (the transaction may still commit — a
+	// unknownAfter is the per-commit settle deadline, always positive:
+	// a submitted write-set with no reply by then fails fast with a
+	// typed *OutcomeUnknownError (the transaction may still commit — a
 	// crashed gateway's proposed options are settled by the protocol).
 	unknownAfter time.Duration
 
@@ -339,34 +339,32 @@ func (b *gatewayRPCBackend) Commit(updates []Update, done func(bool, error)) {
 	b.txs[req] = pendingTx{cb: done, at: now}
 	b.mu.Unlock()
 	b.net.Send(b.id, b.gwID, gateway.MsgTx{ReqID: req, Updates: updates})
-	if b.unknownAfter > 0 {
-		// Settle deadline: if the acknowledgement never comes back (the
-		// gateway crashed with the transaction in hand, or the reply was
-		// lost for good), fail fast with the typed unknown-outcome error
-		// instead of letting the session block to its generic timeout.
-		// Exactly-once with the reply path via the pending-table claim;
-		// a reply that claims the entry first stops the timer, and one
-		// that claimed it before the timer was stored leaves it to be
-		// stopped here.
-		deadline := b.net.After(b.id, b.unknownAfter, func() {
-			b.mu.Lock()
-			p, ok := b.txs[req]
-			delete(b.txs, req)
-			b.mu.Unlock()
-			if ok {
-				p.cb(false, &OutcomeUnknownError{TxID: fmt.Sprintf("%s/%s#%d", b.gwID, b.id, req)})
-			}
-		})
+	// Settle deadline: if the acknowledgement never comes back (the
+	// gateway crashed with the transaction in hand, or the reply was
+	// lost for good), fail fast with the typed unknown-outcome error
+	// instead of letting the session block to its generic timeout.
+	// Exactly-once with the reply path via the pending-table claim;
+	// a reply that claims the entry first stops the timer, and one
+	// that claimed it before the timer was stored leaves it to be
+	// stopped here.
+	deadline := b.net.After(b.id, b.unknownAfter, func() {
 		b.mu.Lock()
-		p, pending := b.txs[req]
-		if pending {
-			p.deadline = deadline
-			b.txs[req] = p
-		}
+		p, ok := b.txs[req]
+		delete(b.txs, req)
 		b.mu.Unlock()
-		if !pending {
-			deadline.Stop()
+		if ok {
+			p.cb(false, &OutcomeUnknownError{TxID: fmt.Sprintf("%s/%s#%d", b.gwID, b.id, req)})
 		}
+	})
+	b.mu.Lock()
+	p, pending := b.txs[req]
+	if pending {
+		p.deadline = deadline
+		b.txs[req] = p
+	}
+	b.mu.Unlock()
+	if !pending {
+		deadline.Stop()
 	}
 }
 

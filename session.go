@@ -195,7 +195,9 @@ func (s *Session) readAtFloor(key Key) <-chan readRes {
 // ReadLatest performs an up-to-date quorum read (§4.2): it waits for
 // a majority of replicas and returns the freshest committed state —
 // strictly fresher than a local read after outages or message loss,
-// at the cost of a wide-area quorum round trip.
+// at the cost of a wide-area quorum round trip. Under session
+// guarantees the version it returns raises the key's floor, as Read's
+// does.
 func (s *Session) ReadLatest(key Key) (val Value, ver Version, exists bool, err error) {
 	ch := make(chan readRes, 1)
 	deadline := time.NewTimer(s.timeout)
@@ -205,6 +207,7 @@ func (s *Session) ReadLatest(key Key) (val Value, ver Version, exists bool, err 
 	})
 	select {
 	case r := <-ch:
+		s.floors.Read(key, r.ver)
 		return r.val, r.ver, r.ok, nil
 	case <-deadline.C:
 		return Value{}, 0, false, ErrTimeout

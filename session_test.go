@@ -66,3 +66,26 @@ func TestSessionDeadlinesReleaseTimers(t *testing.T) {
 		t.Errorf("%.1f B retained per returned call, gate %d: a deadline outlives its call", perCall, maxPerCall)
 	}
 }
+
+// laggingBackend is a replica set whose nearest replica lags: Read
+// answers version 1 (instantBackend's), ReadQuorum the freshest, 5.
+type laggingBackend struct{ instantBackend }
+
+func (laggingBackend) ReadQuorum(_ Key, cb func(record.Value, record.Version, bool)) {
+	cb(record.Value{}, 5, true)
+}
+
+// TestReadLatestRaisesSessionFloor: a version ReadLatest returned is one
+// the session has observed, so under session guarantees a later Read of
+// the key must not go below it (monotonic reads, §4.2), however far the
+// nearest replica lags.
+func TestReadLatestRaisesSessionFloor(t *testing.T) {
+	s := &Session{b: laggingBackend{}, timeout: time.Minute}
+	s.EnableSessionGuarantees()
+	if _, ver, _, err := s.ReadLatest("k"); err != nil || ver != 5 {
+		t.Fatalf("ReadLatest = version %d, %v; want 5", ver, err)
+	}
+	if _, ver, _, err := s.Read("k"); err != nil || ver < 5 {
+		t.Fatalf("Read after ReadLatest at version 5 = version %d, %v: the session read backwards", ver, err)
+	}
+}
