@@ -47,11 +47,11 @@ func (d *deployment) startCore(cfg core.Config) {
 // preload writes a record straight into the store of every replica of
 // its shard (bulk load happens before the measured run, as on a real
 // testbed).
-func (d *deployment) preload(key record.Key, v record.Value, ver record.Version) {
+func (d *deployment) preload(key record.Key, v record.Encoded, ver record.Version) {
 	shard := d.cl.Shard(key)
 	for i, n := range d.cl.Storage {
 		if n.Index == shard {
-			_ = d.stores[i].Put(key, v, ver)
+			_ = d.stores[i].PutEncoded(key, v, ver)
 		}
 	}
 }
@@ -95,7 +95,7 @@ func newHotKeyDeployment(seed int64, sc GatewayScale, gateways bool, tun gateway
 		hot = balancedHotKeys(d.cl, sc.balancePerGroup)
 	}
 	for _, key := range hot {
-		d.preload(key, record.Value{Attrs: map[string]int64{"units": sc.InitialStock}}, 1)
+		d.preload(key, record.Encode(record.Value{Attrs: map[string]int64{"units": sc.InitialStock}}), 1)
 	}
 	if gateways {
 		d.gws = make(map[topology.DC]*gateway.Gateway)

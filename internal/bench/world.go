@@ -187,7 +187,7 @@ func (w *World) Preload(entries []kv.Entry) {
 		// One full copy per DC replica.
 		for _, s := range w.stores {
 			for _, e := range entries {
-				_ = s.Put(e.Key, e.Value, e.Version)
+				_ = s.PutEncoded(e.Key, e.Value, e.Version)
 			}
 		}
 		return

@@ -303,7 +303,7 @@ func (h *History) Validate(initial map[record.Key]record.Value, final FinalState
 				s.physVreads[up.ReadVersion]++
 				s.committed++
 				s.sawPhysical = true
-				s.lastTombstone = up.NewValue.Tombstone
+				s.lastTombstone = up.NewValue.Tombstone()
 			case record.KindCommutative:
 				s.committed++
 				s.sawComm = true

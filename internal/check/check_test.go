@@ -120,7 +120,7 @@ func TestMDCCHistoryValidates(t *testing.T) {
 			k := record.Key(fmt.Sprintf("h/%02d", i))
 			v := record.Value{Attrs: map[string]int64{"stock": 30}}
 			initial[k] = v
-			entries = append(entries, kv.Entry{Key: k, Value: v, Version: 1})
+			entries = append(entries, kv.Entry{Key: k, Value: record.Encode(v), Version: 1})
 		}
 		w.Preload(entries)
 
@@ -192,7 +192,7 @@ func TestMDCCHistoryValidatesUnderDrops(t *testing.T) {
 		k := record.Key(fmt.Sprintf("d/%02d", i))
 		v := record.Value{Attrs: map[string]int64{"stock": 40}}
 		initial[k] = v
-		entries = append(entries, kv.Entry{Key: k, Value: v, Version: 1})
+		entries = append(entries, kv.Entry{Key: k, Value: record.Encode(v), Version: 1})
 	}
 	w.Preload(entries)
 
@@ -259,7 +259,7 @@ func TestMDCCMixedWorkloadValidates(t *testing.T) {
 			k := record.Key(fmt.Sprintf("mx/%02d", i))
 			v := record.Value{Attrs: map[string]int64{"stock": 50, "price": 100}}
 			initial[k] = v
-			entries = append(entries, kv.Entry{Key: k, Value: v, Version: 1})
+			entries = append(entries, kv.Entry{Key: k, Value: record.Encode(v), Version: 1})
 		}
 		w.Preload(entries)
 

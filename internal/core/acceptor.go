@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"time"
@@ -535,8 +536,8 @@ func (n *StorageNode) leaderFor(key record.Key) transport.NodeID {
 // reply piggybacks the replica's escrow snapshot so gateways bootstrap
 // exact headroom accounts from any read.
 func (n *StorageNode) onRead(from transport.NodeID, m MsgRead) {
-	val, ver, ok := n.store.Get(m.Key)
-	exists := ok && !val.Tombstone
+	val, ver, ok := n.store.GetEncoded(m.Key)
+	exists := ok && !val.Tombstone()
 	if n.tr != nil {
 		n.tr.Add(trace.Event{At: n.net.Now().UnixNano(), Key: string(m.Key),
 			Stage: trace.StageRead, Arg: int64(ver)})
@@ -555,7 +556,7 @@ func (n *StorageNode) onRead(from transport.NodeID, m MsgRead) {
 // is the node the snapshot is destined for: its gateway group is
 // counted among the contenders even when it has no pending votes yet,
 // so Contenders==1 always reads as "just you" at the consumer.
-func (n *StorageNode) escrowSnap(key record.Key, val record.Value, ver record.Version, recipient transport.NodeID) EscrowSnap {
+func (n *StorageNode) escrowSnap(key record.Key, val record.Encoded, ver record.Version, recipient transport.NodeID) EscrowSnap {
 	if len(n.cfg.Constraints) == 0 {
 		return EscrowSnap{}
 	}
@@ -566,8 +567,9 @@ func (n *StorageNode) escrowSnap(key record.Key, val record.Value, ver record.Ve
 	snap := EscrowSnap{Valid: true, Version: ver, Contenders: contenderGroups(pending, recipient)}
 	for _, con := range n.cfg.Constraints {
 		down, up := pendingSums(pending, con.Attr)
+		base, _ := val.Attr(con.Attr)
 		snap.Attrs = append(snap.Attrs, AttrEscrow{
-			Attr: con.Attr, Base: val.Attrs[con.Attr], PendDown: down, PendUp: up,
+			Attr: con.Attr, Base: base, PendDown: down, PendUp: up,
 		})
 	}
 	return snap
@@ -650,7 +652,7 @@ func (n *StorageNode) onProposeBatch(m MsgProposeBatch) {
 func (n *StorageNode) proposeVote(opt Option) MsgVote {
 	vote := n.voteFor(opt)
 	if opt.Update.Kind == record.KindCommutative && len(n.cfg.Constraints) > 0 {
-		val, ver, _ := n.store.Get(opt.Update.Key)
+		val, ver, _ := n.store.GetEncoded(opt.Update.Key)
 		vote.Escrow = n.escrowSnap(opt.Update.Key, val, ver, opt.Coord)
 	}
 	return vote
@@ -818,7 +820,7 @@ func (n *StorageNode) evalPhysical(pending []VotedOption, opt Option) (Decision,
 	// still enforce them so "Fast"-mode read-modify-writes abort
 	// instead of violating stock >= 0.
 	for _, con := range n.cfg.Constraints {
-		if x, ok := opt.Update.NewValue.Attrs[con.Attr]; ok && !con.Satisfied(x) {
+		if x, ok := opt.Update.NewValue.Attr(con.Attr); ok && !con.Satisfied(x) {
 			return DecReject, ReasonNone
 		}
 	}
@@ -847,7 +849,7 @@ func (n *StorageNode) evalCommutative(pending []VotedOption, opt Option, fast bo
 			return DecReject, ReasonNone
 		}
 	}
-	val, _, _ := n.store.Get(opt.Update.Key)
+	val, _, _ := n.store.GetEncoded(opt.Update.Key)
 	for attr, delta := range opt.Update.Deltas {
 		con, ok := n.cfg.constraintFor(attr)
 		if !ok {
@@ -874,9 +876,10 @@ func (n *StorageNode) evalCommutative(pending []VotedOption, opt Option, fast bo
 // and a fast quorum consumes Q_F of the N·X total per committed unit;
 // the (N-Q_F)/N headroom can be stranded on other replicas. Classic
 // ballots are serialized by the leader, so the raw bound applies.
-func (n *StorageNode) deltaSafe(pending []VotedOption, val record.Value, attr string, delta int64, con record.Constraint, fast bool) bool {
+func (n *StorageNode) deltaSafe(pending []VotedOption, val record.Encoded, attr string, delta int64, con record.Constraint, fast bool) bool {
 	pendDown, pendUp := pendingSums(pending, attr)
-	return DeltaSafe(val.Attrs[attr], pendDown, pendUp, delta, con, n.q, fast)
+	base, _ := val.Attr(attr)
+	return DeltaSafe(base, pendDown, pendUp, delta, con, n.q, fast)
 }
 
 // DeltaSafe is the escrow admission predicate shared by acceptors and
@@ -1025,7 +1028,7 @@ func (n *StorageNode) onVisibility(m MsgVisibility) {
 // a committed physical write's vread proves its value derived through
 // every lower version, so a higher pure-physical base supersedes by
 // construction. Returns whether local state changed.
-func (n *StorageNode) adoptBase(key record.Key, base record.Value, baseVer record.Version,
+func (n *StorageNode) adoptBase(key record.Key, base record.Encoded, baseVer record.Version,
 	lineage LineageSummary) bool {
 	localVer, _ := n.store.Version(key)
 	if baseVer < localVer {
@@ -1078,7 +1081,7 @@ func (n *StorageNode) adoptBase(key record.Key, base record.Value, baseVer recor
 	})
 	n.m.Grafted += int64(merged)
 	if ver == localVer && merged == 0 {
-		if cur, _, ok := n.store.Get(key); ok && cur.Equal(val) {
+		if cur, _, ok := n.store.GetEncoded(key); ok && bytes.Equal(cur, val) {
 			// Same value and version, but the incoming summary knows
 			// settles we don't (e.g. rejects, which bump no version):
 			// absorb the knowledge without rewriting the store.
@@ -1112,7 +1115,7 @@ func (n *StorageNode) applyUpdate(up record.Update) {
 		// Merged (gateway-coalesced) updates advance the version by the
 		// number of client updates they carry, keeping per-client-update
 		// version accounting exact.
-		cur, ver, _ := n.store.Get(up.Key)
+		cur, ver, _ := n.store.GetEncoded(up.Key)
 		n.storePut(up.Key, up.Apply(cur), ver+up.Span())
 	}
 }
@@ -1172,7 +1175,7 @@ func (n *StorageNode) releaseVoteSlots(votes []VotedOption, at []int64) {
 
 // truncateVotes cuts the votes and votedAt of key's open record to
 // their first k elements, zeroing the vacated slots so that no settled
-// option's attribute map and write-set stay reachable from an array
+// option's value and write-set stay reachable from an array
 // that is still in use. When the last vote goes the arrays go with it,
 // back to the node: a vote slot does not outlive its vote. So does the
 // open part, if nothing else in it is off its initial value — a record
@@ -1215,7 +1218,7 @@ func (n *StorageNode) onPhase1a(from transport.NodeID, m MsgPhase1a) {
 	r := n.rs(m.Key)
 	promised := n.promise(m.Key, r, m.Ballot)
 	_, accepted := n.ballots(m.Key, r)
-	val, ver, ok := n.store.Get(m.Key)
+	val, ver, ok := n.store.GetEncoded(m.Key)
 	n.m.Phase1++
 	reply := MsgPhase1b{
 		Key:     m.Key,
@@ -1224,7 +1227,7 @@ func (n *StorageNode) onPhase1a(from transport.NodeID, m MsgPhase1a) {
 		Votes:   append([]VotedOption(nil), r.votes()...),
 		Version: ver,
 		Value:   val,
-		Exists:  ok && !val.Tombstone,
+		Exists:  ok && !val.Tombstone(),
 		Lineage: r.summary.unpack(&n.lanes),
 	}
 	n.send(from, reply)

@@ -36,7 +36,7 @@ type MsgSyncReq struct {
 // costs a few interval sets regardless of history length.
 type SyncEntry struct {
 	Key     record.Key
-	Value   record.Value
+	Value   record.Encoded
 	Version record.Version
 	Lineage LineageSummary
 }

@@ -283,7 +283,7 @@ func TestDegradeOnDurabilityFailure(t *testing.T) {
 		t.Fatalf("healthy put: %v", err)
 	}
 	faults.FailSync(true)
-	n.storePut("k", record.Value{Attrs: map[string]int64{"x": 2}}, 2)
+	n.storePut("k", record.Encode(record.Value{Attrs: map[string]int64{"x": 2}}), 2)
 	if n.DurabilityError() == nil {
 		t.Fatal("node did not degrade on refused put")
 	}
@@ -297,7 +297,7 @@ func TestDegradeOnDurabilityFailure(t *testing.T) {
 		t.Errorf("DurabilityFailures=%d, want 1", m.DurabilityFailures)
 	}
 	// Later failures don't re-latch; the first error is the story.
-	n.storePut("k2", record.Value{}, 1)
+	n.storePut("k2", nil, 1)
 	if m := n.Metrics(); m.DurabilityFailures != 1 {
 		t.Errorf("degrade latched twice: %d", m.DurabilityFailures)
 	}
@@ -355,7 +355,7 @@ func TestDegradedDispatchSendsNothing(t *testing.T) {
 			name: "Phase2a with a base",
 			env: transport.Envelope{From: "ldr", Msg: MsgPhase2a{
 				Key: "k", Ballot: paxos.Classic(1, "ldr"), Seq: 1,
-				HasBase: true, BaseVersion: 1, BaseValue: record.Value{Attrs: map[string]int64{"x": 1}},
+				HasBase: true, BaseVersion: 1, BaseValue: record.Encode(record.Value{Attrs: map[string]int64{"x": 1}}),
 			}},
 		},
 		{

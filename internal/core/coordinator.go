@@ -123,8 +123,12 @@ type leaderHint struct {
 }
 
 type readCtx struct {
-	key     record.Key
+	key record.Key
+	// One of the two is set: cb for Read and ReadQuorum, which decode
+	// the reply for an API caller; raw for their Encoded forms, whose
+	// callers keep or forward the bytes.
 	cb      func(record.Value, record.Version, bool)
+	raw     func(record.Encoded, record.Version, bool)
 	attempt int
 	timer   transport.Timer
 
@@ -422,14 +426,32 @@ func (c *Coordinator) handle(env transport.Envelope) {
 	}
 }
 
+// answer delivers a read's result in the form its caller asked for.
+func (rc *readCtx) answer(val record.Encoded, ver record.Version, exists bool) {
+	if rc.raw != nil {
+		rc.raw(val, ver, exists)
+		return
+	}
+	rc.cb(val.Decode(), ver, exists)
+}
+
 // Read fetches committed state from the nearest replica (read
 // committed, §4.1: uncommitted options are never visible). On
 // timeout it retries the next data center; after a full rotation the
-// callback reports absence.
+// callback reports absence. The value is the caller's own.
 func (c *Coordinator) Read(key record.Key, cb func(val record.Value, ver record.Version, exists bool)) {
+	c.read(&readCtx{key: key, cb: cb})
+}
+
+// ReadEncoded is Read answering with the replica's bytes, which are
+// shared and must not be written into.
+func (c *Coordinator) ReadEncoded(key record.Key, cb func(val record.Encoded, ver record.Version, exists bool)) {
+	c.read(&readCtx{key: key, raw: cb})
+}
+
+func (c *Coordinator) read(rc *readCtx) {
 	c.reqSeq++
 	req := c.reqSeq
-	rc := &readCtx{key: key, cb: cb}
 	c.reads[req] = rc
 	c.sendRead(req, rc)
 }
@@ -446,7 +468,7 @@ func (c *Coordinator) sendRead(req uint64, rc *readCtx) {
 		if rc.attempt >= topology.NumDCs {
 			delete(c.reads, req)
 			c.m.ReadFails++
-			rc.cb(record.Value{}, 0, false)
+			rc.answer(nil, 0, false)
 			return
 		}
 		c.m.ReadRetries++
@@ -476,14 +498,14 @@ func (c *Coordinator) onReadReply(from transport.NodeID, m MsgReadReply) {
 		if rc.timer != nil {
 			rc.timer.Stop()
 		}
-		rc.cb(rc.best.Value, rc.best.Version, rc.best.Exists)
+		rc.answer(rc.best.Value, rc.best.Version, rc.best.Exists)
 		return
 	}
 	delete(c.reads, m.ReqID)
 	if rc.timer != nil {
 		rc.timer.Stop()
 	}
-	rc.cb(m.Value, m.Version, m.Exists)
+	rc.answer(m.Value, m.Version, m.Exists)
 }
 
 // ReadQuorum performs an up-to-date read (§4.2): it contacts every
@@ -493,16 +515,23 @@ func (c *Coordinator) onReadReply(from transport.NodeID, m MsgReadReply) {
 // before a later version can be chosen by a classic quorum — and a
 // fast-quorum commit intersects every majority.
 func (c *Coordinator) ReadQuorum(key record.Key, cb func(val record.Value, ver record.Version, exists bool)) {
+	c.readQuorum(&readCtx{key: key, cb: cb})
+}
+
+// ReadQuorumEncoded is ReadQuorum answering with the bytes, shared as
+// ReadEncoded's are.
+func (c *Coordinator) ReadQuorumEncoded(key record.Key, cb func(val record.Encoded, ver record.Version, exists bool)) {
+	c.readQuorum(&readCtx{key: key, raw: cb})
+}
+
+func (c *Coordinator) readQuorum(rc *readCtx) {
 	c.reqSeq++
 	req := c.reqSeq
-	rc := &readCtx{
-		key: key, cb: cb,
-		quorum:  c.q.Classic,
-		replies: make(map[transport.NodeID]MsgReadReply, c.q.N),
-	}
+	rc.quorum = c.q.Classic
+	rc.replies = make(map[transport.NodeID]MsgReadReply, c.q.N)
 	c.reads[req] = rc
-	for _, rep := range c.cl.Replicas(key) {
-		c.send(rep, MsgRead{ReqID: req, Key: key})
+	for _, rep := range c.cl.Replicas(rc.key) {
+		c.send(rep, MsgRead{ReqID: req, Key: rc.key})
 	}
 	// One generous deadline: answer with the best seen, or absent.
 	rc.timer = c.net.After(c.id, 4*c.cfg.ReadTimeout, func() {
@@ -513,10 +542,10 @@ func (c *Coordinator) ReadQuorum(key record.Key, cb func(val record.Value, ver r
 		delete(c.reads, req)
 		c.m.ReadFails++
 		if rc.best != nil {
-			rc.cb(rc.best.Value, rc.best.Version, rc.best.Exists)
+			rc.answer(rc.best.Value, rc.best.Version, rc.best.Exists)
 			return
 		}
-		rc.cb(record.Value{}, 0, false)
+		rc.answer(nil, 0, false)
 	})
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -88,7 +89,7 @@ func (w *world) storedValues(key record.Key) []kv.Entry {
 	for _, n := range w.nodes {
 		for _, rep := range w.cl.Replicas(key) {
 			if n.ID() == rep {
-				v, ver, _ := n.Store().Get(key)
+				v, ver, _ := n.Store().GetEncoded(key)
 				out = append(out, kv.Entry{Key: key, Value: v, Version: ver})
 			}
 		}
@@ -122,7 +123,7 @@ func TestFastPathSingleUpdateCommit(t *testing.T) {
 	}
 	w.settle()
 	for _, e := range w.storedValues("item/1") {
-		if e.Version != 1 || e.Value.Attr("stock") != 10 {
+		if e.Version != 1 || e.Value.Decode().Attr("stock") != 10 {
 			t.Fatalf("replica state = %v v%d, want stock=10 v1", e.Value, e.Version)
 		}
 	}
@@ -217,7 +218,7 @@ func TestConcurrentConflictAtMostOneCommits(t *testing.T) {
 		// All replicas agree on one final state.
 		vals := w.storedValues("item/c")
 		for _, e := range vals[1:] {
-			if !e.Value.Equal(vals[0].Value) || e.Version != vals[0].Version {
+			if !bytes.Equal(e.Value, vals[0].Value) || e.Version != vals[0].Version {
 				t.Fatalf("seed %d: replica divergence: %v v%d vs %v v%d",
 					seed, vals[0].Value, vals[0].Version, e.Value, e.Version)
 			}
@@ -342,8 +343,8 @@ func TestConstraintNeverViolated(t *testing.T) {
 	w.settle()
 	w.settle()
 	for _, e := range w.storedValues("item/t") {
-		if e.Value.Attr("stock") < 0 {
-			t.Fatalf("constraint violated at a replica: stock=%d", e.Value.Attr("stock"))
+		if e.Value.Decode().Attr("stock") < 0 {
+			t.Fatalf("constraint violated at a replica: stock=%d", e.Value.Decode().Attr("stock"))
 		}
 	}
 	val, _, _ := w.read(0, "item/t")
@@ -509,7 +510,7 @@ func TestCollisionRecoveryResolvesMixedVotes(t *testing.T) {
 		w.settle()
 		vals := w.storedValues("item/x")
 		for _, e := range vals[1:] {
-			if !e.Value.Equal(vals[0].Value) {
+			if !bytes.Equal(e.Value, vals[0].Value) {
 				t.Fatalf("seed %d: replica divergence after recovery", seed)
 			}
 		}
@@ -596,17 +597,17 @@ func TestDanglingTransactionRecovery(t *testing.T) {
 	a := w.storedValues("dang/a")
 	b := w.storedValues("dang/b")
 	for _, e := range a[1:] {
-		if !e.Value.Equal(a[0].Value) {
+		if !bytes.Equal(e.Value, a[0].Value) {
 			t.Fatalf("dang/a replicas diverged")
 		}
 	}
 	for _, e := range b[1:] {
-		if !e.Value.Equal(b[0].Value) {
+		if !bytes.Equal(e.Value, b[0].Value) {
 			t.Fatalf("dang/b replicas diverged")
 		}
 	}
-	if a[0].Value.Attr("x") != b[0].Value.Attr("x") {
-		t.Fatalf("atomicity violated by recovery: a=%d b=%d", a[0].Value.Attr("x"), b[0].Value.Attr("x"))
+	if a[0].Value.Decode().Attr("x") != b[0].Value.Decode().Attr("x") {
+		t.Fatalf("atomicity violated by recovery: a=%d b=%d", a[0].Value.Decode().Attr("x"), b[0].Value.Decode().Attr("x"))
 	}
 	// And the records must be writable again by a live coordinator.
 	val, ver, _ := w.read(0, "dang/a")

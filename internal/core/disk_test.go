@@ -36,7 +36,7 @@ func sampleSnapshotState() *snapshotState {
 	return &snapshotState{
 		KV: []kv.Entry{
 			{Key: "cust#2", Value: sampleValue(), Version: 11},
-			{Key: "gone#1", Value: record.Value{Tombstone: true}, Version: 5},
+			{Key: "gone#1", Value: record.Encode(record.Value{Tombstone: true}), Version: 5},
 		},
 		Oplog: []oplogEntry{sampleSummaryEntry(), sampleDecisionEntry(), bareDecisionEntry("item#9", "tx-6")},
 		Cut:   3,
@@ -93,7 +93,7 @@ func TestDiskRoundTrip(t *testing.T) {
 	// stored form: the snapshot a Checkpoint takes is the golden one.
 	store := kv.NewMemory()
 	for _, e := range want.KV {
-		store.Put(e.Key, e.Value, e.Version)
+		store.PutEncoded(e.Key, e.Value, e.Version)
 	}
 	fromStore := appendSnapshot(nil, want.Cut, store.AppendEntries, want.Oplog)
 	if !bytes.Equal(fromStore, snapshotBytes(want)) {

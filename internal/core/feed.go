@@ -40,7 +40,7 @@ type MsgVisibilitySub struct {
 // FeedItem is one key's committed state on the feed.
 type FeedItem struct {
 	Key     record.Key
-	Value   record.Value
+	Value   record.Encoded
 	Version record.Version
 	Exists  bool
 	// Escrow is the node's demarcation snapshot for the key (valid
@@ -172,12 +172,12 @@ func (n *StorageNode) onVisibilitySub(from transport.NodeID, m MsgVisibilitySub)
 // addressed to one subscriber (the escrow snapshot's contender count
 // includes the recipient's group; see contenderGroups).
 func (n *StorageNode) feedItem(key record.Key, to transport.NodeID) FeedItem {
-	val, ver, ok := n.store.Get(key)
+	val, ver, ok := n.store.GetEncoded(key)
 	return FeedItem{
 		Key:     key,
 		Value:   val,
 		Version: ver,
-		Exists:  ok && !val.Tombstone,
+		Exists:  ok && !val.Tombstone(),
 		Escrow:  n.escrowSnap(key, val, ver, to),
 	}
 }

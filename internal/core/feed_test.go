@@ -69,7 +69,7 @@ func TestFeedHelloAndVisibilityStream(t *testing.T) {
 		t.Fatalf("hello = %+v", hello)
 	}
 	it := hello.Items[0]
-	if it.Key != key || it.Version != 1 || !it.Exists || it.Value.Attr("units") != 10 {
+	if it.Key != key || it.Version != 1 || !it.Exists || it.Value.Decode().Attr("units") != 10 {
 		t.Fatalf("catch-up item = %+v", it)
 	}
 	if !it.Escrow.Valid || it.Escrow.Attrs[0].Base != 10 {
@@ -95,7 +95,7 @@ func TestFeedHelloAndVisibilityStream(t *testing.T) {
 	found := false
 	for _, m := range w.msgs[1:] {
 		for _, it := range m.Items {
-			if it.Key == key && it.Version == 2 && it.Value.Attr("units") == 7 {
+			if it.Key == key && it.Version == 2 && it.Value.Decode().Attr("units") == 7 {
 				found = true
 				if !it.Escrow.Valid {
 					t.Fatalf("feed item without escrow under constraints: %+v", it)
@@ -264,7 +264,7 @@ func TestFeedMessagesSurviveTransports(t *testing.T) {
 				Epoch: 9, Seq: 42, Boot: 1234,
 				Items: []FeedItem{{
 					Key:     "stock/1",
-					Value:   record.Value{Attrs: map[string]int64{"units": 13}},
+					Value:   record.Encode(record.Value{Attrs: map[string]int64{"units": 13}}),
 					Version: 77,
 					Exists:  true,
 					Escrow: EscrowSnap{Valid: true, Version: 77,
@@ -286,7 +286,7 @@ func TestFeedMessagesSurviveTransports(t *testing.T) {
 		}
 		it := feed.Items[0]
 		if it.Key != "stock/1" || it.Version != 77 || !it.Exists ||
-			it.Value.Attr("units") != 13 || !it.Escrow.Valid || it.Escrow.Attrs[0].PendDown != -2 {
+			it.Value.Decode().Attr("units") != 13 || !it.Escrow.Valid || it.Escrow.Attrs[0].PendDown != -2 {
 			t.Fatalf("feed item mangled: %+v", it)
 		}
 		sub := b.Items[1].Msg.(MsgVisibilitySub)

@@ -72,7 +72,7 @@ func TestLaneRotationBoundsKeySeqs(t *testing.T) {
 	// agree — rotation is invisible to convergence.
 	var want string
 	for i, e := range w.storedValues("item/l0") {
-		if e.Version != 2 || e.Value.Attr("v") != 2 {
+		if e.Version != 2 || e.Value.Decode().Attr("v") != 2 {
 			t.Fatalf("replica %d: %v v%d, want v=2 version 2", i, e.Value, e.Version)
 		}
 	}

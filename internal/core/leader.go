@@ -565,14 +565,14 @@ func (n *StorageNode) sendPhase2a(key record.Key, l *leaderRec) {
 		snapshot: snap,
 		acks:     make(map[transport.NodeID]bool),
 	}
-	val, ver, ok := n.store.Get(key)
+	val, ver, ok := n.store.GetEncoded(key)
 	// Snapshot the leader's lineage summary together with its base:
 	// the base contains exactly these options' effects (same handler
 	// context, so store and summary are mutually consistent).
 	r := n.rs(key)
 	msg := MsgPhase2a{
 		Key: key, Ballot: l.ballot, Seq: l.seq, CStruct: snap,
-		HasBase: true, BaseVersion: ver, BaseValue: val, BaseExists: ok && !val.Tombstone,
+		HasBase: true, BaseVersion: ver, BaseValue: val, BaseExists: ok && !val.Tombstone(),
 		BaseLineage: r.summary.unpack(&n.lanes),
 	}
 	if n.tr != nil {
@@ -720,7 +720,7 @@ func (n *StorageNode) notifyLearned(coord transport.NodeID, id OptionID, d Decis
 	}
 	msg := MsgLearned{OptID: id, Decision: d, Reason: reason}
 	if commutative && len(n.cfg.Constraints) > 0 {
-		val, ver, _ := n.store.Get(id.Key)
+		val, ver, _ := n.store.GetEncoded(id.Key)
 		msg.Escrow = n.escrowSnap(id.Key, val, ver, coord)
 	}
 	n.send(coord, msg)

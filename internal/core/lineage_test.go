@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -323,7 +324,7 @@ func TestRecoveryHealsFromSettledEntries(t *testing.T) {
 			t.Errorf("%s: %d votes still unresolved on the victim", up.Key, n)
 		}
 	}
-	if val, ver, _ := victim.Store().Get("heal/p"); ver != 2 || !val.Equal(updates[1].NewValue) {
+	if val, ver, _ := victim.Store().GetEncoded("heal/p"); ver != 2 || !bytes.Equal(val, updates[1].NewValue) {
 		t.Errorf("physical update not healed: %s v%d", val, ver)
 	}
 	if val, ver, _ := victim.Store().Get("heal/c"); ver != 4 || val.Attr("x") != 7 {
@@ -356,7 +357,7 @@ func TestRestartRebuildsLineageExactly(t *testing.T) {
 	var peer LineageSummary
 	peer.Add("c1", 1, false, true)
 	peer.Add("c1", 2, false, true)
-	val, ver, _ := fr.node.Store().Get("rs/1")
+	val, ver, _ := fr.node.Store().GetEncoded("rs/1")
 	val = record.Commutative("rs/1", map[string]int64{"x": 2}).Apply(val)
 	fr.node.adoptBase("rs/1", val, ver+2, func() LineageSummary {
 		s := fr.node.rs("rs/1").summary.unpack(&fr.node.lanes)
@@ -365,12 +366,12 @@ func TestRestartRebuildsLineageExactly(t *testing.T) {
 	}())
 
 	want := fr.node.LineageFingerprint("rs/1")
-	wantVal, wantVer, _ := fr.node.Store().Get("rs/1")
+	wantVal, wantVer, _ := fr.node.Store().GetEncoded("rs/1")
 	fr.crashRestart(t, net, cl, cfg, topology.USWest)
 	if got := fr.node.LineageFingerprint("rs/1"); got != want {
 		t.Fatalf("replayed summary %s != pre-crash %s", got, want)
 	}
-	if v, vr, _ := fr.node.Store().Get("rs/1"); vr != wantVer || !v.Equal(wantVal) {
+	if v, vr, _ := fr.node.Store().GetEncoded("rs/1"); vr != wantVer || !bytes.Equal(v, wantVal) {
 		t.Fatalf("replayed state %s v%d != pre-crash %s v%d", v, vr, wantVal, wantVer)
 	}
 	_ = fr.ds.Close()
@@ -500,7 +501,7 @@ func FuzzLineageMergeExact(f *testing.F) {
 		}
 
 		// Sequential reference over every option either replica saw.
-		var refVal record.Value
+		var refVal record.Encoded
 		var refVer record.Version
 		var refSum LineageSummary
 		for i, op := range ops {
@@ -515,7 +516,7 @@ func FuzzLineageMergeExact(f *testing.F) {
 		}
 
 		merge := func(dst, src *fuzzReplica) {
-			val, ver, _ := src.node.Store().Get("k")
+			val, ver, _ := src.node.Store().GetEncoded("k")
 			dst.node.adoptBase("k", val, ver, src.node.rs("k").summary.unpack(&src.node.lanes))
 		}
 		converge := func(a, b *fuzzReplica) {
@@ -547,10 +548,10 @@ func FuzzLineageMergeExact(f *testing.F) {
 		if sA != sB {
 			t.Fatalf("replicas did not converge:\n A=%s\n B=%s", sA, sB)
 		}
-		valA, verA, _ := reps[0].node.Store().Get("k")
-		if verA != refVer || !valA.Equal(refVal) {
+		valA, verA, _ := reps[0].node.Store().GetEncoded("k")
+		if verA != refVer || !bytes.Equal(valA, refVal) {
 			t.Fatalf("merged state diverges from sequential reference:\n got  %s v%d\n want %s v%d\n summary %s",
-				valA, verA, refVal, refVer, reps[0].node.LineageFingerprint("k"))
+				valA, verA, refVal.Decode(), refVer, reps[0].node.LineageFingerprint("k"))
 		}
 		if got := reps[0].node.LineageFingerprint("k"); got != refSum.String() {
 			t.Fatalf("merged summary %s != reference %s", got, refSum.String())

@@ -19,7 +19,7 @@ type MsgRead struct {
 type MsgReadReply struct {
 	ReqID   uint64
 	Key     record.Key
-	Value   record.Value
+	Value   record.Encoded
 	Version record.Version
 	Exists  bool
 	// Escrow piggybacks the replica's demarcation state for the key
@@ -185,7 +185,7 @@ type MsgPhase1b struct {
 	Bal     paxos.Ballot // ballot of the reported votes
 	Votes   []VotedOption
 	Version record.Version
-	Value   record.Value
+	Value   record.Encoded
 	Exists  bool
 	Lineage LineageSummary
 }
@@ -206,7 +206,7 @@ type MsgPhase2a struct {
 	CStruct     []VotedOption
 	HasBase     bool
 	BaseVersion record.Version
-	BaseValue   record.Value
+	BaseValue   record.Encoded
 	BaseExists  bool
 	BaseLineage LineageSummary
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -253,13 +254,13 @@ func TestPropertyCrashConvergence(t *testing.T) {
 				if n.ID() == victim {
 					continue // the crashed node may legitimately lag
 				}
-				v, ver, _ := n.Store().Get(k)
+				v, ver, _ := n.Store().GetEncoded(k)
 				e := kv.Entry{Key: k, Value: v, Version: ver}
 				if ref == nil {
 					ref = &e
 					continue
 				}
-				if !e.Value.Equal(ref.Value) || e.Version != ref.Version {
+				if !bytes.Equal(e.Value, ref.Value) || e.Version != ref.Version {
 					t.Fatalf("seed %d: survivors diverged on %s: %v v%d vs %v v%d",
 						seed, k, ref.Value, ref.Version, e.Value, e.Version)
 				}

@@ -238,7 +238,7 @@ func TestSyncReplyOpensNoShortRecord(t *testing.T) {
 	// are news.
 	reply := MsgSyncReply{ReqID: 1}
 	for _, key := range w.keys {
-		val, ver, _ := w.n.Store().Get(key)
+		val, ver, _ := w.n.Store().GetEncoded(key)
 		reply.Entries = append(reply.Entries, SyncEntry{Key: key, Value: val, Version: ver, Lineage: w.n.rs(key).summary.unpack(&w.n.lanes)})
 	}
 	for _, peer := range w.cl.Storage[1:] {

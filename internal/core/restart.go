@@ -386,8 +386,8 @@ func (n *StorageNode) appendOplog(e *oplogEntry) {
 // storePut writes committed state, degrading the node on a refused
 // put: committed state the disk did not take must not be served or
 // fed to subscribers as if durable.
-func (n *StorageNode) storePut(key record.Key, val record.Value, ver record.Version) {
-	if err := n.store.Put(key, val, ver); err != nil {
+func (n *StorageNode) storePut(key record.Key, val record.Encoded, ver record.Version) {
+	if err := n.store.PutEncoded(key, val, ver); err != nil {
 		n.degrade(err)
 	}
 }

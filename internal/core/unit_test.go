@@ -491,7 +491,7 @@ func FuzzDecidedEntryRoundTrip(f *testing.F) {
 		}
 		up := record.Update{
 			Kind: record.UpdateKind(kind % 4), Key: record.Key(upKey), ReadVersion: record.Version(keySeq),
-			NewValue: record.Value{Blob: []byte(other)}, Deltas: map[string]int64{"x": int64(keySeq)}, Merged: int(d),
+			NewValue: record.Encode(record.Value{Blob: []byte(other)}), Deltas: map[string]int64{"x": int64(keySeq)}, Merged: int(d),
 		}
 		upp := &up
 		if !hasUp {

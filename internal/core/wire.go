@@ -330,7 +330,7 @@ func readGuardedOption(r *transport.WireReader) (o Option, has bool) {
 
 func appendFeedItem(b []byte, it FeedItem) []byte {
 	b = transport.AppendString(b, string(it.Key))
-	b = record.AppendValue(b, it.Value)
+	b = record.AppendEncoded(b, it.Value)
 	b = transport.AppendUvarint(b, uint64(it.Version))
 	b = transport.AppendBool(b, it.Exists)
 	return appendEscrow(b, it.Escrow)
@@ -339,7 +339,7 @@ func appendFeedItem(b []byte, it FeedItem) []byte {
 func readFeedItem(r *transport.WireReader) FeedItem {
 	var it FeedItem
 	it.Key = record.Key(r.InternString())
-	it.Value = record.ReadValue(r)
+	it.Value = record.ReadEncoded(r)
 	it.Version = record.Version(r.Uvarint())
 	it.Exists = r.Bool()
 	it.Escrow = readEscrow(r)
@@ -364,7 +364,7 @@ func (m MsgReadReply) WireTag() uint8 { return tagMsgReadReply }
 func (m MsgReadReply) AppendWire(b []byte) []byte {
 	b = transport.AppendUvarint(b, m.ReqID)
 	b = transport.AppendString(b, string(m.Key))
-	b = record.AppendValue(b, m.Value)
+	b = record.AppendEncoded(b, m.Value)
 	b = transport.AppendUvarint(b, uint64(m.Version))
 	b = transport.AppendBool(b, m.Exists)
 	return appendEscrow(b, m.Escrow)
@@ -465,7 +465,7 @@ func (m MsgPhase2a) AppendWire(b []byte) []byte {
 	b = transport.AppendBool(b, m.HasBase)
 	if m.HasBase {
 		b = transport.AppendUvarint(b, uint64(m.BaseVersion))
-		b = record.AppendValue(b, m.BaseValue)
+		b = record.AppendEncoded(b, m.BaseValue)
 		b = transport.AppendBool(b, m.BaseExists)
 		b = appendLineage(b, m.BaseLineage)
 	}
@@ -552,7 +552,7 @@ func (m MsgPhase1b) AppendWire(b []byte) []byte {
 		b = appendVoted(b, v)
 	}
 	b = transport.AppendUvarint(b, uint64(m.Version))
-	b = record.AppendValue(b, m.Value)
+	b = record.AppendEncoded(b, m.Value)
 	b = transport.AppendBool(b, m.Exists)
 	return appendLineage(b, m.Lineage)
 }
@@ -609,7 +609,7 @@ func (m MsgSyncReply) AppendWire(b []byte) []byte {
 	b = transport.AppendUvarint(b, uint64(len(m.Entries)))
 	for _, e := range m.Entries {
 		b = transport.AppendString(b, string(e.Key))
-		b = record.AppendValue(b, e.Value)
+		b = record.AppendEncoded(b, e.Value)
 		b = transport.AppendUvarint(b, uint64(e.Version))
 		b = appendLineage(b, e.Lineage)
 	}
@@ -627,7 +627,7 @@ func init() {
 		var m MsgReadReply
 		m.ReqID = r.Uvarint()
 		m.Key = record.Key(r.InternString())
-		m.Value = record.ReadValue(r)
+		m.Value = record.ReadEncoded(r)
 		m.Version = record.Version(r.Uvarint())
 		m.Exists = r.Bool()
 		m.Escrow = readEscrow(r)
@@ -706,7 +706,7 @@ func init() {
 		m.HasBase = r.Bool()
 		if m.HasBase {
 			m.BaseVersion = record.Version(r.Uvarint())
-			m.BaseValue = record.ReadValue(r)
+			m.BaseValue = record.ReadEncoded(r)
 			m.BaseExists = r.Bool()
 			m.BaseLineage = readLineage(r, nil)
 		}
@@ -774,7 +774,7 @@ func init() {
 			}
 		}
 		m.Version = record.Version(r.Uvarint())
-		m.Value = record.ReadValue(r)
+		m.Value = record.ReadEncoded(r)
 		m.Exists = r.Bool()
 		m.Lineage = readLineage(r, nil)
 		return m, r.Err()
@@ -817,7 +817,7 @@ func init() {
 			m.Entries = make([]SyncEntry, 0, n)
 			for i := 0; i < n; i++ {
 				m.Entries = append(m.Entries, SyncEntry{
-					Key: record.Key(r.InternString()), Value: record.ReadValue(r),
+					Key: record.Key(r.InternString()), Value: record.ReadEncoded(r),
 					Version: record.Version(r.Uvarint()), Lineage: readLineage(r, nil),
 				})
 			}

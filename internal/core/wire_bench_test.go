@@ -106,22 +106,26 @@ func TestWireEncodeAllocFree(t *testing.T) {
 //
 // MsgProposeBatch16 is one transaction's 16 inserts to one replica: the
 // options share one write set, so it decodes one WriteSet and one
-// WriteSeqs slice, not sixteen of each (three allocations per option —
-// its id, its value's map — plus five; version 2 took 83).
+// WriteSeqs slice, not sixteen of each (two allocations per option —
+// its id and its value's bytes — plus five; version 2 took 83, and 53
+// while a value decoded to an attribute map). A physical option's value
+// is one allocation wherever it rides: the bytes, copied out of the
+// frame, never a map.
 func TestWireDecodeSteadyStateAllocs(t *testing.T) {
 	samples := wireSamples()
 	samples["MsgProposeBatch16"] = oneTxnBatch("gw/us-west/c0~1a2b3c4d#17", 16)
 	budgets := map[string]float64{
-		"MsgRead":           2,
-		"MsgReadReply":      6,
-		"MsgVote":           4,
-		"MsgVoteBatch":      6,
-		"MsgLearned":        4,
-		"MsgPhase2a":        28,
-		"MsgPhase2b_ok":     2,
-		"MsgProposeBatch":   16,
-		"MsgProposeBatch16": 53,
-		"MsgVisibilityFeed": 7,
+		"MsgRead":            2,
+		"MsgReadReply":       4,
+		"MsgVote":            4,
+		"MsgVoteBatch":       6,
+		"MsgLearned":         4,
+		"MsgPhase2a":         16,
+		"MsgPhase2b_ok":      2,
+		"MsgProposeBatch":    14,
+		"MsgProposeBatch16":  37,
+		"MsgVisibilityBatch": 11,
+		"MsgVisibilityFeed":  5,
 	}
 	for name, budget := range budgets {
 		buf, err := transport.AppendEnvelope(nil, transport.Envelope{From: "dc1/store0", To: "dc2/app0", Msg: samples[name]})

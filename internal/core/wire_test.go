@@ -34,11 +34,11 @@ func init() {
 	gob.Register(transport.Batch{})
 }
 
-func sampleValue() record.Value {
-	return record.Value{
+func sampleValue() record.Encoded {
+	return record.Encode(record.Value{
 		Attrs: map[string]int64{"bal": -3, "qty": 41},
 		Blob:  []byte{0xde, 0xad},
-	}
+	})
 }
 
 func sampleOption() Option {
@@ -178,7 +178,7 @@ func wireSamples() map[string]transport.Message {
 		"MsgSyncReq":    MsgSyncReq{ReqID: 31, From: "cust#2", Limit: 128},
 		"MsgSyncReply": MsgSyncReply{ReqID: 31, Next: "item#9", Entries: []SyncEntry{
 			{Key: "cust#2", Value: sampleValue(), Version: 11, Lineage: sampleLineage()},
-			{Key: "gone#1", Value: record.Value{Tombstone: true}, Version: 5},
+			{Key: "gone#1", Value: record.Encode(record.Value{Tombstone: true}), Version: 5},
 		}},
 	}
 }
@@ -371,13 +371,13 @@ func randAttrs(r *rand.Rand) map[string]int64 {
 	return m
 }
 
-func randWireValue(r *rand.Rand) record.Value {
+func randWireValue(r *rand.Rand) record.Encoded {
 	v := record.Value{Attrs: randAttrs(r), Tombstone: r.Intn(4) == 0}
 	if n := r.Intn(6); n > 0 {
 		v.Blob = make([]byte, n)
 		r.Read(v.Blob)
 	}
-	return v
+	return record.Encode(v)
 }
 
 func randUpdate(r *rand.Rand) record.Update {

@@ -361,11 +361,13 @@ type keyState struct {
 	// key back — which is what licenses serving it from memory: an
 	// RPC-installed value whose interest-add was lost would otherwise
 	// go stale silently under a live feed that simply never carries
-	// the key. val is the value's record.AppendValue bytes, so every
-	// read decodes a Value of its own: a caller may edit what it read.
+	// the key. val is the bytes the feed item or read reply carried,
+	// shared and never written into: an install replaces the slice, a
+	// remote read's reply carries it as is, and a local caller's read
+	// decodes a Value of its own.
 	hasVal    bool
 	confirmed bool
-	val       []byte
+	val       record.Encoded
 	valVer    record.Version
 	valExists bool
 	readAt    time.Time // last served read (the eviction clock)
@@ -507,21 +509,34 @@ func (g *Gateway) Tuning() Tuning { return g.tun }
 // answers absent: the zero value, version 0, exists false.
 type ReadFunc = func(val record.Value, ver record.Version, exists bool)
 
+// encodedRead receives a read's answer as the value's bytes, shared
+// (see keyState.val): the gateway's own read paths pass these, and
+// only a ReadFunc's wrapper (decoding) turns them into a Value.
+type encodedRead = func(val record.Encoded, ver record.Version, exists bool)
+
+// decoding is cb behind the decode of the API edge: each call hands cb
+// a Value of its own, which it may edit.
+func decoding(cb ReadFunc) encodedRead {
+	return func(val record.Encoded, ver record.Version, exists bool) { cb(val.Decode(), ver, exists) }
+}
+
 // Read serves a committed read with no version floor; see ReadFloor.
 func (g *Gateway) Read(key record.Key, cb ReadFunc) { g.ReadFloor(key, 0, cb) }
 
 // ReadQuorum serves an up-to-date quorum read through the gateway's
 // coordinator.
-func (g *Gateway) ReadQuorum(key record.Key, cb ReadFunc) {
+func (g *Gateway) ReadQuorum(key record.Key, cb ReadFunc) { g.readQuorum(key, decoding(cb)) }
+
+func (g *Gateway) readQuorum(key record.Key, cb encodedRead) {
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
-		cb(record.Value{}, 0, false)
+		cb(nil, 0, false)
 		return
 	}
 	held := g.holdReadLocked(cb)
 	g.mu.Unlock()
-	g.net.After(g.co.ID(), 0, func() { g.co.ReadQuorum(key, held) })
+	g.net.After(g.co.ID(), 0, func() { g.co.ReadQuorumEncoded(key, held) })
 }
 
 // Commit submits a client transaction. done fires exactly once:
@@ -625,7 +640,7 @@ type pendingOp struct {
 	keys []record.Key
 	done func(bool, error)
 	span *gwSpan
-	read ReadFunc
+	read encodedRead
 }
 
 // registerPendingLocked wraps a client completion callback with
@@ -652,11 +667,11 @@ func (g *Gateway) registerPendingLocked(updates []record.Update, done func(bool,
 // returns the callback to answer it through: whichever of the reply
 // and Kill/Close claims the entry first delivers. Callers have checked
 // the gateway is open (a closed one answers absent at once).
-func (g *Gateway) holdReadLocked(cb ReadFunc) ReadFunc {
+func (g *Gateway) holdReadLocked(cb encodedRead) encodedRead {
 	g.pendSeq++
 	id := g.pendSeq
 	g.pending[id] = pendingOp{read: cb}
-	return func(val record.Value, ver record.Version, exists bool) {
+	return func(val record.Encoded, ver record.Version, exists bool) {
 		if _, live := g.claimPending(id); live {
 			cb(val, ver, exists)
 		}
@@ -674,7 +689,7 @@ func (g *Gateway) claimPending(id uint64) (pendingOp, bool) {
 // takePendingLocked empties the pending map in registration order:
 // the transactions' entries (left in place when reads only — Close
 // lets dispatched transactions drain) and the held reads' callbacks.
-func (g *Gateway) takePendingLocked(readsOnly bool) (txs []pendingOp, reads []ReadFunc) {
+func (g *Gateway) takePendingLocked(readsOnly bool) (txs []pendingOp, reads []encodedRead) {
 	ids := make([]uint64, 0, len(g.pending))
 	for id, p := range g.pending {
 		if p.read != nil || !readsOnly {
@@ -1076,7 +1091,7 @@ func (g *Gateway) maybeRefreshLocked(key record.Key, ks *keyState) {
 	}
 	ks.refreshing = true
 	g.net.After(g.co.ID(), 0, func() {
-		g.co.Read(key, func(record.Value, record.Version, bool) {
+		g.co.ReadEncoded(key, func(record.Encoded, record.Version, bool) {
 			// The escrow snapshot (if any) already arrived through the
 			// observer; here we only release the refresh slot.
 			g.mu.Lock()
@@ -1453,7 +1468,7 @@ func (g *Gateway) Kill() {
 		p.done(false, ErrOutcomeUnknown)
 	}
 	for _, cb := range reads {
-		cb(record.Value{}, 0, false)
+		cb(nil, 0, false)
 	}
 }
 
@@ -1507,7 +1522,7 @@ func (g *Gateway) Close() {
 		w.done(false, ErrClosed)
 	}
 	for _, cb := range reads {
-		cb(record.Value{}, 0, false)
+		cb(nil, 0, false)
 	}
 }
 

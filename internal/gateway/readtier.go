@@ -81,7 +81,7 @@ const interestSlack = 1024
 // readWaiter is one caller parked on a single-flight read.
 type readWaiter struct {
 	floor record.Version
-	cb    ReadFunc
+	cb    encodedRead
 }
 
 // readFlight is one in-flight fallback read shared by every
@@ -283,33 +283,22 @@ func (g *Gateway) onFeed(from transport.NodeID, m core.MsgVisibilityFeed) {
 }
 
 // installLocked folds a committed (value, version) observation into a
-// key's materialized state; versions only move forward. The value is
-// kept encoded, in the previous one's bytes when it fits.
-func (g *Gateway) installLocked(ks *keyState, val record.Value, ver record.Version, exists bool) {
+// key's materialized state; versions only move forward. The key keeps
+// val's bytes themselves (shared, see keyState.val).
+func (g *Gateway) installLocked(ks *keyState, val record.Encoded, ver record.Version, exists bool) {
 	if ks.hasVal && ver < ks.valVer {
 		return
 	}
 	ks.hasVal = true
-	ks.val = record.AppendValue(ks.val[:0], val)
+	ks.val = val
 	ks.valVer = ver
 	ks.valExists = exists
 }
 
-// answer hands one read result to every waiter, each a Value of its
-// own: the rest decode val's encoding, taken before any callback runs,
-// and the last takes val itself, which nothing else holds (the cache
-// keeps bytes).
-func answer(ws []readWaiter, val record.Value, ver record.Version, exists bool) {
-	var enc []byte
-	if len(ws) > 1 {
-		enc = record.AppendValue(nil, val)
-	}
-	for i, w := range ws {
-		own := val
-		if i < len(ws)-1 {
-			own = record.ReadValue(transport.NewWireReader(enc))
-		}
-		w.cb(own, ver, exists)
+// answer hands one read result to every waiter.
+func answer(ws []readWaiter, val record.Encoded, ver record.Version, exists bool) {
+	for _, w := range ws {
+		w.cb(val, ver, exists)
 	}
 }
 
@@ -340,15 +329,18 @@ func (g *Gateway) feedLiveLocked(key record.Key) bool {
 // caller holding session guarantees does with a miss is mtx.ReadAtFloor's
 // rule, not the gateway's.
 func (g *Gateway) ReadFloor(key record.Key, floor record.Version, cb ReadFunc) {
+	g.readFloor(key, floor, decoding(cb))
+}
+
+func (g *Gateway) readFloor(key record.Key, floor record.Version, cb encodedRead) {
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
-		cb(record.Value{}, 0, false)
+		cb(nil, 0, false)
 		return
 	}
 	if ks, ok := g.keys[key]; ok && ks.hasVal && ks.confirmed && ks.valVer >= floor && g.feedLiveLocked(key) {
-		val := record.ReadValue(transport.NewWireReader(ks.val))
-		ver, exists := ks.valVer, ks.valExists
+		val, ver, exists := ks.val, ks.valVer, ks.valExists
 		ks.readAt = g.net.Now()
 		g.m.LocalReads++
 		if g.tr != nil {
@@ -364,7 +356,7 @@ func (g *Gateway) ReadFloor(key record.Key, floor record.Version, cb ReadFunc) {
 	held := g.holdReadLocked(cb)
 	if g.tun.DisableReadTier {
 		g.mu.Unlock()
-		g.net.After(g.co.ID(), 0, func() { g.co.Read(key, held) })
+		g.net.After(g.co.ID(), 0, func() { g.co.ReadEncoded(key, held) })
 		return
 	}
 	if fl, ok := g.flights[key]; ok {
@@ -378,7 +370,7 @@ func (g *Gateway) ReadFloor(key record.Key, floor record.Version, cb ReadFunc) {
 	g.m.ReadRPCs++
 	g.mu.Unlock()
 	g.net.After(g.co.ID(), 0, func() {
-		g.co.Read(key, func(val record.Value, ver record.Version, exists bool) {
+		g.co.ReadEncoded(key, func(val record.Encoded, ver record.Version, exists bool) {
 			g.settleFlight(key, fl, val, ver, exists)
 		})
 	})
@@ -387,7 +379,7 @@ func (g *Gateway) ReadFloor(key record.Key, floor record.Version, cb ReadFunc) {
 // settleFlight installs a fallback read's result and answers the
 // waiters: floors met by the local replica are served directly; the
 // rest share one escalated quorum read.
-func (g *Gateway) settleFlight(key record.Key, fl *readFlight, val record.Value, ver record.Version, exists bool) {
+func (g *Gateway) settleFlight(key record.Key, fl *readFlight, val record.Encoded, ver record.Version, exists bool) {
 	g.mu.Lock()
 	if cur, ok := g.flights[key]; ok && cur == fl {
 		delete(g.flights, key)
@@ -413,7 +405,7 @@ func (g *Gateway) settleFlight(key record.Key, fl *readFlight, val record.Value,
 		return
 	}
 	g.net.After(g.co.ID(), 0, func() {
-		g.co.ReadQuorum(key, func(qval record.Value, qver record.Version, qexists bool) {
+		g.co.ReadQuorumEncoded(key, func(qval record.Encoded, qver record.Version, qexists bool) {
 			g.mu.Lock()
 			qks := g.ks(key)
 			g.installLocked(qks, qval, qver, qexists)

@@ -49,7 +49,7 @@ type MsgRead struct {
 type MsgReadReply struct {
 	ReqID   uint64
 	Key     record.Key
-	Value   record.Value
+	Value   record.Encoded
 	Version record.Version
 	Exists  bool
 }
@@ -73,15 +73,15 @@ func (g *Gateway) handle(env transport.Envelope) {
 		})
 	case MsgRead:
 		from := env.From
-		reply := func(val record.Value, ver record.Version, exists bool) {
+		reply := func(val record.Encoded, ver record.Version, exists bool) {
 			g.net.Send(g.id, from, MsgReadReply{
 				ReqID: m.ReqID, Key: m.Key, Value: val, Version: ver, Exists: exists,
 			})
 		}
 		if m.Quorum {
-			g.ReadQuorum(m.Key, reply)
+			g.readQuorum(m.Key, reply)
 		} else {
-			g.ReadFloor(m.Key, m.Floor, reply)
+			g.readFloor(m.Key, m.Floor, reply)
 		}
 	case core.MsgVisibilityFeed:
 		g.onFeed(env.From, m)

@@ -83,7 +83,7 @@ func (m MsgReadReply) WireTag() uint8 { return tagMsgReadReply }
 func (m MsgReadReply) AppendWire(b []byte) []byte {
 	b = transport.AppendUvarint(b, m.ReqID)
 	b = transport.AppendString(b, string(m.Key))
-	b = record.AppendValue(b, m.Value)
+	b = record.AppendEncoded(b, m.Value)
 	b = transport.AppendUvarint(b, uint64(m.Version))
 	return transport.AppendBool(b, m.Exists)
 }
@@ -121,7 +121,7 @@ func init() {
 		var m MsgReadReply
 		m.ReqID = r.Uvarint()
 		m.Key = record.Key(r.String())
-		m.Value = record.ReadValue(r)
+		m.Value = record.ReadEncoded(r)
 		m.Version = record.Version(r.Uvarint())
 		m.Exists = r.Bool()
 		return m, r.Err()

@@ -28,7 +28,7 @@ func rpcSamples() map[string]transport.Message {
 		"MsgRead":    MsgRead{ReqID: 8, Key: "item#9", Quorum: true, Floor: 12},
 		"MsgReadReply": MsgReadReply{
 			ReqID: 8, Key: "item#9",
-			Value:   record.Value{Attrs: map[string]int64{"stock": 40}},
+			Value:   record.Encode(record.Value{Attrs: map[string]int64{"stock": 40}}),
 			Version: 12, Exists: true,
 		},
 	}

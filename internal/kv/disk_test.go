@@ -19,7 +19,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden disk vectors")
 func sampleEntry() Entry {
 	return Entry{
 		Key:     "cust#2",
-		Value:   record.Value{Attrs: map[string]int64{"bal": -3, "qty": 41}, Blob: []byte{0xde, 0xad}},
+		Value:   record.Encode(record.Value{Attrs: map[string]int64{"bal": -3, "qty": 41}, Blob: []byte{0xde, 0xad}}),
 		Version: 11,
 	}
 }
@@ -48,7 +48,7 @@ func TestEntryRecordGolden(t *testing.T) {
 	}
 	raw, _ := hex.DecodeString(got)
 	back, err := decodeRecord(raw)
-	if err != nil || back.Key != sampleEntry().Key || back.Version != 11 || !back.Value.Equal(sampleEntry().Value) {
+	if err != nil || back.Key != sampleEntry().Key || back.Version != 11 || !bytes.Equal(back.Value, sampleEntry().Value) {
 		t.Errorf("golden record decodes to %+v, %v", back, err)
 	}
 }
@@ -102,12 +102,12 @@ func TestGobStoreRefused(t *testing.T) {
 // count.
 func FuzzRecordDecode(f *testing.F) {
 	f.Add(AppendEntry([]byte{entryFormat}, sampleEntry()))
-	f.Add(AppendEntry([]byte{entryFormat}, Entry{Key: "gone#1", Value: record.Value{Tombstone: true}, Version: 5}))
+	f.Add(AppendEntry([]byte{entryFormat}, Entry{Key: "gone#1", Value: record.Encode(record.Value{Tombstone: true}), Version: 5}))
 	f.Add([]byte{entryFormat, 0x01, 'k', 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if e, err := decodeRecord(b); err == nil {
 			again, err := decodeRecord(AppendEntry([]byte{entryFormat}, e))
-			if err != nil || again.Key != e.Key || again.Version != e.Version || !again.Value.Equal(e.Value) {
+			if err != nil || again.Key != e.Key || again.Version != e.Version || !bytes.Equal(again.Value, e.Value) {
 				t.Fatalf("decoded entry does not survive re-encoding: %+v -> %+v, %v", e, again, err)
 			}
 		}

@@ -5,13 +5,15 @@
 // state. Protocol state (pending options, ballots) lives above this
 // layer in internal/core; only *committed* data enters the store.
 //
-// A value rests in the tree as the bytes the log and the snapshots
-// already write for it (record.AppendValue), not as a record.Value: a
+// A value rests in the tree as its record.Encoded bytes, the form the
+// log and the snapshots write and the one the layers above carry: a
 // replica pays for every key it holds for as long as it runs, and the
-// bytes cost a third of the attribute map they decode to (116 B
+// bytes cost about a quarter of the attribute map they decode to (100 B
 // against 372 B per one-attribute key, TestResidentBytesPerStoredValue).
-// Put encodes, Get and Scan decode; nothing is shared with a caller in
-// either direction.
+// PutEncoded stores the bytes it is given and GetEncoded and Scan hand
+// the stored bytes out, so neither direction copies or decodes: an
+// Encoded is immutable wherever it is shared. Put and Get are the two
+// for a caller holding a record.Value: Put encodes, Get decodes.
 package kv
 
 import (
@@ -27,7 +29,7 @@ import (
 // Entry is a committed record state.
 type Entry struct {
 	Key     record.Key
-	Value   record.Value
+	Value   record.Encoded
 	Version record.Version
 }
 
@@ -39,20 +41,19 @@ const entryFormat = 0xD1
 
 // AppendEntry encodes e with the wire primitives — the body of a WAL
 // record here and of each kv row in internal/core's checkpoint
-// snapshots. It is the layout's definition; the store writes both from
-// the value bytes it already holds (appendRow), and the tests pin those
-// rows to this function's.
+// snapshots.
 func AppendEntry(b []byte, e Entry) []byte {
 	b = transport.AppendString(b, string(e.Key))
-	b = record.AppendValue(b, e.Value)
+	b = record.AppendEncoded(b, e.Value)
 	return transport.AppendUvarint(b, uint64(e.Version))
 }
 
-// ReadEntry decodes one AppendEntry body.
+// ReadEntry decodes one AppendEntry body; the value is a copy of its
+// bytes, exact-size.
 func ReadEntry(r *transport.WireReader) Entry {
 	return Entry{
 		Key:     record.Key(r.String()),
-		Value:   record.ReadValue(r),
+		Value:   record.ReadEncoded(r),
 		Version: record.Version(r.Uvarint()),
 	}
 }
@@ -72,27 +73,10 @@ func decodeRecord(payload []byte) (Entry, error) {
 	return e, nil
 }
 
-// stored is a key's committed state at rest. Version and the tombstone
-// bit sit beside the value's bytes so that Version, Exists and Scan's
-// tombstone skip never decode.
+// stored is a key's committed state at rest.
 type stored struct {
-	value     []byte // record.AppendValue's encoding, never mutated
-	version   record.Version
-	tombstone bool
-}
-
-// decode returns the value as a fresh record.Value. The bytes are
-// always rest's own output (replay and seeding re-encode what they
-// read), so the reader cannot fail.
-func (st stored) decode() record.Value {
-	return record.ReadValue(transport.NewWireReader(st.value))
-}
-
-// appendRow is AppendEntry for a value already in its encoding.
-func appendRow(b []byte, key string, st stored) []byte {
-	b = transport.AppendString(b, key)
-	b = append(b, st.value...)
-	return transport.AppendUvarint(b, uint64(st.version))
+	value   record.Encoded // shared with the writer and every reader
+	version record.Version
 }
 
 // Store is a versioned key/value store. Safe for concurrent use.
@@ -109,13 +93,6 @@ type Store struct {
 // storage nodes: durability there is modeled, not real).
 func NewMemory() *Store {
 	return &Store{tree: btree.New[stored]()}
-}
-
-// rest returns a value's state at rest: its encoding, built in the
-// scratch buffer and copied out at its exact size.
-func (s *Store) rest(v record.Value, version record.Version) stored {
-	s.buf = record.AppendValue(s.buf[:0], v)
-	return stored{value: append([]byte(nil), s.buf...), version: version, tombstone: v.Tombstone}
 }
 
 // Open returns a durable store backed by a WAL in dir, replaying any
@@ -144,7 +121,7 @@ func OpenWith(dir string, opts wal.Options, seed []Entry, fromSeg int, other fun
 	}
 	s := &Store{tree: btree.New[stored](), log: log}
 	for _, e := range seed {
-		s.tree.Put(string(e.Key), s.rest(e.Value, e.Version))
+		s.tree.Put(string(e.Key), stored{e.Value, e.Version})
 	}
 	err = log.ReplayFrom(fromSeg, func(payload []byte) error {
 		s.replayed++
@@ -155,7 +132,7 @@ func OpenWith(dir string, opts wal.Options, seed []Entry, fromSeg int, other fun
 		if derr != nil {
 			return fmt.Errorf("kv: replay: %w", derr)
 		}
-		s.tree.Put(string(e.Key), s.rest(e.Value, e.Version))
+		s.tree.Put(string(e.Key), stored{e.Value, e.Version})
 		return nil
 	})
 	if err != nil {
@@ -165,24 +142,31 @@ func OpenWith(dir string, opts wal.Options, seed []Entry, fromSeg int, other fun
 	return s, nil
 }
 
-// Get returns the committed value and version for key. ok is false if
-// the key has never been written. Tombstoned records are returned
-// with ok=true (callers decide how to treat deletes); Exists reports
-// presence net of tombstones. The value is decoded per call, so it is
-// the caller's to keep or mutate: an attribute map and a blob allocated
-// each time, which is why a Get costs one and a half in-memory Puts.
-// (One of 8000 one-attribute keys, go1.24 amd64, two shared cores: Get
-// 810 ns, 2 allocations, 256 B — 760 ns when it cloned a stored map;
-// Put 520 ns, 1 allocation, 8 B — 780 ns, 2 allocations, 256 B when it
-// cloned the caller's.) Callers that need only the version use Version.
-func (s *Store) Get(key record.Key) (record.Value, record.Version, bool) {
+// GetEncoded returns the committed value and version for key. ok is
+// false if the key has never been written. Tombstoned records are
+// returned with ok=true (callers decide how to treat deletes); Exists
+// reports presence net of tombstones. The value is the stored bytes,
+// shared: a GetEncoded allocates nothing. What a lookup costs is the
+// tree walk, and past the cache that is most of it: go1.24 amd64, two
+// shared cores, one-attribute keys visited at the benchmark's stride,
+// GetEncoded takes about 350 ns among 8000 keys and 1.1 µs among
+// 100 000, and Get's decode adds 0.5–0.7 µs and two allocations (the
+// ladder's kv.get_ns is Get among 100 000). A Put that replaces a key
+// takes about 300 ns as PutEncoded and 450–650 ns as Put, whose encode
+// is its one allocation; the ladder's kv.put_ns.mem inserts 100 000
+// keys in order, which stays in cache. Callers that need only the
+// version use Version.
+func (s *Store) GetEncoded(key record.Key) (record.Encoded, record.Version, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	st, ok := s.tree.Get(string(key))
-	if !ok {
-		return record.Value{}, 0, false
-	}
-	return st.decode(), st.version, true
+	return st.value, st.version, ok
+}
+
+// Get is GetEncoded with the value decoded, a Value of the caller's own.
+func (s *Store) Get(key record.Key) (record.Value, record.Version, bool) {
+	val, ver, ok := s.GetEncoded(key)
+	return val.Decode(), ver, ok
 }
 
 // Version returns key's committed version without copying its value
@@ -200,25 +184,31 @@ func (s *Store) Exists(key record.Key) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	st, ok := s.tree.Get(string(key))
-	return ok && !st.tombstone
+	return ok && !st.value.Tombstone()
 }
 
-// Put replaces the committed state of key. It keeps nothing of value:
-// the store holds its own encoding of it, and the WAL record is built
-// around those bytes, so a durable Put encodes the value once.
-func (s *Store) Put(key record.Key, value record.Value, version record.Version) error {
+// PutEncoded replaces the committed state of key with value's bytes,
+// as given: the store keeps the slice itself, so it must be an
+// exact-size Encoded nobody writes into (record.Encode's and
+// record.ReadEncoded's are).
+func (s *Store) PutEncoded(key record.Key, value record.Encoded, version record.Version) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.rest(value, version)
 	if s.log != nil {
-		s.buf = appendRow(append(s.buf[:0], entryFormat), string(key), st)
+		s.buf = AppendEntry(append(s.buf[:0], entryFormat), Entry{key, value, version})
 		if err := s.log.Append(s.buf); err != nil { // Append copies the record
 			return err
 		}
 	}
-	s.tree.Put(string(key), st)
+	s.tree.Put(string(key), stored{value, version})
 	s.puts++
 	return nil
+}
+
+// Put is PutEncoded for a value not yet encoded; it keeps nothing of
+// value.
+func (s *Store) Put(key record.Key, value record.Value, version record.Version) error {
+	return s.PutEncoded(key, record.Encode(value), version)
 }
 
 // Append writes a record of the layer above into the store's log
@@ -235,23 +225,23 @@ func (s *Store) Scan(from, to record.Key, fn func(Entry) bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	s.tree.AscendRange(string(from), string(to), func(key string, st stored) bool {
-		if st.tombstone {
+		if st.value.Tombstone() {
 			return true
 		}
-		return fn(Entry{Key: record.Key(key), Value: st.decode(), Version: st.version})
+		return fn(Entry{Key: record.Key(key), Value: st.value, Version: st.version})
 	})
 }
 
 // AppendEntries appends the store's whole state the way a checkpoint
 // snapshot embeds it: a uvarint count, then every key's AppendEntry
 // bytes in key order — tombstones included, a checkpoint must preserve
-// them. The rows are written from the stored form; no value is decoded.
+// them.
 func (s *Store) AppendEntries(b []byte) []byte {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	b = transport.AppendUvarint(b, uint64(s.tree.Len()))
 	s.tree.AscendRange("", "", func(key string, st stored) bool {
-		b = appendRow(b, key, st)
+		b = AppendEntry(b, Entry{record.Key(key), st.value, st.version})
 		return true
 	})
 	return b

@@ -32,10 +32,10 @@ func TestMemoryBasics(t *testing.T) {
 	}
 }
 
-// Get hands out a fresh value and Put keeps nothing of the caller's:
-// no attribute map or blob is shared between the store, the value that
-// was put and any two values read back.
-func TestGetReturnsCopy(t *testing.T) {
+// Put keeps nothing of the caller's Value, and a Get is the reader's
+// own: editing one changes neither the store nor another reader's,
+// though every GetEncoded and Scan hands out the one stored slice.
+func TestStoredValueSharesNothingWithCallers(t *testing.T) {
 	s := NewMemory()
 	defer s.Close()
 	want := record.Value{Attrs: map[string]int64{"x": 1}, Blob: []byte("row")}
@@ -48,21 +48,44 @@ func TestGetReturnsCopy(t *testing.T) {
 	if !a.Equal(want) {
 		t.Fatalf("Put aliased caller's value: Get = %v", a)
 	}
-	b, _, _ := s.Get("k")
 	a.Attrs["x"] = 99
 	a.Blob[0] = 'G'
-	if !b.Equal(want) {
+	if b, _, _ := s.Get("k"); !b.Equal(want) {
 		t.Fatalf("two Gets alias each other: %v", b)
 	}
-	var scanned record.Value
+	enc, _, _ := s.GetEncoded("k")
+	again, _, _ := s.GetEncoded("k")
+	var scanned record.Encoded
 	s.Scan("", "", func(e Entry) bool { scanned = e.Value; return true })
-	if !scanned.Equal(want) {
-		t.Fatalf("Get leaked internal storage: Scan = %v", scanned)
+	if &again[0] != &enc[0] || &scanned[0] != &enc[0] {
+		t.Fatal("GetEncoded or Scan copied the stored bytes")
 	}
-	scanned.Attrs["x"] = 55
-	scanned.Blob[0] = 'S'
-	if again, _, _ := s.Get("k"); !again.Equal(want) {
-		t.Fatalf("Scan leaked internal storage: Get = %v", again)
+}
+
+// PutEncoded stores the bytes it is given: replacing a key's value
+// allocates nothing, and GetEncoded hands back the very slice.
+func TestPutEncodedAllocFree(t *testing.T) {
+	s := NewMemory()
+	defer s.Close()
+	vals := []record.Encoded{
+		record.Encode(record.Value{Attrs: map[string]int64{"x": 1}}),
+		record.Encode(record.Value{Attrs: map[string]int64{"x": 2}}),
+	}
+	s.PutEncoded("k", vals[1], 1)
+	i := 0
+	if n := testing.AllocsPerRun(100, func() {
+		i++
+		if err := s.PutEncoded("k", vals[i%2], record.Version(i)); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("a replacing PutEncoded allocates %v objects", n)
+	}
+	if got, _, _ := s.GetEncoded("k"); &got[0] != &vals[i%2][0] {
+		t.Fatal("GetEncoded does not hand back the bytes PutEncoded stored")
+	}
+	if n := testing.AllocsPerRun(100, func() { s.GetEncoded("k") }); n != 0 {
+		t.Fatalf("GetEncoded allocates %v objects", n)
 	}
 }
 
@@ -216,8 +239,10 @@ func TestConcurrentAccess(t *testing.T) {
 // what one committed one-attribute value still costs after two
 // collections — key, tree slot, version and the value itself. Every
 // replica pays it per key for as long as it runs. Measured go1.24,
-// amd64: 116 B with the tree holding the value's record.AppendValue
-// bytes, 372 B when it held a record.Value (a map per stored value).
+// amd64: 100 B with the tree holding the value's record.Encoded bytes
+// as given (exact-size) and the tombstone bit read from them, 116 B
+// when it kept the bit beside them, 372 B when it held a record.Value
+// (a map per stored value).
 func TestResidentBytesPerStoredValue(t *testing.T) {
 	const (
 		keys        = 20_000
@@ -256,17 +281,19 @@ func TestResidentBytesPerStoredValue(t *testing.T) {
 	}
 }
 
-// An empty attribute map and no attribute map are one value: both come
-// back Equal to what was put.
+// An empty attribute map and no attribute map are one value: each is
+// stored as the empty encoding (nil) and comes back Equal to what was
+// put.
 func TestEmptyValuesRoundTrip(t *testing.T) {
 	s := NewMemory()
 	defer s.Close()
 	for i, v := range []record.Value{{}, {Attrs: map[string]int64{}}, {Blob: []byte{}}} {
 		k := record.Key(fmt.Sprintf("k%d", i))
 		s.Put(k, v, 1)
+		enc, _, _ := s.GetEncoded(k)
 		got, ver, ok := s.Get(k)
-		if !ok || ver != 1 || !got.Equal(v) {
-			t.Errorf("Put(%#v) came back %#v v%d %v", v, got, ver, ok)
+		if !ok || ver != 1 || enc != nil || !got.Equal(v) {
+			t.Errorf("Put(%#v) came back %#v (%x) v%d %v", v, got, enc, ver, ok)
 		}
 	}
 }
@@ -278,15 +305,15 @@ func TestAppendEntriesMatchesAppendEntry(t *testing.T) {
 	defer s.Close()
 	entries := []Entry{
 		sampleEntry(),
-		{Key: "gone#1", Value: record.Value{Tombstone: true}, Version: 5},
-		{Key: "item#9", Value: record.Value{Blob: []byte("row")}, Version: 2},
+		{Key: "gone#1", Value: record.Encode(record.Value{Tombstone: true}), Version: 5},
+		{Key: "item#9", Value: record.Encode(record.Value{Blob: []byte("row")}), Version: 2},
 	}
 	want := transport.AppendUvarint([]byte("head"), uint64(len(entries)))
 	for _, e := range entries {
 		want = AppendEntry(want, e)
 	}
 	for i := len(entries) - 1; i >= 0; i-- { // put out of key order
-		s.Put(entries[i].Key, entries[i].Value, entries[i].Version)
+		s.PutEncoded(entries[i].Key, entries[i].Value, entries[i].Version)
 	}
 	if got := s.AppendEntries([]byte("head")); !bytes.Equal(got, want) {
 		t.Fatalf("AppendEntries\n got %x\nwant %x", got, want)

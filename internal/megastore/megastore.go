@@ -63,7 +63,7 @@ type MsgRead struct {
 type MsgReadReply struct {
 	ReqID   uint64
 	Key     record.Key
-	Value   record.Value
+	Value   record.Encoded
 	Version record.Version
 	Exists  bool
 }
@@ -107,10 +107,10 @@ func (r *Replica) handle(env transport.Envelope) {
 		r.chosen[m.Pos] = true
 		r.applyReady()
 	case MsgRead:
-		val, ver, ok := r.store.Get(m.Key)
+		val, ver, ok := r.store.GetEncoded(m.Key)
 		r.net.Send(r.id, env.From, MsgReadReply{
 			ReqID: m.ReqID, Key: m.Key, Value: val, Version: ver,
-			Exists: ok && !val.Tombstone,
+			Exists: ok && !val.Tombstone(),
 		})
 	case MsgTxReq:
 		if r.master != nil {
@@ -136,12 +136,12 @@ func (r *Replica) applyReady() {
 			return // hole: wait for the accept to arrive
 		}
 		for _, up := range e.updates {
-			cur, ver, _ := r.store.Get(up.Key)
+			cur, ver, _ := r.store.GetEncoded(up.Key)
 			switch up.Kind {
 			case record.KindPhysical:
-				_ = r.store.Put(up.Key, up.NewValue, ver+1)
+				_ = r.store.PutEncoded(up.Key, up.NewValue, ver+1)
 			case record.KindCommutative:
-				_ = r.store.Put(up.Key, up.Apply(cur), ver+1)
+				_ = r.store.PutEncoded(up.Key, up.Apply(cur), ver+1)
 			}
 		}
 		delete(r.log, next)
@@ -221,7 +221,7 @@ func (m *Master) pump() {
 
 func (m *Master) validate(updates []record.Update) bool {
 	for _, up := range updates {
-		_, ver, _ := m.replica.store.Get(up.Key)
+		_, ver, _ := m.replica.store.GetEncoded(up.Key)
 		if up.Kind == record.KindPhysical && up.ReadVersion != ver {
 			return false
 		}
@@ -289,7 +289,7 @@ func (c *Client) handle(env transport.Envelope) {
 	case MsgReadReply:
 		if cb, ok := c.reads[m.ReqID]; ok {
 			delete(c.reads, m.ReqID)
-			cb(m.Value, m.Version, m.Exists)
+			cb(m.Value.Decode(), m.Version, m.Exists)
 		}
 	}
 }

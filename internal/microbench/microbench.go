@@ -106,7 +106,7 @@ func (w *Workload) Preload(rng *rand.Rand) []kv.Entry {
 		stock := w.opts.InitialStockMin + rng.Int63n(span)
 		entries = append(entries, kv.Entry{
 			Key:     ItemKey(i),
-			Value:   record.Value{Attrs: map[string]int64{StockAttr: stock}},
+			Value:   record.Encode(record.Value{Attrs: map[string]int64{StockAttr: stock}}),
 			Version: 1,
 		})
 	}

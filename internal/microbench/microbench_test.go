@@ -23,7 +23,7 @@ func TestPreload(t *testing.T) {
 		t.Fatalf("preload %d entries", len(entries))
 	}
 	for _, e := range entries {
-		s := e.Value.Attr(StockAttr)
+		s := e.Value.Decode().Attr(StockAttr)
 		if s < 5 || s > 9 {
 			t.Fatalf("stock %d out of range", s)
 		}
@@ -140,14 +140,14 @@ func TestItemKeyStable(t *testing.T) {
 
 // fakeClient drives Next paths synchronously without a cluster.
 type fakeClient struct {
-	vals map[record.Key]record.Value
+	vals map[record.Key]record.Encoded
 	vers map[record.Key]record.Version
 	comm bool
 }
 
 func newFake(w *Workload, comm bool) *fakeClient {
 	f := &fakeClient{
-		vals: make(map[record.Key]record.Value),
+		vals: make(map[record.Key]record.Encoded),
 		vers: make(map[record.Key]record.Version),
 		comm: comm,
 	}
@@ -160,7 +160,7 @@ func newFake(w *Workload, comm bool) *fakeClient {
 
 func (f *fakeClient) Read(key record.Key, cb func(record.Value, record.Version, bool)) {
 	v, ok := f.vals[key]
-	cb(v.Clone(), f.vers[key], ok)
+	cb(v.Decode(), f.vers[key], ok)
 }
 
 func (f *fakeClient) Commit(updates []record.Update, done func(bool)) {
@@ -170,7 +170,7 @@ func (f *fakeClient) Commit(updates []record.Update, done func(bool)) {
 			return
 		}
 		after := up.Apply(f.vals[up.Key])
-		if after.Attr(StockAttr) < 0 {
+		if after.Decode().Attr(StockAttr) < 0 {
 			done(false)
 			return
 		}
@@ -204,7 +204,7 @@ func TestNextCommutativePath(t *testing.T) {
 		}
 	}
 	for i := 0; i < 20; i++ {
-		s := f.vals[ItemKey(i)].Attr(StockAttr)
+		s := f.vals[ItemKey(i)].Decode().Attr(StockAttr)
 		if s > 100 {
 			t.Fatalf("stock grew: %d", s)
 		}
@@ -229,7 +229,7 @@ func TestNextRMWPath(t *testing.T) {
 		}
 	}
 	for i := 0; i < 20; i++ {
-		if f.vals[ItemKey(i)].Attr(StockAttr) > 50 {
+		if f.vals[ItemKey(i)].Decode().Attr(StockAttr) > 50 {
 			t.Fatal("RMW increased stock")
 		}
 	}

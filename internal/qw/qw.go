@@ -52,7 +52,7 @@ type MsgRead struct {
 type MsgReadReply struct {
 	ReqID   uint64
 	Key     record.Key
-	Value   record.Value
+	Value   record.Encoded
 	Version record.Version
 	Exists  bool
 }
@@ -82,10 +82,10 @@ func (n *StorageNode) handle(env transport.Envelope) {
 	case MsgWrite:
 		n.onWrite(env.From, m)
 	case MsgRead:
-		val, ver, ok := n.store.Get(m.Key)
+		val, ver, ok := n.store.GetEncoded(m.Key)
 		n.net.Send(n.id, env.From, MsgReadReply{
 			ReqID: m.ReqID, Key: m.Key, Value: val, Version: ver,
-			Exists: ok && !val.Tombstone,
+			Exists: ok && !val.Tombstone(),
 		})
 	}
 }
@@ -94,15 +94,15 @@ func (n *StorageNode) onWrite(from transport.NodeID, m MsgWrite) {
 	key := m.Update.Key
 	switch m.Update.Kind {
 	case record.KindPhysical:
-		cur, ver, _ := n.store.Get(key)
+		cur, ver, _ := n.store.GetEncoded(key)
 		if last, ok := n.ts[key]; !ok || m.TS.after(last.ts) {
 			n.ts[key] = tsEntry{ts: m.TS}
-			_ = n.store.Put(key, m.Update.NewValue, ver+1)
+			_ = n.store.PutEncoded(key, m.Update.NewValue, ver+1)
 		}
 		_ = cur
 	case record.KindCommutative:
-		cur, ver, _ := n.store.Get(key)
-		_ = n.store.Put(key, m.Update.Apply(cur), ver+1)
+		cur, ver, _ := n.store.GetEncoded(key)
+		_ = n.store.PutEncoded(key, m.Update.Apply(cur), ver+1)
 	}
 	n.net.Send(n.id, from, MsgWriteAck{ReqID: m.ReqID, Key: key})
 }
@@ -149,7 +149,7 @@ func (c *Client) handle(env transport.Envelope) {
 	case MsgReadReply:
 		if rc, ok := c.reads[m.ReqID]; ok {
 			delete(c.reads, m.ReqID)
-			rc.cb(m.Value, m.Version, m.Exists)
+			rc.cb(m.Value.Decode(), m.Version, m.Exists)
 		}
 	}
 }

@@ -2,6 +2,13 @@
 // the repository: versioned record values, physical and commutative
 // updates (the paper's vread→vwrite updates and delta updates), and
 // attribute value constraints enforced by quorum demarcation.
+//
+// Inside the system a value is its bytes (Encoded): a physical update
+// encodes its value once, when it is built, and the wire, the decided
+// log, the store and the gateway's read tier carry those same bytes.
+// A Value — an attribute map — exists only at the API edge: what a
+// client builds before Physical, Insert or Delete, and what a read
+// decodes for it (Encoded.Decode).
 package record
 
 import (
@@ -139,7 +146,7 @@ type Update struct {
 
 	// Physical fields.
 	ReadVersion Version // version the transaction read (0 = expects absent/fresh)
-	NewValue    Value
+	NewValue    Encoded // encoded once by Physical, Insert or Delete
 
 	// Commutative fields: attribute → signed delta.
 	Deltas map[string]int64
@@ -153,20 +160,21 @@ type Update struct {
 	Merged int
 }
 
-// Physical builds a physical update.
+// Physical builds a physical update. It keeps newValue's encoding, not
+// newValue: the caller may change its Value once Physical returns.
 func Physical(key Key, readVersion Version, newValue Value) Update {
-	return Update{Kind: KindPhysical, Key: key, ReadVersion: readVersion, NewValue: newValue}
+	return Update{Kind: KindPhysical, Key: key, ReadVersion: readVersion, NewValue: Encode(newValue)}
 }
 
 // Insert builds a physical update that requires the record to be
 // absent (missing vread per §3.2.1).
 func Insert(key Key, value Value) Update {
-	return Update{Kind: KindPhysical, Key: key, ReadVersion: 0, NewValue: value}
+	return Physical(key, 0, value)
 }
 
 // Delete builds a physical update writing a tombstone.
 func Delete(key Key, readVersion Version) Update {
-	return Update{Kind: KindPhysical, Key: key, ReadVersion: readVersion, NewValue: Value{Tombstone: true}}
+	return Physical(key, readVersion, Value{Tombstone: true})
 }
 
 // Commutative builds a delta update, e.g. Commutative("item/7",
@@ -209,7 +217,7 @@ func ReadCheck(key Key, readVersion Version) Update {
 func (u Update) String() string {
 	switch u.Kind {
 	case KindPhysical:
-		return fmt.Sprintf("phys(%s v%d->%s)", u.Key, u.ReadVersion, u.NewValue)
+		return fmt.Sprintf("phys(%s v%d->%s)", u.Key, u.ReadVersion, u.NewValue.Decode())
 	case KindCommutative:
 		names := make([]string, 0, len(u.Deltas))
 		for k := range u.Deltas {
@@ -234,21 +242,22 @@ func (u Update) String() string {
 }
 
 // Apply returns the value after applying u to cur. Physical updates
-// replace the value; commutative updates add deltas (creating the
-// attribute map if needed).
-func (u Update) Apply(cur Value) Value {
+// replace the value with their own bytes; commutative updates add
+// deltas (creating the attribute map if needed) to a decoded copy of
+// cur and encode the sum. cur is never written.
+func (u Update) Apply(cur Encoded) Encoded {
 	switch u.Kind {
 	case KindPhysical:
-		return u.NewValue.Clone()
+		return u.NewValue
 	case KindCommutative:
-		out := cur.Clone()
+		out := cur.Decode()
 		if out.Attrs == nil {
 			out.Attrs = make(map[string]int64, len(u.Deltas))
 		}
 		for k, d := range u.Deltas {
 			out.Attrs[k] += d
 		}
-		return out
+		return Encode(out)
 	case KindReadCheck:
 		return cur // validation only, never a write
 	default:

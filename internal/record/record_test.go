@@ -1,6 +1,7 @@
 package record
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -53,27 +54,39 @@ func TestWithAttr(t *testing.T) {
 }
 
 func TestPhysicalApply(t *testing.T) {
-	cur := Value{Attrs: map[string]int64{"stock": 10}}
+	cur := Encode(Value{Attrs: map[string]int64{"stock": 10}})
 	u := Physical("item/1", 3, Value{Attrs: map[string]int64{"stock": 1}})
 	got := u.Apply(cur)
-	if got.Attr("stock") != 1 {
+	if got.Decode().Attr("stock") != 1 {
 		t.Fatalf("physical apply = %v", got)
 	}
-	if cur.Attr("stock") != 10 {
+	if cur.Decode().Attr("stock") != 10 {
 		t.Fatal("Apply mutated current value")
 	}
 }
 
+// TestPhysicalKeepsNoCallerValue: the update holds the value's bytes,
+// so what the caller does to its Value afterwards changes nothing.
+func TestPhysicalKeepsNoCallerValue(t *testing.T) {
+	v := Value{Attrs: map[string]int64{"x": 1}, Blob: []byte("row")}
+	u := Insert("k", v)
+	v.Attrs["x"] = 999
+	v.Blob[0] = 'X'
+	if got := u.NewValue.Decode(); got.Attr("x") != 1 || string(got.Blob) != "row" {
+		t.Fatalf("update changed with the caller's value: %v", got)
+	}
+}
+
 func TestCommutativeApply(t *testing.T) {
-	cur := Value{Attrs: map[string]int64{"stock": 10}}
+	cur := Encode(Value{Attrs: map[string]int64{"stock": 10}})
 	u := Commutative("item/1", map[string]int64{"stock": -3, "sold": 3})
 	got := u.Apply(cur)
-	if got.Attr("stock") != 7 || got.Attr("sold") != 3 {
+	if got.Decode().Attr("stock") != 7 || got.Decode().Attr("sold") != 3 {
 		t.Fatalf("commutative apply = %v", got)
 	}
 	// Apply to empty value creates attrs.
-	got2 := u.Apply(Value{})
-	if got2.Attr("stock") != -3 {
+	got2 := u.Apply(nil)
+	if got2.Decode().Attr("stock") != -3 {
 		t.Fatalf("commutative apply on empty = %v", got2)
 	}
 }
@@ -89,12 +102,12 @@ func TestCommutativeCopiesDeltas(t *testing.T) {
 
 func TestCommutativeApplyOrderIndependent(t *testing.T) {
 	f := func(d1, d2 int64, base int64) bool {
-		cur := Value{Attrs: map[string]int64{"x": base}}
+		cur := Encode(Value{Attrs: map[string]int64{"x": base}})
 		u1 := Commutative("k", map[string]int64{"x": d1})
 		u2 := Commutative("k", map[string]int64{"x": d2})
 		a := u2.Apply(u1.Apply(cur))
 		b := u1.Apply(u2.Apply(cur))
-		return a.Equal(b)
+		return bytes.Equal(a, b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -107,11 +120,11 @@ func TestInsertDelete(t *testing.T) {
 		t.Fatalf("Insert = %+v", ins)
 	}
 	del := Delete("item/9", 5)
-	if !del.NewValue.Tombstone || del.ReadVersion != 5 {
+	if !del.NewValue.Tombstone() || del.ReadVersion != 5 {
 		t.Fatalf("Delete = %+v", del)
 	}
-	got := del.Apply(Value{Attrs: map[string]int64{"stock": 4}})
-	if !got.Tombstone {
+	got := del.Apply(Encode(Value{Attrs: map[string]int64{"stock": 4}}))
+	if !got.Tombstone() || !got.Decode().Tombstone {
 		t.Fatal("delete apply should produce a tombstone")
 	}
 }

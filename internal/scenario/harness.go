@@ -331,7 +331,7 @@ func (r *Run) preload() {
 	w := r.scn.Workload
 	var entries []kv.Entry
 	add := func(key record.Key, val record.Value) {
-		entries = append(entries, kv.Entry{Key: key, Value: val, Version: 1})
+		entries = append(entries, kv.Entry{Key: key, Value: record.Encode(val), Version: 1})
 		r.initial[key] = val
 	}
 	for i := 0; i < w.Accounts; i++ {
@@ -347,7 +347,7 @@ func (r *Run) preload() {
 		shard := r.Cluster.Shard(e.Key)
 		for i, n := range r.Cluster.Storage {
 			if n.Index == shard {
-				_ = r.nodes[i].Store().Put(e.Key, e.Value, e.Version)
+				_ = r.nodes[i].Store().PutEncoded(e.Key, e.Value, e.Version)
 			}
 		}
 	}

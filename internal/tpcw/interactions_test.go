@@ -13,7 +13,7 @@ import (
 // fakeClient is a synchronous in-memory mtx.Client for driving
 // interactions without a cluster.
 type fakeClient struct {
-	vals    map[record.Key]record.Value
+	vals    map[record.Key]record.Encoded
 	vers    map[record.Key]record.Version
 	comm    bool
 	commits int
@@ -22,7 +22,7 @@ type fakeClient struct {
 
 func newFake(comm bool) *fakeClient {
 	return &fakeClient{
-		vals: make(map[record.Key]record.Value),
+		vals: make(map[record.Key]record.Encoded),
 		vers: make(map[record.Key]record.Version),
 		comm: comm,
 	}
@@ -33,14 +33,14 @@ func (f *fakeClient) load(entries []struct {
 	v record.Value
 }) {
 	for _, e := range entries {
-		f.vals[e.k] = e.v
+		f.vals[e.k] = record.Encode(e.v)
 		f.vers[e.k] = 1
 	}
 }
 
 func (f *fakeClient) Read(key record.Key, cb func(record.Value, record.Version, bool)) {
 	v, ok := f.vals[key]
-	cb(v.Clone(), f.vers[key], ok && !v.Tombstone)
+	cb(v.Decode(), f.vers[key], ok && !v.Tombstone())
 }
 
 func (f *fakeClient) Commit(updates []record.Update, done func(bool)) {
@@ -56,7 +56,7 @@ func (f *fakeClient) Commit(updates []record.Update, done func(bool)) {
 		case record.KindCommutative:
 			cur := f.vals[up.Key]
 			after := up.Apply(cur)
-			if after.Attr(AttrStock) < 0 {
+			if after.Decode().Attr(AttrStock) < 0 {
 				f.aborts++
 				done(false)
 				return
@@ -106,7 +106,7 @@ func TestShoppingCartPersistsLines(t *testing.T) {
 	if len(b.cart) == 0 {
 		t.Fatal("browser cart empty after committed ShoppingCart")
 	}
-	cart := f.vals[CartKey(7)]
+	cart := f.vals[CartKey(7)].Decode()
 	lines := 0
 	for name := range cart.Attrs {
 		if strings.HasPrefix(name, "line_") {
@@ -126,20 +126,20 @@ func TestBuyConfirmCommutativePath(t *testing.T) {
 	b := w.browserFor(1)
 	b.cart = map[int]int64{3: 2, 9: 1}
 
-	before3 := f.vals[ItemKey(3)].Attr(AttrStock)
-	before9 := f.vals[ItemKey(9)].Attr(AttrStock)
+	before3 := f.vals[ItemKey(3)].Decode().Attr(AttrStock)
+	before9 := f.vals[ItemKey(9)].Decode().Attr(AttrStock)
 	res := runTxn(t, w.buyConfirm(b, rng), f)
 	if !res.Committed {
 		t.Fatal("buy aborted")
 	}
-	if got := f.vals[ItemKey(3)].Attr(AttrStock); got != before3-2 {
+	if got := f.vals[ItemKey(3)].Decode().Attr(AttrStock); got != before3-2 {
 		t.Fatalf("item 3 stock %d, want %d", got, before3-2)
 	}
-	if got := f.vals[ItemKey(9)].Attr(AttrStock); got != before9-1 {
+	if got := f.vals[ItemKey(9)].Decode().Attr(AttrStock); got != before9-1 {
 		t.Fatalf("item 9 stock %d, want %d", got, before9-1)
 	}
 	order, ok := f.vals[b.lastOrder]
-	if !ok || order.Attr(AttrQty) != 3 {
+	if !ok || order.Decode().Attr(AttrQty) != 3 {
 		t.Fatalf("order record = %v %v", order, ok)
 	}
 	if len(b.cart) != 0 {
@@ -155,12 +155,12 @@ func TestBuyConfirmRMWPath(t *testing.T) {
 	b := w.browserFor(2)
 	b.cart = map[int]int64{5: 2}
 
-	before := f.vals[ItemKey(5)].Attr(AttrStock)
+	before := f.vals[ItemKey(5)].Decode().Attr(AttrStock)
 	res := runTxn(t, w.buyConfirm(b, rng), f)
 	if !res.Committed {
 		t.Fatal("RMW buy aborted")
 	}
-	if got := f.vals[ItemKey(5)].Attr(AttrStock); got != before-2 {
+	if got := f.vals[ItemKey(5)].Decode().Attr(AttrStock); got != before-2 {
 		t.Fatalf("stock %d, want %d", got, before-2)
 	}
 }
@@ -176,7 +176,7 @@ func TestBuyConfirmEmptyCartImpulseBuy(t *testing.T) {
 	if !res.Committed {
 		t.Fatal("impulse buy aborted")
 	}
-	if f.vals[b.lastOrder].Attr(AttrQty) != 1 {
+	if f.vals[b.lastOrder].Decode().Attr(AttrQty) != 1 {
 		t.Fatal("impulse buy should order exactly one unit")
 	}
 }
@@ -186,8 +186,8 @@ func TestBuyConfirmOutOfStockAborts(t *testing.T) {
 	f := newFake(false)
 	seedItems(f, w, 5)
 	// Drain item 0.
-	v := f.vals[ItemKey(0)]
-	f.vals[ItemKey(0)] = v.WithAttr(AttrStock, 0)
+	v := f.vals[ItemKey(0)].Decode()
+	f.vals[ItemKey(0)] = record.Encode(v.WithAttr(AttrStock, 0))
 	rng := rand.New(rand.NewSource(7))
 	b := w.browserFor(4)
 	b.cart = map[int]int64{0: 1}
@@ -227,7 +227,7 @@ func TestBuyRequestStampsCart(t *testing.T) {
 	if !res.Committed {
 		t.Fatal("buy request aborted")
 	}
-	if _, ok := f.vals[CartKey(6)].Attrs["ship"]; !ok {
+	if _, ok := f.vals[CartKey(6)].Decode().Attrs["ship"]; !ok {
 		t.Fatal("cart not stamped with shipping")
 	}
 }

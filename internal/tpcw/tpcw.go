@@ -144,13 +144,13 @@ func (w *Workload) Preload(rng *rand.Rand) []kv.Entry {
 	for i := 0; i < w.opts.Items; i++ {
 		entries = append(entries, kv.Entry{
 			Key: ItemKey(i),
-			Value: record.Value{
+			Value: record.Encode(record.Value{
 				Attrs: map[string]int64{
 					AttrStock: 5000 + rng.Int63n(5000),
 					AttrPrice: 100 + rng.Int63n(9900),
 				},
 				Blob: []byte(fmt.Sprintf("item-%06d title/author payload", i)),
-			},
+			}),
 			Version: 1,
 		})
 	}

@@ -52,10 +52,10 @@ func TestPreloadScale(t *testing.T) {
 		t.Fatalf("preload = %d entries, want 500", len(entries))
 	}
 	for _, e := range entries {
-		if e.Value.Attr(AttrStock) < 5000 {
-			t.Fatalf("item %s stock %d too small", e.Key, e.Value.Attr(AttrStock))
+		if e.Value.Decode().Attr(AttrStock) < 5000 {
+			t.Fatalf("item %s stock %d too small", e.Key, e.Value.Decode().Attr(AttrStock))
 		}
-		if e.Value.Attr(AttrPrice) <= 0 {
+		if e.Value.Decode().Attr(AttrPrice) <= 0 {
 			t.Fatalf("item %s has no price", e.Key)
 		}
 	}

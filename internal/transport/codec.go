@@ -329,6 +329,17 @@ func (r *WireReader) Bytes() []byte {
 	return append([]byte(nil), p...)
 }
 
+// Region reads a length-prefixed region in place: a caller keeping it
+// past the decode copies it (see WireDecoder).
+func (r *WireReader) Region(what string) []byte { return r.take(what) }
+
+// Mark returns the read position, for Since.
+func (r *WireReader) Mark() int { return r.off }
+
+// Since returns the bytes consumed since mark, in place: a caller
+// keeping them past the decode copies them (see WireDecoder).
+func (r *WireReader) Since(mark int) []byte { return r.b[mark:r.off] }
+
 // take consumes a length-prefixed region in place (no copy).
 func (r *WireReader) take(what string) []byte {
 	n := r.Uvarint()

@@ -61,10 +61,10 @@ const (
 	// round of Sends: a steady connection cycles two small slices without
 	// allocating, and a burst's slice goes back to the collector.
 	spareKeep = 256
-	// connBuf is the one buffer each direction of a connection keeps. The
-	// hot frames of a tcp-rmw run fit it (DESIGN.md §11); a larger frame
-	// travels in a slice of its own, so an idle connection holds no
-	// high-water mark.
+	// connBuf is the buffer each direction of a connection keeps. The
+	// hot frames of a tcp-rmw run fit it (DESIGN.md §11); a writer's
+	// frame encode buffer grows past it only while its frames do (see
+	// writeFrame).
 	connBuf = 16 << 10
 )
 
@@ -424,8 +424,9 @@ func (t *TCP) writeLoop(c *tcpConn) {
 	t.mu.RLock()
 	hellos := t.hellos[c.addr]
 	t.mu.RUnlock()
+	var frame []byte // the encode buffer, see writeFrame
 	for _, h := range hellos {
-		if err := t.writeFrame(bw, c.addr, Envelope{From: h.ID, Msg: h}); err != nil {
+		if frame, err = t.writeFrame(bw, frame, c.addr, Envelope{From: h.ID, Msg: h}); err != nil {
 			t.logf("transport: send hello to %s: %v", c.addr, err)
 			t.dropConn(c.addr, c)
 			return
@@ -459,7 +460,7 @@ func (t *TCP) writeLoop(c *tcpConn) {
 			}
 		}
 		for _, e := range batch {
-			if err := t.writeFrame(bw, c.addr, e); err != nil {
+			if frame, err = t.writeFrame(bw, frame, c.addr, e); err != nil {
 				t.logf("transport: send to %s: %v", c.addr, err)
 				t.dropConn(c.addr, c)
 				return
@@ -468,30 +469,33 @@ func (t *TCP) writeLoop(c *tcpConn) {
 	}
 }
 
-// writeFrame encodes e as one length-prefixed frame straight into bw's
-// free space, flushing first when under a quarter is free, so a frame
-// up to that size never needs a slice of its own. A message the wire
+// writeFrame encodes e as one length-prefixed frame into buf, the
+// writer's encode buffer, writes it to bw and returns the buffer for
+// the next frame, so a frame larger than bw's free space, such as a
+// loaded window's batch, allocates nothing. A buffer past connBuf is
+// kept only while frames fill a quarter of it: a connection back to
+// small frames holds no burst's high-water mark. A message the wire
 // cannot carry is dropped whole (and counted); only a write error is
 // returned.
-func (t *TCP) writeFrame(bw *bufio.Writer, addr string, e Envelope) error {
+func (t *TCP) writeFrame(bw *bufio.Writer, buf []byte, addr string, e Envelope) ([]byte, error) {
 	wm, err := wireEncoder(e.Msg)
 	if err != nil {
 		t.stats.droppedNoRoute.Add(1)
 		t.logf("transport: encode for %s: %v (message dropped)", addr, err)
-		return nil
+		return buf, nil
 	}
-	if bw.Available() < bw.Size()/4 {
-		_ = bw.Flush() // an error sticks: the Write below returns it
+	frame := appendEnvelope(append(buf[:0], 0, 0, 0, 0), e, wm)
+	if buf = frame[:0]; cap(frame) > connBuf && 4*len(frame) < cap(frame) {
+		buf = nil
 	}
-	frame := appendEnvelope(append(bw.AvailableBuffer(), 0, 0, 0, 0), e, wm)
 	n := len(frame) - 4
 	if n > maxFrame {
 		t.logf("transport: %T for %s exceeds max frame (%d bytes), dropped", e.Msg, addr, n)
-		return nil
+		return buf, nil
 	}
 	binary.BigEndian.PutUint32(frame, uint32(n))
 	_, err = bw.Write(frame)
-	return err
+	return buf, err
 }
 
 func (t *TCP) dropConn(addr string, c *tcpConn) {

@@ -131,9 +131,11 @@ func framed(payload []byte) []byte {
 	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
 }
 
-// TestTCPWriteFrameAllocFree: encoding a hot message's frame into the
-// connection's buffered writer allocates nothing, across the flushes a
-// full buffer takes: each run writes more than the buffer holds.
+// TestTCPWriteFrameAllocFree: encoding a hot message's frame and
+// writing it to the connection's buffered writer allocates nothing,
+// across the flushes a full buffer takes (each run writes more than the
+// buffer holds), for frames larger than the buffer's free space too: a
+// loaded window's batch is 6–10 KB.
 func TestTCPWriteFrameAllocFree(t *testing.T) {
 	tr := NewTCP(nil)
 	defer tr.Close()
@@ -145,7 +147,9 @@ func TestTCPWriteFrameAllocFree(t *testing.T) {
 			{From: "gw/us-west", To: "dc1/store0", Msg: ping{Seq: 1}},
 			{From: "gw/us-west", To: "dc1/store0", Msg: orderMsg{Src: "a", Seq: 2, Pad: make([]byte, 300)}},
 		}},
-		"2 KiB": orderMsg{Src: "a", Pad: make([]byte, 2<<10)},
+		"2 KiB":  orderMsg{Src: "a", Pad: make([]byte, 2<<10)},
+		"8 KiB":  orderMsg{Src: "a", Pad: make([]byte, 8<<10)},
+		"40 KiB": orderMsg{Src: "a", Pad: make([]byte, 40<<10)},
 	} {
 		e := Envelope{From: "dc1/store0", To: "dc2/app0", Msg: msg}
 		frame, err := AppendEnvelope(nil, e)
@@ -153,9 +157,10 @@ func TestTCPWriteFrameAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		perRun := connBuf/len(frame) + 1
+		var buf []byte
 		allocs := testing.AllocsPerRun(50, func() {
 			for i := 0; i < perRun; i++ {
-				if err := tr.writeFrame(bw, "peer", e); err != nil {
+				if buf, err = tr.writeFrame(bw, buf, "peer", e); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -163,5 +168,23 @@ func TestTCPWriteFrameAllocFree(t *testing.T) {
 		if allocs > 0 {
 			t.Errorf("%s: writing %d frames allocates %.1f objects per run, want 0", name, perRun, allocs)
 		}
+	}
+}
+
+// TestTCPFrameBufferFollowsFrames: a writer keeps a burst's large
+// encode buffer while its frames fill it, and gives it up at the first
+// small frame.
+func TestTCPFrameBufferFollowsFrames(t *testing.T) {
+	tr := NewTCP(nil)
+	defer tr.Close()
+	bw := bufio.NewWriterSize(io.Discard, connBuf)
+	big := Envelope{From: "a", To: "b", Msg: orderMsg{Src: "a", Pad: make([]byte, 40<<10)}}
+	small := Envelope{From: "a", To: "b", Msg: ping{Seq: 1}}
+	buf, err := tr.writeFrame(bw, nil, "peer", big)
+	if err != nil || cap(buf) < 40<<10 {
+		t.Fatalf("after a 40 KiB frame the buffer holds %d bytes (%v), want it kept", cap(buf), err)
+	}
+	if buf, err = tr.writeFrame(bw, buf, "peer", small); err != nil || cap(buf) > connBuf {
+		t.Fatalf("after a small frame the buffer holds %d bytes (%v), want at most %d", cap(buf), err, connBuf)
 	}
 }

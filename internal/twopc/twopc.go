@@ -60,7 +60,7 @@ type MsgRead struct {
 type MsgReadReply struct {
 	ReqID   uint64
 	Key     record.Key
-	Value   record.Value
+	Value   record.Encoded
 	Version record.Version
 	Exists  bool
 }
@@ -104,10 +104,10 @@ func (p *Participant) handle(env transport.Envelope) {
 	case MsgDecision:
 		p.onDecision(env.From, m)
 	case MsgRead:
-		val, ver, ok := p.store.Get(m.Key)
+		val, ver, ok := p.store.GetEncoded(m.Key)
 		p.net.Send(p.id, env.From, MsgReadReply{
 			ReqID: m.ReqID, Key: m.Key, Value: val, Version: ver,
-			Exists: ok && !val.Tombstone,
+			Exists: ok && !val.Tombstone(),
 		})
 	}
 }
@@ -140,23 +140,23 @@ func (p *Participant) onPrepare(from transport.NodeID, m MsgPrepare) {
 }
 
 func (p *Participant) validate(up record.Update) bool {
-	_, ver, _ := p.store.Get(up.Key)
+	_, ver, _ := p.store.GetEncoded(up.Key)
 	switch up.Kind {
 	case record.KindPhysical:
 		if up.ReadVersion != ver {
 			return false
 		}
 		for _, con := range p.cons {
-			if x, ok := up.NewValue.Attrs[con.Attr]; ok && !con.Satisfied(x) {
+			if x, ok := up.NewValue.Attr(con.Attr); ok && !con.Satisfied(x) {
 				return false
 			}
 		}
 		return true
 	case record.KindCommutative:
-		cur, _, _ := p.store.Get(up.Key)
+		cur, _, _ := p.store.GetEncoded(up.Key)
 		after := up.Apply(cur)
 		for _, con := range p.cons {
-			if x, ok := after.Attrs[con.Attr]; ok && !con.Satisfied(x) {
+			if x, ok := after.Attr(con.Attr); ok && !con.Satisfied(x) {
 				return false
 			}
 		}
@@ -178,12 +178,12 @@ func (p *Participant) onDecision(from transport.NodeID, m MsgDecision) {
 }
 
 func (p *Participant) apply(up record.Update) {
-	cur, ver, _ := p.store.Get(up.Key)
+	cur, ver, _ := p.store.GetEncoded(up.Key)
 	switch up.Kind {
 	case record.KindPhysical:
-		_ = p.store.Put(up.Key, up.NewValue, ver+1)
+		_ = p.store.PutEncoded(up.Key, up.NewValue, ver+1)
 	case record.KindCommutative:
-		_ = p.store.Put(up.Key, up.Apply(cur), ver+1)
+		_ = p.store.PutEncoded(up.Key, up.Apply(cur), ver+1)
 	}
 }
 
@@ -242,7 +242,7 @@ func (c *Coordinator) handle(env transport.Envelope) {
 	case MsgReadReply:
 		if cb, ok := c.reads[m.ReqID]; ok {
 			delete(c.reads, m.ReqID)
-			cb(m.Value, m.Version, m.Exists)
+			cb(m.Value.Decode(), m.Version, m.Exists)
 		}
 	}
 }

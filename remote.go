@@ -279,7 +279,7 @@ func (b *gatewayRPCBackend) handle(env transport.Envelope) {
 		delete(b.reads, m.ReqID)
 		b.mu.Unlock()
 		if ok {
-			p.cb(m.Value, m.Version, m.Exists)
+			p.cb(m.Value.Decode(), m.Version, m.Exists)
 		}
 	}
 }

@@ -89,3 +89,30 @@ func TestReadLatestRaisesSessionFloor(t *testing.T) {
 		t.Fatalf("Read after ReadLatest at version 5 = version %d, %v: the session read backwards", ver, err)
 	}
 }
+
+// TestCommittedWriteIsValueAtCommit: a committed write is the value
+// the caller passed at commit. A caller that edits its Value once
+// Commit has returned — the visibility that applies the write on the
+// replicas is still in flight — changes nothing any replica stores or
+// any later read answers.
+func TestCommittedWriteIsValueAtCommit(t *testing.T) {
+	c, err := StartCluster(ClusterConfig{LatencyScale: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s := c.Session(USWest)
+	v := Value{Attrs: map[string]int64{"x": 1}, Blob: []byte("row")}
+	if ok, err := s.Commit(Insert("k/alias", v)); !ok || err != nil {
+		t.Fatalf("Commit = %v, %v", ok, err)
+	}
+	v.Attrs["x"] = 999
+	v.Blob[0] = 'X'
+	got, ver, exists, err := s.ReadLatest("k/alias")
+	if err != nil || !exists || ver != 1 {
+		t.Fatalf("ReadLatest = %v v%d exists=%v, %v", got, ver, exists, err)
+	}
+	if got.Attr("x") != 1 || string(got.Blob) != "row" {
+		t.Fatalf("ReadLatest = %v %q, want the value at commit, x=1 \"row\"", got, got.Blob)
+	}
+}
