@@ -325,7 +325,7 @@ func TestRecoveryHealsFromSettledEntries(t *testing.T) {
 		}
 	}
 	if val, ver, _ := victim.Store().GetEncoded("heal/p"); ver != 2 || !bytes.Equal(val, updates[1].NewValue) {
-		t.Errorf("physical update not healed: %s v%d", val, ver)
+		t.Errorf("physical update not healed: %s v%d", val.Decode(), ver)
 	}
 	if val, ver, _ := victim.Store().Get("heal/c"); ver != 4 || val.Attr("x") != 7 {
 		t.Errorf("merged delta not healed with its span: %s v%d, want x=7 v4", val, ver)
@@ -372,7 +372,7 @@ func TestRestartRebuildsLineageExactly(t *testing.T) {
 		t.Fatalf("replayed summary %s != pre-crash %s", got, want)
 	}
 	if v, vr, _ := fr.node.Store().GetEncoded("rs/1"); vr != wantVer || !bytes.Equal(v, wantVal) {
-		t.Fatalf("replayed state %s v%d != pre-crash %s v%d", v, vr, wantVal, wantVer)
+		t.Fatalf("replayed state %s v%d != pre-crash %s v%d", v.Decode(), vr, wantVal.Decode(), wantVer)
 	}
 	_ = fr.ds.Close()
 }
@@ -551,7 +551,7 @@ func FuzzLineageMergeExact(f *testing.F) {
 		valA, verA, _ := reps[0].node.Store().GetEncoded("k")
 		if verA != refVer || !bytes.Equal(valA, refVal) {
 			t.Fatalf("merged state diverges from sequential reference:\n got  %s v%d\n want %s v%d\n summary %s",
-				valA, verA, refVal.Decode(), refVer, reps[0].node.LineageFingerprint("k"))
+				valA.Decode(), verA, refVal.Decode(), refVer, reps[0].node.LineageFingerprint("k"))
 		}
 		if got := reps[0].node.LineageFingerprint("k"); got != refSum.String() {
 			t.Fatalf("merged summary %s != reference %s", got, refSum.String())
