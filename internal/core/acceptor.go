@@ -468,6 +468,18 @@ func (n *StorageNode) settleOption(key record.Key, r *recState, d Decision, opt 
 	n.compactDecided(key, r, false)
 }
 
+// settled answers "has tx's option on this record settled, and how?"
+// for every caller — acceptor, leader and recovery alike. The decided
+// log answers first; a keySeq names the option's lineage identity, and
+// with one the summary answers for options whose decided-log entry was
+// released — exact, forever (DESIGN.md §5).
+func (n *StorageNode) settled(r *recState, tx TxID, keySeq uint64) (Decision, bool) {
+	if d, ok := r.decided.get(&n.lanes, tx); ok || keySeq == 0 {
+		return d, ok
+	}
+	return r.summary.decision(&n.lanes, laneOf(tx), keySeq)
+}
+
 // noteSettled folds one settled option (with contents) into the
 // record's summary and class lock (shared by live settles and WAL
 // replay).
@@ -666,16 +678,9 @@ func (n *StorageNode) voteFor(opt Option) MsgVote {
 	id := opt.ID()
 	promised, accepted := n.ballots(key, r)
 
-	// Idempotence: final decisions and existing votes are resent. The
-	// lineage summary answers for settled options whose decided-log
-	// entry was released — exact, forever.
-	if d, ok := r.decided.get(&n.lanes, opt.Tx); ok {
+	// Idempotence: final decisions and existing votes are resent.
+	if d, ok := n.settled(r, opt.Tx, opt.KeySeq); ok {
 		return MsgVote{OptID: id, Ballot: promised, Decision: d}
-	}
-	if opt.KeySeq > 0 {
-		if d, ok := r.summary.decision(&n.lanes, laneOf(opt.Tx), opt.KeySeq); ok {
-			return MsgVote{OptID: id, Ballot: promised, Decision: d}
-		}
 	}
 	if i := r.voteIndex(id); i >= 0 {
 		v := &r.open.votes[i]
@@ -949,23 +954,16 @@ func ceilDiv(a, b int64) int64 {
 // onVisibility executes or discards an option (§3.2.1 "Learned"
 // messages). Commit applies the update and bumps the version; abort
 // discards. Both record the outcome for idempotence and recovery.
-// The lineage summary keeps idempotence exact forever: a re-delivered
-// visibility for an option whose decided-log entry was long released
-// still skips, because the summary never forgets a settled identity.
 func (n *StorageNode) onVisibility(m MsgVisibility) {
 	key := m.Opt.Update.Key
 	r := n.rs(key)
 	id := m.Opt.ID()
-	if _, ok := r.decided.get(&n.lanes, id.Tx); ok {
+	if _, ok := n.settled(r, id.Tx, m.Opt.KeySeq); ok {
 		// Already executed or discarded; still release any lingering
 		// vote (the settle may have arrived via a base adoption that
 		// never saw the vote).
 		n.pruneVote(r, id)
 		return
-	}
-	if m.Opt.KeySeq > 0 && r.summary.contains(&n.lanes, laneOf(m.Opt.Tx), m.Opt.KeySeq) {
-		n.pruneVote(r, id)
-		return // settled knowledge outlived the decided-log cache
 	}
 	if n.tr != nil {
 		now := n.net.Now()
@@ -995,7 +993,7 @@ func (n *StorageNode) onVisibility(m MsgVisibility) {
 	// post-pruneVote snapshot reflects it).
 	n.pruneVote(r, id)
 	n.markFeedDirty(key)
-	n.leaderObserveVisibility(key, id)
+	n.leaderObserveVisibility(r, m.Opt)
 }
 
 // adoptBase reconciles a fresher (or equal-version but possibly
@@ -1121,15 +1119,7 @@ func (n *StorageNode) applyUpdate(up record.Update) {
 }
 
 // voteIndex returns the position of id's unresolved vote, -1 if none.
-func (r *recState) voteIndex(id OptionID) int {
-	votes := r.votes()
-	for i := range votes {
-		if votes[i].Opt.ID() == id {
-			return i
-		}
-	}
-	return -1
-}
+func (r *recState) voteIndex(id OptionID) int { return optIndex(r.votes(), id) }
 
 // voteSlots is one record's pair of vote arrays, empty and zeroed,
 // between two records that use it.
@@ -1275,11 +1265,8 @@ func (n *StorageNode) onPhase2a(from transport.NodeID, m MsgPhase2a) {
 	o.votes, o.votedAt = n.takeVoteSlots(len(m.CStruct))
 	next := 0 // cursor into prev: successive cstructs keep their order
 	for _, v := range m.CStruct {
-		if _, ok := r.decided.get(&n.lanes, v.Opt.Tx); ok {
+		if _, ok := n.settled(r, v.Opt.Tx, v.Opt.KeySeq); ok {
 			continue // already settled locally (e.g. visibility raced ahead)
-		}
-		if v.Opt.KeySeq > 0 && r.summary.contains(&n.lanes, laneOf(v.Opt.Tx), v.Opt.KeySeq) {
-			continue // settled knowledge outlived the decided-log cache
 		}
 		// votedAt measures how long the option has been unresolved, so
 		// a re-adopted vote keeps its original timestamp. Resetting it

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"mdcc/internal/paxos"
@@ -114,25 +114,11 @@ func (n *StorageNode) leaderPropose(opt Option, recovery bool) {
 		l.resetGamma(n.cfg)
 	}
 
-	comm := opt.Update.Kind == record.KindCommutative
-	// Already settled? Answer immediately. The summary answers for
-	// options whose decided-log entry was released.
-	if d, ok := r.decided.get(&n.lanes, id.Tx); ok {
-		n.notifyLearned(opt.Coord, id, d, ReasonNone, comm)
+	// Already settled? Answer immediately.
+	if d, ok := n.known(r, l, id.Tx, opt.KeySeq); ok {
+		n.notifyLearned(opt.Coord, id, d, ReasonNone, opt.Update.Kind == record.KindCommutative)
 		n.resolveWaiters(l, id, d)
 		return
-	}
-	if d, ok := l.learned.get(&n.lanes, id.Tx); ok {
-		n.notifyLearned(opt.Coord, id, d, ReasonNone, comm)
-		n.resolveWaiters(l, id, d)
-		return
-	}
-	if opt.KeySeq > 0 {
-		if d, ok := r.summary.decision(&n.lanes, laneOf(opt.Tx), opt.KeySeq); ok {
-			n.notifyLearned(opt.Coord, id, d, ReasonNone, comm)
-			n.resolveWaiters(l, id, d)
-			return
-		}
 	}
 	// Ring fence: a shard move re-homed the key and this node's group
 	// no longer owns it. Leading a classic round here — even one the γ
@@ -146,15 +132,8 @@ func (n *StorageNode) leaderPropose(opt Option, recovery bool) {
 	}
 
 	// Already in flight (duplicate propose / concurrent recovery)?
-	for _, v := range l.cstruct {
-		if v.Opt.ID() == id {
-			return
-		}
-	}
-	for _, q := range l.queue {
-		if q.ID() == id {
-			return
-		}
+	if l.inFlight(id) {
+		return
 	}
 
 	if !l.owned {
@@ -168,6 +147,36 @@ func (n *StorageNode) leaderPropose(opt Option, recovery bool) {
 	dec, reason := n.evalOption(l.cstruct, opt, false)
 	l.cstruct = append(l.cstruct, VotedOption{Opt: opt, Decision: dec, Reason: reason})
 	n.sendPhase2a(key, l)
+}
+
+// known is settled plus what this leader learned: the answer to "has
+// this option been decided?" on the leader's side.
+func (n *StorageNode) known(r *recState, l *leaderRec, tx TxID, keySeq uint64) (Decision, bool) {
+	if d, ok := n.settled(r, tx, keySeq); ok {
+		return d, true
+	}
+	return l.learned.get(&n.lanes, tx)
+}
+
+// inFlight reports whether id's option is in the leader's cstruct or
+// queue.
+func (l *leaderRec) inFlight(id OptionID) bool {
+	return optIndex(l.cstruct, id) >= 0 || slices.IndexFunc(l.queue, func(q Option) bool { return q.ID() == id }) >= 0
+}
+
+// decision answers from the Phase1b replies' summaries, asked in
+// froms' order.
+func (p1 *phase1Ctx) decision(froms []transport.NodeID, tx TxID, keySeq uint64) (Decision, bool) {
+	if keySeq == 0 {
+		return DecUnknown, false
+	}
+	lane := laneOf(tx)
+	for _, from := range froms {
+		if d, ok := p1.replies[from].Lineage.Decision(lane, keySeq); ok {
+			return d, true
+		}
+	}
+	return DecUnknown, false
 }
 
 // resetGamma (re)opens the classic window after a collision.
@@ -266,7 +275,7 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 	for from := range p1.replies {
 		froms = append(froms, from)
 	}
-	sort.Slice(froms, func(i, j int) bool { return froms[i] < froms[j] })
+	slices.Sort(froms)
 	var freshest *MsgPhase1b
 	for _, from := range froms {
 		rep := p1.replies[from]
@@ -279,16 +288,13 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 		n.adoptBase(key, freshest.Value, freshest.Version, freshest.Lineage)
 	}
 
-	// Gather votes and known decisions.
+	// Gather votes.
 	type tally struct {
 		opt        Option
 		accepts    int      // fast-ballot accept votes
 		rejects    int      // fast-ballot reject votes
 		carried    bool     // present in the highest classic cstruct
 		carriedDec Decision // its decision there
-		stale      bool     // seen only in a superseded classic cstruct
-		decision   Decision // from decided logs, if any
-		decided    bool
 	}
 	tallies := make(map[OptionID]*tally)
 	get := func(opt Option) *tally {
@@ -338,63 +344,34 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 				} else {
 					t.rejects++
 				}
-			default:
-				// Superseded lower classic ballot: its decisions were
-				// never (and can no longer be) chosen; re-evaluate the
-				// option freshly so it is not silently lost.
-				t.stale = true
 			}
+			// A vote of a superseded lower classic ballot was never (and
+			// can no longer be) chosen: the option is re-evaluated freshly
+			// below so it is not silently lost.
 		}
 	}
-	// Settled-option detection: a tallied option may already be
-	// executed or discarded somewhere. The local decided log, the
-	// local summary, and every reply's lineage summary answer exactly
-	// — including for options settled long before any retention
-	// window, which the old decided-list exchange could not see.
-	for id, t := range tallies {
-		if d, ok := r.decided.get(&n.lanes, id.Tx); ok {
-			t.decided, t.decision = true, d
-			continue
+	// settled asks the local record, then every reply's summary, so an
+	// option settled long before any retention window still answers
+	// exactly.
+	settled := func(id OptionID, keySeq uint64) (Decision, bool) {
+		if d, ok := n.settled(r, id.Tx, keySeq); ok {
+			return d, true
 		}
-		if t.opt.KeySeq == 0 {
-			continue
-		}
-		lane := laneOf(id.Tx)
-		if d, ok := r.summary.decision(&n.lanes, lane, t.opt.KeySeq); ok {
-			t.decided, t.decision = true, d
-			continue
-		}
-		for _, from := range froms {
-			if d, ok := p1.replies[from].Lineage.Decision(lane, t.opt.KeySeq); ok {
-				t.decided, t.decision = true, d
-				break
-			}
-		}
+		return p1.decision(froms, id.Tx, keySeq)
 	}
 
-	// Deterministic processing order.
-	ids := make([]OptionID, 0, len(tallies))
-	for id := range tallies {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].Tx != ids[j].Tx {
-			return ids[i].Tx < ids[j].Tx
-		}
-		return ids[i].Key < ids[j].Key
-	})
-
-	// First pass: carry possibly-chosen decisions (they may already
-	// be learned by some coordinator and must survive).
+	// First pass, in deterministic order: carry possibly-chosen
+	// decisions (they may already be learned by some coordinator and
+	// must survive).
 	newCStruct := make([]VotedOption, 0, len(tallies))
 	var free []Option
-	for _, id := range ids {
+	for _, id := range sortedIDs(tallies) {
 		t := tallies[id]
-		if t.decided {
+		if d, ok := settled(id, t.opt.KeySeq); ok {
 			// Settled (executed/discarded) at some replica: nothing to
 			// carry; make sure recovery requesters hear the outcome.
-			n.resolveWaiters(l, id, t.decision)
-			l.learned.record(&n.lanes, key, t.decision, t.opt, t.opt.Update.Kind != 0, n.net.Now())
+			n.resolveWaiters(l, id, d)
+			l.learned.record(&n.lanes, key, d, t.opt, t.opt.Update.Kind != 0, n.net.Now())
 			if t.opt.Update.Kind != 0 {
 				// Some replica still holds an unresolved vote for this
 				// settled option — its visibility was lost (e.g. dropped
@@ -405,7 +382,7 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 				// recovered the update, and an acknowledged commit whose
 				// effect lives only on soon-to-be-overwritten stale
 				// replicas is lost for good.
-				vis := visibilityFor(t.opt, t.decision == DecAccept)
+				vis := visibilityFor(t.opt, d == DecAccept)
 				for _, rep := range n.cl.Replicas(key) {
 					n.send(rep, vis)
 				}
@@ -426,13 +403,9 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 	// Queued proposals that surfaced nowhere else are free options.
 	for _, q := range l.queue {
 		if _, ok := tallies[q.ID()]; !ok {
-			if _, done := r.decided.get(&n.lanes, q.Tx); done {
-				continue
+			if _, done := n.known(r, l, q.Tx, 0); !done {
+				free = append(free, q)
 			}
-			if _, done := l.learned.get(&n.lanes, q.Tx); done {
-				continue
-			}
-			free = append(free, q)
 		}
 	}
 	l.queue = nil
@@ -441,12 +414,7 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 	// set — deterministic, so every replica adopting this cstruct
 	// agrees (the paper's requirement that all storage nodes make the
 	// same decision).
-	sort.Slice(free, func(i, j int) bool {
-		if free[i].Tx != free[j].Tx {
-			return free[i].Tx < free[j].Tx
-		}
-		return free[i].Update.Key < free[j].Update.Key
-	})
+	slices.SortFunc(free, func(a, b Option) int { return a.ID().compare(b.ID()) })
 	for _, opt := range free {
 		dec, reason := n.evalOption(newCStruct, opt, false)
 		newCStruct = append(newCStruct, VotedOption{Opt: opt, Decision: dec, Reason: reason})
@@ -459,53 +427,29 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 	// (a later fast ballot could still choose them; see onRecoverOpt),
 	// so the rejection is settled through this round's cstruct and the
 	// waiters are answered when it learns. Sorted for determinism.
-	wids := make([]OptionID, 0, len(l.waiters))
-	for id := range l.waiters {
-		wids = append(wids, id)
-	}
-	sort.Slice(wids, func(i, j int) bool {
-		if wids[i].Tx != wids[j].Tx {
-			return wids[i].Tx < wids[j].Tx
-		}
-		return wids[i].Key < wids[j].Key
-	})
-	for _, id := range wids {
-		if _, ok := tallies[id]; ok {
+	for _, id := range sortedIDs(l.waiters) {
+		if _, ok := tallies[id]; ok || l.inFlight(id) {
 			continue
 		}
-		inC := false
-		for _, v := range l.cstruct {
-			if v.Opt.ID() == id {
-				inC = true
+		// The requester's lineage identity (when it knew one).
+		var keySeq uint64
+		for _, w := range l.waiters[id] {
+			if keySeq = w.keySeq; keySeq > 0 {
 				break
 			}
-		}
-		if inC {
-			continue
 		}
 		// Settled knowledge first: the local log/summary or any reply's
 		// summary may know the outcome of an option that has no votes
 		// left anywhere (settled and fully pruned). Answering from it
 		// is exact; the fiat-reject below is only for options that
 		// provably never settled up to this ballot.
-		if d, ok := r.decided.get(&n.lanes, id.Tx); ok {
-			n.resolveWaiters(l, id, d)
-			continue
-		}
-		if d, ok := n.waiterSummaryDecision(r, l, p1, froms, id); ok {
+		if d, ok := settled(id, keySeq); ok {
 			n.resolveWaiters(l, id, d)
 			continue
 		}
 		// Stamp the requester's lineage identity onto the fiat reject
-		// (when known) so the settled decision enters summaries and
-		// outlives every cache (see onRecoverOpt).
-		var keySeq uint64
-		for _, w := range l.waiters[id] {
-			if w.keySeq > 0 {
-				keySeq = w.keySeq
-				break
-			}
-		}
+		// so the settled decision enters summaries and outlives every
+		// cache (see onRecoverOpt).
 		l.cstruct = append(l.cstruct, VotedOption{
 			Opt:      Option{Tx: id.Tx, Update: record.Update{Key: id.Key}, KeySeq: keySeq},
 			Decision: DecReject,
@@ -517,34 +461,6 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 	} else {
 		n.maybeEnableFast(key, l)
 	}
-}
-
-// waiterSummaryDecision answers a recovery waiter's option from exact
-// settled knowledge: the waiter's lineage identity (if the requester
-// knew it) looked up in the local summary and in every Phase1b
-// reply's summary.
-func (n *StorageNode) waiterSummaryDecision(r *recState, l *leaderRec, p1 *phase1Ctx,
-	froms []transport.NodeID, id OptionID) (Decision, bool) {
-	var keySeq uint64
-	for _, w := range l.waiters[id] {
-		if w.keySeq > 0 {
-			keySeq = w.keySeq
-			break
-		}
-	}
-	if keySeq == 0 {
-		return DecUnknown, false
-	}
-	lane := laneOf(id.Tx)
-	if d, ok := r.summary.decision(&n.lanes, lane, keySeq); ok {
-		return d, true
-	}
-	for _, from := range froms {
-		if d, ok := p1.replies[from].Lineage.Decision(lane, keySeq); ok {
-			return d, true
-		}
-	}
-	return DecUnknown, false
 }
 
 // sendPhase2a broadcasts the full current cstruct with the leader's
@@ -612,13 +528,10 @@ func (n *StorageNode) onPhase2b(from transport.NodeID, m MsgPhase2b) {
 	}
 	prop.done = true
 	delete(l.props, m.Seq)
+	r := n.rs(m.Key)
 	for _, v := range prop.snapshot {
 		id := v.Opt.ID()
-		if _, done := l.learned.get(&n.lanes, id.Tx); done {
-			continue
-		}
-		r := n.rs(m.Key)
-		if _, done := r.decided.get(&n.lanes, id.Tx); done {
+		if _, done := n.known(r, l, id.Tx, 0); done {
 			continue
 		}
 		l.learned.record(&n.lanes, m.Key, v.Decision, v.Opt, true, n.net.Now())
@@ -687,23 +600,21 @@ func (n *StorageNode) maybeEnableFast(key record.Key, l *leaderRec) {
 
 // dropFromCStruct removes a settled option from the leader mirror.
 func (n *StorageNode) dropFromCStruct(l *leaderRec, id OptionID) {
-	for i, v := range l.cstruct {
-		if v.Opt.ID() == id {
-			l.cstruct = append(l.cstruct[:i], l.cstruct[i+1:]...)
-			return
-		}
+	if i := optIndex(l.cstruct, id); i >= 0 {
+		l.cstruct = append(l.cstruct[:i], l.cstruct[i+1:]...)
 	}
 }
 
 // leaderObserveVisibility prunes leader state when an option
 // executes or aborts on this node.
-func (n *StorageNode) leaderObserveVisibility(key record.Key, id OptionID) {
+func (n *StorageNode) leaderObserveVisibility(r *recState, opt Option) {
+	key, id := opt.Update.Key, opt.ID()
 	l, ok := n.ldrs[key]
 	if !ok {
 		return
 	}
 	n.dropFromCStruct(l, id)
-	if d, known := n.rs(key).decided.get(&n.lanes, id.Tx); known {
+	if d, ok := n.settled(r, id.Tx, opt.KeySeq); ok {
 		n.resolveWaiters(l, id, d)
 	}
 	n.maybeEnableFast(key, l)

@@ -19,8 +19,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"mdcc/internal/record"
 	"mdcc/internal/transport"
@@ -63,6 +65,26 @@ type OptionID struct {
 
 // String renders "tx@key".
 func (id OptionID) String() string { return fmt.Sprintf("%s@%s", id.Tx, id.Key) }
+
+// compare orders option ids by transaction, then key: the one order a
+// leader processes options in, so every replica adopting its cstruct
+// sees the same one.
+func (id OptionID) compare(o OptionID) int {
+	if c := cmp.Compare(id.Tx, o.Tx); c != 0 {
+		return c
+	}
+	return cmp.Compare(id.Key, o.Key)
+}
+
+// sortedIDs returns m's option ids in compare order.
+func sortedIDs[V any](m map[OptionID]V) []OptionID {
+	ids := make([]OptionID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	slices.SortFunc(ids, OptionID.compare)
+	return ids
+}
 
 // Option is a proposed right to execute one update of a transaction.
 // Per §3.2.3 it carries the transaction id and the full write-set key
@@ -120,4 +142,14 @@ type VotedOption struct {
 	Opt      Option
 	Decision Decision
 	Reason   RejectReason
+}
+
+// optIndex returns the position of id's option in vs, -1 if none.
+func optIndex(vs []VotedOption, id OptionID) int {
+	for i := range vs {
+		if vs[i].Opt.ID() == id {
+			return i
+		}
+	}
+	return -1
 }

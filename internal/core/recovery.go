@@ -60,13 +60,13 @@ func (n *StorageNode) sweepPending() {
 		if o == nil || o.votes == nil {
 			continue
 		}
-		// Release votes for options the lineage summary already knows
-		// settled (the settle arrived via a base adoption, so no
-		// visibility message ever pruned them): recovering those would
-		// re-force a decision that is already final.
+		// Release votes for options already settled here (the settle
+		// arrived via a base adoption, so no visibility message ever
+		// pruned them): recovering those would re-force a decision
+		// that is already final.
 		live := 0
 		for i, v := range o.votes {
-			if v.Opt.KeySeq > 0 && r.summary.contains(&n.lanes, laneOf(v.Opt.Tx), v.Opt.KeySeq) {
+			if _, done := n.settled(r, v.Opt.Tx, v.Opt.KeySeq); done {
 				continue
 			}
 			o.votes[live], o.votedAt[live] = v, o.votedAt[i]
@@ -163,20 +163,15 @@ func (n *StorageNode) onRecoverOpt(from transport.NodeID, m MsgRecoverOpt) {
 		})
 		return
 	}
-	if m.KeySeq > 0 {
-		// The lineage summary answers exactly, forever — even after
-		// the decided-log entry was released. Contents are only ever
-		// released once every replica settled the option, so an
-		// accept answered without contents needs no re-broadcast
-		// (every replica already applied it); the fiat path below
-		// would instead re-force — and could contradict — a decision
-		// that was already made.
-		if d, ok := r.summary.decision(&n.lanes, laneOf(m.Tx), m.KeySeq); ok {
-			n.send(from, MsgOptDecided{
-				ReqID: m.ReqID, Tx: m.Tx, Key: m.Key, Decision: d,
-			})
-			return
-		}
+	// The lineage summary answers exactly, forever — even after the
+	// decided-log entry was released. Contents are only ever released
+	// once every replica settled the option, so an accept answered
+	// without contents needs no re-broadcast (every replica already
+	// applied it); the fiat path below would instead re-force — and
+	// could contradict — a decision that was already made.
+	if d, ok := n.settled(r, m.Tx, m.KeySeq); ok {
+		n.send(from, MsgOptDecided{ReqID: m.ReqID, Tx: m.Tx, Key: m.Key, Decision: d})
+		return
 	}
 	l.waiters[id] = append(l.waiters[id], optWaiter{reqID: m.ReqID, from: from, keySeq: m.KeySeq})
 	if m.HasOpt {
@@ -191,10 +186,8 @@ func (n *StorageNode) onRecoverOpt(from transport.NodeID, m MsgRecoverOpt) {
 		n.startPhase1(m.Key, l)
 		return
 	}
-	for _, v := range l.cstruct {
-		if v.Opt.ID() == id {
-			return // already being settled by an in-flight round
-		}
+	if l.inFlight(id) {
+		return // already being settled by an in-flight round
 	}
 	if l.owned {
 		// We lead the record and the option is nowhere in our cstruct:
