@@ -400,10 +400,15 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 			free = append(free, t.opt)
 		}
 	}
-	// Queued proposals that surfaced nowhere else are free options.
+	// Queued proposals that surfaced nowhere else and are not decided
+	// yet are free options. One the summary holds as settled — the base
+	// adopted above, or any before it, may carry it — was decided
+	// elsewhere, and evaluating it again against that base could decide
+	// it the other way; its coordinator's next proposal is answered by
+	// leaderPropose.
 	for _, q := range l.queue {
 		if _, ok := tallies[q.ID()]; !ok {
-			if _, done := n.known(r, l, q.Tx, 0); !done {
+			if _, done := n.known(r, l, q.Tx, q.KeySeq); !done {
 				free = append(free, q)
 			}
 		}
@@ -531,7 +536,10 @@ func (n *StorageNode) onPhase2b(from transport.NodeID, m MsgPhase2b) {
 	r := n.rs(m.Key)
 	for _, v := range prop.snapshot {
 		id := v.Opt.ID()
-		if _, done := n.known(r, l, id.Tx, 0); done {
+		// Decided already, or settled here while the round was in flight
+		// (a base adoption may carry it): that decision stands, and this
+		// round's reaches nobody.
+		if _, done := n.known(r, l, id.Tx, v.Opt.KeySeq); done {
 			continue
 		}
 		l.learned.record(&n.lanes, m.Key, v.Decision, v.Opt, true, n.net.Now())

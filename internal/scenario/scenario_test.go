@@ -132,3 +132,26 @@ func TestScenarioSeedSensitivity(t *testing.T) {
 			a.Commits, a.Net.Delivered, a.Aborts)
 	}
 }
+
+// TestGatewaySaturationSeed3Settles is a regression at default sizing
+// (150 clients, one minute): a leader queued an option its summary
+// already held as accepted (a base adoption carried it), re-evaluated
+// it as free against that base and decided it rejected, so the
+// recovery that asked for it discarded a committed option and the run
+// ended with 150 transactions unresolved after some 36 000 recoveries.
+// A leader now asks core's one settled-state lookup, with the option's
+// lineage identity, before it decides anything (DESIGN.md §5, "a
+// settled option is never re-decided").
+func TestGatewaySaturationSeed3Settles(t *testing.T) {
+	s, ok := Find("gateway-saturation")
+	if !ok {
+		t.Fatal("gateway-saturation not registered")
+	}
+	res, err := s.Run(Options{Seed: 3, Faults: true})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if !res.Passed() {
+		t.Fatalf("gateway-saturation seed 3 failed:\n%s", res.Report())
+	}
+}
