@@ -400,11 +400,10 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 			free = append(free, t.opt)
 		}
 	}
-	// Queued proposals that surfaced nowhere else and are not decided
-	// yet are free options. One the summary holds as settled — the base
-	// adopted above, or any before it, may carry it — was decided
-	// elsewhere, and evaluating it again against that base could decide
-	// it the other way; its coordinator's next proposal is answered by
+	// Queued proposals that surfaced nowhere else are free options,
+	// unless already decided: one a base adoption settled while it
+	// waited, evaluated again against that base, could be decided the
+	// other way. Its coordinator's next proposal is answered by
 	// leaderPropose.
 	for _, q := range l.queue {
 		if _, ok := tallies[q.ID()]; !ok {
