@@ -403,13 +403,15 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 	// Queued proposals that surfaced nowhere else are free options,
 	// unless already decided: one a base adoption settled while it
 	// waited, evaluated again against that base, could be decided the
-	// other way. Its coordinator's next proposal is answered by
-	// leaderPropose.
+	// other way. Its coordinator hears the decision instead.
 	for _, q := range l.queue {
-		if _, ok := tallies[q.ID()]; !ok {
-			if _, done := n.known(r, l, q.Tx, q.KeySeq); !done {
-				free = append(free, q)
-			}
+		if _, ok := tallies[q.ID()]; ok {
+			continue
+		}
+		if d, done := n.known(r, l, q.Tx, q.KeySeq); done {
+			n.notifyLearned(q.Coord, q.ID(), d, ReasonNone, q.Update.Kind == record.KindCommutative)
+		} else {
+			free = append(free, q)
 		}
 	}
 	l.queue = nil
@@ -535,18 +537,22 @@ func (n *StorageNode) onPhase2b(from transport.NodeID, m MsgPhase2b) {
 	r := n.rs(m.Key)
 	for _, v := range prop.snapshot {
 		id := v.Opt.ID()
-		// Decided already, or settled here while the round was in flight
-		// (a base adoption may carry it): that decision stands, and this
-		// round's reaches nobody.
-		if _, done := n.known(r, l, id.Tx, v.Opt.KeySeq); done {
+		if _, done := l.learned.get(&n.lanes, id.Tx); done {
 			continue
 		}
-		l.learned.record(&n.lanes, m.Key, v.Decision, v.Opt, true, n.net.Now())
+		// Settled here while the round was in flight (its visibility, or
+		// a base adoption carrying it): that decision stands, and is the
+		// one this round learns.
+		d, reason := v.Decision, v.Reason
+		if s, ok := n.settled(r, id.Tx, v.Opt.KeySeq); ok {
+			d, reason = s, ReasonNone
+		}
+		l.learned.record(&n.lanes, m.Key, d, v.Opt, true, n.net.Now())
 		l.learned.compactLegacy(n.net.Now(), n.cfg.DecidedRetention)
-		n.notifyLearned(v.Opt.Coord, id, v.Decision, v.Reason,
+		n.notifyLearned(v.Opt.Coord, id, d, reason,
 			v.Opt.Update.Kind == record.KindCommutative)
-		n.resolveWaiters(l, id, v.Decision)
-		if v.Decision == DecReject {
+		n.resolveWaiters(l, id, d)
+		if d == DecReject {
 			// Rejected options never execute; drop them from the
 			// leader's cstruct now (acceptors prune on the abort
 			// visibility from the coordinator).

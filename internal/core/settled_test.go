@@ -35,20 +35,17 @@ func withSettled(n *StorageNode, key record.Key, opt Option, d Decision) Lineage
 // (MsgOptDecided): the recoverer would then finish the transaction on
 // the remaining replicas the other way.
 //
-// A queued option never enters a cstruct, and the recoverer hears the
-// settled decision when Phase 1 finishes. One already proposed stays in
-// the cstruct (so acceptors that missed its visibility keep the vote
-// their sweep recovers it from), and the round's quorum learns nothing
-// about it.
+// A queued option never enters a cstruct; its coordinator and the
+// recoverer hear the settled decision when Phase 1 finishes. For one
+// already proposed, the round's quorum learns the settled decision, not
+// the round's own: coordinator and recoverer hear it, and under MDCC the
+// drained γ window reopens fast ballots.
 func TestLeaderNeverRedecidesSettledOption(t *testing.T) {
 	const key = record.Key("settled/1")
-	run := func(t *testing.T, queued bool, settled Decision, ready func(l *leaderRec) bool) {
-		mode := ModeMulti // the master owns classic ballot 1 and proposes at once
-		if queued {
-			mode = ModeMDCC // a leader takes the record over through Phase 1
-		}
+	run := func(t *testing.T, mode Mode, queued bool, settled Decision, ready func(l *leaderRec) bool) {
 		cfg := cfgNoSweep(mode)
 		cfg.SyncInterval = 0
+		cfg.Gamma = 1 // one learned option drains the classic window
 		w := newWorld(t, cfg, 1, 1, 47)
 		if !w.commit(0, record.Insert(key, record.Value{Attrs: map[string]int64{"x": 0}})).Committed {
 			t.Fatal("insert failed")
@@ -91,6 +88,7 @@ func TestLeaderNeverRedecidesSettledOption(t *testing.T) {
 			t.Fatal("the leader never took the option up")
 		}
 		seqAtAdoption = ldr.ldrs[key].seq
+		fastAtAdoption := ldr.m.EnableFast
 		base, ver, _ := ldr.Store().GetEncoded(key)
 		if settled == DecAccept {
 			base, ver = opt.Update.NewValue, 2
@@ -110,21 +108,25 @@ func TestLeaderNeverRedecidesSettledOption(t *testing.T) {
 				break
 			}
 		}
+		if len(learned) == 0 || len(decided) == 0 {
+			t.Errorf("coordinator answered %v, recoverer answered %v; want both answered", learned, decided)
+		}
 		l := ldr.ldrs[key]
-		if d, ok := l.learned.get(&ldr.lanes, opt.Tx); ok && (!queued || d != settled) {
+		if d, ok := l.learned.get(&ldr.lanes, opt.Tx); ok && d != settled {
 			t.Errorf("the leader learned %v for an option its summary holds as %v", d, settled)
 		}
 		if got, _ := ldr.Store().Version(key); got != ver {
 			t.Errorf("leader at v%d, want the adopted v%d", got, ver)
 		}
 		if !queued {
-			if len(l.props) != 0 || len(learned) != 0 {
-				t.Errorf("round still open (%d proposals) or learned %v", len(l.props), learned)
+			if len(l.props) != 0 {
+				t.Errorf("round still open (%d proposals)", len(l.props))
+			}
+			if mode == ModeMDCC && (l.owned || ldr.m.EnableFast == fastAtAdoption) {
+				t.Errorf("fast ballots never reopened (owned %v, EnableFast %d → %d)",
+					l.owned, fastAtAdoption, ldr.m.EnableFast)
 			}
 			return
-		}
-		if len(decided) == 0 {
-			t.Error("the recoverer was never answered")
 		}
 		if shipped > 0 || optIndex(l.cstruct, opt.ID()) >= 0 {
 			t.Errorf("the settled option entered the cstruct (%d Phase2a messages proposed it)", shipped)
@@ -134,19 +136,23 @@ func TestLeaderNeverRedecidesSettledOption(t *testing.T) {
 	for _, settled := range []Decision{DecAccept, DecReject} {
 		// Queued behind Phase 1 on a leader that does not own the record.
 		t.Run("queued/"+settled.String(), func(t *testing.T) {
-			run(t, true, settled, func(l *leaderRec) bool {
+			run(t, ModeMDCC, true, settled, func(l *leaderRec) bool {
 				if l.owned {
 					t.Fatal("the leader already owns the record")
 				}
 				return len(l.queue) == 1 && l.phase1 != nil
 			})
 		})
-		// In the cstruct, its Phase2a out, no quorum of Phase2b yet.
-		t.Run("between Phase2a and quorum/"+settled.String(), func(t *testing.T) {
-			run(t, false, settled, func(l *leaderRec) bool {
-				return len(l.props) == 1 && optIndex(l.cstruct, OptionID{Tx: "stray#1", Key: key}) >= 0
+		// In the cstruct, its Phase2a out, no quorum of Phase2b yet: on
+		// a Multi master, which owns classic ballot 1 and proposes at
+		// once, and on an MDCC leader after its Phase 1.
+		for _, mode := range []Mode{ModeMulti, ModeMDCC} {
+			t.Run("between Phase2a and quorum/"+mode.String()+"/"+settled.String(), func(t *testing.T) {
+				run(t, mode, false, settled, func(l *leaderRec) bool {
+					return len(l.props) == 1 && optIndex(l.cstruct, OptionID{Tx: "stray#1", Key: key}) >= 0
+				})
 			})
-		})
+		}
 	}
 }
 
