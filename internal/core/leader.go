@@ -204,16 +204,32 @@ func (n *StorageNode) startPhase1(key record.Key, l *leaderRec) {
 		base = promised
 	}
 	ballot := base.Next(string(n.id))
-	l.phase1 = &phase1Ctx{ballot: ballot, replies: make(map[transport.NodeID]MsgPhase1b)}
+	p1 := &phase1Ctx{ballot: ballot, replies: make(map[transport.NodeID]MsgPhase1b)}
+	l.phase1 = p1
 	if n.tr != nil {
 		// Node-scoped (tx-less) event: the ballot takeover serves every
 		// queued option on the record; timelines pick it up by key.
 		n.tr.Add(trace.Event{At: n.net.Now().UnixNano(), Key: string(key),
 			Stage: trace.StagePhase1, Arg: int64(len(l.queue))})
 	}
+	n.sendPhase1a(key, p1)
+}
+
+// sendPhase1a asks every replica that has not answered p1 yet, and
+// asks again while p1 is open: an attempt whose Phase1a or Phase1b
+// messages were lost would otherwise hold the record's leadership, and
+// every option queued behind it, for good.
+func (n *StorageNode) sendPhase1a(key record.Key, p1 *phase1Ctx) {
 	for _, rep := range n.cl.Replicas(key) {
-		n.send(rep, MsgPhase1a{Key: key, Ballot: ballot})
+		if _, ok := p1.replies[rep]; !ok {
+			n.send(rep, MsgPhase1a{Key: key, Ballot: p1.ballot})
+		}
 	}
+	n.after(n.cfg.RecoveryRetry, func() {
+		if n.lr(key).phase1 == p1 {
+			n.sendPhase1a(key, p1)
+		}
+	})
 }
 
 // onPhase1b collects promises. A higher promise in the reply means

@@ -52,6 +52,56 @@ func TestLeaderContention(t *testing.T) {
 	}
 }
 
+// TestPhase1SurvivesLostMessages: a takeover whose first Phase1a
+// messages are lost to all but one peer hears from no classic quorum.
+// The leader asks again while the attempt is open, so the option queued
+// behind it is still decided; without that the attempt held the
+// record's leadership, and every option queued behind it, for good.
+func TestPhase1SurvivesLostMessages(t *testing.T) {
+	w := newWorld(t, cfgNoSweep(ModeMDCC), 1, 1, 43)
+	const key = record.Key("p1/1")
+	if !w.commit(0, record.Insert(key, record.Value{Attrs: map[string]int64{"x": 0}})).Committed {
+		t.Fatal("insert failed")
+	}
+	w.settle()
+	leader := topology.StorageID(topology.USWest, 0)
+	// Every peer but one drops the first Phase1a it gets: with the
+	// leader's own reply that is two of five, one short of a quorum.
+	var peers, lost int
+	for _, id := range w.cl.Replicas(key) {
+		n, drop := w.node(id), id != leader && peers > 0
+		if id != leader {
+			peers++
+		}
+		w.net.Register(id, func(env transport.Envelope) {
+			if _, ok := env.Msg.(MsgPhase1a); ok && drop {
+				drop = false
+				lost++
+				return
+			}
+			n.handle(env)
+		})
+	}
+	var learned []Decision
+	w.net.Register("stray", func(env transport.Envelope) {
+		if m, ok := env.Msg.(MsgLearned); ok {
+			learned = append(learned, m.Decision)
+		}
+	})
+	opt := Option{
+		Tx: "stray#1", Coord: "stray", KeySeq: 1,
+		WriteSet: []record.Key{key}, WriteSeqs: []uint64{1},
+		Update: record.Physical(key, 1, record.Value{Attrs: map[string]int64{"x": 7}}),
+	}
+	w.net.Send("stray", leader, MsgStartRecovery{Key: key, Opt: opt, HasOpt: true})
+	if !w.net.RunUntil(func() bool { return len(learned) > 0 }, 10*time.Second) {
+		t.Fatalf("the option was never decided (%d Phase1a lost)", lost)
+	}
+	if lost != 3 || learned[0] != DecAccept {
+		t.Fatalf("%d Phase1a lost, learned %v; want 3 lost and accept", lost, learned)
+	}
+}
+
 // TestRecoverOptUnknownOptionRejected: a recovery query for an option
 // no replica has ever seen must come back rejected (so the dangling
 // transaction can abort deterministically).
