@@ -960,9 +960,10 @@ func (n *StorageNode) onVisibility(m MsgVisibility) {
 	id := m.Opt.ID()
 	if _, ok := n.settled(r, id.Tx, m.Opt.KeySeq); ok {
 		// Already executed or discarded; still release any lingering
-		// vote (the settle may have arrived via a base adoption that
-		// never saw the vote).
+		// vote, here and in the leader's cstruct (the settle may have
+		// arrived via a base adoption that never saw either).
 		n.pruneVote(r, id)
+		n.leaderObserveVisibility(r, m.Opt)
 		return
 	}
 	if n.tr != nil {

@@ -38,8 +38,9 @@ func withSettled(n *StorageNode, key record.Key, opt Option, d Decision) Lineage
 // A queued option never enters a cstruct; its coordinator and the
 // recoverer hear the settled decision when Phase 1 finishes. For one
 // already proposed, the round's quorum learns the settled decision, not
-// the round's own: coordinator and recoverer hear it, and under MDCC the
-// drained γ window reopens fast ballots.
+// the round's own: coordinator and recoverer hear it, under MDCC the
+// drained γ window reopens fast ballots, and the option's visibility
+// takes it out of the leader's cstruct.
 func TestLeaderNeverRedecidesSettledOption(t *testing.T) {
 	const key = record.Key("settled/1")
 	run := func(t *testing.T, mode Mode, queued bool, settled Decision, ready func(l *leaderRec) bool) {
@@ -125,6 +126,12 @@ func TestLeaderNeverRedecidesSettledOption(t *testing.T) {
 			if mode == ModeMDCC && (l.owned || ldr.m.EnableFast == fastAtAdoption) {
 				t.Errorf("fast ballots never reopened (owned %v, EnableFast %d → %d)",
 					l.owned, fastAtAdoption, ldr.m.EnableFast)
+			}
+			// The coordinator's visibility, once it learned, leaves no
+			// copy in the cstruct for later options to be weighed against.
+			ldr.handle(transport.Envelope{From: opt.Coord, To: ldr.ID(), Msg: visibilityFor(opt, settled == DecAccept)})
+			if optIndex(l.cstruct, opt.ID()) >= 0 {
+				t.Error("the option's visibility left it in the leader's cstruct")
 			}
 			return
 		}
