@@ -91,14 +91,14 @@ func FuzzDemarcationParity(f *testing.F) {
 			switch op % 5 {
 			case 0, 1: // this gateway proposes d
 				up := record.Commutative(key, map[string]int64{"u": d})
-				ks := g.ks(key)
-				if g.fitsLocked(ks, up) {
-					a := ks.acc["u"]
-					kDown := a.pendDown + ks.outDown["u"]
-					kUp := a.pendUp + ks.outUp["u"]
+				es := g.ks(key).escrow()
+				if g.fitsLocked(es, up) {
+					a := es.acc["u"]
+					kDown := a.pendDown + es.outDown["u"]
+					kUp := a.pendUp + es.outUp["u"]
 					if !core.DeltaSafe(a.base, kDown, kUp, d, con, q, true) {
 						t.Fatalf("gateway admitted delta %+d but the acceptor predicate rejects it on the gateway's own knowledge (base %d, pend %d/%d, con %s, share %d)",
-							d, a.base, kDown, kUp, con, g.shareLocked(ks))
+							d, a.base, kDown, kUp, con, g.shareLocked(es))
 					}
 					if !othersUsed {
 						td, tu := pendSums()

@@ -333,12 +333,42 @@ type attrAccount struct {
 	pendUp   int64 // >= 0
 }
 
-// keyState is the gateway's per-key accounting: the current merge
-// window plus the exact headroom account — the freshest piggybacked
-// escrow snapshot and the deltas this gateway admitted on top of it
-// that are not yet resolved. Until the first valid snapshot arrives
-// (seen) admission is conservative: no merging, acceptors arbitrate.
+// keyState is the gateway's per-key state. Every tracked key keeps its
+// read part, 64 bytes: the materialized committed state of the
+// learned-replica read tier — the freshest (value, version) observed
+// for the key via the visibility feed or fallback read replies — and
+// its two clocks. confirmed reports the key is registered in the
+// shard's interest set — proven by the stream echoing the key back —
+// which is what licenses serving it from memory: an RPC-installed
+// value whose interest-add was lost would otherwise go stale silently
+// under a live feed that simply never carries the key. val is the
+// bytes the feed item or read reply carried, shared and never written
+// into: an install replaces the slice, a remote read's reply carries
+// it as is, and a local caller's read decodes a Value of its own.
+//
+// A key this gateway coalesces or accounts escrow on also has an
+// escrow part (esc). A physical key never does: its feed items and
+// read replies carry no valid snapshot, and its writes no delta.
 type keyState struct {
+	val     record.Encoded
+	valVer  record.Version
+	readAt  int64 // last served read, UnixNano (the eviction clock)
+	askedAt int64 // last interest-add sent, UnixNano (resend throttle); 0 = none
+	// esc is the escrow part, nil until the key's first valid escrow
+	// snapshot, outstanding delta or merge window (see escrow).
+	esc       *escrowState
+	askTries  int32 // unanswered interest-adds (backoff exponent)
+	hasVal    bool
+	confirmed bool
+	valExists bool
+}
+
+// escrowState is a key's escrow part: the current merge window plus
+// the exact headroom account — the freshest piggybacked escrow
+// snapshot and the deltas this gateway admitted on top of it that are
+// not yet resolved. Until the first valid snapshot arrives (seen)
+// admission is conservative: no merging, acceptors arbitrate.
+type escrowState struct {
 	win        *mergeWindow
 	seen       bool
 	ver        record.Version // version of the adopted snapshot
@@ -352,33 +382,20 @@ type keyState struct {
 	// lone gateway takes the whole slice instead of 1/NumDCs, and the
 	// divisor grows back as contention is observed.
 	contenders int
-	// Materialized committed state (the learned-replica read tier):
-	// the freshest (value, version) observed for the key via the
-	// visibility feed or fallback read replies, unified with the
-	// escrow account so value and headroom freshness ride the same
-	// stream and the same GC. confirmed reports the key is registered
-	// in the shard's interest set — proven by the stream echoing the
-	// key back — which is what licenses serving it from memory: an
-	// RPC-installed value whose interest-add was lost would otherwise
-	// go stale silently under a live feed that simply never carries
-	// the key. val is the bytes the feed item or read reply carried,
-	// shared and never written into: an install replaces the slice, a
-	// remote read's reply carries it as is, and a local caller's read
-	// decodes a Value of its own.
-	hasVal    bool
-	confirmed bool
-	val       record.Encoded
-	valVer    record.Version
-	valExists bool
-	readAt    time.Time // last served read (the eviction clock)
-	askedAt   time.Time // last interest-add sent (resend throttle)
-	askTries  int       // unanswered interest-adds (backoff exponent)
 	// outDown/outUp are this gateway's admitted-but-unresolved deltas,
 	// split by direction (worst-case accounting mirrors the acceptor).
 	// They may double-count deltas already visible in acc's pending
 	// sums — conservative by construction, never loose.
 	outDown map[string]int64 // <= 0
 	outUp   map[string]int64 // >= 0
+}
+
+// escrow returns the key's escrow part, giving it one if it has none.
+func (ks *keyState) escrow() *escrowState {
+	if ks.esc == nil {
+		ks.esc = &escrowState{outDown: make(map[string]int64), outUp: make(map[string]int64)}
+	}
+	return ks.esc
 }
 
 type queuedTx struct {
@@ -742,15 +759,15 @@ func (g *Gateway) trackOutLocked(updates []record.Update) []outTrack {
 		if deltas == nil {
 			continue
 		}
-		ks := g.ks(up.Key)
+		es := g.ks(up.Key).escrow()
 		for attr, d := range deltas {
 			if d < 0 {
-				ks.outDown[attr] += d
+				es.outDown[attr] += d
 			} else {
-				ks.outUp[attr] += d
+				es.outUp[attr] += d
 			}
 		}
-		tracks = append(tracks, outTrack{key: up.Key, deltas: deltas, seen: ks.seen, ver: ks.ver})
+		tracks = append(tracks, outTrack{key: up.Key, deltas: deltas, seen: es.seen, ver: es.ver})
 	}
 	return tracks
 }
@@ -837,10 +854,7 @@ func (g *Gateway) settle(n int, committed bool) {
 func (g *Gateway) ks(key record.Key) *keyState {
 	s, ok := g.keys[key]
 	if !ok {
-		s = &keyState{
-			outDown: make(map[string]int64),
-			outUp:   make(map[string]int64),
-		}
+		s = &keyState{}
 		g.keys[key] = s
 	}
 	return s
@@ -871,22 +885,23 @@ func (g *Gateway) foldEscrowLocked(ks *keyState, snap core.EscrowSnap, now time.
 	if !snap.Valid {
 		return
 	}
+	es := ks.escrow()
 	switch {
-	case !ks.seen || snap.Version > ks.ver:
-		ks.acc = make(map[string]attrAccount, len(snap.Attrs))
+	case !es.seen || snap.Version > es.ver:
+		es.acc = make(map[string]attrAccount, len(snap.Attrs))
 		for _, a := range snap.Attrs {
-			ks.acc[a.Attr] = attrAccount{base: a.Base, pendDown: a.PendDown, pendUp: a.PendUp}
+			es.acc[a.Attr] = attrAccount{base: a.Base, pendDown: a.PendDown, pendUp: a.PendUp}
 		}
-		ks.seen = true
-		ks.ver = snap.Version
-		ks.fetched = now
-		ks.pendSetAt = now
-		ks.contenders = snap.Contenders
+		es.seen = true
+		es.ver = snap.Version
+		es.fetched = now
+		es.pendSetAt = now
+		es.contenders = snap.Contenders
 		g.m.EscrowUpdates++
-	case snap.Version == ks.ver:
-		replace := now.Sub(ks.pendSetAt) >= snapTTL
+	case snap.Version == es.ver:
+		replace := now.Sub(es.pendSetAt) >= snapTTL
 		for _, a := range snap.Attrs {
-			cur := ks.acc[a.Attr]
+			cur := es.acc[a.Attr]
 			// Same committed version, possibly different vote sets:
 			// keep the held base, and widen the pendings (worst case
 			// wins) while they are fresh, replace them once stale.
@@ -900,18 +915,18 @@ func (g *Gateway) foldEscrowLocked(ks *keyState, snap core.EscrowSnap, now time.
 					cur.pendUp = a.PendUp
 				}
 			}
-			ks.acc[a.Attr] = cur
+			es.acc[a.Attr] = cur
 		}
 		if replace {
-			ks.pendSetAt = now
-			ks.contenders = snap.Contenders
-		} else if snap.Contenders > ks.contenders {
+			es.pendSetAt = now
+			es.contenders = snap.Contenders
+		} else if snap.Contenders > es.contenders {
 			// Widen like the pendings: more observed contention wins
 			// while fresh, and the TTL replacement above lets the
 			// divisor relax once contention actually recedes.
-			ks.contenders = snap.Contenders
+			es.contenders = snap.Contenders
 		}
-		ks.fetched = now
+		es.fetched = now
 		g.m.EscrowUpdates++
 	default:
 		g.m.EscrowStale++
@@ -920,18 +935,18 @@ func (g *Gateway) foldEscrowLocked(ks *keyState, snap core.EscrowSnap, now time.
 
 func (g *Gateway) coalesceLocked(up record.Update, done func(bool, error), span *gwSpan) {
 	key := up.Key
-	ks := g.ks(key)
-	if ks.win != nil && (len(ks.win.waiters) >= coalesceMax || !g.fitsLocked(ks, up)) {
-		g.flushLocked(key, ks)
+	es := g.ks(key).escrow()
+	if es.win != nil && (len(es.win.waiters) >= coalesceMax || !g.fitsLocked(es, up)) {
+		g.flushLocked(key, es)
 	}
-	if ks.win == nil {
-		if !g.fitsLocked(ks, up) {
+	if es.win == nil {
+		if !g.fitsLocked(es, up) {
 			// No merge headroom — either no escrow snapshot has arrived
 			// yet (bootstrap: admit conservatively, never merge blind) or
 			// the shared headroom slice is exhausted. Ship individually:
 			// the acceptors, not the account, decide, and the vote's
 			// piggybacked snapshot refreshes the account for free.
-			g.maybeRefreshLocked(key, ks)
+			g.maybeRefreshLocked(key, es)
 			g.m.CoalesceBypass++
 			g.m.Passthrough++
 			tracks := g.trackOutLocked([]record.Update{up})
@@ -943,27 +958,27 @@ func (g *Gateway) coalesceLocked(up record.Update, done func(bool, error), span 
 			})
 			return
 		}
-		g.maybeRefreshLocked(key, ks)
+		g.maybeRefreshLocked(key, es)
 		win := &mergeWindow{sum: make(map[string]int64)}
-		ks.win = win
+		es.win = win
 		win.timer = g.net.After(g.id, g.tun.CoalesceWindow, func() {
 			g.mu.Lock()
-			if cur, ok := g.keys[key]; ok && cur.win == win {
-				g.flushLocked(key, cur)
+			if cur, ok := g.keys[key]; ok && cur.esc != nil && cur.esc.win == win {
+				g.flushLocked(key, cur.esc)
 			}
 			g.mu.Unlock()
 		})
 	}
 	g.m.Coalesced++
 	for attr, d := range up.Deltas {
-		ks.win.sum[attr] += d
+		es.win.sum[attr] += d
 	}
 	if span != nil {
 		g.tr.Add(trace.Event{At: g.net.Now().UnixNano(), Key: string(key),
-			Stage: trace.StageCoalesceJoin, Arg: int64(len(ks.win.waiters) + 1)})
+			Stage: trace.StageCoalesceJoin, Arg: int64(len(es.win.waiters) + 1)})
 	}
 	track := g.trackOutLocked([]record.Update{up})
-	ks.win.waiters = append(ks.win.waiters, waiter{up: up, track: track, done: done, span: span})
+	es.win.waiters = append(es.win.waiters, waiter{up: up, track: track, done: done, span: span})
 }
 
 // fitsLocked is the exact headroom admission: may this gateway hold
@@ -991,17 +1006,17 @@ func (g *Gateway) coalesceLocked(up record.Update, done func(bool, error), span 
 // on this: the DeltaSafe mirror above the cap is what the parity fuzz
 // pins, and over-admission in the observation lag is arbitrated by
 // the acceptors (split-and-rerun, never a manufactured abort).
-func (g *Gateway) fitsLocked(ks *keyState, up record.Update) bool {
-	share := g.shareLocked(ks)
+func (g *Gateway) fitsLocked(es *escrowState, up record.Update) bool {
+	share := g.shareLocked(es)
 	for attr, d := range up.Deltas {
 		con, ok := g.constraintFor(attr)
 		if !ok {
 			continue // unconstrained attributes have no escrow to account
 		}
-		if !ks.seen {
+		if !es.seen {
 			return false // constrained delta before the first snapshot
 		}
-		a := ks.acc[attr]
+		a := es.acc[attr]
 		// Exact mirror: the acceptor's own predicate, evaluated on the
 		// snapshot pendings plus everything this gateway holds
 		// unresolved. This checks BOTH bounds for every delta — an
@@ -1009,7 +1024,7 @@ func (g *Gateway) fitsLocked(ks *keyState, up record.Update) bool {
 		// overdraw the upper limit — so merge admission can never be
 		// looser than the acceptor on what the gateway knows.
 		if !core.DeltaSafe(a.base,
-			a.pendDown+ks.outDown[attr], a.pendUp+ks.outUp[attr],
+			a.pendDown+es.outDown[attr], a.pendUp+es.outUp[attr],
 			d, con, g.q, true) {
 			return false
 		}
@@ -1018,10 +1033,10 @@ func (g *Gateway) fitsLocked(ks *keyState, up record.Update) bool {
 		// unresolved deltas, so the per-DC gateways cannot collectively
 		// over-admit between snapshots.
 		low, high := snapHeadroom(a, con, g.q)
-		if d < 0 && low >= 0 && -(ks.outDown[attr]+d) > low/share {
+		if d < 0 && low >= 0 && -(es.outDown[attr]+d) > low/share {
 			return false
 		}
-		if d > 0 && high >= 0 && ks.outUp[attr]+d > high/share {
+		if d > 0 && high >= 0 && es.outUp[attr]+d > high/share {
 			return false
 		}
 	}
@@ -1037,12 +1052,12 @@ func (g *Gateway) fitsLocked(ks *keyState, up record.Update) bool {
 // would each read the other's solo snapshot as their own and both
 // take the full slice. Contenders==0 means the snapshot predates the
 // contention signal: fall back to the ceiling.
-func (g *Gateway) shareLocked(ks *keyState) int64 {
+func (g *Gateway) shareLocked(es *escrowState) int64 {
 	share := int64(topology.NumDCs)
-	if !ks.seen || ks.contenders <= 0 {
+	if !es.seen || es.contenders <= 0 {
 		return share
 	}
-	if obs := int64(ks.contenders); obs < share {
+	if obs := int64(es.contenders); obs < share {
 		return obs
 	}
 	return share
@@ -1082,20 +1097,20 @@ func (g *Gateway) constraintFor(attr string) (record.Constraint, bool) {
 // missing or its snapshot has aged past snapTTL without vote traffic
 // refreshing it; the read's piggybacked snapshot lands via
 // observeEscrow. One read per key at a time.
-func (g *Gateway) maybeRefreshLocked(key record.Key, ks *keyState) {
-	if ks.refreshing {
+func (g *Gateway) maybeRefreshLocked(key record.Key, es *escrowState) {
+	if es.refreshing {
 		return
 	}
-	if ks.seen && g.net.Now().Sub(ks.fetched) < snapTTL {
+	if es.seen && g.net.Now().Sub(es.fetched) < snapTTL {
 		return
 	}
-	ks.refreshing = true
+	es.refreshing = true
 	g.net.After(g.co.ID(), 0, func() {
 		g.co.ReadEncoded(key, func(record.Encoded, record.Version, bool) {
 			// The escrow snapshot (if any) already arrived through the
 			// observer; here we only release the refresh slot.
 			g.mu.Lock()
-			g.ks(key).refreshing = false
+			g.ks(key).escrow().refreshing = false
 			g.mu.Unlock()
 		})
 	})
@@ -1105,12 +1120,12 @@ func (g *Gateway) maybeRefreshLocked(key record.Key, ks *keyState) {
 // update passes through unchanged; several become a single merged
 // option. A rejected merge is split and re-run per transaction, so
 // merging can only ever batch work, never manufacture aborts.
-func (g *Gateway) flushLocked(key record.Key, ks *keyState) {
-	win := ks.win
+func (g *Gateway) flushLocked(key record.Key, es *escrowState) {
+	win := es.win
 	if win == nil {
 		return
 	}
-	ks.win = nil
+	es.win = nil
 	if win.timer != nil {
 		win.timer.Stop()
 	}
@@ -1204,16 +1219,17 @@ func (g *Gateway) resolveTracks(tracks []outTrack, committed bool) {
 	g.mu.Lock()
 	for _, tr := range tracks {
 		ks := g.ks(tr.key)
+		es := ks.escrow()
 		for attr, d := range tr.deltas {
 			if d < 0 {
-				ks.outDown[attr] -= d
+				es.outDown[attr] -= d
 			} else {
-				ks.outUp[attr] -= d
+				es.outUp[attr] -= d
 			}
-			if committed && ks.seen && tr.seen && ks.ver == tr.ver {
-				a := ks.acc[attr]
+			if committed && es.seen && tr.seen && es.ver == tr.ver {
+				a := es.acc[attr]
 				a.base += d
-				ks.acc[attr] = a
+				es.acc[attr] = a
 			}
 		}
 		g.maybeEvictLocked(tr.key, ks)
@@ -1227,17 +1243,22 @@ func (g *Gateway) resolveTracks(tracks []outTrack, committed bool) {
 const evictAfter = 10 * snapTTL
 
 // idleLocked reports whether a keyState holds nothing live: no open
-// window, no refresh in flight, no outstanding deltas.
+// window, no refresh in flight, no outstanding deltas. A key without an
+// escrow part has none of these.
 func idleLocked(ks *keyState) bool {
-	if ks.win != nil || ks.refreshing {
+	es := ks.esc
+	if es == nil {
+		return true
+	}
+	if es.win != nil || es.refreshing {
 		return false
 	}
-	for _, d := range ks.outDown {
+	for _, d := range es.outDown {
 		if d != 0 {
 			return false
 		}
 	}
-	for _, d := range ks.outUp {
+	for _, d := range es.outUp {
 		if d != 0 {
 			return false
 		}
@@ -1251,16 +1272,23 @@ func idleLocked(ks *keyState) bool {
 // touched and the Metrics gauge scan walks them all under the gateway
 // lock forever. Eviction also bounds the read tier's memory: feed
 // items refresh only tracked keys, so an evicted key stays gone until
-// a read re-materializes it.
+// a read re-materializes it. A key kept for its value drops an idle
+// escrow part that never saw a snapshot: such a part reads exactly as
+// a fresh one would.
 func (g *Gateway) maybeEvictLocked(key record.Key, ks *keyState) {
 	if !idleLocked(ks) {
 		return
 	}
 	now := g.net.Now()
-	if ks.seen && now.Sub(ks.fetched) < evictAfter {
-		return
+	if es := ks.esc; es != nil {
+		if es.seen && now.Sub(es.fetched) < evictAfter {
+			return
+		}
+		if !es.seen {
+			ks.esc = nil
+		}
 	}
-	if ks.hasVal && now.Sub(ks.readAt) < evictAfter {
+	if ks.hasVal && now.UnixNano()-ks.readAt < int64(evictAfter) {
 		return
 	}
 	delete(g.keys, key)
@@ -1291,13 +1319,14 @@ func (g *Gateway) scheduleSweep() {
 func (g *Gateway) headroomGaugesLocked() (tracked, minHeadroom int64) {
 	minHeadroom = -1
 	for _, ks := range g.keys {
-		if !ks.seen {
+		es := ks.esc
+		if es == nil || !es.seen {
 			continue
 		}
-		share := g.shareLocked(ks)
+		share := g.shareLocked(es)
 		tracked++
 		for _, con := range g.cfg.Constraints {
-			a, ok := ks.acc[con.Attr]
+			a, ok := es.acc[con.Attr]
 			if !ok {
 				continue
 			}
@@ -1311,10 +1340,10 @@ func (g *Gateway) headroomGaugesLocked() (tracked, minHeadroom int64) {
 			}
 			low, high := snapHeadroom(a, con, g.q)
 			if low >= 0 {
-				note(low/share + ks.outDown[con.Attr]) // outDown <= 0
+				note(low/share + es.outDown[con.Attr]) // outDown <= 0
 			}
 			if high >= 0 {
-				note(high/share - ks.outUp[con.Attr])
+				note(high/share - es.outUp[con.Attr])
 			}
 		}
 	}
@@ -1386,7 +1415,7 @@ func (g *Gateway) RingPublished() {
 		if ks.confirmed && r.Moved(string(key)) {
 			ks.confirmed = false
 			ks.askTries = 0
-			ks.askedAt = time.Time{}
+			ks.askedAt = 0
 		}
 	}
 }
@@ -1483,14 +1512,15 @@ func orFirst(keys []string) string {
 // client transactions parked in them.
 func (g *Gateway) dropWindowsLocked() (parked []waiter) {
 	for _, ks := range g.keys {
-		if ks.win == nil {
+		es := ks.esc
+		if es == nil || es.win == nil {
 			continue
 		}
-		if ks.win.timer != nil {
-			ks.win.timer.Stop()
+		if es.win.timer != nil {
+			es.win.timer.Stop()
 		}
-		parked = append(parked, ks.win.waiters...)
-		ks.win = nil
+		parked = append(parked, es.win.waiters...)
+		es.win = nil
 	}
 	return parked
 }

@@ -383,8 +383,10 @@ func TestMixedSignWindowResolvesExactly(t *testing.T) {
 		t.Fatalf("mixed burst did not merge: %+v", m)
 	}
 	w.gw.mu.Lock()
-	ks := w.gw.keys[key]
-	down, up := ks.outDown["units"], ks.outUp["units"]
+	var down, up int64
+	if es := w.gw.keys[key].esc; es != nil {
+		down, up = es.outDown["units"], es.outUp["units"]
+	}
 	w.gw.mu.Unlock()
 	if down != 0 || up != 0 {
 		t.Fatalf("outstanding residue after all ops settled: outDown=%d outUp=%d", down, up)

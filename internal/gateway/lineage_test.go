@@ -91,7 +91,7 @@ func TestAdaptiveHeadroomShare(t *testing.T) {
 	ks := g.ks("ah/1")
 	g.foldEscrowLocked(ks, mkSnap(1), g.net.Now())
 	fits := func(d int64) bool {
-		return g.fitsLocked(ks, record.Commutative("ah/1", map[string]int64{"units": d}))
+		return g.fitsLocked(ks.esc, record.Commutative("ah/1", map[string]int64{"units": d}))
 	}
 	if !fits(-500) {
 		g.mu.Unlock()

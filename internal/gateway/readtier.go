@@ -147,9 +147,9 @@ func (g *Gateway) askInterestLocked(key record.Key, ks *keyState) {
 	if g.tun.DisableReadTier || ks.confirmed {
 		return
 	}
-	now := g.net.Now()
+	now := g.net.Now().UnixNano()
 	backoff := feedTTL / 4 << min(ks.askTries, 6)
-	if !ks.askedAt.IsZero() && now.Sub(ks.askedAt) < backoff {
+	if ks.askedAt != 0 && now-ks.askedAt < int64(backoff) {
 		return
 	}
 	ks.askedAt = now
@@ -341,12 +341,12 @@ func (g *Gateway) readFloor(key record.Key, floor record.Version, cb encodedRead
 	}
 	if ks, ok := g.keys[key]; ok && ks.hasVal && ks.confirmed && ks.valVer >= floor && g.feedLiveLocked(key) {
 		val, ver, exists := ks.val, ks.valVer, ks.valExists
-		ks.readAt = g.net.Now()
+		ks.readAt = g.net.Now().UnixNano()
 		g.m.LocalReads++
 		if g.tr != nil {
 			// Floored reads trace too: a memory hit is one event, so a
 			// stale-read diagnosis can see which tier answered.
-			g.tr.Add(trace.Event{At: ks.readAt.UnixNano(), Key: string(key),
+			g.tr.Add(trace.Event{At: ks.readAt, Key: string(key),
 				Stage: trace.StageRead, Arg: int64(ver)})
 		}
 		g.mu.Unlock()
@@ -386,7 +386,7 @@ func (g *Gateway) settleFlight(key record.Key, fl *readFlight, val record.Encode
 	}
 	ks := g.ks(key)
 	g.installLocked(ks, val, ver, exists)
-	ks.readAt = g.net.Now()
+	ks.readAt = g.net.Now().UnixNano()
 	g.askInterestLocked(key, ks)
 	var met, unmet []readWaiter
 	for _, w := range fl.waiters {
@@ -409,7 +409,7 @@ func (g *Gateway) settleFlight(key record.Key, fl *readFlight, val record.Encode
 			g.mu.Lock()
 			qks := g.ks(key)
 			g.installLocked(qks, qval, qver, qexists)
-			qks.readAt = g.net.Now()
+			qks.readAt = g.net.Now().UnixNano()
 			g.askInterestLocked(key, qks)
 			g.mu.Unlock()
 			answer(unmet, qval, qver, qexists)
