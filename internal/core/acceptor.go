@@ -1129,15 +1129,18 @@ type voteSlots struct {
 	at    []int64
 }
 
-// maxFreeVoteSlots bounds the free list. The list is as long as the
-// drop from the most records that ever had a vote open at once to the
-// number that have one now, so steady traffic needs about as many
-// entries as it has options in flight: a few hundred under the
-// benchmark's heaviest closed loop (256 callers). The bound is for the
-// burst that opens a vote on every record at once (a recovery storm, a
-// shard pull): past it a released pair is left to the collector, so
-// such a burst leaves at most about 250 KB of single-vote pairs pinned
-// per node.
+// maxFreeVoteSlots bounds the free lists. A list is as long as the
+// drop from the most records that had a vote open at once since the
+// last sweep to the number that have one now, so steady traffic needs
+// about as many entries as it has options in flight: a few hundred
+// under the benchmark's heaviest closed loop (256 callers). The bound
+// is for the burst that opens a vote on every record at once (a
+// recovery storm, a shard pull, a preload): past it a released pair or
+// open part is left to the collector, so within one sweep interval —
+// or for good on a node whose sweep is off — such a burst pins at most
+// about 390 KB per node: both lists at the bound with their single-vote
+// pairs and open parts measured 394 320 B (go1.24, amd64). Each sweep
+// gives both lists back (sweepPending).
 const maxFreeVoteSlots = 1024
 
 // takeVoteSlots returns empty vote arrays with room for that many

@@ -41,10 +41,16 @@ func (n *StorageNode) scheduleSweep() {
 }
 
 // sweepPending starts recovery for every accepted option that has
-// been outstanding longer than PendingTimeout.
+// been outstanding longer than PendingTimeout, and empties the node's
+// vote free lists.
 func (n *StorageNode) sweepPending() {
 	now := n.net.Now().UnixNano()
 	n.m.Sweeps++
+	// The vote free lists are as long as the largest burst since the
+	// last sweep, not as live use: give them back to the collector. The
+	// records that vote next refill them, and voting reuses what they
+	// put back until the next sweep.
+	n.freeVotes, n.freeOpen = nil, nil
 	// Deterministic scan order (map iteration would reorder recovery
 	// sends between same-seed runs).
 	keys := make([]record.Key, 0, len(n.recs))

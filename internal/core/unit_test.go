@@ -934,6 +934,24 @@ func TestVoteBookkeepingStaysParallel(t *testing.T) {
 	if len(n.freeVotes) != maxFreeVoteSlots {
 		t.Fatalf("free list holds %d pairs after the burst, bound %d", len(n.freeVotes), maxFreeVoteSlots)
 	}
+	if len(n.freeOpen) != maxFreeVoteSlots {
+		t.Fatalf("free list holds %d open parts after the burst, bound %d", len(n.freeOpen), maxFreeVoteSlots)
+	}
+	// The next sweep gives both lists back, backing arrays included:
+	// with no vote open, what the burst left is nobody's live use.
+	n.sweepPending()
+	if n.freeVotes != nil || n.freeOpen != nil {
+		t.Fatalf("after a sweep with no vote open the free lists hold %d pairs and %d open parts (capacity %d, %d)",
+			len(n.freeVotes), len(n.freeOpen), cap(n.freeVotes), cap(n.freeOpen))
+	}
+	// Voting refills them: once one vote has settled, the next cast
+	// and settle reuse its pair and open part again.
+	if allocs := testing.AllocsPerRun(100, func() {
+		n.castVote(r2, o, DecAccept, ReasonNone)
+		n.pruneVote(r2, o.ID())
+	}); allocs != 0 {
+		t.Fatalf("after the sweep a vote cast and settled allocates %v objects", allocs)
+	}
 }
 
 // A record's open part exists only while the record needs it: a vote,
