@@ -121,6 +121,11 @@ func (n *StorageNode) startTxRecovery(opt Option) {
 		opts:      make(map[record.Key]Option, len(keys)),
 		hasOpt:    make(map[record.Key]bool, len(keys)),
 	}
+	// The stuck option is this replica's own copy of its key's option:
+	// a leader that answers accept without contents may have learned
+	// the settle from a peer's base, while this replica still lacks
+	// the update.
+	rec.opts[opt.Update.Key], rec.hasOpt[opt.Update.Key] = opt, true
 	n.recoveries[reqID] = rec
 	if n.tr != nil {
 		n.tr.Add(trace.Event{At: n.net.Now().UnixNano(), Tx: string(opt.Tx),
@@ -170,11 +175,11 @@ func (n *StorageNode) onRecoverOpt(from transport.NodeID, m MsgRecoverOpt) {
 		return
 	}
 	// The lineage summary answers exactly, forever — even after the
-	// decided-log entry was released. Contents are only ever released
-	// once every replica settled the option, so an accept answered
-	// without contents needs no re-broadcast (every replica already
-	// applied it); the fiat path below would instead re-force — and
-	// could contradict — a decision that was already made.
+	// decided-log entry was released, and when the settle came with a
+	// peer's base. Such an answer carries no contents: the recoverer
+	// sends visibility from its own copy of the option, if it has one
+	// (startTxRecovery). The fiat path below would instead re-force —
+	// and could contradict — a decision that was already made.
 	if d, ok := n.settled(r, m.Tx, m.KeySeq); ok {
 		n.send(from, MsgOptDecided{ReqID: m.ReqID, Tx: m.Tx, Key: m.Key, Decision: d})
 		return
@@ -247,10 +252,10 @@ func (n *StorageNode) onOptDecided(m MsgOptDecided) {
 		opt, has := rec.opts[k], rec.hasOpt[k]
 		if !has {
 			if commit {
-				// No contents to apply. A summary-answered accept means
-				// the option was released after all-peer ack — every
-				// replica already applied it, so no visibility is
-				// needed (and none could be built).
+				// No contents to apply: the leader answered from its
+				// summary, and neither it nor this replica holds the
+				// option. Replicas that lack the update catch up by
+				// anti-entropy.
 				continue
 			}
 			// Abort visibility for a key whose option no replica holds:

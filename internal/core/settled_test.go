@@ -277,3 +277,50 @@ func TestSettledAnswersFromSummary(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoveryAppliesOwnStuckVote: a leader's summary learns settles
+// through base adoption, so its answer to a recovery can be an accept
+// without contents while the recovering replica itself still lacks the
+// update. The recoverer holds the option in its own stuck vote, and
+// sends its visibility from that copy. The leader here settled the
+// option only through adoptBase; another replica holds the vote; anti-
+// entropy is off, so nothing else would bring the update there.
+func TestRecoveryAppliesOwnStuckVote(t *testing.T) {
+	const key = record.Key("stuck/1")
+	cfg := cfgNoSweep(ModeMDCC)
+	cfg.SyncInterval = 0
+	w := newWorld(t, cfg, 1, 1, 48)
+	if !w.commit(0, record.Insert(key, record.Value{Attrs: map[string]int64{"x": 0}})).Committed {
+		t.Fatal("insert failed")
+	}
+	w.settle()
+	opt := Option{
+		Tx: "stray#1", Coord: "stray", KeySeq: 1,
+		WriteSet: []record.Key{key}, WriteSeqs: []uint64{1},
+		Update: record.Physical(key, 1, record.Value{Attrs: map[string]int64{"x": 7}}),
+	}
+	ldr := w.node(w.node(w.cl.Replicas(key)[0]).leaderFor(key))
+	var holder *StorageNode
+	for _, id := range w.cl.Replicas(key) {
+		if id != ldr.ID() {
+			holder = w.node(id)
+			break
+		}
+	}
+	holder.castVote(holder.rs(key), opt, DecAccept, ReasonNone)
+	if !ldr.adoptBase(key, opt.Update.NewValue, 2, withSettled(ldr, key, opt, DecAccept)) {
+		t.Fatal("the leader did not adopt the peer's base")
+	}
+
+	holder.after(0, func() { holder.startTxRecovery(opt) })
+	w.net.RunFor(time.Second)
+	if ver, _ := holder.Store().Version(key); ver != 2 {
+		t.Errorf("after one recovery round the vote holder is at v%d, want v2", ver)
+	}
+	if holder.rs(key).voteIndex(opt.ID()) >= 0 {
+		t.Error("after one recovery round the vote holder still holds its vote")
+	}
+	if len(holder.recoveries) != 0 {
+		t.Errorf("%d recoveries still open", len(holder.recoveries))
+	}
+}
