@@ -347,8 +347,9 @@ type attrAccount struct {
 // it as is, and a local caller's read decodes a Value of its own.
 //
 // A key this gateway coalesces or accounts escrow on also has an
-// escrow part (esc). A physical key never does: its feed items and
-// read replies carry no valid snapshot, and its writes no delta.
+// escrow part (esc). Where no constraint is declared a physical key
+// never does: no snapshot is valid, and physical writes carry no
+// delta.
 type keyState struct {
 	val     record.Encoded
 	valVer  record.Version
@@ -1272,21 +1273,14 @@ func idleLocked(ks *keyState) bool {
 // touched and the Metrics gauge scan walks them all under the gateway
 // lock forever. Eviction also bounds the read tier's memory: feed
 // items refresh only tracked keys, so an evicted key stays gone until
-// a read re-materializes it. A key kept for its value drops an idle
-// escrow part that never saw a snapshot: such a part reads exactly as
-// a fresh one would.
+// a read re-materializes it.
 func (g *Gateway) maybeEvictLocked(key record.Key, ks *keyState) {
 	if !idleLocked(ks) {
 		return
 	}
 	now := g.net.Now()
-	if es := ks.esc; es != nil {
-		if es.seen && now.Sub(es.fetched) < evictAfter {
-			return
-		}
-		if !es.seen {
-			ks.esc = nil
-		}
+	if es := ks.esc; es != nil && es.seen && now.Sub(es.fetched) < evictAfter {
+		return
 	}
 	if ks.hasVal && now.UnixNano()-ks.readAt < int64(evictAfter) {
 		return
