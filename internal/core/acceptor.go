@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -567,9 +568,15 @@ func (n *StorageNode) onRead(from transport.NodeID, m MsgRead) {
 // lets consumers order snapshots from different replicas. recipient
 // is the node the snapshot is destined for: its gateway group is
 // counted among the contenders even when it has no pending votes yet,
-// so Contenders==1 always reads as "just you" at the consumer.
+// so Contenders==1 always reads as "just you" at the consumer. A value
+// that holds none of the constrained attributes gets no snapshot: its
+// key costs a reader no escrow account, and the reader's admission
+// stays conservative on it until a delta commits.
 func (n *StorageNode) escrowSnap(key record.Key, val record.Encoded, ver record.Version, recipient transport.NodeID) EscrowSnap {
-	if len(n.cfg.Constraints) == 0 {
+	if !slices.ContainsFunc(n.cfg.Constraints, func(con record.Constraint) bool {
+		_, ok := val.Attr(con.Attr)
+		return ok
+	}) {
 		return EscrowSnap{}
 	}
 	var pending []VotedOption

@@ -30,9 +30,13 @@ const residentReadKeys = 2000
 // memory; the figure is the heap the gateway's key table frees when it
 // is dropped, so it counts the table's entries and key states and not
 // the storage node's interest set or the values the store still holds.
-// Values carry a blob and no attributes, and the deployment declares no
-// constraint, so no escrow snapshot is valid and no map is allocated
-// per key.
+// Values carry a blob and no attributes, so no escrow snapshot is valid
+// and no map is allocated per key: in the unconstrained arm because the
+// deployment declares no constraint, in the constrained arm (a
+// MinBound on "units") because no value holds the constrained
+// attribute. The constrained arm read 727 B per key, every key holding
+// an escrow part, while a storage node sent a valid snapshot for every
+// key of a deployment that declares any constraint.
 //
 // Measured go1.24, amd64: 119 B per key — the 64-byte read part and the
 // key table's entry (key header, pointer and the table's slack). The
@@ -41,8 +45,20 @@ const residentReadKeys = 2000
 // account's fields and two eagerly made maps. The test also asserts
 // that no physical key holds an escrow part.
 func TestResidentBytesPerReadKey(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cons []record.Constraint
+	}{
+		{"unconstrained", nil},
+		{"constrained", []record.Constraint{record.MinBound("units", 0)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { residentBytesPerReadKey(t, tc.cons) })
+	}
+}
+
+func residentBytesPerReadKey(t *testing.T, cons []record.Constraint) {
 	const maxPerKey = 144
-	w := newTestWorld(t, Tuning{}, nil)
+	w := newTestWorld(t, Tuning{}, cons)
 	keys := make([]record.Key, residentReadKeys)
 	for i := range keys {
 		keys[i] = record.Key(fmt.Sprintf("read/%06d", i))
