@@ -863,7 +863,7 @@ func (n *StorageNode) evalCommutative(pending []VotedOption, opt Option, fast bo
 	}
 	val, _, _ := n.store.GetEncoded(opt.Update.Key)
 	for attr, delta := range opt.Update.Deltas {
-		con, ok := n.cfg.constraintFor(attr)
+		con, ok := n.cfg.ConstraintFor(attr)
 		if !ok {
 			continue // unconstrained attributes always commute
 		}

@@ -141,8 +141,8 @@ func (c Config) masterDC(key record.Key) topology.DC {
 	return topology.DefaultMasterDC(key)
 }
 
-// constraintFor returns the constraint on an attribute name, if any.
-func (c Config) constraintFor(attr string) (record.Constraint, bool) {
+// ConstraintFor returns the constraint on an attribute name, if any.
+func (c Config) ConstraintFor(attr string) (record.Constraint, bool) {
 	for _, con := range c.Constraints {
 		if con.Attr == attr {
 			return con, true

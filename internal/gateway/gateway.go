@@ -749,7 +749,7 @@ func (g *Gateway) trackOutLocked(updates []record.Update) []outTrack {
 		}
 		var deltas map[string]int64
 		for attr, d := range up.Deltas {
-			if _, ok := g.constraintFor(attr); !ok {
+			if _, ok := g.cfg.ConstraintFor(attr); !ok {
 				continue
 			}
 			if deltas == nil {
@@ -1010,7 +1010,7 @@ func (g *Gateway) coalesceLocked(up record.Update, done func(bool, error), span 
 func (g *Gateway) fitsLocked(es *escrowState, up record.Update) bool {
 	share := g.shareLocked(es)
 	for attr, d := range up.Deltas {
-		con, ok := g.constraintFor(attr)
+		con, ok := g.cfg.ConstraintFor(attr)
 		if !ok {
 			continue // unconstrained attributes have no escrow to account
 		}
@@ -1083,15 +1083,6 @@ func snapHeadroom(a attrAccount, con record.Constraint, q paxos.Quorum) (low, hi
 		}
 	}
 	return low, high
-}
-
-func (g *Gateway) constraintFor(attr string) (record.Constraint, bool) {
-	for _, con := range g.cfg.Constraints {
-		if con.Attr == attr {
-			return con, true
-		}
-	}
-	return record.Constraint{}, false
 }
 
 // maybeRefreshLocked issues a read when the headroom account is
