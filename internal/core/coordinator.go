@@ -124,11 +124,9 @@ type leaderHint struct {
 
 type readCtx struct {
 	key record.Key
-	// One of the two is set: cb for Read and ReadQuorum, which decode
-	// the reply for an API caller; raw for their Encoded forms, whose
-	// callers keep or forward the bytes.
-	cb      func(record.Value, record.Version, bool)
-	raw     func(record.Encoded, record.Version, bool)
+	// cb takes the reply's bytes; Read and ReadQuorum decode them for
+	// an API caller.
+	cb      func(record.Encoded, record.Version, bool)
 	attempt int
 	timer   transport.Timer
 
@@ -426,27 +424,18 @@ func (c *Coordinator) handle(env transport.Envelope) {
 	}
 }
 
-// answer delivers a read's result in the form its caller asked for.
-func (rc *readCtx) answer(val record.Encoded, ver record.Version, exists bool) {
-	if rc.raw != nil {
-		rc.raw(val, ver, exists)
-		return
-	}
-	rc.cb(val.Decode(), ver, exists)
-}
-
 // Read fetches committed state from the nearest replica (read
 // committed, §4.1: uncommitted options are never visible). On
 // timeout it retries the next data center; after a full rotation the
 // callback reports absence. The value is the caller's own.
 func (c *Coordinator) Read(key record.Key, cb func(val record.Value, ver record.Version, exists bool)) {
-	c.read(&readCtx{key: key, cb: cb})
+	c.ReadEncoded(key, func(val record.Encoded, ver record.Version, exists bool) { cb(val.Decode(), ver, exists) })
 }
 
 // ReadEncoded is Read answering with the replica's bytes, which are
 // shared and must not be written into.
 func (c *Coordinator) ReadEncoded(key record.Key, cb func(val record.Encoded, ver record.Version, exists bool)) {
-	c.read(&readCtx{key: key, raw: cb})
+	c.read(&readCtx{key: key, cb: cb})
 }
 
 func (c *Coordinator) read(rc *readCtx) {
@@ -468,7 +457,7 @@ func (c *Coordinator) sendRead(req uint64, rc *readCtx) {
 		if rc.attempt >= topology.NumDCs {
 			delete(c.reads, req)
 			c.m.ReadFails++
-			rc.answer(nil, 0, false)
+			rc.cb(nil, 0, false)
 			return
 		}
 		c.m.ReadRetries++
@@ -498,14 +487,14 @@ func (c *Coordinator) onReadReply(from transport.NodeID, m MsgReadReply) {
 		if rc.timer != nil {
 			rc.timer.Stop()
 		}
-		rc.answer(rc.best.Value, rc.best.Version, rc.best.Exists)
+		rc.cb(rc.best.Value, rc.best.Version, rc.best.Exists)
 		return
 	}
 	delete(c.reads, m.ReqID)
 	if rc.timer != nil {
 		rc.timer.Stop()
 	}
-	rc.answer(m.Value, m.Version, m.Exists)
+	rc.cb(m.Value, m.Version, m.Exists)
 }
 
 // ReadQuorum performs an up-to-date read (§4.2): it contacts every
@@ -515,13 +504,13 @@ func (c *Coordinator) onReadReply(from transport.NodeID, m MsgReadReply) {
 // before a later version can be chosen by a classic quorum — and a
 // fast-quorum commit intersects every majority.
 func (c *Coordinator) ReadQuorum(key record.Key, cb func(val record.Value, ver record.Version, exists bool)) {
-	c.readQuorum(&readCtx{key: key, cb: cb})
+	c.ReadQuorumEncoded(key, func(val record.Encoded, ver record.Version, exists bool) { cb(val.Decode(), ver, exists) })
 }
 
 // ReadQuorumEncoded is ReadQuorum answering with the bytes, shared as
 // ReadEncoded's are.
 func (c *Coordinator) ReadQuorumEncoded(key record.Key, cb func(val record.Encoded, ver record.Version, exists bool)) {
-	c.readQuorum(&readCtx{key: key, raw: cb})
+	c.readQuorum(&readCtx{key: key, cb: cb})
 }
 
 func (c *Coordinator) readQuorum(rc *readCtx) {
@@ -542,10 +531,10 @@ func (c *Coordinator) readQuorum(rc *readCtx) {
 		delete(c.reads, req)
 		c.m.ReadFails++
 		if rc.best != nil {
-			rc.answer(rc.best.Value, rc.best.Version, rc.best.Exists)
+			rc.cb(rc.best.Value, rc.best.Version, rc.best.Exists)
 			return
 		}
-		rc.answer(nil, 0, false)
+		rc.cb(nil, 0, false)
 	})
 }
 
