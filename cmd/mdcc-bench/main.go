@@ -163,7 +163,7 @@ func gatewayBench() {
 	rrow(rm.Baseline)
 	rrow(rm.Tier)
 	if g := rm.Tier.Gateway; g != nil {
-		fmt.Printf("read tier internals: %d local reads (frac %.3f), %d rpc fills, %d shared flights, %d quorum escalations; feed %d msgs carrying %d items, %d gaps, %d resubs\n",
+		fmt.Printf("read tier internals: %d local reads (frac %.3f), %d rpc fills, %d shared flights, %d quorum reads; feed %d msgs carrying %d items, %d gaps, %d resubs\n",
 			g.LocalReads, g.LocalReadFrac, g.ReadRPCs, g.ReadCoalesced, g.ReadQuorums,
 			g.FeedMsgs, g.FeedItems, g.FeedGaps, g.FeedResubs)
 	}

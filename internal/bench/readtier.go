@@ -45,7 +45,7 @@ type ReadRun struct {
 	// (counter-verified): RPC reads dispatched behind the gateway,
 	// normalized per consumed read, plus the cross-DC read messages
 	// (retry rotations to other DCs and the non-local legs of quorum
-	// escalations).
+	// reads).
 	SteadyReadRPCs        int64   `json:"steadyReadRPCs"`
 	SteadyReadRPCsPerRead float64 `json:"steadyReadRPCsPerRead"`
 	CrossDCReadMsgs       int64   `json:"crossDCReadMsgs"`
@@ -192,7 +192,7 @@ func runReadArm(seed int64, sc GatewayScale, tier bool) ReadRun {
 		res.SteadyReadRPCs = (gwEnd.ReadRPCs - gwAtWarm.ReadRPCs) + (gwEnd.ReadQuorums - gwAtWarm.ReadQuorums)
 	} else {
 		// Baseline reads are one RPC each by construction; retries and
-		// quorum escalations come on top (counted below).
+		// quorum reads come on top (counted below).
 		res.SteadyReadRPCs = res.Reads
 	}
 	res.CrossDCReadMsgs = (coordEnd.ReadRetries - coordAtWarm.ReadRetries) +

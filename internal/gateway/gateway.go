@@ -35,7 +35,10 @@
 //   - applies admission control: a bounded in-flight window plus a
 //     bounded FIFO backlog, beyond which transactions fail fast with
 //     ErrOverloaded instead of stacking unbounded queues onto the
-//     acceptors.
+//     acceptors;
+//   - serves reads from memory its DC's visibility feeds keep fresh,
+//     falling back to one shared RPC of the local replica (readtier.go).
+//     It never re-reads for a session floor: mtx.ReadAtFloor does.
 //
 // Correctness envelope: coalescing is an optimization only. Merged
 // options travel the unmodified MDCC commit path (fast ballots,
@@ -196,8 +199,9 @@ type Metrics struct {
 	// the materialized store with zero RPCs; ReadRPCs single-flight
 	// fallback reads dispatched (cold keys, dead feeds, floor
 	// outruns); ReadCoalesced callers who shared an already-in-flight
-	// fallback; ReadQuorums quorum escalations for floors the local
-	// replica could not meet. LocalReadFrac is LocalReads over all
+	// fallback; ReadQuorums up-to-date quorum reads served (ReadQuorum
+	// and MsgRead.Quorum, which is how a session re-reads a key whose
+	// answer lagged its floor). LocalReadFrac is LocalReads over all
 	// reads served.
 	LocalReads    int64   `json:"localReads"`
 	ReadRPCs      int64   `json:"readRPCs"`
@@ -553,6 +557,7 @@ func (g *Gateway) readQuorum(key record.Key, cb encodedRead) {
 		return
 	}
 	held := g.holdReadLocked(cb)
+	g.m.ReadQuorums++
 	g.mu.Unlock()
 	g.net.After(g.co.ID(), 0, func() { g.co.ReadQuorumEncoded(key, held) })
 }
@@ -680,11 +685,12 @@ func (g *Gateway) registerPendingLocked(updates []record.Update, done func(bool,
 }
 
 // holdReadLocked registers a read the gateway cannot answer on the
-// spot (a single-flight waiter, a quorum escalation, a quorum read) in
-// the pending map, under the same sequence as the transactions, and
-// returns the callback to answer it through: whichever of the reply
-// and Kill/Close claims the entry first delivers. Callers have checked
-// the gateway is open (a closed one answers absent at once).
+// spot (a single-flight fill or waiter, a tier-less RPC read, a quorum
+// read) in the pending map, under the same sequence as the
+// transactions, and returns the callback to answer it through:
+// whichever of the reply and Kill/Close claims the entry first
+// delivers. Callers have checked the gateway is open (a closed one
+// answers absent at once).
 func (g *Gateway) holdReadLocked(cb encodedRead) encodedRead {
 	g.pendSeq++
 	id := g.pendSeq

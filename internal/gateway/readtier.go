@@ -29,12 +29,12 @@ import (
 //     marks the feed dead and reads fall back to RPC until a
 //     resubscription (with snapshot catch-up for the materialized
 //     keys) restores the stream.
-//   - Session-guarantee floors (monotonic reads, read-your-writes)
-//     are honored through the fallback ladder: a memory copy below
-//     the caller's floor is never served; the read falls back to a
-//     single-flight RPC (concurrent same-key misses share one
-//     MsgRead), and if even the local replica lags the floor, to an
-//     up-to-date quorum read.
+//   - A memory copy below the caller's session floor (monotonic
+//     reads, read-your-writes) is never served; the read falls back
+//     to a single-flight RPC of the local replica (concurrent same-key
+//     misses share one MsgRead). What a caller does with an answer
+//     that still lags its floor is mtx.ReadAtFloor's rule, which
+//     re-reads through ReadQuorum.
 //
 // Memory is bounded by demand, not by the write stream: feed items
 // refresh only keys the gateway already tracks (previously read
@@ -78,16 +78,10 @@ const feedRenewEvery = 30 * time.Second
 // forever in a perfectly healthy steady state.
 const interestSlack = 1024
 
-// readWaiter is one caller parked on a single-flight read.
-type readWaiter struct {
-	floor record.Version
-	cb    encodedRead
-}
-
 // readFlight is one in-flight fallback read shared by every
 // concurrent reader of the key.
 type readFlight struct {
-	waiters []readWaiter
+	waiters []encodedRead
 }
 
 // subscribeFeedsLocked (re)subscribes to every local shard.
@@ -295,13 +289,6 @@ func (g *Gateway) installLocked(ks *keyState, val record.Encoded, ver record.Ver
 	ks.valExists = exists
 }
 
-// answer hands one read result to every waiter.
-func answer(ws []readWaiter, val record.Encoded, ver record.Version, exists bool) {
-	for _, w := range ws {
-		w.cb(val, ver, exists)
-	}
-}
-
 // feedLiveLocked reports whether the feed covering key currently
 // bounds staleness (subscribed, gapless, heard from within feedTTL).
 func (g *Gateway) feedLiveLocked(key record.Key) bool {
@@ -316,18 +303,17 @@ func (g *Gateway) feedLiveLocked(key record.Key) bool {
 //     live and the copy meets the floor;
 //  2. a single-flight RPC read of the nearest replica (concurrent
 //     same-key misses share one MsgRead), whose reply is installed
-//     for the next reader;
-//  3. an up-to-date quorum read when even the local replica lags the
-//     floor (one per flight, shared by every floor-outrun waiter).
+//     for the next reader and answers every waiter.
 //
 // With the read tier disabled the ladder is rung 2 alone, one RPC per
 // read. The callback may fire synchronously (memory hit, closed
 // gateway) or on the coordinator's goroutine (fallbacks); past
 // the memory rung it is held in the pending map, so Kill and Close
-// answer it. The result can still lag the floor when no reachable
-// replica has caught up: the gateway walks its ladder once, and what a
-// caller holding session guarantees does with a miss is mtx.ReadAtFloor's
-// rule, not the gateway's.
+// answer it. The answer can lag the floor when the local replica has
+// not caught up: the floor only keeps memory below it from being
+// served, and what a caller holding session guarantees does with a
+// miss is mtx.ReadAtFloor's rule (a quorum re-read through
+// ReadQuorum), not the gateway's.
 func (g *Gateway) ReadFloor(key record.Key, floor record.Version, cb ReadFunc) {
 	g.readFloor(key, floor, decoding(cb))
 }
@@ -360,12 +346,12 @@ func (g *Gateway) readFloor(key record.Key, floor record.Version, cb encodedRead
 		return
 	}
 	if fl, ok := g.flights[key]; ok {
-		fl.waiters = append(fl.waiters, readWaiter{floor: floor, cb: held})
+		fl.waiters = append(fl.waiters, held)
 		g.m.ReadCoalesced++
 		g.mu.Unlock()
 		return
 	}
-	fl := &readFlight{waiters: []readWaiter{{floor: floor, cb: held}}}
+	fl := &readFlight{waiters: []encodedRead{held}}
 	g.flights[key] = fl
 	g.m.ReadRPCs++
 	g.mu.Unlock()
@@ -376,9 +362,8 @@ func (g *Gateway) readFloor(key record.Key, floor record.Version, cb encodedRead
 	})
 }
 
-// settleFlight installs a fallback read's result and answers the
-// waiters: floors met by the local replica are served directly; the
-// rest share one escalated quorum read.
+// settleFlight installs a fallback read's result and answers every
+// waiter with it.
 func (g *Gateway) settleFlight(key record.Key, fl *readFlight, val record.Encoded, ver record.Version, exists bool) {
 	g.mu.Lock()
 	if cur, ok := g.flights[key]; ok && cur == fl {
@@ -388,33 +373,10 @@ func (g *Gateway) settleFlight(key record.Key, fl *readFlight, val record.Encode
 	g.installLocked(ks, val, ver, exists)
 	ks.readAt = g.net.Now().UnixNano()
 	g.askInterestLocked(key, ks)
-	var met, unmet []readWaiter
-	for _, w := range fl.waiters {
-		if ver >= w.floor {
-			met = append(met, w)
-		} else {
-			unmet = append(unmet, w)
-		}
-	}
-	if len(unmet) > 0 {
-		g.m.ReadQuorums++
-	}
 	g.mu.Unlock()
-	answer(met, val, ver, exists)
-	if len(unmet) == 0 {
-		return
+	for _, cb := range fl.waiters {
+		cb(val, ver, exists)
 	}
-	g.net.After(g.co.ID(), 0, func() {
-		g.co.ReadQuorumEncoded(key, func(qval record.Encoded, qver record.Version, qexists bool) {
-			g.mu.Lock()
-			qks := g.ks(key)
-			g.installLocked(qks, qval, qver, qexists)
-			qks.readAt = g.net.Now().UnixNano()
-			g.askInterestLocked(key, qks)
-			g.mu.Unlock()
-			answer(unmet, qval, qver, qexists)
-		})
-	})
 }
 
 // readTierGaugesLocked reports the materialized-key count and how

@@ -8,6 +8,7 @@ import (
 
 	"mdcc/internal/core"
 	"mdcc/internal/kv"
+	"mdcc/internal/mtx"
 	"mdcc/internal/record"
 	"mdcc/internal/topology"
 	"mdcc/internal/transport"
@@ -172,10 +173,11 @@ func TestGatewayReadsAreTheCallersOwn(t *testing.T) {
 	check("memory hit")
 }
 
-// TestReadTierFloorEscalation pins the fallback ladder's quorum rung:
-// a floor above everything the local replica has must escalate to a
-// quorum read rather than serve below the floor.
-func TestReadTierFloorEscalation(t *testing.T) {
+// TestReadTierFloorFillsOnce pins the end of the gateway's ladder: a
+// floor above everything the local replica has skips the memory copy
+// and gets one fill of the local replica, answered at its version. The
+// gateway re-reads nothing for the floor; that is mtx.ReadAtFloor's.
+func TestReadTierFloorFillsOnce(t *testing.T) {
 	key := record.Key("stock/floor")
 	w := newTestWorld(t, Tuning{}, nil)
 	w.preload(key, record.Value{Attrs: map[string]int64{"units": 1}})
@@ -183,20 +185,57 @@ func TestReadTierFloorEscalation(t *testing.T) {
 
 	// Warm the memory copy (version 1).
 	readOnce(w, key, 0)
-	// A floor of 99 can be met by nobody; the ladder must walk memory
-	// -> RPC -> quorum and return the best available rather than the
-	// (equally stale) memory copy without trying.
+	// A floor of 99 can be met by nobody; the memory copy must not
+	// answer it, and one fill must.
 	_, ver, exists, served := readOnce(w, key, 99)
 	if !served || !exists || ver != 1 {
 		t.Fatalf("floored read: served=%v exists=%v ver=%d", served, exists, ver)
 	}
 	m := w.gw.Metrics()
-	if m.ReadQuorums != 1 {
-		t.Fatalf("floor outrun did not escalate to a quorum read: %+v", m)
+	if m.ReadRPCs != 2 || m.ReadQuorums != 0 || m.LocalReads != 0 {
+		t.Fatalf("floored read took %d fills, %d quorum reads, %d memory hits; want 2 fills in all, 0, 0",
+			m.ReadRPCs, m.ReadQuorums, m.LocalReads)
 	}
-	// The memory path must never have served it (floor > memory ver).
-	if m.LocalReads != 0 {
-		t.Fatalf("memory served a read below its floor: %+v", m)
+}
+
+// TestReadAtFloorOverGateway runs the client contract's floor rule
+// over a gateway: the local replica holds version 1 and three of the
+// other four replicas version 3, so only a quorum meets a floor of 3.
+// The gateway's floored read answers version 1, and mtx.ReadAtFloor's
+// one re-read through ReadQuorum meets the floor.
+func TestReadAtFloorOverGateway(t *testing.T) {
+	key := record.Key("stock/quorum")
+	w := newTestWorld(t, Tuning{}, nil)
+	w.preload(key, record.Value{Attrs: map[string]int64{"units": 1}})
+	w.net.RunFor(3 * time.Second)
+	// Written after the warm-up, so anti-entropy has not yet carried
+	// version 3 to the local replica when the read starts.
+	ahead := 0
+	for i, n := range w.cl.Storage {
+		if n.Index == w.cl.Shard(key) && n.DC != topology.USWest && ahead < 3 {
+			_ = w.stores[i].Put(key, record.Value{Attrs: map[string]int64{"units": 3}}, 3)
+			ahead++
+		}
+	}
+
+	const floor = 3
+	rereads, answered := 0, 0
+	var got record.Version
+	var met bool
+	w.net.At(0, func() {
+		mtx.ReadAtFloor(
+			func(cb mtx.ReadFunc) { w.gw.ReadFloor(key, floor, cb) },
+			func(cb mtx.ReadFunc) { rereads++; w.gw.ReadQuorum(key, cb) },
+			floor,
+			func(_ record.Value, ver record.Version, _, ok bool) { answered++; got, met = ver, ok })
+	})
+	w.net.RunFor(5 * time.Second)
+	if answered != 1 || !met || got != floor || rereads != 1 {
+		t.Fatalf("answered %d times at v%d (met=%v) after %d re-reads; want once at v%d after 1",
+			answered, got, met, rereads, floor)
+	}
+	if m := w.gw.Metrics(); m.ReadRPCs != 1 || m.ReadQuorums != 1 {
+		t.Fatalf("%d fills and %d quorum reads, want 1 and 1", m.ReadRPCs, m.ReadQuorums)
 	}
 }
 
@@ -461,9 +500,8 @@ func TestReadTierPublisherChurnedOut(t *testing.T) {
 
 // TestKillAndCloseAnswerHeldReads pins the teardown half of the client
 // contract: every read the gateway holds past the memory rung — a
-// single-flight fill, the waiter sharing it, a floor escalation
-// already on its quorum rung, a plain quorum read, and the tier-less
-// per-read RPC — is answered absent exactly once by Kill and by Close
+// single-flight fill, the waiter sharing it, a quorum read, and the
+// tier-less per-read RPC — is answered absent exactly once by Kill and by Close
 // (after the transactions, in registration order), late replies never
 // re-fire a callback, and every call made afterwards answers at once.
 func TestKillAndCloseAnswerHeldReads(t *testing.T) {
@@ -505,18 +543,7 @@ func TestKillAndCloseAnswerHeldReads(t *testing.T) {
 					order = append(order, name)
 				}
 			}
-			var want []string
-			if tc.tier {
-				// A floor nobody can meet: 20ms in, the local fill has
-				// answered and the read sits on its quorum rung.
-				w.net.At(0, func() { w.gw.ReadFloor("held/b", 99, read("escalated")) })
-				w.net.RunFor(20 * time.Millisecond)
-				if m := w.gw.Metrics(); m.ReadQuorums != 1 || len(order) != 0 {
-					t.Fatalf("escalation not in flight: %d quorum reads, answered %v", m.ReadQuorums, order)
-				}
-				want = []string{"escalated"}
-			}
-			want = append(want, "fill", "waiter", "quorum", "plain")
+			want := []string{"fill", "waiter", "quorum", "plain"}
 			w.net.At(0, func() {
 				w.gw.ReadFloor("held/a", 0, read("fill"))
 				w.gw.Commit([]record.Update{record.Commutative("held/a", map[string]int64{"x": 1})}, commit("tx1"))

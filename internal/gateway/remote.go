@@ -36,8 +36,7 @@ type MsgTxReply struct {
 // quorum read instead of the nearest replica. Floor, when non-zero,
 // is the client session's version floor (monotonic reads /
 // read-your-writes): the gateway never serves its materialized copy
-// below it, walking the fallback ladder instead (see
-// Gateway.ReadFloor).
+// below it, reading the local replica instead (see Gateway.ReadFloor).
 type MsgRead struct {
 	ReqID  uint64
 	Key    record.Key

@@ -627,7 +627,7 @@ func (r *Run) clientLoop(ci int) {
 		// cut off can legitimately find NO reachable replica at its floor,
 		// which is in-contract, not a tier violation. (The tier's own
 		// floor discipline — memory never served below a floor — is pinned
-		// by TestReadTierFloorEscalation and by the recorded reads.)
+		// by TestReadTierFloorFillsOnce and by the recorded reads.)
 		gc := c.(gwClient)
 		key := readKeyFor(rng, w)
 		floor := r.floors[ci].Floor(key)

@@ -179,7 +179,7 @@ type readRes struct {
 
 // readAtFloor starts one read of key under the client contract's floor
 // rule: the backend's nearest (or gateway-materialized) read, carrying
-// the session's floor so a gateway can meet it on its own ladder, then
+// the session's floor so a gateway never serves memory below it, then
 // quorum re-reads while the answer lags it.
 func (s *Session) readAtFloor(key Key) <-chan readRes {
 	floor := s.floors.Floor(key)
