@@ -100,9 +100,9 @@
 //	                                      // floor outruns)
 //	    "readCoalesced": 0,               // readers who shared an
 //	                                      // in-flight fallback
-//	    "readQuorums": 0,                 // quorum escalations for
-//	                                      // session floors the local
-//	                                      // replica lagged
+//	    "readQuorums": 0,                 // up-to-date quorum reads
+//	                                      // served (a session's floor
+//	                                      // re-reads among them)
 //	    "localReadFrac": 0.0,             // localReads / all reads served
 //	    "feedMsgs": 0, "feedItems": 0,    // consumed in-order visibility
 //	                                      // feed messages / key states

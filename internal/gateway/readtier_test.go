@@ -501,9 +501,10 @@ func TestReadTierPublisherChurnedOut(t *testing.T) {
 // TestKillAndCloseAnswerHeldReads pins the teardown half of the client
 // contract: every read the gateway holds past the memory rung — a
 // single-flight fill, the waiter sharing it, a quorum read, and the
-// tier-less per-read RPC — is answered absent exactly once by Kill and by Close
-// (after the transactions, in registration order), late replies never
-// re-fire a callback, and every call made afterwards answers at once.
+// tier-less per-read RPC — is answered absent exactly once by Kill and
+// by Close (after the transactions, in registration order), late
+// replies never re-fire a callback, and every call made afterwards
+// answers at once.
 func TestKillAndCloseAnswerHeldReads(t *testing.T) {
 	for _, tc := range []struct {
 		name string
