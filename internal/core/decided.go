@@ -43,7 +43,7 @@ import (
 // The log is packed against the node's lane table (DESIGN §12): its
 // entries sit in settle order, back to back in one byte slice, each
 //
-//	u64 settledAt | uvarint n | n-byte packed decision
+//	uvarint n | n-byte packed decision
 //
 // where the packed decision is the oplog decision body (the 0xD2
 // record after its key: string Tx | u8 Decision | uvarint KeySeq |
@@ -59,10 +59,10 @@ import (
 // so an entry keeps a lane index and a sequence, not its transaction
 // id, and not the key every update of the record repeats. Persisting
 // or checkpointing an entry expands it back into the exact body
-// (appendBody), and replay packs what it reads (restore). The settle
-// time is fixed-width (little-endian UnixNano): a real clock's would
-// take nine bytes as a varint, and a scan steps over eight without
-// decoding them. A settled option costs its packed bytes and nothing
+// (appendBody), and replay packs what it reads (restore). An entry
+// holds no settle time: only compaction reads one, and only an indexed
+// log is long enough to be compacted, so the index keeps the times
+// (decidedIndex.at). A settled option costs its packed bytes and nothing
 // else: no slot, no pointer, no string of its own. The zero value is
 // an empty log, so a record that never settles anything pays for a
 // nil slice and a nil pointer. Most records hold a handful of entries,
@@ -91,6 +91,9 @@ type decidedIndex struct {
 	// with nothing evictable costs O(1) amortized per settle, not O(n).
 	// (Below decidedIndexMin entries it would read as decidedLimit.)
 	lastCompactLen int
+	// at is each entry's settle time (UnixNano), in settle order; those
+	// settled before the index was built age from the build, never less.
+	at []int64
 	// peers is the last summary learned from each peer replica, packed
 	// against the node's lane table: compact releases an entry only once
 	// every peer's contains it. It is noted only while the log is longer
@@ -111,8 +114,8 @@ const (
 	// decidedFitMax is the size up to which a log's buffer grows to fit
 	// each new entry: most records settle a few dozen options at most,
 	// and slack on each of them would be paid by every replica. Past it
-	// the buffer grows geometrically, so a hot key's settle stays O(1)
-	// amortized.
+	// (some 250 ordinary entries of about sixteen bytes) the buffer grows
+	// geometrically, so a hot key's settle stays O(1) amortized.
 	decidedFitMax = 4 << 10
 )
 
@@ -211,21 +214,19 @@ func laneSeqHash(tag, seq uint64) uint64 {
 }
 
 // decidedEntry is one entry of a decided log read in place — the
-// decision's fields, its settle time and the table and record key it
-// is packed against — and the decoded view the cold readers take:
-// recovery replies, grafts, replay and the oplog. Nothing is copied (id
-// and up alias the log), so a view is good until the log next changes;
-// what outlives that is decoded (option, update) or expanded
-// (appendBody).
+// decision's fields and the table and record key it is packed against —
+// and the decoded view the cold readers take: recovery replies, grafts,
+// replay and the oplog. Nothing is copied (id and up alias the log), so
+// a view is good until the log next changes; what outlives that is
+// decoded (option, update) or expanded (appendBody).
 type decidedEntry struct {
-	tab       *laneTable
-	key       record.Key
-	id        storedID
-	up        []byte // the update as packed; nil: contents never known (HasUp false)
-	elided    bool   // up is upElided's: the kind, then the update after its key
-	settledAt int64  // UnixNano
-	KeySeq    uint64
-	Decision  Decision
+	tab      *laneTable
+	key      record.Key
+	id       storedID
+	up       []byte // the update as packed; nil: contents never known (HasUp false)
+	elided   bool   // up is upElided's: the kind, then the update after its key
+	KeySeq   uint64
+	Decision Decision
 }
 
 // appendDecision appends the oplog decision body of tx settled as d
@@ -354,7 +355,7 @@ func uvarintAt(b []byte, i int) (uint64, int) {
 // lookup reads. It returns the offset of the fields after the id and
 // the next entry's; a scan is this function in a loop.
 func (l *decidedLog) idAt(off int) (id storedID, rest, next int) {
-	n, i := uvarintAt(l.buf, off+8)
+	n, i := uvarintAt(l.buf, off)
 	next = i + int(n)
 	id.tag, i = uvarintAt(l.buf, i)
 	if id.tag == 0 {
@@ -370,7 +371,6 @@ func (l *decidedLog) idAt(off int) (id storedID, rest, next int) {
 func (l *decidedLog) at(t *laneTable, key record.Key, off int) (decidedEntry, int) {
 	id, i, next := l.idAt(off)
 	e := decidedEntry{tab: t, key: key, id: id, Decision: Decision(l.buf[i])}
-	e.settledAt = int64(binary.LittleEndian.Uint64(l.buf[off:]))
 	e.KeySeq, i = uvarintAt(l.buf, i+1)
 	if tag := l.buf[i]; tag != upNone {
 		e.up, e.elided = l.buf[i+1:next], tag == upElided
@@ -393,12 +393,9 @@ func (l *decidedLog) each(t *laneTable, key record.Key, fn func(e decidedEntry) 
 // find returns the offset in buf of id's entry, -1 if absent.
 func (l *decidedLog) find(t *laneTable, id decidedID) int {
 	if l.idx != nil {
-		h, ok := id.hash(t)
-		if !ok {
-			return -1
-		}
+		h, numbered := id.hash(t)
 		pos, ok := l.idx.pos[h]
-		if !ok {
+		if !numbered || !ok {
 			return -1
 		}
 		if pos >= 0 {
@@ -463,12 +460,12 @@ func (l *decidedLog) record(t *laneTable, key record.Key, d Decision, opt Option
 	return e, true
 }
 
-// restore stores a replayed decision body of the record key settled at
-// settledAt, packed, unless its transaction is already known, and
+// restore stores a replayed decision body of the record key, packed, at
+// replay clock now, unless its transaction is already known, and
 // returns the entry and whether it did. Every body it sees was built by
 // appendDecision in this process (replay re-encodes what it decodes),
 // so it cannot be malformed.
-func (l *decidedLog) restore(t *laneTable, key record.Key, settledAt int64, body []byte) (decidedEntry, bool) {
+func (l *decidedLog) restore(t *laneTable, key record.Key, now int64, body []byte) (decidedEntry, bool) {
 	n, k := binary.Uvarint(body)
 	id := parseID(TxID(body[k : k+int(n)]))
 	if l.find(t, id) >= 0 {
@@ -481,16 +478,15 @@ func (l *decidedLog) restore(t *laneTable, key record.Key, settledAt int64, body
 		up = rest[2+k:]
 	}
 	var scratch [256]byte
-	e, _ := l.at(t, key, l.add(settledAt, packDecision(scratch[:0], t, key, id, Decision(rest[0]), keySeq, up)))
+	e, _ := l.at(t, key, l.add(now, packDecision(scratch[:0], t, key, id, Decision(rest[0]), keySeq, up)))
 	return e, true
 }
 
-// add appends a packed decision whose transaction the log does not
-// hold and returns the entry's offset in buf.
-func (l *decidedLog) add(settledAt int64, packed []byte) int {
-	var hdr [8 + binary.MaxVarintLen64]byte
-	h := binary.LittleEndian.AppendUint64(hdr[:0], uint64(settledAt))
-	h = binary.AppendUvarint(h, uint64(len(packed)))
+// add appends a packed decision, settled at now, whose transaction the
+// log does not hold and returns the entry's offset in buf.
+func (l *decidedLog) add(now int64, packed []byte) int {
+	var hdr [binary.MaxVarintLen64]byte
+	h := binary.AppendUvarint(hdr[:0], uint64(len(packed)))
 	off := len(l.buf)
 	switch need := off + len(h) + len(packed); {
 	case need <= cap(l.buf):
@@ -507,8 +503,9 @@ func (l *decidedLog) add(settledAt int64, packed []byte) int {
 	if l.idx != nil {
 		id, _, _ := l.idAt(off)
 		l.idx.file(id.hash(), l.idx.head+off)
+		l.idx.at = append(l.idx.at, now)
 	} else if l.n >= decidedIndexMin {
-		l.reindex()
+		l.reindex(now)
 	}
 	return off
 }
@@ -521,9 +518,9 @@ func (x *decidedIndex) file(h uint64, pos int) {
 	x.pos[h] = pos
 }
 
-// reindex rebuilds the lookup index from the entries, or drops it
-// when the log is short again.
-func (l *decidedLog) reindex() {
+// reindex rebuilds the lookup index from the entries, keeping their times
+// or giving each now, or drops both when the log is short again.
+func (l *decidedLog) reindex(now int64) {
 	old := l.idx
 	l.idx = nil
 	if l.n < decidedIndexMin {
@@ -531,11 +528,14 @@ func (l *decidedLog) reindex() {
 	}
 	l.idx = &decidedIndex{pos: make(map[uint64]int, l.n)}
 	if old != nil {
-		l.idx.lastCompactLen, l.idx.peers = old.lastCompactLen, old.peers
+		l.idx.lastCompactLen, l.idx.peers, l.idx.at = old.lastCompactLen, old.peers, old.at
 	}
 	for off := 0; off < len(l.buf); {
 		id, _, next := l.idAt(off)
 		l.idx.file(id.hash(), off)
+		if old == nil {
+			l.idx.at = append(l.idx.at, now)
+		}
 		off = next
 	}
 }
@@ -546,11 +546,8 @@ func (l *decidedLog) reindex() {
 // by one and buf is resliced past them, so a pass costs what it drops.
 func (l *decidedLog) compactLegacy(now time.Time, retention time.Duration) {
 	horizon := now.Add(-retention).UnixNano()
-	off := 0
-	for l.n > decidedLimit {
-		if int64(binary.LittleEndian.Uint64(l.buf[off:])) > horizon {
-			break
-		}
+	off, dropped := 0, 0
+	for ; l.n > decidedLimit && l.idx.at[dropped] <= horizon; dropped++ {
 		id, _, next := l.idAt(off)
 		if h := id.hash(); l.idx.pos[h] == l.idx.head+off {
 			delete(l.idx.pos, h)
@@ -558,11 +555,12 @@ func (l *decidedLog) compactLegacy(now time.Time, retention time.Duration) {
 		off = next
 		l.n--
 	}
-	// The dropped bytes hold no pointers; the backing array sheds them
-	// when it next grows.
+	// The dropped bytes and times hold no pointers; the backing arrays
+	// shed them when they next grow.
 	l.buf = l.buf[off:]
 	if l.idx != nil {
 		l.idx.head += off
+		l.idx.at = l.idx.at[dropped:]
 	}
 }
 
@@ -591,37 +589,38 @@ func (l *decidedLog) notePeer(t *laneTable, from transport.NodeID, s LineageSumm
 
 // compact releases evictable entries: aged past retention and either
 // legacy (KeySeq 0) or contained in the noted summary of every one of
-// the record's replicas but self. The kept entries move up in place.
+// the record's replicas but self; an unindexed log holds no times and
+// releases none. The kept entries and their times move up in place.
 // Returns how many entries were released.
 func (l *decidedLog) compact(t *laneTable, key record.Key, now time.Time, retention time.Duration,
 	self transport.NodeID, replicas []transport.NodeID) int {
-	horizon := now.Add(-retention).UnixNano()
-	var peers map[transport.NodeID]packedLineage
-	if l.idx != nil {
-		peers = l.idx.peers
+	x := l.idx
+	if x == nil {
+		return 0
 	}
+	horizon := now.Add(-retention).UnixNano()
 	acked := func(e *decidedEntry) bool {
 		for _, p := range replicas {
-			if p != self && !peers[p].contains(t, e.lane(), e.KeySeq) {
+			if p != self && !x.peers[p].contains(t, e.lane(), e.KeySeq) {
 				return false
 			}
 		}
 		return true
 	}
 	w, kept := 0, 0
-	for off := 0; off < len(l.buf); {
+	for i, off := 0, 0; off < len(l.buf); i++ {
 		e, next := l.at(t, key, off)
-		if !(e.settledAt <= horizon && (e.KeySeq == 0 || acked(&e))) {
+		if !(x.at[i] <= horizon && (e.KeySeq == 0 || acked(&e))) {
 			w += copy(l.buf[w:], l.buf[off:next])
+			x.at[kept] = x.at[i]
 			kept++
 		}
 		off = next
 	}
 	evicted := l.n - kept
-	l.buf = l.buf[:w]
-	l.n = kept
+	l.buf, x.at, l.n = l.buf[:w], x.at[:kept], kept
 	if evicted > 0 {
-		l.reindex()
+		l.reindex(now.UnixNano())
 	}
 	if l.idx != nil {
 		l.idx.lastCompactLen = kept

@@ -15,10 +15,11 @@ import (
 // codecNet is the least network a storage node runs on: it hands the
 // node every message through the wire codec — so what the node retains
 // is what a TCP node retains, each message its own allocations — sends
-// nowhere and arms no timer.
+// nowhere and arms no timer. Its clock moves only when clock is set.
 type codecNet struct {
 	handler transport.Handler
 	frame   []byte
+	clock   time.Duration
 }
 
 type inertTimer struct{}
@@ -30,7 +31,7 @@ func (n *codecNet) Send(_, _ transport.NodeID, _ transport.Message)  {}
 func (n *codecNet) After(transport.NodeID, time.Duration, func()) transport.Timer {
 	return inertTimer{}
 }
-func (n *codecNet) Now() time.Time { return time.Unix(1, 0) }
+func (n *codecNet) Now() time.Time { return time.Unix(1, 0).Add(n.clock) }
 
 func (n *codecNet) deliver(t *testing.T, from, to transport.NodeID, msg transport.Message) {
 	var err error
@@ -58,11 +59,13 @@ func (n *codecNet) deliver(t *testing.T, from, to transport.NodeID, msg transpor
 // layout.
 //
 // The one-lane arm settles every option on one coordinator lane.
-// Measured go1.24, amd64: 25 B per option — the entry's own bytes in the
+// Measured go1.24, amd64: 19 B per option — the entry's own bytes in the
 // record's packed log, its transaction id a lane index and a sequence
-// and its update without the record's key — and 361 B per record: its
+// and its update without the record's key — and 320 B per record: its
 // state, its stored value and its key, in a run that also fills the key
-// intern table. It was 53 B per option while each entry held its
+// intern table. It was 27 B per option (25 B in an earlier run) while
+// each entry also held an eight-byte settle time, which only the index
+// of a log long enough to compact keeps now, 53 B while each entry held its
 // transaction id and its update's key in full, 110 B while each entry
 // was a 64-byte slot beside an encoded-update allocation, pinning its
 // wire-decoded transaction id, and 360 B before that, with a map of
@@ -76,17 +79,18 @@ func (n *codecNet) deliver(t *testing.T, from, to transport.NodeID, msg transpor
 // The many-lanes arm is sixteen coordinators (gateways' and sessions')
 // with incarnation tokens, each record's options on rotating lanes, so
 // every option also opens a lane in the record's lineage summary. It
-// reads 30 B per option: the entry, plus the lane's few bytes in the
+// reads 24 B per option: the entry, plus the lane's few bytes in the
 // packed summary, both naming the lane by its index in the node's lane
-// table. It was 66 B while the entry held its transaction id in full,
+// table. It was 32 B (30 B in an earlier run) while the entry held its
+// settle time, 66 B while the entry held its transaction id in full,
 // 142 B while each lane took a LaneLineage slot and a Done range of its
 // own, and 198 B while each lane's name was a substring of a
 // transaction id that its bytes kept alive.
 func TestResidentBytesPerSettledOption(t *testing.T) {
 	const (
-		maxPerOption      = 40
+		maxPerOption      = 30
 		maxPerRecord      = 450
-		maxPerOptionLanes = 50
+		maxPerOptionLanes = 40
 		lanes             = 16
 	)
 	perOption, perRec := residentPerSettledOption(t, oneLane)
@@ -258,4 +262,54 @@ func TestSyncReplyOpensNoShortRecord(t *testing.T) {
 		t.Errorf("%.0f B retained per record after the peers' sync replies, gate %d", perRec, maxPerRecord)
 	}
 	runtime.KeepAlive(w.n)
+}
+
+// TestSweepReleasesAckedEntries: one record settles past decidedLimit,
+// its first entries (the index is built among them) a retention period
+// before the rest. Once a sync reply from each peer names the record
+// with a summary holding every entry, the pending sweep's forced
+// compaction releases exactly the entries aged past retention, counts
+// each in DecidedReleased, and the record's summary still answers every
+// one it released.
+func TestSweepReleasesAckedEntries(t *testing.T) {
+	const aged = 300
+	w := newResidentWorld(t)
+	w.keys = w.keys[:1]
+	key := w.keys[0]
+	retention := w.n.cfg.DecidedRetention
+	round := 0
+	for ; round < aged; round++ {
+		w.settleRound(round, oneLane)
+	}
+	w.net.clock = retention + time.Second
+	for ; round <= decidedLimit+8; round++ {
+		w.settleRound(round, oneLane)
+	}
+	r := w.n.rs(key)
+	val, ver, _ := w.n.Store().GetEncoded(key)
+	reply := MsgSyncReply{ReqID: 1, Entries: []SyncEntry{{Key: key, Value: val, Version: ver, Lineage: r.summary.unpack(&w.n.lanes)}}}
+	for _, peer := range w.cl.Replicas(key) {
+		if peer != w.n.ID() {
+			w.net.deliver(t, peer, w.n.ID(), reply)
+		}
+	}
+	w.net.clock += time.Second
+	before := r.decided.len()
+	w.n.sweepPending()
+	released := before - r.decided.len()
+	if released != aged {
+		t.Fatalf("the sweep released %d of %d entries, want the %d aged past retention", released, before, aged)
+	}
+	if got := w.n.Metrics().DecidedReleased; got != int64(released) {
+		t.Fatalf("DecidedReleased = %d after %d entries were released", got, released)
+	}
+	for seq := 1; seq <= round; seq++ {
+		tx := TxID(fmt.Sprintf("gw/us-west/c0#%d", seq))
+		if _, inLog := r.decided.get(&w.n.lanes, tx); inLog != (seq > aged) {
+			t.Fatalf("%s in the log: %v", tx, inLog)
+		}
+		if d, ok := w.n.settled(r, tx, uint64(seq)); !ok || d != DecAccept {
+			t.Fatalf("%s settles as %v %v after the release", tx, d, ok)
+		}
+	}
 }

@@ -69,8 +69,8 @@ var ErrDurability = errors.New("mdcc/core: durability failure, node degraded")
 // base adoption, whose wholesale summary union has no per-decision
 // records to replay). Checkpoint snapshots serialize each record's
 // decided log in this same shape, so restoring a snapshot reuses the
-// replay machinery unchanged. settledAt is not persisted: a replayed
-// entry's retention clock restarts with the node.
+// replay machinery unchanged. No settle time is persisted: a replayed
+// log's retention clock starts at the replay (decidedIndex.at).
 type oplogEntry struct {
 	Key record.Key
 	// Decision is the decision body (string Tx | u8 Decision | uvarint

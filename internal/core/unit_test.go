@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"hash/maphash"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -161,6 +162,9 @@ func TestDecidedLogAckGatedCompaction(t *testing.T) {
 	const retention = defaultDecidedRetention
 	start := time.Unix(0, 0)
 	late := start.Add(retention + time.Minute)
+	// The index is built at late, by the filler below, and the entries
+	// settled before it age from then: aged is past retention for them.
+	aged := late.Add(retention + time.Minute)
 	settle := func(tx TxID, at time.Time) {
 		l.record(DecAccept, Option{Tx: tx, KeySeq: 1, Update: record.Commutative("k", map[string]int64{"x": -1})}, true, at)
 	}
@@ -172,26 +176,26 @@ func TestDecidedLogAckGatedCompaction(t *testing.T) {
 	for _, p := range testReplicas[1:] {
 		l.notePeer(p, every)
 	}
-	if got := l.compact(late, retention); got != 0 {
+	if got := l.compact(aged, retention); got != 0 {
 		t.Fatalf("a %d-entry log released %d entries", l.len(), got)
 	}
-	// Past decidedLimit it notes. The filler settles at late, inside
-	// retention there: it is never released below.
+	// Past decidedLimit it notes. The filler settles at late, on a lane
+	// no peer acks: it is never released below.
 	for i := 0; l.len() < decidedLimit+8; i++ {
 		settle(TxID(fmt.Sprintf("fill#%d", i)), late)
 	}
 	// Nothing noted yet: nothing released, regardless of age or count.
-	if got := l.compact(late, retention); got != 0 {
+	if got := l.compact(aged, retention); got != 0 {
 		t.Fatalf("released %d unacked entries", got)
 	}
 	// One peer's ack is not every peer's.
 	l.notePeer("p1", every)
-	if got := l.compact(late, retention); got != 0 {
+	if got := l.compact(aged, retention); got != 0 {
 		t.Fatalf("released %d entries one peer lacks", got)
 	}
 	// The other peer acks lanes c0..c3: exactly those become releasable.
 	l.notePeer("p2", acking(1, "c0", "c1", "c2", "c3"))
-	if got := l.compact(late, retention); got != 4 {
+	if got := l.compact(aged, retention); got != 4 {
 		t.Fatalf("released %d, want 4", got)
 	}
 	if _, ok := l.get("c4#1"); !ok {
@@ -199,11 +203,88 @@ func TestDecidedLogAckGatedCompaction(t *testing.T) {
 	}
 	// Aged but acked inside retention: still held (cache courtesy).
 	l.notePeer("p2", every)
-	if got := l.compact(start, retention); got != 0 {
+	if got := l.compact(late, retention); got != 0 {
 		t.Fatalf("released %d entries inside retention", got)
 	}
-	if got := l.compact(late, retention); got != 2 {
+	if got := l.compact(aged, retention); got != 2 {
 		t.Fatalf("released %d, want the last 2", got)
+	}
+}
+
+// An entry settled before its log was indexed has no time of its own
+// and ages from the index's build: acked by every peer, it is held until
+// retention has passed since the build, however long ago it settled,
+// and released after that.
+func TestDecidedLogAgesFromIndexBuild(t *testing.T) {
+	var l testLog
+	const retention = defaultDecidedRetention
+	start := time.Unix(0, 0)
+	built := start.Add(time.Hour)
+	settle := func(lane string, seq int, at time.Time) {
+		l.record(DecAccept, Option{Tx: TxID(fmt.Sprintf("%s#%d", lane, seq)), KeySeq: uint64(seq),
+			Update: record.Commutative(testLogKey, map[string]int64{"x": 1})}, true, at)
+	}
+	for seq := 1; seq < decidedIndexMin; seq++ {
+		settle("c0", seq, start)
+	}
+	if l.idx != nil {
+		t.Fatalf("a %d-entry log is indexed", l.len())
+	}
+	settle("c0", decidedIndexMin, built)
+	for i, at := range l.idx.at {
+		if at != built.UnixNano() {
+			t.Fatalf("entry %d of a new index settled at %v, want the build time %v", i, time.Unix(0, at), built)
+		}
+	}
+	// A long log notes the peers. They ack lane c0, not the filler's.
+	for seq := 1; l.len() < decidedLimit+8; seq++ {
+		settle("fill", seq, built)
+	}
+	for _, p := range testReplicas[1:] {
+		l.notePeer(p, acking(decidedIndexMin, "c0"))
+	}
+	if got := l.compact(built.Add(retention-time.Second), retention); got != 0 {
+		t.Fatalf("released %d entries inside retention of the build", got)
+	}
+	if got := l.compact(built.Add(retention), retention); got != decidedIndexMin {
+		t.Fatalf("released %d entries past retention of the build, want %d", got, decidedIndexMin)
+	}
+	if _, ok := l.get("c0#1"); ok {
+		t.Fatal("a released entry still answers")
+	}
+	if _, ok := l.get("fill#1"); !ok {
+		t.Fatal("an unacked entry was released")
+	}
+}
+
+// A log too short to be indexed holds its entries and nothing else: a
+// length prefix and a packed decision each, no time.
+func TestShortDecidedLogKeepsNoClock(t *testing.T) {
+	var l testLog
+	want := 0
+	for i := 0; i < decidedIndexMin-1; i++ {
+		opt := Option{Tx: TxID(fmt.Sprintf("gw/us-west/c%d#%d", i%3, i)), KeySeq: uint64(i + 1),
+			Update: record.Physical(testLogKey, record.Version(i), record.Value{Blob: []byte("8 bytes.")})}
+		var up []byte
+		switch i % 3 {
+		case 1:
+			opt.Update.Key = "j" // another record's update keeps its key
+		case 2:
+			opt = Option{Tx: opt.Tx} // no contents
+		}
+		if opt.Update.Kind != 0 {
+			up = record.AppendUpdate(nil, opt.Update)
+		}
+		l.record(DecAccept, opt, opt.Update.Kind != 0, time.Unix(int64(i), 0))
+		packed := packDecision(nil, &l.tab, testLogKey, parseID(opt.Tx), DecAccept, opt.KeySeq, up)
+		want += len(transport.AppendUvarint(nil, uint64(len(packed)))) + len(packed)
+	}
+	if l.idx != nil {
+		t.Fatalf("a %d-entry log is indexed", l.len())
+	}
+	if len(l.buf) != want {
+		t.Fatalf("%d entries take %d B, want %d: %+.1f B per entry beside the length prefix and the packed decision",
+			l.len(), len(l.buf), want, float64(len(l.buf)-want)/float64(l.len()))
 	}
 }
 
@@ -336,9 +417,15 @@ func oracleTx(rng *rand.Rand, steps int) TxID {
 // compact / compactLegacy sequences, long enough to cross the index
 // threshold in both directions and the count limit, against a plain
 // map plus order slice — the structure the log replaced. Every entry
-// found expands to the exact body appendDecision writes for it.
+// found expands to the exact body appendDecision writes for it. Only an
+// indexed log holds settle times: the entries it held when its index was
+// built age from the build, and a log that drops below decidedIndexMin
+// forgets them (noTime).
 func TestDecidedLogMatchesMapOracle(t *testing.T) {
-	const retention = time.Minute
+	const (
+		retention = time.Minute
+		noTime    = math.MaxInt64
+	)
 	type settled struct {
 		d         Decision
 		opt       Option
@@ -373,7 +460,7 @@ func TestDecidedLogMatchesMapOracle(t *testing.T) {
 				if rng.Intn(8) == 0 {
 					key = "j" // an update of another record: its key is kept
 				}
-				s := settled{d: Decision(1 + rng.Intn(2)), hasOpt: rng.Intn(4) > 0, settledAt: now.UnixNano(),
+				s := settled{d: Decision(1 + rng.Intn(2)), hasOpt: rng.Intn(4) > 0, settledAt: noTime,
 					opt: Option{Tx: tx, KeySeq: uint64(rng.Intn(3)), // 0 = legacy
 						Update: record.Commutative(key, map[string]int64{"x": int64(step)})}}
 				if !s.hasOpt {
@@ -387,12 +474,23 @@ func TestDecidedLogMatchesMapOracle(t *testing.T) {
 					ref[tx] = s
 					order = append(order, tx)
 				}
+				if !known && len(order) >= decidedIndexMin {
+					// The log is indexed: the new entry settles now, and so
+					// does every entry of a log the new one indexed.
+					for _, tx := range order[len(order)-decidedIndexMin:] {
+						s := ref[tx]
+						if s.settledAt == noTime {
+							s.settledAt = now.UnixNano()
+							ref[tx] = s
+						}
+					}
+				}
 			case op < 90:
 				d, ok := l.get(tx)
 				e, eok := l.entry(tx)
 				want, wok := ref[tx]
 				opt, has := e.option()
-				if ok != wok || eok != wok || d != want.d || e.Decision != want.d || e.settledAt != want.settledAt ||
+				if ok != wok || eok != wok || d != want.d || e.Decision != want.d ||
 					has != want.hasOpt || (has && !reflect.DeepEqual(opt, want.opt)) {
 					t.Fatalf("round %d step %d: get(%s) = %v %v, entry = %+v %v; oracle %+v %v",
 						round, step, tx, d, ok, opt, eok, want, wok)
@@ -437,10 +535,26 @@ func TestDecidedLogMatchesMapOracle(t *testing.T) {
 			if indexed < decidedIndexMin {
 				indexed = 0 // short logs are scanned, and carry no map
 				noted = false
+				for _, tx := range order {
+					s := ref[tx]
+					s.settledAt = noTime
+					ref[tx] = s
+				}
 			}
 			if l.len() != len(order) || indexLen(&l) != indexed || (l.idx != nil) != (indexed > 0) {
 				t.Fatalf("round %d step %d: %d entries, %d indexed (nil %v), oracle %d",
 					round, step, l.len(), indexLen(&l), (l.idx == nil), len(order))
+			}
+			if l.idx != nil {
+				if len(l.idx.at) != len(order) {
+					t.Fatalf("round %d step %d: %d times for %d entries", round, step, len(l.idx.at), len(order))
+				}
+				for i, tx := range order {
+					if l.idx.at[i] != ref[tx].settledAt {
+						t.Fatalf("round %d step %d: %s (entry %d) settled at %d, oracle %d",
+							round, step, tx, i, l.idx.at[i], ref[tx].settledAt)
+					}
+				}
 			}
 		}
 		if got := txs(&l); !reflect.DeepEqual(got, order) && !(len(got) == 0 && len(order) == 0) {
