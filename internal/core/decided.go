@@ -115,7 +115,8 @@ const (
 	// each new entry: most records settle a few dozen options at most,
 	// and slack on each of them would be paid by every replica. Past it
 	// (some 250 ordinary entries of about sixteen bytes) the buffer grows
-	// geometrically, so a hot key's settle stays O(1) amortized.
+	// geometrically, so a hot key's settle stays O(1) amortized. An
+	// indexed log's times grow in the buffer's proportion (add).
 	decidedFitMax = 4 << 10
 )
 
@@ -500,12 +501,19 @@ func (l *decidedLog) add(now int64, packed []byte) int {
 	l.buf = append(l.buf, h...)
 	l.buf = append(l.buf, packed...)
 	l.n++
-	if l.idx != nil {
+	if x := l.idx; x != nil {
 		id, _, _ := l.idAt(off)
-		l.idx.file(id.hash(), l.idx.head+off)
-		l.idx.at = append(l.idx.at, now)
+		x.file(id.hash(), x.head+off)
+		if len(x.at) == cap(x.at) { // the buffer's slack; none while it fits
+			x.at = append(make([]int64, 0, len(x.at)*cap(l.buf)/len(l.buf)+1), x.at...)
+		}
+		x.at = append(x.at, now)
 	} else if l.n >= decidedIndexMin {
-		l.reindex(now)
+		l.reindex()
+		l.idx.at = make([]int64, l.n)
+		for i := range l.idx.at {
+			l.idx.at[i] = now
+		}
 	}
 	return off
 }
@@ -518,9 +526,9 @@ func (x *decidedIndex) file(h uint64, pos int) {
 	x.pos[h] = pos
 }
 
-// reindex rebuilds the lookup index from the entries, keeping their times
-// or giving each now, or drops both when the log is short again.
-func (l *decidedLog) reindex(now int64) {
+// reindex rebuilds the lookup index from the entries, keeping their
+// times, or drops both when the log is short again.
+func (l *decidedLog) reindex() {
 	old := l.idx
 	l.idx = nil
 	if l.n < decidedIndexMin {
@@ -533,9 +541,6 @@ func (l *decidedLog) reindex(now int64) {
 	for off := 0; off < len(l.buf); {
 		id, _, next := l.idAt(off)
 		l.idx.file(id.hash(), off)
-		if old == nil {
-			l.idx.at = append(l.idx.at, now)
-		}
 		off = next
 	}
 }
@@ -557,10 +562,8 @@ func (l *decidedLog) compactLegacy(now time.Time, retention time.Duration) {
 	}
 	// The dropped bytes and times hold no pointers; the backing arrays
 	// shed them when they next grow.
-	l.buf = l.buf[off:]
-	if l.idx != nil {
-		l.idx.head += off
-		l.idx.at = l.idx.at[dropped:]
+	if off > 0 {
+		l.buf, l.idx.head, l.idx.at = l.buf[off:], l.idx.head+off, l.idx.at[dropped:]
 	}
 }
 
@@ -618,12 +621,9 @@ func (l *decidedLog) compact(t *laneTable, key record.Key, now time.Time, retent
 		off = next
 	}
 	evicted := l.n - kept
-	l.buf, x.at, l.n = l.buf[:w], x.at[:kept], kept
+	l.buf, x.at, l.n, x.lastCompactLen = l.buf[:w], x.at[:kept], kept, kept
 	if evicted > 0 {
-		l.reindex(now.UnixNano())
-	}
-	if l.idx != nil {
-		l.idx.lastCompactLen = kept
+		l.reindex()
 	}
 	return evicted
 }

@@ -258,7 +258,9 @@ func TestDecidedLogAgesFromIndexBuild(t *testing.T) {
 }
 
 // A log too short to be indexed holds its entries and nothing else: a
-// length prefix and a packed decision each, no time.
+// length prefix and a packed decision each, no time. Once indexed, its
+// times grow to fit while its buffer does, and past that hold no more
+// slack than the buffer: at most one slot over its spare entries.
 func TestShortDecidedLogKeepsNoClock(t *testing.T) {
 	var l testLog
 	want := 0
@@ -285,6 +287,28 @@ func TestShortDecidedLogKeepsNoClock(t *testing.T) {
 	if len(l.buf) != want {
 		t.Fatalf("%d entries take %d B, want %d: %+.1f B per entry beside the length prefix and the packed decision",
 			l.len(), len(l.buf), want, float64(len(l.buf)-want)/float64(l.len()))
+	}
+	for i := 0; i < 2; i++ {
+		l.record(DecAccept, Option{Tx: TxID(fmt.Sprintf("c9#%d", i))}, false, time.Unix(100, 0))
+	}
+	if l.idx == nil {
+		t.Fatalf("a %d-entry log is not indexed", l.len())
+	}
+	if len(l.idx.at) != l.len() || cap(l.idx.at) != len(l.idx.at) {
+		t.Fatalf("a %d-entry log keeps %d times in %d slots", l.len(), len(l.idx.at), cap(l.idx.at))
+	}
+	size := 0 // every entry from here on packs to the same size
+	for seq := 1000; seq < 3000; seq++ {
+		before := len(l.buf)
+		l.record(DecAccept, Option{Tx: TxID(fmt.Sprintf("c8#%d", seq))}, false, time.Unix(100, 0))
+		size = len(l.buf) - before
+		if spare := (cap(l.buf) - len(l.buf)) / size; cap(l.idx.at)-len(l.idx.at) > spare+1 {
+			t.Fatalf("a %d-entry log keeps %d times in %d slots, its buffer room for %d more entries",
+				l.len(), len(l.idx.at), cap(l.idx.at), spare)
+		}
+	}
+	if len(l.buf) <= decidedFitMax {
+		t.Fatalf("the log grew to %d B, not past the %d B it fits", len(l.buf), decidedFitMax)
 	}
 }
 
