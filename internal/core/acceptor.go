@@ -91,25 +91,23 @@ type StorageNode struct {
 	group int
 }
 
-// recState is the acceptor's per-record state. Every record the node
-// has touched keeps its rest part — the decided-option log (the
-// idempotence/merge cache), the packed lineage summary and the class
-// lock, 80 bytes with the open pointer. The Paxos state only a record
-// in use needs is its open part, nil while each of its fields would
-// read as initial (see recOpen).
+// recState is the acceptor's per-record state, 48 bytes. Every record
+// the node has touched keeps its rest part, the decided log: one buffer
+// holding the decided-option entries (the idempotence/merge cache) and,
+// behind them, the record's packed lineage summary, beside the class
+// lock (decidedLog.kind). The summary is the record's exact
+// applied-option summary: the settled set whose effects the committed
+// value contains (or, for physical options, contains-or-supersedes).
+// It is what makes "does this base already contain apply X?"
+// answerable forever — see lineage.go. The kind is the record's
+// established update class (the kind-disjoint rule, DESIGN.md §5):
+// locked by the first non-creating update; record-creating inserts are
+// class-neutral; 0 = not yet locked. The Paxos state only a record in
+// use needs is its open part, nil while each of its fields would read
+// as initial (see recOpen).
 type recState struct {
 	decided decidedLog
-	// summary is the record's exact applied-option summary: the
-	// settled set whose effects the committed value contains (or, for
-	// physical options, contains-or-supersedes). It is what makes
-	// "does this base already contain apply X?" answerable forever —
-	// see lineage.go. It is packed against the node's lane table.
-	summary packedLineage
-	// kind is the record's established update class (the kind-disjoint
-	// rule, DESIGN.md §5): locked by the first non-creating update;
-	// record-creating inserts are class-neutral. 0 = not yet locked.
-	kind record.UpdateKind
-	open *recOpen
+	open    *recOpen
 }
 
 // recOpen is a record's Paxos state beyond its rest part. The node
@@ -464,6 +462,9 @@ func (n *StorageNode) settleOption(key record.Key, r *recState, d Decision, opt 
 	if !isNew {
 		return
 	}
+	// e still reads its entry after the summary write: that rewrites only
+	// the bytes behind the entries, and when it moves the buffer, the old
+	// array e aliases keeps its bytes.
 	n.noteSettled(r, d, opt)
 	n.logDecision(key, &e)
 	n.compactDecided(key, r, false)
@@ -478,7 +479,7 @@ func (n *StorageNode) settled(r *recState, tx TxID, keySeq uint64) (Decision, bo
 	if d, ok := r.decided.get(&n.lanes, tx); ok || keySeq == 0 {
 		return d, ok
 	}
-	return r.summary.decision(&n.lanes, laneOf(tx), keySeq)
+	return r.decided.summary().decision(&n.lanes, laneOf(tx), keySeq)
 }
 
 // noteSettled folds one settled option (with contents) into the
@@ -486,10 +487,11 @@ func (n *StorageNode) settled(r *recState, tx TxID, keySeq uint64) (Decision, bo
 // replay).
 func (n *StorageNode) noteSettled(r *recState, d Decision, opt Option) {
 	if opt.KeySeq > 0 {
+		s := r.decided.tail()
 		applied := d == DecAccept && opt.Update.Kind == record.KindCommutative
-		r.summary.add(&n.lanes, laneOf(opt.Tx), opt.KeySeq, d != DecAccept, applied)
+		s.add(&n.lanes, laneOf(opt.Tx), opt.KeySeq, d != DecAccept, applied)
 		if d == DecAccept && opt.Update.Kind == record.KindPhysical && opt.Update.ReadVersion > 0 {
-			r.summary.mark(false, true)
+			s.mark(false, true)
 		}
 	}
 	if d == DecAccept {
@@ -502,15 +504,15 @@ func (n *StorageNode) noteSettled(r *recState, d Decision, opt Option) {
 // account/stock records are created physically and then live
 // commutatively, per the paper's own workloads).
 func (r *recState) noteKind(up record.Update) {
-	if r.kind != 0 {
+	if r.decided.kind != 0 {
 		return
 	}
 	switch up.Kind {
 	case record.KindCommutative:
-		r.kind = record.KindCommutative
+		r.decided.kind = record.KindCommutative
 	case record.KindPhysical:
 		if up.ReadVersion > 0 {
-			r.kind = record.KindPhysical
+			r.decided.kind = record.KindPhysical
 		}
 	}
 }
@@ -521,14 +523,14 @@ func (r *recState) noteKind(up record.Update) {
 // over Physical for pre-enforcement mixed histories: the commutative
 // class is the one whose forks need merge protection.
 func (r *recState) noteKindFromSummary() {
-	if r.kind != 0 {
+	if r.decided.kind != 0 {
 		return
 	}
-	switch deltas, physical := r.summary.bits(); {
+	switch deltas, physical := r.decided.summary().bits(); {
 	case deltas:
-		r.kind = record.KindCommutative
+		r.decided.kind = record.KindCommutative
 	case physical:
-		r.kind = record.KindPhysical
+		r.decided.kind = record.KindPhysical
 	}
 }
 
@@ -806,7 +808,7 @@ func (n *StorageNode) evalPhysical(pending []VotedOption, opt Option) (Decision,
 	// effects without carrying their lineage identities, which is
 	// exactly what makes mixed-kind forks unmergeable. Inserts
 	// (ReadVersion 0) create the record and are class-neutral.
-	if opt.Update.ReadVersion > 0 && n.rs(key).kind == record.KindCommutative {
+	if opt.Update.ReadVersion > 0 && n.rs(key).decided.kind == record.KindCommutative {
 		n.m.MixedKindRejects++
 		return DecReject, ReasonMixedKinds
 	}
@@ -848,7 +850,7 @@ func (n *StorageNode) evalCommutative(pending []VotedOption, opt Option, fast bo
 	}
 	// Kind-disjoint rule, other direction: deltas on a physically
 	// rewritten key would fork unmergeably against the next rewrite.
-	if n.rs(opt.Update.Key).kind == record.KindPhysical {
+	if n.rs(opt.Update.Key).decided.kind == record.KindPhysical {
 		n.m.MixedKindRejects++
 		return DecReject, ReasonMixedKinds
 	}
@@ -1041,7 +1043,7 @@ func (n *StorageNode) adoptBase(key record.Key, base record.Encoded, baseVer rec
 		return false
 	}
 	r := n.rs(key)
-	if baseVer == localVer && r.summary.containsAll(&n.lanes, lineage) {
+	if baseVer == localVer && r.decided.summary().containsAll(&n.lanes, lineage) {
 		// Nothing to learn: the incoming branch is a subset of ours at
 		// the same version (equal sets when the peer is converged).
 		// Equal version and value alone would NOT prove this — two
@@ -1091,14 +1093,14 @@ func (n *StorageNode) adoptBase(key record.Key, base record.Encoded, baseVer rec
 			// Same value and version, but the incoming summary knows
 			// settles we don't (e.g. rejects, which bump no version):
 			// absorb the knowledge without rewriting the store.
-			r.summary.union(&n.lanes, lineage)
+			r.decided.tail().union(&n.lanes, lineage)
 			r.noteKindFromSummary()
 			n.logLineage(key, r)
 			return true
 		}
 	}
 	n.storePut(key, val, ver)
-	r.summary.union(&n.lanes, lineage)
+	r.decided.tail().union(&n.lanes, lineage)
 	r.noteKindFromSummary()
 	n.logLineage(key, r)
 	n.markFeedDirty(key)
@@ -1229,7 +1231,7 @@ func (n *StorageNode) onPhase1a(from transport.NodeID, m MsgPhase1a) {
 		Version: ver,
 		Value:   val,
 		Exists:  ok && !val.Tombstone(),
-		Lineage: r.summary.unpack(&n.lanes),
+		Lineage: r.decided.summary().unpack(&n.lanes),
 	}
 	n.send(from, reply)
 }
@@ -1325,7 +1327,7 @@ func (n *StorageNode) onEnableFast(m MsgEnableFast) {
 // (internal/check) compare these strings.
 func (n *StorageNode) LineageFingerprint(key record.Key) string {
 	if r, ok := n.recs[key]; ok {
-		return r.summary.unpack(&n.lanes).String()
+		return r.decided.summary().unpack(&n.lanes).String()
 	}
 	return LineageSummary{}.String()
 }

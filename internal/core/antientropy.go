@@ -89,7 +89,7 @@ func (n *StorageNode) onSyncReq(from transport.NodeID, m MsgSyncReq) {
 		count++
 		entry := SyncEntry{Key: e.Key, Value: e.Value, Version: e.Version}
 		if r, ok := n.recs[e.Key]; ok {
-			entry.Lineage = r.summary.unpack(&n.lanes)
+			entry.Lineage = r.decided.summary().unpack(&n.lanes)
 		}
 		reply.Entries = append(reply.Entries, entry)
 		return true

@@ -63,8 +63,8 @@ func (n *StorageNode) snapshotOplog() []oplogEntry {
 	var bodies []byte
 	for _, k := range keys {
 		r := n.recs[k]
-		if !r.summary.isEmpty() {
-			s := r.summary.unpack(&n.lanes)
+		if !r.decided.summary().isEmpty() {
+			s := r.decided.summary().unpack(&n.lanes)
 			out = append(out, oplogEntry{Key: k, Snapshot: &s})
 		}
 		r.decided.each(&n.lanes, k, func(e decidedEntry) bool {

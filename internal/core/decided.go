@@ -40,10 +40,12 @@ import (
 // with the divergence horizon (e.g. a partitioned peer), which is the
 // minimum state any exact merge scheme must keep.
 //
-// The log is packed against the node's lane table (DESIGN §12): its
-// entries sit in settle order, back to back in one byte slice, each
+// The log is packed against the node's lane table (DESIGN §12). One
+// byte slice holds its entries, in settle order and back to back, and
+// behind them the record's packed lineage summary (packedLineage):
 //
-//	uvarint n | n-byte packed decision
+//	buf[:end]  entries, each uvarint n | n-byte packed decision
+//	buf[end:]  summary: the record's packed LineageSummary, or nothing
 //
 // where the packed decision is the oplog decision body (the 0xD2
 // record after its key: string Tx | u8 Decision | uvarint KeySeq |
@@ -62,22 +64,40 @@ import (
 // (appendBody), and replay packs what it reads (restore). An entry
 // holds no settle time: only compaction reads one, and only an indexed
 // log is long enough to be compacted, so the index keeps the times
-// (decidedIndex.at). A settled option costs its packed bytes and nothing
-// else: no slot, no pointer, no string of its own. The zero value is
-// an empty log, so a record that never settles anything pays for a
-// nil slice and a nil pointer. Most records hold a handful of entries,
-// which get scans comparing sequences and lane names in place; a log
-// that reaches decidedIndexMin entries also answers from an index
-// keyed by a 64-bit hash of the id, because a hot commutative key
-// holds thousands.
+// (decidedIndex.at). The summary sits at the tail: a summary write
+// (summaryTail) rewrites only bytes past end, and an entry's add moves
+// only the summary up behind it, so entry offsets, index positions and
+// decidedIndex.head never shift, and a settle costs the same on a log
+// of any length. Every scan stops at end; both compactions carry the
+// summary along. The leader's learned log is the same type with no
+// summary (end is len(buf)).
+//
+// A settled option costs its packed bytes and nothing else: no slot,
+// no pointer, no string of its own. The zero value is an empty log, so
+// a record that never settles anything pays for a nil slice and a nil
+// pointer. Most records hold a handful of entries, which get scans
+// comparing sequences and lane names in place; a log that reaches
+// decidedIndexMin entries also answers from an index keyed by a 64-bit
+// hash of the id, because a hot commutative key holds thousands.
 type decidedLog struct {
 	buf []byte
-	n   int
 	idx *decidedIndex // nil below decidedIndexMin entries
+	// end is the boundary between the entries and the summary.
+	end uint32
+	// n is the entry count while the log is unindexed; once indexed,
+	// idx.n holds it (and n reads 0).
+	n uint8
+	// kind is the update class lock of the record whose log this is
+	// (recState, noteKind). It lives here, in what would be the
+	// struct's padding, so that a record's state is 48 bytes; a
+	// leader's learned log leaves it 0.
+	kind record.UpdateKind
 }
 
 // decidedIndex is what only a long log keeps beside its entries.
 type decidedIndex struct {
+	// n is the number of entries.
+	n int
 	// pos maps the hash of a transaction id to the position of the one
 	// entry with that hash, or to -1 once two have shared it (get then
 	// scans).
@@ -112,7 +132,8 @@ const (
 	// and costs no map per record.
 	decidedIndexMin = 32
 	// decidedFitMax is the size up to which a log's buffer grows to fit
-	// each new entry: most records settle a few dozen options at most,
+	// each new entry or summary write (growBuf): most records settle a
+	// few dozen options at most,
 	// and slack on each of them would be paid by every replica. Past it
 	// (some 250 ordinary entries of about sixteen bytes) the buffer grows
 	// geometrically, so a hot key's settle stays O(1) amortized. An
@@ -339,7 +360,20 @@ func (e *decidedEntry) option() (Option, bool) {
 }
 
 // len is the number of entries.
-func (l *decidedLog) len() int { return l.n }
+func (l *decidedLog) len() int {
+	if l.idx != nil {
+		return l.idx.n
+	}
+	return int(l.n)
+}
+
+// summary is the record's packed lineage summary, the bytes behind the
+// entries.
+func (l *decidedLog) summary() packedLineage { return packedLineage(l.buf[l.end:]) }
+
+// tail is the writer of the record's summary. It is good until the next
+// entry is added or compacted away.
+func (l *decidedLog) tail() summaryTail { return summaryTail{buf: &l.buf, at: int(l.end)} }
 
 // uvarintAt decodes the uvarint at b[i:] and returns the offset past
 // it. Nearly every one a lookup reads is a single byte, which it
@@ -382,7 +416,7 @@ func (l *decidedLog) at(t *laneTable, key record.Key, off int) (decidedEntry, in
 // each calls fn on the entries in settle order until it returns false.
 // Views are passed by value, so a walk allocates nothing.
 func (l *decidedLog) each(t *laneTable, key record.Key, fn func(e decidedEntry) bool) {
-	for off := 0; off < len(l.buf); {
+	for off := 0; off < int(l.end); {
 		e, next := l.at(t, key, off)
 		if !fn(e) {
 			return
@@ -408,7 +442,7 @@ func (l *decidedLog) find(t *laneTable, id decidedID) int {
 		}
 		// Two transactions have shared the hash: scan.
 	}
-	for off := 0; off < len(l.buf); {
+	for off := 0; off < int(l.end); {
 		got, _, next := l.idAt(off)
 		if got.is(t, id) {
 			return off
@@ -484,38 +518,48 @@ func (l *decidedLog) restore(t *laneTable, key record.Key, now int64, body []byt
 }
 
 // add appends a packed decision, settled at now, whose transaction the
-// log does not hold and returns the entry's offset in buf.
+// log does not hold and returns the entry's offset in buf. The summary
+// moves up behind it.
 func (l *decidedLog) add(now int64, packed []byte) int {
 	var hdr [binary.MaxVarintLen64]byte
 	h := binary.AppendUvarint(hdr[:0], uint64(len(packed)))
-	off := len(l.buf)
-	switch need := off + len(h) + len(packed); {
-	case need <= cap(l.buf):
-	case need <= decidedFitMax:
-		grown := make([]byte, off, need)
-		copy(grown, l.buf)
-		l.buf = grown
-	default:
-		l.buf = slices.Grow(l.buf, need-off)
-	}
-	l.buf = append(l.buf, h...)
-	l.buf = append(l.buf, packed...)
-	l.n++
+	off, k := int(l.end), len(h)+len(packed)
+	buf := growBuf(l.buf, k)
+	l.buf = buf[:len(buf)+k]
+	copy(l.buf[off+k:], l.buf[off:])
+	copy(l.buf[off:], h)
+	copy(l.buf[off+len(h):], packed)
+	l.end += uint32(k)
 	if x := l.idx; x != nil {
+		x.n++
 		id, _, _ := l.idAt(off)
 		x.file(id.hash(), x.head+off)
 		if len(x.at) == cap(x.at) { // the buffer's slack; none while it fits
 			x.at = append(make([]int64, 0, len(x.at)*cap(l.buf)/len(l.buf)+1), x.at...)
 		}
 		x.at = append(x.at, now)
-	} else if l.n >= decidedIndexMin {
+	} else if l.n++; l.n >= decidedIndexMin {
 		l.reindex()
-		l.idx.at = make([]int64, l.n)
+		l.idx.at = make([]int64, l.idx.n)
 		for i := range l.idx.at {
 			l.idx.at[i] = now
 		}
 	}
 	return off
+}
+
+// growBuf returns b with room for k more bytes past its length: in an
+// array of exactly that size while it stays within decidedFitMax, with
+// geometric growth past it. Both a decided log's entries and its summary
+// grow through it.
+func growBuf(b []byte, k int) []byte {
+	switch need := len(b) + k; {
+	case need <= cap(b):
+		return b
+	case need <= decidedFitMax:
+		return append(make([]byte, 0, need), b...)
+	}
+	return slices.Grow(b, k)
 }
 
 // file enters the entry whose id hashes to h at position pos.
@@ -529,16 +573,17 @@ func (x *decidedIndex) file(h uint64, pos int) {
 // reindex rebuilds the lookup index from the entries, keeping their
 // times, or drops both when the log is short again.
 func (l *decidedLog) reindex() {
-	old := l.idx
-	l.idx = nil
-	if l.n < decidedIndexMin {
+	old, n := l.idx, l.len()
+	l.idx, l.n = nil, 0
+	if n < decidedIndexMin {
+		l.n = uint8(n)
 		return
 	}
-	l.idx = &decidedIndex{pos: make(map[uint64]int, l.n)}
+	l.idx = &decidedIndex{n: n, pos: make(map[uint64]int, n)}
 	if old != nil {
 		l.idx.lastCompactLen, l.idx.peers, l.idx.at = old.lastCompactLen, old.peers, old.at
 	}
-	for off := 0; off < len(l.buf); {
+	for off := 0; off < int(l.end); {
 		id, _, next := l.idAt(off)
 		l.idx.file(id.hash(), off)
 		off = next
@@ -548,22 +593,24 @@ func (l *decidedLog) reindex() {
 // compactLegacy applies the pre-lineage eviction rule (count cap +
 // age gate, oldest first); used by the leader's learned log, which
 // has no summary backing it. The dropped entries leave the index one
-// by one and buf is resliced past them, so a pass costs what it drops.
+// by one and buf is resliced past them, so a pass costs what it drops
+// and a summary behind them stays where it is.
 func (l *decidedLog) compactLegacy(now time.Time, retention time.Duration) {
 	horizon := now.Add(-retention).UnixNano()
 	off, dropped := 0, 0
-	for ; l.n > decidedLimit && l.idx.at[dropped] <= horizon; dropped++ {
+	for ; l.len() > decidedLimit && l.idx.at[dropped] <= horizon; dropped++ {
 		id, _, next := l.idAt(off)
 		if h := id.hash(); l.idx.pos[h] == l.idx.head+off {
 			delete(l.idx.pos, h)
 		}
 		off = next
-		l.n--
+		l.idx.n--
 	}
 	// The dropped bytes and times hold no pointers; the backing arrays
 	// shed them when they next grow.
 	if off > 0 {
-		l.buf, l.idx.head, l.idx.at = l.buf[off:], l.idx.head+off, l.idx.at[dropped:]
+		x := l.idx
+		l.buf, l.end, x.head, x.at = l.buf[off:], l.end-uint32(off), x.head+off, x.at[dropped:]
 	}
 }
 
@@ -573,28 +620,28 @@ func (l *decidedLog) compactLegacy(now time.Time, retention time.Duration) {
 // (the periodic sweep additionally forces passes on over-limit logs,
 // so a log whose entries become releasable later still shrinks).
 func (l *decidedLog) wantsCompact() bool {
-	return l.idx != nil && l.n >= 2*max(decidedLimit, l.idx.lastCompactLen)
+	return l.idx != nil && l.idx.n >= 2*max(decidedLimit, l.idx.lastCompactLen)
 }
 
 // notePeer folds peer replica from's summary s into the one the log
 // keeps for it, if the log is long enough to be compacted.
 func (l *decidedLog) notePeer(t *laneTable, from transport.NodeID, s LineageSummary) {
-	if l.n <= decidedLimit {
+	if l.len() <= decidedLimit {
 		return
 	}
 	if l.idx.peers == nil {
 		l.idx.peers = make(map[transport.NodeID]packedLineage, 4)
 	}
 	p := l.idx.peers[from]
-	p.union(t, s)
+	p.tail().union(t, s)
 	l.idx.peers[from] = p
 }
 
 // compact releases evictable entries: aged past retention and either
 // legacy (KeySeq 0) or contained in the noted summary of every one of
 // the record's replicas but self; an unindexed log holds no times and
-// releases none. The kept entries and their times move up in place.
-// Returns how many entries were released.
+// releases none. The kept entries and their times move up in place, and
+// the summary up behind them. Returns how many entries were released.
 func (l *decidedLog) compact(t *laneTable, key record.Key, now time.Time, retention time.Duration,
 	self transport.NodeID, replicas []transport.NodeID) int {
 	x := l.idx
@@ -611,7 +658,7 @@ func (l *decidedLog) compact(t *laneTable, key record.Key, now time.Time, retent
 		return true
 	}
 	w, kept := 0, 0
-	for i, off := 0, 0; off < len(l.buf); i++ {
+	for i, off := 0, 0; off < int(l.end); i++ {
 		e, next := l.at(t, key, off)
 		if !(x.at[i] <= horizon && (e.KeySeq == 0 || acked(&e))) {
 			w += copy(l.buf[w:], l.buf[off:next])
@@ -620,8 +667,9 @@ func (l *decidedLog) compact(t *laneTable, key record.Key, now time.Time, retent
 		}
 		off = next
 	}
-	evicted := l.n - kept
-	l.buf, x.at, l.n, x.lastCompactLen = l.buf[:w], x.at[:kept], kept, kept
+	evicted := x.n - kept
+	sum := copy(l.buf[w:], l.buf[l.end:])
+	l.buf, l.end, x.at, x.n, x.lastCompactLen = l.buf[:w+sum], uint32(w), x.at[:kept], kept, kept
 	if evicted > 0 {
 		l.reindex()
 	}

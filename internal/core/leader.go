@@ -511,7 +511,7 @@ func (n *StorageNode) sendPhase2a(key record.Key, l *leaderRec) {
 	msg := MsgPhase2a{
 		Key: key, Ballot: l.ballot, Seq: l.seq, CStruct: snap,
 		HasBase: true, BaseVersion: ver, BaseValue: val, BaseExists: ok && !val.Tombstone(),
-		BaseLineage: r.summary.unpack(&n.lanes),
+		BaseLineage: r.decided.summary().unpack(&n.lanes),
 	}
 	if n.tr != nil {
 		// One event per option in the broadcast cstruct, so each

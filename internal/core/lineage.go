@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -273,10 +272,30 @@ func (t *laneTable) id(lane string) uint32 {
 //	bool Deltas | bool Physical
 //
 // with the lanes in name order, so unpacking yields the canonical
-// summary. Nil is the empty summary with neither class bit. Reads scan
-// the bytes in place; add and union rewrite them, in place when the
-// result fits.
+// summary. No bytes are the empty summary with neither class bit. It is
+// the read view: reads scan the bytes in place. Writes go through a
+// summaryTail, because a record's summary is not a slice of its own
+// but the tail of its decided log's buffer (decidedLog.summary); only a
+// peer's summary (decidedIndex.peers) and a test's stand alone.
 type packedLineage []byte
+
+// summaryTail writes the packed summary that ends *buf, from offset at
+// on: a record's, behind its decided entries (decidedLog.tail), or one
+// that stands alone (packedLineage.tail). add, union and mark rewrite
+// only the summary's bytes: in place when the result fits the array,
+// else into a new one that also carries buf[:at] over, grown as a
+// decided log grows (growBuf). A tail is good until the bytes before it
+// next change length.
+type summaryTail struct {
+	buf *[]byte
+	at  int
+}
+
+// tail is the writer of a summary that stands alone.
+func (p *packedLineage) tail() summaryTail { return summaryTail{buf: (*[]byte)(p)} }
+
+// view is the summary as it reads.
+func (s summaryTail) view() packedLineage { return packedLineage((*s.buf)[s.at:]) }
 
 // packedLane is one lane's entry of a packed summary: the bytes it
 // spans, or where it would go when absent (at == end), and its ranges,
@@ -288,7 +307,8 @@ type packedLane struct {
 	done, rej []SeqRange
 }
 
-// emptyPacked is what a nil summary reads as; splice never writes it.
+// emptyPacked is what an empty summary reads as; splice never writes
+// it.
 var emptyPacked = packedLineage{0, 0, 0}
 
 // lane finds lane's entry, decoding its ranges onto done and rej
@@ -337,18 +357,19 @@ func (p packedLineage) bits() (deltas, physical bool) {
 }
 
 // mark sets the class bits given (it never clears one).
-func (p *packedLineage) mark(deltas, physical bool) {
+func (s summaryTail) mark(deltas, physical bool) {
 	if !deltas && !physical {
 		return
 	}
-	if len(*p) == 0 {
-		*p = packedLineage{0, 0, 0}
+	if len(*s.buf) == s.at {
+		s.splice(1, 1, nil, false) // the empty summary, written out
 	}
+	b := *s.buf
 	if deltas {
-		(*p)[len(*p)-2] = 1
+		b[len(b)-2] = 1
 	}
 	if physical {
-		(*p)[len(*p)-1] = 1
+		b[len(b)-1] = 1
 	}
 }
 
@@ -389,34 +410,34 @@ func (p packedLineage) containsAll(t *laneTable, o LineageSummary) bool {
 
 // add is LineageSummary.Add: it records one settled option and reports
 // whether the settled set changed.
-func (p *packedLineage) add(t *laneTable, lane string, seq uint64, rejected, applied bool) bool {
+func (s summaryTail) add(t *laneTable, lane string, seq uint64, rejected, applied bool) bool {
 	if seq == 0 {
 		return false
 	}
 	var db, rb [4]SeqRange
-	l := p.lane(t, lane, db[:0], rb[:0])
+	l := s.view().lane(t, lane, db[:0], rb[:0])
 	done, changed := addRange(l.done, seq)
 	rej, rejChanged := l.rej, false
 	if rejected {
 		rej, rejChanged = addRange(rej, seq)
 	}
 	if changed || rejChanged {
-		p.put(t, lane, l, done, rej)
+		s.put(t, lane, l, done, rej)
 	}
-	p.mark(applied, false)
+	s.mark(applied, false)
 	return changed
 }
 
 // union is LineageSummary.Union: o's settled sets and class bits join
-// p's.
-func (p *packedLineage) union(t *laneTable, o LineageSummary) {
+// the summary's.
+func (s summaryTail) union(t *laneTable, o LineageSummary) {
 	for i := range o.Lanes {
 		ol := &o.Lanes[i]
 		var db, rb [4]SeqRange
-		l := p.lane(t, ol.Lane, db[:0], rb[:0])
-		p.put(t, ol.Lane, l, rangeUnion(l.done, ol.Done), rangeUnion(l.rej, ol.Rejected))
+		l := s.view().lane(t, ol.Lane, db[:0], rb[:0])
+		s.put(t, ol.Lane, l, rangeUnion(l.done, ol.Done), rangeUnion(l.rej, ol.Rejected))
 	}
-	p.mark(o.Deltas, o.Physical)
+	s.mark(o.Deltas, o.Physical)
 }
 
 // unpack returns the summary as a LineageSummary of its own (Clone and
@@ -429,7 +450,7 @@ func (p packedLineage) unpack(t *laneTable) LineageSummary {
 }
 
 // put writes lane's entry l with the ranges given.
-func (p *packedLineage) put(t *laneTable, lane string, l packedLane, done, rej []SeqRange) {
+func (s summaryTail) put(t *laneTable, lane string, l packedLane, done, rej []SeqRange) {
 	id := l.id
 	if !l.found {
 		id = t.id(lane)
@@ -438,14 +459,15 @@ func (p *packedLineage) put(t *laneTable, lane string, l packedLane, done, rej [
 	e := transport.AppendUvarint(eb[:0], uint64(id))
 	e = appendRanges(e, done)
 	e = appendRanges(e, rej)
-	*p = p.splice(l.at, l.end, e, !l.found)
+	s.splice(l.at, l.end, e, !l.found)
 }
 
-// splice replaces p[at:end] with e, counting one lane more when grow
-// is set. The result reuses p's array when it fits (a settle that
-// extends a watermark rewrites its bytes where they lie) and takes a
-// new one, rounded up to its allocation size, when it does not.
-func (p packedLineage) splice(at, end int, e []byte, grow bool) packedLineage {
+// splice replaces the summary's bytes [at:end) with e, counting one
+// lane more when grow is set. It rewrites them where they lie when the
+// result fits the array (a settle that extends a watermark) and
+// otherwise moves the buffer into a new array (growBuf).
+func (s summaryTail) splice(at, end int, e []byte, grow bool) {
+	p := s.view()
 	if len(p) == 0 {
 		p = emptyPacked
 	}
@@ -457,16 +479,14 @@ func (p packedLineage) splice(at, end int, e []byte, grow bool) packedLineage {
 	h := binary.AppendUvarint(hb[:0], n)
 	tail := len(p) - end
 	size := len(h) + (at - k) + len(e) + tail
-	out := p[:0]
-	if size > cap(p) {
-		out = slices.Grow(out[:0:0], size)
-	}
-	out = out[:size]
+	buf := growBuf((*s.buf)[:s.at], size)
+	buf = buf[:s.at+size]
+	out := buf[s.at:]
 	// In place the count never shrinks, so moving the tail first and the
 	// lanes before the entry second never overwrites bytes still to move.
 	copy(out[size-tail:], p[end:])
 	copy(out[len(h):], p[k:at])
 	copy(out[len(h)+at-k:], e)
 	copy(out, h)
-	return out
+	*s.buf = buf
 }

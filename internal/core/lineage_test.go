@@ -360,7 +360,7 @@ func TestRestartRebuildsLineageExactly(t *testing.T) {
 	val, ver, _ := fr.node.Store().GetEncoded("rs/1")
 	val = record.Commutative("rs/1", map[string]int64{"x": 2}).Apply(val)
 	fr.node.adoptBase("rs/1", val, ver+2, func() LineageSummary {
-		s := fr.node.rs("rs/1").summary.unpack(&fr.node.lanes)
+		s := fr.node.rs("rs/1").decided.summary().unpack(&fr.node.lanes)
 		s.Union(peer)
 		return s
 	}())
@@ -517,7 +517,7 @@ func FuzzLineageMergeExact(f *testing.F) {
 
 		merge := func(dst, src *fuzzReplica) {
 			val, ver, _ := src.node.Store().GetEncoded("k")
-			dst.node.adoptBase("k", val, ver, src.node.rs("k").summary.unpack(&src.node.lanes))
+			dst.node.adoptBase("k", val, ver, src.node.rs("k").decided.summary().unpack(&src.node.lanes))
 		}
 		converge := func(a, b *fuzzReplica) {
 			for i := 0; i < 3; i++ {

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
 	"testing"
+	"time"
+
+	"mdcc/internal/record"
 )
 
 // The reference model. A storage node keeps every record's summary
@@ -126,7 +131,7 @@ func checkPackedMatchesReference(t *testing.T, data []byte) {
 		switch op := next(); op % 5 {
 		case 0, 1, 2:
 			l, seq, fl := lane(op/5), uint64(next()%14), next()
-			got := p.add(&tab, l, seq, fl&1 != 0, fl&2 != 0)
+			got := p.tail().add(&tab, l, seq, fl&1 != 0, fl&2 != 0)
 			if want := ref.Add(l, seq, fl&1 != 0, fl&2 != 0); got != want {
 				t.Fatalf("step %d: add(%s, %d) reported %v, reference %v", step, l, seq, got, want)
 			}
@@ -141,11 +146,11 @@ func checkPackedMatchesReference(t *testing.T, data []byte) {
 				o.laneOrNew(lane(fl >> 3)) // a lane with nothing settled
 			}
 			o.Deltas, o.Physical = fl&1 != 0, fl&2 != 0
-			p.union(&tab, o)
+			p.tail().union(&tab, o)
 			ref.Union(o)
 			probe = o
 		case 4:
-			p.mark(false, true)
+			p.tail().mark(false, true)
 			ref.Physical = true
 		}
 		comparePacked(t, step, &tab, p, ref, probe)
@@ -231,7 +236,7 @@ func TestPackedLineageManyLanes(t *testing.T) {
 		if i == 127 {
 			p = slices.Grow(p, 64) // room for the 128th lane where the summary lies
 		}
-		p.add(&tab, lane, seq, i%2 == 0, true)
+		p.tail().add(&tab, lane, seq, i%2 == 0, true)
 		ref.Add(lane, seq, i%2 == 0, true)
 		if got, want := p.unpack(&tab).String(), ref.String(); got != want {
 			t.Fatalf("after %d lanes: packed renders %s, reference %s", i+1, got, want)
@@ -247,16 +252,182 @@ func TestPackedLineageSettleInPlace(t *testing.T) {
 		p   packedLineage
 	)
 	for _, l := range packedLanes[:3] {
-		p.add(&tab, l, 1, false, true)
+		p.tail().add(&tab, l, 1, false, true)
 	}
 	seq := uint64(1)
 	if allocs := testing.AllocsPerRun(100, func() {
 		seq++
-		p.add(&tab, packedLanes[1], seq, false, true)
+		p.tail().add(&tab, packedLanes[1], seq, false, true)
 		if !p.contains(&tab, packedLanes[1], seq) {
 			t.Fatal("settled sequence not contained")
 		}
 	}); allocs != 0 {
 		t.Fatalf("a watermark settle allocates %v objects", allocs)
 	}
+}
+
+// checkSharedBufferMatchesOracles drives the op sequence data encodes
+// against one decided log, whose buffer holds its entries and, behind
+// them, a packed summary. Entry ops (record, restore, a fill past
+// decidedLimit, compact with the peers' acks noted, compactLegacy) are
+// checked against a map and an order slice; summary ops (add, union,
+// mark) are applied to the log's tail, to a summary that stands alone
+// and to the reference LineageSummary. After every op the tail must
+// hold the standalone summary's exact bytes and answer every read as
+// the reference does, and the entries must be the oracle's, in its
+// order. Every settle is at time 0 and every compaction an hour later,
+// so each entry of an indexed log has aged past retention.
+func checkSharedBufferMatchesOracles(t *testing.T, data []byte) {
+	t.Helper()
+	type settled struct {
+		d      Decision
+		lane   string
+		keySeq uint64
+	}
+	var (
+		l          testLog
+		p          packedLineage // the summary writes, standing alone
+		ref, probe LineageSummary
+		want       = map[TxID]settled{}
+		order      []TxID
+		noted      bool // the log holds the peers' summaries
+		fills      int
+	)
+	const retention = time.Minute
+	start, late := time.Unix(0, 0), time.Unix(3600, 0)
+	acked := acking(20, packedLanes[0], packedLanes[1])
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	lane := func(b byte) string { return packedLanes[int(b)%(len(packedLanes)-1)] }
+	evict := func(release func(s settled) bool) {
+		kept := order[:0]
+		for _, tx := range order {
+			if release(want[tx]) {
+				delete(want, tx)
+			} else {
+				kept = append(kept, tx)
+			}
+		}
+		order = kept
+	}
+	settle := func(tx TxID, s settled, restore bool) {
+		_, known := want[tx]
+		var isNew bool
+		if restore {
+			isNew = l.restore(appendDecision(nil, tx, s.d, s.keySeq, nil))
+		} else {
+			_, isNew = l.record(s.d, Option{Tx: tx, KeySeq: s.keySeq,
+				Update: record.Commutative(testLogKey, map[string]int64{"x": 1})}, true, start)
+		}
+		if isNew == known {
+			t.Fatalf("settle(%s) new=%v, the oracle knows it: %v", tx, isNew, known)
+		}
+		if !known {
+			want[tx], order = s, append(order, tx)
+		}
+	}
+	for step := 0; len(data) > 0; step++ {
+		switch op := next(); op % 8 {
+		case 0, 1, 2:
+			b, seq := next(), next()
+			s := settled{d: Decision(1 + b>>7), lane: lane(b), keySeq: uint64(seq % 24)}
+			settle(TxID(fmt.Sprintf("%s#%d", s.lane, seq%40)), s, op%8 == 2)
+		case 3:
+			ln, seq, fl := lane(op/8), uint64(next()%14), next()
+			got := l.tail().add(&l.tab, ln, seq, fl&1 != 0, fl&2 != 0)
+			p.tail().add(&l.tab, ln, seq, fl&1 != 0, fl&2 != 0)
+			if want := ref.Add(ln, seq, fl&1 != 0, fl&2 != 0); got != want {
+				t.Fatalf("step %d: add(%s, %d) reported %v, reference %v", step, ln, seq, got, want)
+			}
+		case 4:
+			var o LineageSummary
+			for k := int(next() % 4); k > 0; k-- {
+				b := next()
+				o.Add(lane(b), uint64(b/5%14), b&0x80 != 0, false)
+			}
+			fl := next()
+			o.Deltas, o.Physical = fl&1 != 0, fl&2 != 0
+			l.tail().union(&l.tab, o)
+			p.tail().union(&l.tab, o)
+			ref.Union(o)
+			probe = o
+		case 5:
+			l.tail().mark(false, true)
+			p.tail().mark(false, true)
+			ref.Physical = true
+		case 6:
+			// Two peers ack sequences 1 to 20 of the first two lanes; a
+			// log past decidedLimit notes it.
+			if len(order) > decidedLimit {
+				for _, peer := range testReplicas[1:] {
+					l.notePeer(peer, acked)
+				}
+				noted = true
+			}
+			if len(order) >= decidedIndexMin {
+				evict(func(s settled) bool {
+					return s.keySeq == 0 || noted && acked.Contains(s.lane, s.keySeq)
+				})
+			}
+			l.compact(late, retention)
+		case 7:
+			if next()&1 == 0 && len(order) < decidedLimit {
+				for i := 0; i < decidedLimit; i++ {
+					fills++
+					settle(TxID(fmt.Sprintf("fill#%d", fills)), settled{d: DecAccept, lane: "fill", keySeq: uint64(fills)}, i%2 == 0)
+				}
+				break
+			}
+			for len(order) > decidedLimit {
+				delete(want, order[0])
+				order = order[1:]
+			}
+			l.compactLegacy(late, retention)
+		}
+		if len(order) < decidedIndexMin {
+			noted = false // a short log drops its index and the peers' summaries with it
+		}
+		if !bytes.Equal(l.summary(), p) {
+			t.Fatalf("step %d: the log's tail is %x, the standalone summary %x", step, l.summary(), p)
+		}
+		comparePacked(t, step, &l.tab, l.summary(), ref, probe)
+		if got := txs(&l); l.len() != len(order) || !slices.Equal(got, order) {
+			t.Fatalf("step %d: %d entries %v, oracle %v", step, l.len(), got, order)
+		}
+		for _, tx := range order {
+			if d, ok := l.get(tx); !ok || d != want[tx].d {
+				t.Fatalf("step %d: get(%s) = %v %v, oracle %v", step, tx, d, ok, want[tx].d)
+			}
+		}
+	}
+}
+
+// TestDecidedLogSharedBufferMatchesOracles: over random op sequences, a
+// decided log's entries and the summary behind them in the same buffer
+// never disturb each other: the entries match a map, the tail matches a
+// summary of its own byte for byte, and both survive every compaction.
+func TestDecidedLogSharedBufferMatchesOracles(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	for i := 0; i < 300; i++ {
+		data := make([]byte, 8+rng.Intn(200))
+		rng.Read(data)
+		checkSharedBufferMatchesOracles(t, data)
+	}
+}
+
+func FuzzDecidedLogSharedBuffer(f *testing.F) {
+	// Entries, then a summary written behind them, then more entries.
+	f.Add([]byte{0, 1, 5, 3, 2, 1, 8, 9, 3, 4, 2, 4, 3, 5, 7, 0})
+	// A fill past decidedLimit, a summary, the peers' acks and both
+	// compactions.
+	f.Add([]byte{3, 1, 3, 7, 0, 11, 4, 3, 6, 7, 1, 0, 0, 9, 6, 5, 15, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkSharedBufferMatchesOracles(t, data[:min(len(data), 256)])
+	})
 }

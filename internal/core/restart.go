@@ -302,7 +302,7 @@ func NewDurableStorageNode(id transport.NodeID, dc topology.DC, net transport.Ne
 			// (summaries are monotone, so the final union matches the
 			// pre-crash state exactly, in lockstep with the store's
 			// replayed value).
-			r.summary.union(&n.lanes, *e.Snapshot)
+			r.decided.tail().union(&n.lanes, *e.Snapshot)
 			r.noteKindFromSummary()
 			continue
 		}
@@ -371,7 +371,7 @@ func (n *StorageNode) logLineage(key record.Key, r *recState) {
 	if n.durable == nil {
 		return
 	}
-	s := r.summary.unpack(&n.lanes)
+	s := r.decided.summary().unpack(&n.lanes)
 	n.appendOplog(&oplogEntry{Key: key, Snapshot: &s})
 }
 

@@ -273,7 +273,7 @@ func TestRefusedSettleLeavesNothingOnDisk(t *testing.T) {
 			if _, ok := r.decided.get(&n.lanes, tx); ok {
 				t.Error("after reopen the decided log holds the refused decision")
 			}
-			if r.summary.contains(&n.lanes, laneOf(tx), 1) {
+			if r.decided.summary().contains(&n.lanes, laneOf(tx), 1) {
 				t.Error("after reopen the lineage summary holds the refused option")
 			}
 			n.handle(vis)

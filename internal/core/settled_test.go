@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -14,10 +15,10 @@ import (
 // there.
 func withSettled(n *StorageNode, key record.Key, opt Option, d Decision) LineageSummary {
 	var p packedLineage
-	p.union(&n.lanes, n.rs(key).summary.unpack(&n.lanes))
-	p.add(&n.lanes, laneOf(opt.Tx), opt.KeySeq, d != DecAccept, false)
+	p.tail().union(&n.lanes, n.rs(key).decided.summary().unpack(&n.lanes))
+	p.tail().add(&n.lanes, laneOf(opt.Tx), opt.KeySeq, d != DecAccept, false)
 	if d == DecAccept {
-		p.mark(false, true)
+		p.tail().mark(false, true)
 	}
 	return p.unpack(&n.lanes)
 }
@@ -186,7 +187,9 @@ func TestSettledAnswersFromSummary(t *testing.T) {
 			if d == DecAccept {
 				n.applyUpdate(opt.Update)
 			}
-			r.decided = decidedLog{} // what a release leaves
+			// What a release of every entry leaves: the summary and the
+			// class lock.
+			r.decided = decidedLog{buf: slices.Clone(r.decided.summary()), kind: r.decided.kind}
 		}},
 		{"adopted", func(n *StorageNode, d Decision) {
 			base, ver, _ := n.store.GetEncoded(key)

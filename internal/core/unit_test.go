@@ -1023,8 +1023,8 @@ func TestVoteBookkeepingStaysParallel(t *testing.T) {
 	check("after onPhase2a", 3, 4, 1)
 
 	// The sweep releases votes the summary knows settled.
-	r.summary.add(&n.lanes, "c0", 3, false, true)
-	r.summary.add(&n.lanes, "c0", 1, true, false)
+	r.decided.tail().add(&n.lanes, "c0", 3, false, true)
+	r.decided.tail().add(&n.lanes, "c0", 1, true, false)
 	n.sweepPending()
 	check("after sweepPending", 4)
 
@@ -1054,7 +1054,7 @@ func TestVoteBookkeepingStaysParallel(t *testing.T) {
 		t.Fatalf("a vote cast and settled on a record at rest allocates %v objects", allocs)
 	}
 	// A cstruct with nothing left to adopt leaves no arrays either.
-	r.summary.add(&n.lanes, "c0", 4, true, false)
+	r.decided.tail().add(&n.lanes, "c0", 4, true, false)
 	n.onPhase2a("ldr", MsgPhase2a{Key: "k", Ballot: paxos.Classic(1, "ldr"), Seq: 2, CStruct: cstruct[1:2]})
 	if o := r.open; o.votes != nil || o.votedAt != nil {
 		t.Fatal("an adopted cstruct of settled options left vote arrays on the record")
