@@ -37,7 +37,11 @@
 //	                                      // batching fan-in),
 //	                                      // FeedMsgs/FeedItems (visibility
 //	                                      // feed published to the DC's
-//	                                      // gateway read tier)
+//	                                      // gateway read tier),
+//	                                      // DecidedEntries/DecidedBytes
+//	                                      // (gauges: entries the records'
+//	                                      // decided logs hold, and their
+//	                                      // buffers' bytes)
 //	    "durability": {                   // present only with -data:
 //	      "degraded": false,              // durability failure latched —
 //	                                      // the node has stopped acking

@@ -15,7 +15,9 @@ import (
 // comment names exactly the keys a fully populated document (a durable
 // shard, a gateway, phases, the flight-recorder counters) emits, at the
 // same paths. A value the comment elides as { ... } (the shard's
-// core.Metrics) is compared as a whole.
+// core.Metrics) is compared as a whole, and must carry the decided-log
+// gauges DecidedEntries and DecidedBytes, which the note beside it
+// names.
 func TestMetricsSchemaComment(t *testing.T) {
 	src, err := os.ReadFile("http.go")
 	if err != nil {
@@ -59,6 +61,25 @@ func TestMetricsSchemaComment(t *testing.T) {
 	if extra := diffKeys(want, got); len(extra) > 0 {
 		t.Errorf("the /metrics schema comment lists keys /metrics does not emit: %v", extra)
 	}
+
+	// The protocol block is core.Metrics whole; the decided-log gauges
+	// in it are named in its note.
+	protocol := emitted.(map[string]any)["shards"].([]any)[0].(map[string]any)["protocol"].(map[string]any)
+	for _, gauge := range []string{"DecidedEntries", "DecidedBytes"} {
+		if _, ok := protocol[gauge]; !ok {
+			t.Errorf("the protocol block lacks the %s gauge", gauge)
+		}
+		if !strings.Contains(schemaNotes(string(src)), gauge) {
+			t.Errorf("the /metrics schema comment does not name the %s gauge", gauge)
+		}
+	}
+}
+
+// schemaNotes is the /metrics schema comment as written, notes and all.
+func schemaNotes(src string) string {
+	_, rest, _ := strings.Cut(src, "/metrics schema")
+	comment, _, _ := strings.Cut(rest, "\n\n")
+	return comment
 }
 
 var (

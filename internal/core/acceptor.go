@@ -450,24 +450,34 @@ func (n *StorageNode) compactDecided(key record.Key, r *recState, force bool) {
 	} else if !r.decided.wantsCompact() {
 		return
 	}
+	was := r.decided.footprint()
 	n.m.DecidedReleased += int64(r.decided.compact(&n.lanes, key, n.net.Now(), n.cfg.DecidedRetention, n.id, n.cl.Replicas(key)))
+	n.meter(r, was)
 }
 
 // settleOption records one final decision the caller found to be new:
-// decided-log entry, lineage summary, durable decision log, and the
-// record's kind class. The decision is packed once, into the decided
-// log, and the oplog record expands that entry.
+// lineage summary, the record's kind class, durable decision log, and
+// a decided-log entry — except on a record whose class is physical,
+// which keeps none for an option with a lineage identity
+// (decidedLog.lockPhysical): its summary is all it keeps.
 func (n *StorageNode) settleOption(key record.Key, r *recState, d Decision, opt Option) {
-	e, isNew := r.decided.record(&n.lanes, key, d, opt, true, n.net.Now())
-	if !isNew {
-		return
-	}
-	// e still reads its entry after the summary write: that rewrites only
-	// the bytes behind the entries, and when it moves the buffer, the old
-	// array e aliases keeps its bytes.
+	was := r.decided.footprint()
 	n.noteSettled(r, d, opt)
-	n.logDecision(key, &e)
+	if opt.KeySeq == 0 || r.decided.kind != record.KindPhysical {
+		r.decided.record(&n.lanes, key, d, opt, true, n.net.Now())
+	}
+	n.meter(r, was)
+	n.logDecision(key, d, opt)
 	n.compactDecided(key, r, false)
+}
+
+// meter folds the change in a record's decided log since it held was
+// into the DecidedEntries and DecidedBytes gauges. Every write to a
+// record's log is metered by the one entry point that makes it.
+func (n *StorageNode) meter(r *recState, was footprint) {
+	now := r.decided.footprint()
+	n.m.DecidedEntries += now.entries - was.entries
+	n.m.DecidedBytes += now.bytes - was.bytes
 }
 
 // settled answers "has tx's option on this record settled, and how?"
@@ -502,7 +512,8 @@ func (n *StorageNode) noteSettled(r *recState, d Decision, opt Option) {
 // noteKind locks the record's update class on the first non-creating
 // accepted update (inserts — ReadVersion 0 — are class-neutral:
 // account/stock records are created physically and then live
-// commutatively, per the paper's own workloads).
+// commutatively, per the paper's own workloads). A physical lock drops
+// the record's decided entries (decidedLog.lockPhysical).
 func (r *recState) noteKind(up record.Update) {
 	if r.decided.kind != 0 {
 		return
@@ -512,7 +523,7 @@ func (r *recState) noteKind(up record.Update) {
 		r.decided.kind = record.KindCommutative
 	case record.KindPhysical:
 		if up.ReadVersion > 0 {
-			r.decided.kind = record.KindPhysical
+			r.decided.lockPhysical()
 		}
 	}
 }
@@ -530,7 +541,7 @@ func (r *recState) noteKindFromSummary() {
 	case deltas:
 		r.decided.kind = record.KindCommutative
 	case physical:
-		r.decided.kind = record.KindPhysical
+		r.decided.lockPhysical()
 	}
 }
 
@@ -755,7 +766,9 @@ func (n *StorageNode) castVote(r *recState, opt Option, dec Decision, reason Rej
 	o.votedAt = append(o.votedAt, n.net.Now().UnixNano())
 	if dec == DecAccept {
 		n.m.VotesAccept++
+		was := r.decided.footprint()
 		r.noteKind(opt.Update)
+		n.meter(r, was)
 	} else {
 		n.m.VotesReject++
 	}
@@ -1052,12 +1065,20 @@ func (n *StorageNode) adoptBase(key record.Key, base record.Encoded, baseVer rec
 		return false
 	}
 	if lineage.Deltas {
-		refused := false
-		r.decided.each(&n.lanes, key, func(e decidedEntry) bool {
-			refused = e.Decision == DecAccept && e.kind() == record.KindPhysical && e.KeySeq != 0 &&
-				!lineage.Contains(e.lane(), e.KeySeq)
-			return !refused
-		})
+		var refused bool
+		if r.decided.kind == record.KindPhysical {
+			// The record keeps no entries, and every option it accepted
+			// with a lineage identity is a physical one (its class lock
+			// refuses deltas) or a read check, which the summary cannot
+			// tell apart: refuse a base lacking any of them.
+			refused = r.decided.summary().acceptedOutside(&n.lanes, lineage)
+		} else {
+			r.decided.each(&n.lanes, key, func(e decidedEntry) bool {
+				refused = e.Decision == DecAccept && e.kind() == record.KindPhysical && e.KeySeq != 0 &&
+					!lineage.Contains(e.lane(), e.KeySeq)
+				return !refused
+			})
+		}
 		if refused {
 			n.m.AdoptRefused++
 			return false
@@ -1093,18 +1114,24 @@ func (n *StorageNode) adoptBase(key record.Key, base record.Encoded, baseVer rec
 			// Same value and version, but the incoming summary knows
 			// settles we don't (e.g. rejects, which bump no version):
 			// absorb the knowledge without rewriting the store.
-			r.decided.tail().union(&n.lanes, lineage)
-			r.noteKindFromSummary()
-			n.logLineage(key, r)
+			n.absorbLineage(key, r, lineage)
 			return true
 		}
 	}
 	n.storePut(key, val, ver)
-	r.decided.tail().union(&n.lanes, lineage)
-	r.noteKindFromSummary()
-	n.logLineage(key, r)
+	n.absorbLineage(key, r, lineage)
 	n.markFeedDirty(key)
 	return true
+}
+
+// absorbLineage unions an adopted base's summary into the record's,
+// takes the class lock its bits imply, and persists the result.
+func (n *StorageNode) absorbLineage(key record.Key, r *recState, lineage LineageSummary) {
+	was := r.decided.footprint()
+	r.decided.tail().union(&n.lanes, lineage)
+	r.noteKindFromSummary()
+	n.meter(r, was)
+	n.logLineage(key, r)
 }
 
 // applyUpdate makes a committed update visible in the store.

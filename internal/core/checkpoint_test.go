@@ -314,8 +314,7 @@ func TestDegradeOnDurabilityFailure(t *testing.T) {
 	sn2 := cl2.Storage[1]
 	n2 := NewDurableStorageNode(sn2.ID, sn2.DC, net, cl2, Defaults(ModeMDCC), ds2)
 	faults2.FailSync(true)
-	e, _ := n2.rs("k").decided.record(&n2.lanes, "k", DecAccept, Option{Tx: "tx1"}, false, n2.net.Now())
-	n2.logDecision("k", &e)
+	n2.logDecision("k", DecAccept, Option{Tx: "tx1", Update: record.Update{Key: "k"}})
 	if n2.DurabilityError() == nil {
 		t.Fatal("refused decision record did not degrade node")
 	}

@@ -501,20 +501,27 @@ func (l *decidedLog) record(t *laneTable, key record.Key, d Decision, opt Option
 // appendDecision in this process (replay re-encodes what it decodes),
 // so it cannot be malformed.
 func (l *decidedLog) restore(t *laneTable, key record.Key, now int64, body []byte) (decidedEntry, bool) {
-	n, k := binary.Uvarint(body)
-	id := parseID(TxID(body[k : k+int(n)]))
+	tx, d, keySeq, up := splitBody(body)
+	id := parseID(TxID(tx))
 	if l.find(t, id) >= 0 {
 		return decidedEntry{}, false
 	}
-	rest := body[k+int(n):]
-	keySeq, k := binary.Uvarint(rest[1:])
-	var up []byte
+	var scratch [256]byte
+	e, _ := l.at(t, key, l.add(now, packDecision(scratch[:0], t, key, id, d, keySeq, up)))
+	return e, true
+}
+
+// splitBody splits a decision body appendDecision wrote, in place, into
+// its transaction id, decision, lineage sequence and update encoding
+// (nil without contents).
+func splitBody(body []byte) (tx []byte, d Decision, keySeq uint64, up []byte) {
+	n, k := binary.Uvarint(body)
+	tx, rest := body[k:k+int(n)], body[k+int(n):]
+	keySeq, k = binary.Uvarint(rest[1:])
 	if rest[1+k] != 0 {
 		up = rest[2+k:]
 	}
-	var scratch [256]byte
-	e, _ := l.at(t, key, l.add(now, packDecision(scratch[:0], t, key, id, Decision(rest[0]), keySeq, up)))
-	return e, true
+	return tx, Decision(rest[0]), keySeq, up
 }
 
 // add appends a packed decision, settled at now, whose transaction the
@@ -657,21 +664,75 @@ func (l *decidedLog) compact(t *laneTable, key record.Key, now time.Time, retent
 		}
 		return true
 	}
+	evicted := l.retain(func(off, i int) bool {
+		e, _ := l.at(t, key, off)
+		return !(x.at[i] <= horizon && (e.KeySeq == 0 || acked(&e)))
+	})
+	if l.idx != nil {
+		l.idx.lastCompactLen = l.idx.n
+	}
+	return evicted
+}
+
+// retain keeps the entries keep approves — it is passed each one's
+// offset in buf and its place in settle order — and returns how many
+// went. The kept entries and their times move up in place, and the
+// summary up behind them.
+func (l *decidedLog) retain(keep func(off, i int) bool) int {
+	x, before := l.idx, l.len()
 	w, kept := 0, 0
 	for i, off := 0, 0; off < int(l.end); i++ {
-		e, next := l.at(t, key, off)
-		if !(x.at[i] <= horizon && (e.KeySeq == 0 || acked(&e))) {
+		_, _, next := l.idAt(off)
+		if keep(off, i) {
 			w += copy(l.buf[w:], l.buf[off:next])
-			x.at[kept] = x.at[i]
+			if x != nil {
+				x.at[kept] = x.at[i]
+			}
 			kept++
 		}
 		off = next
 	}
-	evicted := x.n - kept
 	sum := copy(l.buf[w:], l.buf[l.end:])
-	l.buf, l.end, x.at, x.n, x.lastCompactLen = l.buf[:w+sum], uint32(w), x.at[:kept], kept, kept
-	if evicted > 0 {
+	l.buf, l.end = l.buf[:w+sum], uint32(w)
+	if x != nil {
+		x.at, x.n = x.at[:kept], kept
+	} else {
+		l.n = uint8(kept)
+	}
+	if kept < before {
 		l.reindex()
 	}
-	return evicted
+	return before - kept
+}
+
+// lockPhysical locks the log's record physical and drops every entry
+// with a lineage identity (KeySeq > 0), then moves what is left into an
+// array of exactly its size: on a physical record that is the summary
+// alone. A committed physical write carries its read version, so it
+// supersedes every lower version and is never grafted onto another
+// base (adoptBase); the summary answers every settled lookup of such an
+// option (StorageNode.settled) and recovery answers it without contents
+// (onRecoverOpt). So once the class is physical, the entries are a
+// cache nothing reads, and settleOption adds none.
+func (l *decidedLog) lockPhysical() {
+	l.kind = record.KindPhysical
+	if l.end == 0 {
+		return
+	}
+	l.retain(func(off, _ int) bool {
+		_, rest, _ := l.idAt(off)
+		keySeq, _ := uvarintAt(l.buf, rest+1)
+		return keySeq == 0
+	})
+	buf := make([]byte, len(l.buf))
+	copy(buf, l.buf)
+	l.buf = buf
+}
+
+// footprint is what the log holds: its entries and its buffer's bytes,
+// summary included (the DecidedEntries and DecidedBytes gauges).
+type footprint struct{ entries, bytes int64 }
+
+func (l *decidedLog) footprint() footprint {
+	return footprint{int64(l.len()), int64(cap(l.buf))}
 }

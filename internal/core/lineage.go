@@ -153,8 +153,32 @@ func rangeUnion(a, b []SeqRange) []SeqRange {
 // rangeSubset reports a ⊆ b for canonical range slices.
 func rangeSubset(a, b []SeqRange) bool {
 	for _, r := range a {
-		i := sort.Search(len(b), func(i int) bool { return b[i].Hi >= r.Lo })
-		if i >= len(b) || b[i].Lo > r.Lo || b[i].Hi < r.Hi {
+		if !rangeCovers(b, r.Lo, r.Hi) {
+			return false
+		}
+	}
+	return true
+}
+
+// rangeCovers reports [lo, hi] ⊆ rs for a canonical range slice.
+func rangeCovers(rs []SeqRange, lo, hi uint64) bool {
+	i := sort.Search(len(rs), func(i int) bool { return rs[i].Hi >= lo })
+	return i < len(rs) && rs[i].Lo <= lo && rs[i].Hi >= hi
+}
+
+// acceptedWithin reports whether every sequence of done outside rej (a
+// lane's accepted options: rej ⊆ done, both canonical) is in theirs.
+func acceptedWithin(done, rej, theirs []SeqRange) bool {
+	j := 0
+	for _, d := range done {
+		lo := d.Lo
+		for ; j < len(rej) && rej[j].Lo <= d.Hi; j++ {
+			if rej[j].Lo > lo && !rangeCovers(theirs, lo, rej[j].Lo-1) {
+				return false
+			}
+			lo = rej[j].Hi + 1
+		}
+		if lo <= d.Hi && !rangeCovers(theirs, lo, d.Hi) {
 			return false
 		}
 	}
@@ -406,6 +430,29 @@ func (p packedLineage) containsAll(t *laneTable, o LineageSummary) bool {
 		}
 	}
 	return true
+}
+
+// acceptedOutside reports whether p holds an option settled as
+// accepted that o lacks: adoptBase's physical-containment rule on a
+// record whose class is locked physical.
+func (p packedLineage) acceptedOutside(t *laneTable, o LineageSummary) bool {
+	if len(p) == 0 {
+		return false
+	}
+	r := transport.NewWireReader(p)
+	for n := r.Count("lane"); n > 0; n-- {
+		var db, rb [4]SeqRange
+		name := t.names[r.Uvarint()]
+		done, rej := readRanges(r, db[:0]), readRanges(r, rb[:0])
+		var theirs []SeqRange
+		if l := o.lane(name); l != nil {
+			theirs = l.Done
+		}
+		if !acceptedWithin(done, rej, theirs) {
+			return true
+		}
+	}
+	return false
 }
 
 // add is LineageSummary.Add: it records one settled option and reports

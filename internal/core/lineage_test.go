@@ -199,6 +199,9 @@ func TestReleasedEntryStaysIdempotent(t *testing.T) {
 		if victim.Metrics().DecidedReleased == 0 {
 			t.Fatal("ack-gated release never fired despite full anti-entropy ack coverage")
 		}
+		for _, n := range w.nodes {
+			checkGauges(t, n)
+		}
 		val, ver, _ := victim.Store().Get(key)
 		if val.Attr("x") != deltas || ver != deltas {
 			t.Fatalf("pre-replay state %v v%d", val, ver)
@@ -229,11 +232,16 @@ func TestReleasedEntryStaysIdempotent(t *testing.T) {
 }
 
 // A replica that missed a transaction's visibility is healed by the
-// dangling-transaction sweep from the leaders' settled entries alone:
-// onRecoverOpt decodes each entry into the MsgOptDecided it answers
-// with, and the recoverer's visibility is built from that — Tx, Update
-// and KeySeq, no coordinator and no write-set — for a physical, a
-// merged commutative (span 3) and a read-check option alike.
+// dangling-transaction sweep: onRecoverOpt decodes each settled entry
+// into the MsgOptDecided it answers with, for a merged commutative
+// (span 3) and a read-check option, and the recoverer's visibility is
+// built from that. A physical record keeps no entries, so its leader
+// answers the rewrite from its summary, accepted and without contents:
+// the first recovery, started from the merged option's stuck vote, has
+// no copy of the rewrite and leaves its key, and the next sweep's
+// recovery, started from the rewrite's own stuck vote, heals it from
+// that. Each visibility carries Tx, Update and KeySeq, no coordinator
+// and no write-set.
 func TestRecoveryHealsFromSettledEntries(t *testing.T) {
 	cfg := Defaults(ModeMDCC)
 	cfg.PendingTimeout = 2 * time.Second
@@ -295,14 +303,21 @@ func TestRecoveryHealsFromSettledEntries(t *testing.T) {
 
 	w.net.RunFor(10 * time.Second) // the sweep fires, recovery runs
 
-	if len(decided) != len(updates) {
-		t.Fatalf("%d MsgOptDecided reached the recoverer, want one per key", len(decided))
+	if len(decided) != 2*len(updates) {
+		t.Fatalf("%d MsgOptDecided reached the recoverer, want one per key from each of two recoveries", len(decided))
 	}
 	want := make(map[record.Key]Option)
 	for _, up := range updates {
 		want[up.Key] = Option{Tx: res[0].Tx, Update: up, KeySeq: 2} // each key's second proposal, after its insert
 	}
 	for _, m := range decided {
+		if m.Key == "heal/p" {
+			if m.HasOpt || m.Decision != DecAccept {
+				t.Errorf("leader answered the physical record's rewrite with %+v (has %v, %v), want accept without contents",
+					m.Opt, m.HasOpt, m.Decision)
+			}
+			continue
+		}
 		if !m.HasOpt || m.Decision != DecAccept || !reflect.DeepEqual(m.Opt, want[m.Key]) {
 			t.Errorf("leader answered %s with %+v (has %v, %v), want the settled entry's %+v",
 				m.Key, m.Opt, m.HasOpt, m.Decision, want[m.Key])

@@ -123,8 +123,8 @@ func (n *StorageNode) startTxRecovery(opt Option) {
 	}
 	// The stuck option is this replica's own copy of its key's option:
 	// a leader that answers accept without contents may have learned
-	// the settle from a peer's base, while this replica still lacks
-	// the update.
+	// the settle from a peer's base, or keeps no entries because the
+	// record is physical, while this replica still lacks the update.
 	rec.opts[opt.Update.Key], rec.hasOpt[opt.Update.Key] = opt, true
 	n.recoveries[reqID] = rec
 	if n.tr != nil {
@@ -300,11 +300,17 @@ type Metrics struct {
 	// physical apply (convergence then flows the other way);
 	// DecidedReleased decided-log entries released after all-peer
 	// acknowledgement; MixedKindRejects options rejected by the
-	// kind-disjoint rule.
+	// kind-disjoint rule. DecidedEntries and DecidedBytes are gauges:
+	// the entries every record's decided log holds now, and its
+	// buffers' capacity in bytes, packed summaries included. A record
+	// whose class locks physical drops its entries without counting
+	// them released.
 	Grafted          int64
 	AdoptRefused     int64
 	DecidedReleased  int64
 	MixedKindRejects int64
+	DecidedEntries   int64
+	DecidedBytes     int64
 	// Shard-ring counters. ShardMoves counts completed shard bootstrap
 	// walks this node ran as a move destination (AdoptShard); MovedKeys
 	// the entries those walks adopted; RingEpoch is a gauge — the
@@ -348,6 +354,8 @@ func (m *Metrics) Add(o Metrics) {
 	m.AdoptRefused += o.AdoptRefused
 	m.DecidedReleased += o.DecidedReleased
 	m.MixedKindRejects += o.MixedKindRejects
+	m.DecidedEntries += o.DecidedEntries
+	m.DecidedBytes += o.DecidedBytes
 	m.ShardMoves += o.ShardMoves
 	m.MovedKeys += o.MovedKeys
 	m.WrongGroupRefusals += o.WrongGroupRefusals

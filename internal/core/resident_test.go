@@ -50,10 +50,10 @@ func (n *codecNet) deliver(t *testing.T, from, to transport.NodeID, msg transpor
 
 // TestResidentBytesPerSettledOption is the retained-heap gate: what a
 // storage node still holds, after two collections, per option it has
-// settled and per record it has ever touched. Both are the steady cost
-// of the live deployment — a decided log of decidedLimit entries or
-// fewer is never compacted, so its entries are never released — so
-// they are pinned like the wire allocation gates.
+// settled on a physical record and per record it has ever touched,
+// pinned like the wire allocation gates. Each record settles an insert,
+// then the rewrite that locks its class physical (the record's creation,
+// measured per record), then six more rewrites (measured per option).
 // The option path is the fast path's: one ProposeBatch, one
 // Visibility, both through the codec. Values carry a blob and no
 // attributes, so no map is allocated per record or per option anywhere
@@ -61,58 +61,65 @@ func (n *codecNet) deliver(t *testing.T, from, to transport.NodeID, msg transpor
 // layout.
 //
 // The one-lane arm settles every option on one coordinator lane.
-// Measured go1.24, amd64: 21 B per option — the entry's own bytes in the
-// record's packed log, its transaction id a lane index and a sequence
-// and its update without the record's key — and 279 B per record: its
-// state, its stored value and its key, in a run that also fills the key
-// intern table. The record reads one of two values from run to run of
-// one binary, 279 B or 300 B, for a reason not yet found (with the
-// summary in an allocation of its own, 320 B or 341 B). It was 19 B per
-// option while the
-// record's summary was an allocation of its own rather than the tail of
-// its log's buffer, 27 B per option (25 B in an earlier run) while each
-// entry also held an eight-byte settle time, which only the index of a
-// log long enough to compact keeps now, 53 B while each entry held its
-// transaction id and its update's key in full, 110 B while each entry
-// was a 64-byte slot beside an encoded-update allocation, pinning its
-// wire-decoded transaction id, and 360 B before that, with a map of
-// whole Options per record. The record was 320 B while its state was an
-// 80-byte struct beside a separate summary allocation, and 548 B while
-// it was one 208-byte struct holding both ballots, the vote arrays'
-// headers and an unpacked lineage summary with a 64-byte slot and a
-// range array per lane; a record at rest now keeps a 48-byte struct and
-// one buffer, its decided entries with its packed summary behind them
-// (TestRecStateIs48Bytes). A settled record holds no open part (and so
-// no vote arrays), which the test asserts record by record.
+// Measured go1.24, amd64: 0 B per option — a physical record keeps no
+// decided entries, and a settle that extends its lane's watermark
+// rewrites the packed summary where it lies — and 284 B per record: its
+// 48-byte state, its 8-byte summary, its stored value and its key, in a
+// run that also fills the key intern table. The record reads one of two
+// values from run to run of one binary, 284 B or 304 B, for a reason
+// not yet found. Beside the heap delta the test counts what the node
+// holds per record exactly, recState plus the buffer's capacity: 56 B,
+// which no collector timing can move. Per option it was 21 B while a
+// physical record kept an entry per option (its packed bytes in the
+// record's one buffer, in front of the summary), 19 B while the summary
+// was an allocation of its own, 27 B (25 B in an earlier run) while
+// each entry also held an eight-byte settle time, 53 B while each entry
+// held its transaction id and its update's key in full, 110 B while
+// each entry was a 64-byte slot beside an encoded-update allocation,
+// pinning its wire-decoded transaction id, and 360 B before that, with
+// a map of whole Options per record. Per record the figure was taken
+// after the insert alone until entries went (279 B or 300 B then, the
+// insert's entry included): 320 B while the state was an 80-byte struct
+// beside a separate summary allocation, and 548 B while it was one
+// 208-byte struct holding both ballots, the vote arrays' headers and an
+// unpacked lineage summary with a 64-byte slot and a range array per
+// lane (TestRecStateIs48Bytes). A settled record holds no open part
+// (and so no vote arrays), which the test asserts record by record.
 //
 // The many-lanes arm is sixteen coordinators (gateways' and sessions')
 // with incarnation tokens, each record's options on rotating lanes, so
-// every option also opens a lane in the record's lineage summary. It
-// reads 25 B per option: the entry, plus the lane's few bytes in the
-// packed summary, both naming the lane by its index in the node's lane
-// table. It was 24 B while the summary had an allocation of its own, 32
-// B (30 B in an earlier run) while the entry held its settle time, 66 B
-// while the entry held its transaction id in full, 142 B while each
-// lane took a LaneLineage slot and a Done range of its own, and 198 B
-// while each lane's name was a substring of a transaction id that its
-// bytes kept alive.
+// every option opens a lane in the record's lineage summary. It reads 5
+// B per option: the lane's bytes in the packed summary, which names it
+// by its index in the node's lane table; exactly, 91 B per record. It
+// was 25 B while the record also kept the option's entry, 24 B while
+// the summary had an allocation of its own, 32 B (30 B in an earlier
+// run) while the entry held its settle time, 66 B while the entry held
+// its transaction id in full, 142 B while each lane took a LaneLineage
+// slot and a Done range of its own, and 198 B while each lane's name
+// was a substring of a transaction id that its bytes kept alive.
 func TestResidentBytesPerSettledOption(t *testing.T) {
 	const (
-		maxPerOption      = 30
-		maxPerOptionLanes = 40
+		maxPerOption      = 2
+		maxPerOptionLanes = 8
 		lanes             = 16
+		// The exact counts: recState and the summary alone.
+		maxStructural      = 56
+		maxStructuralLanes = 91
 	)
-	perOption, perRec := residentPerSettledOption(t, oneLane)
-	t.Logf("one lane: %.0f B per settled option, %.0f B per record", perOption, perRec)
+	perOption, perRec, structural := residentPerSettledOption(t, oneLane)
+	t.Logf("one lane: %.0f B per settled option, %.0f B per record, %.0f B of state and buffer per record", perOption, perRec, structural)
 	if perOption > maxPerOption {
 		t.Errorf("one lane: %.0f B retained per settled option, gate %d", perOption, maxPerOption)
 	}
 	if perRec > maxPerRecord {
 		t.Errorf("one lane: %.0f B retained per touched record, gate %d", perRec, maxPerRecord)
 	}
+	if structural > maxStructural {
+		t.Errorf("one lane: %.1f B of state and buffer per record, gate %d", structural, maxStructural)
+	}
 
 	var laneSeq [lanes]int
-	perOption, _ = residentPerSettledOption(t, func(rec, round, _ int) (TxID, transport.NodeID, uint64) {
+	perOption, _, structural = residentPerSettledOption(t, func(rec, round, _ int) (TxID, transport.NodeID, uint64) {
 		// Fewer rounds than lanes: each lane proposes on a record once,
 		// so its per-key sequence is 1.
 		lane := (rec + round) % lanes
@@ -120,9 +127,12 @@ func TestResidentBytesPerSettledOption(t *testing.T) {
 		coord := transport.NodeID(fmt.Sprintf("gw/us-west/c%d", lane))
 		return TxID(fmt.Sprintf("%s~MG3X9K2A#%d", coord, laneSeq[lane])), coord, 1
 	})
-	t.Logf("%d lanes: %.0f B per settled option", lanes, perOption)
+	t.Logf("%d lanes: %.0f B per settled option, %.0f B of state and buffer per record", lanes, perOption, structural)
 	if perOption > maxPerOptionLanes {
 		t.Errorf("%d lanes: %.0f B retained per settled option, gate %d", lanes, perOption, maxPerOptionLanes)
+	}
+	if structural > maxStructuralLanes {
+		t.Errorf("%d lanes: %.1f B of state and buffer per record, gate %d", lanes, structural, maxStructuralLanes)
 	}
 }
 
@@ -131,9 +141,10 @@ func TestResidentBytesPerSettledOption(t *testing.T) {
 const residentRecords = 2000
 
 // maxPerRecord is the per-record gate of the resident-bytes tests:
-// above the 300 B a record reads in its worse runs (279 B in most), and
-// below the 320 B that the layout with a separate summary allocation
-// read in its better ones.
+// above the 304 B a physical record reads in its worse runs (284 B in
+// most). It was set when the record was measured after its insert, at
+// 279 B or 300 B, below the 320 B that the layout with a separate
+// summary allocation read in its better runs.
 const maxPerRecord = 310
 
 // TestRecStateIs48Bytes pins a record's state at rest to one Go size
@@ -155,6 +166,19 @@ type residentWorld struct {
 	n    *StorageNode
 	keys []record.Key
 	seq  int
+	// update is the update each option carries: nil writes a physical
+	// value at the round's read version (the first an insert).
+	update func(key record.Key, round int) record.Update
+}
+
+// commutative makes every option an increment, so the records' class
+// locks commutative and their decided logs keep an entry per option (a
+// physical record keeps none).
+func (w *residentWorld) commutative() *residentWorld {
+	w.update = func(key record.Key, _ int) record.Update {
+		return record.Commutative(key, map[string]int64{"n": 1})
+	}
+	return w
 }
 
 func newResidentWorld(t *testing.T) *residentWorld {
@@ -179,9 +203,12 @@ func (w *residentWorld) settleRound(round int, mint func(rec, round, seq int) (T
 		if keySeq == 0 {
 			keySeq = uint64(round + 1)
 		}
+		up := record.Physical(key, record.Version(round), record.Value{Blob: []byte("8 bytes.")})
+		if w.update != nil {
+			up = w.update(key, round)
+		}
 		opt := Option{
-			Tx: tx, Coord: coord,
-			Update:   record.Physical(key, record.Version(round), record.Value{Blob: []byte("8 bytes.")}),
+			Tx: tx, Coord: coord, Update: up,
 			WriteSet: []record.Key{key}, KeySeq: keySeq, WriteSeqs: []uint64{keySeq},
 		}
 		w.net.deliver(w.t, "c0", w.n.ID(), MsgProposeBatch{Opts: []Option{opt}})
@@ -202,13 +229,26 @@ func (w *residentWorld) atRest() {
 	}
 }
 
-// liveHeap is the heap in use after two collections.
-func liveHeap() uint64 {
+// liveHeap is the heap in use after two collections. It is signed: a
+// physical record's first rewrite drops its insert's entry, so a later
+// reading can be the smaller.
+func liveHeap() int64 {
 	runtime.GC()
 	runtime.GC()
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
-	return m.HeapAlloc
+	return int64(m.HeapAlloc)
+}
+
+// structural is the exact state the node holds per record: its
+// recState and its decided log's buffer capacity, summary included —
+// a count no collector timing can move.
+func (w *residentWorld) structural() float64 {
+	total := 0
+	for _, r := range w.n.recs {
+		total += int(unsafe.Sizeof(*r)) + cap(r.decided.buf)
+	}
+	return float64(total) / float64(len(w.n.recs))
 }
 
 // oneLane mints every option on one coordinator lane.
@@ -219,14 +259,19 @@ func oneLane(_, _, seq int) (TxID, transport.NodeID, uint64) {
 // residentPerSettledOption settles perRecord options on each record
 // of a fresh residentWorld and returns what the node retains per
 // settled option and per touched record.
-func residentPerSettledOption(t *testing.T, mint func(rec, round, seq int) (TxID, transport.NodeID, uint64)) (perOption, perRec float64) {
+func residentPerSettledOption(t *testing.T, mint func(rec, round, seq int) (TxID, transport.NodeID, uint64)) (perOption, perRec, structural float64) {
 	t.Helper()
-	const perRecord = 8 // options settled on each record, the first an insert
+	const (
+		perRecord = 8 // options settled on each record
+		created   = 2 // the insert, and the rewrite that locks the class physical
+	)
 	w := newResidentWorld(t)
 	empty := liveHeap()
-	w.settleRound(0, mint)
+	for round := 0; round < created; round++ {
+		w.settleRound(round, mint)
+	}
 	touched := liveHeap()
-	for round := 1; round < perRecord; round++ {
+	for round := created; round < perRecord; round++ {
 		w.settleRound(round, mint)
 	}
 	settled := liveHeap()
@@ -235,10 +280,11 @@ func residentPerSettledOption(t *testing.T, mint func(rec, round, seq int) (TxID
 		t.Fatalf("executed %d options, want %d", got, residentRecords*perRecord)
 	}
 	w.atRest()
-	perOption = float64(settled-touched) / (residentRecords * (perRecord - 1))
-	perRec = float64(touched-empty)/residentRecords - perOption
+	perOption = float64(settled-touched) / (residentRecords * (perRecord - created))
+	perRec = float64(touched-empty)/residentRecords - created*perOption
+	structural = w.structural()
 	runtime.KeepAlive(w.n)
-	return perOption, perRec
+	return perOption, perRec, structural
 }
 
 // TestSyncReplyOpensNoShortRecord: an anti-entropy reply names every
@@ -249,12 +295,14 @@ func residentPerSettledOption(t *testing.T, mint func(rec, round, seq int) (TxID
 // and still costs no more than TestResidentBytesPerSettledOption's
 // per-record gate.
 func TestSyncReplyOpensNoShortRecord(t *testing.T) {
-	const rounds = 4
+	const rounds, created = 4, 2 // the insert and the first rewrite create the record
 	w := newResidentWorld(t)
 	empty := liveHeap()
-	w.settleRound(0, oneLane)
+	for round := 0; round < created; round++ {
+		w.settleRound(round, oneLane)
+	}
 	touched := liveHeap()
-	for round := 1; round < rounds; round++ {
+	for round := created; round < rounds; round++ {
 		w.settleRound(round, oneLane)
 	}
 	settled := liveHeap()
@@ -277,7 +325,7 @@ func TestSyncReplyOpensNoShortRecord(t *testing.T) {
 	if got := w.n.Metrics().Synced; got != 0 {
 		t.Fatalf("adopted %d bases it already held", got)
 	}
-	perOption := float64(settled-touched) / (residentRecords * (rounds - 1))
+	perOption := float64(settled-touched) / (residentRecords * (rounds - created))
 	perRec := float64(synced-empty)/residentRecords - rounds*perOption
 	t.Logf("after a sync reply from each of %d peers: %.0f B per record, %.0f B per settled option", len(w.cl.Storage)-1, perRec, perOption)
 	if perRec > maxPerRecord {
@@ -286,8 +334,8 @@ func TestSyncReplyOpensNoShortRecord(t *testing.T) {
 	runtime.KeepAlive(w.n)
 }
 
-// TestSweepReleasesAckedEntries: one record settles past decidedLimit,
-// its first entries (the index is built among them) a retention period
+// TestSweepReleasesAckedEntries: one commutative record settles past
+// decidedLimit, its first entries (the index is built among them) a retention period
 // before the rest. Once a sync reply from each peer names the record
 // with a summary holding every entry, the pending sweep's forced
 // compaction releases exactly the entries aged past retention, counts
@@ -295,7 +343,7 @@ func TestSyncReplyOpensNoShortRecord(t *testing.T) {
 // one it released.
 func TestSweepReleasesAckedEntries(t *testing.T) {
 	const aged = 300
-	w := newResidentWorld(t)
+	w := newResidentWorld(t).commutative()
 	w.keys = w.keys[:1]
 	key := w.keys[0]
 	retention := w.n.cfg.DecidedRetention
@@ -325,6 +373,7 @@ func TestSweepReleasesAckedEntries(t *testing.T) {
 	if got := w.n.Metrics().DecidedReleased; got != int64(released) {
 		t.Fatalf("DecidedReleased = %d after %d entries were released", got, released)
 	}
+	checkGauges(t, w.n)
 	for seq := 1; seq <= round; seq++ {
 		tx := TxID(fmt.Sprintf("gw/us-west/c0#%d", seq))
 		if _, inLog := r.decided.get(&w.n.lanes, tx); inLog != (seq > aged) {
@@ -338,23 +387,22 @@ func TestSweepReleasesAckedEntries(t *testing.T) {
 
 // TestIndexedLogCapacityPerEntry: a record that settles as many options
 // as the longest decided logs of the benchmark's hot-commute workload
-// hold, 3 500 on eight rotating lanes, keeps its entries and summary in
-// one buffer and its settle times in the index. What both hold in
-// capacity, per entry, is gated at what the layout with a separate
-// summary allocation held, never above: 135 144 B, 38.61 B per entry (a
-// 98 304 B buffer, a 64 B summary and 4 597 time slots). It reads 38.59
-// B (the same buffer, the summary in it, 4 594 time slots). 3 500
-// entries sit just past a growth step of the buffer on both layouts, so
-// the figure is the step's worst. The mean over every length from 128
-// entries on is logged, not gated: 33.06 B, where the separate summary
-// read 33.05 B (the shared buffer reaches each growth step a couple of
-// entries sooner).
+// hold, 3 500 increments on eight rotating lanes, keeps its entries and
+// summary in one buffer and its settle times in the index. What both
+// hold in capacity, per entry, is gated at what they held before a
+// physical record stopped keeping entries, which left commutative logs
+// as they were: 91 656 B, 26.19 B per entry (a 57 344 B buffer with a
+// 51 B summary inside it, and 4 289 time slots). 3 500 entries sit just
+// past a growth step of the buffer, so the figure is the step's worst.
+// The mean over every length from 128 entries on is logged, not gated:
+// 24.21 B. The gate was 38.61 B per entry while the test settled
+// physical rewrites, whose entries carry a value.
 func TestIndexedLogCapacityPerEntry(t *testing.T) {
 	const (
 		entries     = 3500
-		maxPerEntry = 135144.0 / entries
+		maxPerEntry = 91656.0 / entries
 	)
-	w := newResidentWorld(t)
+	w := newResidentWorld(t).commutative()
 	w.keys = w.keys[:1]
 	r := w.n.rs(w.keys[0])
 	var laneSeq [8]int
@@ -390,6 +438,9 @@ func TestIndexedLogCapacityPerEntry(t *testing.T) {
 // a record and leads every option on it through a classic round, so the
 // record's decided log and the leader's learned log both grow past
 // decidedLimit, the first entries a retention period before the rest.
+// The options are read checks: they leave the record's class unlocked,
+// so its log keeps their entries (a physical record keeps none, and
+// Multi mode refuses commutative updates).
 // The learned log, which holds no summary, is held at decidedLimit by
 // compactLegacy as it learns. After a sync reply from each peer names
 // the record with the node's own summary, the pending sweep's
@@ -426,7 +477,7 @@ func TestSweepCompactsRecordAndLeaderLogs(t *testing.T) {
 		coord := transport.NodeID(fmt.Sprintf("gw/us-west/c%d", lane))
 		opt := Option{
 			Tx: TxID(fmt.Sprintf("%s#%d", coord, laneSeq[lane])), Coord: coord,
-			Update:   record.Physical(key, record.Version(i), record.Value{Blob: []byte("8 bytes.")}),
+			Update:   record.ReadCheck(key, 0),
 			WriteSet: []record.Key{key}, KeySeq: laneSeq[lane], WriteSeqs: []uint64{laneSeq[lane]},
 		}
 		w.net.deliver(t, coord, self.ID, MsgProposeLeader{Opt: opt})
@@ -465,6 +516,7 @@ func TestSweepCompactsRecordAndLeaderLogs(t *testing.T) {
 	if got := r.decided.len(); got != len(opts)-aged {
 		t.Fatalf("the record's log holds %d entries after the sweep, want %d", got, len(opts)-aged)
 	}
+	checkGauges(t, w.n)
 	if after := r.decided.summary().unpack(&w.n.lanes); !reflect.DeepEqual(after, before) {
 		t.Fatalf("the summary unpacks to %s after the sweep, %s before", after, before)
 	}

@@ -297,6 +297,7 @@ func NewDurableStorageNode(id transport.NodeID, dc topology.DC, net transport.Ne
 	n.durable = ds
 	for _, e := range ds.decided {
 		r := n.rs(e.Key)
+		was := r.decided.footprint()
 		if e.Snapshot != nil {
 			// A base adoption's summary snapshot: union in replay order
 			// (summaries are monotone, so the final union matches the
@@ -304,13 +305,10 @@ func NewDurableStorageNode(id transport.NodeID, dc topology.DC, net transport.Ne
 			// replayed value).
 			r.decided.tail().union(&n.lanes, *e.Snapshot)
 			r.noteKindFromSummary()
-			continue
+		} else {
+			n.replayDecision(e.Key, r, e.Decision)
 		}
-		if settled, ok := r.decided.restore(&n.lanes, e.Key, net.Now().UnixNano(), e.Decision); ok {
-			if opt, ok := settled.option(); ok {
-				n.noteSettled(r, settled.Decision, opt)
-			}
-		}
+		n.meter(r, was)
 	}
 	// Seeded: the replay list would otherwise stay resident, a second
 	// copy of every decided log, for as long as the state is open.
@@ -348,17 +346,33 @@ func (n *StorageNode) degrade(err error) {
 // needs its durable state reopened.
 func (n *StorageNode) DurabilityError() error { return n.degraded }
 
-// logDecision persists a settled entry's decision body (the decided
-// log's entry expanded, not the option encoded again), if this node is
-// durable. A refused append degrades the node (see degrade) — the
-// historical behavior of swallowing the error silently lost durability
-// while continuing to acknowledge writes.
-func (n *StorageNode) logDecision(key record.Key, e *decidedEntry) {
+// replayDecision seeds the record from one replayed decision body by
+// settleOption's rule: the summary and class lock note it when it has
+// contents, and the decided log keeps it unless the record's class is
+// physical and the option has a lineage identity — whether the body
+// came from this build's log or from a checkpoint that still carries
+// physical entries. A body seen twice (a tail that overlaps its
+// snapshot) changes nothing the second time.
+func (n *StorageNode) replayDecision(key record.Key, r *recState, body []byte) {
+	tx, d, keySeq, up := splitBody(body)
+	if up != nil {
+		n.noteSettled(r, d, Option{Tx: TxID(tx), Update: record.ReadUpdate(transport.NewWireReader(up)), KeySeq: keySeq})
+	}
+	if keySeq == 0 || r.decided.kind != record.KindPhysical {
+		r.decided.restore(&n.lanes, key, n.net.Now().UnixNano(), body)
+	}
+}
+
+// logDecision persists the decision body of opt settled as d, if this
+// node is durable. A refused append degrades the node (see degrade) —
+// the historical behavior of swallowing the error silently lost
+// durability while continuing to acknowledge writes.
+func (n *StorageNode) logDecision(key record.Key, d Decision, opt Option) {
 	if n.durable == nil {
 		return
 	}
 	var scratch [256]byte // on the stack; covers all but blob-carrying updates
-	n.appendOplog(&oplogEntry{Key: key, Decision: e.appendBody(scratch[:0])})
+	n.appendOplog(&oplogEntry{Key: key, Decision: appendDecision(scratch[:0], opt.Tx, d, opt.KeySeq, &opt.Update)})
 }
 
 // logLineage persists a record's lineage summary snapshot. Written on
