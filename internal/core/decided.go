@@ -16,7 +16,13 @@ import (
 // decidedLog remembers one record's decided options, keyed by
 // transaction (a transaction writes a record at most once), so votes,
 // visibility and recovery are idempotent and diverged lineages can be
-// merged. Two eviction regimes share it:
+// merged. Only a commutative record's merges read an entry's contents
+// (grafts); the summary answers idempotence and recovery by itself. So
+// a record whose class is locked physical keeps no entry with a
+// lineage identity at all: the lock drops the ones it holds
+// (lockPhysical), and later settles add none (StorageNode.settleOption,
+// replay), leaving its buffer the packed summary alone. On any other
+// record two eviction regimes share the log:
 //
 //   - Entries WITH a lineage identity (KeySeq > 0) are released only
 //     once (a) they are older than the retention horizon AND (b)
@@ -30,8 +36,8 @@ import (
 //     apply. Peer summaries arrive with anti-entropy replies, Phase1b
 //     and Phase2a bases, and only a log longer than decidedLimit —
 //     the only one compaction reads — keeps them (decidedIndex.peers),
-//     so on an ordinary record the log is the steady per-option cost,
-//     not a warm-up cache.
+//     so on an ordinary commutative record the log is the steady
+//     per-option cost, not a warm-up cache.
 //   - Legacy entries (KeySeq == 0: recovery-fiat options) keep the
 //     old count-capped AND age-gated FIFO rule; they carry no effect
 //     to lose.
@@ -59,9 +65,10 @@ import (
 //	        2 | u8 Kind | Update after Key the same less its key, the record's
 //
 // so an entry keeps a lane index and a sequence, not its transaction
-// id, and not the key every update of the record repeats. Persisting
-// or checkpointing an entry expands it back into the exact body
-// (appendBody), and replay packs what it reads (restore). An entry
+// id, and not the key every update of the record repeats. A settle's
+// decision record is written from its option (appendDecision); a
+// checkpoint expands each entry back into the exact body (appendBody),
+// and replay packs what it reads (restore). An entry
 // holds no settle time: only compaction reads one, and only an indexed
 // log is long enough to be compacted, so the index keeps the times
 // (decidedIndex.at). The summary sits at the tail: a summary write
@@ -237,8 +244,8 @@ func laneSeqHash(tag, seq uint64) uint64 {
 
 // decidedEntry is one entry of a decided log read in place — the
 // decision's fields and the table and record key it is packed against —
-// and the decoded view the cold readers take: recovery replies, grafts,
-// replay and the oplog. Nothing is copied (id and up alias the log), so
+// and the decoded view the cold readers take: recovery replies, grafts
+// and checkpoints. Nothing is copied (id and up alias the log), so
 // a view is good until the log next changes; what outlives that is
 // decoded (option, update) or expanded (appendBody).
 type decidedEntry struct {
