@@ -49,3 +49,19 @@ func TestArmsListed(t *testing.T) {
 		t.Errorf("usage line:\n got %q\nwant %q", got, want)
 	}
 }
+
+// TestScaleDropRange: -scale.drop takes percentages in [0, 100). 150
+// lost every message (the sweep point committed nothing) and -5 ran
+// with no loss; both are refused, with the range named.
+func TestScaleDropRange(t *testing.T) {
+	if got, err := parseDropPcts("0, 2,99.5"); err != nil || !reflect.DeepEqual(got, []float64{0, 2, 99.5}) {
+		t.Errorf("parseDropPcts(0, 2,99.5) = %v, %v", got, err)
+	}
+	for _, in := range []string{"150", "100", "-5", "0,NaN", "2,x"} {
+		if _, err := parseDropPcts(in); err == nil {
+			t.Errorf("parseDropPcts(%q) accepted", in)
+		} else if in != "2,x" && !strings.Contains(err.Error(), "outside [0, 100)") {
+			t.Errorf("parseDropPcts(%q): %v, want the range named", in, err)
+		}
+	}
+}

@@ -21,7 +21,7 @@ import (
 var (
 	simGate = flag.Float64("sim-gate", 0, "scale arm: fail (exit 1) if any sweep point's wall time exceeds this many milliseconds (0 = no gate)")
 	scNodes = flag.String("scale.nodes", "", "scale arm: comma-separated storage nodes per DC (default 1,40,188 = 65/260/1000 processes at 60 clients)")
-	scDrop  = flag.String("scale.drop", "", "scale arm: comma-separated ambient drop percentages (default 0,2)")
+	scDrop  = flag.String("scale.drop", "", "scale arm: comma-separated ambient drop percentages, each in [0, 100) (default 0,2)")
 )
 
 // scaleResult is the -out JSON shape: the sweep grid plus enough
@@ -57,7 +57,12 @@ func scaleBench() {
 		cfg.NodesPerDC = parseIntList(*scNodes)
 	}
 	if *scDrop != "" {
-		cfg.DropPcts = parseFloatList(*scDrop)
+		pcts, err := parseDropPcts(*scDrop)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "mdcc-bench: -scale.drop: %v\n", err)
+			os.Exit(2)
+		}
+		cfg.DropPcts = pcts
 	}
 	header(
 		fmt.Sprintf("Scaling curve — cluster size x drop%%, %s virtual per point (%s workload, %d clients)",
@@ -126,7 +131,9 @@ func parseIntList(s string) []int {
 	return out
 }
 
-func parseFloatList(s string) []float64 {
+// parseDropPcts reads -scale.drop: percentages in [0, 100), the range
+// scenario.Options.DropProb accepts.
+func parseDropPcts(s string) ([]float64, error) {
 	var out []float64
 	for _, f := range strings.Split(s, ",") {
 		f = strings.TrimSpace(f)
@@ -135,10 +142,12 @@ func parseFloatList(s string) []float64 {
 		}
 		v, err := strconv.ParseFloat(f, 64)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mdcc-bench: bad number %q in list\n", f)
-			os.Exit(2)
+			return nil, fmt.Errorf("bad number %q in list", f)
+		}
+		if !(v >= 0 && v < 100) {
+			return nil, fmt.Errorf("drop %v%% is outside [0, 100)", v)
 		}
 		out = append(out, v)
 	}
-	return out
+	return out, nil
 }

@@ -26,7 +26,7 @@ func TestOptionStructSizes(t *testing.T) {
 		{trace.Config{}, 1},
 		{wal.Options{}, 4},
 		{core.DurableOptions{}, 4},
-		{simnet.Options{}, 9},
+		{simnet.Options{}, 5},
 		{mdcc.ClusterConfig{}, 6},
 	} {
 		typ := reflect.TypeOf(c.v)

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
+	"os"
+	"os/exec"
 	"reflect"
 	"sort"
 	"strings"
@@ -40,5 +43,27 @@ func TestFlagSurface(t *testing.T) {
 	sort.Strings(got)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flag surface changed:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestDropOutOfRangeExits: an ambient drop outside [0, 1) is refused
+// with exit status 2 and the valid range named, before any run. At 1.5
+// read-storm lost every message, committed nothing and printed PASS;
+// at -0.5 it ran with no loss. The test re-executes its own binary as
+// mdcc-sim (main reads the same flag set).
+func TestDropOutOfRangeExits(t *testing.T) {
+	if os.Getenv("MDCC_SIM_AS_MAIN") == "1" {
+		main()
+		return
+	}
+	for _, drop := range []string{"1.5", "-0.5", "1", "NaN"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestDropOutOfRangeExits$",
+			"-scenario", "read-storm", "-no-faults", "-clients", "5", "-duration", "2s", "-scenario.drop", drop)
+		cmd.Env = append(os.Environ(), "MDCC_SIM_AS_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "outside [0, 1)") {
+			t.Errorf("-scenario.drop %s: %v, want exit status 2 naming [0, 1); output:\n%s", drop, err, out)
+		}
 	}
 }

@@ -23,6 +23,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -36,7 +37,7 @@ var (
 	seed     = flag.Int64("seed", 1, "simulation seed (reproducible)")
 	clients  = flag.Int("clients", 0, "simulated clients (0 = scenario default)")
 	nodes    = flag.Int("nodes-per-dc", 0, "storage nodes per data center (0 = scenario default)")
-	scnDrop  = flag.Float64("scenario.drop", 0, "ambient uniform message-drop probability for the whole traffic window")
+	scnDrop  = flag.Float64("scenario.drop", 0, "ambient uniform message-drop probability in [0, 1), from the start of the traffic window until the schedule sets its own")
 	duration = flag.Duration("duration", 0, "virtual traffic window (0 = scenario default)")
 	noFaults = flag.Bool("no-faults", false, "skip the nemesis schedule (happy-path run)")
 	list     = flag.Bool("list", false, "list scenarios and exit")
@@ -92,6 +93,10 @@ func main() {
 	for _, s := range torun {
 		start := time.Now()
 		res, err := s.Run(opts)
+		if errors.Is(err, scenario.ErrDropProb) {
+			fmt.Fprintf(os.Stderr, "mdcc-sim: -scenario.drop: %v\n", err)
+			os.Exit(2)
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mdcc-sim: %s: %v\n", s.Name, err)
 			failed++

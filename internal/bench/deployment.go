@@ -26,12 +26,13 @@ type deployment struct {
 	gws    map[topology.DC]*gateway.Gateway
 }
 
-// newDeployment lays out the cluster and its WAN; extra places nodes
-// the layout does not know (gateway members, Megastore* replicas).
-func newDeployment(layout topology.Layout, extra map[transport.NodeID]topology.DC, nopts simnet.Options) *deployment {
+// newDeployment lays out the cluster and its WAN (10 % jitter, each
+// node busy service per message); extra places nodes the layout does
+// not know (gateway members, Megastore* replicas).
+func newDeployment(layout topology.Layout, extra map[transport.NodeID]topology.DC, service time.Duration, seed int64) *deployment {
 	cl := topology.NewCluster(layout)
-	nopts.Latency = cl.LatencyWith(extra)
-	return &deployment{cl: cl, net: simnet.New(nopts)}
+	net := simnet.New(simnet.Options{Latency: cl.LatencyWith(extra), JitterFrac: 0.10, ServiceTime: service, Seed: seed})
+	return &deployment{cl: cl, net: net}
 }
 
 // startCore starts a core storage node over a fresh in-memory store in
@@ -72,11 +73,7 @@ func newHotKeyDeployment(seed int64, sc GatewayScale, gateways bool, tun gateway
 		NodesPerDC: sc.NodesPerDC,
 		Clients:    sc.Sessions,
 		ClientDC:   -1,
-	}, extra, simnet.Options{
-		JitterFrac:  0.10,
-		ServiceTime: gatewayServiceTime,
-		Seed:        seed,
-	})
+	}, extra, gatewayServiceTime, seed)
 	cfg := server.Config(core.ModeMDCC, []record.Constraint{record.MinBound("units", 0)})
 	cfg.Tracer = rec
 	// Saturation pushes commit latency past the WAN-tuned defaults;

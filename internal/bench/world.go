@@ -88,13 +88,9 @@ func NewWorld(opts Options) *World {
 		NodesPerDC: opts.NodesPerDC,
 		Clients:    opts.Clients,
 		ClientDC:   opts.ClientDC,
-	}, extra, simnet.Options{
-		JitterFrac:  0.10,
-		ServiceTime: serviceTime,
-		DropProb:    opts.DropProb,
-		Seed:        opts.Seed,
-	})
+	}, extra, serviceTime, opts.Seed)
 	cl, net := d.cl, d.net
+	net.SetDropProb(opts.DropProb)
 	w := &World{Opts: opts, Net: net, Cluster: cl, deployment: d}
 
 	switch opts.Protocol {

@@ -172,9 +172,26 @@ func comparePacked(t *testing.T, step int, tab *laneTable, p packedLineage, ref,
 	}
 	grown := ref.Clone()
 	grown.Add(packedLanes[0], 14, false, false)
-	for _, o := range []LineageSummary{probe, ref, grown, {}} {
+	// ref's accepted options alone, and without the last of them: the
+	// edge of acceptedOutside, where rejects split a done range.
+	var accepted, short LineageSummary
+	acc := acceptedOf(ref)
+	for i, a := range acc {
+		accepted.Add(a.lane, a.seq, false, false)
+		if i < len(acc)-1 {
+			short.Add(a.lane, a.seq, false, false)
+		}
+	}
+	for _, o := range []LineageSummary{probe, ref, grown, {}, accepted, short} {
 		if got, want := p.containsAll(tab, o), ref.ContainsAll(o); got != want {
 			t.Fatalf("step %d: containsAll(%s) = %v, reference %v (%s)", step, o, got, want, ref)
+		}
+		want := false
+		for _, a := range acc {
+			want = want || !o.Contains(a.lane, a.seq)
+		}
+		if got := p.acceptedOutside(tab, o); got != want {
+			t.Fatalf("step %d: acceptedOutside(%s) = %v, reference %v (%s)", step, o, got, want, ref)
 		}
 	}
 	un := p.unpack(tab)
@@ -192,11 +209,33 @@ func comparePacked(t *testing.T, step int, tab *laneTable, p packedLineage, ref,
 	}
 }
 
+type laneSeq struct {
+	lane string
+	seq  uint64
+}
+
+// acceptedOf lists, by enumeration, the options s settled as accepted:
+// each lane's Done less its Rejected.
+func acceptedOf(s LineageSummary) []laneSeq {
+	var out []laneSeq
+	for _, l := range s.Lanes {
+		for _, r := range l.Done {
+			for seq := r.Lo; seq <= r.Hi; seq++ {
+				if !rangeContains(l.Rejected, seq) {
+					out = append(out, laneSeq{l.Lane, seq})
+				}
+			}
+		}
+	}
+	return out
+}
+
 // TestPackedLineageMatchesReference: over random op sequences on
 // several lanes — rejects, gaps that later merge, sequence 0, unions
 // with empty lanes — the packed summary answers every read exactly as
-// the reference LineageSummary does, renders the same fingerprint and
-// unpacks to it.
+// the reference LineageSummary does (acceptedOutside against an
+// enumeration of the accepted options), renders the same fingerprint
+// and unpacks to it.
 func TestPackedLineageMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	for i := 0; i < 400; i++ {
@@ -213,6 +252,9 @@ func FuzzPackedLineage(f *testing.F) {
 	f.Add([]byte{5, 4, 1, 0, 4, 3, 10, 0, 2, 10, 0, 0})
 	// A union with an empty lane and both class bits, then a mark.
 	f.Add([]byte{0, 1, 2, 3, 2, 0x0b, 0x97, 0x0f, 4})
+	// A reject splits a done range (1-3 with 2 rejected), then a
+	// reject on a second lane sits at its done range's low edge.
+	f.Add([]byte{0, 1, 0, 0, 2, 1, 0, 3, 0, 5, 4, 1, 5, 5, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Every step re-checks each lookup, so a long input costs the
 		// minimizer seconds per attempt; 256 bytes is ample for ranges

@@ -31,9 +31,9 @@ func newPropWorld(cfg Config, clients int, seed int64, dropProb float64) *propWo
 		Latency:     cl.LatencyWith(nil),
 		JitterFrac:  0.15,
 		ServiceTime: 100 * time.Microsecond,
-		DropProb:    dropProb,
 		Seed:        seed,
 	})
+	net.SetDropProb(dropProb)
 	w := &propWorld{net: net, cl: cl}
 	for _, n := range cl.Storage {
 		w.nodes = append(w.nodes, NewStorageNode(n.ID, n.DC, net, cl, cfg, kv.NewMemory()))

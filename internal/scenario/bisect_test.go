@@ -87,18 +87,18 @@ func faultPrimitives() []*Scenario {
 	}
 	return []*Scenario{
 		mk("drops", func(r *Run) {
-			r.At(frac(r, 0.10), "8% loss", func() { r.Net.SetDropProb(0.08) })
+			r.At(frac(r, 0.10), "8% loss", func() { r.SetDropProb(0.08) })
 		}),
 		mk("dups", func(r *Run) {
-			r.At(frac(r, 0.10), "8% dup", func() { r.Net.SetDupProb(0.08) })
+			r.At(frac(r, 0.10), "8% dup", func() { r.SetDupProb(0.08) })
 		}),
 		mk("reorder", func(r *Run) {
-			r.At(frac(r, 0.10), "15% reorder", func() { r.Net.SetReorder(0.15, 100*time.Millisecond) })
+			r.At(frac(r, 0.10), "15% reorder", func() { r.SetReorder(0.15, 100*time.Millisecond) })
 		}),
 		mk("drift", func(r *Run) {
 			r.At(frac(r, 0.15), "±30% drift", func() {
-				r.Net.SetDrift(r.Cluster.Storage[0].ID, 0.3)
-				r.Net.SetDrift(r.Cluster.Storage[len(r.Cluster.Storage)-1].ID, -0.3)
+				r.SetDrift(r.Cluster.Storage[0].ID, 0.3)
+				r.SetDrift(r.Cluster.Storage[len(r.Cluster.Storage)-1].ID, -0.3)
 			})
 		}),
 		mk("crash", func(r *Run) {
@@ -107,16 +107,16 @@ func faultPrimitives() []*Scenario {
 		}),
 		mk("drop-dup", func(r *Run) {
 			r.At(frac(r, 0.10), "loss+dup", func() {
-				r.Net.SetDropProb(0.08)
-				r.Net.SetDupProb(0.08)
+				r.SetDropProb(0.08)
+				r.SetDupProb(0.08)
 			})
 		}),
 		mk("drop-partition", func(r *Run) {
-			r.At(frac(r, 0.10), "8% loss", func() { r.Net.SetDropProb(0.08) })
+			r.At(frac(r, 0.10), "8% loss", func() { r.SetDropProb(0.08) })
 			r.At(frac(r, 0.40), "cut eu-ie", func() {
-				r.Net.Partition(r.SideIDs(topology.EUIreland), r.OtherSideIDs(topology.EUIreland))
+				r.Partition(r.SideIDs(topology.EUIreland), r.OtherSideIDs(topology.EUIreland))
 			})
-			r.At(frac(r, 0.60), "heal", func() { r.Net.HealAll() })
+			r.At(frac(r, 0.60), "heal", func() { r.HealAll() })
 		}),
 	}
 }

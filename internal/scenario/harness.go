@@ -42,14 +42,31 @@ const (
 	recoveryWallBound = 5 * time.Second
 )
 
+// NetFaults is the network half of the nemesis surface: exactly the
+// link faults the schedules inject. Run embeds its simulator behind it,
+// so a schedule writes r.Partition(…) beside r.CrashStorage(i) and
+// reaches neither the simulator's clock nor its event loop. A live
+// fault injector implements the same set; SetDrift, which skews the
+// simulator's timers, has no live counterpart.
+type NetFaults interface {
+	SetDropProb(p float64)
+	SetDupProb(p float64)
+	SetReorder(p float64, w time.Duration)
+	ScaleLatency(f float64)
+	SetDrift(id transport.NodeID, frac float64) // simulator only
+	Partition(a, b []transport.NodeID)
+	HealAll()
+}
+
 // Run is one scenario execution. Nemesis functions receive it to
 // schedule fault events; everything else is driven by Scenario.Run.
 type Run struct {
-	Opts    Options
-	Net     *simnet.Net
-	Cluster *topology.Cluster
-	Cfg     core.Config
+	NetFaults // the run's simulator, as the schedule sees it
+	Opts      Options
+	Cluster   *topology.Cluster
+	Cfg       core.Config
 
+	net     *simnet.Net // clock, event loop and process faults: harness only
 	scn     *Scenario
 	nodes   []*core.StorageNode // parallel to Cluster.Storage
 	dirs    []string
@@ -107,8 +124,16 @@ type Run struct {
 	tmp        bool // Dir was created by us
 }
 
+// ErrDropProb is Run's refusal of an Options.DropProb outside [0, 1)
+// or NaN: at 1 nothing is delivered, so nothing commits and the run
+// passes vacuously; below 0 it has no loss at all.
+var ErrDropProb = errors.New("scenario: ambient drop probability is outside [0, 1)")
+
 // Run executes the scenario and returns its validated result.
 func (s *Scenario) Run(o Options) (*Result, error) {
+	if !(o.DropProb >= 0 && o.DropProb < 1) {
+		return nil, fmt.Errorf("%w: %v", ErrDropProb, o.DropProb)
+	}
 	// Sizing: the option, else the scenario's default, else the harness's.
 	o.Clients = firstPositive(o.Clients, s.Clients, 50)
 	o.NodesPerDC = firstPositive(o.NodesPerDC, s.NodesPerDC, 1)
@@ -174,14 +199,14 @@ func build(s *Scenario, o Options) (*Run, error) {
 		Latency:     cl.LatencyWith(extra),
 		JitterFrac:  0.10,
 		ServiceTime: 250 * time.Microsecond,
-		DropProb:    o.DropProb,
 		Seed:        o.Seed,
 		OnDeliver:   o.onDeliver,
 	})
 	cfg := s.config(o)
 	r := &Run{
+		NetFaults: net,
+		net:       net,
 		Opts:      o,
-		Net:       net,
 		Cluster:   cl,
 		Cfg:       cfg,
 		scn:       s,
@@ -192,6 +217,7 @@ func build(s *Scenario, o Options) (*Run, error) {
 		lat:       stats.NewSample(4096),
 		gwDown:    make(map[topology.DC]bool),
 	}
+	r.SetDropProb(o.DropProb) // ambient loss, in place before any node is built
 	if r.Opts.Dir == "" {
 		dir, err := os.MkdirTemp("", "mdcc-scenario-")
 		if err != nil {
@@ -260,7 +286,7 @@ func (gc gwClient) SupportsCommutative() bool { return true }
 // synchronously (a synchronous failure would let the closed client
 // loop recurse without ever yielding to the simulator).
 func (gc gwClient) refuse(f func()) {
-	gc.r.Net.After(gc.r.Cluster.Clients[gc.id].ID, 100*time.Millisecond, f)
+	gc.r.net.After(gc.r.Cluster.Clients[gc.id].ID, 100*time.Millisecond, f)
 }
 
 // read is the one read entry: the gateway's floored read (floor 0 =
@@ -359,7 +385,7 @@ func itemKey(i int) record.Key  { return record.Key(fmt.Sprintf("item/%03d", i))
 
 func (r *Run) run() (*Result, error) {
 	wallStart := time.Now()
-	start := r.Net.Now()
+	start := r.net.Now()
 	r.trafficEnd = start.Add(r.Opts.Duration)
 	if r.Opts.Faults && r.scn.Nemesis != nil {
 		r.scn.Nemesis(r)
@@ -374,11 +400,11 @@ func (r *Run) run() (*Result, error) {
 	}
 	for ci := range r.clients {
 		ci := ci
-		r.Net.At(0, func() { r.clientLoop(ci) })
+		r.net.At(0, func() { r.clientLoop(ci) })
 	}
 	r.Opts.Logf("[%s] traffic window %s, %d clients, seed %d",
 		r.scn.Name, r.Opts.Duration, len(r.clients), r.Opts.Seed)
-	r.Net.RunFor(r.Opts.Duration)
+	r.net.RunFor(r.Opts.Duration)
 
 	// Epilogue 1: heal the world. Every fault the nemesis injected is
 	// undone so liveness can be demanded below.
@@ -387,13 +413,13 @@ func (r *Run) run() (*Result, error) {
 	// network is whole — coordinators keep re-running recovery, so a
 	// transaction that cannot settle inside the budget is a liveness
 	// violation.
-	healedAt := r.Net.Now()
-	drained := r.Net.RunUntil(func() bool { return r.inflight == 0 }, drainBudget)
-	drainedAt := r.Net.Now()
+	healedAt := r.net.Now()
+	drained := r.net.RunUntil(func() bool { return r.inflight == 0 }, drainBudget)
+	drainedAt := r.net.Now()
 	// Epilogue 3: converge. Visibility stragglers, the dangling-option
 	// sweep and anti-entropy bring all replicas to the same committed
 	// state before validation reads it.
-	r.Net.RunFor(convergeAfter)
+	r.net.RunFor(convergeAfter)
 
 	res := &Result{
 		Scenario:  r.scn.Name,
@@ -402,7 +428,7 @@ func (r *Run) run() (*Result, error) {
 		Duration:  r.Opts.Duration,
 		ReadFails: r.readFails,
 		WriteLat:  r.lat,
-		Net:       r.Net.Stats(),
+		Net:       r.net.Stats(),
 		Events:    r.events,
 	}
 	res.ClusterNodes = len(r.Cluster.Storage) + len(r.Cluster.Clients)
@@ -412,7 +438,7 @@ func (r *Run) run() (*Result, error) {
 	res.Converge = drainedAt.Sub(healedAt)
 	res.Wall = time.Since(wallStart)
 	if res.Wall > 0 {
-		res.SimWallRatio = float64(r.Net.Now().Sub(start)) / float64(res.Wall)
+		res.SimWallRatio = float64(r.net.Now().Sub(start)) / float64(res.Wall)
 	}
 	if !drained {
 		res.Unresolved = r.inflight
@@ -599,18 +625,18 @@ func readKeyFor(rng *rand.Rand, w Workload) record.Key {
 // traffic window closes. Closed loop, no think time, as in the
 // paper's evaluation setup.
 func (r *Run) clientLoop(ci int) {
-	if !r.Net.Now().Before(r.trafficEnd) {
+	if !r.net.Now().Before(r.trafficEnd) {
 		return
 	}
-	rng := r.Net.Rand()
+	rng := r.net.Rand()
 	c := r.clients[ci]
 	w := r.scn.Workload
-	began := r.Net.Now()
+	began := r.net.Now()
 	r.inflight++
 	settle := func(committed bool) {
 		r.inflight--
 		if committed {
-			r.lat.Add(float64(r.Net.Now().Sub(began)) / float64(time.Millisecond))
+			r.lat.Add(float64(r.net.Now().Sub(began)) / float64(time.Millisecond))
 		}
 		r.clientLoop(ci)
 	}
@@ -647,7 +673,7 @@ func (r *Run) clientLoop(ci int) {
 				// virtual time, so reschedule through the event queue
 				// (modeling the client's own request turnaround) instead of
 				// recursing at one instant.
-				r.Net.After(r.Cluster.Clients[ci].ID, time.Millisecond, func() { r.clientLoop(ci) })
+				r.net.After(r.Cluster.Clients[ci].ID, time.Millisecond, func() { r.clientLoop(ci) })
 			})
 	case p < w.ReadFrac+w.TransferFrac && w.Accounts >= 2:
 		from := rng.Intn(w.Accounts)
@@ -683,7 +709,7 @@ func (r *Run) clientLoop(ci int) {
 	default:
 		// Degenerate workload shape; idle briefly instead of spinning.
 		r.inflight--
-		r.Net.After(r.Cluster.Clients[ci].ID, 100*time.Millisecond, func() { r.clientLoop(ci) })
+		r.net.After(r.Cluster.Clients[ci].ID, 100*time.Millisecond, func() { r.clientLoop(ci) })
 	}
 }
 
@@ -703,7 +729,7 @@ func (r *Run) close() {
 // records it on the result timeline.
 func (r *Run) At(offset time.Duration, what string, f func()) {
 	r.events = append(r.events, fmt.Sprintf("t=%-6s %s", offset, what))
-	r.Net.At(offset, func() {
+	r.net.At(offset, func() {
 		r.Opts.Logf("[%s] t=%s nemesis: %s", r.scn.Name, offset, what)
 		f()
 	})
@@ -744,7 +770,7 @@ func (r *Run) nodeIDs(dcs []topology.DC, inside bool) []transport.NodeID {
 // messages"). Undone by RecoverDC or the epilogue heal.
 func (r *Run) FailDC(dc topology.DC) {
 	for _, n := range r.Cluster.StorageIn(dc) {
-		r.Net.Fail(n.ID)
+		r.net.Fail(n.ID)
 	}
 	r.downDC[dc] = true
 }
@@ -752,7 +778,7 @@ func (r *Run) FailDC(dc topology.DC) {
 // RecoverDC brings a failed data center back.
 func (r *Run) RecoverDC(dc topology.DC) {
 	for _, n := range r.Cluster.StorageIn(dc) {
-		r.Net.Recover(n.ID)
+		r.net.Recover(n.ID)
 	}
 	delete(r.downDC, dc)
 }
@@ -780,7 +806,7 @@ func (r *Run) CrashStorage(i int) {
 	m := r.nodes[i].Metrics()
 	r.deadCheckpoints += m.Checkpoints
 	r.deadDegrades += m.DurabilityFailures
-	r.Net.Crash(id)
+	r.net.Crash(id)
 	r.nodes[i].Halt()
 	_ = r.nodes[i].Store().Close()
 	r.crashed[i] = true
@@ -845,7 +871,7 @@ func (r *Run) reopen(i int, wipe bool, rec check.RecoveryRecord) error {
 		rec.Wiped = true
 	}
 	n := r.Cluster.Storage[i]
-	node, err := server.OpenNode(n.ID, n.DC, r.Net, r.Cluster, r.Cfg, r.dirs[i], r.durOpts(i))
+	node, err := server.OpenNode(n.ID, n.DC, r.net, r.Cluster, r.Cfg, r.dirs[i], r.durOpts(i))
 	if err != nil {
 		return err
 	}
@@ -857,7 +883,7 @@ func (r *Run) reopen(i int, wipe bool, rec check.RecoveryRecord) error {
 	r.recoveries = append(r.recoveries, rec)
 	// Building the node schedules its timers and sends nothing, so
 	// lifting the crash after it is the same as lifting it before.
-	r.Net.Recover(n.ID)
+	r.net.Recover(n.ID)
 	r.nodes[i] = node
 	delete(r.crashed, i)
 	return nil
@@ -989,7 +1015,7 @@ func (r *Run) CrashGateway(dc topology.DC) {
 		return
 	}
 	for _, id := range r.GatewayIDs(dc) {
-		r.Net.Crash(id)
+		r.net.Crash(id)
 	}
 	r.gwDown[dc] = true
 	r.gwRetired = append(r.gwRetired, r.gws[dc]) // keep the dead incarnation's counters
@@ -1008,9 +1034,9 @@ func (r *Run) RestartGateway(dc topology.DC) {
 		return
 	}
 	for _, id := range r.GatewayIDs(dc) {
-		r.Net.Recover(id)
+		r.net.Recover(id)
 	}
-	r.gws[dc] = gateway.New(dc, r.Net, r.Cluster, r.Cfg, gateway.Tuning{})
+	r.gws[dc] = gateway.New(dc, r.net, r.Cluster, r.Cfg, gateway.Tuning{})
 	delete(r.gwDown, dc)
 	if r.rebFrozen {
 		// A gateway restarted mid-move must not admit transactions onto
@@ -1024,17 +1050,12 @@ func (r *Run) RestartGateway(dc topology.DC) {
 // heal undoes every outstanding fault: partitions, outages, crashed
 // nodes, chaos probabilities, latency distortions and clock drift.
 func (r *Run) heal() {
-	r.Net.HealAll()
+	r.HealAll()
 	for dc := range r.downDC {
 		r.RecoverDC(dc)
 	}
-	idxs := make([]int, 0, len(r.crashed))
-	for i := range r.crashed {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		r.RestartStorage(i)
+	for i := range r.Cluster.Storage {
+		r.RestartStorage(i) // crashed nodes only, in index order
 	}
 	// Disks the nemesis degraded get replaced: disarm the fault and
 	// reboot the node from its durable state. A node that latched a
@@ -1048,19 +1069,14 @@ func (r *Run) heal() {
 		}
 	}
 	for _, dc := range topology.AllDCs() {
-		if r.gwDown[dc] {
-			r.RestartGateway(dc)
-		}
+		r.RestartGateway(dc) // crashed gateways only
 	}
-	r.Net.SetDropProb(0)
-	r.Net.SetDupProb(0)
-	r.Net.SetReorder(0, 0)
-	r.Net.ScaleLatency(1)
-	for _, n := range r.Cluster.Storage {
-		r.Net.SetDrift(n.ID, 0)
-	}
-	for _, n := range r.Cluster.Clients {
-		r.Net.SetDrift(n.ID, 0)
+	r.SetDropProb(0)
+	r.SetDupProb(0)
+	r.SetReorder(0, 0)
+	r.ScaleLatency(1)
+	for _, id := range r.OtherSideIDs() { // every node
+		r.SetDrift(id, 0)
 	}
 	r.Opts.Logf("[%s] healed all faults", r.scn.Name)
 }

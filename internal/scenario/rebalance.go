@@ -131,7 +131,7 @@ func (r *Run) rebFreeze(next *ring.Ring, label string) {
 			r.rebBootstrap(next, label)
 			return
 		}
-		r.Net.After(r.ctrl(), rebFreezePoll, poll)
+		r.net.After(r.ctrl(), rebFreezePoll, poll)
 	}
 	poll()
 }
@@ -240,7 +240,7 @@ func (r *Run) rebBootstrap(next *ring.Ring, label string) {
 			r.rebPublish(next, label, total)
 			return
 		}
-		r.Net.After(r.ctrl(), rebBootstrapPoll, poll)
+		r.net.After(r.ctrl(), rebBootstrapPoll, poll)
 	}
 	poll()
 }

@@ -52,10 +52,12 @@ type Options struct {
 	// Faults disables the nemesis schedule when false (smoke runs
 	// validate the happy path only).
 	Faults bool
-	// DropProb, when > 0, applies an ambient uniform message-drop
-	// probability for the whole traffic window (on top of whatever the
-	// nemesis schedules); the epilogue heal clears it so drain and
-	// convergence run on a whole network.
+	// DropProb, when > 0, is an ambient uniform message-drop
+	// probability, set through Run's SetDropProb before any node is
+	// built; a schedule that sets the drop probability replaces it,
+	// and the epilogue heal clears it so drain and convergence run on
+	// a whole network. Run refuses a value outside [0, 1) with
+	// ErrDropProb.
 	DropProb float64
 	// Dir is where storage-node WALs live; empty means a fresh
 	// temporary directory, removed when the run finishes.

@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"errors"
 	"flag"
+	"math"
 	"testing"
 	"time"
 )
@@ -25,6 +27,23 @@ func smokeOpts() Options {
 		Clients:  *clientsFlag,
 		Duration: *durationFlag,
 		Faults:   *faultsFlag,
+	}
+}
+
+// TestDropProbOutOfRangeRefused: an ambient drop of 1.5 loses every
+// message, so read-storm committed nothing and still passed, and -0.5
+// ran with no loss at all. Run refuses any value outside [0, 1), NaN
+// included, with ErrDropProb.
+func TestDropProbOutOfRangeRefused(t *testing.T) {
+	s, _ := Find("read-storm")
+	for _, p := range []float64{1.5, 1, -0.5, math.NaN()} {
+		res, err := s.Run(Options{Seed: 1, Clients: 5, Duration: 2 * time.Second, DropProb: p})
+		if !errors.Is(err, ErrDropProb) {
+			t.Errorf("DropProb %v: err %v, want ErrDropProb", p, err)
+			if res != nil {
+				t.Logf("\n%s", res.Report())
+			}
+		}
 	}
 }
 

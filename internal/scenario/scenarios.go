@@ -85,8 +85,8 @@ var registry = []*Scenario{
 		Duration: 45 * time.Second,
 		Gamma:    5,
 		Nemesis: func(r *Run) {
-			r.At(frac(r, 0.35), "3x WAN latency", func() { r.Net.ScaleLatency(3) })
-			r.At(frac(r, 0.65), "latency back to normal", func() { r.Net.ScaleLatency(1) })
+			r.At(frac(r, 0.35), "3x WAN latency", func() { r.ScaleLatency(3) })
+			r.At(frac(r, 0.65), "latency back to normal", func() { r.ScaleLatency(1) })
 		},
 	},
 	{
@@ -102,9 +102,9 @@ var registry = []*Scenario{
 		Nemesis: func(r *Run) {
 			minority := []topology.DC{topology.APSingapore, topology.APTokyo}
 			r.At(frac(r, 0.30), "partition ap-sg+ap-tk from the rest", func() {
-				r.Net.Partition(r.SideIDs(minority...), r.OtherSideIDs(minority...))
+				r.Partition(r.SideIDs(minority...), r.OtherSideIDs(minority...))
 			})
-			r.At(frac(r, 0.65), "heal partition", func() { r.Net.HealAll() })
+			r.At(frac(r, 0.65), "heal partition", func() { r.HealAll() })
 		},
 	},
 	{
@@ -124,8 +124,8 @@ var registry = []*Scenario{
 		Clients:  100,
 		Duration: 45 * time.Second,
 		Nemesis: func(r *Run) {
-			r.At(frac(r, 0.20), "5% packet loss", func() { r.Net.SetDropProb(0.05) })
-			r.At(frac(r, 0.80), "packet loss off", func() { r.Net.SetDropProb(0) })
+			r.At(frac(r, 0.20), "5% packet loss", func() { r.SetDropProb(0.05) })
+			r.At(frac(r, 0.80), "packet loss off", func() { r.SetDropProb(0) })
 		},
 	},
 	{
@@ -174,12 +174,12 @@ var registry = []*Scenario{
 		Clients:  150,
 		Duration: time.Minute,
 		Nemesis: func(r *Run) {
-			r.At(frac(r, 0.15), "5% packet loss", func() { r.Net.SetDropProb(0.05) })
+			r.At(frac(r, 0.15), "5% packet loss", func() { r.SetDropProb(0.05) })
 			r.At(frac(r, 0.30), "fail all storage in eu-ie", func() { r.FailDC(topology.EUIreland) })
-			r.At(frac(r, 0.45), "2x WAN latency", func() { r.Net.ScaleLatency(2) })
-			r.At(frac(r, 0.60), "latency back to normal", func() { r.Net.ScaleLatency(1) })
+			r.At(frac(r, 0.45), "2x WAN latency", func() { r.ScaleLatency(2) })
+			r.At(frac(r, 0.60), "latency back to normal", func() { r.ScaleLatency(1) })
 			r.At(frac(r, 0.70), "recover eu-ie", func() { r.RecoverDC(topology.EUIreland) })
-			r.At(frac(r, 0.85), "packet loss off", func() { r.Net.SetDropProb(0) })
+			r.At(frac(r, 0.85), "packet loss off", func() { r.SetDropProb(0) })
 		},
 	},
 	{
@@ -212,11 +212,11 @@ var registry = []*Scenario{
 		Nemesis: func(r *Run) {
 			r.At(frac(r, 0.15), "crash gateway us-east", func() { r.CrashGateway(topology.USEast) })
 			r.At(frac(r, 0.30), "partition eu-ie (gateway included) from the rest", func() {
-				r.Net.Partition(r.SideIDs(topology.EUIreland), r.OtherSideIDs(topology.EUIreland))
+				r.Partition(r.SideIDs(topology.EUIreland), r.OtherSideIDs(topology.EUIreland))
 			})
 			r.At(frac(r, 0.40), "restart gateway us-east", func() { r.RestartGateway(topology.USEast) })
 			r.At(frac(r, 0.50), "crash gateway ap-sg", func() { r.CrashGateway(topology.APSingapore) })
-			r.At(frac(r, 0.60), "heal partition", func() { r.Net.HealAll() })
+			r.At(frac(r, 0.60), "heal partition", func() { r.HealAll() })
 			r.At(frac(r, 0.75), "restart gateway ap-sg", func() { r.RestartGateway(topology.APSingapore) })
 		},
 	},
@@ -257,13 +257,13 @@ var registry = []*Scenario{
 				r.RestartStorage(r.StorageIdx(topology.USWest, 0))
 			})
 			r.At(frac(r, 0.30), "partition us-east (gateway included) from the rest", func() {
-				r.Net.Partition(r.SideIDs(topology.USEast), r.OtherSideIDs(topology.USEast))
+				r.Partition(r.SideIDs(topology.USEast), r.OtherSideIDs(topology.USEast))
 			})
 			r.At(frac(r, 0.40), "crash gateway ap-sg mid-stampede", func() { r.CrashGateway(topology.APSingapore) })
-			r.At(frac(r, 0.50), "2x WAN latency (feed lag)", func() { r.Net.ScaleLatency(2) })
+			r.At(frac(r, 0.50), "2x WAN latency (feed lag)", func() { r.ScaleLatency(2) })
 			r.At(frac(r, 0.55), "restart gateway ap-sg", func() { r.RestartGateway(topology.APSingapore) })
-			r.At(frac(r, 0.60), "heal partition", func() { r.Net.HealAll() })
-			r.At(frac(r, 0.75), "latency back to normal", func() { r.Net.ScaleLatency(1) })
+			r.At(frac(r, 0.60), "heal partition", func() { r.HealAll() })
+			r.At(frac(r, 0.75), "latency back to normal", func() { r.ScaleLatency(1) })
 		},
 	},
 	{
@@ -310,18 +310,18 @@ var registry = []*Scenario{
 					r.RestartStorage(r.StorageIdx(dc, group))
 				}
 			}
-			r.At(frac(r, 0.32), "4% packet loss into the move window", func() { r.Net.SetDropProb(0.04) })
+			r.At(frac(r, 0.32), "4% packet loss into the move window", func() { r.SetDropProb(0.04) })
 			r.At(frac(r, 0.38), "crash us-west source replica (group 0)", crash(topology.USWest, 0))
 			r.At(frac(r, 0.42), "partition eu-ie (gateway included) from the rest", func() {
-				r.Net.Partition(r.SideIDs(topology.EUIreland), r.OtherSideIDs(topology.EUIreland))
+				r.Partition(r.SideIDs(topology.EUIreland), r.OtherSideIDs(topology.EUIreland))
 			})
 			r.At(frac(r, 0.45), "crash ap-tk destination replica (group 1) mid-bootstrap", crash(topology.APTokyo, 1))
 			r.At(frac(r, 0.50), "crash gateway us-east", func() { r.CrashGateway(topology.USEast) })
 			r.At(frac(r, 0.55), "restart us-west source replica", restart(topology.USWest, 0))
 			r.At(frac(r, 0.58), "restart ap-tk destination replica", restart(topology.APTokyo, 1))
-			r.At(frac(r, 0.60), "heal partition", func() { r.Net.HealAll() })
+			r.At(frac(r, 0.60), "heal partition", func() { r.HealAll() })
 			r.At(frac(r, 0.62), "restart gateway us-east", func() { r.RestartGateway(topology.USEast) })
-			r.At(frac(r, 0.70), "packet loss off", func() { r.Net.SetDropProb(0) })
+			r.At(frac(r, 0.70), "packet loss off", func() { r.SetDropProb(0) })
 		},
 	},
 	{
@@ -477,22 +477,22 @@ var registry = []*Scenario{
 		Duration:    90 * time.Second,
 		Retention:   4 * time.Second,
 		Nemesis: func(r *Run) {
-			r.At(frac(r, 0.05), "6% packet loss (seed forked applies)", func() { r.Net.SetDropProb(0.06) })
+			r.At(frac(r, 0.05), "6% packet loss (seed forked applies)", func() { r.SetDropProb(0.06) })
 			r.At(frac(r, 0.15), "partition us-east storage from the rest", func() {
 				var east []transport.NodeID
 				for _, n := range r.Cluster.StorageIn(topology.USEast) {
 					east = append(east, n.ID)
 				}
-				r.Net.Partition(east, r.OtherSideIDs(topology.USEast))
+				r.Partition(east, r.OtherSideIDs(topology.USEast))
 			})
-			r.At(frac(r, 0.25), "packet loss off", func() { r.Net.SetDropProb(0) })
+			r.At(frac(r, 0.25), "packet loss off", func() { r.SetDropProb(0) })
 			r.At(frac(r, 0.40), "crash one ap-tk replica (WAL summaries)", func() {
 				r.CrashStorage(r.StorageIdx(topology.APTokyo, 0))
 			})
 			r.At(frac(r, 0.60), "restart the ap-tk replica from WAL", func() {
 				r.RestartStorage(r.StorageIdx(topology.APTokyo, 0))
 			})
-			r.At(frac(r, 0.70), "heal the partition", func() { r.Net.HealAll() })
+			r.At(frac(r, 0.70), "heal the partition", func() { r.HealAll() })
 		},
 	},
 	{
@@ -507,30 +507,30 @@ var registry = []*Scenario{
 		Duration:    time.Minute,
 		Nemesis: func(r *Run) {
 			r.At(frac(r, 0.10), "8% loss, 8% dup, 15% reorder", func() {
-				r.Net.SetDropProb(0.08)
-				r.Net.SetDupProb(0.08)
-				r.Net.SetReorder(0.15, 100*time.Millisecond)
+				r.SetDropProb(0.08)
+				r.SetDupProb(0.08)
+				r.SetReorder(0.15, 100*time.Millisecond)
 			})
 			r.At(frac(r, 0.15), "clock drift +30%/-30% on two replicas", func() {
-				r.Net.SetDrift(r.Cluster.Storage[0].ID, 0.3)
-				r.Net.SetDrift(r.Cluster.Storage[len(r.Cluster.Storage)-1].ID, -0.3)
+				r.SetDrift(r.Cluster.Storage[0].ID, 0.3)
+				r.SetDrift(r.Cluster.Storage[len(r.Cluster.Storage)-1].ID, -0.3)
 			})
-			r.At(frac(r, 0.30), "2x WAN latency", func() { r.Net.ScaleLatency(2) })
+			r.At(frac(r, 0.30), "2x WAN latency", func() { r.ScaleLatency(2) })
 			r.At(frac(r, 0.40), "partition eu-ie from the rest", func() {
-				r.Net.Partition(r.SideIDs(topology.EUIreland), r.OtherSideIDs(topology.EUIreland))
+				r.Partition(r.SideIDs(topology.EUIreland), r.OtherSideIDs(topology.EUIreland))
 			})
 			r.At(frac(r, 0.50), "heal partition, latency normal", func() {
-				r.Net.HealAll()
-				r.Net.ScaleLatency(1)
+				r.HealAll()
+				r.ScaleLatency(1)
 			})
 			r.At(frac(r, 0.55), "crash one ap-tk replica", func() {
 				r.CrashStorage(r.StorageIdx(topology.APTokyo, 0))
 			})
 			r.At(frac(r, 0.75), "restart ap-tk replica, chaos off", func() {
 				r.RestartStorage(r.StorageIdx(topology.APTokyo, 0))
-				r.Net.SetDropProb(0)
-				r.Net.SetDupProb(0)
-				r.Net.SetReorder(0, 0)
+				r.SetDropProb(0)
+				r.SetDupProb(0)
+				r.SetReorder(0, 0)
 			})
 		},
 	},

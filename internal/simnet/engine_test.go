@@ -86,15 +86,14 @@ func (g *heapEngine) len() int { return len(g.h) }
 func chaosTrace(t *testing.T, eng string) ([]string, Stats) {
 	t.Helper()
 	n := newEngineNet(eng, Options{
-		Latency:       fixedLatency(5 * time.Millisecond),
-		JitterFrac:    0.2,
-		ServiceTime:   2 * time.Millisecond, // deep queues: exercises the busy-node clamp path
-		DropProb:      0.1,
-		DupProb:       0.1,
-		ReorderProb:   0.2,
-		ReorderWindow: 20 * time.Millisecond,
-		Seed:          99,
+		Latency:     fixedLatency(5 * time.Millisecond),
+		JitterFrac:  0.2,
+		ServiceTime: 2 * time.Millisecond, // deep queues: exercises the busy-node clamp path
+		Seed:        99,
 	})
+	n.SetDropProb(0.1)
+	n.SetDupProb(0.1)
+	n.SetReorder(0.2, 20*time.Millisecond)
 	var trace []string
 	ids := make([]transport.NodeID, 8)
 	reg := func(i int) {

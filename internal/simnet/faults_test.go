@@ -8,7 +8,8 @@ import (
 )
 
 func TestDupProbDeliversTwice(t *testing.T) {
-	n := New(Options{Latency: fixedLatency(10 * time.Millisecond), DupProb: 1, Seed: 1})
+	n := New(Options{Latency: fixedLatency(10 * time.Millisecond), Seed: 1})
+	n.SetDupProb(1)
 	got := 0
 	n.Register("b", func(e transport.Envelope) { got++ })
 	n.Send("a", "b", ping{})
@@ -26,12 +27,8 @@ func TestDupProbDeliversTwice(t *testing.T) {
 }
 
 func TestReorderDelaysWithinWindow(t *testing.T) {
-	n := New(Options{
-		Latency:       fixedLatency(10 * time.Millisecond),
-		ReorderProb:   1,
-		ReorderWindow: 50 * time.Millisecond,
-		Seed:          2,
-	})
+	n := New(Options{Latency: fixedLatency(10 * time.Millisecond), Seed: 2})
+	n.SetReorder(1, 0) // the initial 50ms window
 	start := n.Now()
 	var at time.Duration
 	n.Register("b", func(e transport.Envelope) { at = n.Now().Sub(start) })
@@ -73,7 +70,8 @@ func TestPartitionBlocksBothDirectionsAndHeals(t *testing.T) {
 }
 
 func TestDropCountersDistinguishCauses(t *testing.T) {
-	n := New(Options{Latency: fixedLatency(time.Millisecond), DropProb: 1, Seed: 4})
+	n := New(Options{Latency: fixedLatency(time.Millisecond), Seed: 4})
+	n.SetDropProb(1)
 	n.Register("b", func(e transport.Envelope) {})
 	n.Send("a", "b", ping{}) // probabilistic drop
 	n.Run()
@@ -160,15 +158,10 @@ func TestDriftStretchesTimers(t *testing.T) {
 // once and demands an identical event history for the same seed.
 func TestChaosDeterministicUnderSeed(t *testing.T) {
 	run := func() (delivered int64, s Stats) {
-		n := New(Options{
-			Latency:       fixedLatency(5 * time.Millisecond),
-			JitterFrac:    0.2,
-			DropProb:      0.2,
-			DupProb:       0.2,
-			ReorderProb:   0.3,
-			ReorderWindow: 20 * time.Millisecond,
-			Seed:          42,
-		})
+		n := New(Options{Latency: fixedLatency(5 * time.Millisecond), JitterFrac: 0.2, Seed: 42})
+		n.SetDropProb(0.2)
+		n.SetDupProb(0.2)
+		n.SetReorder(0.3, 20*time.Millisecond)
 		for _, id := range []transport.NodeID{"a", "b", "c"} {
 			id := id
 			n.Register(id, func(e transport.Envelope) {

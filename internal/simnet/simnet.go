@@ -43,18 +43,6 @@ type Options struct {
 	// ServiceTime is how long a node is busy per handled message
 	// (models storage-node CPU; creates queueing under load).
 	ServiceTime time.Duration
-	// DropProb uniformly drops messages (0 disables).
-	DropProb float64
-	// DupProb delivers a message a second time after an extra
-	// ReorderWindow-bounded delay (0 disables). Models retransmitting
-	// WANs; protocols must stay idempotent.
-	DupProb float64
-	// ReorderProb holds a message back by a uniform extra delay in
-	// (0, ReorderWindow], letting later sends overtake it (0 disables).
-	ReorderProb float64
-	// ReorderWindow bounds the extra delay of duplicated and reordered
-	// deliveries. Zero means 50ms.
-	ReorderWindow time.Duration
 	// Seed makes runs reproducible.
 	Seed int64
 	// OnDeliver, when set, observes every delivered envelope (after
@@ -69,7 +57,7 @@ type Options struct {
 type Stats struct {
 	Delivered int64
 	Dropped   int64 // total of the three drop causes below
-	// DroppedProb counts uniform DropProb losses, DroppedEndpoint
+	// DroppedProb counts uniform SetDropProb losses, DroppedEndpoint
 	// drops at failed/crashed/unregistered endpoints, and
 	// DroppedPartition drops on partitioned links — kept separate so
 	// chaos tests can assert on the cause, not just the count.
@@ -147,6 +135,11 @@ type Net struct {
 	// free is the event freelist: the steady-state message path
 	// recycles event structs instead of allocating per send.
 	free []*event
+	// Chaos knobs (SetDropProb, SetDupProb, SetReorder), off at New.
+	dropProb    float64
+	dupProb     float64
+	reorderProb float64
+	reorderWin  time.Duration
 }
 
 func (n *Net) newEvent() *event {
@@ -204,9 +197,6 @@ func New(opts Options) *Net {
 	if opts.Latency == nil {
 		opts.Latency = func(from, to transport.NodeID) time.Duration { return time.Millisecond }
 	}
-	if opts.ReorderWindow <= 0 {
-		opts.ReorderWindow = 50 * time.Millisecond
-	}
 	n := &Net{
 		opts:          opts,
 		now:           epoch,
@@ -216,6 +206,7 @@ func New(opts Options) *Net {
 		deadDelivered: make(map[transport.NodeID]int64),
 		blocked:       make(map[linkKey]bool),
 		latScale:      1,
+		reorderWin:    50 * time.Millisecond,
 		rng:           rand.New(rand.NewSource(opts.Seed)),
 	}
 	n.eng = newShardedEngine(n.serviceN)
@@ -309,19 +300,19 @@ func (n *Net) Send(from, to transport.NodeID, msg transport.Message) {
 	if n.opts.JitterFrac > 0 {
 		d = time.Duration(float64(d) * (1 + n.opts.JitterFrac*(2*n.rng.Float64()-1)))
 	}
-	if n.opts.DropProb > 0 && n.rng.Float64() < n.opts.DropProb {
+	if n.dropProb > 0 && n.rng.Float64() < n.dropProb {
 		n.stats.Dropped++
 		n.stats.DroppedProb++
 		return
 	}
-	if n.opts.ReorderProb > 0 && n.rng.Float64() < n.opts.ReorderProb {
+	if n.reorderProb > 0 && n.rng.Float64() < n.reorderProb {
 		n.stats.Reordered++
-		d += time.Duration(n.rng.Int63n(int64(n.opts.ReorderWindow))) + 1
+		d += time.Duration(n.rng.Int63n(int64(n.reorderWin))) + 1
 	}
 	n.deliverAfter(from, to, msg, d)
-	if n.opts.DupProb > 0 && n.rng.Float64() < n.opts.DupProb {
+	if n.dupProb > 0 && n.rng.Float64() < n.dupProb {
 		n.stats.Duplicated++
-		extra := time.Duration(n.rng.Int63n(int64(n.opts.ReorderWindow))) + 1
+		extra := time.Duration(n.rng.Int63n(int64(n.reorderWin))) + 1
 		n.deliverAfter(from, to, msg, d+extra)
 	}
 }
@@ -347,11 +338,7 @@ func (n *Net) deliverAfter(from, to transport.NodeID, msg transport.Message, d t
 // counters, and the handler call.
 func (n *Net) deliver(e *event) {
 	nd := e.node
-	if nd.failed {
-		n.dropEndpoint()
-		return
-	}
-	if nd.handler == nil {
+	if nd.failed || nd.handler == nil {
 		n.dropEndpoint()
 		return
 	}
@@ -496,19 +483,21 @@ func (n *Net) SetDrift(id transport.NodeID, frac float64) {
 	nd.drift = frac
 }
 
-// SetDropProb replaces the uniform drop probability at runtime
-// (nemesis schedules ramp chaos up and down mid-run).
-func (n *Net) SetDropProb(p float64) { n.opts.DropProb = p }
+// SetDropProb sets the uniform message-drop probability (0 disables).
+func (n *Net) SetDropProb(p float64) { n.dropProb = p }
 
-// SetDupProb replaces the duplication probability at runtime.
-func (n *Net) SetDupProb(p float64) { n.opts.DupProb = p }
+// SetDupProb sets the probability that a message is delivered twice,
+// the copy up to the reorder window later (0 disables). Models
+// retransmitting WANs; protocols must stay idempotent.
+func (n *Net) SetDupProb(p float64) { n.dupProb = p }
 
-// SetReorder replaces the reorder probability (and window, when
-// w > 0) at runtime.
+// SetReorder sets the probability that a message is held back by a
+// uniform extra delay in (0, window], letting later sends overtake it
+// (0 disables); w > 0 replaces the window, 50ms until then.
 func (n *Net) SetReorder(p float64, w time.Duration) {
-	n.opts.ReorderProb = p
+	n.reorderProb = p
 	if w > 0 {
-		n.opts.ReorderWindow = w
+		n.reorderWin = w
 	}
 }
 

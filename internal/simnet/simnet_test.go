@@ -118,7 +118,8 @@ func TestServiceTimeIndependentNodes(t *testing.T) {
 }
 
 func TestDropProb(t *testing.T) {
-	n := New(Options{Latency: fixedLatency(time.Millisecond), DropProb: 1.0})
+	n := New(Options{Latency: fixedLatency(time.Millisecond)})
+	n.SetDropProb(1)
 	n.Register("b", func(e transport.Envelope) { t.Fatal("dropped message delivered") })
 	n.Send("a", "b", ping{})
 	n.Run()
