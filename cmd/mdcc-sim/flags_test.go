@@ -67,3 +67,30 @@ func TestDropOutOfRangeExits(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeSizingExits: a negative -clients, -nodes-per-dc or
+// -duration is refused with exit status 2, before any run. Each used
+// to mean the scenario's default, as 0 does: `-clients -5 -duration -2s
+// -nodes-per-dc -1` ran read-storm at 150 clients for a minute and
+// printed PASS.
+func TestNegativeSizingExits(t *testing.T) {
+	if os.Getenv("MDCC_SIM_AS_MAIN") == "1" {
+		main()
+		return
+	}
+	for _, sizing := range [][]string{
+		{"-clients", "-5", "-duration", "-2s", "-nodes-per-dc", "-1"},
+		{"-clients", "-5", "-duration", "2s"},
+		{"-clients", "5", "-duration", "2s", "-nodes-per-dc", "-1"},
+		{"-clients", "5", "-duration", "-2s"},
+	} {
+		args := append([]string{"-test.run=^TestNegativeSizingExits$", "-scenario", "read-storm", "-no-faults"}, sizing...)
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "MDCC_SIM_AS_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "negative") {
+			t.Errorf("%q: %v, want exit status 2 naming the negative sizing; output:\n%s", sizing, err, out)
+		}
+	}
+}

@@ -97,6 +97,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mdcc-sim: -scenario.drop: %v\n", err)
 			os.Exit(2)
 		}
+		if errors.Is(err, scenario.ErrSizing) {
+			fmt.Fprintf(os.Stderr, "mdcc-sim: -clients, -nodes-per-dc, -duration: %v\n", err)
+			os.Exit(2)
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mdcc-sim: %s: %v\n", s.Name, err)
 			failed++

@@ -129,10 +129,17 @@ type Run struct {
 // passes vacuously; below 0 it has no loss at all.
 var ErrDropProb = errors.New("scenario: ambient drop probability is outside [0, 1)")
 
+// ErrSizing is Run's refusal of a negative Options.Clients, NodesPerDC
+// or Duration. Only 0 means the scenario's default.
+var ErrSizing = errors.New("scenario: negative sizing (0 means the scenario's default)")
+
 // Run executes the scenario and returns its validated result.
 func (s *Scenario) Run(o Options) (*Result, error) {
 	if !(o.DropProb >= 0 && o.DropProb < 1) {
 		return nil, fmt.Errorf("%w: %v", ErrDropProb, o.DropProb)
+	}
+	if o.Clients < 0 || o.NodesPerDC < 0 || o.Duration < 0 {
+		return nil, fmt.Errorf("%w: clients %d, nodes per DC %d, duration %v", ErrSizing, o.Clients, o.NodesPerDC, o.Duration)
 	}
 	// Sizing: the option, else the scenario's default, else the harness's.
 	o.Clients = firstPositive(o.Clients, s.Clients, 50)

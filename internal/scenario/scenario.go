@@ -40,7 +40,9 @@ type Options struct {
 	// drops, workload key picks). Same seed, same run.
 	Seed int64
 	// Clients is the number of simulated app-servers (geo-distributed
-	// round-robin across the five data centers).
+	// round-robin across the five data centers). Clients, NodesPerDC
+	// and Duration each mean the scenario's default at 0; Run refuses a
+	// negative one with ErrSizing.
 	Clients int
 	// NodesPerDC is the number of storage nodes (partition shards)
 	// per data center.

@@ -47,6 +47,28 @@ func TestDropProbOutOfRangeRefused(t *testing.T) {
 	}
 }
 
+// TestNegativeSizingRefused: a negative Clients, NodesPerDC or Duration
+// fell back to the scenario's default as 0 does, so read-storm asked
+// for -5 clients over -2s ran 150 clients for a minute and passed. Run
+// refuses each with ErrSizing; 0 still means the default.
+func TestNegativeSizingRefused(t *testing.T) {
+	s, _ := Find("read-storm")
+	for _, o := range []Options{
+		{Seed: 1, Clients: -5, Duration: 2 * time.Second},
+		{Seed: 1, Clients: 5, NodesPerDC: -1, Duration: 2 * time.Second},
+		{Seed: 1, Clients: 5, Duration: -2 * time.Second},
+	} {
+		res, err := s.Run(o)
+		if !errors.Is(err, ErrSizing) {
+			t.Errorf("clients %d, nodes per DC %d, duration %v: err %v, want ErrSizing",
+				o.Clients, o.NodesPerDC, o.Duration, err)
+			if res != nil {
+				t.Logf("\n%s", res.Report())
+			}
+		}
+	}
+}
+
 // TestScenarioSmoke runs every registered scenario at smoke scale and
 // requires every invariant to hold and commits to have happened.
 func TestScenarioSmoke(t *testing.T) {
