@@ -322,8 +322,6 @@ func (n *StorageNode) dispatch(env transport.Envelope) {
 		}
 	case MsgRead:
 		n.onRead(env.From, m)
-	case MsgProposeFast:
-		n.onProposeFast(m)
 	case MsgProposeBatch:
 		n.onProposeBatch(m)
 	case MsgVisibility:
@@ -655,14 +653,6 @@ func pendingSums(pending []VotedOption, attr string) (down, up int64) {
 		}
 	}
 	return down, up
-}
-
-// onProposeFast handles a master-bypassing proposal (§3.3). In a fast
-// ballot the acceptor votes immediately; in a classic window it
-// forwards to the record's leader and tells the coordinator where it
-// went.
-func (n *StorageNode) onProposeFast(m MsgProposeFast) {
-	n.sendCoalesced(m.Opt.Coord, n.proposeVote(m.Opt))
 }
 
 // onProposeBatch votes on every option of a transaction destined for
@@ -1248,7 +1238,7 @@ func (n *StorageNode) onPhase1a(from transport.NodeID, m MsgPhase1a) {
 	r := n.rs(m.Key)
 	promised := n.promise(m.Key, r, m.Ballot)
 	_, accepted := n.ballots(m.Key, r)
-	val, ver, ok := n.store.GetEncoded(m.Key)
+	val, ver, _ := n.store.GetEncoded(m.Key)
 	n.m.Phase1++
 	reply := MsgPhase1b{
 		Key:     m.Key,
@@ -1257,7 +1247,6 @@ func (n *StorageNode) onPhase1a(from transport.NodeID, m MsgPhase1a) {
 		Votes:   append([]VotedOption(nil), r.votes()...),
 		Version: ver,
 		Value:   val,
-		Exists:  ok && !val.Tombstone(),
 		Lineage: r.decided.summary().unpack(&n.lanes),
 	}
 	n.send(from, reply)

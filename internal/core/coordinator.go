@@ -413,8 +413,6 @@ func (c *Coordinator) handle(env transport.Envelope) {
 		}
 	case MsgReadReply:
 		c.onReadReply(env.From, m)
-	case MsgVote:
-		c.onVote(env.From, m)
 	case MsgVoteBatch:
 		for _, v := range m.Votes {
 			c.onVote(env.From, v)
@@ -729,7 +727,7 @@ func (c *Coordinator) onVote(from transport.NodeID, m MsgVote) {
 				c.send(dest, MsgProposeLeader{Opt: oc.opt})
 			} else {
 				for _, rep := range c.cl.Replicas(key) {
-					c.send(rep, MsgProposeFast{Opt: oc.opt})
+					c.send(rep, proposeMsg([]Option{oc.opt}))
 				}
 			}
 		}

@@ -80,7 +80,7 @@ func TestFeedHelloAndVisibilityStream(t *testing.T) {
 	// in-order message at dispatch end.
 	opt := Option{Tx: "t#1", Coord: "", Update: record.Commutative(key, map[string]int64{"units": -3})}
 	w.net.At(0, func() {
-		w.net.Send("driver", w.node.ID(), MsgProposeFast{Opt: opt})
+		w.net.Send("driver", w.node.ID(), MsgProposeBatch{Opts: []Option{opt}})
 	})
 	w.net.RunFor(100 * time.Millisecond)
 	w.net.At(0, func() {
@@ -183,7 +183,7 @@ func TestFeedStreamsOnlyInterestKeys(t *testing.T) {
 
 	commitVia := func(key record.Key, tx string) {
 		opt := Option{Tx: TxID(tx), Update: record.Commutative(key, map[string]int64{"units": -1})}
-		w.net.At(0, func() { w.net.Send("driver", w.node.ID(), MsgProposeFast{Opt: opt}) })
+		w.net.At(0, func() { w.net.Send("driver", w.node.ID(), MsgProposeBatch{Opts: []Option{opt}}) })
 		w.net.RunFor(50 * time.Millisecond)
 		w.net.At(0, func() { w.net.Send("driver", w.node.ID(), MsgVisibility{Opt: opt, Commit: true}) })
 		w.net.RunFor(50 * time.Millisecond)

@@ -127,7 +127,7 @@ func (n *StorageNode) leaderPropose(opt Option, recovery bool) {
 	// Tell the coordinator to re-route under the current ring.
 	if !n.owns(key) {
 		n.m.WrongGroupRefusals++
-		n.send(opt.Coord, MsgVote{OptID: id, WrongGroup: true})
+		n.send(opt.Coord, MsgVoteBatch{Votes: []MsgVote{{OptID: id, WrongGroup: true}}})
 		return
 	}
 
@@ -503,14 +503,14 @@ func (n *StorageNode) sendPhase2a(key record.Key, l *leaderRec) {
 		snapshot: snap,
 		acks:     make(map[transport.NodeID]bool),
 	}
-	val, ver, ok := n.store.GetEncoded(key)
+	val, ver, _ := n.store.GetEncoded(key)
 	// Snapshot the leader's lineage summary together with its base:
 	// the base contains exactly these options' effects (same handler
 	// context, so store and summary are mutually consistent).
 	r := n.rs(key)
 	msg := MsgPhase2a{
 		Key: key, Ballot: l.ballot, Seq: l.seq, CStruct: snap,
-		HasBase: true, BaseVersion: ver, BaseValue: val, BaseExists: ok && !val.Tombstone(),
+		HasBase: true, BaseVersion: ver, BaseValue: val,
 		BaseLineage: r.decided.summary().unpack(&n.lanes),
 	}
 	if n.tr != nil {

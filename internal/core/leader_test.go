@@ -179,8 +179,8 @@ func TestForwardedProposalHint(t *testing.T) {
 	// A fast proposal must now be forwarded, not voted.
 	var votes []MsgVote
 	w.net.Register("watcher", func(e transport.Envelope) {
-		if m, ok := e.Msg.(MsgVote); ok {
-			votes = append(votes, m)
+		if m, ok := e.Msg.(MsgVoteBatch); ok {
+			votes = append(votes, m.Votes...)
 		}
 	})
 	opt := Option{
@@ -189,7 +189,7 @@ func TestForwardedProposalHint(t *testing.T) {
 		Update:   record.Physical("fw/1", 1, record.Value{Attrs: map[string]int64{"x": 1}}),
 		WriteSet: []record.Key{"fw/1"},
 	}
-	w.net.Send("watcher", topology.StorageID(topology.USEast, 0), MsgProposeFast{Opt: opt})
+	w.net.Send("watcher", topology.StorageID(topology.USEast, 0), MsgProposeBatch{Opts: []Option{opt}})
 	if !w.net.RunUntil(func() bool { return len(votes) >= 1 }, time.Minute) {
 		t.Fatal("no reply to forwarded proposal")
 	}

@@ -28,14 +28,16 @@ type MsgReadReply struct {
 	Escrow EscrowSnap
 }
 
-// MsgProposeFast proposes an option directly to an acceptor in a fast
-// ballot (master-bypassing path, §3.3).
+// MsgProposeFast was a lone fast-path proposal; every proposal is a
+// MsgProposeBatch now, and the type has no wire codec and no sender.
+// It stays declared only because benchmark/trace.go names it.
 type MsgProposeFast struct {
 	Opt Option
 }
 
 // MsgVote is an acceptor's Phase2b to the coordinator-as-learner for
-// the fast path: its decision on one option.
+// the fast path: its decision on one option. It travels only as an
+// element of MsgVoteBatch.
 type MsgVote struct {
 	OptID    OptionID
 	Ballot   paxos.Ballot
@@ -186,7 +188,6 @@ type MsgPhase1b struct {
 	Votes   []VotedOption
 	Version record.Version
 	Value   record.Encoded
-	Exists  bool
 	Lineage LineageSummary
 }
 
@@ -207,7 +208,6 @@ type MsgPhase2a struct {
 	HasBase     bool
 	BaseVersion record.Version
 	BaseValue   record.Encoded
-	BaseExists  bool
 	BaseLineage LineageSummary
 }
 

@@ -1183,8 +1183,8 @@ func TestRecordOpenOnlyWhileNeeded(t *testing.T) {
 	n, net := unitNode(t, ModeMulti, nil)
 	var votes []MsgVote
 	net.Register("c0", func(e transport.Envelope) {
-		if m, ok := e.Msg.(MsgVote); ok {
-			votes = append(votes, m)
+		if m, ok := e.Msg.(MsgVoteBatch); ok {
+			votes = append(votes, m.Votes...)
 		}
 	})
 	r := n.rs(key)
@@ -1192,10 +1192,10 @@ func TestRecordOpenOnlyWhileNeeded(t *testing.T) {
 	if p, a := n.ballots(key, r); p != master || a != master {
 		t.Fatalf("multi: a record at rest reports %v %v, want %v", p, a, master)
 	}
-	n.handle(transport.Envelope{From: "c0", Msg: MsgProposeFast{Opt: Option{
+	n.handle(transport.Envelope{From: "c0", Msg: MsgProposeBatch{Opts: []Option{{
 		Tx: "c0#1", Coord: "c0", KeySeq: 1,
 		Update: record.Insert(key, record.Value{Attrs: map[string]int64{"x": 0}}),
-	}}})
+	}}}})
 	if r.open != nil {
 		t.Fatal("multi: forwarding a proposal opened the record")
 	}

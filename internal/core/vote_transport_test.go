@@ -54,7 +54,7 @@ func checkVote(t *testing.T, got MsgVote, seq int) {
 func TestEscrowPiggybackSurvivesTransports(t *testing.T) {
 	payload := func() transport.Message {
 		return transport.Batch{Items: []transport.Envelope{
-			{From: "acceptor", To: "coord", Msg: sampleVote(1)},
+			{From: "acceptor", To: "coord", Msg: MsgVoteBatch{Votes: []MsgVote{sampleVote(1)}}},
 			{From: "acceptor", To: "coord", Msg: MsgVoteBatch{Votes: []MsgVote{sampleVote(2), sampleVote(3)}}},
 			{From: "acceptor", To: "coord", Msg: MsgReadReply{
 				ReqID: 9, Key: "stock/1", Version: 77, Exists: true,
@@ -70,7 +70,7 @@ func TestEscrowPiggybackSurvivesTransports(t *testing.T) {
 		if len(b.Items) != 3 {
 			t.Fatalf("batch carried %d items, want 3", len(b.Items))
 		}
-		checkVote(t, b.Items[0].Msg.(MsgVote), 1)
+		checkVote(t, b.Items[0].Msg.(MsgVoteBatch).Votes[0], 1)
 		vb := b.Items[1].Msg.(MsgVoteBatch)
 		checkVote(t, vb.Votes[0], 2)
 		checkVote(t, vb.Votes[1], 3)
@@ -129,8 +129,8 @@ func TestEscrowPiggybackSurvivesTransports(t *testing.T) {
 }
 
 // TestTCPBatchedVoteOrderingAfterReconnect extends the transport
-// ordering checks to batched Phase2b votes: interleaved single votes,
-// vote batches and batch envelopes from one acceptor must arrive in
+// ordering checks to batched Phase2b votes: interleaved one-vote and
+// two-vote batches and batch envelopes from one acceptor must arrive in
 // send order even when the connection is torn down mid-stream (a
 // reordered or replayed vote stream is exactly what the acceptor's
 // proposal-sequence and the coordinator's dedup guard against — the
@@ -160,17 +160,10 @@ func TestTCPBatchedVoteOrderingAfterReconnect(t *testing.T) {
 		switch m := env.Msg.(type) {
 		case transport.Batch:
 			for _, item := range m.Items {
-				switch im := item.Msg.(type) {
-				case MsgVote:
-					record1(im)
-				case MsgVoteBatch:
-					for _, v := range im.Votes {
-						record1(v)
-					}
+				for _, v := range item.Msg.(MsgVoteBatch).Votes {
+					record1(v)
 				}
 			}
-		case MsgVote:
-			record1(m)
 		case MsgVoteBatch:
 			for _, v := range m.Votes {
 				record1(v)
@@ -187,7 +180,7 @@ func TestTCPBatchedVoteOrderingAfterReconnect(t *testing.T) {
 		for sent := 0; sent < n && seq < total; {
 			switch seq % 3 {
 			case 0:
-				send.Send("acceptor", "coord", sampleVote(seq))
+				send.Send("acceptor", "coord", MsgVoteBatch{Votes: []MsgVote{sampleVote(seq)}})
 				seq++
 				sent++
 			case 1:
@@ -197,7 +190,7 @@ func TestTCPBatchedVoteOrderingAfterReconnect(t *testing.T) {
 				sent += 2
 			default:
 				b := transport.Batch{Items: []transport.Envelope{
-					{From: "acceptor", To: "coord", Msg: sampleVote(seq)},
+					{From: "acceptor", To: "coord", Msg: MsgVoteBatch{Votes: []MsgVote{sampleVote(seq)}}},
 					{From: "acceptor", To: "coord", Msg: MsgVoteBatch{Votes: []MsgVote{sampleVote(seq + 1)}}},
 				}}
 				send.Send("acceptor", "coord", b)
@@ -245,8 +238,8 @@ func TestTCPBatchedVoteOrderingAfterReconnect(t *testing.T) {
 }
 
 // TestAcceptorVoteBatchingAndEscrow drives a gateway-style coalesced
-// envelope (several fast proposals from one coordinator, different
-// keys) into one acceptor and asserts (a) the piggybacked escrow
+// envelope (several one-option propose batches from one coordinator,
+// different keys) into one acceptor and asserts (a) the piggybacked escrow
 // snapshots carry the acceptor's real base and pending sums, and (b)
 // all votes of the dispatch leave in a single transport.Batch
 // envelope back to the coordinator, counted by the vote-batching
@@ -269,9 +262,9 @@ func TestAcceptorVoteBatchingAndEscrow(t *testing.T) {
 		}
 	}
 	env := transport.Batch{Items: []transport.Envelope{
-		{From: "coord", To: n.ID(), Msg: MsgProposeFast{Opt: opt("t1", "a", -2)}},
-		{From: "coord", To: n.ID(), Msg: MsgProposeFast{Opt: opt("t2", "a", -3)}},
-		{From: "coord", To: n.ID(), Msg: MsgProposeFast{Opt: opt("t3", "b", -1)}},
+		{From: "coord", To: n.ID(), Msg: MsgProposeBatch{Opts: []Option{opt("t1", "a", -2)}}},
+		{From: "coord", To: n.ID(), Msg: MsgProposeBatch{Opts: []Option{opt("t2", "a", -3)}}},
+		{From: "coord", To: n.ID(), Msg: MsgProposeBatch{Opts: []Option{opt("t3", "b", -1)}}},
 	}}
 	net.At(0, func() { net.Send("gw", n.ID(), env) })
 	net.RunFor(time.Second)
@@ -288,7 +281,7 @@ func TestAcceptorVoteBatchingAndEscrow(t *testing.T) {
 	}
 	// Third vote: key b, base 9, and its own delta pending (snapshots
 	// are taken after the vote is cast).
-	v3 := b.Items[2].Msg.(MsgVote)
+	v3 := b.Items[2].Msg.(MsgVoteBatch).Votes[0]
 	if v3.Decision != DecAccept || !v3.Escrow.Valid {
 		t.Fatalf("vote 3: %+v", v3)
 	}
@@ -302,7 +295,7 @@ func TestAcceptorVoteBatchingAndEscrow(t *testing.T) {
 		t.Fatalf("vote 3 escrow: %+v", v3.Escrow)
 	}
 	// Second vote on key a saw the first one pending.
-	v2 := b.Items[1].Msg.(MsgVote)
+	v2 := b.Items[1].Msg.(MsgVoteBatch).Votes[0]
 	for _, a := range v2.Escrow.Attrs {
 		if a.Attr == "units" && (a.Base != 50 || a.PendDown != -5) {
 			t.Fatalf("vote 2 escrow: %+v", v2.Escrow)

@@ -30,9 +30,9 @@ import (
 const (
 	tagMsgRead uint8 = 16 + iota
 	tagMsgReadReply
-	tagMsgProposeFast
+	_ // 18: MsgProposeFast until wire version 4
 	tagMsgProposeBatch
-	tagMsgVote
+	_ // 20: a lone MsgVote until wire version 4
 	tagMsgVoteBatch
 	tagMsgLearned
 	tagMsgVisibility
@@ -56,9 +56,7 @@ const (
 var (
 	_ transport.WireMessage = MsgRead{}
 	_ transport.WireMessage = MsgReadReply{}
-	_ transport.WireMessage = MsgProposeFast{}
 	_ transport.WireMessage = MsgProposeBatch{}
-	_ transport.WireMessage = MsgVote{}
 	_ transport.WireMessage = MsgVoteBatch{}
 	_ transport.WireMessage = MsgLearned{}
 	_ transport.WireMessage = MsgVisibility{}
@@ -371,12 +369,6 @@ func (m MsgReadReply) AppendWire(b []byte) []byte {
 }
 
 // WireTag implements transport.WireMessage.
-func (m MsgProposeFast) WireTag() uint8 { return tagMsgProposeFast }
-
-// AppendWire implements transport.WireMessage.
-func (m MsgProposeFast) AppendWire(b []byte) []byte { return appendOption(b, m.Opt) }
-
-// WireTag implements transport.WireMessage.
 func (m MsgProposeBatch) WireTag() uint8 { return tagMsgProposeBatch }
 
 // AppendWire implements transport.WireMessage. The first option is
@@ -398,12 +390,6 @@ func (m MsgProposeBatch) AppendWire(b []byte) []byte {
 	}
 	return b
 }
-
-// WireTag implements transport.WireMessage.
-func (m MsgVote) WireTag() uint8 { return tagMsgVote }
-
-// AppendWire implements transport.WireMessage.
-func (m MsgVote) AppendWire(b []byte) []byte { return appendVote(b, m) }
 
 // WireTag implements transport.WireMessage.
 func (m MsgVoteBatch) WireTag() uint8 { return tagMsgVoteBatch }
@@ -466,7 +452,6 @@ func (m MsgPhase2a) AppendWire(b []byte) []byte {
 	if m.HasBase {
 		b = transport.AppendUvarint(b, uint64(m.BaseVersion))
 		b = record.AppendEncoded(b, m.BaseValue)
-		b = transport.AppendBool(b, m.BaseExists)
 		b = appendLineage(b, m.BaseLineage)
 	}
 	return b
@@ -553,7 +538,6 @@ func (m MsgPhase1b) AppendWire(b []byte) []byte {
 	}
 	b = transport.AppendUvarint(b, uint64(m.Version))
 	b = record.AppendEncoded(b, m.Value)
-	b = transport.AppendBool(b, m.Exists)
 	return appendLineage(b, m.Lineage)
 }
 
@@ -633,9 +617,6 @@ func init() {
 		m.Escrow = readEscrow(r)
 		return m, r.Err()
 	})
-	transport.RegisterWire(tagMsgProposeFast, func(r *transport.WireReader) (transport.Message, error) {
-		return MsgProposeFast{Opt: readOption(r)}, r.Err()
-	})
 	transport.RegisterWire(tagMsgProposeBatch, func(r *transport.WireReader) (transport.Message, error) {
 		var m MsgProposeBatch
 		if n := r.Count("propose"); n > 0 {
@@ -650,9 +631,6 @@ func init() {
 			}
 		}
 		return m, r.Err()
-	})
-	transport.RegisterWire(tagMsgVote, func(r *transport.WireReader) (transport.Message, error) {
-		return readVote(r), r.Err()
 	})
 	transport.RegisterWire(tagMsgVoteBatch, func(r *transport.WireReader) (transport.Message, error) {
 		var m MsgVoteBatch
@@ -707,7 +685,6 @@ func init() {
 		if m.HasBase {
 			m.BaseVersion = record.Version(r.Uvarint())
 			m.BaseValue = record.ReadEncoded(r)
-			m.BaseExists = r.Bool()
 			m.BaseLineage = readLineage(r, nil)
 		}
 		return m, r.Err()
@@ -775,7 +752,6 @@ func init() {
 		}
 		m.Version = record.Version(r.Uvarint())
 		m.Value = record.ReadEncoded(r)
-		m.Exists = r.Bool()
 		m.Lineage = readLineage(r, nil)
 		return m, r.Err()
 	})

@@ -76,7 +76,7 @@ func BenchmarkWireDecodeProposeBatch50Binary(b *testing.B) {
 // benchmark plumbing.
 func TestWireEncodeAllocFree(t *testing.T) {
 	samples := wireSamples()
-	for _, name := range []string{"MsgPhase2a", "MsgPhase2b_ok", "MsgVote", "MsgVoteBatch", "MsgVisibilityFeed", "MsgProposeBatch"} {
+	for _, name := range []string{"MsgPhase2a", "MsgPhase2b_ok", "MsgVoteBatch", "MsgVisibilityFeed", "MsgProposeBatch"} {
 		e := transport.Envelope{From: "dc1/store0", To: "dc2/app0", Msg: samples[name]}
 		buf, err := transport.AppendEnvelope(nil, e)
 		if err != nil {
@@ -117,7 +117,6 @@ func TestWireDecodeSteadyStateAllocs(t *testing.T) {
 	budgets := map[string]float64{
 		"MsgRead":            2,
 		"MsgReadReply":       4,
-		"MsgVote":            4,
 		"MsgVoteBatch":       6,
 		"MsgLearned":         4,
 		"MsgPhase2a":         16,

@@ -229,17 +229,9 @@ func carried(msg transport.Message, votes bool) int {
 			c += carried(it.Msg, votes)
 		}
 		return c
-	case core.MsgProposeFast:
-		if !votes {
-			return 1
-		}
 	case core.MsgProposeBatch:
 		if !votes {
 			return len(m.Opts)
-		}
-	case core.MsgVote:
-		if votes {
-			return 1
 		}
 	case core.MsgVoteBatch:
 		if votes {
@@ -599,8 +591,6 @@ func proposedKeys(t *testing.T, msg transport.Message) []record.Key {
 	var keys []record.Key
 	add := func(m transport.Message) {
 		switch m := m.(type) {
-		case core.MsgProposeFast:
-			keys = append(keys, m.Opt.Update.Key)
 		case core.MsgProposeBatch:
 			for _, o := range m.Opts {
 				keys = append(keys, o.Update.Key)

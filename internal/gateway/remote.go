@@ -44,10 +44,9 @@ type MsgRead struct {
 	Floor  record.Version
 }
 
-// MsgReadReply answers MsgRead.
+// MsgReadReply answers MsgRead; ReqID names the read it answers.
 type MsgReadReply struct {
 	ReqID   uint64
-	Key     record.Key
 	Value   record.Encoded
 	Version record.Version
 	Exists  bool
@@ -74,7 +73,7 @@ func (g *Gateway) handle(env transport.Envelope) {
 		from := env.From
 		reply := func(val record.Encoded, ver record.Version, exists bool) {
 			g.net.Send(g.id, from, MsgReadReply{
-				ReqID: m.ReqID, Key: m.Key, Value: val, Version: ver, Exists: exists,
+				ReqID: m.ReqID, Value: val, Version: ver, Exists: exists,
 			})
 		}
 		if m.Quorum {

@@ -82,7 +82,6 @@ func (m MsgReadReply) WireTag() uint8 { return tagMsgReadReply }
 // AppendWire implements transport.WireMessage.
 func (m MsgReadReply) AppendWire(b []byte) []byte {
 	b = transport.AppendUvarint(b, m.ReqID)
-	b = transport.AppendString(b, string(m.Key))
 	b = record.AppendEncoded(b, m.Value)
 	b = transport.AppendUvarint(b, uint64(m.Version))
 	return transport.AppendBool(b, m.Exists)
@@ -120,7 +119,6 @@ func init() {
 	transport.RegisterWire(tagMsgReadReply, func(r *transport.WireReader) (transport.Message, error) {
 		var m MsgReadReply
 		m.ReqID = r.Uvarint()
-		m.Key = record.Key(r.String())
 		m.Value = record.ReadEncoded(r)
 		m.Version = record.Version(r.Uvarint())
 		m.Exists = r.Bool()

@@ -27,7 +27,7 @@ func rpcSamples() map[string]transport.Message {
 		"MsgTxReply": MsgTxReply{ReqID: 7, Committed: true},
 		"MsgRead":    MsgRead{ReqID: 8, Key: "item#9", Quorum: true, Floor: 12},
 		"MsgReadReply": MsgReadReply{
-			ReqID: 8, Key: "item#9",
+			ReqID:   8,
 			Value:   record.Encode(record.Value{Attrs: map[string]int64{"stock": 40}}),
 			Version: 12, Exists: true,
 		},

@@ -38,7 +38,6 @@ type MsgTxResp struct {
 // holds the mastership lease, so Phase 1 is skipped).
 type MsgAccept struct {
 	Pos     uint64
-	Tx      TxID
 	Updates []record.Update
 }
 
@@ -62,7 +61,6 @@ type MsgRead struct {
 // MsgReadReply answers MsgRead.
 type MsgReadReply struct {
 	ReqID   uint64
-	Key     record.Key
 	Value   record.Encoded
 	Version record.Version
 	Exists  bool
@@ -109,7 +107,7 @@ func (r *Replica) handle(env transport.Envelope) {
 	case MsgRead:
 		val, ver, ok := r.store.GetEncoded(m.Key)
 		r.net.Send(r.id, env.From, MsgReadReply{
-			ReqID: m.ReqID, Key: m.Key, Value: val, Version: ver,
+			ReqID: m.ReqID, Value: val, Version: ver,
 			Exists: ok && !val.Tombstone(),
 		})
 	case MsgTxReq:
@@ -214,7 +212,7 @@ func (m *Master) pump() {
 		m.inPos[pos] = req
 		m.acks[pos] = 0
 		for _, dc := range topology.AllDCs() {
-			m.net.Send(m.id, ReplicaIDFor(dc), MsgAccept{Pos: pos, Tx: req.Tx, Updates: req.Updates})
+			m.net.Send(m.id, ReplicaIDFor(dc), MsgAccept{Pos: pos, Updates: req.Updates})
 		}
 	}
 }

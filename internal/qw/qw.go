@@ -51,7 +51,6 @@ type MsgRead struct {
 // MsgReadReply answers MsgRead.
 type MsgReadReply struct {
 	ReqID   uint64
-	Key     record.Key
 	Value   record.Encoded
 	Version record.Version
 	Exists  bool
@@ -84,7 +83,7 @@ func (n *StorageNode) handle(env transport.Envelope) {
 	case MsgRead:
 		val, ver, ok := n.store.GetEncoded(m.Key)
 		n.net.Send(n.id, env.From, MsgReadReply{
-			ReqID: m.ReqID, Key: m.Key, Value: val, Version: ver,
+			ReqID: m.ReqID, Value: val, Version: ver,
 			Exists: ok && !val.Tombstone(),
 		})
 	}

@@ -42,8 +42,12 @@ import (
 // preamble. Bump on any incompatible change to tags or encodings.
 // Version 2 dropped the tag-0 fallback and MsgPhase2a's trailing
 // decided-list count; version 3 writes a propose batch's shared write
-// set once (internal/core's MsgProposeBatch).
-const WireVersion = 3
+// set once (internal/core's MsgProposeBatch); version 4 retires core's
+// tags 18 (a lone propose) and 20 (a lone vote), every proposal and
+// vote travelling as a batch, and drops the fields no handler read
+// (core's MsgPhase1b.Exists and MsgPhase2a.BaseExists, the gateway's
+// MsgReadReply.Key).
+const WireVersion = 4
 
 // wireMagic opens every connection; a peer that starts with anything
 // else is not speaking this protocol and is dropped.

@@ -46,8 +46,7 @@ type MsgDecision struct {
 
 // MsgDecisionAck confirms a participant applied the outcome.
 type MsgDecisionAck struct {
-	Tx  TxID
-	Key record.Key
+	Tx TxID
 }
 
 // MsgRead / MsgReadReply serve local reads.
@@ -59,7 +58,6 @@ type MsgRead struct {
 // MsgReadReply answers MsgRead.
 type MsgReadReply struct {
 	ReqID   uint64
-	Key     record.Key
 	Value   record.Encoded
 	Version record.Version
 	Exists  bool
@@ -106,7 +104,7 @@ func (p *Participant) handle(env transport.Envelope) {
 	case MsgRead:
 		val, ver, ok := p.store.GetEncoded(m.Key)
 		p.net.Send(p.id, env.From, MsgReadReply{
-			ReqID: m.ReqID, Key: m.Key, Value: val, Version: ver,
+			ReqID: m.ReqID, Value: val, Version: ver,
 			Exists: ok && !val.Tombstone(),
 		})
 	}
@@ -174,7 +172,7 @@ func (p *Participant) onDecision(from transport.NodeID, m MsgDecision) {
 			p.apply(ls.update)
 		}
 	}
-	p.net.Send(p.id, from, MsgDecisionAck{Tx: m.Tx, Key: m.Key})
+	p.net.Send(p.id, from, MsgDecisionAck{Tx: m.Tx})
 }
 
 func (p *Participant) apply(up record.Update) {
