@@ -206,6 +206,18 @@ func TestWireGolden(t *testing.T) {
 // the body version 3 wrote for it, fails to decode as an unknown tag
 // rather than being read as some other message.
 func TestRetiredWireTagsRefused(t *testing.T) {
+	for tag, frame := range retiredTagFrames() {
+		_, err := transport.DecodeEnvelope(transport.NewWireReader(frame))
+		if want := fmt.Sprintf("unknown wire tag %d", tag); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("tag %d: decode error %v, want %q", tag, err, want)
+		}
+	}
+}
+
+// retiredTagFrames holds, by tag, the envelope a version-3 peer framed
+// for each retired message.
+func retiredTagFrames() map[uint8][]byte {
+	frames := map[uint8][]byte{}
 	for tag, body := range map[uint8][]byte{
 		18: appendOption(nil, sampleOption()),
 		20: appendVote(nil, sampleWireVote()),
@@ -213,12 +225,9 @@ func TestRetiredWireTagsRefused(t *testing.T) {
 		frame := transport.AppendString(nil, "a")
 		frame = transport.AppendString(frame, "b")
 		frame = transport.AppendUvarint(frame, 0)
-		frame = append(append(frame, tag), body...)
-		_, err := transport.DecodeEnvelope(transport.NewWireReader(frame))
-		if want := fmt.Sprintf("unknown wire tag %d", tag); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("tag %d: decode error %v, want %q", tag, err, want)
-		}
+		frames[tag] = append(append(frame, tag), body...)
 	}
+	return frames
 }
 
 // checkGolden compares raw with testdata/<dir>/<name>.hex, or rewrites
@@ -658,9 +667,13 @@ func FuzzWireParity(f *testing.F) {
 		f.Add(int64(pick)*7919, pick)
 	}
 	// More propose batches, so the corpus alone mixes shared, partly
-	// shared and unshared write sets.
+	// shared and unshared write sets, and more vote batches, the one
+	// carrier of a vote since version 4.
 	for seed := int64(1); seed <= 16; seed++ {
 		f.Add(seed, uint8(2))
+	}
+	for seed := int64(1); seed <= 2; seed++ {
+		f.Add(seed, uint8(3))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, pick uint8) {
 		r := rand.New(rand.NewSource(seed))
@@ -700,6 +713,9 @@ func FuzzWireDecode(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(b)
+	}
+	for _, tag := range []uint8{18, 20} {
+		f.Add(retiredTagFrames()[tag])
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		_, _ = transport.DecodeEnvelope(transport.NewWireReader(b))
