@@ -65,3 +65,19 @@ func TestScaleDropRange(t *testing.T) {
 		}
 	}
 }
+
+// TestScaleNodesPositive: -scale.nodes takes node counts of at least 1.
+// 0 ran the sweep at the default node count and labelled the row 0/DC,
+// and -2 did the same; both are refused, with the bound named.
+func TestScaleNodesPositive(t *testing.T) {
+	if got, err := parseIntList("1, 4,40"); err != nil || !reflect.DeepEqual(got, []int{1, 4, 40}) {
+		t.Errorf("parseIntList(1, 4,40) = %v, %v", got, err)
+	}
+	for _, in := range []string{"0", "4,0", "-2", "2,x"} {
+		if _, err := parseIntList(in); err == nil {
+			t.Errorf("parseIntList(%q) accepted", in)
+		} else if in != "2,x" && !strings.Contains(err.Error(), "below 1") {
+			t.Errorf("parseIntList(%q): %v, want the bound named", in, err)
+		}
+	}
+}

@@ -54,7 +54,12 @@ func scaleBench() {
 		cfg.DropPcts = []float64{0}
 	}
 	if *scNodes != "" {
-		cfg.NodesPerDC = parseIntList(*scNodes)
+		nodes, err := parseIntList(*scNodes)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "mdcc-bench: -scale.nodes: %v\n", err)
+			os.Exit(2)
+		}
+		cfg.NodesPerDC = nodes
 	}
 	if *scDrop != "" {
 		pcts, err := parseDropPcts(*scDrop)
@@ -114,7 +119,9 @@ func scaleBench() {
 	}
 }
 
-func parseIntList(s string) []int {
+// parseIntList reads -scale.nodes: node counts per data center, each at
+// least 1.
+func parseIntList(s string) ([]int, error) {
 	var out []int
 	for _, f := range strings.Split(s, ",") {
 		f = strings.TrimSpace(f)
@@ -123,12 +130,14 @@ func parseIntList(s string) []int {
 		}
 		n, err := strconv.Atoi(f)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mdcc-bench: bad int %q in list\n", f)
-			os.Exit(2)
+			return nil, fmt.Errorf("bad int %q in list", f)
+		}
+		if n < 1 {
+			return nil, fmt.Errorf("%d nodes per data center is below 1", n)
 		}
 		out = append(out, n)
 	}
-	return out
+	return out, nil
 }
 
 // parseDropPcts reads -scale.drop: percentages in [0, 100), the range

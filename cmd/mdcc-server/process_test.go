@@ -3,11 +3,13 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,9 +54,10 @@ type deployment struct {
 	logDir   string
 }
 
-// startDeployment boots one `mdcc-server -gateway -http` process per
-// data center from a topology file and waits until every listener
-// accepts.
+// startDeployment boots one `mdcc-server -gateway -http -trace` process
+// per data center from a topology file and waits until every listener
+// accepts. Each runs the flight recorder with a 1ns slow bound, so every
+// transaction it completes is retained for /trace.
 func startDeployment(t *testing.T, bin string) *deployment {
 	t.Helper()
 	dcs := mdcc.AllDCs()
@@ -103,7 +106,8 @@ func (d *deployment) start(t *testing.T, i int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(d.bin, "-topology", d.topoPath, "-dc", dc.String(), "-gateway", "-http", d.http[i])
+	cmd := exec.Command(d.bin, "-topology", d.topoPath, "-dc", dc.String(), "-gateway", "-http", d.http[i],
+		"-trace", "-trace-slow", "1ns")
 	cmd.Stdout, cmd.Stderr = logf, logf
 	err = cmd.Start()
 	logf.Close() // the child holds its own descriptor
@@ -142,17 +146,28 @@ func (d *deployment) logs() string {
 	return string(out)
 }
 
+// get returns the body of data center i's HTTP endpoint path, which
+// must answer 200.
+func (d *deployment) get(t *testing.T, i int, path string) []byte {
+	t.Helper()
+	url := "http://" + d.http[i] + path
+	resp, err := (&http.Client{Timeout: 2 * time.Second}).Get(url)
+	if err != nil {
+		t.Fatalf("get %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("get %s: %s %v\n%s", url, resp.Status, err, body)
+	}
+	return body
+}
+
 // scrape decodes data center i's /metrics document into v.
 func (d *deployment) scrape(t *testing.T, i int, v interface{}) {
 	t.Helper()
-	url := "http://" + d.http[i] + "/metrics"
-	resp, err := (&http.Client{Timeout: 2 * time.Second}).Get(url)
-	if err != nil {
-		t.Fatalf("scrape %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		t.Fatalf("decode %s: %v", url, err)
+	if err := json.Unmarshal(d.get(t, i, "/metrics"), v); err != nil {
+		t.Fatalf("decode %s/metrics: %v", d.http[i], err)
 	}
 }
 
@@ -247,9 +262,11 @@ func (d *deployment) stop(t *testing.T) {
 }
 
 // TestServerProcesses is the one check of the mdcc-server *binary*: five
-// `-gateway -http` processes boot from a topology file, a thin client
-// commits and reads through mdcc.DialGateway, every server's /metrics
-// shows transport traffic, and SIGINT shuts each down cleanly.
+// `-gateway -http -trace` processes boot from a topology file, a thin
+// client commits and reads through mdcc.DialGateway, every server's
+// /metrics shows transport traffic, recorded events and phase latencies,
+// the gateway's /trace serves the commit's timeline, a read-checked
+// insert and a delete commit, and SIGINT shuts each down cleanly.
 // (benchmark/ measures the same deployment; it runs it in one process.)
 func TestServerProcesses(t *testing.T) {
 	if testing.Short() {
@@ -266,18 +283,55 @@ func TestServerProcesses(t *testing.T) {
 	if ok, err := sess.Commit(mdcc.Insert("proc/1", mdcc.Value{Attrs: map[string]int64{"n": 1}})); err != nil || !ok {
 		t.Fatalf("insert through the gateway: ok=%v err=%v\n%s", ok, err, d.logs())
 	}
-	if v, _, ok, err := sess.Read("proc/1"); err != nil || !ok || v.Attr("n") != 1 {
+	v, ver, ok, err := sess.Read("proc/1")
+	if err != nil || !ok || v.Attr("n") != 1 {
 		t.Fatalf("read back: n=%d ok=%v err=%v, want n=1", v.Attr("n"), ok, err)
 	}
 
+	// Every replica applies the insert, which its recorder times as the
+	// visibility phase.
+	d.waitApplied(t, []int64{1, 1, 1, 1, 1})
 	for i := range d.http {
 		var m struct {
-			Transport transport.Stats `json:"transport"`
+			Transport   transport.Stats `json:"transport"`
+			TraceEvents uint64          `json:"traceEvents"`
+			Phases      []struct {
+				Phase string `json:"phase"`
+				N     int64  `json:"n"`
+			} `json:"phases"`
 		}
 		d.scrape(t, i, &m)
 		if m.Transport.MsgsSent == 0 {
 			t.Errorf("%s: /metrics shows no transport sends after a commit: %+v", mdcc.AllDCs()[i], m.Transport)
 		}
+		if m.TraceEvents == 0 || len(m.Phases) == 0 || m.Phases[0].N == 0 {
+			t.Errorf("%s: /metrics shows %d trace events and phases %+v after a commit", mdcc.AllDCs()[i], m.TraceEvents, m.Phases)
+		}
+		if i == 0 && (len(m.Phases) == 0 || m.Phases[len(m.Phases)-1].Phase != "end-to-end[dc0]") {
+			t.Errorf("%s: the gateway's last phase is not its end-to-end latency: %+v", mdcc.AllDCs()[i], m.Phases)
+		}
+	}
+	// The gateway completed the insert, so its recorder retained it: one
+	// line per timeline, or a header and one line per event with ?full=1.
+	if compact := string(d.get(t, 0, "/trace")); !strings.HasPrefix(compact, "tx=") || !strings.Contains(compact, " commit ") {
+		t.Errorf("/trace serves no committed timeline:\n%s", compact)
+	}
+	if full := string(d.get(t, 0, "/trace?full=1")); !strings.Contains(full, "commit in ") || !strings.Contains(full, "keys [proc/1]") ||
+		!strings.Contains(full, "\n  +") {
+		t.Errorf("/trace?full=1 serves no event lines for the insert:\n%s", full)
+	}
+
+	// A read-checked insert and a delete commit through the gateway as
+	// well, and the deleted record reads as absent.
+	checked := []mdcc.Update{mdcc.ReadCheck("proc/unwritten", 0), mdcc.Insert("proc/2", mdcc.Value{Attrs: map[string]int64{"n": 2}})}
+	if ok, err := sess.Commit(checked...); err != nil || !ok {
+		t.Fatalf("read-checked insert: ok=%v err=%v", ok, err)
+	}
+	if ok, err := sess.Commit(mdcc.Delete("proc/1", ver)); err != nil || !ok {
+		t.Fatalf("delete: ok=%v err=%v", ok, err)
+	}
+	if _, _, ok, err := sess.Read("proc/1"); err != nil || ok {
+		t.Fatalf("read after delete: ok=%v err=%v, want absent", ok, err)
 	}
 	d.stop(t)
 }

@@ -87,8 +87,6 @@ func (h *History) Record(client int, updates []record.Update, committed bool) {
 	h.mu.Unlock()
 }
 
-func (rc *recordingClient) SupportsCommutative() bool { return mtx.Commutative(rc.inner) }
-
 // Orphan records an op whose outcome will never be acknowledged (the
 // submitting tier died mid-flight). Harnesses call this instead of
 // letting the op vanish from the history, which would make exact

@@ -148,7 +148,7 @@ func (n *StorageNode) onVisibilitySub(from transport.NodeID, m MsgVisibilitySub)
 		sub.interest = make(map[record.Key]bool, len(m.CatchUp))
 	}
 	sub.lastHeard = n.net.Now()
-	items := make([]FeedItem, 0, len(m.CatchUp))
+	var items []FeedItem // nil, not empty, when nothing is caught up: what the wire decodes
 	for i, key := range m.CatchUp {
 		if i >= FeedCatchUpMax {
 			break

@@ -543,6 +543,7 @@ func decoding(cb ReadFunc) encodedRead {
 }
 
 // Read serves a committed read with no version floor; see ReadFloor.
+// Only the benchmark module still calls it.
 func (g *Gateway) Read(key record.Key, cb ReadFunc) { g.ReadFloor(key, 0, cb) }
 
 // ReadQuorum serves an up-to-date quorum read through the gateway's
@@ -578,7 +579,7 @@ func (g *Gateway) Commit(updates []record.Update, done func(committed bool, err 
 		g.m.WrongShardRetries++
 		next := g.frozenNext
 		if g.tr != nil {
-			g.tr.Add(trace.Event{At: g.net.Now().UnixNano(), Key: firstKey(updates),
+			g.tr.Add(trace.Event{At: g.net.Now().UnixNano(), Key: string(updates[0].Key),
 				Stage: trace.StageWrongShard, Arg: int64(next)})
 		}
 		g.mu.Unlock()
@@ -587,7 +588,10 @@ func (g *Gateway) Commit(updates []record.Update, done func(committed bool, err 
 	}
 	var span *gwSpan
 	if g.tr != nil {
-		span = &gwSpan{subAt: g.net.Now().UnixNano()}
+		span = &gwSpan{subAt: g.net.Now().UnixNano(), keys: make([]string, len(updates))}
+		for i, up := range updates {
+			span.keys[i] = string(up.Key)
+		}
 	}
 	if g.inflight >= g.tun.MaxInflight {
 		if len(g.queue) >= g.tun.MaxQueue {
@@ -598,7 +602,7 @@ func (g *Gateway) Commit(updates []record.Update, done func(committed bool, err 
 			return
 		}
 		if span != nil {
-			span.loSeq = g.tr.Add(trace.Event{At: span.subAt, Key: firstKey(updates),
+			span.loSeq = g.tr.Add(trace.Event{At: span.subAt, Key: firstKey(span.keys),
 				Stage: trace.StageQueue, Arg: int64(len(g.queue) + 1)})
 		}
 		g.queue = append(g.queue, queuedTx{updates: updates, done: done, span: span})
@@ -615,11 +619,11 @@ func (g *Gateway) Commit(updates []record.Update, done func(committed bool, err 
 // firstKey is the representative key for tx-less gateway trace events
 // (multi-key write-sets get their full key list on the completion
 // record instead).
-func firstKey(updates []record.Update) string {
-	if len(updates) == 0 {
+func firstKey(keys []string) string {
+	if len(keys) == 0 {
 		return ""
 	}
-	return string(updates[0].Key)
+	return keys[0]
 }
 
 // startLocked admits one transaction into the in-flight window and
@@ -629,13 +633,10 @@ func firstKey(updates []record.Update) string {
 func (g *Gateway) startLocked(updates []record.Update, done func(bool, error), span *gwSpan) {
 	g.inflight++
 	if span != nil {
-		seq := g.tr.Add(trace.Event{At: g.net.Now().UnixNano(), Key: firstKey(updates),
+		seq := g.tr.Add(trace.Event{At: g.net.Now().UnixNano(), Key: firstKey(span.keys),
 			Stage: trace.StageAdmit, Arg: int64(len(updates))})
 		if span.loSeq == 0 {
 			span.loSeq = seq
-		}
-		for _, up := range updates {
-			span.keys = append(span.keys, string(up.Key))
 		}
 	}
 	done = g.registerPendingLocked(updates, done, span)
@@ -795,7 +796,7 @@ func (g *Gateway) coalescible(updates []record.Update) bool {
 func (g *Gateway) dispatchLocked(updates []record.Update, span *gwSpan, done func(r core.CommitResult)) {
 	if span != nil {
 		now := g.net.Now().UnixNano()
-		g.tr.Add(trace.Event{At: now, Key: firstKey(updates),
+		g.tr.Add(trace.Event{At: now, Key: firstKey(span.keys),
 			Stage: trace.StageDispatch, Arg: int64(len(updates))})
 		g.cfg.Tracer.ObservePhase(trace.PhaseGatewayQueue, int(g.dc),
 			time.Duration(now-span.subAt))
@@ -1476,7 +1477,7 @@ func (g *Gateway) Kill() {
 			continue
 		}
 		now := g.net.Now().UnixNano()
-		g.tr.Add(trace.Event{At: now, Key: orFirst(sp.keys), Stage: trace.StageAck,
+		g.tr.Add(trace.Event{At: now, Key: firstKey(sp.keys), Stage: trace.StageAck,
 			Flags: trace.FlagUnknown})
 		g.cfg.Tracer.CompleteFrom("?", sp.keys, sp.loSeq, sp.subAt, now,
 			trace.FlagUnknown, false, false)
@@ -1490,13 +1491,6 @@ func (g *Gateway) Kill() {
 	for _, cb := range reads {
 		cb(nil, 0, false)
 	}
-}
-
-func orFirst(keys []string) string {
-	if len(keys) == 0 {
-		return ""
-	}
-	return keys[0]
 }
 
 // dropWindowsLocked stops every open merge window and returns the

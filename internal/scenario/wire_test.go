@@ -15,14 +15,16 @@ import (
 // with real votes and lineage, recovery queries and answers, sync
 // replies, batches of all of them — is something the TCP wire can
 // carry. Every envelope the network delivers in the scenarios that
-// exercise collisions, leader takeover, long partitions and the mixed
-// nemesis must encode through AppendEnvelope and decode to a value
-// reflect.DeepEqual to what was sent. A type without a wire codec, or
-// a producer that breaks an encode-side convention (a populated field
-// behind a false guard, an empty-but-non-nil slice), fails here.
+// exercise collisions, leader takeover, long partitions, the mixed
+// nemesis and a gateway's read storm (visibility subscriptions and the
+// feed that answers them) must encode through AppendEnvelope and decode
+// to a value reflect.DeepEqual to what was sent. A type without a wire
+// codec, or a producer that breaks an encode-side convention (a
+// populated field behind a false guard, an empty-but-non-nil slice),
+// fails here.
 func TestProtocolTrafficSurvivesWire(t *testing.T) {
 	all := make(map[string]int)
-	for _, name := range []string{"collision-storm", "master-failover", "long-outage", "chaos-mix"} {
+	for _, name := range []string{"collision-storm", "master-failover", "long-outage", "chaos-mix", "read-storm"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			s, ok := Find(name)
@@ -68,7 +70,8 @@ func TestProtocolTrafficSurvivesWire(t *testing.T) {
 	}
 	// The check is only worth something if the cold paths really ran.
 	for _, typ := range []string{"MsgProposeLeader", "MsgStartRecovery", "MsgPhase1a", "MsgPhase1b",
-		"MsgEnableFast", "MsgRecoverOpt", "MsgOptDecided", "MsgSyncReq", "MsgSyncReply"} {
+		"MsgEnableFast", "MsgRecoverOpt", "MsgOptDecided", "MsgSyncReq", "MsgSyncReply",
+		"MsgVisibilitySub", "MsgVisibilityFeed"} {
 		if all["core."+typ] == 0 {
 			t.Errorf("no core.%s was ever delivered: the scenarios no longer exercise it", typ)
 		}

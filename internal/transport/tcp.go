@@ -46,7 +46,8 @@ type TCP struct {
 	// connection would find its replies silently unroutable.
 	hellos map[string][]helloMsg
 
-	// Logf, if set, receives connection diagnostics.
+	// Logf receives connection diagnostics. NewTCP discards them,
+	// because message drops are expected behaviour.
 	Logf func(format string, args ...interface{})
 }
 
@@ -178,6 +179,7 @@ func NewTCP(routes map[NodeID]string) *TCP {
 		conns:       make(map[string]*tcpConn),
 		accepted:    make(map[net.Conn]struct{}),
 		hellos:      make(map[string][]helloMsg),
+		Logf:        func(string, ...interface{}) {},
 	}
 	for id, addr := range routes {
 		t.routes[id] = addr
@@ -241,17 +243,17 @@ func (t *TCP) readLoop(conn net.Conn) {
 	var pre [5]byte // magic + version
 	if _, err := io.ReadFull(br, pre[:]); err != nil {
 		if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-			t.logf("transport: read preamble from %s: %v", conn.RemoteAddr(), err)
+			t.Logf("transport: read preamble from %s: %v", conn.RemoteAddr(), err)
 		}
 		return
 	}
 	if [4]byte(pre[:4]) != wireMagic {
-		t.logf("transport: peer %s opened with % x, not the wire magic; dropping connection",
+		t.Logf("transport: peer %s opened with % x, not the wire magic; dropping connection",
 			conn.RemoteAddr(), pre[:4])
 		return
 	}
 	if pre[4] != WireVersion {
-		t.logf("transport: peer %s speaks wire version %d, want %d; dropping connection",
+		t.Logf("transport: peer %s speaks wire version %d, want %d; dropping connection",
 			conn.RemoteAddr(), pre[4], WireVersion)
 		return
 	}
@@ -259,13 +261,13 @@ func (t *TCP) readLoop(conn net.Conn) {
 	for {
 		if _, err := io.ReadFull(br, lenb[:]); err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				t.logf("transport: read frame from %s: %v", conn.RemoteAddr(), err)
+				t.Logf("transport: read frame from %s: %v", conn.RemoteAddr(), err)
 			}
 			return
 		}
 		n := int(binary.BigEndian.Uint32(lenb[:]))
 		if n > maxFrame {
-			t.logf("transport: oversized frame (%d bytes) from %s; dropping connection", n, conn.RemoteAddr())
+			t.Logf("transport: oversized frame (%d bytes) from %s; dropping connection", n, conn.RemoteAddr())
 			return
 		}
 		var payload []byte
@@ -278,7 +280,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 		}
 		if err != nil {
 			if !errors.Is(err, net.ErrClosed) {
-				t.logf("transport: read frame from %s: %v", conn.RemoteAddr(), err)
+				t.Logf("transport: read frame from %s: %v", conn.RemoteAddr(), err)
 			}
 			return
 		}
@@ -287,7 +289,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 			_, _ = br.Discard(n) // cannot fail: Peek buffered all n bytes
 		}
 		if err != nil {
-			t.logf("transport: decode frame from %s: %v; dropping connection", conn.RemoteAddr(), err)
+			t.Logf("transport: decode frame from %s: %v; dropping connection", conn.RemoteAddr(), err)
 			return
 		}
 		if h, ok := e.Msg.(helloMsg); ok {
@@ -305,7 +307,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 func (t *TCP) deliverLocal(e Envelope, full whenFull) bool {
 	err := t.deliver(e, full)
 	if err != nil {
-		t.logf("transport: %s: %v, dropping %T", e.To, err, e.Msg)
+		t.Logf("transport: %s: %v, dropping %T", e.To, err, e.Msg)
 	}
 	return err == nil
 }
@@ -334,7 +336,7 @@ func (t *TCP) Send(from, to NodeID, msg Message) {
 	}
 	if !hasRoute {
 		t.stats.droppedNoRoute.Add(1)
-		t.logf("transport: no route to %s, dropping %T", to, msg)
+		t.Logf("transport: no route to %s, dropping %T", to, msg)
 		return
 	}
 	// Count only what is actually enqueued: a dropped message never
@@ -345,10 +347,10 @@ func (t *TCP) Send(from, to NodeID, msg Message) {
 		t.stats.countSend(msg)
 	case errConnDown:
 		t.stats.droppedConnDown.Add(1)
-		t.logf("transport: conn to %s down, dropping %T", addr, msg)
+		t.Logf("transport: conn to %s down, dropping %T", addr, msg)
 	default:
 		t.stats.droppedQueueFull.Add(1)
-		t.logf("transport: queue to %s full, dropping %T", addr, msg)
+		t.Logf("transport: queue to %s full, dropping %T", addr, msg)
 	}
 }
 
@@ -387,7 +389,7 @@ func (t *TCP) connTo(addr string) *tcpConn {
 func (t *TCP) writeLoop(c *tcpConn) {
 	conn, err := net.DialTimeout("tcp", c.addr, 5*time.Second)
 	if err != nil {
-		t.logf("transport: dial %s: %v", c.addr, err)
+		t.Logf("transport: dial %s: %v", c.addr, err)
 		t.dropConn(c.addr, c)
 		return
 	}
@@ -427,7 +429,7 @@ func (t *TCP) writeLoop(c *tcpConn) {
 	var frame []byte // the encode buffer, see writeFrame
 	for _, h := range hellos {
 		if frame, err = t.writeFrame(bw, frame, c.addr, Envelope{From: h.ID, Msg: h}); err != nil {
-			t.logf("transport: send hello to %s: %v", c.addr, err)
+			t.Logf("transport: send hello to %s: %v", c.addr, err)
 			t.dropConn(c.addr, c)
 			return
 		}
@@ -445,7 +447,7 @@ func (t *TCP) writeLoop(c *tcpConn) {
 		// the buffer is flushed once a take comes back empty.
 		if batch = c.take(batch); len(batch) == 0 {
 			if err := bw.Flush(); err != nil {
-				t.logf("transport: flush to %s: %v", c.addr, err)
+				t.Logf("transport: flush to %s: %v", c.addr, err)
 				t.dropConn(c.addr, c)
 				return
 			}
@@ -461,7 +463,7 @@ func (t *TCP) writeLoop(c *tcpConn) {
 		}
 		for _, e := range batch {
 			if frame, err = t.writeFrame(bw, frame, c.addr, e); err != nil {
-				t.logf("transport: send to %s: %v", c.addr, err)
+				t.Logf("transport: send to %s: %v", c.addr, err)
 				t.dropConn(c.addr, c)
 				return
 			}
@@ -481,7 +483,7 @@ func (t *TCP) writeFrame(bw *bufio.Writer, buf []byte, addr string, e Envelope) 
 	wm, err := wireEncoder(e.Msg)
 	if err != nil {
 		t.stats.droppedNoRoute.Add(1)
-		t.logf("transport: encode for %s: %v (message dropped)", addr, err)
+		t.Logf("transport: encode for %s: %v (message dropped)", addr, err)
 		return buf, nil
 	}
 	frame := appendEnvelope(append(buf[:0], 0, 0, 0, 0), e, wm)
@@ -490,7 +492,7 @@ func (t *TCP) writeFrame(bw *bufio.Writer, buf []byte, addr string, e Envelope) 
 	}
 	n := len(frame) - 4
 	if n > maxFrame {
-		t.logf("transport: %T for %s exceeds max frame (%d bytes), dropped", e.Msg, addr, n)
+		t.Logf("transport: %T for %s exceeds max frame (%d bytes), dropped", e.Msg, addr, n)
 		return buf, nil
 	}
 	binary.BigEndian.PutUint32(frame, uint32(n))
@@ -603,13 +605,5 @@ func (t *TCP) Close() {
 	// and replay their hellos — against the new instance.
 	for _, c := range accepted {
 		c.Close()
-	}
-}
-
-// logf reports a diagnostic if the owner installed a logger; the
-// default is silence because message drops are expected behaviour.
-func (t *TCP) logf(format string, args ...interface{}) {
-	if t.Logf != nil {
-		t.Logf(format, args...)
 	}
 }
