@@ -1,7 +1,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
+	"os"
+	"os/exec"
 	"reflect"
 	"sort"
 	"strings"
@@ -36,5 +39,27 @@ func TestFlagSurface(t *testing.T) {
 	sort.Strings(got)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flag surface changed:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestRepeatBelowOneExits: -n below 1 is refused with exit status 2
+// before the client reads its topology. `-n 0 get k` used to dial the
+// deployment, read nothing, print nothing and exit 0. The test
+// re-executes its own binary as mdcc-client (main reads the same flag
+// set).
+func TestRepeatBelowOneExits(t *testing.T) {
+	if os.Getenv("MDCC_CLIENT_AS_MAIN") == "1" {
+		main()
+		return
+	}
+	for _, n := range []string{"0", "-3"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestRepeatBelowOneExits$",
+			"-topology", t.TempDir()+"/missing.json", "-n", n, "get", "k")
+		cmd.Env = append(os.Environ(), "MDCC_CLIENT_AS_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "below 1") {
+			t.Errorf("-n %s get k: %v, want exit status 2 naming the bound; output:\n%s", n, err, out)
+		}
 	}
 }

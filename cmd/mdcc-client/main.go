@@ -48,6 +48,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *repeat < 1 {
+		fmt.Fprintf(os.Stderr, "mdcc-client: -n %d: below 1\n", *repeat)
+		os.Exit(2)
+	}
 	log.SetFlags(0)
 
 	topo, err := mdcc.LoadRemoteTopology(*topoPath)

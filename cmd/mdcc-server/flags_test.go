@@ -1,7 +1,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
+	"os"
+	"os/exec"
 	"reflect"
 	"sort"
 	"strings"
@@ -39,5 +42,26 @@ func TestFlagSurface(t *testing.T) {
 	sort.Strings(got)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flag surface changed:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestNegativeTraceSlowExits: a negative -trace-slow is refused with
+// exit status 2 before the server reads its topology; 0 keeps meaning
+// the recorder's default. -1s used to serve with the 1 s default,
+// because the recorder maps a threshold <= 0 to it. The test
+// re-executes its own binary as mdcc-server (main reads the same flag
+// set).
+func TestNegativeTraceSlowExits(t *testing.T) {
+	if os.Getenv("MDCC_SERVER_AS_MAIN") == "1" {
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestNegativeTraceSlowExits$",
+		"-topology", t.TempDir()+"/missing.json", "-dc", "us-west", "-trace", "-trace-slow", "-1s")
+	cmd.Env = append(os.Environ(), "MDCC_SERVER_AS_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "negative") {
+		t.Errorf("-trace-slow -1s: %v, want exit status 2 naming the negative threshold; output:\n%s", err, out)
 	}
 }

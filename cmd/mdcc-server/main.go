@@ -53,6 +53,10 @@ var (
 
 func main() {
 	flag.Parse()
+	if *traceSlow < 0 {
+		fmt.Fprintf(os.Stderr, "mdcc-server: -trace-slow %s: negative (0 = default 1s)\n", *traceSlow)
+		os.Exit(2)
+	}
 	log.SetPrefix("mdcc-server: ")
 	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
 

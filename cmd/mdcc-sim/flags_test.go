@@ -94,3 +94,23 @@ func TestNegativeSizingExits(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeTraceSlowExits: a negative -scenario.trace-slow is
+// refused with exit status 2, before any run; 0 keeps meaning the
+// recorder's default. -1s used to run with the 1 s default, because the
+// recorder maps a threshold <= 0 to it.
+func TestNegativeTraceSlowExits(t *testing.T) {
+	if os.Getenv("MDCC_SIM_AS_MAIN") == "1" {
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestNegativeTraceSlowExits$",
+		"-scenario", "read-storm", "-no-faults", "-clients", "5", "-duration", "2s",
+		"-scenario.trace", "-scenario.trace-slow", "-1s")
+	cmd.Env = append(os.Environ(), "MDCC_SIM_AS_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "negative") {
+		t.Errorf("-scenario.trace-slow -1s: %v, want exit status 2 naming the negative threshold; output:\n%s", err, out)
+	}
+}

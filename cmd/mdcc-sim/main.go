@@ -53,6 +53,10 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
+	if *traceSlow < 0 {
+		fmt.Fprintf(os.Stderr, "mdcc-sim: -scenario.trace-slow %s: negative (0 = default 1s)\n", *traceSlow)
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, s := range scenario.All() {

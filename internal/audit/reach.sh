@@ -25,6 +25,13 @@ pkgs=""
 for p in core gateway wal kv record mtx paxos ring check trace stats server transport; do
 	pkgs="$pkgs${pkgs:+,}mdcc/internal/$p"
 done
+# links lists, comma-separated, the product packages that the tests of
+# the packages it is given link. A run instruments only those: a
+# -coverpkg entry that nothing in a run links adds no block to its
+# profile and draws a warning from go test.
+links() { go list -deps -test "$@" | grep -Fx -f <(tr , '\n' <<<"$pkgs") | paste -sd, -; }
+srv=$(links ./cmd/mdcc-server)
+bench=$(cd benchmark && links .)
 
 go test -count=1 ./internal/scenario -run 'TestScenarioVerdictsGolden|TestProtocolTrafficSurvivesWire' \
 	-coverpkg="$pkgs" -coverprofile="$out/scenario.cov" >/dev/null
@@ -32,12 +39,12 @@ go test -count=1 ./internal/scenario -run 'TestScenarioVerdictsGolden|TestProtoc
 # GOFLAGS, builds the servers it spawns with coverage; they inherit
 # GOCOVERDIR. A binary writes no counters unless its own main package is
 # instrumented as well.
-go test -c -o "$out/process.test" -cover -coverpkg="$pkgs" ./cmd/mdcc-server
-(cd cmd/mdcc-server && GOFLAGS="-cover -coverpkg=$pkgs,mdcc/cmd/mdcc-server" GOCOVERDIR="$out/servers" \
+go test -c -o "$out/process.test" -cover -coverpkg="$srv" ./cmd/mdcc-server
+(cd cmd/mdcc-server && GOFLAGS="-cover -coverpkg=$srv,mdcc/cmd/mdcc-server" GOCOVERDIR="$out/servers" \
 	"$out/process.test" -test.count=1 -test.run 'TestServerProcesses|TestGatewayProcessRestart' \
 	-test.gocoverdir="$out/servers" >/dev/null)
 go tool covdata textfmt -i="$out/servers" -pkg="$pkgs" -o "$out/process.cov"
-(cd benchmark && go test -count=1 -run TestSmoke -coverpkg="$pkgs" -coverprofile="$out/bench.cov" . >/dev/null)
+(cd benchmark && go test -count=1 -run TestSmoke -coverpkg="$bench" -coverprofile="$out/bench.cov" . >/dev/null)
 
 # The union: one mode line, then every run's blocks. A block several
 # runs list counts as reached when any of them reached it, both for

@@ -57,6 +57,25 @@ func (t *Tree[V]) checkInvariants() {
 	depthOf(t.root, 0, true)
 }
 
+// fill returns the share of item slots in use, items / (nodes ×
+// maxItems), over every node, or with internal set over the internal
+// nodes below the root only.
+func (t *Tree[V]) fill(internal bool) float64 {
+	nodes, items := 0, 0
+	var walk func(n *node[V], isRoot bool)
+	walk = func(n *node[V], isRoot bool) {
+		if !internal || (!isRoot && n.children != nil) {
+			nodes++
+			items += len(n.items)
+		}
+		for _, c := range n.children {
+			walk(c, false)
+		}
+	}
+	walk(t.root, true)
+	return float64(items) / float64(nodes*t.maxItems())
+}
+
 func TestEmpty(t *testing.T) {
 	tr := New[int]()
 	if tr.Len() != 0 {
@@ -113,6 +132,100 @@ func TestManyInsertsOrdered(t *testing.T) {
 		}
 		if len(keys) != n || keys[0] != "k000000" || keys[n-1] != fmt.Sprintf("k%06d", n-1) {
 			t.Fatalf("deg %d: %d keys, %q..%q", deg, len(keys), keys[0], keys[n-1])
+		}
+	}
+}
+
+// fillShapes returns n keys in three insertion orders: ascending;
+// interleaved, 32 ascending runs of 50 keys taking turns (the shape of
+// a preload that commits 50 keys per transaction, 32 at a time); and a
+// seeded random permutation.
+func fillShapes(n int) (ascending, interleaved, random []string) {
+	ascending = make([]string, n)
+	for i := range ascending {
+		ascending[i] = fmt.Sprintf("k%06d", i)
+	}
+	const runs, run = 32, 50
+	for w := 0; w < n; w += runs * run {
+		for j := 0; j < run; j++ {
+			for r := 0; r < runs; r++ {
+				if k := w + r*run + j; k < n {
+					interleaved = append(interleaved, ascending[k])
+				}
+			}
+		}
+	}
+	random = make([]string, n)
+	for i, p := range rand.New(rand.NewSource(1)).Perm(n) {
+		random[i] = ascending[p]
+	}
+	return ascending, interleaved, random
+}
+
+// An insert fills a full child's sibling before it splits the child, so
+// the slots a replica pays for per key are mostly in use. The floors
+// sit just under the measured fill (5000 keys, as many as each replica
+// holds under the benchmark's wan-rmw); splitting at the median alone
+// measured 0.33, 0.40, 0.47 and 0.49 ascending, 0.37, 0.44, 0.51 and
+// 0.74 interleaved, and 0.59, 0.64, 0.67 and 0.68 random at degrees 2,
+// 3, 8 and 32.
+func TestNodeFill(t *testing.T) {
+	ascending, interleaved, random := fillShapes(5000)
+	for _, c := range []struct {
+		name   string
+		keys   []string
+		floors map[int]float64 // degree → floor
+	}{
+		{"ascending", ascending, map[int]float64{2: 0.99, 3: 0.99, 8: 0.99, 32: 0.96}},
+		{"interleaved", interleaved, map[int]float64{2: 0.80, 3: 0.80, 8: 0.81, 32: 0.77}},
+		{"random", random, map[int]float64{2: 0.69, 3: 0.76, 8: 0.79, 32: 0.80}},
+	} {
+		for _, deg := range []int{2, 3, 8, 32} {
+			tr := NewDegree[int](deg)
+			ref := map[string]int{}
+			for i, k := range c.keys {
+				tr.Put(k, i)
+				ref[k] = i
+			}
+			tr.checkInvariants()
+			if !agrees(tr, ref) {
+				t.Fatalf("%s deg %d: tree and map disagree", c.name, deg)
+			}
+			if f := tr.fill(false); f < c.floors[deg] {
+				t.Errorf("%s deg %d: fill %.3f, floor %.2f", c.name, deg, f, c.floors[deg])
+			}
+		}
+	}
+}
+
+// Rotations through internal nodes move the edge child pointer with the
+// item: ascending inserts rotate into left siblings and descending ones
+// into right siblings at every level, so internal nodes below the root
+// fill up too (splitting alone leaves each at degree-1 items, a third
+// of a degree-2 node). A misplaced edge puts a subtree on the wrong
+// side of its separator, which the in-order walk and the lookups in
+// agrees catch.
+func TestRotationsMoveEdges(t *testing.T) {
+	ascending, _, _ := fillShapes(3000)
+	for _, deg := range []int{2, 3} {
+		for _, descending := range []bool{false, true} {
+			tr := NewDegree[int](deg)
+			ref := map[string]int{}
+			for i := range ascending {
+				k := ascending[i]
+				if descending {
+					k = ascending[len(ascending)-1-i]
+				}
+				tr.Put(k, i)
+				ref[k] = i
+				tr.checkInvariants()
+			}
+			if !agrees(tr, ref) {
+				t.Fatalf("deg %d descending=%v: tree and map disagree", deg, descending)
+			}
+			if f := tr.fill(true); f < 0.95 {
+				t.Errorf("deg %d descending=%v: internal fill %.3f, floor 0.95", deg, descending, f)
+			}
 		}
 	}
 }

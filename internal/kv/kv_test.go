@@ -239,14 +239,16 @@ func TestConcurrentAccess(t *testing.T) {
 // what one committed one-attribute value still costs after two
 // collections — key, tree slot, version and the value itself. Every
 // replica pays it per key for as long as it runs. Measured go1.24,
-// amd64: 100 B with the tree holding the value's record.Encoded bytes
-// as given (exact-size) and the tombstone bit read from them, 116 B
-// when it kept the bit beside them, 372 B when it held a record.Value
-// (a map per stored value).
+// amd64: 66 B with the value held in its tree node and nodes filled
+// before they split, 100 B when each value had a box of its own and a
+// node split at the median only (ascending keys left every node half
+// full), 116 B when the tree kept the tombstone bit beside the
+// record.Encoded bytes, 372 B when it held a record.Value (a map per
+// stored value).
 func TestResidentBytesPerStoredValue(t *testing.T) {
 	const (
 		keys        = 20_000
-		maxPerValue = 200
+		maxPerValue = 72
 	)
 	live := func() uint64 {
 		runtime.GC()
