@@ -63,3 +63,24 @@ func TestRepeatBelowOneExits(t *testing.T) {
 		}
 	}
 }
+
+// TestRetriesBelowOneExits: -retries below 1 is refused with exit
+// status 2 naming the flag, before the client reads its topology.
+// `-retries 0 set k v=1` used to make one attempt, the same as
+// `-retries 1`, because Session.Transact reads a count below 1 as 1.
+func TestRetriesBelowOneExits(t *testing.T) {
+	if os.Getenv("MDCC_CLIENT_AS_MAIN") == "1" {
+		main()
+		return
+	}
+	for _, n := range []string{"0", "-5"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestRetriesBelowOneExits$",
+			"-topology", t.TempDir()+"/missing.json", "-retries", n, "set", "k", "v=1")
+		cmd.Env = append(os.Environ(), "MDCC_CLIENT_AS_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "-retries "+n+": below 1") {
+			t.Errorf("-retries %s set k v=1: %v, want exit status 2 naming the flag and the bound; output:\n%s", n, err, out)
+		}
+	}
+}

@@ -52,6 +52,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mdcc-client: -n %d: below 1\n", *repeat)
 		os.Exit(2)
 	}
+	if *retries < 1 {
+		fmt.Fprintf(os.Stderr, "mdcc-client: -retries %d: below 1\n", *retries)
+		os.Exit(2)
+	}
 	log.SetFlags(0)
 
 	topo, err := mdcc.LoadRemoteTopology(*topoPath)

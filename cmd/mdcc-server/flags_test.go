@@ -65,3 +65,23 @@ func TestNegativeTraceSlowExits(t *testing.T) {
 		t.Errorf("-trace-slow -1s: %v, want exit status 2 naming the negative threshold; output:\n%s", err, out)
 	}
 }
+
+// TestNegativeCheckpointIntervalExits: a negative -checkpoint-interval
+// is refused with exit status 2 naming the flag, before the server
+// reads its topology; only 0 disables checkpoints. -1s used to disable
+// them as 0 does, because the node arms its checkpoint timer only for
+// an interval above 0.
+func TestNegativeCheckpointIntervalExits(t *testing.T) {
+	if os.Getenv("MDCC_SERVER_AS_MAIN") == "1" {
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestNegativeCheckpointIntervalExits$",
+		"-topology", t.TempDir()+"/missing.json", "-dc", "us-west", "-data", t.TempDir(), "-checkpoint-interval", "-1s")
+	cmd.Env = append(os.Environ(), "MDCC_SERVER_AS_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "-checkpoint-interval -1s: negative") {
+		t.Errorf("-checkpoint-interval -1s: %v, want exit status 2 naming the flag; output:\n%s", err, out)
+	}
+}

@@ -42,7 +42,7 @@ var (
 	dataDir  = flag.String("data", "", "durable store directory (empty = in-memory)")
 	httpAddr = flag.String("http", "", "optional HTTP endpoint serving /metrics and /healthz")
 
-	ckptEvery = flag.Duration("checkpoint-interval", server.CheckpointEvery, "how often durable nodes snapshot full state and truncate the WAL; 0 disables and recovery replays the whole log (with -data)")
+	ckptEvery = flag.Duration("checkpoint-interval", server.CheckpointEvery, "how often durable nodes snapshot full state and truncate the WAL; only 0 disables, and recovery then replays the whole log (with -data); a negative interval is refused")
 
 	gwMode = flag.Bool("gateway", false, "host this DC's transaction gateway tier (mdcc.DialGateway clients)")
 
@@ -55,6 +55,10 @@ func main() {
 	flag.Parse()
 	if *traceSlow < 0 {
 		fmt.Fprintf(os.Stderr, "mdcc-server: -trace-slow %s: negative (0 = default 1s)\n", *traceSlow)
+		os.Exit(2)
+	}
+	if *ckptEvery < 0 {
+		fmt.Fprintf(os.Stderr, "mdcc-server: -checkpoint-interval %s: negative (only 0 disables checkpoints)\n", *ckptEvery)
 		os.Exit(2)
 	}
 	log.SetPrefix("mdcc-server: ")

@@ -1,13 +1,22 @@
 // Package btree implements an in-memory B-tree keyed by string. It is
 // the ordered-map substrate under internal/kv — the role Oracle BDB
-// Java Edition plays in the paper's prototype — and carries exactly what
-// the store does: insert, replace, point lookup and ordered range scans
-// (the storage layer range-partitions tables by key). The store never
-// removes a key (a delete is a tombstone value), so neither does the
-// tree.
+// Java Edition plays in the paper's prototype — and carries exactly
+// insert, replace, point lookup and ordered range scans (the storage
+// layer range-partitions tables by key). internal/core keeps three more
+// per-key sets in it: a storage node's index of the records it has
+// touched, each feed subscriber's interest set, and a coordinator's
+// per-key lineage sequences. None of its users removes a single key:
+// the store's delete is a tombstone value, a storage node never forgets
+// a record, and the interest set and the sequences are dropped whole
+// (a new feed epoch, a lane rotation). So the tree has no delete, and a
+// key costs one item slot: about 31 B for a string key and a word-sized
+// value, where a Go map of the same pair takes 44–55 B.
 //
-// The tree is not safe for concurrent use; internal/kv serializes
-// access per storage node.
+// The tree is not safe for concurrent use; each user serializes access
+// per node (internal/kv per storage node, internal/core in the node's
+// handler context). A callback of AscendRange must not call Put, not
+// even to replace a value: a Put may split or rotate nodes on its way
+// down.
 package btree
 
 import "sort"

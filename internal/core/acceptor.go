@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"mdcc/internal/btree"
 	"mdcc/internal/kv"
 	"mdcc/internal/paxos"
 	"mdcc/internal/record"
@@ -27,9 +28,12 @@ type StorageNode struct {
 	cfg   Config
 	q     paxos.Quorum
 	store *kv.Store
-	recs  map[record.Key]*recState
-	ldrs  map[record.Key]*leaderRec
-	tr    *trace.Ring // flight-recorder ring, nil when tracing is off
+	// recs holds every record the node has touched, in key order. A
+	// record is never forgotten, so the index needs no delete, and the
+	// pending sweep and the checkpoint walk it in key order as it lies.
+	recs *btree.Tree[*recState]
+	ldrs map[record.Key]*leaderRec
+	tr   *trace.Ring // flight-recorder ring, nil when tracing is off
 	// freeVotes holds the vote arrays of records whose last unresolved
 	// vote settled, for the next record that votes (see takeVoteSlots);
 	// freeOpen the open parts of records that went back to rest, for the
@@ -146,7 +150,7 @@ func NewStorageNode(id transport.NodeID, dc topology.DC, net transport.Network,
 		q:            paxos.NewQuorum(cl.ReplicationFactor()),
 		tr:           cfg.Tracer.Ring(string(id), int(dc)),
 		store:        store,
-		recs:         make(map[record.Key]*recState),
+		recs:         btree.New[*recState](),
 		ldrs:         make(map[record.Key]*leaderRec),
 		recoveries:   make(map[uint64]*txRecovery),
 		feedSubs:     make(map[transport.NodeID]*feedSub),
@@ -363,10 +367,10 @@ func (n *StorageNode) dispatch(env transport.Envelope) {
 
 // rs returns (creating lazily) the record's acceptor state, at rest.
 func (n *StorageNode) rs(key record.Key) *recState {
-	r, ok := n.recs[key]
+	r, ok := n.recs.Get(string(key))
 	if !ok {
 		r = &recState{}
-		n.recs[key] = r
+		n.recs.Put(string(key), r)
 	}
 	return r
 }
@@ -591,7 +595,7 @@ func (n *StorageNode) escrowSnap(key record.Key, val record.Encoded, ver record.
 		return EscrowSnap{}
 	}
 	var pending []VotedOption
-	if r, ok := n.recs[key]; ok {
+	if r, ok := n.recs.Get(string(key)); ok {
 		pending = r.votes()
 	}
 	snap := EscrowSnap{Valid: true, Version: ver, Contenders: contenderGroups(pending, recipient)}
@@ -1342,7 +1346,7 @@ func (n *StorageNode) onEnableFast(m MsgEnableFast) {
 // identical settled sets. Packages that must not import core's types
 // (internal/check) compare these strings.
 func (n *StorageNode) LineageFingerprint(key record.Key) string {
-	if r, ok := n.recs[key]; ok {
+	if r, ok := n.recs.Get(string(key)); ok {
 		return r.decided.summary().unpack(&n.lanes).String()
 	}
 	return LineageSummary{}.String()

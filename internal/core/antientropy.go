@@ -88,7 +88,7 @@ func (n *StorageNode) onSyncReq(from transport.NodeID, m MsgSyncReq) {
 		}
 		count++
 		entry := SyncEntry{Key: e.Key, Value: e.Value, Version: e.Version}
-		if r, ok := n.recs[e.Key]; ok {
+		if r, ok := n.recs.Get(string(e.Key)); ok {
 			entry.Lineage = r.decided.summary().unpack(&n.lanes)
 		}
 		reply.Entries = append(reply.Entries, entry)
@@ -227,11 +227,11 @@ func (n *StorageNode) Unsettled(sel func(record.Key) bool) int {
 		return 0
 	}
 	total := 0
-	for key, r := range n.recs {
-		if sel != nil && !sel(key) {
-			continue
+	n.recs.AscendRange("", "", func(key string, r *recState) bool {
+		if sel == nil || sel(record.Key(key)) {
+			total += len(r.votes())
 		}
-		total += len(r.votes())
-	}
+		return true
+	})
 	return total
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"mdcc/internal/record"
 	"mdcc/internal/wal"
 )
@@ -51,18 +49,13 @@ func (n *StorageNode) Checkpoint() {
 // entry expanded into its decision body. The bodies share one buffer:
 // when it grows, the bodies already written stay in the array they
 // were written to, which nothing writes again. Each summary is
-// unpacked into one of its own. Keys are emitted in sorted order so
-// identical states checkpoint to identical bytes.
+// unpacked into one of its own. Keys are emitted in the index's key
+// order, so identical states checkpoint to identical bytes.
 func (n *StorageNode) snapshotOplog() []oplogEntry {
-	keys := make([]record.Key, 0, len(n.recs))
-	for k := range n.recs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	var out []oplogEntry
 	var bodies []byte
-	for _, k := range keys {
-		r := n.recs[k]
+	n.recs.AscendRange("", "", func(key string, r *recState) bool {
+		k := record.Key(key)
 		if !r.decided.summary().isEmpty() {
 			s := r.decided.summary().unpack(&n.lanes)
 			out = append(out, oplogEntry{Key: k, Snapshot: &s})
@@ -73,7 +66,8 @@ func (n *StorageNode) snapshotOplog() []oplogEntry {
 			out = append(out, oplogEntry{Key: k, Decision: bodies[start:len(bodies):len(bodies)]})
 			return true
 		})
-	}
+		return true
+	})
 	return out
 }
 

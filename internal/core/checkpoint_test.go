@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -404,5 +406,82 @@ func TestDegradedDispatchSendsNothing(t *testing.T) {
 				t.Fatalf("degraded dispatch sent %d messages: %+v", len(net.sent), net.sent)
 			}
 		})
+	}
+}
+
+// TestSnapshotWalksKeyOrder: a checkpoint lists the node's records in
+// key order, whatever order they were settled in, so two replicas that
+// hold the same state write the same snapshot. Records settle an
+// insert and then an increment, in a shuffled key order on one durable
+// node and in the reverse of that order on another: the first node's
+// snapshotOplog never steps back in key order and names every record,
+// and the two nodes' checkpoints are equal byte for byte.
+func TestSnapshotWalksKeyOrder(t *testing.T) {
+	const records = 300
+	order := rand.New(rand.NewSource(57)).Perm(records)
+	key := func(i int) record.Key { return record.Key(fmt.Sprintf("walk/%04d", i)) }
+	checkpoint := func(order []int) (*StorageNode, []byte) {
+		dir := t.TempDir()
+		ds, err := OpenDurableOpts(dir, DurableOptions{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ds.Close() })
+		cl := topology.NewCluster(topology.Layout{NodesPerDC: 1, ClientDC: -1})
+		cfg := Defaults(ModeMDCC)
+		cfg.PendingTimeout = 0
+		net := &codecNet{}
+		n := NewDurableStorageNode(cl.Storage[0].ID, cl.Storage[0].DC, net, cl, cfg, ds)
+		const coord = "gw/us-west/c0"
+		for round := 0; round < 2; round++ {
+			for _, i := range order {
+				up := record.Insert(key(i), record.Value{Attrs: map[string]int64{"n": 0}})
+				if round > 0 {
+					up = record.Commutative(key(i), map[string]int64{"n": 1})
+				}
+				seq := uint64(round + 1)
+				opt := Option{
+					Tx: TxID(fmt.Sprintf("%s#%d", coord, 2*i+round+1)), Coord: coord, Update: up,
+					WriteSet: []record.Key{key(i)}, KeySeq: seq, WriteSeqs: []uint64{seq},
+				}
+				net.deliver(t, coord, n.ID(), MsgProposeBatch{Opts: []Option{opt}})
+				net.deliver(t, coord, n.ID(), visibilityFor(opt, true))
+			}
+		}
+		if got := n.Metrics().Executed; got != 2*records {
+			t.Fatalf("executed %d options, want %d", got, 2*records)
+		}
+		n.Checkpoint()
+		if n.Durability().Checkpoints != 1 {
+			t.Fatalf("no checkpoint taken: %+v", n.Durability())
+		}
+		snapDir := filepath.Join(dir, "snap")
+		seqs, err := wal.ListSnapshots(snapDir)
+		if err != nil || len(seqs) != 1 {
+			t.Fatalf("snapshots %v, %v", seqs, err)
+		}
+		payload, err := wal.ReadSnapshot(snapDir, seqs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n, payload
+	}
+
+	n, shuffled := checkpoint(order)
+	var named []record.Key
+	for _, e := range n.snapshotOplog() {
+		if len(named) > 0 && e.Key < named[len(named)-1] {
+			t.Fatalf("snapshotOplog emits %s after %s", e.Key, named[len(named)-1])
+		}
+		if len(named) == 0 || e.Key != named[len(named)-1] {
+			named = append(named, e.Key)
+		}
+	}
+	if len(named) != records {
+		t.Fatalf("snapshotOplog names %d records, want %d", len(named), records)
+	}
+	slices.Reverse(order)
+	if _, reversed := checkpoint(order); !bytes.Equal(shuffled, reversed) {
+		t.Fatalf("the same settles in opposite orders checkpoint to different bytes (%d and %d B)", len(shuffled), len(reversed))
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mdcc/internal/btree"
 	"mdcc/internal/paxos"
 	"mdcc/internal/record"
 	"mdcc/internal/topology"
@@ -69,10 +70,11 @@ type Coordinator struct {
 	// contiguous by construction. A counter word can never be evicted
 	// individually (reuse would alias identities, a gap would fragment
 	// the lane's interval set forever), so the bound works by lane
-	// rotation: once the map holds keySeqWords words the whole lane
+	// rotation: once the tree holds keySeqWords words the whole lane
 	// retires and a fresh era starts minting from scratch (see
-	// rotateLane).
-	keySeqs map[record.Key]uint64
+	// rotateLane). Since no word leaves but with its lane, an ordered
+	// tree, which has no delete, holds them in fewer bytes than a map.
+	keySeqs *btree.Tree[uint64]
 
 	// escrowObs, when set, receives every escrow snapshot piggybacked
 	// on votes and read replies (the gateway tier's freshness channel).
@@ -181,7 +183,7 @@ func NewCoordinator(id transport.NodeID, dc topology.DC, net transport.Network,
 		reads:   make(map[uint64]*readCtx),
 		txs:     make(map[TxID]*txCtx),
 		hints:   make(map[record.Key]leaderHint),
-		keySeqs: make(map[record.Key]uint64),
+		keySeqs: btree.New[uint64](),
 		vis:     make(map[transport.NodeID]visQueue),
 	}
 	// Read request ids count up from the construction instant: a
@@ -216,28 +218,28 @@ func (c *Coordinator) txID() TxID {
 	return TxID(c.lane + "#" + strconv.FormatUint(c.txSeq, 10))
 }
 
-// keySeqWords bounds the per-(lane, key) sequence counter map: a
+// keySeqWords bounds the per-(lane, key) sequence counters: a
 // coordinator that has minted sequences for this many distinct keys
 // retires its lane (see rotateLane), keeping lineage bookkeeping O(live
 // keys) instead of O(keys ever written).
 const keySeqWords = 4096
 
-// rotateLane retires the current lineage lane when its counter map is
+// rotateLane retires the current lineage lane when its counter tree is
 // full: the era bumps (changing the TxID prefix, i.e. the lane) and a
-// fresh map starts minting per-key sequences from 1 again. The retired
+// fresh tree starts minting per-key sequences from 1 again. The retired
 // lane never mints again, so its counter words are dead the moment it
-// retires and the whole map is dropped at once — coordinator lineage
+// retires and the whole tree is dropped at once — coordinator lineage
 // state is O(keys live in the current lane), not O(keys ever written).
 // Acceptor-side summaries stay exact and compact: each retired lane's
 // intervals are frozen (at quiescence a single [1..W] range per key),
 // and the new lane cannot alias them because its TxID prefix differs.
 func (c *Coordinator) rotateLane() {
-	if len(c.keySeqs) < keySeqWords {
+	if c.keySeqs.Len() < keySeqWords {
 		return
 	}
 	c.era++
 	c.setLane()
-	c.keySeqs = make(map[record.Key]uint64)
+	c.keySeqs = btree.New[uint64]()
 }
 
 // send is how every message this coordinator sends reaches a replica:
@@ -555,8 +557,10 @@ func (c *Coordinator) Commit(updates []record.Update, done func(CommitResult)) {
 		writeSet = append(writeSet, up.Key)
 		// Mint the option's lineage identity: the per-(coordinator
 		// incarnation, key) proposal sequence (see LineageSummary).
-		c.keySeqs[up.Key]++
-		writeSeqs = append(writeSeqs, c.keySeqs[up.Key])
+		seq, _ := c.keySeqs.Get(string(up.Key))
+		seq++
+		c.keySeqs.Put(string(up.Key), seq)
+		writeSeqs = append(writeSeqs, seq)
 	}
 	t := &txCtx{
 		id:        tx,

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"mdcc/internal/btree"
 	"mdcc/internal/record"
 	"mdcc/internal/trace"
 	"mdcc/internal/transport"
@@ -90,13 +91,21 @@ var feedInterestMax = 1 << 16
 // with what is written (a write-only workload costs keepalives and
 // nothing else). Registration is the subscription's CatchUp list;
 // same-epoch subscriptions add to it incrementally (the gateway sends
-// one per cold-miss fill) and a new epoch replaces it wholesale.
+// one per cold-miss fill) and a new epoch replaces it wholesale. So no
+// key ever leaves a set but with the whole set, and an ordered tree,
+// which has no delete, holds it in fewer bytes a key than a hash set.
 type feedSub struct {
 	epoch     uint64
 	seq       uint64
 	lastSent  time.Time
 	lastHeard time.Time // last (re)subscription/renewal from the subscriber
-	interest  map[record.Key]bool
+	interest  *btree.Tree[struct{}]
+}
+
+// wants reports whether key is in the subscriber's interest set.
+func (sub *feedSub) wants(key record.Key) bool {
+	_, ok := sub.interest.Get(string(key))
+	return ok
 }
 
 // feedSubTTL expires subscriptions whose subscriber has gone silent:
@@ -145,7 +154,7 @@ func (n *StorageNode) onVisibilitySub(from transport.NodeID, m MsgVisibilitySub)
 	if !ok || sub.epoch != m.Epoch {
 		sub.epoch = m.Epoch
 		sub.seq = 0
-		sub.interest = make(map[record.Key]bool, len(m.CatchUp))
+		sub.interest = btree.New[struct{}]()
 	}
 	sub.lastHeard = n.net.Now()
 	var items []FeedItem // nil, not empty, when nothing is caught up: what the wire decodes
@@ -153,11 +162,11 @@ func (n *StorageNode) onVisibilitySub(from transport.NodeID, m MsgVisibilitySub)
 		if i >= FeedCatchUpMax {
 			break
 		}
-		if !sub.interest[key] {
-			if len(sub.interest) >= feedInterestMax {
+		if !sub.wants(key) {
+			if sub.interest.Len() >= feedInterestMax {
 				continue // rejected: not registered, so never echoed
 			}
-			sub.interest[key] = true
+			sub.interest.Put(string(key), struct{}{})
 		}
 		items = append(items, n.feedItem(key, from))
 	}
@@ -191,7 +200,7 @@ func (n *StorageNode) markFeedDirty(key record.Key) {
 	}
 	wanted := false
 	for _, sub := range n.feedSubs {
-		if sub.interest[key] {
+		if sub.wants(key) {
 			wanted = true
 			break
 		}
@@ -255,7 +264,7 @@ func (n *StorageNode) flushFeedsNow() {
 		// duplicate snapshot work is bounded and tiny).
 		send := make([]FeedItem, 0, len(dirty))
 		for _, key := range dirty {
-			if sub.interest[key] {
+			if sub.wants(key) {
 				send = append(send, n.feedItem(key, to))
 			}
 		}

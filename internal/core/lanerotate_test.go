@@ -11,18 +11,18 @@ import (
 // TestLaneRotationBoundsKeySeqs pins the lineage memory bound and its
 // eviction rule: per-(lane, key) counter words are never evicted
 // individually (a seq gap or reuse would corrupt summary identities);
-// instead, once the map holds keySeqWords words the whole lane retires
-// — the era bumps, changing the TxID prefix, and a fresh map mints
+// instead, once the tree holds keySeqWords words the whole lane retires
+// — the era bumps, changing the TxID prefix, and a fresh tree mints
 // from 1 again. The coordinator's lineage state is therefore O(keys
 // live in the current lane) no matter how many keys it ever wrote. The
-// map is pre-filled with words for keys never proposed, so a handful of
+// tree is pre-filled with words for keys never proposed, so a handful of
 // commits reach the bound.
 func TestLaneRotationBoundsKeySeqs(t *testing.T) {
 	w := newWorld(t, cfgNoSweep(ModeMDCC), 1, 1, 11)
 	c := w.coords[0]
 	fill := func(words int) {
 		for i := 0; i < words; i++ {
-			c.keySeqs[record.Key(fmt.Sprintf("filler/e%d/%d", c.era, i))] = 1
+			c.keySeqs.Put(fmt.Sprintf("filler/e%d/%d", c.era, i), 1)
 		}
 	}
 	insert := func(key record.Key) CommitResult {
@@ -39,17 +39,17 @@ func TestLaneRotationBoundsKeySeqs(t *testing.T) {
 	// never mid-lane).
 	fill(keySeqWords - 1)
 	insert("item/l0")
-	if c.era != 0 || len(c.keySeqs) != keySeqWords {
-		t.Fatalf("full lane: era=%d words=%d, want era 0 with %d words", c.era, len(c.keySeqs), keySeqWords)
+	if c.era != 0 || c.keySeqs.Len() != keySeqWords {
+		t.Fatalf("full lane: era=%d words=%d, want era 0 with %d words", c.era, c.keySeqs.Len(), keySeqWords)
 	}
 
-	// The next write triggers rotation: era 1, fresh map.
+	// The next write triggers rotation: era 1, fresh tree.
 	res := insert("item/l1")
 	if c.era != 1 {
 		t.Fatalf("era = %d after exceeding keySeqWords, want 1", c.era)
 	}
-	if len(c.keySeqs) != 1 {
-		t.Fatalf("rotated lane holds %d words, want 1 (only the new write)", len(c.keySeqs))
+	if c.keySeqs.Len() != 1 {
+		t.Fatalf("rotated lane holds %d words, want 1 (only the new write)", c.keySeqs.Len())
 	}
 	if !strings.Contains(string(res.Tx), "~e1#") {
 		t.Fatalf("rotated-lane TxID %q does not carry the era", res.Tx)
@@ -62,8 +62,8 @@ func TestLaneRotationBoundsKeySeqs(t *testing.T) {
 	if !res.Committed {
 		t.Fatal("re-write of retired-lane key aborted")
 	}
-	if c.keySeqs["item/l0"] != 1 {
-		t.Fatalf("retired-lane key re-minted at seq %d, want 1 in the fresh lane", c.keySeqs["item/l0"])
+	if seq, _ := c.keySeqs.Get("item/l0"); seq != 1 {
+		t.Fatalf("retired-lane key re-minted at seq %d, want 1 in the fresh lane", seq)
 	}
 	w.settle()
 
@@ -89,9 +89,9 @@ func TestLaneRotationBoundsKeySeqs(t *testing.T) {
 	}
 
 	// A lane full again retires again.
-	fill(keySeqWords - len(c.keySeqs))
+	fill(keySeqWords - c.keySeqs.Len())
 	insert("item/l2")
-	if c.era != 2 || len(c.keySeqs) != 1 {
-		t.Fatalf("second rotation: era=%d words=%d, want era 2 with 1 word", c.era, len(c.keySeqs))
+	if c.era != 2 || c.keySeqs.Len() != 1 {
+		t.Fatalf("second rotation: era=%d words=%d, want era 2 with 1 word", c.era, c.keySeqs.Len())
 	}
 }

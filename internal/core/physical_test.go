@@ -463,10 +463,11 @@ func TestReopenDropsPhysicalEntries(t *testing.T) {
 func checkGauges(t *testing.T, n *StorageNode) {
 	t.Helper()
 	var entries, bytes int64
-	for _, r := range n.recs {
+	n.recs.AscendRange("", "", func(_ string, r *recState) bool {
 		entries += int64(r.decided.len())
 		bytes += int64(cap(r.decided.buf))
-	}
+		return true
+	})
 	if m := n.Metrics(); m.DecidedEntries != entries || m.DecidedBytes != bytes {
 		t.Errorf("%s: gauges read %d entries, %d B; its logs hold %d entries, %d B",
 			n.ID(), m.DecidedEntries, m.DecidedBytes, entries, bytes)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"mdcc/internal/record"
 	"mdcc/internal/trace"
 	"mdcc/internal/transport"
@@ -51,20 +49,16 @@ func (n *StorageNode) sweepPending() {
 	// records that vote next refill them, and voting reuses what they
 	// put back until the next sweep.
 	n.freeVotes, n.freeOpen = nil, nil
-	// Deterministic scan order (map iteration would reorder recovery
-	// sends between same-seed runs).
-	keys := make([]record.Key, 0, len(n.recs))
-	for k := range n.recs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	// The index walks in key order, so same-seed runs send their
+	// recoveries in the same order. The walk changes records through
+	// their pointers and never puts to the index (see btree).
 	var stale []Option
-	for _, k := range keys {
-		r := n.recs[k]
+	n.recs.AscendRange("", "", func(key string, r *recState) bool {
+		k := record.Key(key)
 		n.compactDecided(k, r, true)
 		o := r.open
 		if o == nil || o.votes == nil {
-			continue
+			return true
 		}
 		// Release votes for options already settled here (the settle
 		// arrived via a base adoption, so no visibility message ever
@@ -85,7 +79,8 @@ func (n *StorageNode) sweepPending() {
 			}
 			stale = append(stale, v.Opt)
 		}
-	}
+		return true
+	})
 	started := make(map[TxID]bool)
 	for _, opt := range stale {
 		if started[opt.Tx] || n.txRecoveryInFlight(opt.Tx) {
