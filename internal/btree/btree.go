@@ -1,16 +1,19 @@
 // Package btree implements an in-memory B-tree keyed by string. It is
 // the ordered-map substrate under internal/kv — the role Oracle BDB
 // Java Edition plays in the paper's prototype — and carries exactly
-// insert, replace, point lookup and ordered range scans (the storage
-// layer range-partitions tables by key). internal/core keeps three more
-// per-key sets in it: a storage node's index of the records it has
-// touched, each feed subscriber's interest set, and a coordinator's
-// per-key lineage sequences. None of its users removes a single key:
-// the store's delete is a tombstone value, a storage node never forgets
-// a record, and the interest set and the sequences are dropped whole
-// (a new feed epoch, a lane rotation). So the tree has no delete, and a
-// key costs one item slot: about 31 B for a string key and a word-sized
-// value, where a Go map of the same pair takes 44–55 B.
+// insert, replace (Put, or Slot to change a value where it lies),
+// point lookup and ordered range scans (the storage layer range-partitions
+// tables by key). The store's rows are also a storage node's index of
+// the records it has touched: each row carries the handle of its
+// record's Paxos state (see internal/kv). internal/core keeps two more
+// per-key sets in it: each feed subscriber's interest set, and a
+// coordinator's per-key lineage sequences. None of its users removes a
+// single key: the store's delete is a tombstone value, a storage node
+// never forgets a record, and the interest set and the sequences are
+// dropped whole (a new feed epoch, a lane rotation). So the tree has no
+// delete, and a key costs one item slot: about 31 B for a string key
+// and a word-sized value, where a Go map of the same pair takes 44–55
+// B.
 //
 // The tree is not safe for concurrent use; each user serializes access
 // per node (internal/kv per storage node, internal/core in the node's
@@ -18,8 +21,6 @@
 // even to replace a value: a Put may split or rotate nodes on its way
 // down.
 package btree
-
-import "sort"
 
 // degree is the minimum number of children of an internal node
 // (except the root). A node holds between degree-1 and 2*degree-1 keys.
@@ -64,39 +65,63 @@ func (t *Tree[V]) Len() int { return t.size }
 
 // Get returns the value stored under key and whether it exists.
 func (t *Tree[V]) Get(key string) (val V, ok bool) {
-	n := t.root
+	if p := lookup(t.root, key); p != nil {
+		return *p, true
+	}
+	return val, false
+}
+
+// lookup returns a pointer to the value stored under key in the
+// subtree at n, nil if the key is absent there.
+func lookup[V any](n *node[V], key string) *V {
 	for n != nil {
 		i, found := n.search(key)
 		if found {
-			return n.items[i].val, true
+			return &n.items[i].val
 		}
 		if n.children == nil {
 			break
 		}
 		n = n.children[i]
 	}
-	return val, false
+	return nil
 }
 
 // Put inserts or replaces the value under key. It reports whether the
 // key was newly inserted (false means replaced).
 func (t *Tree[V]) Put(key string, val V) bool {
+	p, inserted := t.Slot(key)
+	*p = val
+	return inserted
+}
+
+// Slot returns a pointer to the value stored under key, inserting the
+// zero value first if the key is absent, and reports whether it
+// inserted, so a caller can change part of a value, or fill a new one
+// field by field, where it lies. The pointer is good until the next Put
+// or Slot, which may move items between nodes.
+//
+// A replace moves nothing: the descent makes room in every full node it
+// passes, by a rotation or a split, only once a lookup under that node
+// has not found the key. A replace that split full nodes for a key
+// that needs no room would take a tree filled to the brim by ascending
+// inserts back towards half full under its first round of replaces.
+func (t *Tree[V]) Slot(key string) (*V, bool) {
 	if t.root == nil {
-		t.root = &node[V]{items: []item[V]{{key, val}}}
+		t.root = &node[V]{items: []item[V]{{key: key}}}
 		t.size = 1
-		return true
+		return &t.root.items[0].val, true
 	}
 	if len(t.root.items) == t.maxItems() {
+		if p := lookup(t.root, key); p != nil {
+			return p, false
+		}
 		// Split the root preemptively so insertion never revisits parents.
 		old := t.root
 		t.root = &node[V]{children: []*node[V]{old}}
 		t.splitChild(t.root, 0)
 	}
-	inserted := t.insertNonFull(t.root, key, val)
-	if inserted {
-		t.size++
-	}
-	return inserted
+	return t.insertNonFull(t.root, key)
 }
 
 // AscendRange calls fn for keys in [from, to) in ascending order until
@@ -108,13 +133,19 @@ func (t *Tree[V]) AscendRange(from, to string, fn func(key string, val V) bool) 
 func (t *Tree[V]) maxItems() int { return 2*t.degree - 1 }
 
 // search returns the index of key in n.items if present, else the
-// child index to descend into.
+// child index to descend into. It is sort.Search written out, so a
+// probe compares in place instead of calling a closure.
 func (n *node[V]) search(key string) (int, bool) {
-	i := sort.Search(len(n.items), func(i int) bool { return n.items[i].key >= key })
-	if i < len(n.items) && n.items[i].key == key {
-		return i, true
+	lo, hi := 0, len(n.items)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if n.items[h].key < key {
+			lo = h + 1
+		} else {
+			hi = h
+		}
 	}
-	return i, false
+	return lo, lo < len(n.items) && n.items[lo].key == key
 }
 
 // splitChild splits the full child at index i of parent p.
@@ -185,27 +216,31 @@ func (t *Tree[V]) rotate(p *node[V], i int, key string) bool {
 	return false
 }
 
-func (t *Tree[V]) insertNonFull(n *node[V], key string, val V) bool {
+// insertNonFull is Slot below the root: n has room.
+func (t *Tree[V]) insertNonFull(n *node[V], key string) (*V, bool) {
 	for {
 		i, found := n.search(key)
 		if found {
-			n.items[i].val = val
-			return false
+			return &n.items[i].val, false
 		}
 		if n.children == nil {
 			n.items = append(n.items, item[V]{})
 			copy(n.items[i+1:], n.items[i:])
-			n.items[i] = item[V]{key, val}
-			return true
+			n.items[i] = item[V]{key: key}
+			t.size++
+			return &n.items[i].val, true
 		}
-		if len(n.children[i].items) == t.maxItems() && !t.rotate(n, i, key) {
-			t.splitChild(n, i)
-			if key == n.items[i].key {
-				n.items[i].val = val
-				return false
+		if c := n.children[i]; len(c.items) == t.maxItems() {
+			if p := lookup(c, key); p != nil {
+				return p, false
 			}
-			if key > n.items[i].key {
-				i++
+			// The key is absent, so it cannot be the median a split
+			// lifts into n.
+			if !t.rotate(n, i, key) {
+				t.splitChild(n, i)
+				if key > n.items[i].key {
+					i++
+				}
 			}
 		}
 		n = n.children[i]

@@ -163,7 +163,8 @@ func fillShapes(n int) (ascending, interleaved, random []string) {
 }
 
 // An insert fills a full child's sibling before it splits the child, so
-// the slots a replica pays for per key are mostly in use. The floors
+// the slots a replica pays for per key are mostly in use, and a replace
+// leaves every node as it found it. The floors
 // sit just under the measured fill (5000 keys, as many as each replica
 // holds under the benchmark's wan-rmw); splitting at the median alone
 // measured 0.33, 0.40, 0.47 and 0.49 ascending, 0.37, 0.44, 0.51 and
@@ -191,8 +192,21 @@ func TestNodeFill(t *testing.T) {
 			if !agrees(tr, ref) {
 				t.Fatalf("%s deg %d: tree and map disagree", c.name, deg)
 			}
-			if f := tr.fill(false); f < c.floors[deg] {
+			f := tr.fill(false)
+			if f < c.floors[deg] {
 				t.Errorf("%s deg %d: fill %.3f, floor %.2f", c.name, deg, f, c.floors[deg])
+			}
+			// A replace needs no room, so it splits nothing.
+			for i, k := range c.keys {
+				tr.Put(k, -i)
+				ref[k] = -i
+			}
+			tr.checkInvariants()
+			if !agrees(tr, ref) {
+				t.Fatalf("%s deg %d: tree and map disagree after the replaces", c.name, deg)
+			}
+			if g := tr.fill(false); g != f {
+				t.Errorf("%s deg %d: replacing every key moved the fill %.3f → %.3f", c.name, deg, f, g)
 			}
 		}
 	}
@@ -358,5 +372,40 @@ func BenchmarkGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Get(keys[i%len(keys)])
+	}
+}
+
+// Slot hands out the value's slot in its node: a write through it is
+// what the next Get reads, and an absent key gets a slot holding the
+// zero value.
+func TestSlotWritesInPlace(t *testing.T) {
+	tr := NewDegree[int](2)
+	for i := 0; i < 100; i++ {
+		tr.Put(fmt.Sprintf("k%03d", i), i)
+	}
+	for i := 0; i < 100; i += 7 {
+		p, inserted := tr.Slot(fmt.Sprintf("k%03d", i))
+		if inserted || *p != i {
+			t.Fatalf("Slot(k%03d) = %d, inserted %v", i, *p, inserted)
+		}
+		*p = -i
+	}
+	p, inserted := tr.Slot("k100")
+	if !inserted || *p != 0 {
+		t.Fatalf("Slot of an absent key = %d, inserted %v", *p, inserted)
+	}
+	*p = 100
+	tr.checkInvariants()
+	for i := 0; i <= 100; i++ {
+		want := i
+		if i%7 == 0 && i < 100 {
+			want = -i
+		}
+		if got, ok := tr.Get(fmt.Sprintf("k%03d", i)); !ok || got != want {
+			t.Fatalf("k%03d = %d %v, want %d", i, got, ok, want)
+		}
+	}
+	if tr.Len() != 101 {
+		t.Fatalf("Len = %d, want 101", tr.Len())
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"mdcc/internal/btree"
 	"mdcc/internal/kv"
 	"mdcc/internal/paxos"
 	"mdcc/internal/record"
@@ -28,10 +27,14 @@ type StorageNode struct {
 	cfg   Config
 	q     paxos.Quorum
 	store *kv.Store
-	// recs holds every record the node has touched, in key order. A
-	// record is never forgotten, so the index needs no delete, and the
-	// pending sweep and the checkpoint walk it in key order as it lies.
-	recs *btree.Tree[*recState]
+	// slab holds the state of every record the node has touched, and
+	// the store is the node's one index of them: each such record's row
+	// carries the handle of its state here (see row), a hollow row for
+	// a record with nothing committed yet (kv.Store.Bind). A record is
+	// never forgotten, so no handle is ever unbound, and the pending
+	// sweep and the checkpoint walk the records in key order as the rows
+	// lie (eachRecord).
+	slab recSlab
 	ldrs map[record.Key]*leaderRec
 	tr   *trace.Ring // flight-recorder ring, nil when tracing is off
 	// freeVotes holds the vote arrays of records whose last unresolved
@@ -137,6 +140,45 @@ type recOpen struct {
 	p2aSeq uint64
 }
 
+// recChunk is how many records' states one chunk of a node's recSlab
+// holds: 128 × 48 B = 6 144 B, a size class of its own.
+const recChunk = 128
+
+// recSlab holds the states of every record the node has touched, in
+// chunks that are appended and never move, so a *recState stays good
+// for the node's life. A record's handle, bound to its row in the
+// store, is its position in the slab plus one (0 names no record).
+type recSlab struct {
+	chunks []*[recChunk]recState
+	n      uint32
+}
+
+// at returns the state with handle h, nil for 0.
+func (s *recSlab) at(h uint32) *recState {
+	if h == 0 {
+		return nil
+	}
+	h--
+	return &s.chunks[h/recChunk][h%recChunk]
+}
+
+// add returns the handle of a fresh record state.
+func (s *recSlab) add() uint32 {
+	if s.n%recChunk == 0 {
+		s.chunks = append(s.chunks, new([recChunk]recState))
+	}
+	s.n++
+	return s.n
+}
+
+// recRow is what one lookup of a key gives a handler: its committed
+// value and version (nil and 0 before any commit) and its record.
+type recRow struct {
+	val record.Encoded
+	ver record.Version
+	r   *recState
+}
+
 // NewStorageNode builds a storage node bound to id and registers its
 // handler on the network.
 func NewStorageNode(id transport.NodeID, dc topology.DC, net transport.Network,
@@ -150,7 +192,6 @@ func NewStorageNode(id transport.NodeID, dc topology.DC, net transport.Network,
 		q:            paxos.NewQuorum(cl.ReplicationFactor()),
 		tr:           cfg.Tracer.Ring(string(id), int(dc)),
 		store:        store,
-		recs:         btree.New[*recState](),
 		ldrs:         make(map[record.Key]*leaderRec),
 		recoveries:   make(map[uint64]*txRecovery),
 		feedSubs:     make(map[transport.NodeID]*feedSub),
@@ -365,14 +406,35 @@ func (n *StorageNode) dispatch(env transport.Envelope) {
 	}
 }
 
-// rs returns (creating lazily) the record's acceptor state, at rest.
-func (n *StorageNode) rs(key record.Key) *recState {
-	r, ok := n.recs.Get(string(key))
-	if !ok {
-		r = &recState{}
-		n.recs.Put(string(key), r)
+// find looks key up once for its committed value and version and its
+// record (nil if the node has never touched it); ok reports whether
+// the key has a committed value.
+func (n *StorageNode) find(key record.Key) (row recRow, ok bool) {
+	val, ver, ok, h := n.store.Row(key)
+	return recRow{val, ver, n.slab.at(h)}, ok
+}
+
+// row is find for a handler that needs the record: it gives the key a
+// record at rest (and the store a hollow row for it, see
+// kv.Store.Bind) if it has none.
+func (n *StorageNode) row(key record.Key) recRow {
+	row, _ := n.find(key)
+	if row.r == nil {
+		h := n.slab.add()
+		n.store.Bind(key, h)
+		row.r = n.slab.at(h)
 	}
-	return r
+	return row
+}
+
+// rs returns (creating lazily) the record's acceptor state, at rest.
+func (n *StorageNode) rs(key record.Key) *recState { return n.row(key).r }
+
+// eachRecord calls fn for every record the node has touched, in key
+// order, until fn returns false. fn must not call the store (see
+// kv.Store.AscendHandles).
+func (n *StorageNode) eachRecord(fn func(key record.Key, r *recState) bool) {
+	n.store.AscendHandles(func(key record.Key, h uint32) bool { return fn(key, n.slab.at(h)) })
 }
 
 // ballots returns the record's promised and accepted ballots. Records
@@ -564,19 +626,19 @@ func (n *StorageNode) leaderFor(key record.Key) transport.NodeID {
 // reply piggybacks the replica's escrow snapshot so gateways bootstrap
 // exact headroom accounts from any read.
 func (n *StorageNode) onRead(from transport.NodeID, m MsgRead) {
-	val, ver, ok := n.store.GetEncoded(m.Key)
-	exists := ok && !val.Tombstone()
+	row, ok := n.find(m.Key)
 	if n.tr != nil {
 		n.tr.Add(trace.Event{At: n.net.Now().UnixNano(), Key: string(m.Key),
-			Stage: trace.StageRead, Arg: int64(ver)})
+			Stage: trace.StageRead, Arg: int64(row.ver)})
 	}
 	n.send(from, MsgReadReply{
-		ReqID: m.ReqID, Key: m.Key, Value: val, Version: ver, Exists: exists,
-		Escrow: n.escrowSnap(m.Key, val, ver, from),
+		ReqID: m.ReqID, Key: m.Key, Value: row.val, Version: row.ver,
+		Exists: ok && !row.val.Tombstone(), Escrow: n.escrowSnap(row, from),
 	})
 }
 
-// escrowSnap captures the acceptor's demarcation inputs for key: the
+// escrowSnap captures the acceptor's demarcation inputs for row's
+// record (row.r nil for one the node has never touched): the
 // committed base of every constrained attribute plus the worst-case
 // pending movement of the unresolved accepted votes. Snapshots ride
 // votes and read replies (the piggyback freshness channel); Version
@@ -587,21 +649,21 @@ func (n *StorageNode) onRead(from transport.NodeID, m MsgRead) {
 // that holds none of the constrained attributes gets no snapshot: its
 // key costs a reader no escrow account, and the reader's admission
 // stays conservative on it until a delta commits.
-func (n *StorageNode) escrowSnap(key record.Key, val record.Encoded, ver record.Version, recipient transport.NodeID) EscrowSnap {
+func (n *StorageNode) escrowSnap(row recRow, recipient transport.NodeID) EscrowSnap {
 	if !slices.ContainsFunc(n.cfg.Constraints, func(con record.Constraint) bool {
-		_, ok := val.Attr(con.Attr)
+		_, ok := row.val.Attr(con.Attr)
 		return ok
 	}) {
 		return EscrowSnap{}
 	}
 	var pending []VotedOption
-	if r, ok := n.recs.Get(string(key)); ok {
-		pending = r.votes()
+	if row.r != nil {
+		pending = row.r.votes()
 	}
-	snap := EscrowSnap{Valid: true, Version: ver, Contenders: contenderGroups(pending, recipient)}
+	snap := EscrowSnap{Valid: true, Version: row.ver, Contenders: contenderGroups(pending, recipient)}
 	for _, con := range n.cfg.Constraints {
 		down, up := pendingSums(pending, con.Attr)
-		base, _ := val.Attr(con.Attr)
+		base, _ := row.val.Attr(con.Attr)
 		snap.Attrs = append(snap.Attrs, AttrEscrow{
 			Attr: con.Attr, Base: base, PendDown: down, PendUp: up,
 		})
@@ -676,19 +738,19 @@ func (n *StorageNode) onProposeBatch(m MsgProposeBatch) {
 // proposed option and, for commutative options, piggybacks the
 // record's escrow snapshot (taken after the vote, so it reflects it).
 func (n *StorageNode) proposeVote(opt Option) MsgVote {
-	vote := n.voteFor(opt)
+	row := n.row(opt.Update.Key)
+	vote := n.voteFor(row, opt)
 	if opt.Update.Kind == record.KindCommutative && len(n.cfg.Constraints) > 0 {
-		val, ver, _ := n.store.GetEncoded(opt.Update.Key)
-		vote.Escrow = n.escrowSnap(opt.Update.Key, val, ver, opt.Coord)
+		vote.Escrow = n.escrowSnap(row, opt.Coord)
 	}
 	return vote
 }
 
 // voteFor votes on one proposed option (voting, resending, or
-// forwarding to the leader).
-func (n *StorageNode) voteFor(opt Option) MsgVote {
+// forwarding to the leader); row is its key's.
+func (n *StorageNode) voteFor(row recRow, opt Option) MsgVote {
 	key := opt.Update.Key
-	r := n.rs(key)
+	r := row.r
 	id := opt.ID()
 	promised, accepted := n.ballots(key, r)
 
@@ -732,7 +794,7 @@ func (n *StorageNode) voteFor(opt Option) MsgVote {
 	}
 
 	demBefore := n.m.DemarcationRejects
-	dec, reason := n.evalOption(r.votes(), opt, true)
+	dec, reason := n.evalOption(row, r.votes(), opt, true)
 	n.castVote(r, opt, dec, reason)
 	if n.tr != nil {
 		fl := uint8(trace.FlagFast | trace.FlagBatched) // the reply may share its envelope
@@ -772,18 +834,19 @@ func (n *StorageNode) castVote(r *recState, opt Option, dec Decision, reason Rej
 // an active accept/reject judgment of one option against the record's
 // committed state and the outstanding options in `pending`. fast
 // selects the quorum demarcation limits instead of the raw bounds for
-// commutative updates. The same code runs on acceptors against their
-// own votes (fast ballots) and on the leader against its cstruct
-// (classic ballots) — classic decisions are consistent across
-// replicas because they adopt the leader's cstruct verbatim. The
+// commutative updates; row is the option's key's. The same code runs
+// on acceptors against their own votes (fast ballots) and on the
+// leader against its cstruct (classic ballots) — classic decisions are
+// consistent across replicas because they adopt the leader's cstruct
+// verbatim. The
 // reject reason types the kind-disjoint rule's rejections so clients
 // see ErrMixedUpdateKinds instead of a silent abort.
-func (n *StorageNode) evalOption(pending []VotedOption, opt Option, fast bool) (Decision, RejectReason) {
+func (n *StorageNode) evalOption(row recRow, pending []VotedOption, opt Option, fast bool) (Decision, RejectReason) {
 	switch opt.Update.Kind {
 	case record.KindPhysical:
-		return n.evalPhysical(pending, opt)
+		return n.evalPhysical(row, pending, opt)
 	case record.KindCommutative:
-		return n.evalCommutative(pending, opt, fast)
+		return n.evalCommutative(row, pending, opt, fast)
 	case record.KindReadCheck:
 		// Read-set validation (§4.4): the record must still be at the
 		// version the transaction read, and no outstanding write may
@@ -792,8 +855,7 @@ func (n *StorageNode) evalOption(pending []VotedOption, opt Option, fast bool) (
 		// what makes the validation conflict-serializable rather than
 		// merely version-checked). Read checks commute with each
 		// other.
-		ver, _ := n.store.Version(opt.Update.Key)
-		if opt.Update.ReadVersion != ver {
+		if opt.Update.ReadVersion != row.ver {
 			return DecReject, ReasonNone
 		}
 		for _, v := range pending {
@@ -807,22 +869,20 @@ func (n *StorageNode) evalOption(pending []VotedOption, opt Option, fast bool) (
 	}
 }
 
-func (n *StorageNode) evalPhysical(pending []VotedOption, opt Option) (Decision, RejectReason) {
-	key := opt.Update.Key
+func (n *StorageNode) evalPhysical(row recRow, pending []VotedOption, opt Option) (Decision, RejectReason) {
 	// Kind-disjoint rule (DESIGN.md §5): a non-creating physical
 	// rewrite of a key with commutative history is rejected with a
 	// typed reason — a physical rewrite absorbs concurrent deltas'
 	// effects without carrying their lineage identities, which is
 	// exactly what makes mixed-kind forks unmergeable. Inserts
 	// (ReadVersion 0) create the record and are class-neutral.
-	if opt.Update.ReadVersion > 0 && n.rs(key).decided.kind == record.KindCommutative {
+	if opt.Update.ReadVersion > 0 && row.r.decided.kind == record.KindCommutative {
 		n.m.MixedKindRejects++
 		return DecReject, ReasonMixedKinds
 	}
-	ver, _ := n.store.Version(key)
 	// validRead: vread must match the current version; an insert
 	// (ReadVersion 0) requires the record to be new (§3.2.1).
-	if opt.Update.ReadVersion != ver {
+	if opt.Update.ReadVersion != row.ver {
 		return DecReject, ReasonNone
 	}
 	// validSingle: only one outstanding option per record — this is
@@ -848,7 +908,7 @@ func (n *StorageNode) evalPhysical(pending []VotedOption, opt Option) (Decision,
 	return DecAccept, ReasonNone
 }
 
-func (n *StorageNode) evalCommutative(pending []VotedOption, opt Option, fast bool) (Decision, RejectReason) {
+func (n *StorageNode) evalCommutative(row recRow, pending []VotedOption, opt Option, fast bool) (Decision, RejectReason) {
 	if n.cfg.Mode == ModeFast || n.cfg.Mode == ModeMulti {
 		// Commutative support is the MDCC configuration's feature.
 		// Fast/Multi callers should have converted to physical
@@ -857,7 +917,7 @@ func (n *StorageNode) evalCommutative(pending []VotedOption, opt Option, fast bo
 	}
 	// Kind-disjoint rule, other direction: deltas on a physically
 	// rewritten key would fork unmergeably against the next rewrite.
-	if n.rs(opt.Update.Key).decided.kind == record.KindPhysical {
+	if row.r.decided.kind == record.KindPhysical {
 		n.m.MixedKindRejects++
 		return DecReject, ReasonMixedKinds
 	}
@@ -870,13 +930,12 @@ func (n *StorageNode) evalCommutative(pending []VotedOption, opt Option, fast bo
 			return DecReject, ReasonNone
 		}
 	}
-	val, _, _ := n.store.GetEncoded(opt.Update.Key)
 	for attr, delta := range opt.Update.Deltas {
 		con, ok := n.cfg.ConstraintFor(attr)
 		if !ok {
 			continue // unconstrained attributes always commute
 		}
-		if !n.deltaSafe(pending, val, attr, delta, con, fast) {
+		if !n.deltaSafe(pending, row.val, attr, delta, con, fast) {
 			if fast {
 				n.m.DemarcationRejects++
 			}
@@ -972,7 +1031,8 @@ func ceilDiv(a, b int64) int64 {
 // discards. Both record the outcome for idempotence and recovery.
 func (n *StorageNode) onVisibility(m MsgVisibility) {
 	key := m.Opt.Update.Key
-	r := n.rs(key)
+	row := n.row(key)
+	r := row.r
 	id := m.Opt.ID()
 	if _, ok := n.settled(r, id.Tx, m.Opt.KeySeq); ok {
 		// Already executed or discarded; still release any lingering
@@ -999,7 +1059,7 @@ func (n *StorageNode) onVisibility(m MsgVisibility) {
 	}
 	if m.Commit {
 		n.settleOption(key, r, DecAccept, m.Opt)
-		n.applyUpdate(m.Opt.Update)
+		n.applyUpdate(row, m.Opt.Update)
 		n.m.Executed++
 	} else {
 		n.settleOption(key, r, DecReject, m.Opt)
@@ -1045,11 +1105,11 @@ func (n *StorageNode) onVisibility(m MsgVisibility) {
 // construction. Returns whether local state changed.
 func (n *StorageNode) adoptBase(key record.Key, base record.Encoded, baseVer record.Version,
 	lineage LineageSummary) bool {
-	localVer, _ := n.store.Version(key)
+	row := n.row(key)
+	r, localVer := row.r, row.ver
 	if baseVer < localVer {
 		return false
 	}
-	r := n.rs(key)
 	if baseVer == localVer && r.decided.summary().containsAll(&n.lanes, lineage) {
 		// Nothing to learn: the incoming branch is a subset of ours at
 		// the same version (equal sets when the peer is converged).
@@ -1128,15 +1188,14 @@ func (n *StorageNode) absorbLineage(key record.Key, r *recState, lineage Lineage
 	n.logLineage(key, r)
 }
 
-// applyUpdate makes a committed update visible in the store.
-func (n *StorageNode) applyUpdate(up record.Update) {
-	if up.Kind == record.KindReadCheck {
-		return // validation only
-	}
+// applyUpdate makes a committed update visible in the store; row is
+// its key's, as it stood before the update. A read check is validation
+// only and changes nothing.
+func (n *StorageNode) applyUpdate(row recRow, up record.Update) {
 	switch up.Kind {
 	case record.KindPhysical:
 		newVer := up.ReadVersion + 1
-		if ver, _ := n.store.Version(up.Key); newVer <= ver {
+		if newVer <= row.ver {
 			return // already superseded by a later committed write
 		}
 		n.storePut(up.Key, up.NewValue, newVer)
@@ -1144,8 +1203,7 @@ func (n *StorageNode) applyUpdate(up record.Update) {
 		// Merged (gateway-coalesced) updates advance the version by the
 		// number of client updates they carry, keeping per-client-update
 		// version accounting exact.
-		cur, ver, _ := n.store.GetEncoded(up.Key)
-		n.storePut(up.Key, up.Apply(cur), ver+up.Span())
+		n.storePut(up.Key, up.Apply(row.val), row.ver+up.Span())
 	}
 }
 
@@ -1239,18 +1297,18 @@ func (n *StorageNode) pruneVote(r *recState, id OptionID) {
 
 // onPhase1a promises a classic ballot and reports state (§3.1.1).
 func (n *StorageNode) onPhase1a(from transport.NodeID, m MsgPhase1a) {
-	r := n.rs(m.Key)
+	row := n.row(m.Key)
+	r := row.r
 	promised := n.promise(m.Key, r, m.Ballot)
 	_, accepted := n.ballots(m.Key, r)
-	val, ver, _ := n.store.GetEncoded(m.Key)
 	n.m.Phase1++
 	reply := MsgPhase1b{
 		Key:     m.Key,
 		Ballot:  promised, // echoes m.Ballot, or a higher promise (nack)
 		Bal:     accepted,
 		Votes:   append([]VotedOption(nil), r.votes()...),
-		Version: ver,
-		Value:   val,
+		Version: row.ver,
+		Value:   row.val,
 		Lineage: r.decided.summary().unpack(&n.lanes),
 	}
 	n.send(from, reply)
@@ -1346,8 +1404,8 @@ func (n *StorageNode) onEnableFast(m MsgEnableFast) {
 // identical settled sets. Packages that must not import core's types
 // (internal/check) compare these strings.
 func (n *StorageNode) LineageFingerprint(key record.Key) string {
-	if r, ok := n.recs.Get(string(key)); ok {
-		return r.decided.summary().unpack(&n.lanes).String()
+	if row, _ := n.find(key); row.r != nil {
+		return row.r.decided.summary().unpack(&n.lanes).String()
 	}
 	return LineageSummary{}.String()
 }

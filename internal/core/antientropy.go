@@ -87,13 +87,16 @@ func (n *StorageNode) onSyncReq(from transport.NodeID, m MsgSyncReq) {
 			return false
 		}
 		count++
-		entry := SyncEntry{Key: e.Key, Value: e.Value, Version: e.Version}
-		if r, ok := n.recs.Get(string(e.Key)); ok {
-			entry.Lineage = r.decided.summary().unpack(&n.lanes)
-		}
-		reply.Entries = append(reply.Entries, entry)
+		reply.Entries = append(reply.Entries, SyncEntry{Key: e.Key, Value: e.Value, Version: e.Version})
 		return true
 	})
+	// The summaries are read after the scan, which holds the store's
+	// read lock.
+	for i := range reply.Entries {
+		if row, _ := n.find(reply.Entries[i].Key); row.r != nil {
+			reply.Entries[i].Lineage = row.r.decided.summary().unpack(&n.lanes)
+		}
+	}
 	n.send(from, reply)
 }
 
@@ -125,9 +128,9 @@ func (n *StorageNode) adoptEntries(from transport.NodeID, entries []SyncEntry, a
 			continue
 		}
 		took++
-		ver, _ := n.store.Version(e.Key)
-		n.notePeerLineage(n.rs(e.Key), from, e.Lineage)
-		if e.Version >= ver && n.adoptBase(e.Key, e.Value, e.Version, e.Lineage) {
+		row := n.row(e.Key)
+		n.notePeerLineage(row.r, from, e.Lineage)
+		if e.Version >= row.ver && n.adoptBase(e.Key, e.Value, e.Version, e.Lineage) {
 			n.m.Synced++
 		}
 	}
@@ -227,8 +230,8 @@ func (n *StorageNode) Unsettled(sel func(record.Key) bool) int {
 		return 0
 	}
 	total := 0
-	n.recs.AscendRange("", "", func(key string, r *recState) bool {
-		if sel == nil || sel(record.Key(key)) {
+	n.eachRecord(func(key record.Key, r *recState) bool {
+		if sel == nil || sel(key) {
 			total += len(r.votes())
 		}
 		return true

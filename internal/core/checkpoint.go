@@ -49,13 +49,12 @@ func (n *StorageNode) Checkpoint() {
 // entry expanded into its decision body. The bodies share one buffer:
 // when it grows, the bodies already written stay in the array they
 // were written to, which nothing writes again. Each summary is
-// unpacked into one of its own. Keys are emitted in the index's key
+// unpacked into one of its own. Keys are emitted in the store's key
 // order, so identical states checkpoint to identical bytes.
 func (n *StorageNode) snapshotOplog() []oplogEntry {
 	var out []oplogEntry
 	var bodies []byte
-	n.recs.AscendRange("", "", func(key string, r *recState) bool {
-		k := record.Key(key)
+	n.eachRecord(func(k record.Key, r *recState) bool {
 		if !r.decided.summary().isEmpty() {
 			s := r.decided.summary().unpack(&n.lanes)
 			out = append(out, oplogEntry{Key: k, Snapshot: &s})

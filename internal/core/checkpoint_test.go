@@ -416,10 +416,24 @@ func TestDegradedDispatchSendsNothing(t *testing.T) {
 // node and in the reverse of that order on another: the first node's
 // snapshotOplog never steps back in key order and names every record,
 // and the two nodes' checkpoints are equal byte for byte.
+//
+// Every third record is touched only by an insert that aborted, and so
+// holds no committed value — a hollow row in the store (kv.Store.Bind)
+// — and every third by an insert whose vote is still open; both kinds
+// sit between the settled ones in key order. The aborted ones are named
+// in the checkpoint like the others, in key order; the open ones are
+// what the pending sweep, walking the same rows, recovers, in key
+// order too.
 func TestSnapshotWalksKeyOrder(t *testing.T) {
 	const records = 300
 	order := rand.New(rand.NewSource(57)).Perm(records)
 	key := func(i int) record.Key { return record.Key(fmt.Sprintf("walk/%04d", i)) }
+	const (
+		settled = iota
+		aborted // an insert that aborted, and nothing else
+		open    // an insert whose vote is open, and nothing else
+	)
+	kind := func(i int) int { return i % 3 }
 	checkpoint := func(order []int) (*StorageNode, []byte) {
 		dir := t.TempDir()
 		ds, err := OpenDurableOpts(dir, DurableOptions{NoSync: true})
@@ -435,6 +449,9 @@ func TestSnapshotWalksKeyOrder(t *testing.T) {
 		const coord = "gw/us-west/c0"
 		for round := 0; round < 2; round++ {
 			for _, i := range order {
+				if round > 0 && kind(i) != settled {
+					continue
+				}
 				up := record.Insert(key(i), record.Value{Attrs: map[string]int64{"n": 0}})
 				if round > 0 {
 					up = record.Commutative(key(i), map[string]int64{"n": 1})
@@ -445,11 +462,16 @@ func TestSnapshotWalksKeyOrder(t *testing.T) {
 					WriteSet: []record.Key{key(i)}, KeySeq: seq, WriteSeqs: []uint64{seq},
 				}
 				net.deliver(t, coord, n.ID(), MsgProposeBatch{Opts: []Option{opt}})
-				net.deliver(t, coord, n.ID(), visibilityFor(opt, true))
+				if kind(i) != open {
+					net.deliver(t, coord, n.ID(), visibilityFor(opt, kind(i) == settled))
+				}
 			}
 		}
-		if got := n.Metrics().Executed; got != 2*records {
-			t.Fatalf("executed %d options, want %d", got, 2*records)
+		if got := n.Metrics().Executed; got != 2*records/3 {
+			t.Fatalf("executed %d options, want %d", got, 2*records/3)
+		}
+		if got := n.Store().Len(); got != records/3 {
+			t.Fatalf("the store holds %d committed keys, want %d", got, records/3)
 		}
 		n.Checkpoint()
 		if n.Durability().Checkpoints != 1 {
@@ -477,9 +499,30 @@ func TestSnapshotWalksKeyOrder(t *testing.T) {
 			named = append(named, e.Key)
 		}
 	}
-	if len(named) != records {
-		t.Fatalf("snapshotOplog names %d records, want %d", len(named), records)
+	if len(named) != 2*records/3 {
+		t.Fatalf("snapshotOplog names %d records, want the %d settled and aborted ones", len(named), 2*records/3)
 	}
+	for _, k := range named {
+		if _, ver, ok := n.Store().GetEncoded(k); ok != (ver == 2) {
+			t.Fatalf("%s reads v%d committed=%v", k, ver, ok)
+		}
+	}
+
+	n.sweepPending()
+	var reqs []uint64
+	for req := range n.recoveries {
+		reqs = append(reqs, req)
+	}
+	slices.Sort(reqs)
+	if len(reqs) != records/3 {
+		t.Fatalf("the sweep started %d recoveries, want one per open insert (%d)", len(reqs), records/3)
+	}
+	for j, req := range reqs {
+		if got, want := n.recoveries[req].keys[0], key(3*j+open); got != want {
+			t.Fatalf("recovery %d is for %s, want %s: the sweep left key order", j, got, want)
+		}
+	}
+
 	slices.Reverse(order)
 	if _, reversed := checkpoint(order); !bytes.Equal(shuffled, reversed) {
 		t.Fatalf("the same settles in opposite orders checkpoint to different bytes (%d and %d B)", len(shuffled), len(reversed))

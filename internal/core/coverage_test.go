@@ -128,7 +128,7 @@ func TestAbandonLeadershipOnPreemption(t *testing.T) {
 func TestUpdateKindUnknownRejected(t *testing.T) {
 	n, _ := unitNode(t, ModeMDCC, nil)
 	opt := Option{Update: record.Update{Kind: record.UpdateKind(99), Key: "k"}}
-	if d, _ := n.evalOption(nil, opt, true); d != DecReject {
+	if d, _ := n.evalOption(n.row(opt.Update.Key), nil, opt, true); d != DecReject {
 		t.Fatal("unknown update kind accepted")
 	}
 }

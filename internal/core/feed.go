@@ -181,13 +181,13 @@ func (n *StorageNode) onVisibilitySub(from transport.NodeID, m MsgVisibilitySub)
 // addressed to one subscriber (the escrow snapshot's contender count
 // includes the recipient's group; see contenderGroups).
 func (n *StorageNode) feedItem(key record.Key, to transport.NodeID) FeedItem {
-	val, ver, ok := n.store.GetEncoded(key)
+	row, ok := n.find(key)
 	return FeedItem{
 		Key:     key,
-		Value:   val,
-		Version: ver,
-		Exists:  ok && !val.Tombstone(),
-		Escrow:  n.escrowSnap(key, val, ver, to),
+		Value:   row.val,
+		Version: row.ver,
+		Exists:  ok && !row.val.Tombstone(),
+		Escrow:  n.escrowSnap(row, to),
 	}
 }
 

@@ -107,7 +107,8 @@ func (n *StorageNode) onStartRecovery(m MsgStartRecovery) {
 func (n *StorageNode) leaderPropose(opt Option, recovery bool) {
 	key := opt.Update.Key
 	id := opt.ID()
-	r := n.rs(key)
+	row := n.row(key)
+	r := row.r
 	l := n.lr(key)
 
 	if recovery {
@@ -144,7 +145,7 @@ func (n *StorageNode) leaderPropose(opt Option, recovery bool) {
 		return
 	}
 
-	dec, reason := n.evalOption(l.cstruct, opt, false)
+	dec, reason := n.evalOption(row, l.cstruct, opt, false)
 	l.cstruct = append(l.cstruct, VotedOption{Opt: opt, Decision: dec, Reason: reason})
 	n.sendPhase2a(key, l)
 }
@@ -283,8 +284,8 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 	// reply is adopted, with its lineage summary: adoptBase merges via
 	// summary diff, grafting this replica's own applies the incoming
 	// base is missing. Every reply also feeds the peer-ack ledger.
-	r := n.rs(key)
-	localVer, _ := n.store.Version(key)
+	row := n.row(key)
+	r, localVer := row.r, row.ver
 	// Deterministic reply order (ties on Version must not depend on
 	// map iteration).
 	froms := make([]transport.NodeID, 0, len(p1.replies))
@@ -437,8 +438,9 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 	// agrees (the paper's requirement that all storage nodes make the
 	// same decision).
 	slices.SortFunc(free, func(a, b Option) int { return a.ID().compare(b.ID()) })
+	row = n.row(key) // the adoption above may have moved the store
 	for _, opt := range free {
-		dec, reason := n.evalOption(newCStruct, opt, false)
+		dec, reason := n.evalOption(row, newCStruct, opt, false)
 		newCStruct = append(newCStruct, VotedOption{Opt: opt, Decision: dec, Reason: reason})
 	}
 
@@ -503,15 +505,14 @@ func (n *StorageNode) sendPhase2a(key record.Key, l *leaderRec) {
 		snapshot: snap,
 		acks:     make(map[transport.NodeID]bool),
 	}
-	val, ver, _ := n.store.GetEncoded(key)
 	// Snapshot the leader's lineage summary together with its base:
 	// the base contains exactly these options' effects (same handler
 	// context, so store and summary are mutually consistent).
-	r := n.rs(key)
+	row := n.row(key)
 	msg := MsgPhase2a{
 		Key: key, Ballot: l.ballot, Seq: l.seq, CStruct: snap,
-		HasBase: true, BaseVersion: ver, BaseValue: val,
-		BaseLineage: r.decided.summary().unpack(&n.lanes),
+		HasBase: true, BaseVersion: row.ver, BaseValue: row.val,
+		BaseLineage: row.r.decided.summary().unpack(&n.lanes),
 	}
 	if n.tr != nil {
 		// One event per option in the broadcast cstruct, so each
@@ -660,8 +661,8 @@ func (n *StorageNode) notifyLearned(coord transport.NodeID, id OptionID, d Decis
 	}
 	msg := MsgLearned{OptID: id, Decision: d, Reason: reason}
 	if commutative && len(n.cfg.Constraints) > 0 {
-		val, ver, _ := n.store.GetEncoded(id.Key)
-		msg.Escrow = n.escrowSnap(id.Key, val, ver, coord)
+		row, _ := n.find(id.Key)
+		msg.Escrow = n.escrowSnap(row, coord)
 	}
 	n.send(coord, msg)
 }

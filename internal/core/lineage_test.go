@@ -297,7 +297,7 @@ func TestRecoveryHealsFromSettledEntries(t *testing.T) {
 	if len(res) != 1 || !res[0].Committed {
 		t.Fatalf("transaction outcome %+v, want committed", res)
 	}
-	if ver, _ := victim.Store().Version("heal/p"); ver != 1 || len(visible) != 0 {
+	if _, ver, _ := victim.Store().GetEncoded("heal/p"); ver != 1 || len(visible) != 0 {
 		t.Fatalf("victim at v%d after %d visibility messages: it was to miss them", ver, len(visible))
 	}
 
@@ -345,7 +345,7 @@ func TestRecoveryHealsFromSettledEntries(t *testing.T) {
 	if val, ver, _ := victim.Store().Get("heal/c"); ver != 4 || val.Attr("x") != 7 {
 		t.Errorf("merged delta not healed with its span: %s v%d, want x=7 v4", val, ver)
 	}
-	if ver, _ := victim.Store().Version("heal/r"); ver != 1 {
+	if _, ver, _ := victim.Store().GetEncoded("heal/r"); ver != 1 {
 		t.Errorf("read check moved its record to v%d", ver)
 	}
 }

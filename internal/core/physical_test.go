@@ -31,7 +31,7 @@ func physicalRecord(t *testing.T, key record.Key) *residentWorld {
 		w.net.deliver(t, "c0", w.n.ID(), MsgProposeBatch{Opts: []Option{opt}})
 		w.net.deliver(t, "c0", w.n.ID(), visibilityFor(opt, seq < 3))
 	}
-	if ver, _ := w.n.Store().Version(key); ver != 2 {
+	if _, ver, _ := w.n.Store().GetEncoded(key); ver != 2 {
 		t.Fatalf("setup: record at v%d, want v2", ver)
 	}
 	if k := w.n.rs(key).decided.kind; k != record.KindPhysical {
@@ -102,7 +102,7 @@ func TestAdoptBasePhysicalContainment(t *testing.T) {
 				t.Errorf("AdoptRefused = %d, want %d", n.Metrics().AdoptRefused, refused)
 			}
 			checkGauges(t, n)
-			ver, _ := n.Store().Version(key)
+			_, ver, _ := n.Store().GetEncoded(key)
 			after := n.rs(key).decided.summary().unpack(&n.lanes)
 			if !tc.adopted {
 				if ver != 2 || after.String() != before.String() {
@@ -344,7 +344,7 @@ func TestPhysicalRecordHistoryFlat(t *testing.T) {
 	for round := 0; round < options; round++ {
 		w.settleRound(round, mint)
 	}
-	if ver, _ := w.n.Store().Version(key); ver != options {
+	if _, ver, _ := w.n.Store().GetEncoded(key); ver != options {
 		t.Fatalf("record at v%d, want v%d", ver, options)
 	}
 	if got := r.decided.len(); got != 0 {
@@ -463,7 +463,7 @@ func TestReopenDropsPhysicalEntries(t *testing.T) {
 func checkGauges(t *testing.T, n *StorageNode) {
 	t.Helper()
 	var entries, bytes int64
-	n.recs.AscendRange("", "", func(_ string, r *recState) bool {
+	n.eachRecord(func(_ record.Key, r *recState) bool {
 		entries += int64(r.decided.len())
 		bytes += int64(cap(r.decided.buf))
 		return true

@@ -49,12 +49,11 @@ func (n *StorageNode) sweepPending() {
 	// records that vote next refill them, and voting reuses what they
 	// put back until the next sweep.
 	n.freeVotes, n.freeOpen = nil, nil
-	// The index walks in key order, so same-seed runs send their
-	// recoveries in the same order. The walk changes records through
-	// their pointers and never puts to the index (see btree).
+	// The store walks its records in key order, so same-seed runs send
+	// their recoveries in the same order. The walk changes records
+	// where they lie and calls nothing of the store (see eachRecord).
 	var stale []Option
-	n.recs.AscendRange("", "", func(key string, r *recState) bool {
-		k := record.Key(key)
+	n.eachRecord(func(k record.Key, r *recState) bool {
 		n.compactDecided(k, r, true)
 		o := r.open
 		if o == nil || o.votes == nil {

@@ -63,13 +63,15 @@ func (n *codecNet) deliver(t *testing.T, from, to transport.NodeID, msg transpor
 // The one-lane arm settles every option on one coordinator lane.
 // Measured go1.24, amd64: 0 B per option — a physical record keeps no
 // decided entries, and a settle that extends its lane's watermark
-// rewrites the packed summary where it lies — and 249 B per record: its
-// 48-byte state, its 8-byte summary, its slot in the node's ordered
-// record index, its stored value and its key, in a run that also fills
-// the key intern table. The record reads one of two values from run to
-// run of one binary, 249 B or 269 B, for a reason not yet found; it read
-// 277 B or 298 B while the record index was a hash map, so the map is
-// not the step's cause. Beside the heap delta the test counts what the node
+// rewrites the packed summary where it lies — and 210 B per record: its
+// 48-byte state in the node's slab, its 8-byte summary, its row in the
+// store (the stored value, and the handle that finds the state), and
+// its key, in a run that also fills the key intern table. The record
+// reads one of two values from run to run of one binary, 210 B or
+// 230–233 B, for a reason not yet found; it read 249 B or 269 B while the
+// node indexed its records a second time, in a B-tree of their own
+// beside the store's, and 277 B or 298 B while that index was a hash
+// map, so neither index is the step's cause. Beside the heap delta the test counts what the node
 // holds per record exactly, recState plus the buffer's capacity: 56 B,
 // which no collector timing can move. Per option it was 21 B while a
 // physical record kept an entry per option (its packed bytes in the
@@ -143,13 +145,15 @@ func TestResidentBytesPerSettledOption(t *testing.T) {
 const residentRecords = 2000
 
 // maxPerRecord is the per-record gate of the resident-bytes tests: 12 B
-// above the 269 B a physical record reads in its worse runs (249 B in
-// most; 24 runs). It was 310 B while the record index was a hash map
-// (277 B in most runs, 298 B in the worse), and was set there when the
-// record was measured after its insert, at 279 B or 300 B, below the
-// 320 B that the layout with a separate summary allocation read in its
-// better runs.
-const maxPerRecord = 281
+// above the 233 B a physical record reads in its worst run (210 B in
+// most; 24 runs read 210 ×18, 230 ×1, 231 ×4, 233 ×1). It was 281 B while the
+// node kept a record index of its own, a B-tree beside the store's
+// (249 B in most runs, 269 B in the worse), 310 B while that index was
+// a hash map (277 B in most runs, 298 B in the worse), and was set there
+// when the record was measured after its insert, at 279 B or 300 B,
+// below the 320 B that the layout with a separate summary allocation
+// read in its better runs.
+const maxPerRecord = 245
 
 // TestRecStateIs48Bytes pins a record's state at rest to one Go size
 // class: the decided log's buffer header, its index pointer, the
@@ -223,7 +227,7 @@ func (w *residentWorld) settleRound(round int, mint func(rec, round, seq int) (T
 // atRest fails the test on a record that holds vote arrays or an open
 // part after every one of its options settled on the fast path.
 func (w *residentWorld) atRest() {
-	w.n.recs.AscendRange("", "", func(key string, r *recState) bool {
+	w.n.eachRecord(func(key record.Key, r *recState) bool {
 		if r.votes() != nil {
 			w.t.Fatalf("%s has settled every option and still holds vote arrays", key)
 		}
@@ -249,12 +253,13 @@ func liveHeap() int64 {
 // recState and its decided log's buffer capacity, summary included —
 // a count no collector timing can move.
 func (w *residentWorld) structural() float64 {
-	total := 0
-	w.n.recs.AscendRange("", "", func(_ string, r *recState) bool {
+	total, records := 0, 0
+	w.n.eachRecord(func(_ record.Key, r *recState) bool {
 		total += int(unsafe.Sizeof(*r)) + cap(r.decided.buf)
+		records++
 		return true
 	})
-	return float64(total) / float64(w.n.recs.Len())
+	return float64(total) / float64(records)
 }
 
 // oneLane mints every option on one coordinator lane.

@@ -117,7 +117,7 @@ func TestLeaderNeverRedecidesSettledOption(t *testing.T) {
 		if d, ok := l.learned.get(&ldr.lanes, opt.Tx); ok && d != settled {
 			t.Errorf("the leader learned %v for an option its summary holds as %v", d, settled)
 		}
-		if got, _ := ldr.Store().Version(key); got != ver {
+		if _, got, _ := ldr.Store().GetEncoded(key); got != ver {
 			t.Errorf("leader at v%d, want the adopted v%d", got, ver)
 		}
 		if !queued {
@@ -182,10 +182,11 @@ func TestSettledAnswersFromSummary(t *testing.T) {
 		settle func(n *StorageNode, d Decision)
 	}{
 		{"released", func(n *StorageNode, d Decision) {
-			r := n.rs(key)
+			row := n.row(key)
+			r := row.r
 			n.settleOption(key, r, d, opt)
 			if d == DecAccept {
-				n.applyUpdate(opt.Update)
+				n.applyUpdate(row, opt.Update)
 			}
 			// What a release of every entry leaves: the summary and the
 			// class lock.
@@ -208,15 +209,15 @@ func TestSettledAnswersFromSummary(t *testing.T) {
 		check func(t *testing.T, n *StorageNode, d Decision, sent func() []transport.Message)
 	}{
 		{"voteFor resends the decision", func(t *testing.T, n *StorageNode, d Decision, _ func() []transport.Message) {
-			if v := n.voteFor(opt); v.Decision != d || v.Forwarded {
+			if v := n.voteFor(n.row(key), opt); v.Decision != d || v.Forwarded {
 				t.Fatalf("vote %+v, want the settled %v", v, d)
 			}
 		}},
 		{"onVisibility skips", func(t *testing.T, n *StorageNode, d Decision, _ func() []transport.Message) {
-			ver, _ := n.store.Version(key)
+			_, ver, _ := n.store.GetEncoded(key)
 			n.onVisibility(visibilityFor(opt, d != DecAccept))
 			n.onVisibility(visibilityFor(opt, d == DecAccept))
-			if got, _ := n.store.Version(key); got != ver || n.rs(key).decided.len() != 0 {
+			if _, got, _ := n.store.GetEncoded(key); got != ver || n.rs(key).decided.len() != 0 {
 				t.Fatalf("a settled option's visibility was applied: v%d → v%d, %d decided entries",
 					ver, got, n.rs(key).decided.len())
 			}
@@ -317,7 +318,7 @@ func TestRecoveryAppliesOwnStuckVote(t *testing.T) {
 
 	holder.after(0, func() { holder.startTxRecovery(opt) })
 	w.net.RunFor(time.Second)
-	if ver, _ := holder.Store().Version(key); ver != 2 {
+	if _, ver, _ := holder.Store().GetEncoded(key); ver != 2 {
 		t.Errorf("after one recovery round the vote holder is at v%d, want v2", ver)
 	}
 	if holder.rs(key).voteIndex(opt.ID()) >= 0 {

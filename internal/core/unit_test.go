@@ -816,15 +816,15 @@ func unitNode(t *testing.T, mode Mode, cons []record.Constraint) (*StorageNode, 
 func TestEvalPhysicalValidRead(t *testing.T) {
 	n, _ := unitNode(t, ModeMDCC, nil)
 	_ = n.store.Put("k", record.Value{Attrs: map[string]int64{"x": 1}}, 3)
-	ok, _ := n.evalPhysical(nil, Option{Update: record.Physical("k", 3, record.Value{})})
+	ok, _ := n.evalPhysical(n.row("k"), nil, Option{Update: record.Physical("k", 3, record.Value{})})
 	if ok != DecAccept {
 		t.Fatal("matching vread rejected")
 	}
-	stale, _ := n.evalPhysical(nil, Option{Update: record.Physical("k", 2, record.Value{})})
+	stale, _ := n.evalPhysical(n.row("k"), nil, Option{Update: record.Physical("k", 2, record.Value{})})
 	if stale != DecReject {
 		t.Fatal("stale vread accepted")
 	}
-	future, _ := n.evalPhysical(nil, Option{Update: record.Physical("k", 9, record.Value{})})
+	future, _ := n.evalPhysical(n.row("k"), nil, Option{Update: record.Physical("k", 9, record.Value{})})
 	if future != DecReject {
 		t.Fatal("future vread accepted")
 	}
@@ -837,12 +837,12 @@ func TestEvalPhysicalValidSingle(t *testing.T) {
 		Opt:      Option{Tx: "other", Update: record.Physical("k", 1, record.Value{})},
 		Decision: DecAccept,
 	}}
-	if d, _ := n.evalPhysical(pending, Option{Tx: "me", Update: record.Physical("k", 1, record.Value{})}); d != DecReject {
+	if d, _ := n.evalPhysical(n.row("k"), pending, Option{Tx: "me", Update: record.Physical("k", 1, record.Value{})}); d != DecReject {
 		t.Fatal("option accepted despite outstanding option (deadlock-avoidance violated)")
 	}
 	// A rejected pending option does not block.
 	pending[0].Decision = DecReject
-	if d, _ := n.evalPhysical(pending, Option{Tx: "me", Update: record.Physical("k", 1, record.Value{})}); d != DecAccept {
+	if d, _ := n.evalPhysical(n.row("k"), pending, Option{Tx: "me", Update: record.Physical("k", 1, record.Value{})}); d != DecAccept {
 		t.Fatal("rejected pending option blocked a new option")
 	}
 }
@@ -851,7 +851,7 @@ func TestEvalPhysicalConstraint(t *testing.T) {
 	n, _ := unitNode(t, ModeMDCC, []record.Constraint{record.MinBound("stock", 0)})
 	_ = n.store.Put("k", record.Value{Attrs: map[string]int64{"stock": 5}}, 1)
 	bad := Option{Update: record.Physical("k", 1, record.Value{Attrs: map[string]int64{"stock": -1}})}
-	if d, _ := n.evalPhysical(nil, bad); d != DecReject {
+	if d, _ := n.evalPhysical(n.row("k"), nil, bad); d != DecReject {
 		t.Fatal("constraint-violating physical write accepted")
 	}
 }
@@ -860,7 +860,7 @@ func TestEvalCommutativeModes(t *testing.T) {
 	for _, mode := range []Mode{ModeFast, ModeMulti} {
 		n, _ := unitNode(t, mode, nil)
 		opt := Option{Update: record.Commutative("k", map[string]int64{"x": -1})}
-		if d, _ := n.evalCommutative(nil, opt, true); d != DecReject {
+		if d, _ := n.evalCommutative(n.row("k"), nil, opt, true); d != DecReject {
 			t.Fatalf("mode %v accepted a commutative update", mode)
 		}
 	}
@@ -873,7 +873,7 @@ func TestEvalCommutativeBlockedByPhysical(t *testing.T) {
 		Decision: DecAccept,
 	}}
 	opt := Option{Update: record.Commutative("k", map[string]int64{"x": -1})}
-	if d, _ := n.evalCommutative(pending, opt, true); d != DecReject {
+	if d, _ := n.evalCommutative(n.row("k"), pending, opt, true); d != DecReject {
 		t.Fatal("commutative accepted over an outstanding physical rewrite")
 	}
 }
@@ -885,14 +885,14 @@ func TestEvalCommutativeDemarcationFastVsClassic(t *testing.T) {
 	// Fast limit: L = ceil(10/5) = 2, so only 8 units available per
 	// node; classic can use all 10.
 	big := Option{Tx: "t", Update: record.Commutative("k", map[string]int64{"stock": -9})}
-	if d, _ := n.evalCommutative(nil, big, true); d != DecReject {
+	if d, _ := n.evalCommutative(n.row("k"), nil, big, true); d != DecReject {
 		t.Fatal("fast ballot accepted a delta beyond the demarcation limit")
 	}
-	if d, _ := n.evalCommutative(nil, big, false); d != DecAccept {
+	if d, _ := n.evalCommutative(n.row("k"), nil, big, false); d != DecAccept {
 		t.Fatal("classic ballot rejected a delta within the true bound")
 	}
 	over := Option{Tx: "t", Update: record.Commutative("k", map[string]int64{"stock": -11})}
-	if d, _ := n.evalCommutative(nil, over, false); d != DecReject {
+	if d, _ := n.evalCommutative(n.row("k"), nil, over, false); d != DecReject {
 		t.Fatal("classic ballot accepted a constraint-violating delta")
 	}
 }
@@ -907,17 +907,17 @@ func TestEvalCommutativeCountsPending(t *testing.T) {
 	}}
 	// 10 - 5 pending - 4 = 1 < L=2 → reject in fast.
 	next := Option{Tx: "q", Update: record.Commutative("k", map[string]int64{"stock": -4})}
-	if d, _ := n.evalCommutative(pending, next, true); d != DecReject {
+	if d, _ := n.evalCommutative(n.row("k"), pending, next, true); d != DecReject {
 		t.Fatal("fast ballot ignored pending decrements")
 	}
 	// But -3 leaves 2 = L → accept.
 	ok := Option{Tx: "q", Update: record.Commutative("k", map[string]int64{"stock": -3})}
-	if d, _ := n.evalCommutative(pending, ok, true); d != DecAccept {
+	if d, _ := n.evalCommutative(n.row("k"), pending, ok, true); d != DecAccept {
 		t.Fatal("fast ballot over-rejected within the limit")
 	}
 	// Increments don't consume lower-bound headroom.
 	inc := Option{Tx: "r", Update: record.Commutative("k", map[string]int64{"stock": +100})}
-	if d, _ := n.evalCommutative(pending, inc, true); d != DecAccept {
+	if d, _ := n.evalCommutative(n.row("k"), pending, inc, true); d != DecAccept {
 		t.Fatal("increment rejected under a lower bound")
 	}
 }

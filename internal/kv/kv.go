@@ -8,13 +8,22 @@
 // A value rests in the tree as its record.Encoded bytes, the form the
 // log and the snapshots write and the one the layers above carry: a
 // replica pays for every key it holds for as long as it runs, and the
-// bytes cost about a sixth of the attribute map they decode to (66 B,
+// bytes cost about a fifth of the attribute map they decode to (73 B,
 // tree slot included, against 372 B per one-attribute key,
 // TestResidentBytesPerStoredValue).
 // PutEncoded stores the bytes it is given and GetEncoded and Scan hand
 // the stored bytes out, so neither direction copies or decodes: an
 // Encoded is immutable wherever it is shared. Put and Get are the two
 // for a caller holding a record.Value: Put encodes, Get decodes.
+//
+// The tree is its node's one index of keys: a row may also carry a
+// handle the layer above binds to the key (Row, Bind, AscendHandles).
+// internal/core keeps each record's Paxos state in a slab of its own
+// and binds the record's position there to the record's row, so a
+// handler finds a record's committed value and its Paxos state in one
+// descent. A record touched before any value committed gets a hollow
+// row, a handle and nothing else, which every reader but the handle
+// calls passes over; handles never reach the log.
 package kv
 
 import (
@@ -74,16 +83,36 @@ func decodeRecord(payload []byte) (Entry, error) {
 	return e, nil
 }
 
-// stored is a key's committed state at rest.
+// stored is a key's row: its committed state at rest and the handle
+// the layer above bound to the key. A hollow row holds a handle and no
+// committed state: the key's record was touched above (a vote, a
+// promise) before any value committed here. Only the handle calls see
+// a hollow row; to every other reader its key has never been written.
 type stored struct {
 	value   record.Encoded // shared with the writer and every reader
 	version record.Version
+	handle  uint32 // 0: none bound
+	hollow  bool
 }
+
+// degree is the store tree's minimum degree, fixed so that a full node
+// fills its items array's size class. A row is a 56-byte item (the
+// key's 16-byte string header, the value's 24-byte slice header, the
+// 8-byte version, the handle and the hollow flag with their padding),
+// and a node's array grows by append into size classes: at degree 37 a
+// full node's 2*37-1 = 73 items take 4 088 of the 4 096 B class it
+// lands in. At the tree's default degree, 32, a full node's 63 items
+// (3 528 B) sit in that same class with room for 73, and 10 slots stay
+// idle for good (TestFullNodeFillsItsSizeClass). One committed
+// one-attribute value costs 82 B at degree 32 and 73 B here, ascending
+// keys (TestResidentBytesPerStoredValue).
+const degree = 37
 
 // Store is a versioned key/value store. Safe for concurrent use.
 type Store struct {
 	mu       sync.RWMutex
 	tree     *btree.Tree[stored]
+	hollow   int      // rows in tree that are hollow
 	log      *wal.Log // nil for memory-only stores
 	buf      []byte   // encode scratch, reused by every write
 	puts     int64
@@ -93,7 +122,7 @@ type Store struct {
 // NewMemory returns a store without durability (the simulator's
 // storage nodes: durability there is modeled, not real).
 func NewMemory() *Store {
-	return &Store{tree: btree.New[stored]()}
+	return &Store{tree: btree.NewDegree[stored](degree)}
 }
 
 // Open returns a durable store backed by a WAL in dir, replaying any
@@ -120,9 +149,9 @@ func OpenWith(dir string, opts wal.Options, seed []Entry, fromSeg int, other fun
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{tree: btree.New[stored](), log: log}
+	s := &Store{tree: btree.NewDegree[stored](degree), log: log}
 	for _, e := range seed {
-		s.tree.Put(string(e.Key), stored{e.Value, e.Version})
+		s.tree.Put(string(e.Key), stored{value: e.Value, version: e.Version})
 	}
 	err = log.ReplayFrom(fromSeg, func(payload []byte) error {
 		s.replayed++
@@ -133,7 +162,7 @@ func OpenWith(dir string, opts wal.Options, seed []Entry, fromSeg int, other fun
 		if derr != nil {
 			return fmt.Errorf("kv: replay: %w", derr)
 		}
-		s.tree.Put(string(e.Key), stored{e.Value, e.Version})
+		s.tree.Put(string(e.Key), stored{value: e.Value, version: e.Version})
 		return nil
 	})
 	if err != nil {
@@ -155,13 +184,10 @@ func OpenWith(dir string, opts wal.Options, seed []Entry, fromSeg int, other fun
 // ladder's kv.get_ns is Get among 100 000). A Put that replaces a key
 // takes about 300 ns as PutEncoded and 450–650 ns as Put, whose encode
 // is its one allocation; the ladder's kv.put_ns.mem inserts 100 000
-// keys in order, which stays in cache. Callers that need only the
-// version use Version.
+// keys in order, which stays in cache.
 func (s *Store) GetEncoded(key record.Key) (record.Encoded, record.Version, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	st, ok := s.tree.Get(string(key))
-	return st.value, st.version, ok
+	val, ver, ok, _ := s.Row(key)
+	return val, ver, ok
 }
 
 // Get is GetEncoded with the value decoded, a Value of the caller's own.
@@ -170,22 +196,10 @@ func (s *Store) Get(key record.Key) (record.Value, record.Version, bool) {
 	return val.Decode(), ver, ok
 }
 
-// Version returns key's committed version without copying its value
-// (0, false if the key has never been written; tombstones count as
-// written, as in Get).
-func (s *Store) Version(key record.Key) (record.Version, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	st, ok := s.tree.Get(string(key))
-	return st.version, ok
-}
-
 // Exists reports whether key holds a live (non-tombstoned) record.
 func (s *Store) Exists(key record.Key) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	st, ok := s.tree.Get(string(key))
-	return ok && !st.value.Tombstone()
+	val, _, ok, _ := s.Row(key)
+	return ok && !val.Tombstone()
 }
 
 // PutEncoded replaces the committed state of key with value's bytes,
@@ -201,7 +215,12 @@ func (s *Store) PutEncoded(key record.Key, value record.Encoded, version record.
 			return err
 		}
 	}
-	s.tree.Put(string(key), stored{value, version})
+	st, _ := s.tree.Slot(string(key))
+	if st.hollow {
+		st.hollow = false
+		s.hollow--
+	}
+	st.value, st.version = value, version // a bound handle stays
 	s.puts++
 	return nil
 }
@@ -226,7 +245,7 @@ func (s *Store) Scan(from, to record.Key, fn func(Entry) bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	s.tree.AscendRange(string(from), string(to), func(key string, st stored) bool {
-		if st.value.Tombstone() {
+		if st.hollow || st.value.Tombstone() {
 			return true
 		}
 		return fn(Entry{Key: record.Key(key), Value: st.value, Version: st.version})
@@ -240,12 +259,52 @@ func (s *Store) Scan(from, to record.Key, fn func(Entry) bool) {
 func (s *Store) AppendEntries(b []byte) []byte {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	b = transport.AppendUvarint(b, uint64(s.tree.Len()))
+	b = transport.AppendUvarint(b, uint64(s.tree.Len()-s.hollow))
 	s.tree.AscendRange("", "", func(key string, st stored) bool {
-		b = AppendEntry(b, Entry{record.Key(key), st.value, st.version})
+		if !st.hollow {
+			b = AppendEntry(b, Entry{record.Key(key), st.value, st.version})
+		}
 		return true
 	})
 	return b
+}
+
+// Row is GetEncoded plus the handle bound to key (0: none), in one
+// descent: the layer above keeps a record's state beside its committed
+// value, and a handler that reads both looks the key up once. A hollow
+// row reads as a key never written, with its handle.
+func (s *Store) Row(key record.Key) (record.Encoded, record.Version, bool, uint32) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	st, ok := s.tree.Get(string(key))
+	return st.value, st.version, ok && !st.hollow, st.handle
+}
+
+// Bind binds handle h (nonzero) to key, giving the key a hollow row if
+// it has none. A handle is the layer above's to interpret; it never
+// reaches the log, so a reopened store binds none, and the layer above
+// binds again as it replays.
+func (s *Store) Bind(key record.Key, h uint32) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st, inserted := s.tree.Slot(string(key))
+	st.handle = h
+	if inserted {
+		st.hollow = true
+		s.hollow++
+	}
+}
+
+// AscendHandles calls fn for every key with a handle bound, hollow
+// rows included, in key order, stopping early if fn returns false. It
+// holds the store's read lock throughout, so fn must not call the
+// store.
+func (s *Store) AscendHandles(fn func(key record.Key, h uint32) bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	s.tree.AscendRange("", "", func(key string, st stored) bool {
+		return st.handle == 0 || fn(record.Key(key), st.handle)
+	})
 }
 
 // Log exposes the backing WAL (nil for memory stores) for checkpoint
@@ -265,11 +324,12 @@ func (s *Store) Replayed() int64 {
 	return s.replayed
 }
 
-// Len returns the number of keys ever written (including tombstones).
+// Len returns the number of keys ever written (including tombstones;
+// not hollow rows).
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.tree.Len()
+	return s.tree.Len() - s.hollow
 }
 
 // Puts returns the number of Put calls served (monitoring).

@@ -191,6 +191,39 @@ func TestTransactUserError(t *testing.T) {
 	}
 }
 
+// attempts counts runs of fn, and anything below 1 runs it once: a
+// transaction whose write conflicts every time is run exactly that
+// often, by Transact and TransactSerializable alike.
+func TestTransactAttemptsBelowOneRunOnce(t *testing.T) {
+	c := startTestCluster(t, ClusterConfig{})
+	s := c.Session(USWest)
+	if ok, _ := s.Commit(Insert("once/1", Value{Attrs: map[string]int64{"n": 0}})); !ok {
+		t.Fatal("insert failed")
+	}
+	waitFor(t, "insert visibility", func() bool {
+		_, ver, exists, _ := s.Read("once/1")
+		return exists && ver >= 1
+	})
+	transacts := []struct {
+		name string
+		run  func(int, func(*TxView) error) (bool, error)
+	}{{"Transact", s.Transact}, {"TransactSerializable", s.TransactSerializable}}
+	for _, tr := range transacts {
+		for _, tc := range []struct{ attempts, runs int }{{-1, 1}, {0, 1}, {1, 1}, {3, 3}} {
+			runs := 0
+			ok, err := tr.run(tc.attempts, func(tx *TxView) error {
+				runs++
+				tx.Insert("once/1", Value{Attrs: map[string]int64{"n": 1}}) // the key exists: rejected
+				return nil
+			})
+			if ok || err != nil || runs != tc.runs {
+				t.Errorf("%s(%d) = %v, %v after %d runs; want a conflict after %d",
+					tr.name, tc.attempts, ok, err, runs, tc.runs)
+			}
+		}
+	}
+}
+
 func TestConcurrentSessions(t *testing.T) {
 	c := startTestCluster(t, ClusterConfig{})
 	s := c.Session(USWest)

@@ -276,16 +276,14 @@ func (s *Session) Commit(updates ...Update) (committed bool, err error) {
 
 // Transact runs fn as an optimistic read-modify-write transaction:
 // fn assembles a write-set via the TxView, and Commit validates it.
-// On conflict it retries up to attempts times (classic OCC loop).
+// On conflict it runs fn again, up to attempts runs in all (classic
+// OCC loop). attempts below 1 run fn once, as 1 does.
 func (s *Session) Transact(attempts int, fn func(tx *TxView) error) (bool, error) {
 	if attempts < 1 {
 		attempts = 1
 	}
 	for i := 0; i < attempts; i++ {
 		tx := &TxView{s: s}
-		if err := tx.err; err != nil {
-			return false, err
-		}
 		if err := fn(tx); err != nil {
 			return false, err
 		}
@@ -307,7 +305,8 @@ func (s *Session) Transact(attempts int, fn func(tx *TxView) error) (bool, error
 // every record fn read and did not write gets a ReadCheck, so the
 // transaction aborts if anything it based its decisions on changed —
 // full optimistic concurrency control, preventing anomalies such as
-// write skew that read committed allows.
+// write skew that read committed allows. attempts counts runs of fn as
+// in Transact: below 1, fn runs once.
 func (s *Session) TransactSerializable(attempts int, fn func(tx *TxView) error) (bool, error) {
 	if attempts < 1 {
 		attempts = 1
