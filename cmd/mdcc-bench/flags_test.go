@@ -1,7 +1,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
+	"os"
+	"os/exec"
 	"reflect"
 	"sort"
 	"strings"
@@ -78,6 +81,29 @@ func TestScaleNodesPositive(t *testing.T) {
 			t.Errorf("parseIntList(%q) accepted", in)
 		} else if in != "2,x" && !strings.Contains(err.Error(), "below 1") {
 			t.Errorf("parseIntList(%q): %v, want the bound named", in, err)
+		}
+	}
+}
+
+// TestSimGateNegativeExits: a -sim-gate below 0, or NaN, is refused
+// with exit status 2 naming the flag, before any arm runs; 0 keeps
+// meaning no gate. Either used to disable the gate silently, since the
+// slowest point was compared only with a positive gate, so the run
+// exited 0 whatever its wall time. The test re-executes its own binary
+// as mdcc-bench (main reads the same flag set), on the smallest sweep.
+func TestSimGateNegativeExits(t *testing.T) {
+	if os.Getenv("MDCC_BENCH_AS_MAIN") == "1" {
+		main()
+		return
+	}
+	for _, gate := range []string{"-1", "NaN"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestSimGateNegativeExits$",
+			"-quick", "-scale.nodes", "1", "-scale.drop", "0", "-sim-gate", gate, "scale")
+		cmd.Env = append(os.Environ(), "MDCC_BENCH_AS_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "-sim-gate") {
+			t.Errorf("-sim-gate %s: %v, want exit status 2 naming the flag; output:\n%s", gate, err, out)
 		}
 	}
 }

@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -82,6 +83,10 @@ func main() {
 		os.Exit(2)
 	}
 	arg := flag.Arg(0)
+	if g := *simGate; g < 0 || math.IsNaN(g) {
+		fmt.Fprintf(os.Stderr, "mdcc-bench: -sim-gate %v: want a wall time of at least 0 ms (0 = no gate)\n", g)
+		os.Exit(2)
+	}
 	if arg == "all" && *jsonOut != "" {
 		fmt.Fprintln(os.Stderr, "mdcc-bench: -out names one arm's file; run gateway or scale on its own")
 		os.Exit(2)

@@ -522,12 +522,12 @@ func (n *StorageNode) compactDecided(key record.Key, r *recState, force bool) {
 // settleOption records one final decision the caller found to be new:
 // lineage summary, the record's kind class, durable decision log, and
 // a decided-log entry — except on a record whose class is physical,
-// which keeps none for an option with a lineage identity
-// (decidedLog.lockPhysical): its summary is all it keeps.
+// which keeps none (decidedLog.lockPhysical): its summary is all it
+// keeps.
 func (n *StorageNode) settleOption(key record.Key, r *recState, d Decision, opt Option) {
 	was := r.decided.footprint()
-	n.noteSettled(r, d, opt)
-	if opt.KeySeq == 0 || r.decided.kind != record.KindPhysical {
+	r.decided.note(&n.lanes, d, opt)
+	if r.decided.kind != record.KindPhysical {
 		r.decided.record(&n.lanes, key, d, opt, true, n.net.Now())
 	}
 	n.meter(r, was)
@@ -544,69 +544,13 @@ func (n *StorageNode) meter(r *recState, was footprint) {
 	n.m.DecidedBytes += now.bytes - was.bytes
 }
 
-// settled answers "has tx's option on this record settled, and how?"
-// for every caller — acceptor, leader and recovery alike. The decided
-// log answers first; a keySeq names the option's lineage identity, and
-// with one the summary answers for options whose decided-log entry was
-// released — exact, forever (DESIGN.md §5).
+// settled answers "has the option (tx's lane, keySeq) on this record
+// settled, and how?" for every caller — acceptor, leader and recovery
+// alike. The record's lineage summary is the answer, exact and forever
+// (DESIGN.md §5): every decided-log entry is noted in it before it is
+// stored (decidedLog.note), and the log only caches contents.
 func (n *StorageNode) settled(r *recState, tx TxID, keySeq uint64) (Decision, bool) {
-	if d, ok := r.decided.get(&n.lanes, tx); ok || keySeq == 0 {
-		return d, ok
-	}
 	return r.decided.summary().decision(&n.lanes, laneOf(tx), keySeq)
-}
-
-// noteSettled folds one settled option (with contents) into the
-// record's summary and class lock (shared by live settles and WAL
-// replay).
-func (n *StorageNode) noteSettled(r *recState, d Decision, opt Option) {
-	if opt.KeySeq > 0 {
-		s := r.decided.tail()
-		applied := d == DecAccept && opt.Update.Kind == record.KindCommutative
-		s.add(&n.lanes, laneOf(opt.Tx), opt.KeySeq, d != DecAccept, applied)
-		if d == DecAccept && opt.Update.Kind == record.KindPhysical && opt.Update.ReadVersion > 0 {
-			s.mark(false, true)
-		}
-	}
-	if d == DecAccept {
-		r.noteKind(opt.Update)
-	}
-}
-
-// noteKind locks the record's update class on the first non-creating
-// accepted update (inserts — ReadVersion 0 — are class-neutral:
-// account/stock records are created physically and then live
-// commutatively, per the paper's own workloads). A physical lock drops
-// the record's decided entries (decidedLog.lockPhysical).
-func (r *recState) noteKind(up record.Update) {
-	if r.decided.kind != 0 {
-		return
-	}
-	switch up.Kind {
-	case record.KindCommutative:
-		r.decided.kind = record.KindCommutative
-	case record.KindPhysical:
-		if up.ReadVersion > 0 {
-			r.decided.lockPhysical()
-		}
-	}
-}
-
-// noteKindFromSummary reconstructs the class lock from the summary's
-// class bits — the only kind information a replica that learned the
-// key wholesale (base adoption, WAL snapshot replay) has. Deltas wins
-// over Physical for pre-enforcement mixed histories: the commutative
-// class is the one whose forks need merge protection.
-func (r *recState) noteKindFromSummary() {
-	if r.decided.kind != 0 {
-		return
-	}
-	switch deltas, physical := r.decided.summary().bits(); {
-	case deltas:
-		r.decided.kind = record.KindCommutative
-	case physical:
-		r.decided.lockPhysical()
-	}
 }
 
 func (n *StorageNode) initialBallot(key record.Key) paxos.Ballot {
@@ -823,7 +767,7 @@ func (n *StorageNode) castVote(r *recState, opt Option, dec Decision, reason Rej
 	if dec == DecAccept {
 		n.m.VotesAccept++
 		was := r.decided.footprint()
-		r.noteKind(opt.Update)
+		r.decided.noteKind(opt.Update)
 		n.meter(r, was)
 	} else {
 		n.m.VotesReject++
@@ -1122,13 +1066,13 @@ func (n *StorageNode) adoptBase(key record.Key, base record.Encoded, baseVer rec
 		var refused bool
 		if r.decided.kind == record.KindPhysical {
 			// The record keeps no entries, and every option it accepted
-			// with a lineage identity is a physical one (its class lock
-			// refuses deltas) or a read check, which the summary cannot
-			// tell apart: refuse a base lacking any of them.
+			// is a physical one (its class lock refuses deltas) or a
+			// read check, which the summary cannot tell apart: refuse a
+			// base lacking any of them.
 			refused = r.decided.summary().acceptedOutside(&n.lanes, lineage)
 		} else {
 			r.decided.each(&n.lanes, key, func(e decidedEntry) bool {
-				refused = e.Decision == DecAccept && e.kind() == record.KindPhysical && e.KeySeq != 0 &&
+				refused = e.Decision == DecAccept && e.kind() == record.KindPhysical &&
 					!lineage.Contains(e.lane(), e.KeySeq)
 				return !refused
 			})
@@ -1147,10 +1091,6 @@ func (n *StorageNode) adoptBase(key record.Key, base record.Encoded, baseVer rec
 			// summary contains them, or (pure-physical branch) the
 			// higher base version proves supersession, or the refusal
 			// above already bailed.
-		case e.KeySeq == 0:
-			// No lineage identity (hand-built option): containment is
-			// unprovable, so treat as contained rather than risk a
-			// double apply. Coordinators always mint identities.
 		case lineage.Contains(e.lane(), e.KeySeq):
 		default:
 			// The graft: the one place a settled entry's contents are
@@ -1183,7 +1123,7 @@ func (n *StorageNode) adoptBase(key record.Key, base record.Encoded, baseVer rec
 func (n *StorageNode) absorbLineage(key record.Key, r *recState, lineage LineageSummary) {
 	was := r.decided.footprint()
 	r.decided.tail().union(&n.lanes, lineage)
-	r.noteKindFromSummary()
+	r.decided.noteKindFromSummary()
 	n.meter(r, was)
 	n.logLineage(key, r)
 }

@@ -518,7 +518,7 @@ func TestSnapshotWalksKeyOrder(t *testing.T) {
 		t.Fatalf("the sweep started %d recoveries, want one per open insert (%d)", len(reqs), records/3)
 	}
 	for j, req := range reqs {
-		if got, want := n.recoveries[req].keys[0], key(3*j+open); got != want {
+		if got, want := n.recoveries[req].stuck.WriteSet[0], key(3*j+open); got != want {
 			t.Fatalf("recovery %d is for %s, want %s: the sweep left key order", j, got, want)
 		}
 	}

@@ -81,9 +81,9 @@ type Config struct {
 
 	// DecidedRetention is how long a settled option's entry stays in
 	// the per-record decided log before becoming eligible for release
-	// (zero = 2 min). It is a lower bound, not a lifetime: an entry
-	// with a lineage identity is additionally held until every peer
-	// replica's summary is known to contain it, so shrinking this can
+	// (zero = 2 min). It is a lower bound, not a lifetime: an entry is
+	// additionally held until every peer replica's summary is known
+	// to contain it, so shrinking this can
 	// cost a recovery round trip but can never lose a forked apply.
 	// Only a log longer than 512 entries is compacted, so an ordinary
 	// record's entries are never released, whatever this says (see

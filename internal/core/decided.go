@@ -13,34 +13,28 @@ import (
 	"mdcc/internal/transport"
 )
 
-// decidedLog remembers one record's decided options, keyed by
-// transaction (a transaction writes a record at most once), so votes,
-// visibility and recovery are idempotent and diverged lineages can be
-// merged. Only a commutative record's merges read an entry's contents
-// (grafts); the summary answers idempotence and recovery by itself. So
-// a record whose class is locked physical keeps no entry with a
-// lineage identity at all: the lock drops the ones it holds
-// (lockPhysical), and later settles add none (StorageNode.settleOption,
-// replay), leaving its buffer the packed summary alone. On any other
-// record two eviction regimes share the log:
-//
-//   - Entries WITH a lineage identity (KeySeq > 0) are released only
-//     once (a) they are older than the retention horizon AND (b)
-//     every peer replica's last-known LineageSummary contains them
-//     (the acked predicate). The summary carries their settled
-//     knowledge forever, and the all-peer-ack guarantee is what makes
-//     release safe: an option every replica has settled can never
-//     again be the missing half of a fork, so its contents are never
-//     needed for a graft. Retention is therefore a pure cache knob —
-//     shrinking it can cost a recovery round trip, never a lost
-//     apply. Peer summaries arrive with anti-entropy replies, Phase1b
-//     and Phase2a bases, and only a log longer than decidedLimit —
-//     the only one compaction reads — keeps them (decidedIndex.peers),
-//     so on an ordinary commutative record the log is the steady
-//     per-option cost, not a warm-up cache.
-//   - Legacy entries (KeySeq == 0: recovery-fiat options) keep the
-//     old count-capped AND age-gated FIFO rule; they carry no effect
-//     to lose.
+// decidedLog is a contents cache beside one record's lineage summary:
+// the options the record settled, keyed by transaction (a transaction
+// writes a record at most once), kept for the one reader of an
+// entry's contents, a commutative record's merges (grafts), and for
+// recovery replies that carry them. Whether and how an option settled
+// is the summary's answer alone (StorageNode.settled): every entry is
+// noted in the summary before it is stored. So a record whose class is
+// locked physical keeps no entry at all: the lock drops the ones it
+// holds (lockPhysical), and later settles add none
+// (StorageNode.settleOption, replay), leaving its buffer the packed
+// summary alone. On any other record one release rule holds: an entry
+// goes once (a) it is older than the retention horizon AND (b) every
+// peer replica's last-known LineageSummary contains it (the acked
+// predicate). The all-peer-ack guarantee is what makes release safe:
+// an option every replica has settled can never again be the missing
+// half of a fork, so its contents are never needed for a graft.
+// Retention is therefore a pure cache knob — shrinking it can cost a
+// recovery round trip, never a lost apply. Peer summaries arrive with
+// anti-entropy replies, Phase1b and Phase2a bases, and only a log
+// longer than decidedLimit — the only one compaction reads — keeps
+// them (decidedIndex.peers), so on an ordinary commutative record the
+// log is the steady per-option cost, not a warm-up cache.
 //
 // Unacked entries are retained past the count cap — the log grows
 // with the divergence horizon (e.g. a partitioned peer), which is the
@@ -75,9 +69,9 @@ import (
 // (summaryTail) rewrites only bytes past end, and an entry's add moves
 // only the summary up behind it, so entry offsets, index positions and
 // decidedIndex.head never shift, and a settle costs the same on a log
-// of any length. Every scan stops at end; both compactions carry the
-// summary along. The leader's learned log is the same type with no
-// summary (end is len(buf)).
+// of any length. Every scan stops at end; compact carries the summary
+// along. The leader's learned log is the same type with no summary
+// (end is len(buf)), trimmed by count and age instead (trim).
 //
 // A settled option costs its packed bytes and nothing else: no slot,
 // no pointer, no string of its own. The zero value is an empty log, so
@@ -109,7 +103,7 @@ type decidedIndex struct {
 	// entry with that hash, or to -1 once two have shared it (get then
 	// scans).
 	pos map[uint64]int
-	// head is how many bytes compactLegacy has dropped off the front of
+	// head is how many bytes trim has dropped off the front of
 	// buf since the index was built. A position is head plus the
 	// entry's offset in buf, so positions survive the drop.
 	head int
@@ -484,7 +478,7 @@ func (l *decidedLog) entry(t *laneTable, key record.Key, tx TxID) (decidedEntry,
 // It reports whether the entry was new (false for already-known
 // decisions), so callers persist each decision exactly once, and
 // returns the entry as the log holds it, valid until the log next
-// changes. Eviction is the caller's concern (compactLegacy /
+// changes. Eviction is the caller's concern (trim /
 // StorageNode.compactDecided).
 func (l *decidedLog) record(t *laneTable, key record.Key, d Decision, opt Option, hasOpt bool, now time.Time) (decidedEntry, bool) {
 	id := parseID(opt.Tx)
@@ -604,12 +598,13 @@ func (l *decidedLog) reindex() {
 	}
 }
 
-// compactLegacy applies the pre-lineage eviction rule (count cap +
-// age gate, oldest first); used by the leader's learned log, which
-// has no summary backing it. The dropped entries leave the index one
-// by one and buf is resliced past them, so a pass costs what it drops
-// and a summary behind them stays where it is.
-func (l *decidedLog) compactLegacy(now time.Time, retention time.Duration) {
+// trim is the leader's learned log's count-and-age rule: while the log
+// is longer than decidedLimit, its oldest entry goes once it is older
+// than retention. The learned log has no summary and no peers to
+// acknowledge it; what it forgets, the records' summaries answer
+// (StorageNode.known). The dropped entries leave the index one by one
+// and buf is resliced past them, so a pass costs what it drops.
+func (l *decidedLog) trim(now time.Time, retention time.Duration) {
 	horizon := now.Add(-retention).UnixNano()
 	off, dropped := 0, 0
 	for ; l.len() > decidedLimit && l.idx.at[dropped] <= horizon; dropped++ {
@@ -651,9 +646,9 @@ func (l *decidedLog) notePeer(t *laneTable, from transport.NodeID, s LineageSumm
 	l.idx.peers[from] = p
 }
 
-// compact releases evictable entries: aged past retention and either
-// legacy (KeySeq 0) or contained in the noted summary of every one of
-// the record's replicas but self; an unindexed log holds no times and
+// compact releases evictable entries: aged past retention and
+// contained in the noted summary of every one of the record's
+// replicas but self; an unindexed log holds no times and
 // releases none. The kept entries and their times move up in place, and
 // the summary up behind them. Returns how many entries were released.
 func (l *decidedLog) compact(t *laneTable, key record.Key, now time.Time, retention time.Duration,
@@ -673,7 +668,7 @@ func (l *decidedLog) compact(t *laneTable, key record.Key, now time.Time, retent
 	}
 	evicted := l.retain(func(off, i int) bool {
 		e, _ := l.at(t, key, off)
-		return !(x.at[i] <= horizon && (e.KeySeq == 0 || acked(&e)))
+		return !(x.at[i] <= horizon && acked(&e))
 	})
 	if l.idx != nil {
 		l.idx.lastCompactLen = l.idx.n
@@ -712,28 +707,91 @@ func (l *decidedLog) retain(keep func(off, i int) bool) int {
 	return before - kept
 }
 
-// lockPhysical locks the log's record physical and drops every entry
-// with a lineage identity (KeySeq > 0), then moves what is left into an
-// array of exactly its size: on a physical record that is the summary
-// alone. A committed physical write carries its read version, so it
-// supersedes every lower version and is never grafted onto another
-// base (adoptBase); the summary answers every settled lookup of such an
-// option (StorageNode.settled) and recovery answers it without contents
-// (onRecoverOpt). So once the class is physical, the entries are a
-// cache nothing reads, and settleOption adds none.
+// lockPhysical locks the log's record physical and drops every entry,
+// moving the summary into an array of exactly its size. A committed
+// physical write carries its read version, so it supersedes every
+// lower version and is never grafted onto another base (adoptBase),
+// and recovery answers its option without contents (onRecoverOpt). So
+// once the class is physical, the entries are a cache nothing reads,
+// and settleOption adds none.
 func (l *decidedLog) lockPhysical() {
 	l.kind = record.KindPhysical
 	if l.end == 0 {
 		return
 	}
-	l.retain(func(off, _ int) bool {
-		_, rest, _ := l.idAt(off)
-		keySeq, _ := uvarintAt(l.buf, rest+1)
-		return keySeq == 0
-	})
-	buf := make([]byte, len(l.buf))
-	copy(buf, l.buf)
-	l.buf = buf
+	buf := make([]byte, len(l.buf)-int(l.end))
+	copy(buf, l.summary())
+	l.buf, l.end, l.n, l.idx = buf, 0, 0, nil
+}
+
+// note folds one settled option into the record's summary and class
+// lock: what every entry of the log is noted in before it is stored
+// (StorageNode.settleOption, replay). A replayed decision without
+// contents has an empty Update.
+func (l *decidedLog) note(t *laneTable, d Decision, opt Option) {
+	s := l.tail()
+	applied := d == DecAccept && opt.Update.Kind == record.KindCommutative
+	s.add(t, laneOf(opt.Tx), opt.KeySeq, d != DecAccept, applied)
+	if d == DecAccept && opt.Update.Kind == record.KindPhysical && opt.Update.ReadVersion > 0 {
+		s.mark(false, true)
+	}
+	if d == DecAccept {
+		l.noteKind(opt.Update)
+	}
+}
+
+// replay seeds the record from one replayed decision body by
+// settleOption's rule: the summary and class lock note it, with or
+// without contents, and the log keeps it unless the record's class is
+// physical — whether the body came from this build's log or from a
+// checkpoint that still carries physical entries. A body seen twice (a
+// tail that overlaps its snapshot) changes nothing the second time.
+func (l *decidedLog) replay(t *laneTable, key record.Key, now int64, body []byte) {
+	tx, d, keySeq, up := splitBody(body)
+	opt := Option{Tx: TxID(tx), KeySeq: keySeq}
+	if up != nil {
+		opt.Update = record.ReadUpdate(transport.NewWireReader(up))
+	}
+	l.note(t, d, opt)
+	if l.kind != record.KindPhysical {
+		l.restore(t, key, now, body)
+	}
+}
+
+// noteKind locks the record's update class on the first non-creating
+// accepted update (inserts — ReadVersion 0 — are class-neutral:
+// account/stock records are created physically and then live
+// commutatively, per the paper's own workloads). A physical lock drops
+// the record's decided entries (lockPhysical).
+func (l *decidedLog) noteKind(up record.Update) {
+	if l.kind != 0 {
+		return
+	}
+	switch up.Kind {
+	case record.KindCommutative:
+		l.kind = record.KindCommutative
+	case record.KindPhysical:
+		if up.ReadVersion > 0 {
+			l.lockPhysical()
+		}
+	}
+}
+
+// noteKindFromSummary reconstructs the class lock from the summary's
+// class bits — the only kind information a replica that learned the
+// key wholesale (base adoption, WAL snapshot replay) has. Deltas wins
+// over Physical for pre-enforcement mixed histories: the commutative
+// class is the one whose forks need merge protection.
+func (l *decidedLog) noteKindFromSummary() {
+	if l.kind != 0 {
+		return
+	}
+	switch deltas, physical := l.summary().bits(); {
+	case deltas:
+		l.kind = record.KindCommutative
+	case physical:
+		l.lockPhysical()
+	}
 }
 
 // footprint is what the log holds: its entries and its buffer's bytes,

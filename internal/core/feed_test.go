@@ -181,15 +181,17 @@ func TestFeedStreamsOnlyInterestKeys(t *testing.T) {
 	_ = w.node.Store().Put(cold, record.Value{Attrs: map[string]int64{"units": 10}}, 1)
 	w.subscribe(1, hot) // interest: hot only
 
-	commitVia := func(key record.Key, tx string) {
-		opt := Option{Tx: TxID(tx), Update: record.Commutative(key, map[string]int64{"units": -1})}
+	// Each option carries the lineage identity a coordinator would
+	// mint: its lane's per-key sequence, from 1.
+	commitVia := func(key record.Key, tx string, keySeq uint64) {
+		opt := Option{Tx: TxID(tx), KeySeq: keySeq, Update: record.Commutative(key, map[string]int64{"units": -1})}
 		w.net.At(0, func() { w.net.Send("driver", w.node.ID(), MsgProposeBatch{Opts: []Option{opt}}) })
 		w.net.RunFor(50 * time.Millisecond)
 		w.net.At(0, func() { w.net.Send("driver", w.node.ID(), MsgVisibility{Opt: opt, Commit: true}) })
 		w.net.RunFor(50 * time.Millisecond)
 	}
-	commitVia(cold, "t#cold")
-	commitVia(hot, "t#hot")
+	commitVia(cold, "t#1", 1)
+	commitVia(hot, "t#2", 1)
 	sawCold, sawHot := false, false
 	for _, m := range w.msgs {
 		for _, it := range m.Items {
@@ -209,7 +211,7 @@ func TestFeedStreamsOnlyInterestKeys(t *testing.T) {
 	}
 	// In-stream interest-add (same epoch) starts coverage for cold.
 	w.subscribe(1, cold)
-	commitVia(cold, "t#cold2")
+	commitVia(cold, "t#3", 2)
 	sawCold = false
 	for _, m := range w.msgs {
 		for _, it := range m.Items {

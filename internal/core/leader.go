@@ -56,8 +56,8 @@ type proposalCtx struct {
 
 // optWaiter is a dangling-transaction recovery request awaiting this
 // leader's decision on one option. keySeq carries the queried
-// option's lineage identity (when the requester knew it) so the
-// waiter can be answered exactly from a summary.
+// option's lineage identity so the waiter can be answered exactly from
+// a summary.
 type optWaiter struct {
 	reqID  uint64
 	from   transport.NodeID
@@ -168,9 +168,6 @@ func (l *leaderRec) inFlight(id OptionID) bool {
 // decision answers from the Phase1b replies' summaries, asked in
 // froms' order.
 func (p1 *phase1Ctx) decision(froms []transport.NodeID, tx TxID, keySeq uint64) (Decision, bool) {
-	if keySeq == 0 {
-		return DecUnknown, false
-	}
 	lane := laneOf(tx)
 	for _, from := range froms {
 		if d, ok := p1.replies[from].Lineage.Decision(lane, keySeq); ok {
@@ -455,13 +452,9 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 		if _, ok := tallies[id]; ok || l.inFlight(id) {
 			continue
 		}
-		// The requester's lineage identity (when it knew one).
-		var keySeq uint64
-		for _, w := range l.waiters[id] {
-			if keySeq = w.keySeq; keySeq > 0 {
-				break
-			}
-		}
+		// The requester's lineage identity: every waiter on id names
+		// the same one.
+		keySeq := l.waiters[id][0].keySeq
 		// Settled knowledge first: the local log/summary or any reply's
 		// summary may know the outcome of an option that has no votes
 		// left anywhere (settled and fully pruned). Answering from it
@@ -565,7 +558,7 @@ func (n *StorageNode) onPhase2b(from transport.NodeID, m MsgPhase2b) {
 			d, reason = s, ReasonNone
 		}
 		l.learned.record(&n.lanes, m.Key, d, v.Opt, true, n.net.Now())
-		l.learned.compactLegacy(n.net.Now(), n.cfg.DecidedRetention)
+		l.learned.trim(n.net.Now(), n.cfg.DecidedRetention)
 		n.notifyLearned(v.Opt.Coord, id, d, reason,
 			v.Opt.Update.Kind == record.KindCommutative)
 		n.resolveWaiters(l, id, d)

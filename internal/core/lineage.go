@@ -45,8 +45,9 @@ import (
 // lanes sorted by name; ranges sorted, disjoint, non-adjacent
 // (canonical — two replicas that settled the same set render the
 // same summary, which is what makes summary equality a convergence
-// proof); Rejected ⊆ Done per lane; sequence 0 never appears (0 is
-// the "no lineage identity" sentinel on options).
+// proof); Rejected ⊆ Done per lane. A coordinator mints sequences from
+// 1, so 0 appears only where a hand-built option named it; it is an
+// ordinary sequence, not a sentinel.
 
 // SeqRange is an inclusive range of per-lane sequence numbers.
 type SeqRange struct{ Lo, Hi uint64 }
@@ -458,9 +459,6 @@ func (p packedLineage) acceptedOutside(t *laneTable, o LineageSummary) bool {
 // add is LineageSummary.Add: it records one settled option and reports
 // whether the settled set changed.
 func (s summaryTail) add(t *laneTable, lane string, seq uint64, rejected, applied bool) bool {
-	if seq == 0 {
-		return false
-	}
 	var db, rb [4]SeqRange
 	l := s.view().lane(t, lane, db[:0], rb[:0])
 	done, changed := addRange(l.done, seq)

@@ -234,10 +234,9 @@ type MsgEnableFast struct {
 // transaction's option on that key (used by the pending-option sweep
 // when an app-server died before sending visibility). KeySeq is the
 // queried option's lineage identity (from the stuck sibling's
-// WriteSeqs), letting the leader answer exactly from its summary even
-// after the decided-log entry was released — without it an
-// evicted-but-settled option would be re-forced through a classic
-// round and could be fiat-rejected against its true decision.
+// WriteSeqs), which the leader answers from its summary exactly,
+// whether or not the decided-log entry is still held; a fiat reject
+// of an option the leader cannot find carries it too.
 type MsgRecoverOpt struct {
 	ReqID  uint64
 	Tx     TxID

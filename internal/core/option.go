@@ -98,9 +98,10 @@ type Option struct {
 
 	// KeySeq is the option's lineage identity within its coordinator
 	// lane: the per-(coordinator incarnation, key) contiguous proposal
-	// sequence, minted at Commit. Together with the lane (the TxID
-	// prefix, see laneOf) it names this option in LineageSummaries
-	// forever. 0 means "no lineage identity" (recovery-fiat options).
+	// sequence, minted at Commit from 1. Together with the lane (the
+	// TxID prefix, see laneOf) it names this option in LineageSummaries
+	// forever. Every option has one: a recovery's fiat reject or abort
+	// copies it from the stuck option's WriteSeqs.
 	KeySeq uint64
 	// WriteSeqs carries the KeySeq of every sibling option of the
 	// transaction, parallel to WriteSet, so dangling-transaction

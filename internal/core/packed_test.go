@@ -43,12 +43,10 @@ func (s *LineageSummary) Union(o LineageSummary) {
 
 // Add records one settled option. rejected marks reject outcomes;
 // applied marks an executed commutative update (sets Deltas). Returns
-// whether the summary changed (false for duplicates). seq 0 (no
-// lineage identity) is ignored.
+// whether the summary changed (false for duplicates). Sequence 0 is
+// an ordinary one: no coordinator mints it, but a summary holds it
+// like any other.
 func (s *LineageSummary) Add(lane string, seq uint64, rejected, applied bool) bool {
-	if seq == 0 {
-		return false
-	}
 	l := s.laneOrNew(lane)
 	done, changed := addRange(l.Done, seq)
 	l.Done = done
@@ -310,15 +308,23 @@ func TestPackedLineageSettleInPlace(t *testing.T) {
 
 // checkSharedBufferMatchesOracles drives the op sequence data encodes
 // against one decided log, whose buffer holds its entries and, behind
-// them, a packed summary. Entry ops (record, restore, a fill past
-// decidedLimit, compact with the peers' acks noted, compactLegacy) are
-// checked against a map and an order slice; summary ops (add, union,
-// mark) are applied to the log's tail, to a summary that stands alone
-// and to the reference LineageSummary. After every op the tail must
-// hold the standalone summary's exact bytes and answer every read as
-// the reference does, and the entries must be the oracle's, in its
-// order. Every settle is at time 0 and every compaction an hour later,
-// so each entry of an indexed log has aged past retention.
+// them, a packed summary. Entry ops (a live settle, a replayed body
+// without contents, a fill past decidedLimit, compact with the peers'
+// acks noted, trim) are checked against a map and an order slice; each
+// settles by the product's rule, noting the option in the summary
+// before the log stores it (note, replay). Summary ops (add, union,
+// mark) and the notes are applied to the log's tail, to a summary that
+// stands alone and to the reference LineageSummary. After every op the
+// tail must hold the standalone summary's exact bytes and answer every
+// read as the reference does, the entries must be the oracle's, in its
+// order, and each entry's decision must be its summary's answer for
+// the entry's lane and sequence: the summary alone answers settled.
+// Every option carries an identity, as a coordinator mints it: tx
+// lane#n is sequence n+1 of its lane, and its decision is a function
+// of the sequence (decisionOf), which the summary ops follow too, so
+// no two settles of one option disagree. Every settle is at time 0 and
+// every compaction an hour later, so each entry of an indexed log has
+// aged past retention.
 func checkSharedBufferMatchesOracles(t *testing.T, data []byte) {
 	t.Helper()
 	type settled struct {
@@ -358,15 +364,21 @@ func checkSharedBufferMatchesOracles(t *testing.T, data []byte) {
 		}
 		order = kept
 	}
-	settle := func(tx TxID, s settled, restore bool) {
+	settle := func(tx TxID, s settled, replay bool) {
 		_, known := want[tx]
-		var isNew bool
-		if restore {
-			isNew = l.restore(appendDecision(nil, tx, s.d, s.keySeq, nil))
+		isNew, applied := false, false
+		if replay {
+			before := l.len()
+			l.replay(appendDecision(nil, tx, s.d, s.keySeq, nil))
+			isNew = l.len() > before
 		} else {
-			_, isNew = l.record(s.d, Option{Tx: tx, KeySeq: s.keySeq,
-				Update: record.Commutative(testLogKey, map[string]int64{"x": 1})}, true, start)
+			opt := Option{Tx: tx, KeySeq: s.keySeq, Update: record.Commutative(testLogKey, map[string]int64{"x": 1})}
+			l.note(s.d, opt)
+			_, isNew = l.record(s.d, opt, true, start)
+			applied = s.d == DecAccept
 		}
+		p.tail().add(&l.tab, s.lane, s.keySeq, s.d != DecAccept, applied)
+		ref.Add(s.lane, s.keySeq, s.d != DecAccept, applied)
 		if isNew == known {
 			t.Fatalf("settle(%s) new=%v, the oracle knows it: %v", tx, isNew, known)
 		}
@@ -377,21 +389,24 @@ func checkSharedBufferMatchesOracles(t *testing.T, data []byte) {
 	for step := 0; len(data) > 0; step++ {
 		switch op := next(); op % 8 {
 		case 0, 1, 2:
-			b, seq := next(), next()
-			s := settled{d: Decision(1 + b>>7), lane: lane(b), keySeq: uint64(seq % 24)}
-			settle(TxID(fmt.Sprintf("%s#%d", s.lane, seq%40)), s, op%8 == 2)
+			b, n := next(), next()%40
+			s := settled{lane: lane(b), keySeq: uint64(n) + 1}
+			s.d = decisionOf(s.keySeq)
+			settle(TxID(fmt.Sprintf("%s#%d", s.lane, n)), s, op%8 == 2)
 		case 3:
 			ln, seq, fl := lane(op/8), uint64(next()%14), next()
-			got := l.tail().add(&l.tab, ln, seq, fl&1 != 0, fl&2 != 0)
-			p.tail().add(&l.tab, ln, seq, fl&1 != 0, fl&2 != 0)
-			if want := ref.Add(ln, seq, fl&1 != 0, fl&2 != 0); got != want {
+			rej := decisionOf(seq) == DecReject
+			got := l.tail().add(&l.tab, ln, seq, rej, fl&2 != 0)
+			p.tail().add(&l.tab, ln, seq, rej, fl&2 != 0)
+			if want := ref.Add(ln, seq, rej, fl&2 != 0); got != want {
 				t.Fatalf("step %d: add(%s, %d) reported %v, reference %v", step, ln, seq, got, want)
 			}
 		case 4:
 			var o LineageSummary
 			for k := int(next() % 4); k > 0; k-- {
 				b := next()
-				o.Add(lane(b), uint64(b/5%14), b&0x80 != 0, false)
+				seq := uint64(b / 5 % 14)
+				o.Add(lane(b), seq, decisionOf(seq) == DecReject, false)
 			}
 			fl := next()
 			o.Deltas, o.Physical = fl&1 != 0, fl&2 != 0
@@ -414,7 +429,7 @@ func checkSharedBufferMatchesOracles(t *testing.T, data []byte) {
 			}
 			if len(order) >= decidedIndexMin {
 				evict(func(s settled) bool {
-					return s.keySeq == 0 || noted && acked.Contains(s.lane, s.keySeq)
+					return noted && acked.Contains(s.lane, s.keySeq)
 				})
 			}
 			l.compact(late, retention)
@@ -430,7 +445,7 @@ func checkSharedBufferMatchesOracles(t *testing.T, data []byte) {
 				delete(want, order[0])
 				order = order[1:]
 			}
-			l.compactLegacy(late, retention)
+			l.trim(late, retention)
 		}
 		if len(order) < decidedIndexMin {
 			noted = false // a short log drops its index and the peers' summaries with it
@@ -447,7 +462,22 @@ func checkSharedBufferMatchesOracles(t *testing.T, data []byte) {
 				t.Fatalf("step %d: get(%s) = %v %v, oracle %v", step, tx, d, ok, want[tx].d)
 			}
 		}
+		l.each(&l.tab, testLogKey, func(e decidedEntry) bool {
+			if d, ok := l.summary().decision(&l.tab, e.lane(), e.KeySeq); !ok || d != e.Decision {
+				t.Fatalf("step %d: %s settled %v, its summary answers %v %v", step, e.tx(), e.Decision, d, ok)
+			}
+			return true
+		})
 	}
+}
+
+// decisionOf is the one decision the shared-buffer ops give sequence
+// seq: an option settles one way everywhere.
+func decisionOf(seq uint64) Decision {
+	if seq%3 == 0 {
+		return DecReject
+	}
+	return DecAccept
 }
 
 // TestDecidedLogSharedBufferMatchesOracles: over random op sequences, a

@@ -16,11 +16,12 @@ import (
 // commits iff every option was accepted, broadcasting the visibility
 // the dead coordinator never sent.
 
-// txRecovery tracks one in-flight reconstruction.
+// txRecovery tracks one in-flight reconstruction. stuck is the
+// replica's own option of the transaction: its WriteSet names every
+// key to ask about and its WriteSeqs (parallel to it) every sibling's
+// lineage identity.
 type txRecovery struct {
-	tx        TxID
-	keys      []record.Key
-	seqs      map[record.Key]uint64 // lineage identities from the stuck option's WriteSeqs
+	stuck     Option
 	decisions map[record.Key]Decision
 	opts      map[record.Key]Option
 	hasOpt    map[record.Key]bool
@@ -92,7 +93,7 @@ func (n *StorageNode) sweepPending() {
 
 func (n *StorageNode) txRecoveryInFlight(tx TxID) bool {
 	for _, rec := range n.recoveries {
-		if rec.tx == tx {
+		if rec.stuck.Tx == tx {
 			return true
 		}
 	}
@@ -102,15 +103,10 @@ func (n *StorageNode) txRecoveryInFlight(tx TxID) bool {
 // startTxRecovery reconstructs the transaction that owns opt.
 func (n *StorageNode) startTxRecovery(opt Option) {
 	keys := opt.WriteSet
-	if len(keys) == 0 {
-		keys = []record.Key{opt.Update.Key}
-	}
 	n.reqSeq++
 	reqID := n.reqSeq
 	rec := &txRecovery{
-		tx:        opt.Tx,
-		keys:      keys,
-		seqs:      make(map[record.Key]uint64, len(keys)),
+		stuck:     opt,
 		decisions: make(map[record.Key]Decision, len(keys)),
 		opts:      make(map[record.Key]Option, len(keys)),
 		hasOpt:    make(map[record.Key]bool, len(keys)),
@@ -126,19 +122,14 @@ func (n *StorageNode) startTxRecovery(opt Option) {
 			Key: string(opt.Update.Key), Stage: trace.StageTxRecover, Arg: int64(len(keys))})
 	}
 	for i, k := range keys {
-		m := MsgRecoverOpt{ReqID: reqID, Tx: opt.Tx, Key: k}
-		// The stuck option carries its siblings' lineage identities
-		// (WriteSeqs, parallel to WriteSet), so every per-key query
-		// names its option exactly — leaders can then answer from
-		// their summaries even after the decided-log entry aged out.
-		if i < len(opt.WriteSeqs) {
-			m.KeySeq = opt.WriteSeqs[i]
-		}
+		// The stuck option carries its siblings' lineage identities,
+		// so every per-key query names its option exactly — leaders
+		// answer from their summaries even after the decided-log entry
+		// aged out.
+		m := MsgRecoverOpt{ReqID: reqID, Tx: opt.Tx, Key: k, KeySeq: opt.WriteSeqs[i]}
 		if k == opt.Update.Key {
 			m.Opt, m.HasOpt = opt, true
-			m.KeySeq = opt.KeySeq
 		}
-		rec.seqs[k] = m.KeySeq
 		n.send(n.leaderFor(k), m)
 	}
 	// Garbage-collect if the leaders never all answer; the sweep will
@@ -204,10 +195,9 @@ func (n *StorageNode) onRecoverOpt(from transport.NodeID, m MsgRecoverOpt) {
 		// Settle the rejection through the classic round itself: every
 		// acceptor adopts the reject vote before fast proposals can
 		// reopen, and the waiter is answered when the round learns.
-		// The requester's lineage identity rides along so the settled
-		// reject enters summaries and is remembered forever — without
-		// it the decision would age out of the decided logs and a late
-		// re-propose could be answered the opposite way.
+		// The requester's lineage identity rides along: it names the
+		// settled reject in every summary, which answers a late
+		// re-propose with it forever.
 		l.cstruct = append(l.cstruct, VotedOption{
 			Opt:      Option{Tx: m.Tx, Update: record.Update{Key: m.Key}, KeySeq: m.KeySeq},
 			Decision: DecReject,
@@ -221,7 +211,7 @@ func (n *StorageNode) onRecoverOpt(from transport.NodeID, m MsgRecoverOpt) {
 // would have.
 func (n *StorageNode) onOptDecided(m MsgOptDecided) {
 	rec, ok := n.recoveries[m.ReqID]
-	if !ok || rec.tx != m.Tx {
+	if !ok || rec.stuck.Tx != m.Tx {
 		return
 	}
 	if _, dup := rec.decisions[m.Key]; dup {
@@ -231,18 +221,19 @@ func (n *StorageNode) onOptDecided(m MsgOptDecided) {
 	if m.HasOpt {
 		rec.opts[m.Key], rec.hasOpt[m.Key] = m.Opt, true
 	}
-	if len(rec.decisions) < len(rec.keys) {
+	keys := rec.stuck.WriteSet
+	if len(rec.decisions) < len(keys) {
 		return
 	}
 	delete(n.recoveries, m.ReqID)
 	commit := true
-	for _, k := range rec.keys {
+	for _, k := range keys {
 		if rec.decisions[k] != DecAccept {
 			commit = false
 			break
 		}
 	}
-	for _, k := range rec.keys {
+	for i, k := range keys {
 		opt, has := rec.opts[k], rec.hasOpt[k]
 		if !has {
 			if commit {
@@ -255,7 +246,7 @@ func (n *StorageNode) onOptDecided(m MsgOptDecided) {
 			// Abort visibility for a key whose option no replica holds:
 			// carry the lineage identity so the settled reject enters
 			// summaries and is remembered forever.
-			opt = Option{Tx: rec.tx, Update: record.Update{Key: k}, KeySeq: rec.seqs[k]}
+			opt = Option{Tx: rec.stuck.Tx, Update: record.Update{Key: k}, KeySeq: rec.stuck.WriteSeqs[i]}
 		}
 		vis := visibilityFor(opt, commit)
 		for _, rep := range n.cl.Replicas(k) {

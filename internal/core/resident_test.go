@@ -453,7 +453,7 @@ func TestIndexedLogCapacityPerEntry(t *testing.T) {
 // so its log keeps their entries (a physical record keeps none, and
 // Multi mode refuses commutative updates).
 // The learned log, which holds no summary, is held at decidedLimit by
-// compactLegacy as it learns. After a sync reply from each peer names
+// trim as it learns. After a sync reply from each peer names
 // the record with the node's own summary, the pending sweep's
 // compaction releases the aged entries of the record's log: the summary
 // behind them in the same buffer unpacks exactly as before, and settled

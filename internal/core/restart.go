@@ -304,9 +304,9 @@ func NewDurableStorageNode(id transport.NodeID, dc topology.DC, net transport.Ne
 			// pre-crash state exactly, in lockstep with the store's
 			// replayed value).
 			r.decided.tail().union(&n.lanes, *e.Snapshot)
-			r.noteKindFromSummary()
+			r.decided.noteKindFromSummary()
 		} else {
-			n.replayDecision(e.Key, r, e.Decision)
+			r.decided.replay(&n.lanes, e.Key, n.net.Now().UnixNano(), e.Decision)
 		}
 		n.meter(r, was)
 	}
@@ -345,23 +345,6 @@ func (n *StorageNode) degrade(err error) {
 // (nil while healthy). A non-nil value means the node has halted and
 // needs its durable state reopened.
 func (n *StorageNode) DurabilityError() error { return n.degraded }
-
-// replayDecision seeds the record from one replayed decision body by
-// settleOption's rule: the summary and class lock note it when it has
-// contents, and the decided log keeps it unless the record's class is
-// physical and the option has a lineage identity — whether the body
-// came from this build's log or from a checkpoint that still carries
-// physical entries. A body seen twice (a tail that overlaps its
-// snapshot) changes nothing the second time.
-func (n *StorageNode) replayDecision(key record.Key, r *recState, body []byte) {
-	tx, d, keySeq, up := splitBody(body)
-	if up != nil {
-		n.noteSettled(r, d, Option{Tx: TxID(tx), Update: record.ReadUpdate(transport.NewWireReader(up)), KeySeq: keySeq})
-	}
-	if keySeq == 0 || r.decided.kind != record.KindPhysical {
-		r.decided.restore(&n.lanes, key, n.net.Now().UnixNano(), body)
-	}
-}
 
 // logDecision persists the decision body of opt settled as d, if this
 // node is durable. A refused append degrades the node (see degrade) —

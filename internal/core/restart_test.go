@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
@@ -200,17 +201,98 @@ func TestRestartReplaysDecisionLog(t *testing.T) {
 		t.Fatalf("WAL replay lost state: bal=%d ver=%d, want 15/2", v.Attr("bal"), ver)
 	}
 
-	// Re-deliver the visibility the incarnation already executed; the
-	// replayed decision log must swallow it.
+	// Re-deliver the visibility the incarnation already executed, with
+	// the lineage identity it was sent with (the coordinator's first
+	// option on the key); the replayed summary must swallow it.
 	id := w.cl.Storage[victim].ID
 	w.net.Send(w.cl.Clients[0].ID, id, MsgVisibility{
-		Opt:    Option{Tx: res.Tx, Coord: w.cl.Clients[0].ID, Update: opt},
+		Opt:    Option{Tx: res.Tx, Coord: w.cl.Clients[0].ID, Update: opt, KeySeq: 1},
 		Commit: true,
 	})
 	w.net.RunFor(2 * time.Second)
 	v, ver, _ = w.durables[victim].Store.Get(key)
 	if v.Attr("bal") != 15 || ver != 2 {
 		t.Errorf("duplicate visibility re-applied after restart: bal=%d ver=%d, want 15/2", v.Attr("bal"), ver)
+	}
+}
+
+// TestReplayedSettlesAnswerFromSummary: settled asks the record's
+// lineage summary and nothing else, so a reopened node must note every
+// decision it replays in the summary, with or without contents. The
+// node settles options on a commutative record and on one whose class
+// locks physical, checkpoints, settles more, and its log's tail then
+// takes two decision bodies without contents (the shape of the disk
+// golden's bareDecisionEntry): a reject on the commutative record and
+// an accept on a record nothing else touched. Reopened, the node
+// answers every one of those options as it settled.
+func TestReplayedSettlesAnswerFromSummary(t *testing.T) {
+	dir := t.TempDir()
+	cl := topology.NewCluster(topology.Layout{NodesPerDC: 1, ClientDC: -1})
+	cfg := Defaults(ModeMDCC)
+	cfg.PendingTimeout = 0
+	open := func() (*DurableState, *StorageNode) {
+		ds, err := OpenDurableOpts(dir, DurableOptions{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds, NewDurableStorageNode(cl.Storage[0].ID, cl.Storage[0].DC, &codecNet{}, cl, cfg, ds)
+	}
+	const coord = "gw/us-west/c0"
+	type settle struct {
+		opt Option
+		d   Decision
+	}
+	var settles []settle
+	keySeqs := map[record.Key]uint64{}
+	ds, n := open()
+	net := n.net.(*codecNet)
+	live := func(up record.Update, commit bool) {
+		keySeqs[up.Key]++
+		seq := keySeqs[up.Key]
+		opt := Option{Tx: TxID(fmt.Sprintf("%s#%d", coord, len(settles)+1)), Coord: coord, Update: up,
+			WriteSet: []record.Key{up.Key}, KeySeq: seq, WriteSeqs: []uint64{seq}}
+		net.deliver(t, coord, n.ID(), MsgProposeBatch{Opts: []Option{opt}})
+		net.deliver(t, coord, n.ID(), visibilityFor(opt, commit))
+		d := DecReject
+		if commit {
+			d = DecAccept
+		}
+		settles = append(settles, settle{opt, d})
+	}
+	const acct, item = record.Key("acct/1"), record.Key("item/1")
+	live(record.Insert(acct, record.Value{Attrs: map[string]int64{"bal": 10}}), true)
+	live(record.Commutative(acct, map[string]int64{"bal": 5}), true)
+	live(record.Commutative(acct, map[string]int64{"bal": 1}), false)
+	live(record.Insert(item, record.Value{Attrs: map[string]int64{"n": 1}}), true)
+	live(record.Physical(item, 1, record.Value{Attrs: map[string]int64{"n": 2}}), true)
+	n.Checkpoint()
+	if n.Metrics().Checkpoints != 1 {
+		t.Fatal("no checkpoint taken")
+	}
+	live(record.Commutative(acct, map[string]int64{"bal": 2}), true)
+	live(record.Physical(item, 2, record.Value{Attrs: map[string]int64{"n": 3}}), true)
+	for _, b := range []settle{
+		{Option{Tx: "gw/us-east/c0#1", Update: record.Update{Key: acct}, KeySeq: 1}, DecReject},
+		{Option{Tx: "gw/us-east/c0#2", Update: record.Update{Key: "fresh/1"}, KeySeq: 1}, DecAccept},
+	} {
+		n.appendOplog(&oplogEntry{Key: b.opt.Update.Key, Decision: appendDecision(nil, b.opt.Tx, b.d, b.opt.KeySeq, nil)})
+		settles = append(settles, b)
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ds, n = open()
+	defer ds.Close()
+	if r := ds.replay; !r.UsedSnapshot || r.Tail == 0 {
+		t.Fatalf("reopen replayed %+v, want a checkpoint and a tail", r)
+	}
+	for _, s := range settles {
+		r := n.rs(s.opt.Update.Key)
+		if d, ok := n.settled(r, s.opt.Tx, s.opt.KeySeq); !ok || d != s.d {
+			t.Errorf("%s on %s (seq %d) reads %v %v after the reopen, want %v",
+				s.opt.Tx, s.opt.Update.Key, s.opt.KeySeq, d, ok, s.d)
+		}
 	}
 }
 

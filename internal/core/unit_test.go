@@ -38,6 +38,12 @@ func (l *testLog) record(d Decision, opt Option, hasOpt bool, at time.Time) (dec
 	return l.decidedLog.record(&l.tab, testLogKey, d, opt, hasOpt, at)
 }
 
+// note and replay are the settle rules: every entry is noted in the
+// summary before it is stored.
+func (l *testLog) note(d Decision, opt Option) { l.decidedLog.note(&l.tab, d, opt) }
+
+func (l *testLog) replay(body []byte) { l.decidedLog.replay(&l.tab, testLogKey, 0, body) }
+
 func (l *testLog) restore(body []byte) bool {
 	_, ok := l.decidedLog.restore(&l.tab, testLogKey, 0, body)
 	return ok
@@ -122,6 +128,9 @@ func TestDecidedLogFirstWriteWins(t *testing.T) {
 	}
 }
 
+// TestDecidedLogLegacyEviction: the leader's learned log's
+// count-and-age trim keeps entries inside the retention horizon and
+// takes the aged ones down to decidedLimit, oldest first.
 func TestDecidedLogLegacyEviction(t *testing.T) {
 	var l testLog
 	const retention = defaultDecidedRetention
@@ -133,7 +142,7 @@ func TestDecidedLogLegacyEviction(t *testing.T) {
 	for i := 0; i < n; i++ {
 		bare(&l, tx(i), DecAccept, start.Add(time.Duration(i)*time.Millisecond))
 	}
-	l.compactLegacy(start.Add(5*time.Second), retention)
+	l.trim(start.Add(5*time.Second), retention)
 	if l.len() != n || indexLen(&l) != n {
 		t.Fatalf("entries inside the retention horizon evicted: %d/%d", l.len(), indexLen(&l))
 	}
@@ -141,7 +150,7 @@ func TestDecidedLogLegacyEviction(t *testing.T) {
 	// evicts them.
 	late := start.Add(retention + 10*time.Second)
 	bare(&l, tx(n), DecAccept, late)
-	l.compactLegacy(late, retention)
+	l.trim(late, retention)
 	if l.len() != decidedLimit || indexLen(&l) != decidedLimit {
 		t.Fatalf("aged-out entries not evicted down to limit: %d/%d", l.len(), indexLen(&l))
 	}
@@ -363,7 +372,7 @@ func TestDecidedLogEntryKeepsOption(t *testing.T) {
 }
 
 // An indexed log keeps answering get and entry exactly after either
-// compaction: compactLegacy drops the oldest entries off the front
+// compaction: trim drops the oldest entries off the front
 // (index positions must survive the shift) and compact moves the kept
 // ones up and rebuilds the index.
 func TestDecidedLogIndexedAfterCompaction(t *testing.T) {
@@ -403,10 +412,10 @@ func TestDecidedLogIndexedAfterCompaction(t *testing.T) {
 	}
 	// Everything older than an hour is past retention: the count cap
 	// takes the oldest down to decidedLimit.
-	l.compactLegacy(start.Add(time.Hour), retention)
+	l.trim(start.Add(time.Hour), retention)
 	firstKept := n - decidedLimit
-	check("compactLegacy", func(i int) bool { return i >= firstKept })
-	// Release the lane-c1 entries the legacy pass left.
+	check("trim", func(i int) bool { return i >= firstKept })
+	// Release the lane-c1 entries the trim left.
 	l.compact(start.Add(time.Hour), retention)
 	check("compact", func(i int) bool { return i >= firstKept && i%3 != 1 })
 	if (l.idx == nil) || indexLen(&l) != l.len() {
@@ -438,7 +447,7 @@ func oracleTx(rng *rand.Rand, steps int) TxID {
 }
 
 // TestDecidedLogMatchesMapOracle drives random record / get / entry /
-// compact / compactLegacy sequences, long enough to cross the index
+// compact / trim sequences, long enough to cross the index
 // threshold in both directions and the count limit, against a plain
 // map plus order slice — the structure the log replaced. Every entry
 // found expands to the exact body appendDecision writes for it. Only an
@@ -485,7 +494,7 @@ func TestDecidedLogMatchesMapOracle(t *testing.T) {
 					key = "j" // an update of another record: its key is kept
 				}
 				s := settled{d: Decision(1 + rng.Intn(2)), hasOpt: rng.Intn(4) > 0, settledAt: noTime,
-					opt: Option{Tx: tx, KeySeq: uint64(rng.Intn(3)), // 0 = legacy
+					opt: Option{Tx: tx, KeySeq: 1 + uint64(rng.Intn(3)), // 3: never acked
 						Update: record.Commutative(key, map[string]int64{"x": int64(step)})}}
 				if !s.hasOpt {
 					s.opt = Option{Tx: tx} // what a contents-free entry keeps
@@ -530,19 +539,19 @@ func TestDecidedLogMatchesMapOracle(t *testing.T) {
 					t.Fatalf("round %d step %d: %s expands to %x, want %x", round, step, tx, body, wantBody)
 				}
 			case op < 95:
-				// The peers ack lanes c0 and c1. A long log notes it and
-				// keeps it while it stays indexed.
+				// The peers ack sequences 1 and 2 of lanes c0 and c1. A
+				// long log notes it and keeps it while it stays indexed.
+				acked := acking(2, "c0", "c1")
 				if len(order) > decidedLimit {
 					for _, p := range testReplicas[1:] {
-						l.notePeer(p, acking(2, "c0", "c1"))
+						l.notePeer(p, acked)
 					}
 					noted = true
 				}
 				horizon := now.Add(-retention).UnixNano()
 				before := len(order)
 				evict(func(s settled) bool {
-					lane := laneOf(s.opt.Tx)
-					return !(s.settledAt <= horizon && (s.opt.KeySeq == 0 || noted && (lane == "c0" || lane == "c1")))
+					return !(s.settledAt <= horizon && noted && acked.Contains(laneOf(s.opt.Tx), s.opt.KeySeq))
 				})
 				if got := l.compact(now, retention); got != before-len(order) {
 					t.Fatalf("round %d step %d: compact released %d, oracle %d", round, step, got, before-len(order))
@@ -553,7 +562,7 @@ func TestDecidedLogMatchesMapOracle(t *testing.T) {
 					delete(ref, order[0])
 					order = order[1:]
 				}
-				l.compactLegacy(now, retention)
+				l.trim(now, retention)
 			}
 			indexed := len(order)
 			if indexed < decidedIndexMin {

@@ -31,6 +31,9 @@ import (
 //	    "ap-tk":   "10.0.5.5:7420"
 //	  }
 //	}
+//
+// An absent or 0 nodesPerDC means 1; a negative one, or a constraint
+// whose min exceeds its max, is refused at load.
 type RemoteTopology struct {
 	NodesPerDC  int               `json:"nodesPerDC"`
 	Mode        string            `json:"mode"` // "mdcc" | "fast" | "multi"
@@ -44,7 +47,9 @@ type RemoteTopology struct {
 
 // LoadRemoteTopology reads a topology JSON file. A key the schema does
 // not have (a typo, or a setting a newer build removed) is an error
-// naming the key, never silently ignored.
+// naming the key, never silently ignored, and so is a value no
+// deployment can mean: a negative nodesPerDC, or a constraint whose
+// min exceeds its max (it would refuse every write to its attribute).
 func LoadRemoteTopology(path string) (*RemoteTopology, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -56,8 +61,16 @@ func LoadRemoteTopology(path string) (*RemoteTopology, error) {
 	if err := dec.Decode(&t); err != nil {
 		return nil, fmt.Errorf("mdcc: topology %s: %w", path, err)
 	}
-	if t.NodesPerDC < 1 {
+	if t.NodesPerDC < 0 {
+		return nil, fmt.Errorf("mdcc: topology %s: nodesPerDC %d is negative", path, t.NodesPerDC)
+	}
+	if t.NodesPerDC == 0 {
 		t.NodesPerDC = 1
+	}
+	for _, c := range t.Constraints {
+		if c.Min != nil && c.Max != nil && *c.Min > *c.Max {
+			return nil, fmt.Errorf("mdcc: topology %s: constraint on %q has min %d above max %d", path, c.Attr, *c.Min, *c.Max)
+		}
 	}
 	return &t, nil
 }

@@ -334,6 +334,44 @@ func TestRemoteTopologyRejectsUnknownKeys(t *testing.T) {
 	}
 }
 
+// TestRemoteTopologyRefusesMeaninglessValues: two values the schema
+// can hold but a deployment cannot mean are refused at load, with an
+// error naming the key or attribute. A negative nodesPerDC used to run
+// as 1, and a constraint whose min exceeds its max loaded and then
+// refused every write touching its attribute. An absent or 0
+// nodesPerDC keeps meaning 1.
+func TestRemoteTopologyRefusesMeaninglessValues(t *testing.T) {
+	for _, tc := range []struct {
+		blob  string
+		names string // what the error names; "" = loads
+		nodes int
+	}{
+		{blob: `{"nodesPerDC": -1, "addrs": {"us-west": "a:1"}}`, names: "nodesPerDC"},
+		{blob: `{"nodesPerDC": -3, "addrs": {"us-west": "a:1"}}`, names: "nodesPerDC"},
+		{blob: `{"constraints": [{"attr": "stock", "min": 5, "max": 2}]}`, names: `"stock"`},
+		{blob: `{"constraints": [{"attr": "ok", "min": 0}, {"attr": "seats", "min": 1, "max": 0}]}`, names: `"seats"`},
+		{blob: `{"nodesPerDC": 0, "constraints": [{"attr": "stock", "min": 2, "max": 2}]}`, nodes: 1},
+		{blob: `{"addrs": {"us-west": "a:1"}}`, nodes: 1},
+		{blob: `{"nodesPerDC": 3}`, nodes: 3},
+	} {
+		path := t.TempDir() + "/topo.json"
+		if err := writeFile(path, tc.blob); err != nil {
+			t.Fatal(err)
+		}
+		topo, err := LoadRemoteTopology(path)
+		switch {
+		case tc.names == "" && err != nil:
+			t.Errorf("%s: %v", tc.blob, err)
+		case tc.names == "" && topo.NodesPerDC != tc.nodes:
+			t.Errorf("%s: nodesPerDC %d, want %d", tc.blob, topo.NodesPerDC, tc.nodes)
+		case tc.names != "" && err == nil:
+			t.Errorf("%s loaded", tc.blob)
+		case tc.names != "" && !strings.Contains(err.Error(), tc.names):
+			t.Errorf("%s: error %q does not name %s", tc.blob, err, tc.names)
+		}
+	}
+}
+
 func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
 }
