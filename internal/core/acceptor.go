@@ -665,17 +665,19 @@ func pendingSums(pending []VotedOption, attr string) (down, up int64) {
 	return down, up
 }
 
-// onProposeBatch votes on every option of a transaction destined for
-// this node and answers with a single vote batch (§7 batching).
+// onProposeBatch votes on every well-formed option of a transaction
+// destined for this node and answers with a single vote batch (§7
+// batching).
 func (n *StorageNode) onProposeBatch(m MsgProposeBatch) {
-	if len(m.Opts) == 0 {
-		return
-	}
 	batch := MsgVoteBatch{Votes: make([]MsgVote, 0, len(m.Opts))}
 	for _, opt := range m.Opts {
-		batch.Votes = append(batch.Votes, n.proposeVote(opt))
+		if opt.wellFormed() {
+			batch.Votes = append(batch.Votes, n.proposeVote(opt))
+		}
 	}
-	n.sendCoalesced(m.Opts[0].Coord, batch)
+	if len(batch.Votes) > 0 {
+		n.sendCoalesced(m.Opts[0].Coord, batch)
+	}
 }
 
 // proposeVote computes this acceptor's Phase2b answer for one
@@ -1296,6 +1298,9 @@ func (n *StorageNode) onPhase2a(from transport.NodeID, m MsgPhase2a) {
 	o.votes, o.votedAt = n.takeVoteSlots(len(m.CStruct))
 	next := 0 // cursor into prev: successive cstructs keep their order
 	for _, v := range m.CStruct {
+		if v.Decision == DecAccept && !v.Opt.wellFormed() {
+			continue // no leader takes such an option in (leaderPropose)
+		}
 		if _, ok := n.settled(r, v.Opt.Tx, v.Opt.KeySeq); ok {
 			continue // already settled locally (e.g. visibility raced ahead)
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -22,9 +24,10 @@ import (
 const hintTTL = 2 * time.Second
 
 // CommitResult reports a transaction outcome to the application. Err
-// types the cause of a rejection when the protocol knows one (today:
-// ErrMixedUpdateKinds, the kind-disjoint rule); it is nil for plain
-// conflicts/constraint aborts and for commits.
+// types the cause of a rejection when the protocol knows one
+// (ErrMixedUpdateKinds, the kind-disjoint rule; or a write-set that
+// names one key twice, refused before any proposal); it is nil for
+// plain conflicts/constraint aborts and for commits.
 type CommitResult struct {
 	Tx        TxID
 	Committed bool
@@ -542,7 +545,10 @@ func (c *Coordinator) readQuorum(rc *readCtx) {
 // propose an option per update, learn them all, commit iff every
 // option is accepted, then make the outcome visible asynchronously.
 // The transaction cannot be aborted unilaterally once proposed — the
-// outcome is a deterministic function of the learned options.
+// outcome is a deterministic function of the learned options. A
+// write-set that names one key twice is refused before anything is
+// proposed: a transaction has one option per key, and each option one
+// lineage identity.
 func (c *Coordinator) Commit(updates []record.Update, done func(CommitResult)) {
 	c.rotateLane()
 	tx := c.txID()
@@ -552,9 +558,15 @@ func (c *Coordinator) Commit(updates []record.Update, done func(CommitResult)) {
 		return
 	}
 	writeSet := make([]record.Key, 0, len(updates))
+	for _, up := range updates {
+		if slices.Contains(writeSet, up.Key) {
+			done(CommitResult{Tx: tx, Err: fmt.Errorf("mdcc/core: write-set names key %q twice", up.Key)})
+			return
+		}
+		writeSet = append(writeSet, up.Key)
+	}
 	writeSeqs := make([]uint64, 0, len(updates))
 	for _, up := range updates {
-		writeSet = append(writeSet, up.Key)
 		// Mint the option's lineage identity: the per-(coordinator
 		// incarnation, key) proposal sequence (see LineageSummary).
 		seq, _ := c.keySeqs.Get(string(up.Key))

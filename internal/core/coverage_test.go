@@ -111,7 +111,7 @@ func TestAbandonLeadershipOnPreemption(t *testing.T) {
 		Tx:       "tx-preempt",
 		Coord:    w.coords[0].ID(),
 		Update:   record.Physical("ab/1", 1, record.Value{Attrs: map[string]int64{"x": 1}}),
-		WriteSet: []record.Key{"ab/1"},
+		WriteSet: []record.Key{"ab/1"}, KeySeq: 1, WriteSeqs: []uint64{1},
 	}
 	var learned *MsgLearned
 	w.net.Register(w.coords[0].ID(), func(e transport.Envelope) {

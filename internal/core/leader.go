@@ -103,8 +103,12 @@ func (n *StorageNode) onStartRecovery(m MsgStartRecovery) {
 
 // leaderPropose runs an option through a classic ballot this node
 // leads. recovery marks collision recovery, which (re)opens the γ
-// classic window.
+// classic window. An option that is not well formed is refused here,
+// before it touches any state.
 func (n *StorageNode) leaderPropose(opt Option, recovery bool) {
+	if !opt.wellFormed() {
+		return
+	}
 	key := opt.Update.Key
 	id := opt.ID()
 	row := n.row(key)

@@ -26,7 +26,7 @@ func TestLeaderContention(t *testing.T) {
 			Tx:       "tx-contend",
 			Coord:    w.coords[0].ID(),
 			Update:   record.Physical("lc/1", 1, record.Value{Attrs: map[string]int64{"x": 7}}),
-			WriteSet: []record.Key{"lc/1"},
+			WriteSet: []record.Key{"lc/1"}, KeySeq: 1, WriteSeqs: []uint64{1},
 		}
 		var learned []MsgLearned
 		w.net.Register(w.coords[0].ID(), func(e transport.Envelope) {
@@ -187,7 +187,7 @@ func TestForwardedProposalHint(t *testing.T) {
 		Tx:       "tx-fw",
 		Coord:    "watcher",
 		Update:   record.Physical("fw/1", 1, record.Value{Attrs: map[string]int64{"x": 1}}),
-		WriteSet: []record.Key{"fw/1"},
+		WriteSet: []record.Key{"fw/1"}, KeySeq: 1, WriteSeqs: []uint64{1},
 	}
 	w.net.Send("watcher", topology.StorageID(topology.USEast, 0), MsgProposeBatch{Opts: []Option{opt}})
 	if !w.net.RunUntil(func() bool { return len(votes) >= 1 }, time.Minute) {

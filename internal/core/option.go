@@ -114,6 +114,22 @@ type Option struct {
 // ID returns the option's identity.
 func (o Option) ID() OptionID { return OptionID{Tx: o.Tx, Key: o.Update.Key} }
 
+// wellFormed reports whether a proposed option has the shape Commit
+// gives it: WriteSeqs parallel to WriteSet, and the option's own key
+// in WriteSet with its own KeySeq at that position. Recovery of a
+// dangling transaction rests on that shape: it asks about every key of
+// WriteSet, its own included, by the WriteSeqs entry at the key's
+// position. An option of any other shape is refused where it enters
+// (onProposeBatch, leaderPropose, and onPhase2a for an accept vote)
+// and never voted on.
+func (o Option) wellFormed() bool {
+	if len(o.WriteSeqs) != len(o.WriteSet) {
+		return false
+	}
+	i := slices.Index(o.WriteSet, o.Update.Key)
+	return i >= 0 && o.WriteSeqs[i] == o.KeySeq
+}
+
 // RejectReason refines a reject decision with a typed cause that
 // travels back to the application (votes, cstructs, learned
 // messages). Most rejects are plain protocol aborts (version

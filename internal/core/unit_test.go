@@ -1203,7 +1203,8 @@ func TestRecordOpenOnlyWhileNeeded(t *testing.T) {
 	}
 	n.handle(transport.Envelope{From: "c0", Msg: MsgProposeBatch{Opts: []Option{{
 		Tx: "c0#1", Coord: "c0", KeySeq: 1,
-		Update: record.Insert(key, record.Value{Attrs: map[string]int64{"x": 0}}),
+		Update:   record.Insert(key, record.Value{Attrs: map[string]int64{"x": 0}}),
+		WriteSet: []record.Key{key}, WriteSeqs: []uint64{1},
 	}}}})
 	if r.open != nil {
 		t.Fatal("multi: forwarding a proposal opened the record")
@@ -1211,6 +1212,97 @@ func TestRecordOpenOnlyWhileNeeded(t *testing.T) {
 	net.RunFor(time.Second)
 	if len(votes) == 0 || !votes[0].Forwarded || votes[0].Leader != n.leaderFor(key) || votes[0].Ballot != master {
 		t.Fatalf("multi: proposal answered %+v, want a forward to %s at %v", votes, n.leaderFor(key), master)
+	}
+}
+
+// TestMalformedProposalRefused: an option whose WriteSeqs is not
+// parallel to its WriteSet, whose WriteSet is empty or leaves out its
+// own key, or whose KeySeq differs from its WriteSeqs entry is refused
+// where it enters, off the wire, through every door that takes it in
+// (a proposal, a leader's request or recovery, an accept vote in a
+// Phase2a cstruct): no vote is cast or answered, no leader round
+// carries it, and a sweep afterwards starts no recovery (recovery
+// indexes WriteSeqs by WriteSet position, so such a vote would panic
+// the node or ask about keys forever). A well-formed option through
+// the same doors is taken in.
+func TestMalformedProposalRefused(t *testing.T) {
+	key := record.Key("mal/1")
+	opt := func(tx TxID, ws []record.Key, seqs []uint64) Option {
+		return Option{Tx: tx, Coord: "c0", KeySeq: 1, WriteSet: ws, WriteSeqs: seqs,
+			Update: record.Insert(key, record.Value{Attrs: map[string]int64{"x": 0}})}
+	}
+	malformed := map[string]Option{
+		"short WriteSeqs":   opt("c0#1", []record.Key{key, "mal/2"}, []uint64{1}),
+		"long WriteSeqs":    opt("c0#2", []record.Key{key}, []uint64{1, 1}),
+		"empty WriteSet":    opt("c0#3", nil, nil),
+		"own key left out":  opt("c0#4", []record.Key{"mal/2"}, []uint64{1}),
+		"KeySeq not listed": opt("c0#5", []record.Key{key}, []uint64{2}),
+	}
+	// Every door sends its message through the codec, as a peer's
+	// frame would arrive.
+	deliver := func(n *StorageNode, m transport.Message) {
+		t.Helper()
+		buf, err := transport.AppendEnvelope(nil, transport.Envelope{From: "c0", To: n.ID(), Msg: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := transport.DecodeFrame(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.handle(env)
+	}
+	doors := map[string]func(n *StorageNode, o Option){
+		"propose batch":  func(n *StorageNode, o Option) { deliver(n, MsgProposeBatch{Opts: []Option{o}}) },
+		"propose leader": func(n *StorageNode, o Option) { deliver(n, MsgProposeLeader{Opt: o}) },
+		"start recovery": func(n *StorageNode, o Option) { deliver(n, MsgStartRecovery{Key: key, Opt: o, HasOpt: true}) },
+		"recover request": func(n *StorageNode, o Option) {
+			deliver(n, MsgRecoverOpt{ReqID: 1, Tx: o.Tx, Key: key, KeySeq: 1, Opt: o, HasOpt: true})
+		},
+		"phase2a accept": func(n *StorageNode, o Option) {
+			deliver(n, MsgPhase2a{Key: key, Ballot: paxos.Classic(1, "c0"), Seq: 1,
+				CStruct: []VotedOption{{Opt: o, Decision: DecAccept}}})
+		},
+	}
+	// took reports whether the node voted on o or its leader role
+	// carries o in a round (queued behind Phase 1 or in the cstruct).
+	took := func(n *StorageNode, o Option) bool {
+		return len(n.rs(key).votes()) > 0 || n.lr(key).inFlight(o.ID())
+	}
+	for door, send := range doors {
+		for name, o := range malformed {
+			n, net := unitNode(t, ModeMDCC, nil)
+			answered := 0
+			net.Register("c0", func(e transport.Envelope) {
+				if _, ok := e.Msg.(MsgVoteBatch); ok {
+					answered++
+				}
+			})
+			send(n, o)
+			net.RunFor(time.Second)
+			if answered != 0 || took(n, o) {
+				t.Fatalf("%s, %s: the node took the option in (%d answers)", door, name, answered)
+			}
+			n.sweepPending()
+			if len(n.recoveries) != 0 {
+				t.Fatalf("%s, %s: the sweep started a recovery", door, name)
+			}
+		}
+		n, net := unitNode(t, ModeMDCC, nil)
+		o := opt("c0#9", []record.Key{key, "mal/2"}, []uint64{1, 1})
+		send(n, o)
+		net.RunFor(time.Second)
+		if !took(n, o) {
+			t.Fatalf("%s: a well-formed option was not taken in", door)
+		}
+	}
+	// A vote on a well-formed option is recovered by the sweep.
+	n, net := unitNode(t, ModeMDCC, nil)
+	deliver(n, MsgProposeBatch{Opts: []Option{opt("c0#9", []record.Key{key, "mal/2"}, []uint64{1, 1})}})
+	net.RunFor(time.Second)
+	n.sweepPending()
+	if len(n.recoveries) != 1 {
+		t.Fatalf("the sweep started %d recoveries for a well-formed vote, want 1", len(n.recoveries))
 	}
 }
 

@@ -258,7 +258,7 @@ func TestAcceptorVoteBatchingAndEscrow(t *testing.T) {
 		return Option{
 			Tx: TxID(tx), Coord: "coord",
 			Update:   record.Commutative(record.Key(key), map[string]int64{"units": d}),
-			WriteSet: []record.Key{record.Key(key)},
+			WriteSet: []record.Key{record.Key(key)}, KeySeq: 1, WriteSeqs: []uint64{1},
 		}
 	}
 	env := transport.Batch{Items: []transport.Envelope{

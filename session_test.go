@@ -1,6 +1,7 @@
 package mdcc
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 	"time"
@@ -114,5 +115,44 @@ func TestCommittedWriteIsValueAtCommit(t *testing.T) {
 	}
 	if got.Attr("x") != 1 || string(got.Blob) != "row" {
 		t.Fatalf("ReadLatest = %v %q, want the value at commit, x=1 \"row\"", got, got.Blob)
+	}
+}
+
+// TestCommitRefusesRepeatedKey: a transaction has one option per key,
+// and each option one lineage identity, so a write-set that names a
+// key twice — two updates passed to Commit, or two staged on a TxView —
+// is refused with an error before anything is proposed. The key stays
+// writable: the refusal leaves no option of it anywhere.
+func TestCommitRefusesRepeatedKey(t *testing.T) {
+	c, err := StartCluster(ClusterConfig{LatencyScale: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s := c.Session(USWest)
+	add := func(d int64) Update { return Commutative("k/dup", map[string]int64{"x": d}) }
+	if ok, err := s.Commit(Insert("k/dup", Value{Attrs: map[string]int64{"x": 0}})); !ok || err != nil {
+		t.Fatalf("insert: Commit = %v, %v", ok, err)
+	}
+	refused := func(ok bool, err error) bool { return !ok && err != nil && !errors.Is(err, ErrTimeout) }
+	if ok, err := s.Commit(add(1), Insert("k/other", Value{}), add(2)); !refused(ok, err) {
+		t.Fatalf("Commit of a write-set naming k/dup twice = %v, %v; want refused with an error", ok, err)
+	}
+	ok, err := s.Transact(3, func(tx *TxView) error {
+		tx.Add("k/dup", map[string]int64{"x": 1})
+		tx.Add("k/dup", map[string]int64{"x": 2})
+		return nil
+	})
+	if !refused(ok, err) {
+		t.Fatalf("Transact staging k/dup twice = %v, %v; want refused with an error", ok, err)
+	}
+	if ok, err := s.Commit(add(4)); !ok || err != nil {
+		t.Fatalf("Commit after the refusals = %v, %v", ok, err)
+	}
+	if v, _, _, err := s.ReadLatest("k/dup"); err != nil || v.Attr("x") != 4 {
+		t.Fatalf("ReadLatest = %v, %v; want x=4 (the refused write-sets applied nothing)", v, err)
+	}
+	if _, _, exists, err := s.ReadLatest("k/other"); err != nil || exists {
+		t.Fatalf("k/other exists=%v, %v; want absent (the refused write-set applied nothing)", exists, err)
 	}
 }
