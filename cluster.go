@@ -2,6 +2,7 @@ package mdcc
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"sync"
@@ -20,13 +21,14 @@ type ClusterConfig struct {
 	// Mode selects the protocol variant (default ModeMDCC).
 	Mode Mode
 	// NodesPerDC is the number of storage nodes (shards) per data
-	// center (default 1).
+	// center. 0 means 1; a negative value is refused by StartCluster.
 	NodesPerDC int
 	// Constraints are enforced on commutative updates cluster-wide.
 	Constraints []Constraint
 	// LatencyScale multiplies the realistic inter-DC latencies
 	// (hundreds of ms). 1.0 feels like the real WAN; 0.02 makes
-	// examples snappy while preserving relative geometry. Default 0.05.
+	// examples snappy while preserving relative geometry. 0 means 0.05;
+	// a negative, NaN or infinite value is refused by StartCluster.
 	LatencyScale float64
 	// DataDir, when set, gives every storage node the durable engine
 	// mdcc-server -data runs (one group-commit WAL per node holding its
@@ -50,12 +52,20 @@ type Cluster struct {
 	closed  bool
 }
 
-// StartCluster builds and starts an in-process cluster.
+// StartCluster builds and starts an in-process cluster. A field value
+// no deployment can mean is refused, with an error naming the field,
+// before anything is built.
 func StartCluster(cfg ClusterConfig) (*Cluster, error) {
-	if cfg.NodesPerDC < 1 {
+	if cfg.NodesPerDC < 0 {
+		return nil, fmt.Errorf("mdcc: ClusterConfig.NodesPerDC %d is negative", cfg.NodesPerDC)
+	}
+	if s := cfg.LatencyScale; s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
+		return nil, fmt.Errorf("mdcc: ClusterConfig.LatencyScale %v is not a finite non-negative number", s)
+	}
+	if cfg.NodesPerDC == 0 {
 		cfg.NodesPerDC = 1
 	}
-	if cfg.LatencyScale <= 0 {
+	if cfg.LatencyScale == 0 {
 		cfg.LatencyScale = 0.05
 	}
 	cl := topology.NewCluster(topology.Layout{NodesPerDC: cfg.NodesPerDC, Clients: 0, ClientDC: -1})

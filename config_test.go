@@ -1,8 +1,10 @@
 package mdcc
 
 import (
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mdcc/internal/server"
@@ -31,6 +33,33 @@ func TestConfigDeviations(t *testing.T) {
 	}
 	for _, f := range server.Unlisted(design, loopbackConfig(ModeMDCC, cons), "startTCPDeployment") {
 		t.Errorf("startTCPDeployment sets core.Config.%s away from server.Config, and DESIGN.md §14 does not list it", f)
+	}
+}
+
+// TestStartClusterRefusesMeaninglessValues: a ClusterConfig value no
+// deployment can mean is refused, with an error naming the field,
+// before anything is built. A negative NodesPerDC used to run as 1, a
+// negative LatencyScale as 0.05, and a NaN one left the timeouts
+// unscaled; 0 keeps meaning the default.
+func TestStartClusterRefusesMeaninglessValues(t *testing.T) {
+	for _, tc := range []struct {
+		cfg   ClusterConfig
+		names string
+	}{
+		{ClusterConfig{NodesPerDC: -1}, "NodesPerDC"},
+		{ClusterConfig{LatencyScale: -0.5}, "LatencyScale"},
+		{ClusterConfig{LatencyScale: math.NaN()}, "LatencyScale"},
+		{ClusterConfig{LatencyScale: math.Inf(1)}, "LatencyScale"},
+	} {
+		c, err := StartCluster(tc.cfg)
+		if err == nil {
+			c.Close()
+			t.Errorf("StartCluster(%+v) started", tc.cfg)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.names) {
+			t.Errorf("StartCluster(%+v): error %q does not name %s", tc.cfg, err, tc.names)
+		}
 	}
 }
 

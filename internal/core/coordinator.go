@@ -560,7 +560,7 @@ func (c *Coordinator) Commit(updates []record.Update, done func(CommitResult)) {
 	writeSet := make([]record.Key, 0, len(updates))
 	for _, up := range updates {
 		if slices.Contains(writeSet, up.Key) {
-			done(CommitResult{Tx: tx, Err: fmt.Errorf("mdcc/core: write-set names key %q twice", up.Key)})
+			done(CommitResult{Tx: tx, Err: fmt.Errorf("%w: %q", ErrRepeatedKey, up.Key)})
 			return
 		}
 		writeSet = append(writeSet, up.Key)

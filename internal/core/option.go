@@ -153,6 +153,12 @@ const (
 // non-creating update.
 var ErrMixedUpdateKinds = errors.New("mdcc/core: update kind conflicts with the key's established class (kind-disjoint rule)")
 
+// ErrRepeatedKey is the typed error a coordinator refuses a write-set
+// with when it names one key twice: a transaction has one option per
+// key, and each option one lineage identity. Nothing is proposed. The
+// refusal wraps it with the key it names.
+var ErrRepeatedKey = errors.New("mdcc/core: write-set names a key twice")
+
 // VotedOption is an option plus a decision — one element of the
 // cstructs acceptors vote on. Reason refines reject decisions.
 type VotedOption struct {

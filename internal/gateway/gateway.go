@@ -51,6 +51,7 @@ package gateway
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -312,18 +313,21 @@ func (m *Metrics) Finalize() {
 	}
 }
 
-// waiter is one client transaction parked in a merge window.
-type waiter struct {
-	up    record.Update
-	track []outTrack
-	done  func(committed bool, err error)
-	span  *gwSpan
+// clientTx is one client transaction the gateway holds, in the backlog,
+// parked in a merge window or dispatched: its write-set, its completion
+// callback and flight-recorder context, and, once its deltas are in the
+// outstanding account, the tracks that retire them (trackOutLocked).
+type clientTx struct {
+	updates []record.Update
+	track   []outTrack
+	done    func(committed bool, err error)
+	span    *gwSpan
 }
 
 // mergeWindow accumulates commutative deltas for one hot key.
 type mergeWindow struct {
 	sum     map[string]int64
-	waiters []waiter
+	waiters []clientTx
 	timer   transport.Timer
 }
 
@@ -403,12 +407,6 @@ func (ks *keyState) escrow() *escrowState {
 	return ks.esc
 }
 
-type queuedTx struct {
-	updates []record.Update
-	done    func(bool, error)
-	span    *gwSpan
-}
-
 // gwSpan carries one admitted transaction's flight-recorder context
 // from submission to settlement. nil whenever tracing is off, so every
 // site pays one nil check.
@@ -435,7 +433,7 @@ type Gateway struct {
 
 	mu       sync.Mutex
 	inflight int
-	queue    []queuedTx
+	queue    []clientTx
 	keys     map[record.Key]*keyState
 	m        Metrics
 	closed   bool
@@ -563,27 +561,29 @@ func (g *Gateway) readQuorum(key record.Key, cb encodedRead) {
 	g.net.After(g.co.ID(), 0, func() { g.co.ReadQuorumEncoded(key, held) })
 }
 
-// Commit submits a client transaction. done fires exactly once:
-// committed reports the protocol outcome; err is non-nil only for
-// gateway-level failures (ErrOverloaded, ErrClosed), never for
-// protocol aborts.
+// Commit submits a client transaction. done fires exactly once.
+// committed reports the protocol outcome; a protocol abort (a conflict
+// or a constraint) is committed=false with a nil err. err is non-nil
+// when the transaction was refused or lost:
+//
+//   - ErrOverloaded: admission control shed it, never submitted;
+//   - ErrClosed: the gateway was closed, or Close or Kill dropped it
+//     from the backlog (Close also from a merge window);
+//   - ring.ErrWrongShard: it touches a slice frozen for a shard move;
+//   - ErrOutcomeUnknown: Kill took it after admission;
+//   - core.ErrMixedUpdateKinds, or core.ErrRepeatedKey wrapped with the
+//     key: the protocol refused it for good.
+//
+// The refusals a client over the RPC can tell apart are the table
+// behind RefusalError; any other error reaches it as a plain abort.
 func (g *Gateway) Commit(updates []record.Update, done func(committed bool, err error)) {
 	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		done(false, ErrClosed)
-		return
+	if !g.closed {
+		g.m.Submitted++
 	}
-	g.m.Submitted++
-	if g.frozen != nil && g.touchesFrozenLocked(updates) {
-		g.m.WrongShardRetries++
-		next := g.frozenNext
-		if g.tr != nil {
-			g.tr.Add(trace.Event{At: g.net.Now().UnixNano(), Key: string(updates[0].Key),
-				Stage: trace.StageWrongShard, Arg: int64(next)})
-		}
+	if err := g.refuseLocked(updates); err != nil {
 		g.mu.Unlock()
-		done(false, ring.ErrWrongShard{Epoch: next})
+		done(false, err)
 		return
 	}
 	var span *gwSpan
@@ -605,15 +605,34 @@ func (g *Gateway) Commit(updates []record.Update, done func(committed bool, err 
 			span.loSeq = g.tr.Add(trace.Event{At: span.subAt, Key: firstKey(span.keys),
 				Stage: trace.StageQueue, Arg: int64(len(g.queue) + 1)})
 		}
-		g.queue = append(g.queue, queuedTx{updates: updates, done: done, span: span})
+		g.queue = append(g.queue, clientTx{updates: updates, done: done, span: span})
 		if d := int64(len(g.queue)); d > g.m.QueuePeak {
 			g.m.QueuePeak = d
 		}
 		g.mu.Unlock()
 		return
 	}
-	g.startLocked(updates, done, span)
+	g.startLocked(clientTx{updates: updates, done: done, span: span})
 	g.mu.Unlock()
+}
+
+// refuseLocked is the check a write-set passes on entry and again as it
+// leaves the backlog: a closed gateway refuses it with ErrClosed, and
+// one touching a slice frozen for a shard move refuses it with
+// ring.ErrWrongShard, counted and traced.
+func (g *Gateway) refuseLocked(updates []record.Update) error {
+	if g.closed {
+		return ErrClosed
+	}
+	if g.frozen == nil || !slices.ContainsFunc(updates, func(up record.Update) bool { return g.frozen(up.Key) }) {
+		return nil
+	}
+	g.m.WrongShardRetries++
+	if g.tr != nil {
+		g.tr.Add(trace.Event{At: g.net.Now().UnixNano(), Key: string(updates[0].Key),
+			Stage: trace.StageWrongShard, Arg: int64(g.frozenNext)})
+	}
+	return ring.ErrWrongShard{Epoch: g.frozenNext}
 }
 
 // firstKey is the representative key for tx-less gateway trace events
@@ -627,32 +646,40 @@ func firstKey(keys []string) string {
 }
 
 // startLocked admits one transaction into the in-flight window and
-// routes it (coalescing or passthrough). The client callback is
-// registered in the pending map until it settles, so a Kill can fail
-// every in-flight transaction with ErrOutcomeUnknown.
-func (g *Gateway) startLocked(updates []record.Update, done func(bool, error), span *gwSpan) {
+// routes it: into its key's merge window, or dispatched alone. The
+// client callback is registered in the pending map until it settles,
+// so a Kill can fail every in-flight transaction with ErrOutcomeUnknown.
+func (g *Gateway) startLocked(tx clientTx) {
 	g.inflight++
-	if span != nil {
-		seq := g.tr.Add(trace.Event{At: g.net.Now().UnixNano(), Key: firstKey(span.keys),
-			Stage: trace.StageAdmit, Arg: int64(len(updates))})
-		if span.loSeq == 0 {
-			span.loSeq = seq
+	if tx.span != nil {
+		seq := g.tr.Add(trace.Event{At: g.net.Now().UnixNano(), Key: firstKey(tx.span.keys),
+			Stage: trace.StageAdmit, Arg: int64(len(tx.updates))})
+		if tx.span.loSeq == 0 {
+			tx.span.loSeq = seq
 		}
 	}
-	done = g.registerPendingLocked(updates, done, span)
-	if g.coalescible(updates) {
-		g.coalesceLocked(updates[0], done, span)
+	tx.done = g.registerPendingLocked(tx.updates, tx.done, tx.span)
+	if g.coalescible(tx.updates) && g.coalesceLocked(tx) {
 		return
 	}
 	g.m.Passthrough++
 	// Passthrough commutative deltas still consume escrow headroom:
 	// account them so window admission on the same keys stays exact.
-	tracks := g.trackOutLocked(updates)
-	g.dispatchLocked(updates, span, func(r core.CommitResult) {
-		g.resolveTracks(tracks, r.Committed)
+	tx.track = g.trackOutLocked(tx.updates)
+	g.runLocked(tx)
+}
+
+// runLocked dispatches one client transaction on its own (a
+// passthrough, a window of one, a rider of a split merge) and, on its
+// outcome, retires its tracked deltas, frees its slot, closes its flight
+// record and answers the client. A merged window's settle (flushLocked)
+// is the only other.
+func (g *Gateway) runLocked(tx clientTx) {
+	g.dispatchLocked(tx.updates, tx.span, func(r core.CommitResult) {
+		g.resolveTracks(tx.track, r.Committed)
 		g.settle(1, r.Committed)
-		g.traceSettle(span, r, 1)
-		done(r.Committed, r.Err)
+		g.traceSettle(tx.span, r, 1)
+		tx.done(r.Committed, r.Err)
 	})
 }
 
@@ -834,26 +861,23 @@ func (g *Gateway) settle(n int, committed bool) {
 	} else {
 		g.m.Aborts += int64(n)
 	}
-	// Backlog drained after a freeze landed is fenced like fresh
-	// admissions; refusals fire after unlock (the callback may
-	// re-enter Commit).
-	var refused []func(bool, error)
-	var refusedNext ring.Epoch
+	// The backlog passes Commit's check again as it drains (a freeze
+	// may have landed since); refusals fire after unlock (the callback
+	// may re-enter Commit).
+	var refused []func()
 	for g.inflight < g.tun.MaxInflight && len(g.queue) > 0 {
 		next := g.queue[0]
 		g.queue = g.queue[1:]
-		if g.frozen != nil && g.touchesFrozenLocked(next.updates) {
-			g.m.WrongShardRetries++
-			refused = append(refused, next.done)
-			refusedNext = g.frozenNext
+		if err := g.refuseLocked(next.updates); err != nil {
+			refused = append(refused, func() { next.done(false, err) })
 			continue
 		}
-		g.startLocked(next.updates, next.done, next.span)
+		g.startLocked(next)
 	}
 	g.m.QueueDepth = int64(len(g.queue))
 	g.mu.Unlock()
-	for _, d := range refused {
-		d(false, ring.ErrWrongShard{Epoch: refusedNext})
+	for _, answer := range refused {
+		answer()
 	}
 }
 
@@ -941,32 +965,26 @@ func (g *Gateway) foldEscrowLocked(ks *keyState, snap core.EscrowSnap, now time.
 	}
 }
 
-func (g *Gateway) coalesceLocked(up record.Update, done func(bool, error), span *gwSpan) {
+// coalesceLocked parks a single-update commutative transaction in its
+// key's merge window, or reports false when the gateway has no merge
+// headroom for it: either no escrow snapshot has arrived yet
+// (bootstrap: admit conservatively, never merge blind) or the shared
+// headroom slice is exhausted. The caller then ships it alone: the
+// acceptors, not the account, decide, and the vote's piggybacked
+// snapshot refreshes the account for free.
+func (g *Gateway) coalesceLocked(tx clientTx) bool {
+	up := tx.updates[0]
 	key := up.Key
 	es := g.ks(key).escrow()
 	if es.win != nil && (len(es.win.waiters) >= coalesceMax || !g.fitsLocked(es, up)) {
 		g.flushLocked(key, es)
 	}
 	if es.win == nil {
-		if !g.fitsLocked(es, up) {
-			// No merge headroom — either no escrow snapshot has arrived
-			// yet (bootstrap: admit conservatively, never merge blind) or
-			// the shared headroom slice is exhausted. Ship individually:
-			// the acceptors, not the account, decide, and the vote's
-			// piggybacked snapshot refreshes the account for free.
-			g.maybeRefreshLocked(key, es)
-			g.m.CoalesceBypass++
-			g.m.Passthrough++
-			tracks := g.trackOutLocked([]record.Update{up})
-			g.dispatchLocked([]record.Update{up}, span, func(r core.CommitResult) {
-				g.resolveTracks(tracks, r.Committed)
-				g.settle(1, r.Committed)
-				g.traceSettle(span, r, 1)
-				done(r.Committed, r.Err)
-			})
-			return
-		}
 		g.maybeRefreshLocked(key, es)
+		if !g.fitsLocked(es, up) {
+			g.m.CoalesceBypass++
+			return false
+		}
 		win := &mergeWindow{sum: make(map[string]int64)}
 		es.win = win
 		win.timer = g.net.After(g.id, g.tun.CoalesceWindow, func() {
@@ -981,12 +999,13 @@ func (g *Gateway) coalesceLocked(up record.Update, done func(bool, error), span 
 	for attr, d := range up.Deltas {
 		es.win.sum[attr] += d
 	}
-	if span != nil {
+	if tx.span != nil {
 		g.tr.Add(trace.Event{At: g.net.Now().UnixNano(), Key: string(key),
 			Stage: trace.StageCoalesceJoin, Arg: int64(len(es.win.waiters) + 1)})
 	}
-	track := g.trackOutLocked([]record.Update{up})
-	es.win.waiters = append(es.win.waiters, waiter{up: up, track: track, done: done, span: span})
+	tx.track = g.trackOutLocked(tx.updates)
+	es.win.waiters = append(es.win.waiters, tx)
+	return true
 }
 
 // fitsLocked is the exact headroom admission: may this gateway hold
@@ -1129,13 +1148,7 @@ func (g *Gateway) flushLocked(key record.Key, es *escrowState) {
 		win.timer.Stop()
 	}
 	if len(win.waiters) == 1 {
-		w := win.waiters[0]
-		g.dispatchLocked([]record.Update{w.up}, w.span, func(r core.CommitResult) {
-			g.resolveTracks(w.track, r.Committed)
-			g.settle(1, r.Committed)
-			g.traceSettle(w.span, r, 1)
-			w.done(r.Committed, r.Err)
-		})
+		g.runLocked(win.waiters[0])
 		return
 	}
 	waiters := win.waiters
@@ -1193,13 +1206,7 @@ func (g *Gateway) flushLocked(key record.Key, es *escrowState) {
 				Stage: trace.StageCoalesceSplit, Arg: int64(len(waiters))})
 		}
 		for _, w := range waiters {
-			w := w
-			g.dispatchLocked([]record.Update{w.up}, w.span, func(r core.CommitResult) {
-				g.resolveTracks(w.track, r.Committed)
-				g.settle(1, r.Committed)
-				g.traceSettle(w.span, r, 1)
-				w.done(r.Committed, r.Err)
-			})
+			g.runLocked(w)
 		}
 		g.mu.Unlock()
 	})
@@ -1344,17 +1351,6 @@ func (g *Gateway) headroomGaugesLocked() (tracked, minHeadroom int64) {
 
 // ---- shard-ring fencing and live moves --------------------------------
 
-// touchesFrozenLocked reports whether any update's key is in the
-// frozen (moving) slice.
-func (g *Gateway) touchesFrozenLocked(updates []record.Update) bool {
-	for _, up := range updates {
-		if g.frozen(up.Key) {
-			return true
-		}
-	}
-	return false
-}
-
 // FreezeShards fences admission for a pending shard move: while
 // frozen, any commit touching a key moving selects is refused with
 // ring.ErrWrongShard{next}. Idempotent — the mover re-applies the
@@ -1495,7 +1491,7 @@ func (g *Gateway) Kill() {
 
 // dropWindowsLocked stops every open merge window and returns the
 // client transactions parked in them.
-func (g *Gateway) dropWindowsLocked() (parked []waiter) {
+func (g *Gateway) dropWindowsLocked() (parked []clientTx) {
 	for _, ks := range g.keys {
 		es := ks.esc
 		if es == nil || es.win == nil {

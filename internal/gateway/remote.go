@@ -1,6 +1,8 @@
 package gateway
 
 import (
+	"errors"
+
 	"mdcc/internal/core"
 	"mdcc/internal/record"
 	"mdcc/internal/transport"
@@ -20,16 +22,42 @@ type MsgTx struct {
 	Updates []record.Update
 }
 
-// MsgTxReply reports the transaction outcome. Overloaded is set when
-// admission control shed the transaction (it was never submitted);
-// MixedKinds when the protocol rejected it under the kind-disjoint
-// rule (core.ErrMixedUpdateKinds — a typed, permanent rejection:
-// retrying the same update kind on the same key cannot succeed).
+// MsgTxReply reports the transaction outcome. Refusal, when non-zero,
+// is the code of the refusal the gateway answered with (see
+// RefusalError); Committed is then false.
 type MsgTxReply struct {
-	ReqID      uint64
-	Committed  bool
-	Overloaded bool
-	MixedKinds bool
+	ReqID     uint64
+	Committed bool
+	Refusal   uint8
+}
+
+// refusals is the one table of the errors a client over the RPC can
+// tell apart: code i answers with refusals[i], and 0 (nil) is none.
+// A code is bit i of MsgTxReply's flags byte, so the order is frozen
+// per transport.WireVersion and a new refusal goes at the end. An
+// error not listed — ring.ErrWrongShard, ErrOutcomeUnknown (no TCP
+// gateway is frozen or killed, DESIGN.md §9) or a plain abort —
+// crosses as committed=false with no refusal.
+var refusals = [...]error{nil, ErrOverloaded, core.ErrMixedUpdateKinds, ErrClosed, core.ErrRepeatedKey}
+
+// refusalCode is err's code in refusals: 0 for nil (errors.Is(err,
+// nil) is err == nil) and for an error none of them matches.
+func refusalCode(err error) uint8 {
+	for code, refusal := range refusals {
+		if errors.Is(err, refusal) {
+			return uint8(code)
+		}
+	}
+	return 0
+}
+
+// RefusalError is the error a refusal code stands for: nil for 0 and
+// for a code the table does not have.
+func RefusalError(code uint8) error {
+	if int(code) >= len(refusals) {
+		return nil
+	}
+	return refusals[code]
 }
 
 // MsgRead asks the gateway for a read; Quorum selects an up-to-date
@@ -63,10 +91,7 @@ func (g *Gateway) handle(env transport.Envelope) {
 		from := env.From
 		g.Commit(m.Updates, func(committed bool, err error) {
 			g.net.Send(g.id, from, MsgTxReply{
-				ReqID:      m.ReqID,
-				Committed:  committed && err == nil,
-				Overloaded: err == ErrOverloaded,
-				MixedKinds: err == core.ErrMixedUpdateKinds,
+				ReqID: m.ReqID, Committed: committed && err == nil, Refusal: refusalCode(err),
 			})
 		})
 	case MsgRead:

@@ -1,6 +1,8 @@
 package gateway
 
 import (
+	"math/bits"
+
 	"mdcc/internal/record"
 	"mdcc/internal/transport"
 )
@@ -26,11 +28,12 @@ var (
 	_ transport.WireMessage = MsgReadReply{}
 )
 
-// MsgTxReply flags byte.
+// MsgTxReply flags byte: bit 0 is Committed, and bit i (i >= 1) is
+// refusal code i. The constant below fails to compile once the refusal
+// table outgrows the byte.
 const (
-	txFlagCommitted  = 1 << 0
-	txFlagOverloaded = 1 << 1
-	txFlagMixedKinds = 1 << 2
+	txFlagCommitted = 1 << 0
+	_               = uint8(1 << (len(refusals) - 1))
 )
 
 // WireTag implements transport.WireMessage.
@@ -56,11 +59,8 @@ func (m MsgTxReply) AppendWire(b []byte) []byte {
 	if m.Committed {
 		flags |= txFlagCommitted
 	}
-	if m.Overloaded {
-		flags |= txFlagOverloaded
-	}
-	if m.MixedKinds {
-		flags |= txFlagMixedKinds
+	if m.Refusal != 0 {
+		flags |= 1 << m.Refusal
 	}
 	return append(b, flags)
 }
@@ -104,8 +104,9 @@ func init() {
 		m.ReqID = r.Uvarint()
 		flags := r.Byte()
 		m.Committed = flags&txFlagCommitted != 0
-		m.Overloaded = flags&txFlagOverloaded != 0
-		m.MixedKinds = flags&txFlagMixedKinds != 0
+		if refused := flags &^ txFlagCommitted; refused != 0 {
+			m.Refusal = uint8(bits.TrailingZeros8(refused))
+		}
 		return m, r.Err()
 	})
 	transport.RegisterWire(tagMsgRead, func(r *transport.WireReader) (transport.Message, error) {

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/gob"
 	"encoding/hex"
+	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"mdcc/internal/record"
 	"mdcc/internal/transport"
@@ -91,5 +94,63 @@ func TestRPCWireRoundTripParity(t *testing.T) {
 		if !reflect.DeepEqual(out.Msg, ge.Msg) {
 			t.Errorf("%s: binary and gob decode disagree\n bin %#v\n gob %#v", name, out.Msg, ge.Msg)
 		}
+	}
+}
+
+// TestRefusalTableRoundTrips: every refusal a client over the RPC can
+// tell apart crosses the wire as its code and decodes to its error,
+// wrapped or not; anything else crosses as no refusal.
+func TestRefusalTableRoundTrips(t *testing.T) {
+	for code := 1; code < len(refusals); code++ {
+		want := refusals[code]
+		for _, err := range []error{want, fmt.Errorf("%w: %q", want, "k")} {
+			in := MsgTxReply{ReqID: 7, Refusal: refusalCode(err)}
+			b, encErr := transport.AppendEnvelope(nil, transport.Envelope{From: "gw", To: "cli", Msg: in})
+			if encErr != nil {
+				t.Fatalf("%v: encode: %v", want, encErr)
+			}
+			out, decErr := transport.DecodeEnvelope(transport.NewWireReader(b))
+			if decErr != nil {
+				t.Fatalf("%v: decode: %v", want, decErr)
+			}
+			if got := RefusalError(out.Msg.(MsgTxReply).Refusal); got != want {
+				t.Errorf("%v (code %d) decodes to %v", err, code, got)
+			}
+		}
+	}
+	for _, err := range []error{nil, ErrOutcomeUnknown, errors.New("other")} {
+		if code := refusalCode(err); code != 0 {
+			t.Errorf("%v crosses as refusal code %d, want none", err, code)
+		}
+	}
+}
+
+// TestClosedGatewayRefusesRPCCommit: a closed gateway answers an RPC
+// commit with a reply that decodes to ErrClosed, as it answers an
+// in-process Commit.
+func TestClosedGatewayRefusesRPCCommit(t *testing.T) {
+	w := newTestWorld(t, Tuning{}, nil)
+	var got []transport.Envelope
+	w.net.Register("client/rpc", func(env transport.Envelope) { got = append(got, env) })
+	w.gw.Close()
+	w.net.At(0, func() {
+		w.gw.handle(transport.Envelope{From: "client/rpc", To: w.gw.ID(), Msg: MsgTx{ReqID: 3,
+			Updates: []record.Update{record.Insert("k/closed", record.Value{})}}})
+	})
+	w.net.RunFor(time.Second)
+	if len(got) != 1 {
+		t.Fatalf("client got %d messages, want one MsgTxReply", len(got))
+	}
+	b, err := transport.AppendEnvelope(nil, got[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := transport.DecodeEnvelope(transport.NewWireReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, ok := out.Msg.(MsgTxReply)
+	if !ok || m.ReqID != 3 || m.Committed || RefusalError(m.Refusal) != ErrClosed {
+		t.Fatalf("reply %#v; want MsgTxReply{ReqID: 3} refused with ErrClosed", out.Msg)
 	}
 }

@@ -236,7 +236,7 @@ const rpcStaleAfter = 2 * time.Minute
 // gatewayRPCBackend speaks the thin client ⇄ gateway RPC over TCP.
 // Lost replies are abandoned to the Session's timeout; their stale
 // callbacks are pruned as later requests come through (entries older
-// than rpcStaleAfter, swept once the tables grow past a threshold).
+// than rpcStaleAfter, swept once the table grows past a threshold).
 type gatewayRPCBackend struct {
 	id   transport.NodeID
 	gwID transport.NodeID
@@ -247,88 +247,85 @@ type gatewayRPCBackend struct {
 	// crashed gateway's proposed options are settled by the protocol).
 	unknownAfter time.Duration
 
-	mu    sync.Mutex
-	seq   uint64
-	txs   map[uint64]pendingTx
-	reads map[uint64]pendingRead
+	mu      sync.Mutex
+	seq     uint64
+	pending map[uint64]pendingRPC // by request id
 }
 
-type pendingTx struct {
-	cb func(bool, error)
-	at time.Time
-	// deadline is the settle-deadline timer (nil until armed); whoever
-	// claims the entry stops it.
+// pendingRPC is one request awaiting its reply: a commit (commit set)
+// or a read (read set).
+type pendingRPC struct {
+	commit func(bool, error)
+	read   func(record.Value, record.Version, bool)
+	at     time.Time
+	// deadline is a commit's settle-deadline timer (see register).
 	deadline transport.Timer
-}
-
-type pendingRead struct {
-	cb func(record.Value, record.Version, bool)
-	at time.Time
 }
 
 func (b *gatewayRPCBackend) handle(env transport.Envelope) {
 	switch m := env.Msg.(type) {
 	case gateway.MsgTxReply:
-		b.mu.Lock()
-		p, ok := b.txs[m.ReqID]
-		delete(b.txs, m.ReqID)
-		b.mu.Unlock()
-		if ok {
-			if p.deadline != nil {
-				p.deadline.Stop()
-			}
-			switch {
-			case m.Overloaded:
-				p.cb(false, ErrOverloaded)
-			case m.MixedKinds:
-				p.cb(false, ErrMixedUpdateKinds)
-			default:
-				p.cb(m.Committed, nil)
-			}
+		if p, ok := b.claim(m.ReqID); ok && p.commit != nil {
+			p.deadline.Stop()
+			err := gateway.RefusalError(m.Refusal)
+			p.commit(m.Committed && err == nil, err)
 		}
 	case gateway.MsgReadReply:
-		b.mu.Lock()
-		p, ok := b.reads[m.ReqID]
-		delete(b.reads, m.ReqID)
-		b.mu.Unlock()
-		if ok {
-			p.cb(m.Value.Decode(), m.Version, m.Exists)
+		if p, ok := b.claim(m.ReqID); ok && p.read != nil {
+			p.read(m.Value.Decode(), m.Version, m.Exists)
 		}
 	}
 }
 
-// pruneLocked drops callbacks whose replies are long lost. Swept only
-// when a table has grown past a threshold, so the common case pays
-// nothing.
-func (b *gatewayRPCBackend) pruneLocked(now time.Time) {
+// register files p under a fresh request id and returns the id, before
+// the request is sent. A commit gets its settle deadline here: if the
+// acknowledgement never comes back (the gateway crashed with the
+// transaction in hand, or the reply was lost for good), it fails fast
+// with the typed unknown-outcome error instead of blocking the session
+// to its generic timeout; whichever of the reply and the deadline
+// claims the entry answers it, and a reply stops the timer. Callbacks
+// whose replies are long lost are dropped first, swept only once the
+// table has grown past a threshold, so the common case pays nothing.
+func (b *gatewayRPCBackend) register(p pendingRPC) uint64 {
 	const sweepAt = 64
-	if len(b.txs) >= sweepAt {
-		for req, p := range b.txs {
-			if now.Sub(p.at) > rpcStaleAfter {
-				delete(b.txs, req)
+	p.at = time.Now()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.pending) >= sweepAt {
+		for req, old := range b.pending {
+			if p.at.Sub(old.at) > rpcStaleAfter {
+				delete(b.pending, req)
 			}
 		}
 	}
-	if len(b.reads) >= sweepAt {
-		for req, p := range b.reads {
-			if now.Sub(p.at) > rpcStaleAfter {
-				delete(b.reads, req)
+	b.seq++
+	req := b.seq
+	if p.commit != nil {
+		p.deadline = b.net.After(b.id, b.unknownAfter, func() {
+			if p, ok := b.claim(req); ok {
+				p.commit(false, &OutcomeUnknownError{TxID: fmt.Sprintf("%s/%s#%d", b.gwID, b.id, req)})
 			}
-		}
+		})
 	}
+	if b.pending == nil {
+		b.pending = make(map[uint64]pendingRPC)
+	}
+	b.pending[req] = p
+	return req
+}
+
+// claim removes and returns the request's entry: whoever claims it
+// first — its reply, or a commit's settle deadline — answers it.
+func (b *gatewayRPCBackend) claim(req uint64) (pendingRPC, bool) {
+	b.mu.Lock()
+	p, ok := b.pending[req]
+	delete(b.pending, req)
+	b.mu.Unlock()
+	return p, ok
 }
 
 func (b *gatewayRPCBackend) read(key Key, floor Version, quorum bool, cb func(record.Value, record.Version, bool)) {
-	now := time.Now()
-	b.mu.Lock()
-	b.pruneLocked(now)
-	b.seq++
-	req := b.seq
-	if b.reads == nil {
-		b.reads = make(map[uint64]pendingRead)
-	}
-	b.reads[req] = pendingRead{cb: cb, at: now}
-	b.mu.Unlock()
+	req := b.register(pendingRPC{read: cb})
 	b.net.Send(b.id, b.gwID, gateway.MsgRead{ReqID: req, Key: key, Quorum: quorum, Floor: floor})
 }
 
@@ -341,44 +338,8 @@ func (b *gatewayRPCBackend) ReadQuorum(key Key, cb func(record.Value, record.Ver
 }
 
 func (b *gatewayRPCBackend) Commit(updates []Update, done func(bool, error)) {
-	now := time.Now()
-	b.mu.Lock()
-	b.pruneLocked(now)
-	b.seq++
-	req := b.seq
-	if b.txs == nil {
-		b.txs = make(map[uint64]pendingTx)
-	}
-	b.txs[req] = pendingTx{cb: done, at: now}
-	b.mu.Unlock()
+	req := b.register(pendingRPC{commit: done})
 	b.net.Send(b.id, b.gwID, gateway.MsgTx{ReqID: req, Updates: updates})
-	// Settle deadline: if the acknowledgement never comes back (the
-	// gateway crashed with the transaction in hand, or the reply was
-	// lost for good), fail fast with the typed unknown-outcome error
-	// instead of letting the session block to its generic timeout.
-	// Exactly-once with the reply path via the pending-table claim;
-	// a reply that claims the entry first stops the timer, and one
-	// that claimed it before the timer was stored leaves it to be
-	// stopped here.
-	deadline := b.net.After(b.id, b.unknownAfter, func() {
-		b.mu.Lock()
-		p, ok := b.txs[req]
-		delete(b.txs, req)
-		b.mu.Unlock()
-		if ok {
-			p.cb(false, &OutcomeUnknownError{TxID: fmt.Sprintf("%s/%s#%d", b.gwID, b.id, req)})
-		}
-	})
-	b.mu.Lock()
-	p, pending := b.txs[req]
-	if pending {
-		p.deadline = deadline
-		b.txs[req] = p
-	}
-	b.mu.Unlock()
-	if !pending {
-		deadline.Stop()
-	}
 }
 
 // Metrics: a thin RPC client holds no protocol counters.

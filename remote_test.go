@@ -256,7 +256,7 @@ func TestGatewayRPCReplyStopsSettleDeadline(t *testing.T) {
 	b.Commit([]Update{Commutative("dl/1", map[string]int64{"x": 1})}, func(ok bool, _ error) { committed = ok })
 	b.mu.Lock()
 	req := b.seq
-	p := b.txs[req]
+	p := b.pending[req]
 	b.mu.Unlock()
 	if p.deadline == nil {
 		t.Fatal("pending commit holds no settle-deadline timer")
@@ -267,6 +267,37 @@ func TestGatewayRPCReplyStopsSettleDeadline(t *testing.T) {
 	}
 	if p.deadline.Stop() {
 		t.Fatal("the settle deadline was still armed after the reply claimed the commit")
+	}
+}
+
+// TestGatewayRPCCarriesRefusal: a refused commit reaches a DialGateway
+// session as the error an in-process session gets, not as a plain
+// abort. A write-set naming a key twice returns ErrRepeatedKey, a
+// Transact staging one runs its function once and returns that error
+// (a plain abort would run it three times), and the key stays writable.
+func TestGatewayRPCCarriesRefusal(t *testing.T) {
+	topo, _ := deployTCP(t, ModeMDCC, nil, true)
+	sess, err := DialGateway(topo, USWest, "refused", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	add := Commutative("ref/a", map[string]int64{"x": 1})
+	if ok, err := sess.Commit(add, add); ok || !errors.Is(err, ErrRepeatedKey) {
+		t.Fatalf("Commit(a, a) = %v, %v; want false, ErrRepeatedKey", ok, err)
+	}
+	runs := 0
+	ok, err := sess.Transact(3, func(tx *TxView) error {
+		runs++
+		tx.Add("ref/a", map[string]int64{"x": 1})
+		tx.Add("ref/a", map[string]int64{"x": 2})
+		return nil
+	})
+	if ok || !errors.Is(err, ErrRepeatedKey) || runs != 1 {
+		t.Fatalf("Transact(3) staging ref/a twice = %v, %v after %d runs; want false, ErrRepeatedKey after 1", ok, err, runs)
+	}
+	if ok, err := sess.Commit(Insert("ref/a", Value{Attrs: map[string]int64{"x": 5}})); !ok || err != nil {
+		t.Fatalf("a single write after the refusals: Commit = %v, %v", ok, err)
 	}
 }
 

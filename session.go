@@ -2,6 +2,7 @@ package mdcc
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"mdcc/internal/core"
@@ -50,6 +51,15 @@ var (
 // class-neutral; a key's class locks on its first non-creating
 // update. Returned by Session.Commit with committed=false.
 var ErrMixedUpdateKinds = core.ErrMixedUpdateKinds
+
+// ErrRepeatedKey reports a write-set that names one key twice — two
+// updates passed to Commit, or two staged on one TxView. A transaction
+// has one option per key, so the coordinator refuses it before
+// anything is proposed; the error it returns wraps this one with the
+// key (match it with errors.Is). Returned by Session.Commit with
+// committed=false, over a gateway's RPC too. Retrying the same
+// write-set cannot succeed.
+var ErrRepeatedKey = core.ErrRepeatedKey
 
 // OutcomeUnknownError reports a transaction whose outcome the client
 // never learned: it was handed to a gateway, the settle deadline
@@ -246,11 +256,11 @@ func (s *Session) ReadMany(keys []Key) (vals []Value, vers []Version, exist []bo
 
 // Commit atomically applies the write-set: either every update
 // becomes durable or none does. committed is false when a write-write
-// conflict or constraint violation rejected an option — or, for
-// gateway sessions, when admission control shed the transaction
-// (err == ErrOverloaded). Typed rejection causes accompany
-// committed=false when the protocol knows one: ErrMixedUpdateKinds
-// for the kind-disjoint rule; plain conflicts keep err nil.
+// conflict or constraint violation rejected an option, with a nil err.
+// A refused or lost transaction returns committed=false with a typed
+// err (DESIGN.md §8 has the table): ErrMixedUpdateKinds for the
+// kind-disjoint rule, ErrRepeatedKey for a key named twice, and, for
+// gateway sessions, ErrOverloaded, ErrClosed or ErrOutcomeUnknown.
 func (s *Session) Commit(updates ...Update) (committed bool, err error) {
 	type res struct {
 		ok  bool
@@ -276,29 +286,11 @@ func (s *Session) Commit(updates ...Update) (committed bool, err error) {
 
 // Transact runs fn as an optimistic read-modify-write transaction:
 // fn assembles a write-set via the TxView, and Commit validates it.
-// On conflict it runs fn again, up to attempts runs in all (classic
-// OCC loop). attempts below 1 run fn once, as 1 does.
+// On a protocol abort it runs fn again, up to attempts runs in all
+// (classic OCC loop); an error from fn, a read or Commit ends the loop
+// and is returned. attempts below 1 run fn once, as 1 does.
 func (s *Session) Transact(attempts int, fn func(tx *TxView) error) (bool, error) {
-	if attempts < 1 {
-		attempts = 1
-	}
-	for i := 0; i < attempts; i++ {
-		tx := &TxView{s: s}
-		if err := fn(tx); err != nil {
-			return false, err
-		}
-		if tx.err != nil {
-			return false, tx.err
-		}
-		ok, err := s.Commit(tx.updates...)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			return true, nil
-		}
-	}
-	return false, nil
+	return s.transact(attempts, false, fn)
 }
 
 // TransactSerializable is Transact with read-set validation (§4.4):
@@ -308,33 +300,28 @@ func (s *Session) Transact(attempts int, fn func(tx *TxView) error) (bool, error
 // write skew that read committed allows. attempts counts runs of fn as
 // in Transact: below 1, fn runs once.
 func (s *Session) TransactSerializable(attempts int, fn func(tx *TxView) error) (bool, error) {
+	return s.transact(attempts, true, fn)
+}
+
+// transact is the OCC loop of both: with checkReads, each run's TxView
+// tracks its reads and the commit carries their ReadChecks.
+func (s *Session) transact(attempts int, checkReads bool, fn func(tx *TxView) error) (bool, error) {
 	if attempts < 1 {
 		attempts = 1
 	}
 	for i := 0; i < attempts; i++ {
-		tx := &TxView{s: s, reads: make(map[Key]Version)}
+		tx := &TxView{s: s}
+		if checkReads {
+			tx.reads = make(map[Key]Version)
+		}
 		if err := fn(tx); err != nil {
 			return false, err
 		}
 		if tx.err != nil {
 			return false, tx.err
 		}
-		written := make(map[Key]bool, len(tx.updates))
-		for _, u := range tx.updates {
-			written[u.Key] = true
-		}
-		updates := tx.updates
-		for key, ver := range tx.reads {
-			if !written[key] {
-				updates = append(updates, ReadCheck(key, ver))
-			}
-		}
-		ok, err := s.Commit(updates...)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			return true, nil
+		if ok, err := s.Commit(tx.writeSet()...); ok || err != nil {
+			return ok, err
 		}
 	}
 	return false, nil
@@ -346,6 +333,18 @@ type TxView struct {
 	updates []Update
 	reads   map[Key]Version
 	err     error
+}
+
+// writeSet is the staged updates plus a ReadCheck for every tracked
+// read of a record the transaction does not write.
+func (t *TxView) writeSet() []Update {
+	updates := t.updates
+	for key, ver := range t.reads {
+		if !slices.ContainsFunc(t.updates, func(u Update) bool { return u.Key == key }) {
+			updates = append(updates, ReadCheck(key, ver))
+		}
+	}
+	return updates
 }
 
 // Read fetches a record inside the transaction.
