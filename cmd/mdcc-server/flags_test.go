@@ -85,3 +85,36 @@ func TestNegativeCheckpointIntervalExits(t *testing.T) {
 		t.Errorf("-checkpoint-interval -1s: %v, want exit status 2 naming the flag; output:\n%s", err, out)
 	}
 }
+
+// TestFlagWithoutItsFlagExits: a flag that means nothing without
+// another is refused with exit status 2 naming both, before the server
+// reads its topology. Each used to be ignored: -checkpoint-interval
+// applies only to -data's durable nodes, -trace-slow only to -trace's
+// recorder, and -profile set the runtime's block and mutex rates with
+// no -http endpoint to read them.
+func TestFlagWithoutItsFlagExits(t *testing.T) {
+	if os.Getenv("MDCC_SERVER_AS_MAIN") == "1" {
+		main()
+		return
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-checkpoint-interval", "1m"}, "-checkpoint-interval without -data"},
+		{[]string{"-data", "", "-checkpoint-interval", "0"}, "-checkpoint-interval without -data"},
+		{[]string{"-trace-slow", "2s"}, "-trace-slow without -trace"},
+		{[]string{"-trace=false", "-trace-slow", "2s"}, "-trace-slow without -trace"},
+		{[]string{"-profile"}, "-profile without -http"},
+	} {
+		args := append([]string{"-test.run=^TestFlagWithoutItsFlagExits$",
+			"-topology", t.TempDir() + "/missing.json", "-dc", "us-west"}, tc.args...)
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "MDCC_SERVER_AS_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), tc.want) {
+			t.Errorf("%q: %v, want exit status 2 and %q; output:\n%s", tc.args, err, tc.want, out)
+		}
+	}
+}

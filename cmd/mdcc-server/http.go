@@ -4,8 +4,9 @@
 //	GET /metrics  — JSON snapshot of this server's counters
 //	GET /trace    — flight-recorder diagnosis bundle (with -trace):
 //	                recent retained transaction traces, slowest first,
-//	                one Compact timeline per line; ?full=1 switches to
-//	                the multi-line per-event rendering
+//	                one Compact timeline per line; ?full=1 (any bool
+//	                strconv.ParseBool reads) switches to the multi-line
+//	                per-event rendering; a non-bool full is a 400
 //	GET /debug/pprof/*  — standard Go profiling endpoints (with
 //	                -profile): profile, heap, goroutine, block, mutex,
 //	                cmdline, symbol, trace. Block and mutex profiling
@@ -160,6 +161,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"sync"
 	"time"
 
@@ -252,6 +254,40 @@ type phaseOut struct {
 	MeanMs float64 `json:"meanMs"`
 }
 
+// traceHandler serves /trace from rec: one Compact line per trace of
+// the diagnosis bundle, or each trace's multi-line Timeline when the
+// full parameter is true (any strconv.ParseBool spelling). A value of
+// full that is not a bool is refused with 400 naming the parameter;
+// an absent or empty one is false.
+func traceHandler(rec *trace.Recorder) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if rec == nil {
+			http.Error(w, "flight recorder off (start mdcc-server with -trace)", http.StatusNotFound)
+			return
+		}
+		full := false
+		if v := r.URL.Query().Get("full"); v != "" {
+			var err error
+			if full, err = strconv.ParseBool(v); err != nil {
+				http.Error(w, fmt.Sprintf("/trace: full=%q is not a bool (1, true, 0, false, ...)", v), http.StatusBadRequest)
+				return
+			}
+		}
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		bundle := rec.Bundle()
+		for _, t := range bundle {
+			if full {
+				fmt.Fprintln(w, t.Timeline())
+			} else {
+				fmt.Fprintln(w, t.Compact())
+			}
+		}
+		if len(bundle) == 0 {
+			fmt.Fprintln(w, "(no traces retained yet)")
+		}
+	}
+}
+
 // serveHTTP starts the operational endpoints documented above on their
 // own goroutine and returns the shutdown gate.
 func serveHTTP(addr string, dc topology.DC, cl *topology.Cluster, d *server.DC, net *transport.TCP,
@@ -319,25 +355,7 @@ func serveHTTP(addr string, dc topology.DC, cl *topology.Cluster, d *server.DC, 
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(out)
 	}))
-	mux.HandleFunc("/trace", state.guard(func(w http.ResponseWriter, r *http.Request) {
-		if rec == nil {
-			http.Error(w, "flight recorder off (start mdcc-server with -trace)", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		full := r.URL.Query().Get("full") != ""
-		bundle := rec.Bundle()
-		for _, t := range bundle {
-			if full {
-				fmt.Fprintln(w, t.Timeline())
-			} else {
-				fmt.Fprintln(w, t.Compact())
-			}
-		}
-		if len(bundle) == 0 {
-			fmt.Fprintln(w, "(no traces retained yet)")
-		}
-	}))
+	mux.HandleFunc("/trace", state.guard(traceHandler(rec)))
 	endpoints := "/healthz, /metrics, /trace"
 	if profile {
 		// The standard pprof handlers, mounted explicitly because this

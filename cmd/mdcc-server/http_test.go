@@ -2,13 +2,17 @@ package main
 
 import (
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"regexp"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"mdcc/internal/gateway"
+	"mdcc/internal/trace"
 )
 
 // TestMetricsSchemaComment: the /metrics schema in http.go's package
@@ -148,4 +152,39 @@ func diffKeys(a, b map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// TestTraceFullIsABool: /trace reads its full parameter as a bool. An
+// absent, empty or false value renders one Compact line per trace, a
+// true one each trace's multi-line Timeline, and anything else is
+// refused with 400 naming the parameter. ?full=0 used to render full
+// timelines, because any non-empty value did.
+func TestTraceFullIsABool(t *testing.T) {
+	rec := trace.New(trace.Config{})
+	rec.Complete("gw/us-west/c0#1", []string{"k"}, 0, int64(3*time.Second), trace.FlagCommit, false, false, true)
+	tr := rec.Bundle()[0]
+	compact, full := tr.Compact()+"\n", tr.Timeline()+"\n"
+	if compact == full {
+		t.Fatal("a trace renders the same compact and full")
+	}
+	h := traceHandler(rec)
+	for _, tc := range []struct {
+		query, body string
+		code        int
+	}{
+		{"", compact, http.StatusOK},
+		{"?full=", compact, http.StatusOK},
+		{"?full=0", compact, http.StatusOK},
+		{"?full=false", compact, http.StatusOK},
+		{"?full=1", full, http.StatusOK},
+		{"?full=true", full, http.StatusOK},
+		{"?full=yes", "full", http.StatusBadRequest},
+	} {
+		w := httptest.NewRecorder()
+		h(w, httptest.NewRequest(http.MethodGet, "/trace"+tc.query, nil))
+		if w.Code != tc.code || (tc.code == http.StatusOK && w.Body.String() != tc.body) ||
+			(tc.code != http.StatusOK && !strings.Contains(w.Body.String(), tc.body)) {
+			t.Errorf("/trace%s: %d %q, want %d and %q", tc.query, w.Code, w.Body.String(), tc.code, tc.body)
+		}
+	}
 }

@@ -51,6 +51,26 @@ var (
 	traceSlow = flag.Duration("trace-slow", 0, "flight recorder: retain transactions slower than this (0 = default 1s)")
 )
 
+// needs names, for each flag that means nothing without another, that
+// other flag: only -data's durable nodes checkpoint, only -trace's
+// recorder has a slow threshold, and -profile's block and mutex
+// profiles are read only through -http.
+var needs = map[string]string{"checkpoint-interval": "data", "trace-slow": "trace", "profile": "http"}
+
+// unmetFlag returns a flag set on the command line whose needed flag
+// is absent (unset, empty or false), and that flag; "" when there is
+// none.
+func unmetFlag() (set, need string) {
+	flag.Visit(func(f *flag.Flag) {
+		if n, ok := needs[f.Name]; ok && set == "" {
+			if v := flag.Lookup(n).Value.String(); v == "" || v == "false" {
+				set, need = f.Name, n
+			}
+		}
+	})
+	return set, need
+}
+
 func main() {
 	flag.Parse()
 	if *traceSlow < 0 {
@@ -59,6 +79,10 @@ func main() {
 	}
 	if *ckptEvery < 0 {
 		fmt.Fprintf(os.Stderr, "mdcc-server: -checkpoint-interval %s: negative (only 0 disables checkpoints)\n", *ckptEvery)
+		os.Exit(2)
+	}
+	if set, need := unmetFlag(); set != "" {
+		fmt.Fprintf(os.Stderr, "mdcc-server: -%s without -%s: it has no effect\n", set, need)
 		os.Exit(2)
 	}
 	log.SetPrefix("mdcc-server: ")

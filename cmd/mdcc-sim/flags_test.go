@@ -114,3 +114,27 @@ func TestNegativeTraceSlowExits(t *testing.T) {
 		t.Errorf("-scenario.trace-slow -1s: %v, want exit status 2 naming the negative threshold; output:\n%s", err, out)
 	}
 }
+
+// TestTraceSlowWithoutTraceExits: -scenario.trace-slow without
+// -scenario.trace is refused with exit status 2 naming both flags,
+// before any run. It used to be ignored: only the recorder
+// -scenario.trace runs has a slow threshold.
+func TestTraceSlowWithoutTraceExits(t *testing.T) {
+	if os.Getenv("MDCC_SIM_AS_MAIN") == "1" {
+		main()
+		return
+	}
+	const want = "-scenario.trace-slow without -scenario.trace"
+	for _, trace := range [][]string{nil, {"-scenario.trace=false"}} {
+		args := append([]string{"-test.run=^TestTraceSlowWithoutTraceExits$",
+			"-scenario", "read-storm", "-no-faults", "-clients", "5", "-duration", "2s",
+			"-scenario.trace-slow", "2s"}, trace...)
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "MDCC_SIM_AS_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), want) {
+			t.Errorf("%q: %v, want exit status 2 and %q; output:\n%s", trace, err, want, out)
+		}
+	}
+}

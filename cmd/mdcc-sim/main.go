@@ -57,6 +57,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mdcc-sim: -scenario.trace-slow %s: negative (0 = default 1s)\n", *traceSlow)
 		os.Exit(2)
 	}
+	// Only the recorder -scenario.trace runs has a slow threshold.
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "scenario.trace-slow" && !*traceOn {
+			fmt.Fprintf(os.Stderr, "mdcc-sim: -scenario.trace-slow without -scenario.trace: it has no effect\n")
+			os.Exit(2)
+		}
+	})
 
 	if *list {
 		for _, s := range scenario.All() {

@@ -550,7 +550,7 @@ func (n *StorageNode) meter(r *recState, was footprint) {
 // (DESIGN.md §5): every decided-log entry is noted in it before it is
 // stored (decidedLog.note), and the log only caches contents.
 func (n *StorageNode) settled(r *recState, tx TxID, keySeq uint64) (Decision, bool) {
-	return r.decided.summary().decision(&n.lanes, laneOf(tx), keySeq)
+	return r.decided.decision(&n.lanes, tx, keySeq)
 }
 
 func (n *StorageNode) initialBallot(key record.Key) paxos.Ballot {

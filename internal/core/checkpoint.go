@@ -45,8 +45,9 @@ func (n *StorageNode) Checkpoint() {
 // in oplog-replay shape, so restoring a snapshot runs through
 // NewDurableStorageNode's seeding loop unchanged: one summary-snapshot
 // entry per record (unioned first), then the decided options in
-// settle order (recorded and noted idempotently), each a decided-log
-// entry expanded into its decision body. The bodies share one buffer:
+// settle order, each a decided-log entry expanded into its decision
+// body, which replay stores though the summary already holds it
+// (decidedLog.replay). The bodies share one buffer:
 // when it grows, the bodies already written stay in the array they
 // were written to, which nothing writes again. Each summary is
 // unpacked into one of its own. Keys are emitted in the store's key

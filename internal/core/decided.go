@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"hash/maphash"
 	"math"
 	"slices"
 	"strconv"
@@ -63,29 +62,34 @@ import (
 // decision record is written from its option (appendDecision); a
 // checkpoint expands each entry back into the exact body (appendBody),
 // and replay packs what it reads (restore). An entry
-// holds no settle time: only compaction reads one, and only an indexed
-// log is long enough to be compacted, so the index keeps the times
-// (decidedIndex.at). The summary sits at the tail: a summary write
-// (summaryTail) rewrites only bytes past end, and an entry's add moves
-// only the summary up behind it, so entry offsets, index positions and
-// decidedIndex.head never shift, and a settle costs the same on a log
-// of any length. Every scan stops at end; compact carries the summary
-// along. The leader's learned log is the same type with no summary
-// (end is len(buf)), trimmed by count and age instead (trim).
+// holds no settle time: only compaction reads one, and only a log of
+// decidedIndexMin entries or more can be long enough to be compacted,
+// so decidedIndex keeps the times (decidedIndex.at). The summary sits
+// at the tail: a summary write (summaryTail) rewrites only bytes past
+// end, and an entry's add moves only the summary up behind it, so
+// entry offsets never shift, and a settle costs the same on a log of
+// any length. Every scan stops at end; compact carries the summary
+// along. The leader's learned log is the same type, its summary noting
+// every decision the leader learned (learn), trimmed by count and age
+// instead (trim): the summary stays whole behind what trim drops.
+//
+// "Has this option been decided?" is a summary lookup by the option's
+// lineage identity (decision), never a walk of the entries, so the
+// log stores an entry only once the caller has asked the summary:
+// record and restore do not look for an earlier entry of the same
+// transaction. Only the cold readers (recovery replies and waiters)
+// look an entry up by transaction, by a scan (find).
 //
 // A settled option costs its packed bytes and nothing else: no slot,
 // no pointer, no string of its own. The zero value is an empty log, so
 // a record that never settles anything pays for a nil slice and a nil
-// pointer. Most records hold a handful of entries, which get scans
-// comparing sequences and lane names in place; a log that reaches
-// decidedIndexMin entries also answers from an index keyed by a 64-bit
-// hash of the id, because a hot commutative key holds thousands.
+// pointer.
 type decidedLog struct {
 	buf []byte
 	idx *decidedIndex // nil below decidedIndexMin entries
 	// end is the boundary between the entries and the summary.
 	end uint32
-	// n is the entry count while the log is unindexed; once indexed,
+	// n is the entry count while the log is short; once idx is built,
 	// idx.n holds it (and n reads 0).
 	n uint8
 	// kind is the update class lock of the record whose log this is
@@ -99,14 +103,6 @@ type decidedLog struct {
 type decidedIndex struct {
 	// n is the number of entries.
 	n int
-	// pos maps the hash of a transaction id to the position of the one
-	// entry with that hash, or to -1 once two have shared it (get then
-	// scans).
-	pos map[uint64]int
-	// head is how many bytes trim has dropped off the front of
-	// buf since the index was built. A position is head plus the
-	// entry's offset in buf, so positions survive the drop.
-	head int
 	// lastCompactLen amortizes compaction: a full pass runs only once
 	// the log doubles past max(decidedLimit, lastCompactLen), so a log
 	// with nothing evictable costs O(1) amortized per settle, not O(n).
@@ -114,6 +110,8 @@ type decidedIndex struct {
 	lastCompactLen int
 	// at is each entry's settle time (UnixNano), in settle order; those
 	// settled before the index was built age from the build, never less.
+	// A log keeps its index until it is shorter than decidedIndexMin
+	// again (compact, lockPhysical).
 	at []int64
 	// peers is the last summary learned from each peer replica, packed
 	// against the node's lane table: compact releases an entry only once
@@ -128,9 +126,9 @@ const (
 	// decidedLimit is the length past which a log is worth compacting.
 	decidedLimit            = 512
 	defaultDecidedRetention = 2 * time.Minute
-	// decidedIndexMin is the length at which a log builds its lookup
-	// index: below it a scan comparing ids in place beats hashing one
-	// and costs no map per record.
+	// decidedIndexMin is the length at which a log builds its
+	// decidedIndex and starts keeping settle times: a shorter one is far
+	// from decidedLimit, so it is never compacted and needs none.
 	decidedIndexMin = 32
 	// decidedFitMax is the size up to which a log's buffer grows to fit
 	// each new entry or summary write (growBuf): most records settle a
@@ -148,11 +146,6 @@ const (
 	upKeyed  = 1 // the update as encoded
 	upElided = 2 // the update less its key, which is the record's
 )
-
-// decidedSeed keys the index hash of ids kept whole. Lookups compare
-// the ids behind every hit, so the seed changes no answer, only which
-// ids collide.
-var decidedSeed = maphash.MakeSeed()
 
 // decidedID is a transaction id as a decided log keys it: its lane and
 // sequence when the id is lane#seq with seq in canonical decimal (what
@@ -197,16 +190,6 @@ func (id decidedID) append(b []byte, t *laneTable) []byte {
 	return transport.AppendUvarint(b, id.seq)
 }
 
-// hash is the index key of id, and false when t has never numbered its
-// lane (so no entry can hold it).
-func (id decidedID) hash(t *laneTable) (uint64, bool) {
-	if !id.packed {
-		return maphash.String(decidedSeed, id.tx), true
-	}
-	lane, ok := t.ids[id.lane]
-	return laneSeqHash(uint64(lane)+1, id.seq), ok
-}
-
 // storedID is an entry's id part as the log holds it: tag is the
 // lane's index plus one, or 0 for an id kept whole, whose bytes are tx.
 type storedID struct {
@@ -220,20 +203,6 @@ func (s storedID) is(t *laneTable, id decidedID) bool {
 		return !id.packed && string(s.tx) == id.tx
 	}
 	return id.packed && s.seq == id.seq && t.names[s.tag-1] == id.lane
-}
-
-// hash is the index key of the stored id (decidedID.hash).
-func (s storedID) hash() uint64 {
-	if s.tag == 0 {
-		return maphash.Bytes(decidedSeed, s.tx)
-	}
-	return laneSeqHash(s.tag, s.seq)
-}
-
-// laneSeqHash keys a packed id. For one lane it is injective in the
-// sequence; the map hashes it again, and a collision only costs a scan.
-func laneSeqHash(tag, seq uint64) uint64 {
-	return seq*0x9e3779b97f4a7c15 ^ tag*0xc2b2ae3d27d4eb4f
 }
 
 // decidedEntry is one entry of a decided log read in place — the
@@ -426,23 +395,9 @@ func (l *decidedLog) each(t *laneTable, key record.Key, fn func(e decidedEntry) 
 	}
 }
 
-// find returns the offset in buf of id's entry, -1 if absent.
+// find returns the offset in buf of id's entry, -1 if absent: a scan,
+// which only the cold readers pay for (entry).
 func (l *decidedLog) find(t *laneTable, id decidedID) int {
-	if l.idx != nil {
-		h, numbered := id.hash(t)
-		pos, ok := l.idx.pos[h]
-		if !numbered || !ok {
-			return -1
-		}
-		if pos >= 0 {
-			off := pos - l.idx.head
-			if got, _, _ := l.idAt(off); !got.is(t, id) {
-				return -1 // the one entry with this hash is another's
-			}
-			return off
-		}
-		// Two transactions have shared the hash: scan.
-	}
 	for off := 0; off < int(l.end); {
 		got, _, next := l.idAt(off)
 		if got.is(t, id) {
@@ -453,13 +408,10 @@ func (l *decidedLog) find(t *laneTable, id decidedID) int {
 	return -1
 }
 
-// get looks up a decision.
-func (l *decidedLog) get(t *laneTable, tx TxID) (Decision, bool) {
-	if off := l.find(t, parseID(tx)); off >= 0 {
-		_, rest, _ := l.idAt(off)
-		return Decision(l.buf[rest]), true
-	}
-	return DecUnknown, false
+// decision answers "has the option (tx's lane, keySeq) been decided,
+// and how?" from the log's summary alone.
+func (l *decidedLog) decision(t *laneTable, tx TxID, keySeq uint64) (Decision, bool) {
+	return l.summary().decision(t, laneOf(tx), keySeq)
 }
 
 // entry looks up the settled entry of tx on the record key (only
@@ -473,18 +425,13 @@ func (l *decidedLog) entry(t *laneTable, key record.Key, tx TxID) (decidedEntry,
 }
 
 // record stores opt's final decision d on the record key, settled at
-// now (first write wins: decisions are immutable once made). Without
-// contents (hasOpt false) only the transaction and decision are kept.
-// It reports whether the entry was new (false for already-known
-// decisions), so callers persist each decision exactly once, and
-// returns the entry as the log holds it, valid until the log next
-// changes. Eviction is the caller's concern (trim /
+// now, and returns the entry as the log holds it, valid until the log
+// next changes. Without contents (hasOpt false) only the transaction
+// and decision are kept. The caller has asked the summary and noted
+// the option in it (StorageNode.settleOption, learn): a decision is
+// stored once. Eviction is the caller's concern (trim /
 // StorageNode.compactDecided).
-func (l *decidedLog) record(t *laneTable, key record.Key, d Decision, opt Option, hasOpt bool, now time.Time) (decidedEntry, bool) {
-	id := parseID(opt.Tx)
-	if l.find(t, id) >= 0 {
-		return decidedEntry{}, false
-	}
+func (l *decidedLog) record(t *laneTable, key record.Key, d Decision, opt Option, hasOpt bool, now time.Time) decidedEntry {
 	var up []byte
 	var keySeq uint64
 	var upScratch [256]byte // on the stack; covers all but blob-carrying updates
@@ -492,24 +439,32 @@ func (l *decidedLog) record(t *laneTable, key record.Key, d Decision, opt Option
 		up, keySeq = record.AppendUpdate(upScratch[:0], opt.Update), opt.KeySeq
 	}
 	var scratch [256]byte
-	e, _ := l.at(t, key, l.add(now.UnixNano(), packDecision(scratch[:0], t, key, id, d, keySeq, up)))
-	return e, true
+	e, _ := l.at(t, key, l.add(now.UnixNano(), packDecision(scratch[:0], t, key, parseID(opt.Tx), d, keySeq, up)))
+	return e
+}
+
+// learn is the leader's learned log's record: it notes d on opt in the
+// log's summary and stores the entry, unless the summary already holds
+// the option, whose first decision stands. The summary outlives trim,
+// so whatever the leader learned it answers forever (StorageNode.known).
+func (l *decidedLog) learn(t *laneTable, key record.Key, d Decision, opt Option, hasOpt bool, now time.Time) {
+	if _, ok := l.decision(t, opt.Tx, opt.KeySeq); ok {
+		return
+	}
+	l.tail().add(t, laneOf(opt.Tx), opt.KeySeq, d != DecAccept, false)
+	l.record(t, key, d, opt, hasOpt, now)
 }
 
 // restore stores a replayed decision body of the record key, packed, at
-// replay clock now, unless its transaction is already known, and
-// returns the entry and whether it did. Every body it sees was built by
-// appendDecision in this process (replay re-encodes what it decodes),
-// so it cannot be malformed.
-func (l *decidedLog) restore(t *laneTable, key record.Key, now int64, body []byte) (decidedEntry, bool) {
+// replay clock now, and returns the entry (replay decides whether the
+// body is stored). Every body it sees was built by appendDecision in
+// this process (replay re-encodes what it decodes), so it cannot be
+// malformed.
+func (l *decidedLog) restore(t *laneTable, key record.Key, now int64, body []byte) decidedEntry {
 	tx, d, keySeq, up := splitBody(body)
-	id := parseID(TxID(tx))
-	if l.find(t, id) >= 0 {
-		return decidedEntry{}, false
-	}
 	var scratch [256]byte
-	e, _ := l.at(t, key, l.add(now, packDecision(scratch[:0], t, key, id, d, keySeq, up)))
-	return e, true
+	e, _ := l.at(t, key, l.add(now, packDecision(scratch[:0], t, key, parseID(TxID(tx)), d, keySeq, up)))
+	return e
 }
 
 // splitBody splits a decision body appendDecision wrote, in place, into
@@ -525,9 +480,8 @@ func splitBody(body []byte) (tx []byte, d Decision, keySeq uint64, up []byte) {
 	return tx, Decision(rest[0]), keySeq, up
 }
 
-// add appends a packed decision, settled at now, whose transaction the
-// log does not hold and returns the entry's offset in buf. The summary
-// moves up behind it.
+// add appends a packed decision, settled at now, and returns the
+// entry's offset in buf. The summary moves up behind it.
 func (l *decidedLog) add(now int64, packed []byte) int {
 	var hdr [binary.MaxVarintLen64]byte
 	h := binary.AppendUvarint(hdr[:0], uint64(len(packed)))
@@ -540,15 +494,13 @@ func (l *decidedLog) add(now int64, packed []byte) int {
 	l.end += uint32(k)
 	if x := l.idx; x != nil {
 		x.n++
-		id, _, _ := l.idAt(off)
-		x.file(id.hash(), x.head+off)
 		if len(x.at) == cap(x.at) { // the buffer's slack; none while it fits
 			x.at = append(make([]int64, 0, len(x.at)*cap(l.buf)/len(l.buf)+1), x.at...)
 		}
 		x.at = append(x.at, now)
 	} else if l.n++; l.n >= decidedIndexMin {
-		l.reindex()
-		l.idx.at = make([]int64, l.idx.n)
+		l.idx = &decidedIndex{n: int(l.n), at: make([]int64, l.n)}
+		l.n = 0
 		for i := range l.idx.at {
 			l.idx.at[i] = now
 		}
@@ -570,56 +522,22 @@ func growBuf(b []byte, k int) []byte {
 	return slices.Grow(b, k)
 }
 
-// file enters the entry whose id hashes to h at position pos.
-func (x *decidedIndex) file(h uint64, pos int) {
-	if _, shared := x.pos[h]; shared {
-		pos = -1
-	}
-	x.pos[h] = pos
-}
-
-// reindex rebuilds the lookup index from the entries, keeping their
-// times, or drops both when the log is short again.
-func (l *decidedLog) reindex() {
-	old, n := l.idx, l.len()
-	l.idx, l.n = nil, 0
-	if n < decidedIndexMin {
-		l.n = uint8(n)
-		return
-	}
-	l.idx = &decidedIndex{n: n, pos: make(map[uint64]int, n)}
-	if old != nil {
-		l.idx.lastCompactLen, l.idx.peers, l.idx.at = old.lastCompactLen, old.peers, old.at
-	}
-	for off := 0; off < int(l.end); {
-		id, _, next := l.idAt(off)
-		l.idx.file(id.hash(), off)
-		off = next
-	}
-}
-
 // trim is the leader's learned log's count-and-age rule: while the log
 // is longer than decidedLimit, its oldest entry goes once it is older
-// than retention. The learned log has no summary and no peers to
-// acknowledge it; what it forgets, the records' summaries answer
-// (StorageNode.known). The dropped entries leave the index one by one
-// and buf is resliced past them, so a pass costs what it drops.
+// than retention. The learned log has no peers to acknowledge it, and
+// what it forgets its summary still answers (learn). buf is resliced
+// past the dropped entries, so a pass costs what it drops.
 func (l *decidedLog) trim(now time.Time, retention time.Duration) {
 	horizon := now.Add(-retention).UnixNano()
 	off, dropped := 0, 0
 	for ; l.len() > decidedLimit && l.idx.at[dropped] <= horizon; dropped++ {
-		id, _, next := l.idAt(off)
-		if h := id.hash(); l.idx.pos[h] == l.idx.head+off {
-			delete(l.idx.pos, h)
-		}
-		off = next
+		_, _, off = l.idAt(off)
 		l.idx.n--
 	}
 	// The dropped bytes and times hold no pointers; the backing arrays
 	// shed them when they next grow.
 	if off > 0 {
-		x := l.idx
-		l.buf, l.end, x.head, x.at = l.buf[off:], l.end-uint32(off), x.head+off, x.at[dropped:]
+		l.buf, l.end, l.idx.at = l.buf[off:], l.end-uint32(off), l.idx.at[dropped:]
 	}
 }
 
@@ -648,9 +566,10 @@ func (l *decidedLog) notePeer(t *laneTable, from transport.NodeID, s LineageSumm
 
 // compact releases evictable entries: aged past retention and
 // contained in the noted summary of every one of the record's
-// replicas but self; an unindexed log holds no times and
+// replicas but self; a log without an index holds no times and
 // releases none. The kept entries and their times move up in place, and
-// the summary up behind them. Returns how many entries were released.
+// the summary up behind them; a log left shorter than decidedIndexMin
+// drops its index. Returns how many entries were released.
 func (l *decidedLog) compact(t *laneTable, key record.Key, now time.Time, retention time.Duration,
 	self transport.NodeID, replicas []transport.NodeID) int {
 	x := l.idx
@@ -666,45 +585,24 @@ func (l *decidedLog) compact(t *laneTable, key record.Key, now time.Time, retent
 		}
 		return true
 	}
-	evicted := l.retain(func(off, i int) bool {
-		e, _ := l.at(t, key, off)
-		return !(x.at[i] <= horizon && acked(&e))
-	})
-	if l.idx != nil {
-		l.idx.lastCompactLen = l.idx.n
-	}
-	return evicted
-}
-
-// retain keeps the entries keep approves — it is passed each one's
-// offset in buf and its place in settle order — and returns how many
-// went. The kept entries and their times move up in place, and the
-// summary up behind them.
-func (l *decidedLog) retain(keep func(off, i int) bool) int {
-	x, before := l.idx, l.len()
 	w, kept := 0, 0
 	for i, off := 0, 0; off < int(l.end); i++ {
-		_, _, next := l.idAt(off)
-		if keep(off, i) {
+		e, next := l.at(t, key, off)
+		if x.at[i] > horizon || !acked(&e) {
 			w += copy(l.buf[w:], l.buf[off:next])
-			if x != nil {
-				x.at[kept] = x.at[i]
-			}
+			x.at[kept] = x.at[i]
 			kept++
 		}
 		off = next
 	}
 	sum := copy(l.buf[w:], l.buf[l.end:])
 	l.buf, l.end = l.buf[:w+sum], uint32(w)
-	if x != nil {
-		x.at, x.n = x.at[:kept], kept
-	} else {
-		l.n = uint8(kept)
+	released := x.n - kept
+	x.at, x.n, x.lastCompactLen = x.at[:kept], kept, kept
+	if kept < decidedIndexMin {
+		l.idx, l.n = nil, uint8(kept)
 	}
-	if kept < before {
-		l.reindex()
-	}
-	return before - kept
+	return released
 }
 
 // lockPhysical locks the log's record physical and drops every entry,
@@ -744,11 +642,17 @@ func (l *decidedLog) note(t *laneTable, d Decision, opt Option) {
 // settleOption's rule: the summary and class lock note it, with or
 // without contents, and the log keeps it unless the record's class is
 // physical — whether the body came from this build's log or from a
-// checkpoint that still carries physical entries. A body seen twice (a
-// tail that overlaps its snapshot) changes nothing the second time.
-func (l *decidedLog) replay(t *laneTable, key record.Key, now int64, body []byte) {
+// checkpoint that still carries physical entries. A body of the log's
+// tail (tail set) is replayed as onVisibility settles: one whose option
+// the summary already holds (a tail that overlaps its snapshot) changes
+// nothing. A snapshot's body is always kept, because a snapshot lists a
+// record's summary before its entries (snapshotOplog).
+func (l *decidedLog) replay(t *laneTable, key record.Key, now int64, body []byte, tail bool) {
 	tx, d, keySeq, up := splitBody(body)
 	opt := Option{Tx: TxID(tx), KeySeq: keySeq}
+	if _, known := l.decision(t, opt.Tx, keySeq); tail && known {
+		return
+	}
 	if up != nil {
 		opt.Update = record.ReadUpdate(transport.NewWireReader(up))
 	}

@@ -30,7 +30,9 @@ type leaderRec struct {
 
 	// learned records Paxos decisions this leader made (distinct from
 	// the acceptor's decided log, which records execution outcomes),
-	// packed against the same node lane table.
+	// packed against the same node lane table: its summary answers
+	// known for every one, its entries keep contents for recovery
+	// waiters until trim drops them.
 	learned decidedLog
 
 	// classicLeft counts learned instances until fast ballots are
@@ -155,12 +157,13 @@ func (n *StorageNode) leaderPropose(opt Option, recovery bool) {
 }
 
 // known is settled plus what this leader learned: the answer to "has
-// this option been decided?" on the leader's side.
+// this option been decided?" on the leader's side, from summaries
+// alone.
 func (n *StorageNode) known(r *recState, l *leaderRec, tx TxID, keySeq uint64) (Decision, bool) {
 	if d, ok := n.settled(r, tx, keySeq); ok {
 		return d, true
 	}
-	return l.learned.get(&n.lanes, tx)
+	return l.learned.decision(&n.lanes, tx, keySeq)
 }
 
 // inFlight reports whether id's option is in the leader's cstruct or
@@ -389,7 +392,7 @@ func (n *StorageNode) finishPhase1(key record.Key, l *leaderRec, p1 *phase1Ctx) 
 			// Settled (executed/discarded) at some replica: nothing to
 			// carry; make sure recovery requesters hear the outcome.
 			n.resolveWaiters(l, id, d)
-			l.learned.record(&n.lanes, key, d, t.opt, t.opt.Update.Kind != 0, n.net.Now())
+			l.learned.learn(&n.lanes, key, d, t.opt, t.opt.Update.Kind != 0, n.net.Now())
 			if t.opt.Update.Kind != 0 {
 				// Some replica still holds an unresolved vote for this
 				// settled option — its visibility was lost (e.g. dropped
@@ -551,7 +554,7 @@ func (n *StorageNode) onPhase2b(from transport.NodeID, m MsgPhase2b) {
 	r := n.rs(m.Key)
 	for _, v := range prop.snapshot {
 		id := v.Opt.ID()
-		if _, done := l.learned.get(&n.lanes, id.Tx); done {
+		if _, done := l.learned.decision(&n.lanes, id.Tx, v.Opt.KeySeq); done {
 			continue
 		}
 		// Settled here while the round was in flight (its visibility, or
@@ -561,7 +564,7 @@ func (n *StorageNode) onPhase2b(from transport.NodeID, m MsgPhase2b) {
 		if s, ok := n.settled(r, id.Tx, v.Opt.KeySeq); ok {
 			d, reason = s, ReasonNone
 		}
-		l.learned.record(&n.lanes, m.Key, d, v.Opt, true, n.net.Now())
+		l.learned.learn(&n.lanes, m.Key, d, v.Opt, true, n.net.Now())
 		l.learned.trim(n.net.Now(), n.cfg.DecidedRetention)
 		n.notifyLearned(v.Opt.Coord, id, d, reason,
 			v.Opt.Update.Kind == record.KindCommutative)
@@ -608,7 +611,7 @@ func (n *StorageNode) maybeEnableFast(key record.Key, l *leaderRec) {
 		return
 	}
 	for _, v := range l.cstruct {
-		if _, done := l.learned.get(&n.lanes, v.Opt.Tx); !done {
+		if _, done := l.learned.decision(&n.lanes, v.Opt.Tx, v.Opt.KeySeq); !done {
 			return // proposals still in flight
 		}
 	}

@@ -311,8 +311,9 @@ func TestPackedLineageSettleInPlace(t *testing.T) {
 // them, a packed summary. Entry ops (a live settle, a replayed body
 // without contents, a fill past decidedLimit, compact with the peers'
 // acks noted, trim) are checked against a map and an order slice; each
-// settles by the product's rule, noting the option in the summary
-// before the log stores it (note, replay). Summary ops (add, union,
+// settles by the product's rule: an option the summary already holds
+// is skipped, and a new one is noted in the summary before the log
+// stores it (note, replay). Summary ops (add, union,
 // mark) and the notes are applied to the log's tail, to a summary that
 // stands alone and to the reference LineageSummary. After every op the
 // tail must hold the standalone summary's exact bytes and answer every
@@ -364,27 +365,31 @@ func checkSharedBufferMatchesOracles(t *testing.T, data []byte) {
 		}
 		order = kept
 	}
+	// settle is onVisibility's caller contract: an option the summary
+	// holds (settled, adopted or written into it directly) is skipped;
+	// a new one is noted, then stored. A replayed body is skipped by
+	// replay itself.
 	settle := func(tx TxID, s settled, replay bool) {
-		_, known := want[tx]
-		isNew, applied := false, false
-		if replay {
-			before := l.len()
+		known := ref.Contains(s.lane, s.keySeq)
+		before, applied := l.len(), false
+		switch {
+		case replay:
 			l.replay(appendDecision(nil, tx, s.d, s.keySeq, nil))
-			isNew = l.len() > before
-		} else {
+		case !known:
 			opt := Option{Tx: tx, KeySeq: s.keySeq, Update: record.Commutative(testLogKey, map[string]int64{"x": 1})}
 			l.note(s.d, opt)
-			_, isNew = l.record(s.d, opt, true, start)
+			l.record(s.d, opt, true, start)
 			applied = s.d == DecAccept
+		}
+		if stored := l.len() > before; stored == known {
+			t.Fatalf("settle(%s) stored %v, the summary holds it: %v", tx, stored, known)
+		}
+		if known {
+			return
 		}
 		p.tail().add(&l.tab, s.lane, s.keySeq, s.d != DecAccept, applied)
 		ref.Add(s.lane, s.keySeq, s.d != DecAccept, applied)
-		if isNew == known {
-			t.Fatalf("settle(%s) new=%v, the oracle knows it: %v", tx, isNew, known)
-		}
-		if !known {
-			want[tx], order = s, append(order, tx)
-		}
+		want[tx], order = s, append(order, tx)
 	}
 	for step := 0; len(data) > 0; step++ {
 		switch op := next(); op % 8 {
@@ -457,12 +462,10 @@ func checkSharedBufferMatchesOracles(t *testing.T, data []byte) {
 		if got := txs(&l); l.len() != len(order) || !slices.Equal(got, order) {
 			t.Fatalf("step %d: %d entries %v, oracle %v", step, l.len(), got, order)
 		}
-		for _, tx := range order {
-			if d, ok := l.get(tx); !ok || d != want[tx].d {
-				t.Fatalf("step %d: get(%s) = %v %v, oracle %v", step, tx, d, ok, want[tx].d)
-			}
-		}
 		l.each(&l.tab, testLogKey, func(e decidedEntry) bool {
+			if w := want[e.tx()]; e.Decision != w.d {
+				t.Fatalf("step %d: %s holds %v, oracle %v", step, e.tx(), e.Decision, w.d)
+			}
 			if d, ok := l.summary().decision(&l.tab, e.lane(), e.KeySeq); !ok || d != e.Decision {
 				t.Fatalf("step %d: %s settled %v, its summary answers %v %v", step, e.tx(), e.Decision, d, ok)
 			}

@@ -145,8 +145,14 @@ func (n *StorageNode) onRecoverOpt(from transport.NodeID, m MsgRecoverOpt) {
 	id := OptionID{Tx: m.Tx, Key: m.Key}
 	r := n.rs(m.Key)
 	l := n.lr(m.Key)
-	e, ok := r.decided.entry(&n.lanes, m.Key, m.Tx)
-	if !ok {
+	// A log holds an entry only for an option its summary holds, so a
+	// summary miss spares the scan.
+	var e decidedEntry
+	ok := false
+	if _, settled := r.decided.decision(&n.lanes, m.Tx, m.KeySeq); settled {
+		e, ok = r.decided.entry(&n.lanes, m.Key, m.Tx)
+	}
+	if _, learned := l.learned.decision(&n.lanes, m.Tx, m.KeySeq); !ok && learned {
 		e, ok = l.learned.entry(&n.lanes, m.Key, m.Tx)
 	}
 	if ok {

@@ -387,7 +387,7 @@ func TestSweepReleasesAckedEntries(t *testing.T) {
 	checkGauges(t, w.n)
 	for seq := 1; seq <= round; seq++ {
 		tx := TxID(fmt.Sprintf("gw/us-west/c0#%d", seq))
-		if _, inLog := r.decided.get(&w.n.lanes, tx); inLog != (seq > aged) {
+		if _, inLog := r.decided.entry(&w.n.lanes, key, tx); inLog != (seq > aged) {
 			t.Fatalf("%s in the log: %v", tx, inLog)
 		}
 		if d, ok := w.n.settled(r, tx, uint64(seq)); !ok || d != DecAccept {
@@ -445,21 +445,15 @@ func TestIndexedLogCapacityPerEntry(t *testing.T) {
 	}
 }
 
-// TestSweepCompactsRecordAndLeaderLogs: in Multi mode the node masters
-// a record and leads every option on it through a classic round, so the
-// record's decided log and the leader's learned log both grow past
-// decidedLimit, the first entries a retention period before the rest.
-// The options are read checks: they leave the record's class unlocked,
-// so its log keeps their entries (a physical record keeps none, and
-// Multi mode refuses commutative updates).
-// The learned log, which holds no summary, is held at decidedLimit by
-// trim as it learns. After a sync reply from each peer names
-// the record with the node's own summary, the pending sweep's
-// compaction releases the aged entries of the record's log: the summary
-// behind them in the same buffer unpacks exactly as before, and settled
-// answers every option as it did.
-func TestSweepCompactsRecordAndLeaderLogs(t *testing.T) {
-	const aged = 300
+// leadLearned builds a Multi-mode node that masters the first record
+// and leads decidedLimit+8 options on it through classic rounds, each a
+// read check on one of two lanes; the first aged ones learned a
+// retention period before the rest. With visible set each option's
+// committing visibility follows its round, so the record settles it
+// too. It returns the world, the record's leader state, the record's
+// other replicas and the options in learning order.
+func leadLearned(t *testing.T, aged int, visible bool) (*residentWorld, *leaderRec, []transport.NodeID, []Option) {
+	t.Helper()
 	w := newResidentWorld(t)
 	self := w.cl.Storage[0]
 	cfg := Defaults(ModeMulti)
@@ -495,20 +489,71 @@ func TestSweepCompactsRecordAndLeaderLogs(t *testing.T) {
 		for _, p := range peers[:w.n.q.Classic] {
 			w.net.deliver(t, p, self.ID, MsgPhase2b{Key: key, Ballot: ldr.ballot, Seq: ldr.seq, OK: true})
 		}
-		w.net.deliver(t, coord, self.ID, visibilityFor(opt, true))
+		if visible {
+			w.net.deliver(t, coord, self.ID, visibilityFor(opt, true))
+		}
 		opts = append(opts, opt)
 	}
+	return w, ldr, peers, opts
+}
+
+// TestLeaderKnowsTrimmedDecisions: a leader that learns past
+// decidedLimit options, the first ones a retention period before the
+// rest, trims the aged entries off its learned log, and its summary
+// still answers every decision it learned: known answers each option,
+// though no visibility reached the node, so its record settled none.
+func TestLeaderKnowsTrimmedDecisions(t *testing.T) {
+	const aged = 300
+	w, ldr, _, opts := leadLearned(t, aged, false)
+	trimmed := len(opts) - decidedLimit
+	if got := ldr.learned.len(); got != decidedLimit {
+		t.Fatalf("the learned log holds %d entries, want %d", got, decidedLimit)
+	}
+	r := w.n.rs(w.keys[0])
+	for i, opt := range opts {
+		if _, ok := w.n.settled(r, opt.Tx, opt.KeySeq); ok {
+			t.Fatalf("the record settled %s, which no visibility carried", opt.Tx)
+		}
+		if _, ok := ldr.learned.entry(&w.n.lanes, w.keys[0], opt.Tx); ok != (i >= trimmed) {
+			t.Fatalf("%s in the learned log: %v", opt.Tx, ok)
+		}
+		if d, ok := w.n.known(r, ldr, opt.Tx, opt.KeySeq); !ok || d != DecAccept {
+			t.Fatalf("the leader knows %s as %v %v", opt.Tx, d, ok)
+		}
+	}
+}
+
+// TestSweepCompactsRecordAndLeaderLogs: in Multi mode the node masters
+// a record and leads every option on it through a classic round, so the
+// record's decided log and the leader's learned log both grow past
+// decidedLimit, the first entries a retention period before the rest.
+// The options are read checks: they leave the record's class unlocked,
+// so its log keeps their entries (a physical record keeps none, and
+// Multi mode refuses commutative updates).
+// The learned log is held at decidedLimit by trim as it learns, and
+// its summary still answers every option it learned. After a sync
+// reply from each peer names
+// the record with the node's own summary, the pending sweep's
+// compaction releases the aged entries of the record's log: the summary
+// behind them in the same buffer unpacks exactly as before, and settled
+// answers every option as it did.
+func TestSweepCompactsRecordAndLeaderLogs(t *testing.T) {
+	const aged = 300
+	w, ldr, peers, opts := leadLearned(t, aged, true)
+	self, key := w.n.ID(), w.keys[0]
 	r := w.n.rs(key)
 	if got := r.decided.len(); got != len(opts) {
 		t.Fatalf("the record's log holds %d entries, want %d", got, len(opts))
 	}
-	if got := ldr.learned.len(); got != decidedLimit || len(ldr.learned.summary()) != 0 {
-		t.Fatalf("the learned log holds %d entries and a %d B summary, want %d and none",
-			got, len(ldr.learned.summary()), decidedLimit)
+	if got := ldr.learned.len(); got != decidedLimit {
+		t.Fatalf("the learned log holds %d entries, want %d", got, decidedLimit)
 	}
 	for i, opt := range opts {
-		if _, ok := ldr.learned.get(&w.n.lanes, opt.Tx); ok != (i >= len(opts)-decidedLimit) {
+		if _, ok := ldr.learned.entry(&w.n.lanes, key, opt.Tx); ok != (i >= len(opts)-decidedLimit) {
 			t.Fatalf("%s in the learned log: %v", opt.Tx, ok)
+		}
+		if d, ok := ldr.learned.decision(&w.n.lanes, opt.Tx, opt.KeySeq); !ok || d != DecAccept {
+			t.Fatalf("the learned log's summary answers %s as %v %v", opt.Tx, d, ok)
 		}
 	}
 
@@ -516,7 +561,7 @@ func TestSweepCompactsRecordAndLeaderLogs(t *testing.T) {
 	before := r.decided.summary().unpack(&w.n.lanes)
 	reply := MsgSyncReply{ReqID: 1, Entries: []SyncEntry{{Key: key, Value: val, Version: ver, Lineage: before}}}
 	for _, p := range peers {
-		w.net.deliver(t, p, self.ID, reply)
+		w.net.deliver(t, p, self, reply)
 	}
 	w.net.clock += time.Second
 	w.n.sweepPending()
@@ -532,7 +577,7 @@ func TestSweepCompactsRecordAndLeaderLogs(t *testing.T) {
 		t.Fatalf("the summary unpacks to %s after the sweep, %s before", after, before)
 	}
 	for i, opt := range opts {
-		if _, inLog := r.decided.get(&w.n.lanes, opt.Tx); inLog != (i >= aged) {
+		if _, inLog := r.decided.entry(&w.n.lanes, key, opt.Tx); inLog != (i >= aged) {
 			t.Fatalf("%s in the record's log: %v", opt.Tx, inLog)
 		}
 		if d, ok := w.n.settled(r, opt.Tx, opt.KeySeq); !ok || d != DecAccept {

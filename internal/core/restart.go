@@ -118,8 +118,11 @@ type DurableState struct {
 	Store *kv.Store
 
 	decided []oplogEntry // what recovery replayed; NewDurableStorageNode consumes it
-	dir     string
-	opts    DurableOptions
+	// snapRows is how many of decided's leading rows the snapshot
+	// listed; the rest are the log's tail.
+	snapRows int
+	dir      string
+	opts     DurableOptions
 
 	snapSeq int // newest usable snapshot on disk (0 = none yet)
 	lastCut int // its cut: the truncation floor for the next checkpoint
@@ -213,6 +216,7 @@ func OpenDurableOpts(dir string, o DurableOptions) (*DurableState, error) {
 		seed = st.KV
 		ds.lastCut = st.Cut
 		ds.decided = append(ds.decided, st.Oplog...)
+		ds.snapRows = len(st.Oplog)
 		ds.replay.UsedSnapshot = true
 		ds.replay.SnapshotSeq = ds.snapSeq
 	} else {
@@ -248,8 +252,8 @@ func OpenDurableOpts(dir string, o DurableOptions) (*DurableState, error) {
 // everything from the older one's cut, so the fallback always has its
 // tail. Crashing between any two steps is safe — replaying a tail
 // that overlaps a snapshot is idempotent (kv puts are last-write-wins
-// in log order, summary unions are monotone, decision records
-// deduplicate).
+// in log order, summary unions are monotone, and a tail decision
+// record whose option the summary already holds is skipped).
 func (ds *DurableState) Checkpoint(oplogState []oplogEntry) error {
 	log := ds.Store.Log()
 	cut, err := log.Cut()
@@ -295,7 +299,7 @@ func NewDurableStorageNode(id transport.NodeID, dc topology.DC, net transport.Ne
 	cl *topology.Cluster, cfg Config, ds *DurableState) *StorageNode {
 	n := NewStorageNode(id, dc, net, cl, cfg, ds.Store)
 	n.durable = ds
-	for _, e := range ds.decided {
+	for i, e := range ds.decided {
 		r := n.rs(e.Key)
 		was := r.decided.footprint()
 		if e.Snapshot != nil {
@@ -306,7 +310,7 @@ func NewDurableStorageNode(id transport.NodeID, dc topology.DC, net transport.Ne
 			r.decided.tail().union(&n.lanes, *e.Snapshot)
 			r.decided.noteKindFromSummary()
 		} else {
-			r.decided.replay(&n.lanes, e.Key, n.net.Now().UnixNano(), e.Decision)
+			r.decided.replay(&n.lanes, e.Key, n.net.Now().UnixNano(), e.Decision, i >= ds.snapRows)
 		}
 		n.meter(r, was)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -352,7 +353,7 @@ func TestRefusedSettleLeavesNothingOnDisk(t *testing.T) {
 			defer ds.Close()
 			want(ds, "after reopen", 10, 1)
 			r := n.rs(key)
-			if _, ok := r.decided.get(&n.lanes, tx); ok {
+			if _, ok := r.decided.entry(&n.lanes, key, tx); ok {
 				t.Error("after reopen the decided log holds the refused decision")
 			}
 			if r.decided.summary().contains(&n.lanes, laneOf(tx), 1) {
@@ -363,5 +364,106 @@ func TestRefusedSettleLeavesNothingOnDisk(t *testing.T) {
 			n.handle(vis)
 			want(ds, "visibility delivered a third time", 15, 2)
 		})
+	}
+}
+
+// openReplayNode reopens the durable state in dir as one storage node
+// on a network that sends nowhere.
+func openReplayNode(t *testing.T, dir string) (*DurableState, *StorageNode) {
+	t.Helper()
+	ds, err := OpenDurableOpts(dir, DurableOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := topology.NewCluster(topology.Layout{NodesPerDC: 1, ClientDC: -1})
+	return ds, NewDurableStorageNode(cl.Storage[0].ID, cl.Storage[0].DC, &codecNet{}, cl, Defaults(ModeMDCC), ds)
+}
+
+// txsOf lists a record's decided entries in settle order.
+func txsOf(n *StorageNode, key record.Key) []TxID {
+	var out []TxID
+	n.rs(key).decided.each(&n.lanes, key, func(e decidedEntry) bool {
+		out = append(out, e.tx())
+		return true
+	})
+	return out
+}
+
+// TestSnapshotSummaryFirstReopensEveryEntry: a checkpoint lists a
+// record's summary before its decision bodies, so every body it replays
+// is one the summary already holds. A commutative record settled
+// before and after a checkpoint reopens with every entry, in settle
+// order, the snapshot's as well as the tail's.
+func TestSnapshotSummaryFirstReopensEveryEntry(t *testing.T) {
+	const key, coord = record.Key("acct/1"), "gw/us-west/c0"
+	dir := t.TempDir()
+	ds, n := openReplayNode(t, dir)
+	var want []TxID
+	settle := func(seq uint64) {
+		opt := Option{Tx: TxID(fmt.Sprintf("%s#%d", coord, seq)), Coord: coord, KeySeq: seq,
+			Update: record.Commutative(key, map[string]int64{"bal": 1}), WriteSet: []record.Key{key}, WriteSeqs: []uint64{seq}}
+		n.handle(transport.Envelope{From: coord, Msg: visibilityFor(opt, true)})
+		want = append(want, opt.Tx)
+	}
+	for seq := uint64(1); seq <= 3; seq++ {
+		settle(seq)
+	}
+	n.Checkpoint()
+	snapshot := n.snapshotOplog()
+	if len(snapshot) != 4 || snapshot[0].Snapshot == nil {
+		t.Fatalf("the checkpoint lists %d rows, the first a summary: %v; want the summary, then 3 bodies",
+			len(snapshot), snapshot[0].Snapshot != nil)
+	}
+	settle(4)
+	settle(5)
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ds, n = openReplayNode(t, dir)
+	defer ds.Close()
+	if r := ds.replay; !r.UsedSnapshot || r.Tail == 0 {
+		t.Fatalf("reopen replayed %+v, want a checkpoint and a tail", r)
+	}
+	if got := txsOf(n, key); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened with entries %v, want %v", got, want)
+	}
+}
+
+// TestTailRepeatingSnapshotBodyRestoresOnce: a log tail that repeats a
+// decision body its snapshot carries (a tail that overlaps its
+// snapshot) is replayed as onVisibility settles: the record's summary
+// already holds the option, so the repeat adds no entry.
+func TestTailRepeatingSnapshotBodyRestoresOnce(t *testing.T) {
+	const key = record.Key("acct/1")
+	opt := Option{Tx: "gw/us-west/c0#1", KeySeq: 1, Update: record.Commutative(key, map[string]int64{"bal": 1})}
+	body := appendDecision(nil, opt.Tx, DecAccept, opt.KeySeq, &opt.Update)
+	var sum LineageSummary
+	sum.Add(laneOf(opt.Tx), opt.KeySeq, false, true)
+	dir := t.TempDir()
+	ds, err := OpenDurableOpts(dir, DurableOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Checkpoint([]oplogEntry{{Key: key, Snapshot: &sum}, {Key: key, Decision: body}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Store.Append(appendOplogEntry([]byte{oplogFormat}, &oplogEntry{Key: key, Decision: body})); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ds, n := openReplayNode(t, dir)
+	defer ds.Close()
+	if r := ds.replay; !r.UsedSnapshot || r.Tail != 1 {
+		t.Fatalf("reopen replayed %+v, want a checkpoint and a one-record tail", r)
+	}
+	if got := txsOf(n, key); !reflect.DeepEqual(got, []TxID{opt.Tx}) {
+		t.Fatalf("reopened with entries %v, want %s once", got, opt.Tx)
+	}
+	if got, want := n.LineageFingerprint(key), sum.String(); got != want {
+		t.Fatalf("reopened summary %s, want %s", got, want)
 	}
 }

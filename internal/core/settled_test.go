@@ -114,7 +114,7 @@ func TestLeaderNeverRedecidesSettledOption(t *testing.T) {
 			t.Errorf("coordinator answered %v, recoverer answered %v; want both answered", learned, decided)
 		}
 		l := ldr.ldrs[key]
-		if d, ok := l.learned.get(&ldr.lanes, opt.Tx); ok && d != settled {
+		if d, ok := l.learned.decision(&ldr.lanes, opt.Tx, opt.KeySeq); ok && d != settled {
 			t.Errorf("the leader learned %v for an option its summary holds as %v", d, settled)
 		}
 		if _, got, _ := ldr.Store().GetEncoded(key); got != ver {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"hash/maphash"
 	"math"
 	"math/rand"
 	"reflect"
@@ -28,25 +27,41 @@ type testLog struct {
 
 const testLogKey = record.Key("k")
 
-func (l *testLog) get(tx TxID) (Decision, bool) { return l.decidedLog.get(&l.tab, tx) }
+// lookup is the decision of tx's entry, found by entry's scan.
+func (l *testLog) lookup(tx TxID) (Decision, bool) {
+	e, ok := l.entry(tx)
+	return e.Decision, ok
+}
 
 func (l *testLog) entry(tx TxID) (decidedEntry, bool) {
 	return l.decidedLog.entry(&l.tab, testLogKey, tx)
 }
 
-func (l *testLog) record(d Decision, opt Option, hasOpt bool, at time.Time) (decidedEntry, bool) {
+func (l *testLog) decision(tx TxID, keySeq uint64) (Decision, bool) {
+	return l.decidedLog.decision(&l.tab, tx, keySeq)
+}
+
+func (l *testLog) record(d Decision, opt Option, hasOpt bool, at time.Time) decidedEntry {
 	return l.decidedLog.record(&l.tab, testLogKey, d, opt, hasOpt, at)
+}
+
+// learn is the learned log's record, and reports whether it stored an
+// entry (false for an option the summary already held).
+func (l *testLog) learn(d Decision, opt Option, hasOpt bool, at time.Time) bool {
+	before := l.len()
+	l.decidedLog.learn(&l.tab, testLogKey, d, opt, hasOpt, at)
+	return l.len() > before
 }
 
 // note and replay are the settle rules: every entry is noted in the
 // summary before it is stored.
 func (l *testLog) note(d Decision, opt Option) { l.decidedLog.note(&l.tab, d, opt) }
 
-func (l *testLog) replay(body []byte) { l.decidedLog.replay(&l.tab, testLogKey, 0, body) }
+// replay replays body as a log tail's record.
+func (l *testLog) replay(body []byte) { l.decidedLog.replay(&l.tab, testLogKey, 0, body, true) }
 
-func (l *testLog) restore(body []byte) bool {
-	_, ok := l.decidedLog.restore(&l.tab, testLogKey, 0, body)
-	return ok
+func (l *testLog) restore(body []byte) decidedEntry {
+	return l.decidedLog.restore(&l.tab, testLogKey, 0, body)
 }
 
 // testReplicas are testLogKey's replicas: the log's own node, then its
@@ -73,20 +88,11 @@ func acking(hi uint64, lanes ...string) LineageSummary {
 	return s
 }
 
-// bare records a contents-free decision (what the leader's learned log
-// records for an option it only knows by id) and reports whether it
-// was new.
-func bare(l *testLog, tx TxID, d Decision, at time.Time) bool {
-	_, isNew := l.record(d, Option{Tx: tx}, false, at)
-	return isNew
-}
-
-// indexLen is the number of hashes l's index files, 0 with no index.
-func indexLen(l *testLog) int {
-	if l.idx == nil {
-		return 0
-	}
-	return len(l.idx.pos)
+// bare learns a contents-free decision of the option (lane, seq), with
+// transaction id lane#seq (what the leader's learned log keeps of an
+// option it only knows by id), and reports whether it stored an entry.
+func bare(l *testLog, lane string, seq uint64, d Decision, at time.Time) bool {
+	return l.learn(d, Option{Tx: TxID(fmt.Sprintf("%s#%d", lane, seq)), KeySeq: seq}, false, at)
 }
 
 // txs lists a log's transactions in settle order.
@@ -109,56 +115,77 @@ func throughOplog(t *testing.T, e decidedEntry) decidedEntry {
 		t.Fatal(err)
 	}
 	var fresh testLog
-	if !fresh.restore(disk.Decision) {
+	fresh.restore(disk.Decision)
+	got, ok := fresh.entry(e.tx())
+	if !ok {
 		t.Fatal("replayed decision not restored into an empty log")
 	}
-	got, _ := fresh.entry(e.tx())
 	return got
 }
 
+// The first decision of an option stands, on both kinds of log: the
+// learned log's learn and a record's settle, replayed from its log's
+// tail, ask the summary before they store, so a second decision of
+// the same option is neither stored nor answered.
 func TestDecidedLogFirstWriteWins(t *testing.T) {
-	var l testLog
 	now := time.Unix(0, 0)
-	bare(&l, "t1", DecAccept, now)
-	if bare(&l, "t1", DecReject, now) { // ignored
-		t.Fatal("second record of one transaction reported as new")
+	var learned testLog
+	bare(&learned, "c0", 1, DecAccept, now)
+	if bare(&learned, "c0", 1, DecReject, now) {
+		t.Fatal("a second decision of one option stored an entry")
 	}
-	if d, ok := l.get("t1"); !ok || d != DecAccept {
-		t.Fatalf("decision overwritten: %v %v", d, ok)
+	if d, ok := learned.decision("c0#1", 1); !ok || d != DecAccept {
+		t.Fatalf("summary answers %v %v, want the first decision", d, ok)
+	}
+	if d, ok := learned.lookup("c0#1"); !ok || d != DecAccept || learned.len() != 1 {
+		t.Fatalf("entry %v %v of %d, want the first decision alone", d, ok, learned.len())
+	}
+
+	var rec testLog
+	rec.replay(appendDecision(nil, "c0#1", DecAccept, 1, nil))
+	rec.replay(appendDecision(nil, "c0#1", DecReject, 1, nil))
+	if d, ok := rec.decision("c0#1", 1); !ok || d != DecAccept || rec.len() != 1 {
+		t.Fatalf("summary answers %v %v with %d entries, want the first decision and one", d, ok, rec.len())
 	}
 }
 
 // TestDecidedLogLegacyEviction: the leader's learned log's
 // count-and-age trim keeps entries inside the retention horizon and
-// takes the aged ones down to decidedLimit, oldest first.
+// takes the aged ones down to decidedLimit, oldest first; its summary
+// still answers every option it dropped.
 func TestDecidedLogLegacyEviction(t *testing.T) {
 	var l testLog
 	const retention = defaultDecidedRetention
 	start := time.Unix(0, 0)
-	tx := func(i int) TxID { return TxID(fmt.Sprintf("t%d", i)) }
+	tx := func(seq uint64) TxID { return TxID(fmt.Sprintf("c0#%d", seq)) }
 	// Over the count limit but inside the retention horizon: nothing
 	// may be forgotten (late visibility could still be re-delivered).
-	n := decidedLimit + 2
-	for i := 0; i < n; i++ {
-		bare(&l, tx(i), DecAccept, start.Add(time.Duration(i)*time.Millisecond))
+	n := uint64(decidedLimit + 2)
+	for seq := uint64(1); seq <= n; seq++ {
+		bare(&l, "c0", seq, DecAccept, start.Add(time.Duration(seq)*time.Millisecond))
 	}
 	l.trim(start.Add(5*time.Second), retention)
-	if l.len() != n || indexLen(&l) != n {
-		t.Fatalf("entries inside the retention horizon evicted: %d/%d", l.len(), indexLen(&l))
+	if l.len() != int(n) || len(l.idx.at) != int(n) {
+		t.Fatalf("entries inside the retention horizon evicted: %d entries, %d times", l.len(), len(l.idx.at))
 	}
 	// Once the oldest entries age past retention, the count limit
 	// evicts them.
 	late := start.Add(retention + 10*time.Second)
-	bare(&l, tx(n), DecAccept, late)
+	bare(&l, "c0", n+1, DecAccept, late)
 	l.trim(late, retention)
-	if l.len() != decidedLimit || indexLen(&l) != decidedLimit {
-		t.Fatalf("aged-out entries not evicted down to limit: %d/%d", l.len(), indexLen(&l))
+	if l.len() != decidedLimit || len(l.idx.at) != decidedLimit {
+		t.Fatalf("aged-out entries not evicted down to limit: %d entries, %d times", l.len(), len(l.idx.at))
 	}
-	if _, ok := l.get(tx(0)); ok {
+	if _, ok := l.lookup(tx(1)); ok {
 		t.Fatal("oldest aged-out entry not evicted")
 	}
-	if _, ok := l.get(tx(n)); !ok {
+	if _, ok := l.lookup(tx(n + 1)); !ok {
 		t.Fatal("newest entry missing")
+	}
+	for seq := uint64(1); seq <= n+1; seq++ {
+		if d, ok := l.decision(tx(seq), seq); !ok || d != DecAccept {
+			t.Fatalf("%s answers %v %v after the trim", tx(seq), d, ok)
+		}
 	}
 }
 
@@ -207,7 +234,7 @@ func TestDecidedLogAckGatedCompaction(t *testing.T) {
 	if got := l.compact(aged, retention); got != 4 {
 		t.Fatalf("released %d, want 4", got)
 	}
-	if _, ok := l.get("c4#1"); !ok {
+	if _, ok := l.lookup("c4#1"); !ok {
 		t.Fatal("unacked entry lost")
 	}
 	// Aged but acked inside retention: still held (cache courtesy).
@@ -258,10 +285,10 @@ func TestDecidedLogAgesFromIndexBuild(t *testing.T) {
 	if got := l.compact(built.Add(retention), retention); got != decidedIndexMin {
 		t.Fatalf("released %d entries past retention of the build, want %d", got, decidedIndexMin)
 	}
-	if _, ok := l.get("c0#1"); ok {
+	if _, ok := l.lookup("c0#1"); ok {
 		t.Fatal("a released entry still answers")
 	}
-	if _, ok := l.get("fill#1"); !ok {
+	if _, ok := l.lookup("fill#1"); !ok {
 		t.Fatal("an unacked entry was released")
 	}
 }
@@ -340,9 +367,7 @@ func TestDecidedLogEntryKeepsOption(t *testing.T) {
 		{Tx: "c0#007", KeySeq: 2, Update: record.Physical("j", 5, record.Value{Blob: []byte("another record's key")})},
 		{Tx: "empty"},
 	} {
-		if _, isNew := l.record(DecAccept, opt, true, at); !isNew {
-			t.Fatalf("%s not recorded", opt.Tx)
-		}
+		l.record(DecAccept, opt, true, at)
 		logged, ok := l.entry(opt.Tx)
 		if !ok {
 			t.Fatalf("%s not found", opt.Tx)
@@ -363,7 +388,7 @@ func TestDecidedLogEntryKeepsOption(t *testing.T) {
 	if e, _ := l.entry("c0#007"); e.elided || e.lane() != "c0" {
 		t.Errorf("an update of another key lost its key (elided %v), lane %q", e.elided, e.lane())
 	}
-	e, _ := l.record(DecReject, Option{Tx: "absent"}, false, at)
+	e := l.record(DecReject, Option{Tx: "absent"}, false, at)
 	for name, e := range map[string]decidedEntry{"log": e, "oplog": throughOplog(t, e)} {
 		if _, has := e.option(); has || e.kind() != 0 || e.up != nil || e.Decision != DecReject {
 			t.Errorf("%s: contents-free entry = %+v", name, e)
@@ -371,10 +396,9 @@ func TestDecidedLogEntryKeepsOption(t *testing.T) {
 	}
 }
 
-// An indexed log keeps answering get and entry exactly after either
-// compaction: trim drops the oldest entries off the front
-// (index positions must survive the shift) and compact moves the kept
-// ones up and rebuilds the index.
+// A long log keeps answering entry exactly after either compaction:
+// trim drops the oldest entries off the front and compact moves the
+// kept ones up, each with its settle time.
 func TestDecidedLogIndexedAfterCompaction(t *testing.T) {
 	var l testLog
 	const retention = time.Minute
@@ -388,20 +412,19 @@ func TestDecidedLogIndexedAfterCompaction(t *testing.T) {
 	check := func(stage string, present func(i int) bool) {
 		t.Helper()
 		for i := 0; i < n; i++ {
-			d, ok := l.get(tx(i))
-			e, eok := l.entry(tx(i))
-			if ok != present(i) || eok != ok {
-				t.Fatalf("%s: %s present %v/%v, want %v", stage, tx(i), ok, eok, present(i))
+			e, ok := l.entry(tx(i))
+			if ok != present(i) {
+				t.Fatalf("%s: %s present %v, want %v", stage, tx(i), ok, present(i))
 			}
 			if !ok {
 				continue
 			}
 			opt, has := e.option()
-			if d != Decision(1+i%2) || e.Decision != d || !has || opt.Tx != tx(i) || opt.Update.Deltas["x"] != int64(i) {
-				t.Fatalf("%s: %s answers %v, entry %+v", stage, tx(i), d, opt)
+			if e.Decision != Decision(1+i%2) || !has || opt.Tx != tx(i) || opt.Update.Deltas["x"] != int64(i) {
+				t.Fatalf("%s: %s answers %v, entry %+v", stage, tx(i), e.Decision, opt)
 			}
 		}
-		if _, ok := l.get("c0#absent"); ok {
+		if _, ok := l.lookup("c0#absent"); ok {
 			t.Fatalf("%s: absent transaction found", stage)
 		}
 	}
@@ -418,42 +441,48 @@ func TestDecidedLogIndexedAfterCompaction(t *testing.T) {
 	// Release the lane-c1 entries the trim left.
 	l.compact(start.Add(time.Hour), retention)
 	check("compact", func(i int) bool { return i >= firstKept && i%3 != 1 })
-	if (l.idx == nil) || indexLen(&l) != l.len() {
-		t.Fatalf("index of %d for %d entries", indexLen(&l), l.len())
+	if l.idx == nil || len(l.idx.at) != l.len() {
+		t.Fatalf("a %d-entry log keeps no times or the wrong number", l.len())
 	}
 }
 
 // oracleTx draws a transaction id, most of them lane#seq as a
 // coordinator mints them and the rest in every form the log keeps
 // whole: no '#', an empty lane, no sequence, a leading zero, a
-// sequence past 2^64. Lanes with a '#' of their own are minted too.
-func oracleTx(rng *rand.Rand, steps int) TxID {
+// sequence past 2^64. Lanes with a '#' of their own are minted too. It
+// returns the option's lineage sequence beside it, a function of the
+// id, so an id names one option; two ids may name the same option.
+func oracleTx(rng *rand.Rand, steps int) (TxID, uint64) {
 	lane, seq := rng.Intn(4), rng.Intn(steps)
+	keySeq := uint64(seq) + 1
 	switch rng.Intn(12) {
 	case 0:
-		return TxID(fmt.Sprintf("t%d", seq))
+		return TxID(fmt.Sprintf("t%d", seq)), keySeq
 	case 1:
-		return TxID(fmt.Sprintf("#%d", seq))
+		return TxID(fmt.Sprintf("#%d", seq)), keySeq
 	case 2:
-		return TxID(fmt.Sprintf("c%d#", lane))
+		return TxID(fmt.Sprintf("c%d#", lane)), 1
 	case 3:
-		return TxID(fmt.Sprintf("c%d#0%d", lane, seq))
+		return TxID(fmt.Sprintf("c%d#0%d", lane, seq)), keySeq
 	case 4:
-		return TxID(fmt.Sprintf("c%d#%d%020d", lane, seq+1, 0))
+		return TxID(fmt.Sprintf("c%d#%d%020d", lane, seq+1, 0)), keySeq
 	case 5:
-		return TxID(fmt.Sprintf("a#c%d#%d", lane, seq))
+		return TxID(fmt.Sprintf("a#c%d#%d", lane, seq)), keySeq
 	}
-	return TxID(fmt.Sprintf("c%d#%d", lane, seq))
+	return TxID(fmt.Sprintf("c%d#%d", lane, seq)), keySeq
 }
 
-// TestDecidedLogMatchesMapOracle drives random record / get / entry /
-// compact / trim sequences, long enough to cross the index
-// threshold in both directions and the count limit, against a plain
-// map plus order slice — the structure the log replaced. Every entry
-// found expands to the exact body appendDecision writes for it. Only an
-// indexed log holds settle times: the entries it held when its index was
-// built age from the build, and a log that drops below decidedIndexMin
-// forgets them (noTime).
+// TestDecidedLogMatchesMapOracle drives random learn / lookup /
+// compact / trim sequences, long enough to cross the index threshold in
+// both directions and the count limit, against a plain map plus order
+// slice — the structure the log replaced — and a map of every option
+// ever decided, which the summary must answer forever. learn asks the
+// summary first, so an option it holds (under this id or another) is
+// not stored again. Every entry found expands to the exact body
+// appendDecision writes for it. Only a log with an index holds settle
+// times: the entries it held when its index was built age from the
+// build, and a log that drops below decidedIndexMin forgets them
+// (noTime).
 func TestDecidedLogMatchesMapOracle(t *testing.T) {
 	const (
 		retention = time.Minute
@@ -465,10 +494,15 @@ func TestDecidedLogMatchesMapOracle(t *testing.T) {
 		hasOpt    bool
 		settledAt int64
 	}
+	type option struct {
+		lane string
+		seq  uint64
+	}
 	rng := rand.New(rand.NewSource(17))
 	for round := 0; round < 20; round++ {
 		var l testLog
 		ref := map[TxID]settled{}
+		decided := map[option]Decision{}
 		var order []TxID
 		noted := false // the log holds the peers' summaries
 		now := time.Unix(0, 0)
@@ -484,9 +518,12 @@ func TestDecidedLogMatchesMapOracle(t *testing.T) {
 			order = kept
 		}
 		steps := 200 + rng.Intn(3*decidedLimit)
+		// The peers ack the first half of lanes c0 and c1.
+		acked := acking(uint64(steps/2), "c0", "c1")
 		for step := 0; step < steps; step++ {
 			now = now.Add(time.Duration(rng.Intn(2000)) * time.Millisecond)
-			tx := oracleTx(rng, steps)
+			tx, keySeq := oracleTx(rng, steps)
+			id := option{laneOf(tx), keySeq}
 			switch op := rng.Intn(100); {
 			case op < 70:
 				key := testLogKey
@@ -494,20 +531,22 @@ func TestDecidedLogMatchesMapOracle(t *testing.T) {
 					key = "j" // an update of another record: its key is kept
 				}
 				s := settled{d: Decision(1 + rng.Intn(2)), hasOpt: rng.Intn(4) > 0, settledAt: noTime,
-					opt: Option{Tx: tx, KeySeq: 1 + uint64(rng.Intn(3)), // 3: never acked
-						Update: record.Commutative(key, map[string]int64{"x": int64(step)})}}
+					opt: Option{Tx: tx, KeySeq: keySeq, Update: record.Commutative(key, map[string]int64{"x": int64(step)})}}
+				learned := s.opt
 				if !s.hasOpt {
 					s.opt = Option{Tx: tx} // what a contents-free entry keeps
 				}
-				_, known := ref[tx]
-				if _, isNew := l.record(s.d, s.opt, s.hasOpt, now); isNew == known {
-					t.Fatalf("round %d step %d: record(%s) new=%v, oracle known=%v", round, step, tx, !known, known)
+				_, known := decided[id]
+				if stored := l.learn(s.d, learned, s.hasOpt, now); stored == known {
+					t.Fatalf("round %d step %d: learn(%s) stored %v, oracle knows the option: %v", round, step, tx, stored, known)
 				}
-				if !known {
-					ref[tx] = s
-					order = append(order, tx)
+				if known {
+					break
 				}
-				if !known && len(order) >= decidedIndexMin {
+				decided[id] = s.d
+				ref[tx] = s
+				order = append(order, tx)
+				if len(order) >= decidedIndexMin {
 					// The log is indexed: the new entry settles now, and so
 					// does every entry of a log the new one indexed.
 					for _, tx := range order[len(order)-decidedIndexMin:] {
@@ -519,14 +558,15 @@ func TestDecidedLogMatchesMapOracle(t *testing.T) {
 					}
 				}
 			case op < 90:
-				d, ok := l.get(tx)
-				e, eok := l.entry(tx)
+				if d, ok := l.decision(tx, keySeq); d != decided[id] || ok != (decided[id] != DecUnknown) {
+					t.Fatalf("round %d step %d: decision(%s) = %v %v, oracle %v", round, step, tx, d, ok, decided[id])
+				}
+				e, ok := l.entry(tx)
 				want, wok := ref[tx]
 				opt, has := e.option()
-				if ok != wok || eok != wok || d != want.d || e.Decision != want.d ||
-					has != want.hasOpt || (has && !reflect.DeepEqual(opt, want.opt)) {
-					t.Fatalf("round %d step %d: get(%s) = %v %v, entry = %+v %v; oracle %+v %v",
-						round, step, tx, d, ok, opt, eok, want, wok)
+				if ok != wok || e.Decision != want.d || has != want.hasOpt || (has && !reflect.DeepEqual(opt, want.opt)) {
+					t.Fatalf("round %d step %d: entry(%s) = %+v %v; oracle %+v %v",
+						round, step, tx, opt, ok, want, wok)
 				}
 				if !ok {
 					break
@@ -539,9 +579,8 @@ func TestDecidedLogMatchesMapOracle(t *testing.T) {
 					t.Fatalf("round %d step %d: %s expands to %x, want %x", round, step, tx, body, wantBody)
 				}
 			case op < 95:
-				// The peers ack sequences 1 and 2 of lanes c0 and c1. A
-				// long log notes it and keeps it while it stays indexed.
-				acked := acking(2, "c0", "c1")
+				// A long log notes the peers' acks and keeps them while it
+				// stays indexed.
 				if len(order) > decidedLimit {
 					for _, p := range testReplicas[1:] {
 						l.notePeer(p, acked)
@@ -564,19 +603,17 @@ func TestDecidedLogMatchesMapOracle(t *testing.T) {
 				}
 				l.trim(now, retention)
 			}
-			indexed := len(order)
-			if indexed < decidedIndexMin {
-				indexed = 0 // short logs are scanned, and carry no map
-				noted = false
+			if len(order) < decidedIndexMin {
+				noted = false // a short log keeps no times and no peers
 				for _, tx := range order {
 					s := ref[tx]
 					s.settledAt = noTime
 					ref[tx] = s
 				}
 			}
-			if l.len() != len(order) || indexLen(&l) != indexed || (l.idx != nil) != (indexed > 0) {
-				t.Fatalf("round %d step %d: %d entries, %d indexed (nil %v), oracle %d",
-					round, step, l.len(), indexLen(&l), (l.idx == nil), len(order))
+			if l.len() != len(order) || (l.idx != nil) != (len(order) >= decidedIndexMin) {
+				t.Fatalf("round %d step %d: %d entries (index %v), oracle %d",
+					round, step, l.len(), l.idx != nil, len(order))
 			}
 			if l.idx != nil {
 				if len(l.idx.at) != len(order) {
@@ -593,14 +630,21 @@ func TestDecidedLogMatchesMapOracle(t *testing.T) {
 		if got := txs(&l); !reflect.DeepEqual(got, order) && !(len(got) == 0 && len(order) == 0) {
 			t.Fatalf("round %d: settle order diverged: %v vs oracle %v", round, got, order)
 		}
+		for id, want := range decided {
+			if d, ok := l.summary().decision(&l.tab, id.lane, id.seq); !ok || d != want {
+				t.Fatalf("round %d: the summary answers (%s, %d) as %v %v, oracle %v", round, id.lane, id.seq, d, ok, want)
+			}
+		}
 	}
 }
 
 // FuzzDecidedEntryRoundTrip: for an arbitrary decision body on an
 // arbitrary record key, restore followed by expansion gives back the
-// exact bytes, record packs what restore packs, and get and entry
-// answer as a map would — beside a second transaction and, when long
-// is set, behind the index that thirty-two more put the log behind.
+// exact bytes, record packs what restore packs, and entry answers as a
+// map would — beside a second transaction and, when long is set,
+// behind thirty-two more. restore stores every body it is given (its
+// caller asks the summary first), so a transaction given twice is
+// found by its first entry, which is the map's first write.
 func FuzzDecidedEntryRoundTrip(f *testing.F) {
 	f.Add("gw/us-west/c0~MG3X9K2A#42", "gw/us-west/c0~MG3X9K2A#43", "k", "k", uint8(DecAccept), uint64(3), uint8(record.KindCommutative), true, false)
 	for _, tx := range []string{"t1", "#5", "c0#", "c0#007", "a#b#3", "c0#18446744073709551616", "c0#18446744073709551615", "c0#0"} {
@@ -619,11 +663,12 @@ func FuzzDecidedEntryRoundTrip(f *testing.F) {
 			want = map[TxID]settled{}
 		)
 		settle := func(tx TxID, d Decision, body []byte) {
-			_, known := want[tx]
-			if _, isNew := l.restore(&tab, record.Key(key), 0, body); isNew == known {
-				t.Fatalf("restore(%q) new=%v, map knows it: %v", tx, isNew, known)
+			before := l.len()
+			l.restore(&tab, record.Key(key), 0, body)
+			if l.len() != before+1 {
+				t.Fatalf("restore(%q) took the log from %d entries to %d", tx, before, l.len())
 			}
-			if !known {
+			if _, known := want[tx]; !known {
 				want[tx] = settled{d, body}
 			}
 		}
@@ -657,16 +702,15 @@ func FuzzDecidedEntryRoundTrip(f *testing.F) {
 
 		for _, id := range []TxID{TxID(tx), TxID(other), TxID(tx + "#1"), "absent"} {
 			w, known := want[id]
-			got, ok := l.get(&tab, id)
-			e, eok := l.entry(&tab, record.Key(key), id)
-			if ok != known || eok != known {
-				t.Fatalf("get(%q) found %v, entry %v; the map knows it: %v", id, ok, eok, known)
+			e, ok := l.entry(&tab, record.Key(key), id)
+			if ok != known {
+				t.Fatalf("entry(%q) found %v; the map knows it: %v", id, ok, known)
 			}
 			if !known {
 				continue
 			}
-			if got != w.d || e.Decision != w.d || e.tx() != id {
-				t.Fatalf("get(%q) = %v, entry %v of %q; want %v", id, got, e.Decision, e.tx(), w.d)
+			if e.Decision != w.d || e.tx() != id {
+				t.Fatalf("entry(%q) = %v of %q; want %v", id, e.Decision, e.tx(), w.d)
 			}
 			if exp := e.appendBody(nil); !reflect.DeepEqual(exp, w.body) {
 				t.Fatalf("%q expands to\n%x, want\n%x", id, exp, w.body)
@@ -675,79 +719,19 @@ func FuzzDecidedEntryRoundTrip(f *testing.F) {
 	})
 }
 
-// Two transactions whose hashes collide are told apart by their bytes:
-// the index marks the shared hash and get scans.
-func TestDecidedLogIndexCollision(t *testing.T) {
-	var l testLog
-	for i := 0; i < decidedIndexMin; i++ {
-		bare(&l, TxID(fmt.Sprintf("t%d", i)), DecAccept, time.Unix(0, 0))
-	}
-	// Force t1's and t2's entries onto one hash, as a collision would.
-	h1 := maphash.String(decidedSeed, "t1")
-	h2 := maphash.String(decidedSeed, "t2")
-	delete(l.idx.pos, h2)
-	l.idx.pos[h1] = -1
-	l.idx.pos[h2] = -1
-	for _, tx := range []TxID{"t1", "t2"} {
-		if _, ok := l.get(tx); !ok {
-			t.Fatalf("%s lost behind a shared hash", tx)
-		}
-	}
-	// A transaction whose hash is filed under another's is absent.
-	l.idx.pos[maphash.String(decidedSeed, "nope")] = l.idx.pos[maphash.String(decidedSeed, "t3")]
-	if _, ok := l.get("nope"); ok {
-		t.Fatal("absent transaction found through another's hash")
-	}
-}
-
-// A long log answers get from its index: a miss on 10 000 entries must
-// cost what it costs on 100, not a hundred times that.
-func TestDecidedLogGetDoesNotScan(t *testing.T) {
-	fill := func(n int) *testLog {
-		l := new(testLog)
-		for i := 0; i < n; i++ {
-			bare(l, TxID(fmt.Sprintf("gw/us-west/c0#%d", i)), DecAccept, time.Unix(0, 0))
-		}
-		return l
-	}
-	small, large := fill(100), fill(10000)
-	if small.idx == nil || indexLen(large) != 10000 {
-		t.Fatalf("index sizes %d, %d", indexLen(small), indexLen(large))
-	}
-	probe := func(l *testLog) time.Duration {
-		best := time.Duration(1 << 62)
-		for run := 0; run < 5; run++ {
-			t0 := time.Now()
-			for i := 0; i < 2000; i++ {
-				if _, ok := l.get("gw/us-west/c0#absent"); ok {
-					t.Fatal("absent transaction found")
-				}
-				if _, ok := l.get("gw/us-west/c0#99"); !ok {
-					t.Fatal("present transaction missed")
-				}
-			}
-			best = min(best, time.Since(t0))
-		}
-		return best
-	}
-	if s, g := probe(small), probe(large); g > 20*s {
-		t.Fatalf("4000 gets: %v on 10000 entries vs %v on 100 — get scans", g, s)
-	}
-}
-
-// get and record allocate nothing beyond the log's own growth: the
-// lookup compares sequences and lane names in place, and a settle's one
-// allocation is the buffer it lands in (its lane already numbered in
-// the node's table).
+// decision, entry and record allocate nothing beyond the log's own
+// growth: the lookups compare sequences and lane names in place, and a
+// settle's one allocation is the buffer it lands in (its lane already
+// numbered in the node's table).
 func TestDecidedLogAllocations(t *testing.T) {
 	probes := []TxID{"gw/us-west/c0~MG3X9K2A#5", "gw/us-west/c0~MG3X9K2A#absent", "gw/us-west/c9#5", "t5"}
 	var l testLog
-	for i := 0; i < 8; i++ {
-		bare(&l, TxID(fmt.Sprintf("gw/us-west/c0~MG3X9K2A#%d", i)), DecAccept, time.Unix(0, 0))
+	for seq := uint64(1); seq <= 8; seq++ {
+		bare(&l, "gw/us-west/c0~MG3X9K2A", seq, DecAccept, time.Unix(0, 0))
 	}
 	for _, tx := range probes {
-		if a := testing.AllocsPerRun(100, func() { l.get(tx) }); a != 0 {
-			t.Errorf("get(%s) on a scanned log: %v allocations", tx, a)
+		if a := testing.AllocsPerRun(100, func() { l.entry(tx); l.decision(tx, 5) }); a != 0 {
+			t.Errorf("entry and decision of %s on a short log: %v allocations", tx, a)
 		}
 	}
 	opt := Option{Tx: "gw/us-west/c0~MG3X9K2A#100", KeySeq: 9, Update: record.Commutative(testLogKey, map[string]int64{"x": 1})}
@@ -758,12 +742,12 @@ func TestDecidedLogAllocations(t *testing.T) {
 		t.Errorf("first settle on a record: %v allocations, want 1 (its buffer)", a)
 	}
 	large := new(testLog)
-	for i := 0; i < 100; i++ {
-		bare(large, TxID(fmt.Sprintf("gw/us-west/c0~MG3X9K2A#%d", i)), DecAccept, time.Unix(0, 0))
+	for seq := uint64(1); seq <= 100; seq++ {
+		bare(large, "gw/us-west/c0~MG3X9K2A", seq, DecAccept, time.Unix(0, 0))
 	}
 	for _, tx := range probes {
-		if a := testing.AllocsPerRun(100, func() { large.get(tx) }); a != 0 {
-			t.Errorf("get(%s) on an indexed log: %v allocations", tx, a)
+		if a := testing.AllocsPerRun(100, func() { large.entry(tx); large.decision(tx, 5) }); a != 0 {
+			t.Errorf("entry and decision of %s on a long log: %v allocations", tx, a)
 		}
 	}
 }
